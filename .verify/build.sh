@@ -93,6 +93,8 @@ $RUSTC --crate-type rlib --crate-name cgx_serve crates/serve/src/lib.rs \
   -o "$L/libcgx_serve.rlib"
 
 echo "== unit test binaries"
+$RUSTC --test --crate-name cgx_tensor_tests crates/tensor/src/lib.rs \
+  -o "$V/test_tensor"
 $RUSTC --test --crate-name cgx_obs_tests crates/obs/src/lib.rs \
   -o "$V/test_obs"
 $RUSTC --test --crate-name cgx_compress_tests crates/compress/src/lib.rs \
@@ -214,12 +216,6 @@ $RUSTC --crate-type rlib --crate-name cgx src/lib.rs \
 $RUSTC --test --crate-name simnet_properties tests/simnet_properties.rs \
   --extern cgx="$L/libcgx.rlib" --extern proptest="$L/libproptest.rlib" \
   -o "$V/test_simnet_properties"
-
-echo "== kernel_report bin"
-$RUSTC --crate-name kernel_report crates/bench/src/bin/kernel_report.rs \
-  --extern cgx_tensor="$L/libcgx_tensor.rlib" --extern cgx_compress="$L/libcgx_compress.rlib" \
-  --extern cgx_collectives="$L/libcgx_collectives.rlib" \
-  -o "$V/kernel_report"
 
 echo "== pipeline_report bin"
 $RUSTC --crate-name pipeline_report crates/bench/src/bin/pipeline_report.rs \

@@ -50,6 +50,10 @@ impl BytesMut {
         self.vec.truncate(len);
     }
 
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.vec.resize(new_len, value);
+    }
+
     pub fn extend_from_slice(&mut self, s: &[u8]) {
         self.vec.extend_from_slice(s);
     }

@@ -455,10 +455,20 @@ impl<'a> CommEngine<'a> {
     /// Panics if `h` was already waited on.
     pub fn wait(&mut self, h: Handle) -> Result<(Tensor, AllreduceStats, Box<dyn Compressor>), CommError> {
         self.flush_pending();
+        let was_busy = self.in_flight > 0;
         let mut idle_ns: u64 = 0;
         let mut last_progress = Instant::now();
         loop {
             if self.ops[h.0].result.is_some() {
+                // This wait drove the last collective home: the caller may
+                // now go quiet, so nothing of ours may stay behind in the
+                // transport's coalescing queue for a peer to wait on. The
+                // result in hand is complete whatever the flush says; a
+                // peer that can no longer be written to fails the next
+                // collective, on every rank alike.
+                if was_busy && self.in_flight == 0 {
+                    let _ = self.t.flush_outbound();
+                }
                 let (tensor, mut stats) = self.ops[h.0].result.take().expect("checked above");
                 stats.wait_ns = stats.wait_ns.saturating_add(idle_ns);
                 let cur = self.t.fault_stats();

@@ -109,53 +109,6 @@ pub fn unpack_fixed_with(bytes: &[u8], width: u32, count: usize, mut f: impl FnM
     }
 }
 
-/// Generator-driven variant of [`pack_fixed`]: calls `f` exactly `count`
-/// times in stream order and packs each returned `width`-bit value a `u64`
-/// word at a time. Lets producers (e.g. the stochastic-rounding level
-/// select) feed the packer directly instead of staging codes in a slice.
-/// Byte-for-byte identical to [`pack_fixed`] over the same values.
-///
-/// # Panics
-///
-/// Panics if `width` is not word-packable. Debug builds also check that
-/// every value fits in `width` bits.
-pub fn pack_fixed_with(count: usize, width: u32, out: &mut BytesMut, mut f: impl FnMut() -> u32) {
-    assert!(is_word_packable(width), "width {width} not word-packable");
-    let per_word = (64 / width) as usize;
-    out.reserve((count * width as usize).div_ceil(8));
-    let mut remaining = count;
-    while remaining >= per_word {
-        let mut acc = 0u64;
-        let mut shift = 0u32;
-        for _ in 0..per_word {
-            let v = f();
-            debug_assert!(
-                width == 32 || v < (1u32 << width),
-                "value {v} does not fit in {width} bits"
-            );
-            acc |= (v as u64) << shift;
-            shift += width;
-        }
-        out.put_u64_le(acc);
-        remaining -= per_word;
-    }
-    if remaining > 0 {
-        let mut acc = 0u64;
-        let mut shift = 0u32;
-        for _ in 0..remaining {
-            let v = f();
-            debug_assert!(
-                width == 32 || v < (1u32 << width),
-                "value {v} does not fit in {width} bits"
-            );
-            acc |= (v as u64) << shift;
-            shift += width;
-        }
-        let nbytes = (remaining * width as usize).div_ceil(8);
-        out.put_slice(&acc.to_le_bytes()[..nbytes]);
-    }
-}
-
 /// Convenience wrapper around [`unpack_fixed_with`] collecting into a `Vec`.
 pub fn unpack_fixed(bytes: &[u8], width: u32, count: usize) -> Vec<u32> {
     let mut out = Vec::with_capacity(count);
@@ -258,21 +211,16 @@ impl BitWriter {
         }
     }
 
-    /// Generator-driven variant of [`BitWriter::write_run`]: calls `f`
-    /// exactly `count` times in stream order, dispatching to the word-wide
-    /// [`pack_fixed_with`] kernel under the same conditions as `write_run`
-    /// and falling back to per-value [`BitWriter::write_bits`] otherwise.
-    /// The payload is bit-identical either way.
-    pub fn write_run_with(&mut self, count: usize, width: u32, mut f: impl FnMut() -> u32) {
-        let run_bits = count * width as usize;
-        if self.acc_bits == 0 && is_word_packable(width) && run_bits % 8 == 0 {
-            pack_fixed_with(count, width, &mut self.buf, f);
-        } else {
-            for _ in 0..count {
-                let v = f();
-                self.write_bits(v, width);
-            }
+    /// Appends `n` zero bytes and lends them to the caller to fill — how
+    /// a kernel that packs its own codes writes into the stream. `None`,
+    /// with nothing appended, when the stream is not at a byte boundary.
+    pub(crate) fn append_bytes(&mut self, n: usize) -> Option<&mut [u8]> {
+        if self.acc_bits != 0 {
+            return None;
         }
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        Some(&mut self.buf[start..])
     }
 
     /// Appends a full `f32` (bit pattern, byte-aligned within the stream's
@@ -631,46 +579,14 @@ mod tests {
     }
 
     #[test]
-    fn pack_fixed_with_matches_pack_fixed() {
-        let mut rng = Rng::seed_from_u64(19);
-        for width in [1u32, 2, 4, 8, 16, 32] {
-            for n in [0usize, 1, 3, 15, 16, 17, 64, 65, 1000] {
-                let values = random_values(&mut rng, width, n);
-                let mut by_slice = BytesMut::new();
-                pack_fixed(&values, width, &mut by_slice);
-                let mut by_gen = BytesMut::new();
-                let mut it = values.iter();
-                pack_fixed_with(n, width, &mut by_gen, || *it.next().unwrap());
-                assert_eq!(by_gen.freeze(), by_slice.freeze(), "width={width} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn write_run_with_matches_write_run_aligned_and_misaligned() {
-        let mut rng = Rng::seed_from_u64(23);
-        for width in [2u32, 3, 4, 8] {
-            for prefix_bits in [0u32, 3] {
-                for n in [0usize, 5, 37, 128] {
-                    let values = random_values(&mut rng, width, n);
-                    let mut a = BitWriter::new();
-                    let mut b = BitWriter::new();
-                    if prefix_bits > 0 {
-                        a.write_bits(5, prefix_bits);
-                        b.write_bits(5, prefix_bits);
-                    }
-                    let mut it = values.iter();
-                    a.write_run_with(n, width, || *it.next().unwrap());
-                    a.write_f32(1.5);
-                    b.write_run(&values, width);
-                    b.write_f32(1.5);
-                    assert_eq!(
-                        a.finish(),
-                        b.finish(),
-                        "width={width} prefix={prefix_bits} n={n}"
-                    );
-                }
-            }
-        }
+    fn append_bytes_joins_the_stream_only_at_a_byte_boundary() {
+        let mut w = BitWriter::new();
+        w.write_bits(0xAB, 8);
+        w.append_bytes(2).expect("aligned").copy_from_slice(&[1, 2]);
+        w.write_bits(5, 3);
+        assert!(w.append_bytes(1).is_none());
+        w.write_bits(1, 5);
+        assert_eq!(w.byte_len(), 4);
+        assert_eq!(w.finish().as_ref(), &[0xAB, 1, 2, 0b0000_1101]);
     }
 }

@@ -52,7 +52,7 @@ pub mod scratch;
 mod simd;
 pub mod topk;
 
-pub use bitpack::{is_word_packable, pack_fixed, pack_fixed_with, unpack_fixed, unpack_fixed_with};
+pub use bitpack::{is_word_packable, pack_fixed, unpack_fixed, unpack_fixed_with};
 pub use bitpack::{BitReader, BitWriter};
 pub use error::{compression_error, relative_compression_error};
 pub use fake::FakeCompressor;
@@ -228,14 +228,38 @@ pub fn round_trip(c: &mut dyn Compressor, grad: &Tensor, rng: &mut Rng) -> Tenso
     c.decompress(&enc)
 }
 
+/// Writes `xs` little-endian over `out` in one pass (on a little-endian
+/// target the loop is a plain copy).
+///
+/// # Panics
+///
+/// Panics if `out` is not exactly four bytes per element.
+pub(crate) fn write_f32s_le(xs: &[f32], out: &mut [u8]) {
+    assert_eq!(out.len(), xs.len() * 4, "f32 payload size");
+    for (dst, x) in out.chunks_exact_mut(4).zip(xs) {
+        dst.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
 /// Serializes an `f32` slice little-endian into bytes (shared helper for
 /// float-payload compressors).
 pub(crate) fn f32s_to_bytes(xs: &[f32]) -> Bytes {
-    let mut buf = Vec::with_capacity(xs.len() * 4);
-    for x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
+    let mut buf = vec![0u8; xs.len() * 4];
+    write_f32s_le(xs, &mut buf);
     Bytes::from(buf)
+}
+
+/// Reads little-endian `f32`s from `b` over `out`, the inverse of
+/// [`write_f32s_le`].
+///
+/// # Panics
+///
+/// Panics if `b` is not exactly four bytes per element.
+pub(crate) fn read_f32s_le(b: &[u8], out: &mut [f32]) {
+    assert_eq!(b.len(), out.len() * 4, "f32 payload size");
+    for (o, src) in out.iter_mut().zip(b.chunks_exact(4)) {
+        *o = f32::from_le_bytes(src.try_into().expect("4-byte chunk"));
+    }
 }
 
 /// Deserializes little-endian bytes into `f32`s.
@@ -245,9 +269,9 @@ pub(crate) fn f32s_to_bytes(xs: &[f32]) -> Bytes {
 /// Panics if the byte length is not a multiple of 4.
 pub(crate) fn bytes_to_f32s(b: &[u8]) -> Vec<f32> {
     assert!(b.len().is_multiple_of(4), "payload not f32-aligned");
-    b.chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+    let mut out = vec![0.0; b.len() / 4];
+    read_f32s_le(b, &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Lossless passthrough "compression" — the FP32 baseline.
 
-use crate::{bytes_to_f32s, f32s_to_bytes, Compressor, Encoded, ScratchPool};
+use crate::{
+    bytes_to_f32s, f32s_to_bytes, read_f32s_le, write_f32s_le, Compressor, Encoded, ScratchPool,
+};
 use cgx_tensor::{Rng, Shape, Tensor};
 
 /// Identity codec: ships raw `f32`s. This is the uncompressed NCCL/Horovod
@@ -39,20 +41,14 @@ impl Compressor for NoneCompressor {
 
     fn compress_slice(&mut self, data: &[f32], _rng: &mut Rng, pool: &ScratchPool) -> Encoded {
         let mut buf = pool.take_buf(data.len() * 4);
-        buf.reserve(data.len() * 4);
-        for x in data {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
+        buf.resize(data.len() * 4, 0);
+        write_f32s_le(data, &mut buf);
         Encoded::new(Shape::vector(data.len()), buf.freeze())
     }
 
-    fn compress_pooled(&mut self, grad: &Tensor, _rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let mut buf = pool.take_buf(grad.len() * 4);
-        buf.reserve(grad.len() * 4);
-        for x in grad.as_slice() {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        Encoded::new(grad.shape().clone(), buf.freeze())
+    fn compress_pooled(&mut self, grad: &Tensor, rng: &mut Rng, pool: &ScratchPool) -> Encoded {
+        let flat = self.compress_slice(grad.as_slice(), rng, pool);
+        Encoded::new(grad.shape().clone(), flat.into_payload())
     }
 
     fn decompress(&self, enc: &Encoded) -> Tensor {
@@ -60,11 +56,7 @@ impl Compressor for NoneCompressor {
     }
 
     fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
-        let b = enc.payload();
-        assert_eq!(b.len(), out.len() * 4, "decompress_into length mismatch");
-        for (o, c) in out.iter_mut().zip(b.chunks_exact(4)) {
-            *o = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        }
+        read_f32s_le(enc.payload(), out);
     }
 
     fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {

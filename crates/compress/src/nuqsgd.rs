@@ -13,6 +13,7 @@
 //! codebook differs.
 
 use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
+use cgx_tensor::rng::CounterRng;
 use cgx_tensor::{Rng, Shape, Tensor};
 
 /// Non-uniform (exponential-grid) stochastic quantizer with bucketing.
@@ -75,8 +76,10 @@ impl NuqsgdCompressor {
         &self.levels
     }
 
-    /// Stochastically rounds `a` in `[0, 1]` to a codebook index.
-    fn quantize_magnitude(&self, a: f64, rng: &mut Rng) -> u32 {
+    /// Stochastically rounds `a` in `[0, 1]` to a codebook index, taking
+    /// the upper level when the uniform 32-bit draw `r` falls below the
+    /// rounding probability.
+    fn quantize_magnitude(&self, a: f64, r: u32) -> u32 {
         debug_assert!((0.0..=1.0).contains(&a));
         // Find the bracketing pair: levels[i] >= a >= levels[i+1].
         for i in 0..self.levels.len() - 1 {
@@ -84,7 +87,7 @@ impl NuqsgdCompressor {
             let lo = self.levels[i + 1];
             if a <= hi && a >= lo {
                 let p = if hi > lo { (a - lo) / (hi - lo) } else { 0.0 };
-                return if rng.bernoulli(p) {
+                return if (r as f64) < p * 4_294_967_296.0 {
                     i as u32
                 } else {
                     (i + 1) as u32
@@ -98,20 +101,25 @@ impl NuqsgdCompressor {
     /// the sign bit then the `bits-1` index bits is bit-identical to
     /// writing one combined code `sign | (idx << 1)` of width `bits` — so
     /// each bucket can be staged in the `codes` scratch and emitted through
-    /// the word-wide [`BitWriter::write_run`] kernel.
+    /// the word-wide [`BitWriter::write_run`] kernel. Randomness is
+    /// addressed as in QSGD: one key from `rng` per call, and element `j`
+    /// of bucket `b` rounds on draw `(b << 32) | j` of its [`CounterRng`]
+    /// stream.
     fn encode_into(&mut self, data: &[f32], rng: &mut Rng, w: &mut BitWriter) {
+        let stream = CounterRng::new(rng.next_u64());
         let zero_idx = (self.levels.len() - 1) as u32;
         let mut codes = std::mem::take(&mut self.codes);
-        for bucket in data.chunks(self.bucket_size) {
+        for (b, bucket) in data.chunks(self.bucket_size).enumerate() {
             let norm = bucket.iter().fold(0.0f64, |m, x| m.max(x.abs() as f64));
             w.write_f32(norm as f32);
             codes.clear();
             if norm == 0.0 {
                 codes.resize(bucket.len(), zero_idx << 1);
             } else {
-                for &v in bucket {
+                let keys = stream.round_keys(b as u64);
+                for (j, &v) in bucket.iter().enumerate() {
                     let a = (v.abs() as f64 / norm).min(1.0);
-                    let idx = self.quantize_magnitude(a, rng);
+                    let idx = self.quantize_magnitude(a, CounterRng::mix(j as u32, keys));
                     codes.push(u32::from(v < 0.0) | (idx << 1));
                 }
             }

@@ -1,146 +1,173 @@
-//! SIMD quantization kernel for stochastic rounding.
+//! The fused stochastic-rounding kernel: quantize and pack a bucket in
+//! one pass, eight elements per AVX2 iteration.
 //!
-//! The QSGD hot loop spends most of its time on the per-element float
-//! sequence
+//! Per element, with `s` positive levels, `scale = s / norm` and `r` the
+//! element's draw from the call's [`CounterRng`] stream:
 //!
 //! ```text
-//! scaled    = (|v| as f64 * scale).min(s)
-//! lower     = scaled as u32
-//! threshold = ((scaled - lower as f64) * 2^53) as u64
+//! t     = trunc(clamp(v * scale, -s, s) * 2^24)    (f32 -> i32, |t| < 2^31)
+//! level = (t + (r >> 8)) >> 24                     (arithmetic shift)
+//! code  = s + level
 //! ```
 //!
-//! which LLVM cannot auto-vectorize: the saturating float->int casts and
-//! the serial RNG draw that follows defeat the loop vectorizer. This
-//! module computes the same quantities through an exact integer
-//! decomposition that vectorizes cleanly, leaving only the (inherently
-//! serial) RNG draw and level select to a scalar second pass.
-//!
-//! # Exactness
-//!
-//! Let `t = floor(scaled * 2^53)`. Then
-//!
-//! * `lower == t >> 53`, because `floor(floor(x * 2^53) / 2^53) ==
-//!   floor(x)` and `scaled >= 0` makes the truncating cast a floor.
-//! * `threshold == t & (2^53 - 1)`. `scaled - lower` is an exact f64
-//!   subtraction (the integer part of a float is always representable and
-//!   its removal cannot need more mantissa bits), and multiplying an f64
-//!   by the power of two `2^53` is exact for any product below `2^53`
-//!   (only the exponent changes). So the float sequence computes exactly
-//!   `floor(frac(scaled) * 2^53) = t mod 2^53`.
-//!
-//! And `t` itself needs no float->int conversion: writing `scaled`'s bit
-//! pattern as mantissa `m` (with the implicit bit) and unbiased exponent
-//! `e`, we have `scaled * 2^53 = m * 2^(e+1)`, so `t` is one left shift of
-//! `m` when `e + 1 >= 0` and one right shift otherwise. Shifts, masks and
-//! compares all vectorize; on x86-64 the AVX2 variable shifts
-//! (`vpsllvq`/`vpsrlvq`) even define out-of-range counts to produce 0,
-//! which collapses the sign-of-shift select into a bitwise OR.
-//!
-//! Domain note: `scaled` is never negative or NaN — `|v| * scale` is
-//! either `>= 0` or NaN (`inf * 0`), and `.min(s)` maps NaN to `s` in
-//! both the scalar (`f64::min` returns the other operand on NaN) and the
-//! vector (`vminpd(x, s)` returns the second operand on NaN) form — so
-//! no saturating-cast edge case can diverge. Zeros and subnormals fall
-//! out of the shift clamp: their huge right-shift counts produce 0,
-//! matching `floor(scaled * 2^53) = 0`.
+//! `t` is the signed level in 8.24 fixed point, and adding a uniform
+//! 24-bit draw before dropping the fraction *is* stochastic rounding:
+//! the sum carries into the integer part (or, for `t < 0`, fails to
+//! borrow from it) in exactly `fraction` of the `2^24` draws. Rounding is
+//! therefore unbiased to within 2^-24 of a grid step, and `|level|` never
+//! exceeds `s`, where the fraction is zero. No element depends on the one
+//! before it, so the sequence runs in vector lanes as it stands:
+//! [`BucketQuantizer::code`] is the scalar twin, and the AVX2 body does
+//! the same IEEE-754 and integer operations lane for lane, special
+//! values included (a NaN product clamps to `-s` in both).
 
-/// `floor(min(|v| as f64 * scale, s) * 2^53)` for one element — the scalar
-/// reference for [`quantize_talls`], also used on vector tails and
-/// non-x86 targets.
-#[inline]
-pub(crate) fn quantize_tall_scalar(v: f32, scale: f64, s: f64) -> u64 {
-    let scaled = (v.abs() as f64 * scale).min(s);
-    let b = scaled.to_bits();
-    let sh = ((b >> 52) as i32) - 1022; // unbiased exponent + 1
-    let mant = (b & ((1u64 << 52) - 1)) | (1u64 << 52);
-    if sh >= 0 {
-        // scaled < 2^10 in practice (s <= 127), so mant << sh cannot
-        // overflow; the mask only guards the shift against UB.
-        mant << (sh as u32 & 63)
-    } else {
-        mant >> ((-sh) as u32).min(63)
+use cgx_tensor::rng::CounterRng;
+
+const TWO_POW_24: f32 = 16_777_216.0;
+
+/// What the elements of one bucket share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BucketQuantizer {
+    /// Grid units per unit of magnitude, `s / norm`.
+    scale: f32,
+    /// `s`, the number of positive levels and the code of level zero.
+    levels: u32,
+    /// Round keys of the bucket's run of stream positions.
+    keys: [u32; 2],
+}
+
+impl BucketQuantizer {
+    /// Quantizer of bucket number `bucket` of the call that drew `stream`,
+    /// onto `levels` positive levels spanning `norm`. Element `j` rounds
+    /// on draw `(bucket << 32) | j`.
+    pub(crate) fn new(levels: u32, norm: f32, stream: &CounterRng, bucket: u64) -> Self {
+        BucketQuantizer {
+            // Finite even where `norm` is zero or tiny, so that a zero
+            // element is level zero whatever its bucket holds.
+            scale: (levels as f32 / norm).min(f32::MAX),
+            levels,
+            keys: stream.round_keys(bucket),
+        }
+    }
+
+    /// The code of element `j`, of value `v`.
+    #[inline]
+    pub(crate) fn code(&self, j: usize, v: f32) -> u32 {
+        let r = CounterRng::mix(j as u32, self.keys);
+        let s = self.levels as f32;
+        let t = ((v * self.scale).max(-s).min(s) * TWO_POW_24) as i32;
+        (self.levels as i32 + ((t + (r >> 8) as i32) >> 24)) as u32
     }
 }
 
-/// Fills `out[j] = floor(min(|bucket[j]| as f64 * scale, s) * 2^53)`,
-/// bit-identical to [`quantize_tall_scalar`] on every element. Uses AVX2
-/// when the CPU has it, four lanes at a time.
-///
-/// The caller splits the result into the stochastic-rounding pair with
-/// `lower = t >> 53` and `threshold = t & (2^53 - 1)`.
+/// Writes the codes of `bucket`, `width` bits each and LSB-first, to
+/// `out` — the bytes `BitWriter::write_bits` would produce from a
+/// byte-aligned start.
 ///
 /// # Panics
 ///
-/// Panics if `out` is shorter than `bucket`.
-pub(crate) fn quantize_talls(bucket: &[f32], scale: f64, s: f64, out: &mut [u64]) {
-    assert!(out.len() >= bucket.len(), "tall scratch too short");
+/// Panics unless `width` is 2, 4 or 8 and `out` is exactly the whole
+/// number of bytes the codes fill.
+pub(crate) fn quantize_pack(bucket: &[f32], q: &BucketQuantizer, width: u32, out: &mut [u8]) {
+    assert!(
+        matches!(width, 2 | 4 | 8),
+        "width {width} has no packed form"
+    );
+    assert_eq!(out.len() * 8, bucket.len() * width as usize, "packed size");
+    #[allow(unused_mut)]
+    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { quantize_talls_avx2(bucket, scale, s, out) };
-        return;
+        done = unsafe {
+            match width {
+                2 => quantize_pack_avx2::<2>(bucket, q, out),
+                4 => quantize_pack_avx2::<4>(bucket, q, out),
+                _ => quantize_pack_avx2::<8>(bucket, q, out),
+            }
+        };
     }
-    for (o, &v) in out.iter_mut().zip(bucket) {
-        *o = quantize_tall_scalar(v, scale, s);
+    // `done` is a multiple of 8, so element `done` starts a byte.
+    let per_byte = 8 / width as usize;
+    let mut j = done;
+    for byte in &mut out[done / per_byte..] {
+        *byte = 0;
+        for k in 0..per_byte as u32 {
+            *byte |= (q.code(j, bucket[j]) << (k * width)) as u8;
+            j += 1;
+        }
     }
 }
 
-/// AVX2 body of [`quantize_talls`]: four f64 lanes per iteration, scalar
-/// tail. Every lane performs the identical IEEE-754 operation sequence,
-/// so results are bit-equal to the scalar reference.
+/// AVX2 body of [`quantize_pack`] over the whole groups of eight
+/// elements (eight codes fill `WIDTH` bytes); returns how many elements
+/// that was.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn quantize_talls_avx2(bucket: &[f32], scale: f64, s: f64, out: &mut [u64]) {
+unsafe fn quantize_pack_avx2<const WIDTH: usize>(
+    bucket: &[f32],
+    q: &BucketQuantizer,
+    out: &mut [u8],
+) -> usize {
     use std::arch::x86_64::*;
-    let scale4 = _mm256_set1_pd(scale);
-    let s4 = _mm256_set1_pd(s);
-    let absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFF_FFFF_FFFF_FFFF));
-    let mask52 = _mm256_set1_epi64x(0xF_FFFF_FFFF_FFFF);
-    let bit52 = _mm256_set1_epi64x(1i64 << 52);
-    let bias = _mm256_set1_epi64x(1022);
-    let mut j = 0;
-    while j + 4 <= bucket.len() {
-        let v4 = _mm_loadu_ps(bucket.as_ptr().add(j));
-        // |v| as f64: cvtps2pd is exact and sign-symmetric, so clearing
-        // the sign bit after widening equals widening |v|.
-        let d4 = _mm256_and_pd(_mm256_cvtps_pd(v4), absmask);
-        // Operand order matters: vminpd returns its *second* operand when
-        // the first is NaN, matching f64::min(NaN, s) == s.
-        let scaled = _mm256_min_pd(_mm256_mul_pd(d4, scale4), s4);
-        let b = _mm256_castpd_si256(scaled);
-        // sh = unbiased exponent + 1 (sign bit is clear, so the raw
-        // shift-by-52 is the biased exponent).
-        let sh = _mm256_sub_epi64(_mm256_srli_epi64(b, 52), bias);
-        let mant = _mm256_or_si256(_mm256_and_si256(b, mask52), bit52);
-        // vpsllvq/vpsrlvq define out-of-range counts (incl. negative ones
-        // viewed as u64) to yield 0, so exactly one side survives and the
-        // sh >= 0 select becomes an OR. At sh == 0 both sides equal mant.
-        let left = _mm256_sllv_epi64(mant, sh);
-        let right = _mm256_srlv_epi64(mant, _mm256_sub_epi64(_mm256_setzero_si256(), sh));
-        let t = _mm256_or_si256(left, right);
-        _mm256_storeu_si256(out.as_mut_ptr().add(j).cast::<__m256i>(), t);
-        j += 4;
+    let scale = _mm256_set1_ps(q.scale);
+    let s = _mm256_set1_ps(q.levels as f32);
+    let minus_s = _mm256_set1_ps(-(q.levels as f32));
+    let offset = _mm256_set1_epi32(q.levels as i32);
+    let two_pow_24 = _mm256_set1_ps(TWO_POW_24);
+    let k0 = _mm256_set1_epi32(q.keys[0] as i32);
+    let k1 = _mm256_set1_epi32(q.keys[1] as i32);
+    let m0 = _mm256_set1_epi32(CounterRng::MULTIPLIERS[0] as i32);
+    let m1 = _mm256_set1_epi32(CounterRng::MULTIPLIERS[1] as i32);
+    // Lane l of group g is element 8g + l; its Weyl multiple moves on by
+    // 8 * WEYL from one group to the next.
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mut weyl = _mm256_mullo_epi32(lanes, _mm256_set1_epi32(CounterRng::WEYL as i32));
+    let weyl_step = _mm256_set1_epi32(CounterRng::WEYL.wrapping_mul(8) as i32);
+    // Code l belongs at bits l * WIDTH.. of the group's word. Each 128-bit
+    // half gathers its four codes in its lowest lane; at WIDTH 8 that is
+    // all a lane holds, and the halves are joined as two lanes instead.
+    let w = WIDTH as i32;
+    let up = if WIDTH == 8 { 0 } else { 4 * w };
+    let shifts = _mm256_setr_epi32(0, w, 2 * w, 3 * w, up, up + w, up + 2 * w, up + 3 * w);
+    let groups = bucket.chunks_exact(8);
+    let done = groups.len() * 8;
+    for (vals, bytes) in groups.zip(out.chunks_exact_mut(WIDTH)) {
+        // r = CounterRng::mix(8g + l, keys) >> 8
+        let mut x = _mm256_xor_si256(weyl, k0);
+        weyl = _mm256_add_epi32(weyl, weyl_step);
+        x = _mm256_mullo_epi32(_mm256_xor_si256(x, _mm256_srli_epi32::<16>(x)), m0);
+        x = _mm256_add_epi32(_mm256_xor_si256(x, _mm256_srli_epi32::<15>(x)), k1);
+        x = _mm256_mullo_epi32(x, m1);
+        let r = _mm256_srli_epi32::<8>(_mm256_xor_si256(x, _mm256_srli_epi32::<15>(x)));
+        // Operand order matters: vmaxps returns its second operand when
+        // the first is NaN, as f32::max(NaN, -s) == -s.
+        let v = _mm256_mul_ps(_mm256_loadu_ps(vals.as_ptr()), scale);
+        let scaled = _mm256_min_ps(_mm256_max_ps(v, minus_s), s);
+        let t = _mm256_cvttps_epi32(_mm256_mul_ps(scaled, two_pow_24));
+        let level = _mm256_srai_epi32::<24>(_mm256_add_epi32(t, r));
+        let placed = _mm256_sllv_epi32(_mm256_add_epi32(offset, level), shifts);
+        let pairs = _mm256_or_si256(placed, _mm256_shuffle_epi32::<0b01_00_11_10>(placed));
+        let quads = _mm256_or_si256(pairs, _mm256_shuffle_epi32::<0b10_11_00_01>(pairs));
+        let lo = _mm256_castsi256_si128(quads);
+        let hi = _mm256_extracti128_si256::<1>(quads);
+        let word = if WIDTH == 8 {
+            _mm_cvtsi128_si64(_mm_unpacklo_epi32(lo, hi)) as u64
+        } else {
+            _mm_cvtsi128_si32(_mm_or_si128(lo, hi)) as u32 as u64
+        };
+        bytes.copy_from_slice(&word.to_le_bytes()[..WIDTH]);
     }
-    for (o, &v) in out[j..bucket.len()].iter_mut().zip(&bucket[j..]) {
-        *o = quantize_tall_scalar(v, scale, s);
-    }
+    done
 }
 
-/// `max_j |bucket[j]|` as an `f32` — the max-norm pass of the encoder.
-///
-/// Value-identical to the serial fold `fold(0.0f64, |m, x| m.max(x.abs()
-/// as f64))` narrowed back to the winning element: widening `f32 -> f64`
-/// is exact and monotone, so the maximum over widened values is the
-/// widened maximum, and `f64::max` / `f32::max` both ignore NaN in the
-/// incoming element (the fold's accumulator can never become NaN). `-0.0`
-/// cannot surface either: `abs` clears the sign, and the accumulators
-/// start at `+0.0`. Reassociating the fold into lanes is therefore safe,
-/// which is what lets this vectorize — the serial `maxsd` chain it
-/// replaces ran at its ~4-cycle latency, one element at a time.
+/// `max_j |bucket[j]|` — the max-norm pass of the encoder. NaN elements
+/// are skipped (`f32::max` ignores a NaN operand) and the result is never
+/// `-0.0`: `abs` clears the sign and the fold starts at `+0.0`.
 pub(crate) fn max_abs(bucket: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
@@ -150,10 +177,14 @@ pub(crate) fn max_abs(bucket: &[f32]) -> f32 {
     bucket.iter().fold(0.0f32, |m, x| m.max(x.abs()))
 }
 
-/// AVX body of [`max_abs`]: 8 lanes of `vmaxps` per iteration. Operand
-/// order keeps the NaN-skip semantics — `vmaxps(x, acc)` returns `acc`
-/// (the second operand) when `x` is NaN, exactly as `f32::max(acc, NaN)`
-/// would.
+/// AVX body of [`max_abs`]: 32 elements per iteration, the last few by
+/// the scalar fold. Operand order keeps the NaN skip — `vmaxps(x, acc)`
+/// returns `acc`, its second operand, when `x` is NaN — so accumulators
+/// are never NaN or negative and the order of the reduction cannot
+/// change its value. There are four of them, reduced in registers: the
+/// quantizer cannot start on a bucket before its norm is known, so this
+/// fold's latency (4 cycles per dependent `vmaxps`) is time the encoder
+/// waits.
 ///
 /// # Safety
 ///
@@ -163,20 +194,20 @@ pub(crate) fn max_abs(bucket: &[f32]) -> f32 {
 unsafe fn max_abs_avx(bucket: &[f32]) -> f32 {
     use std::arch::x86_64::*;
     let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-    let mut acc = _mm256_setzero_ps();
-    let mut j = 0;
-    while j + 8 <= bucket.len() {
-        let v = _mm256_and_ps(_mm256_loadu_ps(bucket.as_ptr().add(j)), absmask);
-        acc = _mm256_max_ps(v, acc);
-        j += 8;
+    let mut acc = [_mm256_setzero_ps(); 4];
+    let mut quads = bucket.chunks_exact(32);
+    for quad in &mut quads {
+        for (a, vals) in acc.iter_mut().zip(quad.chunks_exact(8)) {
+            let v = _mm256_and_ps(_mm256_loadu_ps(vals.as_ptr()), absmask);
+            *a = _mm256_max_ps(v, *a);
+        }
     }
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    let mut m = lanes.iter().fold(0.0f32, |m, &x| m.max(x));
-    for &v in &bucket[j..] {
-        m = m.max(v.abs());
-    }
-    m
+    let m8 = _mm256_max_ps(_mm256_max_ps(acc[0], acc[1]), _mm256_max_ps(acc[2], acc[3]));
+    let m4 = _mm_max_ps(_mm256_castps256_ps128(m8), _mm256_extractf128_ps::<1>(m8));
+    let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+    let m1 = _mm_max_ss(m2, _mm_shuffle_ps::<1>(m2, m2));
+    let tail = quads.remainder().iter();
+    tail.fold(_mm_cvtss_f32(m1), |m, v| m.max(v.abs()))
 }
 
 #[cfg(test)]
@@ -184,77 +215,44 @@ mod tests {
     use super::*;
     use cgx_tensor::Rng;
 
-    /// The original float sequence, kept verbatim as the reference.
-    fn float_reference(v: f32, scale: f64, s: f64) -> (u32, u64) {
-        const SCALE_2_53: f64 = (1u64 << 53) as f64;
-        let scaled = (v.abs() as f64 * scale).min(s);
-        let lower = scaled as u32;
-        let threshold = ((scaled - lower as f64) * SCALE_2_53) as u64;
-        (lower, threshold)
-    }
-
-    fn split(t: u64) -> (u32, u64) {
-        ((t >> 53) as u32, t & ((1u64 << 53) - 1))
-    }
-
-    #[test]
-    fn scalar_matches_float_reference_on_random_inputs() {
-        let mut rng = Rng::seed_from_u64(41);
-        for s in [1.0f64, 3.0, 7.0, 127.0] {
-            for _ in 0..20_000 {
-                let v = (rng.normal() * 3.0) as f32;
-                let norm = rng.uniform() * 10.0 + 1e-6;
-                let scale = s / norm;
-                assert_eq!(
-                    split(quantize_tall_scalar(v, scale, s)),
-                    float_reference(v, scale, s),
-                    "v={v} scale={scale} s={s}"
-                );
-            }
-        }
-    }
+    const SPECIALS: [f32; 12] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::MIN_POSITIVE,
+        -1.0e-40, // subnormal
+        f32::MAX,
+        f32::MIN,
+        -1.0,
+        7.5,
+    ];
 
     #[test]
-    fn scalar_matches_float_reference_on_edge_cases() {
-        let s = 7.0f64;
-        let cases: &[(f32, f64)] = &[
-            (0.0, 1.0),
-            (-0.0, 1.0),
-            (1.0, 7.0),         // scaled exactly at the clamp
-            (1.0, 6.999999999), // just below
-            (f32::MIN_POSITIVE, 1.0),
-            (1.0e-38, 1.0e-280),  // subnormal scaled
-            (1.0e-30, 1.0e-290),  // zero after underflow
-            (f32::INFINITY, 0.0), // inf * 0 = NaN -> clamped to s
-            (f32::MAX, 0.0),      // 0 * finite = 0
-            (3.0, 1.0),           // integer scaled: threshold 0
-            (0.5, 1.0),
-        ];
-        for &(v, scale) in cases {
-            assert_eq!(
-                split(quantize_tall_scalar(v, scale, s)),
-                float_reference(v, scale, s),
-                "v={v} scale={scale}"
-            );
-        }
-    }
-
-    #[test]
-    fn vector_matches_scalar_lane_for_lane() {
+    fn packed_bytes_match_scalar_twin_code_for_code() {
         let mut rng = Rng::seed_from_u64(43);
-        for s in [1.0f64, 7.0, 127.0] {
-            // Lengths around the 4-lane boundary exercise the tail loop.
-            for n in [0usize, 1, 3, 4, 5, 7, 8, 127, 128, 1000] {
-                let bucket: Vec<f32> = (0..n).map(|_| (rng.normal() * 2.0) as f32).collect();
-                let norm = bucket.iter().fold(1e-9f64, |m, x| m.max(x.abs() as f64));
-                let scale = s / norm;
-                let mut fast = vec![0u64; n];
-                quantize_talls(&bucket, scale, s, &mut fast);
-                for (j, &v) in bucket.iter().enumerate() {
+        let stream = CounterRng::new(rng.next_u64());
+        for (width, levels) in [(2u32, 1u32), (4, 7), (8, 127), (8, 3), (8, 31)] {
+            // Lengths around the 8-lane boundary exercise the scalar tail.
+            for n in [0usize, 4, 8, 12, 16, 60, 64, 128, 1000] {
+                let mut bucket: Vec<f32> = (0..n).map(|_| (rng.normal() * 2.0) as f32).collect();
+                for (slot, special) in bucket.iter_mut().skip(1).step_by(3).zip(SPECIALS) {
+                    *slot = special;
+                }
+                for norm in [max_abs(&bucket), 1.0, 0.0, 1.0e-42, f32::INFINITY, f32::NAN] {
+                    let q = BucketQuantizer::new(levels, norm, &stream, n as u64);
+                    let mut packed = vec![0xAAu8; n * width as usize / 8];
+                    quantize_pack(&bucket, &q, width, &mut packed);
+                    let mut twin = crate::BitWriter::new();
+                    for (j, &v) in bucket.iter().enumerate() {
+                        twin.write_bits(q.code(j, v), width);
+                    }
                     assert_eq!(
-                        fast[j],
-                        quantize_tall_scalar(v, scale, s),
-                        "lane {j} of {n}, s={s}"
+                        packed,
+                        twin.finish().as_ref(),
+                        "width={width} levels={levels} n={n} norm={norm}"
                     );
                 }
             }
@@ -262,38 +260,63 @@ mod tests {
     }
 
     #[test]
-    fn vector_handles_special_values_in_lanes() {
-        let bucket = [
-            0.0f32,
-            -0.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::MIN_POSITIVE,
-            -1.0,
-            7.5,
-            1.0e-38,
-        ];
-        for scale in [0.0f64, 1.0, 1.0e-300] {
-            let mut fast = vec![0u64; bucket.len()];
-            quantize_talls(&bucket, scale, 7.0, &mut fast);
-            for (j, &v) in bucket.iter().enumerate() {
-                assert_eq!(fast[j], quantize_tall_scalar(v, scale, 7.0), "lane {j}");
+    fn codes_stay_on_the_grid_for_any_input() {
+        let stream = CounterRng::new(5);
+        for levels in [1u32, 3, 7, 15, 31, 63, 127] {
+            for norm in [0.0f32, 1.0e-42, 1.0, f32::MAX, f32::INFINITY, f32::NAN] {
+                let q = BucketQuantizer::new(levels, norm, &stream, 0);
+                for (j, v) in SPECIALS.into_iter().enumerate() {
+                    let code = q.code(j, v);
+                    assert!(
+                        code <= 2 * levels,
+                        "levels={levels} norm={norm} v={v}: {code}"
+                    );
+                    if v == 0.0 {
+                        assert_eq!(code, levels, "zero is level zero (norm={norm})");
+                    }
+                }
             }
         }
     }
 
     #[test]
+    fn grid_points_are_fixed_and_midpoints_split_evenly() {
+        let stream = CounterRng::new(11);
+        let q = BucketQuantizer::new(7, 7.0, &stream, 3);
+        let (mut up, trials) = (0u32, 100_000usize);
+        for j in 0..trials {
+            assert_eq!(q.code(j, 3.0), 10);
+            assert_eq!(q.code(j, -7.0), 0);
+            let code = q.code(j, -2.5);
+            assert!(code == 4 || code == 5, "code {code}");
+            up += u32::from(code == 4);
+        }
+        // Binomial(n, 1/2): sigma = sqrt(n)/2 ~ 158.
+        assert!(
+            (up as f64 - trials as f64 / 2.0).abs() < 4.0 * 158.0,
+            "{up} of {trials} rounded up"
+        );
+    }
+
+    #[test]
     fn max_abs_matches_serial_fold() {
         let mut rng = Rng::seed_from_u64(47);
-        // Lengths around the 8-lane boundary exercise the tail loop.
-        for n in [0usize, 1, 7, 8, 9, 15, 16, 127, 128, 1000] {
-            let bucket: Vec<f32> = (0..n).map(|_| (rng.normal() * 3.0) as f32).collect();
-            let want = bucket.iter().fold(0.0f64, |m, x| m.max(x.abs() as f64));
-            assert_eq!(max_abs(&bucket) as f64, want, "n={n}");
+        // Lengths around the 32-element boundary exercise the tail fold.
+        for n in [0usize, 1, 7, 31, 32, 33, 63, 64, 127, 128, 1000] {
+            let mut bucket: Vec<f32> = (0..n).map(|_| (rng.normal() * 3.0) as f32).collect();
+            let want = bucket.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+            assert_eq!(max_abs(&bucket), want, "n={n}");
+            // NaN lanes are skipped wherever they fall; a signed zero or
+            // an infinity is not.
+            for (slot, special) in bucket.iter_mut().step_by(5).zip(SPECIALS) {
+                *slot = special;
+            }
+            let want = bucket.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+            assert_eq!(
+                max_abs(&bucket).to_bits(),
+                want.to_bits(),
+                "specials, n={n}"
+            );
         }
-        // Special values: signed zeros, infinities, and a lone huge lane.
-        let tricky = [0.0f32, -0.0, f32::INFINITY, -1.0e30, 1.0, -3.5, 0.25, 2.0, 0.125];
-        let want = tricky.iter().fold(0.0f64, |m, x| m.max(x.abs() as f64));
-        assert_eq!(max_abs(&tricky) as f64, want);
     }
 }

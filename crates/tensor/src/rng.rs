@@ -221,9 +221,162 @@ impl Rng {
     }
 }
 
+/// A stateless, position-addressable generator: draw `i` of the stream
+/// named by `key` is a pure function of `(key, i)`, so any element can be
+/// computed without the ones before it — in any order, or eight per
+/// instruction in vector lanes — and skipping elements shifts nothing.
+///
+/// A position is 64 bits. Its high half selects a pair of round keys (one
+/// SplitMix64 step over `key` and that half, so keys or halves one bit
+/// apart give unrelated pairs); its low half is a counter, spread by a
+/// Weyl multiply and put through a keyed two-round xorshift-multiply
+/// permutation (multipliers from the hash-prospector search). A run of
+/// consecutive counters therefore costs one add and two 32-bit multiplies
+/// per draw, which AVX2 does eight lanes at a time. The quantizers
+/// address element `j` of bucket `b` of a call as `(b << 32) | j`: every
+/// bucket has round keys of its own and counters stay small. This is a
+/// statistical generator for stochastic rounding, not a cipher.
+///
+/// # Examples
+///
+/// ```
+/// use cgx_tensor::rng::CounterRng;
+/// let stream = CounterRng::new(7);
+/// assert_eq!(stream.u32_at(1000), CounterRng::new(7).u32_at(1000));
+/// assert_ne!(stream.u32_at(1000), stream.u32_at(1001));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterRng {
+    key: u64,
+}
+
+impl CounterRng {
+    /// The odd constant (2^32 / golden ratio) that spreads the counter.
+    /// Public, with [`CounterRng::MULTIPLIERS`] and
+    /// [`CounterRng::round_keys`], so that a vector kernel can evaluate
+    /// [`CounterRng::mix`] lane-wise; `cgx_compress`'s quantizer does.
+    pub const WEYL: u32 = 0x9E37_79B9;
+
+    /// Multipliers of the two mixing rounds.
+    pub const MULTIPLIERS: [u32; 2] = [0x21F0_AAAD, 0x735A_2D97];
+
+    /// Names a stream. By convention a caller draws `key` once from its
+    /// [`Rng`] per unit of work (one `compress` call).
+    pub fn new(key: u64) -> Self {
+        CounterRng { key }
+    }
+
+    /// Draw `i` of the stream.
+    #[inline]
+    pub fn u32_at(&self, i: u64) -> u32 {
+        Self::mix(i as u32, self.round_keys(i >> 32))
+    }
+
+    /// The round keys of positions `(block << 32) | counter`.
+    #[inline]
+    pub fn round_keys(&self, block: u64) -> [u32; 2] {
+        let mut state = self
+            .key
+            .wrapping_add(block.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let k = split_mix64(&mut state);
+        [k as u32, (k >> 32) as u32]
+    }
+
+    /// The keyed permutation of a 32-bit counter: `u32_at(i) ==
+    /// mix(i as u32, round_keys(i >> 32))`.
+    #[inline]
+    pub fn mix(counter: u32, keys: [u32; 2]) -> u32 {
+        let mut x = counter.wrapping_mul(Self::WEYL) ^ keys[0];
+        x = (x ^ (x >> 16)).wrapping_mul(Self::MULTIPLIERS[0]);
+        x = (x ^ (x >> 15)).wrapping_add(keys[1]);
+        x = x.wrapping_mul(Self::MULTIPLIERS[1]);
+        x ^ (x >> 15)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pearson correlation of two equally long samples.
+    fn correlation(a: &[f64], b: &[f64]) -> f64 {
+        let n = a.len() as f64;
+        let (ma, mb) = (a.iter().sum::<f64>() / n, b.iter().sum::<f64>() / n);
+        let cov: f64 = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum();
+        let va: f64 = a.iter().map(|x| (x - ma).powi(2)).sum();
+        let vb: f64 = b.iter().map(|y| (y - mb).powi(2)).sum();
+        cov / (va * vb).sqrt()
+    }
+
+    const DRAWS: u64 = 1 << 20;
+
+    fn unit_draws(stream: CounterRng, from: u64) -> Vec<f64> {
+        (from..from + DRAWS)
+            .map(|i| stream.u32_at(i) as f64 / 4294967296.0)
+            .collect()
+    }
+
+    #[test]
+    fn counter_rng_is_a_pure_function_of_key_and_position() {
+        let a = CounterRng::new(0xDEAD_BEEF);
+        let forward: Vec<u32> = (0..64).map(|i| a.u32_at(i)).collect();
+        let backward: Vec<u32> = (0..64).rev().map(|i| a.u32_at(i)).collect();
+        assert!(forward.iter().eq(backward.iter().rev()));
+        assert_eq!(CounterRng::new(0xDEAD_BEEF).u32_at(17), forward[17]);
+        assert_ne!(CounterRng::new(0xDEAD_BEEE).u32_at(17), forward[17]);
+        // Positions 2^32 apart share a low counter half but not a draw.
+        let far: Vec<u32> = (0..64).map(|i| a.u32_at((1 << 32) + i)).collect();
+        assert_eq!(far.iter().zip(&forward).filter(|(x, y)| x == y).count(), 0);
+        for i in [0u64, 5, u32::MAX as u64, 1 << 32, (7 << 32) + 9] {
+            assert_eq!(
+                a.u32_at(i),
+                CounterRng::mix(i as u32, a.round_keys(i >> 32)),
+                "i={i}"
+            );
+        }
+    }
+
+    #[test]
+    fn counter_rng_bits_are_balanced() {
+        let stream = CounterRng::new(1);
+        let mut ones = [0u64; 32];
+        for i in 0..DRAWS {
+            let x = stream.u32_at(i);
+            for (bit, count) in ones.iter_mut().enumerate() {
+                *count += u64::from(x >> bit & 1);
+            }
+        }
+        // Binomial(n, 1/2): sigma = sqrt(n)/2 = 512; allow 5 sigma.
+        for (bit, &count) in ones.iter().enumerate() {
+            let dev = (count as f64 - DRAWS as f64 / 2.0).abs();
+            assert!(dev < 5.0 * 512.0, "bit {bit}: {count} ones of {DRAWS}");
+        }
+    }
+
+    #[test]
+    fn counter_rng_neighbours_are_uncorrelated() {
+        // |r| of independent samples is ~ N(0, 1/sqrt(n)) ~ 0.001.
+        let u = unit_draws(CounterRng::new(2), 0);
+        let lag1 = correlation(&u[..u.len() - 1], &u[1..]);
+        assert!(lag1.abs() < 0.005, "lag-1 correlation {lag1}");
+        let mean = u.iter().sum::<f64>() / u.len() as f64;
+        assert!((mean - 0.5).abs() < 0.002, "mean {mean}");
+    }
+
+    #[test]
+    fn counter_rng_keys_one_bit_apart_give_unrelated_streams() {
+        let key = 0x0123_4567_89AB_CDEF;
+        let base = unit_draws(CounterRng::new(key), 0);
+        for bit in [0u32, 31, 32, 63] {
+            let other = unit_draws(CounterRng::new(key ^ (1 << bit)), 0);
+            let r = correlation(&base, &other);
+            assert!(r.abs() < 0.005, "key bit {bit}: correlation {r}");
+        }
+        // The same holds for one stream's consecutive 2^32-position blocks.
+        let next_block = unit_draws(CounterRng::new(key), 1 << 32);
+        let r = correlation(&base, &next_block);
+        assert!(r.abs() < 0.005, "adjacent blocks: correlation {r}");
+    }
 
     #[test]
     fn deterministic_across_instances() {
