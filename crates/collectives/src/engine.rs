@@ -170,13 +170,10 @@ struct OpState {
     machine: Option<Machine>,
     /// Submission parked behind the live-machine cap.
     queued: Option<QueuedLaunch>,
-    /// Gradient parked while the op sits in the pending coalesce group.
-    pending: Option<Tensor>,
     /// Set on coalesce-group driver ops (which have no external handle).
     members: Option<Vec<Member>>,
-    /// High-water mark of concurrently in-flight collectives observed over
-    /// this op's lifetime.
-    hwm: usize,
+    /// Its [`CommEngine::note_in_flight`] number, for [`CommEngine::peak_since`].
+    noted: usize,
     /// True once the op produced (or delivered) its result.
     completed: bool,
 }
@@ -188,9 +185,8 @@ impl OpState {
             comp: None,
             machine: None,
             queued: None,
-            pending: None,
             members: None,
-            hwm: 0,
+            noted: 0,
             completed: false,
         }
     }
@@ -204,19 +200,26 @@ pub struct CommEngine<'a> {
     opts: EngineOptions,
     ops: Vec<OpState>,
     next_op_id: u32,
-    /// Op indices queued for coalescing, in submit order.
-    pending: Vec<usize>,
-    pending_elems: usize,
+    /// The pending coalesce group in submit order, and its members'
+    /// gradients concatenated (copied once, straight from the caller).
+    pending: Vec<Member>,
+    group: Vec<f32>,
     /// Op indices waiting for a live-machine slot, in submit order.
     launch_queue: VecDeque<usize>,
-    /// Machines currently constructed and progressing.
-    live: usize,
-    /// High-water mark of `live` over the engine's lifetime. With
+    /// Ops whose machine is live, in launch order: all a progress round,
+    /// a park or a timeout report scans.
+    active: Vec<usize>,
+    /// High-water mark of `active.len()` over the engine's lifetime. With
     /// [`EngineOptions::max_live`] nonzero this never exceeds the cap —
     /// the observability property tests assert exactly that.
     live_hwm: usize,
     poisoned: Option<CommError>,
     in_flight: usize,
+    /// `(note, in_flight)` of each [`CommEngine::note_in_flight`] call no
+    /// later call has matched: notes ascending, values descending, so the
+    /// peak since note `k` is the first entry at or after `k`.
+    peaks: Vec<(usize, usize)>,
+    notes: usize,
     /// Transport fault counters already attributed to a completed wait;
     /// each wait reports the delta accrued since the previous one.
     faults_seen: FaultStats,
@@ -268,12 +271,14 @@ impl<'a> CommEngine<'a> {
             ops: Vec::new(),
             next_op_id: 0,
             pending: Vec::new(),
-            pending_elems: 0,
+            group: Vec::new(),
             launch_queue: VecDeque::new(),
-            live: 0,
+            active: Vec::new(),
             live_hwm: 0,
             poisoned: None,
             in_flight: 0,
+            peaks: Vec::new(),
+            notes: 0,
             faults_seen: transport.fault_stats(),
             obs: ObsHandle::disabled(),
             em: None,
@@ -313,11 +318,6 @@ impl<'a> CommEngine<'a> {
     /// Bounded by [`EngineOptions::max_live`] when the cap is nonzero.
     pub fn max_live_seen(&self) -> usize {
         self.live_hwm
-    }
-
-    fn bump_live(&mut self) {
-        self.live += 1;
-        self.live_hwm = self.live_hwm.max(self.live);
     }
 
     /// Enqueues an allreduce of `grad` and returns immediately. All ranks
@@ -360,18 +360,25 @@ impl<'a> CommEngine<'a> {
             && grad.len() <= self.opts.coalesce_elems
             && comp.is_lossless();
         if coalescible {
-            if self.pending_elems + grad.len() > self.opts.coalesce_budget {
+            if self.group.len() + grad.len() > self.opts.coalesce_budget {
                 self.flush_pending();
+            }
+            if self.pending.is_empty() {
+                self.group = self.pool.take_f32(0);
             }
             // The flush may have appended the group-driver op, so this
             // op's slot is re-derived here, not taken from `idx` above.
             let idx = self.ops.len();
-            op.pending = Some(grad.clone());
+            let at = self.group.len();
+            self.group.extend_from_slice(grad.as_slice());
+            self.pending.push(Member {
+                op: idx,
+                range: at..self.group.len(),
+                dims: grad.shape().dims().to_vec(),
+            });
             op.comp = Some(comp);
+            op.noted = self.note_in_flight();
             self.ops.push(op);
-            self.pending.push(idx);
-            self.pending_elems += grad.len();
-            self.note_in_flight();
             if let Some(em) = &self.em {
                 em.submitted.inc();
             }
@@ -400,9 +407,9 @@ impl<'a> CommEngine<'a> {
                     rng: op_rng,
                     op_id,
                 });
+                op.noted = self.note_in_flight();
                 self.ops.push(op);
                 self.launch_queue.push_back(idx);
-                self.note_in_flight();
                 // Launching pumps the new machine's sends; a full
                 // progress round would rescan every live machine on every
                 // submit, which is pure overhead — receives drain in
@@ -411,8 +418,8 @@ impl<'a> CommEngine<'a> {
             }
             Algorithm::Tree | Algorithm::AllgatherBroadcast => {
                 // Eager path: these run one-at-a-time on the legacy lane.
+                op.noted = self.note_in_flight();
                 self.ops.push(op);
-                self.note_in_flight();
                 let mut comp = comp;
                 let run = match alg {
                     Algorithm::Tree => {
@@ -424,7 +431,7 @@ impl<'a> CommEngine<'a> {
                 };
                 match run {
                     Ok((out, mut stats)) => {
-                        stats.max_in_flight = self.ops[idx].hwm;
+                        stats.max_in_flight = self.peak_since(self.ops[idx].noted);
                         self.ops[idx].result = Some((out, stats));
                         self.ops[idx].comp = Some(comp);
                         self.ops[idx].completed = true;
@@ -529,10 +536,7 @@ impl<'a> CommEngine<'a> {
             // short cap keeps send retries and the engine timeout live.
             let park_start = self.obs.recorder().now_ns();
             let t0 = Instant::now();
-            let park = self
-                .ops
-                .iter()
-                .find_map(|o| o.machine.as_ref().and_then(Machine::expected_inbound));
+            let park = self.active_machines().find_map(Machine::expected_inbound);
             let park_meta = match park {
                 Some((peer, tag)) => {
                     match self.t.wait_inbound(peer, tag, Duration::from_millis(1)) {
@@ -587,15 +591,29 @@ impl<'a> CommEngine<'a> {
         id
     }
 
-    /// Records a newly in-flight collective and refreshes every live op's
-    /// concurrency high-water mark.
-    fn note_in_flight(&mut self) {
+    /// Counts a newly in-flight collective; returns the call's number.
+    fn note_in_flight(&mut self) -> usize {
         self.in_flight += 1;
-        for op in &mut self.ops {
-            if !op.completed {
-                op.hwm = op.hwm.max(self.in_flight);
-            }
+        while self.peaks.last().is_some_and(|&(_, v)| v <= self.in_flight) {
+            self.peaks.pop();
         }
+        let note = self.notes;
+        self.notes += 1;
+        self.peaks.push((note, self.in_flight));
+        note
+    }
+
+    /// The most collectives in flight at once since note `noted` — an
+    /// op's `AllreduceStats::max_in_flight` when read as it completes.
+    fn peak_since(&self, noted: usize) -> usize {
+        self.peaks[self.peaks.partition_point(|&(k, _)| k < noted)].1
+    }
+
+    /// The machines a progress round pumps, in launch order.
+    fn active_machines(&self) -> impl Iterator<Item = &Machine> {
+        self.active
+            .iter()
+            .filter_map(|&i| self.ops[i].machine.as_ref())
     }
 
     /// Builds one SRA collective over the concatenation of all pending
@@ -606,26 +624,10 @@ impl<'a> CommEngine<'a> {
         if self.pending.is_empty() || self.poisoned.is_some() {
             return;
         }
-        let total = self.pending_elems;
-        let mut buf = self.pool.take_f32(total);
-        let mut members = Vec::with_capacity(self.pending.len());
-        let mut at = 0;
-        for &idx in &self.pending {
-            let grad = self.ops[idx].pending.take().expect("pending gradient");
-            let len = grad.len();
-            buf[at..at + len].copy_from_slice(grad.as_slice());
-            members.push(Member {
-                op: idx,
-                range: at..at + len,
-                dims: grad.shape().dims().to_vec(),
-            });
-            at += len;
-        }
-        self.pending.clear();
-        self.pending_elems = 0;
-
+        let members = std::mem::take(&mut self.pending);
+        let total = self.group.len();
+        let concat = Tensor::from_vec(&[total], std::mem::take(&mut self.group));
         let op_id = self.alloc_op_id();
-        let concat = Tensor::from_vec(&[total], buf);
         // Members are all lossless, so the group travels as raw FP32; the
         // RNG is never consulted but the seed is rank-invariant anyway.
         let rec = self.obs.recorder();
@@ -646,33 +648,39 @@ impl<'a> CommEngine<'a> {
             self.opts.segment_elems,
             rec.clone(),
         );
-        let mut m = Machine::Sra(m);
+        let mut driver = OpState::new();
+        driver.members = Some(members);
+        self.ops.push(driver);
         // The driver launches immediately (the flush point is where the
         // caller starts blocking), even if it briefly overshoots the
         // live-machine cap; pumping it puts the group's chunks on the
         // wire before the wait loop takes over.
+        self.launch(self.ops.len() - 1, Machine::Sra(m));
+    }
+
+    /// Makes `m` op `idx`'s live machine and pumps it once, so its phase-1
+    /// sends reach the peers; the rest is the next `progress_all` round's.
+    fn launch(&mut self, idx: usize, mut m: Machine) {
         let pumped = m.progress(self.t, &self.pool);
-        let mut driver = OpState::new();
-        driver.machine = Some(m);
-        driver.members = Some(members);
-        self.ops.push(driver);
-        self.bump_live();
+        self.ops[idx].machine = Some(m);
+        self.active.push(idx);
+        self.live_hwm = self.live_hwm.max(self.active.len());
         if let Err(e) = pumped {
             self.poison(e);
         }
     }
 
-    /// Launches queued machines FIFO while live slots are available. Each
-    /// launch pumps the new machine's phase-1 sends immediately so peers
-    /// can progress; receives wait for the next `progress_all` round.
+    /// Launches queued machines FIFO while live slots are available.
     fn pump_launch_queue(&mut self) {
-        while self.opts.max_live == 0 || self.live < self.opts.max_live {
+        while self.poisoned.is_none()
+            && (self.opts.max_live == 0 || self.active.len() < self.opts.max_live)
+        {
             let Some(idx) = self.launch_queue.pop_front() else {
                 return;
             };
             let q = self.ops[idx].queued.take().expect("queued launch");
             let rec = self.obs.recorder().clone();
-            let mut m = match q.alg {
+            let m = match q.alg {
                 Algorithm::Ring => Machine::Ring(RingMachine::new(
                     self.t,
                     q.op_id,
@@ -695,55 +703,40 @@ impl<'a> CommEngine<'a> {
                     rec,
                 )),
             };
-            if let Err(e) = m.progress(self.t, &self.pool) {
-                self.ops[idx].machine = Some(m);
-                self.bump_live();
-                self.poison(e);
-                return;
-            }
-            if m.finished() {
-                // Possible when every peer chunk was already stashed
-                // (tiny layer, fast peers): finalize reclaims the slot
-                // and pumps the queue further before we continue.
-                self.bump_live();
-                self.finalize(idx, m);
-                continue;
-            }
-            self.ops[idx].machine = Some(m);
-            self.bump_live();
+            self.launch(idx, m);
         }
     }
 
-    /// Drives every machine one round; returns whether anything moved.
+    /// Drives every active machine one round, those a finished one makes
+    /// room for included; returns whether anything moved.
     ///
     /// # Errors
     ///
     /// The first transport failure poisons the engine and is returned.
     fn progress_all(&mut self) -> Result<bool, CommError> {
         let mut progressed = false;
-        for i in 0..self.ops.len() {
-            let Some(mut m) = self.ops[i].machine.take() else {
-                continue;
-            };
+        let mut k = 0;
+        while k < self.active.len() {
+            let i = self.active[k];
+            let m = self.ops[i].machine.as_mut().expect("active machine");
             match m.progress(self.t, &self.pool) {
                 Ok(p) => progressed |= p,
-                Err(e) => {
-                    self.ops[i].machine = Some(m);
-                    return Err(self.poison(e));
-                }
+                Err(e) => return Err(self.poison(e)),
             }
             if m.finished() {
-                self.finalize(i, m);
+                self.active.remove(k);
+                self.finalize(i);
                 progressed = true;
             } else {
-                self.ops[i].machine = Some(m);
+                k += 1;
             }
         }
         Ok(progressed)
     }
 
-    fn finalize(&mut self, i: usize, m: Machine) {
-        self.live -= 1;
+    /// Turns op `i`'s finished machine (already off `active`) into results.
+    fn finalize(&mut self, i: usize) {
+        let m = self.ops[i].machine.take().expect("finished machine");
         let rec = self.obs.recorder();
         rec.instant(
             SpanKind::Complete,
@@ -764,7 +757,7 @@ impl<'a> CommEngine<'a> {
                 } else {
                     AllreduceStats::default()
                 };
-                s.max_in_flight = self.ops[mb.op].hwm;
+                s.max_in_flight = self.peak_since(self.ops[mb.op].noted);
                 self.ops[mb.op].result = Some((tensor, s));
                 self.ops[mb.op].completed = true;
                 self.in_flight -= 1;
@@ -772,7 +765,7 @@ impl<'a> CommEngine<'a> {
             self.pool.put_f32(out.into_vec());
             self.ops[i].completed = true;
         } else {
-            stats.max_in_flight = self.ops[i].hwm;
+            stats.max_in_flight = self.peak_since(self.ops[i].noted);
             self.ops[i].result = Some((out, stats));
             self.ops[i].comp = Some(comp);
             self.ops[i].completed = true;
@@ -784,10 +777,7 @@ impl<'a> CommEngine<'a> {
     /// Best guess at which peer the engine is stalled on, for timeout
     /// reporting.
     fn blocked_peer(&self) -> usize {
-        self.ops
-            .iter()
-            .find_map(|o| o.machine.as_ref().map(Machine::blocked_on))
-            .unwrap_or(0)
+        self.active_machines().next().map_or(0, Machine::blocked_on)
     }
 
     /// Records the first failure, promoting peer-scoped transport faults
@@ -931,6 +921,26 @@ fn timed_obs<T>(
 
 const PHASE_SCATTER: u8 = 1;
 const PHASE_BCAST: u8 = 2;
+
+/// The next frame on `(peer, tag)`, if one has arrived — refused unless
+/// it carries the `want` elements of its slot: `decompress*_into` asserts
+/// that length, and socket bytes must fail the collective, not panic.
+fn try_recv_chunk(
+    t: &dyn Transport,
+    peer: usize,
+    tag: Tag,
+    want: usize,
+) -> Result<Option<Encoded>, CommError> {
+    match t.try_recv_tagged(peer, tag)? {
+        Some(enc) if enc.shape().len() != want => Err(CommError::ShapeMismatch {
+            detail: format!(
+                "tag {tag:#x} from rank {peer}: expected {want} elements, got {}",
+                enc.shape().len()
+            ),
+        }),
+        got => Ok(got),
+    }
+}
 
 /// One pipeline segment of an SRA collective.
 struct Seg {
@@ -1093,7 +1103,7 @@ impl SraMachine {
                         continue;
                     }
                     let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_SCATTER, epoch);
-                    match t.try_recv_tagged(j, tag)? {
+                    match try_recv_chunk(t, j, tag, mine.len())? {
                         Some(enc) => {
                             timed_obs(
                                 &mut self.stats.decode_ns,
@@ -1178,19 +1188,10 @@ impl SraMachine {
                 if seg.gathered[j] {
                     continue;
                 }
-                let Some(enc) = t.try_recv_tagged(j, tag)? else {
+                let r = &seg.ranges[j];
+                let Some(enc) = try_recv_chunk(t, j, tag, r.len())? else {
                     continue;
                 };
-                let r = &seg.ranges[j];
-                if enc.shape().len() != r.len() {
-                    return Err(CommError::ShapeMismatch {
-                        detail: format!(
-                            "op {op_id} segment {s} chunk {j}: expected {} elements, got {}",
-                            r.len(),
-                            enc.shape().len()
-                        ),
-                    });
-                }
                 let abs = seg.base + r.start..seg.base + r.end;
                 timed_obs(
                     &mut self.stats.decode_ns,
@@ -1385,16 +1386,15 @@ impl RingMachine {
                         continue;
                     }
                     let recv_idx = (me + n - step - 1) % n;
-                    if self.chunks[recv_idx].is_some() {
+                    if let Some(c) = self.chunks[recv_idx].as_mut() {
                         let tag = collective_tag_in_epoch(
                             self.op_id,
                             step as u16,
                             PHASE_SCATTER,
                             self.epoch,
                         );
-                        match t.try_recv_tagged(left, tag)? {
+                        match try_recv_chunk(t, left, tag, c.len())? {
                             Some(enc) => {
-                                let c = self.chunks[recv_idx].as_mut().expect("checked above");
                                 timed_obs(
                                     &mut self.stats.decode_ns,
                                     &self.rec,
@@ -1466,7 +1466,7 @@ impl RingMachine {
                             PHASE_BCAST,
                             self.epoch,
                         );
-                        match t.try_recv_tagged(left, tag)? {
+                        match try_recv_chunk(t, left, tag, self.ranges[recv_idx].len())? {
                             Some(enc) => self.encs[recv_idx] = Some(enc),
                             None => break,
                         }
@@ -1625,20 +1625,42 @@ mod tests {
         specs: &[(usize, CompressionScheme)],
         opts: EngineOptions,
     ) -> Vec<Vec<Tensor>> {
+        let strip = |rank: Vec<(Tensor, usize)>| rank.into_iter().map(|(out, _)| out).collect();
+        run_engine_sent(alg, n, specs, opts, false)
+            .into_iter()
+            .map(strip)
+            .collect()
+    }
+
+    /// Every rank's `(output, bytes_sent)` per layer. With `clobber` each
+    /// gradient is overwritten and dropped the moment `submit` returns.
+    fn run_engine_sent(
+        alg: Algorithm,
+        n: usize,
+        specs: &[(usize, CompressionScheme)],
+        opts: EngineOptions,
+        clobber: bool,
+    ) -> Vec<Vec<(Tensor, usize)>> {
         let specs = specs.to_vec();
         ThreadCluster::run(n, move |t| {
             let pool = ScratchPool::new();
-            let grads = rank_grads(t.rank(), &specs);
             let mut master = Rng::seed_from_u64(777);
             let mut eng = CommEngine::new(&t, pool, opts);
-            let handles: Vec<Handle> = grads
-                .iter()
+            let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
+                .into_iter()
                 .zip(&specs)
-                .map(|(g, (_, scheme))| eng.submit(alg, g, scheme.build(), &mut master))
+                .map(|(mut g, (_, scheme))| {
+                    let h = eng.submit(alg, &g, scheme.build(), &mut master);
+                    if clobber {
+                        g.as_mut_slice().fill(f32::NAN);
+                    }
+                    h
+                })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| eng.wait(h).unwrap().0)
+                .map(|h| eng.wait(h).unwrap())
+                .map(|(out, stats, _)| (out, stats.bytes_sent))
                 .collect::<Vec<_>>()
         })
         .unwrap()
@@ -1649,21 +1671,171 @@ mod tests {
         // The acceptance property: N concurrent tagged allreduces over
         // mixed schemes == the sequential per-layer loop, byte for byte,
         // on every rank — including the coalesced lossless layers.
+        // However many machines may be live at once (0 = no cap, 1 = one
+        // at a time, 8 = the default): the cap moves launches, not bytes.
         let specs = layer_specs();
-        for n in [2usize, 3, 5, 8] {
+        for n in [2usize, 3, 4, 5, 8] {
             for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
                 let seq = run_sequential(alg, n, &specs);
-                let eng = run_engine(alg, n, &specs, EngineOptions::default());
-                for (rank, (s, e)) in seq.iter().zip(&eng).enumerate() {
-                    for (l, (a, b)) in s.iter().zip(e).enumerate() {
-                        assert_eq!(
-                            a.as_slice(),
-                            b.as_slice(),
-                            "{alg:?} n={n} rank={rank} layer={l}"
-                        );
+                for max_live in [0usize, 1, 8] {
+                    let opts = EngineOptions {
+                        max_live,
+                        ..EngineOptions::default()
+                    };
+                    let eng = run_engine(alg, n, &specs, opts);
+                    for (rank, (s, e)) in seq.iter().zip(&eng).enumerate() {
+                        for (l, (a, b)) in s.iter().zip(e).enumerate() {
+                            assert_eq!(
+                                a.as_slice(),
+                                b.as_slice(),
+                                "{alg:?} n={n} max_live={max_live} rank={rank} layer={l}"
+                            );
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn submit_is_done_with_the_gradient_when_it_returns() {
+        // The caller may reuse or free a gradient as soon as `submit`
+        // returns — also while the op still waits for a live slot
+        // (`max_live: 1`), is cut into segments, or sits in a coalesce
+        // group: outputs and wire bytes are those of the untouched run.
+        let specs = layer_specs();
+        let opts = EngineOptions {
+            segment_elems: 100,
+            max_live: 1,
+            ..EngineOptions::default()
+        };
+        for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
+            for n in [2usize, 3] {
+                let kept = run_engine_sent(alg, n, &specs, opts, false);
+                let clobbered = run_engine_sent(alg, n, &specs, opts, true);
+                for (rank, (k, c)) in kept.iter().zip(&clobbered).enumerate() {
+                    for (l, (a, b)) in k.iter().zip(c).enumerate() {
+                        let at = format!("{alg:?} n={n} rank={rank} layer={l}");
+                        assert_eq!(a.0.as_slice(), b.0.as_slice(), "{at}");
+                        assert_eq!(a.1, b.1, "{at}: bytes_sent");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn peak_since_is_the_swept_high_water_mark() {
+        // The model `peaks` replaces: on every submit, raise the mark of
+        // every op still in flight. Completions in any order, bursts of
+        // submits between them.
+        ThreadCluster::run(1, |t| {
+            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+            let mut rng = Rng::seed_from_u64(11);
+            let mut live: Vec<(usize, usize)> = Vec::new(); // (noted, swept mark)
+            for _ in 0..400 {
+                if live.is_empty() || rng.next_u64() % 3 != 0 {
+                    let noted = eng.note_in_flight();
+                    live.push((noted, 0));
+                    for op in &mut live {
+                        op.1 = op.1.max(eng.in_flight);
+                    }
+                } else {
+                    let (noted, mark) = live.swap_remove(rng.next_u64() as usize % live.len());
+                    assert_eq!(eng.peak_since(noted), mark, "op noted {noted}");
+                    eng.in_flight -= 1;
+                }
+            }
+        })
+        .unwrap();
+    }
+
+    /// A frame of `elems` FP32 elements, as a peer outside any engine
+    /// would put it on the wire.
+    fn stray_frame(elems: usize) -> Encoded {
+        CompressionScheme::None
+            .build()
+            .compress(&Tensor::zeros(&[elems]), &mut Rng::seed_from_u64(0))
+    }
+
+    #[test]
+    fn wrong_length_scatter_frame_poisons_every_rank_without_a_panic() {
+        // Rank 2 answers op 0's scatter phase with 7 elements where a
+        // 200-element chunk belongs. Both honest ranks must see
+        // `ShapeMismatch` on wait — a typed error, not the decoder's
+        // length assertion.
+        let gate = std::sync::Barrier::new(3);
+        let errs = ThreadCluster::run(3, |t| {
+            let tag = collective_tag_in_epoch(0, 0, PHASE_SCATTER, 0);
+            if t.rank() == 2 {
+                for peer in 0..2 {
+                    t.send_tagged(peer, tag, stray_frame(7)).unwrap();
+                }
+                gate.wait();
+                return None;
+            }
+            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+            let g = Tensor::randn(&mut Rng::seed_from_u64(t.rank() as u64), &[600]);
+            let scheme = CompressionScheme::Qsgd {
+                bits: 4,
+                bucket_size: 64,
+            };
+            let h = eng.submit(
+                Algorithm::ScatterReduceAllgather,
+                &g,
+                scheme.build(),
+                &mut Rng::seed_from_u64(1),
+            );
+            let err = eng.wait(h).err();
+            gate.wait();
+            err
+        })
+        .unwrap();
+        for (rank, err) in errs.iter().take(2).enumerate() {
+            assert!(
+                matches!(err, Some(CommError::ShapeMismatch { .. })),
+                "rank {rank}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn wrong_length_ring_frames_are_typed_errors_too() {
+        // The ring's reduce hop and its relay hop both take frames from
+        // the left neighbour; rank 1 sends a short one on each in turn.
+        for phase in [PHASE_SCATTER, PHASE_BCAST] {
+            let gate = std::sync::Barrier::new(2);
+            let errs = ThreadCluster::run(2, |t| {
+                let g = Tensor::randn(&mut Rng::seed_from_u64(5), &[600]);
+                let tag = |phase| collective_tag_in_epoch(0, 0, phase, 0);
+                if t.rank() == 1 {
+                    if phase == PHASE_BCAST {
+                        // A well-formed reduce hop first, so rank 0 gets
+                        // as far as the relay.
+                        t.send_tagged(0, tag(PHASE_SCATTER), stray_frame(300))
+                            .unwrap();
+                    }
+                    t.send_tagged(0, tag(phase), stray_frame(7)).unwrap();
+                    gate.wait();
+                    return None;
+                }
+                let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+                let h = eng.submit(
+                    Algorithm::Ring,
+                    &g,
+                    CompressionScheme::None.build(),
+                    &mut Rng::seed_from_u64(1),
+                );
+                let err = eng.wait(h).err();
+                gate.wait();
+                err
+            })
+            .unwrap();
+            assert!(
+                matches!(errs[0], Some(CommError::ShapeMismatch { .. })),
+                "phase {phase}: {:?}",
+                errs[0]
+            );
         }
     }
 

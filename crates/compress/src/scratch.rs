@@ -112,13 +112,13 @@ impl ScratchPool {
         }
     }
 
-    /// Takes an `f32` scratch vector of exactly `len` zeroed elements.
+    /// Takes an `f32` scratch vector of exactly `len` elements with
+    /// unspecified contents (its last user's): callers overwrite it.
     pub fn take_f32(&self, len: usize) -> Vec<f32> {
         let popped = self.inner.f32s.lock().expect("scratch pool poisoned").pop();
         match popped {
             Some(mut v) => {
                 self.inner.reuses.fetch_add(1, Ordering::Relaxed);
-                v.clear();
                 v.resize(len, 0.0);
                 v
             }
@@ -240,13 +240,22 @@ mod tests {
     }
 
     #[test]
-    fn take_f32_is_zeroed_after_reuse() {
+    fn take_f32_has_the_asked_length_whatever_it_reuses() {
+        // The contract is the length alone: a reused vector comes back
+        // shorter, longer or equal, never re-zeroed, never reallocated
+        // through the pool's counter.
         let pool = ScratchPool::new();
         let mut v = pool.take_f32(4);
-        v.iter_mut().for_each(|x| *x = 7.0);
+        v.fill(7.0);
         pool.put_f32(v);
-        let v = pool.take_f32(6);
-        assert_eq!(v, vec![0.0; 6]);
+        for len in [6, 2, 0, 4] {
+            let v = pool.take_f32(len);
+            assert_eq!(v.len(), len);
+            pool.put_f32(v);
+        }
+        pool.prewarm_f32(1, 16);
+        assert_eq!(pool.take_f32(3).len(), 3, "a prewarmed vector grows");
         assert_eq!(pool.allocations(), 1);
+        assert_eq!(pool.reuses(), 5);
     }
 }
