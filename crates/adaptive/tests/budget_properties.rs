@@ -11,13 +11,13 @@ use cgx_adaptive::{
     assign_bits, quant_levels, uniform_assignment, AdaptiveOptions, AdaptivePolicy, LayerProfile,
 };
 use cgx_compress::CompressionScheme;
-use proptest::prelude::*;
+use cgx_tensor::{cases, Rng};
 
-/// The bit-widths any sampled choice set draws from (6-bit mask).
+/// The bit-widths any sampled choice set draws from.
 const CHOICE_POOL: [u32; 6] = [1, 2, 3, 4, 6, 8];
 
-fn policy_from_index(i: u8) -> AdaptivePolicy {
-    match i % 4 {
+fn policy(rng: &mut Rng) -> AdaptivePolicy {
+    match rng.index(4) {
         0 => AdaptivePolicy::KMeans,
         1 => AdaptivePolicy::Linear,
         2 => AdaptivePolicy::TimeAware,
@@ -25,110 +25,94 @@ fn policy_from_index(i: u8) -> AdaptivePolicy {
     }
 }
 
-/// Layer profiles from `(size, milli-norm)` pairs; norms are kept
-/// strictly positive because a zero gradient norm is rejected input.
-fn profiles_from(raw: &[(usize, u64)]) -> Vec<LayerProfile> {
-    raw.iter()
-        .enumerate()
-        .map(|(i, &(size, norm_milli))| {
+/// Up to nine layer profiles; norms are kept strictly positive because a
+/// zero gradient norm is rejected input.
+fn profiles(rng: &mut Rng) -> Vec<LayerProfile> {
+    (0..rng.range(1..10))
+        .map(|i| {
+            let (size, norm_milli) = (rng.range(1..4000), rng.range(1..50_000));
             LayerProfile::new(format!("layer{i}"), size, norm_milli as f64 / 1000.0 + 1e-3)
         })
         .collect()
 }
 
-/// A non-empty subset of [`CHOICE_POOL`] selected by a 6-bit mask.
-fn choices_from(mask: u8) -> Vec<u32> {
-    CHOICE_POOL
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| mask & (1 << i) != 0)
-        .map(|(_, &b)| b)
-        .collect()
+/// A non-empty subset of [`CHOICE_POOL`], `alpha` in 1.0..=6.0 by tenths,
+/// and any seed.
+fn options(rng: &mut Rng) -> AdaptiveOptions {
+    let mask = rng.range(1..=63);
+    AdaptiveOptions {
+        bit_choices: (0..6)
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| CHOICE_POOL[i])
+            .collect(),
+        alpha: rng.range(10..=60) as f64 / 10.0,
+        seed: rng.next_u64(),
+    }
 }
 
-proptest! {
-    #[test]
-    fn every_plan_respects_the_budget_or_saturates(
-        raw in prop::collection::vec((1usize..4000, 1u64..50_000), 1..10),
-        mask in 1u8..=63,
-        alpha_deci in 10u64..=60,
-        seed in any::<u64>(),
-        policy_idx in 0u8..4,
-    ) {
-        let profiles = profiles_from(&raw);
-        let choices = choices_from(mask);
-        let opts = AdaptiveOptions {
-            bit_choices: choices.clone(),
-            alpha: alpha_deci as f64 / 10.0,
-            seed,
-        };
-        let a = assign_bits(policy_from_index(policy_idx), &profiles, &opts);
+#[test]
+fn every_plan_respects_the_budget_or_saturates() {
+    cases(256, |rng| {
+        let (profiles, opts) = (profiles(rng), options(rng));
+        let choices = &opts.bit_choices;
+        let a = assign_bits(policy(rng), &profiles, &opts);
         let budget = opts.alpha * uniform_assignment(&profiles, 4).estimated_error(&profiles);
         let err = a.estimated_error(&profiles);
         let max_bits = *choices.iter().max().unwrap();
-        prop_assert!(err.is_finite(), "estimated error must be finite, got {err}");
-        prop_assert!(
+        assert!(err.is_finite(), "estimated error must be finite, got {err}");
+        assert!(
             err <= budget * (1.0 + 1e-9) || a.bits.iter().all(|&b| b == max_bits),
             "error {err} over budget {budget} without saturating at {max_bits} bits: {:?}",
             a.bits
         );
         for &b in &a.bits {
-            prop_assert!(
+            assert!(
                 choices.contains(&b),
                 "assigned bit-width {b} outside the choice set {choices:?}"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn assignment_is_a_pure_function_of_its_inputs(
-        raw in prop::collection::vec((1usize..4000, 1u64..50_000), 1..10),
-        mask in 1u8..=63,
-        alpha_deci in 10u64..=60,
-        seed in any::<u64>(),
-        policy_idx in 0u8..4,
-    ) {
-        let profiles = profiles_from(&raw);
-        let opts = AdaptiveOptions {
-            bit_choices: choices_from(mask),
-            alpha: alpha_deci as f64 / 10.0,
-            seed,
-        };
-        let policy = policy_from_index(policy_idx);
+#[test]
+fn assignment_is_a_pure_function_of_its_inputs() {
+    cases(256, |rng| {
+        let (profiles, opts, policy) = (profiles(rng), options(rng), policy(rng));
         let a = assign_bits(policy, &profiles, &opts);
         let b = assign_bits(policy, &profiles, &opts);
-        prop_assert_eq!(&a.bits, &b.bits, "bit assignment is nondeterministic");
-        prop_assert_eq!(
-            &a.bucket_sizes, &b.bucket_sizes,
+        assert_eq!(a.bits, b.bits, "bit assignment is nondeterministic");
+        assert_eq!(
+            a.bucket_sizes, b.bucket_sizes,
             "bucket assignment is nondeterministic"
         );
-    }
+    });
+}
 
-    #[test]
-    fn one_bit_plans_are_finite_and_panic_free(
-        raw in prop::collection::vec((1usize..4000, 1u64..50_000), 1..10),
-        seed in any::<u64>(),
-        policy_idx in 0u8..4,
-    ) {
+#[test]
+fn one_bit_plans_are_finite_and_panic_free() {
+    cases(256, |rng| {
         // With `[1]` as the only choice the budget is usually infeasible;
         // the repair loop must saturate gracefully instead of chasing the
         // old `s(1) = 0` infinite error.
-        let profiles = profiles_from(&raw);
+        let profiles = profiles(rng);
         let opts = AdaptiveOptions {
             bit_choices: vec![1],
             alpha: 2.0,
-            seed,
+            seed: rng.next_u64(),
         };
-        let a = assign_bits(policy_from_index(policy_idx), &profiles, &opts);
-        prop_assert!(a.bits.iter().all(|&b| b == 1));
+        let a = assign_bits(policy(rng), &profiles, &opts);
+        assert!(a.bits.iter().all(|&b| b == 1));
         let err = a.estimated_error(&profiles);
-        prop_assert!(err.is_finite(), "1-bit plan error must be finite, got {err}");
-        prop_assert!(quant_levels(1) >= 1.0);
+        assert!(
+            err.is_finite(),
+            "1-bit plan error must be finite, got {err}"
+        );
+        assert!(quant_levels(1) >= 1.0);
         for s in a.to_schemes() {
-            prop_assert!(
+            assert!(
                 matches!(s, CompressionScheme::OneBit { .. }),
                 "1-bit layers must map to the sign codec, got {s:?}"
             );
         }
-    }
+    });
 }

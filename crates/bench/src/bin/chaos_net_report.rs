@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 const WAIT: Duration = Duration::from_secs(10);
 
 fn payload(seed: u8) -> Encoded {
-    Encoded::new(Shape::vector(4), bytes::Bytes::from(vec![seed; 4]))
+    Encoded::new(Shape::vector(4), vec![seed; 4].into())
 }
 
 /// Orderly death: peer drops its endpoint, survivor's receive errors.

@@ -151,7 +151,7 @@ fn measure_churn() -> ChurnOutcome {
         .attach(JobSpec::new(1))
         .expect("attach victim 1")
         .with_keepalive(Arc::clone(&nodes[1]));
-    let payload = Encoded::new(Shape::new(vec![4]), bytes::Bytes::from(vec![9u8; 4]));
+    let payload = Encoded::new(Shape::new(vec![4]), vec![9u8; 4].into());
     v0.send_tagged(1, 7, payload.clone()).expect("warmup send");
     v1.recv_tagged_deadline(0, 7, WAIT).expect("warmup recv");
     let start = Instant::now();

@@ -124,9 +124,8 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use cgx_compress::Encoded;
-    use cgx_tensor::Shape;
+    use cgx_tensor::{Bytes, Shape};
     use std::time::Duration;
 
     #[test]

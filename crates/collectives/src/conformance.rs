@@ -15,7 +15,6 @@
 
 use crate::error::CommError;
 use crate::transport::{Tag, Transport};
-use bytes::{BufMut, BytesMut};
 use cgx_compress::Encoded;
 use cgx_tensor::Shape;
 use std::time::Duration;
@@ -30,11 +29,11 @@ const WAIT: Duration = Duration::from_secs(10);
 const SHORT: Duration = Duration::from_millis(50);
 
 fn payload(seed: u32) -> Encoded {
-    let mut buf = BytesMut::with_capacity(16);
+    let mut buf = Vec::with_capacity(16);
     for i in 0..4u32 {
-        buf.put_u32_le(((seed * 10 + i) as f32).to_bits());
+        buf.extend_from_slice(&((seed * 10 + i) as f32).to_le_bytes());
     }
-    Encoded::new(Shape::vector(4), buf.freeze())
+    Encoded::new(Shape::vector(4), buf.into())
 }
 
 fn assert_same(a: &Encoded, b: &Encoded, what: &str) {
@@ -331,13 +330,13 @@ pub fn check_partial_short_writes(build: &FabricBuilder) {
     // Big enough to overflow loopback socket buffers several times over,
     // with content that makes any splice/offset error visible.
     const LEN: usize = 6 << 20;
-    let mut buf = BytesMut::with_capacity(LEN);
+    let mut buf = Vec::with_capacity(LEN);
     let mut x: u32 = 0x9E37_79B9;
     for _ in 0..LEN {
         x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-        buf.put_u8((x >> 24) as u8);
+        buf.push((x >> 24) as u8);
     }
-    let bulk = Encoded::new(Shape::vector(LEN), buf.freeze());
+    let bulk = Encoded::new(Shape::vector(LEN), buf.into());
     let expect = bulk.clone();
     std::thread::scope(|s| {
         // The sender must run on its own thread: a payload this size

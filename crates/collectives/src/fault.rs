@@ -29,9 +29,8 @@
 use crate::error::CommError;
 use crate::framing::{checksum, frame, parse};
 use crate::transport::{ShmTransport, Tag, Transport, CTRL_TAG, QUIESCE_TAG};
-use bytes::{BufMut, Bytes, BytesMut};
 use cgx_compress::Encoded;
-use cgx_tensor::Shape;
+use cgx_tensor::{Bytes, Shape};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -368,10 +367,10 @@ impl ReconnectPolicy {
 }
 
 fn nack_payload(tag: Tag, seq: u32) -> Encoded {
-    let mut buf = BytesMut::with_capacity(12);
-    buf.put_u64_le(tag);
-    buf.put_u32_le(seq);
-    Encoded::new(Shape::vector(1), buf.freeze())
+    let mut buf = Vec::with_capacity(12);
+    buf.extend_from_slice(&tag.to_le_bytes());
+    buf.extend_from_slice(&seq.to_le_bytes());
+    Encoded::new(Shape::vector(1), buf.into())
 }
 
 fn parse_nack(e: &Encoded) -> Option<(Tag, u32)> {
@@ -900,7 +899,7 @@ impl Transport for ChaosTransport {
             return; // a zombie owes nobody anything it could still send
         }
         let me = self.inner.rank();
-        let marker = Encoded::new(Shape::vector(1), Bytes::from_static(&[0x51]));
+        let marker = Encoded::new(Shape::vector(1), Bytes::copy_from_slice(&[0x51]));
         for &p in peers {
             if p != me {
                 let _ = self.inner.send_tagged(p, QUIESCE_TAG, marker.clone());
@@ -936,6 +935,19 @@ mod tests {
 
     fn enc(bytes: &[u8]) -> Encoded {
         Encoded::new(Shape::vector(bytes.len().max(1)), Bytes::copy_from_slice(bytes))
+    }
+
+    #[test]
+    fn nack_payload_is_little_endian_tag_then_seq() {
+        let nack = nack_payload(0x0102_0304_0506_0708, 0x0A0B_0C0D);
+        assert_eq!(
+            nack.payload()[..],
+            [8, 7, 6, 5, 4, 3, 2, 1, 0x0D, 0x0C, 0x0B, 0x0A]
+        );
+        assert_eq!(
+            parse_nack(&nack),
+            Some((0x0102_0304_0506_0708, 0x0A0B_0C0D))
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! protocol that runs on real sockets.
 
 use crate::transport::Tag;
-use bytes::{BufMut, Bytes, BytesMut};
 use cgx_compress::Encoded;
+use cgx_tensor::Bytes;
 
 /// Frame header: `[magic:u16][seq:u32][checksum:u32]`, little-endian.
 pub const HEADER_LEN: usize = 10;
@@ -77,12 +77,10 @@ pub fn frame(tag: Tag, seq: u32, payload: &Encoded) -> Encoded {
 
 /// The raw framed bytes for `body`: header plus payload, ready for a wire.
 pub fn frame_bytes(tag: Tag, seq: u32, body: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + body.len());
-    buf.put_u16_le(FRAME_MAGIC);
-    buf.put_u32_le(seq);
-    buf.put_u32_le(checksum(tag, seq, body));
+    let mut buf = Vec::with_capacity(HEADER_LEN + body.len());
+    append_header(&mut buf, tag, seq, body);
     buf.extend_from_slice(body);
-    buf.freeze()
+    buf.into()
 }
 
 /// Appends only the [`HEADER_LEN`]-byte framing header for `body` to
@@ -145,6 +143,8 @@ mod tests {
         assert_eq!(seq, 3);
         assert_eq!(body.as_ref(), &[9, 8, 7, 6]);
         assert_eq!(checksum(0xAB, 3, &body), stated);
+        // The body is the frame's own bytes past the header, not a copy.
+        assert_eq!(body.as_ptr(), framed.payload()[HEADER_LEN..].as_ptr());
     }
 
     #[test]
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_short_and_unmagical_buffers() {
-        assert!(parse(&Bytes::from_static(&[1, 2, 3])).is_none());
+        assert!(parse(&Bytes::copy_from_slice(&[1, 2, 3])).is_none());
         let mut raw = frame_bytes(1, 0, &[5]).to_vec();
         raw[0] ^= 0xFF; // break the magic
         assert!(parse(&Bytes::from(raw)).is_none());

@@ -22,7 +22,6 @@ use crate::error::CommError;
 use crate::membership::{Membership, MembershipView};
 use crate::reduce::{allreduce_sra_scratch, AllreduceStats};
 use crate::transport::{collective_tag, Tag, Transport};
-use bytes::{BufMut, Bytes, BytesMut};
 use cgx_compress::{Compressor, Encoded, ScratchPool};
 use cgx_tensor::{Rng, Tensor};
 
@@ -123,15 +122,15 @@ impl Topology {
 /// Serializes a float slice as raw little-endian bytes for the lossless
 /// intra-node hops.
 fn raw_encode(shape: &cgx_tensor::Shape, data: &[f32]) -> Encoded {
-    let mut buf = BytesMut::with_capacity(data.len() * 4);
+    let mut buf = Vec::with_capacity(data.len() * 4);
     for v in data {
-        buf.put_u32_le(v.to_bits());
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    Encoded::new(shape.clone(), buf.freeze())
+    Encoded::new(shape.clone(), buf.into())
 }
 
 /// Decodes a raw little-endian float payload into `out`.
-fn raw_decode(bytes: &Bytes, out: &mut [f32]) -> Result<(), CommError> {
+fn raw_decode(bytes: &[u8], out: &mut [f32]) -> Result<(), CommError> {
     if bytes.len() != out.len() * 4 {
         return Err(CommError::ShapeMismatch {
             detail: format!(
@@ -261,6 +260,15 @@ mod tests {
     use crate::cluster::ThreadCluster;
     use crate::reduce::allreduce_sra;
     use cgx_compress::{CompressionScheme, NoneCompressor};
+
+    #[test]
+    fn raw_hop_payload_is_little_endian_f32s() {
+        let enc = raw_encode(&cgx_tensor::Shape::vector(2), &[1.0, -2.5]);
+        assert_eq!(enc.payload()[..], [0, 0, 0x80, 0x3f, 0, 0, 0x20, 0xc0]);
+        let mut back = [0.0; 2];
+        raw_decode(enc.payload(), &mut back).expect("sizes match");
+        assert_eq!(back, [1.0, -2.5]);
+    }
 
     #[test]
     fn topology_maps_are_consistent() {

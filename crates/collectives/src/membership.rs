@@ -28,7 +28,6 @@
 
 use crate::error::CommError;
 use crate::transport::{membership_tag, Tag, Transport};
-use bytes::{BufMut, Bytes, BytesMut};
 use cgx_compress::Encoded;
 use cgx_tensor::Shape;
 use std::time::Duration;
@@ -130,14 +129,14 @@ impl Membership {
 }
 
 fn encode_round(mask: u64, step: u64) -> Encoded {
-    let mut buf = BytesMut::with_capacity(16);
-    buf.put_u64_le(mask);
-    buf.put_u64_le(step);
-    Encoded::new(Shape::vector(1), buf.freeze())
+    let mut buf = Vec::with_capacity(16);
+    buf.extend_from_slice(&mask.to_le_bytes());
+    buf.extend_from_slice(&step.to_le_bytes());
+    Encoded::new(Shape::vector(1), buf.into())
 }
 
 fn decode_round(e: &Encoded) -> Option<(u64, u64)> {
-    let b: &Bytes = e.payload();
+    let b = e.payload();
     if b.len() != 16 {
         return None;
     }
@@ -328,7 +327,16 @@ impl Transport for MembershipView<'_> {
 mod tests {
     use super::*;
     use crate::transport::{ShmFabric, LEGACY_TAG};
-    use bytes::Bytes;
+
+    #[test]
+    fn agreement_round_is_little_endian_mask_then_step() {
+        let round = encode_round(0x0102_0304_0506_0708, 9);
+        assert_eq!(
+            round.payload()[..],
+            [8, 7, 6, 5, 4, 3, 2, 1, 9, 0, 0, 0, 0, 0, 0, 0]
+        );
+        assert_eq!(decode_round(&round), Some((0x0102_0304_0506_0708, 9)));
+    }
 
     #[test]
     fn membership_rank_maps_are_consistent() {
@@ -353,7 +361,7 @@ mod tests {
         let vb = MembershipView::new(&b, &m);
         assert_eq!(va.rank(), 0);
         assert_eq!(vb.world(), 2);
-        va.send(1, Encoded::new(Shape::vector(1), Bytes::copy_from_slice(&[7])))
+        va.send(1, Encoded::new(Shape::vector(1), vec![7].into()))
             .unwrap();
         assert_eq!(vb.recv(0).unwrap().payload().as_ref(), &[7]);
     }
@@ -371,7 +379,7 @@ mod tests {
         assert_eq!((vc.rank(), vc.world()), (1, 2));
         assert_eq!(vc.physical(0), 0);
         // Virtual peer 1 on the view is physical rank 2.
-        va.send(1, Encoded::new(Shape::vector(1), Bytes::copy_from_slice(&[9])))
+        va.send(1, Encoded::new(Shape::vector(1), vec![9].into()))
             .unwrap();
         assert_eq!(vc.recv(0).unwrap().payload().as_ref(), &[9]);
     }

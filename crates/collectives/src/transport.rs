@@ -2,25 +2,34 @@
 //!
 //! The paper's SHM backend registers a UNIX shared-memory segment per GPU
 //! pair and synchronizes with CUDA IPC primitives. Collapsed into one
-//! process, that becomes: one bounded channel per ordered rank pair,
-//! carrying [`Encoded`] payloads (which are reference-counted `Bytes`, so a
+//! process, that becomes: one **mailbox** per receiving rank — a mutex, two
+//! condition variables and an `Arc` — into which every other rank files
+//! [`Encoded`] payloads (which are reference-counted `Bytes`, so a
 //! "transfer" is a pointer hand-off, exactly like mapping a shared segment).
 //!
 //! # Tag multiplexing
 //!
-//! A per-pair channel is strictly ordered, which is correct for one
-//! collective at a time but wrong the moment several collectives are in
-//! flight on the same rank (the communication engine's layer-parallel
-//! reductions): payloads of different layers would interleave on the shared
-//! channel and a receiver expecting layer *k*'s chunk could pull layer
-//! *k+1*'s instead. Every message therefore carries a **tag** — the header
-//! a real implementation would prepend: collective id + pipeline segment +
-//! phase, packed by [`collective_tag`] — and each endpoint keeps a per-peer
-//! **demux inbox**. A receive for tag *t* first consults the inbox, then
-//! drains the channel, stashing mismatching messages into their tag's inbox
-//! queue. Per-(peer, tag) FIFO order is preserved (inbox queues are
-//! `VecDeque`s fed in channel order), which is the only ordering the
-//! collectives rely on.
+//! A stream that is ordered per pair is correct for one collective at a
+//! time but wrong the moment several collectives are in flight on the same
+//! rank (the communication engine's layer-parallel reductions): a receiver
+//! expecting layer *k*'s chunk could pull layer *k+1*'s instead. Every
+//! message therefore carries a **tag** — the header a real implementation
+//! would prepend: collective id + pipeline segment + phase, packed by
+//! [`collective_tag`] — and a send files its payload straight under its
+//! `(sender, tag)` in the receiver's mailbox. A receive for tag *t* looks
+//! only there, so traffic for other tags is never in its way and there is
+//! no second place a payload could be waiting. Per-(peer, tag) FIFO order
+//! is preserved (each key holds a `VecDeque`), which is the only ordering
+//! the collectives rely on.
+//!
+//! # Flow control
+//!
+//! Each ordered pair may have [`SLOT_CAPACITY`] payloads filed that the
+//! receiver has not yet *looked at*. A payload counts as looked at once the
+//! receiver takes it, takes a later one from the same sender, comes up
+//! empty on that sender, or calls [`ShmTransport::drain_inbound`]; beyond
+//! the bound a send blocks ([`ShmTransport::send_tagged`]) or hands the
+//! payload back ([`ShmTransport::try_send_tagged`]).
 //!
 //! The pre-engine entry points ([`ShmTransport::send`] /
 //! [`ShmTransport::recv`]) are tag [`LEGACY_TAG`] and interoperate with
@@ -30,20 +39,16 @@ use crate::error::CommError;
 use crate::fault::FaultStats;
 use cgx_compress::Encoded;
 use cgx_obs::{Counter, MetricsRegistry};
-use crossbeam::channel::{
-    bounded, Receiver, RecvTimeoutError, Select, Sender, TryRecvError, TrySendError,
-};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Per-pair channel capacity. Sized so a full model's worth of small
-/// compressed layer chunks (one phase-1 message per layer per peer, a few
-/// hundred layers) streams without stalling the submitting rank — a
-/// mid-submit stall re-serializes the ranks into exactly the per-layer
-/// convoy the engine exists to remove. The bound still exists: the engine
-/// tolerates a full channel by stashing inbound traffic and retrying
+/// Per-pair capacity. Sized so a full model's worth of small compressed
+/// layer chunks (one phase-1 message per layer per peer, a few hundred
+/// layers) streams without stalling the submitting rank — a mid-submit
+/// stall re-serializes the ranks into exactly the per-layer convoy the
+/// engine exists to remove. The bound still exists: the engine tolerates a
+/// full pair by draining its own inbound traffic and retrying
 /// ([`ShmTransport::try_send_tagged`]), keeping memory flat and surfacing
 /// deadlocks under pathological load.
 const SLOT_CAPACITY: usize = 256;
@@ -219,7 +224,7 @@ pub trait Transport {
     /// The configured receive timeout.
     fn timeout(&self) -> Duration;
 
-    /// Sends a tagged payload to `peer`, blocking if the channel is full.
+    /// Sends a tagged payload to `peer`, blocking while the pair is full.
     ///
     /// # Errors
     ///
@@ -227,7 +232,7 @@ pub trait Transport {
     fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError>;
 
     /// Attempts a tagged send without blocking; `Ok(Some(payload))` hands
-    /// the payload back when the channel is full.
+    /// the payload back when the pair is full.
     ///
     /// # Errors
     ///
@@ -259,8 +264,9 @@ pub trait Transport {
     /// [`CommError::Disconnected`] / [`CommError::Lost`] on peer failure.
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError>;
 
-    /// Drains every peer's channel into the demux inboxes without
-    /// blocking; returns the number of messages moved.
+    /// Takes in everything that has arrived from any peer, so that it no
+    /// longer counts against the senders' flow control, without blocking;
+    /// returns the number of messages that were new.
     fn drain_inbound(&self) -> usize;
 
     /// Pushes any transport-internal queued outbound traffic onto the
@@ -373,11 +379,109 @@ pub trait Transport {
     }
 }
 
-/// One wire message: a tag plus the payload.
+/// Everything in flight towards one rank: the state behind its [`Mailbox`].
 #[derive(Debug)]
-struct Message {
-    tag: Tag,
-    payload: Encoded,
+struct Inbox {
+    /// `queues[peer][tag]`: payloads `peer` filed under `tag`, oldest
+    /// first, each with its number in `peer`'s stream to this rank.
+    queues: Vec<HashMap<Tag, VecDeque<(u64, Encoded)>>>,
+    /// Payloads queued, over all peers and tags.
+    queued: usize,
+    /// `sent[peer]`: payloads `peer` has filed here so far.
+    sent: Vec<u64>,
+    /// `seen[peer]`: how far down `peer`'s stream the owner has looked.
+    /// `sent[peer] - seen[peer]` is the pair's depth, bounded by
+    /// [`SLOT_CAPACITY`].
+    seen: Vec<u64>,
+    /// `live[peer]`: `peer`'s endpoint still exists and may file more.
+    live: Vec<bool>,
+    /// The owning endpoint still exists, so filing here is not futile.
+    open: bool,
+    /// Threads waiting on [`Mailbox::arrived`] / [`Mailbox::space`]: a
+    /// notify is a system call, skipped when nobody would hear it.
+    parked: usize,
+    blocked: usize,
+}
+
+impl Inbox {
+    fn depth(&self, peer: usize) -> usize {
+        (self.sent[peer] - self.seen[peer]) as usize
+    }
+
+    fn file(&mut self, peer: usize, tag: Tag, payload: Encoded) {
+        let seq = self.sent[peer];
+        self.sent[peer] += 1;
+        self.queues[peer]
+            .entry(tag)
+            .or_default()
+            .push_back((seq, payload));
+        self.queued += 1;
+    }
+
+    fn has(&self, peer: usize, tag: Tag) -> bool {
+        self.queues[peer].contains_key(&tag)
+    }
+
+    /// The oldest payload under `(peer, tag)`. Taking one looks past
+    /// everything `peer` filed before it; finding none looks at all of it.
+    fn take(&mut self, peer: usize, tag: Tag) -> Option<Encoded> {
+        let Some(queue) = self.queues[peer].get_mut(&tag) else {
+            self.seen[peer] = self.sent[peer];
+            return None;
+        };
+        let (seq, payload) = queue.pop_front().expect("empty queues are removed");
+        if queue.is_empty() {
+            // Tags are single-use (one per collective/segment/phase): drop
+            // the entry so the map does not grow with training steps.
+            self.queues[peer].remove(&tag);
+        }
+        self.queued -= 1;
+        self.seen[peer] = self.seen[peer].max(seq + 1);
+        Some(payload)
+    }
+}
+
+/// One rank's mailbox, shared by the whole fabric. Senders lock it to file
+/// a payload and signal `arrived`; the owner locks it to take one and
+/// signals `space` when a pair's depth falls.
+#[derive(Debug)]
+struct Mailbox {
+    inbox: Mutex<Inbox>,
+    arrived: Condvar,
+    space: Condvar,
+}
+
+impl Mailbox {
+    /// Locks the inbox, recovering from poisoning: every update above is a
+    /// push, a pop or a counter step that cannot be observed half-done, so
+    /// a panic elsewhere must not take down this rank's receive path too
+    /// (the panicking worker is reported by the cluster).
+    fn lock(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Parks the owner until something is filed, a peer goes away, or
+    /// `timeout` passes.
+    fn await_arrival<'a>(
+        &self,
+        mut inbox: MutexGuard<'a, Inbox>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, Inbox> {
+        inbox.parked += 1;
+        let (mut inbox, _) = self
+            .arrived
+            .wait_timeout(inbox, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        inbox.parked -= 1;
+        inbox
+    }
+
+    /// Wakes senders blocked on a full pair, after the owner looked further.
+    fn note_space(&self, inbox: &Inbox) {
+        if inbox.blocked > 0 {
+            self.space.notify_all();
+        }
+    }
 }
 
 /// Pre-resolved metric handles for one endpoint (`transport.*` namespace).
@@ -393,25 +497,17 @@ struct TransportMetrics {
 
 /// A rank's endpoint into the shared-memory fabric.
 ///
-/// Cheap to move into a worker thread. Senders are cloned per peer;
-/// receivers are owned. The demux inboxes are behind uncontended mutexes
-/// (an endpoint is only ever used by its own rank's thread) purely so the
-/// endpoint stays `Sync`.
+/// Cheap to move into a worker thread. An endpoint is only ever driven by
+/// its own rank's thread; its mailbox is contended only by the peers
+/// filing into it. Dropping the endpoint disconnects it: peers' sends to
+/// it fail, and their receives from it fail once they have taken what it
+/// had already filed.
 #[derive(Debug)]
 pub struct ShmTransport {
     rank: usize,
     world: usize,
-    /// `to[j]` sends to rank j (self entry unused).
-    to: Vec<Sender<Message>>,
-    /// `from[j]` receives from rank j (self entry unused).
-    from: Vec<Receiver<Message>>,
-    /// `inbox[j]` holds messages from rank j already pulled off the channel
-    /// but destined for a tag nobody has asked for yet.
-    inbox: Vec<Mutex<HashMap<Tag, VecDeque<Encoded>>>>,
-    /// `closed[j]` is set once rank j's channel is observed disconnected,
-    /// so [`ShmTransport::wait_any_inbound`] stops selecting on it (a
-    /// closed channel is always ready and would busy-spin the select).
-    closed: Vec<AtomicBool>,
+    /// `boxes[r]` is rank r's mailbox; `boxes[self.rank]` is this one's.
+    boxes: Arc<[Mailbox]>,
     timeout: Duration,
     /// Message counters, populated by [`ShmTransport::set_obs`]. `None`
     /// (the default) keeps the hot path untouched.
@@ -471,6 +567,54 @@ impl ShmTransport {
         self.timeout
     }
 
+    fn mailbox(&self) -> &Mailbox {
+        &self.boxes[self.rank]
+    }
+
+    fn check_peer(&self, peer: usize) {
+        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
+    }
+
+    /// Files `payload` in `peer`'s mailbox, or hands it back when the pair
+    /// is full and `block` is off.
+    fn deliver(
+        &self,
+        peer: usize,
+        tag: Tag,
+        payload: Encoded,
+        block: bool,
+    ) -> Result<Option<Encoded>, CommError> {
+        self.check_peer(peer);
+        let dest = &self.boxes[peer];
+        let mut inbox = dest.lock();
+        loop {
+            if !inbox.open {
+                return Err(CommError::Disconnected { peer });
+            }
+            if inbox.depth(self.rank) < SLOT_CAPACITY {
+                break;
+            }
+            if !block {
+                return Ok(Some(payload));
+            }
+            inbox.blocked += 1;
+            inbox = dest
+                .space
+                .wait(inbox)
+                .unwrap_or_else(PoisonError::into_inner);
+            inbox.blocked -= 1;
+        }
+        let bytes = payload.payload_bytes();
+        inbox.file(self.rank, tag, payload);
+        let wake = inbox.parked > 0;
+        drop(inbox);
+        if wake {
+            dest.arrived.notify_all();
+        }
+        self.note_sent(bytes);
+        Ok(None)
+    }
+
     /// Sends a payload to `peer` on the legacy (untagged) lane.
     ///
     /// # Errors
@@ -485,29 +629,23 @@ impl ShmTransport {
         self.send_tagged(peer, LEGACY_TAG, payload)
     }
 
-    /// Sends a tagged payload to `peer`, blocking if the channel is full.
+    /// Sends a tagged payload to `peer`, blocking while the pair is full.
     ///
     /// # Errors
     ///
     /// Returns [`CommError::Disconnected`] if the peer's endpoint was
-    /// dropped.
+    /// dropped, before the call or while it blocked.
     ///
     /// # Panics
     ///
     /// Panics if `peer` is out of range or equal to this rank.
     pub fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
-        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
-        let bytes = payload.payload_bytes();
-        self.to[peer]
-            .send(Message { tag, payload })
-            .map_err(|_| CommError::Disconnected { peer })?;
-        self.note_sent(bytes);
-        Ok(())
+        self.deliver(peer, tag, payload, true).map(|_| ())
     }
 
     /// Attempts a tagged send without blocking. Returns `Ok(None)` when the
-    /// message was enqueued, or `Ok(Some(payload))` — handing the payload
-    /// back — when the channel is full (the engine then drains its own
+    /// message was filed, or `Ok(Some(payload))` — handing the payload
+    /// back — when the pair is full (the engine then drains its own
     /// inbound lanes and retries).
     ///
     /// # Errors
@@ -524,16 +662,7 @@ impl ShmTransport {
         tag: Tag,
         payload: Encoded,
     ) -> Result<Option<Encoded>, CommError> {
-        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
-        let bytes = payload.payload_bytes();
-        match self.to[peer].try_send(Message { tag, payload }) {
-            Ok(()) => {
-                self.note_sent(bytes);
-                Ok(None)
-            }
-            Err(TrySendError::Full(m)) => Ok(Some(m.payload)),
-            Err(TrySendError::Disconnected(_)) => Err(CommError::Disconnected { peer }),
-        }
+        self.deliver(peer, tag, payload, false)
     }
 
     /// Receives the next legacy-lane payload from `peer`, waiting up to the
@@ -552,14 +681,14 @@ impl ShmTransport {
     }
 
     /// Receives the next payload with `tag` from `peer`, waiting up to the
-    /// timeout. Messages bearing other tags that arrive meanwhile are
-    /// stashed into their inbox queues, not discarded.
+    /// timeout. Messages bearing other tags that arrive meanwhile stay
+    /// filed under their own tags.
     ///
     /// # Errors
     ///
     /// [`CommError::Timeout`] if nothing with `tag` arrives in time;
     /// [`CommError::Disconnected`] if the peer's endpoint was dropped and no
-    /// stashed message with `tag` remains.
+    /// message with `tag` remains.
     ///
     /// # Panics
     ///
@@ -585,110 +714,89 @@ impl ShmTransport {
         tag: Tag,
         timeout: Duration,
     ) -> Result<Encoded, CommError> {
-        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
-        if let Some(p) = self.take_stashed(peer, tag) {
-            self.note_recv(&p);
-            return Ok(p);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.from[peer].recv_timeout(remaining) {
-                Ok(m) if m.tag == tag => {
-                    self.note_recv(&m.payload);
-                    return Ok(m.payload);
-                }
-                Ok(m) => self.stash(peer, m),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::Timeout {
-                        from: peer,
-                        waited: timeout,
-                        in_flight: 0,
-                    })
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.closed[peer].store(true, Ordering::Relaxed);
-                    // A message for our tag may have been stashed by an
-                    // earlier mismatching pull — drain first, fail second.
-                    return self
-                        .take_stashed(peer, tag)
-                        .map(|p| {
-                            self.note_recv(&p);
-                            p
-                        })
-                        .ok_or(CommError::Disconnected { peer });
-                }
-            }
-        }
+        self.receive(peer, tag, timeout)?.ok_or(CommError::Timeout {
+            from: peer,
+            waited: timeout,
+            in_flight: 0,
+        })
     }
 
-    /// Polls for a payload with `tag` from `peer` without blocking,
-    /// stashing any other-tag messages pulled along the way.
+    /// Polls for a payload with `tag` from `peer` without blocking.
     ///
     /// # Errors
     ///
     /// [`CommError::Disconnected`] if the peer's endpoint was dropped and
-    /// no stashed message with `tag` remains.
+    /// no message with `tag` remains.
     ///
     /// # Panics
     ///
     /// Panics if `peer` is out of range or equal to this rank.
     pub fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
-        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
-        if let Some(p) = self.take_stashed(peer, tag) {
-            self.note_recv(&p);
-            return Ok(Some(p));
-        }
+        self.receive(peer, tag, Duration::ZERO)
+    }
+
+    /// Takes the next `(peer, tag)` payload, parking for up to `patience`
+    /// until there is one; `Ok(None)` when that runs out.
+    fn receive(
+        &self,
+        peer: usize,
+        tag: Tag,
+        patience: Duration,
+    ) -> Result<Option<Encoded>, CommError> {
+        self.check_peer(peer);
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
+        let mut deadline = None;
         loop {
-            match self.from[peer].try_recv() {
-                Ok(m) if m.tag == tag => {
-                    self.note_recv(&m.payload);
-                    return Ok(Some(m.payload));
-                }
-                Ok(m) => self.stash(peer, m),
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => {
-                    self.closed[peer].store(true, Ordering::Relaxed);
-                    return match self.take_stashed(peer, tag) {
-                        Some(p) => {
-                            self.note_recv(&p);
-                            Ok(Some(p))
-                        }
-                        None => Err(CommError::Disconnected { peer }),
-                    };
-                }
+            let taken = inbox.take(peer, tag);
+            mailbox.note_space(&inbox);
+            if let Some(p) = taken {
+                drop(inbox);
+                self.note_recv(&p);
+                return Ok(Some(p));
             }
+            if !inbox.live[peer] {
+                return Err(CommError::Disconnected { peer });
+            }
+            if patience.is_zero() {
+                return Ok(None);
+            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + patience);
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Ok(None);
+            }
+            inbox = mailbox.await_arrival(inbox, remaining);
         }
     }
 
-    /// Drains every peer's channel into the demux inboxes without blocking.
-    /// Returns the number of messages moved. Disconnected peers are skipped
-    /// here — the collective polling that peer's tag surfaces the error.
+    /// Looks at everything filed so far, which frees every sender's pair
+    /// of its depth, without blocking. Returns the number of messages not
+    /// looked at before (zero means nothing has arrived since the last
+    /// look). Disconnected peers are not reported here — the collective
+    /// polling that peer's tag surfaces the error.
     pub fn drain_inbound(&self) -> usize {
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
         let mut moved = 0;
         for peer in 0..self.world {
-            if peer == self.rank {
-                continue;
-            }
-            while let Ok(m) = self.from[peer].try_recv() {
-                self.stash(peer, m);
-                moved += 1;
-            }
+            moved += inbox.depth(peer);
+            inbox.seen[peer] = inbox.sent[peer];
         }
+        mailbox.note_space(&inbox);
         moved
     }
 
-    /// Blocks until *some* message arrives from `peer` (any arrival is
-    /// stashed and likely unblocks a machine), or until a payload with
-    /// `tag` is already stashed. Returns `Ok(true)` if anything arrived or
-    /// was already waiting, `Ok(false)` on timeout. This is the engine's
-    /// park point: it gets the same direct condvar handoff as a blocking
-    /// `recv` instead of sleep-polling.
+    /// Blocks until *some* message from `peer` is there to look at (any
+    /// arrival likely unblocks a machine), or until a payload with `tag`
+    /// is queued. Returns `Ok(true)` if so, `Ok(false)` on timeout. This
+    /// is the engine's park point: the sender's notify wakes it directly,
+    /// like a blocking `recv`, instead of sleep-polling.
     ///
     /// # Errors
     ///
     /// [`CommError::Disconnected`] if the peer's endpoint was dropped and
-    /// nothing with `tag` remains stashed.
+    /// nothing with `tag` remains.
     ///
     /// # Panics
     ///
@@ -699,128 +807,79 @@ impl ShmTransport {
         tag: Tag,
         timeout: Duration,
     ) -> Result<bool, CommError> {
-        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
-        if self.has_stashed(peer, tag) {
-            return Ok(true);
-        }
-        match self.from[peer].recv_timeout(timeout) {
-            Ok(m) => {
-                self.stash(peer, m);
-                Ok(true)
+        self.check_peer(peer);
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
+        let deadline = Instant::now() + timeout;
+        loop {
+            if inbox.has(peer, tag) {
+                return Ok(true);
             }
-            Err(RecvTimeoutError::Timeout) => Ok(false),
-            Err(RecvTimeoutError::Disconnected) => {
-                self.closed[peer].store(true, Ordering::Relaxed);
-                if self.has_stashed(peer, tag) {
-                    Ok(true)
-                } else {
-                    Err(CommError::Disconnected { peer })
-                }
+            if inbox.depth(peer) > 0 {
+                inbox.seen[peer] += 1;
+                mailbox.note_space(&inbox);
+                return Ok(true);
             }
+            if !inbox.live[peer] {
+                return Err(CommError::Disconnected { peer });
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Ok(false);
+            }
+            inbox = mailbox.await_arrival(inbox, remaining);
         }
     }
 
-    /// Blocks until a message arrives from *any* open peer channel
-    /// (stashing it into the demux inbox), up to `timeout`. Returns `true`
-    /// if something arrived. Channels observed disconnected are skipped —
-    /// a closed channel is permanently "ready" and would otherwise turn
-    /// the select into a busy loop.
+    /// Blocks until a message from *any* peer is queued, up to `timeout`.
+    /// Returns `true` if one is — including one that was already there
+    /// under a tag nobody has asked for yet. A peer going away does not end
+    /// the wait; with every peer gone it is cut to a short sleep.
     pub fn wait_any_inbound(&self, timeout: Duration) -> bool {
-        // Traffic that an earlier tag-targeted probe already demuxed into
-        // an inbox is "arrived" for the caller even though the raw
-        // channels are quiet — selecting without this check would park
-        // the engine while deliverable payloads sit stashed.
-        for peer in 0..self.world {
-            if peer != self.rank && !self.inbox_lock(peer).is_empty() {
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
+        let deadline = Instant::now() + timeout;
+        loop {
+            if inbox.queued > 0 {
                 return true;
             }
-        }
-        let mut sel = Select::new();
-        let mut peers = Vec::with_capacity(self.world.saturating_sub(1));
-        for peer in 0..self.world {
-            if peer == self.rank || self.closed[peer].load(Ordering::Relaxed) {
-                continue;
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if !inbox.live.contains(&true) {
+                // Nobody is left to wake us; callers that loop on this
+                // must neither spin nor sit out a long timeout.
+                drop(inbox);
+                std::thread::sleep(remaining.min(Duration::from_millis(1)));
+                return false;
             }
-            sel.recv(&self.from[peer]);
-            peers.push(peer);
-        }
-        if peers.is_empty() {
-            // Everyone is gone; sleep out a short slice so callers that
-            // loop on this don't spin.
-            std::thread::sleep(timeout.min(Duration::from_millis(1)));
-            return false;
-        }
-        match sel.select_timeout(timeout) {
-            Ok(op) => {
-                let peer = peers[op.index()];
-                match op.recv(&self.from[peer]) {
-                    Ok(m) => {
-                        self.stash(peer, m);
-                        true
-                    }
-                    Err(_) => {
-                        self.closed[peer].store(true, Ordering::Relaxed);
-                        false
-                    }
-                }
+            if remaining.is_zero() {
+                return false;
             }
-            Err(_) => false,
+            inbox = mailbox.await_arrival(inbox, remaining);
         }
     }
 
-    /// Locks peer `peer`'s demux inbox, recovering from poisoning: inbox
-    /// mutations are single push/pop operations that cannot be observed
-    /// half-done, so a panic elsewhere must not take down this rank's
-    /// receive path too (the panicking worker is reported by the cluster).
-    fn inbox_lock(&self, peer: usize) -> std::sync::MutexGuard<'_, HashMap<Tag, VecDeque<Encoded>>> {
-        self.inbox[peer]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn has_stashed(&self, peer: usize, tag: Tag) -> bool {
-        self.inbox_lock(peer).contains_key(&tag)
-    }
-
-    fn stash(&self, peer: usize, m: Message) {
-        self.inbox_lock(peer)
-            .entry(m.tag)
-            .or_default()
-            .push_back(m.payload);
-    }
-
-    fn take_stashed(&self, peer: usize, tag: Tag) -> Option<Encoded> {
-        let mut inbox = self.inbox_lock(peer);
-        let queue = inbox.get_mut(&tag)?;
-        let payload = queue.pop_front();
-        if queue.is_empty() {
-            // Tags are single-use (one per collective/segment/phase): drop
-            // the entry so the map does not grow with training steps.
-            inbox.remove(&tag);
-        }
-        payload
-    }
-
-    /// Removes every stashed message whose tag carries a non-native
+    /// Removes every queued message whose tag carries a non-native
     /// namespace byte (see [`Transport::take_namespaced_stashed`]).
     pub fn take_namespaced_stashed(&self) -> Vec<(usize, Tag, Encoded)> {
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
         let mut out = Vec::new();
         for peer in 0..self.world {
-            if peer == self.rank {
-                continue;
-            }
-            let mut inbox = self.inbox_lock(peer);
-            let tags: Vec<Tag> = inbox
+            let tags: Vec<Tag> = inbox.queues[peer]
                 .keys()
                 .copied()
                 .filter(|&t| tag_namespace(t) != NATIVE_JOB)
                 .collect();
             for tag in tags {
-                if let Some(queue) = inbox.remove(&tag) {
-                    out.extend(queue.into_iter().map(|p| (peer, tag, p)));
+                let queue = inbox.queues[peer].remove(&tag).expect("key just listed");
+                inbox.queued -= queue.len();
+                for (seq, p) in queue {
+                    inbox.seen[peer] = inbox.seen[peer].max(seq + 1);
+                    out.push((peer, tag, p));
                 }
             }
         }
+        mailbox.note_space(&inbox);
         out
     }
 
@@ -836,6 +895,26 @@ impl ShmTransport {
             }
         }
         Ok(())
+    }
+}
+
+impl Drop for ShmTransport {
+    /// Disconnects: what this rank already filed elsewhere stays
+    /// receivable, what was filed here is dropped, and everyone parked on
+    /// either is woken to find out.
+    fn drop(&mut self) {
+        for (rank, mailbox) in self.boxes.iter().enumerate() {
+            let mut inbox = mailbox.lock();
+            if rank == self.rank {
+                inbox.open = false;
+                inbox.queues.iter_mut().for_each(HashMap::clear);
+                inbox.queued = 0;
+                mailbox.space.notify_all();
+            } else {
+                inbox.live[self.rank] = false;
+                mailbox.arrived.notify_all();
+            }
+        }
     }
 }
 
@@ -907,38 +986,27 @@ impl ShmFabric {
     /// Panics if `n == 0`.
     pub fn build(n: usize) -> Vec<ShmTransport> {
         assert!(n > 0, "fabric needs at least one rank");
-        // senders[i][j] sends i -> j; receivers[j][i] receives that.
-        let mut to: Vec<Vec<Option<Sender<Message>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut from: Vec<Vec<Option<Receiver<Message>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let (s, r) = bounded(SLOT_CAPACITY);
-                to[i][j] = Some(s);
-                from[j][i] = Some(r);
-            }
-        }
-        // Self-channels: dummy closed endpoints to keep Vec indexing simple.
-        to.into_iter()
-            .zip(from)
-            .enumerate()
-            .map(|(rank, (to_row, from_row))| ShmTransport {
+        let boxes: Arc<[Mailbox]> = (0..n)
+            .map(|rank| Mailbox {
+                inbox: Mutex::new(Inbox {
+                    queues: (0..n).map(|_| HashMap::new()).collect(),
+                    queued: 0,
+                    sent: vec![0; n],
+                    seen: vec![0; n],
+                    live: (0..n).map(|peer| peer != rank).collect(),
+                    open: true,
+                    parked: 0,
+                    blocked: 0,
+                }),
+                arrived: Condvar::new(),
+                space: Condvar::new(),
+            })
+            .collect();
+        (0..n)
+            .map(|rank| ShmTransport {
                 rank,
                 world: n,
-                to: to_row
-                    .into_iter()
-                    .map(|s| s.unwrap_or_else(|| bounded(1).0))
-                    .collect(),
-                from: from_row
-                    .into_iter()
-                    .map(|r| r.unwrap_or_else(|| bounded(1).1))
-                    .collect(),
-                inbox: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-                closed: (0..n).map(|_| AtomicBool::new(false)).collect(),
+                boxes: Arc::clone(&boxes),
                 timeout: DEFAULT_TIMEOUT,
                 obs: None,
             })
@@ -949,8 +1017,7 @@ impl ShmFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use cgx_tensor::Shape;
+    use cgx_tensor::{Bytes, Shape};
     use std::time::Duration;
 
     fn payload(tag: u8) -> Encoded {
@@ -1235,6 +1302,116 @@ mod tests {
         // And a live arrival still wakes it.
         b.send_tagged(2, LEGACY_TAG, payload(3)).unwrap();
         assert!(c.wait_any_inbound(Duration::from_secs(5)));
+    }
+
+    /// Spins until `cond` holds: how a test sees that another thread has
+    /// reached the wait it is about to be woken from.
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let t0 = Instant::now();
+        while !cond() {
+            assert!(t0.elapsed() < Duration::from_secs(20), "never saw: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Well inside every timeout below, far beyond a wake-up.
+    const PROMPT: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn a_parked_wait_any_returns_on_the_first_send() {
+        let mut eps = ShmFabric::build(3);
+        let c = eps.pop().unwrap();
+        let b = eps.pop().unwrap();
+        let _a = eps.pop().unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let t0 = Instant::now();
+                (c.wait_any_inbound(Duration::from_secs(30)), t0.elapsed())
+            });
+            until("rank 2 parked", || c.mailbox().lock().parked == 1);
+            b.send_tagged(2, collective_tag(3, 0, 1), payload(8))
+                .unwrap();
+            let (arrived, waited) = waiter.join().unwrap();
+            assert!(arrived, "woken by the send, not by the timeout");
+            assert!(waited < PROMPT, "took {waited:?}");
+        });
+        assert_eq!(c.mailbox().lock().parked, 0);
+    }
+
+    #[test]
+    fn a_sender_blocked_on_a_full_pair_wakes_when_one_frame_is_taken() {
+        let mut eps = ShmFabric::build(2);
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        let tag = collective_tag(1, 0, 0);
+        for _ in 0..SLOT_CAPACITY {
+            a.send_tagged(1, tag, payload(1)).unwrap();
+        }
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| a.send_tagged(1, tag, payload(2)));
+            until("rank 0 blocked", || b.mailbox().lock().blocked == 1);
+            assert_eq!(b.recv_tagged(0, tag).unwrap().payload().as_ref(), &[1]);
+            sender.join().unwrap().expect("room for one more");
+        });
+        // The pair is full again, and nothing was lost or reordered.
+        assert!(a.try_send_tagged(1, tag, payload(3)).unwrap().is_some());
+        for _ in 1..SLOT_CAPACITY {
+            assert_eq!(b.recv_tagged(0, tag).unwrap().payload().as_ref(), &[1]);
+        }
+        assert_eq!(b.recv_tagged(0, tag).unwrap().payload().as_ref(), &[2]);
+    }
+
+    #[test]
+    fn a_sender_blocked_on_a_full_pair_errors_when_the_receiver_drops() {
+        let mut eps = ShmFabric::build(2);
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        for _ in 0..SLOT_CAPACITY {
+            a.send(1, payload(1)).unwrap();
+        }
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| a.send(1, payload(2)));
+            until("rank 0 blocked", || b.mailbox().lock().blocked == 1);
+            drop(b);
+            assert!(matches!(
+                sender.join().unwrap(),
+                Err(CommError::Disconnected { peer: 1 })
+            ));
+        });
+    }
+
+    #[test]
+    fn a_receiver_parked_on_a_tag_learns_of_the_peer_dropping() {
+        let mut eps = ShmFabric::build(2);
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        let (wanted, other) = (collective_tag(1, 0, 1), collective_tag(2, 0, 1));
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| b.recv_tagged_deadline(0, wanted, Duration::from_secs(30)));
+            until("rank 1 parked", || b.mailbox().lock().parked == 1);
+            // Traffic for another tag is not what it waits for; the wanted
+            // payload is, even though its sender is gone by the time it looks.
+            a.send_tagged(1, other, payload(7)).unwrap();
+            a.send_tagged(1, wanted, payload(9)).unwrap();
+            drop(a);
+            assert_eq!(receiver.join().unwrap().unwrap().payload().as_ref(), &[9]);
+        });
+        assert_eq!(b.recv_tagged(0, other).unwrap().payload().as_ref(), &[7]);
+        // With nothing filed, the same park ends in the disconnect itself.
+        let mut eps = ShmFabric::build(2);
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        std::thread::scope(|s| {
+            let t0 = Instant::now();
+            let receiver = s.spawn(|| b.recv_tagged_deadline(0, wanted, Duration::from_secs(30)));
+            until("rank 1 parked", || b.mailbox().lock().parked == 1);
+            drop(a);
+            assert!(matches!(
+                receiver.join().unwrap(),
+                Err(CommError::Disconnected { peer: 0 })
+            ));
+            assert!(t0.elapsed() < PROMPT, "woken by the drop, not the timeout");
+        });
     }
 
     #[test]

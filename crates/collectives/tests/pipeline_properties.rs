@@ -6,32 +6,30 @@
 use cgx_collectives::reduce::{allreduce, Algorithm};
 use cgx_collectives::{CommEngine, EngineOptions, ThreadCluster};
 use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
-use cgx_tensor::{Rng, Tensor};
-use proptest::prelude::*;
+use cgx_tensor::{cases, Rng, Tensor};
 
-fn scheme_strategy() -> impl Strategy<Value = CompressionScheme> {
-    prop_oneof![
-        Just(CompressionScheme::None),
-        Just(CompressionScheme::Qsgd {
+/// Between 1 and `max` layers, each an odd length (including lengths
+/// smaller than the world size) plus a scheme.
+fn layers(rng: &mut Rng, max: usize) -> Vec<(usize, CompressionScheme)> {
+    let schemes = [
+        CompressionScheme::None,
+        CompressionScheme::Qsgd {
             bits: 4,
-            bucket_size: 128
-        }),
-        Just(CompressionScheme::Qsgd {
+            bucket_size: 128,
+        },
+        CompressionScheme::Qsgd {
             bits: 2,
-            bucket_size: 64
-        }),
-        Just(CompressionScheme::Nuqsgd {
+            bucket_size: 64,
+        },
+        CompressionScheme::Nuqsgd {
             bits: 4,
-            bucket_size: 64
-        }),
-        Just(CompressionScheme::TopK { ratio: 0.25 }),
-    ]
-}
-
-/// A layer: odd-biased length (including lengths smaller than the world
-/// size) plus a scheme.
-fn layer_strategy() -> impl Strategy<Value = (usize, CompressionScheme)> {
-    ((1usize..700).prop_map(|n| n | 1), scheme_strategy())
+            bucket_size: 64,
+        },
+        CompressionScheme::TopK { ratio: 0.25 },
+    ];
+    (0..rng.range(1..=max))
+        .map(|_| (rng.range(1..700) | 1, schemes[rng.index(schemes.len())]))
+        .collect()
 }
 
 fn run_engine(
@@ -89,54 +87,34 @@ fn run_sequential(
     .expect("sequential cluster")
 }
 
-fn check(
-    world: usize,
-    seed: u64,
-    layers: &[(usize, CompressionScheme)],
-    alg: Algorithm,
-) -> Result<(), TestCaseError> {
-    let eng = run_engine(world, seed, layers, alg);
-    let seq = run_sequential(world, seed, layers, alg);
+fn check(rng: &mut Rng, max_layers: usize, alg: Algorithm) {
+    let (world, seed) = (rng.range(2..=8), rng.below(1_000_000));
+    let layers = layers(rng, max_layers);
+    let eng = run_engine(world, seed, &layers, alg);
+    let seq = run_sequential(world, seed, &layers, alg);
     for (r, replica) in eng.iter().enumerate() {
         for (i, (a, b)) in replica.iter().zip(&seq[0]).enumerate() {
             for (j, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-                prop_assert_eq!(
+                assert_eq!(
                     x.to_bits(),
                     y.to_bits(),
-                    "rank {} layer {} elem {}: engine {} vs sequential {}",
-                    r,
-                    i,
-                    j,
-                    x,
-                    y
+                    "rank {r} layer {i} elem {j}: engine {x} vs sequential {y}"
                 );
             }
         }
     }
-    Ok(())
 }
 
-proptest! {
-    // Thread clusters are expensive; a couple dozen cases still explore
-    // world size x inventory x scheme space well because each case runs
-    // up to 10 concurrent collectives.
-    #![proptest_config(ProptestConfig::with_cases(24))]
+// Thread clusters are expensive; a couple dozen cases still explore world
+// size x inventory x scheme space well because each case runs up to 9
+// concurrent collectives.
 
-    #[test]
-    fn engine_is_bitwise_equal_to_sequential_sra(
-        world in 2usize..=8,
-        seed in 0u64..1_000_000,
-        layers in prop::collection::vec(layer_strategy(), 1..10),
-    ) {
-        check(world, seed, &layers, Algorithm::ScatterReduceAllgather)?;
-    }
+#[test]
+fn engine_is_bitwise_equal_to_sequential_sra() {
+    cases(24, |rng| check(rng, 9, Algorithm::ScatterReduceAllgather));
+}
 
-    #[test]
-    fn engine_is_bitwise_equal_to_sequential_ring(
-        world in 2usize..=8,
-        seed in 0u64..1_000_000,
-        layers in prop::collection::vec(layer_strategy(), 1..6),
-    ) {
-        check(world, seed, &layers, Algorithm::Ring)?;
-    }
+#[test]
+fn engine_is_bitwise_equal_to_sequential_ring() {
+    cases(24, |rng| check(rng, 5, Algorithm::Ring));
 }

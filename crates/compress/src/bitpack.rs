@@ -16,7 +16,7 @@
 //! the scalar path; [`BitWriter::write_run`] and [`BitReader::read_run`]
 //! dispatch between them automatically based on width and alignment.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use cgx_tensor::Bytes;
 
 /// Whether `width` is handled by the word-wide kernels ([`pack_fixed`] /
 /// [`unpack_fixed_with`]): a whole number of values must fit in a `u64`.
@@ -33,7 +33,7 @@ pub fn is_word_packable(width: u32) -> bool {
 ///
 /// Panics if `width` is not word-packable. Debug builds also check that
 /// every value fits in `width` bits.
-pub fn pack_fixed(values: &[u32], width: u32, out: &mut BytesMut) {
+pub fn pack_fixed(values: &[u32], width: u32, out: &mut Vec<u8>) {
     assert!(is_word_packable(width), "width {width} not word-packable");
     let per_word = (64 / width) as usize;
     out.reserve((values.len() * width as usize).div_ceil(8));
@@ -49,7 +49,7 @@ pub fn pack_fixed(values: &[u32], width: u32, out: &mut BytesMut) {
             acc |= (v as u64) << shift;
             shift += width;
         }
-        out.put_u64_le(acc);
+        out.extend_from_slice(&acc.to_le_bytes());
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
@@ -64,7 +64,7 @@ pub fn pack_fixed(values: &[u32], width: u32, out: &mut BytesMut) {
             shift += width;
         }
         let nbytes = (rem.len() * width as usize).div_ceil(8);
-        out.put_slice(&acc.to_le_bytes()[..nbytes]);
+        out.extend_from_slice(&acc.to_le_bytes()[..nbytes]);
     }
 }
 
@@ -134,7 +134,7 @@ pub fn unpack_fixed(bytes: &[u8], width: u32, count: usize) -> Vec<u32> {
 /// ```
 #[derive(Debug, Default)]
 pub struct BitWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Bits accumulated but not yet flushed to `buf`.
     acc: u64,
     /// Number of valid bits in `acc` (always < 8 between calls).
@@ -154,7 +154,7 @@ impl BitWriter {
             return Self::new();
         }
         BitWriter {
-            buf: BytesMut::with_capacity(bytes),
+            buf: Vec::with_capacity(bytes),
             acc: 0,
             acc_bits: 0,
         }
@@ -163,7 +163,7 @@ impl BitWriter {
     /// Creates a writer over a caller-provided buffer (e.g. one recycled
     /// through a [`ScratchPool`](crate::ScratchPool)), clearing any
     /// previous contents but keeping the allocation.
-    pub fn from_buf(mut buf: BytesMut) -> Self {
+    pub fn from_buf(mut buf: Vec<u8>) -> Self {
         buf.clear();
         BitWriter {
             buf,
@@ -188,7 +188,7 @@ impl BitWriter {
         self.acc |= (value as u64) << self.acc_bits;
         self.acc_bits += width;
         while self.acc_bits >= 8 {
-            self.buf.put_u8((self.acc & 0xFF) as u8);
+            self.buf.push((self.acc & 0xFF) as u8);
             self.acc >>= 8;
             self.acc_bits -= 8;
         }
@@ -247,10 +247,10 @@ impl BitWriter {
         debug_assert!(self.acc_bits < 8, "unflushed whole byte in accumulator");
         let expected = self.byte_len();
         if self.acc_bits > 0 {
-            self.buf.put_u8((self.acc & 0xFF) as u8);
+            self.buf.push((self.acc & 0xFF) as u8);
         }
         debug_assert_eq!(self.buf.len(), expected, "finish/byte_len asymmetry");
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 }
 
@@ -476,9 +476,9 @@ mod tests {
                 for &v in &values {
                     scalar.write_bits(v, width);
                 }
-                let mut packed = BytesMut::new();
+                let mut packed = Vec::new();
                 pack_fixed(&values, width, &mut packed);
-                assert_eq!(packed.freeze(), scalar.finish(), "width={width} n={n}");
+                assert_eq!(Bytes::from(packed), scalar.finish(), "width={width} n={n}");
             }
         }
     }
@@ -489,7 +489,7 @@ mod tests {
         for width in [1u32, 2, 4, 8, 16, 32] {
             for n in [0usize, 1, 5, 64, 129, 777] {
                 let values = random_values(&mut rng, width, n);
-                let mut packed = BytesMut::new();
+                let mut packed = Vec::new();
                 pack_fixed(&values, width, &mut packed);
                 assert_eq!(
                     unpack_fixed(&packed, width, n),
@@ -575,7 +575,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not word-packable")]
     fn pack_fixed_rejects_odd_width() {
-        pack_fixed(&[1, 2], 3, &mut BytesMut::new());
+        pack_fixed(&[1, 2], 3, &mut Vec::new());
     }
 
     #[test]

@@ -66,8 +66,7 @@ pub use scheme::CompressionScheme;
 pub use scratch::ScratchPool;
 pub use topk::TopKCompressor;
 
-use bytes::Bytes;
-use cgx_tensor::{Rng, Shape, Tensor};
+use cgx_tensor::{Bytes, Rng, Shape, Tensor};
 
 /// A compressed gradient chunk: the original shape plus an opaque payload in
 /// the owning compressor's wire format.
@@ -293,7 +292,7 @@ mod tests {
 
     #[test]
     fn encoded_accessors() {
-        let e = Encoded::new(Shape::vector(3), Bytes::from_static(&[1, 2]));
+        let e = Encoded::new(Shape::vector(3), Bytes::copy_from_slice(&[1, 2]));
         assert_eq!(e.shape().len(), 3);
         assert_eq!(e.payload_bytes(), 2);
         assert_eq!(e.payload().as_ref(), &[1, 2]);

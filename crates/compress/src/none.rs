@@ -43,7 +43,7 @@ impl Compressor for NoneCompressor {
         let mut buf = pool.take_buf(data.len() * 4);
         buf.resize(data.len() * 4, 0);
         write_f32s_le(data, &mut buf);
-        Encoded::new(Shape::vector(data.len()), buf.freeze())
+        Encoded::new(Shape::vector(data.len()), buf.into())
     }
 
     fn compress_pooled(&mut self, grad: &Tensor, rng: &mut Rng, pool: &ScratchPool) -> Encoded {

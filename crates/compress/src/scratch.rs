@@ -3,7 +3,7 @@
 //! Every allreduce round needs encode buffers (one per outgoing payload) and
 //! `f32` working space (quantization codes, accumulators). Allocating these
 //! per call puts the allocator on the critical path the paper works so hard
-//! to keep at line rate. [`ScratchPool`] keeps free lists of `BytesMut` and
+//! to keep at line rate. [`ScratchPool`] keeps free lists of `Vec<u8>` and
 //! `Vec<f32>` so steady-state training steps perform **zero** heap
 //! allocation in the compression path.
 //!
@@ -12,14 +12,14 @@
 //! every simulated rank and buffers flow back regardless of which rank ends
 //! up dropping a broadcast payload. Payloads return via
 //! [`ScratchPool::recycle`], which reclaims the underlying buffer when this
-//! handle holds the last reference (`Bytes::try_into_mut`).
+//! handle holds the last reference to the whole buffer
+//! (`Bytes::try_into_vec`).
 //!
 //! The [`ScratchPool::allocations`] counter records every buffer the pool
 //! had to create because its free list was empty; after a warm-up round (or
 //! an explicit [`ScratchPool::prewarm`]) it must stop moving — tests assert
 //! exactly that.
 
-use bytes::BytesMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -27,7 +27,7 @@ use crate::Encoded;
 
 #[derive(Debug, Default)]
 struct Inner {
-    bufs: Mutex<Vec<BytesMut>>,
+    bufs: Mutex<Vec<Vec<u8>>>,
     f32s: Mutex<Vec<Vec<f32>>>,
     allocations: AtomicU64,
     reuses: AtomicU64,
@@ -64,7 +64,7 @@ impl ScratchPool {
     pub fn prewarm(&self, count: usize, capacity: usize) {
         let mut bufs = self.inner.bufs.lock().expect("scratch pool poisoned");
         for _ in 0..count {
-            bufs.push(BytesMut::with_capacity(capacity));
+            bufs.push(Vec::with_capacity(capacity));
         }
     }
 
@@ -78,7 +78,7 @@ impl ScratchPool {
 
     /// Takes a cleared byte buffer from the pool, allocating one with
     /// `capacity` bytes if the free list is empty.
-    pub fn take_buf(&self, capacity: usize) -> BytesMut {
+    pub fn take_buf(&self, capacity: usize) -> Vec<u8> {
         let popped = self.inner.bufs.lock().expect("scratch pool poisoned").pop();
         match popped {
             Some(mut buf) => {
@@ -88,13 +88,13 @@ impl ScratchPool {
             }
             None => {
                 self.inner.allocations.fetch_add(1, Ordering::Relaxed);
-                BytesMut::with_capacity(capacity)
+                Vec::with_capacity(capacity)
             }
         }
     }
 
     /// Returns a byte buffer to the pool.
-    pub fn put_buf(&self, buf: BytesMut) {
+    pub fn put_buf(&self, buf: Vec<u8>) {
         self.inner
             .bufs
             .lock()
@@ -107,7 +107,7 @@ impl ScratchPool {
     /// clone's eventual `recycle` will win the reclaim). Call this instead
     /// of dropping an [`Encoded`] once it is fully consumed.
     pub fn recycle(&self, enc: Encoded) {
-        if let Ok(buf) = enc.into_payload().try_into_mut() {
+        if let Ok(buf) = enc.into_payload().try_into_vec() {
             self.put_buf(buf);
         }
     }
@@ -177,8 +177,7 @@ impl ScratchPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use cgx_tensor::Shape;
+    use cgx_tensor::{Bytes, Shape};
 
     #[test]
     fn take_put_reuses_buffers() {
@@ -222,7 +221,7 @@ mod tests {
         let pool = ScratchPool::new();
         let mut buf = pool.take_buf(8);
         buf.extend_from_slice(&[1, 2, 3]);
-        let enc = Encoded::new(Shape::vector(3), buf.freeze());
+        let enc = Encoded::new(Shape::vector(3), buf.into());
         pool.recycle(enc);
         assert_eq!(pool.idle_bufs(), 1);
         let buf = pool.take_buf(8);
@@ -237,6 +236,9 @@ mod tests {
         pool.recycle(Encoded::new(Shape::vector(1), payload));
         assert_eq!(pool.idle_bufs(), 0, "shared payload must not be reclaimed");
         drop(held);
+        let body = Bytes::from(vec![0xC6, 0xFA, 7, 7]).slice(2..);
+        pool.recycle(Encoded::new(Shape::vector(1), body));
+        assert_eq!(pool.idle_bufs(), 0, "nor a view of part of a buffer");
     }
 
     #[test]

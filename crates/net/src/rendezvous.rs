@@ -463,10 +463,9 @@ mod tests {
     use super::*;
     use cgx_collectives::Transport;
     use cgx_compress::Encoded;
-    use bytes::Bytes;
 
     fn enc(data: &[u8]) -> Encoded {
-        Encoded::new(Shape::new(vec![data.len()]), Bytes::copy_from_slice(data))
+        Encoded::new(Shape::new(vec![data.len()]), data.to_vec().into())
     }
 
     #[test]

@@ -446,7 +446,7 @@ impl Staging {
 struct QueuedFrame {
     hdr_start: usize,
     hdr_len: usize,
-    payload: bytes::Bytes,
+    payload: cgx_tensor::Bytes,
     tag: Tag,
     shape: Shape,
     seq: u32,
@@ -470,7 +470,7 @@ struct RetainedFrame {
     seq: u32,
     tag: Tag,
     shape: Shape,
-    payload: bytes::Bytes,
+    payload: cgx_tensor::Bytes,
     wire_len: usize,
 }
 
@@ -1529,7 +1529,7 @@ impl TcpTransport {
             };
             let hb = Encoded::new(
                 Shape::new(vec![1]),
-                bytes::Bytes::from_static(&HB_PAYLOAD),
+                cgx_tensor::Bytes::copy_from_slice(&HB_PAYLOAD),
             );
             self.enqueue_frame(&mut slot, CTRL_TAG, hb);
             self.heartbeats_out.fetch_add(1, Ordering::Relaxed);
@@ -2046,7 +2046,7 @@ impl Transport for TcpTransport {
         // chaos layer's in-process protocol).
         let marker = Encoded::new(
             Shape::new(vec![1]),
-            bytes::Bytes::copy_from_slice(&[0x51]),
+            cgx_tensor::Bytes::copy_from_slice(&[0x51]),
         );
         for &p in peers {
             if p != self.rank && p < self.world {
@@ -2117,7 +2117,7 @@ mod tests {
         }
         let payload = Encoded::new(
             Shape::new(vec![8]),
-            bytes::Bytes::from(vec![3u8; 32]),
+            vec![3u8; 32].into(),
         );
         let wire = wire::frame_wire_bytes(1, 32) as u64;
         std::thread::scope(|s| {
@@ -2173,7 +2173,7 @@ mod tests {
         assert_eq!(eps[0].options().read_buf_bytes, 64);
         let big = Encoded::new(
             Shape::new(vec![4096]),
-            bytes::Bytes::from((0..4096u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
+            cgx_tensor::Bytes::from((0..4096u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
         );
         let expect = big.clone();
         std::thread::scope(|s| {
@@ -2195,7 +2195,7 @@ mod tests {
         for i in 0..10u32 {
             let p = Encoded::new(
                 Shape::new(vec![4]),
-                bytes::Bytes::from(vec![i as u8; 4]),
+                vec![i as u8; 4].into(),
             );
             assert!(a.try_send_tagged(1, 77, p).expect("try_send").is_none());
         }
@@ -2311,7 +2311,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(2));
                     let p = Encoded::new(
                         Shape::new(vec![1]),
-                        bytes::Bytes::from(vec![i]),
+                        vec![i].into(),
                     );
                     a.send_tagged(1, 13, p).expect("send");
                 }
@@ -2345,7 +2345,7 @@ mod tests {
                 for i in 0..10u8 {
                     let p = Encoded::new(
                         Shape::new(vec![1]),
-                        bytes::Bytes::from(vec![i]),
+                        vec![i].into(),
                     );
                     b.send_tagged(0, 21, p).expect("send survives the reset");
                 }
@@ -2423,11 +2423,11 @@ mod tests {
         let opts = NetOptions::default().with_reconnect(policy);
         let eps = TcpFabric::build_local_with(2, opts);
         for i in 0..3u8 {
-            let p = Encoded::new(Shape::new(vec![1]), bytes::Bytes::from(vec![i]));
+            let p = Encoded::new(Shape::new(vec![1]), vec![i].into());
             eps[0].send_tagged(1, 7, p).expect("flushed send");
         }
         for i in 3..5u8 {
-            let p = Encoded::new(Shape::new(vec![1]), bytes::Bytes::from(vec![i]));
+            let p = Encoded::new(Shape::new(vec![1]), vec![i].into());
             assert!(eps[0].try_send_tagged(1, 7, p).expect("deferred").is_none());
         }
         {

@@ -166,7 +166,7 @@ pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
             format!("checksum/header mismatch on tag {tag:#x}"),
         ));
     }
-    let payload = bytes::Bytes::copy_from_slice(body);
+    let payload = cgx_tensor::Bytes::copy_from_slice(body);
     Ok(Some((
         Frame {
             tag,
@@ -239,7 +239,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
         let at = 9 + 4 * i;
         dims.push(u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize);
     }
-    let body = bytes::Bytes::from(buf).slice(geom_end..);
+    let body = cgx_tensor::Bytes::from(buf).slice(geom_end..);
     let Some((seq, payload)) = framing::parse_verified(tag, &body) else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,

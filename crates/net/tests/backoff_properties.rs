@@ -6,35 +6,38 @@
 //! makes chaos runs replayable.
 
 use cgx_collectives::ReconnectPolicy;
-use proptest::prelude::*;
+use cgx_tensor::{cases, Rng};
 use std::time::Duration;
 
-proptest! {
-    #[test]
-    fn delays_stay_within_base_and_cap(
-        base_ms in 1u64..=50,
-        extra_ms in 0u64..=2000,
-        attempts in 1u32..=12,
-        seed in any::<u64>(),
-    ) {
-        let base = Duration::from_millis(base_ms);
-        let cap = Duration::from_millis(base_ms + extra_ms);
+/// A base of 1..=50 ms, a cap up to 2 s above it, and any seed.
+fn schedule(rng: &mut Rng) -> (Duration, Duration, u64) {
+    let base_ms = rng.range(1..=50) as u64;
+    let cap_ms = base_ms + rng.range(0..=2000) as u64;
+    let (base, cap) = (
+        Duration::from_millis(base_ms),
+        Duration::from_millis(cap_ms),
+    );
+    (base, cap, rng.next_u64())
+}
+
+#[test]
+fn delays_stay_within_base_and_cap() {
+    cases(256, |rng| {
+        let (base, cap, seed) = schedule(rng);
+        let attempts = rng.range(1..=12) as u32;
         let policy = ReconnectPolicy::new(base, cap, attempts, seed);
         for k in 0..attempts {
             let d = policy.delay(k);
-            prop_assert!(d >= base, "attempt {} delay {:?} below base {:?}", k, d, base);
-            prop_assert!(d <= cap, "attempt {} delay {:?} above cap {:?}", k, d, cap);
+            assert!(d >= base, "attempt {k} delay {d:?} below base {base:?}");
+            assert!(d <= cap, "attempt {k} delay {d:?} above cap {cap:?}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn schedule_is_monotone_until_the_cap(
-        base_ms in 1u64..=50,
-        extra_ms in 0u64..=2000,
-        seed in any::<u64>(),
-    ) {
-        let base = Duration::from_millis(base_ms);
-        let cap = Duration::from_millis(base_ms + extra_ms);
+#[test]
+fn schedule_is_monotone_until_the_cap() {
+    cases(256, |rng| {
+        let (base, cap, seed) = schedule(rng);
         let policy = ReconnectPolicy::new(base, cap, 12, seed);
         let mut prev = Duration::ZERO;
         let mut capped = false;
@@ -42,38 +45,34 @@ proptest! {
             let d = policy.delay(k);
             if capped {
                 // Once a delay hits the cap, every later one sits there.
-                prop_assert_eq!(d, cap, "attempt {} left the cap", k);
+                assert_eq!(d, cap, "attempt {k} left the cap");
             } else {
-                prop_assert!(
+                assert!(
                     d >= prev,
-                    "attempt {} delay {:?} shrank from {:?} before the cap",
-                    k, d, prev
+                    "attempt {k} delay {d:?} shrank from {prev:?} before the cap"
                 );
             }
             capped = capped || d == cap;
             prev = d;
         }
-    }
+    });
+}
 
-    #[test]
-    fn jitter_is_deterministic_under_a_fixed_seed(
-        base_ms in 1u64..=50,
-        extra_ms in 0u64..=2000,
-        seed in any::<u64>(),
-    ) {
-        let base = Duration::from_millis(base_ms);
-        let cap = Duration::from_millis(base_ms + extra_ms);
+#[test]
+fn jitter_is_deterministic_under_a_fixed_seed() {
+    cases(256, |rng| {
+        let (base, cap, seed) = schedule(rng);
         let a = ReconnectPolicy::new(base, cap, 8, seed);
         let b = ReconnectPolicy::new(base, cap, 8, seed);
         for k in 0..a.max_attempts {
-            prop_assert_eq!(a.delay(k), b.delay(k), "attempt {} not replayable", k);
+            assert_eq!(a.delay(k), b.delay(k), "attempt {k} not replayable");
         }
-        prop_assert_eq!(a.budget(), b.budget());
+        assert_eq!(a.budget(), b.budget());
         // A different seed is allowed to (and in general does) move the
         // delays, but never outside the bounds checked above; budget
         // stays within [attempts*base, attempts*cap] either way.
         let c = ReconnectPolicy::new(base, cap, 8, seed ^ 0xDEAD_BEEF);
-        prop_assert!(c.budget() >= base * 8, "budget below the floor");
-        prop_assert!(c.budget() <= cap * 8, "budget above the ceiling");
-    }
+        assert!(c.budget() >= base * 8, "budget below the floor");
+        assert!(c.budget() <= cap * 8, "budget above the ceiling");
+    });
 }

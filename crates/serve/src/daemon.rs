@@ -1065,7 +1065,7 @@ impl Transport for NamespacedTransport {
         // scheduler.
         let marker = Encoded::new(
             Shape::new(vec![1]),
-            bytes::Bytes::copy_from_slice(&[0x51]),
+            cgx_tensor::Bytes::copy_from_slice(&[0x51]),
         );
         for &p in peers {
             if p != self.node.rank && p < self.node.world {
@@ -1084,7 +1084,7 @@ impl Drop for NamespacedTransport {
     fn drop(&mut self) {
         let marker = Encoded::new(
             Shape::new(vec![1]),
-            bytes::Bytes::copy_from_slice(&[0x44]),
+            cgx_tensor::Bytes::copy_from_slice(&[0x44]),
         );
         // (0x44 = 'D' — inert; DETACH is recognised by tag, not payload.)
         let mut st = lock(&self.node.state);
@@ -1122,7 +1122,7 @@ mod tests {
     fn payload(byte: u8) -> Encoded {
         Encoded::new(
             Shape::new(vec![1]),
-            bytes::Bytes::copy_from_slice(&[byte]),
+            cgx_tensor::Bytes::copy_from_slice(&[byte]),
         )
     }
 
@@ -1257,7 +1257,7 @@ mod tests {
         let b = n1.attach(JobSpec::new(1)).unwrap();
         let big = Encoded::new(
             Shape::new(vec![32]),
-            bytes::Bytes::from(vec![0xAB; 32]),
+            vec![0xAB; 32].into(),
         );
         // 32-byte frame exceeds the 8-byte cap but an empty queue admits it.
         a.send_tagged(1, 2, big.clone()).unwrap();

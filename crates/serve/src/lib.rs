@@ -39,7 +39,7 @@
 //! let b = nodes[1].attach(JobSpec::new(7)).unwrap();
 //! let payload = cgx_compress::Encoded::new(
 //!     cgx_tensor::Shape::new(vec![1]),
-//!     bytes::Bytes::from_static(b"hi"),
+//!     cgx_tensor::Bytes::copy_from_slice(b"hi"),
 //! );
 //! a.send_tagged(1, 42, payload.clone()).unwrap();
 //! assert_eq!(b.recv_tagged(0, 42).unwrap(), payload);

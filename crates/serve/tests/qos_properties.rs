@@ -16,7 +16,7 @@
 //! here is fully deterministic.
 
 use cgx_serve::{jain_index, Dequeue, DrrScheduler};
-use proptest::prelude::*;
+use cgx_tensor::cases;
 
 /// Drains until `Idle`/`Throttled`, returning `(job, size)` in order.
 fn drain(s: &mut DrrScheduler<u32>, limit: usize) -> Vec<(u8, u64)> {
@@ -30,52 +30,46 @@ fn drain(s: &mut DrrScheduler<u32>, limit: usize) -> Vec<(u8, u64)> {
     out
 }
 
-proptest! {
-    #[test]
-    fn work_conserving_without_rate_caps(
-        quantum in 1u64..=4096,
-        njobs in 1usize..=6,
-        sizes in prop::collection::vec(1u64..=65536, 1..40),
-    ) {
+#[test]
+fn work_conserving_without_rate_caps() {
+    cases(256, |rng| {
+        let (quantum, njobs) = (rng.range(1..=4096) as u64, rng.range(1..=6));
+        let sizes: Vec<u64> = (0..rng.range(1..40))
+            .map(|_| rng.range(1..=65536) as u64)
+            .collect();
         let mut s = DrrScheduler::new(quantum);
         for j in 0..njobs {
             s.register(j as u8 + 1, (j as u64 % 5) + 1, None);
         }
-        let mut total = 0u64;
         for (i, &size) in sizes.iter().enumerate() {
-            let job = (i % njobs) as u8 + 1;
-            s.enqueue(job, size, i as u32);
-            total += size;
+            s.enqueue((i % njobs) as u8 + 1, size, i as u32);
         }
         // Every queued frame must come out, with no Idle/Throttled gap in
         // between: uncapped DRR never leaves backlog unserved.
         let mut drained = 0u64;
         for _ in 0..sizes.len() {
-            let got = match s.next(0) {
-                Dequeue::Frame { size, .. } => Some(size),
-                _ => None,
+            let Dequeue::Frame { size, .. } = s.next(0) else {
+                panic!("scheduler stalled with backlog present");
             };
-            prop_assert!(got.is_some(), "scheduler stalled with backlog present");
-            drained += got.unwrap();
+            drained += size;
         }
-        prop_assert_eq!(drained, total);
-        prop_assert!(s.is_empty());
-        prop_assert!(matches!(s.next(0), Dequeue::Idle));
-    }
+        assert_eq!(drained, sizes.iter().sum::<u64>());
+        assert!(s.is_empty());
+        assert!(matches!(s.next(0), Dequeue::Idle));
+    });
+}
 
-    #[test]
-    fn no_job_starves(
-        quantum in 1u64..=1024,
-        heavy_weight in 1u64..=64,
-        heavy_size in 1u64..=65536,
-        light_size in 1u64..=65536,
-    ) {
+#[test]
+fn no_job_starves() {
+    cases(256, |rng| {
         // A heavy job with a deep queue of large frames against a light
         // weight-1 job with one frame: the light job must be served within
         // a bounded number of dequeues (one round's worth, i.e. at most
         // the heavy job's burst allowance per round, repeated for however
         // many rounds the light frame needs to accrue deficit — bounded by
         // size/quantum + 1 rounds).
+        let (quantum, heavy_weight) = (rng.range(1..=1024) as u64, rng.range(1..=64) as u64);
+        let (heavy_size, light_size) = (rng.range(1..=65536) as u64, rng.range(1..=65536) as u64);
         let mut s = DrrScheduler::new(quantum);
         s.register(1, heavy_weight, None);
         s.register(2, 1, None);
@@ -89,7 +83,6 @@ proptest! {
         let heavy_frames_per_round = (quantum * heavy_weight) / heavy_size + 2;
         let bound = (rounds_needed * heavy_frames_per_round + 2) as usize;
         let mut served_light = false;
-        let mut stalled = false;
         for _ in 0..bound {
             match s.next(0) {
                 Dequeue::Frame { job: 2, .. } => {
@@ -97,29 +90,23 @@ proptest! {
                     break;
                 }
                 Dequeue::Frame { .. } => {}
-                _ => {
-                    stalled = true;
-                    break;
-                }
+                _ => panic!("scheduler stalled while the light job waited"),
             }
         }
-        prop_assert!(!stalled, "scheduler stalled while the light job waited");
-        prop_assert!(
+        assert!(
             served_light,
-            "light job not served within {} dequeues (quantum {}, heavy weight {}, heavy {}B, light {}B)",
-            bound, quantum, heavy_weight, heavy_size, light_size
+            "light job not served within {bound} dequeues (quantum {quantum}, heavy weight \
+             {heavy_weight}, heavy {heavy_size}B, light {light_size}B)"
         );
-    }
+    });
+}
 
-    #[test]
-    fn byte_shares_converge_to_weights(
-        quantum in 64u64..=4096,
-        w1 in 1u64..=8,
-        w2 in 1u64..=8,
-        w3 in 1u64..=8,
-        frame in 16u64..=2048,
-    ) {
-        let weights = [w1, w2, w3];
+#[test]
+fn byte_shares_converge_to_weights() {
+    cases(256, |rng| {
+        let quantum = rng.range(64..=4096) as u64;
+        let weights = [1, 2, 3].map(|_| rng.range(1..=8) as u64);
+        let frame = rng.range(16..=2048) as u64;
         let mut s = DrrScheduler::new(quantum);
         for (i, &w) in weights.iter().enumerate() {
             s.register(i as u8 + 1, w, None);
@@ -133,7 +120,7 @@ proptest! {
         }
         let budget = frames_per_job; // far below total backlog: all busy
         let served = drain(&mut s, budget);
-        prop_assert_eq!(served.len(), budget, "work conservation during busy period");
+        assert_eq!(served.len(), budget, "work conservation during busy period");
         let wsum: u64 = weights.iter().sum();
         let total: u64 = served.iter().map(|&(_, b)| b).sum();
         for (i, &w) in weights.iter().enumerate() {
@@ -144,20 +131,21 @@ proptest! {
             // total/(quantum*wsum) rounds minimum.
             let rounds = (total / (quantum * wsum) + 1) as f64;
             let slack = rounds * frame as f64 + (quantum * w) as f64 + frame as f64;
-            prop_assert!(
+            assert!(
                 (got as f64 - want).abs() <= slack,
-                "job {} got {} bytes, want {:.0} ± {:.0} (weights {:?}, quantum {}, frame {})",
-                i + 1, got, want, slack, weights, quantum, frame
+                "job {} got {got} bytes, want {want:.0} ± {slack:.0} (weights {weights:?}, \
+                 quantum {quantum}, frame {frame})",
+                i + 1
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn equal_weights_are_jain_fair(
-        quantum in 64u64..=4096,
-        frame in 16u64..=2048,
-        njobs in 2usize..=8,
-    ) {
+#[test]
+fn equal_weights_are_jain_fair() {
+    cases(256, |rng| {
+        let (quantum, frame) = (rng.range(64..=4096) as u64, rng.range(16..=2048) as u64);
+        let njobs = rng.range(2..=8);
         let mut s = DrrScheduler::new(quantum);
         for j in 0..njobs {
             s.register(j as u8 + 1, 1, None);
@@ -173,14 +161,14 @@ proptest! {
             }
         }
         let served = drain(&mut s, budget);
-        prop_assert_eq!(served.len(), budget);
+        assert_eq!(served.len(), budget);
         let shares: Vec<f64> = (0..njobs)
             .map(|j| s.sent_bytes(j as u8 + 1) as f64)
             .collect();
         let jain = jain_index(&shares);
-        prop_assert!(
+        assert!(
             jain > 0.95,
             "equal-weight shares should be near-perfectly fair, Jain={jain:.4} shares={shares:?}"
         );
-    }
+    });
 }

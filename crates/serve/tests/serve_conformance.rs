@@ -97,7 +97,7 @@ fn conformance_holds_with_a_noisy_neighbour_job() {
                     let prev = (rank + n - 1) % n;
                     let payload = Encoded::new(
                         Shape::new(vec![8]),
-                        bytes::Bytes::from(vec![rank as u8; 8]),
+                        vec![rank as u8; 8].into(),
                     );
                     for i in 0..64u64 {
                         if noisy.send_tagged(next, 9000 + i, payload.clone()).is_err() {

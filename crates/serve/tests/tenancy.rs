@@ -166,7 +166,7 @@ fn tenant_rank_death_leaves_other_jobs_uninterrupted() {
     let victim = attach_pair(&nodes, 1);
     let mut victim = victim.into_iter();
     let (v0, v1) = (victim.next().unwrap(), victim.next().unwrap());
-    let payload = Encoded::new(Shape::new(vec![4]), bytes::Bytes::from(vec![7u8; 4]));
+    let payload = Encoded::new(Shape::new(vec![4]), vec![7u8; 4].into());
     let victim_sender = std::thread::spawn(move || {
         for i in 0..3u64 {
             v0.send_tagged(1, 100 + i, payload.clone()).unwrap();
@@ -257,7 +257,7 @@ fn slow_tenant_is_not_condemned_under_heartbeats() {
         .collect();
     let mut endpoints = attach_pair(&nodes, 1).into_iter();
     let (a, b) = (endpoints.next().unwrap(), endpoints.next().unwrap());
-    let payload = Encoded::new(Shape::new(vec![2]), bytes::Bytes::from(vec![1u8, 2]));
+    let payload = Encoded::new(Shape::new(vec![2]), vec![1u8, 2].into());
 
     let slow = std::thread::spawn(move || {
         for i in 0..3u64 {
@@ -270,7 +270,7 @@ fn slow_tenant_is_not_condemned_under_heartbeats() {
         }
     });
     let echo = std::thread::spawn(move || {
-        let payload = Encoded::new(Shape::new(vec![2]), bytes::Bytes::from(vec![3u8, 4]));
+        let payload = Encoded::new(Shape::new(vec![2]), vec![3u8, 4].into());
         for i in 0..3u64 {
             b.recv_tagged_deadline(0, 300 + i, Duration::from_secs(10))
                 .expect("echo recv failed — slow peer was condemned");

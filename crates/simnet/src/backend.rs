@@ -6,11 +6,10 @@
 //! how much they throttle the compression kernels (NCCL caps the GPU
 //! resources available to user kernels — the QNCCL limitation).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Intra-node transport used by the communication engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CommBackend {
     /// CGX's UNIX shared-memory transport (single node only). Fastest:
     /// single memory transfer through the GPU copy engine, minimal

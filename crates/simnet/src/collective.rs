@@ -4,11 +4,10 @@
 //! transmitted bytes divided by the per-GPU stream bandwidth. Payload sizes
 //! are *wire* (compressed) bytes, so compression enters the model exactly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The Allreduce algorithms CGX implements (paper Section 3, Figure 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReductionScheme {
     /// Scatter-Reduce-Allgather: two rounds, bandwidth cost `O(d(N-1)/N)`
     /// per GPU, and only **one** compress/decompress round-trip — the
@@ -65,7 +64,7 @@ impl fmt::Display for ReductionScheme {
 
 /// α-β parameters of one communication domain (intra-node bus or the
 /// inter-node network).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommCost {
     /// Per-GPU (or per-node) concurrent stream bandwidth, bytes/s.
     pub stream_bw: f64,

@@ -41,8 +41,8 @@
 //!
 //! The previous `f64`-time `BinaryHeap` core is preserved verbatim in
 //! [`legacy`] as a validation oracle: the pinned-seed corpus test proves
-//! the new core produces *identical* makespans, and the criterion bench
-//! plus `sim_sweep` measure its events/sec against it.
+//! the new core produces *identical* makespans, and `sim_sweep` measures
+//! its events/sec against it.
 
 /// Errors surfaced by the DES public API.
 ///
@@ -1304,7 +1304,7 @@ impl NetworkDes {
 /// The pre-rewrite `f64`-time `BinaryHeap` DES core, preserved verbatim
 /// as a validation oracle and performance baseline. The pinned-seed
 /// corpus test proves the wheel core reproduces its makespans exactly;
-/// the criterion bench and `sim_sweep` measure the speedup against it.
+/// `sim_sweep` measures the speedup against it.
 /// Not part of the supported API.
 #[doc(hidden)]
 pub mod legacy {

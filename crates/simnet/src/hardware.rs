@@ -7,11 +7,10 @@
 //! `DESIGN.md`.
 
 use cgx_models::ModelId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// GPU products used in the paper's evaluation (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuModel {
     /// NVIDIA V100 (Volta, cloud-grade; DGX-1 and AWS p3 instances).
     V100,
@@ -24,7 +23,7 @@ pub enum GpuModel {
 }
 
 /// Static spec sheet for a GPU (paper Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Product name.
     pub name: &'static str,

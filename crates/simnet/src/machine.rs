@@ -11,10 +11,9 @@ use crate::backend::CommBackend;
 use crate::des::{Fabric, SimError};
 use crate::hardware::GpuModel;
 use crate::topology::{self, Topology};
-use serde::{Deserialize, Serialize};
 
 /// A (possibly multi-node) GPU system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     name: String,
     gpu: GpuModel,

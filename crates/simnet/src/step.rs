@@ -15,13 +15,12 @@
 use crate::backend::CommBackend;
 use crate::collective::{allreduce_time, hierarchical_allreduce_time, CommCost, ReductionScheme};
 use crate::machine::MachineSpec;
-use serde::{Deserialize, Serialize};
 
 /// One gradient message: a layer (or a fused group of layers) to reduce.
 ///
 /// Listed in **forward order**; the simulator walks them in reverse during
 /// the backward pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerMsg {
     /// Display name.
     pub name: String,
@@ -52,7 +51,7 @@ impl LayerMsg {
 }
 
 /// How gradients are handed to the communication engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncMode {
     /// CGX / Horovod style: per-layer messages, overlapped with backward.
     #[default]
@@ -63,7 +62,7 @@ pub enum SyncMode {
 }
 
 /// Split of single-GPU compute time across the step phases.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeProfile {
     /// Single-GPU fwd+bwd+optimizer time per step, seconds.
     pub step_seconds: f64,
@@ -109,7 +108,7 @@ impl ComputeProfile {
 /// (SHM-class effective bandwidth) or the vanilla NCCL library with its
 /// ring protocol overheads. On commodity PCIe machines the two differ by
 /// ~4x (paper Figure 11 and the 1 GB/s Allreduce measurement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportQuality {
     /// CGX's own point-to-point engine over the chosen backend.
     #[default]
@@ -216,7 +215,7 @@ pub fn fuse_messages(msgs: &[LayerMsg], threshold: usize) -> Vec<LayerMsg> {
 }
 
 /// Where the time of one simulated step went.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepReport {
     /// Single-GPU compute portion (fwd + bwd + optimizer), seconds.
     pub compute_seconds: f64,
@@ -292,7 +291,7 @@ pub fn simulate_step(cfg: &StepConfig, layers: &[LayerMsg], compute: ComputeProf
 }
 
 /// The execution lane an event occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// GPU compute stream (forward, backward, compression kernels, host
     /// sync stalls, optimizer).
@@ -302,7 +301,7 @@ pub enum Lane {
 }
 
 /// One interval on the simulated step timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// What ran (layer/message or phase name).
     pub name: String,

@@ -7,12 +7,11 @@
 //! box with 13-16 GB/s pairwise bandwidth delivers only ~1 GB/s of Allreduce
 //! bandwidth.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Kind of a device node in the interconnect graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Device {
     /// GPU with its rank id.
     Gpu(u32),
@@ -43,7 +42,7 @@ impl fmt::Display for Device {
 }
 
 /// Physical link technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkKind {
     /// PCIe lane bundle.
     Pcie,
@@ -54,7 +53,7 @@ pub enum LinkKind {
 }
 
 /// An undirected link between two device nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Endpoint device indices.
     pub a: usize,
@@ -67,7 +66,7 @@ pub struct Link {
 }
 
 /// A machine interconnect graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     devices: Vec<Device>,

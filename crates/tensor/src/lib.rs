@@ -20,14 +20,16 @@
 //! assert!(g.norm2() > 0.0);
 //! ```
 
+pub mod bytes;
 pub mod linalg;
 pub mod rng;
 pub mod shape;
 pub mod stats;
 pub mod tensor;
 
+pub use bytes::Bytes;
 pub use linalg::{matmul, matmul_nt, matmul_tn, orthogonalize_columns};
-pub use rng::Rng;
+pub use rng::{cases, Rng};
 pub use shape::Shape;
 pub use stats::RunningStat;
 pub use tensor::Tensor;

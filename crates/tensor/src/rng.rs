@@ -135,6 +135,23 @@ impl Rng {
         self.below(n as u64) as usize
     }
 
+    /// Uniform integer in `range` (`lo..hi` or `lo..=hi`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is empty or open-ended.
+    pub fn range(&mut self, range: impl std::ops::RangeBounds<usize>) -> usize {
+        use std::ops::Bound::{Excluded, Included, Unbounded};
+        let (Included(&lo), hi) = (range.start_bound(), range.end_bound()) else {
+            panic!("range needs an inclusive start");
+        };
+        match hi {
+            Included(&hi) => lo + self.below((hi - lo) as u64 + 1) as usize,
+            Excluded(&hi) => lo + self.index(hi - lo),
+            Unbounded => panic!("range needs an end"),
+        }
+    }
+
     /// Bernoulli trial with probability of success `p` (clamped to [0, 1]).
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.uniform() < p
@@ -291,6 +308,43 @@ impl CounterRng {
         x = (x ^ (x >> 15)).wrapping_add(keys[1]);
         x = x.wrapping_mul(Self::MULTIPLIERS[1]);
         x ^ (x >> 15)
+    }
+}
+
+/// Runs `property` on `n` seeded cases — the whole of this workspace's
+/// property testing. Case `i` draws from a generator derived from the
+/// running test's name (libtest names each test's thread after it) and `i`,
+/// so every run of a test sees the same cases and a failure repeats. The
+/// property states its claims with plain `assert!`s; when one fails, the
+/// case index is printed on top of its message.
+///
+/// # Examples
+///
+/// ```
+/// cgx_tensor::rng::cases(32, |rng| {
+///     let n = rng.range(1..=100);
+///     assert!(rng.index(n) < n);
+/// });
+/// ```
+pub fn cases(n: u32, mut property: impl FnMut(&mut Rng)) {
+    struct Case(u32);
+    impl Drop for Case {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property failed at case {}", self.0);
+            }
+        }
+    }
+    let thread = std::thread::current();
+    let name = thread.name().unwrap_or_default().bytes();
+    // FNV-1a; `seed_from_u64` then mixes the case index in thoroughly.
+    let seed = name.fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    for i in 0..n {
+        let case = Case(i);
+        property(&mut Rng::seed_from_u64(seed ^ u64::from(i)));
+        drop(case);
     }
 }
 

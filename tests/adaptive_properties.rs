@@ -5,28 +5,27 @@
 use cgx::adaptive::{
     assign_bits, kmeans, uniform_assignment, AdaptiveOptions, AdaptivePolicy, LayerProfile,
 };
-use cgx::tensor::Rng;
-use proptest::prelude::*;
+use cgx::tensor::{cases, Rng};
 
-fn profile_strategy() -> impl Strategy<Value = Vec<LayerProfile>> {
-    prop::collection::vec((1usize..50_000_000, 0.01f64..100.0), 1..60).prop_map(|raw| {
-        raw.into_iter()
-            .enumerate()
-            .map(|(i, (size, norm))| LayerProfile::new(format!("l{i}"), size, norm))
-            .collect()
-    })
+fn profiles(rng: &mut Rng) -> Vec<LayerProfile> {
+    (0..rng.range(1..60))
+        .map(|i| {
+            let (size, norm) = (rng.range(1..50_000_000), rng.uniform_range(0.01, 100.0));
+            LayerProfile::new(format!("l{i}"), size, norm)
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn every_policy_is_feasible_and_valid(
-        profiles in profile_strategy(),
-        alpha in 1.1f64..3.0,
-        seed in 0u64..500,
-    ) {
-        let opts = AdaptiveOptions { alpha, seed, ..AdaptiveOptions::default() };
+#[test]
+fn every_policy_is_feasible_and_valid() {
+    cases(48, |rng| {
+        let profiles = profiles(rng);
+        let alpha = rng.uniform_range(1.1, 3.0);
+        let opts = AdaptiveOptions {
+            alpha,
+            seed: rng.below(500),
+            ..AdaptiveOptions::default()
+        };
         let budget = alpha * uniform_assignment(&profiles, 4).estimated_error(&profiles);
         for policy in [
             AdaptivePolicy::KMeans,
@@ -35,66 +34,67 @@ proptest! {
             AdaptivePolicy::TimeAware,
         ] {
             let a = assign_bits(policy, &profiles, &opts);
-            prop_assert_eq!(a.bits.len(), profiles.len());
+            assert_eq!(a.bits.len(), profiles.len());
             // Valid bit choices and matching bucket sizes.
             for (b, bucket) in a.bits.iter().zip(&a.bucket_sizes) {
-                prop_assert!(opts.bit_choices.contains(b), "{policy:?}: bits {b}");
-                prop_assert!(*bucket > 0);
+                assert!(opts.bit_choices.contains(b), "{policy:?}: bits {b}");
+                assert!(*bucket > 0);
             }
             // The error budget holds (or every layer saturated at max bits,
             // in which case the problem was infeasible to begin with).
             let max_bits = *opts.bit_choices.iter().max().unwrap();
             let feasible = a.estimated_error(&profiles) <= budget * (1.0 + 1e-9);
             let saturated = a.bits.iter().all(|b| *b == max_bits);
-            prop_assert!(feasible || saturated, "{policy:?} violates budget");
+            assert!(feasible || saturated, "{policy:?} violates budget");
         }
-    }
+    });
+}
 
-    #[test]
-    fn assignments_are_deterministic(
-        profiles in profile_strategy(),
-        seed in 0u64..500,
-    ) {
-        let opts = AdaptiveOptions { seed, ..AdaptiveOptions::default() };
-        for policy in [AdaptivePolicy::KMeans, AdaptivePolicy::BayesOpt { trials: 40 }] {
+#[test]
+fn assignments_are_deterministic() {
+    cases(48, |rng| {
+        let profiles = profiles(rng);
+        let opts = AdaptiveOptions {
+            seed: rng.below(500),
+            ..AdaptiveOptions::default()
+        };
+        for policy in [
+            AdaptivePolicy::KMeans,
+            AdaptivePolicy::BayesOpt { trials: 40 },
+        ] {
             let a = assign_bits(policy, &profiles, &opts);
             let b = assign_bits(policy, &profiles, &opts);
-            prop_assert_eq!(a, b, "{:?} not deterministic", policy);
+            assert_eq!(a, b, "{policy:?} not deterministic");
         }
-    }
+    });
+}
 
-    #[test]
-    fn looser_budget_never_increases_size(
-        profiles in profile_strategy(),
-    ) {
-        let tight = assign_bits(
-            AdaptivePolicy::KMeans,
-            &profiles,
-            &AdaptiveOptions { alpha: 1.2, ..AdaptiveOptions::default() },
-        );
-        let loose = assign_bits(
-            AdaptivePolicy::KMeans,
-            &profiles,
-            &AdaptiveOptions { alpha: 2.8, ..AdaptiveOptions::default() },
-        );
-        prop_assert!(
-            loose.compressed_bits_total(&profiles)
-                <= tight.compressed_bits_total(&profiles) * (1.0 + 1e-9)
-        );
-    }
+#[test]
+fn looser_budget_never_increases_size() {
+    cases(48, |rng| {
+        let profiles = profiles(rng);
+        let kmeans_at = |alpha| {
+            let opts = AdaptiveOptions {
+                alpha,
+                ..AdaptiveOptions::default()
+            };
+            assign_bits(AdaptivePolicy::KMeans, &profiles, &opts).compressed_bits_total(&profiles)
+        };
+        assert!(kmeans_at(2.8) <= kmeans_at(1.2) * (1.0 + 1e-9));
+    });
+}
 
-    #[test]
-    fn kmeans_clusters_are_valid_partitions(
-        points in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..80),
-        k in 1usize..6,
-        seed in 0u64..200,
-    ) {
-        let k = k.min(points.len());
-        let mut rng = Rng::seed_from_u64(seed);
-        let r = kmeans(&points, k, &mut rng, 60);
-        prop_assert_eq!(r.assignment.len(), points.len());
-        prop_assert!(r.assignment.iter().all(|a| *a < k));
-        prop_assert_eq!(r.centroids.len(), k);
+#[test]
+fn kmeans_clusters_are_valid_partitions() {
+    cases(48, |rng| {
+        let points: Vec<(f64, f64)> = (0..rng.range(2..80))
+            .map(|_| (rng.uniform(), rng.uniform()))
+            .collect();
+        let k = rng.range(1..6).min(points.len());
+        let r = kmeans(&points, k, rng, 60);
+        assert_eq!(r.assignment.len(), points.len());
+        assert!(r.assignment.iter().all(|a| *a < k));
+        assert_eq!(r.centroids.len(), k);
         // Each point is at least as close to its own centroid as to the
         // others (Lloyd fixed point after convergence or cap).
         if r.iterations < 60 {
@@ -102,9 +102,9 @@ proptest! {
                 let d = |c: (f64, f64)| (p.0 - c.0).powi(2) + (p.1 - c.1).powi(2);
                 let own = d(r.centroids[a]);
                 for c in &r.centroids {
-                    prop_assert!(own <= d(*c) + 1e-9);
+                    assert!(own <= d(*c) + 1e-9);
                 }
             }
         }
-    }
+    });
 }

@@ -6,98 +6,98 @@
 use cgx::collectives::reduce::{allreduce, chunk_ranges, Algorithm};
 use cgx::collectives::ThreadCluster;
 use cgx::compress::{NoneCompressor, QsgdCompressor};
-use cgx::tensor::{Rng, Tensor};
-use proptest::prelude::*;
+use cgx::tensor::{cases, Rng, Tensor};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn lossless_allreduce_is_exact_sum(
-        world in 2usize..7,
-        len in 1usize..300,
-        alg_idx in 0usize..4,
-        seed in 0u64..1000,
-    ) {
-        let alg = Algorithm::all()[alg_idx];
+#[test]
+fn lossless_allreduce_is_exact_sum() {
+    cases(24, |rng| {
+        let (world, len, seed) = (rng.range(2..7), rng.range(1..300), rng.below(1000));
+        let alg = Algorithm::all()[rng.index(4)];
         let results = ThreadCluster::run(world, |t| {
             let mut rng = Rng::seed_from_u64(seed * 100 + t.rank() as u64);
             let grad = Tensor::rand_uniform(&mut rng, &[len], -4.0, 4.0);
             let mut c = NoneCompressor::new();
             let (out, _) = allreduce(alg, &t, &grad, &mut c, &mut rng).unwrap();
             (grad, out)
-        }).unwrap();
+        })
+        .unwrap();
         let mut expected = Tensor::zeros(&[len]);
         for (g, _) in &results {
             expected.add_assign(g);
         }
         for (rank, (_, out)) in results.iter().enumerate() {
             let err = out.l2_distance(&expected);
-            prop_assert!(
+            assert!(
                 err < 1e-3 * expected.norm2().max(1.0),
                 "{alg:?} rank {rank}: err {err}"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn quantized_allreduce_reaches_bitwise_consensus(
-        world in 2usize..6,
-        len in 8usize..600,
-        alg_idx in 0usize..4,
-        seed in 0u64..1000,
-    ) {
-        let alg = Algorithm::all()[alg_idx];
+#[test]
+fn quantized_allreduce_reaches_bitwise_consensus() {
+    cases(24, |rng| {
+        let (world, len, seed) = (rng.range(2..6), rng.range(8..600), rng.below(1000));
+        let alg = Algorithm::all()[rng.index(4)];
         let results = ThreadCluster::run(world, |t| {
             let mut rng = Rng::seed_from_u64(seed * 37 + t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[len]);
             let mut c = QsgdCompressor::new(4, 64);
             allreduce(alg, &t, &grad, &mut c, &mut rng).unwrap().0
-        }).unwrap();
+        })
+        .unwrap();
         for out in &results[1..] {
-            prop_assert_eq!(out.as_slice(), results[0].as_slice(), "{:?}", alg);
+            assert_eq!(out.as_slice(), results[0].as_slice(), "{alg:?}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn chunk_ranges_always_partition(
-        len in 0usize..10_000,
-        n in 1usize..64,
-    ) {
+#[test]
+fn chunk_ranges_always_partition() {
+    cases(24, |rng| {
+        let (len, n) = (rng.range(0..10_000), rng.range(1..64));
         let rs = chunk_ranges(len, n);
-        prop_assert_eq!(rs.len(), n);
+        assert_eq!(rs.len(), n);
         let mut cursor = 0usize;
         let mut max_sz = 0usize;
         let mut min_sz = usize::MAX;
         for r in &rs {
-            prop_assert_eq!(r.start, cursor);
+            assert_eq!(r.start, cursor);
             cursor = r.end;
             max_sz = max_sz.max(r.len());
             min_sz = min_sz.min(r.len());
         }
-        prop_assert_eq!(cursor, len);
-        prop_assert!(max_sz - min_sz <= 1, "chunks must be balanced");
-    }
+        assert_eq!(cursor, len);
+        assert!(max_sz - min_sz <= 1, "chunks must be balanced");
+    });
+}
 
-    #[test]
-    fn sra_traffic_matches_closed_form(
-        world in 2usize..6,
-        chunks in 1usize..50,
-    ) {
+#[test]
+fn sra_traffic_matches_closed_form() {
+    cases(24, |rng| {
         // Lengths divisible by world so the closed form is exact.
-        let len = world * chunks * 4;
+        let world = rng.range(2..6);
+        let len = world * rng.range(1..50) * 4;
         let stats = ThreadCluster::run(world, |t| {
             let mut rng = Rng::seed_from_u64(t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[len]);
             let mut c = NoneCompressor::new();
-            allreduce(Algorithm::ScatterReduceAllgather, &t, &grad, &mut c, &mut rng)
-                .unwrap()
-                .1
-        }).unwrap();
+            allreduce(
+                Algorithm::ScatterReduceAllgather,
+                &t,
+                &grad,
+                &mut c,
+                &mut rng,
+            )
+            .unwrap()
+            .1
+        })
+        .unwrap();
         for s in &stats {
-            prop_assert_eq!(s.bytes_sent, 2 * (world - 1) * (len / world) * 4);
+            assert_eq!(s.bytes_sent, 2 * (world - 1) * (len / world) * 4);
         }
-    }
+    });
 }
 
 #[test]

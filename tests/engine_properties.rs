@@ -3,131 +3,132 @@
 
 use cgx::engine::nn::{softmax_cross_entropy, Mlp};
 use cgx::engine::{clip_global_norm, EmbeddingLm, LrSchedule, SgdMomentum};
-use cgx::tensor::{Rng, Tensor};
-use proptest::prelude::*;
+use cgx::tensor::{cases, Tensor};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn softmax_ce_gradient_rows_sum_to_zero(
-        batch in 1usize..12,
-        classes in 2usize..10,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let logits = Tensor::randn(&mut rng, &[batch, classes]);
+#[test]
+fn softmax_ce_gradient_rows_sum_to_zero() {
+    cases(48, |rng| {
+        let (batch, classes) = (rng.range(1..12), rng.range(2..10));
+        let logits = Tensor::randn(rng, &[batch, classes]);
         let labels: Vec<usize> = (0..batch).map(|_| rng.index(classes)).collect();
         let (loss, d) = softmax_cross_entropy(&logits, &labels);
-        prop_assert!(loss >= 0.0 && loss.is_finite());
+        assert!(loss >= 0.0 && loss.is_finite());
         for i in 0..batch {
             let row_sum: f32 = (0..classes).map(|j| d[i * classes + j]).sum();
-            prop_assert!(row_sum.abs() < 1e-5, "row {i} sums to {row_sum}");
+            assert!(row_sum.abs() < 1e-5, "row {i} sums to {row_sum}");
             // The label entry is the only negative direction of the row's
             // dominant mass: p_y - 1 <= 0.
-            prop_assert!(d[i * classes + labels[i]] <= 1e-6);
+            assert!(d[i * classes + labels[i]] <= 1e-6);
         }
-    }
+    });
+}
 
-    #[test]
-    fn mlp_gradients_are_finite_for_random_architectures(
-        input in 1usize..8,
-        hidden in 1usize..12,
-        classes in 2usize..6,
-        batch in 1usize..8,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let model = Mlp::new(&mut rng, &[input, hidden, classes]);
-        let x = Tensor::randn(&mut rng, &[batch, input]);
+#[test]
+fn mlp_gradients_are_finite_for_random_architectures() {
+    cases(48, |rng| {
+        let (input, hidden, classes) = (rng.range(1..8), rng.range(1..12), rng.range(2..6));
+        let batch = rng.range(1..8);
+        let model = Mlp::new(rng, &[input, hidden, classes]);
+        let x = Tensor::randn(rng, &[batch, input]);
         let y: Vec<usize> = (0..batch).map(|_| rng.index(classes)).collect();
         let (loss, grads) = model.loss_and_grads(&x, &y);
-        prop_assert!(loss.is_finite());
-        prop_assert_eq!(grads.len(), model.params().len());
+        assert!(loss.is_finite());
+        assert_eq!(grads.len(), model.params().len());
         for (g, p) in grads.iter().zip(model.params()) {
-            prop_assert_eq!(g.shape(), p.shape());
-            prop_assert!(g.as_slice().iter().all(|v| v.is_finite()));
+            assert_eq!(g.shape(), p.shape());
+            assert!(g.as_slice().iter().all(|v| v.is_finite()));
         }
-    }
+    });
+}
 
-    #[test]
-    fn clip_global_norm_enforces_the_bound(
-        sizes in prop::collection::vec(1usize..50, 1..6),
-        max_norm in 0.1f64..10.0,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut grads: Vec<Tensor> = sizes
-            .iter()
-            .map(|s| Tensor::randn(&mut rng, &[*s]))
+#[test]
+fn clip_global_norm_enforces_the_bound() {
+    cases(48, |rng| {
+        let max_norm = rng.uniform_range(0.1, 10.0);
+        let mut grads: Vec<Tensor> = (0..rng.range(1..6))
+            .map(|_| {
+                let len = rng.range(1..50);
+                Tensor::randn(rng, &[len])
+            })
             .collect();
         let before: f64 = grads.iter().map(Tensor::norm2_sq).sum::<f64>().sqrt();
         let reported = clip_global_norm(&mut grads, max_norm);
-        prop_assert!((reported - before).abs() < 1e-6 * before.max(1.0));
+        assert!((reported - before).abs() < 1e-6 * before.max(1.0));
         let after: f64 = grads.iter().map(Tensor::norm2_sq).sum::<f64>().sqrt();
-        prop_assert!(after <= max_norm * (1.0 + 1e-4));
+        assert!(after <= max_norm * (1.0 + 1e-4));
         if before <= max_norm {
-            prop_assert!((after - before).abs() < 1e-9, "no-op expected");
+            assert!((after - before).abs() < 1e-9, "no-op expected");
         }
-    }
+    });
+}
 
-    #[test]
-    fn sgd_with_zero_gradient_only_decays(
-        lr in 0.001f32..0.5,
-        wd in 0.0f32..0.5,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let start = Tensor::randn(&mut rng, &[16]);
+#[test]
+fn sgd_with_zero_gradient_only_decays() {
+    cases(48, |rng| {
+        let lr = rng.uniform_range(0.001, 0.5) as f32;
+        let wd = rng.uniform_range(0.0, 0.5) as f32;
+        let start = Tensor::randn(rng, &[16]);
         let mut params = vec![start.clone()];
         let grads = vec![Tensor::zeros(&[16])];
         let mut opt = SgdMomentum::new(lr, 0.9, wd);
         opt.step(&mut params, &grads);
         for (a, b) in params[0].as_slice().iter().zip(start.as_slice()) {
             let expected = b * (1.0 - lr * wd);
-            prop_assert!((a - expected).abs() < 1e-6);
+            assert!((a - expected).abs() < 1e-6);
         }
-    }
+    });
+}
 
-    #[test]
-    fn lr_schedules_stay_positive_and_bounded(
-        base in 0.001f32..10.0,
-        step in 0usize..100_000,
-    ) {
-        for sched in [
-            LrSchedule::Constant,
-            LrSchedule::StepDecay { every: 100, gamma: 0.9 },
-            LrSchedule::Cosine { total: 10_000, min_lr: base * 0.01 },
-            LrSchedule::WarmupInvSqrt { warmup: 500 },
-        ] {
-            let lr = sched.lr_at(base, step);
-            prop_assert!(lr > 0.0, "{sched:?}");
-            prop_assert!(lr <= base * (1.0 + 1e-6), "{sched:?}: {lr} > {base}");
-        }
+fn assert_lr_positive_and_bounded(base: f32, step: usize) {
+    for sched in [
+        LrSchedule::Constant,
+        LrSchedule::StepDecay {
+            every: 100,
+            gamma: 0.9,
+        },
+        LrSchedule::Cosine {
+            total: 10_000,
+            min_lr: base * 0.01,
+        },
+        LrSchedule::WarmupInvSqrt { warmup: 500 },
+    ] {
+        let lr = sched.lr_at(base, step);
+        assert!(lr > 0.0, "{sched:?} at {base}, {step}");
+        assert!(
+            lr <= base * (1.0 + 1e-6),
+            "{sched:?} at {step}: {lr} > {base}"
+        );
     }
+}
 
-    #[test]
-    fn embedding_lm_gradient_sparsity_matches_batch_tokens(
-        vocab in 4usize..30,
-        dim in 1usize..8,
-        batch in 1usize..10,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let model = EmbeddingLm::new(&mut rng, vocab, dim);
+#[test]
+fn lr_schedules_stay_positive_and_bounded() {
+    // The one case proptest ever saved for this property: 0.001 * 0.9^922
+    // underflows an f32, which `lr_at` clamps to the smallest positive rate.
+    assert_lr_positive_and_bounded(0.001, 92_200);
+    cases(48, |rng| {
+        assert_lr_positive_and_bounded(
+            rng.uniform_range(0.001, 10.0) as f32,
+            rng.range(0..100_000),
+        );
+    });
+}
+
+#[test]
+fn embedding_lm_gradient_sparsity_matches_batch_tokens() {
+    cases(48, |rng| {
+        let (vocab, dim, batch) = (rng.range(4..30), rng.range(1..8), rng.range(1..10));
+        let model = EmbeddingLm::new(rng, vocab, dim);
         let ctx: Vec<usize> = (0..batch).map(|_| rng.index(vocab)).collect();
         let tgt: Vec<usize> = (0..batch).map(|_| rng.index(vocab)).collect();
         let (_, grads) = model.loss_and_grads(&ctx, &tgt);
         let demb = &grads[0];
-        for row in 0..vocab {
-            let touched = ctx.contains(&row);
-            let nonzero = (0..dim).any(|k| demb[row * dim + k] != 0.0);
+        for row in (0..vocab).filter(|row| !ctx.contains(row)) {
             // Untouched rows must be exactly zero; touched rows are almost
             // surely nonzero but could vanish numerically — only assert the
             // safe direction.
-            if !touched {
-                prop_assert!(!nonzero, "row {row} should be zero");
-            }
+            let nonzero = (0..dim).any(|k| demb[row * dim + k] != 0.0);
+            assert!(!nonzero, "row {row} should be zero");
         }
-    }
+    });
 }

@@ -2,8 +2,7 @@
 //! source.
 
 use cgx::models::{GradientSynth, LayerKind, ModelId, ModelSpec};
-use cgx::tensor::Rng;
-use proptest::prelude::*;
+use cgx::tensor::{cases, Rng};
 
 #[test]
 fn zoo_invariants_hold_for_every_model() {
@@ -66,57 +65,48 @@ fn gradient_decay_rates_are_kind_dependent() {
     assert!(ratio(lin) < ratio(norm), "norms must decay slowest");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn expected_norms_are_positive_and_monotone_in_steps(
-        steps_a in 1usize..5,
-        extra in 1usize..5,
-        seed in 0u64..200,
-    ) {
+#[test]
+fn expected_norms_are_positive_and_monotone_in_steps() {
+    cases(24, |rng| {
         // More accumulation steps => larger expected accumulated norm,
         // layer by layer (sigma decays slower than sqrt(steps) grows over
         // small windows).
+        let (steps, extra, seed) = (rng.range(1..5), rng.range(1..5), rng.below(200));
         let m = ModelSpec::build(ModelId::ResNet50);
-        let mut a = GradientSynth::new(&m, seed);
-        let mut b = GradientSynth::new(&m, seed);
-        let na = a.expected_accumulated_norms(steps_a);
-        let nb = b.expected_accumulated_norms(steps_a + extra);
+        let na = GradientSynth::new(&m, seed).expected_accumulated_norms(steps);
+        let nb = GradientSynth::new(&m, seed).expected_accumulated_norms(steps + extra);
         for (x, y) in na.iter().zip(&nb) {
-            prop_assert!(*x > 0.0 && *y > 0.0);
-            prop_assert!(y >= x, "{y} < {x}");
+            assert!(*x > 0.0 && *y > 0.0);
+            assert!(y >= x, "{y} < {x}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn layer_gradients_are_deterministic_and_shaped(
-        layer_pick in 0usize..30,
-        seed in 0u64..200,
-    ) {
+#[test]
+fn layer_gradients_are_deterministic_and_shaped() {
+    cases(24, |rng| {
         let m = ModelSpec::build(ModelId::VitBase);
-        let idx = layer_pick % m.layers().len();
-        let mut a = GradientSynth::new(&m, seed);
-        let mut b = GradientSynth::new(&m, seed);
-        let ga = a.layer_gradient(idx);
-        let gb = b.layer_gradient(idx);
-        prop_assert_eq!(ga.shape(), m.layers()[idx].shape());
-        prop_assert_eq!(ga.as_slice(), gb.as_slice());
-        prop_assert!(ga.as_slice().iter().all(|v| v.is_finite()));
-    }
+        let (idx, seed) = (rng.index(30) % m.layers().len(), rng.below(200));
+        let ga = GradientSynth::new(&m, seed).layer_gradient(idx);
+        let gb = GradientSynth::new(&m, seed).layer_gradient(idx);
+        assert_eq!(ga.shape(), m.layers()[idx].shape());
+        assert_eq!(ga.as_slice(), gb.as_slice());
+        assert!(ga.as_slice().iter().all(|v| v.is_finite()));
+    });
+}
 
-    #[test]
-    fn sigma_is_positive_and_decreasing(
-        step in 0u64..100_000,
-    ) {
+#[test]
+fn sigma_is_positive_and_decreasing() {
+    cases(24, |rng| {
+        let step = rng.below(100_000);
         let m = ModelSpec::build(ModelId::BertBase);
         let mut check_rng = Rng::seed_from_u64(1);
         for _ in 0..5 {
             let l = &m.layers()[check_rng.index(m.layers().len())];
             let now = GradientSynth::layer_sigma(l, step);
             let later = GradientSynth::layer_sigma(l, step + 1000);
-            prop_assert!(now > 0.0);
-            prop_assert!(later < now);
+            assert!(now > 0.0);
+            assert!(later < now);
         }
-    }
+    });
 }

@@ -6,235 +6,213 @@ use cgx::simnet::{
     allreduce_time, fuse_messages, run, simulate_step, CommCost, ComputeProfile, DesScratch,
     Fabric, LayerMsg, MachineSpec, NetworkDes, OpGraph, ReductionScheme, SimError, StepConfig,
 };
-use proptest::prelude::*;
+use cgx::tensor::{cases, Rng};
 
-fn random_layers(sizes: &[u32]) -> Vec<LayerMsg> {
-    sizes
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let elems = (*s as usize) + 1;
+/// Between 1 and `max_len` layers of up to `max_elems` elements.
+fn random_layers(rng: &mut Rng, max_elems: usize, max_len: usize) -> Vec<LayerMsg> {
+    (0..rng.range(1..max_len))
+        .map(|i| {
+            let elems = rng.range(1..max_elems) + 1;
             LayerMsg::new(format!("l{i}"), elems, elems / 2 + 4, 0.0)
         })
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn collective_time_monotone_in_everything(
-        n in 2usize..32,
-        bytes in 1usize..1_000_000_000,
-        bw_gbps in 1u32..200,
-        scheme_idx in 0usize..4,
-    ) {
-        let scheme = ReductionScheme::all()[scheme_idx];
-        let cost = CommCost::new(bw_gbps as f64 * 1e9, 10e-6);
+#[test]
+fn collective_time_monotone_in_everything() {
+    cases(48, |rng| {
+        let (n, bytes) = (rng.range(2..32), rng.range(1..1_000_000_000));
+        let bw = rng.range(1..200) as f64 * 1e9;
+        let scheme = ReductionScheme::all()[rng.index(4)];
+        let cost = CommCost::new(bw, 10e-6);
         let t = allreduce_time(scheme, n, bytes, cost);
-        prop_assert!(t > 0.0 && t.is_finite());
+        assert!(t > 0.0 && t.is_finite());
         // More bytes: slower. More bandwidth: faster.
-        prop_assert!(allreduce_time(scheme, n, bytes * 2, cost) >= t);
-        let faster = CommCost::new(bw_gbps as f64 * 2e9, 10e-6);
-        prop_assert!(allreduce_time(scheme, n, bytes, faster) <= t);
-    }
+        assert!(allreduce_time(scheme, n, bytes * 2, cost) >= t);
+        let faster = CommCost::new(bw * 2.0, 10e-6);
+        assert!(allreduce_time(scheme, n, bytes, faster) <= t);
+    });
+}
 
-    #[test]
-    fn step_time_bounded_below_by_compute_and_monotone_in_wire(
-        sizes in prop::collection::vec(1u32..2_000_000, 1..40),
-        compute_ms in 5u32..400,
-    ) {
-        let layers = random_layers(&sizes);
-        let compute = ComputeProfile::new(compute_ms as f64 / 1000.0);
+#[test]
+fn step_time_bounded_below_by_compute_and_monotone_in_wire() {
+    cases(48, |rng| {
+        let layers = random_layers(rng, 2_000_000, 40);
+        let compute = ComputeProfile::new(rng.range(5..400) as f64 / 1000.0);
         let cfg = StepConfig::cgx(MachineSpec::rtx3090());
         let r = simulate_step(&cfg, &layers, compute);
-        prop_assert!(r.step_seconds >= compute.step_seconds);
-        prop_assert!(r.exposed_comm_seconds >= 0.0);
+        assert!(r.step_seconds >= compute.step_seconds);
+        assert!(r.exposed_comm_seconds >= 0.0);
         // Doubling every wire size cannot make the step faster.
         let bigger: Vec<LayerMsg> = layers
             .iter()
             .map(|l| LayerMsg::new(l.name.clone(), l.elements, l.wire_bytes * 2, 0.0))
             .collect();
         let r2 = simulate_step(&cfg, &bigger, compute);
-        prop_assert!(r2.step_seconds >= r.step_seconds - 1e-12);
-    }
+        assert!(r2.step_seconds >= r.step_seconds - 1e-12);
+    });
+}
 
-    #[test]
-    fn fusion_preserves_totals_and_respects_threshold(
-        sizes in prop::collection::vec(1u32..3_000_000, 1..60),
-        threshold in 1usize..8_000_000,
-    ) {
-        let layers = random_layers(&sizes);
+#[test]
+fn fusion_preserves_totals_and_respects_threshold() {
+    cases(48, |rng| {
+        let layers = random_layers(rng, 3_000_000, 60);
+        let threshold = rng.range(1..8_000_000);
         let fused = fuse_messages(&layers, threshold);
-        prop_assert!(!fused.is_empty());
-        prop_assert!(fused.len() <= layers.len());
-        let (e0, w0): (usize, usize) = (
-            layers.iter().map(|l| l.elements).sum(),
-            layers.iter().map(|l| l.wire_bytes).sum(),
-        );
-        let (e1, w1): (usize, usize) = (
-            fused.iter().map(|l| l.elements).sum(),
-            fused.iter().map(|l| l.wire_bytes).sum(),
-        );
-        prop_assert_eq!(e0, e1);
-        prop_assert_eq!(w0, w1);
+        assert!(!fused.is_empty());
+        assert!(fused.len() <= layers.len());
+        let totals = |ls: &[LayerMsg]| -> (usize, usize) {
+            (
+                ls.iter().map(|l| l.elements).sum(),
+                ls.iter().map(|l| l.wire_bytes).sum(),
+            )
+        };
+        assert_eq!(totals(&layers), totals(&fused));
         // Every bucket except possibly the last reaches the threshold.
         for b in &fused[..fused.len() - 1] {
-            prop_assert!(b.wire_bytes >= threshold);
+            assert!(b.wire_bytes >= threshold);
         }
-    }
+    });
+}
 
-    #[test]
-    fn des_and_analytic_sra_agree(
-        n in 2usize..10,
-        mb in 1u32..200,
-        bw_gbps in 1u32..50,
-    ) {
-        let bytes = mb as f64 * 1e6;
-        let bw = bw_gbps as f64 * 1e9;
-        let des = NetworkDes::new(n, bw, 10e-6).sra_allreduce(bytes);
-        prop_assert!(des.is_ok());
-        let des = des.unwrap();
-        let analytic = allreduce_time(
-            ReductionScheme::ScatterReduceAllgather,
-            n,
-            bytes as usize,
-            CommCost::new(bw, 10e-6),
-        );
-        let ratio = des / analytic;
-        prop_assert!((0.4..2.5).contains(&ratio), "ratio {ratio}");
+/// The DES and the closed form must land within a small factor of each
+/// other for `scheme` on a random uniform network.
+fn assert_des_tracks_analytic(rng: &mut Rng, scheme: ReductionScheme) {
+    let n = rng.range(2..10);
+    let bytes = rng.range(1..200) as f64 * 1e6;
+    let bw = rng.range(1..50) as f64 * 1e9;
+    let des = NetworkDes::new(n, bw, 10e-6);
+    let des = match scheme {
+        ReductionScheme::Ring => des.ring_allreduce(bytes),
+        _ => des.sra_allreduce(bytes),
     }
+    .expect("valid network");
+    let analytic = allreduce_time(scheme, n, bytes as usize, CommCost::new(bw, 10e-6));
+    let ratio = des / analytic;
+    assert!((0.4..2.5).contains(&ratio), "ratio {ratio}");
+}
 
-    #[test]
-    fn des_and_analytic_ring_agree(
-        n in 2usize..10,
-        mb in 1u32..200,
-        bw_gbps in 1u32..50,
-    ) {
-        let bytes = mb as f64 * 1e6;
-        let bw = bw_gbps as f64 * 1e9;
-        let des = NetworkDes::new(n, bw, 10e-6).ring_allreduce(bytes);
-        prop_assert!(des.is_ok());
-        let des = des.unwrap();
-        let analytic = allreduce_time(
-            ReductionScheme::Ring,
-            n,
-            bytes as usize,
-            CommCost::new(bw, 10e-6),
-        );
-        let ratio = des / analytic;
-        prop_assert!((0.4..2.5).contains(&ratio), "ratio {ratio}");
-    }
+#[test]
+fn des_and_analytic_sra_agree() {
+    cases(48, |rng| {
+        assert_des_tracks_analytic(rng, ReductionScheme::ScatterReduceAllgather)
+    });
+}
 
-    #[test]
-    fn wheel_runs_any_valid_graph_without_panicking(
-        ranks in 2usize..24,
-        ops in prop::collection::vec((0usize..24, 0usize..24, 1u32..1000), 1..120),
-        mb in 1u32..64,
-        straggle_ms in 0u32..3,
-        jitter_milli in 0u32..900,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn des_and_analytic_ring_agree() {
+    cases(48, |rng| {
+        assert_des_tracks_analytic(rng, ReductionScheme::Ring)
+    });
+}
+
+#[test]
+fn wheel_runs_any_valid_graph_without_panicking() {
+    cases(48, |rng| {
         // Random DAG: transfers between random ranks (computes when the
         // pair collapses), each depending on up to two earlier ops.
+        let ranks = rng.range(2..24);
         let mut g = OpGraph::new();
         let mut ids: Vec<u32> = Vec::new();
-        for &(a, b, frac_m) in &ops {
-            let (src, dst) = (a % ranks, b % ranks);
+        for _ in 0..rng.range(1..120) {
+            let (src, dst) = (rng.index(24) % ranks, rng.index(24) % ranks);
+            let frac_m = rng.range(1..1000) as u32;
             let deps: Vec<u32> = ids.iter().rev().take(2).copied().collect();
             let id = if src == dst {
                 g.push_compute(src, frac_m, &deps).unwrap()
             } else {
-                g.push_transfer(src, dst, frac_m as f64 / 1000.0, &deps).unwrap()
+                g.push_transfer(src, dst, frac_m as f64 / 1000.0, &deps)
+                    .unwrap()
             };
             ids.push(id);
         }
         g.seal();
+        let bytes = rng.range(1..64) as f64 * 1e6;
         let mut fabric = Fabric::uniform(ranks, 5e9, 8e-6).unwrap();
+        let straggle_ms = rng.index(3);
         if straggle_ms > 0 {
             fabric.scale_rank_bandwidth(0, 0.5).unwrap();
             fabric.set_release(0, straggle_ms as f64 * 1e-3).unwrap();
         }
-        fabric.set_jitter(seed, jitter_milli as f64 / 1000.0).unwrap();
+        fabric
+            .set_jitter(rng.next_u64(), rng.index(900) as f64 / 1000.0)
+            .unwrap();
         let mut scratch = DesScratch::new();
-        let stats = run(&g, &fabric, mb as f64 * 1e6, &mut scratch);
-        prop_assert!(stats.is_ok(), "valid graph must simulate: {:?}", stats.err());
-        let s = stats.unwrap();
-        prop_assert_eq!(s.events as usize, g.len());
+        let s = run(&g, &fabric, bytes, &mut scratch).expect("valid graph must simulate");
+        assert_eq!(s.events as usize, g.len());
         // Re-running with the same scratch is deterministic.
-        let s2 = run(&g, &fabric, mb as f64 * 1e6, &mut scratch).unwrap();
-        prop_assert_eq!(s.makespan_ns, s2.makespan_ns);
-    }
+        let s2 = run(&g, &fabric, bytes, &mut scratch).unwrap();
+        assert_eq!(s.makespan_ns, s2.makespan_ns);
+    });
+}
 
-    #[test]
-    fn malformed_inputs_error_instead_of_panicking(
-        ranks in 2usize..16,
-        bad_idx in 0usize..3,
-    ) {
+#[test]
+fn malformed_inputs_error_instead_of_panicking() {
+    cases(48, |rng| {
+        let ranks = rng.range(2..16);
         // Bad fabrics are rejected up front.
-        let bad_bw = [f64::NAN, 0.0, -3.0][bad_idx];
-        prop_assert!(Fabric::uniform(ranks, bad_bw, 1e-6).is_err());
-        prop_assert!(Fabric::uniform(0, 1e9, 1e-6).is_err());
+        let bad_bw = [f64::NAN, 0.0, -3.0][rng.index(3)];
+        assert!(Fabric::uniform(ranks, bad_bw, 1e-6).is_err());
+        assert!(Fabric::uniform(0, 1e9, 1e-6).is_err());
         // Self-transfers, non-finite fractions, and forward deps are
         // rejected at push time.
         let mut g = OpGraph::new();
-        prop_assert!(g.push_transfer(1, 1, 0.5, &[]).is_err());
-        prop_assert!(g.push_transfer(0, 1, f64::NAN, &[]).is_err());
-        prop_assert!(g.push_transfer(0, 1, 0.5, &[9]).is_err());
+        assert!(g.push_transfer(1, 1, 0.5, &[]).is_err());
+        assert!(g.push_transfer(0, 1, f64::NAN, &[]).is_err());
+        assert!(g.push_transfer(0, 1, 0.5, &[9]).is_err());
         // A rank beyond the fabric is caught at run time, as an error.
         g.push_transfer(0, ranks, 0.5, &[]).unwrap();
         g.seal();
         let fabric = Fabric::uniform(ranks, 1e9, 1e-6).unwrap();
         let mut scratch = DesScratch::new();
-        prop_assert!(matches!(
+        assert!(matches!(
             run(&g, &fabric, 1e6, &mut scratch),
             Err(SimError::BadRank { .. })
         ));
         // Unsealed graphs are refused.
         let mut g2 = OpGraph::new();
         g2.push_transfer(0, 1, 0.5, &[]).unwrap();
-        prop_assert!(matches!(
+        assert!(matches!(
             run(&g2, &fabric, 1e6, &mut scratch),
             Err(SimError::Unsealed)
         ));
         // Non-finite reference byte counts are refused.
         g2.seal();
-        prop_assert!(run(&g2, &fabric, f64::NAN, &mut scratch).is_err());
-    }
+        assert!(run(&g2, &fabric, f64::NAN, &mut scratch).is_err());
+    });
+}
 
-    #[test]
-    fn gpu_subsets_scale_monotonically(
-        gpus in 1usize..=8,
-    ) {
+#[test]
+fn gpu_subsets_scale_monotonically() {
+    cases(48, |rng| {
         // More GPUs never reduce aggregate CGX throughput on the 3090 box.
         use cgx::core::estimate::{estimate, SystemSetup};
         use cgx::models::ModelId;
+        let gpus = rng.range(1..=8);
         let m = MachineSpec::rtx3090().with_gpus(gpus);
         let e = estimate(&m, ModelId::ResNet50, &SystemSetup::cgx());
         if gpus > 1 {
             let fewer = MachineSpec::rtx3090().with_gpus(gpus - 1);
             let e2 = estimate(&fewer, ModelId::ResNet50, &SystemSetup::cgx());
-            prop_assert!(e.throughput >= e2.throughput * 0.98);
+            assert!(e.throughput >= e2.throughput * 0.98);
         }
-        prop_assert!(e.scaling <= 1.0 + 1e-9);
-    }
+        assert!(e.scaling <= 1.0 + 1e-9);
+    });
+}
 
-    #[test]
-    fn topology_p2p_is_symmetric_and_positive(
-        pcie in 4u32..40,
-        qpi in 4u32..40,
-    ) {
+#[test]
+fn topology_p2p_is_symmetric_and_positive() {
+    cases(48, |rng| {
         use cgx::simnet::topology::rtx_dual_numa;
-        let t = rtx_dual_numa("p", 8, pcie as f64 * 1e9, qpi as f64 * 1e9);
+        let (pcie, qpi) = (rng.range(4..40) as f64 * 1e9, rng.range(4..40) as f64 * 1e9);
+        let t = rtx_dual_numa("p", 8, pcie, qpi);
         for i in 0..8u32 {
-            for j in 0..8u32 {
-                if i == j { continue; }
+            for j in (0..8u32).filter(|&j| j != i) {
                 let a = t.p2p_bandwidth(i, j);
-                let b = t.p2p_bandwidth(j, i);
-                prop_assert!(a > 0.0);
-                prop_assert_eq!(a, b);
+                assert!(a > 0.0);
+                assert_eq!(a, t.p2p_bandwidth(j, i));
             }
         }
-        prop_assert!(t.ring_allreduce_algbw() > 0.0);
-    }
+        assert!(t.ring_allreduce_algbw() > 0.0);
+    });
 }

@@ -5,9 +5,9 @@
 //! state, parameters), stable across calls, and must never waste space
 //! beyond their predicted sizes.
 
-use cgx::compress::CompressionScheme;
-use cgx::tensor::{Rng, Tensor};
-use proptest::prelude::*;
+use cgx::collectives::framing;
+use cgx::compress::{CompressionScheme, ScratchPool};
+use cgx::tensor::{cases, Rng, Tensor};
 
 fn all_schemes() -> Vec<CompressionScheme> {
     vec![
@@ -30,74 +30,55 @@ fn all_schemes() -> Vec<CompressionScheme> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn payload_bytes_are_deterministic_in_seed(
-        len in 1usize..3000,
-        seed in 0u64..1000,
-        data_seed in 0u64..1000,
-    ) {
-        let mut data_rng = Rng::seed_from_u64(data_seed);
-        let g = Tensor::randn(&mut data_rng, &[len]);
+#[test]
+fn payload_bytes_are_deterministic_in_seed() {
+    cases(32, |rng| {
+        let len = rng.range(1..3000);
+        let g = Tensor::randn(rng, &[len]);
         for scheme in all_schemes() {
-            let mut c1 = scheme.build();
-            let mut c2 = scheme.build();
-            let mut r1 = Rng::seed_from_u64(seed);
-            let mut r2 = Rng::seed_from_u64(seed);
-            let e1 = c1.compress(&g, &mut r1);
-            let e2 = c2.compress(&g, &mut r2);
-            prop_assert_eq!(
-                e1.payload().as_ref(),
-                e2.payload().as_ref(),
-                "scheme {} not deterministic",
-                scheme
+            let (mut r1, mut r2) = (rng.clone(), rng.clone());
+            let e1 = scheme.build().compress(&g, &mut r1);
+            let e2 = scheme.build().compress(&g, &mut r2);
+            assert_eq!(
+                e1.payload(),
+                e2.payload(),
+                "scheme {scheme} not deterministic"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn quantized_payloads_never_exceed_prediction(
-        len in 1usize..5000,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let g = Tensor::randn(&mut rng, &[len]);
+#[test]
+fn quantized_payloads_never_exceed_prediction() {
+    cases(32, |rng| {
+        let len = rng.range(1..5000);
+        let g = Tensor::randn(rng, &[len]);
         for scheme in all_schemes() {
             let mut c = scheme.build();
-            let enc = c.compress(&g, &mut rng);
-            prop_assert!(
-                enc.payload_bytes() <= c.compressed_bytes(len),
-                "scheme {}: {} > {}",
-                scheme,
-                enc.payload_bytes(),
-                c.compressed_bytes(len)
-            );
+            let (got, predicted) = (c.compress(&g, rng).payload_bytes(), c.compressed_bytes(len));
+            assert!(got <= predicted, "scheme {scheme}: {got} > {predicted}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn decode_is_a_pure_function_of_the_payload(
-        len in 1usize..2000,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn decode_is_a_pure_function_of_the_payload() {
+    cases(32, |rng| {
         // Decoding the same payload twice (or with a fresh compressor of
         // identical parameters) must give identical tensors — the property
         // the bit-exact consensus of the collectives rests on.
-        let mut rng = Rng::seed_from_u64(seed);
-        let g = Tensor::randn(&mut rng, &[len]);
+        let len = rng.range(1..2000);
+        let g = Tensor::randn(rng, &[len]);
         for scheme in all_schemes() {
             let mut c = scheme.build();
-            let enc = c.compress(&g, &mut rng);
+            let enc = c.compress(&g, rng);
             let a = c.decompress(&enc);
             let b = c.decompress(&enc);
-            prop_assert_eq!(a.as_slice(), b.as_slice());
-            let fresh = scheme.build();
-            let d = fresh.decompress(&enc);
-            prop_assert_eq!(a.as_slice(), d.as_slice(), "scheme {}", scheme);
+            assert_eq!(a.as_slice(), b.as_slice());
+            let d = scheme.build().decompress(&enc);
+            assert_eq!(a.as_slice(), d.as_slice(), "scheme {scheme}");
         }
-    }
+    });
 }
 
 #[test]
@@ -126,4 +107,66 @@ fn qsgd_wire_layout_is_stable() {
             assert!(a.signum() == b.signum(), "{a} vs {b}");
         }
     }
+}
+
+fn fnv(seed: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(seed, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn every_encoder_emits_its_pinned_bytes() {
+    // One digest per encoder, over both encode paths (owned and pooled
+    // buffer) and lengths that end inside a word, a byte and a bucket.
+    // The values were taken when the encoders still wrote through the
+    // `bytes` crate's `BufMut`; a change here is a change of wire format.
+    let pool = ScratchPool::new();
+    let mut schemes = all_schemes();
+    schemes.push(CompressionScheme::Qsgd {
+        bits: 3,
+        bucket_size: 128,
+    });
+    schemes.push(CompressionScheme::PowerSgd { rank: 2 });
+    let got: Vec<String> = schemes
+        .iter()
+        .map(|scheme| {
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for len in [1, 100, 515, 4096] {
+                let mut rng = Rng::seed_from_u64(42);
+                let g = Tensor::randn(&mut rng, &[len]);
+                h = fnv(h, scheme.build().compress(&g, &mut rng.clone()).payload());
+                h = fnv(
+                    h,
+                    scheme
+                        .build()
+                        .compress_pooled(&g, &mut rng, &pool)
+                        .payload(),
+                );
+            }
+            format!("{scheme} {h:#018x}")
+        })
+        .collect();
+    assert_eq!(got, GOLDEN);
+}
+
+const GOLDEN: [&str; 9] = [
+    "fp32 0x56e4264d39a8056d",
+    "qsgd-4b-128 0xdb07d47be2eb7a45",
+    "qsgd-2b-1024 0x82b51d93c549db51",
+    "nuqsgd-4b-128 0xc2c4316de1617fab",
+    "topk-0.1 0xd754ad154a5f6785",
+    "onebit-64 0x5c81483d75fac301",
+    "fake-x8 0xba8fc8e8e99aafa5",
+    "qsgd-3b-128 0x18e8bdeb63873d05",
+    "powersgd-r2 0xd4cd08cf72e5e339",
+];
+
+#[test]
+fn frame_header_bytes_are_pinned() {
+    let framed = framing::frame_bytes(0x0102_0304_0506_0708, 0x0A0B_0C0D, b"cgx frame body");
+    // Magic, sequence number, checksum: little-endian, in that order.
+    let header = [0xfa, 0xc6, 0x0d, 0x0c, 0x0b, 0x0a, 0xa3, 0x93, 0x19, 0x2e];
+    assert_eq!(framed[..framing::HEADER_LEN], header);
+    assert_eq!(&framed[framing::HEADER_LEN..], b"cgx frame body");
 }
