@@ -26,7 +26,7 @@
 
 use cgx_collectives::{CommError, ReconnectPolicy, Transport};
 use cgx_compress::Encoded;
-use cgx_net::workload::{ElasticOptions, Workload};
+use cgx_net::workload::{RunOptions, Workload};
 use cgx_net::{NetFaultPlan, NetOptions, TcpFabric};
 use cgx_tensor::Shape;
 use std::time::{Duration, Instant};
@@ -136,9 +136,10 @@ fn measure_elastic_shrink(seed: u64) -> ElasticOutcome {
     let world = 4;
     let victim = 2;
     let work = Workload::standard(world);
-    let opts = ElasticOptions {
+    let opts = RunOptions {
         elastic: true,
         comm_timeout: Some(Duration::from_secs(2)),
+        adaptive: None,
     };
     let endpoints = TcpFabric::build_local(world);
     let start = Instant::now();
@@ -151,7 +152,7 @@ fn measure_elastic_shrink(seed: u64) -> ElasticOutcome {
                 if rank == victim {
                     t.set_fault(NetFaultPlan::new(seed).with_kill(victim, 8));
                 }
-                work.run_rank_elastic(&t, None, opts).expect("rank run")
+                work.run_rank(&t, None, opts).expect("rank run")
             }));
         }
         handles

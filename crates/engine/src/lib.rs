@@ -42,11 +42,12 @@ pub mod local_sgd;
 pub mod nn;
 pub mod norm;
 pub mod optimizer;
+mod sync;
 pub mod trainer;
 
 pub use attention::AttentionLm;
 pub use data::{GaussianMixture, MarkovChainLm};
-pub use local_sgd::{local_sgd_rank, train_local_sgd, LocalSgdRankOutput, LocalSgdReport};
+pub use local_sgd::{local_sgd_rank, train_local_sgd};
 pub use nn::{EmbeddingLm, Mlp};
 pub use norm::MlpNorm;
 pub use optimizer::{clip_global_norm, Adam, LrSchedule, SgdMomentum};

@@ -7,84 +7,36 @@
 //! the replicas all-reduce their *parameters* (not per-step gradients) and
 //! continue from the average. Synchronization traffic drops by roughly the
 //! sync period; compression composes on top of the parameter deltas.
+//!
+//! Only that schedule lives here: the steps are the data-parallel
+//! trainer's (micro-batch averaging, clipping, optimizer) and the rounds
+//! go through the same `RankSync` — engine or hierarchy, elastic
+//! recovery, live controller — as its gradients do.
 
-use crate::optimizer::SgdMomentum;
-use crate::trainer::{
-    build_controller, check_elastic, publish_replan, resync_params, tensor_norm, wrap_endpoint,
-    TrainConfig, TrainableModel,
-};
-use cgx_adaptive::{AdaptiveController, AdaptivePlanTrace};
-use cgx_collectives::membership::agree;
-use cgx_collectives::reduce::allreduce_scratch;
-use cgx_collectives::{
-    lane_epoch, CommEngine, CommError, EngineOptions, FaultStats, Membership, MembershipView,
-    ShmTransport, ThreadCluster, Transport,
-};
-use cgx_compress::{Compressor, NoneCompressor, ScratchPool};
+use crate::sync::RankSync;
+use crate::trainer::{run_threads, RankOutput, Replica, TrainConfig, TrainReport, TrainableModel};
+use cgx_collectives::{CommError, Transport};
+use cgx_compress::ScratchPool;
 use cgx_tensor::{Rng, Tensor};
-use std::time::Instant;
-
-/// Result of a local-SGD run.
-#[derive(Debug, Clone)]
-pub struct LocalSgdReport {
-    /// Rank-0 training loss per step.
-    pub losses: Vec<f64>,
-    /// Wire bytes transmitted per worker over the whole run.
-    pub bytes_sent_per_worker: usize,
-    /// Number of synchronization rounds performed.
-    pub sync_rounds: usize,
-    /// Fault and recovery counters from the reporting worker's endpoint
-    /// (all zeros on a fault-free fabric).
-    pub faults: FaultStats,
-    /// World size at the end of the run — smaller than `cfg.workers` if
-    /// elastic recovery shrank the fleet.
-    pub final_world: usize,
-    /// Snapshot of the run's metrics registry ([`TrainConfig::obs`]),
-    /// aggregated across all workers. Empty when observability is
-    /// disabled.
-    pub metrics: cgx_obs::MetricsSnapshot,
-    /// The live controller's re-plan history ([`TrainConfig::adaptive`]);
-    /// `None` on static-compression runs. For local SGD the controller
-    /// observes the mean *parameter deltas* of each sync round, and
-    /// `replan_interval`/`warmup` count sync rounds rather than steps.
-    pub adaptive: Option<AdaptivePlanTrace>,
-}
-
-/// Per-rank result of [`local_sgd_rank`]: the fields a survivor needs to
-/// elect an authoritative replica and assemble a [`LocalSgdReport`].
-#[derive(Debug, Clone)]
-pub struct LocalSgdRankOutput<M> {
-    /// The locally trained (and finally averaged) replica.
-    pub model: M,
-    /// Training loss per step on this rank.
-    pub losses: Vec<f64>,
-    /// Wire bytes this rank transmitted.
-    pub bytes_sent: usize,
-    /// Synchronization rounds performed.
-    pub sync_rounds: usize,
-    /// Fault and recovery counters from this rank's endpoint.
-    pub faults: FaultStats,
-    /// World size at the end of the run (post elastic shrink).
-    pub final_world: usize,
-    /// The live controller's re-plan history, when adaptive.
-    pub adaptive: Option<AdaptivePlanTrace>,
-}
 
 /// Runs one rank's share of a local-SGD run over an already-connected
 /// endpoint: the transport-agnostic core of [`train_local_sgd`], equally
-/// at home on a [`ShmTransport`] thread, a `cgx-net` TCP endpoint in its
+/// at home on a `ShmTransport` thread, a `cgx-net` TCP endpoint in its
 /// own OS process, or a `cgx-serve` tenant handle multiplexed onto a
 /// shared fabric. Every rank in the world must call this with identical
 /// `model`, `cfg` and sampler semantics; determinism comes from the
 /// rank-derived RNG streams, so runs over different fabrics with the same
 /// seed produce byte-identical replicas.
 ///
+/// With [`TrainConfig::adaptive`] set, the controller observes the norms
+/// of each round's mean deltas (rank-replicated, like the trainer's mean
+/// gradients) and counts rounds, not steps.
+///
 /// Returns `Ok(None)` when the fault plan kills this rank mid-run.
 ///
 /// # Errors
 ///
-/// Propagates collective failures (after exhausting elastic recovery,
-/// when enabled).
+/// As [`train_rank`](crate::train_rank).
 ///
 /// # Panics
 ///
@@ -96,302 +48,85 @@ pub fn local_sgd_rank<M, S>(
     cfg: &TrainConfig,
     sync_period: usize,
     pool: &ScratchPool,
-) -> Result<Option<LocalSgdRankOutput<M>>, CommError>
+) -> Result<Option<RankOutput<M>>, CommError>
 where
     M: TrainableModel,
     S: Fn(&mut Rng) -> M::Batch,
 {
     assert!(sync_period > 0, "sync period must be at least 1");
-    let specs = model.param_specs();
-    if let Err(e) = cfg.compression.validate(specs.len()) {
-        return Err(CommError::InvalidConfig {
-            detail: e.to_string(),
-        });
-    }
-    // Elastic recovery retries syncs through the engine's epoch-scoped
-    // lanes; plain runs honor the configured path.
-    let use_engine = cfg.layer_parallel || cfg.elastic;
-    // Shared registry, per-worker event ring (single-writer).
-    let obs = cfg.obs.fork_rank(cgx_obs::DEFAULT_RING_CAPACITY);
-    let mut local = model.clone();
-    let mut data_rng = Rng::seed_from_u64(cfg.seed ^ (0xD00D + t.rank() as u64 * 7919));
-    let mut comp_rng = Rng::seed_from_u64(cfg.seed ^ (0xC0FFEE + t.rank() as u64 * 104_729));
-    let mut compressors: Vec<Option<Box<dyn Compressor>>> = cfg
-        .compression
-        .build_all(&specs)
-        .into_iter()
-        .map(Some)
-        .collect();
-    let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, cfg.weight_decay);
-    let mut lossless = NoneCompressor::new();
-    // The live controller, when configured: it observes the norms of
-    // each sync round's mean deltas (rank-replicated, like the
-    // trainer's mean gradients) and counts rounds, not steps.
-    let mut controller = cfg
-        .adaptive
-        .as_ref()
-        .map(|acfg| build_controller(acfg, &cfg.compression, &specs, model.params()));
-    let mut plan_epoch = 0u64;
-    let mut bw_bytes_mark = 0usize;
-    let mut bw_instant_mark = Instant::now();
+    let mut sync = RankSync::new(t, model, cfg, pool)?;
+    let mut replica = Replica::new(model, cfg, t.rank());
     let mut losses = Vec::with_capacity(cfg.steps);
-    let mut bytes = 0usize;
     let mut sync_rounds = 0usize;
-    let mut membership = Membership::full(t.world());
-    let mut recoveries = 0usize;
     // Parameters at the last synchronization point (identical across
     // replicas by construction).
-    let mut anchor: Vec<Tensor> = local.params().to_vec();
+    let mut anchor: Vec<Tensor> = replica.model.params().to_vec();
     for step in 1..=cfg.steps {
         if t.begin_step(step) {
             // Fail-stop injection: this rank dies here; survivors
             // notice at their next sync round and shrink around it.
             return Ok(None);
         }
-        let batch = sampler(&mut data_rng);
-        let (loss, grads) = local.loss_and_grads(&batch);
+        let (loss, mut grads) = replica.grads(sampler);
         losses.push(loss);
-        opt.step(local.params_mut(), &grads);
-        if step % sync_period == 0 || step == cfg.steps {
-            sync_rounds += 1;
-            // Compressed model averaging: all-reduce the deltas from
-            // the shared anchor, then rebuild params = anchor + mean.
-            loop {
-                let view = MembershipView::new(t, &membership);
-                let world = view.world() as f32;
-                // Norms of this round's mean deltas, for the live
-                // controller (rank-replicated values, fixed order).
-                let mut round_norms = vec![0.0f64; specs.len()];
-                let sync: Result<(), CommError> = if use_engine {
-                    // Layer-parallel path: every layer's delta is in
-                    // flight at once; the engine coalesces the small
-                    // FP32 ones. Byte-identical to the loop below.
-                    let deltas: Vec<Tensor> = local
-                        .params()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| {
-                            let mut d = p.clone();
-                            d.sub_assign(&anchor[i]);
-                            d
-                        })
-                        .collect();
-                    let opts = EngineOptions {
-                        // Adaptive runs stamp the plan epoch into the
-                        // lane tag alongside the membership epoch.
-                        epoch: if controller.is_some() {
-                            lane_epoch(membership.epoch() as u64, plan_epoch)
-                        } else {
-                            (membership.epoch() & 0xFF) as u8
-                        },
-                        ..cfg.engine
-                    };
-                    let mut eng =
-                        CommEngine::new(&view, pool.clone(), opts).with_obs(obs.clone());
-                    let handles: Vec<_> = deltas
-                        .iter()
-                        .enumerate()
-                        .map(|(i, d)| {
-                            let comp = compressors[i].take().expect("compressor present");
-                            eng.submit(cfg.algorithm, d, comp, &mut comp_rng)
-                        })
-                        .collect();
-                    let mut first_err = None;
-                    for (i, h) in handles.into_iter().enumerate() {
-                        match eng.wait(h) {
-                            Ok((mut mean_delta, stats, comp)) => {
-                                compressors[i] = Some(comp);
-                                mean_delta.scale(1.0 / world);
-                                bytes += stats.bytes_sent;
-                                round_norms[i] = tensor_norm(&mean_delta);
-                                let p = &mut local.params_mut()[i];
-                                *p = anchor[i].clone();
-                                p.add_assign(&mean_delta);
-                            }
-                            // Drain every handle so nothing stays in
-                            // flight; lent compressors are rebuilt
-                            // during recovery.
-                            Err(e) => first_err = first_err.or(Some(e)),
-                        }
-                    }
-                    first_err.map_or(Ok(()), Err)
-                } else {
-                    let mut res = Ok(());
-                    for (i, p) in local.params_mut().iter_mut().enumerate() {
-                        let mut delta = p.clone();
-                        delta.sub_assign(&anchor[i]);
-                        let comp: &mut dyn Compressor = if world > 1.0 {
-                            compressors[i].as_deref_mut().expect("compressor present")
-                        } else {
-                            &mut lossless
-                        };
-                        // One RNG draw per layer, matching the engine.
-                        let mut layer_rng = Rng::seed_from_u64(comp_rng.next_u64());
-                        match allreduce_scratch(
-                            cfg.algorithm,
-                            &view,
-                            &delta,
-                            comp,
-                            &mut layer_rng,
-                            &pool,
-                        ) {
-                            Ok((mut mean_delta, stats)) => {
-                                mean_delta.scale(1.0 / world);
-                                bytes += stats.bytes_sent;
-                                round_norms[i] = tensor_norm(&mean_delta);
-                                *p = anchor[i].clone();
-                                p.add_assign(&mean_delta);
-                            }
-                            Err(e) => {
-                                res = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    res
-                };
-                match sync {
-                    Ok(()) => {
-                        if let Some(ctl) = controller.as_mut() {
-                            ctl.observe_norms(&round_norms);
-                            // Advisory only — never affects plan bits.
-                            let now = Instant::now();
-                            ctl.observe_bandwidth(
-                                (bytes - bw_bytes_mark) as u64,
-                                now.duration_since(bw_instant_mark),
-                            );
-                            bw_bytes_mark = bytes;
-                            bw_instant_mark = now;
-                            if step < cfg.steps {
-                                if let Some(up) = ctl
-                                    .maybe_replan(sync_rounds, membership.epoch() as u64)
-                                {
-                                    for (i, &changed) in up.changed.iter().enumerate() {
-                                        if changed {
-                                            compressors[i] = Some(up.schemes[i].build());
-                                        }
-                                    }
-                                    plan_epoch = up.plan_epoch;
-                                    publish_replan(&obs, &up);
-                                }
-                            }
-                        }
-                        break;
-                    }
-                    Err(e) => {
-                        let Some(vpeer) = e.peer().filter(|_| cfg.elastic) else {
-                            return Err(e);
-                        };
-                        let dead = view.physical(vpeer);
-                        let (next, _resume) =
-                            agree(t, &membership, &[dead], step as u64, t.timeout());
-                        membership = next;
-                        recoveries += 1;
-                        // Rebuild from the live plan when adaptive, so
-                        // recovery does not revert committed re-plans.
-                        compressors = match controller.as_ref() {
-                            Some(ctl) => ctl
-                                .current_schemes()
-                                .iter()
-                                .map(|s| Some(s.build()))
-                                .collect(),
-                            None => cfg
-                                .compression
-                                .build_all(&specs)
-                                .into_iter()
-                                .map(Some)
-                                .collect(),
-                        };
-                        // The recovery re-sync *is* a model-averaging
-                        // round over the survivors (lossless mean of
-                        // raw parameters), so the interrupted sync is
-                        // complete once it lands.
-                        resync_params(t, &membership, local.params_mut(), &pool, cfg.engine)?;
-                        break;
-                    }
-                }
-            }
-            anchor = local.params().to_vec();
+        replica.apply(&mut grads);
+        if step % sync_period != 0 && step != cfg.steps {
+            continue;
         }
+        sync_rounds += 1;
+        // Compressed model averaging: all-reduce the deltas from the
+        // shared anchor, then rebuild params = anchor + mean.
+        let params = replica.model.params_mut();
+        let mut deltas: Vec<Tensor> = params.to_vec();
+        for (d, a) in deltas.iter_mut().zip(&anchor) {
+            d.sub_assign(a);
+        }
+        match sync.reduce_mean(&mut deltas) {
+            Ok(()) => {
+                for ((p, a), d) in params.iter_mut().zip(&anchor).zip(&deltas) {
+                    *p = a.clone();
+                    p.add_assign(d);
+                }
+                sync.observe(&deltas, (step < cfg.steps).then_some(sync_rounds));
+            }
+            // The recovery re-sync *is* a model-averaging round over the
+            // survivors (lossless mean of raw parameters), so the
+            // interrupted round is complete once it lands.
+            Err(e) => {
+                sync.recover(e, step, params)?;
+            }
+        }
+        anchor = params.to_vec();
     }
-    // Teardown barrier: keep serving retransmissions until every
-    // survivor has drained its final traffic (lossless fabrics no-op).
-    t.quiesce(&membership.physical_ranks());
-    let mut faults = t.fault_stats();
-    faults.recovery_epochs += recoveries;
-    Ok(Some(LocalSgdRankOutput {
-        model: local,
-        losses,
-        bytes_sent: bytes,
-        sync_rounds,
-        faults,
-        final_world: membership.num_alive(),
-        adaptive: controller.map(AdaptiveController::into_trace),
-    }))
+    Ok(Some(sync.finish(replica.model, losses, sync_rounds)))
 }
 
 /// Trains `model` with local SGD over a thread-per-rank shared-memory
-/// fabric, averaging parameters every `sync_period` steps. Thin harness
-/// over [`local_sgd_rank`]: spawns `cfg.workers` threads, wires each to
-/// its [`ShmTransport`] endpoint (with chaos injection when configured),
-/// and elects the authoritative survivor.
+/// fabric, averaging parameters every `sync_period` steps: the harness of
+/// [`train_data_parallel`](crate::train_data_parallel) over
+/// [`local_sgd_rank`].
 ///
 /// # Errors
 ///
-/// Propagates configuration and collective failures (after exhausting
-/// elastic recovery, when enabled).
+/// As [`train_rank`](crate::train_rank).
 ///
 /// # Panics
 ///
-/// Panics if `sync_period` is zero.
+/// Panics if `sync_period`, `cfg.workers` or `cfg.steps` is zero.
 pub fn train_local_sgd<M, S>(
     model: &M,
     sampler: S,
     cfg: &TrainConfig,
     sync_period: usize,
-) -> Result<(M, LocalSgdReport), CommError>
+) -> Result<(M, TrainReport), CommError>
 where
     M: TrainableModel + Sync,
     S: Fn(&mut Rng) -> M::Batch + Send + Sync,
 {
     assert!(sync_period > 0, "sync period must be at least 1");
-    check_elastic(cfg);
-    let pool = ScratchPool::new();
-    let outputs = ThreadCluster::try_run(cfg.workers, |fabric: ShmTransport| {
-        let pool = pool.clone();
-        let endpoint = wrap_endpoint(fabric, cfg);
-        local_sgd_rank(endpoint.as_ref(), model, &sampler, cfg, sync_period, &pool)
-    })?;
-    // Pick the authoritative survivor: largest final world (a frozen
-    // zombie that partitioned itself away finishes smaller), lowest rank
-    // on ties.
-    let mut chosen: Option<LocalSgdRankOutput<M>> = None;
-    for out in outputs.into_iter().flatten() {
-        let replace = match &chosen {
-            None => true,
-            Some(best) => out.final_world > best.final_world,
-        };
-        if replace {
-            chosen = Some(out);
-        }
-    }
-    let out = chosen.expect("at least one rank survived");
-    if cfg.obs.enabled() {
-        pool.publish(cfg.obs.registry());
-        out.faults.publish(cfg.obs.registry());
-    }
-    Ok((
-        out.model,
-        LocalSgdReport {
-            losses: out.losses,
-            bytes_sent_per_worker: out.bytes_sent,
-            sync_rounds: out.sync_rounds,
-            faults: out.faults,
-            final_world: out.final_world,
-            metrics: cfg.obs.registry().snapshot(),
-            adaptive: out.adaptive,
-        },
-    ))
+    run_threads(cfg, |t, pool| {
+        local_sgd_rank(t, model, &sampler, cfg, sync_period, pool)
+    })
 }
 
 #[cfg(test)]
@@ -399,7 +134,10 @@ mod tests {
     use super::*;
     use crate::data::GaussianMixture;
     use crate::nn::Mlp;
+    use crate::optimizer::SgdMomentum;
     use crate::trainer::LayerCompression;
+    use cgx_collectives::ThreadCluster;
+    use cgx_compress::ScratchPool;
 
     fn setup() -> (GaussianMixture, Mlp) {
         let task = GaussianMixture::new(5, 10, 1.3);
@@ -478,7 +216,7 @@ mod tests {
                     for (i, p) in local.params_mut().iter_mut().enumerate() {
                         let mut delta = p.clone();
                         delta.sub_assign(&anchor[i]);
-                        let (mut mean, _) = allreduce_scratch(
+                        let (mut mean, _) = cgx_collectives::reduce::allreduce_scratch(
                             cfg.algorithm,
                             &t,
                             &delta,
@@ -515,28 +253,6 @@ mod tests {
         let (trained, _) =
             train_local_sgd(&model, move |r| t.sample_batch(r, 16), &cfg, 8).unwrap();
         assert!(eval(&trained, &task) > 0.85);
-    }
-
-    #[test]
-    fn engine_and_sequential_sync_paths_agree_bitwise() {
-        let (task, model) = setup();
-        let run = |layer_parallel: bool| {
-            let cfg = TrainConfig {
-                lr: 0.1,
-                layer_parallel,
-                compression: LayerCompression::cgx_default(),
-                ..TrainConfig::new(3, 21)
-            };
-            let t = task.clone();
-            train_local_sgd(&model, move |r| t.sample_batch(r, 8), &cfg, 7)
-                .unwrap()
-                .0
-        };
-        let eng = run(true);
-        let seq = run(false);
-        for (a, b) in eng.params().iter().zip(seq.params()) {
-            assert_eq!(a.as_slice(), b.as_slice(), "sync paths diverged");
-        }
     }
 
     #[test]
@@ -599,6 +315,102 @@ mod tests {
             );
         }
         assert!(eval(&trained, &task) > 0.85);
+    }
+
+    /// Runs every rank of a local-SGD run and returns all replicas.
+    fn all_ranks(model: &Mlp, task: &GaussianMixture, cfg: &TrainConfig) -> Vec<RankOutput<Mlp>> {
+        let pool = ScratchPool::new();
+        ThreadCluster::try_run(cfg.workers, |t| {
+            let sampler = |r: &mut Rng| task.sample_batch(r, 8);
+            local_sgd_rank(&t, model, &sampler, cfg, 7, &pool)
+        })
+        .unwrap()
+        .into_iter()
+        .map(|out| out.expect("rank survived"))
+        .collect()
+    }
+
+    #[test]
+    fn topology_is_honoured_not_ignored() {
+        // The rounds go through the hierarchy: members send raw deltas to
+        // their leader and nothing else, so they transmit less than it
+        // does, the sum associates differently than the flat collective's,
+        // and the replicas still agree to the bit.
+        let (task, model) = setup();
+        let flat = TrainConfig {
+            compression: LayerCompression::cgx_default(),
+            ..TrainConfig::new(4, 21)
+        };
+        let hier = TrainConfig {
+            topology: Some(cgx_collectives::Topology::grouped(2, 2)),
+            ..flat.clone()
+        };
+        let (flat, hier) = (
+            all_ranks(&model, &task, &flat),
+            all_ranks(&model, &task, &hier),
+        );
+        for out in &hier[1..] {
+            for (a, b) in out.model.params().iter().zip(hier[0].model.params()) {
+                assert_eq!(a.as_slice(), b.as_slice(), "hierarchical replicas diverged");
+            }
+        }
+        assert!(
+            hier[1].bytes < hier[0].bytes,
+            "member out-transmitted its leader"
+        );
+        assert_ne!(
+            hier[0].model.params()[0].as_slice(),
+            flat[0].model.params()[0].as_slice(),
+            "the topology changed nothing"
+        );
+    }
+
+    #[test]
+    fn accumulation_is_honoured_not_ignored() {
+        // Every local step averages `accumulation` micro-batches: the
+        // sampler is drawn that many times per step and per worker.
+        let (task, model) = setup();
+        let draws = std::sync::atomic::AtomicUsize::new(0);
+        let cfg = TrainConfig {
+            accumulation: 3,
+            ..TrainConfig::new(2, 14)
+        };
+        let sampler = |r: &mut Rng| {
+            draws.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            task.sample_batch(r, 8)
+        };
+        train_local_sgd(&model, sampler, &cfg, 7).unwrap();
+        assert_eq!(draws.into_inner(), 2 * 14 * 3);
+    }
+
+    #[test]
+    fn clip_is_honoured_not_ignored() {
+        // Plain SGD with every local gradient clipped to norm `c` moves
+        // the parameters at most `steps * lr * c` from where they began
+        // (the mean over workers of such walks is no longer).
+        let (task, model) = setup();
+        let (steps, lr, clip) = (14, 0.5f32, 1e-3);
+        let cfg = TrainConfig {
+            lr,
+            momentum: 0.0,
+            clip: Some(clip),
+            ..TrainConfig::new(2, steps)
+        };
+        let t = task.clone();
+        let (trained, _) = train_local_sgd(&model, move |r| t.sample_batch(r, 8), &cfg, 7).unwrap();
+        let moved: f64 = trained
+            .params()
+            .iter()
+            .zip(model.params())
+            .map(|(a, b)| a.l2_distance(b).powi(2))
+            .sum::<f64>()
+            .sqrt();
+        assert!(moved > 0.0, "nothing was learned");
+        let bound = steps as f64 * lr as f64 * clip;
+        assert!(
+            moved <= bound * 1.001,
+            "moved {moved}, clipping allows {bound}"
+        );
     }
 
     #[test]

@@ -1,0 +1,368 @@
+//! The one synchronization path both trainers reduce through.
+//!
+//! [`train_rank`](crate::train_rank) and
+//! [`local_sgd_rank`](crate::local_sgd_rank) differ in what a step
+//! computes and in what it synchronizes (mean gradients every step, mean
+//! parameter deltas every few). Everything else a rank does to keep its
+//! replica in consensus is [`RankSync`]: the per-layer compressors and
+//! their RNG stream, the live controller and its plan epoch, the
+//! membership, the byte and kernel counters and the rank's event ring,
+//! behind one [`reduce_mean`](RankSync::reduce_mean), one
+//! [`recover`](RankSync::recover), one [`observe`](RankSync::observe) and
+//! one [`finish`](RankSync::finish).
+
+use crate::nn::ParamSpec;
+use crate::trainer::{RankOutput, TrainConfig, TrainableModel};
+use cgx_adaptive::{AdaptiveController, AdaptiveTrainConfig, ControlledLayer};
+use cgx_collectives::hierarchy::allreduce_hierarchical;
+use cgx_collectives::membership::agree;
+use cgx_collectives::reduce::{Algorithm, AllreduceStats};
+use cgx_collectives::{
+    lane_epoch, CommEngine, CommError, EngineOptions, Membership, MembershipView, Transport,
+};
+use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
+use cgx_obs::ObsHandle;
+use cgx_tensor::{Rng, Tensor};
+use std::time::Instant;
+
+/// One compressor per layer. The engine owns each for the duration of its
+/// collective and hands it back at wait.
+type Compressors = Vec<Box<dyn Compressor>>;
+
+fn build_compressors(schemes: &[CompressionScheme]) -> Compressors {
+    schemes.iter().map(CompressionScheme::build).collect()
+}
+
+/// Rejects configurations no rank could run, before any collective
+/// starts: every rank sees the same `cfg`, so every rank returns the same
+/// typed error instead of one of them panicking mid-run.
+fn validate(cfg: &TrainConfig, n_params: usize, world: usize) -> Result<(), CommError> {
+    let topo_world = cfg.topology.as_ref().map(|topo| topo.world());
+    let pipelined = matches!(
+        cfg.algorithm,
+        Algorithm::ScatterReduceAllgather | Algorithm::Ring
+    );
+    let detail = if let Err(e) = cfg.compression.validate(n_params) {
+        e.to_string()
+    } else if cfg.accumulation == 0 {
+        "accumulation must be at least 1".into()
+    } else if let Some(described) = topo_world.filter(|&w| w != world) {
+        format!("topology describes {described} ranks but the fabric has {world}")
+    } else if cfg.elastic && topo_world.is_some() {
+        "hierarchical reduction has no membership path; disable elastic or topology".into()
+    } else if cfg.elastic && !pipelined {
+        "elastic recovery requires an epoch-scoped pipelined algorithm (SRA or Ring)".into()
+    } else {
+        return Ok(());
+    };
+    Err(CommError::InvalidConfig { detail })
+}
+
+/// Builds the live controller for a model: the plan-epoch-0 schemes are
+/// whatever the static policy resolves per layer (`base`), and a layer is
+/// under adaptive control iff that policy compresses it at all (filtered
+/// norm and bias layers stay lossless forever). Exposure decays with
+/// forward position — early layers (embeddings) finish their backward
+/// pass last, so their transfers sit exposed on the critical path.
+fn build_controller(
+    acfg: &AdaptiveTrainConfig,
+    base: &[CompressionScheme],
+    specs: &[ParamSpec],
+    params: &[Tensor],
+) -> AdaptiveController {
+    let total = specs.len().max(1);
+    let layers: Vec<ControlledLayer> = specs
+        .iter()
+        .zip(params)
+        .enumerate()
+        .map(|(i, (spec, p))| ControlledLayer {
+            name: spec.name.clone(),
+            elements: p.len(),
+            compressible: base[i] != CompressionScheme::None,
+            exposure: 1.0 - i as f64 / total as f64,
+        })
+        .collect();
+    AdaptiveController::new(acfg.clone(), layers, base.to_vec())
+}
+
+/// Exports one committed re-plan into the run's metrics registry
+/// (`adaptive.*` namespace). Counters count once per rank; the gauges are
+/// last-write-wins over values identical on every rank (except the
+/// advisory bandwidth, which is per-rank by nature).
+fn publish_replan(obs: &ObsHandle, up: &cgx_adaptive::PlanUpdate) {
+    if !obs.enabled() {
+        return;
+    }
+    let reg = obs.registry();
+    reg.counter(cgx_obs::names::ADAPTIVE_REPLANS).inc();
+    reg.gauge(cgx_obs::names::ADAPTIVE_PLAN_EPOCH)
+        .set(up.plan_epoch);
+    reg.gauge(cgx_obs::names::ADAPTIVE_MILLIBITS_PER_ELEMENT)
+        .set((up.record.nominal_bits_per_element * 1000.0) as u64);
+    reg.gauge(cgx_obs::names::ADAPTIVE_SIZE_RATIO_PERMILLE)
+        .set((up.record.size_ratio_vs_static4 * 1000.0) as u64);
+    if let Some(bw) = up.record.measured_bandwidth_bps {
+        reg.gauge(cgx_obs::names::ADAPTIVE_BANDWIDTH_BPS)
+            .set(bw as u64);
+    }
+}
+
+/// One engine round over `view`: every tensor submitted up front, redeemed
+/// in submit order and replaced by its mean over the view's world. The
+/// engine overlaps all in-flight reductions and coalesces small lossless
+/// layers. On error every handle is still drained (later waits fail fast
+/// on the poison) so nothing stays in flight; `tensors` is then partly
+/// reduced and the compressors the poisoned engine kept are gone.
+#[allow(clippy::too_many_arguments)]
+fn engine_mean(
+    view: &MembershipView<'_>,
+    pool: &ScratchPool,
+    opts: EngineOptions,
+    obs: &ObsHandle,
+    algorithm: Algorithm,
+    tensors: &mut [Tensor],
+    compressors: &mut Compressors,
+    rng: &mut Rng,
+    traffic: &mut AllreduceStats,
+) -> Result<(), CommError> {
+    let inv_world = 1.0 / view.world() as f32;
+    let mut eng = CommEngine::new(view, pool.clone(), opts).with_obs(obs.clone());
+    let handles: Vec<_> = tensors
+        .iter()
+        .zip(compressors.drain(..))
+        .map(|(t, comp)| eng.submit(algorithm, t, comp, rng))
+        .collect();
+    let mut first_err = None;
+    for (slot, h) in tensors.iter_mut().zip(handles) {
+        match eng.wait(h) {
+            Ok((mut mean, stats, lent)) => {
+                compressors.push(lent);
+                mean.scale(inv_world);
+                *slot = mean;
+                traffic.merge(&stats);
+            }
+            Err(e) => first_err = first_err.or(Some(e)),
+        }
+    }
+    first_err.map_or(Ok(()), Err)
+}
+
+/// A rank's synchronization state for one training run.
+pub(crate) struct RankSync<'a> {
+    t: &'a dyn Transport,
+    cfg: &'a TrainConfig,
+    pool: &'a ScratchPool,
+    /// The static policy's scheme per layer: plan epoch 0.
+    base: Vec<CompressionScheme>,
+    compressors: Compressors,
+    comp_rng: Rng,
+    controller: Option<AdaptiveController>,
+    plan_epoch: u64,
+    membership: Membership,
+    recoveries: usize,
+    /// What this rank's counted rounds put on the wire.
+    traffic: AllreduceStats,
+    /// Byte counter and clock at the last bandwidth observation.
+    bw_mark: (usize, Instant),
+    /// Shared registry, this rank's own (single-writer) event ring; it
+    /// spans the run, the per-round engines share it by clone.
+    obs: ObsHandle,
+}
+
+impl<'a> RankSync<'a> {
+    /// Checks `cfg` against `model` and the fabric, then builds the
+    /// compressors and, when configured, the live controller — whose
+    /// plan-epoch-0 schemes are the static policy's, so its warmup rounds
+    /// are byte-identical to a non-adaptive run.
+    pub(crate) fn new<M: TrainableModel>(
+        t: &'a dyn Transport,
+        model: &M,
+        cfg: &'a TrainConfig,
+        pool: &'a ScratchPool,
+    ) -> Result<Self, CommError> {
+        let specs = model.param_specs();
+        validate(cfg, specs.len(), t.world())?;
+        let base = cfg.compression.schemes(&specs);
+        let controller = cfg
+            .adaptive
+            .as_ref()
+            .map(|acfg| build_controller(acfg, &base, &specs, model.params()));
+        Ok(RankSync {
+            t,
+            cfg,
+            pool,
+            compressors: build_compressors(&base),
+            base,
+            comp_rng: Rng::seed_from_u64(cfg.seed ^ (0xC0FFEE + t.rank() as u64 * 104_729)),
+            controller,
+            plan_epoch: 0,
+            membership: Membership::full(t.world()),
+            recoveries: 0,
+            traffic: AllreduceStats::default(),
+            bw_mark: (0, Instant::now()),
+            obs: cfg.obs.fork_rank(cgx_obs::DEFAULT_RING_CAPACITY),
+        })
+    }
+
+    /// Engine options for the current epochs: the lane tag carries the
+    /// membership epoch, so frames abandoned by a failed attempt cannot
+    /// alias with the shrunken world's, and the plan epoch (0 on static
+    /// runs, where the stamp is the historical membership-only one), so a
+    /// rank on a diverged plan fails fast with a tag mismatch instead of
+    /// silently reducing differently-encoded payloads.
+    fn engine_opts(&self) -> EngineOptions {
+        EngineOptions {
+            epoch: lane_epoch(self.membership.epoch() as u64, self.plan_epoch),
+            ..self.cfg.engine
+        }
+    }
+
+    /// Replaces every tensor by its mean over the live membership, layer
+    /// `i` through compressor `i`. How is chosen from the cluster
+    /// description: the flat world reduces all layers at once through the
+    /// engine; a [`TrainConfig::topology`] reduces each through
+    /// [`allreduce_hierarchical`] — raw intra-node staging around a
+    /// compressed leader exchange — drawing from the compression stream
+    /// once per layer as the engine does, so seeds stay comparable.
+    ///
+    /// # Errors
+    ///
+    /// The first collective failure; `tensors` is then partly reduced.
+    pub(crate) fn reduce_mean(&mut self, tensors: &mut [Tensor]) -> Result<(), CommError> {
+        let view = MembershipView::new(self.t, &self.membership);
+        let Some(topo) = &self.cfg.topology else {
+            return engine_mean(
+                &view,
+                self.pool,
+                self.engine_opts(),
+                &self.obs,
+                self.cfg.algorithm,
+                tensors,
+                &mut self.compressors,
+                &mut self.comp_rng,
+                &mut self.traffic,
+            );
+        };
+        let inv_world = 1.0 / view.world() as f32;
+        for (g, comp) in tensors.iter_mut().zip(&mut self.compressors) {
+            let mut layer_rng = Rng::seed_from_u64(self.comp_rng.next_u64());
+            let (mut mean, stats) =
+                allreduce_hierarchical(&view, topo, g, comp.as_mut(), &mut layer_rng, self.pool)?;
+            mean.scale(inv_world);
+            *g = mean;
+            self.traffic.merge(&stats);
+        }
+        Ok(())
+    }
+
+    /// Shrink and continue after a failed [`reduce_mean`](Self::reduce_mean):
+    /// condemn the physical rank behind the failed virtual peer, agree on
+    /// the next membership epoch, rebuild the compressors the poisoned
+    /// engine kept — from the live plan when adaptive, so recovery does not
+    /// revert committed re-plans (the controller survives untouched; its
+    /// next re-plan check sees the new membership epoch and forces one) —
+    /// and bring `params` to the survivors' mean. That re-sync is one more
+    /// engine round, so its traffic lives on the new epoch's lanes where
+    /// frames abandoned by the failed attempt cannot alias with it;
+    /// lossless, off the compression stream and uncounted, so survivors
+    /// leave byte-identical and later rounds quantize as if nothing
+    /// happened. Returns the agreed resume step.
+    ///
+    /// # Errors
+    ///
+    /// `err` itself unless the run is elastic and `err` names a peer;
+    /// otherwise whatever fails the re-sync.
+    pub(crate) fn recover(
+        &mut self,
+        err: CommError,
+        step: usize,
+        params: &mut [Tensor],
+    ) -> Result<usize, CommError> {
+        let Some(vpeer) = err.peer().filter(|_| self.cfg.elastic) else {
+            return Err(err);
+        };
+        let dead = MembershipView::new(self.t, &self.membership).physical(vpeer);
+        let (next, resume) = agree(
+            self.t,
+            &self.membership,
+            &[dead],
+            step as u64,
+            self.t.timeout(),
+        );
+        self.membership = next;
+        self.recoveries += 1;
+        self.compressors = build_compressors(match &self.controller {
+            Some(ctl) => ctl.current_schemes(),
+            None => &self.base,
+        });
+        engine_mean(
+            &MembershipView::new(self.t, &self.membership),
+            self.pool,
+            self.engine_opts(),
+            &self.obs,
+            Algorithm::ScatterReduceAllgather,
+            params,
+            &mut build_compressors(&vec![CompressionScheme::None; params.len()]),
+            &mut Rng::seed_from_u64(self.membership.epoch() as u64),
+            &mut AllreduceStats::default(),
+        )?;
+        Ok(resume as usize)
+    }
+
+    /// Feeds the live controller one round's synchronized means and, when
+    /// another round follows (`next_round`, its 1-based index), lets it
+    /// re-plan: changed layers get new compressors and the plan epoch
+    /// moves. `synced` is byte-identical on every rank, so this
+    /// observation — and any re-plan it triggers — takes every rank's
+    /// controller through identical states with no control traffic. The
+    /// bandwidth (this rank's byte counter over its own wall clock) is
+    /// advisory and never feeds back into plan bits. A no-op on static
+    /// runs.
+    pub(crate) fn observe(&mut self, synced: &[Tensor], next_round: Option<usize>) {
+        let Some(ctl) = self.controller.as_mut() else {
+            return;
+        };
+        // `norm2` accumulates in `f64` in element order: the same value
+        // wherever the tensor is.
+        let norms: Vec<f64> = synced.iter().map(Tensor::norm2).collect();
+        ctl.observe_norms(&norms);
+        let now = Instant::now();
+        ctl.observe_bandwidth(
+            (self.traffic.bytes_sent - self.bw_mark.0) as u64,
+            now.duration_since(self.bw_mark.1),
+        );
+        self.bw_mark = (self.traffic.bytes_sent, now);
+        let Some(round) = next_round else {
+            return;
+        };
+        if let Some(up) = ctl.maybe_replan(round, self.membership.epoch() as u64) {
+            for (i, &changed) in up.changed.iter().enumerate() {
+                if changed {
+                    self.compressors[i] = up.schemes[i].build();
+                }
+            }
+            self.plan_epoch = up.plan_epoch;
+            publish_replan(&self.obs, &up);
+        }
+    }
+
+    /// Teardown barrier — keep serving retransmissions until every
+    /// survivor has drained its final traffic, only then is it safe to
+    /// drop the endpoint (lossless fabrics no-op) — then the rank's
+    /// result.
+    pub(crate) fn finish<M>(self, model: M, losses: Vec<f64>, sync_rounds: usize) -> RankOutput<M> {
+        self.t.quiesce(&self.membership.physical_ranks());
+        let mut faults = self.t.fault_stats();
+        faults.recovery_epochs += self.recoveries;
+        RankOutput {
+            model,
+            losses,
+            bytes: self.traffic.bytes_sent,
+            kernel_calls: self.traffic.compress_calls,
+            sync_rounds,
+            faults,
+            final_world: self.membership.num_alive(),
+            adaptive: self.controller.map(AdaptiveController::into_trace),
+        }
+    }
+}

@@ -24,18 +24,17 @@
 
 use crate::nn::ParamSpec;
 use crate::optimizer::{clip_global_norm, SgdMomentum};
-use cgx_adaptive::{AdaptiveController, AdaptivePlanTrace, AdaptiveTrainConfig, ControlledLayer};
-use cgx_collectives::hierarchy::allreduce_hierarchical;
-use cgx_collectives::membership::agree;
-use cgx_collectives::reduce::{allreduce_scratch, Algorithm};
+use crate::sync::RankSync;
+use cgx_adaptive::{AdaptivePlanTrace, AdaptiveTrainConfig};
+use cgx_collectives::reduce::Algorithm;
 use cgx_collectives::{
-    lane_epoch, ChaosTransport, CommEngine, CommError, EngineOptions, FaultPlan, FaultStats,
-    Membership, MembershipView, ReconnectPolicy, ShmTransport, ThreadCluster, Topology, Transport,
+    ChaosTransport, CommError, EngineOptions, FaultPlan, FaultStats, ShmTransport, ThreadCluster,
+    Topology, Transport,
 };
-use cgx_compress::{CompressionScheme, Compressor, NoneCompressor, ScratchPool};
+use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
 use cgx_obs::{MetricsSnapshot, ObsHandle};
 use cgx_tensor::{Rng, Tensor};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A model trainable by [`train_data_parallel`].
 pub trait TrainableModel: Clone + Send {
@@ -150,21 +149,14 @@ impl LayerCompression {
     /// The CGX default: 4-bit QSGD (bucket 128) with norm/bias layers
     /// filtered to full precision.
     pub fn cgx_default() -> Self {
-        LayerCompression {
-            default: CompressionScheme::cgx_default(),
-            filter_small_layers: true,
-            overrides: Vec::new(),
-            per_layer: None,
-        }
+        Self::filtered(CompressionScheme::cgx_default())
     }
 
     /// A uniform scheme plus the small-layer filter.
     pub fn filtered(scheme: CompressionScheme) -> Self {
         LayerCompression {
-            default: scheme,
             filter_small_layers: true,
-            overrides: Vec::new(),
-            per_layer: None,
+            ..Self::uniform(scheme)
         }
     }
 
@@ -172,10 +164,8 @@ impl LayerCompression {
     /// parameter order) — the output format of the adaptive policies.
     pub fn per_layer(schemes: Vec<CompressionScheme>) -> Self {
         LayerCompression {
-            default: CompressionScheme::None,
-            filter_small_layers: false,
-            overrides: Vec::new(),
             per_layer: Some(schemes),
+            ..Self::none()
         }
     }
 
@@ -224,13 +214,19 @@ impl LayerCompression {
         }
     }
 
-    /// Builds one compressor per parameter.
-    pub fn build_all(&self, specs: &[ParamSpec]) -> Vec<Box<dyn Compressor>> {
+    /// Resolves one scheme per parameter.
+    pub fn schemes(&self, specs: &[ParamSpec]) -> Vec<CompressionScheme> {
         specs
             .iter()
             .enumerate()
-            .map(|(i, s)| self.scheme_for(i, s).build())
+            .map(|(i, s)| self.scheme_for(i, s))
             .collect()
+    }
+
+    /// Builds one compressor per parameter.
+    pub fn build_all(&self, specs: &[ParamSpec]) -> Vec<Box<dyn Compressor>> {
+        let schemes = self.schemes(specs);
+        schemes.iter().map(CompressionScheme::build).collect()
     }
 }
 
@@ -247,9 +243,13 @@ pub struct TrainConfig {
     pub momentum: f32,
     /// Decoupled weight decay.
     pub weight_decay: f32,
-    /// Global-norm gradient clipping threshold, if any.
+    /// Global-norm gradient clipping threshold, if any. Applied to the
+    /// gradient the optimizer is about to consume: the synchronized mean
+    /// under [`train_rank`], the local one under
+    /// [`local_sgd_rank`](crate::local_sgd_rank).
     pub clip: Option<f64>,
-    /// Reduction algorithm.
+    /// Reduction algorithm of the flat (no [`TrainConfig::topology`])
+    /// world.
     pub algorithm: Algorithm,
     /// Per-layer compression policy.
     pub compression: LayerCompression,
@@ -257,14 +257,12 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Gradient-accumulation micro-steps per optimization step (paper
     /// Section 2.2, batch scaling): local gradients of `accumulation`
-    /// batches are summed before the single synchronized update. 1 = off.
+    /// batches are averaged before the single update. 1 = off.
     pub accumulation: usize,
-    /// Reduce all layers of a step through the nonblocking
-    /// [`CommEngine`] (submit every layer, then wait in order) instead of
-    /// one blocking allreduce per layer. Results are byte-identical; the
-    /// engine overlaps the layers' compress/send/decode work.
-    pub layer_parallel: bool,
-    /// Tuning for the communication engine (segmentation, coalescing).
+    /// Tuning for the communication engine (segmentation, coalescing)
+    /// every flat reduction runs through: all layers of a round are
+    /// submitted up front and redeemed in order, so their
+    /// compress/send/decode work overlaps.
     pub engine: EngineOptions,
     /// Deterministic fault injection: when set, every worker's endpoint is
     /// wrapped in a [`ChaosTransport`] driven by this plan. Transient
@@ -274,21 +272,20 @@ pub struct TrainConfig {
     pub chaos: Option<FaultPlan>,
     /// Shrink-and-continue recovery: when `true`, an unrecoverable peer
     /// loss triggers membership agreement and training continues on the
-    /// surviving world instead of failing. Elastic runs always reduce
-    /// through the engine (regardless of `layer_parallel`) because
-    /// recovery relies on its epoch-scoped message lanes, and require an
-    /// SRA or Ring algorithm for the same reason.
+    /// surviving world instead of failing. Recovery relies on the engine's
+    /// epoch-scoped message lanes, so it requires an SRA or Ring
+    /// `algorithm` and no `topology`.
     pub elastic: bool,
     /// Override for the transport receive timeout — the budget after
     /// which a silent peer is declared lost. `None` keeps the fabric
     /// default; chaos tests set it low so recovery is prompt.
     pub comm_timeout: Option<Duration>,
-    /// Node layout for hierarchical reduction. When set, every step
-    /// reduces through [`allreduce_hierarchical`] — raw intra-node
-    /// staging around a compressed inter-node leader exchange — instead
-    /// of the flat collective, ignoring `algorithm`/`layer_parallel`.
-    /// Incompatible with `elastic` (the hierarchy has no membership
-    /// path). `None` (the default) keeps the flat collective.
+    /// Node layout for hierarchical reduction. When set, every layer
+    /// reduces through `allreduce_hierarchical` — raw intra-node staging
+    /// around a compressed inter-node leader exchange — instead of the
+    /// flat collective, ignoring `algorithm`. Must describe exactly the
+    /// fabric's world; incompatible with `elastic` (the hierarchy has no
+    /// membership path). `None` (the default) keeps the flat collective.
     pub topology: Option<Topology>,
     /// Observability: when enabled, every worker's transport and engine
     /// publish counters into the handle's shared registry (snapshotted
@@ -296,36 +293,13 @@ pub struct TrainConfig {
     /// into its own forked ring. Disabled (the default) costs one branch
     /// per instrumented site and changes no delivered byte either way.
     pub obs: ObsHandle,
-    /// TCP wire-path tuning: per-peer read staging buffer, in bytes.
-    /// `None` defers to `CGX_NET_READ_BUF` or the fabric default. Only
-    /// consulted by process launchers that build a [`cgx-net`] transport
-    /// (the in-process Shm fabric has no wire); the thread-backed trainer
-    /// carries it so one `TrainConfig` describes a run on either fabric.
-    pub net_read_buf: Option<usize>,
-    /// TCP wire-path tuning: outbound coalescing budget, in bytes —
-    /// deferred small frames flush once their queue exceeds this. `None`
-    /// defers to `CGX_NET_COALESCE` or the fabric default. Same scope as
-    /// [`TrainConfig::net_read_buf`].
-    pub net_coalesce_budget: Option<usize>,
-    /// TCP liveness: `(interval, deadline)` — emit heartbeat frames on
-    /// the control lane every `interval` and declare a peer dead after
-    /// `deadline` of silence. `None` (the default) disables heartbeats;
-    /// a dead peer is then only noticed when the socket reports it. Only
-    /// consulted by process launchers building a [`cgx-net`] transport —
-    /// same scope as [`TrainConfig::net_read_buf`].
-    pub heartbeat: Option<(Duration, Duration)>,
-    /// TCP reconnect policy for transient link drops: jittered
-    /// exponential backoff between redial attempts. `None` (the default)
-    /// treats every socket loss as a process death. Same scope as
-    /// [`TrainConfig::net_read_buf`].
-    pub reconnect: Option<ReconnectPolicy>,
     /// Live adaptive compression: when set, every rank runs an
-    /// [`AdaptiveController`] that accumulates the per-layer norms of the
-    /// synchronized mean gradients and every `replan_interval` steps
+    /// `AdaptiveController` that accumulates the per-layer norms of the
+    /// synchronized means and every `replan_interval` sync rounds
     /// re-solves the paper's bit-assignment problem, swapping the new
     /// per-layer schemes into the running engine without stopping it.
     /// Because the observed statistics are rank-replicated, all ranks
-    /// commit identical plans at identical steps and training stays
+    /// commit identical plans at identical rounds and training stays
     /// byte-identical across ranks and fabrics. The starting (plan-epoch
     /// 0) schemes come from [`TrainConfig::compression`]; layers that
     /// policy leaves uncompressed stay uncompressed forever. `None` (the
@@ -347,23 +321,45 @@ impl TrainConfig {
             compression: LayerCompression::none(),
             seed: 1234,
             accumulation: 1,
-            layer_parallel: true,
             engine: EngineOptions::default(),
             chaos: None,
             elastic: false,
             comm_timeout: None,
             topology: None,
             obs: ObsHandle::disabled(),
-            net_read_buf: None,
-            net_coalesce_budget: None,
-            heartbeat: None,
-            reconnect: None,
             adaptive: None,
         }
     }
 }
 
-/// Result of a training run.
+/// Per-rank result of a run ([`train_rank`] or
+/// [`local_sgd_rank`](crate::local_sgd_rank) returning `Ok(None)` means
+/// the rank was killed by the fault plan; survivors carry their replica).
+#[derive(Debug, Clone)]
+pub struct RankOutput<M> {
+    /// The trained replica (bit-identical across survivors).
+    pub model: M,
+    /// Training loss per step on this rank's shard.
+    pub losses: Vec<f64>,
+    /// Wire bytes this rank transmitted over the whole run.
+    pub bytes: usize,
+    /// Compression-kernel invocations on this rank.
+    pub kernel_calls: usize,
+    /// Synchronization rounds performed: one per step under
+    /// [`train_rank`], one per `sync_period` steps under local SGD.
+    pub sync_rounds: usize,
+    /// Fault and recovery counters from this rank's endpoint.
+    pub faults: FaultStats,
+    /// World size this rank finished with.
+    pub final_world: usize,
+    /// The live controller's re-plan history ([`TrainConfig::adaptive`]);
+    /// `None` on static-compression runs. Byte-identical across ranks —
+    /// the cross-fabric parity tests compare its digest.
+    pub adaptive: Option<AdaptivePlanTrace>,
+}
+
+/// Result of a training run: the authoritative survivor's [`RankOutput`]
+/// (less the model) plus the run's metrics.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Rank-0 training loss per step.
@@ -372,6 +368,8 @@ pub struct TrainReport {
     pub bytes_sent_per_worker: usize,
     /// Compression-kernel invocations per worker over the whole run.
     pub compress_calls_per_worker: usize,
+    /// Synchronization rounds performed.
+    pub sync_rounds: usize,
     /// Fault and recovery counters from the reporting worker's endpoint
     /// (all zeros on a fault-free fabric). `recovery_epochs` counts the
     /// shrink-and-continue recoveries the run survived.
@@ -384,188 +382,67 @@ pub struct TrainReport {
     /// workers. Empty when observability is disabled.
     pub metrics: MetricsSnapshot,
     /// The live controller's re-plan history ([`TrainConfig::adaptive`]);
-    /// `None` on static-compression runs.
+    /// `None` on static-compression runs. Under local SGD the controller
+    /// observes the mean *parameter deltas* of each sync round, and
+    /// `replan_interval`/`warmup` count sync rounds rather than steps.
     pub adaptive: Option<AdaptivePlanTrace>,
 }
 
-/// Wraps a raw fabric endpoint per the run's chaos configuration, timeout
-/// override, and observability handle.
-pub(crate) fn wrap_endpoint(mut raw: ShmTransport, cfg: &TrainConfig) -> Box<dyn Transport> {
-    if let Some(d) = cfg.comm_timeout {
-        raw.set_timeout(d);
-    }
-    if cfg.obs.enabled() {
-        raw.set_obs(cfg.obs.registry());
-    }
-    match &cfg.chaos {
-        Some(plan) => Box::new(ChaosTransport::new(raw, plan.clone())),
-        None => Box::new(raw),
-    }
+/// What a rank computes between synchronizations: its replica, its data
+/// stream and its optimizer.
+pub(crate) struct Replica<M> {
+    pub(crate) model: M,
+    data_rng: Rng,
+    opt: SgdMomentum,
+    accumulation: usize,
+    clip: Option<f64>,
 }
 
-/// Brings every survivor's parameters to the membership-wide mean after a
-/// recovery. Runs through the engine so the traffic lives on the new
-/// epoch's message lanes — frames abandoned by the failed attempt can
-/// never alias with it. Lossless (`NoneCompressor`), so all survivors
-/// leave with byte-identical parameters.
-pub(crate) fn resync_params(
-    t: &dyn Transport,
-    membership: &Membership,
-    params: &mut [Tensor],
-    pool: &ScratchPool,
-    base: EngineOptions,
-) -> Result<(), CommError> {
-    let view = MembershipView::new(t, membership);
-    if view.world() <= 1 {
-        return Ok(());
-    }
-    let world = view.world() as f32;
-    let opts = EngineOptions {
-        epoch: (membership.epoch() & 0xFF) as u8,
-        ..base
-    };
-    let mut eng = CommEngine::new(&view, pool.clone(), opts);
-    let mut rng = Rng::seed_from_u64(membership.epoch() as u64);
-    let handles: Vec<_> = params
-        .iter()
-        .map(|p| {
-            eng.submit(
-                Algorithm::ScatterReduceAllgather,
-                p,
-                Box::new(NoneCompressor::new()),
-                &mut rng,
-            )
-        })
-        .collect();
-    for (p, h) in params.iter_mut().zip(handles) {
-        let (mut mean, _, _) = eng.wait(h)?;
-        mean.scale(1.0 / world);
-        *p = mean;
-    }
-    Ok(())
-}
-
-/// Builds the live controller for a model: the plan-epoch-0 schemes are
-/// whatever the static policy resolves per layer, and a layer is under
-/// adaptive control iff that policy compresses it at all (filtered norm
-/// and bias layers stay lossless forever). Exposure decays with forward
-/// position — early layers (embeddings) finish their backward pass last,
-/// so their transfers sit exposed on the critical path.
-pub(crate) fn build_controller(
-    acfg: &AdaptiveTrainConfig,
-    compression: &LayerCompression,
-    specs: &[ParamSpec],
-    params: &[Tensor],
-) -> AdaptiveController {
-    let base: Vec<CompressionScheme> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| compression.scheme_for(i, s))
-        .collect();
-    let total = specs.len().max(1);
-    let layers: Vec<ControlledLayer> = specs
-        .iter()
-        .zip(params)
-        .enumerate()
-        .map(|(i, (spec, p))| ControlledLayer {
-            name: spec.name.clone(),
-            elements: p.len(),
-            compressible: base[i] != CompressionScheme::None,
-            exposure: 1.0 - i as f64 / total as f64,
-        })
-        .collect();
-    AdaptiveController::new(acfg.clone(), layers, base)
-}
-
-/// L2 norm of a tensor, accumulated in `f64` — the controller's
-/// observation unit. Fixed accumulation order keeps the value
-/// byte-identical wherever the tensor is.
-pub(crate) fn tensor_norm(t: &Tensor) -> f64 {
-    t.as_slice()
-        .iter()
-        .map(|&v| {
-            let v = v as f64;
-            v * v
-        })
-        .sum::<f64>()
-        .sqrt()
-}
-
-/// Exports one committed re-plan into the run's metrics registry
-/// (`adaptive.*` namespace). Counters count once per rank; the gauges are
-/// last-write-wins over values identical on every rank (except the
-/// advisory bandwidth, which is per-rank by nature).
-pub(crate) fn publish_replan(obs: &ObsHandle, up: &cgx_adaptive::PlanUpdate) {
-    if !obs.enabled() {
-        return;
-    }
-    let reg = obs.registry();
-    reg.counter(cgx_obs::names::ADAPTIVE_REPLANS).inc();
-    reg.gauge(cgx_obs::names::ADAPTIVE_PLAN_EPOCH).set(up.plan_epoch);
-    reg.gauge(cgx_obs::names::ADAPTIVE_MILLIBITS_PER_ELEMENT)
-        .set((up.record.nominal_bits_per_element * 1000.0) as u64);
-    reg.gauge(cgx_obs::names::ADAPTIVE_SIZE_RATIO_PERMILLE)
-        .set((up.record.size_ratio_vs_static4 * 1000.0) as u64);
-    if let Some(bw) = up.record.measured_bandwidth_bps {
-        reg.gauge(cgx_obs::names::ADAPTIVE_BANDWIDTH_BPS).set(bw as u64);
-    }
-}
-
-/// Validates an elastic configuration (see [`TrainConfig::elastic`]).
-pub(crate) fn check_elastic(cfg: &TrainConfig) {
-    if cfg.elastic {
-        assert!(
-            matches!(
-                cfg.algorithm,
-                Algorithm::ScatterReduceAllgather | Algorithm::Ring
-            ),
-            "elastic recovery requires an epoch-scoped pipelined algorithm (SRA or Ring)"
-        );
-        assert!(
-            cfg.topology.is_none(),
-            "hierarchical reduction has no membership path; disable elastic or topology"
-        );
-    }
-}
-
-/// Per-rank result of a data-parallel run ([`train_rank`] returning
-/// `Ok(None)` means the rank was killed by the fault plan; survivors
-/// carry their replica).
-#[derive(Debug, Clone)]
-pub struct RankOutput<M> {
-    /// The trained replica (bit-identical across survivors).
-    pub model: M,
-    /// Training loss per step on this rank's shard.
-    pub losses: Vec<f64>,
-    /// Wire bytes this rank transmitted over the whole run.
-    pub bytes: usize,
-    /// Compression-kernel invocations on this rank.
-    pub kernel_calls: usize,
-    /// Fault and recovery counters from this rank's endpoint.
-    pub faults: FaultStats,
-    /// World size this rank finished with.
-    pub final_world: usize,
-    /// The live controller's re-plan history ([`TrainConfig::adaptive`]);
-    /// `None` on static-compression runs. Byte-identical across ranks —
-    /// the cross-fabric parity tests compare its digest.
-    pub adaptive: Option<AdaptivePlanTrace>,
-}
-
-/// Picks the authoritative survivor: the one that finished with the
-/// largest world (a frozen zombie that partitioned itself away finishes
-/// with a smaller one), lowest rank on ties.
-fn consensus_output<M>(outputs: Vec<Option<RankOutput<M>>>) -> RankOutput<M> {
-    let mut chosen: Option<RankOutput<M>> = None;
-    for out in outputs.into_iter().flatten() {
-        let replace = match &chosen {
-            None => true,
-            Some(c) => out.final_world > c.final_world,
-        };
-        if replace {
-            chosen = Some(out);
+impl<M: TrainableModel> Replica<M> {
+    pub(crate) fn new(model: &M, cfg: &TrainConfig, rank: usize) -> Self {
+        Replica {
+            model: model.clone(),
+            data_rng: Rng::seed_from_u64(cfg.seed ^ (0xD00D + rank as u64 * 7919)),
+            opt: SgdMomentum::new(cfg.lr, cfg.momentum, cfg.weight_decay),
+            accumulation: cfg.accumulation,
+            clip: cfg.clip,
         }
     }
-    chosen.expect("at least one rank survived")
+
+    /// Mean loss and gradients over `accumulation` freshly drawn
+    /// micro-batches.
+    pub(crate) fn grads<S>(&mut self, sampler: &S) -> (f64, Vec<Tensor>)
+    where
+        S: Fn(&mut Rng) -> M::Batch,
+    {
+        let (mut loss, mut grads) = self.model.loss_and_grads(&sampler(&mut self.data_rng));
+        for _ in 1..self.accumulation {
+            let (l, g) = self.model.loss_and_grads(&sampler(&mut self.data_rng));
+            loss += l;
+            for (a, b) in grads.iter_mut().zip(&g) {
+                a.add_assign(b);
+            }
+        }
+        if self.accumulation > 1 {
+            let inv = 1.0 / self.accumulation as f32;
+            loss /= self.accumulation as f64;
+            for g in grads.iter_mut() {
+                g.scale(inv);
+            }
+        }
+        (loss, grads)
+    }
+
+    /// Clips `grads` to the configured global norm — which under
+    /// data-parallel training needs the fully synchronized gradient
+    /// (Technical Issue 3), so callers reduce first — and takes the
+    /// optimizer step.
+    pub(crate) fn apply(&mut self, grads: &mut [Tensor]) {
+        if let Some(max_norm) = self.clip {
+            clip_global_norm(grads, max_norm);
+        }
+        self.opt.step(self.model.params_mut(), grads);
+    }
 }
 
 /// Runs one rank's share of a data-parallel training run over an
@@ -581,13 +458,11 @@ fn consensus_output<M>(outputs: Vec<Option<RankOutput<M>>>) -> RankOutput<M> {
 ///
 /// # Errors
 ///
-/// Propagates collective-communication failures (after exhausting
-/// elastic recovery, when enabled).
-///
-/// # Panics
-///
-/// Panics if a configured [`TrainConfig::topology`] disagrees with the
-/// transport's world size.
+/// [`CommError::InvalidConfig`] before any collective starts when `cfg`
+/// disagrees with the model or the fabric (per-layer list length,
+/// topology world, elastic without epoch-scoped lanes); otherwise
+/// propagates collective-communication failures (after exhausting elastic
+/// recovery, when enabled).
 pub fn train_rank<M, S>(
     t: &dyn Transport,
     model: &M,
@@ -599,255 +474,95 @@ where
     M: TrainableModel,
     S: Fn(&mut Rng) -> M::Batch,
 {
-    if let Some(topo) = &cfg.topology {
-        assert_eq!(
-            topo.world(),
-            t.world(),
-            "topology describes {} ranks but the fabric has {}",
-            topo.world(),
-            t.world()
-        );
-    }
-    let specs = model.param_specs();
-    if let Err(e) = cfg.compression.validate(specs.len()) {
-        return Err(CommError::InvalidConfig {
-            detail: e.to_string(),
-        });
-    }
-    // Elastic recovery retries steps through the engine's epoch-scoped
-    // lanes; plain runs honor the configured path. A topology always
-    // takes the blocking hierarchical path.
-    let use_engine = (cfg.layer_parallel || cfg.elastic) && cfg.topology.is_none();
-    // Shared registry, per-worker event ring (single-writer). The ring
-    // spans the whole run; engines created per step share it by clone.
-    let obs = cfg.obs.fork_rank(cgx_obs::DEFAULT_RING_CAPACITY);
-    let mut local = model.clone();
-    let mut data_rng = Rng::seed_from_u64(cfg.seed ^ (0xD00D + t.rank() as u64 * 7919));
-    let mut comp_rng = Rng::seed_from_u64(cfg.seed ^ (0xC0FFEE + t.rank() as u64 * 104_729));
-    // Option-wrapped so the engine can borrow each compressor for the
-    // duration of its collective and hand it back at wait.
-    let mut compressors: Vec<Option<Box<dyn Compressor>>> = cfg
-        .compression
-        .build_all(&specs)
-        .into_iter()
-        .map(Some)
-        .collect();
-    let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, cfg.weight_decay);
-    // The live controller, when configured: plan-epoch-0 schemes are the
-    // static policy's, so warmup steps are byte-identical to a
-    // non-adaptive run.
-    let mut controller = cfg
-        .adaptive
-        .as_ref()
-        .map(|acfg| build_controller(acfg, &cfg.compression, &specs, model.params()));
-    let mut plan_epoch = 0u64;
-    let mut bw_bytes_mark = 0usize;
-    let mut bw_instant_mark = Instant::now();
+    let mut sync = RankSync::new(t, model, cfg, pool)?;
+    let mut replica = Replica::new(model, cfg, t.rank());
     let mut losses = Vec::with_capacity(cfg.steps);
-    let mut bytes = 0usize;
-    let mut kernel_calls = 0usize;
-    let mut membership = Membership::full(t.world());
-    let mut recoveries = 0usize;
     let mut step = 0usize;
-    'steps: while step < cfg.steps {
+    while step < cfg.steps {
         if t.begin_step(step) {
             // Fail-stop injection: this rank dies here. Dropping the
             // endpoint closes its channels, so survivors observe a
             // `Disconnected` and (if elastic) shrink around it.
             return Ok(None);
         }
-        // Gradient accumulation: average over micro-batches locally,
-        // synchronize once.
-        let batch = sampler(&mut data_rng);
-        let (mut loss, mut grads) = local.loss_and_grads(&batch);
-        for _ in 1..cfg.accumulation {
-            let micro = sampler(&mut data_rng);
-            let (l, g) = local.loss_and_grads(&micro);
-            loss += l;
-            for (a, b) in grads.iter_mut().zip(&g) {
-                a.add_assign(b);
-            }
+        let (loss, mut grads) = replica.grads(sampler);
+        if let Err(e) = sync.reduce_mean(&mut grads) {
+            // Retry the step (with a fresh batch) on the shrunken world.
+            let resume = sync.recover(e, step, replica.model.params_mut())?;
+            step = step.max(resume);
+            continue;
         }
-        if cfg.accumulation > 1 {
-            let inv = 1.0 / cfg.accumulation as f32;
-            loss /= cfg.accumulation as f64;
-            for g in grads.iter_mut() {
-                g.scale(inv);
-            }
-        }
-        let view = MembershipView::new(t, &membership);
-        let world = view.world() as f32;
-        let sync: Result<(), CommError> = if let Some(topo) = &cfg.topology {
-            // Node-aware path: one blocking hierarchical reduction per
-            // layer. Membership is always full here (elastic is rejected
-            // with a topology), so the view is the identity mapping.
-            let mut res = Ok(());
-            for (i, g) in grads.iter_mut().enumerate() {
-                // Consume `comp_rng` one draw per layer like the other
-                // paths so seeds stay comparable across configurations.
-                let mut layer_rng = Rng::seed_from_u64(comp_rng.next_u64());
-                let comp = compressors[i].as_deref_mut().expect("compressor present");
-                match allreduce_hierarchical(&view, topo, g, comp, &mut layer_rng, pool) {
-                    Ok((mut summed, stats)) => {
-                        summed.scale(1.0 / world);
-                        *g = summed;
-                        bytes += stats.bytes_sent;
-                        kernel_calls += stats.compress_calls;
-                    }
-                    Err(e) => {
-                        res = Err(e);
-                        break;
-                    }
-                }
-            }
-            res
-        } else if use_engine {
-            // Layer-parallel path: submit every layer up front, then
-            // redeem in order. The engine overlaps all in-flight
-            // reductions and coalesces small FP32 layers; results are
-            // byte-identical to the sequential loop below.
-            let opts = EngineOptions {
-                // Adaptive runs stamp the plan epoch into the lane tag
-                // alongside the membership epoch: a rank on a diverged
-                // plan fails fast with a tag mismatch instead of
-                // silently reducing differently-encoded payloads.
-                epoch: if controller.is_some() {
-                    lane_epoch(membership.epoch() as u64, plan_epoch)
-                } else {
-                    (membership.epoch() & 0xFF) as u8
-                },
-                ..cfg.engine
-            };
-            let mut eng = CommEngine::new(&view, pool.clone(), opts).with_obs(obs.clone());
-            let handles: Vec<_> = grads
-                .iter()
-                .enumerate()
-                .map(|(i, g)| {
-                    let comp = compressors[i].take().expect("compressor present");
-                    eng.submit(cfg.algorithm, g, comp, &mut comp_rng)
-                })
-                .collect();
-            let mut first_err = None;
-            for (i, h) in handles.into_iter().enumerate() {
-                match eng.wait(h) {
-                    Ok((mut summed, stats, comp)) => {
-                        compressors[i] = Some(comp);
-                        summed.scale(1.0 / world);
-                        grads[i] = summed;
-                        bytes += stats.bytes_sent;
-                        kernel_calls += stats.compress_calls;
-                    }
-                    // Drain every handle (later waits fail fast on the
-                    // poison) so nothing is left in flight; the lent
-                    // compressors are rebuilt during recovery.
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-            first_err.map_or(Ok(()), Err)
-        } else {
-            let mut res = Ok(());
-            for (i, g) in grads.iter_mut().enumerate() {
-                // Consume `comp_rng` exactly as the engine does (one
-                // draw per layer) so both paths share the stream.
-                let mut layer_rng = Rng::seed_from_u64(comp_rng.next_u64());
-                let comp = compressors[i].as_deref_mut().expect("compressor present");
-                match allreduce_scratch(cfg.algorithm, &view, g, comp, &mut layer_rng, pool) {
-                    Ok((mut summed, stats)) => {
-                        summed.scale(1.0 / world);
-                        *g = summed;
-                        bytes += stats.bytes_sent;
-                        kernel_calls += stats.compress_calls;
-                    }
-                    Err(e) => {
-                        res = Err(e);
-                        break;
-                    }
-                }
-            }
-            res
-        };
-        if let Err(e) = sync {
-            let Some(vpeer) = e.peer().filter(|_| cfg.elastic) else {
-                return Err(e);
-            };
-            // Shrink and continue: condemn the physical rank behind
-            // the failed virtual peer, agree on the next membership
-            // epoch, rebuild the compressors the poisoned engine kept,
-            // re-sync parameters over the survivors, and retry the
-            // step (with a fresh batch) on the shrunken world.
-            let dead = view.physical(vpeer);
-            let (next, resume) = agree(t, &membership, &[dead], step as u64, t.timeout());
-            membership = next;
-            recoveries += 1;
-            // Rebuild the compressors the poisoned engine kept — from
-            // the live plan when adaptive, so recovery does not silently
-            // revert committed re-plans. The controller itself survives
-            // untouched; its next maybe_replan sees the new membership
-            // epoch and forces a re-plan (the bandwidth picture changed).
-            compressors = match controller.as_ref() {
-                Some(ctl) => ctl.current_schemes().iter().map(|s| Some(s.build())).collect(),
-                None => cfg
-                    .compression
-                    .build_all(&specs)
-                    .into_iter()
-                    .map(Some)
-                    .collect(),
-            };
-            resync_params(t, &membership, local.params_mut(), pool, cfg.engine)?;
-            step = step.max(resume as usize);
-            continue 'steps;
-        }
-        if let Some(ctl) = controller.as_mut() {
-            // The synchronized mean gradients are byte-identical on every
-            // rank, so this observation — and any re-plan it triggers —
-            // transitions every rank's controller through identical
-            // states with no control traffic. Observed *before* clipping
-            // so the statistics match what the wire actually carried.
-            let norms: Vec<f64> = grads.iter().map(tensor_norm).collect();
-            ctl.observe_norms(&norms);
-            // Advisory only: this rank's local byte counter over local
-            // wall-clock. Never feeds back into plan bits.
-            let now = Instant::now();
-            ctl.observe_bandwidth(
-                (bytes - bw_bytes_mark) as u64,
-                now.duration_since(bw_instant_mark),
-            );
-            bw_bytes_mark = bytes;
-            bw_instant_mark = now;
-            if step + 1 < cfg.steps {
-                if let Some(up) = ctl.maybe_replan(step + 1, membership.epoch() as u64) {
-                    for (i, &changed) in up.changed.iter().enumerate() {
-                        if changed {
-                            compressors[i] = Some(up.schemes[i].build());
-                        }
-                    }
-                    plan_epoch = up.plan_epoch;
-                    publish_replan(&obs, &up);
-                }
-            }
-        }
+        // Observed *before* clipping so the controller's statistics match
+        // what the wire actually carried.
+        sync.observe(&grads, (step + 1 < cfg.steps).then_some(step + 1));
         losses.push(loss);
-        if let Some(max_norm) = cfg.clip {
-            clip_global_norm(&mut grads, max_norm);
-        }
-        opt.step(local.params_mut(), &grads);
+        replica.apply(&mut grads);
         step += 1;
     }
-    // Teardown barrier: keep serving retransmissions until every
-    // survivor has drained its final-step traffic — only then is it
-    // safe to drop this endpoint (lossless fabrics no-op here).
-    t.quiesce(&membership.physical_ranks());
-    let mut faults = t.fault_stats();
-    faults.recovery_epochs += recoveries;
-    Ok(Some(RankOutput {
-        model: local,
-        losses,
-        bytes,
-        kernel_calls,
-        faults,
-        final_world: membership.num_alive(),
-        adaptive: controller.map(AdaptiveController::into_trace),
-    }))
+    Ok(Some(sync.finish(replica.model, losses, cfg.steps)))
+}
+
+/// Wraps a raw fabric endpoint per the run's chaos configuration, timeout
+/// override, and observability handle.
+fn wrap_endpoint(mut raw: ShmTransport, cfg: &TrainConfig) -> Box<dyn Transport> {
+    if let Some(d) = cfg.comm_timeout {
+        raw.set_timeout(d);
+    }
+    if cfg.obs.enabled() {
+        raw.set_obs(cfg.obs.registry());
+    }
+    match &cfg.chaos {
+        Some(plan) => Box::new(ChaosTransport::new(raw, plan.clone())),
+        None => Box::new(raw),
+    }
+}
+
+/// The thread harness of both trainers: runs `rank` on `cfg.workers`
+/// threads, each on its wrapped [`ShmTransport`] endpoint, and reports the
+/// authoritative survivor — the one that finished with the largest world
+/// (a frozen zombie that partitioned itself away finishes with a smaller
+/// one), lowest rank on ties.
+pub(crate) fn run_threads<M, F>(cfg: &TrainConfig, rank: F) -> Result<(M, TrainReport), CommError>
+where
+    M: Send,
+    F: Fn(&dyn Transport, &ScratchPool) -> Result<Option<RankOutput<M>>, CommError> + Sync,
+{
+    assert!(cfg.workers > 0, "need at least one worker");
+    assert!(cfg.steps > 0, "need at least one step");
+    // One pool shared by all workers: encode buffers recycled by whichever
+    // rank drops the last reference get reused fleet-wide.
+    let pool = ScratchPool::new();
+    let outputs = ThreadCluster::try_run(cfg.workers, |raw: ShmTransport| {
+        rank(wrap_endpoint(raw, cfg).as_ref(), &pool)
+    })?;
+    let out = outputs
+        .into_iter()
+        .flatten()
+        .reduce(|best, out| {
+            if out.final_world > best.final_world {
+                out
+            } else {
+                best
+            }
+        })
+        .expect("at least one rank survived");
+    if cfg.obs.enabled() {
+        pool.publish(cfg.obs.registry());
+        out.faults.publish(cfg.obs.registry());
+    }
+    Ok((
+        out.model,
+        TrainReport {
+            losses: out.losses,
+            bytes_sent_per_worker: out.bytes,
+            compress_calls_per_worker: out.kernel_calls,
+            sync_rounds: out.sync_rounds,
+            faults: out.faults,
+            final_world: out.final_world,
+            metrics: cfg.obs.registry().snapshot(),
+            adaptive: out.adaptive,
+        },
+    ))
 }
 
 /// Trains `model` data-parallel across `cfg.workers` threads; each worker
@@ -860,13 +575,11 @@ where
 ///
 /// # Errors
 ///
-/// Propagates collective-communication failures (after exhausting elastic
-/// recovery, when enabled).
+/// As [`train_rank`].
 ///
 /// # Panics
 ///
-/// Panics if `cfg.workers` or `cfg.steps` is zero, or if an elastic
-/// configuration names an algorithm without epoch-scoped lanes.
+/// Panics if `cfg.workers` or `cfg.steps` is zero.
 pub fn train_data_parallel<M, S>(
     model: &M,
     sampler: S,
@@ -876,43 +589,7 @@ where
     M: TrainableModel + Sync,
     S: Fn(&mut Rng) -> M::Batch + Send + Sync,
 {
-    assert!(cfg.workers > 0, "need at least one worker");
-    assert!(cfg.steps > 0, "need at least one step");
-    assert!(cfg.accumulation > 0, "accumulation must be at least 1");
-    check_elastic(cfg);
-    if let Some(topo) = &cfg.topology {
-        assert_eq!(
-            topo.world(),
-            cfg.workers,
-            "topology describes {} ranks but cfg.workers is {}",
-            topo.world(),
-            cfg.workers
-        );
-    }
-    // One pool shared by all workers: encode buffers recycled by whichever
-    // rank drops the last reference get reused fleet-wide.
-    let pool = ScratchPool::new();
-    let outputs = ThreadCluster::try_run(cfg.workers, |raw: ShmTransport| {
-        let endpoint = wrap_endpoint(raw, cfg);
-        train_rank(endpoint.as_ref(), model, &sampler, cfg, &pool)
-    })?;
-    let out = consensus_output(outputs);
-    if cfg.obs.enabled() {
-        pool.publish(cfg.obs.registry());
-        out.faults.publish(cfg.obs.registry());
-    }
-    Ok((
-        out.model,
-        TrainReport {
-            losses: out.losses,
-            bytes_sent_per_worker: out.bytes,
-            compress_calls_per_worker: out.kernel_calls,
-            faults: out.faults,
-            final_world: out.final_world,
-            metrics: cfg.obs.registry().snapshot(),
-            adaptive: out.adaptive,
-        },
-    ))
+    run_threads(cfg, |t, pool| train_rank(t, model, &sampler, cfg, pool))
 }
 
 #[cfg(test)]
@@ -1062,7 +739,7 @@ mod tests {
                 let batch = task.sample_batch(&mut data_rng, 8);
                 let (_, mut grads) = local.loss_and_grads(&batch.0, &batch.1);
                 for (i, g) in grads.iter_mut().enumerate() {
-                    let (mut s, _) = allreduce_scratch(
+                    let (mut s, _) = cgx_collectives::reduce::allreduce_scratch(
                         cfg.algorithm,
                         &t,
                         g,
@@ -1083,32 +760,6 @@ mod tests {
                 assert_eq!(a.as_slice(), b.as_slice(), "replicas diverged");
             }
         }
-    }
-
-    #[test]
-    fn layer_parallel_and_sequential_trainers_agree_bitwise() {
-        // The headline consensus claim of the engine: overlapping all
-        // layers' collectives (with small-layer coalescing on) changes
-        // nothing — the trained replicas are byte-identical to the
-        // one-blocking-allreduce-per-layer reference.
-        let task = GaussianMixture::new(4, 8, 1.5);
-        let mut rng = Rng::seed_from_u64(21);
-        let model = Mlp::new(&mut rng, &[8, 16, 4]);
-        let run = |layer_parallel: bool| {
-            let cfg = TrainConfig {
-                layer_parallel,
-                compression: LayerCompression::cgx_default(),
-                ..TrainConfig::new(4, 25)
-            };
-            let t = task.clone();
-            train_data_parallel(&model, move |r| t.sample_batch(r, 8), &cfg).unwrap()
-        };
-        let (eng_model, eng_report) = run(true);
-        let (seq_model, seq_report) = run(false);
-        for (a, b) in eng_model.params().iter().zip(seq_model.params()) {
-            assert_eq!(a.as_slice(), b.as_slice(), "paths diverged");
-        }
-        assert_eq!(eng_report.losses, seq_report.losses);
     }
 
     #[test]
@@ -1534,6 +1185,54 @@ mod tests {
                 assert!(detail.contains("4 parameters"), "detail: {detail}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fabric_mismatches_are_typed_errors_not_panics() {
+        // A topology that does not describe the fabric (reachable from
+        // `cgx-launch --nodes`), an elastic run without epoch-scoped lanes
+        // and a zero accumulation are the same class of mistake as the
+        // per-layer list above and fail the same way: typed, up front, on
+        // every rank — not an `assert!` that takes one rank down.
+        let task = GaussianMixture::new(3, 6, 1.5);
+        let mut rng = Rng::seed_from_u64(55);
+        let model = Mlp::new(&mut rng, &[6, 10, 3]);
+        type Tweak = fn(&mut TrainConfig);
+        let cases: [(Tweak, &str); 4] = [
+            (
+                |c| c.topology = Some(Topology::grouped(2, 2)),
+                "topology describes 4 ranks but the fabric has 1",
+            ),
+            (
+                |c| {
+                    c.elastic = true;
+                    c.algorithm = Algorithm::Tree;
+                },
+                "SRA or Ring",
+            ),
+            (
+                |c| {
+                    c.elastic = true;
+                    c.topology = Some(Topology::grouped(1, 1));
+                },
+                "no membership path",
+            ),
+            (|c| c.accumulation = 0, "accumulation"),
+        ];
+        for (tweak, want) in cases {
+            let mut cfg = TrainConfig::new(1, 5);
+            tweak(&mut cfg);
+            let t = task.clone();
+            match train_data_parallel(&model, move |r| t.sample_batch(r, 8), &cfg) {
+                Err(CommError::InvalidConfig { detail }) => {
+                    assert!(detail.contains(want), "detail: {detail}")
+                }
+                other => panic!(
+                    "expected InvalidConfig ({want}), got {:?}",
+                    other.map(|_| ())
+                ),
+            }
         }
     }
 

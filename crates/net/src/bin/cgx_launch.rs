@@ -29,10 +29,10 @@ use cgx_net::cluster::{ProcessCluster, WorkerEnv};
 use cgx_net::fault::{ENV_NET_KILL, ENV_NET_SIGKILL};
 use cgx_net::rendezvous::{rendezvous_with_options, DEFAULT_BOOT_TIMEOUT};
 use cgx_net::workload::{
-    adaptive_from_env, ElasticOptions, Workload, ENV_ADAPTIVE, ENV_ADAPTIVE_ALPHA,
-    ENV_ADAPTIVE_INTERVAL, ENV_ADAPTIVE_WARMUP, ENV_COMM_TIMEOUT_MS, ENV_ELASTIC,
+    RunOptions, Workload, ENV_ADAPTIVE, ENV_ADAPTIVE_ALPHA, ENV_ADAPTIVE_INTERVAL,
+    ENV_ADAPTIVE_WARMUP, ENV_COMM_TIMEOUT_MS, ENV_ELASTIC,
 };
-use cgx_net::NetFaultPlan;
+use cgx_net::{NetFaultPlan, NetOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -40,15 +40,19 @@ const ENV_OUT_DIR: &str = "CGX_OUT_DIR";
 const ENV_STEPS: &str = "CGX_STEPS";
 const ENV_SEED: &str = "CGX_SEED";
 
-fn workload(world: usize) -> Workload {
+fn workload(world: usize) -> Result<Workload, String> {
     let mut w = Workload::standard(world);
     if let Ok(s) = std::env::var(ENV_STEPS) {
-        w.steps = s.parse().expect("CGX_STEPS must be a step count");
+        w.steps = s
+            .parse()
+            .map_err(|_| format!("{ENV_STEPS} must be a step count, got {s:?}"))?;
     }
     if let Ok(s) = std::env::var(ENV_SEED) {
-        w.seed = s.parse().expect("CGX_SEED must be a u64");
+        w.seed = s
+            .parse()
+            .map_err(|_| format!("{ENV_SEED} must be a u64, got {s:?}"))?;
     }
-    w
+    Ok(w)
 }
 
 fn rank_file(dir: &Path, rank: usize) -> PathBuf {
@@ -60,14 +64,15 @@ fn report_file(dir: &Path, rank: usize) -> PathBuf {
 }
 
 fn run_worker(env: WorkerEnv) -> Result<(), String> {
-    let work = workload(env.world);
+    let work = workload(env.world).map_err(|e| format!("rank {}: {e}", env.rank))?;
+    let opts = RunOptions::from_env().map_err(|e| format!("rank {}: {e}", env.rank))?;
     let (mut transport, topo) = rendezvous_with_options(
         env.rank,
         env.world,
         &env.rendezvous,
         env.node,
         DEFAULT_BOOT_TIMEOUT,
-        work.net_options(),
+        NetOptions::from_env(),
     )
     .map_err(|e| format!("rank {}: bootstrap failed: {e}", env.rank))?;
     if let Some(plan) = NetFaultPlan::from_env() {
@@ -78,12 +83,7 @@ fn run_worker(env: WorkerEnv) -> Result<(), String> {
     // roster switches on the hierarchical path.
     let topology = (topo.num_nodes() > 1).then(|| topo.clone());
     let run = work
-        .run_rank_adaptive(
-            &transport,
-            topology,
-            &ElasticOptions::from_env(),
-            adaptive_from_env(),
-        )
+        .run_rank(&transport, topology, &opts)
         .map_err(|e| format!("rank {}: training failed: {e}", env.rank))?;
     let Some(params) = run.params else {
         // Scheduled orderly death: the endpoint was dropped mid-run and

@@ -11,10 +11,10 @@
 
 use cgx_collectives::{CommError, ShmTransport, ThreadCluster, Topology, Transport};
 use cgx_compress::ScratchPool;
-use cgx_tensor::Rng;
 use cgx_engine::data::GaussianMixture;
 use cgx_engine::nn::Mlp;
 use cgx_engine::{train_rank, AdaptiveTrainConfig, LayerCompression, TrainConfig};
+use cgx_tensor::Rng;
 use std::time::Duration;
 
 /// Environment variable: when truthy, workers train elastically — an
@@ -39,78 +39,109 @@ pub const ENV_ADAPTIVE_INTERVAL: &str = "CGX_ADAPTIVE_INTERVAL";
 /// re-plan may commit.
 pub const ENV_ADAPTIVE_WARMUP: &str = "CGX_ADAPTIVE_WARMUP";
 
-/// The adaptive-controller configuration described by the `CGX_ADAPTIVE*`
-/// keys, read through `get` so the parse is pure and testable. `None`
-/// means the switch is absent or falsy and the run stays on its static
-/// plan.
-///
-/// # Panics
-///
-/// Panics when the switch names an unknown policy or a numeric override
-/// fails to parse — a misconfigured launch must fail loudly, not train
-/// silently without adaptation.
-pub fn adaptive_options_from(
-    get: impl Fn(&str) -> Option<String>,
-) -> Option<AdaptiveTrainConfig> {
-    let switch = get(ENV_ADAPTIVE)?;
-    if matches!(switch.as_str(), "" | "0" | "false" | "no") {
-        return None;
+/// The one list of switch words: `Some(on)` for a recognised one
+/// (case-insensitive; the empty string is off), `None` for anything else.
+fn switch(value: &str) -> Option<bool> {
+    match value.to_ascii_lowercase().as_str() {
+        "1" | "true" | "yes" | "on" => Some(true),
+        "" | "0" | "false" | "no" | "off" => Some(false),
+        _ => None,
     }
-    let mut cfg = AdaptiveTrainConfig::default();
-    if !matches!(switch.as_str(), "1" | "true" | "yes" | "on") {
-        cfg.policy = AdaptiveTrainConfig::parse_policy(&switch)
-            .unwrap_or_else(|| panic!("{ENV_ADAPTIVE} names unknown policy {switch:?}"));
-    }
-    if let Some(v) = get(ENV_ADAPTIVE_ALPHA) {
-        cfg.alpha = v
-            .parse()
-            .unwrap_or_else(|_| panic!("{ENV_ADAPTIVE_ALPHA} must be a float, got {v:?}"));
-    }
-    if let Some(v) = get(ENV_ADAPTIVE_INTERVAL) {
-        cfg.replan_interval = v
-            .parse()
-            .unwrap_or_else(|_| panic!("{ENV_ADAPTIVE_INTERVAL} must be a step count, got {v:?}"));
-    }
-    if let Some(v) = get(ENV_ADAPTIVE_WARMUP) {
-        cfg.warmup = v
-            .parse()
-            .unwrap_or_else(|_| panic!("{ENV_ADAPTIVE_WARMUP} must be a step count, got {v:?}"));
-    }
-    cfg.validate();
-    Some(cfg)
 }
 
-/// [`adaptive_options_from`] over the real process environment — what
-/// spawned workers call, mirroring [`ElasticOptions::from_env`].
-pub fn adaptive_from_env() -> Option<AdaptiveTrainConfig> {
-    adaptive_options_from(|k| std::env::var(k).ok())
+/// `key`'s value as `parse` reads it; absent is `None`, a value `parse`
+/// turns down is an [`CommError::InvalidConfig`] naming `key`.
+fn read<T>(
+    get: &impl Fn(&str) -> Option<String>,
+    key: &str,
+    want: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, CommError> {
+    let Some(v) = get(key) else {
+        return Ok(None);
+    };
+    match parse(v.trim()) {
+        Some(x) => Ok(Some(x)),
+        None => Err(CommError::InvalidConfig {
+            detail: format!("{key} must be {want}, got {v:?}"),
+        }),
+    }
 }
 
-/// Fault-tolerance knobs for a launch, read from the `CGX_*` environment
-/// in spawned workers so the coordinator's chaos schedule reaches every
-/// rank without explicit plumbing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ElasticOptions {
+/// How a launch runs its [`Workload`]: the fault-tolerance and
+/// adaptive-compression knobs spawned workers read from the `CGX_*`
+/// environment, so the coordinator's flags reach every rank without
+/// explicit plumbing.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RunOptions {
     /// Shrink-and-continue on unrecoverable peer loss.
     pub elastic: bool,
     /// Receive-timeout override (`None` keeps the fabric default).
     pub comm_timeout: Option<Duration>,
+    /// The live controller's configuration; `None` keeps the static plan.
+    pub adaptive: Option<AdaptiveTrainConfig>,
 }
 
-impl ElasticOptions {
-    /// The options described by `CGX_ELASTIC` / `CGX_COMM_TIMEOUT_MS`.
-    pub fn from_env() -> Self {
-        let elastic = std::env::var(ENV_ELASTIC)
-            .map(|v| !matches!(v.as_str(), "" | "0" | "false" | "no"))
-            .unwrap_or(false);
-        let comm_timeout = std::env::var(ENV_COMM_TIMEOUT_MS)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(Duration::from_millis);
-        ElasticOptions {
-            elastic,
-            comm_timeout,
-        }
+impl RunOptions {
+    /// The options described by `CGX_ELASTIC`, `CGX_COMM_TIMEOUT_MS` and
+    /// the `CGX_ADAPTIVE*` keys, read through `get` so the parse is pure
+    /// and testable.
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::InvalidConfig`] naming the variable when a value is
+    /// malformed — a misconfigured launch must fail loudly, not train
+    /// silently on the defaults.
+    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Self, CommError> {
+        let base = AdaptiveTrainConfig::default();
+        // Off, on with the default policy, or on with a named one; the
+        // overrides belong to the switch and are not read without it.
+        let policy = read(
+            &get,
+            ENV_ADAPTIVE,
+            "a switch or a policy name",
+            |v| match switch(v) {
+                Some(on) => Some(on.then_some(base.policy)),
+                None => AdaptiveTrainConfig::parse_policy(v).map(Some),
+            },
+        )?;
+        let adaptive = match policy.flatten() {
+            None => None,
+            Some(policy) => Some(AdaptiveTrainConfig {
+                policy,
+                alpha: read(&get, ENV_ADAPTIVE_ALPHA, "a float above 0", |v| {
+                    v.parse().ok().filter(|a: &f64| a.is_finite() && *a > 0.0)
+                })?
+                .unwrap_or(base.alpha),
+                replan_interval: read(&get, ENV_ADAPTIVE_INTERVAL, "a step count above 0", |v| {
+                    v.parse().ok().filter(|n| *n > 0)
+                })?
+                .unwrap_or(base.replan_interval),
+                warmup: read(&get, ENV_ADAPTIVE_WARMUP, "a step count", |v| {
+                    v.parse().ok()
+                })?
+                .unwrap_or(base.warmup),
+                ..base
+            }),
+        };
+        Ok(RunOptions {
+            elastic: read(&get, ENV_ELASTIC, "a switch (1/0)", switch)?.unwrap_or(false),
+            comm_timeout: read(&get, ENV_COMM_TIMEOUT_MS, "a count of milliseconds", |v| {
+                v.parse().ok()
+            })?
+            .map(Duration::from_millis),
+            adaptive,
+        })
+    }
+
+    /// [`Self::parse`] over the real process environment — what spawned
+    /// workers call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::parse`].
+    pub fn from_env() -> Result<Self, CommError> {
+        Self::parse(|k| std::env::var(k).ok())
     }
 }
 
@@ -118,7 +149,7 @@ impl ElasticOptions {
 /// to die reports `params: None`; survivors report their final replica
 /// plus how much world they finished with and how many recovery epochs
 /// it took to get there.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankRun {
     /// Final parameters as little-endian `f32` bytes, or `None` when
     /// this rank died per its fault plan.
@@ -157,123 +188,44 @@ impl Workload {
         }
     }
 
-    fn task(&self) -> GaussianMixture {
-        GaussianMixture::new(4, 8, 1.5)
-    }
-
-    fn model(&self) -> Mlp {
-        let mut rng = Rng::seed_from_u64(self.seed ^ 0xB00);
-        Mlp::new(&mut rng, &[8, 16, 4])
-    }
-
-    fn config(&self, topology: Option<Topology>) -> TrainConfig {
-        let mut cfg = TrainConfig::new(self.workers, self.steps);
-        cfg.seed = self.seed;
-        cfg.compression = LayerCompression::cgx_default();
-        cfg.lr = 0.2;
-        cfg.topology = topology;
-        cfg
-    }
-
-    /// Wire-path tuning for a TCP run of this workload: the config's
-    /// explicit `net_*` fields layered over the `CGX_NET_*` environment
-    /// (and fabric defaults below that). Launchers call this *before*
-    /// rendezvous — the knobs are topology-independent — and pass the
-    /// result to [`rendezvous_with_options`](crate::rendezvous_with_options),
-    /// so a `TrainConfig` field and an env var steer the same socket
-    /// options.
-    pub fn net_options(&self) -> crate::NetOptions {
-        let cfg = self.config(None);
-        let mut opts = crate::NetOptions::from_env();
-        if let Some(bytes) = cfg.net_read_buf {
-            opts = opts.with_read_buf(bytes);
-        }
-        if let Some(bytes) = cfg.net_coalesce_budget {
-            opts = opts.with_coalesce_budget(bytes);
-        }
-        if let Some((interval, deadline)) = cfg.heartbeat {
-            opts = opts.with_heartbeat(interval, deadline);
-        }
-        if let Some(policy) = cfg.reconnect {
-            opts = opts.with_reconnect(policy);
-        }
-        opts
-    }
-
-    /// Runs this rank's share over an already-connected endpoint and
-    /// returns the final parameters as little-endian `f32` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates collective-communication failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topology` disagrees with the endpoint's world size.
-    pub fn run_rank(
-        &self,
-        t: &dyn Transport,
-        topology: Option<Topology>,
-    ) -> Result<Vec<u8>, CommError> {
-        let run = self.run_rank_elastic(t, topology, &ElasticOptions::default())?;
-        Ok(run
-            .params
-            .expect("no fault plan, every rank survives"))
-    }
-
-    /// Runs this rank's share tolerating scheduled deaths: a rank whose
-    /// fault plan kills it mid-run returns `params: None` instead of
-    /// panicking, and with `opts.elastic` the survivors shrink the world
-    /// and finish. The transport's fault plan (if any) must have been
-    /// installed before this call — see
+    /// Runs this rank's share over an already-connected endpoint. A rank
+    /// whose fault plan kills it mid-run returns `params: None` instead
+    /// of panicking, and with `opts.elastic` the survivors shrink the
+    /// world and finish; with `opts.adaptive` per-layer bit-widths re-plan
+    /// mid-run from observed gradient norms, byte-identically on every
+    /// rank (the returned [`RankRun::plan_digest`] is the proof). The
+    /// transport's fault plan (if any) must have been installed before
+    /// this call — see
     /// [`TcpTransport::set_fault`](crate::TcpTransport::set_fault).
     ///
     /// # Errors
     ///
-    /// Propagates collective-communication failures that recovery could
-    /// not mask.
+    /// [`CommError::InvalidConfig`] if `topology` disagrees with the
+    /// endpoint's world size; otherwise propagates
+    /// collective-communication failures that recovery could not mask.
     ///
     /// # Panics
     ///
-    /// Panics if `topology` disagrees with the endpoint's world size.
-    pub fn run_rank_elastic(
+    /// Panics if the endpoint's world is not `self.workers`.
+    pub fn run_rank(
         &self,
         t: &dyn Transport,
         topology: Option<Topology>,
-        opts: &ElasticOptions,
-    ) -> Result<RankRun, CommError> {
-        self.run_rank_adaptive(t, topology, opts, None)
-    }
-
-    /// [`Self::run_rank_elastic`] with the live adaptive-compression
-    /// controller optionally enabled: per-layer bit-widths re-plan
-    /// mid-run from observed gradient norms, byte-identically on every
-    /// rank (the returned [`RankRun::plan_digest`] is the proof).
-    ///
-    /// # Errors
-    ///
-    /// Propagates collective-communication failures that recovery could
-    /// not mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topology` disagrees with the endpoint's world size.
-    pub fn run_rank_adaptive(
-        &self,
-        t: &dyn Transport,
-        topology: Option<Topology>,
-        opts: &ElasticOptions,
-        adaptive: Option<AdaptiveTrainConfig>,
+        opts: &RunOptions,
     ) -> Result<RankRun, CommError> {
         assert_eq!(t.world(), self.workers, "endpoint world mismatch");
-        let model = self.model();
-        let task = self.task();
-        let mut cfg = self.config(topology);
-        cfg.elastic = opts.elastic;
-        if opts.comm_timeout.is_some() {
-            cfg.comm_timeout = opts.comm_timeout;
-        }
-        cfg.adaptive = adaptive;
+        let model = Mlp::new(&mut Rng::seed_from_u64(self.seed ^ 0xB00), &[8, 16, 4]);
+        let task = GaussianMixture::new(4, 8, 1.5);
+        let cfg = TrainConfig {
+            seed: self.seed,
+            compression: LayerCompression::cgx_default(),
+            lr: 0.2,
+            topology,
+            elastic: opts.elastic,
+            comm_timeout: opts.comm_timeout,
+            adaptive: opts.adaptive.clone(),
+            ..TrainConfig::new(self.workers, self.steps)
+        };
         let pool = ScratchPool::new();
         let sampler = |r: &mut Rng| task.sample_batch(r, 16);
         Ok(match train_rank(t, &model, &sampler, &cfg, &pool)? {
@@ -283,85 +235,34 @@ impl Workload {
                 plan_digest: out.adaptive.as_ref().map(|t| t.digest()),
                 params: Some(params_bytes(&out.model)),
             },
-            None => RankRun {
-                params: None,
-                final_world: 0,
-                recovery_epochs: 0,
-                plan_digest: None,
-            },
+            None => RankRun::default(),
         })
     }
 
     /// Runs the same workload on the in-process shared-memory fabric and
-    /// returns rank 0's final parameters — the reference the TCP run must
-    /// match byte for byte.
+    /// returns rank 0's run after asserting every rank produced the same
+    /// one — byte-identical parameters *and*, when adaptive, the same plan
+    /// sequence: the reference a TCP run must match byte for byte.
     ///
     /// # Errors
     ///
-    /// Propagates collective-communication failures.
+    /// As [`Self::run_rank`].
     ///
     /// # Panics
     ///
-    /// Panics if `topology` disagrees with `self.workers`.
-    pub fn run_reference_shm(&self, topology: Option<Topology>) -> Result<Vec<u8>, CommError> {
-        let outputs = ThreadCluster::try_run(self.workers, |raw: ShmTransport| {
-            self.run_rank(&raw, topology.clone())
-        })?;
-        let mut it = outputs.into_iter();
-        let first = it.next().expect("at least one rank");
-        for (i, other) in it.enumerate() {
-            assert_eq!(first, other, "rank {} diverged from rank 0", i + 1);
-        }
-        Ok(first)
-    }
-
-    /// The shared-memory reference run with the adaptive controller on:
-    /// returns rank 0's `(params, plan digest)` after asserting every
-    /// rank produced byte-identical parameters *and* the same plan
-    /// sequence — the consensus a TCP run of the same workload must hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates collective-communication failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topology` disagrees with `self.workers` or any rank
-    /// diverges.
-    pub fn run_reference_shm_adaptive(
+    /// Panics if any rank diverges from rank 0.
+    pub fn run_reference_shm(
         &self,
         topology: Option<Topology>,
-        adaptive: &AdaptiveTrainConfig,
-    ) -> Result<(Vec<u8>, u64), CommError> {
-        let outputs = ThreadCluster::try_run(self.workers, |raw: ShmTransport| {
-            let run = self.run_rank_adaptive(
-                &raw,
-                topology.clone(),
-                &ElasticOptions::default(),
-                Some(adaptive.clone()),
-            )?;
-            Ok::<_, CommError>((
-                run.params.expect("no fault plan, every rank survives"),
-                run.plan_digest.expect("controller was enabled"),
-            ))
+        opts: &RunOptions,
+    ) -> Result<RankRun, CommError> {
+        let runs = ThreadCluster::try_run(self.workers, |raw: ShmTransport| {
+            self.run_rank(&raw, topology.clone(), opts)
         })?;
-        let mut it = outputs.into_iter();
-        let first = it.next().expect("at least one rank");
-        for (i, other) in it.enumerate() {
-            assert_eq!(
-                first.0,
-                other.0,
-                "rank {} params diverged from rank 0",
-                i + 1
-            );
-            assert_eq!(
-                first.1,
-                other.1,
-                "rank {} plan sequence diverged from rank 0",
-                i + 1
-            );
+        for (rank, other) in runs.iter().enumerate().skip(1) {
+            assert_eq!(runs[0], *other, "rank {rank} diverged from rank 0");
         }
-        Ok(first)
+        Ok(runs.into_iter().next().expect("at least one rank"))
     }
 }
 
@@ -381,41 +282,63 @@ pub fn params_bytes(model: &Mlp) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// A `get` over a literal table.
+    fn env(map: &'static [(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+        move |k| {
+            map.iter()
+                .find(|(key, _)| *key == k)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
     #[test]
     fn shm_reference_is_deterministic_across_invocations() {
         let w = Workload::standard(2);
-        let a = w.run_reference_shm(None).expect("run");
-        let b = w.run_reference_shm(None).expect("run");
-        assert!(!a.is_empty());
+        let a = w
+            .run_reference_shm(None, &RunOptions::default())
+            .expect("run");
+        let b = w
+            .run_reference_shm(None, &RunOptions::default())
+            .expect("run");
+        assert!(!a.params.as_ref().expect("survived").is_empty());
         assert_eq!(a, b);
     }
 
     #[test]
-    fn adaptive_env_parser_handles_switch_policy_and_overrides() {
-        let get = |map: &'static [(&str, &str)]| {
-            move |k: &str| {
-                map.iter()
-                    .find(|(key, _)| *key == k)
-                    .map(|(_, v)| v.to_string())
-            }
-        };
-        // Absent or falsy switch: no controller.
-        assert!(adaptive_options_from(get(&[])).is_none());
-        assert!(adaptive_options_from(get(&[("CGX_ADAPTIVE", "0")])).is_none());
-        assert!(adaptive_options_from(get(&[("CGX_ADAPTIVE", "no")])).is_none());
-        // Truthy switch: defaults.
-        let dflt = AdaptiveTrainConfig::default();
-        let cfg = adaptive_options_from(get(&[("CGX_ADAPTIVE", "1")])).expect("enabled");
-        assert_eq!(cfg.policy, dflt.policy);
-        assert_eq!(cfg.replan_interval, dflt.replan_interval);
-        // Policy name plus numeric overrides.
-        let cfg = adaptive_options_from(get(&[
+    fn env_parser_handles_switches_policy_and_overrides() {
+        // Nothing set: the static, non-elastic run on fabric defaults.
+        assert_eq!(RunOptions::parse(env(&[])).unwrap(), RunOptions::default());
+        // One switch list for both switches, either case.
+        for (word, on) in [("1", true), ("on", true), ("TRUE", true), ("yes", true)]
+            .into_iter()
+            .chain([
+                ("", false),
+                ("0", false),
+                ("off", false),
+                ("No", false),
+                ("false", false),
+            ])
+        {
+            let get =
+                move |k: &str| matches!(k, ENV_ELASTIC | ENV_ADAPTIVE).then(|| word.to_string());
+            let opts = RunOptions::parse(get).unwrap();
+            assert_eq!(opts.elastic, on, "CGX_ELASTIC={word:?}");
+            assert_eq!(opts.adaptive.is_some(), on, "CGX_ADAPTIVE={word:?}");
+        }
+        // Truthy adaptive switch: defaults.
+        let opts = RunOptions::parse(env(&[("CGX_ADAPTIVE", "1")])).unwrap();
+        assert_eq!(opts.adaptive, Some(AdaptiveTrainConfig::default()));
+        // Timeout, policy name and numeric overrides.
+        let opts = RunOptions::parse(env(&[
+            ("CGX_COMM_TIMEOUT_MS", "2000"),
             ("CGX_ADAPTIVE", "linear"),
             ("CGX_ADAPTIVE_ALPHA", "3.5"),
             ("CGX_ADAPTIVE_INTERVAL", "16"),
             ("CGX_ADAPTIVE_WARMUP", "2"),
         ]))
-        .expect("enabled");
+        .unwrap();
+        assert_eq!(opts.comm_timeout, Some(Duration::from_secs(2)));
+        let cfg = opts.adaptive.expect("enabled");
         assert_eq!(
             cfg.policy,
             AdaptiveTrainConfig::parse_policy("linear").unwrap()
@@ -423,25 +346,47 @@ mod tests {
         assert_eq!(cfg.alpha, 3.5);
         assert_eq!(cfg.replan_interval, 16);
         assert_eq!(cfg.warmup, 2);
+        // The overrides belong to the switch: without it they are not read.
+        let opts = RunOptions::parse(env(&[("CGX_ADAPTIVE_ALPHA", "oops")])).unwrap();
+        assert_eq!(opts.adaptive, None);
     }
 
     #[test]
-    #[should_panic(expected = "unknown policy")]
-    fn adaptive_env_parser_rejects_unknown_policy() {
-        adaptive_options_from(|k| {
-            (k == ENV_ADAPTIVE).then(|| "quantum-annealing".to_string())
-        });
+    fn env_parser_names_the_malformed_variable() {
+        // A value the parser cannot read is never a silent default (`"2s"`
+        // is not "no timeout override", `"maybe"` is not "elastic on") and
+        // never a panic: every key fails the same typed way.
+        let cases: [&'static [(&str, &str)]; 7] = [
+            &[("CGX_COMM_TIMEOUT_MS", "2s")],
+            &[("CGX_ELASTIC", "maybe")],
+            &[("CGX_ADAPTIVE", "quantum-annealing")],
+            &[("CGX_ADAPTIVE", "1"), ("CGX_ADAPTIVE_ALPHA", "big")],
+            &[("CGX_ADAPTIVE", "1"), ("CGX_ADAPTIVE_ALPHA", "-1")],
+            &[("CGX_ADAPTIVE", "1"), ("CGX_ADAPTIVE_INTERVAL", "0")],
+            &[("CGX_ADAPTIVE", "1"), ("CGX_ADAPTIVE_WARMUP", "-3")],
+        ];
+        for map in cases {
+            let (key, value) = *map.last().unwrap();
+            match RunOptions::parse(env(map)) {
+                Err(CommError::InvalidConfig { detail }) => {
+                    assert!(detail.contains(key), "{key}={value}: {detail}");
+                    assert!(detail.contains(value), "{key}={value}: {detail}");
+                }
+                other => panic!("{key}={value}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn topology_changes_the_reduction_but_keeps_consensus() {
         let w = Workload::standard(4);
-        let flat = w.run_reference_shm(None).expect("flat");
+        let opts = RunOptions::default();
+        let flat = w.run_reference_shm(None, &opts).expect("flat");
         let hier = w
-            .run_reference_shm(Some(Topology::grouped(2, 2)))
+            .run_reference_shm(Some(Topology::grouped(2, 2)), &opts)
             .expect("hierarchical");
         // Consensus inside each run is asserted by run_reference_shm;
         // across association orders the floats legitimately differ.
-        assert_eq!(flat.len(), hier.len());
+        assert_eq!(flat.params.unwrap().len(), hier.params.unwrap().len());
     }
 }

@@ -8,7 +8,7 @@
 //! planned on).
 
 use cgx_engine::AdaptiveTrainConfig;
-use cgx_net::workload::{ElasticOptions, Workload};
+use cgx_net::workload::{RunOptions, Workload};
 use cgx_net::TcpFabric;
 
 /// A short adaptive run that still commits several re-plans: warmup 4,
@@ -17,25 +17,39 @@ fn adaptive_cfg() -> AdaptiveTrainConfig {
     AdaptiveTrainConfig::default()
 }
 
+/// The shared-memory reference of `work` under controller `acfg`: rank
+/// 0's `(params, plan digest)`, every rank having agreed on both.
+fn reference(work: &Workload, acfg: &AdaptiveTrainConfig) -> (Vec<u8>, u64) {
+    let run = work
+        .run_reference_shm(None, &adaptive(acfg))
+        .expect("shm adaptive reference");
+    (
+        run.params.expect("no fault plan, every rank survives"),
+        run.plan_digest.expect("controller was enabled"),
+    )
+}
+
+fn adaptive(acfg: &AdaptiveTrainConfig) -> RunOptions {
+    RunOptions {
+        adaptive: Some(acfg.clone()),
+        ..RunOptions::default()
+    }
+}
+
 #[test]
 fn tcp_adaptive_run_matches_the_shm_reference_plans_and_bytes() {
     let world = 4;
     let work = Workload::standard(world);
     let acfg = adaptive_cfg();
-    let (ref_params, ref_digest) = work
-        .run_reference_shm_adaptive(None, &acfg)
-        .expect("shm adaptive reference");
+    let (ref_params, ref_digest) = reference(&work, &acfg);
 
     let endpoints = TcpFabric::build_local(world);
     let handles: Vec<_> = endpoints
         .into_iter()
         .map(|ep| {
             let work = work;
-            let acfg = acfg.clone();
-            std::thread::spawn(move || {
-                work.run_rank_adaptive(&ep, None, &ElasticOptions::default(), Some(acfg))
-                    .expect("tcp adaptive rank")
-            })
+            let opts = adaptive(&acfg);
+            std::thread::spawn(move || work.run_rank(&ep, None, &opts).expect("tcp adaptive rank"))
         })
         .collect();
     let runs: Vec<_> = handles
@@ -64,7 +78,11 @@ fn adaptive_run_actually_replans_and_differs_from_static() {
     // same workload once a re-plan changes a quantizer mid-run.
     let world = 2;
     let work = Workload::standard(world);
-    let static_params = work.run_reference_shm(None).expect("static reference");
+    let static_params = work
+        .run_reference_shm(None, &RunOptions::default())
+        .expect("static reference")
+        .params
+        .expect("every rank survives");
     // An interval longer than the run never re-plans: the controller's
     // base plan and wire stamping are byte-compatible with the static
     // path, so the trained parameters must match it exactly.
@@ -72,18 +90,14 @@ fn adaptive_run_actually_replans_and_differs_from_static() {
         replan_interval: 10_000,
         ..AdaptiveTrainConfig::default()
     };
-    let (idle_params, idle_digest) = work
-        .run_reference_shm_adaptive(None, &idle)
-        .expect("idle adaptive reference");
+    let (idle_params, idle_digest) = reference(&work, &idle);
     assert_eq!(
         idle_params, static_params,
         "an idle controller must not perturb training"
     );
     // The default interval re-plans mid-run: a committed plan swaps at
     // least one quantizer, so the trajectory (and trace) must change.
-    let (adaptive_params, digest) = work
-        .run_reference_shm_adaptive(None, &adaptive_cfg())
-        .expect("adaptive reference");
+    let (adaptive_params, digest) = reference(&work, &adaptive_cfg());
     assert_ne!(digest, idle_digest, "no plan was ever committed");
     assert_ne!(
         adaptive_params, static_params,

@@ -9,7 +9,7 @@
 
 use cgx_collectives::Topology;
 use cgx_net::cluster::ProcessCluster;
-use cgx_net::workload::Workload;
+use cgx_net::workload::{RunOptions, Workload};
 use std::path::PathBuf;
 
 /// Locates the `cgx-launch` binary: cargo exports it to integration
@@ -75,8 +75,10 @@ fn four_process_tcp_run_matches_the_shm_reference_byte_for_byte() {
         assert_eq!(*r, replicas[0], "rank {rank} replica diverged");
     }
     let reference = Workload::standard(world)
-        .run_reference_shm(None)
-        .expect("shm reference");
+        .run_reference_shm(None, &RunOptions::default())
+        .expect("shm reference")
+        .params
+        .expect("every rank survives");
     assert!(!reference.is_empty());
     assert_eq!(
         replicas[0], reference,
@@ -94,8 +96,10 @@ fn hierarchical_process_run_matches_the_shm_reference_byte_for_byte() {
         assert_eq!(*r, replicas[0], "rank {rank} replica diverged");
     }
     let reference = Workload::standard(world)
-        .run_reference_shm(Some(Topology::grouped(2, 2)))
-        .expect("shm reference");
+        .run_reference_shm(Some(Topology::grouped(2, 2)), &RunOptions::default())
+        .expect("shm reference")
+        .params
+        .expect("every rank survives");
     assert_eq!(
         replicas[0], reference,
         "hierarchical TCP replicas differ from the thread-backed reference"

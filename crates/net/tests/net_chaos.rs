@@ -12,7 +12,7 @@
 //!   kernel tears the sockets down.
 
 use cgx_net::cluster::ProcessCluster;
-use cgx_net::workload::{ElasticOptions, Workload};
+use cgx_net::workload::{RunOptions, Workload};
 use cgx_net::{NetFaultPlan, TcpFabric};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -63,9 +63,10 @@ fn in_process_tcp_run_shrinks_around_an_orderly_death() {
     let world = 4;
     let victim = 2;
     let work = Workload::standard(world);
-    let opts = ElasticOptions {
+    let opts = RunOptions {
         elastic: true,
         comm_timeout: Some(Duration::from_secs(2)),
+        adaptive: None,
     };
     let endpoints = TcpFabric::build_local(world);
     let runs: Vec<_> = std::thread::scope(|s| {
@@ -77,7 +78,7 @@ fn in_process_tcp_run_shrinks_around_an_orderly_death() {
                 if rank == victim {
                     t.set_fault(NetFaultPlan::new(chaos_seed()).with_kill(victim, 8));
                 }
-                work.run_rank_elastic(&t, None, opts).expect("rank run")
+                work.run_rank(&t, None, opts).expect("rank run")
             }));
         }
         handles
