@@ -12,7 +12,7 @@
 //! component (sign + level index), identical size to QSGD — only the
 //! codebook differs.
 
-use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
+use crate::{simd, BitReader, BitWriter, Compressor, Encoded, ScratchPool};
 use cgx_tensor::rng::CounterRng;
 use cgx_tensor::{Rng, Shape, Tensor};
 
@@ -128,8 +128,29 @@ impl NuqsgdCompressor {
         self.codes = codes;
     }
 
-    /// Decodes a payload, invoking `f(index, value)` per element in stream
-    /// order; the shared kernel behind all decompression entry points.
+    /// Decodes `enc` over (`ADD` false) or onto (`ADD` true) `out`: by
+    /// [`simd::lut_decode`] where it takes the layout, from a codebook
+    /// built with the formula of [`NuqsgdCompressor::decode_with`], else
+    /// by that reader. The two agree bit for bit.
+    fn decode<const ADD: bool>(&self, enc: &Encoded, out: &mut [f32]) {
+        let table_of = |norm: f32| {
+            std::array::from_fn(|code| {
+                let mag = norm as f64 * self.levels[(code >> 1).min(self.levels.len() - 1)];
+                (if code & 1 == 1 { -mag } else { mag }) as f32
+            })
+        };
+        if simd::lut_decode::<ADD>(self.bits, enc.payload(), self.bucket_size, table_of, out) {
+            return;
+        }
+        if ADD {
+            self.decode_with(enc, |i, v| out[i] += v);
+        } else {
+            self.decode_with(enc, |i, v| out[i] = v);
+        }
+    }
+
+    /// Decodes a payload of any layout, invoking `f(index, value)` per
+    /// element in stream order.
     fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
         let n = enc.shape().len();
         let mut r = BitReader::new(enc.payload());
@@ -185,7 +206,7 @@ impl Compressor for NuqsgdCompressor {
             out.len(),
             "decompress_into length mismatch"
         );
-        self.decode_with(enc, |i, v| out[i] = v);
+        self.decode::<false>(enc, out);
     }
 
     fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
@@ -194,7 +215,7 @@ impl Compressor for NuqsgdCompressor {
             out.len(),
             "decompress_add_into length mismatch"
         );
-        self.decode_with(enc, |i, v| out[i] += v);
+        self.decode::<true>(enc, out);
     }
 
     fn compressed_bytes(&self, n: usize) -> usize {
@@ -316,6 +337,22 @@ mod tests {
                 let pooled = q.compress_slice(g.as_slice(), &mut rng_b, &pool);
                 assert_eq!(plain.payload(), pooled.payload(), "n={n} bits={bits}");
                 pool.recycle(pooled);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reader_on_every_layout() {
+        use crate::qsgd::tests::{assert_decodes_to, crafted};
+        for bits in [2u32, 4] {
+            for bucket_size in [8usize, 10, 128] {
+                for n in [1usize, 7, 8, 9, 129, 515, 1000] {
+                    let q = NuqsgdCompressor::new(bits, bucket_size);
+                    let enc = crafted(bits, bucket_size, n);
+                    let mut reference = vec![0.0f32; n];
+                    q.decode_with(&enc, |i, v| reference[i] = v);
+                    assert_decodes_to(&q, &enc, &reference);
+                }
             }
         }
     }

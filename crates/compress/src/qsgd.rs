@@ -143,98 +143,35 @@ impl QsgdCompressor {
         }
     }
 
-    /// Whether [`QsgdCompressor::decode_words`] pays off for this
-    /// configuration: word-packable width and full buckets that end on a
-    /// byte boundary, so every bucket's norm is byte-aligned in the
-    /// payload and codes can be unpacked a `u64` word at a time. Capped
-    /// at 4 bits: the per-bucket codebook has `2^bits` entries, and at
-    /// 8+ bits materializing it (256 entries per 128-element bucket)
-    /// costs more than it saves — there the byte-aligned reader path in
-    /// [`QsgdCompressor::decode_with`] already wins.
-    fn word_decodable(&self) -> bool {
-        self.bits <= 4
-            && crate::is_word_packable(self.bits)
-            && (self.bucket_size * self.bits as usize) % 8 == 0
-    }
-
-    /// Word-at-a-time decode for the fused in-place paths: per bucket,
-    /// materialize the codebook once, then unpack whole `u64` words of
-    /// codes straight into `out` — no per-element reader state, no
-    /// bounds-checked index capture. Values are bit-identical to
-    /// [`QsgdCompressor::decode_with`]: the table entries are computed
-    /// with the same per-element formula, and the LUT load commutes with
-    /// it (`lut_decode_matches_direct_formula`, `fused_decode_matches_
-    /// decompress` pin this). Roughly 2x the throughput of the
-    /// reader-closure path, which matters because scatter-reduce decodes
-    /// `~2n/world` elements per rank per step.
+    /// Decodes `enc` over (`ADD` false) or onto (`ADD` true) `out`: by
+    /// [`simd::lut_decode`] where it takes the layout, from a codebook
+    /// built with the per-element formula of
+    /// [`QsgdCompressor::decode_with`], else by that reader. The two
+    /// agree bit for bit (`kernel_matches_reader_on_every_layout` and
+    /// `every_decoder_emits_its_pinned_values` pin this).
+    /// Scatter-reduce decodes `~1.5n` elements per rank per step.
     ///
     /// # Panics
     ///
-    /// Panics if the payload is shorter than the shape demands.
-    fn decode_words<const ADD: bool>(&self, enc: &Encoded, out: &mut [f32]) {
-        let payload: &[u8] = enc.payload();
-        let bits = self.bits as usize;
-        let per_word = 64 / bits;
-        let s = self.levels() as f64;
-        let offset = self.levels() as i64;
-        let table_len = 1usize << bits;
-        let mut table = [0.0f32; 256];
-        let mask = (table_len - 1) as u64;
-        let mut pos = 0usize;
-        let mut i = 0usize;
-        let n = out.len();
-        while i < n {
-            let blen = (n - i).min(self.bucket_size);
-            let nbytes = (blen * bits).div_ceil(8);
-            assert!(pos + 4 + nbytes <= payload.len(), "bit stream exhausted");
-            let norm = f32::from_le_bytes(payload[pos..pos + 4].try_into().expect("norm")) as f64;
-            pos += 4;
-            for (c, t) in table[..table_len].iter_mut().enumerate() {
-                *t = (norm * (c as i64 - offset) as f64 / s) as f32;
-            }
-            let codes = &payload[pos..pos + nbytes];
-            let dst = &mut out[i..i + blen];
-            let mut di = 0usize;
-            let mut words = codes.chunks_exact(8);
-            for word in &mut words {
-                let mut acc = u64::from_le_bytes(word.try_into().expect("word"));
-                let take = per_word.min(blen - di);
-                for d in &mut dst[di..di + take] {
-                    let v = table[(acc & mask) as usize];
-                    if ADD {
-                        *d += v;
-                    } else {
-                        *d = v;
-                    }
-                    acc >>= bits;
-                }
-                di += take;
-            }
-            if di < blen {
-                let mut acc = 0u64;
-                for (k, &b) in words.remainder().iter().enumerate() {
-                    acc |= (b as u64) << (8 * k as u32);
-                }
-                for d in &mut dst[di..blen] {
-                    let v = table[(acc & mask) as usize];
-                    if ADD {
-                        *d += v;
-                    } else {
-                        *d = v;
-                    }
-                    acc >>= bits;
-                }
-            }
-            pos += nbytes;
-            i += blen;
+    /// Panics with `"bit stream exhausted"` on a short payload.
+    fn decode<const ADD: bool>(&self, enc: &Encoded, out: &mut [f32]) {
+        let (s, offset) = (self.levels() as f64, self.levels() as i64);
+        let table_of = |norm: f32| {
+            std::array::from_fn(|c| (norm as f64 * (c as i64 - offset) as f64 / s) as f32)
+        };
+        if simd::lut_decode::<ADD>(self.bits, enc.payload(), self.bucket_size, table_of, out) {
+            return;
+        }
+        if ADD {
+            self.decode_with(enc, |i, v| out[i] += v);
+        } else {
+            self.decode_with(enc, |i, v| out[i] = v);
         }
     }
 
-    /// Decodes a payload, invoking `f(index, value)` for every element in
-    /// stream order. The fused in-place entry points take the word-wide
-    /// [`QsgdCompressor::decode_words`] shortcut when the layout permits;
-    /// both routes produce bit-equal values (the shortcut uses the same
-    /// codebook formula), which the fused-vs-unfused tests pin.
+    /// Decodes a payload of any layout, invoking `f(index, value)` for
+    /// every element in stream order: the reference the table kernel is
+    /// tested against, and the route of the layouts it does not take.
     fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
         let n = enc.shape().len();
         let s = self.levels() as f64;
@@ -314,11 +251,7 @@ impl Compressor for QsgdCompressor {
             out.len(),
             "decompress_into length mismatch"
         );
-        if self.word_decodable() {
-            self.decode_words::<false>(enc, out);
-        } else {
-            self.decode_with(enc, |i, v| out[i] = v);
-        }
+        self.decode::<false>(enc, out);
     }
 
     fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
@@ -327,11 +260,7 @@ impl Compressor for QsgdCompressor {
             out.len(),
             "decompress_add_into length mismatch"
         );
-        if self.word_decodable() {
-            self.decode_words::<true>(enc, out);
-        } else {
-            self.decode_with(enc, |i, v| out[i] += v);
-        }
+        self.decode::<true>(enc, out);
     }
 
     fn compressed_bytes(&self, n: usize) -> usize {
@@ -348,9 +277,10 @@ impl Compressor for QsgdCompressor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::round_trip;
+    use crate::simd::tests::crafted_payload;
 
     const PROBE: [f32; 8] = [0.3, -0.7, 0.05, 0.9, -0.2, 0.0, 0.61, -0.33];
 
@@ -703,6 +633,80 @@ mod tests {
                     fast_add, ref_add,
                     "add: bits={bits} bucket={bucket_size} n={n}"
                 );
+            }
+        }
+    }
+
+    /// [`crafted_payload`] as the wire chunk of an `n`-element vector.
+    pub(crate) fn crafted(bits: u32, bucket_size: usize, n: usize) -> Encoded {
+        Encoded::new(Shape::vector(n), crafted_payload(bits, bucket_size, n))
+    }
+
+    /// Asserts that both in-place decodes of `enc` give `reference`, bit
+    /// for bit, the accumulating one onto a base of finite values, signed
+    /// zeros and infinities.
+    pub(crate) fn assert_decodes_to(c: &dyn Compressor, enc: &Encoded, reference: &[f32]) {
+        let bits_of = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut stored = vec![9.0f32; reference.len()];
+        c.decompress_into(enc, &mut stored);
+        assert_eq!(bits_of(&stored), bits_of(reference), "{} store", c.name());
+        let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY];
+        let base: Vec<f32> = (0..reference.len())
+            .map(|i| match i % 5 {
+                0 => specials[i % 4],
+                _ => i as f32 * 0.5 - 9.0,
+            })
+            .collect();
+        let want: Vec<f32> = base.iter().zip(reference).map(|(b, v)| b + v).collect();
+        let mut summed = base;
+        c.decompress_add_into(enc, &mut summed);
+        assert_eq!(bits_of(&summed), bits_of(&want), "{} add", c.name());
+    }
+
+    #[test]
+    fn kernel_matches_reader_on_every_layout() {
+        for bits in [2u32, 4] {
+            for bucket_size in [8usize, 10, 64, 128, 1024] {
+                for n in [1usize, 7, 8, 9, 127, 128, 129, 515, 1000, 4099] {
+                    let q = QsgdCompressor::new(bits, bucket_size);
+                    let enc = crafted(bits, bucket_size, n);
+                    let mut reference = vec![0.0f32; n];
+                    q.decode_with(&enc, |i, v| reference[i] = v);
+                    assert_decodes_to(&q, &enc, &reference);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn short_payloads_panic_before_any_read() {
+        // (4, 8, 7) is below one lane group and decodes in the scalar
+        // twin; the others reach the vector body.
+        for (bits, bucket_size, n) in [(4u32, 128usize, 515usize), (2, 1024, 2100), (4, 8, 7)] {
+            let q = QsgdCompressor::new(bits, bucket_size);
+            let enc = crafted(bits, bucket_size, n);
+            let full = q.compressed_bytes(n);
+            assert_eq!(enc.payload_bytes(), full);
+            let per_bucket = q.compressed_bytes(bucket_size);
+            let boundaries = (0..=n / bucket_size).map(|b| b * per_bucket);
+            for cut in boundaries.flat_map(|at| [at.saturating_sub(1), at, at + 1]) {
+                let short = Encoded::new(enc.shape().clone(), enc.payload().slice(..cut.min(full)));
+                for add in [false, true] {
+                    let mut out = vec![0.0f32; n];
+                    let decode = std::panic::AssertUnwindSafe(|| match add {
+                        true => q.decompress_add_into(&short, &mut out),
+                        false => q.decompress_into(&short, &mut out),
+                    });
+                    let outcome = std::panic::catch_unwind(decode);
+                    let what = format!("bits={bits} bucket={bucket_size} n={n} cut={cut}");
+                    if cut >= full {
+                        assert!(outcome.is_ok(), "{what}: a whole payload decodes");
+                        continue;
+                    }
+                    let panic = outcome.expect_err(&what);
+                    let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+                    assert_eq!(message, "bit stream exhausted", "{what}");
+                }
             }
         }
     }

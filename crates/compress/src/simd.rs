@@ -1,5 +1,8 @@
-//! The fused stochastic-rounding kernel: quantize and pack a bucket in
-//! one pass, eight elements per AVX2 iteration.
+//! The two fused kernels of the bucketed quantizers, eight elements per
+//! AVX2 iteration: stochastic rounding straight into packed codes, and
+//! packed codes straight into (or onto) `f32`s.
+//!
+//! # Encode
 //!
 //! Per element, with `s` positive levels, `scale = s / norm` and `r` the
 //! element's draw from the call's [`CounterRng`] stream:
@@ -20,6 +23,19 @@
 //! [`BucketQuantizer::code`] is the scalar twin, and the AVX2 body does
 //! the same IEEE-754 and integer operations lane for lane, special
 //! values included (a NaN product clamps to `-s` in both).
+//!
+//! # Decode
+//!
+//! A bucket of 2- or 4-bit codes decodes to at most sixteen values, so
+//! [`lut_decode`] builds that codebook once per bucket from its norm and
+//! every element is a lookup in it. The AVX2 body holds the codebook in
+//! one `ymm` register (two at 4 bits) and per eight elements broadcasts
+//! their packed word, shifts lane `l` right by `l * WIDTH` (`vpsrlvd`),
+//! looks all eight up at once (`vpermps`; at 4 bits twice, `vblendvps`
+//! on code bit 3 picking the half) and stores the values or their sums
+//! with the destination. A decoded value is a copy of a table entry on
+//! this route and on its scalar twin, so the two cannot differ, whatever
+//! the norm or the code.
 
 use cgx_tensor::rng::CounterRng;
 
@@ -165,6 +181,140 @@ unsafe fn quantize_pack_avx2<const WIDTH: usize>(
     done
 }
 
+/// Decodes the buckets of `payload` — per bucket an `f32` norm, then
+/// `bits`-bit codes, LSB-first — over `out` (`ADD` false) or onto it
+/// (`ADD` true): element `i` is entry `code_i` of `table_of(norm)`, its
+/// bucket's codebook. Returns `false`, with `out` untouched, for a layout
+/// it has no kernel for: a width other than 2 or 4, or full buckets that
+/// do not end on a byte, which leave norms unaligned.
+///
+/// # Panics
+///
+/// Panics with `"bit stream exhausted"` if `payload` is shorter than
+/// `out.len()` elements take.
+pub(crate) fn lut_decode<const ADD: bool>(
+    bits: u32,
+    payload: &[u8],
+    bucket_size: usize,
+    table_of: impl Fn(f32) -> [f32; 16],
+    out: &mut [f32],
+) -> bool {
+    let (n, width) = (out.len(), bits as usize);
+    if !matches!(bits, 2 | 4) || !(bucket_size * width).is_multiple_of(8) {
+        return false;
+    }
+    // The one length check of the decode: every read below is inside it.
+    let needed = n.div_ceil(bucket_size) * 4 + (n * width).div_ceil(8);
+    assert!(payload.len() >= needed, "bit stream exhausted");
+    #[cfg(target_arch = "x86_64")]
+    if n >= 8 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        unsafe {
+            match bits {
+                2 => lut_decode_avx2::<2, ADD>(payload, bucket_size, table_of, out),
+                _ => lut_decode_avx2::<4, ADD>(payload, bucket_size, table_of, out),
+            }
+        }
+        return true;
+    }
+    match bits {
+        2 => lut_decode_buckets::<2, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
+        _ => lut_decode_buckets::<4, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
+    }
+    true
+}
+
+/// The bucket walk of [`lut_decode`]. `groups` decodes a leading multiple
+/// of eight elements of a bucket from its codebook and says how many; the
+/// rest are looked up a byte at a time. With no groups taken this is the
+/// kernel's scalar twin.
+#[inline(always)]
+fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
+    payload: &[u8],
+    bucket_size: usize,
+    table_of: impl Fn(f32) -> [f32; 16],
+    out: &mut [f32],
+    groups: impl Fn(&[f32; 16], &[u8], &mut [f32]) -> usize,
+) {
+    let per_byte = 8 / WIDTH;
+    let mut rest = payload;
+    for dst in out.chunks_mut(bucket_size) {
+        let (norm, after) = rest.split_at(4);
+        let (codes, after) = after.split_at((dst.len() * WIDTH).div_ceil(8));
+        rest = after;
+        let table = table_of(f32::from_le_bytes(norm.try_into().expect("four bytes")));
+        // `done` is a multiple of 8, so element `done` starts a byte.
+        let done = groups(&table, codes, dst);
+        let lookup = |byte: u8, vals: &mut [f32]| {
+            for (k, d) in vals.iter_mut().enumerate() {
+                let v = table[(byte >> (k * WIDTH)) as usize & ((1 << WIDTH) - 1)];
+                *d = if ADD { *d + v } else { v };
+            }
+        };
+        // Whole bytes at a fixed trip count; what is left over, if
+        // anything, is the low codes of the last byte.
+        let bytes = &codes[done / per_byte..];
+        let mut full = dst[done..].chunks_exact_mut(per_byte);
+        for (byte, vals) in bytes.iter().zip(&mut full) {
+            lookup(*byte, vals);
+        }
+        if let Some(byte) = bytes.last() {
+            lookup(*byte, full.into_remainder());
+        }
+    }
+}
+
+/// AVX2 body of [`lut_decode`]: every bucket's whole groups of eight
+/// elements (eight codes fill `WIDTH` bytes) are looked up in registers.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Nothing else is asked of the caller: every
+/// load and store goes through a slice of exactly the length it touches,
+/// and a `payload` shorter than [`lut_decode`] has checked is a panic in
+/// the walk, not a wild read.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lut_decode_avx2<const WIDTH: usize, const ADD: bool>(
+    payload: &[u8],
+    bucket_size: usize,
+    table_of: impl Fn(f32) -> [f32; 16],
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let w = WIDTH as i32;
+    let shifts = _mm256_setr_epi32(0, w, 2 * w, 3 * w, 4 * w, 5 * w, 6 * w, 7 * w);
+    let low_two = _mm256_set1_epi32(3);
+    lut_decode_buckets::<WIDTH, ADD>(payload, bucket_size, table_of, out, |table, codes, dst| {
+        let lo = _mm256_loadu_ps(table.as_ptr());
+        let hi = _mm256_loadu_ps(table[8..].as_ptr());
+        let groups = dst.chunks_exact_mut(8);
+        let done = groups.len() * 8;
+        for (bytes, vals) in codes.chunks_exact(WIDTH).zip(groups) {
+            let mut word = [0u8; 4];
+            word[..WIDTH].copy_from_slice(bytes);
+            let idx = _mm256_srlv_epi32(_mm256_set1_epi32(i32::from_le_bytes(word)), shifts);
+            // vpermps reads the low three index bits. At 2 bits the
+            // third is the next code's; at 4 bits code bit 3 picks the half.
+            let low = if WIDTH == 2 {
+                _mm256_and_si256(idx, low_two)
+            } else {
+                idx
+            };
+            let mut v = _mm256_permutevar8x32_ps(lo, low);
+            if WIDTH == 4 {
+                let bit3 = _mm256_castsi256_ps(_mm256_slli_epi32::<28>(idx));
+                v = _mm256_blendv_ps(v, _mm256_permutevar8x32_ps(hi, idx), bit3);
+            }
+            if ADD {
+                v = _mm256_add_ps(_mm256_loadu_ps(vals.as_ptr()), v);
+            }
+            _mm256_storeu_ps(vals.as_mut_ptr(), v);
+        }
+        done
+    });
+}
+
 /// `max_j |bucket[j]|` — the max-norm pass of the encoder. NaN elements
 /// are skipped (`f32::max` ignores a NaN operand) and the result is never
 /// `-0.0`: `abs` clears the sign and the fold starts at `+0.0`.
@@ -211,7 +361,7 @@ unsafe fn max_abs_avx(bucket: &[f32]) -> f32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cgx_tensor::Rng;
 
@@ -296,6 +446,102 @@ mod tests {
             (up as f64 - trials as f64 / 2.0).abs() < 4.0 * 158.0,
             "{up} of {trials} rounded up"
         );
+    }
+
+    /// QSGD's codebook at `levels` positive levels.
+    fn grid(levels: u32) -> impl Fn(f32) -> [f32; 16] {
+        let (s, offset) = (levels as f64, levels as i64);
+        move |norm| std::array::from_fn(|c| (norm as f64 * (c as i64 - offset) as f64 / s) as f32)
+    }
+
+    /// The scalar twin of [`lut_decode`]: the same walk with no groups
+    /// taken by the vector body.
+    fn twin<const ADD: bool>(bits: u32, payload: &[u8], bucket_size: usize, out: &mut [f32]) {
+        let table_of = grid((1 << (bits - 1)) - 1);
+        match bits {
+            2 => lut_decode_buckets::<2, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
+            _ => lut_decode_buckets::<4, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
+        }
+    }
+
+    fn bits_of(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A payload no encoder wrote: bucket `b` carries norm number `b` of
+    /// a list of honest and hostile ones (rotated by `n`), and its codes
+    /// count up through every value `bits` bits hold — for QSGD the
+    /// off-grid `2s + 1` included.
+    pub(crate) fn crafted_payload(bits: u32, bucket_size: usize, n: usize) -> cgx_tensor::Bytes {
+        let norms = [0.731, 0.0, 1.0e-42, f32::MAX, f32::INFINITY, f32::NAN];
+        let mut w = crate::BitWriter::new();
+        for b in 0..n.div_ceil(bucket_size) {
+            w.write_f32(norms[(b + n) % norms.len()]);
+            for j in 0..bucket_size.min(n - b * bucket_size) {
+                w.write_bits((j + b) as u32 % (1 << bits), bits);
+            }
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn lut_decode_matches_twin_and_formula_bit_for_bit() {
+        for bits in [2u32, 4] {
+            let levels = (1u32 << (bits - 1)) - 1;
+            for bucket_size in [8usize, 10, 64, 128, 1024] {
+                // Lengths around the 8-lane group, the bucket and the byte.
+                for n in [0usize, 1, 7, 8, 9, 127, 128, 129, 515, 1000, 4099] {
+                    let payload = crafted_payload(bits, bucket_size, n);
+                    let mut r = crate::BitReader::new(&payload);
+                    let mut want = Vec::with_capacity(n);
+                    for b in 0..n.div_ceil(bucket_size) {
+                        let norm = r.read_f32() as f64;
+                        for _ in 0..bucket_size.min(n - b * bucket_size) {
+                            let signed = r.read_bits(bits) as i64 - levels as i64;
+                            want.push((norm * signed as f64 / levels as f64) as f32);
+                        }
+                    }
+                    let what = format!("bits={bits} bucket={bucket_size} n={n}");
+                    let mut got = vec![9.0f32; n];
+                    let taken =
+                        lut_decode::<false>(bits, &payload, bucket_size, grid(levels), &mut got);
+                    assert_eq!(
+                        taken,
+                        (bucket_size * bits as usize).is_multiple_of(8),
+                        "{what}"
+                    );
+                    if !taken {
+                        assert!(got.iter().all(|v| *v == 9.0), "{what}: untouched");
+                        continue;
+                    }
+                    assert_eq!(bits_of(&got), bits_of(&want), "{what}");
+                    twin::<false>(bits, &payload, bucket_size, &mut got);
+                    assert_eq!(bits_of(&got), bits_of(&want), "twin, {what}");
+
+                    let base: Vec<f32> = (0..n)
+                        .map(|i| match i % 7 {
+                            0 => SPECIALS[i % 5],
+                            _ => i as f32 * 0.5 - 9.0,
+                        })
+                        .collect();
+                    let mut kernel_sum = base.clone();
+                    lut_decode::<true>(bits, &payload, bucket_size, grid(levels), &mut kernel_sum);
+                    let mut twin_sum = base.clone();
+                    twin::<true>(bits, &payload, bucket_size, &mut twin_sum);
+                    for (i, (b, v)) in base.iter().zip(&want).enumerate() {
+                        // Which payload the sum of two NaNs carries is the
+                        // compiler's choice of operand order.
+                        let any_nan = b.is_nan() && v.is_nan();
+                        for got in [kernel_sum[i], twin_sum[i]] {
+                            assert!(
+                                got.to_bits() == (b + v).to_bits() || (any_nan && got.is_nan()),
+                                "{what}: {b} + {v} at {i} gave {got}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -75,6 +75,9 @@ fn run_worker(env: WorkerEnv) -> Result<(), String> {
         NetOptions::from_env(),
     )
     .map_err(|e| format!("rank {}: bootstrap failed: {e}", env.rank))?;
+    if let Some(timeout) = opts.comm_timeout {
+        transport.set_timeout(timeout);
+    }
     if let Some(plan) = NetFaultPlan::from_env() {
         transport.set_fault(plan);
     }

@@ -11,11 +11,13 @@
 //!   mode, the death a real `SIGKILL` — no destructors, no flushes, the
 //!   kernel tears the sockets down.
 
-use cgx_net::cluster::ProcessCluster;
+use cgx_net::cluster::{free_loopback_addr, ProcessCluster};
+use cgx_net::rendezvous::{rendezvous, DEFAULT_BOOT_TIMEOUT};
 use cgx_net::workload::{RunOptions, Workload};
 use cgx_net::{NetFaultPlan, TcpFabric};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Locates the `cgx-launch` binary: cargo exports it to integration
 /// tests at compile time; the offline harness points at its own copy via
@@ -145,4 +147,40 @@ fn four_process_tcp_run_survives_a_sigkill() {
         !dir.0.join(format!("params_rank{victim}.bin")).exists(),
         "a SIGKILLed rank cannot have written a replica"
     );
+}
+
+#[test]
+fn launched_worker_times_out_on_a_silent_peer_within_its_comm_timeout() {
+    // Rank 1 is a real `cgx-launch` worker; this test is rank 0, which
+    // joins the mesh and then never sends. The worker's first receive
+    // must give up after CGX_COMM_TIMEOUT_MS, not the fabric's 30 s.
+    let addr = free_loopback_addr();
+    let worker = Command::new(launch_bin())
+        .env("CGX_RANK", "1")
+        .env("CGX_WORLD", "2")
+        .env("CGX_RENDEZVOUS", &addr)
+        .env("CGX_COMM_TIMEOUT_MS", "200")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn worker");
+    let (silent, _) = rendezvous(0, 2, &addr, 0, DEFAULT_BOOT_TIMEOUT).expect("mesh forms");
+    let formed = Instant::now();
+    let out = worker.wait_with_output().expect("worker exits");
+    let took = formed.elapsed();
+    drop(silent);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a timed-out run must fail: {stderr}");
+    // `CommError::Timeout` prints the wait it measured, e.g. `200.3ms`.
+    let waited = stderr
+        .split_once("timed out after ")
+        .and_then(|(_, rest)| rest.split_once(" waiting for rank 0"))
+        .unwrap_or_else(|| panic!("no timeout on rank 0 in: {stderr}"))
+        .0;
+    let ms: f64 = waited
+        .strip_suffix("ms")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("waited {waited}, not milliseconds"));
+    assert!((200.0..1000.0).contains(&ms), "waited {waited}");
+    assert!(took < Duration::from_secs(10), "worker took {took:?}");
 }

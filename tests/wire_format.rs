@@ -163,6 +163,43 @@ const GOLDEN: [&str; 9] = [
 ];
 
 #[test]
+fn every_decoder_emits_its_pinned_values() {
+    // One digest per decoder over the bits of what it reconstructs, dense
+    // and accumulated onto a fixed base, for the payloads pinned above.
+    // The values were taken with the scalar table decoder of v0.13.0; a
+    // change here changes what every rank sums.
+    let got: Vec<String> = all_schemes()
+        .iter()
+        .map(|scheme| {
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for len in [1, 100, 515, 4096] {
+                let mut rng = Rng::seed_from_u64(42);
+                let g = Tensor::randn(&mut rng, &[len]);
+                let mut c = scheme.build();
+                let enc = c.compress(&g, &mut rng);
+                let mut summed: Vec<f32> = (0..len).map(|i| i as f32 * 0.37 - 11.0).collect();
+                c.decompress_add_into(&enc, &mut summed);
+                for v in c.decompress(&enc).as_slice().iter().chain(&summed) {
+                    h = fnv(h, &v.to_bits().to_le_bytes());
+                }
+            }
+            format!("{scheme} {h:#018x}")
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_DECODED);
+}
+
+const GOLDEN_DECODED: [&str; 7] = [
+    "fp32 0x1f185b51838469a5",
+    "qsgd-4b-128 0x48bcaa28c05a3d64",
+    "qsgd-2b-1024 0xca8e7f6503a71ee7",
+    "nuqsgd-4b-128 0xafc739782c8946b6",
+    "topk-0.1 0x4e14ff4c5d9696aa",
+    "onebit-64 0x3e7ea2d3de8d9020",
+    "fake-x8 0x8b5679e0aa0fce8d",
+];
+
+#[test]
 fn frame_header_bytes_are_pinned() {
     let framed = framing::frame_bytes(0x0102_0304_0506_0708, 0x0A0B_0C0D, b"cgx frame body");
     // Magic, sequence number, checksum: little-endian, in that order.
