@@ -214,6 +214,10 @@ pub fn tag_namespace(wire: Tag) -> u8 {
 /// own thread — so no auto-trait bound is imposed here; concrete endpoints
 /// ([`ShmTransport`], [`crate::fault::ChaosTransport`]) are `Send` and move
 /// into their worker threads before any `dyn Transport` borrow is taken.
+/// The one exception is the endpoint under a `cgx-serve` daemon, which
+/// tenant threads and the pump thread drive in turns: `ServeNode::new` asks
+/// for `Transport + Send + Sync`, which [`ShmTransport`] and the TCP
+/// endpoint are (a test beside each type says so at compile time).
 pub trait Transport {
     /// This endpoint's rank.
     fn rank(&self) -> usize;
@@ -1022,6 +1026,14 @@ mod tests {
 
     fn payload(tag: u8) -> Encoded {
         Encoded::new(Shape::vector(1), Bytes::copy_from_slice(&[tag]))
+    }
+
+    /// `cgx_serve::ServeNode::new` takes a `Transport + Send + Sync`: its
+    /// tenant threads and its pump thread share the one endpoint.
+    #[test]
+    fn endpoint_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ShmTransport>();
     }
 
     #[test]

@@ -2108,6 +2108,14 @@ mod tests {
     use crate::rendezvous::TcpFabric;
     use cgx_obs::MetricsRegistry;
 
+    /// `cgx_serve::ServeNode::new` takes a `Transport + Send + Sync`: its
+    /// tenant threads and its pump thread share the one endpoint.
+    #[test]
+    fn endpoint_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<TcpTransport>();
+    }
+
     #[test]
     fn obs_counters_track_messages_and_wire_bytes() {
         let mut eps = TcpFabric::build_local(2);

@@ -45,14 +45,14 @@ fn main() {
 
     let registry = MetricsRegistry::new();
     let cfg = ServeConfig::from_env().with_obs(&registry);
-    let phys: Vec<Box<dyn Transport + Send>> = match fabric.as_str() {
+    let phys: Vec<Box<dyn Transport + Send + Sync>> = match fabric.as_str() {
         "shm" => ShmFabric::build(world)
             .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport + Send>)
+            .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
             .collect(),
         _ => TcpFabric::build_local(world)
             .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport + Send>)
+            .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
             .collect(),
     };
     let nodes: Vec<Arc<ServeNode>> = phys
@@ -134,6 +134,8 @@ fn main() {
         cgx_obs::names::SERVE_FRAMES_ROUTED,
         cgx_obs::names::SERVE_BYTES_ROUTED,
         cgx_obs::names::SERVE_ORPHAN_DROPPED,
+        cgx_obs::names::SERVE_TURNS_TENANT,
+        cgx_obs::names::SERVE_TURNS_PUMP,
     ] {
         println!("  {name:<24}: {}", snap.get(name).unwrap_or(0));
     }

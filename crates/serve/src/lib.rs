@@ -19,10 +19,10 @@
 //! weights, and a detaching or dying tenant is announced to its own job's
 //! peers without other jobs observing anything.
 //!
-//! Because the daemon's pump thread drains the fabric continuously,
-//! transports with caller-driven liveness (the TCP fabric's heartbeats)
-//! are serviced independently of tenant call patterns — a slow tenant no
-//! longer risks being condemned by its peers while it computes.
+//! The fabric is driven by whichever thread needs it — a tenant's send or
+//! receive takes the daemon's turn on the socket itself — with the pump
+//! thread as the fallback driver, so transports with caller-driven liveness
+//! (the TCP fabric's heartbeats) are still serviced while a tenant computes.
 //!
 //! ```
 //! use cgx_collectives::{ShmFabric, Transport};

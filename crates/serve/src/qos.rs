@@ -2,8 +2,8 @@
 //! queues, with optional per-job token-bucket rate caps.
 //!
 //! This is the daemon's QoS engine: every tenant job owns one FIFO of
-//! outbound frames, and the pump loop asks the scheduler which frame goes
-//! on the wire next. Classic DRR [Shreedhar & Varghese '96] gives each
+//! outbound frames, and every outbound turn asks the scheduler which frame
+//! goes on the wire next. Classic DRR [Shreedhar & Varghese '96] gives each
 //! backlogged job a *deficit* that grows by `quantum × weight` once per
 //! round-robin visit and shrinks by the bytes it sends, so long-run byte
 //! shares converge to the weight ratio regardless of frame sizes. A job

@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// Wraps every endpoint of a physical fabric in its own daemon and
 /// attaches `job` on each, tying the daemon's lifetime to the handle.
 fn serve_endpoints(
-    phys: Vec<Box<dyn Transport + Send>>,
+    phys: Vec<Box<dyn Transport + Send + Sync>>,
     job: u8,
 ) -> (Vec<Arc<ServeNode>>, Vec<NamespacedTransport>) {
     let nodes: Vec<Arc<ServeNode>> = phys
@@ -41,10 +41,10 @@ fn serve_endpoints(
     (nodes, handles)
 }
 
-fn shm_phys(n: usize) -> Vec<Box<dyn Transport + Send>> {
+fn shm_phys(n: usize) -> Vec<Box<dyn Transport + Send + Sync>> {
     ShmFabric::build(n)
         .into_iter()
-        .map(|t| Box::new(t) as Box<dyn Transport + Send>)
+        .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
         .collect()
 }
 
@@ -63,9 +63,9 @@ fn namespaced_shm_transport_conforms() {
 #[test]
 fn namespaced_tcp_transport_conforms() {
     let build = |n: usize| -> Vec<BoxTransport> {
-        let phys: Vec<Box<dyn Transport + Send>> = TcpFabric::build_local(n)
+        let phys: Vec<Box<dyn Transport + Send + Sync>> = TcpFabric::build_local(n)
             .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport + Send>)
+            .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
             .collect();
         let (_nodes, handles) = serve_endpoints(phys, 1);
         handles

@@ -14,6 +14,11 @@
 //!   heartbeats enabled on the TCP fabric, a tenant that computes for
 //!   several liveness windows between collectives is NOT condemned,
 //!   because the daemon pump drives heartbeat emission continuously.
+//! * **Turns taken from every side** (DESIGN.md §14.1) — tenant threads
+//!   that send and drain concurrently, each driving the fabric itself,
+//!   keep per-(peer, tag) FIFO with nothing lost or delivered twice. (What
+//!   a lone tenant pays for the daemon is timed in `lone_tenant.rs`, a
+//!   test binary of its own: no other test runs beside it.)
 
 use cgx_collectives::{CommError, ShmFabric, Transport};
 use cgx_compress::{Encoded, ScratchPool};
@@ -279,4 +284,75 @@ fn slow_tenant_is_not_condemned_under_heartbeats() {
     });
     slow.join().expect("slow tenant panicked");
     echo.join().expect("echo tenant panicked");
+}
+
+/// Checks that `frame` carries the number the next one under `tag` must.
+fn take_numbered(next: &mut [u32], tag: usize, frame: &Encoded) {
+    let i = u32::from_le_bytes(frame.payload().as_ref().try_into().expect("four bytes"));
+    assert_eq!(
+        i, next[tag],
+        "tag {tag}: out of order, lost or delivered twice"
+    );
+    next[tag] += 1;
+}
+
+#[test]
+fn concurrent_tenant_threads_keep_fifo_and_lose_nothing() {
+    const JOBS: u8 = 4;
+    const TAGS: usize = 3;
+    const PER_TAG: u32 = 133;
+    let nodes: Vec<ServeNode> = TcpFabric::build_local(2)
+        .into_iter()
+        .map(|t| ServeNode::new(Box::new(t), ServeConfig::default()))
+        .collect();
+    // One thread per (job, node), 2 x JOBS in all, each sending its
+    // numbered frames while it drains and receives its peer's: outbound
+    // and inbound turns are taken on both endpoints from every side at once.
+    std::thread::scope(|s| {
+        for job in 1..=JOBS {
+            for (rank, node) in nodes.iter().enumerate() {
+                let end = node.attach(JobSpec::new(job)).expect("attach");
+                let peer = 1 - rank;
+                s.spawn(move || {
+                    let mut next = [0u32; TAGS];
+                    for k in 0..PER_TAG * TAGS as u32 {
+                        let number = (k / TAGS as u32).to_le_bytes().to_vec();
+                        let frame = Encoded::new(Shape::new(vec![4]), number.into());
+                        let back = end.try_send_tagged(peer, u64::from(k) % TAGS as u64, frame);
+                        assert!(
+                            back.expect("try_send").is_none(),
+                            "a 4-byte frame fits the queue"
+                        );
+                        if k % 7 == 0 {
+                            end.flush_outbound().expect("flush");
+                        }
+                        end.drain_inbound();
+                        for tag in 0..TAGS {
+                            while let Some(f) = end.try_recv_tagged(peer, tag as u64).expect("poll")
+                            {
+                                take_numbered(&mut next, tag, &f);
+                            }
+                        }
+                    }
+                    end.flush_outbound().expect("flush");
+                    for tag in 0..TAGS {
+                        while next[tag] < PER_TAG {
+                            let f = end
+                                .recv_tagged_deadline(peer, tag as u64, Duration::from_secs(20))
+                                .unwrap_or_else(|e| {
+                                    panic!("job {job} tag {tag}: frame lost: {e:?}")
+                                });
+                            take_numbered(&mut next, tag, &f);
+                        }
+                    }
+                    // Once the peer has everything too, nothing is left over.
+                    end.quiesce(&[0, 1]);
+                    for tag in 0..TAGS {
+                        let extra = end.try_recv_tagged(peer, tag as u64);
+                        assert!(matches!(extra, Ok(None) | Err(_)), "job {job}: {extra:?}");
+                    }
+                });
+            }
+        }
+    });
 }
