@@ -124,6 +124,7 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Transport;
     use cgx_compress::Encoded;
     use cgx_tensor::{Bytes, Shape};
     use std::time::Duration;

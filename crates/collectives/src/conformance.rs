@@ -7,17 +7,20 @@
 //! wakeup semantics for the engine's parking model. This module states
 //! that contract once as executable checks, parameterized over a fabric
 //! builder, so every transport (shared-memory threads, TCP sockets, chaos
-//! wrappers) is held to the same behavior.
+//! wrappers, `cgx-serve` tenant handles) is held to the same behavior.
 //!
 //! Each check builds a fresh fabric via the supplied closure, so state
 //! never leaks between checks. [`run_all`] runs the full battery;
-//! individual checks are public for finer-grained test reporting.
+//! individual checks are public for finer-grained test reporting, and
+//! [`check_silent_tag_parks_boundedly`] is run beside it with the fabric's
+//! own park slice.
 
 use crate::error::CommError;
 use crate::transport::{Tag, Transport};
 use cgx_compress::Encoded;
 use cgx_tensor::Shape;
-use std::time::Duration;
+use std::cell::Cell;
+use std::time::{Duration, Instant};
 
 /// A boxed endpoint as handed out by a fabric builder.
 pub type BoxTransport = Box<dyn Transport + Send>;
@@ -27,6 +30,8 @@ pub type FabricBuilder = dyn Fn(usize) -> Vec<BoxTransport> + Sync;
 
 const WAIT: Duration = Duration::from_secs(10);
 const SHORT: Duration = Duration::from_millis(50);
+/// Well inside [`WAIT`], far beyond a wake-up.
+const PROMPT: Duration = Duration::from_secs(5);
 
 fn payload(seed: u32) -> Encoded {
     let mut buf = Vec::with_capacity(16);
@@ -39,6 +44,17 @@ fn payload(seed: u32) -> Encoded {
 fn assert_same(a: &Encoded, b: &Encoded, what: &str) {
     assert_eq!(a.payload(), b.payload(), "{what}: payload differs");
     assert_eq!(a.shape(), b.shape(), "{what}: shape differs");
+}
+
+/// Parks `t` until it has taken something in since `seen`, which must be
+/// [`PROMPT`]: each park is asked to sleep for all of [`WAIT`], so one that
+/// sleeps through the arrival fails here.
+fn await_arrival(t: &dyn Transport, seen: u64) {
+    let start = Instant::now();
+    while t.arrivals() == seen {
+        t.park(seen, WAIT);
+        assert!(start.elapsed() < PROMPT, "parked through an arrival");
+    }
 }
 
 /// Endpoints report the rank/world geometry they were built with, and a
@@ -121,11 +137,9 @@ pub fn check_stashed_payload_beats_expired_deadline(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
+    let seen = b.arrivals();
     a.send_tagged(1, 40, payload(4)).expect("send");
-    assert!(
-        b.wait_inbound(0, 40, WAIT).expect("wait_inbound"),
-        "message never arrived"
-    );
+    await_arrival(&*b, seen);
     let got = b
         .recv_tagged_deadline(0, 40, Duration::ZERO)
         .expect("stashed payload must be delivered on an expired deadline");
@@ -142,8 +156,9 @@ pub fn check_try_recv(build: &FabricBuilder) {
         b.try_recv_tagged(0, 5).expect("idle try_recv").is_none(),
         "phantom payload"
     );
+    let seen = b.arrivals();
     a.send_tagged(1, 5, payload(5)).expect("send");
-    assert!(b.wait_inbound(0, 5, WAIT).expect("wait"), "never arrived");
+    await_arrival(&*b, seen);
     let got = b
         .try_recv_tagged(0, 5)
         .expect("try_recv")
@@ -244,16 +259,116 @@ pub fn check_peer_death_is_typed_and_bounded(build: &FabricBuilder) {
     }
 }
 
-/// `wait_any_inbound` observes a pending message (returning `true`) and
-/// leaves it receivable.
-pub fn check_wait_any_inbound_sees_traffic(build: &FabricBuilder) {
+/// No lost wake-up: a frame that lands after the poll came up empty ends
+/// the park — which is on the sample taken *before* the poll, not on
+/// whatever the fabric last looked at — and once it is stashed a park on
+/// that sample returns at once, leaving it receivable.
+pub fn check_no_lost_wakeup(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
+    let seen = b.arrivals();
+    assert!(b.try_recv_tagged(0, 21).expect("poll").is_none());
     a.send_tagged(1, 21, payload(11)).expect("send");
-    assert!(b.wait_any_inbound(WAIT), "pending traffic not observed");
-    let got = b.recv_tagged_deadline(0, 21, WAIT).expect("recv after wait");
-    assert_same(&got, &payload(11), "post-wait payload");
+    await_arrival(&*b, seen);
+    let start = Instant::now();
+    b.park(seen, WAIT);
+    assert!(start.elapsed() < PROMPT, "pending traffic not observed");
+    let got = b
+        .recv_tagged_deadline(0, 21, WAIT)
+        .expect("recv after park");
+    assert_same(&got, &payload(11), "post-park payload");
+}
+
+/// Forwards the nine required methods — a whole [`Transport`] — and counts
+/// the parks; the blocking receives it inherits are the provided ones.
+struct CountingParks<'a> {
+    inner: &'a dyn Transport,
+    parks: Cell<u64>,
+}
+
+impl Transport for CountingParks<'_> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+    fn world(&self) -> usize {
+        self.inner.world()
+    }
+    fn timeout(&self) -> Duration {
+        self.inner.timeout()
+    }
+    fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
+        self.inner.send_tagged(peer, tag, payload)
+    }
+    fn try_send_tagged(
+        &self,
+        peer: usize,
+        tag: Tag,
+        payload: Encoded,
+    ) -> Result<Option<Encoded>, CommError> {
+        self.inner.try_send_tagged(peer, tag, payload)
+    }
+    fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
+        self.inner.try_recv_tagged(peer, tag)
+    }
+    fn drain_inbound(&self) -> usize {
+        self.inner.drain_inbound()
+    }
+    fn arrivals(&self) -> u64 {
+        self.inner.arrivals()
+    }
+    fn park(&self, seen: u64, timeout: Duration) {
+        self.parks.set(self.parks.get() + 1);
+        self.inner.park(seen, timeout);
+    }
+}
+
+/// No spin on an unrelated stash: with a frame for another tag stashed, a
+/// blocking receive on a silent tag sleeps its deadline away in parks of
+/// the fabric's `slice` (the longest one park of it blocks) — about
+/// `deadline / slice` of them, not thousands — and then reports a
+/// [`CommError::Timeout`] naming the peer and the deadline it was given.
+pub fn check_silent_tag_parks_boundedly(build: &FabricBuilder, slice: Duration) {
+    const DEADLINE: Duration = Duration::from_millis(200);
+    let mut eps = build(2);
+    let b = eps.pop().expect("rank 1");
+    let a = eps.pop().expect("rank 0");
+    let seen = b.arrivals();
+    a.send_tagged(1, 51, payload(13)).expect("send");
+    await_arrival(&*b, seen);
+    let counted = CountingParks {
+        inner: &*b,
+        parks: Cell::new(0),
+    };
+    let start = Instant::now();
+    let err = counted
+        .recv_tagged_deadline(0, 50, DEADLINE)
+        .expect_err("nothing was sent on tag 50");
+    assert!(
+        start.elapsed() >= DEADLINE,
+        "gave up early: {:?}",
+        start.elapsed()
+    );
+    assert_eq!(
+        err,
+        CommError::Timeout {
+            from: 0,
+            waited: DEADLINE,
+            in_flight: 0
+        }
+    );
+    let allowed = (DEADLINE.as_nanos() / slice.as_nanos()) as u64 + 8;
+    let parks = counted.parks.get();
+    assert!(parks >= 1, "a receive that waited never parked");
+    assert!(
+        parks <= allowed,
+        "{parks} parks in {DEADLINE:?}, slice {slice:?}"
+    );
+    // The stashed frame sat through all of it.
+    let got = b
+        .recv_tagged_deadline(0, 51, Duration::ZERO)
+        .expect("still stashed");
+    assert_same(&got, &payload(13), "unrelated stash");
 }
 
 /// `quiesce` completes when all peers participate — no deadlock, no
@@ -400,7 +515,7 @@ pub fn run_all(build: &FabricBuilder) {
     check_broadcast(build);
     check_stash_survives_disconnect(build);
     check_peer_death_is_typed_and_bounded(build);
-    check_wait_any_inbound_sees_traffic(build);
+    check_no_lost_wakeup(build);
     check_partial_short_writes(build);
     check_interleaved_small_frame_bursts(build);
     check_quiesce_completes(build);

@@ -497,6 +497,9 @@ impl<'a> CommEngine<'a> {
                 return Err(e.clone());
             }
             assert!(!self.ops[h.0].completed, "handle {h:?} waited twice");
+            // Sampled before anything is polled: what lands after this is
+            // what the park below must not sleep through.
+            let seen = self.t.arrivals();
             match self.progress_all() {
                 Ok(true) => {
                     last_progress = Instant::now();
@@ -528,40 +531,20 @@ impl<'a> CommEngine<'a> {
             if let Err(e) = self.t.flush_outbound() {
                 return Err(self.poison(e));
             }
-            // Nothing to do anywhere: park on the most-stalled machine's
-            // expected inbound message so the sender's handoff wakes us
-            // directly (same latency as a blocking recv), instead of
-            // sleep-polling. Any arrival on that channel wakes us — it is
-            // stashed and almost certainly unblocks some machine. The
+            // Nothing to do anywhere: park until the transport has taken
+            // something in since `seen` — any arrival, from any peer, most
+            // likely unblocks some machine, and a peer's death is one too
+            // (the machine polling it reports the error). The sender's
+            // handoff wakes us directly, as it would a blocking recv; the
             // short cap keeps send retries and the engine timeout live.
             let park_start = self.obs.recorder().now_ns();
             let t0 = Instant::now();
-            let park = self.active_machines().find_map(Machine::expected_inbound);
-            let park_meta = match park {
-                Some((peer, tag)) => {
-                    match self.t.wait_inbound(peer, tag, Duration::from_millis(1)) {
-                        Ok(_) => {}
-                        Err(e) => return Err(self.poison(e)),
-                    }
-                    tag
-                }
-                None => {
-                    // No machine knows what it wants next (all are
-                    // mid-send or queued): park on *any* inbound arrival
-                    // instead of sleep-polling a fixed interval.
-                    self.t.wait_any_inbound(Duration::from_millis(1));
-                    0
-                }
-            };
+            self.t.park(seen, Duration::from_millis(1));
             let parked = t0.elapsed().as_nanos() as u64;
             idle_ns += parked;
-            self.obs.recorder().record(
-                SpanKind::Idle,
-                park_meta,
-                park_start,
-                park_start + parked,
-                0,
-            );
+            self.obs
+                .recorder()
+                .record(SpanKind::Idle, 0, park_start, park_start + parked, 0);
         }
     }
 
@@ -837,13 +820,6 @@ impl Machine {
         match self {
             Machine::Sra(m) => m.blocked_on(),
             Machine::Ring(m) => m.blocked_on(),
-        }
-    }
-
-    fn expected_inbound(&self) -> Option<(usize, Tag)> {
-        match self {
-            Machine::Sra(m) => m.expected_inbound(),
-            Machine::Ring(m) => m.expected_inbound(),
         }
     }
 
@@ -1243,31 +1219,6 @@ impl SraMachine {
         }
         0
     }
-
-    /// The (peer, tag) of the next inbound message this machine needs, or
-    /// `None` when it can advance without one (then `progress` moves it).
-    fn expected_inbound(&self) -> Option<(usize, Tag)> {
-        for (s, seg) in self.segs.iter().enumerate() {
-            if seg.next_acc < self.n {
-                if seg.next_acc == self.me {
-                    return None;
-                }
-                return Some((
-                    seg.next_acc,
-                    collective_tag_in_epoch(self.op_id, s as u16, PHASE_SCATTER, self.epoch),
-                ));
-            }
-            if seg.gather_left > 0 {
-                if let Some(j) = seg.gathered.iter().position(|g| !*g) {
-                    return Some((
-                        j,
-                        collective_tag_in_epoch(self.op_id, s as u16, PHASE_BCAST, self.epoch),
-                    ));
-                }
-            }
-        }
-        None
-    }
 }
 
 /// Incremental ring allreduce. The ring's data dependency chain (each hop
@@ -1525,27 +1476,6 @@ impl RingMachine {
             p
         } else {
             (self.me + self.n - 1) % self.n
-        }
-    }
-
-    /// The (peer, tag) of the next inbound message this machine needs.
-    /// Ring hops always receive from the left neighbour with the current
-    /// step's tag; between phases the machine self-advances.
-    fn expected_inbound(&self) -> Option<(usize, Tag)> {
-        if self.n < 2 {
-            return None;
-        }
-        let left = (self.me + self.n - 1) % self.n;
-        match self.phase {
-            RingPhase::Reduce { step, .. } => Some((
-                left,
-                collective_tag_in_epoch(self.op_id, step as u16, PHASE_SCATTER, self.epoch),
-            )),
-            RingPhase::Gather { step, .. } => Some((
-                left,
-                collective_tag_in_epoch(self.op_id, step as u16, PHASE_BCAST, self.epoch),
-            )),
-            _ => None,
         }
     }
 }

@@ -122,6 +122,24 @@ impl CommError {
             _ => None,
         }
     }
+
+    /// This error with `peer` as the rank it implicates — the same fault
+    /// named in another rank space (see
+    /// [`MembershipView`](crate::MembershipView)). Unchanged if it
+    /// implicates none.
+    #[must_use]
+    pub fn with_peer(mut self, peer: usize) -> Self {
+        match &mut self {
+            CommError::Timeout { from: rank, .. }
+            | CommError::Disconnected { peer: rank }
+            | CommError::Corrupted { peer: rank, .. }
+            | CommError::Lost { peer: rank, .. }
+            | CommError::PeerLost { peer: rank, .. }
+            | CommError::PeerDead { rank } => *rank = peer,
+            _ => {}
+        }
+        self
+    }
 }
 
 impl fmt::Display for CommError {
@@ -246,6 +264,24 @@ mod tests {
             CommError::ShapeMismatch { detail: "x".into() }.peer(),
             None
         );
+    }
+
+    #[test]
+    fn with_peer_renames_exactly_the_implicated_rank() {
+        let lost = CommError::Lost {
+            peer: 2,
+            retries: 4,
+        };
+        assert_eq!(
+            lost.with_peer(0),
+            CommError::Lost {
+                peer: 0,
+                retries: 4
+            }
+        );
+        assert_eq!(CommError::PeerDead { rank: 7 }.with_peer(1).peer(), Some(1));
+        let none = CommError::ShapeMismatch { detail: "x".into() };
+        assert_eq!(none.clone().with_peer(3), none);
     }
 
     #[test]

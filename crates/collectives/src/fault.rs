@@ -789,36 +789,6 @@ impl Transport for ChaosTransport {
         }
     }
 
-    fn recv_tagged_deadline(
-        &self,
-        peer: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Encoded, CommError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.frozen.load(Ordering::Relaxed) {
-                // Fail-silent: starve without consuming inbound traffic.
-                std::thread::sleep(timeout.min(Duration::from_millis(1)));
-            } else if let Some(p) = self.poll(peer, tag)? {
-                return Ok(p);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout {
-                    from: peer,
-                    waited: timeout,
-                    in_flight: 0,
-                });
-            }
-            if !self.frozen.load(Ordering::Relaxed) {
-                let slice = (deadline - now).min(self.park_slice());
-                // A disconnect here still drains through poll() above.
-                let _ = self.inner.wait_inbound(peer, tag, slice);
-            }
-        }
-    }
-
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
         if self.frozen.load(Ordering::Relaxed) {
             return Ok(None);
@@ -834,41 +804,20 @@ impl Transport for ChaosTransport {
         self.inner.drain_inbound()
     }
 
-    fn wait_inbound(&self, peer: usize, tag: Tag, timeout: Duration) -> Result<bool, CommError> {
-        if self.frozen.load(Ordering::Relaxed) {
-            std::thread::sleep(timeout.min(Duration::from_millis(1)));
-            return Ok(false);
-        }
-        self.pump();
-        {
-            let mut state = self.lock();
-            if let Some(st) = state.streams.get_mut(&(peer, tag)) {
-                if !st.ready.is_empty() {
-                    return Ok(true);
-                }
-            }
-        }
-        self.inner.wait_inbound(peer, tag, timeout.min(self.park_slice()))
+    fn arrivals(&self) -> u64 {
+        self.inner.arrivals()
     }
 
-    fn wait_any_inbound(&self, timeout: Duration) -> bool {
+    /// A frame held back by delay injection or owed a NACK fires no event
+    /// on the inner fabric, so no park outlasts [`Self::park_slice`]: the
+    /// caller's next poll, which pumps, is what moves those along.
+    fn park(&self, seen: u64, timeout: Duration) {
         if self.frozen.load(Ordering::Relaxed) {
+            // Fail-silent: starve without consuming inbound traffic.
             std::thread::sleep(timeout.min(Duration::from_millis(1)));
-            return false;
+        } else {
+            self.inner.park(seen, timeout.min(self.park_slice()));
         }
-        self.pump();
-        // Pumping may have moved the pending traffic out of the inner
-        // channels into this layer's in-order streams; waiting on the
-        // (now empty) inner fabric would wrongly report silence.
-        if self
-            .lock()
-            .streams
-            .values()
-            .any(|s| !s.ready.is_empty())
-        {
-            return true;
-        }
-        self.inner.wait_any_inbound(timeout.min(self.park_slice()))
     }
 
     fn fault_stats(&self) -> FaultStats {
@@ -911,6 +860,7 @@ impl Transport for ChaosTransport {
             }
             let deadline = Instant::now() + self.inner.timeout();
             loop {
+                let seen = self.inner.arrivals();
                 self.pump();
                 match self.inner.try_recv_tagged(p, QUIESCE_TAG) {
                     Ok(Some(_)) => break,
@@ -920,7 +870,7 @@ impl Transport for ChaosTransport {
                 if Instant::now() >= deadline {
                     break; // best effort: never fail a finished run
                 }
-                let _ = self.inner.wait_inbound(p, QUIESCE_TAG, self.park_slice());
+                self.inner.park(seen, self.park_slice());
             }
         }
         // One final service round for NACKs that raced the last marker.

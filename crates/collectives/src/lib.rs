@@ -11,7 +11,10 @@
 //!
 //! It provides:
 //!
-//! * [`ShmFabric`] / [`ShmTransport`] — the rendezvous transport,
+//! * [`ShmFabric`] / [`ShmTransport`] — the rendezvous transport, and the
+//!   [`Transport`] contract every fabric implements,
+//! * [`TagStash`] — the one per-(peer, tag) stash behind every fabric's
+//!   receive side,
 //! * [`ThreadCluster`] — spawn-and-join harness with panic containment,
 //! * [`reduce`] — Scatter-Reduce-Allgather, Ring, Tree and
 //!   Allgather-broadcast reductions parameterized by any
@@ -65,6 +68,7 @@ pub mod membership;
 pub mod powersgd;
 pub mod primitives;
 pub mod reduce;
+pub mod stash;
 pub mod transport;
 
 pub use cluster::ThreadCluster;
@@ -75,6 +79,7 @@ pub use hierarchy::{allreduce_hierarchical, Topology};
 pub use membership::{agree, Membership, MembershipView};
 pub use primitives::{barrier, broadcast, gather, reduce_to_root, scatter};
 pub use reduce::{allreduce, allreduce_scratch, AllreduceStats};
+pub use stash::TagStash;
 pub use transport::{
     namespace_tag, split_tag, tag_namespace, ShmFabric, ShmTransport, Transport,
     MAX_NAMESPACED_OP, MAX_TENANT_NS, NATIVE_JOB, SERVE_CTRL_NS,

@@ -215,9 +215,10 @@ pub fn agree(
 /// A dense virtual-rank window onto the surviving subset of a fabric.
 ///
 /// Implements [`Transport`] by translating virtual peer ranks to physical
-/// ones, so the engine and the blocking collectives run on the shrunken
-/// world without knowing a recovery happened. The identity view (full
-/// membership) is byte-transparent.
+/// ones on the way in and the ranks errors name back to virtual ones on
+/// the way out, so the engine and the blocking collectives run on the
+/// shrunken world without knowing a recovery happened. The identity view
+/// (full membership) is byte-transparent.
 pub struct MembershipView<'a> {
     inner: &'a dyn Transport,
     phys: Vec<usize>,
@@ -251,6 +252,19 @@ impl<'a> MembershipView<'a> {
     pub fn physical(&self, v: usize) -> usize {
         self.phys[v]
     }
+
+    /// Errors leave the view in its own rank space, like everything else
+    /// does: the fabric beneath names physical ranks, the callers above —
+    /// the engine's `PeerLost`, its own `Timeout`, the trainers' recovery —
+    /// read virtual ones.
+    fn in_view<T>(&self, outcome: Result<T, CommError>) -> Result<T, CommError> {
+        outcome.map_err(|e| match e.peer().map(|p| self.phys.binary_search(&p)) {
+            Some(Ok(v)) => e.with_peer(v),
+            // No rank implicated; and every call below but
+            // `flush_outbound` addresses a member, which its error names.
+            _ => e,
+        })
+    }
 }
 
 impl Transport for MembershipView<'_> {
@@ -267,7 +281,7 @@ impl Transport for MembershipView<'_> {
     }
 
     fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
-        self.inner.send_tagged(self.phys[peer], tag, payload)
+        self.in_view(self.inner.send_tagged(self.phys[peer], tag, payload))
     }
 
     fn try_send_tagged(
@@ -276,37 +290,32 @@ impl Transport for MembershipView<'_> {
         tag: Tag,
         payload: Encoded,
     ) -> Result<Option<Encoded>, CommError> {
-        self.inner.try_send_tagged(self.phys[peer], tag, payload)
-    }
-
-    fn recv_tagged_deadline(
-        &self,
-        peer: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Encoded, CommError> {
-        self.inner
-            .recv_tagged_deadline(self.phys[peer], tag, timeout)
+        self.in_view(self.inner.try_send_tagged(self.phys[peer], tag, payload))
     }
 
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
-        self.inner.try_recv_tagged(self.phys[peer], tag)
+        self.in_view(self.inner.try_recv_tagged(self.phys[peer], tag))
     }
 
     fn drain_inbound(&self) -> usize {
         self.inner.drain_inbound()
     }
 
+    fn arrivals(&self) -> u64 {
+        self.inner.arrivals()
+    }
+
+    fn park(&self, seen: u64, timeout: Duration) {
+        self.inner.park(seen, timeout);
+    }
+
     fn flush_outbound(&self) -> Result<(), CommError> {
-        self.inner.flush_outbound()
-    }
-
-    fn wait_inbound(&self, peer: usize, tag: Tag, timeout: Duration) -> Result<bool, CommError> {
-        self.inner.wait_inbound(self.phys[peer], tag, timeout)
-    }
-
-    fn wait_any_inbound(&self, timeout: Duration) -> bool {
-        self.inner.wait_any_inbound(timeout)
+        match self.inner.flush_outbound() {
+            // Frames still queued for a rank outside the view were
+            // written off with it.
+            Err(e) if e.peer().is_some_and(|p| !self.phys.contains(&p)) => Ok(()),
+            outcome => self.in_view(outcome),
+        }
     }
 
     fn fault_stats(&self) -> crate::fault::FaultStats {
@@ -382,6 +391,35 @@ mod tests {
         va.send(1, Encoded::new(Shape::vector(1), vec![9].into()))
             .unwrap();
         assert_eq!(vc.recv(0).unwrap().payload().as_ref(), &[9]);
+    }
+
+    #[test]
+    fn errors_leave_the_view_naming_virtual_ranks() {
+        // World 4, rank 1 long gone; now physical rank 3 drops. To the view
+        // over [0, 2, 3] that is virtual peer 2, on every path an error
+        // can take — and `physical` of what the error names is rank 3.
+        let mut eps = ShmFabric::build(4);
+        let d = eps.pop().unwrap();
+        let a = eps.swap_remove(0);
+        let m = Membership::of_ranks(4, &[0, 2, 3]);
+        let view = MembershipView::new(&a, &m);
+        drop(d);
+        let gone = CommError::Disconnected { peer: 2 };
+        assert_eq!(view.try_recv_tagged(2, 5), Err(gone.clone()));
+        assert_eq!(
+            view.recv_tagged_deadline(2, 5, Duration::from_secs(5)),
+            Err(gone.clone())
+        );
+        assert_eq!(view.recv(2), Err(gone.clone()));
+        let frame = || Encoded::new(Shape::vector(1), vec![1].into());
+        assert_eq!(view.send_tagged(2, 5, frame()), Err(gone.clone()));
+        assert_eq!(view.try_send_tagged(2, 5, frame()), Err(gone.clone()));
+        assert_eq!(view.physical(gone.peer().unwrap()), 3);
+        // A live but silent member times out under its virtual name too.
+        match view.recv_tagged_deadline(1, 5, Duration::from_millis(10)) {
+            Err(CommError::Timeout { from: 1, .. }) => {}
+            other => panic!("expected a timeout naming virtual rank 1, got {other:?}"),
+        }
     }
 
     #[test]

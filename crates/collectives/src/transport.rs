@@ -1,4 +1,4 @@
-//! The in-process shared-memory transport.
+//! The [`Transport`] contract and the in-process shared-memory fabric.
 //!
 //! The paper's SHM backend registers a UNIX shared-memory segment per GPU
 //! pair and synchronizes with CUDA IPC primitives. Collapsed into one
@@ -16,30 +16,31 @@
 //! message therefore carries a **tag** — the header a real implementation
 //! would prepend: collective id + pipeline segment + phase, packed by
 //! [`collective_tag`] — and a send files its payload straight under its
-//! `(sender, tag)` in the receiver's mailbox. A receive for tag *t* looks
-//! only there, so traffic for other tags is never in its way and there is
-//! no second place a payload could be waiting. Per-(peer, tag) FIFO order
-//! is preserved (each key holds a `VecDeque`), which is the only ordering
-//! the collectives rely on.
+//! `(sender, tag)` in the receiver's mailbox (a [`TagStash`]). A receive
+//! for tag *t* looks only there, so traffic for other tags is never in its
+//! way and there is no second place a payload could be waiting.
+//! Per-(peer, tag) FIFO order is preserved, which is the only ordering the
+//! collectives rely on.
 //!
 //! # Flow control
 //!
 //! Each ordered pair may have [`SLOT_CAPACITY`] payloads filed that the
 //! receiver has not yet *looked at*. A payload counts as looked at once the
 //! receiver takes it, takes a later one from the same sender, comes up
-//! empty on that sender, or calls [`ShmTransport::drain_inbound`]; beyond
-//! the bound a send blocks ([`ShmTransport::send_tagged`]) or hands the
-//! payload back ([`ShmTransport::try_send_tagged`]).
+//! empty on that sender, or calls [`Transport::drain_inbound`]; beyond the
+//! bound a send blocks ([`Transport::send_tagged`]) or hands the payload
+//! back ([`Transport::try_send_tagged`]).
 //!
-//! The pre-engine entry points ([`ShmTransport::send`] /
-//! [`ShmTransport::recv`]) are tag [`LEGACY_TAG`] and interoperate with
-//! tagged traffic on the same fabric.
+//! The pre-engine entry points ([`Transport::send`] / [`Transport::recv`])
+//! are tag [`LEGACY_TAG`] and interoperate with tagged traffic on the same
+//! fabric.
 
 use crate::error::CommError;
 use crate::fault::FaultStats;
+use crate::stash::TagStash;
 use cgx_compress::Encoded;
 use cgx_obs::{Counter, MetricsRegistry};
-use std::collections::{HashMap, VecDeque};
+use cgx_tensor::{Bytes, Shape};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -49,7 +50,7 @@ use std::time::{Duration, Instant};
 /// stall re-serializes the ranks into exactly the per-layer convoy the
 /// engine exists to remove. The bound still exists: the engine tolerates a
 /// full pair by draining its own inbound traffic and retrying
-/// ([`ShmTransport::try_send_tagged`]), keeping memory flat and surfacing
+/// ([`Transport::try_send_tagged`]), keeping memory flat and surfacing
 /// deadlocks under pathological load.
 const SLOT_CAPACITY: usize = 256;
 
@@ -60,8 +61,8 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 /// Message tag: collective id + segment + phase, or [`LEGACY_TAG`].
 pub type Tag = u64;
 
-/// The tag used by the untagged [`ShmTransport::send`] /
-/// [`ShmTransport::recv`] API (one collective at a time, as before tag
+/// The tag used by the untagged [`Transport::send`] /
+/// [`Transport::recv`] API (one collective at a time, as before tag
 /// multiplexing existed).
 pub const LEGACY_TAG: Tag = u64::MAX;
 
@@ -203,21 +204,45 @@ pub fn tag_namespace(wire: Tag) -> u8 {
     split_tag(wire).0
 }
 
-/// Object-safe transport abstraction.
+/// Object-safe transport abstraction: one rank's endpoint into a fabric of
+/// tag-multiplexed, per-`(peer, tag)`-FIFO point-to-point lanes.
 ///
-/// [`ShmTransport`] is the concrete fabric; [`crate::fault::ChaosTransport`]
-/// wraps it with deterministic fault injection plus checksummed
-/// retransmission, and [`crate::membership::MembershipView`] re-maps ranks
-/// after an elastic shrink. The engine, the blocking collectives and both
-/// trainers are written against `&dyn Transport`, so all three compose.
-/// Endpoints are single-owner — one rank drives its own transport from its
-/// own thread — so no auto-trait bound is imposed here; concrete endpoints
-/// ([`ShmTransport`], [`crate::fault::ChaosTransport`]) are `Send` and move
-/// into their worker threads before any `dyn Transport` borrow is taken.
-/// The one exception is the endpoint under a `cgx-serve` daemon, which
-/// tenant threads and the pump thread drive in turns: `ServeNode::new` asks
-/// for `Transport + Send + Sync`, which [`ShmTransport`] and the TCP
-/// endpoint are (a test beside each type says so at compile time).
+/// **Required** of a fabric are nine methods, none of which loops over a
+/// deadline: its geometry ([`rank`](Transport::rank),
+/// [`world`](Transport::world), [`timeout`](Transport::timeout)), the two
+/// sends, the non-blocking receive
+/// ([`try_recv_tagged`](Transport::try_recv_tagged)),
+/// [`drain_inbound`](Transport::drain_inbound), and the eventcount pair
+/// [`arrivals`](Transport::arrivals) / [`park`](Transport::park).
+/// **Provided** on top of those, once: every blocking receive
+/// ([`recv_tagged_deadline`](Transport::recv_tagged_deadline),
+/// [`recv_tagged`](Transport::recv_tagged), [`recv`](Transport::recv)),
+/// the legacy-lane conveniences, and no-op defaults for what only some
+/// fabrics have ([`flush_outbound`](Transport::flush_outbound),
+/// [`fault_stats`](Transport::fault_stats),
+/// [`begin_step`](Transport::begin_step), [`quiesce`](Transport::quiesce),
+/// [`take_namespaced_stashed`](Transport::take_namespaced_stashed)).
+///
+/// **Waiting** is always the same three steps — sample
+/// [`arrivals`](Transport::arrivals), poll, then
+/// [`park`](Transport::park) on the sample — so a frame that lands between
+/// the poll and the park cannot be slept through on any fabric. `park` may
+/// return for no reason at all and blocks at most once per call: it must
+/// never be the only thing between a caller and its deadline, and a caller
+/// must poll again after it rather than trust that something arrived.
+///
+/// [`ShmTransport`] is the in-process fabric;
+/// [`crate::fault::ChaosTransport`] wraps it with deterministic fault
+/// injection plus checksummed retransmission, and
+/// [`crate::membership::MembershipView`] re-maps ranks after an elastic
+/// shrink. The engine, the blocking collectives and both trainers are
+/// written against `&dyn Transport`, so all of them compose. Endpoints are
+/// single-owner — one rank drives its own transport from its own thread —
+/// so no auto-trait bound is imposed here. The one exception is the
+/// endpoint under a `cgx-serve` daemon, which tenant threads and the pump
+/// thread drive in turns: `ServeNode::new` asks for `Transport + Send +
+/// Sync`, which [`ShmTransport`] and the TCP endpoint are (a test beside
+/// each type says so at compile time).
 pub trait Transport {
     /// This endpoint's rank.
     fn rank(&self) -> usize;
@@ -248,30 +273,32 @@ pub trait Transport {
         payload: Encoded,
     ) -> Result<Option<Encoded>, CommError>;
 
-    /// Receives the next payload with `tag` from `peer` within `timeout`.
+    /// Polls for a payload with `tag` from `peer` without blocking. What
+    /// has already arrived is delivered before the peer's terminal error
+    /// is reported.
     ///
     /// # Errors
     ///
-    /// [`CommError::Timeout`] if nothing with `tag` arrives in time;
-    /// [`CommError::Disconnected`] / [`CommError::Lost`] on peer failure.
-    fn recv_tagged_deadline(
-        &self,
-        peer: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Encoded, CommError>;
-
-    /// Polls for a payload with `tag` from `peer` without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Disconnected`] / [`CommError::Lost`] on peer failure.
+    /// [`CommError::Disconnected`] / [`CommError::PeerDead`] /
+    /// [`CommError::Lost`] once the peer is gone and nothing with `tag`
+    /// remains.
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError>;
 
     /// Takes in everything that has arrived from any peer, so that it no
     /// longer counts against the senders' flow control, without blocking;
     /// returns the number of messages that were new.
     fn drain_inbound(&self) -> usize;
+
+    /// Frames ever taken into this endpoint's stash, a peer's terminal
+    /// error counting as one. Only ever compared for equality with an
+    /// earlier sample, by [`Transport::park`].
+    fn arrivals(&self) -> u64;
+
+    /// Returns at once if [`Transport::arrivals`] is no longer `seen`;
+    /// otherwise blocks — once, in the fabric's native wait, for at most
+    /// `timeout` — until it may have moved. May return early or for
+    /// nothing (see the trait docs).
+    fn park(&self, seen: u64, timeout: Duration);
 
     /// Pushes any transport-internal queued outbound traffic onto the
     /// fabric. Transports that coalesce small nonblocking sends (the TCP
@@ -287,19 +314,49 @@ pub trait Transport {
         Ok(())
     }
 
-    /// Blocks until some message arrives from `peer` or a payload with
-    /// `tag` is already stashed; `Ok(false)` on timeout.
+    /// Receives the next payload with `tag` from `peer` within `timeout`.
+    /// A payload that is already here is delivered even on an expired
+    /// deadline. The one deadline loop of the receive side.
     ///
     /// # Errors
     ///
-    /// [`CommError::Disconnected`] if the peer's endpoint was dropped and
-    /// nothing with `tag` remains stashed.
-    fn wait_inbound(&self, peer: usize, tag: Tag, timeout: Duration) -> Result<bool, CommError>;
+    /// [`CommError::Timeout`], naming `peer` and the `timeout` asked for,
+    /// if nothing with `tag` arrives in time; otherwise as
+    /// [`Transport::try_recv_tagged`].
+    fn recv_tagged_deadline(
+        &self,
+        peer: usize,
+        tag: Tag,
+        timeout: Duration,
+    ) -> Result<Encoded, CommError> {
+        let mut deadline = None;
+        loop {
+            let seen = self.arrivals();
+            if let Some(payload) = self.try_recv_tagged(peer, tag)? {
+                return Ok(payload);
+            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(CommError::Timeout {
+                    from: peer,
+                    waited: timeout,
+                    in_flight: 0,
+                });
+            }
+            self.park(seen, left);
+        }
+    }
 
-    /// Blocks until a message arrives from *any* peer (stashing it), up to
-    /// `timeout`. Returns `true` if something arrived. The engine's park
-    /// point when no machine exposes a specific expected inbound.
-    fn wait_any_inbound(&self, timeout: Duration) -> bool;
+    /// Receives the next payload with `tag` from `peer`, waiting up to the
+    /// configured timeout.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::recv_tagged_deadline`].
+    fn recv_tagged(&self, peer: usize, tag: Tag) -> Result<Encoded, CommError> {
+        self.recv_tagged_deadline(peer, tag, self.timeout())
+    }
 
     /// Sends a payload to `peer` on the legacy (untagged) lane.
     ///
@@ -317,16 +374,6 @@ pub trait Transport {
     /// As [`Transport::recv_tagged_deadline`].
     fn recv(&self, peer: usize) -> Result<Encoded, CommError> {
         self.recv_tagged(peer, LEGACY_TAG)
-    }
-
-    /// Receives the next payload with `tag` from `peer`, waiting up to the
-    /// configured timeout.
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::recv_tagged_deadline`].
-    fn recv_tagged(&self, peer: usize, tag: Tag) -> Result<Encoded, CommError> {
-        self.recv_tagged_deadline(peer, tag, self.timeout())
     }
 
     /// Sends `payload` to every other rank on the legacy lane.
@@ -366,15 +413,16 @@ pub trait Transport {
     /// final frames. Best-effort: an unreachable peer is skipped after the
     /// transport timeout rather than failing a finished run. The plain
     /// fabric is lossless (buffered frames survive a dropped sender), so
-    /// its default is a no-op.
+    /// its default is a no-op; fabrics whose bytes can still be in flight
+    /// when the run ends call [`exchange_quiesce_markers`].
     fn quiesce(&self, peers: &[usize]) {
         let _ = peers;
     }
 
     /// Removes and returns every stashed message addressed to a non-native
     /// tag namespace (see [`split_tag`]), as `(peer, wire_tag, payload)`
-    /// triples in per-(peer, tag) FIFO order. The serve daemon's pump loop
-    /// pairs this with [`Transport::drain_inbound`] to act as the fabric's
+    /// triples in arrival order. The serve daemon's inbound turn pairs
+    /// this with [`Transport::drain_inbound`] to act as the fabric's
     /// sole physical drainer, routing tenant traffic to per-job inboxes;
     /// native traffic stays stashed for the endpoint's own collectives.
     /// Fabrics that never sit under a daemon keep the empty default.
@@ -383,66 +431,40 @@ pub trait Transport {
     }
 }
 
+/// The marker exchange behind [`Transport::quiesce`] on fabrics that keep
+/// bytes in flight (sockets, a daemon's scheduler queues): a marker to
+/// every one of `peers`, then one from each, so that nobody tears down
+/// while a peer's final frames are still on their way. Best-effort — a
+/// peer that fails or stays silent past the timeout is skipped.
+pub fn exchange_quiesce_markers(t: &dyn Transport, peers: &[usize]) {
+    let marker = Encoded::new(Shape::vector(1), Bytes::copy_from_slice(&[0x51]));
+    let others = || {
+        peers
+            .iter()
+            .copied()
+            .filter(|&p| p != t.rank() && p < t.world())
+    };
+    for p in others() {
+        let _ = t.send_tagged(p, QUIESCE_TAG, marker.clone());
+    }
+    for p in others() {
+        let _ = t.recv_tagged_deadline(p, QUIESCE_TAG, t.timeout());
+    }
+}
+
 /// Everything in flight towards one rank: the state behind its [`Mailbox`].
 #[derive(Debug)]
 struct Inbox {
-    /// `queues[peer][tag]`: payloads `peer` filed under `tag`, oldest
-    /// first, each with its number in `peer`'s stream to this rank.
-    queues: Vec<HashMap<Tag, VecDeque<(u64, Encoded)>>>,
-    /// Payloads queued, over all peers and tags.
-    queued: usize,
-    /// `sent[peer]`: payloads `peer` has filed here so far.
-    sent: Vec<u64>,
-    /// `seen[peer]`: how far down `peer`'s stream the owner has looked.
-    /// `sent[peer] - seen[peer]` is the pair's depth, bounded by
-    /// [`SLOT_CAPACITY`].
-    seen: Vec<u64>,
-    /// `live[peer]`: `peer`'s endpoint still exists and may file more.
-    live: Vec<bool>,
+    /// What the peers filed; `stash.unseen(peer)` is the pair's depth,
+    /// bounded by [`SLOT_CAPACITY`], and a peer is closed once its
+    /// endpoint is gone.
+    stash: TagStash,
     /// The owning endpoint still exists, so filing here is not futile.
     open: bool,
     /// Threads waiting on [`Mailbox::arrived`] / [`Mailbox::space`]: a
     /// notify is a system call, skipped when nobody would hear it.
     parked: usize,
     blocked: usize,
-}
-
-impl Inbox {
-    fn depth(&self, peer: usize) -> usize {
-        (self.sent[peer] - self.seen[peer]) as usize
-    }
-
-    fn file(&mut self, peer: usize, tag: Tag, payload: Encoded) {
-        let seq = self.sent[peer];
-        self.sent[peer] += 1;
-        self.queues[peer]
-            .entry(tag)
-            .or_default()
-            .push_back((seq, payload));
-        self.queued += 1;
-    }
-
-    fn has(&self, peer: usize, tag: Tag) -> bool {
-        self.queues[peer].contains_key(&tag)
-    }
-
-    /// The oldest payload under `(peer, tag)`. Taking one looks past
-    /// everything `peer` filed before it; finding none looks at all of it.
-    fn take(&mut self, peer: usize, tag: Tag) -> Option<Encoded> {
-        let Some(queue) = self.queues[peer].get_mut(&tag) else {
-            self.seen[peer] = self.sent[peer];
-            return None;
-        };
-        let (seq, payload) = queue.pop_front().expect("empty queues are removed");
-        if queue.is_empty() {
-            // Tags are single-use (one per collective/segment/phase): drop
-            // the entry so the map does not grow with training steps.
-            self.queues[peer].remove(&tag);
-        }
-        self.queued -= 1;
-        self.seen[peer] = self.seen[peer].max(seq + 1);
-        Some(payload)
-    }
 }
 
 /// One rank's mailbox, shared by the whole fabric. Senders lock it to file
@@ -464,22 +486,6 @@ impl Mailbox {
         self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Parks the owner until something is filed, a peer goes away, or
-    /// `timeout` passes.
-    fn await_arrival<'a>(
-        &self,
-        mut inbox: MutexGuard<'a, Inbox>,
-        timeout: Duration,
-    ) -> MutexGuard<'a, Inbox> {
-        inbox.parked += 1;
-        let (mut inbox, _) = self
-            .arrived
-            .wait_timeout(inbox, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        inbox.parked -= 1;
-        inbox
-    }
-
     /// Wakes senders blocked on a full pair, after the owner looked further.
     fn note_space(&self, inbox: &Inbox) {
         if inbox.blocked > 0 {
@@ -499,7 +505,8 @@ struct TransportMetrics {
     bytes_recv: Counter,
 }
 
-/// A rank's endpoint into the shared-memory fabric.
+/// A rank's endpoint into the shared-memory fabric; everything it does is
+/// its [`Transport`] impl.
 ///
 /// Cheap to move into a worker thread. An endpoint is only ever driven by
 /// its own rank's thread; its mailbox is contended only by the peers
@@ -519,14 +526,12 @@ pub struct ShmTransport {
 }
 
 impl ShmTransport {
-    /// This endpoint's rank.
+    /// This endpoint's rank: [`Transport::rank`], and the one method also
+    /// kept inherent, so that a worker closure handed its endpoint by
+    /// [`crate::ThreadCluster::run`] can seed itself without importing the
+    /// trait (`benchmark/` does).
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// Number of ranks in the fabric.
-    pub fn world(&self) -> usize {
-        self.world
     }
 
     /// Overrides the receive timeout (default [`DEFAULT_TIMEOUT`]).
@@ -548,27 +553,6 @@ impl ShmTransport {
             msgs_recv: registry.counter(names::TRANSPORT_MSGS_RECV),
             bytes_recv: registry.counter(names::TRANSPORT_BYTES_RECV),
         });
-    }
-
-    #[inline]
-    fn note_sent(&self, bytes: usize) {
-        if let Some(m) = &self.obs {
-            m.msgs_sent.inc();
-            m.bytes_sent.add(bytes as u64);
-        }
-    }
-
-    #[inline]
-    fn note_recv(&self, payload: &Encoded) {
-        if let Some(m) = &self.obs {
-            m.msgs_recv.inc();
-            m.bytes_recv.add(payload.payload_bytes() as u64);
-        }
-    }
-
-    /// The configured receive timeout.
-    pub fn timeout(&self) -> Duration {
-        self.timeout
     }
 
     fn mailbox(&self) -> &Mailbox {
@@ -595,7 +579,7 @@ impl ShmTransport {
             if !inbox.open {
                 return Err(CommError::Disconnected { peer });
             }
-            if inbox.depth(self.rank) < SLOT_CAPACITY {
+            if inbox.stash.unseen(self.rank) < SLOT_CAPACITY {
                 break;
             }
             if !block {
@@ -609,296 +593,17 @@ impl ShmTransport {
             inbox.blocked -= 1;
         }
         let bytes = payload.payload_bytes();
-        inbox.file(self.rank, tag, payload);
+        inbox.stash.file(self.rank, tag, payload);
         let wake = inbox.parked > 0;
         drop(inbox);
         if wake {
             dest.arrived.notify_all();
         }
-        self.note_sent(bytes);
+        if let Some(m) = &self.obs {
+            m.msgs_sent.inc();
+            m.bytes_sent.add(bytes as u64);
+        }
         Ok(None)
-    }
-
-    /// Sends a payload to `peer` on the legacy (untagged) lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::Disconnected`] if the peer's endpoint was
-    /// dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range or equal to this rank.
-    pub fn send(&self, peer: usize, payload: Encoded) -> Result<(), CommError> {
-        self.send_tagged(peer, LEGACY_TAG, payload)
-    }
-
-    /// Sends a tagged payload to `peer`, blocking while the pair is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::Disconnected`] if the peer's endpoint was
-    /// dropped, before the call or while it blocked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range or equal to this rank.
-    pub fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
-        self.deliver(peer, tag, payload, true).map(|_| ())
-    }
-
-    /// Attempts a tagged send without blocking. Returns `Ok(None)` when the
-    /// message was filed, or `Ok(Some(payload))` — handing the payload
-    /// back — when the pair is full (the engine then drains its own
-    /// inbound lanes and retries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::Disconnected`] if the peer's endpoint was
-    /// dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range or equal to this rank.
-    pub fn try_send_tagged(
-        &self,
-        peer: usize,
-        tag: Tag,
-        payload: Encoded,
-    ) -> Result<Option<Encoded>, CommError> {
-        self.deliver(peer, tag, payload, false)
-    }
-
-    /// Receives the next legacy-lane payload from `peer`, waiting up to the
-    /// timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Timeout`] if nothing arrives in time;
-    /// [`CommError::Disconnected`] if the peer's endpoint was dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range or equal to this rank.
-    pub fn recv(&self, peer: usize) -> Result<Encoded, CommError> {
-        self.recv_tagged(peer, LEGACY_TAG)
-    }
-
-    /// Receives the next payload with `tag` from `peer`, waiting up to the
-    /// timeout. Messages bearing other tags that arrive meanwhile stay
-    /// filed under their own tags.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Timeout`] if nothing with `tag` arrives in time;
-    /// [`CommError::Disconnected`] if the peer's endpoint was dropped and no
-    /// message with `tag` remains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range or equal to this rank.
-    pub fn recv_tagged(&self, peer: usize, tag: Tag) -> Result<Encoded, CommError> {
-        self.recv_tagged_deadline(peer, tag, self.timeout)
-    }
-
-    /// [`ShmTransport::recv_tagged`] with an explicit timeout (the engine
-    /// uses short slices so it can keep making progress on other
-    /// collectives while one peer is slow).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShmTransport::recv_tagged`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range or equal to this rank.
-    pub fn recv_tagged_deadline(
-        &self,
-        peer: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Encoded, CommError> {
-        self.receive(peer, tag, timeout)?.ok_or(CommError::Timeout {
-            from: peer,
-            waited: timeout,
-            in_flight: 0,
-        })
-    }
-
-    /// Polls for a payload with `tag` from `peer` without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Disconnected`] if the peer's endpoint was dropped and
-    /// no message with `tag` remains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range or equal to this rank.
-    pub fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
-        self.receive(peer, tag, Duration::ZERO)
-    }
-
-    /// Takes the next `(peer, tag)` payload, parking for up to `patience`
-    /// until there is one; `Ok(None)` when that runs out.
-    fn receive(
-        &self,
-        peer: usize,
-        tag: Tag,
-        patience: Duration,
-    ) -> Result<Option<Encoded>, CommError> {
-        self.check_peer(peer);
-        let mailbox = self.mailbox();
-        let mut inbox = mailbox.lock();
-        let mut deadline = None;
-        loop {
-            let taken = inbox.take(peer, tag);
-            mailbox.note_space(&inbox);
-            if let Some(p) = taken {
-                drop(inbox);
-                self.note_recv(&p);
-                return Ok(Some(p));
-            }
-            if !inbox.live[peer] {
-                return Err(CommError::Disconnected { peer });
-            }
-            if patience.is_zero() {
-                return Ok(None);
-            }
-            let deadline = *deadline.get_or_insert_with(|| Instant::now() + patience);
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            inbox = mailbox.await_arrival(inbox, remaining);
-        }
-    }
-
-    /// Looks at everything filed so far, which frees every sender's pair
-    /// of its depth, without blocking. Returns the number of messages not
-    /// looked at before (zero means nothing has arrived since the last
-    /// look). Disconnected peers are not reported here — the collective
-    /// polling that peer's tag surfaces the error.
-    pub fn drain_inbound(&self) -> usize {
-        let mailbox = self.mailbox();
-        let mut inbox = mailbox.lock();
-        let mut moved = 0;
-        for peer in 0..self.world {
-            moved += inbox.depth(peer);
-            inbox.seen[peer] = inbox.sent[peer];
-        }
-        mailbox.note_space(&inbox);
-        moved
-    }
-
-    /// Blocks until *some* message from `peer` is there to look at (any
-    /// arrival likely unblocks a machine), or until a payload with `tag`
-    /// is queued. Returns `Ok(true)` if so, `Ok(false)` on timeout. This
-    /// is the engine's park point: the sender's notify wakes it directly,
-    /// like a blocking `recv`, instead of sleep-polling.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Disconnected`] if the peer's endpoint was dropped and
-    /// nothing with `tag` remains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range or equal to this rank.
-    pub fn wait_inbound(
-        &self,
-        peer: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<bool, CommError> {
-        self.check_peer(peer);
-        let mailbox = self.mailbox();
-        let mut inbox = mailbox.lock();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if inbox.has(peer, tag) {
-                return Ok(true);
-            }
-            if inbox.depth(peer) > 0 {
-                inbox.seen[peer] += 1;
-                mailbox.note_space(&inbox);
-                return Ok(true);
-            }
-            if !inbox.live[peer] {
-                return Err(CommError::Disconnected { peer });
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(false);
-            }
-            inbox = mailbox.await_arrival(inbox, remaining);
-        }
-    }
-
-    /// Blocks until a message from *any* peer is queued, up to `timeout`.
-    /// Returns `true` if one is — including one that was already there
-    /// under a tag nobody has asked for yet. A peer going away does not end
-    /// the wait; with every peer gone it is cut to a short sleep.
-    pub fn wait_any_inbound(&self, timeout: Duration) -> bool {
-        let mailbox = self.mailbox();
-        let mut inbox = mailbox.lock();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if inbox.queued > 0 {
-                return true;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if !inbox.live.contains(&true) {
-                // Nobody is left to wake us; callers that loop on this
-                // must neither spin nor sit out a long timeout.
-                drop(inbox);
-                std::thread::sleep(remaining.min(Duration::from_millis(1)));
-                return false;
-            }
-            if remaining.is_zero() {
-                return false;
-            }
-            inbox = mailbox.await_arrival(inbox, remaining);
-        }
-    }
-
-    /// Removes every queued message whose tag carries a non-native
-    /// namespace byte (see [`Transport::take_namespaced_stashed`]).
-    pub fn take_namespaced_stashed(&self) -> Vec<(usize, Tag, Encoded)> {
-        let mailbox = self.mailbox();
-        let mut inbox = mailbox.lock();
-        let mut out = Vec::new();
-        for peer in 0..self.world {
-            let tags: Vec<Tag> = inbox.queues[peer]
-                .keys()
-                .copied()
-                .filter(|&t| tag_namespace(t) != NATIVE_JOB)
-                .collect();
-            for tag in tags {
-                let queue = inbox.queues[peer].remove(&tag).expect("key just listed");
-                inbox.queued -= queue.len();
-                for (seq, p) in queue {
-                    inbox.seen[peer] = inbox.seen[peer].max(seq + 1);
-                    out.push((peer, tag, p));
-                }
-            }
-        }
-        mailbox.note_space(&inbox);
-        out
-    }
-
-    /// Sends `payload` to every other rank on the legacy lane.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first send failure.
-    pub fn broadcast(&self, payload: &Encoded) -> Result<(), CommError> {
-        for peer in 0..self.world {
-            if peer != self.rank {
-                self.send(peer, payload.clone())?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -911,70 +616,109 @@ impl Drop for ShmTransport {
             let mut inbox = mailbox.lock();
             if rank == self.rank {
                 inbox.open = false;
-                inbox.queues.iter_mut().for_each(HashMap::clear);
-                inbox.queued = 0;
+                inbox.stash.clear();
                 mailbox.space.notify_all();
             } else {
-                inbox.live[self.rank] = false;
+                let gone = CommError::Disconnected { peer: self.rank };
+                inbox.stash.close(self.rank, gone);
                 mailbox.arrived.notify_all();
             }
         }
     }
 }
 
+/// # Panics
+///
+/// Every method that names a peer panics if it is out of range or this
+/// rank itself.
 impl Transport for ShmTransport {
     fn rank(&self) -> usize {
-        ShmTransport::rank(self)
+        self.rank
     }
 
     fn world(&self) -> usize {
-        ShmTransport::world(self)
+        self.world
     }
 
     fn timeout(&self) -> Duration {
-        ShmTransport::timeout(self)
+        self.timeout
     }
 
+    /// Blocks while the pair is full (see the module docs on flow control);
+    /// fails if the peer's endpoint is dropped before or meanwhile.
     fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
-        ShmTransport::send_tagged(self, peer, tag, payload)
+        self.deliver(peer, tag, payload, true).map(|_| ())
     }
 
+    /// `Ok(Some(payload))` hands the payload back when the pair is full
+    /// (the engine then drains its own inbound lanes and retries).
     fn try_send_tagged(
         &self,
         peer: usize,
         tag: Tag,
         payload: Encoded,
     ) -> Result<Option<Encoded>, CommError> {
-        ShmTransport::try_send_tagged(self, peer, tag, payload)
+        self.deliver(peer, tag, payload, false)
     }
 
-    fn recv_tagged_deadline(
-        &self,
-        peer: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Encoded, CommError> {
-        ShmTransport::recv_tagged_deadline(self, peer, tag, timeout)
-    }
-
+    /// Looks only under `(peer, tag)`: messages bearing other tags stay
+    /// filed under their own.
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
-        ShmTransport::try_recv_tagged(self, peer, tag)
+        self.check_peer(peer);
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
+        let taken = inbox.stash.take(peer, tag);
+        mailbox.note_space(&inbox);
+        let Some(payload) = taken else {
+            return inbox
+                .stash
+                .closed(peer)
+                .map_or(Ok(None), |e| Err(e.clone()));
+        };
+        drop(inbox);
+        if let Some(m) = &self.obs {
+            m.msgs_recv.inc();
+            m.bytes_recv.add(payload.payload_bytes() as u64);
+        }
+        Ok(Some(payload))
     }
 
+    /// Looks at everything filed so far, which frees every sender's pair
+    /// of its depth. Disconnected peers are not reported here — the
+    /// collective polling that peer's tag surfaces the error.
     fn drain_inbound(&self) -> usize {
-        ShmTransport::drain_inbound(self)
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
+        let new = inbox.stash.look();
+        mailbox.note_space(&inbox);
+        new
     }
 
-    fn wait_inbound(&self, peer: usize, tag: Tag, timeout: Duration) -> Result<bool, CommError> {
-        ShmTransport::wait_inbound(self, peer, tag, timeout)
+    fn arrivals(&self) -> u64 {
+        self.mailbox().lock().stash.arrivals()
     }
 
-    fn wait_any_inbound(&self, timeout: Duration) -> bool {
-        ShmTransport::wait_any_inbound(self, timeout)
+    /// Sleeps on the mailbox's condition variable: a sender's (or a
+    /// dropping peer's) notify wakes it directly, like a blocking `recv`.
+    fn park(&self, seen: u64, timeout: Duration) {
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
+        if inbox.stash.arrivals() == seen {
+            inbox.parked += 1;
+            let (mut inbox, _) = mailbox
+                .arrived
+                .wait_timeout(inbox, timeout)
+                .unwrap_or_else(PoisonError::into_inner);
+            inbox.parked -= 1;
+        }
     }
 
     fn take_namespaced_stashed(&self) -> Vec<(usize, Tag, Encoded)> {
-        ShmTransport::take_namespaced_stashed(self)
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
+        let taken = inbox.stash.take_namespaced();
+        mailbox.note_space(&inbox);
+        taken
     }
 }
 
@@ -991,13 +735,9 @@ impl ShmFabric {
     pub fn build(n: usize) -> Vec<ShmTransport> {
         assert!(n > 0, "fabric needs at least one rank");
         let boxes: Arc<[Mailbox]> = (0..n)
-            .map(|rank| Mailbox {
+            .map(|_| Mailbox {
                 inbox: Mutex::new(Inbox {
-                    queues: (0..n).map(|_| HashMap::new()).collect(),
-                    queued: 0,
-                    sent: vec![0; n],
-                    seen: vec![0; n],
-                    live: (0..n).map(|peer| peer != rank).collect(),
+                    stash: TagStash::new(n),
                     open: true,
                     parked: 0,
                     blocked: 0,
@@ -1148,7 +888,8 @@ mod tests {
         let t = collective_tag(3, 2, 1);
         a.send_tagged(1, t, payload(9)).unwrap();
         a.send(1, payload(4)).unwrap();
-        // The legacy recv skips past the tagged message (stashing it).
+        // The legacy receive looks only under its own tag; the tagged
+        // message stays filed under `t`.
         assert_eq!(b.recv(0).unwrap().payload().as_ref(), &[4]);
         assert_eq!(b.try_recv_tagged(0, t).unwrap().unwrap().payload().as_ref(), &[9]);
     }
@@ -1194,8 +935,8 @@ mod tests {
         a.send_tagged(1, t1, payload(1)).unwrap();
         a.send_tagged(1, t2, payload(2)).unwrap();
         drop(a);
-        // t2 was pulled into the stash while looking for t1; both are
-        // still deliverable after the disconnect, then the error surfaces.
+        // Both were filed before the sender went: each is still deliverable
+        // after the disconnect, then the error surfaces.
         assert_eq!(b.recv_tagged(0, t1).unwrap().payload().as_ref(), &[1]);
         assert_eq!(b.recv_tagged(0, t2).unwrap().payload().as_ref(), &[2]);
         assert!(matches!(
@@ -1238,8 +979,8 @@ mod tests {
 
     #[test]
     fn expired_deadline_still_delivers_stashed_payload() {
-        // A payload already pulled into the stash must win over an
-        // expired deadline — the data exists, only the clock ran out.
+        // A payload that is already filed must win over an expired
+        // deadline — the data exists, only the clock ran out.
         let mut eps = ShmFabric::build(2);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
@@ -1277,25 +1018,36 @@ mod tests {
         ));
     }
 
+    /// `park` until `arrivals` has left `seen` or `timeout` has passed;
+    /// whether it has. (What `wait_any_inbound` was before the eventcount.)
+    fn arrived_since(t: &ShmTransport, seen: u64, timeout: Duration) -> bool {
+        let t0 = Instant::now();
+        while t.arrivals() == seen && t0.elapsed() < timeout {
+            t.park(seen, timeout.saturating_sub(t0.elapsed()));
+        }
+        t.arrivals() != seen
+    }
+
     #[test]
-    fn wait_any_inbound_wakes_on_any_peer_and_stashes() {
+    fn park_wakes_on_any_peer_and_the_arrival_stays_filed() {
         let mut eps = ShmFabric::build(3);
         let c = eps.pop().unwrap();
         let b = eps.pop().unwrap();
         let _a = eps.pop().unwrap();
         let tag = collective_tag(9, 0, 1);
+        let seen = c.arrivals();
         b.send_tagged(2, tag, payload(5)).unwrap();
-        assert!(c.wait_any_inbound(Duration::from_secs(5)));
+        assert!(arrived_since(&c, seen, Duration::from_secs(5)));
         // The arrival was stashed, not dropped.
         assert_eq!(
             c.try_recv_tagged(1, tag).unwrap().unwrap().payload().as_ref(),
             &[5]
         );
-        assert!(!c.wait_any_inbound(Duration::from_millis(5)));
+        assert!(!arrived_since(&c, c.arrivals(), Duration::from_millis(5)));
     }
 
     #[test]
-    fn wait_any_inbound_skips_closed_channels_without_spinning() {
+    fn park_skips_closed_channels_without_spinning() {
         let mut eps = ShmFabric::build(3);
         let c = eps.pop().unwrap();
         let b = eps.pop().unwrap();
@@ -1306,14 +1058,15 @@ mod tests {
             c.try_recv_tagged(0, LEGACY_TAG),
             Err(CommError::Disconnected { peer: 0 })
         ));
-        // The select must now wait out the timeout on the live peer
+        // The park must now wait out the timeout on the live peer
         // rather than returning instantly-ready on the closed one.
+        let seen = c.arrivals();
         let t0 = Instant::now();
-        assert!(!c.wait_any_inbound(Duration::from_millis(20)));
+        assert!(!arrived_since(&c, seen, Duration::from_millis(20)));
         assert!(t0.elapsed() >= Duration::from_millis(15));
         // And a live arrival still wakes it.
         b.send_tagged(2, LEGACY_TAG, payload(3)).unwrap();
-        assert!(c.wait_any_inbound(Duration::from_secs(5)));
+        assert!(arrived_since(&c, seen, Duration::from_secs(5)));
     }
 
     /// Spins until `cond` holds: how a test sees that another thread has
@@ -1330,15 +1083,17 @@ mod tests {
     const PROMPT: Duration = Duration::from_secs(10);
 
     #[test]
-    fn a_parked_wait_any_returns_on_the_first_send() {
+    fn a_parked_rank_returns_on_the_first_send() {
         let mut eps = ShmFabric::build(3);
         let c = eps.pop().unwrap();
         let b = eps.pop().unwrap();
         let _a = eps.pop().unwrap();
+        let seen = c.arrivals();
         std::thread::scope(|s| {
             let waiter = s.spawn(|| {
                 let t0 = Instant::now();
-                (c.wait_any_inbound(Duration::from_secs(30)), t0.elapsed())
+                c.park(seen, Duration::from_secs(30));
+                (c.arrivals() != seen, t0.elapsed())
             });
             until("rank 2 parked", || c.mailbox().lock().parked == 1);
             b.send_tagged(2, collective_tag(3, 0, 1), payload(8))
@@ -1481,14 +1236,15 @@ mod tests {
         a.send_tagged(1, t1, payload(3)).unwrap();
         a.send_tagged(1, t2, payload(4)).unwrap();
         b.drain_inbound();
-        let mut taken = ShmTransport::take_namespaced_stashed(&b);
-        taken.sort_by_key(|(_, tag, p)| (*tag, p.payload()[0]));
-        let got: Vec<(usize, Tag, u8)> =
-            taken.iter().map(|(p, t, e)| (*p, *t, e.payload()[0])).collect();
+        let taken = b.take_namespaced_stashed();
+        let got: Vec<(usize, Tag, u8)> = taken
+            .iter()
+            .map(|(p, t, e)| (*p, *t, e.payload()[0]))
+            .collect();
         assert_eq!(got, vec![(0, t1, 2), (0, t1, 3), (0, t2, 4)]);
         // Native traffic is untouched and still deliverable.
         assert_eq!(b.recv_tagged(0, native).unwrap().payload().as_ref(), &[1]);
-        assert!(ShmTransport::take_namespaced_stashed(&b).is_empty());
+        assert!(b.take_namespaced_stashed().is_empty());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use cgx_collectives::conformance::{self, BoxTransport};
 use cgx_collectives::{ChaosTransport, FaultPlan, ShmFabric};
+use std::time::Duration;
 
 fn shm_builder(n: usize) -> Vec<BoxTransport> {
     ShmFabric::build(n)
@@ -18,13 +19,22 @@ fn shm_transport_satisfies_the_transport_contract() {
     conformance::run_all(&shm_builder);
 }
 
+fn quiet_chaos_builder(n: usize) -> Vec<BoxTransport> {
+    ShmFabric::build(n)
+        .into_iter()
+        .map(|t| Box::new(ChaosTransport::new(t, FaultPlan::new(0))) as BoxTransport)
+        .collect()
+}
+
 #[test]
 fn quiet_chaos_wrapper_satisfies_the_transport_contract() {
-    let build = |n: usize| -> Vec<BoxTransport> {
-        ShmFabric::build(n)
-            .into_iter()
-            .map(|t| Box::new(ChaosTransport::new(t, FaultPlan::new(0))) as BoxTransport)
-            .collect()
-    };
-    conformance::run_all(&build);
+    conformance::run_all(&quiet_chaos_builder);
+}
+
+/// The mailbox's condvar sleeps a whole deadline in one park; the chaos
+/// layer wakes every millisecond to look at its retransmission timers.
+#[test]
+fn a_receive_on_a_silent_tag_does_not_spin_on_an_unrelated_stash() {
+    conformance::check_silent_tag_parks_boundedly(&shm_builder, Duration::from_millis(200));
+    conformance::check_silent_tag_parks_boundedly(&quiet_chaos_builder, Duration::from_millis(1));
 }

@@ -366,3 +366,76 @@ impl<'a> RankSync<'a> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::data::GaussianMixture;
+    use crate::nn::Mlp;
+    use crate::trainer::{train_rank, LayerCompression, TrainConfig};
+    use cgx_collectives::ShmFabric;
+    use cgx_compress::ScratchPool;
+    use cgx_tensor::Rng;
+    use std::time::Duration;
+
+    /// The second loss of a run is reported through a shrunken view: the
+    /// fabric says physical rank 3 disconnected, which the view over
+    /// `[0, 2, 3]` must hand to `recover` as virtual rank 2 — read as a
+    /// physical rank there is no such member (and in a larger world it
+    /// would be a live one). A rank leaves by running fewer steps: on the
+    /// shm fabric `finish` has nothing to wait for, and its endpoint drops.
+    #[test]
+    fn two_ranks_leave_at_different_steps_and_the_survivors_agree() {
+        let task = GaussianMixture::new(4, 8, 1.5);
+        let model = Mlp::new(&mut Rng::seed_from_u64(33), &[8, 16, 4]);
+        let cfg = TrainConfig {
+            lr: 0.2,
+            elastic: true,
+            compression: LayerCompression::cgx_default(),
+            ..TrainConfig::new(4, 12)
+        };
+        let steps = [cfg.steps, 3, cfg.steps, 6];
+        let pool = ScratchPool::new();
+        let outputs: Vec<_> = std::thread::scope(|s| {
+            let ranks: Vec<_> = ShmFabric::build(4)
+                .into_iter()
+                .zip(steps)
+                .map(|(mut t, steps)| {
+                    t.set_timeout(Duration::from_secs(5));
+                    let (task, model, pool) = (&task, &model, &pool);
+                    let cfg = TrainConfig {
+                        steps,
+                        ..cfg.clone()
+                    };
+                    s.spawn(move || {
+                        train_rank(
+                            &t,
+                            model,
+                            &|r: &mut Rng| task.sample_batch(r, 16),
+                            &cfg,
+                            pool,
+                        )
+                    })
+                })
+                .collect();
+            ranks
+                .into_iter()
+                .map(|h| h.join().expect("no rank panics"))
+                .map(|out| out.expect("no rank fails").expect("no rank is killed"))
+                .collect()
+        });
+        let survivors = [&outputs[0], &outputs[2]];
+        for out in survivors {
+            assert_eq!(out.final_world, 2);
+            assert_eq!(out.faults.recovery_epochs, 2);
+            assert_eq!(out.losses.len(), cfg.steps);
+        }
+        for (a, b) in survivors[0]
+            .model
+            .params()
+            .iter()
+            .zip(survivors[1].model.params())
+        {
+            assert_eq!(a.as_slice(), b.as_slice(), "survivors diverged");
+        }
+    }
+}

@@ -15,7 +15,7 @@
 //!   endpoint's single demux loop ([`poll(2)`] over all peer sockets,
 //!   then in-place frame parsing out of per-peer staging buffers) runs on
 //!   whichever thread is inside a transport call. Receives *are* the
-//!   event loop: a `recv`/`wait` parks in `poll` until a socket turns
+//!   event loop: [`Transport::park`] sleeps in `poll` until a socket turns
 //!   readable and parses frames directly on the waiting thread. This
 //!   replaces the previous one-eager-reader-thread-per-peer design —
 //!   `world - 1` threads, a condvar handoff (two context switches) per
@@ -37,7 +37,7 @@
 //!   (≤ [`NetOptions::coalesce_frame_bytes`]) are queued per peer and
 //!   flushed as one vectored write at a budget overflow
 //!   ([`NetOptions::coalesce_budget_bytes`], mirroring the engine's
-//!   coalescer), at any receive/wait, at [`Transport::flush_outbound`]
+//!   coalescer), at any receive/park, at [`Transport::flush_outbound`]
 //!   (the engine calls it before parking), and on drop. Blocking sends
 //!   flush the queue plus the new frame in a single `writev`, so
 //!   per-`(peer, tag)` FIFO order is never reordered by batching.
@@ -54,8 +54,8 @@
 
 use crate::fault::NetFaultPlan;
 use crate::wire;
-use cgx_collectives::transport::{Tag, CTRL_TAG, QUIESCE_TAG};
-use cgx_collectives::{CommError, ReconnectPolicy, Transport};
+use cgx_collectives::transport::{exchange_quiesce_markers, Tag, CTRL_TAG};
+use cgx_collectives::{CommError, ReconnectPolicy, TagStash, Transport};
 use cgx_compress::Encoded;
 use cgx_obs::MetricsRegistry;
 use cgx_tensor::Shape;
@@ -495,7 +495,7 @@ struct WriterSlot {
 }
 
 /// Demux state: per-peer staging, sequence verification, and the
-/// tag-demuxed inbox, all advanced by whichever thread runs the event
+/// tag-demuxed stash, all advanced by whichever thread runs the event
 /// loop.
 struct Demux {
     /// Read-side clones of the peer sockets (`None` for self and for
@@ -506,16 +506,9 @@ struct Demux {
     /// delivers in order, so a gap means a peer-side logic error —
     /// surfaced as corruption rather than delivered out of order.
     expected: Vec<HashMap<Tag, u32>>,
-    /// `inbox[p][tag]` holds frames from peer `p` awaiting a receiver.
-    inbox: Vec<HashMap<Tag, VecDeque<Encoded>>>,
-    /// Per-peer count of frames ever stashed — lets `wait_inbound`
-    /// detect "something arrived from this peer" without knowing the tag.
-    arrivals: Vec<u64>,
-    /// Sum of `arrivals`, for `wait_any_inbound`.
-    total_arrivals: u64,
-    /// Why a peer's lane is closed, once it is (EOF, I/O error, or
-    /// checksum/sequence mismatch). Set exactly once.
-    closed: Vec<Option<CommError>>,
+    /// Frames awaiting a receiver, and why a peer's lane is closed once
+    /// it is (EOF, I/O error, or checksum/sequence mismatch).
+    stash: TagStash,
     /// When each peer was last heard from (any successful read). Drives
     /// the liveness deadline when heartbeats are enabled.
     last_heard: Vec<Instant>,
@@ -737,10 +730,7 @@ impl TcpTransport {
                 streams: read_streams,
                 staging: (0..world).map(|_| Staging::new(opts.read_buf_bytes)).collect(),
                 expected: (0..world).map(|_| HashMap::new()).collect(),
-                inbox: (0..world).map(|_| HashMap::new()).collect(),
-                arrivals: vec![0; world],
-                total_arrivals: 0,
-                closed: (0..world).map(|_| None).collect(),
+                stash: TagStash::new(world),
                 last_heard: vec![now; world],
                 reconn: vec![PeerLink::Up; world],
             }),
@@ -920,17 +910,6 @@ impl TcpTransport {
         }
     }
 
-    /// Pops a stashed payload for `(peer, tag)`, pruning the tag entry
-    /// when its queue drains (tags are single-use per collective).
-    fn take_stashed(d: &mut Demux, peer: usize, tag: Tag) -> Option<Encoded> {
-        let queue = d.inbox[peer].get_mut(&tag)?;
-        let payload = queue.pop_front();
-        if queue.is_empty() {
-            d.inbox[peer].remove(&tag);
-        }
-        payload
-    }
-
     // ---- the event loop -------------------------------------------------
 
     /// One turn of the event loop: wait up to `timeout` for readable peer
@@ -947,7 +926,7 @@ impl TcpTransport {
             let d = lock(&self.demux);
             for (peer, stream) in d.streams.iter().enumerate() {
                 if let Some(s) = stream {
-                    if d.closed[peer].is_none() {
+                    if d.stash.closed(peer).is_none() {
                         fds.push((peer, sys::raw_fd(s)));
                     }
                 }
@@ -1019,7 +998,7 @@ impl TcpTransport {
         let deadline = self.opts.heartbeat_timeout;
         let mut d = lock(&self.demux);
         for peer in 0..self.world {
-            if peer == self.rank || d.closed[peer].is_some() || d.streams[peer].is_none() {
+            if peer == self.rank || d.stash.closed(peer).is_some() || d.streams[peer].is_none() {
                 continue;
             }
             if !matches!(d.reconn[peer], PeerLink::Up) {
@@ -1036,15 +1015,13 @@ impl TcpTransport {
     fn condemn(&self, d: &mut Demux, peer: usize, err: CommError) {
         d.streams[peer] = None;
         d.reconn[peer] = PeerLink::Down;
-        if d.closed[peer].is_none() {
-            if matches!(err, CommError::PeerDead { .. }) {
-                self.peer_deaths.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.obs {
-                    m.peer_dead.inc();
-                }
+        if d.stash.closed(peer).is_none() && matches!(err, CommError::PeerDead { .. }) {
+            self.peer_deaths.fetch_add(1, Ordering::Relaxed);
+            if let Some(m) = &self.obs {
+                m.peer_dead.inc();
             }
-            d.closed[peer] = Some(err);
         }
+        d.stash.close(peer, err);
     }
 
     /// Routes a detected link failure: transient classes enter the
@@ -1053,7 +1030,7 @@ impl TcpTransport {
     /// demux lock held.
     fn fail_link(&self, d: &mut Demux, peer: usize, err: CommError) {
         d.streams[peer] = None;
-        if d.closed[peer].is_some() {
+        if d.stash.closed(peer).is_some() {
             return;
         }
         // Corruption (checksum/sequence damage) is not healed by a
@@ -1086,7 +1063,7 @@ impl TcpTransport {
     /// Drains one readable peer socket into its staging buffer and
     /// parses every complete frame. Called with the demux lock held.
     fn read_peer(&self, d: &mut Demux, peer: usize) -> usize {
-        if d.closed[peer].is_some() {
+        if d.stash.closed(peer).is_some() {
             return 0;
         }
         let mut stashed = 0;
@@ -1177,9 +1154,7 @@ impl TcpTransport {
             if frame.tag == CTRL_TAG && frame.enc.payload().as_ref() == HB_PAYLOAD {
                 continue;
             }
-            d.inbox[peer].entry(frame.tag).or_default().push_back(frame.enc);
-            d.arrivals[peer] += 1;
-            d.total_arrivals += 1;
+            d.stash.file(peer, frame.tag, frame.enc);
             *stashed += 1;
         };
         self.clocks
@@ -1509,7 +1484,7 @@ impl TcpTransport {
             (0..self.world)
                 .filter(|&p| {
                     p != self.rank
-                        && d.closed[p].is_none()
+                        && d.stash.closed(p).is_none()
                         && d.streams[p].is_some()
                         && matches!(d.reconn[p], PeerLink::Up)
                 })
@@ -1675,7 +1650,9 @@ impl TcpTransport {
                         // Once condemned, the verdict is final: the
                         // error may already have been surfaced and
                         // acted on. Refuse the redial.
-                        if matches!(d.reconn[peer], PeerLink::Down) || d.closed[peer].is_some() {
+                        if matches!(d.reconn[peer], PeerLink::Down)
+                            || d.stash.closed(peer).is_some()
+                        {
                             continue;
                         }
                         // Quiesce the old lane before declaring our
@@ -1684,7 +1661,9 @@ impl TcpTransport {
                         // sibling thread advances `expected[peer]`
                         // between this reply and the install.
                         self.read_peer(&mut d, peer);
-                        if matches!(d.reconn[peer], PeerLink::Down) || d.closed[peer].is_some() {
+                        if matches!(d.reconn[peer], PeerLink::Down)
+                            || d.stash.closed(peer).is_some()
+                        {
                             continue;
                         }
                         d.streams[peer] = None;
@@ -1762,7 +1741,7 @@ impl TcpTransport {
             // ran, and a condemned verdict must stay final. A lane that
             // is already live again means a racing install won — drop
             // this connection rather than double-install.
-            if matches!(d.reconn[peer], PeerLink::Down) || d.closed[peer].is_some() {
+            if matches!(d.reconn[peer], PeerLink::Down) || d.stash.closed(peer).is_some() {
                 return Err(CommError::PeerDead { rank: peer });
             }
             if d.streams[peer].is_some() {
@@ -1888,73 +1867,27 @@ impl Transport for TcpTransport {
         Ok(None)
     }
 
-    fn recv_tagged_deadline(
-        &self,
-        peer: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Encoded, CommError> {
-        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
-        let _ = self.flush_all();
-        let deadline = Instant::now() + timeout;
-        let mut probed = false;
-        loop {
-            {
-                let mut d = lock(&self.demux);
-                if let Some(p) = Self::take_stashed(&mut d, peer, tag) {
-                    drop(d);
-                    self.note_recv(&p);
-                    return Ok(p);
-                }
-                // Stash drained first: a payload that arrived before the
-                // peer died must still be delivered.
-                if let Some(err) = &d.closed[peer] {
-                    return Err(err.clone());
-                }
-                if !probed {
-                    // Targeted probe, even on an expired deadline: the
-                    // frame usually already sits in this peer's kernel
-                    // buffer, and one nonblocking read on that socket is
-                    // cheaper than a full poll-all turn. Misses fall
-                    // through to the parking pump, which drains everyone.
-                    probed = true;
-                    self.read_peer(&mut d, peer);
-                    continue;
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout {
-                    from: peer,
-                    waited: timeout,
-                    in_flight: 0,
-                });
-            }
-            self.pump((deadline - now).min(PARK_SLICE));
-        }
-    }
-
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
         assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
         let _ = self.flush_all();
         let mut d = lock(&self.demux);
-        if let Some(p) = Self::take_stashed(&mut d, peer, tag) {
-            drop(d);
-            self.note_recv(&p);
-            return Ok(Some(p));
+        let mut taken = d.stash.take(peer, tag);
+        if taken.is_none() {
+            // Targeted probe: the frame usually already sits in this
+            // peer's kernel buffer, and one nonblocking read on that
+            // socket is cheaper than a full poll-all turn. Misses are left
+            // to `park`, whose pump drains everyone.
+            self.read_peer(&mut d, peer);
+            taken = d.stash.take(peer, tag);
         }
-        // Targeted probe: drain just this peer's socket instead of a
-        // poll-all turn (see recv_tagged_deadline).
-        self.read_peer(&mut d, peer);
-        if let Some(p) = Self::take_stashed(&mut d, peer, tag) {
-            drop(d);
-            self.note_recv(&p);
-            return Ok(Some(p));
-        }
-        if let Some(err) = &d.closed[peer] {
-            return Err(err.clone());
-        }
-        Ok(None)
+        let Some(payload) = taken else {
+            // Stash drained first: a payload that arrived before the
+            // peer died must still be delivered.
+            return d.stash.closed(peer).map_or(Ok(None), |e| Err(e.clone()));
+        };
+        drop(d);
+        self.note_recv(&payload);
+        Ok(Some(payload))
     }
 
     fn drain_inbound(&self) -> usize {
@@ -1973,109 +1906,27 @@ impl Transport for TcpTransport {
         self.flush_all()
     }
 
-    fn wait_inbound(&self, peer: usize, tag: Tag, timeout: Duration) -> Result<bool, CommError> {
-        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
-        let _ = self.flush_all();
-        let deadline = Instant::now() + timeout;
-        // Wake when the tag is stashed *or* anything new arrives from
-        // this peer — the caller may be waiting on a frame another
-        // thread of this endpoint will consume.
-        let baseline = lock(&self.demux).arrivals[peer];
-        let mut probed = false;
-        loop {
-            {
-                let d = lock(&self.demux);
-                if d.inbox[peer].contains_key(&tag) || d.arrivals[peer] > baseline {
-                    return Ok(true);
-                }
-                if let Some(err) = &d.closed[peer] {
-                    return Err(err.clone());
-                }
-            }
-            if !probed {
-                probed = true;
-                self.pump(Duration::ZERO);
-                continue;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(false);
-            }
-            self.pump((deadline - now).min(PARK_SLICE));
-        }
+    fn arrivals(&self) -> u64 {
+        lock(&self.demux).stash.arrivals()
     }
 
-    fn wait_any_inbound(&self, timeout: Duration) -> bool {
+    /// One turn of the event loop: parked in `poll(2)` until a socket
+    /// turns readable, then parsing what it holds on this thread.
+    fn park(&self, seen: u64, timeout: Duration) {
         let _ = self.flush_all();
-        let deadline = Instant::now() + timeout;
-        let baseline = lock(&self.demux).total_arrivals;
-        let mut probed = false;
-        loop {
-            {
-                let d = lock(&self.demux);
-                if d.total_arrivals > baseline || d.inbox.iter().any(|inbox| !inbox.is_empty()) {
-                    return true;
-                }
-                if self.world > 1
-                    && d.closed
-                        .iter()
-                        .enumerate()
-                        .all(|(p, c)| p == self.rank || c.is_some())
-                {
-                    // Everyone is gone; nothing will ever arrive.
-                    return false;
-                }
-            }
-            if !probed {
-                probed = true;
-                self.pump(Duration::ZERO);
-                continue;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.pump((deadline - now).min(PARK_SLICE));
+        if lock(&self.demux).stash.arrivals() == seen {
+            self.pump(timeout.min(PARK_SLICE));
         }
     }
 
     fn quiesce(&self, peers: &[usize]) {
-        // Graceful teardown over the wire: exchange a marker on the
-        // quiesce lane so neither side closes its socket while the
-        // other's final-step traffic is still in flight (mirrors the
-        // chaos layer's in-process protocol).
-        let marker = Encoded::new(
-            Shape::new(vec![1]),
-            cgx_tensor::Bytes::copy_from_slice(&[0x51]),
-        );
-        for &p in peers {
-            if p != self.rank && p < self.world {
-                let _ = self.send_tagged(p, QUIESCE_TAG, marker.clone());
-            }
-        }
-        for &p in peers {
-            if p != self.rank && p < self.world {
-                let _ = self.recv_tagged_deadline(p, QUIESCE_TAG, self.timeout);
-            }
-        }
+        // Graceful teardown over the wire: neither side closes its socket
+        // while the other's final-step traffic is still in flight.
+        exchange_quiesce_markers(self, peers);
     }
 
     fn take_namespaced_stashed(&self) -> Vec<(usize, Tag, Encoded)> {
-        let mut d = lock(&self.demux);
-        let mut out = Vec::new();
-        for peer in 0..self.world {
-            let tags: Vec<Tag> = d.inbox[peer]
-                .keys()
-                .copied()
-                .filter(|&t| cgx_collectives::tag_namespace(t) != cgx_collectives::NATIVE_JOB)
-                .collect();
-            for tag in tags {
-                if let Some(queue) = d.inbox[peer].remove(&tag) {
-                    out.extend(queue.into_iter().map(|p| (peer, tag, p)));
-                }
-            }
-        }
-        out
+        lock(&self.demux).stash.take_namespaced()
     }
 }
 
@@ -2541,6 +2392,6 @@ mod tests {
         assert!(matches!(err, CommError::PeerDead { rank: 1 }), "got {err:?}");
         let d = lock(&eps[0].demux);
         assert!(matches!(d.reconn[1], PeerLink::Down), "verdict stands");
-        assert!(d.closed[1].is_some(), "error stays recorded");
+        assert!(d.stash.closed(1).is_some(), "error stays recorded");
     }
 }

@@ -25,6 +25,12 @@ fn tcp_transport_satisfies_the_transport_contract() {
     conformance::run_all(&tcp_builder);
 }
 
+/// One `park` is one `poll(2)`, which wakes at least every 50 ms.
+#[test]
+fn a_receive_on_a_silent_tag_does_not_spin_on_an_unrelated_stash() {
+    conformance::check_silent_tag_parks_boundedly(&tcp_builder, Duration::from_millis(50));
+}
+
 /// A rank whose last `wait` has returned may stop calling its transport.
 /// Its final small frames must not sit in the coalescing queue meanwhile:
 /// the peer's own `wait` is still parked on them.
@@ -45,7 +51,9 @@ fn finished_engine_leaves_no_frames_in_the_coalescer() {
                 // Rank 1 starts once rank 0 is parked on it, so that rank 0
                 // ends by finding all it needs already delivered and never
                 // parks (and so never flushes) again.
-                while t.rank() == 1 && !t.wait_any_inbound(Duration::from_millis(50)) {}
+                while t.rank() == 1 && t.arrivals() == 0 {
+                    t.park(0, Duration::from_millis(50));
+                }
                 let mut engine = CommEngine::with_defaults(&t, ScratchPool::new());
                 let handles: Vec<_> = (16..21)
                     .map(|len| {

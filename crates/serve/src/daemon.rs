@@ -18,18 +18,19 @@
 //!   finds `out` taken leaves its frame queued: the holder looks at the
 //!   backlog again *after* letting go, so nothing is stranded.
 //! * **Inbound turn** — under `inb`, held from the fabric read to the last
-//!   inbox push: [`Transport::wait_any_inbound`] (a blocking receive) or
+//!   inbox push: the fabric's [`Transport::park`] (a blocking turn) or its
 //!   [`Transport::drain_inbound`], [`Transport::take_namespaced_stashed`],
-//!   then each frame to the owning job's inbox (a per-job stash + condvar).
-//!   Traffic for a job id not yet attached on this node is parked in a
-//!   bounded orphan buffer and replayed on attach.
-//! * **Who drives** — a tenant whose receive finds its inbox empty stands
-//!   for driver *with the inbox still locked*: the winner of
-//!   `inb.try_lock()` lets the inbox go and blocks in the fabric's own
-//!   wait; a loser sleeps on the job condvar — the holder cannot have
-//!   routed to it in between — for at most [`ServeConfig::park`], then
-//!   stands again. Lock order: `inbox → try inb`; `inb`/`out` `→ state →
-//!   inbox`; `state` is never held across a fabric call.
+//!   then each frame, in the order it arrived, to the owning job's inbox
+//!   (a [`TagStash`] + condvar). Traffic for a job id not yet attached on
+//!   this node is parked in a bounded orphan buffer and replayed on attach.
+//! * **Who drives** — a handle's own [`Transport::park`] is the election:
+//!   a tenant whose receive finds its inbox empty stands for driver *with
+//!   the inbox still locked*; the winner of `inb.try_lock()` lets the
+//!   inbox go and blocks in the fabric's park, a loser sleeps on the job
+//!   condvar — the holder cannot have routed to it in between — for at
+//!   most [`ServeConfig::park`]. Lock order: `inbox → try inb`;
+//!   `inb`/`out` `→ state → inbox`; `state` is never held across a fabric
+//!   call.
 //! * **The pump** is the fallback driver: every `park` it takes both turns
 //!   without blocking in the fabric. That covers what no tenant call
 //!   would: heartbeats and liveness while tenants compute (a tenant that
@@ -51,12 +52,14 @@
 //! [`CommError::Disconnected`] rather than a hang, and other jobs never
 //! notice.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use cgx_collectives::transport::{Tag, QUIESCE_TAG};
-use cgx_collectives::{namespace_tag, split_tag, CommError, Transport, MAX_TENANT_NS, NATIVE_JOB};
+use cgx_collectives::transport::{exchange_quiesce_markers, Tag};
+use cgx_collectives::{
+    namespace_tag, split_tag, CommError, TagStash, Transport, MAX_TENANT_NS, NATIVE_JOB,
+};
 use cgx_compress::Encoded;
 use cgx_obs::metrics::{names, Counter, MetricsRegistry};
 use cgx_tensor::Shape;
@@ -77,7 +80,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Takes a turn lock (`out` / `inb`) if no thread holds it; never waits.
-fn try_turn(m: &Mutex<()>) -> Option<MutexGuard<'_, ()>> {
+fn try_turn<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
     match m.try_lock() {
         Ok(turn) => Some(turn),
         Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
@@ -92,8 +95,9 @@ fn nap<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> Mute
         .0
 }
 
-/// Longest a blocking call goes without looking at its deadline and at
-/// the terminal conditions again.
+/// Longest a driver sits in the fabric's park, or a sender on a full
+/// queue, before its caller looks at the deadline and at the terminal
+/// conditions again.
 const SLICE: Duration = Duration::from_millis(20);
 
 fn dbg_on() -> bool {
@@ -277,19 +281,16 @@ struct QueuedFrame {
 /// Per-job inbound state, in *job-local* tag space.
 #[derive(Debug)]
 struct JobInbox {
-    /// Stashed payloads keyed by `(peer, job-local tag)`, FIFO per key.
-    stash: HashMap<(usize, Tag), VecDeque<Encoded>>,
-    /// Arrival counter per peer (for [`Transport::wait_inbound`]).
-    arrivals: Vec<u64>,
-    /// Total arrivals (for [`Transport::wait_any_inbound`]).
-    total_arrivals: u64,
-    /// Terminal per-peer condition: the peer's process died, its daemon
-    /// disconnected, or its tenant detached. Stashed traffic stays
-    /// receivable — the stash is always consulted before this.
-    dead: Vec<Option<CommError>>,
+    /// Routed payloads, and each peer's terminal condition once it has
+    /// one: its process died, its daemon disconnected, or its tenant
+    /// detached.
+    stash: TagStash,
     /// Threads parked on [`JobShared::cv`]: a notify is a system call,
     /// skipped when nobody would hear it.
     parked: usize,
+    /// This job's last inbound turn came back early with nothing: its
+    /// next park sleeps on the condvar instead of taking another.
+    dry: bool,
 }
 
 /// Handle-side shared state for one job.
@@ -372,8 +373,10 @@ struct NodeShared {
     /// order is wire order.
     out: Mutex<()>,
     /// Inbound turn: held from the fabric read to the last inbox push, so
-    /// per-(peer, tag) FIFO and DETACH-after-data hold whoever routes.
-    inb: Mutex<()>,
+    /// arrival order — per-(peer, tag) FIFO, DETACH after data — holds
+    /// whoever routes. Guards the fabric's [`Transport::arrivals`] as of
+    /// the last harvest, which is what the next blocking turn parks on.
+    inb: Mutex<u64>,
     state: Mutex<NodeState>,
     /// The pump parks on this; signalled on detach and shutdown only.
     work_cv: Condvar,
@@ -420,7 +423,7 @@ impl ServeNode {
             epoch: Instant::now(),
             phys,
             out: Mutex::new(()),
-            inb: Mutex::new(()),
+            inb: Mutex::new(0),
             state: Mutex::new(NodeState {
                 sched: DrrScheduler::new(cfg.quantum),
                 jobs: HashMap::new(),
@@ -496,11 +499,9 @@ impl ServeNode {
             .register(spec.id, spec.weight.max(1), spec.rate);
         let job = Arc::new(JobShared {
             inbox: Mutex::new(JobInbox {
-                stash: HashMap::new(),
-                arrivals: vec![0; self.shared.world],
-                total_arrivals: 0,
-                dead: vec![None; self.shared.world],
+                stash: TagStash::new(self.shared.world),
                 parked: 0,
+                dry: false,
             }),
             cv: Condvar::new(),
         });
@@ -508,22 +509,17 @@ impl ServeNode {
         if let Some(orphan) = st.orphans.remove(&spec.id) {
             let mut inbox = lock(&job.inbox);
             for (peer, local, payload) in orphan.frames {
-                route_to_inbox(&mut inbox, peer, local, payload);
+                inbox.stash.file(peer, local, payload);
             }
             for (peer, err) in orphan.dead {
-                if inbox.dead[peer].is_none() {
-                    inbox.dead[peer] = Some(err);
-                }
+                inbox.stash.close(peer, err);
             }
         }
         // Peers already condemned at the physical level are dead for this
         // job from birth.
-        for peer in 0..self.shared.world {
-            if let Some(err) = &st.peer_dead[peer] {
-                let mut inbox = lock(&job.inbox);
-                if inbox.dead[peer].is_none() {
-                    inbox.dead[peer] = Some(err.clone());
-                }
+        for (peer, err) in st.peer_dead.iter().enumerate() {
+            if let Some(err) = err {
+                lock(&job.inbox).stash.close(peer, err.clone());
             }
         }
         st.jobs.insert(spec.id, Arc::clone(&job));
@@ -573,17 +569,6 @@ impl std::fmt::Debug for ServeNode {
             .field("world", &self.shared.world)
             .finish_non_exhaustive()
     }
-}
-
-/// Appends one payload to a job inbox and bumps its arrival counters.
-fn route_to_inbox(inbox: &mut JobInbox, peer: usize, local: Tag, payload: Encoded) {
-    inbox
-        .stash
-        .entry((peer, local))
-        .or_default()
-        .push_back(payload);
-    inbox.arrivals[peer] += 1;
-    inbox.total_arrivals += 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -676,23 +661,31 @@ fn flush_fabric(node: &NodeShared) {
 }
 
 /// One inbound turn under `turn`, the `inb` lock: takes in what the fabric
-/// holds — first parking in the fabric's own wait for up to `wait`, unless
+/// holds — first sitting in the fabric's own park for up to `wait`, unless
 /// that is zero — and routes it; returns the number of frames routed. The
 /// liveness probe is one `read(2)` per peer on TCP, so it runs on the
 /// pump's cadence and when a wait came back empty, not on every turn.
-fn inbound_turn(node: &NodeShared, turn: MutexGuard<'_, ()>, wait: Duration, pump: bool) -> usize {
-    let arrived = if wait.is_zero() {
-        node.phys.drain_inbound() > 0
+fn inbound_turn(
+    node: &NodeShared,
+    mut turn: MutexGuard<'_, u64>,
+    wait: Duration,
+    pump: bool,
+) -> usize {
+    if wait.is_zero() {
+        node.phys.drain_inbound();
     } else {
-        node.phys.wait_any_inbound(wait)
-    };
+        node.phys.park(*turn, wait);
+    }
+    // Sampled before the harvest: what the fabric takes in from here on
+    // ends the next park at once.
+    *turn = node.phys.arrivals();
     let harvested = node.phys.take_namespaced_stashed();
     let routed = harvested.len();
     if let Some(m) = node.metrics.as_ref().filter(|_| routed > 0) {
         (if pump { &m.turns_pump } else { &m.turns_tenant }).inc();
     }
     route_frames(node, harvested);
-    if pump || !(arrived || wait.is_zero()) {
+    if pump || (routed == 0 && !wait.is_zero()) {
         let live = |p: &usize| *p != node.rank && lock(&node.state).peer_dead[*p].is_none();
         for peer in (0..node.world).filter(live) {
             if let Err(err) = node.phys.try_recv_tagged(peer, probe_tag()) {
@@ -758,9 +751,7 @@ fn mark_peer_dead(node: &NodeShared, peer: usize, err: CommError) {
     };
     for job in jobs {
         let mut inbox = lock(&job.inbox);
-        if inbox.dead[peer].is_none() {
-            inbox.dead[peer] = Some(err.clone());
-        }
+        inbox.stash.close(peer, err.clone());
         if inbox.parked > 0 {
             job.cv.notify_all();
         }
@@ -772,22 +763,16 @@ fn mark_peer_dead(node: &NodeShared, peer: usize, err: CommError) {
 /// Routes harvested namespaced frames to job inboxes / orphan buffers,
 /// then wakes each job that had a thread parked, once.
 ///
-/// DETACH control frames are routed *after* every data frame in the
-/// batch: `take_namespaced_stashed` returns the harvest in stash order,
-/// not arrival order, so a detach marker can surface ahead of data the
-/// peer sent before it. The wire itself is per-peer FIFO, which makes
-/// data sent before a DETACH land in the same-or-earlier harvest — so
-/// deferring detach processing to the end of each batch restores the
-/// sender's ordering guarantee (a receive never observes the disconnect
-/// while delivered-but-unrouted data still exists).
+/// The batch is routed as it comes. The wire is per-peer FIFO and the
+/// harvest is in arrival order ([`Transport::take_namespaced_stashed`]),
+/// so a DETACH control frame is met after every data frame its sender
+/// queued ahead of it: a receive never observes the disconnect while
+/// delivered-but-unrouted data still exists.
 fn route_frames(node: &NodeShared, frames: Vec<(usize, Tag, Encoded)>) {
     let mut routed_bytes = 0u64;
     let mut routed_frames = 0u64;
     let mut wake: Vec<Arc<JobShared>> = Vec::new();
-    let (detaches, data): (Vec<_>, Vec<_>) = frames
-        .into_iter()
-        .partition(|&(_, wire, _)| split_tag(wire).1 == DETACH_TAG);
-    for (peer, wire, payload) in data.into_iter().chain(detaches) {
+    for (peer, wire, payload) in frames {
         let (ns, local) = split_tag(wire);
         if ns == NATIVE_JOB {
             // Not tenant traffic (shouldn't be returned by the hook, but
@@ -830,15 +815,9 @@ fn route_frames(node: &NodeShared, frames: Vec<(usize, Tag, Encoded)>) {
         drop(st);
         let mut inbox = lock(&job.inbox);
         match detach {
-            Some(err) => {
-                if inbox.dead[peer].is_none() {
-                    inbox.dead[peer] = Some(err);
-                }
-                // A detach is also an arrival for wait_* purposes:
-                // blocked waiters must wake and observe the death.
-                inbox.total_arrivals += 1;
-            }
-            None => route_to_inbox(&mut inbox, peer, local, payload),
+            // Like a frame, an arrival: parked receivers wake to find it.
+            Some(err) => inbox.stash.close(peer, err),
+            None => inbox.stash.file(peer, local, payload),
         }
         if inbox.parked > 0 && !wake.iter().any(|j| Arc::ptr_eq(j, &job)) {
             wake.push(Arc::clone(&job));
@@ -919,16 +898,6 @@ impl NamespacedTransport {
         namespace_tag(self.id, tag)
     }
 
-    /// Pops the next stashed payload for `(peer, tag)`, if any.
-    fn pop_stashed(inbox: &mut JobInbox, peer: usize, tag: Tag) -> Option<Encoded> {
-        let queue = inbox.stash.get_mut(&(peer, tag))?;
-        let payload = queue.pop_front();
-        if queue.is_empty() {
-            inbox.stash.remove(&(peer, tag));
-        }
-        payload
-    }
-
     /// Queues one outbound frame, blocking while the job's queue is over
     /// its byte cap, then takes the outbound turn. `block` = false gives
     /// try-send semantics: like `TcpTransport`'s, it leaves small frames
@@ -980,49 +949,6 @@ impl NamespacedTransport {
             st.blocked -= 1;
         }
     }
-
-    /// Blocks until `ready` finds what it looks for in the inbox, `peer`
-    /// (if named) is dead, or `timeout` runs out (`Ok(None)`), driving the
-    /// fabric meanwhile if no other thread does. The election is the `inb`
-    /// try-lock *with the inbox still locked*: the holder needs this inbox
-    /// to route here, so it cannot between a lost election and the sleep.
-    fn await_inbox<R>(
-        &self,
-        peer: Option<usize>,
-        timeout: Duration,
-        mut ready: impl FnMut(&mut JobInbox) -> Option<R>,
-    ) -> Result<Option<R>, CommError> {
-        let start = Instant::now();
-        let mut inbox = lock(&self.job.inbox);
-        let mut drive = true;
-        loop {
-            // Stash always wins: traffic that already arrived stays
-            // receivable past deadlines and peer death alike.
-            if let Some(found) = ready(&mut inbox) {
-                return Ok(Some(found));
-            }
-            if let Some(err) = peer.and_then(|p| inbox.dead[p].as_ref()) {
-                return Err(err.clone());
-            }
-            let waited = start.elapsed();
-            if waited >= timeout {
-                return Ok(None);
-            }
-            let left = timeout - waited;
-            // No second turn straight after one that routed nothing: a
-            // fabric whose wait returns early must not make this spin.
-            if let Some(turn) = drive.then(|| try_turn(&self.node.inb)).flatten() {
-                drop(inbox);
-                drive = inbound_turn(&self.node, turn, left.min(SLICE), false) > 0;
-                inbox = lock(&self.job.inbox);
-            } else {
-                inbox.parked += 1;
-                inbox = nap(&self.job.cv, inbox, left.min(self.node.cfg.park));
-                inbox.parked -= 1;
-                drive = true;
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for NamespacedTransport {
@@ -1061,30 +987,15 @@ impl Transport for NamespacedTransport {
         self.enqueue(peer, tag, payload, false)
     }
 
-    fn recv_tagged_deadline(
-        &self,
-        peer: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Encoded, CommError> {
-        assert!(peer < self.node.world, "peer {peer} out of range");
-        let start = Instant::now();
-        let pop = |inbox: &mut JobInbox| Self::pop_stashed(inbox, peer, tag);
-        let timed_out = || CommError::Timeout {
-            from: peer,
-            waited: start.elapsed(),
-            in_flight: 0,
-        };
-        self.await_inbox(Some(peer), timeout, pop)?
-            .ok_or_else(timed_out)
-    }
-
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
+        assert!(peer < self.node.world, "peer {peer} out of range");
+        // Stash always wins: traffic that already arrived stays receivable
+        // past peer death.
         let look = || {
             let mut inbox = lock(&self.job.inbox);
-            match Self::pop_stashed(&mut inbox, peer, tag) {
+            match inbox.stash.take(peer, tag) {
                 Some(payload) => Ok(Some(payload)),
-                None => inbox.dead[peer].clone().map_or(Ok(None), Err),
+                None => inbox.stash.closed(peer).cloned().map_or(Ok(None), Err),
             }
         };
         // A miss takes one non-blocking inbound turn and looks again (the
@@ -1109,46 +1020,39 @@ impl Transport for NamespacedTransport {
         Ok(())
     }
 
-    fn wait_inbound(&self, peer: usize, tag: Tag, timeout: Duration) -> Result<bool, CommError> {
-        let mut baseline = None;
-        let arrived = self.await_inbox(Some(peer), timeout, |inbox| {
-            let baseline = *baseline.get_or_insert(inbox.arrivals[peer]);
-            (inbox.stash.get(&(peer, tag)).is_some_and(|q| !q.is_empty())
-                || inbox.arrivals[peer] > baseline)
-                .then_some(())
-        })?;
-        Ok(arrived.is_some())
+    fn arrivals(&self) -> u64 {
+        lock(&self.job.inbox).stash.arrivals()
     }
 
-    fn wait_any_inbound(&self, timeout: Duration) -> bool {
-        let mut baseline = None;
-        let arrived = self.await_inbox(None, timeout, |inbox| {
-            let baseline = *baseline.get_or_insert(inbox.total_arrivals);
-            (inbox.total_arrivals > baseline || inbox.stash.values().any(|q| !q.is_empty()))
-                .then_some(())
-        });
-        matches!(arrived, Ok(Some(())))
+    /// Drives the fabric meanwhile if no other thread does. The election
+    /// is the `inb` try-lock *with the inbox still locked*: the holder
+    /// needs this inbox to route here, so it cannot between a lost
+    /// election and the sleep.
+    fn park(&self, seen: u64, timeout: Duration) {
+        let mut inbox = lock(&self.job.inbox);
+        if inbox.stash.arrivals() != seen {
+            return;
+        }
+        // No second turn straight after one that came back early with
+        // nothing: a fabric whose park returns at once must not make this
+        // spin.
+        let dry = std::mem::take(&mut inbox.dry);
+        if let Some(turn) = (!dry).then(|| try_turn(&self.node.inb)).flatten() {
+            drop(inbox);
+            let (wait, start) = (timeout.min(SLICE), Instant::now());
+            let dry = inbound_turn(&self.node, turn, wait, false) == 0 && start.elapsed() < wait;
+            lock(&self.job.inbox).dry = dry;
+        } else {
+            inbox.parked += 1;
+            inbox = nap(&self.job.cv, inbox, timeout.min(self.node.cfg.park));
+            inbox.parked -= 1;
+        }
     }
 
     fn quiesce(&self, peers: &[usize]) {
-        // Same protocol as the TCP endpoint, on the job's quiesce lane:
-        // exchange a marker with every peer so nobody tears down while a
-        // peer's final frames are still queued behind the daemon's
-        // scheduler.
-        let marker = Encoded::new(
-            Shape::new(vec![1]),
-            cgx_tensor::Bytes::copy_from_slice(&[0x51]),
-        );
-        for &p in peers {
-            if p != self.node.rank && p < self.node.world {
-                let _ = self.send_tagged(p, QUIESCE_TAG, marker.clone());
-            }
-        }
-        for &p in peers {
-            if p != self.node.rank && p < self.node.world {
-                let _ = self.recv_tagged_deadline(p, QUIESCE_TAG, self.node.timeout);
-            }
-        }
+        // On the job's quiesce lane: nobody tears down while a peer's
+        // final frames are still queued behind the daemon's scheduler.
+        exchange_quiesce_markers(self, peers);
     }
 }
 
@@ -1375,6 +1279,48 @@ mod tests {
         });
     }
 
+    /// What lets `route_frames` route a batch as it comes: both physical
+    /// fabrics hand the harvest back in the order the frames were sent,
+    /// however many tags they are spread over — so a frame sent last (where
+    /// a DETACH sits) is met last.
+    #[test]
+    fn the_harvest_is_in_send_order_on_both_fabrics() {
+        fn ends<T: Transport + 'static>(mut fabric: Vec<T>) -> [Box<dyn Transport>; 2] {
+            let to = fabric.pop().expect("rank 1");
+            [Box::new(fabric.pop().expect("rank 0")), Box::new(to)]
+        }
+        let fabrics = [
+            ends(ShmFabric::build(2)),
+            ends(cgx_net::TcpFabric::build_local(2)),
+        ];
+        for [from, to] in fabrics {
+            let mut sent: Vec<Tag> = (0..16).map(|i| namespace_tag(3, i % 8)).collect();
+            sent.push(namespace_tag(3, DETACH_TAG));
+            for (i, &wire) in sent.iter().enumerate() {
+                from.send_tagged(1, wire, payload(i as u8)).unwrap();
+            }
+            let start = Instant::now();
+            while to.arrivals() < sent.len() as u64 {
+                to.drain_inbound();
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "frames never arrived"
+                );
+            }
+            let got: Vec<(usize, Tag, u8)> = to
+                .take_namespaced_stashed()
+                .iter()
+                .map(|(peer, wire, frame)| (*peer, *wire, frame.payload()[0]))
+                .collect();
+            let want: Vec<(usize, Tag, u8)> = sent
+                .iter()
+                .enumerate()
+                .map(|(i, &wire)| (0, wire, i as u8))
+                .collect();
+            assert_eq!(got, want);
+        }
+    }
+
     /// A send that finds `out` taken leaves its frame queued and returns;
     /// the frame still reaches the peer once the turn is free again.
     #[test]
@@ -1451,9 +1397,9 @@ mod tests {
         assert!(delays[2] <= Duration::from_millis(5), "B waited {delays:?}");
     }
 
-    /// A fabric on which nothing ever happens and whose wait returns at
-    /// once, as `TcpTransport`'s does when every peer is gone; it counts
-    /// the inbound turns taken on it, by the fabric call that opens each.
+    /// A fabric on which nothing ever happens and whose park returns at
+    /// once, as it may; it counts the inbound turns taken on it, by the
+    /// fabric call that opens each.
     #[derive(Default, Clone)]
     struct Hollow {
         drains: Arc<AtomicU64>,
@@ -1481,18 +1427,6 @@ mod tests {
         ) -> Result<Option<Encoded>, CommError> {
             Ok(None)
         }
-        fn recv_tagged_deadline(
-            &self,
-            from: usize,
-            _: Tag,
-            waited: Duration,
-        ) -> Result<Encoded, CommError> {
-            Err(CommError::Timeout {
-                from,
-                waited,
-                in_flight: 0,
-            })
-        }
         fn try_recv_tagged(&self, _: usize, _: Tag) -> Result<Option<Encoded>, CommError> {
             Ok(None)
         }
@@ -1500,18 +1434,17 @@ mod tests {
             self.drains.fetch_add(1, Relaxed);
             0
         }
-        fn wait_inbound(&self, _: usize, _: Tag, _: Duration) -> Result<bool, CommError> {
-            Ok(false)
+        fn arrivals(&self) -> u64 {
+            0
         }
-        fn wait_any_inbound(&self, _: Duration) -> bool {
+        fn park(&self, _: u64, _: Duration) {
             self.waits.fetch_add(1, Relaxed);
-            false
         }
     }
 
     /// No thread spins on the fabric: an attached but idle daemon takes at
     /// most one (pump) turn per `park`, and a tenant blocked in a receive
-    /// on a fabric whose wait returns early takes at most one more.
+    /// on a fabric whose park returns early takes at most one more.
     #[test]
     fn nobody_takes_more_than_one_inbound_turn_per_park() {
         let fabric = Hollow::default();
@@ -1539,7 +1472,8 @@ mod tests {
         );
 
         let start = Instant::now();
-        assert!(!tenant.wait_any_inbound(window));
+        let blocked = tenant.recv_tagged_deadline(1, 7, window);
+        assert!(matches!(blocked, Err(CommError::Timeout { from: 1, .. })));
         let (turns, allowed) = (fabric.waits.load(Relaxed), parks(start));
         assert!(turns > 0, "nobody else drives: the tenant must");
         assert!(

@@ -12,7 +12,7 @@
 //!   exchanges bounded background traffic for the whole battery. Tenant
 //!   isolation means the battery cannot tell the difference.
 
-use cgx_collectives::conformance::{run_all, BoxTransport};
+use cgx_collectives::conformance::{check_silent_tag_parks_boundedly, run_all, BoxTransport};
 use cgx_collectives::{ShmFabric, Transport};
 use cgx_compress::Encoded;
 use cgx_net::TcpFabric;
@@ -48,32 +48,43 @@ fn shm_phys(n: usize) -> Vec<Box<dyn Transport + Send + Sync>> {
         .collect()
 }
 
+fn namespaced_shm(n: usize) -> Vec<BoxTransport> {
+    let (_nodes, handles) = serve_endpoints(shm_phys(n), 1);
+    handles
+        .into_iter()
+        .map(|h| Box::new(h) as BoxTransport)
+        .collect()
+}
+
+fn namespaced_tcp(n: usize) -> Vec<BoxTransport> {
+    let phys: Vec<Box<dyn Transport + Send + Sync>> = TcpFabric::build_local(n)
+        .into_iter()
+        .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
+        .collect();
+    let (_nodes, handles) = serve_endpoints(phys, 1);
+    handles
+        .into_iter()
+        .map(|h| Box::new(h) as BoxTransport)
+        .collect()
+}
+
 #[test]
 fn namespaced_shm_transport_conforms() {
-    let build = |n: usize| -> Vec<BoxTransport> {
-        let (_nodes, handles) = serve_endpoints(shm_phys(n), 1);
-        handles
-            .into_iter()
-            .map(|h| Box::new(h) as BoxTransport)
-            .collect()
-    };
-    run_all(&build);
+    run_all(&namespaced_shm);
 }
 
 #[test]
 fn namespaced_tcp_transport_conforms() {
-    let build = |n: usize| -> Vec<BoxTransport> {
-        let phys: Vec<Box<dyn Transport + Send + Sync>> = TcpFabric::build_local(n)
-            .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
-            .collect();
-        let (_nodes, handles) = serve_endpoints(phys, 1);
-        handles
-            .into_iter()
-            .map(|h| Box::new(h) as BoxTransport)
-            .collect()
-    };
-    run_all(&build);
+    run_all(&namespaced_tcp);
+}
+
+/// A handle's shortest park is the sleep of a thread that lost the driver
+/// election, `ServeConfig::park`; a driver sits in the fabric for longer.
+#[test]
+fn a_receive_on_a_silent_tag_does_not_spin_on_an_unrelated_stash() {
+    let slice = ServeConfig::default().park;
+    check_silent_tag_parks_boundedly(&namespaced_shm, slice);
+    check_silent_tag_parks_boundedly(&namespaced_tcp, slice);
 }
 
 #[test]
