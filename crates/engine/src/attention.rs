@@ -21,7 +21,7 @@
 //! Parameters: `[E (VxD, Embedding), P (LxD, Other), Wq, Wk, Wv (DxD,
 //! Linear), Eo (VxD, Linear), b (V, Bias)]`.
 
-use crate::nn::{softmax_cross_entropy, ParamSpec};
+use crate::nn::{add_to_rows, softmax_cross_entropy, ParamSpec};
 use cgx_models::LayerKind;
 use cgx_tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
 
@@ -161,11 +161,7 @@ impl AttentionLm {
         zres.add_assign(&h);
         // logits = Z Eoᵀ + b.
         let mut logits = matmul_nt(&zres, &self.params[5]);
-        for i in 0..l {
-            for c in 0..self.vocab {
-                logits[i * self.vocab + c] += self.params[6][c];
-            }
-        }
+        add_to_rows(&mut logits, &self.params[6]);
         (
             logits,
             SeqCache {
@@ -335,26 +331,33 @@ mod tests {
     #[test]
     fn gradients_pass_numeric_check() {
         let mut rng = Rng::seed_from_u64(2);
-        let model = AttentionLm::new(&mut rng, 5, 6, 6);
-        let (seqs, tgts) = toy_batch();
-        let (_, grads) = model.loss_and_grads(&seqs, &tgts);
-        let eps = 1e-3f32;
-        let mut check_rng = Rng::seed_from_u64(7);
-        for p in 0..model.params().len() {
-            for _ in 0..4 {
-                let i = check_rng.index(model.params()[p].len());
-                let mut mp = model.clone();
-                mp.params_mut()[p][i] += eps;
-                let (lp, _) = mp.loss_and_grads(&seqs, &tgts);
-                let mut mm = model.clone();
-                mm.params_mut()[p][i] -= eps;
-                let (lm, _) = mm.loss_and_grads(&seqs, &tgts);
-                let numeric = (lp - lm) / (2.0 * eps as f64);
-                let analytic = grads[p][i] as f64;
-                assert!(
-                    (numeric - analytic).abs() < 2e-2 * (1.0 + analytic.abs()),
-                    "param {p} idx {i}: numeric {numeric} vs analytic {analytic}"
-                );
+        // The second case's products (5 x 37 x 37, 5 x 7 x 37, ...) cover
+        // whole register tiles of `cgx_tensor`'s kernel and every edge.
+        let wide = (
+            vec![vec![0, 3, 1, 4, 6], vec![2, 2, 0, 1, 5]],
+            vec![vec![3, 1, 4, 6, 0], vec![2, 0, 1, 5, 3]],
+        );
+        for ((vocab, dim), (seqs, tgts)) in [((5, 6), toy_batch()), ((7, 37), wide)] {
+            let model = AttentionLm::new(&mut rng, vocab, dim, 6);
+            let (_, grads) = model.loss_and_grads(&seqs, &tgts);
+            let eps = 1e-3f32;
+            let mut check_rng = Rng::seed_from_u64(7);
+            for p in 0..model.params().len() {
+                for _ in 0..4 {
+                    let i = check_rng.index(model.params()[p].len());
+                    let mut mp = model.clone();
+                    mp.params_mut()[p][i] += eps;
+                    let (lp, _) = mp.loss_and_grads(&seqs, &tgts);
+                    let mut mm = model.clone();
+                    mm.params_mut()[p][i] -= eps;
+                    let (lm, _) = mm.loss_and_grads(&seqs, &tgts);
+                    let numeric = (lp - lm) / (2.0 * eps as f64);
+                    let analytic = grads[p][i] as f64;
+                    assert!(
+                        (numeric - analytic).abs() < 2e-2 * (1.0 + analytic.abs()),
+                        "width {dim}, param {p} idx {i}: numeric {numeric} vs analytic {analytic}"
+                    );
+                }
             }
         }
     }

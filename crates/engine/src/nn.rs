@@ -26,19 +26,45 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f64, Tensor)
     assert_eq!(b, labels.len(), "batch size mismatch");
     let mut dlogits = Tensor::zeros(&[b, c]);
     let mut loss = 0.0f64;
-    for (i, &y) in labels.iter().enumerate() {
+    // One row's exponentials, reused from row to row.
+    let mut exp = vec![0.0f64; c];
+    let rows = logits.as_slice().chunks_exact(c);
+    let d_rows = dlogits.as_mut_slice().chunks_exact_mut(c);
+    for ((row, d_row), &y) in rows.zip(d_rows).zip(labels) {
         assert!(y < c, "label {y} out of range for {c} classes");
-        let row = &logits.as_slice()[i * c..(i + 1) * c];
         let max = row.iter().fold(f32::NEG_INFINITY, |m, x| m.max(*x));
-        let exp: Vec<f64> = row.iter().map(|x| ((x - max) as f64).exp()).collect();
+        for (e, x) in exp.iter_mut().zip(row) {
+            *e = ((x - max) as f64).exp();
+        }
         let z: f64 = exp.iter().sum();
         loss += -(exp[y] / z).ln();
-        for j in 0..c {
-            let p = exp[j] / z;
-            dlogits[i * c + j] = ((p - f64::from(u8::from(j == y))) / b as f64) as f32;
+        for (j, (d, e)) in d_row.iter_mut().zip(&exp).enumerate() {
+            let p = e / z;
+            *d = ((p - f64::from(u8::from(j == y))) / b as f64) as f32;
         }
     }
     (loss / b as f64, dlogits)
+}
+
+/// Adds `bias` to every row of the matrix `out`.
+pub(crate) fn add_to_rows(out: &mut Tensor, bias: &Tensor) {
+    for row in out.as_mut_slice().chunks_exact_mut(bias.len()) {
+        for (o, b) in row.iter_mut().zip(bias.as_slice()) {
+            *o += b;
+        }
+    }
+}
+
+/// The sum of the rows of the matrix `t`, each column added top to bottom.
+pub(crate) fn column_sums(t: &Tensor) -> Tensor {
+    let (_, cols) = t.shape().as_matrix();
+    let mut sums = Tensor::zeros(&[cols]);
+    for row in t.as_slice().chunks_exact(cols) {
+        for (s, x) in sums.as_mut_slice().iter_mut().zip(row) {
+            *s += x;
+        }
+    }
+    sums
 }
 
 /// A named parameter with its CGX layer classification.
@@ -139,12 +165,7 @@ impl Mlp {
         let w = &self.params[2 * l];
         let b = &self.params[2 * l + 1];
         let mut out = matmul_nt(h, w);
-        let (rows, cols) = out.shape().as_matrix();
-        for i in 0..rows {
-            for j in 0..cols {
-                out[i * cols + j] += b[j];
-            }
-        }
+        add_to_rows(&mut out, b);
         out
     }
 
@@ -172,14 +193,7 @@ impl Mlp {
             let input = &acts[l];
             // dW = deltaᵀ · input, db = column sums of delta.
             grads[2 * l] = matmul_tn(&delta, input);
-            let (b_rows, cols) = delta.shape().as_matrix();
-            let mut db = Tensor::zeros(&[cols]);
-            for i in 0..b_rows {
-                for j in 0..cols {
-                    db[j] += delta[i * cols + j];
-                }
-            }
-            grads[2 * l + 1] = db;
+            grads[2 * l + 1] = column_sums(&delta);
             if l > 0 {
                 // dx = delta · W, masked by the ReLU derivative.
                 let mut dx = matmul(&delta, &self.params[2 * l]);
@@ -312,25 +326,17 @@ impl EmbeddingLm {
         }
         // Logits = h Wᵀ + b.
         let mut logits = matmul_nt(&h, out_w);
-        for i in 0..b {
-            for j in 0..self.vocab {
-                logits[i * self.vocab + j] += out_b[j];
-            }
-        }
+        add_to_rows(&mut logits, out_b);
         let (loss, delta) = softmax_cross_entropy(&logits, target);
         // Gradients.
         let d_w = matmul_tn(&delta, &h); // V x d
-        let mut d_b = Tensor::zeros(&[self.vocab]);
-        for i in 0..b {
-            for j in 0..self.vocab {
-                d_b[j] += delta[i * self.vocab + j];
-            }
-        }
+        let d_b = column_sums(&delta);
         let dh = matmul(&delta, out_w); // b x d
         let mut d_emb = Tensor::zeros(&[self.vocab, d]);
-        for (i, &tok) in context.iter().enumerate() {
-            for k in 0..d {
-                d_emb[tok * d + k] += dh[i * d + k];
+        for (dh_row, &tok) in dh.as_slice().chunks_exact(d).zip(context) {
+            let emb_row = &mut d_emb.as_mut_slice()[tok * d..(tok + 1) * d];
+            for (g, x) in emb_row.iter_mut().zip(dh_row) {
+                *g += x;
             }
         }
         (loss, vec![d_emb, d_w, d_b])
@@ -392,32 +398,49 @@ mod tests {
     #[test]
     fn mlp_gradients_pass_numeric_check() {
         let mut rng = Rng::seed_from_u64(1);
-        let model = Mlp::new(&mut rng, &[4, 6, 3]);
-        let x = Tensor::randn(&mut rng, &[5, 4]);
-        let y = vec![0usize, 1, 2, 1, 0];
-        let n_params = model.params().len();
-        numeric_grad_check(n_params, |perturb| {
-            let mut m = model.clone();
-            if let Some((p, i, eps)) = perturb {
-                m.params_mut()[p][i] += eps;
-            }
-            m.loss_and_grads(&x, &y)
-        });
+        // The second case's products (13 x 37 x 5, 37 x 5 x 13, ...) cover
+        // whole register tiles of `cgx_tensor`'s kernel and every edge.
+        let cases: [(&[usize], Vec<usize>); 2] = [
+            (&[4, 6, 3], vec![0, 1, 2, 1, 0]),
+            (&[5, 37, 7], (0..13).map(|i| i % 7).collect()),
+        ];
+        for (dims, y) in cases {
+            let model = Mlp::new(&mut rng, dims);
+            let x = Tensor::randn(&mut rng, &[y.len(), dims[0]]);
+            let n_params = model.params().len();
+            numeric_grad_check(n_params, |perturb| {
+                let mut m = model.clone();
+                if let Some((p, i, eps)) = perturb {
+                    m.params_mut()[p][i] += eps;
+                }
+                m.loss_and_grads(&x, &y)
+            });
+        }
     }
 
     #[test]
     fn embedding_lm_gradients_pass_numeric_check() {
         let mut rng = Rng::seed_from_u64(2);
-        let model = EmbeddingLm::new(&mut rng, 7, 5);
-        let ctx = vec![0usize, 3, 6, 3];
-        let tgt = vec![1usize, 2, 0, 4];
-        numeric_grad_check(3, |perturb| {
-            let mut m = model.clone();
-            if let Some((p, i, eps)) = perturb {
-                m.params_mut()[p][i] += eps;
-            }
-            m.loss_and_grads(&ctx, &tgt)
-        });
+        let cases: [(usize, usize, Vec<usize>, Vec<usize>); 2] = [
+            (7, 5, vec![0, 3, 6, 3], vec![1, 2, 0, 4]),
+            // 9 x 37 x 13 and its two transposes: tiles and edges.
+            (
+                37,
+                13,
+                (0..9).map(|i| i * 5 % 37).collect(),
+                (0..9).map(|i| (i * 11 + 3) % 37).collect(),
+            ),
+        ];
+        for (vocab, dim, ctx, tgt) in cases {
+            let model = EmbeddingLm::new(&mut rng, vocab, dim);
+            numeric_grad_check(3, |perturb| {
+                let mut m = model.clone();
+                if let Some((p, i, eps)) = perturb {
+                    m.params_mut()[p][i] += eps;
+                }
+                m.loss_and_grads(&ctx, &tgt)
+            });
+        }
     }
 
     #[test]

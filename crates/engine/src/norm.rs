@@ -7,7 +7,7 @@
 //! vectors with exact manual backprop — so the filter's effect is exercised
 //! functionally, not just on synthetic statistics.
 
-use crate::nn::{softmax_cross_entropy, ParamSpec};
+use crate::nn::{add_to_rows, column_sums, softmax_cross_entropy, ParamSpec};
 use cgx_models::LayerKind;
 use cgx_tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
 
@@ -169,12 +169,7 @@ impl MlpNorm {
 
     fn affine(w: &Tensor, b: &Tensor, x: &Tensor) -> Tensor {
         let mut out = matmul_nt(x, w);
-        let (rows, cols) = out.shape().as_matrix();
-        for i in 0..rows {
-            for j in 0..cols {
-                out[i * cols + j] += b[j];
-            }
-        }
+        add_to_rows(&mut out, b);
         out
     }
 
@@ -196,7 +191,6 @@ impl MlpNorm {
     ///
     /// Panics on shape/label mismatches.
     pub fn loss_and_grads(&self, x: &Tensor, labels: &[usize]) -> (f64, Vec<Tensor>) {
-        let (b, _) = x.shape().as_matrix();
         let h0 = Self::affine(&self.params[0], &self.params[1], x);
         let (ln_out, x_hat, inv_std) =
             layer_norm_forward(&h0, &self.params[2], &self.params[3], 1e-5);
@@ -210,13 +204,7 @@ impl MlpNorm {
         let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
         // fc1 backward.
         let d_w1 = matmul_tn(&dlogits, &relu_out);
-        let (rows, classes) = dlogits.shape().as_matrix();
-        let mut d_b1 = Tensor::zeros(&[classes]);
-        for i in 0..rows {
-            for j in 0..classes {
-                d_b1[j] += dlogits[i * classes + j];
-            }
-        }
+        let d_b1 = column_sums(&dlogits);
         let mut d_relu = matmul(&dlogits, &self.params[4]);
         for (g, a) in d_relu.as_mut_slice().iter_mut().zip(ln_out.as_slice()) {
             if *a <= 0.0 {
@@ -228,13 +216,7 @@ impl MlpNorm {
             layer_norm_backward(&d_relu, &x_hat, &inv_std, &self.params[2]);
         // fc0 backward.
         let d_w0 = matmul_tn(&d_h0, x);
-        let hidden = self.hidden;
-        let mut d_b0 = Tensor::zeros(&[hidden]);
-        for i in 0..b {
-            for j in 0..hidden {
-                d_b0[j] += d_h0[i * hidden + j];
-            }
-        }
+        let d_b0 = column_sums(&d_h0);
         (loss, vec![d_w0, d_b0, d_gain, d_ln_bias, d_w1, d_b1])
     }
 
@@ -315,27 +297,34 @@ mod tests {
     #[test]
     fn mlp_norm_gradients_pass_numeric_check() {
         let mut rng = Rng::seed_from_u64(1);
-        let model = MlpNorm::new(&mut rng, 4, 6, 3);
-        let x = Tensor::randn(&mut rng, &[5, 4]);
-        let y = vec![0usize, 1, 2, 1, 0];
-        let (_, grads) = model.loss_and_grads(&x, &y);
-        let eps = 1e-3f32;
-        let mut check_rng = Rng::seed_from_u64(7);
-        for p in 0..model.params().len() {
-            for _ in 0..3 {
-                let i = check_rng.index(model.params()[p].len());
-                let mut mp = model.clone();
-                mp.params_mut()[p][i] += eps;
-                let (lp, _) = mp.loss_and_grads(&x, &y);
-                let mut mm = model.clone();
-                mm.params_mut()[p][i] -= eps;
-                let (lm, _) = mm.loss_and_grads(&x, &y);
-                let numeric = (lp - lm) / (2.0 * eps as f64);
-                let analytic = grads[p][i] as f64;
-                assert!(
-                    (numeric - analytic).abs() < 1e-2 * (1.0 + analytic.abs()),
-                    "param {p} idx {i}: numeric {numeric} vs analytic {analytic}"
-                );
+        // The second case's products (13 x 37 x 5, 13 x 7 x 37, ...) cover
+        // whole register tiles of `cgx_tensor`'s kernel and every edge.
+        let cases: [([usize; 3], Vec<usize>); 2] = [
+            ([4, 6, 3], vec![0, 1, 2, 1, 0]),
+            ([5, 37, 7], (0..13).map(|i| i % 7).collect()),
+        ];
+        for ([input, hidden, classes], y) in cases {
+            let model = MlpNorm::new(&mut rng, input, hidden, classes);
+            let x = Tensor::randn(&mut rng, &[y.len(), input]);
+            let (_, grads) = model.loss_and_grads(&x, &y);
+            let eps = 1e-3f32;
+            let mut check_rng = Rng::seed_from_u64(7);
+            for p in 0..model.params().len() {
+                for _ in 0..3 {
+                    let i = check_rng.index(model.params()[p].len());
+                    let mut mp = model.clone();
+                    mp.params_mut()[p][i] += eps;
+                    let (lp, _) = mp.loss_and_grads(&x, &y);
+                    let mut mm = model.clone();
+                    mm.params_mut()[p][i] -= eps;
+                    let (lm, _) = mm.loss_and_grads(&x, &y);
+                    let numeric = (lp - lm) / (2.0 * eps as f64);
+                    let analytic = grads[p][i] as f64;
+                    assert!(
+                        (numeric - analytic).abs() < 1e-2 * (1.0 + analytic.abs()),
+                        "{hidden} hidden, param {p} idx {i}: numeric {numeric} vs analytic {analytic}"
+                    );
+                }
             }
         }
     }

@@ -4,6 +4,15 @@
 //! orthogonalization of a tall matrix's columns. The training engine needs
 //! plain matrix multiplication for dense layers. These routines operate on
 //! row-major [`Tensor`] matrices.
+//!
+//! The three products are one register-tiled kernel run at the CPU's vector
+//! width, and every element they return is nevertheless the scalar dot
+//! product: its `k` products, each rounded, added one at a time in
+//! ascending `k` starting from `+0.0`, never fused — on every CPU, bit for
+//! bit. No term is skipped, so a zero factor does not hide an infinite or
+//! NaN one: `0 · ∞` makes the sum NaN, as IEEE 754 says. (For finite
+//! operands skipping zero terms would change no bit: a sum that starts at
+//! `+0.0` can never become `-0.0`, and adding `±0.0` to it is the identity.)
 
 use crate::Tensor;
 
@@ -26,25 +35,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, ka) = dims2(a);
     let (kb, n) = dims2(b);
     assert_eq!(ka, kb, "inner dimensions disagree: {ka} vs {kb}");
-    let mut out = Tensor::zeros(&[m, n]);
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let ov = out.as_mut_slice();
-    // i-k-j loop order: streams through B rows, cache-friendly for row-major.
-    for i in 0..m {
-        for k in 0..ka {
-            let aik = av[i * ka + k];
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &bv[k * n..(k + 1) * n];
-            let orow = &mut ov[i * n..(i + 1) * n];
-            for (o, bkj) in orow.iter_mut().zip(brow) {
-                *o += aik * bkj;
-            }
-        }
-    }
-    out
+    product(m, n, ka, Strided::of(a), Strided::of(b))
 }
 
 /// `C = Aᵀ · B` where `A` is `k x m` and `B` is `k x n`.
@@ -56,24 +47,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (ka, m) = dims2(a);
     let (kb, n) = dims2(b);
     assert_eq!(ka, kb, "row counts disagree: {ka} vs {kb}");
-    let mut out = Tensor::zeros(&[m, n]);
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let ov = out.as_mut_slice();
-    for k in 0..ka {
-        let arow = &av[k * m..(k + 1) * m];
-        let brow = &bv[k * n..(k + 1) * n];
-        for (i, aki) in arow.iter().enumerate() {
-            if *aki == 0.0 {
-                continue;
-            }
-            let orow = &mut ov[i * n..(i + 1) * n];
-            for (o, bkj) in orow.iter_mut().zip(brow) {
-                *o += aki * bkj;
-            }
-        }
-    }
-    out
+    product(m, n, ka, Strided::of(a).transposed(), Strided::of(b))
 }
 
 /// `C = A · Bᵀ` where `A` is `m x k` and `B` is `n x k`.
@@ -85,23 +59,219 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, ka) = dims2(a);
     let (n, kb) = dims2(b);
     assert_eq!(ka, kb, "column counts disagree: {ka} vs {kb}");
+    product(m, n, ka, Strided::of(a), Strided::of(b).transposed())
+}
+
+fn product(m: usize, n: usize, k: usize, a: Strided, b: Strided) -> Tensor {
     let mut out = Tensor::zeros(&[m, n]);
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let ov = out.as_mut_slice();
-    for i in 0..m {
-        let arow = &av[i * ka..(i + 1) * ka];
-        let orow = &mut ov[i * n..(i + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let brow = &bv[j * kb..(j + 1) * kb];
-            let mut acc = 0.0f32;
-            for (x, y) in arow.iter().zip(brow) {
-                acc += x * y;
-            }
-            *o = acc;
+    gemm(m, n, k, a, b, out.as_mut_slice());
+    out
+}
+
+/// A matrix operand of [`gemm`]: element `(i, j)` is `data[i * row + j * col]`,
+/// so that a transpose is the same memory with the two strides exchanged.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    row: usize,
+    col: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// The row-major matrix `t`.
+    fn of(t: &'a Tensor) -> Self {
+        Strided {
+            data: t.as_slice(),
+            row: t.shape().dim(1),
+            col: 1,
         }
     }
-    out
+
+    fn transposed(self) -> Self {
+        Strided {
+            row: self.col,
+            col: self.row,
+            ..self
+        }
+    }
+
+    /// The rows from `i` on.
+    fn rows_from(self, i: usize) -> Self {
+        Strided {
+            data: &self.data[i * self.row..],
+            ..self
+        }
+    }
+}
+
+/// Rows of `C` in a register tile: with [`gemm`]'s two registers of
+/// columns, eight accumulators — half of AVX2's sixteen registers, the
+/// other half holds the operands.
+const MR: usize = 4;
+
+/// Rows of `C` finished before the strips start over. Walking a strip down
+/// all of a tall `C` touches one page per row and comes back to each for
+/// every strip; 64 rows are what the first-level TLB still maps.
+const MC: usize = 64;
+
+/// `C = A · B` into the row-major `m x n` `c`, `A` being `m x k` and `B`
+/// `k x n` — the one product behind [`matmul`], [`matmul_tn`] and
+/// [`matmul_nt`], compiled three times and run at the widest vector width
+/// the CPU has.
+///
+/// It keeps the module's promise — each `C[i][j]` the scalar sum of its
+/// products in ascending `k` — by running the vector lanes across `j`: a
+/// lane performs exactly that sequence for one element, so the register
+/// width changes no bit, and a tile of several rows cannot skip a term
+/// for one of them.
+fn gemm(m: usize, n: usize, k: usize, a: Strided, b: Strided, c: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F support was just verified at runtime.
+            return unsafe { gemm_avx512(m, n, k, a, b, c) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            return unsafe { gemm_avx2(m, n, k, a, b, c) };
+        }
+    }
+    gemm_portable(m, n, k, a, b, c)
+}
+
+/// [`gemm_tiled`] with tiles of two 16-lane registers a row.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_avx512(m: usize, n: usize, k: usize, a: Strided, b: Strided, c: &mut [f32]) {
+    gemm_tiled::<32>(m, n, k, a, b, c)
+}
+
+/// [`gemm_tiled`] with tiles of two 8-lane registers a row.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_avx2(m: usize, n: usize, k: usize, a: Strided, b: Strided, c: &mut [f32]) {
+    gemm_tiled::<16>(m, n, k, a, b, c)
+}
+
+/// [`gemm_tiled`] at whatever width the build target guarantees.
+fn gemm_portable(m: usize, n: usize, k: usize, a: Strided, b: Strided, c: &mut [f32]) {
+    gemm_tiled::<16>(m, n, k, a, b, c)
+}
+
+/// Covers `C` with register tiles, [`MC`] rows at a time: strips of `NR`
+/// columns, then of each smaller power of two for what is left of `n` (so
+/// a narrow `C` — PowerSGD's rank-wide factors — is tiled like any other);
+/// down a strip, tiles of [`MR`] rows, then single rows for what is left
+/// of `m`.
+#[inline(always)]
+fn gemm_tiled<const NR: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: Strided,
+    b: Strided,
+    c: &mut [f32],
+) {
+    assert_eq!(c.len(), m * n, "gemm output size");
+    if k == 0 {
+        // Empty sums, and operands with no element to start a tile at.
+        return c.fill(0.0);
+    }
+    // Where `B`'s columns are strided (`matmul_nt`), each strip of it is
+    // packed row-major here first: `k x NR` stays in the first-level cache
+    // while every tile of the strip reads it. A strip is packed again for
+    // each `MC` rows; moving its `k * NR` elements is a sixth of the time
+    // of the `MC * k * NR` multiply-adds they then feed.
+    let mut panel = vec![0.0f32; if b.col == 1 { 0 } else { k * NR }];
+    for (a_rows, c) in (0..m).step_by(MC).zip(c.chunks_mut(MC * n.max(1))) {
+        let a = a.rows_from(a_rows);
+        let mut j = 0;
+        j = strips::<NR>(j, n, k, a, b, c, &mut panel);
+        j = strips::<16>(j, n, k, a, b, c, &mut panel);
+        j = strips::<8>(j, n, k, a, b, c, &mut panel);
+        j = strips::<4>(j, n, k, a, b, c, &mut panel);
+        j = strips::<2>(j, n, k, a, b, c, &mut panel);
+        strips::<1>(j, n, k, a, b, c, &mut panel);
+    }
+}
+
+/// The strips of `W` columns that fit in `n` from column `j` on, down all
+/// the rows of `c`; returns the first column they leave.
+#[inline(always)]
+fn strips<const W: usize>(
+    mut j: usize,
+    n: usize,
+    k: usize,
+    a: Strided,
+    b: Strided,
+    c: &mut [f32],
+    panel: &mut [f32],
+) -> usize {
+    while j + W <= n {
+        let (b, b_row) = if b.col == 1 {
+            (&b.data[j..], b.row)
+        } else {
+            // Eight rows of the panel at a time, so that the block being
+            // written and the `W` lines being read both stay cached.
+            for (block, rows) in panel[..k * W].chunks_mut(8 * W).enumerate() {
+                for l in 0..W {
+                    let column = &b.data[(j + l) * b.col + block * 8 * b.row..];
+                    for (p, row) in rows.chunks_exact_mut(W).enumerate() {
+                        row[l] = column[p * b.row];
+                    }
+                }
+            }
+            (&*panel, W)
+        };
+        let m = c.len() / n;
+        let mut i = 0;
+        while i + MR <= m {
+            tile::<MR, W>(k, a.rows_from(i), b, b_row, &mut c[i * n + j..], n);
+            i += MR;
+        }
+        while i < m {
+            tile::<1, W>(k, a.rows_from(i), b, b_row, &mut c[i * n + j..], n);
+            i += 1;
+        }
+        j += W;
+    }
+    j
+}
+
+/// One `R x W` tile of `C`, its rows `c_row` apart from `c[0]` on, from the
+/// first `R` rows of `a` and the first `W` columns of the row-major `b` —
+/// the only accumulation in this module, in the order its first page
+/// promises: `k` innermost, ascending, a multiply and then an add.
+#[inline(always)]
+fn tile<const R: usize, const W: usize>(
+    k: usize,
+    a: Strided,
+    b: &[f32],
+    b_row: usize,
+    c: &mut [f32],
+    c_row: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for p in 0..k {
+        let b_p: &[f32; W] = b[p * b_row..][..W].try_into().expect("W columns");
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let x = a.data[r * a.row + p * a.col];
+            for (sum, y) in acc_r.iter_mut().zip(b_p) {
+                *sum += x * y;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        c[r * c_row..][..W].copy_from_slice(acc_r);
+    }
 }
 
 /// Orthonormalizes the columns of an `m x r` matrix in place via modified
@@ -154,7 +324,80 @@ fn dims2(t: &Tensor) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rng;
+    use crate::{cases, Rng};
+
+    type Gemm = fn(usize, usize, usize, Strided, Strided, &mut [f32]);
+
+    /// Every compiled body of [`gemm`] this CPU can run, not only the one
+    /// it would pick.
+    fn variants() -> Vec<(&'static str, Gemm)> {
+        let mut all: Vec<(&'static str, Gemm)> = vec![("portable", gemm_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was just verified at runtime.
+                all.push(("avx2", |m, n, k, a, b, c| unsafe {
+                    gemm_avx2(m, n, k, a, b, c)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F support was just verified at runtime.
+                all.push(("avx512", |m, n, k, a, b, c| unsafe {
+                    gemm_avx512(m, n, k, a, b, c)
+                }));
+            }
+        }
+        all
+    }
+
+    /// Mostly unit Gaussians; one element in eight is a signed zero, a
+    /// subnormal or `f32::MAX`, whose products overflow and cancel to NaN.
+    fn operand(rng: &mut Rng, len: usize) -> Vec<f32> {
+        const SPECIAL: [f32; 6] = [0.0, -0.0, 1e-41, -1e-41, f32::MAX, -f32::MAX];
+        (0..len)
+            .map(|_| match rng.index(8) {
+                0 => SPECIAL[rng.index(SPECIAL.len())],
+                _ => rng.normal() as f32,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_variant_equals_the_scalar_sum_bit_for_bit() {
+        const DIMS: [usize; 13] = [0, 1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 64, 70];
+        let variants = variants();
+        cases(400, |rng| {
+            let [m, n, k] = [(); 3].map(|_| DIMS[rng.index(DIMS.len())]);
+            let (a, b) = (operand(rng, m * k), operand(rng, k * n));
+            // The same numbers read as `m x k` or as the transpose of
+            // `k x m`, as `k x n` or as the transpose of `n x k`: every
+            // pairing the three products use, and the fourth.
+            let rows = |data, row| Strided { data, row, col: 1 };
+            let (a_nn, a_t) = (rows(&a, k), rows(&a, m).transposed());
+            let (b_nn, b_t) = (rows(&b, n), rows(&b, k).transposed());
+            for (a, b) in [(a_nn, b_nn), (a_t, b_nn), (a_nn, b_t), (a_t, b_t)] {
+                let mut want = vec![0.0f32; m * n];
+                for (at, sum) in want.iter_mut().enumerate() {
+                    let (i, j) = (at / n, at % n);
+                    for p in 0..k {
+                        *sum += a.data[i * a.row + p * a.col] * b.data[p * b.row + j * b.col];
+                    }
+                }
+                for (name, gemm) in &variants {
+                    // Poisoned: the product must write every element.
+                    let mut got = vec![1234.5f32; m * n];
+                    gemm(m, n, k, a, b, &mut got);
+                    for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "{name} {m}x{n}x{k} strides a {}/{} b {}/{}: element {at} is {g:e}, the scalar sum {w:e}",
+                            a.row, a.col, b.row, b.col
+                        );
+                    }
+                }
+            }
+        });
+    }
 
     #[test]
     fn matmul_identity() {
