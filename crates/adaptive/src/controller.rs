@@ -183,6 +183,9 @@ pub struct PlanUpdate {
 pub struct AdaptivePlanTrace {
     /// Committed plans, in commit order.
     pub records: Vec<PlanRecord>,
+    /// Sync rounds that were not observed because a norm was not finite
+    /// (see [`AdaptiveController::observe_norms`]).
+    pub skipped_rounds: usize,
 }
 
 impl AdaptivePlanTrace {
@@ -193,7 +196,8 @@ impl AdaptivePlanTrace {
 
     /// FNV-1a digest over the decision-relevant fields (epochs, start
     /// steps, bits) — byte-identical traces across ranks and fabrics
-    /// hash equal; advisory bandwidth fields are deliberately excluded.
+    /// hash equal; advisory bandwidth fields are deliberately excluded,
+    /// and skipped rounds show in the start steps they delay.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;
         let mut eat = |v: u64| {
@@ -301,16 +305,28 @@ impl AdaptiveController {
     /// of the post-allreduce mean gradients (or mean deltas, for local
     /// SGD) — the rank-replicated values — in layer order.
     ///
+    /// A round in which any norm is not finite — a diverged step, or a
+    /// peer's payload whose bucket norm decodes to NaN or infinity, which
+    /// the decoders accept — is not observed: the statistics and the
+    /// round count stay as they were, the current plan holds, and the
+    /// trace counts the skip. The norms are replicated, so every rank
+    /// skips the same rounds. Returns whether the round was observed.
+    ///
     /// # Panics
     ///
-    /// Panics on a length mismatch or a non-finite norm.
-    pub fn observe_norms(&mut self, norms: &[f64]) {
+    /// Panics on a length mismatch or a negative norm.
+    pub fn observe_norms(&mut self, norms: &[f64]) -> bool {
         assert_eq!(norms.len(), self.layers.len(), "norm count mismatch");
+        if !norms.iter().all(|n| n.is_finite()) {
+            self.trace.skipped_rounds += 1;
+            return false;
+        }
         for (acc, &n) in self.sumsq.iter_mut().zip(norms) {
-            assert!(n.is_finite() && n >= 0.0, "bad observed norm {n}");
+            assert!(n >= 0.0, "bad observed norm {n}");
             *acc += n * n;
         }
         self.observed += 1;
+        true
     }
 
     /// Feeds an advisory wire-bandwidth observation: `bytes` moved over
@@ -412,6 +428,7 @@ impl AdaptiveController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::BitAssignment;
 
     fn layers() -> Vec<ControlledLayer> {
         vec![
@@ -523,6 +540,68 @@ mod tests {
             a.bandwidth_bps(), b.bandwidth_bps(),
             "advisory state genuinely differed"
         );
+    }
+
+    #[test]
+    fn a_round_with_a_non_finite_norm_is_not_observed() {
+        // NaN or infinity in one layer's norm: no panic, no credit toward
+        // the re-plan interval, no trace in the statistics — and two
+        // controllers fed the same rounds stay in the same state.
+        let mut a = controller(2, 0);
+        let mut b = controller(2, 0);
+        let mut clean = controller(2, 0);
+        let rounds = [
+            [3.0, 1.0, 0.1],
+            [f64::NAN, 1.0, 0.1],
+            [3.0, f64::INFINITY, 0.1],
+            [2.0, 1.5, f64::NEG_INFINITY],
+            [4.0, 0.5, 0.2],
+            [1.0, 1.0, 0.1],
+            [2.0, 2.0, 0.3],
+        ];
+        let (mut step, mut clean_step) = (0, 0);
+        for norms in rounds {
+            let finite = norms.iter().all(|n| n.is_finite());
+            assert_eq!(a.observe_norms(&norms), finite);
+            assert_eq!(b.observe_norms(&norms), finite);
+            step += 1;
+            let (ua, ub) = (a.maybe_replan(step, 0), b.maybe_replan(step, 0));
+            assert_eq!(ua, ub, "round {step}");
+            if finite {
+                // The controller that never saw the bad rounds commits
+                // the same bits, one re-plan per two finite rounds.
+                clean.observe_norms(&norms);
+                clean_step += 1;
+                let uc = clean.maybe_replan(clean_step, 0);
+                assert_eq!(
+                    ua.as_ref().map(|u| (&u.record.bits, u.plan_epoch)),
+                    uc.as_ref().map(|u| (&u.record.bits, u.plan_epoch)),
+                    "round {step}"
+                );
+            } else {
+                assert!(ua.is_none(), "round {step}: a skipped round re-planned");
+            }
+        }
+        assert_eq!(a.trace(), b.trace());
+        assert_eq!((a.trace().replans(), a.trace().skipped_rounds), (2, 3));
+        assert_eq!(clean.trace().skipped_rounds, 0);
+    }
+
+    #[test]
+    fn default_plans_stay_on_the_vector_kernels() {
+        // `cgx-compress` packs any width in registers, and decodes up to
+        // 4 bits by table lookup in registers, where a bucket is a whole
+        // number of bytes (its `whole_byte_buckets_take_the_kernels`);
+        // anything else goes a code at a time through the bit writer and
+        // reader at a third to a sixth of the speed. Every layout the
+        // default controller can commit must be one of the former, and a
+        // width below the table decoder's 2 bits would be `OneBit`, which
+        // has no kernel at all.
+        for bits in AdaptiveTrainConfig::default().bit_choices {
+            let bucket = BitAssignment::bucket_for_bits(bits);
+            assert_eq!(bucket * bits as usize % 8, 0, "{bits} bits / {bucket}");
+            assert!(bits >= 2, "{bits} bits");
+        }
     }
 
     #[test]

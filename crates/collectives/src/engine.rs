@@ -141,11 +141,12 @@ pub struct Handle(usize);
 type Outgoing = (usize, Tag, Encoded);
 
 /// Member of a coalesced group: which op it redeems, its slice of the
-/// concatenated buffer, and its original tensor dims.
+/// concatenated buffer, and the tensor it submitted, which takes the
+/// reduced slice back.
 struct Member {
     op: usize,
     range: Range<usize>,
-    dims: Vec<usize>,
+    tensor: Tensor,
 }
 
 /// A submission parked behind [`EngineOptions::max_live`]: everything
@@ -320,6 +321,18 @@ impl<'a> CommEngine<'a> {
         self.live_hwm
     }
 
+    /// [`CommEngine::submit_owned`] on a copy of `grad`, for a caller that
+    /// keeps its gradient.
+    pub fn submit(
+        &mut self,
+        alg: Algorithm,
+        grad: &Tensor,
+        comp: Box<dyn Compressor>,
+        rng: &mut Rng,
+    ) -> Handle {
+        self.submit_owned(alg, grad.clone(), comp, rng)
+    }
+
     /// Enqueues an allreduce of `grad` and returns immediately. All ranks
     /// must submit (and later wait) their collectives in the same order.
     /// The compressor is owned by the collective until [`CommEngine::wait`]
@@ -327,13 +340,20 @@ impl<'a> CommEngine<'a> {
     /// collective's private RNG (the sequential reference loop can
     /// reproduce the stream by deriving per-layer RNGs the same way).
     ///
+    /// The engine reduces in `grad`'s own buffer: the tensor `wait`
+    /// returns is the one moved in here (a coalesced member's takes its
+    /// slice of the group's sum back; a one-rank world's is untouched).
+    /// An engine that is or becomes poisoned drops it with the rest of
+    /// the collective.
+    ///
     /// [`Algorithm::Tree`] and [`Algorithm::AllgatherBroadcast`] have no
     /// pipelined machine; they run eagerly (blocking) at submit, which is
-    /// safe because every rank reaches the same submit in program order.
-    pub fn submit(
+    /// safe because every rank reaches the same submit in program order,
+    /// and return a tensor of their own.
+    pub fn submit_owned(
         &mut self,
         alg: Algorithm,
-        grad: &Tensor,
+        grad: Tensor,
         comp: Box<dyn Compressor>,
         rng: &mut Rng,
     ) -> Handle {
@@ -342,7 +362,7 @@ impl<'a> CommEngine<'a> {
         let mut op = OpState::new();
 
         if self.t.world() == 1 || grad.is_empty() {
-            op.result = Some((grad.clone(), AllreduceStats::default()));
+            op.result = Some((grad, AllreduceStats::default()));
             op.comp = Some(comp);
             op.completed = true;
             self.ops.push(op);
@@ -374,7 +394,7 @@ impl<'a> CommEngine<'a> {
             self.pending.push(Member {
                 op: idx,
                 range: at..self.group.len(),
-                dims: grad.shape().dims().to_vec(),
+                tensor: grad,
             });
             op.comp = Some(comp);
             op.noted = self.note_in_flight();
@@ -402,7 +422,7 @@ impl<'a> CommEngine<'a> {
                 );
                 op.queued = Some(QueuedLaunch {
                     alg,
-                    grad: grad.clone(),
+                    grad,
                     comp,
                     rng: op_rng,
                     op_id,
@@ -423,10 +443,10 @@ impl<'a> CommEngine<'a> {
                 let mut comp = comp;
                 let run = match alg {
                     Algorithm::Tree => {
-                        allreduce_tree_scratch(self.t, grad, &mut *comp, &mut op_rng, &self.pool)
+                        allreduce_tree_scratch(self.t, &grad, &mut *comp, &mut op_rng, &self.pool)
                     }
                     _ => {
-                        allreduce_gather_scratch(self.t, grad, &mut *comp, &mut op_rng, &self.pool)
+                        allreduce_gather_scratch(self.t, &grad, &mut *comp, &mut op_rng, &self.pool)
                     }
                 };
                 match run {
@@ -733,15 +753,15 @@ impl<'a> CommEngine<'a> {
             // Wire traffic is attributed to the first member (the group
             // was one collective; double-counting would inflate totals).
             let data = out.as_slice();
-            for (k, mb) in members.iter().enumerate() {
-                let tensor = Tensor::from_vec(&mb.dims, data[mb.range.clone()].to_vec());
+            for (k, mut mb) in members.into_iter().enumerate() {
+                mb.tensor.as_mut_slice().copy_from_slice(&data[mb.range]);
                 let mut s = if k == 0 {
                     stats
                 } else {
                     AllreduceStats::default()
                 };
                 s.max_in_flight = self.peak_since(self.ops[mb.op].noted);
-                self.ops[mb.op].result = Some((tensor, s));
+                self.ops[mb.op].result = Some((mb.tensor, s));
                 self.ops[mb.op].completed = true;
                 self.in_flight -= 1;
             }
@@ -1648,6 +1668,73 @@ mod tests {
                         let at = format!("{alg:?} n={n} rank={rank} layer={l}");
                         assert_eq!(a.0.as_slice(), b.0.as_slice(), "{at}");
                         assert_eq!(a.1, b.1, "{at}: bytes_sent");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn submit_owned_is_submit_without_the_copy() {
+        // Same sums, same traffic, same draws from the caller's RNG,
+        // whether the engine is lent a gradient or given it — and a
+        // gradient given comes back at `wait` in the allocation it went
+        // in with: reduced in place by a machine (cut into segments
+        // here), refilled from its coalesce group's sum (the three small
+        // FP32 layers under SRA), or untouched in a world of one.
+        let specs = layer_specs();
+        let opts = EngineOptions {
+            segment_elems: 100,
+            ..EngineOptions::default()
+        };
+        let counts = |s: &AllreduceStats| {
+            [
+                s.bytes_sent,
+                s.compress_calls,
+                s.decompress_calls,
+                s.max_in_flight,
+            ]
+        };
+        for n in [1usize, 4] {
+            for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
+                let run = |owned: bool| {
+                    let specs = specs.clone();
+                    ThreadCluster::run(n, move |t| {
+                        let mut master = Rng::seed_from_u64(777);
+                        let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+                        let mut moved_in = Vec::new();
+                        let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
+                            .into_iter()
+                            .zip(&specs)
+                            .map(|(g, (_, scheme))| {
+                                moved_in.push(g.as_slice().as_ptr() as usize);
+                                match owned {
+                                    true => eng.submit_owned(alg, g, scheme.build(), &mut master),
+                                    false => eng.submit(alg, &g, scheme.build(), &mut master),
+                                }
+                            })
+                            .collect();
+                        let outs: Vec<_> = handles
+                            .into_iter()
+                            .map(|h| eng.wait(h).unwrap())
+                            .map(|(out, stats, _)| (out, counts(&stats)))
+                            .collect();
+                        (outs, moved_in, master.next_u64())
+                    })
+                    .unwrap()
+                };
+                for (rank, (lent, given)) in run(false).iter().zip(&run(true)).enumerate() {
+                    let at = format!("{alg:?} n={n} rank={rank}");
+                    assert_eq!(lent.2, given.2, "{at}: rng draws");
+                    for (l, (a, b)) in lent.0.iter().zip(&given.0).enumerate() {
+                        let bits = |t: &Tensor| -> Vec<u32> {
+                            t.as_slice().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&a.0), bits(&b.0), "{at} layer={l}");
+                        assert_eq!(a.0.shape(), b.0.shape(), "{at} layer={l}");
+                        assert_eq!(a.1, b.1, "{at} layer={l}: stats");
+                        let back = b.0.as_slice().as_ptr() as usize;
+                        assert_eq!(back, given.1[l], "{at} layer={l}: another buffer");
                     }
                 }
             }

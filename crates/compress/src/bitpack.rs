@@ -9,8 +9,10 @@
 //!
 //! The general writer/reader move one element at a time and flush byte by
 //! byte — correct for any width 1..=32, but far from "line rate" (paper
-//! Appendix A). For the widths the quantizers actually use (2/4/8 bits, and
-//! any width dividing 64), [`pack_fixed`] and [`unpack_fixed_with`] process
+//! Appendix A). For any width dividing 64 — what NUQSGD and OneBit write
+//! at 1, 2, 4 and 8 bits, and the readers read there; QSGD packs its own
+//! codes, at every width, in `simd.rs` — [`pack_fixed`] and
+//! [`unpack_fixed_with`] process
 //! a whole `u64` word per iteration. Because the stream is LSB-first and
 //! words are emitted little-endian, the fast path is **bit-identical** to
 //! the scalar path; [`BitWriter::write_run`] and [`BitReader::read_run`]

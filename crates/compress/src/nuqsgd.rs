@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn kernel_matches_reader_on_every_layout() {
         use crate::qsgd::tests::{assert_decodes_to, crafted};
-        for bits in [2u32, 4] {
+        for bits in [2u32, 3, 4] {
             for bucket_size in [8usize, 10, 128] {
                 for n in [1usize, 7, 8, 9, 129, 515, 1000] {
                     let q = NuqsgdCompressor::new(bits, bucket_size);

@@ -44,9 +44,9 @@ pub struct QsgdCompressor {
     bits: u32,
     bucket_size: usize,
     norm: NormKind,
-    /// One byte per code of a bucket whose codes cannot be packed in
-    /// registers; reused across calls so steady-state compression
-    /// allocates nothing.
+    /// One byte per code of a bucket that does not start and end on a
+    /// byte of the stream; reused across calls so steady-state
+    /// compression allocates nothing.
     codes: Vec<u8>,
 }
 
@@ -113,20 +113,21 @@ impl QsgdCompressor {
     /// `s / norm`, round stochastically, sign, offset and pack. All the
     /// call's randomness is one key drawn from `rng`; element `j` of
     /// bucket `b` rounds on draw `(b << 32) | j` of that key's
-    /// [`CounterRng`] stream, whatever the other elements are. 2/4/8-bit
-    /// codes of a bucket that starts and ends on a byte boundary are
-    /// packed in registers straight into the payload; any other bucket
-    /// goes through the kernel's 8-bit form and the bit writer.
+    /// [`CounterRng`] stream, whatever the other elements are. The codes
+    /// of a bucket that starts and ends on a byte boundary are packed in
+    /// registers straight into the payload, at any width; a bucket that
+    /// does not — at most the last one, where `bucket_size * bits` is a
+    /// whole number of bytes — goes through the kernel's 8-bit form and
+    /// the bit writer.
     fn encode_into(&mut self, data: &[f32], rng: &mut Rng, w: &mut BitWriter) {
         let stream = CounterRng::new(rng.next_u64());
         let bits = self.bits;
-        let packable = crate::is_word_packable(bits);
         for (b, bucket) in data.chunks(self.bucket_size).enumerate() {
             let norm = self.bucket_norm(bucket);
             w.write_f32(norm);
             let q = BucketQuantizer::new(self.levels(), norm, &stream, b as u64);
             let run_bits = bucket.len() * bits as usize;
-            let packed = if packable && run_bits % 8 == 0 {
+            let packed = if run_bits.is_multiple_of(8) {
                 w.append_bytes(run_bits / 8)
             } else {
                 None
@@ -144,10 +145,11 @@ impl QsgdCompressor {
     }
 
     /// Decodes `enc` over (`ADD` false) or onto (`ADD` true) `out`: by
-    /// [`simd::lut_decode`] where it takes the layout, from a codebook
-    /// built with the per-element formula of
-    /// [`QsgdCompressor::decode_with`], else by that reader. The two
-    /// agree bit for bit (`kernel_matches_reader_on_every_layout` and
+    /// [`simd::lut_decode`] where it takes the layout (2 to 4 bits,
+    /// buckets of whole bytes), from a codebook built with the
+    /// per-element formula of [`QsgdCompressor::decode_with`], else by
+    /// that reader. The two agree bit for bit
+    /// (`kernel_matches_reader_on_every_layout` and
     /// `every_decoder_emits_its_pinned_values` pin this).
     /// Scatter-reduce decodes `~1.5n` elements per rank per step.
     ///
@@ -171,7 +173,8 @@ impl QsgdCompressor {
 
     /// Decodes a payload of any layout, invoking `f(index, value)` for
     /// every element in stream order: the reference the table kernel is
-    /// tested against, and the route of the layouts it does not take.
+    /// tested against, and the route of the layouts it does not take
+    /// (5 to 8 bits, and buckets that are no whole number of bytes).
     fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
         let n = enc.shape().len();
         let s = self.levels() as f64;
@@ -612,8 +615,10 @@ pub(crate) mod tests {
             (2, 10),          // word path, buckets smaller than one u64 word
             (4, 128),         // the CGX default
             (4, 63),          // 63*4 bits is no whole byte count: falls back
-            (3, 128),         // non-word-packable width: falls back
-            (8, 64),          // above the 4-bit table cap: falls back
+            (3, 128),         // eight codes in three bytes: the kernel's too
+            (3, 10),          // 30 bits a bucket: falls back
+            (5, 64),          // above the 4-bit table cap: falls back
+            (8, 64),          // likewise
         ] {
             for n in [1usize, 64, 515, 1000] {
                 let g = Tensor::randn(&mut rng, &[n]);
@@ -665,7 +670,7 @@ pub(crate) mod tests {
 
     #[test]
     fn kernel_matches_reader_on_every_layout() {
-        for bits in [2u32, 4] {
+        for bits in [2u32, 3, 4] {
             for bucket_size in [8usize, 10, 64, 128, 1024] {
                 for n in [1usize, 7, 8, 9, 127, 128, 129, 515, 1000, 4099] {
                     let q = QsgdCompressor::new(bits, bucket_size);
@@ -679,10 +684,45 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn whole_byte_buckets_take_the_kernels() {
+        // Where a bucket is a whole number of bytes, no width stages
+        // codes for the bit writer — the scratch only that route fills is
+        // never allocated — and up to 4 bits the table kernel says it
+        // took the decode. A plan that leaves these layouts pays 3-6x
+        // per element, which no other test would notice.
+        let mut rng = Rng::seed_from_u64(53);
+        for bits in 2..=8u32 {
+            let whole = |bucket_size: &usize| (bucket_size * bits as usize).is_multiple_of(8);
+            for bucket_size in (1..=64).chain([128, 512, 1024]).filter(whole) {
+                let n = 3 * bucket_size;
+                let g = Tensor::randn(&mut rng, &[n]);
+                let mut q = QsgdCompressor::new(bits, bucket_size);
+                let enc = q.compress(&g, &mut rng);
+                let what = format!("bits={bits} bucket={bucket_size}");
+                assert_eq!(q.codes.capacity(), 0, "{what}: encode left the kernel");
+                // The answer is the layout's, whatever the codebook:
+                // NUQSGD decodes through the same call.
+                let mut out = vec![0.0f32; n];
+                let (payload, table_of) = (enc.payload(), |_| [0.0; 16]);
+                let taken =
+                    simd::lut_decode::<true>(bits, payload, bucket_size, table_of, &mut out);
+                assert_eq!(taken, bits <= 4, "{what}: decode");
+            }
+        }
+    }
+
+    #[test]
     fn short_payloads_panic_before_any_read() {
-        // (4, 8, 7) is below one lane group and decodes in the scalar
-        // twin; the others reach the vector body.
-        for (bits, bucket_size, n) in [(4u32, 128usize, 515usize), (2, 1024, 2100), (4, 8, 7)] {
+        // (4, 8, 7) and (3, 8, 7) are below one lane group and decode in
+        // the scalar twin; the others reach the vector body.
+        let layouts = [
+            (4u32, 128usize, 515usize),
+            (2, 1024, 2100),
+            (3, 512, 1100),
+            (4, 8, 7),
+            (3, 8, 7),
+        ];
+        for (bits, bucket_size, n) in layouts {
             let q = QsgdCompressor::new(bits, bucket_size);
             let enc = crafted(bits, bucket_size, n);
             let full = q.compressed_bytes(n);

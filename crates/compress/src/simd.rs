@@ -24,18 +24,29 @@
 //! the same IEEE-754 and integer operations lane for lane, special
 //! values included (a NaN product clamps to `-s` in both).
 //!
+//! Eight codes fill `WIDTH` whole bytes at every width from 2 to 8, so a
+//! group of eight is one little-endian word with code `l` at bits
+//! `l * WIDTH..` and [`quantize_pack`] has one form for all seven widths:
+//! the AVX2 body shifts each lane to its place (`vpsllvd`), ors the lanes
+//! of each 128-bit half together and joins the halves — in a lane up to
+//! 4 bits, in a `u64` above; the scalar twin, which is also the tail of
+//! a bucket that is no multiple of eight, assembles the same word a code
+//! at a time.
+//!
 //! # Decode
 //!
-//! A bucket of 2- or 4-bit codes decodes to at most sixteen values, so
-//! [`lut_decode`] builds that codebook once per bucket from its norm and
-//! every element is a lookup in it. The AVX2 body holds the codebook in
-//! one `ymm` register (two at 4 bits) and per eight elements broadcasts
-//! their packed word, shifts lane `l` right by `l * WIDTH` (`vpsrlvd`),
-//! looks all eight up at once (`vpermps`; at 4 bits twice, `vblendvps`
-//! on code bit 3 picking the half) and stores the values or their sums
-//! with the destination. A decoded value is a copy of a table entry on
-//! this route and on its scalar twin, so the two cannot differ, whatever
-//! the norm or the code.
+//! A bucket of 2-, 3- or 4-bit codes decodes to at most sixteen values,
+//! so [`lut_decode`] builds that codebook once per bucket from its norm
+//! and every element is a lookup in it. The AVX2 body holds the codebook
+//! in one `ymm` register (two at 4 bits) and per eight elements
+//! broadcasts their packed word, shifts lane `l` right by `l * WIDTH`
+//! (`vpsrlvd`), looks all eight up at once (`vpermps`, which reads three
+//! index bits — a 3-bit code as it lies; at 4 bits twice, `vblendvps` on
+//! code bit 3 picking the half) and stores the values or their sums with
+//! the destination. A decoded value is a copy of a table entry on this
+//! route and on its scalar twin, so the two cannot differ, whatever the
+//! norm or the code. Wider codes decode by formula in the callers' bit
+//! readers.
 
 use cgx_tensor::rng::CounterRng;
 
@@ -82,13 +93,10 @@ impl BucketQuantizer {
 ///
 /// # Panics
 ///
-/// Panics unless `width` is 2, 4 or 8 and `out` is exactly the whole
+/// Panics unless `width` is in `2..=8` and `out` is exactly the whole
 /// number of bytes the codes fill.
 pub(crate) fn quantize_pack(bucket: &[f32], q: &BucketQuantizer, width: u32, out: &mut [u8]) {
-    assert!(
-        matches!(width, 2 | 4 | 8),
-        "width {width} has no packed form"
-    );
+    assert!((2..=8).contains(&width), "width {width} has no packed form");
     assert_eq!(out.len() * 8, bucket.len() * width as usize, "packed size");
     #[allow(unused_mut)]
     let mut done = 0;
@@ -98,20 +106,28 @@ pub(crate) fn quantize_pack(bucket: &[f32], q: &BucketQuantizer, width: u32, out
         done = unsafe {
             match width {
                 2 => quantize_pack_avx2::<2>(bucket, q, out),
+                3 => quantize_pack_avx2::<3>(bucket, q, out),
                 4 => quantize_pack_avx2::<4>(bucket, q, out),
+                5 => quantize_pack_avx2::<5>(bucket, q, out),
+                6 => quantize_pack_avx2::<6>(bucket, q, out),
+                7 => quantize_pack_avx2::<7>(bucket, q, out),
                 _ => quantize_pack_avx2::<8>(bucket, q, out),
             }
         };
     }
-    // `done` is a multiple of 8, so element `done` starts a byte.
-    let per_byte = 8 / width as usize;
-    let mut j = done;
-    for byte in &mut out[done / per_byte..] {
-        *byte = 0;
-        for k in 0..per_byte as u32 {
-            *byte |= (q.code(j, bucket[j]) << (k * width)) as u8;
-            j += 1;
+    // Eight codes fill `width` whole bytes at any width, and `done` is a
+    // multiple of 8: every group starts a byte, and the last one, of
+    // fewer codes, ends on one because `out` does.
+    let width = width as usize;
+    let groups = bucket[done..]
+        .chunks(8)
+        .zip(out[done / 8 * width..].chunks_mut(width));
+    for (g, (vals, bytes)) in groups.enumerate() {
+        let mut word = 0u64;
+        for (l, &v) in vals.iter().enumerate() {
+            word |= u64::from(q.code(done + 8 * g + l, v)) << (l * width);
         }
+        bytes.copy_from_slice(&word.to_le_bytes()[..bytes.len()]);
     }
 }
 
@@ -145,10 +161,11 @@ unsafe fn quantize_pack_avx2<const WIDTH: usize>(
     let mut weyl = _mm256_mullo_epi32(lanes, _mm256_set1_epi32(CounterRng::WEYL as i32));
     let weyl_step = _mm256_set1_epi32(CounterRng::WEYL.wrapping_mul(8) as i32);
     // Code l belongs at bits l * WIDTH.. of the group's word. Each 128-bit
-    // half gathers its four codes in its lowest lane; at WIDTH 8 that is
-    // all a lane holds, and the halves are joined as two lanes instead.
+    // half gathers its four codes in its lowest lane; above WIDTH 4 a
+    // lane has no room for the other half's, and the two lanes are joined
+    // in a `u64` instead.
     let w = WIDTH as i32;
-    let up = if WIDTH == 8 { 0 } else { 4 * w };
+    let up = if WIDTH > 4 { 0 } else { 4 * w };
     let shifts = _mm256_setr_epi32(0, w, 2 * w, 3 * w, up, up + w, up + 2 * w, up + 3 * w);
     let groups = bucket.chunks_exact(8);
     let done = groups.len() * 8;
@@ -171,8 +188,9 @@ unsafe fn quantize_pack_avx2<const WIDTH: usize>(
         let quads = _mm256_or_si256(pairs, _mm256_shuffle_epi32::<0b10_11_00_01>(pairs));
         let lo = _mm256_castsi256_si128(quads);
         let hi = _mm256_extracti128_si256::<1>(quads);
-        let word = if WIDTH == 8 {
-            _mm_cvtsi128_si64(_mm_unpacklo_epi32(lo, hi)) as u64
+        let word = if WIDTH > 4 {
+            let (lo, hi) = (_mm_cvtsi128_si32(lo) as u32, _mm_cvtsi128_si32(hi) as u32);
+            u64::from(lo) | u64::from(hi) << (4 * WIDTH)
         } else {
             _mm_cvtsi128_si32(_mm_or_si128(lo, hi)) as u32 as u64
         };
@@ -185,8 +203,9 @@ unsafe fn quantize_pack_avx2<const WIDTH: usize>(
 /// `bits`-bit codes, LSB-first — over `out` (`ADD` false) or onto it
 /// (`ADD` true): element `i` is entry `code_i` of `table_of(norm)`, its
 /// bucket's codebook. Returns `false`, with `out` untouched, for a layout
-/// it has no kernel for: a width other than 2 or 4, or full buckets that
-/// do not end on a byte, which leave norms unaligned.
+/// it has no kernel for: a width outside `2..=4` (more than sixteen
+/// values), or full buckets that do not end on a byte, which leave norms
+/// unaligned.
 ///
 /// # Panics
 ///
@@ -200,7 +219,7 @@ pub(crate) fn lut_decode<const ADD: bool>(
     out: &mut [f32],
 ) -> bool {
     let (n, width) = (out.len(), bits as usize);
-    if !matches!(bits, 2 | 4) || !(bucket_size * width).is_multiple_of(8) {
+    if !(2..=4).contains(&bits) || !(bucket_size * width).is_multiple_of(8) {
         return false;
     }
     // The one length check of the decode: every read below is inside it.
@@ -212,22 +231,36 @@ pub(crate) fn lut_decode<const ADD: bool>(
         unsafe {
             match bits {
                 2 => lut_decode_avx2::<2, ADD>(payload, bucket_size, table_of, out),
+                3 => lut_decode_avx2::<3, ADD>(payload, bucket_size, table_of, out),
                 _ => lut_decode_avx2::<4, ADD>(payload, bucket_size, table_of, out),
             }
         }
         return true;
     }
+    lut_decode_scalar::<ADD>(bits, payload, bucket_size, table_of, out);
+    true
+}
+
+/// The scalar twin of [`lut_decode`]'s vector body: the same bucket walk
+/// with no groups taken in registers.
+fn lut_decode_scalar<const ADD: bool>(
+    bits: u32,
+    payload: &[u8],
+    bucket_size: usize,
+    table_of: impl Fn(f32) -> [f32; 16],
+    out: &mut [f32],
+) {
     match bits {
         2 => lut_decode_buckets::<2, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
+        3 => lut_decode_buckets::<3, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
         _ => lut_decode_buckets::<4, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
     }
-    true
 }
 
 /// The bucket walk of [`lut_decode`]. `groups` decodes a leading multiple
 /// of eight elements of a bucket from its codebook and says how many; the
-/// rest are looked up a byte at a time. With no groups taken this is the
-/// kernel's scalar twin.
+/// rest are looked up from one word of up to eight codes at a time. With
+/// no groups taken this is the kernel's scalar twin.
 #[inline(always)]
 fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
     payload: &[u8],
@@ -236,30 +269,25 @@ fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
     out: &mut [f32],
     groups: impl Fn(&[f32; 16], &[u8], &mut [f32]) -> usize,
 ) {
-    let per_byte = 8 / WIDTH;
     let mut rest = payload;
     for dst in out.chunks_mut(bucket_size) {
         let (norm, after) = rest.split_at(4);
         let (codes, after) = after.split_at((dst.len() * WIDTH).div_ceil(8));
         rest = after;
         let table = table_of(f32::from_le_bytes(norm.try_into().expect("four bytes")));
-        // `done` is a multiple of 8, so element `done` starts a byte.
+        // Eight codes fill `WIDTH` whole bytes and `done` is a multiple
+        // of 8, so every group starts a byte; the last one, of fewer
+        // codes, has the bytes those take.
         let done = groups(&table, codes, dst);
-        let lookup = |byte: u8, vals: &mut [f32]| {
-            for (k, d) in vals.iter_mut().enumerate() {
-                let v = table[(byte >> (k * WIDTH)) as usize & ((1 << WIDTH) - 1)];
+        let words = codes[done / 8 * WIDTH..].chunks(WIDTH);
+        for (bytes, vals) in words.zip(dst[done..].chunks_mut(8)) {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            let word = u64::from_le_bytes(word);
+            for (l, d) in vals.iter_mut().enumerate() {
+                let v = table[(word >> (l * WIDTH)) as usize & ((1 << WIDTH) - 1)];
                 *d = if ADD { *d + v } else { v };
             }
-        };
-        // Whole bytes at a fixed trip count; what is left over, if
-        // anything, is the low codes of the last byte.
-        let bytes = &codes[done / per_byte..];
-        let mut full = dst[done..].chunks_exact_mut(per_byte);
-        for (byte, vals) in bytes.iter().zip(&mut full) {
-            lookup(*byte, vals);
-        }
-        if let Some(byte) = bytes.last() {
-            lookup(*byte, full.into_remainder());
         }
     }
 }
@@ -294,8 +322,9 @@ unsafe fn lut_decode_avx2<const WIDTH: usize, const ADD: bool>(
             let mut word = [0u8; 4];
             word[..WIDTH].copy_from_slice(bytes);
             let idx = _mm256_srlv_epi32(_mm256_set1_epi32(i32::from_le_bytes(word)), shifts);
-            // vpermps reads the low three index bits. At 2 bits the
-            // third is the next code's; at 4 bits code bit 3 picks the half.
+            // vpermps reads the low three index bits: a 3-bit code as it
+            // lies. At 2 bits the third is the next code's; at 4 bits
+            // code bit 3 picks the half.
             let low = if WIDTH == 2 {
                 _mm256_and_si256(idx, low_two)
             } else {
@@ -384,9 +413,23 @@ pub(crate) mod tests {
     fn packed_bytes_match_scalar_twin_code_for_code() {
         let mut rng = Rng::seed_from_u64(43);
         let stream = CounterRng::new(rng.next_u64());
-        for (width, levels) in [(2u32, 1u32), (4, 7), (8, 127), (8, 3), (8, 31)] {
-            // Lengths around the 8-lane boundary exercise the scalar tail.
-            for n in [0usize, 4, 8, 12, 16, 60, 64, 128, 1000] {
+        let layouts = [
+            (2u32, 1u32),
+            (3, 3),
+            (4, 7),
+            (5, 15),
+            (6, 31),
+            (7, 63),
+            (8, 127),
+            (8, 3),
+            (8, 31),
+        ];
+        for (width, levels) in layouts {
+            // Lengths around the 8-lane group, those a width packs into
+            // whole bytes: a partial last group exercises the word tail.
+            let lengths = [0usize, 4, 8, 12, 16, 20, 24, 60, 64, 128, 1000];
+            let whole = |n: &usize| (n * width as usize).is_multiple_of(8);
+            for n in lengths.into_iter().filter(whole) {
                 let mut bucket: Vec<f32> = (0..n).map(|_| (rng.normal() * 2.0) as f32).collect();
                 for (slot, special) in bucket.iter_mut().skip(1).step_by(3).zip(SPECIALS) {
                     *slot = special;
@@ -454,14 +497,10 @@ pub(crate) mod tests {
         move |norm| std::array::from_fn(|c| (norm as f64 * (c as i64 - offset) as f64 / s) as f32)
     }
 
-    /// The scalar twin of [`lut_decode`]: the same walk with no groups
-    /// taken by the vector body.
+    /// [`lut_decode_scalar`] over QSGD's codebook.
     fn twin<const ADD: bool>(bits: u32, payload: &[u8], bucket_size: usize, out: &mut [f32]) {
         let table_of = grid((1 << (bits - 1)) - 1);
-        match bits {
-            2 => lut_decode_buckets::<2, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
-            _ => lut_decode_buckets::<4, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
-        }
+        lut_decode_scalar::<ADD>(bits, payload, bucket_size, table_of, out);
     }
 
     fn bits_of(xs: &[f32]) -> Vec<u32> {
@@ -486,7 +525,7 @@ pub(crate) mod tests {
 
     #[test]
     fn lut_decode_matches_twin_and_formula_bit_for_bit() {
-        for bits in [2u32, 4] {
+        for bits in [2u32, 3, 4] {
             let levels = (1u32 << (bits - 1)) - 1;
             for bucket_size in [8usize, 10, 64, 128, 1024] {
                 // Lengths around the 8-lane group, the bucket and the byte.

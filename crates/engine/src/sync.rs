@@ -107,12 +107,15 @@ fn publish_replan(obs: &ObsHandle, up: &cgx_adaptive::PlanUpdate) {
     }
 }
 
-/// One engine round over `view`: every tensor submitted up front, redeemed
-/// in submit order and replaced by its mean over the view's world. The
-/// engine overlaps all in-flight reductions and coalesces small lossless
-/// layers. On error every handle is still drained (later waits fail fast
-/// on the poison) so nothing stays in flight; `tensors` is then partly
-/// reduced and the compressors the poisoned engine kept are gone.
+/// One engine round over `view`: every tensor moved into the engine up
+/// front, redeemed in submit order and put back as its mean over the
+/// view's world — in the buffer it came in, the engine reduces in place.
+/// The engine overlaps all in-flight reductions and coalesces small
+/// lossless layers. On error every handle is still drained (later waits
+/// fail fast on the poison) so nothing stays in flight; `tensors` then
+/// holds only the layers that completed, and the rest, like the
+/// compressors the poisoned engine kept, are gone: both callers discard
+/// the round.
 #[allow(clippy::too_many_arguments)]
 fn engine_mean(
     view: &MembershipView<'_>,
@@ -120,7 +123,7 @@ fn engine_mean(
     opts: EngineOptions,
     obs: &ObsHandle,
     algorithm: Algorithm,
-    tensors: &mut [Tensor],
+    tensors: &mut Vec<Tensor>,
     compressors: &mut Compressors,
     rng: &mut Rng,
     traffic: &mut AllreduceStats,
@@ -128,17 +131,17 @@ fn engine_mean(
     let inv_world = 1.0 / view.world() as f32;
     let mut eng = CommEngine::new(view, pool.clone(), opts).with_obs(obs.clone());
     let handles: Vec<_> = tensors
-        .iter()
+        .drain(..)
         .zip(compressors.drain(..))
-        .map(|(t, comp)| eng.submit(algorithm, t, comp, rng))
+        .map(|(t, comp)| eng.submit_owned(algorithm, t, comp, rng))
         .collect();
     let mut first_err = None;
-    for (slot, h) in tensors.iter_mut().zip(handles) {
+    for h in handles {
         match eng.wait(h) {
             Ok((mut mean, stats, lent)) => {
                 compressors.push(lent);
                 mean.scale(inv_world);
-                *slot = mean;
+                tensors.push(mean);
                 traffic.merge(&stats);
             }
             Err(e) => first_err = first_err.or(Some(e)),
@@ -227,8 +230,9 @@ impl<'a> RankSync<'a> {
     ///
     /// # Errors
     ///
-    /// The first collective failure; `tensors` is then partly reduced.
-    pub(crate) fn reduce_mean(&mut self, tensors: &mut [Tensor]) -> Result<(), CommError> {
+    /// The first collective failure; `tensors` is then partly reduced
+    /// and, on the engine path, short of the layers that did not complete.
+    pub(crate) fn reduce_mean(&mut self, tensors: &mut Vec<Tensor>) -> Result<(), CommError> {
         let view = MembershipView::new(self.t, &self.membership);
         let Some(topo) = &self.cfg.topology else {
             return engine_mean(
@@ -266,7 +270,8 @@ impl<'a> RankSync<'a> {
     /// frames abandoned by the failed attempt cannot alias with it;
     /// lossless, off the compression stream and uncounted, so survivors
     /// leave byte-identical and later rounds quantize as if nothing
-    /// happened. Returns the agreed resume step.
+    /// happened. It runs on a copy: `params` changes only once every
+    /// layer's mean is in. Returns the agreed resume step.
     ///
     /// # Errors
     ///
@@ -295,17 +300,21 @@ impl<'a> RankSync<'a> {
             Some(ctl) => ctl.current_schemes(),
             None => &self.base,
         });
+        let mut synced = params.to_vec();
         engine_mean(
             &MembershipView::new(self.t, &self.membership),
             self.pool,
             self.engine_opts(),
             &self.obs,
             Algorithm::ScatterReduceAllgather,
-            params,
+            &mut synced,
             &mut build_compressors(&vec![CompressionScheme::None; params.len()]),
             &mut Rng::seed_from_u64(self.membership.epoch() as u64),
             &mut AllreduceStats::default(),
         )?;
+        for (p, mean) in params.iter_mut().zip(synced) {
+            *p = mean;
+        }
         Ok(resume as usize)
     }
 
@@ -313,8 +322,9 @@ impl<'a> RankSync<'a> {
     /// another round follows (`next_round`, its 1-based index), lets it
     /// re-plan: changed layers get new compressors and the plan epoch
     /// moves. `synced` is byte-identical on every rank, so this
-    /// observation — and any re-plan it triggers — takes every rank's
-    /// controller through identical states with no control traffic. The
+    /// observation — and any re-plan it triggers, and the skip of a round
+    /// whose norms are not all finite — takes every rank's controller
+    /// through identical states with no control traffic. The
     /// bandwidth (this rank's byte counter over its own wall clock) is
     /// advisory and never feeds back into plan bits. A no-op on static
     /// runs.
@@ -322,10 +332,13 @@ impl<'a> RankSync<'a> {
         let Some(ctl) = self.controller.as_mut() else {
             return;
         };
-        // `norm2` accumulates in `f64` in element order: the same value
-        // wherever the tensor is.
+        // `norm2` accumulates in `f64` in an order fixed in portable
+        // code: the same value wherever the tensor is.
         let norms: Vec<f64> = synced.iter().map(Tensor::norm2).collect();
-        ctl.observe_norms(&norms);
+        if !ctl.observe_norms(&norms) && self.obs.enabled() {
+            let reg = self.obs.registry();
+            reg.counter(cgx_obs::names::ADAPTIVE_ROUNDS_SKIPPED).inc();
+        }
         let now = Instant::now();
         ctl.observe_bandwidth(
             (self.traffic.bytes_sent - self.bw_mark.0) as u64,

@@ -1079,6 +1079,44 @@ mod tests {
     }
 
     #[test]
+    fn a_diverged_adaptive_run_ends_like_its_static_twin() {
+        // A learning rate that overflows the parameters within a few
+        // steps: the synchronized gradients turn infinite, then NaN. The
+        // static run carries on to its last step, and so must the
+        // adaptive one — its controller sits those rounds out (counted,
+        // in the trace and in the registry) instead of panicking the rank
+        // from inside `observe`.
+        let task = GaussianMixture::new(4, 16, 1.5);
+        let model = Mlp::new(&mut Rng::seed_from_u64(57), &[16, 32, 4]);
+        let run = |adaptive: Option<AdaptiveTrainConfig>| {
+            let cfg = TrainConfig {
+                lr: 1.0e30,
+                compression: LayerCompression::cgx_default(),
+                adaptive,
+                obs: ObsHandle::new_enabled(),
+                ..TrainConfig::new(2, 24)
+            };
+            let t = task.clone();
+            train_data_parallel(&model, move |r| t.sample_batch(r, 8), &cfg)
+                .expect("a diverged run is not a failed one")
+                .1
+        };
+        let static_twin = run(None);
+        let adaptive = run(Some(AdaptiveTrainConfig::default()));
+        for report in [&static_twin, &adaptive] {
+            assert_eq!(report.losses.len(), 24);
+            assert!(!report.losses[23].is_finite(), "the run did not diverge");
+        }
+        let trace = adaptive.adaptive.as_ref().expect("adaptive trace present");
+        assert!(trace.skipped_rounds > 0, "no round was skipped");
+        assert_eq!(
+            adaptive.metrics.get("adaptive.rounds_skipped"),
+            Some(2 * trace.skipped_rounds as u64),
+            "one count per rank"
+        );
+    }
+
+    #[test]
     fn adaptive_training_cuts_wire_bytes_vs_static_4bit() {
         // With the 8-bit escape hatch removed from the choice set, every
         // committed plan is at most 4 bits per element, so the adaptive run

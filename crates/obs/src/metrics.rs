@@ -44,6 +44,9 @@ pub mod names {
     pub const TRANSPORT_HEARTBEATS: &str = "transport.heartbeats";
     /// Re-plans committed by the live adaptive compression controller.
     pub const ADAPTIVE_REPLANS: &str = "adaptive.replans";
+    /// Sync rounds the controller did not observe because a synchronized
+    /// norm was not finite.
+    pub const ADAPTIVE_ROUNDS_SKIPPED: &str = "adaptive.rounds_skipped";
     /// Current adaptive plan epoch (gauge; 0 = base plan).
     pub const ADAPTIVE_PLAN_EPOCH: &str = "adaptive.plan_epoch";
     /// Nominal wire bits per compressible element of the current plan,

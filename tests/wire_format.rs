@@ -5,6 +5,7 @@
 //! state, parameters), stable across calls, and must never waste space
 //! beyond their predicted sizes.
 
+use cgx::adaptive::{AdaptiveTrainConfig, BitAssignment};
 use cgx::collectives::framing;
 use cgx::compress::{CompressionScheme, ScratchPool};
 use cgx::tensor::{cases, Rng, Tensor};
@@ -28,6 +29,28 @@ fn all_schemes() -> Vec<CompressionScheme> {
         CompressionScheme::OneBit { bucket_size: 64 },
         CompressionScheme::Fake { gamma: 8.0 },
     ]
+}
+
+/// What the live controller can put on the wire and [`all_schemes`]
+/// lacks: every width of the default `bit_choices` at the bucket the
+/// planner pairs it with (2/1024 and 4/128 are above), and NUQSGD at
+/// width 3.
+fn committed_schemes() -> Vec<CompressionScheme> {
+    let pinned = all_schemes();
+    let mut schemes: Vec<CompressionScheme> = AdaptiveTrainConfig::default()
+        .bit_choices
+        .iter()
+        .map(|&bits| CompressionScheme::Qsgd {
+            bits,
+            bucket_size: BitAssignment::bucket_for_bits(bits),
+        })
+        .filter(|scheme| !pinned.contains(scheme))
+        .collect();
+    schemes.push(CompressionScheme::Nuqsgd {
+        bits: 3,
+        bucket_size: 128,
+    });
+    schemes
 }
 
 #[test]
@@ -120,7 +143,9 @@ fn every_encoder_emits_its_pinned_bytes() {
     // One digest per encoder, over both encode paths (owned and pooled
     // buffer) and lengths that end inside a word, a byte and a bucket.
     // The values were taken when the encoders still wrote through the
-    // `bytes` crate's `BufMut`; a change here is a change of wire format.
+    // `bytes` crate's `BufMut` — those of `committed_schemes` at v0.17.0,
+    // when every width but 2, 4 and 8 went through `write_bits`; a change
+    // here is a change of wire format.
     let pool = ScratchPool::new();
     let mut schemes = all_schemes();
     schemes.push(CompressionScheme::Qsgd {
@@ -128,6 +153,7 @@ fn every_encoder_emits_its_pinned_bytes() {
         bucket_size: 128,
     });
     schemes.push(CompressionScheme::PowerSgd { rank: 2 });
+    schemes.extend(committed_schemes());
     let got: Vec<String> = schemes
         .iter()
         .map(|scheme| {
@@ -150,7 +176,7 @@ fn every_encoder_emits_its_pinned_bytes() {
     assert_eq!(got, GOLDEN);
 }
 
-const GOLDEN: [&str; 9] = [
+const GOLDEN: [&str; 12] = [
     "fp32 0x56e4264d39a8056d",
     "qsgd-4b-128 0xdb07d47be2eb7a45",
     "qsgd-2b-1024 0x82b51d93c549db51",
@@ -160,15 +186,25 @@ const GOLDEN: [&str; 9] = [
     "fake-x8 0xba8fc8e8e99aafa5",
     "qsgd-3b-128 0x18e8bdeb63873d05",
     "powersgd-r2 0xd4cd08cf72e5e339",
+    "qsgd-3b-512 0x8b2fc67cc1ed5441",
+    "qsgd-8b-64 0x3ffe512a71e10c27",
+    "nuqsgd-3b-128 0x9fcf7534d23201df",
 ];
 
 #[test]
 fn every_decoder_emits_its_pinned_values() {
     // One digest per decoder over the bits of what it reconstructs, dense
     // and accumulated onto a fixed base, for the payloads pinned above.
-    // The values were taken with the scalar table decoder of v0.13.0; a
-    // change here changes what every rank sums.
-    let got: Vec<String> = all_schemes()
+    // The values were taken with the scalar table decoder of v0.13.0 —
+    // those of width 3 and 8 at v0.17.0, through the bit reader; a change
+    // here changes what every rank sums.
+    let mut schemes = all_schemes();
+    schemes.push(CompressionScheme::Qsgd {
+        bits: 3,
+        bucket_size: 128,
+    });
+    schemes.extend(committed_schemes());
+    let got: Vec<String> = schemes
         .iter()
         .map(|scheme| {
             let mut h = 0xcbf2_9ce4_8422_2325;
@@ -189,7 +225,7 @@ fn every_decoder_emits_its_pinned_values() {
     assert_eq!(got, GOLDEN_DECODED);
 }
 
-const GOLDEN_DECODED: [&str; 7] = [
+const GOLDEN_DECODED: [&str; 11] = [
     "fp32 0x1f185b51838469a5",
     "qsgd-4b-128 0x48bcaa28c05a3d64",
     "qsgd-2b-1024 0xca8e7f6503a71ee7",
@@ -197,6 +233,10 @@ const GOLDEN_DECODED: [&str; 7] = [
     "topk-0.1 0x4e14ff4c5d9696aa",
     "onebit-64 0x3e7ea2d3de8d9020",
     "fake-x8 0x8b5679e0aa0fce8d",
+    "qsgd-3b-128 0xdab78fb71d9f2b0a",
+    "qsgd-3b-512 0x7f805b4c6975e54d",
+    "qsgd-8b-64 0x8cdfc5e75ac84fcb",
+    "nuqsgd-3b-128 0xb92f4dd15fb707cf",
 ];
 
 #[test]
