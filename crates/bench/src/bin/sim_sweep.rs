@@ -2,22 +2,14 @@
 //! reduction scheme x fault scenario x world) grid across OS threads,
 //! replays every cell through the event-wheel DES, and emits
 //! `BENCH_simnet.json` with throughput (events/sec, configs/sec),
-//! per-cell winners, the legacy-vs-wheel speedup on the 512-rank SRA
-//! graph, and a calibration pass against measured `BENCH_net.json`
-//! loopback points.
+//! per-cell winners and the legacy-vs-wheel speedup on the 512-rank SRA
+//! graph.
 //!
 //! Environment:
 //!
 //! * `CGX_SIM_OUT` — output path (default `BENCH_simnet.json`).
-//! * `CGX_SIM_GUARD` — baseline report to regression-check against
-//!   (read *before* the overwrite, like `CGX_NET_GUARD`).
-//! * `CGX_SIM_GUARD_TOLERANCE` — allowed slowdown factor vs the
-//!   baseline's events/sec (default 2.5; CI boxes are noisy).
-//! * `CGX_SIM_MAX_SECONDS` — fail if the sweep proper exceeds this.
 //! * `CGX_SIM_SPEEDUP` — set to `0` to skip the (slow, allocation-heavy)
 //!   legacy-core comparison.
-//! * `CGX_SIM_BENCH_NET` — calibration input (default `BENCH_net.json`;
-//!   calibration is skipped with a note if the file is missing).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -27,8 +19,8 @@ use std::time::Instant;
 use cgx_compress::CompressionScheme;
 use cgx_models::{ModelId, ModelSpec};
 use cgx_simnet::{
-    build_hierarchical, build_ring, build_sra, build_tree, calibrate, des::legacy, run,
-    CommBackend, Fabric, MachineSpec, OpGraph, SimWorkspace,
+    build_hierarchical, build_ring, build_sra, build_tree, des::legacy, run, CommBackend, Fabric,
+    MachineSpec, OpGraph, SimWorkspace,
 };
 
 /// Reduction layouts swept. Hierarchical applies to multi-node worlds.
@@ -311,29 +303,9 @@ fn speedup_512() -> (f64, f64, f64) {
     (legacy_eps, wheel_eps, wheel_eps / legacy_eps)
 }
 
-/// Pulls `"<name>": <float>` out of a previous report.
-fn baseline_field(json: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\": ");
-    let at = json.find(&key)?;
-    let rest = &json[at + key.len()..];
-    let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))?;
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let out_path =
         std::env::var("CGX_SIM_OUT").unwrap_or_else(|_| "BENCH_simnet.json".to_string());
-    let guard_path = std::env::var("CGX_SIM_GUARD").ok();
-    let tolerance: f64 = std::env::var("CGX_SIM_GUARD_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.5);
-    // Snapshot the baseline BEFORE we overwrite the report file: the
-    // guard path and the output path may be the same file.
-    let baseline_eps = guard_path
-        .as_ref()
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .and_then(|json| baseline_field(&json, "events_per_sec"));
 
     let models = model_table();
     let machines = machine_table();
@@ -356,51 +328,6 @@ fn main() {
         configs_per_sec,
         events_per_sec / 1e6
     );
-
-    if let Some(max) = std::env::var("CGX_SIM_MAX_SECONDS").ok().and_then(|v| v.parse::<f64>().ok())
-    {
-        assert!(elapsed <= max, "sweep took {elapsed:.1}s > budget {max}s");
-    }
-
-    // Calibration vs measured loopback points.
-    let bench_net =
-        std::env::var("CGX_SIM_BENCH_NET").unwrap_or_else(|_| "BENCH_net.json".to_string());
-    let mut calibration_json = String::from("  \"calibration\": null,\n");
-    match std::fs::read_to_string(&bench_net) {
-        Ok(json) => {
-            let report = calibrate(&json)
-                .expect("calibration replay")
-                .expect("BENCH_net.json must contain measurement points");
-            let mut pts = String::new();
-            for (i, p) in report.points.iter().enumerate() {
-                let sep = if i + 1 < report.points.len() { "," } else { "" };
-                let _ = writeln!(
-                    pts,
-                    "      {{\"world\": {}, \"mode\": \"{}\", \"measured_us\": {}, \"simulated_us\": {:.1}, \"rel_err\": {:.4}}}{}",
-                    p.measured.world, p.measured.mode(), p.measured.step_us, p.sim_us, p.rel_err, sep
-                );
-            }
-            calibration_json = format!(
-                "  \"calibration\": {{\n    \"source\": \"{}\",\n    \"max_rel_err\": {:.4},\n    \"points\": [\n{}    ]\n  }},\n",
-                bench_net, report.max_rel_err, pts
-            );
-            for p in &report.points {
-                assert!(
-                    p.rel_err <= 0.25,
-                    "calibration drifted: world {} {} off by {:.1}%",
-                    p.measured.world,
-                    p.measured.mode(),
-                    p.rel_err * 100.0
-                );
-            }
-            eprintln!(
-                "sim_sweep: calibration max rel err {:.1}% over {} points",
-                report.max_rel_err * 100.0,
-                report.points.len()
-            );
-        }
-        Err(_) => eprintln!("sim_sweep: {bench_net} not found; skipping calibration"),
-    }
 
     // Legacy-core comparison (slow: the dense 512-rank op list alone is
     // ~0.5M heap-allocated ops).
@@ -430,23 +357,9 @@ fn main() {
     let _ = writeln!(out, "  \"events_per_sec\": {events_per_sec:.0},");
     let _ = writeln!(out, "  \"configs_per_sec\": {configs_per_sec:.1},");
     out.push_str(&speedup_json);
-    out.push_str(&calibration_json);
     out.push_str("  \"winners\": [\n");
     out.push_str(&winners(&results, &models, &machines));
     out.push_str("  ]\n}\n");
     std::fs::write(&out_path, &out).expect("write report");
     eprintln!("sim_sweep: wrote {out_path}");
-
-    if let Some(base) = baseline_eps {
-        let floor = base / tolerance;
-        assert!(
-            events_per_sec >= floor,
-            "events/sec regressed: {events_per_sec:.0} < baseline {base:.0} / tolerance {tolerance}"
-        );
-        eprintln!(
-            "sim_sweep: guard ok ({events_per_sec:.0} ev/s vs baseline {base:.0}, tolerance {tolerance}x)"
-        );
-    } else if guard_path.is_some() {
-        eprintln!("sim_sweep: guard baseline missing or unreadable; skipping comparison");
-    }
 }

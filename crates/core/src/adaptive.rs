@@ -251,7 +251,7 @@ mod tests {
     fn live_session_replans_and_saves_wire_traffic_on_txl() {
         // The live controller over Transformer-XL: several committed
         // plans, every one within budget, and the integrated wire
-        // traffic lands below static 4-bit (the bench bin's headline).
+        // traffic at least a fifth below static 4-bit (0.632 today).
         let cfg = AdaptiveTrainConfig::default();
         let report = live_adaptive_session(
             &ModelSpec::build(ModelId::TransformerXl),
@@ -275,8 +275,8 @@ mod tests {
         }
         let ratio = report.wire_ratio_vs_static4();
         assert!(
-            ratio < 1.0,
-            "live adaptation saved nothing: ratio {ratio}"
+            ratio <= 0.8,
+            "live adaptation saved under 20% of the wire traffic: ratio {ratio}"
         );
     }
 

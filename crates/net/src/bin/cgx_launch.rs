@@ -65,20 +65,23 @@ fn report_file(dir: &Path, rank: usize) -> PathBuf {
 
 fn run_worker(env: WorkerEnv) -> Result<(), String> {
     let work = workload(env.world).map_err(|e| format!("rank {}: {e}", env.rank))?;
-    let opts = RunOptions::from_env().map_err(|e| format!("rank {}: {e}", env.rank))?;
+    let bad_env = |e| format!("rank {}: {e}", env.rank);
+    let opts = RunOptions::from_env().map_err(bad_env)?;
+    let net = NetOptions::from_env().map_err(bad_env)?;
+    let fault = NetFaultPlan::from_env().map_err(bad_env)?;
     let (mut transport, topo) = rendezvous_with_options(
         env.rank,
         env.world,
         &env.rendezvous,
         env.node,
         DEFAULT_BOOT_TIMEOUT,
-        NetOptions::from_env(),
+        net,
     )
     .map_err(|e| format!("rank {}: bootstrap failed: {e}", env.rank))?;
     if let Some(timeout) = opts.comm_timeout {
         transport.set_timeout(timeout);
     }
-    if let Some(plan) = NetFaultPlan::from_env() {
+    if let Some(plan) = fault {
         transport.set_fault(plan);
     }
     // A flat cluster (every rank on one node) runs the flat collective —

@@ -16,6 +16,7 @@
 //! every rank without explicit plumbing; [`ProcessCluster::env`] can
 //! still override any of them per cluster.
 
+use crate::workload::read;
 use cgx_collectives::CommError;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -230,13 +231,17 @@ impl ProcessCluster {
     ///
     /// [`CommError::Bootstrap`] only when a rank cannot be *spawned* at
     /// all (the mesh can then never form, so every spawned rank is
-    /// killed rather than left to wait out its boot timeout). Deaths
-    /// after a successful spawn are data, not errors.
+    /// killed rather than left to wait out its boot timeout), and
+    /// [`CommError::InvalidConfig`] when [`ENV_RESTART`] is not a count.
+    /// Deaths after a successful spawn are data, not errors.
     pub fn run_supervised(&self) -> Result<ClusterReport, CommError> {
-        let restart_budget: u32 = std::env::var(ENV_RESTART)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(self.restart_budget);
+        let restart_budget: u32 = read(
+            &|k| std::env::var(k).ok(),
+            ENV_RESTART,
+            "a restart count",
+            |v| v.parse().ok(),
+        )?
+        .unwrap_or(self.restart_budget);
         let mut children: Vec<(usize, Child)> = Vec::with_capacity(self.world);
         let mut spawn_failures: Vec<String> = Vec::new();
         for rank in 0..self.world {

@@ -20,6 +20,9 @@
 //! Plans come from the builder API in tests and from `CGX_NET_*`
 //! environment variables in spawned workers (see [`NetFaultPlan::from_env`]).
 
+use crate::workload::{read, switch};
+use cgx_collectives::CommError;
+
 /// Environment variable carrying the kill plan as `rank@step`
 /// (for example `2@20`: rank 2 dies at the top of step 20).
 pub const ENV_NET_KILL: &str = "CGX_NET_KILL";
@@ -96,12 +99,17 @@ impl NetFaultPlan {
     }
 
     /// The plan described by `CGX_NET_KILL` / `CGX_NET_SIGKILL` /
-    /// `CGX_NET_RESET` / `CGX_NET_FAULT_SEED`, or `None` when no fault
-    /// variable is set — how spawned workers inherit the coordinator's
-    /// chaos schedule.
-    pub fn from_env() -> Option<Self> {
-        let kill = std::env::var(ENV_NET_KILL).ok().and_then(|v| parse_at(&v));
-        let reset = std::env::var(ENV_NET_RESET).ok().and_then(|v| {
+    /// `CGX_NET_RESET` / `CGX_NET_FAULT_SEED`, read through `get`, or
+    /// `None` when neither a kill nor a reset is scheduled.
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::InvalidConfig`] naming the variable when a value is
+    /// malformed: a chaos worker whose schedule cannot be read must not
+    /// run fault-free.
+    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Option<Self>, CommError> {
+        let kill = read(&get, ENV_NET_KILL, "rank@step", parse_at)?;
+        let reset = read(&get, ENV_NET_RESET, "rank:peer@frames", |v| {
             let (pair, frames) = v.split_once('@')?;
             let (rank, peer) = pair.split_once(':')?;
             Some(ResetPlan {
@@ -109,23 +117,28 @@ impl NetFaultPlan {
                 peer: peer.trim().parse().ok()?,
                 after_frames: frames.trim().parse().ok()?,
             })
-        });
+        })?;
+        let sigkill = read(&get, ENV_NET_SIGKILL, "a switch (1/0)", switch)?.unwrap_or(false);
+        let seed = read(&get, ENV_NET_FAULT_SEED, "a u64 seed", |v| v.parse().ok())?.unwrap_or(0);
         if kill.is_none() && reset.is_none() {
-            return None;
+            return Ok(None);
         }
-        let sigkill = std::env::var(ENV_NET_SIGKILL)
-            .map(|v| !matches!(v.as_str(), "" | "0" | "false" | "no"))
-            .unwrap_or(false);
-        let seed = std::env::var(ENV_NET_FAULT_SEED)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        Some(NetFaultPlan {
+        Ok(Some(NetFaultPlan {
             seed,
             kill,
             sigkill,
             reset,
-        })
+        }))
+    }
+
+    /// [`Self::parse`] over the real process environment — how spawned
+    /// workers inherit the coordinator's chaos schedule.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::parse`].
+    pub fn from_env() -> Result<Option<Self>, CommError> {
+        Self::parse(|k| std::env::var(k).ok())
     }
 
     /// Whether `rank` is scheduled to die at `step`. In `SIGKILL` mode
@@ -179,6 +192,7 @@ pub fn raise_sigkill() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::tests::{assert_names, env};
 
     #[test]
     fn builder_and_should_die_cover_the_schedule() {
@@ -198,32 +212,42 @@ mod tests {
     }
 
     #[test]
-    fn env_roundtrip_parses_kill_and_reset() {
-        std::env::set_var(ENV_NET_KILL, "2@20");
-        std::env::set_var(ENV_NET_RESET, "1:0@3");
-        std::env::set_var(ENV_NET_FAULT_SEED, "7");
-        let plan = NetFaultPlan::from_env().expect("plan armed");
-        std::env::remove_var(ENV_NET_KILL);
-        std::env::remove_var(ENV_NET_RESET);
-        std::env::remove_var(ENV_NET_FAULT_SEED);
-        assert_eq!(plan.kill, Some((2, 20)));
-        assert_eq!(plan.seed, 7);
-        assert!(!plan.sigkill);
+    fn parse_reads_kill_reset_seed_and_sigkill() {
+        let plan = NetFaultPlan::parse(env(&[
+            (ENV_NET_KILL, "2@20"),
+            (ENV_NET_RESET, "1:0@3"),
+            (ENV_NET_FAULT_SEED, "7"),
+        ]))
+        .unwrap()
+        .expect("plan armed");
         assert_eq!(
-            plan.reset,
-            Some(ResetPlan {
-                rank: 1,
-                peer: 0,
-                after_frames: 3
-            })
+            plan,
+            NetFaultPlan::new(7).with_kill(2, 20).with_reset(1, 0, 3)
         );
-        assert_eq!(NetFaultPlan::from_env(), None, "empty env means no plan");
+        let hard = NetFaultPlan::parse(env(&[(ENV_NET_KILL, " 1 @ 4 "), (ENV_NET_SIGKILL, "1")]))
+            .unwrap()
+            .expect("plan armed");
+        assert_eq!(hard, NetFaultPlan::new(0).with_kill(1, 4).with_sigkill());
+        // No kill and no reset is no plan, whatever else is set.
+        assert_eq!(NetFaultPlan::parse(env(&[])).unwrap(), None);
+        assert_eq!(
+            NetFaultPlan::parse(env(&[(ENV_NET_FAULT_SEED, "7")])).unwrap(),
+            None
+        );
     }
 
     #[test]
-    fn malformed_env_is_ignored() {
-        std::env::set_var(ENV_NET_KILL, "not-a-plan");
-        assert_eq!(NetFaultPlan::from_env(), None);
-        std::env::remove_var(ENV_NET_KILL);
+    fn parse_names_the_malformed_variable() {
+        // `2@l2` is not "no fault plan": every key fails the typed way.
+        for (key, value) in [
+            (ENV_NET_KILL, "2@l2"),
+            (ENV_NET_KILL, "not-a-plan"),
+            (ENV_NET_RESET, "1-0@3"),
+            (ENV_NET_SIGKILL, "hard"),
+            (ENV_NET_FAULT_SEED, "0x7"),
+        ] {
+            let get = move |k: &str| (k == key).then(|| value.to_string());
+            assert_names(NetFaultPlan::parse(get), key, value);
+        }
     }
 }

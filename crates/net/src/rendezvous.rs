@@ -332,7 +332,8 @@ fn rendezvous_peer(
 ///
 /// [`CommError::Bootstrap`] when the cluster cannot form within `boot`
 /// (unreachable address, world-size disagreement, duplicate or missing
-/// ranks).
+/// ranks); [`CommError::InvalidConfig`] when a `CGX_NET_*` variable is
+/// malformed.
 pub fn rendezvous(
     rank: usize,
     world: usize,
@@ -340,7 +341,7 @@ pub fn rendezvous(
     node: u32,
     boot: Duration,
 ) -> Result<(TcpTransport, Topology), CommError> {
-    rendezvous_with_options(rank, world, root_addr, node, boot, NetOptions::from_env())
+    rendezvous_with_options(rank, world, root_addr, node, boot, NetOptions::from_env()?)
 }
 
 /// [`rendezvous`] with explicit wire-path tuning instead of the
@@ -385,10 +386,12 @@ impl TcpFabric {
     ///
     /// # Panics
     ///
-    /// Panics if `node_of` is empty or bootstrap fails (loopback
-    /// rendezvous failing is a bug, not an environment problem).
+    /// Panics if `node_of` is empty, a `CGX_NET_*` variable is malformed,
+    /// or bootstrap fails (loopback rendezvous failing is a bug, not an
+    /// environment problem).
     pub fn build_local_with_nodes(node_of: &[u32]) -> (Vec<TcpTransport>, Topology) {
-        Self::build_local_with_nodes_opts(node_of, NetOptions::from_env())
+        let opts = NetOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
+        Self::build_local_with_nodes_opts(node_of, opts)
     }
 
     /// [`Self::build_local_with_nodes`] with explicit wire-path tuning.

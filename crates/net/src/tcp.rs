@@ -47,13 +47,14 @@
 //!   bytes and someone's write always completes.
 //! * **Byte-accurate accounting.** Every frame's full serialized size
 //!   (length prefix, tag, geometry, checksum envelope, payload) is
-//!   counted in [`TcpTransport::wire_bytes_sent`] — the number the
-//!   `net_report` benchmark reports as measured wire traffic — and
-//!   [`TcpTransport::wire_stats`] breaks the wall time into
-//!   serialize / syscall / park for the same report.
+//!   counted in [`TcpTransport::wire_bytes_sent`] — the benchmark's
+//!   `wire_bytes_per_step` — and [`TcpTransport::wire_stats`] breaks the
+//!   wall time into serialize / syscall / park for its `net.tcp.*`
+//!   per-layer metrics.
 
 use crate::fault::NetFaultPlan;
 use crate::wire;
+use crate::workload::{read, switch};
 use cgx_collectives::transport::{exchange_quiesce_markers, Tag, CTRL_TAG};
 use cgx_collectives::{CommError, ReconnectPolicy, TagStash, Transport};
 use cgx_compress::Encoded;
@@ -72,8 +73,8 @@ pub const ENV_READ_BUF: &str = "CGX_NET_READ_BUF";
 pub const ENV_COALESCE: &str = "CGX_NET_COALESCE";
 /// Environment variable overriding [`NetOptions::coalesce_frame_bytes`].
 pub const ENV_COALESCE_FRAME: &str = "CGX_NET_COALESCE_FRAME";
-/// Environment variable overriding [`NetOptions::nodelay`] (`0`/`false`
-/// disables).
+/// Environment variable overriding [`NetOptions::nodelay`] (a switch:
+/// `0`/`false`/`no`/`off` disables).
 pub const ENV_NODELAY: &str = "CGX_NET_NODELAY";
 /// Environment variable enabling liveness heartbeats: the interval in
 /// milliseconds between CTRL-lane probes (`0` disables).
@@ -92,7 +93,9 @@ pub const ENV_RECONNECT_CAP_MS: &str = "CGX_NET_RECONNECT_CAP_MS";
 /// Tuning knobs for the TCP wire path. Defaults are right for collective
 /// traffic on loopback and LAN; every field can be overridden per-process
 /// through `CGX_NET_*` environment variables ([`NetOptions::from_env`])
-/// or per-run through `TrainConfig`'s `net_*` fields.
+/// or per-fabric by handing a value to
+/// [`rendezvous_with_options`](crate::rendezvous_with_options) or
+/// [`TcpFabric::build_local_with`](crate::TcpFabric::build_local_with).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetOptions {
     /// Per-peer read staging buffer size (grows past this only when a
@@ -162,48 +165,72 @@ impl Default for NetOptions {
 pub const HB_TIMEOUT_FLOOR_INTERVALS: u32 = 3;
 
 impl NetOptions {
-    /// Defaults overridden by any `CGX_NET_*` environment variables.
-    pub fn from_env() -> Self {
+    /// Defaults overridden by the `CGX_NET_*` keys, read through `get` so
+    /// the parse is pure and testable; with every key absent this is
+    /// [`NetOptions::default`].
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::InvalidConfig`] naming the variable when a value is
+    /// malformed: a mistyped heartbeat interval must fail the launch, not
+    /// leave it running without liveness detection.
+    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Self, CommError> {
+        let bytes = |key| read(&get, key, "a byte count", |v| v.parse::<usize>().ok());
+        let millis = |key| {
+            read(&get, key, "a count of milliseconds", |v| {
+                v.parse::<u64>().ok()
+            })
+        };
         let mut o = NetOptions::default();
-        if let Some(v) = env_usize(ENV_READ_BUF) {
+        if let Some(v) = bytes(ENV_READ_BUF)? {
             o.read_buf_bytes = v.max(64);
         }
-        if let Some(v) = env_usize(ENV_COALESCE) {
+        if let Some(v) = bytes(ENV_COALESCE)? {
             o.coalesce_budget_bytes = v;
         }
-        if let Some(v) = env_usize(ENV_COALESCE_FRAME) {
+        if let Some(v) = bytes(ENV_COALESCE_FRAME)? {
             o.coalesce_frame_bytes = v;
         }
-        if let Ok(v) = std::env::var(ENV_NODELAY) {
-            o.nodelay = !matches!(v.as_str(), "0" | "false" | "no");
+        if let Some(on) = read(&get, ENV_NODELAY, "a switch (1/0)", switch)? {
+            o.nodelay = on;
         }
-        if let Some(ms) = env_usize(ENV_HEARTBEAT_MS) {
-            o.heartbeat_interval = (ms > 0).then(|| Duration::from_millis(ms as u64));
-            o.heartbeat_timeout = Duration::from_millis((ms as u64 * 5).max(250));
+        if let Some(ms) = millis(ENV_HEARTBEAT_MS)? {
+            o.heartbeat_interval = (ms > 0).then(|| Duration::from_millis(ms));
+            o.heartbeat_timeout = Duration::from_millis(ms.saturating_mul(5).max(250));
         }
-        if let Some(ms) = env_usize(ENV_HEARTBEAT_TIMEOUT_MS) {
-            o.heartbeat_timeout = Duration::from_millis(ms as u64);
+        if let Some(ms) = millis(ENV_HEARTBEAT_TIMEOUT_MS)? {
+            o.heartbeat_timeout = Duration::from_millis(ms);
         }
         if let Some(interval) = o.heartbeat_interval {
             o.heartbeat_timeout = o
                 .heartbeat_timeout
                 .max(interval * HB_TIMEOUT_FLOOR_INTERVALS);
         }
-        if let Some(attempts) = env_usize(ENV_RECONNECT_ATTEMPTS) {
-            if attempts > 0 {
-                let base = env_usize(ENV_RECONNECT_BASE_MS).unwrap_or(20) as u64;
-                let cap = env_usize(ENV_RECONNECT_CAP_MS).unwrap_or(1000) as u64;
-                o.reconnect = Some(ReconnectPolicy::new(
-                    Duration::from_millis(base.max(1)),
-                    Duration::from_millis(cap.max(base.max(1))),
-                    attempts as u32,
+        let attempts = read(&get, ENV_RECONNECT_ATTEMPTS, "an attempt count", |v| {
+            v.parse::<u32>().ok()
+        })?;
+        let base = millis(ENV_RECONNECT_BASE_MS)?.unwrap_or(20).max(1);
+        let cap = millis(ENV_RECONNECT_CAP_MS)?.unwrap_or(1000).max(base);
+        if let Some(attempts) = attempts {
+            o.reconnect = (attempts > 0).then(|| {
+                ReconnectPolicy::new(
+                    Duration::from_millis(base),
+                    Duration::from_millis(cap),
+                    attempts,
                     0x5EED_C0DE,
-                ));
-            } else {
-                o.reconnect = None;
-            }
+                )
+            });
         }
-        o
+        Ok(o)
+    }
+
+    /// [`Self::parse`] over the real process environment.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::parse`].
+    pub fn from_env() -> Result<Self, CommError> {
+        Self::parse(|k| std::env::var(k).ok())
     }
 
     /// Returns `self` with the read staging buffer set to `bytes`
@@ -238,10 +265,6 @@ impl NetOptions {
         self.reconnect = Some(policy);
         self
     }
-}
-
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// Readiness primitives: `poll(2)` through a direct FFI declaration (std
@@ -342,7 +365,7 @@ mod sys {
 }
 
 /// Cumulative wire-path cost breakdown for one endpoint — the numbers
-/// behind `net_report`'s serialize / syscall / park attribution.
+/// behind the benchmark's `net.tcp.{serialize,syscall,park}_ms_per_step`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WireStats {
     /// Header serialization, checksumming and in-place frame parsing.
@@ -1957,6 +1980,7 @@ impl std::fmt::Debug for TcpTransport {
 mod tests {
     use super::*;
     use crate::rendezvous::TcpFabric;
+    use crate::workload::tests::{assert_names, env};
     use cgx_obs::MetricsRegistry;
 
     /// `cgx_serve::ServeNode::new` takes a `Transport + Send + Sync`: its
@@ -2066,18 +2090,17 @@ mod tests {
     }
 
     #[test]
-    fn net_options_env_roundtrip() {
-        // Distinct variables from any other test's; set/read/remove
-        // back-to-back (same pattern as the cluster env test).
-        std::env::set_var(ENV_READ_BUF, "1024");
-        std::env::set_var(ENV_COALESCE, "2048");
-        std::env::set_var(ENV_COALESCE_FRAME, "512");
-        std::env::set_var(ENV_NODELAY, "0");
-        let o = NetOptions::from_env();
-        std::env::remove_var(ENV_READ_BUF);
-        std::env::remove_var(ENV_COALESCE);
-        std::env::remove_var(ENV_COALESCE_FRAME);
-        std::env::remove_var(ENV_NODELAY);
+    fn net_options_parse_overrides_the_defaults() {
+        // Nothing set is the defaults, exactly: the benchmark harness
+        // clears every CGX_* and builds its fabrics through this path.
+        assert_eq!(NetOptions::parse(env(&[])).unwrap(), NetOptions::default());
+        let o = NetOptions::parse(env(&[
+            (ENV_READ_BUF, "1024"),
+            (ENV_COALESCE, "2048"),
+            (ENV_COALESCE_FRAME, "512"),
+            (ENV_NODELAY, "0"),
+        ]))
+        .unwrap();
         assert_eq!(
             o,
             NetOptions {
@@ -2088,41 +2111,92 @@ mod tests {
                 ..NetOptions::default()
             }
         );
-        let d = NetOptions::from_env();
-        assert_eq!(d, NetOptions::default());
+        // The read buffer keeps its floor, and nodelay takes the one
+        // switch list (it used to read "off" and "FALSE" as on).
+        assert_eq!(
+            NetOptions::parse(env(&[(ENV_READ_BUF, "8")]))
+                .unwrap()
+                .read_buf_bytes,
+            64
+        );
+        for (word, on) in [
+            ("1", true),
+            ("true", true),
+            ("no", false),
+            ("false", false),
+            ("off", false),
+        ] {
+            let get = move |k: &str| (k == ENV_NODELAY).then(|| word.to_string());
+            assert_eq!(NetOptions::parse(get).unwrap().nodelay, on, "{word:?}");
+        }
     }
 
     #[test]
-    fn fault_env_knobs_arm_heartbeats_and_reconnect() {
-        std::env::set_var(ENV_HEARTBEAT_MS, "40");
-        std::env::set_var(ENV_RECONNECT_ATTEMPTS, "3");
-        std::env::set_var(ENV_RECONNECT_BASE_MS, "10");
-        std::env::set_var(ENV_RECONNECT_CAP_MS, "80");
-        let o = NetOptions::from_env();
-        std::env::remove_var(ENV_HEARTBEAT_MS);
-        std::env::remove_var(ENV_RECONNECT_ATTEMPTS);
-        std::env::remove_var(ENV_RECONNECT_BASE_MS);
-        std::env::remove_var(ENV_RECONNECT_CAP_MS);
+    fn net_options_parse_arms_heartbeats_and_reconnect() {
+        let o = NetOptions::parse(env(&[
+            (ENV_HEARTBEAT_MS, "40"),
+            (ENV_RECONNECT_ATTEMPTS, "3"),
+            (ENV_RECONNECT_BASE_MS, "10"),
+            (ENV_RECONNECT_CAP_MS, "80"),
+        ]))
+        .unwrap();
         assert_eq!(o.heartbeat_interval, Some(Duration::from_millis(40)));
         assert_eq!(o.heartbeat_timeout, Duration::from_millis(250));
         let policy = o.reconnect.expect("reconnect armed");
         assert_eq!(policy.max_attempts, 3);
         assert_eq!(policy.base, Duration::from_millis(10));
         assert_eq!(policy.cap, Duration::from_millis(80));
-        assert_eq!(NetOptions::from_env().reconnect, None);
+        // Zero switches either off; base and cap keep their floors.
+        let off = NetOptions::parse(env(&[
+            (ENV_HEARTBEAT_MS, "0"),
+            (ENV_RECONNECT_ATTEMPTS, "0"),
+        ]))
+        .unwrap();
+        assert_eq!((off.heartbeat_interval, off.reconnect), (None, None));
+        let floored = NetOptions::parse(env(&[
+            (ENV_RECONNECT_ATTEMPTS, "2"),
+            (ENV_RECONNECT_BASE_MS, "0"),
+            (ENV_RECONNECT_CAP_MS, "0"),
+        ]))
+        .unwrap()
+        .reconnect
+        .expect("armed");
+        assert_eq!(
+            (floored.base, floored.cap),
+            (Duration::from_millis(1), Duration::from_millis(1))
+        );
 
         // A deadline at or below the interval guarantees false deaths:
         // both the env path and the builder floor it at
         // HB_TIMEOUT_FLOOR_INTERVALS emission intervals.
-        std::env::set_var(ENV_HEARTBEAT_MS, "100");
-        std::env::set_var(ENV_HEARTBEAT_TIMEOUT_MS, "50");
-        let clamped = NetOptions::from_env();
-        std::env::remove_var(ENV_HEARTBEAT_MS);
-        std::env::remove_var(ENV_HEARTBEAT_TIMEOUT_MS);
+        let clamped = NetOptions::parse(env(&[
+            (ENV_HEARTBEAT_MS, "100"),
+            (ENV_HEARTBEAT_TIMEOUT_MS, "50"),
+        ]))
+        .unwrap();
         assert_eq!(clamped.heartbeat_timeout, Duration::from_millis(300));
         let built = NetOptions::default()
             .with_heartbeat(Duration::from_millis(50), Duration::from_millis(50));
         assert_eq!(built.heartbeat_timeout, Duration::from_millis(150));
+    }
+
+    #[test]
+    fn net_options_parse_names_the_malformed_variable() {
+        // `2OO` is not "no heartbeats": every key fails the typed way.
+        for (key, value) in [
+            (ENV_READ_BUF, "64k"),
+            (ENV_COALESCE, "-1"),
+            (ENV_COALESCE_FRAME, ""),
+            (ENV_NODELAY, "nagle"),
+            (ENV_HEARTBEAT_MS, "2OO"),
+            (ENV_HEARTBEAT_TIMEOUT_MS, "1s"),
+            (ENV_RECONNECT_ATTEMPTS, "three"),
+            (ENV_RECONNECT_BASE_MS, "2.5"),
+            (ENV_RECONNECT_CAP_MS, "inf"),
+        ] {
+            let get = move |k: &str| (k == key).then(|| value.to_string());
+            assert_names(NetOptions::parse(get), key, value);
+        }
     }
 
     #[test]

@@ -39,9 +39,10 @@ pub const ENV_ADAPTIVE_INTERVAL: &str = "CGX_ADAPTIVE_INTERVAL";
 /// re-plan may commit.
 pub const ENV_ADAPTIVE_WARMUP: &str = "CGX_ADAPTIVE_WARMUP";
 
-/// The one list of switch words: `Some(on)` for a recognised one
-/// (case-insensitive; the empty string is off), `None` for anything else.
-fn switch(value: &str) -> Option<bool> {
+/// The one list of switch words, for every `CGX_*` on/off variable in
+/// the workspace: `Some(on)` for a recognised one (case-insensitive; the
+/// empty string is off), `None` for anything else.
+pub fn switch(value: &str) -> Option<bool> {
     match value.to_ascii_lowercase().as_str() {
         "1" | "true" | "yes" | "on" => Some(true),
         "" | "0" | "false" | "no" | "off" => Some(false),
@@ -50,8 +51,16 @@ fn switch(value: &str) -> Option<bool> {
 }
 
 /// `key`'s value as `parse` reads it; absent is `None`, a value `parse`
-/// turns down is an [`CommError::InvalidConfig`] naming `key`.
-fn read<T>(
+/// turns down is an [`CommError::InvalidConfig`] naming `key`. Every
+/// `CGX_*` parser ([`RunOptions`], [`NetOptions`](crate::NetOptions),
+/// [`NetFaultPlan`](crate::NetFaultPlan), `cgx_serve::ServeConfig`) is
+/// written over this one function.
+///
+/// # Errors
+///
+/// [`CommError::InvalidConfig`] as above; `want` completes the sentence
+/// "`key` must be …".
+pub fn read<T>(
     get: &impl Fn(&str) -> Option<String>,
     key: &str,
     want: &str,
@@ -279,15 +288,31 @@ pub fn params_bytes(model: &Mlp) -> Vec<u8> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A `get` over a literal table.
-    fn env(map: &'static [(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+    pub(crate) fn env(map: &'static [(&str, &str)]) -> impl Fn(&str) -> Option<String> {
         move |k| {
             map.iter()
                 .find(|(key, _)| *key == k)
                 .map(|(_, v)| v.to_string())
+        }
+    }
+
+    /// `parsed` must be the [`CommError::InvalidConfig`] that names the
+    /// variable and quotes the value it refused.
+    pub(crate) fn assert_names<T: std::fmt::Debug>(
+        parsed: Result<T, CommError>,
+        key: &str,
+        value: &str,
+    ) {
+        match parsed {
+            Err(CommError::InvalidConfig { detail }) => {
+                assert!(detail.contains(key), "{key}={value}: {detail}");
+                assert!(detail.contains(value), "{key}={value}: {detail}");
+            }
+            other => panic!("{key}={value}: expected InvalidConfig, got {other:?}"),
         }
     }
 
@@ -367,13 +392,7 @@ mod tests {
         ];
         for map in cases {
             let (key, value) = *map.last().unwrap();
-            match RunOptions::parse(env(map)) {
-                Err(CommError::InvalidConfig { detail }) => {
-                    assert!(detail.contains(key), "{key}={value}: {detail}");
-                    assert!(detail.contains(value), "{key}={value}: {detail}");
-                }
-                other => panic!("{key}={value}: expected InvalidConfig, got {other:?}"),
-            }
+            assert_names(RunOptions::parse(env(map)), key, value);
         }
     }
 

@@ -1,7 +1,6 @@
-//! Exporters: Chrome `trace_event` JSON and a paper-style time-breakdown
-//! table, both hand-rolled (this crate stays zero-dependency).
+//! Exporter: Chrome `trace_event` JSON, hand-rolled (this crate stays
+//! zero-dependency).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::events::{meta_epoch, meta_op, meta_phase, meta_segment, Event, SpanKind};
@@ -90,152 +89,6 @@ pub fn chrome_trace_json(ranks: &[(usize, Vec<Event>)]) -> String {
     out
 }
 
-/// Aggregate per-phase time breakdown of one rank's event stream — the
-/// numbers behind the paper-style "where does the step go" table.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TimeBreakdown {
-    /// Total ns inside compression kernels.
-    pub compress_ns: u64,
-    /// Total ns decoding + accumulating inbound payloads.
-    pub decode_ns: u64,
-    /// Total ns parked waiting for progress.
-    pub idle_ns: u64,
-    /// Number of payloads handed to the transport.
-    pub wire_events: u64,
-    /// Total payload bytes handed to the transport.
-    pub wire_bytes: u64,
-    /// Number of collectives submitted.
-    pub submits: u64,
-    /// Number of collectives completed.
-    pub completes: u64,
-    /// Observed wall span (max end − min start over all events).
-    pub wall_ns: u64,
-}
-
-impl TimeBreakdown {
-    /// Summarise one rank's events.
-    pub fn from_events(events: &[Event]) -> TimeBreakdown {
-        let mut b = TimeBreakdown::default();
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for e in events {
-            lo = lo.min(e.start_ns);
-            hi = hi.max(e.end_ns);
-            match e.kind {
-                SpanKind::Compress => b.compress_ns += e.dur_ns(),
-                SpanKind::Decode => b.decode_ns += e.dur_ns(),
-                SpanKind::Idle => b.idle_ns += e.dur_ns(),
-                SpanKind::Wire => {
-                    b.wire_events += 1;
-                    b.wire_bytes += e.extra;
-                }
-                SpanKind::Submit => b.submits += 1,
-                SpanKind::Complete => b.completes += 1,
-            }
-        }
-        if hi > lo {
-            b.wall_ns = hi - lo;
-        }
-        b
-    }
-
-    /// Element-wise saturating sum (wall takes the max, since ranks run
-    /// concurrently).
-    pub fn merge(&self, other: &TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            compress_ns: self.compress_ns.saturating_add(other.compress_ns),
-            decode_ns: self.decode_ns.saturating_add(other.decode_ns),
-            idle_ns: self.idle_ns.saturating_add(other.idle_ns),
-            wire_events: self.wire_events + other.wire_events,
-            wire_bytes: self.wire_bytes.saturating_add(other.wire_bytes),
-            submits: self.submits + other.submits,
-            completes: self.completes + other.completes,
-            wall_ns: self.wall_ns.max(other.wall_ns),
-        }
-    }
-
-    /// Wall time not attributed to compress/decode/idle — transport and
-    /// framework overhead ("wire" in the paper's breakdown).
-    pub fn other_ns(&self) -> u64 {
-        self.wall_ns
-            .saturating_sub(self.compress_ns)
-            .saturating_sub(self.decode_ns)
-            .saturating_sub(self.idle_ns)
-    }
-}
-
-/// Fraction of total collective lifetime hidden behind *other* work on the
-/// same rank: for each collective (paired `Submit`/`Complete` on one
-/// rank's stream), `lifetime − own_busy` summed, over summed lifetimes.
-/// 0.0 means fully serial (every collective's lifetime is its own compute);
-/// values near 1.0 mean wire/decode latency almost entirely overlapped.
-pub fn overlap_ratio(events: &[Event]) -> f64 {
-    // op id (with epoch) → (submit_ns, complete_ns, own busy ns)
-    let mut ops: BTreeMap<u64, (Option<u64>, Option<u64>, u64)> = BTreeMap::new();
-    let key = |e: &Event| ((meta_op(e.meta) as u64) << 8) | meta_epoch(e.meta) as u64;
-    for e in events {
-        let entry = ops.entry(key(e)).or_default();
-        match e.kind {
-            SpanKind::Submit => entry.0 = Some(entry.0.unwrap_or(e.start_ns).min(e.start_ns)),
-            SpanKind::Complete => entry.1 = Some(entry.1.unwrap_or(e.end_ns).max(e.end_ns)),
-            SpanKind::Compress | SpanKind::Decode => entry.2 += e.dur_ns(),
-            _ => {}
-        }
-    }
-    let mut lifetime_total = 0u64;
-    let mut hidden_total = 0u64;
-    for (submit, complete, busy) in ops.values() {
-        if let (Some(s), Some(c)) = (submit, complete) {
-            let lifetime = c.saturating_sub(*s);
-            lifetime_total += lifetime;
-            hidden_total += lifetime.saturating_sub(*busy);
-        }
-    }
-    if lifetime_total == 0 {
-        0.0
-    } else {
-        hidden_total as f64 / lifetime_total as f64
-    }
-}
-
-/// Render labelled breakdowns as an aligned text table (one row per
-/// label), paper-style: compress / wire(other) / decode / idle columns as
-/// absolute ms and percent of wall.
-pub fn render_breakdown_table(rows: &[(String, TimeBreakdown)]) -> String {
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:>10} {:>16} {:>16} {:>16} {:>16} {:>10}",
-        "rank", "wall ms", "compress", "wire/other", "decode", "idle", "MB sent"
-    );
-    for (label, b) in rows {
-        let pct = |ns: u64| {
-            if b.wall_ns == 0 {
-                0.0
-            } else {
-                100.0 * ns as f64 / b.wall_ns as f64
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{:<14} {:>10.2} {:>9.2} {:>5.1}% {:>9.2} {:>5.1}% {:>9.2} {:>5.1}% {:>9.2} {:>5.1}% {:>10.2}",
-            label,
-            ms(b.wall_ns),
-            ms(b.compress_ns),
-            pct(b.compress_ns),
-            ms(b.other_ns()),
-            pct(b.other_ns()),
-            ms(b.decode_ns),
-            pct(b.decode_ns),
-            ms(b.idle_ns),
-            pct(b.idle_ns),
-            b.wire_bytes as f64 / 1e6
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,47 +102,6 @@ mod tests {
             end_ns: end,
             extra,
         }
-    }
-
-    #[test]
-    fn breakdown_sums_phases() {
-        let events = vec![
-            ev(SpanKind::Submit, 1, 0, 0, 0),
-            ev(SpanKind::Compress, 1, 0, 100, 0),
-            ev(SpanKind::Wire, 1, 110, 110, 64),
-            ev(SpanKind::Decode, 1, 200, 260, 0),
-            ev(SpanKind::Idle, 1, 260, 300, 0),
-            ev(SpanKind::Complete, 1, 300, 300, 0),
-        ];
-        let b = TimeBreakdown::from_events(&events);
-        assert_eq!(b.compress_ns, 100);
-        assert_eq!(b.decode_ns, 60);
-        assert_eq!(b.idle_ns, 40);
-        assert_eq!(b.wire_bytes, 64);
-        assert_eq!(b.wall_ns, 300);
-        assert_eq!(b.other_ns(), 100);
-        assert_eq!(b.submits, 1);
-        assert_eq!(b.completes, 1);
-    }
-
-    #[test]
-    fn overlap_ratio_bounds() {
-        // One collective whose whole lifetime is its own compute: no overlap.
-        let serial = vec![
-            ev(SpanKind::Submit, 1, 0, 0, 0),
-            ev(SpanKind::Compress, 1, 0, 100, 0),
-            ev(SpanKind::Complete, 1, 100, 100, 0),
-        ];
-        assert!(overlap_ratio(&serial) < 1e-9);
-        // A collective that lives 1000ns but only computes 100ns: 90% hidden.
-        let overlapped = vec![
-            ev(SpanKind::Submit, 2, 0, 0, 0),
-            ev(SpanKind::Compress, 2, 0, 100, 0),
-            ev(SpanKind::Complete, 2, 1000, 1000, 0),
-        ];
-        let r = overlap_ratio(&overlapped);
-        assert!((r - 0.9).abs() < 1e-9, "{r}");
-        assert!(overlap_ratio(&[]) == 0.0);
     }
 
     #[test]
@@ -309,24 +121,6 @@ mod tests {
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn table_renders_all_rows() {
-        let b = TimeBreakdown {
-            compress_ns: 1_000_000,
-            decode_ns: 500_000,
-            idle_ns: 250_000,
-            wire_events: 3,
-            wire_bytes: 1 << 20,
-            submits: 2,
-            completes: 2,
-            wall_ns: 4_000_000,
-        };
-        let table = render_breakdown_table(&[("rank0".into(), b), ("total".into(), b.merge(&b))]);
-        assert!(table.contains("rank0"));
-        assert!(table.contains("total"));
-        assert_eq!(table.lines().count(), 3);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   decode-accumulate → complete, plus idle parks), tagged with the
 //!   collective id / segment / phase / epoch exactly as packed into the
 //!   wire tag;
-//! * exporters — Chrome `trace_event` JSON ([`chrome_trace_json`]) for
-//!   timeline inspection and a paper-style time-breakdown table
-//!   ([`render_breakdown_table`], [`TimeBreakdown`]).
+//! * an exporter — Chrome `trace_event` JSON ([`chrome_trace_json`]) for
+//!   timeline inspection.
 //!
 //! Instrumentation is runtime-gated through [`ObsHandle`]: the disabled
 //! handle (the default everywhere) reduces every record to a single
@@ -29,9 +28,7 @@ pub use events::{
     meta_epoch, meta_op, meta_phase, meta_segment, pack_meta, Event, EventRecorder, ObsHandle,
     SpanKind, DEFAULT_RING_CAPACITY,
 };
-pub use export::{
-    chrome_trace_json, json_f64, json_string, overlap_ratio, render_breakdown_table, TimeBreakdown,
-};
+pub use export::{chrome_trace_json, json_f64, json_string};
 pub use metrics::{
     names, Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot,
     HISTOGRAM_BUCKETS,

@@ -44,7 +44,13 @@ fn main() {
     let period = env_usize("CGX_SERVE_PERIOD", 4).max(1);
 
     let registry = MetricsRegistry::new();
-    let cfg = ServeConfig::from_env().with_obs(&registry);
+    let cfg = match ServeConfig::from_env() {
+        Ok(cfg) => cfg.with_obs(&registry),
+        Err(e) => {
+            eprintln!("cgx-serve: {e}");
+            std::process::exit(1);
+        }
+    };
     let phys: Vec<Box<dyn Transport + Send + Sync>> = match fabric.as_str() {
         "shm" => ShmFabric::build(world)
             .into_iter()

@@ -61,6 +61,7 @@ use cgx_collectives::{
     namespace_tag, split_tag, CommError, TagStash, Transport, MAX_TENANT_NS, NATIVE_JOB,
 };
 use cgx_compress::Encoded;
+use cgx_net::workload::read;
 use cgx_obs::metrics::{names, Counter, MetricsRegistry};
 use cgx_tensor::Shape;
 
@@ -154,30 +155,45 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Builds a config from defaults overridden by `CGX_SERVE_*`
-    /// environment variables (unparseable values fall back silently, in
-    /// line with the other crates' env handling).
-    pub fn from_env() -> Self {
-        fn env_u64(key: &str) -> Option<u64> {
-            std::env::var(key).ok()?.trim().parse().ok()
-        }
+    /// Defaults overridden by the `CGX_SERVE_*` limits, read through `get`
+    /// so the parse is pure and testable.
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::InvalidConfig`] naming the variable when a value is
+    /// malformed, as in every other `CGX_*` parser.
+    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Self, CommError> {
+        let count = |key| {
+            read(&get, key, "a non-negative integer", |v| {
+                v.parse::<u64>().ok()
+            })
+        };
         let mut cfg = ServeConfig::default();
-        if let Some(v) = env_u64("CGX_SERVE_MAX_JOBS") {
-            cfg.max_jobs = (v as usize).max(1);
+        if let Some(v) = count("CGX_SERVE_MAX_JOBS")? {
+            cfg.max_jobs = usize::try_from(v).unwrap_or(usize::MAX).max(1);
         }
-        if let Some(v) = env_u64("CGX_SERVE_QUEUE_BYTES") {
+        if let Some(v) = count("CGX_SERVE_QUEUE_BYTES")? {
             cfg.queue_bytes = v.max(1);
         }
-        if let Some(v) = env_u64("CGX_SERVE_QUANTUM") {
+        if let Some(v) = count("CGX_SERVE_QUANTUM")? {
             cfg.quantum = v.max(1);
         }
-        if let Some(v) = env_u64("CGX_SERVE_PARK_US") {
+        if let Some(v) = count("CGX_SERVE_PARK_US")? {
             cfg.park = Duration::from_micros(v.max(1));
         }
-        if let Some(v) = env_u64("CGX_SERVE_DRAIN_MS") {
+        if let Some(v) = count("CGX_SERVE_DRAIN_MS")? {
             cfg.drain = Duration::from_millis(v);
         }
-        cfg
+        Ok(cfg)
+    }
+
+    /// [`Self::parse`] over the real process environment.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::parse`].
+    pub fn from_env() -> Result<Self, CommError> {
+        Self::parse(|k| std::env::var(k).ok())
     }
 
     /// Attaches a metrics registry; the daemon then maintains the
@@ -1096,6 +1112,59 @@ mod tests {
     use cgx_collectives::ShmFabric;
     use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
     use std::sync::atomic::{AtomicU32, AtomicU64};
+
+    #[test]
+    fn config_parse_overrides_floors_and_names_the_malformed_variable() {
+        let none = ServeConfig::parse(|_| None).unwrap();
+        let d = ServeConfig::default();
+        assert_eq!(
+            (
+                none.max_jobs,
+                none.queue_bytes,
+                none.quantum,
+                none.park,
+                none.drain
+            ),
+            (d.max_jobs, d.queue_bytes, d.quantum, d.park, d.drain)
+        );
+        let set = |pairs: &'static [(&str, &str)]| {
+            ServeConfig::parse(move |k| {
+                pairs
+                    .iter()
+                    .find(|(key, _)| *key == k)
+                    .map(|(_, v)| v.to_string())
+            })
+        };
+        let cfg = set(&[
+            ("CGX_SERVE_MAX_JOBS", "8"),
+            ("CGX_SERVE_QUEUE_BYTES", " 4096 "),
+            ("CGX_SERVE_QUANTUM", "0"),
+            ("CGX_SERVE_PARK_US", "0"),
+            ("CGX_SERVE_DRAIN_MS", "0"),
+        ])
+        .unwrap();
+        assert_eq!((cfg.max_jobs, cfg.queue_bytes, cfg.quantum), (8, 4096, 1));
+        assert_eq!(
+            (cfg.park, cfg.drain),
+            (Duration::from_micros(1), Duration::ZERO)
+        );
+        assert_eq!(set(&[("CGX_SERVE_MAX_JOBS", "0")]).unwrap().max_jobs, 1);
+        for (key, value) in [
+            ("CGX_SERVE_MAX_JOBS", "many"),
+            ("CGX_SERVE_QUEUE_BYTES", "32M"),
+            ("CGX_SERVE_QUANTUM", "-1"),
+            ("CGX_SERVE_PARK_US", "2OO"),
+            ("CGX_SERVE_DRAIN_MS", "2s"),
+        ] {
+            let get = move |k: &str| (k == key).then(|| value.to_string());
+            match ServeConfig::parse(get) {
+                Err(CommError::InvalidConfig { detail }) => {
+                    assert!(detail.contains(key), "{key}={value}: {detail}");
+                }
+                other => panic!("{key}={value}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
 
     fn payload(byte: u8) -> Encoded {
         Encoded::new(
