@@ -7,9 +7,9 @@
 //! Tree) additionally inflates the compression error.
 
 use cgx_bench::{fmt_ms, note, render_table};
-use cgx_collectives::reduce::{allreduce, Algorithm};
+use cgx_collectives::reduce::{allreduce_scratch, Algorithm};
 use cgx_collectives::ThreadCluster;
-use cgx_compress::QsgdCompressor;
+use cgx_compress::{QsgdCompressor, ScratchPool};
 use cgx_core::api::CgxBuilder;
 use cgx_models::{ModelId, ModelSpec};
 use cgx_simnet::{simulate_step, ComputeProfile, MachineSpec, ReductionScheme, StepConfig};
@@ -51,7 +51,9 @@ fn main() {
         )
     );
 
-    // --- Functional plane: end-to-end compression error per scheme ---
+    // --- Functional plane: end-to-end compression error per scheme, on the
+    // sequential reference (one unsegmented collective: the per-scheme
+    // kernel counts are the textbook ones) ---
     let n = 8;
     let len = 1 << 16;
     let mut err_rows = Vec::new();
@@ -60,7 +62,9 @@ fn main() {
             let mut rng = Rng::seed_from_u64(100 + t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[len]);
             let mut comp = QsgdCompressor::new(4, 128);
-            let (out, stats) = allreduce(alg, &t, &grad, &mut comp, &mut rng).unwrap();
+            let pool = ScratchPool::new();
+            let (out, stats) =
+                allreduce_scratch(alg, &t, &grad, &mut comp, &mut rng, &pool).unwrap();
             (grad, out, stats)
         })
         .unwrap();

@@ -1,12 +1,14 @@
 //! The per-rank communication engine: layer-parallel, chunk-pipelined
 //! compressed allreduce (paper Section 4, Fig. 2).
 //!
-//! `train_data_parallel` used to reduce gradients with one blocking
-//! [`crate::reduce::allreduce_scratch`] call per layer, so every layer paid
-//! the full SRA round-trip latency before the next layer's chunks even hit
-//! the wire, and every tiny filtered FP32 layer paid a whole per-message
-//! latency alone. The engine removes both serializations while keeping the
-//! results byte-identical to the sequential loop:
+//! Every production reduction runs here — the trainers' rounds, flat or
+//! as the leader exchange of a [`crate::hierarchy::Topology`], the PowerSGD
+//! factors, the QNCCL ring. One blocking
+//! [`crate::reduce::allreduce_scratch`] call per layer (the sequential
+//! reference) makes every layer pay the full SRA round-trip latency before
+//! the next layer's chunks even hit the wire, and every tiny filtered FP32
+//! layer a whole per-message latency alone. The engine removes both
+//! serializations while keeping the results byte-identical to that loop:
 //!
 //! * **Nonblocking submit/wait.** [`CommEngine::submit`] enqueues a
 //!   reduction and returns a [`Handle`]; [`CommEngine::wait`] drives *all*
@@ -60,9 +62,7 @@
 
 use crate::error::CommError;
 use crate::fault::FaultStats;
-use crate::reduce::{
-    allreduce_gather_scratch, allreduce_tree_scratch, chunk_ranges, Algorithm, AllreduceStats,
-};
+use crate::reduce::{chunk_ranges, gather, tree, Algorithm, AllreduceStats};
 use crate::transport::{collective_tag_in_epoch, Tag, Transport};
 use cgx_compress::{Compressor, Encoded, NoneCompressor, ScratchPool};
 use cgx_obs::{pack_meta, Counter, EventRecorder, Gauge, Histogram, ObsHandle, SpanKind};
@@ -442,12 +442,8 @@ impl<'a> CommEngine<'a> {
                 self.ops.push(op);
                 let mut comp = comp;
                 let run = match alg {
-                    Algorithm::Tree => {
-                        allreduce_tree_scratch(self.t, &grad, &mut *comp, &mut op_rng, &self.pool)
-                    }
-                    _ => {
-                        allreduce_gather_scratch(self.t, &grad, &mut *comp, &mut op_rng, &self.pool)
-                    }
+                    Algorithm::Tree => tree(self.t, &grad, &mut *comp, &mut op_rng, &self.pool),
+                    _ => gather(self.t, &grad, &mut *comp, &mut op_rng, &self.pool),
                 };
                 match run {
                     Ok((out, mut stats)) => {
@@ -955,7 +951,7 @@ struct Seg {
 }
 
 /// Incremental Scatter-Reduce-Allgather over tagged messages. Mirrors
-/// [`crate::reduce::allreduce_sra_scratch`] arithmetic step for step; the
+/// [`crate::reduce::allreduce_scratch`]'s SRA arithmetic step for step; the
 /// only new freedom is segment-level interleaving, constrained so the
 /// compressor and RNG observe the sequential call order.
 struct SraMachine {

@@ -1,4 +1,4 @@
-//! Node-aware hierarchical allreduce.
+//! Node-aware hierarchical reduction: the two raw intra-node hops.
 //!
 //! The paper's multi-node deployments (Table 5) never run the compressed
 //! collective flat across every GPU: intra-node links (NVLink/SHM) are an
@@ -10,20 +10,20 @@
 //! scarce; the cheap links carry raw floats and contribute no extra
 //! quantization error.
 //!
-//! [`Topology`] describes which rank lives on which node;
-//! [`allreduce_hierarchical`] executes the three stages over any
-//! [`Transport`] (thread-backed SHM, TCP sockets, or a mix — the
-//! transport's rank space is flat; the topology is what layers it).
-//! Consensus is preserved: the leader exchange is the bit-exact SRA, and
-//! both intra-node hops move raw little-endian `f32`s, so every rank in
-//! the world finishes with byte-identical output.
+//! [`Topology`] describes which rank lives on which node. The leader
+//! exchange is the [`CommEngine`](crate::engine::CommEngine) round a flat
+//! world runs, over a [`MembershipView`](crate::membership::MembershipView)
+//! of [`Topology::leaders`]; here are the hops around it, each over all of
+//! a round's layers and any [`Transport`] (its rank space is flat; the
+//! topology is what layers it): [`gather_up`] before the exchange,
+//! [`fan_down`] on a leader as the engine redeems each layer,
+//! [`receive_down`] on a member. The exchange is bit-exact and both hops
+//! move raw little-endian `f32`s, so every rank ends byte-identical.
 
 use crate::error::CommError;
-use crate::membership::{Membership, MembershipView};
-use crate::reduce::{allreduce_sra_scratch, AllreduceStats};
 use crate::transport::{collective_tag, Tag, Transport};
-use cgx_compress::{Compressor, Encoded, ScratchPool};
-use cgx_tensor::{Rng, Tensor};
+use cgx_compress::Encoded;
+use cgx_tensor::Tensor;
 
 /// Phase byte for the intra-node member -> leader gather. Engine
 /// collectives only emit phases 1 and 2 and membership gossip uses
@@ -58,8 +58,8 @@ impl Topology {
         Topology { node_of }
     }
 
-    /// Every rank on one node — hierarchical reduce degenerates to the
-    /// intra-node gather/broadcast with no leader exchange.
+    /// Every rank on one node — the reduction degenerates to the two
+    /// intra-node hops around a leader exchange of one.
     pub fn single_node(world: usize) -> Self {
         Topology::new(vec![0; world])
     }
@@ -119,155 +119,219 @@ impl Topology {
     }
 }
 
-/// Serializes a float slice as raw little-endian bytes for the lossless
+/// Serializes a tensor as raw little-endian bytes for the lossless
 /// intra-node hops.
-fn raw_encode(shape: &cgx_tensor::Shape, data: &[f32]) -> Encoded {
-    let mut buf = Vec::with_capacity(data.len() * 4);
-    for v in data {
+fn raw_encode(tensor: &Tensor) -> Encoded {
+    let mut buf = Vec::with_capacity(tensor.len() * 4);
+    for v in tensor.as_slice() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
-    Encoded::new(shape.clone(), buf.into())
+    Encoded::new(tensor.shape().clone(), buf.into())
 }
 
-/// Decodes a raw little-endian float payload into `out`.
-fn raw_decode(bytes: &[u8], out: &mut [f32]) -> Result<(), CommError> {
+/// The one decoder of both hops: `fold`s each float of a raw frame from
+/// `peer` into its slot of `out` (added on the way up, assigned on the way
+/// down), once the frame is known to be `out`'s length.
+fn raw_decode(
+    frame: &Encoded,
+    peer: usize,
+    out: &mut [f32],
+    fold: impl Fn(&mut f32, f32),
+) -> Result<(), CommError> {
+    let bytes = frame.payload();
     if bytes.len() != out.len() * 4 {
         return Err(CommError::ShapeMismatch {
             detail: format!(
-                "raw intra-node payload: expected {} bytes, got {}",
+                "raw intra-node frame from rank {peer}: expected {} bytes, got {}",
                 out.len() * 4,
                 bytes.len()
             ),
         });
     }
-    for (o, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-        *o = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        fold(o, f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
     }
     Ok(())
 }
 
-/// Three-stage node-aware allreduce: intra-node raw gather to the node
-/// leader, compressed SRA across the leaders, raw intra-node broadcast of
-/// the consensus result.
-///
-/// The intra-node sum is accumulated in strict ascending rank order
-/// (including the leader's own contribution at its rank position), and
-/// the leader exchange is the bit-exact SRA, so all ranks return
-/// byte-identical tensors. `comp` is only invoked on leaders — members of
-/// a multi-rank node never touch the compressor (paper: compression lives
-/// on the inter-node links).
+/// The up hop, every layer of a round. A member ships each tensor raw to
+/// its node's leader and keeps its own; a leader turns each tensor into
+/// its node's sum, accumulated from `+0.0` in strict ascending rank order
+/// (its own contribution first: the leader is the node's lowest rank), so
+/// every leader adds the same floats in the same order whichever member's
+/// frames land first. No compressor is involved — compression lives on the
+/// leader exchange. Returns the payload bytes this rank sent.
 ///
 /// # Errors
 ///
-/// Propagates transport failures; [`CommError::ShapeMismatch`] if a peer
-/// delivers a geometry that disagrees with `grad`.
+/// Propagates transport failures; [`CommError::ShapeMismatch`] on a leader
+/// if a member's frame is not the length of the layer it is summed into.
 ///
 /// # Panics
 ///
 /// Panics if `topo.world()` differs from the transport's world.
-pub fn allreduce_hierarchical(
+pub fn gather_up(
     t: &dyn Transport,
     topo: &Topology,
-    grad: &Tensor,
-    comp: &mut dyn Compressor,
-    rng: &mut Rng,
-    pool: &ScratchPool,
-) -> Result<(Tensor, AllreduceStats), CommError> {
+    tensors: &mut [Tensor],
+) -> Result<usize, CommError> {
     assert_eq!(
         topo.world(),
         t.world(),
         "topology describes a different world than the transport"
     );
     let me = t.rank();
-    let mut stats = AllreduceStats::default();
-    if t.world() == 1 {
-        return Ok((grad.clone(), stats));
-    }
-    stats.max_in_flight = 1;
     let leader = topo.leader_of(me);
     if me != leader {
-        // Member: raw gradient up, consensus result down.
-        let enc = raw_encode(grad.shape(), grad.as_slice());
-        stats.bytes_sent += enc.payload_bytes();
-        t.send_tagged(leader, up_tag(), enc)?;
-        let down = t.recv_tagged(leader, down_tag())?;
-        let mut out = grad.clone();
-        raw_decode(down.payload(), out.as_mut_slice())?;
-        return Ok((out, stats));
+        let mut sent = 0;
+        for g in tensors.iter() {
+            let enc = raw_encode(g);
+            sent += enc.payload_bytes();
+            t.send_tagged(leader, up_tag(), enc)?;
+        }
+        return Ok(sent);
     }
-    // Leader: accumulate the node's gradients in ascending rank order.
     let peers = topo.node_peers(me);
-    let mut sum = pool.take_f32(grad.len());
-    sum.iter_mut().for_each(|v| *v = 0.0);
-    for &r in &peers {
-        if r == me {
-            for (s, g) in sum.iter_mut().zip(grad.as_slice()) {
-                *s += *g;
-            }
-        } else {
-            let enc = t.recv_tagged(r, up_tag())?;
-            if enc.shape().len() != grad.len() {
-                return Err(CommError::ShapeMismatch {
-                    detail: format!(
-                        "intra-node gather from rank {r}: expected {} elements, got {}",
-                        grad.len(),
-                        enc.shape().len()
-                    ),
-                });
-            }
-            let payload = enc.payload();
-            if payload.len() != grad.len() * 4 {
-                return Err(CommError::ShapeMismatch {
-                    detail: format!(
-                        "intra-node gather from rank {r}: expected {} bytes, got {}",
-                        grad.len() * 4,
-                        payload.len()
-                    ),
-                });
-            }
-            for (s, chunk) in sum.iter_mut().zip(payload.chunks_exact(4)) {
-                *s += f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            }
+    for g in tensors.iter_mut() {
+        let sum = g.as_mut_slice();
+        // The sum starts at +0.0, not at the leader's own float: an own
+        // -0.0 becomes +0.0, as in an accumulator that began zeroed.
+        sum.iter_mut().for_each(|s| *s += 0.0);
+        for &r in &peers[1..] {
+            raw_decode(&t.recv_tagged(r, up_tag())?, r, sum, |s, v| *s += v)?;
         }
     }
-    let node_sum = Tensor::from_vec(grad.shape().dims(), sum);
-    // Compressed exchange across the leader subgroup (skipped when this
-    // node is alone in the world).
-    let leaders = topo.leaders();
-    let reduced = if leaders.len() > 1 {
-        let subgroup = Membership::of_ranks(t.world(), &leaders);
-        let view = MembershipView::new(t, &subgroup);
-        let (reduced, sra) = allreduce_sra_scratch(&view, &node_sum, comp, rng, pool)?;
-        stats.merge(&sra);
-        reduced
-    } else {
-        node_sum
-    };
-    // Fan the consensus result back out, raw.
-    let down = raw_encode(reduced.shape(), reduced.as_slice());
-    for &r in &peers {
+    Ok(0)
+}
+
+/// The down hop on a leader, one layer: `result` raw to every member of
+/// this node. Successive calls reach a member in call order, so a leader
+/// fans each layer out as soon as the leader exchange hands it back.
+/// Returns the payload bytes sent.
+///
+/// # Errors
+///
+/// Propagates transport failures.
+pub fn fan_down(t: &dyn Transport, topo: &Topology, result: &Tensor) -> Result<usize, CommError> {
+    let me = t.rank();
+    let down = raw_encode(result);
+    let mut sent = 0;
+    for r in topo.node_peers(me) {
         if r != me {
-            stats.bytes_sent += down.payload_bytes();
+            sent += down.payload_bytes();
             t.send_tagged(r, down_tag(), down.clone())?;
         }
     }
-    Ok((reduced, stats))
+    Ok(sent)
+}
+
+/// The down hop on a member, every layer of a round: each tensor becomes
+/// what the leader fanned out for it — the bytes the leader itself holds.
+///
+/// # Errors
+///
+/// Propagates transport failures; [`CommError::ShapeMismatch`] if a frame
+/// is not the length of the layer it replaces.
+pub fn receive_down(
+    t: &dyn Transport,
+    topo: &Topology,
+    tensors: &mut [Tensor],
+) -> Result<(), CommError> {
+    let leader = topo.leader_of(t.rank());
+    for g in tensors.iter_mut() {
+        let frame = t.recv_tagged(leader, down_tag())?;
+        raw_decode(&frame, leader, g.as_mut_slice(), |o, v| *o = v)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::ThreadCluster;
-    use crate::reduce::allreduce_sra;
-    use cgx_compress::{CompressionScheme, NoneCompressor};
+    use crate::engine::CommEngine;
+    use crate::membership::{Membership, MembershipView};
+    use crate::reduce::{allreduce_scratch, Algorithm, AllreduceStats};
+    use cgx_compress::{CompressionScheme, ScratchPool};
+    use cgx_tensor::Rng;
+
+    /// One round staged as the trainers' `reduce_mean` stages it — up hop,
+    /// the leaders' engine exchange, down hop per redeemed layer — every
+    /// layer through a fresh `scheme` compressor. Returns the sums and what
+    /// this rank put on the wire and through its kernels.
+    fn round(
+        t: &dyn Transport,
+        topo: &Topology,
+        mut tensors: Vec<Tensor>,
+        scheme: CompressionScheme,
+        rng: &mut Rng,
+    ) -> (Vec<Tensor>, AllreduceStats) {
+        let mut stats = AllreduceStats {
+            bytes_sent: gather_up(t, topo, &mut tensors).unwrap(),
+            ..AllreduceStats::default()
+        };
+        if !topo.is_leader(t.rank()) {
+            receive_down(t, topo, &mut tensors).unwrap();
+            return (tensors, stats);
+        }
+        let leaders = Membership::of_ranks(t.world(), &topo.leaders());
+        let view = MembershipView::new(t, &leaders);
+        let mut eng = CommEngine::with_defaults(&view, ScratchPool::new());
+        let handles: Vec<_> = tensors
+            .drain(..)
+            .map(|g| eng.submit_owned(Algorithm::ScatterReduceAllgather, g, scheme.build(), rng))
+            .collect();
+        for h in handles {
+            let (sum, exchanged, _) = eng.wait(h).unwrap();
+            stats.merge(&exchanged);
+            stats.bytes_sent += fan_down(t, topo, &sum).unwrap();
+            tensors.push(sum);
+        }
+        (tensors, stats)
+    }
+
+    const Q4: CompressionScheme = CompressionScheme::Qsgd {
+        bits: 4,
+        bucket_size: 64,
+    };
 
     #[test]
     fn raw_hop_payload_is_little_endian_f32s() {
-        let enc = raw_encode(&cgx_tensor::Shape::vector(2), &[1.0, -2.5]);
+        let enc = raw_encode(&Tensor::from_vec(&[2], vec![1.0, -2.5]));
         assert_eq!(enc.payload()[..], [0, 0, 0x80, 0x3f, 0, 0, 0x20, 0xc0]);
         let mut back = [0.0; 2];
-        raw_decode(enc.payload(), &mut back).expect("sizes match");
+        raw_decode(&enc, 0, &mut back, |o, v| *o = v).expect("sizes match");
         assert_eq!(back, [1.0, -2.5]);
+    }
+
+    #[test]
+    fn a_wrong_length_frame_on_either_hop_is_a_typed_error_not_a_panic() {
+        // One node of two: the member ships 5 floats where the leader sums
+        // into 4, then the leader fans 4 down where the member holds 5.
+        // Each receiving rank gets `ShapeMismatch` naming the sender.
+        let topo = Topology::single_node(2);
+        let outcomes = ThreadCluster::run(2, |t| {
+            let leader = topo.is_leader(t.rank());
+            let mut held = vec![Tensor::full(&[if leader { 4 } else { 5 }], 1.0)];
+            let up = gather_up(&t, &topo, &mut held);
+            if leader {
+                fan_down(&t, &topo, &held[0]).unwrap();
+                up.map(|_| ())
+            } else {
+                up.unwrap();
+                receive_down(&t, &topo, &mut held)
+            }
+        })
+        .unwrap();
+        for (rank, outcome) in outcomes.iter().enumerate() {
+            match outcome {
+                Err(CommError::ShapeMismatch { detail }) => {
+                    let sender = format!("from rank {}", 1 - rank);
+                    assert!(detail.contains(&sender), "{detail}");
+                }
+                other => panic!("rank {rank}: expected ShapeMismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -287,19 +351,21 @@ mod tests {
     #[test]
     fn hierarchical_sum_is_exact_on_integer_tensors() {
         // Integer-valued grads: float addition is exact, so the staged
-        // sum must equal the flat sum regardless of association order.
+        // sum must equal the flat sum regardless of association order —
+        // layer by layer, the frames of a round's layers never crossing.
         let topo = Topology::grouped(2, 2);
         let results = ThreadCluster::run(4, |t| {
             let mut rng = Rng::seed_from_u64(t.rank() as u64);
-            let grad = Tensor::full(&[33], (t.rank() + 1) as f32);
-            let mut c = NoneCompressor::new();
-            allreduce_hierarchical(&t, &topo, &grad, &mut c, &mut rng, &ScratchPool::new())
-                .unwrap()
-                .0
+            let grads = vec![
+                Tensor::full(&[33], (t.rank() + 1) as f32),
+                Tensor::full(&[5], 10.0 * (t.rank() + 1) as f32),
+            ];
+            round(&t, &topo, grads, CompressionScheme::None, &mut rng).0
         })
         .unwrap();
         for r in &results {
-            assert!(r.as_slice().iter().all(|&v| v == 10.0), "1+2+3+4 = 10");
+            assert!(r[0].as_slice().iter().all(|&v| v == 10.0), "1+2+3+4 = 10");
+            assert!(r[1].as_slice().iter().all(|&v| v == 100.0), "10+..+40");
         }
     }
 
@@ -311,21 +377,14 @@ mod tests {
             let data: Vec<f32> = (0..257)
                 .map(|i| ((i * (t.rank() + 3)) as f32).sin())
                 .collect();
-            let grad = Tensor::from_vec(&[257], data);
-            let mut c = CompressionScheme::Qsgd {
-                bits: 4,
-                bucket_size: 64,
-            }
-            .build();
-            allreduce_hierarchical(&t, &topo, &grad, c.as_mut(), &mut rng, &ScratchPool::new())
-                .unwrap()
-                .0
+            let grads = vec![Tensor::from_vec(&[257], data)];
+            round(&t, &topo, grads, Q4, &mut rng).0
         })
         .unwrap();
         for r in &results[1..] {
             assert_eq!(
-                r.as_slice(),
-                results[0].as_slice(),
+                r[0].as_slice(),
+                results[0][0].as_slice(),
                 "hierarchical consensus broke"
             );
         }
@@ -336,16 +395,13 @@ mod tests {
         let topo = Topology::single_node(3);
         let results = ThreadCluster::run(3, |t| {
             let mut rng = Rng::seed_from_u64(3);
-            let grad = Tensor::full(&[8], t.rank() as f32);
-            let mut c = NoneCompressor::new();
-            let (out, stats) =
-                allreduce_hierarchical(&t, &topo, &grad, &mut c, &mut rng, &ScratchPool::new())
-                    .unwrap();
+            let grads = vec![Tensor::full(&[8], t.rank() as f32)];
+            let (out, stats) = round(&t, &topo, grads, CompressionScheme::None, &mut rng);
             (out, stats.compress_calls)
         })
         .unwrap();
         for (out, compress_calls) in &results {
-            assert!(out.as_slice().iter().all(|&v| v == 3.0), "0+1+2 = 3");
+            assert!(out[0].as_slice().iter().all(|&v| v == 3.0), "0+1+2 = 3");
             // No inter-node hop anywhere: the compressor never ran.
             assert_eq!(*compress_calls, 0);
         }
@@ -356,15 +412,8 @@ mod tests {
         let topo = Topology::grouped(2, 2);
         let calls = ThreadCluster::run(4, |t| {
             let mut rng = Rng::seed_from_u64(1);
-            let grad = Tensor::full(&[64], 1.0);
-            let mut c = CompressionScheme::Qsgd {
-                bits: 4,
-                bucket_size: 64,
-            }
-            .build();
-            let (_, stats) =
-                allreduce_hierarchical(&t, &topo, &grad, c.as_mut(), &mut rng, &ScratchPool::new())
-                    .unwrap();
+            let grads = vec![Tensor::full(&[64], 1.0)];
+            let (_, stats) = round(&t, &topo, grads, Q4, &mut rng);
             (t.rank(), stats.compress_calls)
         })
         .unwrap();
@@ -379,9 +428,10 @@ mod tests {
 
     #[test]
     fn hierarchical_matches_flat_when_one_rank_per_node() {
-        // One rank per node makes the intra-node stages identity and the
-        // leader set the whole world: hierarchical must be bit-identical
-        // to flat SRA (same compressor, same rng stream).
+        // One rank per node makes both hops identity and the leader set
+        // the whole world: the round must be bit-identical to the flat
+        // sequential SRA (same compressor, same rng stream — one draw per
+        // layer seeds its private stream, as the engine derives it).
         let topo = Topology::new(vec![0, 1, 2, 3]);
         let results = ThreadCluster::run(4, |t| {
             let grad = Tensor::from_vec(
@@ -393,20 +443,20 @@ mod tests {
                 bucket_size: 32,
             };
             let mut rng_h = Rng::seed_from_u64(11 + t.rank() as u64);
-            let mut c_h = scheme.build();
-            let h = allreduce_hierarchical(
+            let h = round(&t, &topo, vec![grad.clone()], scheme, &mut rng_h)
+                .0
+                .remove(0);
+            let mut rng_f = Rng::seed_from_u64(11 + t.rank() as u64);
+            let f = allreduce_scratch(
+                Algorithm::ScatterReduceAllgather,
                 &t,
-                &topo,
                 &grad,
-                c_h.as_mut(),
-                &mut rng_h,
+                scheme.build().as_mut(),
+                &mut Rng::seed_from_u64(rng_f.next_u64()),
                 &ScratchPool::new(),
             )
             .unwrap()
             .0;
-            let mut rng_f = Rng::seed_from_u64(11 + t.rank() as u64);
-            let mut c_f = scheme.build();
-            let f = allreduce_sra(&t, &grad, c_f.as_mut(), &mut rng_f).unwrap().0;
             (h, f)
         })
         .unwrap();

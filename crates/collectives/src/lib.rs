@@ -16,15 +16,16 @@
 //! * [`TagStash`] — the one per-(peer, tag) stash behind every fabric's
 //!   receive side,
 //! * [`ThreadCluster`] — spawn-and-join harness with panic containment,
-//! * [`reduce`] — Scatter-Reduce-Allgather, Ring, Tree and
-//!   Allgather-broadcast reductions parameterized by any
-//!   [`cgx_compress::Compressor`], faithfully reproducing where each scheme
+//! * [`engine`] — the one allreduce production code runs: the
+//!   layer-parallel communication engine, nonblocking submit/wait over
+//!   tag-multiplexed channels, chunk-pipelined SRA and Ring machines, and
+//!   small-layer coalescing (paper Section 4), parameterized by any
+//!   [`cgx_compress::Compressor`],
+//! * [`reduce`] — the sequential reference the engine is held to bit for
+//!   bit: Scatter-Reduce-Allgather, Ring, Tree and Allgather-broadcast
+//!   written straight down, faithfully reproducing where each scheme
 //!   re-quantizes (the compression-error differences of paper Figure 10),
-//! * [`engine`] — the layer-parallel communication engine: nonblocking
-//!   submit/wait over tag-multiplexed channels, chunk-pipelined SRA, and
-//!   small-layer coalescing (paper Section 4),
 //! * [`powersgd`] — the factored PowerSGD Allreduce (associative path),
-//! * [`primitives`] — broadcast / reduce / gather / scatter / barrier,
 //! * [`fault`] — seeded deterministic fault injection
 //!   ([`fault::ChaosTransport`]) plus the checksummed-retransmission
 //!   reliability layer that masks what it injects,
@@ -32,23 +33,25 @@
 //!   [`membership::MembershipView`] behind elastic recovery,
 //! * [`framing`] — the seq+FNV checksummed frame format shared by the
 //!   chaos reliability layer and the `cgx-net` TCP wire protocol,
-//! * [`hierarchy`] — node-aware hierarchical allreduce: raw intra-node
-//!   staging around a compressed inter-node leader exchange,
+//! * [`hierarchy`] — the node [`Topology`] and the two raw intra-node
+//!   hops staged around an engine round between node leaders,
 //! * [`conformance`] — the executable [`Transport`] contract, run against
 //!   every transport implementation.
 //!
 //! # Examples
 //!
 //! ```
-//! use cgx_collectives::{reduce, ThreadCluster};
-//! use cgx_compress::NoneCompressor;
+//! use cgx_collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
+//! use cgx_compress::{NoneCompressor, ScratchPool};
 //! use cgx_tensor::{Rng, Tensor};
 //!
 //! let results = ThreadCluster::run(4, |t| {
 //!     let mut rng = Rng::seed_from_u64(t.rank() as u64);
 //!     let grad = Tensor::full(&[32], t.rank() as f32);
-//!     let mut c = NoneCompressor::new();
-//!     reduce::allreduce_sra(&t, &grad, &mut c, &mut rng).unwrap().0
+//!     let mut engine = CommEngine::with_defaults(&t, ScratchPool::new());
+//!     let sra = Algorithm::ScatterReduceAllgather;
+//!     let c = Box::new(NoneCompressor::new());
+//!     engine.allreduce(sra, &grad, c, &mut rng).unwrap().0
 //! })
 //! .unwrap();
 //! // 0 + 1 + 2 + 3 = 6 everywhere.
@@ -66,7 +69,6 @@ pub mod framing;
 pub mod hierarchy;
 pub mod membership;
 pub mod powersgd;
-pub mod primitives;
 pub mod reduce;
 pub mod stash;
 pub mod transport;
@@ -75,10 +77,9 @@ pub use cluster::ThreadCluster;
 pub use engine::{lane_epoch, CommEngine, EngineOptions, Handle};
 pub use error::CommError;
 pub use fault::{ChaosTransport, FaultKind, FaultPlan, FaultStats, ReconnectPolicy};
-pub use hierarchy::{allreduce_hierarchical, Topology};
+pub use hierarchy::Topology;
 pub use membership::{agree, Membership, MembershipView};
-pub use primitives::{barrier, broadcast, gather, reduce_to_root, scatter};
-pub use reduce::{allreduce, allreduce_scratch, AllreduceStats};
+pub use reduce::{allreduce_scratch, AllreduceStats};
 pub use stash::TagStash;
 pub use transport::{
     namespace_tag, split_tag, tag_namespace, ShmFabric, ShmTransport, Transport,

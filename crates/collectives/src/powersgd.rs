@@ -6,8 +6,9 @@
 //! reconstruct `P·Qᵀ`. This is how PyTorch DDP integrates it, and the
 //! comparison point for Table 6 / Figure 7.
 
+use crate::engine::CommEngine;
 use crate::error::CommError;
-use crate::reduce::{allreduce_sra_scratch, AllreduceStats};
+use crate::reduce::{Algorithm, AllreduceStats};
 use crate::transport::Transport;
 use cgx_compress::{NoneCompressor, ScratchPool};
 use cgx_tensor::{matmul, matmul_tn, orthogonalize_columns, Rng, Tensor};
@@ -29,7 +30,9 @@ impl PowerSgdState {
 /// *mean* low-rank approximation of the summed gradient.
 ///
 /// All ranks must seed `Q` identically, which is guaranteed here by
-/// deriving it from a rank-independent RNG stream (`seed`).
+/// deriving it from a rank-independent RNG stream (`seed`). Both factors
+/// reduce losslessly through a [`CommEngine`], which draws one `next_u64`
+/// from `rng` per factor.
 ///
 /// # Errors
 ///
@@ -77,15 +80,16 @@ pub fn allreduce_powersgd_scratch(
     }
     let q_prev = state.q.as_ref().expect("initialized Q");
 
-    let mut raw = NoneCompressor::new();
+    let mut eng = CommEngine::with_defaults(t, pool.clone());
+    let sra = Algorithm::ScatterReduceAllgather;
     // P = M Q, all-reduced and averaged.
     let p_local = matmul(&mat, q_prev);
-    let (mut p, s1) = allreduce_sra_scratch(t, &p_local, &mut raw, rng, pool)?;
+    let (mut p, s1, raw) = eng.allreduce(sra, &p_local, Box::new(NoneCompressor::new()), rng)?;
     p.scale(1.0 / n);
     orthogonalize_columns(&mut p);
     // Q = Mᵀ P, all-reduced and averaged.
     let q_local = matmul_tn(&mat, &p);
-    let (mut q, s2) = allreduce_sra_scratch(t, &q_local, &mut raw, rng, pool)?;
+    let (mut q, s2, _) = eng.allreduce(sra, &q_local, raw, rng)?;
     q.scale(1.0 / n);
     state.q = Some(q.clone());
     // Reconstruct mean gradient = P Qᵀ.

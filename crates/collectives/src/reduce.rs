@@ -1,4 +1,14 @@
-//! Compressed Allreduce algorithms (paper Section 3, "Reduction Schemes").
+//! The sequential reference for the compressed Allreduce algorithms (paper
+//! Section 3, "Reduction Schemes") and the subject of Figure 10.
+//!
+//! Production code reduces through [`crate::engine::CommEngine`], which runs
+//! SRA and Ring as nonblocking machines. [`allreduce_scratch`] is those
+//! schemes written straight down, one blocking collective at a time: what
+//! `engine_matches_sequential_loop_bitwise` and the chaos, stress and
+//! property suites hold the engine to, bit for bit, and what
+//! `fig10_reduction_schemes` counts kernels on. The Tree and Allgather
+//! bodies are also the engine's own eager path — it has no machine for
+//! them.
 //!
 //! All schemes are generic over the [`Compressor`], and each performs the
 //! decompress-sum-recompress dance exactly where a real implementation
@@ -25,8 +35,7 @@
 //! compression path. Decode order is unchanged from the scalar path (global
 //! rank/range order, one `+=` per element in index order), which keeps
 //! `f32` sums — and therefore cross-rank consensus — bit-identical to the
-//! unfused implementation. The `*_scratch` entry points accept a shared
-//! pool; the plain entry points create a transient one per call.
+//! unfused implementation.
 
 use crate::error::CommError;
 use crate::fault::FaultStats;
@@ -137,24 +146,12 @@ pub fn chunk_ranges(len: usize, n: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Dispatches to the requested algorithm.
-///
-/// # Errors
-///
-/// Propagates transport failures ([`CommError`]).
-pub fn allreduce(
-    alg: Algorithm,
-    t: &dyn Transport,
-    grad: &Tensor,
-    comp: &mut dyn Compressor,
-    rng: &mut Rng,
-) -> Result<(Tensor, AllreduceStats), CommError> {
-    allreduce_scratch(alg, t, grad, comp, rng, &ScratchPool::new())
-}
-
-/// Dispatches to the requested algorithm, drawing all encode buffers and
-/// accumulator scratch from `pool`. Chunk ranges are computed once here and
-/// shared by the chunked schemes rather than recomputed per scheme.
+/// One blocking allreduce of `grad` by `alg` — the sequential reference
+/// (see the module docs) — drawing all encode buffers and accumulator
+/// scratch from `pool`. Returns the *sum*. `rng` is the collective's own
+/// stream: the engine seeds one per submission from a single `next_u64` of
+/// its caller's, so a loop that reproduces an engine round passes
+/// `Rng::seed_from_u64(caller_rng.next_u64())` here.
 ///
 /// # Errors
 ///
@@ -167,55 +164,24 @@ pub fn allreduce_scratch(
     rng: &mut Rng,
     pool: &ScratchPool,
 ) -> Result<(Tensor, AllreduceStats), CommError> {
-    let ranges = chunk_ranges(grad.len(), t.world());
     match alg {
-        Algorithm::ScatterReduceAllgather => sra_with_ranges(t, grad, comp, rng, pool, &ranges),
-        Algorithm::Ring => ring_with_ranges(t, grad, comp, rng, pool, &ranges),
-        Algorithm::Tree => allreduce_tree_scratch(t, grad, comp, rng, pool),
-        Algorithm::AllgatherBroadcast => allreduce_gather_scratch(t, grad, comp, rng, pool),
+        Algorithm::ScatterReduceAllgather => sra(t, grad, comp, rng, pool),
+        Algorithm::Ring => ring(t, grad, comp, rng, pool),
+        Algorithm::Tree => tree(t, grad, comp, rng, pool),
+        Algorithm::AllgatherBroadcast => gather(t, grad, comp, rng, pool),
     }
 }
 
 /// Scatter-Reduce-Allgather: two rounds, one aggregation point per chunk.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn allreduce_sra(
-    t: &dyn Transport,
-    grad: &Tensor,
-    comp: &mut dyn Compressor,
-    rng: &mut Rng,
-) -> Result<(Tensor, AllreduceStats), CommError> {
-    allreduce_sra_scratch(t, grad, comp, rng, &ScratchPool::new())
-}
-
-/// [`allreduce_sra`] with explicit scratch: encode buffers and the chunk
-/// accumulator come from (and return to) `pool`.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn allreduce_sra_scratch(
+fn sra(
     t: &dyn Transport,
     grad: &Tensor,
     comp: &mut dyn Compressor,
     rng: &mut Rng,
     pool: &ScratchPool,
-) -> Result<(Tensor, AllreduceStats), CommError> {
-    let ranges = chunk_ranges(grad.len(), t.world());
-    sra_with_ranges(t, grad, comp, rng, pool, &ranges)
-}
-
-fn sra_with_ranges(
-    t: &dyn Transport,
-    grad: &Tensor,
-    comp: &mut dyn Compressor,
-    rng: &mut Rng,
-    pool: &ScratchPool,
-    ranges: &[Range<usize>],
 ) -> Result<(Tensor, AllreduceStats), CommError> {
     let n = t.world();
+    let ranges = chunk_ranges(grad.len(), n);
     let me = t.rank();
     let mut stats = AllreduceStats::default();
     if n == 1 {
@@ -312,44 +278,15 @@ fn sra_with_ranges(
 
 /// Chunked Ring-Allreduce: the reduce-scatter phase re-quantizes at every
 /// hop; the allgather phase relays immutable encoded chunks.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn allreduce_ring(
-    t: &dyn Transport,
-    grad: &Tensor,
-    comp: &mut dyn Compressor,
-    rng: &mut Rng,
-) -> Result<(Tensor, AllreduceStats), CommError> {
-    allreduce_ring_scratch(t, grad, comp, rng, &ScratchPool::new())
-}
-
-/// [`allreduce_ring`] with explicit scratch.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn allreduce_ring_scratch(
+fn ring(
     t: &dyn Transport,
     grad: &Tensor,
     comp: &mut dyn Compressor,
     rng: &mut Rng,
     pool: &ScratchPool,
-) -> Result<(Tensor, AllreduceStats), CommError> {
-    let ranges = chunk_ranges(grad.len(), t.world());
-    ring_with_ranges(t, grad, comp, rng, pool, &ranges)
-}
-
-fn ring_with_ranges(
-    t: &dyn Transport,
-    grad: &Tensor,
-    comp: &mut dyn Compressor,
-    rng: &mut Rng,
-    pool: &ScratchPool,
-    ranges: &[Range<usize>],
 ) -> Result<(Tensor, AllreduceStats), CommError> {
     let n = t.world();
+    let ranges = chunk_ranges(grad.len(), n);
     let me = t.rank();
     let mut stats = AllreduceStats::default();
     if n == 1 {
@@ -435,25 +372,9 @@ fn ring_with_ranges(
 
 /// Binomial-tree Allreduce (hierarchical parameter server): reduce to rank
 /// 0 with a re-quantization per level, then relay rank 0's encoding down.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn allreduce_tree(
-    t: &dyn Transport,
-    grad: &Tensor,
-    comp: &mut dyn Compressor,
-    rng: &mut Rng,
-) -> Result<(Tensor, AllreduceStats), CommError> {
-    allreduce_tree_scratch(t, grad, comp, rng, &ScratchPool::new())
-}
-
-/// [`allreduce_tree`] with explicit scratch.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn allreduce_tree_scratch(
+/// Blocking; also what the engine runs eagerly at submit for
+/// [`Algorithm::Tree`].
+pub(crate) fn tree(
     t: &dyn Transport,
     grad: &Tensor,
     comp: &mut dyn Compressor,
@@ -538,25 +459,9 @@ pub fn allreduce_tree_scratch(
 
 /// Allgather-broadcast (the GRACE implementation strategy): every rank
 /// broadcasts its compressed gradient; everyone decodes and sums all `n`.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn allreduce_gather(
-    t: &dyn Transport,
-    grad: &Tensor,
-    comp: &mut dyn Compressor,
-    rng: &mut Rng,
-) -> Result<(Tensor, AllreduceStats), CommError> {
-    allreduce_gather_scratch(t, grad, comp, rng, &ScratchPool::new())
-}
-
-/// [`allreduce_gather`] with explicit scratch.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn allreduce_gather_scratch(
+/// Blocking; also what the engine runs eagerly at submit for
+/// [`Algorithm::AllgatherBroadcast`].
+pub(crate) fn gather(
     t: &dyn Transport,
     grad: &Tensor,
     comp: &mut dyn Compressor,
@@ -605,12 +510,23 @@ mod tests {
     use crate::cluster::ThreadCluster;
     use cgx_compress::{NoneCompressor, QsgdCompressor};
 
+    /// `allreduce_scratch` over a pool of its own: the sum and the stats.
+    fn reduce(
+        alg: Algorithm,
+        t: &dyn Transport,
+        grad: &Tensor,
+        comp: &mut dyn Compressor,
+        rng: &mut Rng,
+    ) -> (Tensor, AllreduceStats) {
+        allreduce_scratch(alg, t, grad, comp, rng, &ScratchPool::new()).unwrap()
+    }
+
     fn run_exact(alg: Algorithm, n: usize, len: usize) {
         let results = ThreadCluster::run(n, |t| {
             let mut rng = Rng::seed_from_u64(100 + t.rank() as u64);
             let grad = Tensor::from_vec(&[len], (0..len).map(|i| (t.rank() + i) as f32).collect());
             let mut c = NoneCompressor::new();
-            allreduce(alg, &t, &grad, &mut c, &mut rng).unwrap().0
+            reduce(alg, &t, &grad, &mut c, &mut rng).0
         })
         .unwrap();
         let expected: Vec<f32> = (0..len)
@@ -667,7 +583,7 @@ mod tests {
             let mut rng = Rng::seed_from_u64(500 + t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[len]);
             let mut c = QsgdCompressor::new(4, 128);
-            let (out, _) = allreduce(alg, &t, &grad, &mut c, &mut rng).unwrap();
+            let (out, _) = reduce(alg, &t, &grad, &mut c, &mut rng);
             (grad, out)
         })
         .unwrap();
@@ -714,7 +630,7 @@ mod tests {
             let mut rng = Rng::seed_from_u64(t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[1200]);
             let mut c = NoneCompressor::new();
-            allreduce_gather(&t, &grad, &mut c, &mut rng).unwrap().1
+            reduce(Algorithm::AllgatherBroadcast, &t, &grad, &mut c, &mut rng).1
         })
         .unwrap();
         for s in &stats {
@@ -731,7 +647,8 @@ mod tests {
             let mut rng = Rng::seed_from_u64(t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[len]);
             let mut c = NoneCompressor::new();
-            allreduce_sra(&t, &grad, &mut c, &mut rng).unwrap().1
+            let sra = Algorithm::ScatterReduceAllgather;
+            reduce(sra, &t, &grad, &mut c, &mut rng).1
         })
         .unwrap();
         for s in &stats {
@@ -760,7 +677,7 @@ mod tests {
                 let mut rng = Rng::seed_from_u64(40 + t.rank() as u64);
                 let grad = Tensor::randn(&mut rng, &[len]);
                 let mut c = QsgdCompressor::new(4, 128);
-                allreduce(alg, &t, &grad, &mut c, &mut rng).unwrap().1
+                reduce(alg, &t, &grad, &mut c, &mut rng).1
             })
             .unwrap();
             for s in &stats {
@@ -830,7 +747,7 @@ mod tests {
                 let mut rng = Rng::seed_from_u64(60 + t.rank() as u64);
                 let grad = Tensor::randn(&mut rng, &[513]);
                 let mut c = QsgdCompressor::new(4, 128);
-                allreduce(alg, &t, &grad, &mut c, &mut rng).unwrap().0
+                reduce(alg, &t, &grad, &mut c, &mut rng).0
             })
             .unwrap();
             for (a, b) in pooled.iter().zip(&plain) {

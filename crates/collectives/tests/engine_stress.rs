@@ -7,9 +7,9 @@
 //! meaningfully different from debug builds (no debug-assert slowdowns, so
 //! many more collectives genuinely overlap).
 
-use cgx_collectives::reduce::{allreduce, Algorithm};
+use cgx_collectives::reduce::{allreduce_scratch, Algorithm};
 use cgx_collectives::{CommEngine, EngineOptions, ThreadCluster};
-use cgx_compress::{CompressionScheme, Compressor};
+use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
 use cgx_tensor::{Rng, Tensor};
 
 const WORLD: usize = 8;
@@ -63,7 +63,7 @@ fn run_engine(opts: EngineOptions) -> Vec<Vec<Tensor>> {
     ThreadCluster::run(WORLD, |t| {
         let grads = rank_grads(&specs, t.rank());
         let mut master = Rng::seed_from_u64(0xAB5);
-        let mut eng = CommEngine::new(&t, cgx_compress::ScratchPool::new(), opts);
+        let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
         let handles: Vec<_> = grads
             .iter()
             .zip(&specs)
@@ -89,7 +89,7 @@ fn run_sequential() -> Vec<Vec<Tensor>> {
                 // One draw per layer: the same stream the engine consumes.
                 let mut lrng = Rng::seed_from_u64(master.next_u64());
                 let mut comp: Box<dyn Compressor> = scheme.build();
-                allreduce(*alg, &t, g, comp.as_mut(), &mut lrng)
+                allreduce_scratch(*alg, &t, g, comp.as_mut(), &mut lrng, &ScratchPool::new())
                     .expect("allreduce")
                     .0
             })

@@ -3,7 +3,7 @@
 //! concurrently through [`CommEngine`] must be bit-identical to the
 //! blocking one-allreduce-per-layer reference, and every rank must agree.
 
-use cgx_collectives::reduce::{allreduce, Algorithm};
+use cgx_collectives::reduce::{allreduce_scratch, Algorithm};
 use cgx_collectives::{CommEngine, EngineOptions, ThreadCluster};
 use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
 use cgx_tensor::{cases, Rng, Tensor};
@@ -78,7 +78,7 @@ fn run_sequential(
             .map(|(g, (_, s))| {
                 let mut lrng = Rng::seed_from_u64(master.next_u64());
                 let mut comp: Box<dyn Compressor> = s.build();
-                allreduce(alg, &t, g, comp.as_mut(), &mut lrng)
+                allreduce_scratch(alg, &t, g, comp.as_mut(), &mut lrng, &ScratchPool::new())
                     .expect("allreduce")
                     .0
             })

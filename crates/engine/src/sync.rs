@@ -14,7 +14,7 @@
 use crate::nn::ParamSpec;
 use crate::trainer::{RankOutput, TrainConfig, TrainableModel};
 use cgx_adaptive::{AdaptiveController, AdaptiveTrainConfig, ControlledLayer};
-use cgx_collectives::hierarchy::allreduce_hierarchical;
+use cgx_collectives::hierarchy::{fan_down, gather_up, receive_down};
 use cgx_collectives::membership::agree;
 use cgx_collectives::reduce::{Algorithm, AllreduceStats};
 use cgx_collectives::{
@@ -108,12 +108,14 @@ fn publish_replan(obs: &ObsHandle, up: &cgx_adaptive::PlanUpdate) {
 }
 
 /// One engine round over `view`: every tensor moved into the engine up
-/// front, redeemed in submit order and put back as its mean over the
-/// view's world — in the buffer it came in, the engine reduces in place.
-/// The engine overlaps all in-flight reductions and coalesces small
-/// lossless layers. On error every handle is still drained (later waits
-/// fail fast on the poison) so nothing stays in flight; `tensors` then
-/// holds only the layers that completed, and the rest, like the
+/// front, redeemed in submit order, put back as its sum over the view's
+/// world times `scale` — in the buffer it came in, the engine reduces in
+/// place — and shown to `redeemed` (a leader's fan-out under a topology;
+/// it returns the bytes it sent) while the later layers are still in
+/// flight. The engine overlaps all in-flight reductions and coalesces
+/// small lossless layers. On error every handle is still drained (later
+/// waits fail fast on the poison) so nothing stays in flight; `tensors`
+/// then holds only the layers that completed, and the rest, like the
 /// compressors the poisoned engine kept, are gone: both callers discard
 /// the round.
 #[allow(clippy::too_many_arguments)]
@@ -123,12 +125,13 @@ fn engine_mean(
     opts: EngineOptions,
     obs: &ObsHandle,
     algorithm: Algorithm,
+    scale: f32,
     tensors: &mut Vec<Tensor>,
     compressors: &mut Compressors,
     rng: &mut Rng,
     traffic: &mut AllreduceStats,
+    mut redeemed: impl FnMut(&Tensor) -> Result<usize, CommError>,
 ) -> Result<(), CommError> {
-    let inv_world = 1.0 / view.world() as f32;
     let mut eng = CommEngine::new(view, pool.clone(), opts).with_obs(obs.clone());
     let handles: Vec<_> = tensors
         .drain(..)
@@ -137,13 +140,16 @@ fn engine_mean(
         .collect();
     let mut first_err = None;
     for h in handles {
-        match eng.wait(h) {
-            Ok((mut mean, stats, lent)) => {
-                compressors.push(lent);
-                mean.scale(inv_world);
-                tensors.push(mean);
-                traffic.merge(&stats);
-            }
+        let sent = eng.wait(h).and_then(|(mut mean, stats, lent)| {
+            compressors.push(lent);
+            mean.scale(scale);
+            traffic.merge(&stats);
+            let sent = redeemed(&mean);
+            tensors.push(mean);
+            sent
+        });
+        match sent {
+            Ok(sent) => traffic.bytes_sent += sent,
             Err(e) => first_err = first_err.or(Some(e)),
         }
     }
@@ -221,42 +227,41 @@ impl<'a> RankSync<'a> {
     }
 
     /// Replaces every tensor by its mean over the live membership, layer
-    /// `i` through compressor `i`. How is chosen from the cluster
-    /// description: the flat world reduces all layers at once through the
-    /// engine; a [`TrainConfig::topology`] reduces each through
-    /// [`allreduce_hierarchical`] — raw intra-node staging around a
-    /// compressed leader exchange — drawing from the compression stream
-    /// once per layer as the engine does, so seeds stay comparable.
+    /// `i` through compressor `i`: one engine round, all layers in flight
+    /// at once. Under a [`TrainConfig::topology`] the round is the node
+    /// leaders' and two raw intra-node hops stage it — members ship every
+    /// layer up and take every mean back down, leaders sum their node
+    /// first and fan each mean out as the engine redeems it. A flat world
+    /// is the case with no hops and everyone in the exchange.
     ///
     /// # Errors
     ///
-    /// The first collective failure; `tensors` is then partly reduced
-    /// and, on the engine path, short of the layers that did not complete.
+    /// The first failure of a hop or a collective; `tensors` is then partly
+    /// reduced and, on a rank in the exchange, short of the layers that did
+    /// not complete.
     pub(crate) fn reduce_mean(&mut self, tensors: &mut Vec<Tensor>) -> Result<(), CommError> {
-        let view = MembershipView::new(self.t, &self.membership);
-        let Some(topo) = &self.cfg.topology else {
-            return engine_mean(
-                &view,
-                self.pool,
-                self.engine_opts(),
-                &self.obs,
-                self.cfg.algorithm,
-                tensors,
-                &mut self.compressors,
-                &mut self.comp_rng,
-                &mut self.traffic,
-            );
-        };
-        let inv_world = 1.0 / view.world() as f32;
-        for (g, comp) in tensors.iter_mut().zip(&mut self.compressors) {
-            let mut layer_rng = Rng::seed_from_u64(self.comp_rng.next_u64());
-            let (mut mean, stats) =
-                allreduce_hierarchical(&view, topo, g, comp.as_mut(), &mut layer_rng, self.pool)?;
-            mean.scale(inv_world);
-            *g = mean;
-            self.traffic.merge(&stats);
+        let (t, topo) = (self.t, self.cfg.topology.as_ref());
+        let mut leaders = None;
+        if let Some(topo) = topo {
+            self.traffic.bytes_sent += gather_up(t, topo, tensors)?;
+            if !topo.is_leader(t.rank()) {
+                return receive_down(t, topo, tensors);
+            }
+            leaders = Some(Membership::of_ranks(t.world(), &topo.leaders()));
         }
-        Ok(())
+        engine_mean(
+            &MembershipView::new(t, leaders.as_ref().unwrap_or(&self.membership)),
+            self.pool,
+            self.engine_opts(),
+            &self.obs,
+            topo.map_or(self.cfg.algorithm, |_| Algorithm::ScatterReduceAllgather),
+            1.0 / self.membership.num_alive() as f32,
+            tensors,
+            &mut self.compressors,
+            &mut self.comp_rng,
+            &mut self.traffic,
+            |mean| topo.map_or(Ok(0), |topo| fan_down(t, topo, mean)),
+        )
     }
 
     /// Shrink and continue after a failed [`reduce_mean`](Self::reduce_mean):
@@ -307,10 +312,12 @@ impl<'a> RankSync<'a> {
             self.engine_opts(),
             &self.obs,
             Algorithm::ScatterReduceAllgather,
+            1.0 / self.membership.num_alive() as f32,
             &mut synced,
             &mut build_compressors(&vec![CompressionScheme::None; params.len()]),
             &mut Rng::seed_from_u64(self.membership.epoch() as u64),
             &mut AllreduceStats::default(),
+            |_| Ok(0),
         )?;
         for (p, mean) in params.iter_mut().zip(synced) {
             *p = mean;
@@ -382,13 +389,46 @@ impl<'a> RankSync<'a> {
 
 #[cfg(test)]
 mod tests {
+    use super::RankSync;
     use crate::data::GaussianMixture;
     use crate::nn::Mlp;
     use crate::trainer::{train_rank, LayerCompression, TrainConfig};
-    use cgx_collectives::ShmFabric;
+    use cgx_collectives::{ShmFabric, ThreadCluster, Topology};
     use cgx_compress::ScratchPool;
     use cgx_tensor::Rng;
     use std::time::Duration;
+
+    /// Under a topology the leaders' exchange is an engine round like the
+    /// flat world's: the four layers of the MLP are in flight together and
+    /// its two lossless bias layers travel as one coalesced collective —
+    /// three two-leader SRAs of two compress calls each, where one
+    /// collective per layer makes eight. Members run no collective at all.
+    #[test]
+    fn a_leaders_round_under_a_topology_overlaps_and_coalesces() {
+        let model = Mlp::new(&mut Rng::seed_from_u64(33), &[8, 16, 4]);
+        let topo = Topology::grouped(2, 2);
+        let cfg = TrainConfig {
+            compression: LayerCompression::cgx_default(),
+            topology: Some(topo.clone()),
+            ..TrainConfig::new(4, 1)
+        };
+        let pool = ScratchPool::new();
+        let traffic = ThreadCluster::run(4, |t| {
+            let mut sync = RankSync::new(&t, &model, &cfg, &pool).expect("valid config");
+            let mut grads = model.params().to_vec();
+            sync.reduce_mean(&mut grads).expect("fault-free round");
+            sync.traffic
+        })
+        .unwrap();
+        for (rank, stats) in traffic.iter().enumerate() {
+            if topo.is_leader(rank) {
+                assert!(stats.max_in_flight > 1, "leader {rank} ran layer by layer");
+                assert_eq!(stats.compress_calls, 3 * 2, "leader {rank}");
+            } else {
+                assert_eq!((stats.max_in_flight, stats.compress_calls), (0, 0));
+            }
+        }
+    }
 
     /// The second loss of a run is reported through a shrunken view: the
     /// fabric says physical rank 3 disconnected, which the view over

@@ -248,8 +248,9 @@ pub struct TrainConfig {
     /// under [`train_rank`], the local one under
     /// [`local_sgd_rank`](crate::local_sgd_rank).
     pub clip: Option<f64>,
-    /// Reduction algorithm of the flat (no [`TrainConfig::topology`])
-    /// world.
+    /// Reduction algorithm of the round's engine exchange in the flat (no
+    /// [`TrainConfig::topology`]) world; SRA and Ring run as pipelined
+    /// machines, Tree and Allgather eagerly at submit.
     pub algorithm: Algorithm,
     /// Per-layer compression policy.
     pub compression: LayerCompression,
@@ -280,12 +281,14 @@ pub struct TrainConfig {
     /// which a silent peer is declared lost. `None` keeps the fabric
     /// default; chaos tests set it low so recovery is prompt.
     pub comm_timeout: Option<Duration>,
-    /// Node layout for hierarchical reduction. When set, every layer
-    /// reduces through `allreduce_hierarchical` — raw intra-node staging
-    /// around a compressed inter-node leader exchange — instead of the
-    /// flat collective, ignoring `algorithm`. Must describe exactly the
-    /// fabric's world; incompatible with `elastic` (the hierarchy has no
-    /// membership path). `None` (the default) keeps the flat collective.
+    /// Node layout for hierarchical reduction. When set, the round's one
+    /// engine exchange runs between the node leaders only (always SRA,
+    /// ignoring `algorithm`), staged by two raw intra-node hops: members
+    /// ship every layer to their leader and take every mean back, and
+    /// never compress. Must describe exactly the fabric's world;
+    /// incompatible with `elastic` (the hops have no membership path).
+    /// `None` (the default) is the flat world: no hops, every rank in the
+    /// exchange — as is a topology of one rank per node, to the byte.
     pub topology: Option<Topology>,
     /// Observability: when enabled, every worker's transport and engine
     /// publish counters into the handle's shared registry (snapshotted

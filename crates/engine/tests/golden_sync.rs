@@ -81,6 +81,16 @@ const GOLDEN: &[Golden] = &[
         params: 0x1B46_4B38_ABE8_5909,
         plan: None,
     },
+    // Every rank its own node: no member, so no hop, and every rank in the
+    // leader exchange — the flat world, to the flat row's digest.
+    Golden {
+        name: "data-parallel Topology::new([0, 1, 2, 3])",
+        trainer: Trainer::DataParallel,
+        steps: 30,
+        tweak: |cfg| cfg.topology = Some(Topology::new(vec![0, 1, 2, 3])),
+        params: 0x4945_82B3_09BA_AAB9,
+        plan: None,
+    },
     Golden {
         name: "data-parallel elastic, rank 2 killed at step 12",
         trainer: Trainer::DataParallel,

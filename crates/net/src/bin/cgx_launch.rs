@@ -25,11 +25,12 @@
 //! cgx-launch --world 4 --out-dir /tmp/cgx --kill 2@20 --sigkill --comm-timeout-ms 2000
 //! ```
 
+use cgx_collectives::CommError;
 use cgx_net::cluster::{ProcessCluster, WorkerEnv};
 use cgx_net::fault::{ENV_NET_KILL, ENV_NET_SIGKILL};
 use cgx_net::rendezvous::{rendezvous_with_options, DEFAULT_BOOT_TIMEOUT};
 use cgx_net::workload::{
-    RunOptions, Workload, ENV_ADAPTIVE, ENV_ADAPTIVE_ALPHA, ENV_ADAPTIVE_INTERVAL,
+    read, RunOptions, Workload, ENV_ADAPTIVE, ENV_ADAPTIVE_ALPHA, ENV_ADAPTIVE_INTERVAL,
     ENV_ADAPTIVE_WARMUP, ENV_COMM_TIMEOUT_MS, ENV_ELASTIC,
 };
 use cgx_net::{NetFaultPlan, NetOptions};
@@ -40,17 +41,14 @@ const ENV_OUT_DIR: &str = "CGX_OUT_DIR";
 const ENV_STEPS: &str = "CGX_STEPS";
 const ENV_SEED: &str = "CGX_SEED";
 
-fn workload(world: usize) -> Result<Workload, String> {
+fn workload(world: usize) -> Result<Workload, CommError> {
+    let get = |key: &str| std::env::var(key).ok();
     let mut w = Workload::standard(world);
-    if let Ok(s) = std::env::var(ENV_STEPS) {
-        w.steps = s
-            .parse()
-            .map_err(|_| format!("{ENV_STEPS} must be a step count, got {s:?}"))?;
+    if let Some(steps) = read(&get, ENV_STEPS, "a step count", |v| v.parse().ok())? {
+        w.steps = steps;
     }
-    if let Ok(s) = std::env::var(ENV_SEED) {
-        w.seed = s
-            .parse()
-            .map_err(|_| format!("{ENV_SEED} must be a u64, got {s:?}"))?;
+    if let Some(seed) = read(&get, ENV_SEED, "a u64", |v| v.parse().ok())? {
+        w.seed = seed;
     }
     Ok(w)
 }
@@ -64,8 +62,8 @@ fn report_file(dir: &Path, rank: usize) -> PathBuf {
 }
 
 fn run_worker(env: WorkerEnv) -> Result<(), String> {
-    let work = workload(env.world).map_err(|e| format!("rank {}: {e}", env.rank))?;
     let bad_env = |e| format!("rank {}: {e}", env.rank);
+    let work = workload(env.world).map_err(bad_env)?;
     let opts = RunOptions::from_env().map_err(bad_env)?;
     let net = NetOptions::from_env().map_err(bad_env)?;
     let fault = NetFaultPlan::from_env().map_err(bad_env)?;

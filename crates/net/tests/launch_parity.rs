@@ -105,3 +105,25 @@ fn hierarchical_process_run_matches_the_shm_reference_byte_for_byte() {
         "hierarchical TCP replicas differ from the thread-backed reference"
     );
 }
+
+/// `CGX_STEPS` and `CGX_SEED` go through the one `CGX_*` reader: a value
+/// that does not parse fails the worker before it opens a socket, with
+/// the variable's name and the value on stderr — never a default.
+#[test]
+fn a_malformed_step_count_or_seed_fails_the_worker_naming_the_variable() {
+    for (key, value) in [("CGX_STEPS", "2O"), ("CGX_SEED", "-1")] {
+        let out = std::process::Command::new(launch_bin())
+            .env("CGX_RANK", "0")
+            .env("CGX_WORLD", "1")
+            .env("CGX_RENDEZVOUS", "127.0.0.1:1")
+            .env(key, value)
+            .output()
+            .expect("cgx-launch runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{key}={value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{key} must be")) && stderr.contains(value),
+            "{key}={value}: {stderr}"
+        );
+    }
+}

@@ -4,7 +4,7 @@
 //! stash-beats-disconnect, quiesce: one contract, two fabrics.
 
 use cgx_collectives::conformance::{self, BoxTransport};
-use cgx_collectives::reduce::{allreduce_sra, Algorithm};
+use cgx_collectives::reduce::Algorithm;
 use cgx_collectives::{CommEngine, Transport};
 use cgx_compress::{CompressionScheme, Encoded, NoneCompressor, ScratchPool};
 use cgx_net::wire::frame_wire_bytes;
@@ -151,7 +151,13 @@ fn four_bit_qsgd_cuts_socket_bytes_sixfold() {
                             Tensor::randn(&mut Rng::seed_from_u64(7 + t.rank() as u64), &[1 << 16]);
                         let mut rng = Rng::seed_from_u64(11 + t.rank() as u64);
                         let before = t.wire_bytes_sent();
-                        allreduce_sra(&t, &grad, scheme.build().as_mut(), &mut rng)
+                        CommEngine::with_defaults(&t, ScratchPool::new())
+                            .allreduce(
+                                Algorithm::ScatterReduceAllgather,
+                                &grad,
+                                scheme.build(),
+                                &mut rng,
+                            )
                             .expect("allreduce");
                         t.wire_bytes_sent() - before
                     })

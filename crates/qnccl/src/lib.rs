@@ -46,8 +46,8 @@
 //! assert_eq!(results[0][1].shape().dims(), &[40, 5]);
 //! ```
 
-use cgx_collectives::reduce::{allreduce_ring_scratch, AllreduceStats};
-use cgx_collectives::{CommError, Transport};
+use cgx_collectives::reduce::{Algorithm, AllreduceStats};
+use cgx_collectives::{CommEngine, CommError, Transport};
 use cgx_compress::{QsgdCompressor, ScratchPool};
 use cgx_tensor::{Rng, Shape, Tensor};
 
@@ -135,8 +135,9 @@ impl FusedBuffer {
 /// The QNCCL collective: a chunked ring Allreduce whose every transfer is
 /// uniformly quantized, oblivious to the layer structure inside the buffer.
 ///
-/// The ring owns its quantizer and a scratch pool, so repeated calls reuse
-/// encode buffers instead of allocating per step.
+/// It runs as the one ring the stack has, a [`CommEngine`] collective
+/// under [`Algorithm::Ring`], and owns a scratch pool, so repeated calls
+/// reuse encode buffers instead of allocating per step.
 #[derive(Debug, Clone)]
 pub struct QncclRing {
     bits: u32,
@@ -188,6 +189,8 @@ impl QncclRing {
     }
 
     /// Like [`QncclRing::allreduce`], also returning traffic statistics.
+    /// Draws one `next_u64` from `rng`, which seeds the collective's own
+    /// stream.
     ///
     /// # Errors
     ///
@@ -198,8 +201,9 @@ impl QncclRing {
         fused: &FusedBuffer,
         rng: &mut Rng,
     ) -> Result<(FusedBuffer, AllreduceStats), CommError> {
-        let (mut sum, stats) =
-            allreduce_ring_scratch(t, fused.flat(), &mut self.comp, rng, &self.pool)?;
+        let mut eng = CommEngine::with_defaults(t, self.pool.clone());
+        let comp = Box::new(self.comp.clone());
+        let (mut sum, stats, _) = eng.allreduce(Algorithm::Ring, fused.flat(), comp, rng)?;
         sum.scale(1.0 / t.world() as f32);
         Ok((fused.with_flat(sum), stats))
     }

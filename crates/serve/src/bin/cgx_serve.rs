@@ -5,13 +5,15 @@
 //! local-SGD tenants through the job API, trains them all to completion
 //! over the shared fabric, and prints a per-job byte/fairness summary.
 //!
-//! Knobs (all environment variables, all optional):
+//! Knobs (all environment variables, all optional; a value that does not
+//! parse ends the process with status 1 and a message naming the
+//! variable, as every `CGX_*` parser does):
 //!
 //! | knob                | default | meaning                              |
 //! |---------------------|---------|--------------------------------------|
 //! | `CGX_SERVE_FABRIC`  | `tcp`   | physical mesh: `tcp` or `shm`        |
 //! | `CGX_SERVE_WORLD`   | `2`     | ranks in the mesh (one daemon each)  |
-//! | `CGX_SERVE_JOBS`    | `8`     | concurrent tenant jobs               |
+//! | `CGX_SERVE_JOBS`    | `8`     | concurrent tenant jobs, 1 to 253     |
 //! | `CGX_SERVE_STEPS`   | `8`     | local-SGD steps per job              |
 //! | `CGX_SERVE_PERIOD`  | `4`     | steps between synchronisations       |
 //!
@@ -19,9 +21,10 @@
 //! `CGX_SERVE_QUANTUM`, `CGX_SERVE_PARK_US`, `CGX_SERVE_DRAIN_MS`) are
 //! read by [`ServeConfig::from_env`].
 
-use cgx_collectives::{ShmFabric, Transport};
+use cgx_collectives::{CommError, ShmFabric, Transport};
 use cgx_compress::ScratchPool;
 use cgx_engine::{local_sgd_rank, GaussianMixture, Mlp, TrainConfig};
+use cgx_net::workload::read;
 use cgx_net::TcpFabric;
 use cgx_obs::MetricsRegistry;
 use cgx_serve::{jain_index, JobSpec, ServeConfig, ServeNode};
@@ -29,29 +32,42 @@ use cgx_tensor::Rng;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The demo's own knobs (the table above): fabric, world, jobs, steps,
+/// period.
+fn knobs() -> Result<(&'static str, usize, u8, usize, usize), CommError> {
+    let get = |key: &str| std::env::var(key).ok();
+    let count = |key, default| {
+        read(&get, key, "a positive integer", |v| {
+            v.parse::<usize>().ok().filter(|&n| n > 0)
+        })
+        .map(|v| v.unwrap_or(default))
+    };
+    let fabric = read(&get, "CGX_SERVE_FABRIC", "`tcp` or `shm`", |v| {
+        ["tcp", "shm"].into_iter().find(|&f| f == v)
+    })?;
+    let jobs = read(&get, "CGX_SERVE_JOBS", "a job count from 1 to 253", |v| {
+        v.parse::<u8>().ok().filter(|j| (1..=0xFD).contains(j))
+    })?;
+    Ok((
+        fabric.unwrap_or("tcp"),
+        count("CGX_SERVE_WORLD", 2)?,
+        jobs.unwrap_or(8),
+        count("CGX_SERVE_STEPS", 8)?,
+        count("CGX_SERVE_PERIOD", 4)?,
+    ))
 }
 
 fn main() {
-    let fabric = std::env::var("CGX_SERVE_FABRIC").unwrap_or_else(|_| "tcp".into());
-    let world = env_usize("CGX_SERVE_WORLD", 2).max(1);
-    let jobs = env_usize("CGX_SERVE_JOBS", 8).clamp(1, 0xFD) as u8;
-    let steps = env_usize("CGX_SERVE_STEPS", 8).max(1);
-    let period = env_usize("CGX_SERVE_PERIOD", 4).max(1);
-
     let registry = MetricsRegistry::new();
-    let cfg = match ServeConfig::from_env() {
-        Ok(cfg) => cfg.with_obs(&registry),
+    let parsed = knobs().and_then(|demo| Ok((demo, ServeConfig::from_env()?)));
+    let ((fabric, world, jobs, steps, period), cfg) = match parsed {
+        Ok((demo, cfg)) => (demo, cfg.with_obs(&registry)),
         Err(e) => {
             eprintln!("cgx-serve: {e}");
             std::process::exit(1);
         }
     };
-    let phys: Vec<Box<dyn Transport + Send + Sync>> = match fabric.as_str() {
+    let phys: Vec<Box<dyn Transport + Send + Sync>> = match fabric {
         "shm" => ShmFabric::build(world)
             .into_iter()
             .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)

@@ -356,3 +356,31 @@ fn concurrent_tenant_threads_keep_fifo_and_lose_nothing() {
         }
     });
 }
+
+/// The `cgx-serve` demo reads its five knobs through the one `CGX_*`
+/// reader: a fabric that is neither `tcp` nor `shm` used to build a TCP
+/// mesh and a count that does not parse used to fall back to its default;
+/// each now ends the process with status 1, the variable's name and the
+/// value on stderr, before any daemon is up.
+#[test]
+fn the_demo_binary_names_a_malformed_knob_and_exits_nonzero() {
+    for (key, value) in [
+        ("CGX_SERVE_FABRIC", "shmm"),
+        ("CGX_SERVE_WORLD", "abc"),
+        ("CGX_SERVE_JOBS", "254"),
+        ("CGX_SERVE_STEPS", "0"),
+        ("CGX_SERVE_PERIOD", "4s"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cgx-serve"))
+            .env(key, value)
+            .output()
+            .expect("cgx-serve runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{key}={value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{key} must be")) && stderr.contains(value),
+            "{key}={value}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{key}={value} still ran the demo");
+    }
+}

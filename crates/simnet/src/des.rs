@@ -1093,8 +1093,8 @@ pub fn build_tree(g: &mut OpGraph, ranks: usize) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Builds the node-aware hierarchical allreduce of
-/// `cgx_collectives::allreduce_hierarchical` into `g`: members stage
+/// Builds the node-aware hierarchical reduction of
+/// `cgx_collectives::hierarchy` into `g`: members stage
 /// raw gradients (`frac = 1`) to their node leader, leaders run a
 /// scatter-reduce-allgather among themselves with per-chunk
 /// `inter_frac / nodes` payload (`inter_frac` is the compressed-wire

@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cgx::collectives::{reduce, ThreadCluster};
-use cgx::compress::{Compressor, QsgdCompressor};
+use cgx::collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
+use cgx::compress::{Compressor, QsgdCompressor, ScratchPool};
 use cgx::core::estimate::{estimate, SystemSetup};
 use cgx::models::ModelId;
 use cgx::simnet::MachineSpec;
@@ -32,14 +32,17 @@ fn main() {
     );
 
     // 2. Run a real compressed Allreduce across 8 worker threads ("GPUs")
-    //    using Scatter-Reduce-Allgather, CGX's reduction scheme.
+    //    through the communication engine, using Scatter-Reduce-Allgather,
+    //    CGX's reduction scheme.
     let world = 8;
     let results = ThreadCluster::run(world, |t| {
         let mut rng = Rng::seed_from_u64(1000 + t.rank() as u64);
         let local_grad = Tensor::randn(&mut rng, &[65_536]);
-        let mut comp = QsgdCompressor::new(4, 128);
-        let (sum, stats) =
-            reduce::allreduce_sra(&t, &local_grad, &mut comp, &mut rng).expect("allreduce");
+        let comp = Box::new(QsgdCompressor::new(4, 128));
+        let sra = Algorithm::ScatterReduceAllgather;
+        let (sum, stats, _) = CommEngine::with_defaults(&t, ScratchPool::new())
+            .allreduce(sra, &local_grad, comp, &mut rng)
+            .expect("allreduce");
         (sum, stats.bytes_sent)
     })
     .expect("cluster");

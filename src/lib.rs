@@ -12,8 +12,9 @@
 //! * [`tensor`] — dense tensors, deterministic RNG, math kernels;
 //! * [`compress`] — QSGD / TopK / PowerSGD / 1-bit compressors with
 //!   bit-exact wire formats;
-//! * [`collectives`] — real threaded shared-memory collectives (SRA, Ring,
-//!   Tree, Allgather) carrying compressed payloads;
+//! * [`collectives`] — real threaded shared-memory collectives carrying
+//!   compressed payloads: one communication engine (SRA, Ring, Tree,
+//!   Allgather) and its sequential reference;
 //! * [`models`] — the six evaluation models' layer inventories and
 //!   synthetic gradient sources;
 //! * [`engine`] — an NN training substrate with compressed data-parallel
@@ -61,8 +62,8 @@
 /// ```
 pub mod prelude {
     pub use cgx_adaptive::{assign_bits, AdaptiveOptions, AdaptivePolicy, LayerProfile};
-    pub use cgx_collectives::{reduce::allreduce, reduce::Algorithm, ThreadCluster};
-    pub use cgx_compress::{CompressionScheme, Compressor, QsgdCompressor};
+    pub use cgx_collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
+    pub use cgx_compress::{CompressionScheme, Compressor, QsgdCompressor, ScratchPool};
     pub use cgx_core::api::{Cgx, CgxBuilder};
     pub use cgx_core::estimate::{estimate, SystemSetup};
     pub use cgx_engine::{train_data_parallel, LayerCompression, TrainConfig};

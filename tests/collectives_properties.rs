@@ -1,12 +1,27 @@
-//! Property-based tests over the threaded collectives: for arbitrary world
+//! Property-based tests over the threaded collectives, run as production
+//! code runs them — through the communication engine: for arbitrary world
 //! sizes and tensor lengths, every algorithm computes the exact sum under a
 //! lossless codec, reaches bit-exact consensus under quantization, and
 //! matches its analytic traffic accounting.
 
-use cgx::collectives::reduce::{allreduce, chunk_ranges, Algorithm};
-use cgx::collectives::ThreadCluster;
-use cgx::compress::{NoneCompressor, QsgdCompressor};
+use cgx::collectives::reduce::{chunk_ranges, Algorithm, AllreduceStats};
+use cgx::collectives::{CommEngine, ThreadCluster, Transport};
+use cgx::compress::{Compressor, NoneCompressor, QsgdCompressor, ScratchPool};
 use cgx::tensor::{cases, Rng, Tensor};
+
+/// One collective on an engine of its own: the sum and the stats.
+fn allreduce(
+    alg: Algorithm,
+    t: &dyn Transport,
+    grad: &Tensor,
+    comp: impl Compressor + 'static,
+    rng: &mut Rng,
+) -> (Tensor, AllreduceStats) {
+    let (sum, stats, _) = CommEngine::with_defaults(t, ScratchPool::new())
+        .allreduce(alg, grad, Box::new(comp), rng)
+        .unwrap();
+    (sum, stats)
+}
 
 #[test]
 fn lossless_allreduce_is_exact_sum() {
@@ -16,8 +31,7 @@ fn lossless_allreduce_is_exact_sum() {
         let results = ThreadCluster::run(world, |t| {
             let mut rng = Rng::seed_from_u64(seed * 100 + t.rank() as u64);
             let grad = Tensor::rand_uniform(&mut rng, &[len], -4.0, 4.0);
-            let mut c = NoneCompressor::new();
-            let (out, _) = allreduce(alg, &t, &grad, &mut c, &mut rng).unwrap();
+            let (out, _) = allreduce(alg, &t, &grad, NoneCompressor::new(), &mut rng);
             (grad, out)
         })
         .unwrap();
@@ -43,8 +57,7 @@ fn quantized_allreduce_reaches_bitwise_consensus() {
         let results = ThreadCluster::run(world, |t| {
             let mut rng = Rng::seed_from_u64(seed * 37 + t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[len]);
-            let mut c = QsgdCompressor::new(4, 64);
-            allreduce(alg, &t, &grad, &mut c, &mut rng).unwrap().0
+            allreduce(alg, &t, &grad, QsgdCompressor::new(4, 64), &mut rng).0
         })
         .unwrap();
         for out in &results[1..] {
@@ -82,16 +95,8 @@ fn sra_traffic_matches_closed_form() {
         let stats = ThreadCluster::run(world, |t| {
             let mut rng = Rng::seed_from_u64(t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[len]);
-            let mut c = NoneCompressor::new();
-            allreduce(
-                Algorithm::ScatterReduceAllgather,
-                &t,
-                &grad,
-                &mut c,
-                &mut rng,
-            )
-            .unwrap()
-            .1
+            let sra = Algorithm::ScatterReduceAllgather;
+            allreduce(sra, &t, &grad, NoneCompressor::new(), &mut rng).1
         })
         .unwrap();
         for s in &stats {
@@ -114,15 +119,8 @@ fn mean_of_quantized_allreduce_tracks_true_mean() {
             // Same gradient per rank each rep (deterministic from seed).
             let mut base_rng = Rng::seed_from_u64(777 + t.rank() as u64);
             let grad = Tensor::randn(&mut base_rng, &[len]);
-            let mut c = QsgdCompressor::new(4, 64);
-            let (out, _) = allreduce(
-                Algorithm::ScatterReduceAllgather,
-                &t,
-                &grad,
-                &mut c,
-                &mut rng,
-            )
-            .unwrap();
+            let sra = Algorithm::ScatterReduceAllgather;
+            let (out, _) = allreduce(sra, &t, &grad, QsgdCompressor::new(4, 64), &mut rng);
             (grad, out)
         })
         .unwrap();
