@@ -139,7 +139,8 @@ impl NuqsgdCompressor {
                 (if code & 1 == 1 { -mag } else { mag }) as f32
             })
         };
-        if simd::lut_decode::<ADD>(self.bits, enc.payload(), self.bucket_size, table_of, out) {
+        let (route, payload) = (simd::Route::widest(), enc.payload());
+        if simd::lut_decode::<ADD>(route, self.bits, payload, self.bucket_size, table_of, out) {
             return;
         }
         if ADD {
@@ -195,8 +196,8 @@ impl Compressor for NuqsgdCompressor {
     }
 
     fn decompress(&self, enc: &Encoded) -> Tensor {
-        let mut out = Vec::with_capacity(enc.shape().len());
-        self.decode_with(enc, |_, v| out.push(v));
+        let mut out = vec![0.0; enc.shape().len()];
+        self.decode::<false>(enc, &mut out);
         Tensor::from_vec(enc.shape().dims(), out)
     }
 

@@ -9,7 +9,7 @@
 //! The paper's accuracy baseline is 4 bits with bucket size 128 (Transformers)
 //! or 1024 (CNNs).
 
-use crate::simd::{self, BucketQuantizer};
+use crate::simd::{self, BucketQuantizer, Route};
 use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
 use cgx_tensor::rng::CounterRng;
 use cgx_tensor::{Rng, Shape, Tensor};
@@ -44,6 +44,8 @@ pub struct QsgdCompressor {
     bits: u32,
     bucket_size: usize,
     norm: NormKind,
+    /// The widest kernel bodies this CPU runs, asked once.
+    route: Route,
     /// One byte per code of a bucket that does not start and end on a
     /// byte of the stream; reused across calls so steady-state
     /// compression allocates nothing.
@@ -77,6 +79,7 @@ impl QsgdCompressor {
             bits,
             bucket_size,
             norm,
+            route: Route::widest(),
             codes: Vec::new(),
         }
     }
@@ -104,7 +107,7 @@ impl QsgdCompressor {
                 .map(|x| (*x as f64).powi(2))
                 .sum::<f64>()
                 .sqrt() as f32,
-            NormKind::Max => simd::max_abs(bucket),
+            NormKind::Max => simd::max_abs(self.route, bucket),
         }
     }
 
@@ -121,7 +124,7 @@ impl QsgdCompressor {
     /// the bit writer.
     fn encode_into(&mut self, data: &[f32], rng: &mut Rng, w: &mut BitWriter) {
         let stream = CounterRng::new(rng.next_u64());
-        let bits = self.bits;
+        let (bits, route) = (self.bits, self.route);
         for (b, bucket) in data.chunks(self.bucket_size).enumerate() {
             let norm = self.bucket_norm(bucket);
             w.write_f32(norm);
@@ -133,10 +136,10 @@ impl QsgdCompressor {
                 None
             };
             if let Some(out) = packed {
-                simd::quantize_pack(bucket, &q, bits, out);
+                simd::quantize_pack(route, bucket, &q, bits, out);
             } else {
                 self.codes.resize(bucket.len(), 0);
-                simd::quantize_pack(bucket, &q, 8, &mut self.codes);
+                simd::quantize_pack(route, bucket, &q, 8, &mut self.codes);
                 for &code in &self.codes {
                     w.write_bits(code as u32, bits);
                 }
@@ -161,7 +164,8 @@ impl QsgdCompressor {
         let table_of = |norm: f32| {
             std::array::from_fn(|c| (norm as f64 * (c as i64 - offset) as f64 / s) as f32)
         };
-        if simd::lut_decode::<ADD>(self.bits, enc.payload(), self.bucket_size, table_of, out) {
+        let (route, payload) = (self.route, enc.payload());
+        if simd::lut_decode::<ADD>(route, self.bits, payload, self.bucket_size, table_of, out) {
             return;
         }
         if ADD {
@@ -243,8 +247,8 @@ impl Compressor for QsgdCompressor {
     }
 
     fn decompress(&self, enc: &Encoded) -> Tensor {
-        let mut out = Vec::with_capacity(enc.shape().len());
-        self.decode_with(enc, |_, v| out.push(v));
+        let mut out = vec![0.0; enc.shape().len()];
+        self.decode::<false>(enc, &mut out);
         Tensor::from_vec(enc.shape().dims(), out)
     }
 
@@ -689,7 +693,20 @@ pub(crate) mod tests {
         // codes for the bit writer — the scratch only that route fills is
         // never allocated — and up to 4 bits the table kernel says it
         // took the decode. A plan that leaves these layouts pays 3-6x
-        // per element, which no other test would notice.
+        // per element, which no other test would notice. Nor would one
+        // notice the kernels running narrower than the machine: the
+        // route every call below takes is the widest the CPU reports.
+        if let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") {
+            let flags = cpuinfo.lines().find(|line| line.starts_with("flags"));
+            let has = |flag| flags.is_some_and(|line| line.split(' ').any(|f| f == flag));
+            let lanes = match (has("avx2"), has("avx512f") && has("bmi2")) {
+                (true, true) => 16,
+                (true, false) => 8,
+                (false, _) => 1,
+            };
+            let route = QsgdCompressor::new(4, 128).route;
+            assert_eq!(route.lanes(), lanes, "{route:?} is not this CPU's widest");
+        }
         let mut rng = Rng::seed_from_u64(53);
         for bits in 2..=8u32 {
             let whole = |bucket_size: &usize| (bucket_size * bits as usize).is_multiple_of(8);
@@ -704,8 +721,14 @@ pub(crate) mod tests {
                 // NUQSGD decodes through the same call.
                 let mut out = vec![0.0f32; n];
                 let (payload, table_of) = (enc.payload(), |_| [0.0; 16]);
-                let taken =
-                    simd::lut_decode::<true>(bits, payload, bucket_size, table_of, &mut out);
+                let taken = simd::lut_decode::<true>(
+                    q.route,
+                    bits,
+                    payload,
+                    bucket_size,
+                    table_of,
+                    &mut out,
+                );
                 assert_eq!(taken, bits <= 4, "{what}: decode");
             }
         }

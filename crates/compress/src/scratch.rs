@@ -165,12 +165,18 @@ impl ScratchPool {
     /// `pool.idle_bufs`, `pool.idle_f32s`). Gauges are last-write-wins, so
     /// call this at a quiescent point (end of step / end of run); a steady
     /// `pool.allocations` across snapshots is the zero-alloc invariant the
-    /// kernel tests assert, now visible in every metrics export.
+    /// kernel tests assert, now visible in every metrics export. Beside
+    /// them goes `compress.kernel_lanes`, the vector width of the
+    /// quantizer kernels on this process's CPU (16, 8 or 1): the first
+    /// thing to compare when one rank of a mixed fleet encodes slower
+    /// than another.
     pub fn publish(&self, registry: &cgx_obs::MetricsRegistry) {
         registry.gauge("pool.allocations").set(self.allocations());
         registry.gauge("pool.reuses").set(self.reuses());
         registry.gauge("pool.idle_bufs").set(self.idle_bufs() as u64);
         registry.gauge("pool.idle_f32s").set(self.idle_f32s() as u64);
+        let lanes = crate::simd::Route::widest().lanes();
+        registry.gauge("compress.kernel_lanes").set(lanes);
     }
 }
 
@@ -239,6 +245,19 @@ mod tests {
         let body = Bytes::from(vec![0xC6, 0xFA, 7, 7]).slice(2..);
         pool.recycle(Encoded::new(Shape::vector(1), body));
         assert_eq!(pool.idle_bufs(), 0, "nor a view of part of a buffer");
+    }
+
+    #[test]
+    fn publish_names_the_kernel_route_beside_the_counters() {
+        let (pool, registry) = (ScratchPool::new(), cgx_obs::MetricsRegistry::new());
+        pool.put_buf(pool.take_buf(8));
+        pool.publish(&registry);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.get("pool.allocations"), Some(1));
+        assert_eq!(snapshot.get("pool.idle_bufs"), Some(1));
+        let lanes = crate::simd::Route::widest().lanes();
+        assert!([1, 8, 16].contains(&lanes), "{lanes} lanes");
+        assert_eq!(snapshot.get("compress.kernel_lanes"), Some(lanes));
     }
 
     #[test]

@@ -1,6 +1,23 @@
-//! The two fused kernels of the bucketed quantizers, eight elements per
-//! AVX2 iteration: stochastic rounding straight into packed codes, and
-//! packed codes straight into (or onto) `f32`s.
+//! The two fused kernels of the bucketed quantizers at the machine's
+//! vector width — sixteen elements per AVX-512 iteration, eight per AVX2
+//! one: stochastic rounding straight into packed codes, and packed codes
+//! straight into (or onto) `f32`s. The encoder's norm pass, [`max_abs`],
+//! is here too, eight lanes on either vector route: it is a bucket's
+//! first touch and runs at the speed of memory.
+//!
+//! # Routes
+//!
+//! A [`Route`] names the widest bodies a call may run: the 16-lane ones
+//! (AVX-512F, with BMI2 for the pack), the 8-lane ones (AVX2) or the
+//! scalar twins. [`Route::widest`] is the one place the crate asks the
+//! CPU what it has; callers take the answer once per call, not per
+//! bucket. What a wider body leaves of a bucket goes to the next narrower
+//! one — 16 lanes, then 8, then the scalar word loop — so a bucket of any
+//! length and every chunk tail stays off the per-code path, and a CPU
+//! without AVX-512 runs the 8-lane bodies alone, as before there were
+//! wider ones. All three routes write the same bytes and decode the same
+//! bits: [`BucketQuantizer::code`] and the scalar walk of [`lut_decode`]
+//! are the references the tests hold every body this CPU can run to.
 //!
 //! # Encode
 //!
@@ -20,37 +37,85 @@
 //! therefore unbiased to within 2^-24 of a grid step, and `|level|` never
 //! exceeds `s`, where the fraction is zero. No element depends on the one
 //! before it, so the sequence runs in vector lanes as it stands:
-//! [`BucketQuantizer::code`] is the scalar twin, and the AVX2 body does
+//! [`BucketQuantizer::code`] is the scalar twin, and the vector bodies do
 //! the same IEEE-754 and integer operations lane for lane, special
-//! values included (a NaN product clamps to `-s` in both).
+//! values included (a NaN product clamps to `-s` in all three).
 //!
 //! Eight codes fill `WIDTH` whole bytes at every width from 2 to 8, so a
 //! group of eight is one little-endian word with code `l` at bits
-//! `l * WIDTH..` and [`quantize_pack`] has one form for all seven widths:
-//! the AVX2 body shifts each lane to its place (`vpsllvd`), ors the lanes
-//! of each 128-bit half together and joins the halves — in a lane up to
-//! 4 bits, in a `u64` above; the scalar twin, which is also the tail of
-//! a bucket that is no multiple of eight, assembles the same word a code
-//! at a time.
+//! `l * WIDTH..` and [`quantize_pack`] has one form for all seven widths.
+//! The 16-lane body narrows its sixteen codes to a byte each (`vpmovdb`)
+//! and closes the low `WIDTH` bits of every byte up with one `pext` per
+//! eight: two words, `2 * WIDTH` bytes. The 8-lane body shifts each lane
+//! to its place (`vpsllvd`), ors the lanes of each 128-bit half together
+//! and joins the halves — in a lane up to 4 bits, in a `u64` above; the
+//! scalar twin, which is also the tail of a bucket that is no multiple of
+//! eight, assembles the same word a code at a time.
 //!
 //! # Decode
 //!
 //! A bucket of 2-, 3- or 4-bit codes decodes to at most sixteen values,
 //! so [`lut_decode`] builds that codebook once per bucket from its norm
-//! and every element is a lookup in it. The AVX2 body holds the codebook
-//! in one `ymm` register (two at 4 bits) and per eight elements
-//! broadcasts their packed word, shifts lane `l` right by `l * WIDTH`
-//! (`vpsrlvd`), looks all eight up at once (`vpermps`, which reads three
-//! index bits — a 3-bit code as it lies; at 4 bits twice, `vblendvps` on
-//! code bit 3 picking the half) and stores the values or their sums with
-//! the destination. A decoded value is a copy of a table entry on this
-//! route and on its scalar twin, so the two cannot differ, whatever the
-//! norm or the code. Wider codes decode by formula in the callers' bit
-//! readers.
+//! and every element is a lookup in it. The 16-lane body holds the
+//! codebook in one `zmm` register, repeated to fill it below 4 bits:
+//! `vpermps zmm` reads four index bits, and with entry `i` at every lane
+//! `i mod 2^WIDTH` the bits above a code — its neighbour's — pick a copy
+//! of the same entry, so no mask or blend is needed. Per sixteen elements
+//! it puts the dword holding codes 0..8 in the low eight lanes and the
+//! one holding codes 8..16 in the high eight, shifts each lane's code
+//! down (`vpsrlvd`), looks all sixteen up at once and stores the values
+//! or their sums with the destination. The 8-lane body holds the
+//! codebook in one `ymm` register (two at 4 bits) and per eight elements
+//! broadcasts their packed word, shifts lane `l` right by `l * WIDTH`,
+//! looks all eight up (`vpermps ymm`, which reads three index bits — a
+//! 3-bit code as it lies; at 4 bits twice, `vblendvps` on code bit 3
+//! picking the half). A decoded value is a copy of a table entry on every
+//! route, so the routes cannot differ, whatever the norm or the code.
+//! Wider codes decode by formula in the callers' bit readers.
 
 use cgx_tensor::rng::CounterRng;
 
 const TWO_POW_24: f32 = 16_777_216.0;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Body {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+/// The widest bodies a kernel call may run. Outside this module the only
+/// way to one is [`Route::widest`], so holding a `Route` is the proof
+/// that the CPU has the features its bodies are compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Route(Body);
+
+impl Route {
+    /// The widest route this CPU can run.
+    pub(crate) fn widest() -> Route {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // The 16-lane pack closes its codes up with BMI2's `pext`.
+            let wide = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("bmi2");
+            return Route(if wide { Body::Avx512 } else { Body::Avx2 });
+        }
+        Route(Body::Scalar)
+    }
+
+    /// Elements per iteration of this route's bodies: 16, 8 or 1.
+    pub(crate) fn lanes(self) -> u64 {
+        match self.0 {
+            Body::Scalar => 1,
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => 8,
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => 16,
+        }
+    }
+}
 
 /// What the elements of one bucket share.
 #[derive(Debug, Clone, Copy)]
@@ -95,26 +160,28 @@ impl BucketQuantizer {
 ///
 /// Panics unless `width` is in `2..=8` and `out` is exactly the whole
 /// number of bytes the codes fill.
-pub(crate) fn quantize_pack(bucket: &[f32], q: &BucketQuantizer, width: u32, out: &mut [u8]) {
+pub(crate) fn quantize_pack(
+    route: Route,
+    bucket: &[f32],
+    q: &BucketQuantizer,
+    width: u32,
+    out: &mut [u8],
+) {
     assert!((2..=8).contains(&width), "width {width} has no packed form");
     assert_eq!(out.len() * 8, bucket.len() * width as usize, "packed size");
-    #[allow(unused_mut)]
-    let mut done = 0;
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        done = unsafe {
-            match width {
-                2 => quantize_pack_avx2::<2>(bucket, q, out),
-                3 => quantize_pack_avx2::<3>(bucket, q, out),
-                4 => quantize_pack_avx2::<4>(bucket, q, out),
-                5 => quantize_pack_avx2::<5>(bucket, q, out),
-                6 => quantize_pack_avx2::<6>(bucket, q, out),
-                7 => quantize_pack_avx2::<7>(bucket, q, out),
-                _ => quantize_pack_avx2::<8>(bucket, q, out),
-            }
-        };
-    }
+    let done = match route.0 {
+        Body::Scalar => 0,
+        #[cfg(target_arch = "x86_64")]
+        _ => match width {
+            2 => quantize_pack_lanes::<2>(route, bucket, q, out),
+            3 => quantize_pack_lanes::<3>(route, bucket, q, out),
+            4 => quantize_pack_lanes::<4>(route, bucket, q, out),
+            5 => quantize_pack_lanes::<5>(route, bucket, q, out),
+            6 => quantize_pack_lanes::<6>(route, bucket, q, out),
+            7 => quantize_pack_lanes::<7>(route, bucket, q, out),
+            _ => quantize_pack_lanes::<8>(route, bucket, q, out),
+        },
+    };
     // Eight codes fill `width` whole bytes at any width, and `done` is a
     // multiple of 8: every group starts a byte, and the last one, of
     // fewer codes, ends on one because `out` does.
@@ -131,9 +198,92 @@ pub(crate) fn quantize_pack(bucket: &[f32], q: &BucketQuantizer, width: u32, out
     }
 }
 
-/// AVX2 body of [`quantize_pack`] over the whole groups of eight
-/// elements (eight codes fill `WIDTH` bytes); returns how many elements
-/// that was.
+/// The vector bodies of [`quantize_pack`] on a vector `route`: the
+/// sixteens where it has them, then the whole group of eight they leave.
+/// Returns how many elements that took, a multiple of eight.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn quantize_pack_lanes<const WIDTH: usize>(
+    route: Route,
+    bucket: &[f32],
+    q: &BucketQuantizer,
+    out: &mut [u8],
+) -> usize {
+    // SAFETY: a `Route` names only bodies whose CPU features
+    // `Route::widest` has verified at runtime.
+    unsafe {
+        let done = match route.0 {
+            Body::Avx512 => quantize_pack_avx512::<WIDTH>(bucket, q, out),
+            _ => 0,
+        };
+        match bucket.len() - done {
+            0..8 => done,
+            _ => quantize_pack_avx2::<WIDTH>(done, bucket, q, out),
+        }
+    }
+}
+
+/// AVX-512 body of [`quantize_pack`] over the whole groups of sixteen
+/// elements (sixteen codes fill `2 * WIDTH` bytes); returns how many
+/// elements that was.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and BMI2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,bmi2")]
+unsafe fn quantize_pack_avx512<const WIDTH: usize>(
+    bucket: &[f32],
+    q: &BucketQuantizer,
+    out: &mut [u8],
+) -> usize {
+    use std::arch::x86_64::*;
+    let scale = _mm512_set1_ps(q.scale);
+    let s = _mm512_set1_ps(q.levels as f32);
+    let minus_s = _mm512_set1_ps(-(q.levels as f32));
+    let offset = _mm512_set1_epi32(q.levels as i32);
+    let two_pow_24 = _mm512_set1_ps(TWO_POW_24);
+    let k0 = _mm512_set1_epi32(q.keys[0] as i32);
+    let k1 = _mm512_set1_epi32(q.keys[1] as i32);
+    let m0 = _mm512_set1_epi32(CounterRng::MULTIPLIERS[0] as i32);
+    let m1 = _mm512_set1_epi32(CounterRng::MULTIPLIERS[1] as i32);
+    // Lane l of group g is element 16g + l; its Weyl multiple moves on
+    // by 16 * WEYL from one group to the next.
+    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let mut weyl = _mm512_mullo_epi32(lanes, _mm512_set1_epi32(CounterRng::WEYL as i32));
+    let weyl_step = _mm512_set1_epi32(CounterRng::WEYL.wrapping_mul(16) as i32);
+    // The low WIDTH bits of each of eight bytes.
+    let code_bits = 0x0101_0101_0101_0101u64 * ((1 << WIDTH) - 1);
+    let groups = bucket.chunks_exact(16);
+    let done = groups.len() * 16;
+    for (vals, bytes) in groups.zip(out.chunks_exact_mut(2 * WIDTH)) {
+        // r = CounterRng::mix(16g + l, keys) >> 8
+        let mut x = _mm512_xor_si512(weyl, k0);
+        weyl = _mm512_add_epi32(weyl, weyl_step);
+        x = _mm512_mullo_epi32(_mm512_xor_si512(x, _mm512_srli_epi32::<16>(x)), m0);
+        x = _mm512_add_epi32(_mm512_xor_si512(x, _mm512_srli_epi32::<15>(x)), k1);
+        x = _mm512_mullo_epi32(x, m1);
+        let r = _mm512_srli_epi32::<8>(_mm512_xor_si512(x, _mm512_srli_epi32::<15>(x)));
+        // Operand order matters: vmaxps returns its second operand when
+        // the first is NaN, as f32::max(NaN, -s) == -s.
+        let v = _mm512_mul_ps(_mm512_loadu_ps(vals.as_ptr()), scale);
+        let scaled = _mm512_min_ps(_mm512_max_ps(v, minus_s), s);
+        let t = _mm512_cvttps_epi32(_mm512_mul_ps(scaled, two_pow_24));
+        let level = _mm512_srai_epi32::<24>(_mm512_add_epi32(t, r));
+        // A code is at most 2s <= 254: a byte each, then the WIDTH bits
+        // of eight bytes closed up into one word of WIDTH bytes.
+        let codes = _mm512_cvtepi32_epi8(_mm512_add_epi32(offset, level));
+        let lo = _pext_u64(_mm_cvtsi128_si64(codes) as u64, code_bits);
+        let hi = _pext_u64(_mm_extract_epi64::<1>(codes) as u64, code_bits);
+        let word = u128::from(lo) | u128::from(hi) << (8 * WIDTH);
+        bytes.copy_from_slice(&word.to_le_bytes()[..2 * WIDTH]);
+    }
+    done
+}
+
+/// AVX2 body of [`quantize_pack`] over the whole groups of eight elements
+/// of `bucket[from..]` (eight codes fill `WIDTH` bytes), `from` being a
+/// multiple of eight; returns where it stopped.
 ///
 /// # Safety
 ///
@@ -141,6 +291,7 @@ pub(crate) fn quantize_pack(bucket: &[f32], q: &BucketQuantizer, width: u32, out
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_pack_avx2<const WIDTH: usize>(
+    from: usize,
     bucket: &[f32],
     q: &BucketQuantizer,
     out: &mut [u8],
@@ -155,9 +306,10 @@ unsafe fn quantize_pack_avx2<const WIDTH: usize>(
     let k1 = _mm256_set1_epi32(q.keys[1] as i32);
     let m0 = _mm256_set1_epi32(CounterRng::MULTIPLIERS[0] as i32);
     let m1 = _mm256_set1_epi32(CounterRng::MULTIPLIERS[1] as i32);
-    // Lane l of group g is element 8g + l; its Weyl multiple moves on by
-    // 8 * WEYL from one group to the next.
-    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    // Lane l of group g is element from + 8g + l; its Weyl multiple moves
+    // on by 8 * WEYL from one group to the next.
+    let first = _mm256_set1_epi32(from as i32);
+    let lanes = _mm256_add_epi32(first, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
     let mut weyl = _mm256_mullo_epi32(lanes, _mm256_set1_epi32(CounterRng::WEYL as i32));
     let weyl_step = _mm256_set1_epi32(CounterRng::WEYL.wrapping_mul(8) as i32);
     // Code l belongs at bits l * WIDTH.. of the group's word. Each 128-bit
@@ -167,10 +319,10 @@ unsafe fn quantize_pack_avx2<const WIDTH: usize>(
     let w = WIDTH as i32;
     let up = if WIDTH > 4 { 0 } else { 4 * w };
     let shifts = _mm256_setr_epi32(0, w, 2 * w, 3 * w, up, up + w, up + 2 * w, up + 3 * w);
-    let groups = bucket.chunks_exact(8);
-    let done = groups.len() * 8;
-    for (vals, bytes) in groups.zip(out.chunks_exact_mut(WIDTH)) {
-        // r = CounterRng::mix(8g + l, keys) >> 8
+    let groups = bucket[from..].chunks_exact(8);
+    let done = from + groups.len() * 8;
+    for (vals, bytes) in groups.zip(out[from / 8 * WIDTH..].chunks_exact_mut(WIDTH)) {
+        // r = CounterRng::mix(from + 8g + l, keys) >> 8
         let mut x = _mm256_xor_si256(weyl, k0);
         weyl = _mm256_add_epi32(weyl, weyl_step);
         x = _mm256_mullo_epi32(_mm256_xor_si256(x, _mm256_srli_epi32::<16>(x)), m0);
@@ -212,6 +364,7 @@ unsafe fn quantize_pack_avx2<const WIDTH: usize>(
 /// Panics with `"bit stream exhausted"` if `payload` is shorter than
 /// `out.len()` elements take.
 pub(crate) fn lut_decode<const ADD: bool>(
+    route: Route,
     bits: u32,
     payload: &[u8],
     bucket_size: usize,
@@ -225,42 +378,45 @@ pub(crate) fn lut_decode<const ADD: bool>(
     // The one length check of the decode: every read below is inside it.
     let needed = n.div_ceil(bucket_size) * 4 + (n * width).div_ceil(8);
     assert!(payload.len() >= needed, "bit stream exhausted");
-    #[cfg(target_arch = "x86_64")]
-    if n >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe {
-            match bits {
-                2 => lut_decode_avx2::<2, ADD>(payload, bucket_size, table_of, out),
-                3 => lut_decode_avx2::<3, ADD>(payload, bucket_size, table_of, out),
-                _ => lut_decode_avx2::<4, ADD>(payload, bucket_size, table_of, out),
-            }
-        }
-        return true;
+    // One lane group at least, or the vector set-up is all a call does.
+    let route = if n < 8 { Route(Body::Scalar) } else { route };
+    match bits {
+        2 => lut_decode_on::<2, ADD>(route, payload, bucket_size, table_of, out),
+        3 => lut_decode_on::<3, ADD>(route, payload, bucket_size, table_of, out),
+        _ => lut_decode_on::<4, ADD>(route, payload, bucket_size, table_of, out),
     }
-    lut_decode_scalar::<ADD>(bits, payload, bucket_size, table_of, out);
     true
 }
 
-/// The scalar twin of [`lut_decode`]'s vector body: the same bucket walk
-/// with no groups taken in registers.
-fn lut_decode_scalar<const ADD: bool>(
-    bits: u32,
+/// [`lut_decode`] at one width, by the bucket walk `route` names. On
+/// [`Body::Scalar`] no groups are taken in registers: the twin the vector
+/// walks are tested against.
+#[inline]
+fn lut_decode_on<const WIDTH: usize, const ADD: bool>(
+    route: Route,
     payload: &[u8],
     bucket_size: usize,
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [f32],
 ) {
-    match bits {
-        2 => lut_decode_buckets::<2, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
-        3 => lut_decode_buckets::<3, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
-        _ => lut_decode_buckets::<4, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0),
+    match route.0 {
+        Body::Scalar => {
+            lut_decode_buckets::<WIDTH, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0)
+        }
+        // SAFETY (both arms): a `Route` names only bodies whose CPU
+        // features `Route::widest` has verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx2 => unsafe { lut_decode_avx2::<WIDTH, ADD>(payload, bucket_size, table_of, out) },
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx512 => unsafe {
+            lut_decode_avx512::<WIDTH, ADD>(payload, bucket_size, table_of, out)
+        },
     }
 }
 
 /// The bucket walk of [`lut_decode`]. `groups` decodes a leading multiple
 /// of eight elements of a bucket from its codebook and says how many; the
-/// rest are looked up from one word of up to eight codes at a time. With
-/// no groups taken this is the kernel's scalar twin.
+/// rest are looked up from one word of up to eight codes at a time.
 #[inline(always)]
 fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
     payload: &[u8],
@@ -292,15 +448,63 @@ fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
     }
 }
 
-/// AVX2 body of [`lut_decode`]: every bucket's whole groups of eight
-/// elements (eight codes fill `WIDTH` bytes) are looked up in registers.
+/// AVX-512 body of [`lut_decode`]: every bucket's whole groups of
+/// sixteen elements (sixteen codes fill `2 * WIDTH` bytes) are looked up
+/// in one register, and a whole group of eight after them by
+/// [`lut_eights`].
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2. Nothing else is asked of the caller: every
-/// load and store goes through a slice of exactly the length it touches,
-/// and a `payload` shorter than [`lut_decode`] has checked is a panic in
-/// the walk, not a wild read.
+/// The CPU must support AVX-512F. Nothing else is asked of the caller:
+/// every load and store goes through a slice of exactly the length it
+/// touches, and a `payload` shorter than [`lut_decode`] has checked is a
+/// panic in the walk, not a wild read.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn lut_decode_avx512<const WIDTH: usize, const ADD: bool>(
+    payload: &[u8],
+    bucket_size: usize,
+    table_of: impl Fn(f32) -> [f32; 16],
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    // Codes 0..8 of a group start at bit 0 of its first four bytes; codes
+    // 8..16 start at bit 8 * WIDTH of the group, which is bit `up` of its
+    // last four. Lane l of either half then wants its dword moved right
+    // by (l mod 8) * WIDTH more.
+    let up = _mm512_set1_epi32(32 - 8 * WIDTH as i32);
+    let in_half = _mm512_and_si512(lanes, _mm512_set1_epi32(7));
+    let shifts = _mm512_mullo_epi32(in_half, _mm512_set1_epi32(WIDTH as i32));
+    let shifts = _mm512_mask_add_epi32(shifts, 0xFF00, shifts, up);
+    // Entry i at every lane i mod 2^WIDTH: vpermps reads four index bits,
+    // and those above a code select a copy of the same entry.
+    let copies = _mm512_and_si512(lanes, _mm512_set1_epi32((1 << WIDTH) - 1));
+    lut_decode_buckets::<WIDTH, ADD>(payload, bucket_size, table_of, out, |table, codes, dst| {
+        let book = _mm512_permutexvar_ps(copies, _mm512_loadu_ps(table.as_ptr()));
+        let groups = dst.chunks_exact_mut(16);
+        let done = groups.len() * 16;
+        for (bytes, vals) in codes.chunks_exact(2 * WIDTH).zip(groups) {
+            let low = i32::from_le_bytes(bytes[..4].try_into().expect("four bytes"));
+            let high = i32::from_le_bytes(bytes[2 * WIDTH - 4..].try_into().expect("four bytes"));
+            let halves = _mm512_mask_set1_epi32(_mm512_set1_epi32(low), 0xFF00, high);
+            let mut v = _mm512_permutexvar_ps(_mm512_srlv_epi32(halves, shifts), book);
+            if ADD {
+                v = _mm512_add_ps(_mm512_loadu_ps(vals.as_ptr()), v);
+            }
+            _mm512_storeu_ps(vals.as_mut_ptr(), v);
+        }
+        done + lut_eights::<WIDTH, ADD>(table, &codes[done / 8 * WIDTH..], &mut dst[done..])
+    });
+}
+
+/// AVX2 body of [`lut_decode`]: every bucket's whole groups of eight
+/// elements are looked up in registers, by [`lut_eights`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Nothing else is asked of the caller, as
+/// for [`lut_decode_avx512`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn lut_decode_avx2<const WIDTH: usize, const ADD: bool>(
@@ -309,51 +513,74 @@ unsafe fn lut_decode_avx2<const WIDTH: usize, const ADD: bool>(
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [f32],
 ) {
+    lut_decode_buckets::<WIDTH, ADD>(payload, bucket_size, table_of, out, |table, codes, dst| {
+        lut_eights::<WIDTH, ADD>(table, codes, dst)
+    });
+}
+
+/// Looks the whole groups of eight elements of `dst` up in `table` —
+/// eight codes fill `WIDTH` bytes of `codes` — and returns how many
+/// elements that was.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn lut_eights<const WIDTH: usize, const ADD: bool>(
+    table: &[f32; 16],
+    codes: &[u8],
+    dst: &mut [f32],
+) -> usize {
     use std::arch::x86_64::*;
     let w = WIDTH as i32;
     let shifts = _mm256_setr_epi32(0, w, 2 * w, 3 * w, 4 * w, 5 * w, 6 * w, 7 * w);
     let low_two = _mm256_set1_epi32(3);
-    lut_decode_buckets::<WIDTH, ADD>(payload, bucket_size, table_of, out, |table, codes, dst| {
-        let lo = _mm256_loadu_ps(table.as_ptr());
-        let hi = _mm256_loadu_ps(table[8..].as_ptr());
-        let groups = dst.chunks_exact_mut(8);
-        let done = groups.len() * 8;
-        for (bytes, vals) in codes.chunks_exact(WIDTH).zip(groups) {
-            let mut word = [0u8; 4];
-            word[..WIDTH].copy_from_slice(bytes);
-            let idx = _mm256_srlv_epi32(_mm256_set1_epi32(i32::from_le_bytes(word)), shifts);
-            // vpermps reads the low three index bits: a 3-bit code as it
-            // lies. At 2 bits the third is the next code's; at 4 bits
-            // code bit 3 picks the half.
-            let low = if WIDTH == 2 {
-                _mm256_and_si256(idx, low_two)
-            } else {
-                idx
-            };
-            let mut v = _mm256_permutevar8x32_ps(lo, low);
-            if WIDTH == 4 {
-                let bit3 = _mm256_castsi256_ps(_mm256_slli_epi32::<28>(idx));
-                v = _mm256_blendv_ps(v, _mm256_permutevar8x32_ps(hi, idx), bit3);
-            }
-            if ADD {
-                v = _mm256_add_ps(_mm256_loadu_ps(vals.as_ptr()), v);
-            }
-            _mm256_storeu_ps(vals.as_mut_ptr(), v);
+    let lo = _mm256_loadu_ps(table.as_ptr());
+    let hi = _mm256_loadu_ps(table[8..].as_ptr());
+    let groups = dst.chunks_exact_mut(8);
+    let done = groups.len() * 8;
+    for (bytes, vals) in codes.chunks_exact(WIDTH).zip(groups) {
+        let mut word = [0u8; 4];
+        word[..WIDTH].copy_from_slice(bytes);
+        let idx = _mm256_srlv_epi32(_mm256_set1_epi32(i32::from_le_bytes(word)), shifts);
+        // vpermps reads the low three index bits: a 3-bit code as it
+        // lies. At 2 bits the third is the next code's; at 4 bits
+        // code bit 3 picks the half.
+        let low = if WIDTH == 2 {
+            _mm256_and_si256(idx, low_two)
+        } else {
+            idx
+        };
+        let mut v = _mm256_permutevar8x32_ps(lo, low);
+        if WIDTH == 4 {
+            let bit3 = _mm256_castsi256_ps(_mm256_slli_epi32::<28>(idx));
+            v = _mm256_blendv_ps(v, _mm256_permutevar8x32_ps(hi, idx), bit3);
         }
-        done
-    });
+        if ADD {
+            v = _mm256_add_ps(_mm256_loadu_ps(vals.as_ptr()), v);
+        }
+        _mm256_storeu_ps(vals.as_mut_ptr(), v);
+    }
+    done
 }
 
 /// `max_j |bucket[j]|` — the max-norm pass of the encoder. NaN elements
 /// are skipped (`f32::max` ignores a NaN operand) and the result is never
 /// `-0.0`: `abs` clears the sign and the fold starts at `+0.0`.
-pub(crate) fn max_abs(bucket: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX support was just verified at runtime.
-        return unsafe { max_abs_avx(bucket) };
+///
+/// Both vector routes run the one 8-lane body: the fold is a bucket's
+/// first touch and runs at memory speed in a step, where a 16-lane one
+/// measured no faster alone and slower in the encoder (DESIGN.md §4.2.1).
+pub(crate) fn max_abs(route: Route, bucket: &[f32]) -> f32 {
+    match route.0 {
+        Body::Scalar => bucket.iter().fold(0.0f32, |m, x| m.max(x.abs())),
+        // SAFETY: a `Route` names only bodies whose CPU features
+        // `Route::widest` has verified at runtime, and AVX2 implies AVX.
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx2 | Body::Avx512 => unsafe { max_abs_avx(bucket) },
     }
-    bucket.iter().fold(0.0f32, |m, x| m.max(x.abs()))
 }
 
 /// AVX body of [`max_abs`]: 32 elements per iteration, the last few by
@@ -409,8 +636,28 @@ pub(crate) mod tests {
         7.5,
     ];
 
+    const SCALAR: Route = Route(Body::Scalar);
+
+    /// Every route this CPU can run, not only the one [`Route::widest`]
+    /// picks: a wider one implies the narrower.
+    pub(crate) fn bodies() -> Vec<Route> {
+        let all = [
+            SCALAR,
+            #[cfg(target_arch = "x86_64")]
+            Route(Body::Avx2),
+            #[cfg(target_arch = "x86_64")]
+            Route(Body::Avx512),
+        ];
+        let widest = Route::widest().lanes();
+        all.into_iter().filter(|r| r.lanes() <= widest).collect()
+    }
+
     #[test]
     fn packed_bytes_match_scalar_twin_code_for_code() {
+        // Under --nocapture a CI log says which bodies its runner could
+        // test: one without AVX-512 is green on two of the three.
+        let lanes: Vec<u64> = bodies().into_iter().map(Route::lanes).collect();
+        println!("cgx-compress kernel bodies exercised, in lanes: {lanes:?}");
         let mut rng = Rng::seed_from_u64(43);
         let stream = CounterRng::new(rng.next_u64());
         let layouts = [
@@ -425,28 +672,42 @@ pub(crate) mod tests {
             (8, 31),
         ];
         for (width, levels) in layouts {
-            // Lengths around the 8-lane group, those a width packs into
-            // whole bytes: a partial last group exercises the word tail.
-            let lengths = [0usize, 4, 8, 12, 16, 20, 24, 60, 64, 128, 1000];
+            // Lengths around the 8- and 16-lane groups, those a width
+            // packs into whole bytes: what the sixteens leave goes to the
+            // eights, and a partial last group exercises the word tail.
+            let lengths = [
+                0usize, 4, 8, 12, 15, 16, 17, 20, 24, 31, 40, 60, 64, 120, 128, 136, 1000,
+            ];
             let whole = |n: &usize| (n * width as usize).is_multiple_of(8);
             for n in lengths.into_iter().filter(whole) {
                 let mut bucket: Vec<f32> = (0..n).map(|_| (rng.normal() * 2.0) as f32).collect();
                 for (slot, special) in bucket.iter_mut().skip(1).step_by(3).zip(SPECIALS) {
                     *slot = special;
                 }
-                for norm in [max_abs(&bucket), 1.0, 0.0, 1.0e-42, f32::INFINITY, f32::NAN] {
+                let norms = [
+                    max_abs(SCALAR, &bucket),
+                    1.0,
+                    0.0,
+                    1.0e-42,
+                    f32::INFINITY,
+                    f32::NAN,
+                ];
+                for norm in norms {
                     let q = BucketQuantizer::new(levels, norm, &stream, n as u64);
-                    let mut packed = vec![0xAAu8; n * width as usize / 8];
-                    quantize_pack(&bucket, &q, width, &mut packed);
                     let mut twin = crate::BitWriter::new();
                     for (j, &v) in bucket.iter().enumerate() {
                         twin.write_bits(q.code(j, v), width);
                     }
-                    assert_eq!(
-                        packed,
-                        twin.finish().as_ref(),
-                        "width={width} levels={levels} n={n} norm={norm}"
-                    );
+                    let twin = twin.finish();
+                    for route in bodies() {
+                        let mut packed = vec![0xAAu8; n * width as usize / 8];
+                        quantize_pack(route, &bucket, &q, width, &mut packed);
+                        assert_eq!(
+                            packed,
+                            twin.as_ref(),
+                            "{route:?} width={width} levels={levels} n={n} norm={norm}"
+                        );
+                    }
                 }
             }
         }
@@ -497,10 +758,10 @@ pub(crate) mod tests {
         move |norm| std::array::from_fn(|c| (norm as f64 * (c as i64 - offset) as f64 / s) as f32)
     }
 
-    /// [`lut_decode_scalar`] over QSGD's codebook.
+    /// [`lut_decode`]'s scalar walk over QSGD's codebook.
     fn twin<const ADD: bool>(bits: u32, payload: &[u8], bucket_size: usize, out: &mut [f32]) {
         let table_of = grid((1 << (bits - 1)) - 1);
-        lut_decode_scalar::<ADD>(bits, payload, bucket_size, table_of, out);
+        lut_decode::<ADD>(SCALAR, bits, payload, bucket_size, table_of, out);
     }
 
     fn bits_of(xs: &[f32]) -> Vec<u32> {
@@ -527,9 +788,15 @@ pub(crate) mod tests {
     fn lut_decode_matches_twin_and_formula_bit_for_bit() {
         for bits in [2u32, 3, 4] {
             let levels = (1u32 << (bits - 1)) - 1;
-            for bucket_size in [8usize, 10, 64, 128, 1024] {
-                // Lengths around the 8-lane group, the bucket and the byte.
-                for n in [0usize, 1, 7, 8, 9, 127, 128, 129, 515, 1000, 4099] {
+            // Buckets that are whole 16-lane groups, that leave the 8-lane
+            // body a group (8, 24, 40, 136), and one no kernel takes (10).
+            for bucket_size in [8usize, 10, 16, 24, 40, 64, 128, 136, 1024] {
+                // Lengths around both lane groups, the bucket and the byte.
+                let lengths = [
+                    0usize, 1, 7, 8, 9, 15, 16, 17, 24, 31, 40, 120, 127, 128, 129, 136, 515, 1000,
+                    4099,
+                ];
+                for n in lengths {
                     let payload = crafted_payload(bits, bucket_size, n);
                     let mut r = crate::BitReader::new(&payload);
                     let mut want = Vec::with_capacity(n);
@@ -540,42 +807,57 @@ pub(crate) mod tests {
                             want.push((norm * signed as f64 / levels as f64) as f32);
                         }
                     }
-                    let what = format!("bits={bits} bucket={bucket_size} n={n}");
-                    let mut got = vec![9.0f32; n];
-                    let taken =
-                        lut_decode::<false>(bits, &payload, bucket_size, grid(levels), &mut got);
-                    assert_eq!(
-                        taken,
-                        (bucket_size * bits as usize).is_multiple_of(8),
-                        "{what}"
-                    );
-                    if !taken {
-                        assert!(got.iter().all(|v| *v == 9.0), "{what}: untouched");
-                        continue;
-                    }
-                    assert_eq!(bits_of(&got), bits_of(&want), "{what}");
-                    twin::<false>(bits, &payload, bucket_size, &mut got);
-                    assert_eq!(bits_of(&got), bits_of(&want), "twin, {what}");
-
                     let base: Vec<f32> = (0..n)
                         .map(|i| match i % 7 {
                             0 => SPECIALS[i % 5],
                             _ => i as f32 * 0.5 - 9.0,
                         })
                         .collect();
-                    let mut kernel_sum = base.clone();
-                    lut_decode::<true>(bits, &payload, bucket_size, grid(levels), &mut kernel_sum);
                     let mut twin_sum = base.clone();
                     twin::<true>(bits, &payload, bucket_size, &mut twin_sum);
-                    for (i, (b, v)) in base.iter().zip(&want).enumerate() {
-                        // Which payload the sum of two NaNs carries is the
-                        // compiler's choice of operand order.
-                        let any_nan = b.is_nan() && v.is_nan();
-                        for got in [kernel_sum[i], twin_sum[i]] {
-                            assert!(
-                                got.to_bits() == (b + v).to_bits() || (any_nan && got.is_nan()),
-                                "{what}: {b} + {v} at {i} gave {got}"
-                            );
+                    for route in bodies() {
+                        let what = format!("{route:?} bits={bits} bucket={bucket_size} n={n}");
+                        let table_of = grid(levels);
+                        let mut got = vec![9.0f32; n];
+                        let taken = lut_decode::<false>(
+                            route,
+                            bits,
+                            &payload,
+                            bucket_size,
+                            table_of,
+                            &mut got,
+                        );
+                        assert_eq!(
+                            taken,
+                            (bucket_size * bits as usize).is_multiple_of(8),
+                            "{what}"
+                        );
+                        if !taken {
+                            assert!(got.iter().all(|v| *v == 9.0), "{what}: untouched");
+                            continue;
+                        }
+                        assert_eq!(bits_of(&got), bits_of(&want), "{what}");
+
+                        let table_of = grid(levels);
+                        let mut kernel_sum = base.clone();
+                        lut_decode::<true>(
+                            route,
+                            bits,
+                            &payload,
+                            bucket_size,
+                            table_of,
+                            &mut kernel_sum,
+                        );
+                        for (i, (b, v)) in base.iter().zip(&want).enumerate() {
+                            // Which payload the sum of two NaNs carries is
+                            // the compiler's choice of operand order.
+                            let any_nan = b.is_nan() && v.is_nan();
+                            for got in [kernel_sum[i], twin_sum[i]] {
+                                assert!(
+                                    got.to_bits() == (b + v).to_bits() || (any_nan && got.is_nan()),
+                                    "{what}: {b} + {v} at {i} gave {got}"
+                                );
+                            }
                         }
                     }
                 }
@@ -587,21 +869,87 @@ pub(crate) mod tests {
     fn max_abs_matches_serial_fold() {
         let mut rng = Rng::seed_from_u64(47);
         // Lengths around the 32-element boundary exercise the tail fold.
-        for n in [0usize, 1, 7, 31, 32, 33, 63, 64, 127, 128, 1000] {
+        let lengths = [
+            0usize, 1, 7, 15, 16, 17, 24, 31, 32, 33, 40, 63, 64, 120, 127, 128, 136, 1000,
+        ];
+        for n in lengths {
             let mut bucket: Vec<f32> = (0..n).map(|_| (rng.normal() * 3.0) as f32).collect();
             let want = bucket.iter().fold(0.0f32, |m, x| m.max(x.abs()));
-            assert_eq!(max_abs(&bucket), want, "n={n}");
+            for route in bodies() {
+                assert_eq!(max_abs(route, &bucket), want, "{route:?} n={n}");
+            }
             // NaN lanes are skipped wherever they fall; a signed zero or
             // an infinity is not.
             for (slot, special) in bucket.iter_mut().step_by(5).zip(SPECIALS) {
                 *slot = special;
             }
             let want = bucket.iter().fold(0.0f32, |m, x| m.max(x.abs()));
-            assert_eq!(
-                max_abs(&bucket).to_bits(),
-                want.to_bits(),
-                "specials, n={n}"
-            );
+            for route in bodies() {
+                assert_eq!(
+                    max_abs(route, &bucket).to_bits(),
+                    want.to_bits(),
+                    "{route:?} specials, n={n}"
+                );
+            }
+        }
+    }
+
+    /// `cargo test --release -p cgx-compress --lib simd::tests::timing --
+    /// --ignored --nocapture`: Melem/s of the three kernels on every route
+    /// this CPU can run, over a 32,768-element chunk in buckets of the
+    /// planner's size for the width (DESIGN.md §4.2.1's route table).
+    #[test]
+    #[ignore = "timing, not a check"]
+    fn timing() {
+        const N: usize = 32_768;
+        let mut rng = Rng::seed_from_u64(1);
+        let stream = CounterRng::new(rng.next_u64());
+        let data: Vec<f32> = (0..N).map(|_| rng.normal() as f32).collect();
+        let melem_s = |pass: &mut dyn FnMut()| {
+            let best = (0..2000)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    pass();
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            N as f64 / best / 1e6
+        };
+        let layouts = [
+            (2u32, 1024usize),
+            (3, 512),
+            (4, 128),
+            (5, 64),
+            (6, 64),
+            (7, 64),
+            (8, 64),
+        ];
+        for (bits, bucket_size) in layouts {
+            let levels = (1u32 << (bits - 1)) - 1;
+            let per_bucket = 4 + bucket_size * bits as usize / 8;
+            let mut payload = vec![0u8; N / bucket_size * per_bucket];
+            let mut out = vec![0.0f32; N];
+            for route in bodies() {
+                let encode = melem_s(&mut || {
+                    let buckets = data.chunks(bucket_size).zip(payload.chunks_mut(per_bucket));
+                    for (b, (bucket, bytes)) in buckets.enumerate() {
+                        let norm = max_abs(route, bucket);
+                        bytes[..4].copy_from_slice(&norm.to_le_bytes());
+                        let q = BucketQuantizer::new(levels, norm, &stream, b as u64);
+                        quantize_pack(route, bucket, &q, bits, &mut bytes[4..]);
+                    }
+                    std::hint::black_box(&mut payload);
+                });
+                let decode_add = melem_s(&mut || {
+                    lut_decode::<true>(route, bits, &payload, bucket_size, grid(levels), &mut out);
+                    std::hint::black_box(&mut out);
+                });
+                let decode_add = if bits <= 4 { decode_add } else { f64::NAN };
+                println!(
+                    "{bits} / {bucket_size:4} {:2} lanes: encode {encode:6.0} Melem/s, decode-add {decode_add:6.0}",
+                    route.lanes()
+                );
+            }
         }
     }
 }
