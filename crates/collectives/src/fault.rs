@@ -12,13 +12,21 @@
 //!   reproducible in `cargo test` with no real flaky network required.
 //! * [`ChaosTransport`] — a [`Transport`] wrapper that injects the plan on
 //!   the receive side and *recovers from it*: every payload is framed with
-//!   a sequence number and an FNV-1a checksum, corrupted or missing frames
-//!   are re-requested over a fault-exempt control lane ([`CTRL_TAG`]) with
-//!   backoff, duplicates are discarded by sequence, and reordered frames
-//!   are held until their gap fills. Callers see byte-identical traffic in
-//!   the original order — transient faults only show up in
-//!   [`FaultStats`] — until the *bounded* retry budget is exhausted, at
-//!   which point [`CommError::Lost`] surfaces.
+//!   its link sequence number — frames counted per (sender, receiver) pair
+//!   across every tag — and an FNV-1a checksum ([`crate::framing`]). The
+//!   receiver takes its peers' frames in arrival order, accepts exactly
+//!   the next seq of each link, holds frames past a gap, discards
+//!   duplicates, and files what is in order into one [`TagStash`]. A
+//!   corrupted or missing frame is re-requested over a fault-exempt
+//!   control lane ([`CTRL_TAG`]) with backoff: the NACK is the receiver's
+//!   next-expected seq, and the sender resends that frame from its
+//!   [`Retention`]. Callers see byte-identical traffic in the original
+//!   per-tag order — transient faults only show up in [`FaultStats`] —
+//!   until the *bounded* retry budget is exhausted, at which point
+//!   [`CommError::Lost`] surfaces. The price of one sequence space per
+//!   link is head-of-line blocking: a frame lost on one tag holds back
+//!   the peer's later frames on every tag until it is resent, as a TCP
+//!   stream does.
 //!
 //! The wrapper also hosts the one-shot **kill** / **freeze** plans used by
 //! the elastic-recovery tests: [`Transport::begin_step`] returns `true` on
@@ -27,8 +35,11 @@
 //! starves receives — the classic fail-stop vs fail-silent pair.
 
 use crate::error::CommError;
-use crate::framing::{checksum, frame, parse};
-use crate::transport::{ShmTransport, Tag, Transport, CTRL_TAG, QUIESCE_TAG};
+use crate::framing::{frame, open, Retention, HEADER_LEN, RETAIN_BYTES};
+use crate::stash::TagStash;
+use crate::transport::{
+    exchange_quiesce_markers, ShmTransport, Tag, Transport, CTRL_TAG, QUIESCE_TAG,
+};
 use cgx_compress::Encoded;
 use cgx_tensor::{Bytes, Shape};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -183,14 +194,11 @@ pub struct FaultPlan {
     pub delay_rate: f64,
     /// How long a delayed frame is held.
     pub delay: Duration,
-    /// Evidence-based retransmission requests allowed per stalled stream
+    /// Evidence-based retransmission requests allowed per stalled link
     /// before [`CommError::Lost`] surfaces.
     pub retry_budget: u32,
-    /// Minimum spacing between retransmission requests for one stream.
+    /// Minimum spacing between retransmission requests for one link.
     pub retry_backoff: Duration,
-    /// Frames retained per peer for serving retransmissions (0 disables
-    /// retransmission entirely — every drop becomes unrecoverable).
-    pub retransmit_ring: usize,
     /// `(rank, step)`: that rank's [`Transport::begin_step`] returns
     /// `true` at that step — fail-stop death.
     pub kill: Option<(usize, usize)>,
@@ -211,7 +219,6 @@ impl FaultPlan {
             delay: Duration::from_millis(1),
             retry_budget: 64,
             retry_backoff: Duration::from_millis(2),
-            retransmit_ring: 1024,
             kill: None,
             freeze: None,
         }
@@ -246,12 +253,6 @@ impl FaultPlan {
     pub fn with_retry(mut self, budget: u32, backoff: Duration) -> Self {
         self.retry_budget = budget;
         self.retry_backoff = backoff;
-        self
-    }
-
-    /// Sets the per-peer retransmit ring capacity (0 disables recovery).
-    pub fn with_retransmit_ring(mut self, frames: usize) -> Self {
-        self.retransmit_ring = frames;
         self
     }
 
@@ -366,48 +367,40 @@ impl ReconnectPolicy {
     }
 }
 
-fn nack_payload(tag: Tag, seq: u32) -> Encoded {
-    let mut buf = Vec::with_capacity(12);
-    buf.extend_from_slice(&tag.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    Encoded::new(Shape::vector(1), buf.into())
+/// Lanes that bypass framing and injection: the NACKs themselves and the
+/// end-of-run markers must not be lost to the faults they recover from.
+fn raw_lane(tag: Tag) -> bool {
+    tag == CTRL_TAG || tag == QUIESCE_TAG
 }
 
-fn parse_nack(e: &Encoded) -> Option<(Tag, u32)> {
-    let b = e.payload();
-    if b.len() != 12 {
-        return None;
-    }
-    let tag = u64::from_le_bytes(b[..8].try_into().ok()?);
-    let seq = u32::from_le_bytes(b[8..12].try_into().ok()?);
-    Some((tag, seq))
-}
-
-/// Per-`(peer, tag)` receive stream state.
+/// The receiving half of one link: reassembly of the peer's frames into
+/// link order.
 #[derive(Default)]
-struct Stream {
-    /// Next sequence number owed to the caller.
+struct Inbound {
+    /// Next link seq owed to the stash.
     expected: u32,
-    /// In-order frames ready for delivery.
-    ready: VecDeque<Encoded>,
-    /// Out-of-order frames held until their gap fills.
-    reorder: BTreeMap<u32, Encoded>,
+    /// `(tag, payload)` of frames past a gap, by link seq, held until it
+    /// fills.
+    reorder: BTreeMap<u32, (Tag, Encoded)>,
     /// Per-seq count of injected losses (drop/corrupt) — the evidence
     /// that a retransmission is owed, and the `attempt` fed to the plan.
     lossy_attempts: HashMap<u32, u32>,
-    /// When the last NACK for this stream was sent.
+    /// When the last NACK on this link was sent.
     last_nack: Option<Instant>,
-    /// Evidence-based NACKs since the stream last advanced; exceeding the
+    /// Evidence-based NACKs since the link last advanced; exceeding the
     /// retry budget surfaces [`CommError::Lost`].
     counted_nacks: u32,
 }
 
 struct ChaosState {
-    /// Next sequence number per outgoing `(peer, tag)` stream.
-    send_seq: HashMap<(usize, Tag), u32>,
-    /// Recently-sent framed payloads per peer, for serving NACKs.
-    ring: HashMap<usize, VecDeque<(Tag, u32, Encoded)>>,
-    streams: HashMap<(usize, Tag), Stream>,
+    /// `sent[peer]`: framed payloads handed to that link, for serving
+    /// NACKs; its end is the link seq the next frame gets.
+    sent: Vec<Retention>,
+    /// `links[peer]`: the receiving half of that link.
+    links: Vec<Inbound>,
+    /// Payloads reassembled in link order, awaiting a receive, and why a
+    /// peer will file nothing more.
+    stash: TagStash,
     /// Frames held back by delay injection: `(due, peer, tag, framed)`.
     delayed: Vec<(Instant, usize, Tag, Encoded)>,
     /// Retransmissions that hit a full channel, awaiting a retry.
@@ -415,9 +408,36 @@ struct ChaosState {
     stats: FaultStats,
 }
 
+impl ChaosState {
+    /// Sequence admission of one verified frame: duplicates are
+    /// discarded, a frame past a gap waits for it, and everything in link
+    /// order is filed for its receiver — so a loss on one tag holds back
+    /// the peer's later frames on every tag until it is resent.
+    fn accept(&mut self, peer: usize, tag: Tag, seq: u32, payload: Encoded) {
+        let link = &mut self.links[peer];
+        // Behind `expected` — more than half the (wrapping) seq space
+        // ahead of it — or already held: a duplicate.
+        if seq.wrapping_sub(link.expected) >= 1 << 31 || link.reorder.contains_key(&seq) {
+            self.stats.duplicates_discarded += 1;
+            return;
+        }
+        if link.lossy_attempts.contains_key(&seq) {
+            self.stats.frames_redelivered += 1;
+        }
+        link.reorder.insert(seq, (tag, payload));
+        while let Some((tag, p)) = link.reorder.remove(&link.expected) {
+            self.stash.file(peer, tag, p);
+            link.lossy_attempts.remove(&link.expected);
+            link.expected = link.expected.wrapping_add(1);
+            link.counted_nacks = 0;
+            link.last_nack = None;
+        }
+    }
+}
+
 /// A [`Transport`] decorator that injects a [`FaultPlan`] on the receive
-/// side and masks what it injects with checksums, sequence numbers and
-/// NACK-driven retransmission. See the module docs for the protocol.
+/// side and masks what it injects with checksums, link sequence numbers
+/// and NACK-driven retransmission. See the module docs for the protocol.
 ///
 /// Determinism contract: because recovery restores both the bytes and the
 /// per-`(peer, tag)` order of every transient-faulted frame, any
@@ -434,13 +454,14 @@ pub struct ChaosTransport {
 impl ChaosTransport {
     /// Wraps `inner` with the given plan.
     pub fn new(inner: ShmTransport, plan: FaultPlan) -> Self {
+        let world = inner.world();
         ChaosTransport {
             inner,
             plan,
             state: Mutex::new(ChaosState {
-                send_seq: HashMap::new(),
-                ring: HashMap::new(),
-                streams: HashMap::new(),
+                sent: (0..world).map(|_| Retention::new(RETAIN_BYTES)).collect(),
+                links: (0..world).map(|_| Inbound::default()).collect(),
+                stash: TagStash::new(world),
                 delayed: Vec::new(),
                 backlog: VecDeque::new(),
                 stats: FaultStats::default(),
@@ -475,33 +496,53 @@ impl ChaosTransport {
         self.plan.retry_backoff.min(Duration::from_millis(1))
     }
 
+    /// Asks `peer` for its frame at link seq `seq`: the receiver's
+    /// next-expected, one `u32` on the control lane.
+    fn nack(&self, peer: usize, seq: u32) {
+        let body = Bytes::copy_from_slice(&seq.to_le_bytes());
+        let _ = self
+            .inner
+            .try_send_tagged(peer, CTRL_TAG, Encoded::new(Shape::vector(1), body));
+    }
+
     /// Services the control lane (incoming NACKs -> retransmissions),
-    /// releases due delayed frames, and retries the send backlog.
-    fn pump(&self) {
+    /// takes in everything the peers framed, releases due delayed frames,
+    /// and retries the send backlog. Returns how many frames it took in.
+    fn pump(&self) -> usize {
         if self.frozen.load(Ordering::Relaxed) {
-            return;
+            return 0;
         }
         let mut state = self.lock();
-        // Incoming NACKs: resend the exact requested frame if the ring
-        // still holds it. A trimmed ring silently ignores the request —
-        // the receiver's budget or timeout bounds the stall.
+        // Incoming NACKs: resend the retained frame at the seq asked for.
+        // A seq the store no longer (or never) holds is ignored — the
+        // receiver's budget or timeout bounds the stall.
         for peer in 0..self.inner.world() {
             if peer == self.inner.rank() {
                 continue;
             }
             while let Ok(Some(msg)) = self.inner.try_recv_tagged(peer, CTRL_TAG) {
-                let Some((tag, seq)) = parse_nack(&msg) else {
+                let Ok(seq) = <[u8; 4]>::try_from(msg.payload().as_ref()) else {
                     continue;
                 };
-                let hit = state.ring.get(&peer).and_then(|ring| {
-                    ring.iter()
-                        .find(|(t, s, _)| *t == tag && *s == seq)
-                        .map(|(_, _, f)| f.clone())
-                });
-                if let Some(framed) = hit {
+                let hit = state.sent[peer]
+                    .suffix(u32::from_le_bytes(seq), peer)
+                    .ok()
+                    .and_then(|mut from| from.next())
+                    .map(|(tag, framed)| (tag, framed.clone()));
+                if let Some((tag, framed)) = hit {
                     state.backlog.push_back((peer, tag, framed));
                 }
             }
+        }
+        // Everything framed, in the order it reached the fabric.
+        let stash = &mut state.stash;
+        let arrived = self.inner.harvest(
+            |tag| !raw_lane(tag),
+            |peer, err| stash.close(peer, err.clone()),
+        );
+        let taken = arrived.len();
+        for (peer, tag, framed) in arrived {
+            self.admit(&mut state, peer, tag, framed, true);
         }
         // Due delayed frames re-enter fault-free (their fault already
         // happened); the admit path dedups if a retransmission won the race.
@@ -533,11 +574,12 @@ impl ChaosTransport {
                 }
             }
         }
+        taken
     }
 
     /// Runs one inbound frame through injection, checksum verification and
     /// sequence reassembly. `allow_faults` is false for frames re-entering
-    /// from the delay queue.
+    /// from the delay queue or mangled by injection.
     fn admit(
         &self,
         state: &mut ChaosState,
@@ -546,186 +588,119 @@ impl ChaosTransport {
         framed: Encoded,
         allow_faults: bool,
     ) {
-        let shape = framed.shape().clone();
-        let bytes = framed.into_payload();
-        let Some((seq, stated, mut body)) = parse(&bytes) else {
-            // Not framed traffic (foreign or mangled header): count and
-            // drop; sequence recovery will re-request it if it was real.
+        let Some((seq, _)) = open(tag, framed.payload()) else {
+            // Caught by the checksum: ask for the link's next frame again,
+            // now.
             state.stats.corruptions_caught += 1;
+            state.stats.retransmit_requests += 1;
+            let link = &mut state.links[peer];
+            link.last_nack = Some(Instant::now());
+            self.nack(peer, link.expected);
             return;
         };
-        let attempt = state
-            .streams
-            .entry((peer, tag))
-            .or_default()
-            .lossy_attempts
-            .get(&seq)
-            .copied()
-            .unwrap_or(0);
-        let mut duplicate = false;
+        let mut copies = 1;
         if allow_faults {
-            match self
-                .plan
-                .decide(peer, self.inner.rank(), tag, seq, attempt)
-            {
+            let link = &mut state.links[peer];
+            let attempt = link.lossy_attempts.get(&seq).copied().unwrap_or(0);
+            match self.plan.decide(peer, self.inner.rank(), tag, seq, attempt) {
                 FaultKind::Deliver => {}
                 FaultKind::Drop => {
-                    let st = state.streams.entry((peer, tag)).or_default();
-                    *st.lossy_attempts.entry(seq).or_insert(0) += 1;
+                    *link.lossy_attempts.entry(seq).or_insert(0) += 1;
                     state.stats.injected_drops += 1;
                     return;
                 }
                 FaultKind::Corrupt => {
-                    let st = state.streams.entry((peer, tag)).or_default();
-                    *st.lossy_attempts.entry(seq).or_insert(0) += 1;
+                    *link.lossy_attempts.entry(seq).or_insert(0) += 1;
                     state.stats.injected_corruptions += 1;
-                    let mut raw = body.to_vec();
-                    if raw.is_empty() {
+                    let mut raw = framed.payload().to_vec();
+                    let body = raw.len() - HEADER_LEN;
+                    if body == 0 {
                         return; // nothing to flip: degrade to a drop
                     }
-                    let bit = seq as usize % 8;
-                    let idx = seq as usize % raw.len();
-                    raw[idx] ^= 1 << bit;
-                    body = Bytes::from(raw);
+                    raw[HEADER_LEN + seq as usize % body] ^= 1 << (seq % 8);
+                    // The flip is silent in flight: the reader catches it.
+                    let mangled = Encoded::new(framed.shape().clone(), raw.into());
+                    return self.admit(state, peer, tag, mangled, false);
                 }
                 FaultKind::Delay => {
                     state.stats.injected_delays += 1;
-                    state.delayed.push((
-                        Instant::now() + self.plan.delay,
-                        peer,
-                        tag,
-                        Encoded::new(shape, bytes),
-                    ));
+                    state
+                        .delayed
+                        .push((Instant::now() + self.plan.delay, peer, tag, framed));
                     return;
                 }
                 FaultKind::Duplicate => {
                     state.stats.injected_duplicates += 1;
-                    duplicate = true;
+                    copies = 2;
                 }
             }
         }
-        let copies = if duplicate { 2 } else { 1 };
+        let body = framed.payload().slice(HEADER_LEN..);
         for _ in 0..copies {
-            self.accept(state, peer, tag, seq, stated, &shape, &body);
+            let payload = Encoded::new(framed.shape().clone(), body.clone());
+            state.accept(peer, tag, seq, payload);
         }
     }
 
-    /// Checksum + sequence admission of one (possibly corrupted) frame body.
-    fn accept(
-        &self,
-        state: &mut ChaosState,
-        peer: usize,
-        tag: Tag,
-        seq: u32,
-        stated: u32,
-        shape: &Shape,
-        body: &Bytes,
-    ) {
-        if checksum(tag, seq, body) != stated {
-            // Corruption detected: ask for this exact frame again, now.
-            state.stats.corruptions_caught += 1;
-            state.stats.retransmit_requests += 1;
-            let _ = self.inner.try_send_tagged(peer, CTRL_TAG, nack_payload(tag, seq));
-            let st = state.streams.entry((peer, tag)).or_default();
-            st.last_nack = Some(Instant::now());
-            return;
-        }
-        let st = state.streams.entry((peer, tag)).or_default();
-        if seq < st.expected || st.reorder.contains_key(&seq) {
-            state.stats.duplicates_discarded += 1;
-            return;
-        }
-        if st.lossy_attempts.contains_key(&seq) {
-            state.stats.frames_redelivered += 1;
-        }
-        st.reorder.insert(seq, Encoded::new(shape.clone(), body.clone()));
-        while let Some(p) = st.reorder.remove(&st.expected) {
-            st.ready.push_back(p);
-            st.lossy_attempts.remove(&st.expected);
-            st.expected += 1;
-            st.counted_nacks = 0;
-            st.last_nack = None;
-        }
-    }
-
-    /// Issues a retransmission request for a stalled stream when there is
+    /// Issues a retransmission request for a stalled link when there is
     /// loss evidence, respecting the backoff; surfaces
     /// [`CommError::Lost`] once the evidence-based budget is exhausted.
     ///
     /// Evidence means we *know* the sender sent the missing frame: either
-    /// a later frame of the same stream is parked in the reorder buffer,
-    /// or injection logged a drop/corruption at exactly the missing seq.
+    /// a later frame of the link is parked in the reorder buffer, or
+    /// injection logged a drop/corruption at exactly the missing seq.
     /// Without evidence no NACK is sent — a peer that is merely slow must
     /// never be condemned as lossy.
-    fn maybe_nack(&self, state: &mut ChaosState, peer: usize, tag: Tag) -> Result<(), CommError> {
-        let plan_budget = self.plan.retry_budget;
-        let backoff = self.plan.retry_backoff;
-        let Some(st) = state.streams.get_mut(&(peer, tag)) else {
-            return Ok(());
-        };
-        let evidence =
-            !st.reorder.is_empty() || st.lossy_attempts.contains_key(&st.expected);
-        if !evidence {
-            return Ok(());
-        }
-        if st.last_nack.is_some_and(|t| t.elapsed() < backoff) {
+    fn maybe_nack(&self, state: &mut ChaosState, peer: usize) -> Result<(), CommError> {
+        let link = &mut state.links[peer];
+        let evidence = !link.reorder.is_empty() || link.lossy_attempts.contains_key(&link.expected);
+        if !evidence
+            || link
+                .last_nack
+                .is_some_and(|t| t.elapsed() < self.plan.retry_backoff)
+        {
             return Ok(());
         }
-        st.counted_nacks += 1;
-        st.last_nack = Some(Instant::now());
-        if st.counted_nacks > plan_budget {
+        link.counted_nacks += 1;
+        link.last_nack = Some(Instant::now());
+        if link.counted_nacks > self.plan.retry_budget {
             return Err(CommError::Lost {
                 peer,
-                retries: st.counted_nacks - 1,
+                retries: link.counted_nacks - 1,
             });
         }
         state.stats.retransmit_requests += 1;
-        let _ = self
-            .inner
-            .try_send_tagged(peer, CTRL_TAG, nack_payload(tag, st.expected));
+        self.nack(peer, link.expected);
         Ok(())
     }
 
-    /// Non-blocking receive against the reassembled stream.
+    /// Non-blocking receive against the reassembled link. A link whose
+    /// retry budget runs out is closed with [`CommError::Lost`]: nothing
+    /// behind its gap can ever be delivered.
     fn poll(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
         self.pump();
+        if raw_lane(tag) {
+            return self.inner.try_recv_tagged(peer, tag);
+        }
         let mut state = self.lock();
-        loop {
-            if let Some(st) = state.streams.get_mut(&(peer, tag)) {
-                if let Some(p) = st.ready.pop_front() {
-                    return Ok(Some(p));
-                }
-            }
-            match self.inner.try_recv_tagged(peer, tag) {
-                Ok(Some(framed)) => self.admit(&mut state, peer, tag, framed, true),
-                Ok(None) => {
-                    self.maybe_nack(&mut state, peer, tag)?;
-                    return Ok(None);
-                }
-                Err(e) => {
-                    // Drain what reassembly already completed before
-                    // surfacing the disconnect.
-                    if let Some(st) = state.streams.get_mut(&(peer, tag)) {
-                        if let Some(p) = st.ready.pop_front() {
-                            return Ok(Some(p));
-                        }
-                    }
-                    return Err(e);
-                }
+        if let Some(p) = state.stash.take(peer, tag) {
+            return Ok(Some(p));
+        }
+        if state.stash.closed(peer).is_none() {
+            if let Err(lost) = self.maybe_nack(&mut state, peer) {
+                state.stash.close(peer, lost);
             }
         }
+        state
+            .stash
+            .closed(peer)
+            .map_or(Ok(None), |e| Err(e.clone()))
     }
 }
 
 impl Transport for ChaosTransport {
     fn rank(&self) -> usize {
         self.inner.rank()
-    }
-
-    fn flush_outbound(&self) -> Result<(), CommError> {
-        // Default trait methods do not delegate through wrappers: forward
-        // explicitly so a coalescing inner fabric still gets flushed.
-        self.inner.flush_outbound()
     }
 
     fn world(&self) -> usize {
@@ -740,20 +715,15 @@ impl Transport for ChaosTransport {
         if self.frozen.load(Ordering::Relaxed) {
             return Ok(()); // fail-silent: the bytes vanish
         }
+        if raw_lane(tag) {
+            return self.inner.send_tagged(peer, tag, payload);
+        }
         self.pump();
         let framed = {
             let mut state = self.lock();
-            let seq = state.send_seq.entry((peer, tag)).or_insert(0);
-            let framed = frame(tag, *seq, &payload);
-            let cur = *seq;
-            *seq += 1;
-            if self.plan.retransmit_ring > 0 {
-                let ring = state.ring.entry(peer).or_default();
-                ring.push_back((tag, cur, framed.clone()));
-                while ring.len() > self.plan.retransmit_ring {
-                    ring.pop_front();
-                }
-            }
+            let sent = &mut state.sent[peer];
+            let framed = frame(tag, sent.end(), &payload);
+            sent.push(tag, framed.clone(), framed.payload_bytes());
             framed
         };
         self.inner.send_tagged(peer, tag, framed)
@@ -768,20 +738,16 @@ impl Transport for ChaosTransport {
         if self.frozen.load(Ordering::Relaxed) {
             return Ok(None);
         }
+        if raw_lane(tag) {
+            return self.inner.try_send_tagged(peer, tag, payload);
+        }
         self.pump();
         let mut state = self.lock();
-        let next = state.send_seq.get(&(peer, tag)).copied().unwrap_or(0);
-        let framed = frame(tag, next, &payload);
+        let framed = frame(tag, state.sent[peer].end(), &payload);
         match self.inner.try_send_tagged(peer, tag, framed.clone())? {
             None => {
-                state.send_seq.insert((peer, tag), next + 1);
-                if self.plan.retransmit_ring > 0 {
-                    let ring = state.ring.entry(peer).or_default();
-                    ring.push_back((tag, next, framed));
-                    while ring.len() > self.plan.retransmit_ring {
-                        ring.pop_front();
-                    }
-                }
+                let bytes = framed.payload_bytes();
+                state.sent[peer].push(tag, framed, bytes);
                 Ok(None)
             }
             // Hand back the caller's original (unframed) payload.
@@ -800,8 +766,7 @@ impl Transport for ChaosTransport {
         if self.frozen.load(Ordering::Relaxed) {
             return 0;
         }
-        self.pump();
-        self.inner.drain_inbound()
+        self.pump() + self.inner.drain_inbound()
     }
 
     fn arrivals(&self) -> u64 {
@@ -838,43 +803,14 @@ impl Transport for ChaosTransport {
         false
     }
 
+    /// The marker exchange every fabric with bytes in flight runs: each
+    /// receive it makes pumps, so NACKs keep being served until every peer
+    /// has confirmed it will ask for nothing more. A frozen endpoint owes
+    /// nobody anything it could still send and returns at once.
     fn quiesce(&self, peers: &[usize]) {
-        // A peer's marker means it has finished consuming every collective
-        // it will ever run, so it can never NACK us again; once all of
-        // them confirm (while we keep serving retransmissions), dropping
-        // this endpoint strands nobody. Markers ride the raw inner
-        // transport: injection-exempt and unframed, like the NACK lane.
-        if self.frozen.load(Ordering::Relaxed) {
-            return; // a zombie owes nobody anything it could still send
+        if !self.frozen.load(Ordering::Relaxed) {
+            exchange_quiesce_markers(self, peers);
         }
-        let me = self.inner.rank();
-        let marker = Encoded::new(Shape::vector(1), Bytes::copy_from_slice(&[0x51]));
-        for &p in peers {
-            if p != me {
-                let _ = self.inner.send_tagged(p, QUIESCE_TAG, marker.clone());
-            }
-        }
-        for &p in peers {
-            if p == me {
-                continue;
-            }
-            let deadline = Instant::now() + self.inner.timeout();
-            loop {
-                let seen = self.inner.arrivals();
-                self.pump();
-                match self.inner.try_recv_tagged(p, QUIESCE_TAG) {
-                    Ok(Some(_)) => break,
-                    Err(_) => break, // peer already gone: it cannot NACK us
-                    Ok(None) => {}
-                }
-                if Instant::now() >= deadline {
-                    break; // best effort: never fail a finished run
-                }
-                self.inner.park(seen, self.park_slice());
-            }
-        }
-        // One final service round for NACKs that raced the last marker.
-        self.pump();
     }
 }
 
@@ -885,19 +821,6 @@ mod tests {
 
     fn enc(bytes: &[u8]) -> Encoded {
         Encoded::new(Shape::vector(bytes.len().max(1)), Bytes::copy_from_slice(bytes))
-    }
-
-    #[test]
-    fn nack_payload_is_little_endian_tag_then_seq() {
-        let nack = nack_payload(0x0102_0304_0506_0708, 0x0A0B_0C0D);
-        assert_eq!(
-            nack.payload()[..],
-            [8, 7, 6, 5, 4, 3, 2, 1, 0x0D, 0x0C, 0x0B, 0x0A]
-        );
-        assert_eq!(
-            parse_nack(&nack),
-            Some((0x0102_0304_0506_0708, 0x0A0B_0C0D))
-        );
     }
 
     #[test]
@@ -958,25 +881,22 @@ mod tests {
         let original = enc(&[1, 2, 3, 4, 5]);
         let tag = collective_tag(3, 1, 2);
         let framed = frame(tag, 9, &original);
-        let (seq, stated, body) = parse(framed.payload()).expect("parses");
+        let (seq, body) = open(tag, framed.payload()).expect("opens");
         assert_eq!(seq, 9);
-        assert_eq!(body.as_ref(), &[1, 2, 3, 4, 5]);
-        assert_eq!(checksum(tag, seq, &body), stated);
+        assert_eq!(body, &[1, 2, 3, 4, 5]);
         // Any single-bit flip in the body must be caught.
-        for byte in 0..body.len() {
+        for byte in HEADER_LEN..framed.payload_bytes() {
             for bit in 0..8 {
-                let mut raw = body.to_vec();
+                let mut raw = framed.payload().to_vec();
                 raw[byte] ^= 1 << bit;
-                assert_ne!(
-                    checksum(tag, seq, &raw),
-                    stated,
-                    "flip at {byte}:{bit} not caught"
-                );
+                assert!(open(tag, &raw).is_none(), "flip at {byte}:{bit} not caught");
             }
         }
         // A wrong tag or seq also fails: frames cannot alias across lanes.
-        assert_ne!(checksum(tag + 1, seq, &body), stated);
-        assert_ne!(checksum(tag, seq + 1, &body), stated);
+        assert!(open(tag + 1, framed.payload()).is_none());
+        let mut reseq = framed.payload().to_vec();
+        reseq[2] ^= 1;
+        assert!(open(tag, &reseq).is_none());
     }
 
     #[test]
@@ -1060,12 +980,62 @@ mod tests {
     }
 
     #[test]
+    fn a_loss_on_one_lane_holds_back_the_links_other_lanes_until_resent() {
+        // Rank 0 sends A0, B0, A1, B1 (link seqs 0..4) on two tags. Find
+        // the first seed whose schedule drops exactly A0, once: everything
+        // else is delivered on its first attempt, A0 on its second.
+        let (lane_a, lane_b) = (collective_tag(8, 0, 1), collective_tag(9, 0, 1));
+        let sends = [(lane_a, 10u8), (lane_b, 20), (lane_a, 11), (lane_b, 21)];
+        let plan = (0u64..)
+            .map(|seed| FaultPlan::new(seed).with_drop(0.5))
+            .find(|p| {
+                p.decide(0, 1, lane_a, 0, 0) == FaultKind::Drop
+                    && p.decide(0, 1, lane_a, 0, 1) == FaultKind::Deliver
+                    && (1..4u32).all(|seq| {
+                        p.decide(0, 1, sends[seq as usize].0, seq, 0) == FaultKind::Deliver
+                    })
+            })
+            .expect("some seed drops only A0");
+        let mut eps = ShmFabric::build(2);
+        let b = ChaosTransport::new(eps.pop().unwrap(), plan.clone());
+        let a = ChaosTransport::new(eps.pop().unwrap(), plan);
+        for (tag, byte) in sends {
+            Transport::send_tagged(&a, 1, tag, enc(&[byte])).unwrap();
+        }
+        let done = std::sync::Arc::new(AtomicBool::new(false));
+        let done_tx = done.clone();
+        let sender = std::thread::spawn(move || {
+            // The sender serves the NACK for A0 from its retention.
+            while !done_tx.load(Ordering::Relaxed) {
+                a.pump();
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        });
+        let recv = |tag| {
+            let got = Transport::recv_tagged_deadline(&b, 0, tag, Duration::from_secs(10))
+                .expect("delivered");
+            got.payload()[0]
+        };
+        // B0 arrived whole, but it sits behind A0's gap on the link: it is
+        // handed over only once A0 has been resent.
+        assert_eq!(recv(lane_b), 20);
+        let stats = Transport::fault_stats(&b);
+        assert_eq!((stats.injected_drops, stats.frames_redelivered), (1, 1));
+        assert!(stats.retransmit_requests >= 1);
+        // Per-tag order holds on both lanes.
+        assert_eq!(recv(lane_b), 21);
+        assert_eq!(recv(lane_a), 10);
+        assert_eq!(recv(lane_a), 11);
+        done.store(true, Ordering::Relaxed);
+        sender.join().unwrap();
+    }
+
+    #[test]
     fn exhausted_retry_budget_surfaces_lost() {
-        // Disable the retransmit ring: every injected drop is permanent.
-        // The receiver must give up with Lost, not hang.
+        // Every attempt is dropped, retransmissions included: the
+        // receiver must give up with Lost, not hang.
         let plan = FaultPlan::new(0)
             .with_drop(1.0)
-            .with_retransmit_ring(0)
             .with_retry(3, Duration::from_millis(1));
         let mut eps = ShmFabric::build(2);
         let b = ChaosTransport::new(eps.pop().unwrap(), plan.clone());

@@ -1,20 +1,29 @@
-//! Seq + FNV-checksummed payload framing, shared by the chaos/reliability
-//! layer ([`crate::fault::ChaosTransport`]) and the TCP wire format
-//! (`cgx-net`).
+//! Seq + FNV-checksummed payload framing, and the retention that resends
+//! from it, shared by the chaos/reliability layer
+//! ([`crate::fault::ChaosTransport`]) and the TCP wire format (`cgx-net`).
 //!
 //! A frame wraps one [`Encoded`] payload with a magic sentinel, a
-//! per-`(peer, tag)` sequence number, and an FNV-style multiply-xor
-//! checksum over `(tag, seq, len, payload)`. The checksum binds the payload to its lane:
+//! per-link sequence number — frames counted per (sender, receiver) pair
+//! across every tag — and an FNV-style multiply-xor checksum over
+//! `(tag, seq, len, payload)`. The checksum binds the payload to its lane:
 //! a frame replayed under a different tag or sequence number fails
 //! verification, so frames can never alias across collectives, and any
-//! single-bit corruption of the body is caught. Both consumers use the
-//! identical header layout, which is the point — the reliability protocol
-//! debugged under deterministic chaos injection is byte-for-byte the
-//! protocol that runs on real sockets.
+//! single-bit corruption of the body is caught. [`open`] is the one reader
+//! of the envelope. Both consumers use the identical header layout, which
+//! is the point — the reliability protocol debugged under deterministic
+//! chaos injection is byte-for-byte the protocol that runs on real sockets.
+//!
+//! A receiver accepts exactly the next link seq it expects, so "what I
+//! have" is one number, and a sender keeps one byte-bounded [`Retention`]
+//! of the frames it handed to the link. Both recoveries read "from `s` on"
+//! out of it: a chaos NACK names the receiver's next-expected seq and gets
+//! that frame again; a TCP reconnect resends the whole suffix from it.
 
+use crate::error::CommError;
 use crate::transport::Tag;
 use cgx_compress::Encoded;
 use cgx_tensor::Bytes;
+use std::collections::VecDeque;
 
 /// Frame header: `[magic:u16][seq:u32][checksum:u32]`, little-endian.
 pub const HEADER_LEN: usize = 10;
@@ -93,36 +102,126 @@ pub fn append_header(dst: &mut Vec<u8>, tag: Tag, seq: u32, body: &[u8]) {
     dst.extend_from_slice(&checksum(tag, seq, body).to_le_bytes());
 }
 
-/// Splits a framed buffer into `(seq, stated checksum, body)`.
-///
-/// The caller re-checks the checksum via [`checksum`] so corruption is
-/// *observed* (and can be counted / NACKed / rejected), not silently
-/// masked at parse time. Returns `None` for buffers too short to hold a
-/// header or not bearing the [`FRAME_MAGIC`] sentinel.
-pub fn parse(bytes: &Bytes) -> Option<(u32, u32, Bytes)> {
-    if bytes.len() < HEADER_LEN {
+/// Opens one envelope: `Some((seq, body))` when `bytes` holds a header
+/// bearing [`FRAME_MAGIC`] whose stated checksum matches the body under
+/// `(tag, seq)`; `None` for anything shorter than a header, unmagical, or
+/// corrupted. The one reader of the format: the TCP demux parses arrivals
+/// in place with it, the bootstrap stream reader and the chaos layer call
+/// it too, so a mismatch is *observed* (counted, NACKed or fatal, as the
+/// caller decides), never masked.
+pub fn open(tag: Tag, bytes: &[u8]) -> Option<(u32, &[u8])> {
+    if bytes.len() < HEADER_LEN || bytes[..2] != FRAME_MAGIC.to_le_bytes() {
         return None;
     }
-    let magic = u16::from_le_bytes([bytes[0], bytes[1]]);
-    if magic != FRAME_MAGIC {
-        return None;
-    }
-    let seq = u32::from_le_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]);
-    let sum = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]);
-    Some((seq, sum, bytes.slice(HEADER_LEN..)))
+    let seq = u32::from_le_bytes(bytes[2..6].try_into().expect("4 bytes"));
+    let stated = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes"));
+    let body = &bytes[HEADER_LEN..];
+    (checksum(tag, seq, body) == stated).then_some((seq, body))
 }
 
-/// Parses and verifies in one step: `Some(body)` only when the stated
-/// checksum matches the recomputed one under `(tag, seq)`. The strict
-/// entry point for wire formats that treat corruption as fatal (TCP
-/// already guarantees transport integrity, so a mismatch there means a
-/// protocol bug, not line noise).
-pub fn parse_verified(tag: Tag, bytes: &Bytes) -> Option<(u32, Bytes)> {
-    let (seq, stated, body) = parse(bytes)?;
-    if checksum(tag, seq, &body) != stated {
-        return None;
+/// Bytes one link may hold for resending, on either fabric (TCP holds
+/// them only with a reconnect policy armed; without one it keeps none).
+pub const RETAIN_BYTES: usize = 8 << 20;
+
+/// The frames a sender has handed to one link, kept for resending: a
+/// contiguous suffix of everything the link ever carried, oldest first,
+/// at most `cap` bytes of it. Frames are numbered by link seq, so the
+/// store is an index — [`Retention::end`] is the seq the next frame gets.
+/// Link seqs wrap (a busy link carries 2^32 frames in hours): a seq is
+/// placed relative to the frames held, the nearer way round.
+#[derive(Debug)]
+pub struct Retention {
+    /// `(tag, frame, bytes it cost)`, the first at link seq `start`.
+    frames: VecDeque<(Tag, Encoded, usize)>,
+    start: u32,
+    bytes: usize,
+    cap: usize,
+}
+
+impl Retention {
+    /// An empty store at link seq 0 holding at most `cap` bytes (0 keeps
+    /// nothing, but still counts).
+    pub fn new(cap: usize) -> Self {
+        Retention {
+            frames: VecDeque::new(),
+            start: 0,
+            bytes: 0,
+            cap,
+        }
     }
-    Some((seq, body))
+
+    /// The link seq of the next frame handed over: how many ever were.
+    pub fn end(&self) -> u32 {
+        self.start.wrapping_add(self.frames.len() as u32)
+    }
+
+    /// Keeps `frame` — which cost `bytes` on the wire — at link seq
+    /// [`Retention::end`], dropping the oldest frames past the cap.
+    pub fn push(&mut self, tag: Tag, frame: Encoded, bytes: usize) {
+        self.bytes += bytes;
+        self.frames.push_back((tag, frame, bytes));
+        while self.bytes > self.cap {
+            let (_, _, old) = self.frames.pop_front().expect("bytes are the frames'");
+            self.bytes -= old;
+            self.start = self.start.wrapping_add(1);
+        }
+    }
+
+    /// Where link seq `s` sits in the store, or why it cannot be served
+    /// (see [`Retention::suffix`]).
+    fn index(&self, s: u32, peer: usize) -> Result<usize, CommError> {
+        let at = s.wrapping_sub(self.start) as usize;
+        if at <= self.frames.len() {
+            return Ok(at);
+        }
+        if s.wrapping_sub(self.end()) < 1 << 31 {
+            return Err(CommError::Corrupted {
+                peer,
+                detail: format!(
+                    "peer expects link seq {s}, only {} frames were ever sent",
+                    self.end()
+                ),
+            });
+        }
+        Err(CommError::PeerDead { rank: peer })
+    }
+
+    /// The retained frames from link seq `s` on, oldest first; empty when
+    /// `s` is [`Retention::end`].
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::Corrupted`] naming `peer` when `s` claims frames that
+    /// were never handed over (the peer is lying about shared history);
+    /// [`CommError::PeerDead`] when frames from `s` on are no longer all
+    /// here (the gap outgrew the cap and cannot be healed).
+    pub fn suffix(
+        &self,
+        s: u32,
+        peer: usize,
+    ) -> Result<impl Iterator<Item = (Tag, &Encoded)>, CommError> {
+        let at = self.index(s, peer)?;
+        Ok(self.frames.range(at..).map(|(tag, frame, _)| (*tag, frame)))
+    }
+
+    /// Resumes the link at `s`: frames below it are acknowledged and
+    /// dropped, the suffix from it is handed back for resending, and the
+    /// store restarts empty at `s`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Retention::suffix`]; the store is left as it was.
+    pub fn resume(&mut self, s: u32, peer: usize) -> Result<Vec<(Tag, Encoded)>, CommError> {
+        let at = self.index(s, peer)?;
+        let resend = self.frames.split_off(at);
+        self.frames.clear();
+        self.bytes = 0;
+        self.start = s;
+        Ok(resend
+            .into_iter()
+            .map(|(tag, frame, _)| (tag, frame))
+            .collect())
+    }
 }
 
 #[cfg(test)]
@@ -139,10 +238,9 @@ mod tests {
         let original = enc(&[9, 8, 7, 6]);
         let framed = frame(0xAB, 3, &original);
         assert_eq!(framed.shape(), original.shape());
-        let (seq, stated, body) = parse(framed.payload()).expect("parses");
+        let (seq, body) = open(0xAB, framed.payload()).expect("opens");
         assert_eq!(seq, 3);
-        assert_eq!(body.as_ref(), &[9, 8, 7, 6]);
-        assert_eq!(checksum(0xAB, 3, &body), stated);
+        assert_eq!(body, &[9, 8, 7, 6]);
         // The body is the frame's own bytes past the header, not a copy.
         assert_eq!(body.as_ptr(), framed.payload()[HEADER_LEN..].as_ptr());
     }
@@ -254,24 +352,126 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_short_and_unmagical_buffers() {
-        assert!(parse(&Bytes::copy_from_slice(&[1, 2, 3])).is_none());
+    fn open_rejects_short_and_unmagical_buffers() {
+        assert!(open(1, &[1, 2, 3]).is_none());
         let mut raw = frame_bytes(1, 0, &[5]).to_vec();
+        assert!(open(1, &raw).is_some());
         raw[0] ^= 0xFF; // break the magic
-        assert!(parse(&Bytes::from(raw)).is_none());
+        assert!(open(1, &raw).is_none());
     }
 
     #[test]
-    fn parse_verified_is_strict() {
+    fn open_is_strict() {
         let framed = frame_bytes(42, 7, &[10, 20, 30]);
-        let (seq, body) = parse_verified(42, &framed).expect("verifies");
-        assert_eq!((seq, body.as_ref()), (7, &[10u8, 20, 30][..]));
+        let (seq, body) = open(42, &framed).expect("verifies");
+        assert_eq!((seq, body), (7, &[10u8, 20, 30][..]));
         // Wrong lane: same bytes fail under another tag.
-        assert!(parse_verified(43, &framed).is_none());
+        assert!(open(43, &framed).is_none());
         // A flipped body bit fails too.
         let mut raw = framed.to_vec();
         let last = raw.len() - 1;
         raw[last] ^= 1;
-        assert!(parse_verified(42, &Bytes::from(raw)).is_none());
+        assert!(open(42, &raw).is_none());
+    }
+
+    /// A store holding link seqs `0..n`, frame `i` tagged `100 + i`,
+    /// carrying byte `i` and costing 10 bytes, capped at `cap`.
+    fn retention(n: u8, cap: usize) -> Retention {
+        let mut r = Retention::new(cap);
+        for i in 0..n {
+            r.push(100 + Tag::from(i), enc(&[i]), 10);
+        }
+        r
+    }
+
+    fn bytes_from(r: &Retention, s: u32) -> Vec<u8> {
+        r.suffix(s, 1)
+            .expect("held")
+            .map(|(_, f)| f.payload()[0])
+            .collect()
+    }
+
+    #[test]
+    fn eviction_under_the_byte_bound_keeps_a_contiguous_suffix() {
+        // 35 bytes hold three 10-byte frames: pushing seven keeps 4, 5, 6.
+        let r = retention(7, 35);
+        assert_eq!(r.end(), 7);
+        assert_eq!(bytes_from(&r, 4), [4, 5, 6]);
+        assert_eq!(bytes_from(&r, 5), [5, 6]);
+        let tags: Vec<Tag> = r.suffix(4, 1).expect("held").map(|(t, _)| t).collect();
+        assert_eq!(tags, [104, 105, 106]);
+        // A cap of zero keeps nothing and still numbers the link.
+        let none = retention(3, 0);
+        assert_eq!(none.end(), 3);
+        assert_eq!(none.suffix(3, 1).expect("at the end").count(), 0);
+    }
+
+    #[test]
+    fn asking_below_the_oldest_frame_is_a_dead_peer() {
+        let r = retention(7, 35);
+        assert_eq!(r.suffix(3, 2).err(), Some(CommError::PeerDead { rank: 2 }));
+        let mut r = r;
+        assert_eq!(r.resume(0, 2).err(), Some(CommError::PeerDead { rank: 2 }));
+        assert_eq!(r.end(), 7, "a refused resume changes nothing");
+    }
+
+    #[test]
+    fn asking_beyond_the_end_is_corruption() {
+        let mut r = retention(3, RETAIN_BYTES);
+        assert!(matches!(
+            r.suffix(4, 5),
+            Err(CommError::Corrupted { peer: 5, .. })
+        ));
+        assert!(matches!(
+            r.resume(99, 5),
+            Err(CommError::Corrupted { peer: 5, .. })
+        ));
+    }
+
+    #[test]
+    fn asking_at_the_end_returns_nothing() {
+        let mut r = retention(3, RETAIN_BYTES);
+        assert_eq!(bytes_from(&r, 3), Vec::<u8>::new());
+        assert!(r.resume(3, 1).expect("in range").is_empty());
+        assert_eq!(r.end(), 3);
+    }
+
+    #[test]
+    fn link_seqs_wrap_around() {
+        // Two frames before the wrap, two after: seqs MAX-1, MAX, 0, 1.
+        let mut r = Retention {
+            start: u32::MAX - 1,
+            ..Retention::new(RETAIN_BYTES)
+        };
+        for i in 0..4u8 {
+            r.push(100, enc(&[i]), 10);
+        }
+        assert_eq!(r.end(), 2);
+        assert_eq!(bytes_from(&r, u32::MAX), [1, 2, 3]);
+        assert_eq!(bytes_from(&r, 1), [3]);
+        assert_eq!(bytes_from(&r, 2), Vec::<u8>::new());
+        assert!(matches!(r.suffix(3, 1), Err(CommError::Corrupted { .. })));
+        assert_eq!(
+            r.suffix(u32::MAX - 2, 1).err(),
+            Some(CommError::PeerDead { rank: 1 })
+        );
+        let resend = r.resume(0, 1).expect("held");
+        assert_eq!(resend.len(), 2);
+        assert_eq!(r.end(), 0);
+    }
+
+    #[test]
+    fn resume_hands_back_the_suffix_and_restarts_there() {
+        let mut r = retention(5, RETAIN_BYTES);
+        let resend: Vec<u8> = r
+            .resume(2, 1)
+            .expect("held")
+            .iter()
+            .map(|(_, f)| f.payload()[0])
+            .collect();
+        assert_eq!(resend, [2, 3, 4]);
+        // The resent frames come back through `push`, at seqs 2, 3, 4.
+        assert_eq!(r.end(), 2);
+        assert_eq!(r.suffix(1, 1).err(), Some(CommError::PeerDead { rank: 1 }));
     }
 }

@@ -87,17 +87,21 @@ impl TagStash {
     }
 
     /// Removes every payload whose tag carries a non-native namespace byte
-    /// (see [`crate::split_tag`]), as `(peer, wire tag, payload)` in the
-    /// order they arrived — a peer's control frame never overtakes the
-    /// data it sent first.
+    /// (see [`crate::split_tag`]): the arrival-ordered harvest the serve
+    /// daemon's router makes.
     pub fn take_namespaced(&mut self) -> Vec<(usize, Tag, Encoded)> {
+        self.take_where(|t| tag_namespace(t) != NATIVE_JOB)
+    }
+
+    /// Removes every payload whose tag passes `keep`, as `(peer, tag,
+    /// payload)` in the order they arrived — a peer's frame on one tag
+    /// never overtakes what it sent first on another. The one harvest of
+    /// the stash: the serve router takes tenant traffic with it, the chaos
+    /// layer everything its peers framed.
+    pub(crate) fn take_where(&mut self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
         let mut out = Vec::new();
         for (peer, queues) in self.queues.iter_mut().enumerate() {
-            let tags: Vec<Tag> = queues
-                .keys()
-                .copied()
-                .filter(|&t| tag_namespace(t) != NATIVE_JOB)
-                .collect();
+            let tags: Vec<Tag> = queues.keys().copied().filter(|&t| keep(t)).collect();
             for tag in tags {
                 for filed in queues.remove(&tag).expect("key just listed") {
                     self.seen[peer] = self.seen[peer].max(filed.nth_of_peer + 1);

@@ -559,6 +559,28 @@ impl ShmTransport {
         &self.boxes[self.rank]
     }
 
+    /// Takes every payload filed here whose tag passes `keep`, in arrival
+    /// order ([`TagStash::take_where`]), first telling `closed` of every
+    /// peer that has closed and why — under the same lock, so such a peer
+    /// has left nothing behind. The chaos layer's one read of the fabric
+    /// beneath it.
+    pub(crate) fn harvest(
+        &self,
+        keep: impl Fn(Tag) -> bool,
+        mut closed: impl FnMut(usize, &CommError),
+    ) -> Vec<(usize, Tag, Encoded)> {
+        let mailbox = self.mailbox();
+        let mut inbox = mailbox.lock();
+        for peer in 0..self.world {
+            if let Some(err) = inbox.stash.closed(peer) {
+                closed(peer, err);
+            }
+        }
+        let taken = inbox.stash.take_where(keep);
+        mailbox.note_space(&inbox);
+        taken
+    }
+
     fn check_peer(&self, peer: usize) {
         assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
     }

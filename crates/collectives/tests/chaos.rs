@@ -5,9 +5,9 @@
 //! 1. **Transparency** — transient drops, corruption, duplication and
 //!    delays are masked by the checksummed-retransmission layer without
 //!    changing one delivered byte.
-//! 2. **Bounded loss** — when retransmission cannot help (empty ring),
-//!    `CommError::Lost` surfaces within the retry budget instead of a
-//!    hang.
+//! 2. **Bounded loss** — when retransmission cannot help (every attempt
+//!    is lost), `CommError::Lost` surfaces within the retry budget instead
+//!    of a hang.
 //! 3. **Shrink and continue** — after a fail-stop peer death, survivors
 //!    agree on a new membership epoch and the engine completes collectives
 //!    on the shrunken world over epoch-scoped lanes.
@@ -140,12 +140,11 @@ fn transient_chaos_is_byte_transparent() {
 
 #[test]
 fn unrecoverable_loss_surfaces_within_budget() {
-    // Every frame dropped and nothing retained for retransmission: the
-    // reliability layer must give up with a peer-scoped error once the
-    // evidence-based budget is spent — never hang, never deliver garbage.
+    // Every frame dropped, retransmissions included: the reliability
+    // layer must give up with a peer-scoped error once the evidence-based
+    // budget is spent — never hang, never deliver garbage.
     let plan = FaultPlan::new(chaos_seed())
         .with_drop(1.0)
-        .with_retransmit_ring(0)
         .with_retry(4, Duration::from_micros(100));
     let err = ThreadCluster::try_run(2, |mut raw: ShmTransport| {
         raw.set_timeout(Duration::from_millis(500));

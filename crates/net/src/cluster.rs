@@ -10,11 +10,11 @@
 //! round trip.
 //!
 //! Workers inherit the coordinator's environment (spawning only *adds*
-//! the identity variables), so wire-path tuning set on the launcher —
-//! `CGX_NET_READ_BUF`, `CGX_NET_COALESCE`, `CGX_NET_COALESCE_FRAME`,
-//! `CGX_NET_NODELAY` (see [`NetOptions`](crate::NetOptions)) — reaches
-//! every rank without explicit plumbing; [`ProcessCluster::env`] can
-//! still override any of them per cluster.
+//! the identity variables), so the failure handling set on the launcher —
+//! `CGX_NET_HEARTBEAT_MS`, `CGX_NET_HEARTBEAT_TIMEOUT_MS`,
+//! `CGX_NET_RECONNECT_ATTEMPTS` (see [`NetOptions`](crate::NetOptions)) —
+//! reaches every rank without explicit plumbing; [`ProcessCluster::env`]
+//! can still override any of them per cluster.
 
 use crate::workload::read;
 use cgx_collectives::CommError;

@@ -22,8 +22,8 @@
 //!   frame — with zero extra threads and zero handoffs, which is what
 //!   makes an 8-rank loopback mesh cheap on small-core hosts.
 //! * **Ring-staged reads.** Each peer has a staging buffer
-//!   ([`NetOptions::read_buf_bytes`]); one `read` syscall pulls an entire
-//!   burst of back-to-back frames, which are parsed in place
+//!   ([`READ_BUF_BYTES`]); one `read` syscall pulls an entire burst of
+//!   back-to-back frames, which are parsed in place
 //!   ([`wire::parse_frame`]) — header fields and checksum are verified
 //!   against the staging bytes directly, and the payload is copied
 //!   exactly once, out of the ring into its own allocation. Leftover
@@ -34,13 +34,18 @@
 //!   Partial (short) writes advance a byte cursor across the queued
 //!   frames and resume where the socket stopped.
 //! * **Small-frame coalescing.** Nonblocking sends of small frames
-//!   (≤ [`NetOptions::coalesce_frame_bytes`]) are queued per peer and
-//!   flushed as one vectored write at a budget overflow
-//!   ([`NetOptions::coalesce_budget_bytes`], mirroring the engine's
+//!   (≤ 16 KiB) are queued per peer and flushed as one vectored write at
+//!   a budget overflow (256 KiB queued, mirroring the engine's
 //!   coalescer), at any receive/park, at [`Transport::flush_outbound`]
 //!   (the engine calls it before parking), and on drop. Blocking sends
-//!   flush the queue plus the new frame in a single `writev`, so
-//!   per-`(peer, tag)` FIFO order is never reordered by batching.
+//!   flush the queue plus the new frame in a single `writev`, so a link's
+//!   frames leave in the order their sequence numbers were assigned.
+//! * **One sequence space per link.** Every frame to a peer — any tag,
+//!   heartbeats included — carries the next link seq; the demux accepts
+//!   exactly the one it expects (TCP delivers in order, so anything else
+//!   is a peer-side bug, surfaced as corruption). With reconnect armed,
+//!   flushed frames stay in a [`Retention`] and a redial resumes from the
+//!   receiver's one next-expected number.
 //! * **Deadlock freedom without readers.** A blocking flush that hits a
 //!   full socket drains its own inbound traffic (`pump`) between
 //!   `POLLOUT` waits, so a cycle of ranks all mid-send keeps consuming
@@ -54,28 +59,20 @@
 
 use crate::fault::NetFaultPlan;
 use crate::wire;
-use crate::workload::{read, switch};
+use crate::workload::read;
+use cgx_collectives::framing::{Retention, RETAIN_BYTES};
 use cgx_collectives::transport::{exchange_quiesce_markers, Tag, CTRL_TAG};
 use cgx_collectives::{CommError, ReconnectPolicy, TagStash, Transport};
 use cgx_compress::Encoded;
 use cgx_obs::MetricsRegistry;
 use cgx_tensor::Shape;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Environment variable overriding [`NetOptions::read_buf_bytes`].
-pub const ENV_READ_BUF: &str = "CGX_NET_READ_BUF";
-/// Environment variable overriding [`NetOptions::coalesce_budget_bytes`].
-pub const ENV_COALESCE: &str = "CGX_NET_COALESCE";
-/// Environment variable overriding [`NetOptions::coalesce_frame_bytes`].
-pub const ENV_COALESCE_FRAME: &str = "CGX_NET_COALESCE_FRAME";
-/// Environment variable overriding [`NetOptions::nodelay`] (a switch:
-/// `0`/`false`/`no`/`off` disables).
-pub const ENV_NODELAY: &str = "CGX_NET_NODELAY";
 /// Environment variable enabling liveness heartbeats: the interval in
 /// milliseconds between CTRL-lane probes (`0` disables).
 pub const ENV_HEARTBEAT_MS: &str = "CGX_NET_HEARTBEAT_MS";
@@ -83,34 +80,30 @@ pub const ENV_HEARTBEAT_MS: &str = "CGX_NET_HEARTBEAT_MS";
 /// (a peer silent for longer is declared [`CommError::PeerDead`]).
 pub const ENV_HEARTBEAT_TIMEOUT_MS: &str = "CGX_NET_HEARTBEAT_TIMEOUT_MS";
 /// Environment variable enabling the reconnect path: the number of
-/// redial attempts before a dropped peer is condemned (`0` disables).
+/// redial attempts before a dropped peer is condemned (`0` disables). The
+/// backoff is [`ReconnectPolicy::default_for`]'s, 20 ms toward 1 s.
 pub const ENV_RECONNECT_ATTEMPTS: &str = "CGX_NET_RECONNECT_ATTEMPTS";
-/// Environment variable overriding the reconnect backoff base (ms).
-pub const ENV_RECONNECT_BASE_MS: &str = "CGX_NET_RECONNECT_BASE_MS";
-/// Environment variable overriding the reconnect backoff cap (ms).
-pub const ENV_RECONNECT_CAP_MS: &str = "CGX_NET_RECONNECT_CAP_MS";
 
-/// Tuning knobs for the TCP wire path. Defaults are right for collective
-/// traffic on loopback and LAN; every field can be overridden per-process
-/// through `CGX_NET_*` environment variables ([`NetOptions::from_env`])
-/// or per-fabric by handing a value to
+/// Per-peer read staging buffer; it grows past this only while a single
+/// frame is larger.
+pub const READ_BUF_BYTES: usize = 256 * 1024;
+/// Coalescing budget: queued-but-unflushed outbound bytes per peer above
+/// which the queue is flushed at once.
+const COALESCE_BUDGET_BYTES: usize = 256 * 1024;
+/// Largest payload the nonblocking send path defers into the coalescing
+/// queue; bigger frames flush right away.
+const COALESCE_FRAME_BYTES: usize = 16 * 1024;
+
+/// The failure handling of the TCP wire path: liveness probing and
+/// redialing, both off by default. Each can be armed per-process through
+/// `CGX_NET_*` environment variables ([`NetOptions::from_env`]) or
+/// per-fabric by handing a value to
 /// [`rendezvous_with_options`](crate::rendezvous_with_options) or
 /// [`TcpFabric::build_local_with`](crate::TcpFabric::build_local_with).
+/// Every mesh socket has Nagle's algorithm off: collective frames are
+/// latency-sensitive and already batched into single vectored writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetOptions {
-    /// Per-peer read staging buffer size (grows past this only when a
-    /// single frame is larger).
-    pub read_buf_bytes: usize,
-    /// Coalescing budget: queued-but-unflushed outbound bytes per peer
-    /// above which the queue is flushed immediately.
-    pub coalesce_budget_bytes: usize,
-    /// Largest payload the nonblocking send path will defer into the
-    /// coalescing queue; bigger frames flush right away.
-    pub coalesce_frame_bytes: usize,
-    /// Disable Nagle's algorithm on every mesh socket. Collective frames
-    /// are latency-sensitive and already batched into single vectored
-    /// writes; delaying them only serializes the reduction.
-    pub nodelay: bool,
     /// Liveness probing: interval between heartbeat frames on the CTRL
     /// lane. `None` (the default) disables both emission and the
     /// silence deadline — a quiet peer is then only discovered through
@@ -132,29 +125,20 @@ pub struct NetOptions {
     /// guarantee false deaths.
     pub heartbeat_timeout: Duration,
     /// Redial policy for transient socket drops. `None` (the default)
-    /// fails fast: any socket error condemns the peer immediately.
-    pub reconnect: Option<ReconnectPolicy>,
-    /// Per-peer cap on retained flushed frames (bytes on the wire).
-    /// With reconnect armed, frames that have been fully written to a
-    /// socket are kept until the peer acknowledges delivery in the
-    /// reconnect handshake, so the undelivered suffix of a dropped
-    /// link can be retransmitted. A delivery gap that outgrew this cap
-    /// is unrecoverable and condemns the peer instead of healing into
+    /// fails fast: any socket error condemns the peer immediately. Armed,
+    /// every link keeps its last [`RETAIN_BYTES`] of flushed frames so
+    /// that the undelivered suffix of a dropped link can be resent; a gap
+    /// that outgrew them condemns the peer instead of healing into
     /// silently misaligned payloads.
-    pub retain_bytes: usize,
+    pub reconnect: Option<ReconnectPolicy>,
 }
 
 impl Default for NetOptions {
     fn default() -> Self {
         NetOptions {
-            read_buf_bytes: 256 * 1024,
-            coalesce_budget_bytes: 256 * 1024,
-            coalesce_frame_bytes: 16 * 1024,
-            nodelay: true,
             heartbeat_interval: None,
             heartbeat_timeout: Duration::from_secs(1),
             reconnect: None,
-            retain_bytes: 8 * 1024 * 1024,
         }
     }
 }
@@ -175,25 +159,12 @@ impl NetOptions {
     /// malformed: a mistyped heartbeat interval must fail the launch, not
     /// leave it running without liveness detection.
     pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Self, CommError> {
-        let bytes = |key| read(&get, key, "a byte count", |v| v.parse::<usize>().ok());
         let millis = |key| {
             read(&get, key, "a count of milliseconds", |v| {
                 v.parse::<u64>().ok()
             })
         };
         let mut o = NetOptions::default();
-        if let Some(v) = bytes(ENV_READ_BUF)? {
-            o.read_buf_bytes = v.max(64);
-        }
-        if let Some(v) = bytes(ENV_COALESCE)? {
-            o.coalesce_budget_bytes = v;
-        }
-        if let Some(v) = bytes(ENV_COALESCE_FRAME)? {
-            o.coalesce_frame_bytes = v;
-        }
-        if let Some(on) = read(&get, ENV_NODELAY, "a switch (1/0)", switch)? {
-            o.nodelay = on;
-        }
         if let Some(ms) = millis(ENV_HEARTBEAT_MS)? {
             o.heartbeat_interval = (ms > 0).then(|| Duration::from_millis(ms));
             o.heartbeat_timeout = Duration::from_millis(ms.saturating_mul(5).max(250));
@@ -209,16 +180,10 @@ impl NetOptions {
         let attempts = read(&get, ENV_RECONNECT_ATTEMPTS, "an attempt count", |v| {
             v.parse::<u32>().ok()
         })?;
-        let base = millis(ENV_RECONNECT_BASE_MS)?.unwrap_or(20).max(1);
-        let cap = millis(ENV_RECONNECT_CAP_MS)?.unwrap_or(1000).max(base);
         if let Some(attempts) = attempts {
-            o.reconnect = (attempts > 0).then(|| {
-                ReconnectPolicy::new(
-                    Duration::from_millis(base),
-                    Duration::from_millis(cap),
-                    attempts,
-                    0x5EED_C0DE,
-                )
+            o.reconnect = (attempts > 0).then(|| ReconnectPolicy {
+                max_attempts: attempts,
+                ..ReconnectPolicy::default_for(0x5EED_C0DE)
             });
         }
         Ok(o)
@@ -231,21 +196,6 @@ impl NetOptions {
     /// As [`Self::parse`].
     pub fn from_env() -> Result<Self, CommError> {
         Self::parse(|k| std::env::var(k).ok())
-    }
-
-    /// Returns `self` with the read staging buffer set to `bytes`
-    /// (clamped to the same 64-byte floor as the env path).
-    #[must_use]
-    pub fn with_read_buf(mut self, bytes: usize) -> Self {
-        self.read_buf_bytes = bytes.max(64);
-        self
-    }
-
-    /// Returns `self` with the outbound coalescing budget set to `bytes`.
-    #[must_use]
-    pub fn with_coalesce_budget(mut self, bytes: usize) -> Self {
-        self.coalesce_budget_bytes = bytes;
-        self
     }
 
     /// Returns `self` with liveness heartbeats every `interval` and a
@@ -426,9 +376,9 @@ struct Staging {
 }
 
 impl Staging {
-    fn new(cap: usize) -> Self {
+    fn new() -> Self {
         Staging {
-            buf: vec![0u8; cap.max(64)],
+            buf: vec![0u8; READ_BUF_BYTES],
             start: 0,
             end: 0,
         }
@@ -436,7 +386,7 @@ impl Staging {
 
     /// Guarantees free space at the tail, compacting first and growing
     /// (doubling) only when the buffer is genuinely full — which happens
-    /// exactly when a single staged frame exceeds the configured size.
+    /// exactly when a single staged frame exceeds [`READ_BUF_BYTES`].
     fn ensure_space(&mut self) {
         if self.start == self.end {
             self.start = 0;
@@ -463,58 +413,51 @@ impl Staging {
 
 /// One queued outbound frame: header bytes live in the slot's arena, the
 /// payload is the caller's reference-counted buffer — nothing is
-/// concatenated. Tag, shape, and the assigned sequence number are kept
-/// so the frame can be retained and re-headered for retransmission
-/// after a reconnect (sequence spaces survive a socket swap).
+/// concatenated. Tag and payload move on into the slot's retention once
+/// the frame is written.
 struct QueuedFrame {
     hdr_start: usize,
     hdr_len: usize,
-    payload: cgx_tensor::Bytes,
     tag: Tag,
-    shape: Shape,
-    seq: u32,
+    enc: Encoded,
 }
 
 impl QueuedFrame {
-    fn wire_len(&self) -> usize {
-        self.hdr_len + self.payload.len()
+    /// Serializes the header of `enc` at link seq `seq` into `hdrs`.
+    fn new(hdrs: &mut Vec<u8>, tag: Tag, seq: u32, enc: Encoded) -> Self {
+        let hdr_start = hdrs.len();
+        let hdr_len = wire::append_frame_header(hdrs, tag, seq, enc.shape(), enc.payload());
+        QueuedFrame {
+            hdr_start,
+            hdr_len,
+            tag,
+            enc,
+        }
     }
-}
 
-/// A frame fully written to a socket whose delivery the peer has not
-/// yet confirmed. The kernel can accept bytes it never puts on the wire
-/// (and an RST discards a receiver's undrained buffer), so with
-/// reconnect armed these are kept — bounded by
-/// [`NetOptions::retain_bytes`] — and the undelivered suffix is
-/// retransmitted after the reconnect handshake reveals the receiver's
-/// per-tag delivery state. Headers are re-serialized at retransmission
-/// (the original seq is reused), so no arena offsets are held here.
-struct RetainedFrame {
-    seq: u32,
-    tag: Tag,
-    shape: Shape,
-    payload: cgx_tensor::Bytes,
-    wire_len: usize,
+    fn wire_len(&self) -> usize {
+        self.hdr_len + self.enc.payload_bytes()
+    }
 }
 
 /// Outbound half of one peer link.
 struct WriterSlot {
     stream: TcpStream,
-    /// Next sequence number per tag lane (checksummed into each frame).
-    seq: HashMap<Tag, u32>,
     /// Serialized headers for queued frames (cleared when the queue
     /// drains).
     hdrs: Vec<u8>,
+    /// Frames not yet fully written, at link seqs `retained.end()` on.
     queue: VecDeque<QueuedFrame>,
     queued_bytes: usize,
     /// Bytes of the front frame already written (partial-write cursor).
     front_written: usize,
-    /// Flushed-but-unacknowledged frames, oldest first (empty unless
-    /// reconnect is armed). Pruned from the front past
-    /// [`NetOptions::retain_bytes`]; emptied by the reconnect handshake
-    /// (delivered frames are acknowledged, the rest re-queued).
-    retained: VecDeque<RetainedFrame>,
-    retained_bytes: usize,
+    /// Frames fully written to the socket, by link seq. The kernel can
+    /// accept bytes it never puts on the wire (and an RST discards a
+    /// receiver's undrained buffer), so with reconnect armed the last
+    /// [`RETAIN_BYTES`] of them are kept until a reconnect handshake
+    /// names the receiver's next-expected seq; without it none are, and
+    /// the store only counts.
+    retained: Retention,
 }
 
 /// Demux state: per-peer staging, sequence verification, and the
@@ -525,10 +468,10 @@ struct Demux {
     /// peers whose lane has closed).
     streams: Vec<Option<TcpStream>>,
     staging: Vec<Staging>,
-    /// Per-`(peer, tag)` next-expected sequence numbers: TCP already
-    /// delivers in order, so a gap means a peer-side logic error —
-    /// surfaced as corruption rather than delivered out of order.
-    expected: Vec<HashMap<Tag, u32>>,
+    /// Per-peer next-expected link seq: TCP already delivers in order,
+    /// so a gap means a peer-side logic error — surfaced as corruption
+    /// rather than delivered out of order.
+    expected: Vec<u32>,
     /// Frames awaiting a receiver, and why a peer's lane is closed once
     /// it is (EOF, I/O error, or checksum/sequence mismatch).
     stash: TagStash,
@@ -579,57 +522,27 @@ enum WriteProgress {
     Deferred,
 }
 
-/// Preamble identifying a redial on the mesh listener: magic + rank.
-/// Followed by the dialer's delivery state (what it has contiguously
-/// received from the acceptor, per tag); the acceptor answers with its
-/// own delivery state before either side installs the link. Note the
-/// preamble is unauthenticated — the mesh listener trusts its network,
-/// which for this fabric means the single-run rendezvous scope.
+/// Preamble identifying a redial on the mesh listener: magic + rank +
+/// the dialer's next-expected link seq from the acceptor, 12 bytes; the
+/// acceptor answers with its own next-expected seq, 4 bytes, before
+/// either side installs the link. Note the preamble is unauthenticated —
+/// the mesh listener trusts its network, which for this fabric means the
+/// single-run rendezvous scope.
 const RECON_MAGIC: [u8; 4] = *b"CGXR";
 /// Bound on either blocking read of the reconnect handshake. Runs on
 /// the pump path, so it also bounds how long one malformed or stalled
 /// redial can stall an endpoint's receive loop.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(500);
-/// Sanity cap on delivery-state entries (live tag lanes per link); a
-/// redial claiming more is malformed and dropped.
-const MAX_STATE_ENTRIES: usize = 65_536;
 /// Heartbeat payload on the CTRL lane (intercepted by the demux, never
 /// stashed).
 const HB_PAYLOAD: [u8; 1] = [0x48];
 
-/// Serializes one side's delivery state for the reconnect handshake:
-/// entry count, then `(tag, next-expected seq)` pairs — everything this
-/// endpoint has contiguously received from the peer, per tag lane.
-fn encode_delivery_state(expected: &HashMap<Tag, u32>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + expected.len() * 12);
-    out.extend_from_slice(&(expected.len() as u32).to_le_bytes());
-    for (&tag, &seq) in expected {
-        out.extend_from_slice(&tag.to_le_bytes());
-        out.extend_from_slice(&seq.to_le_bytes());
-    }
-    out
-}
-
-/// Reads a delivery-state table off a blocking handshake stream.
-fn read_delivery_state(stream: &mut impl Read) -> std::io::Result<HashMap<Tag, u32>> {
-    let mut count = [0u8; 4];
-    stream.read_exact(&mut count)?;
-    let count = u32::from_le_bytes(count) as usize;
-    if count > MAX_STATE_ENTRIES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "oversized delivery state",
-        ));
-    }
-    let mut map = HashMap::with_capacity(count);
-    let mut entry = [0u8; 12];
-    for _ in 0..count {
-        stream.read_exact(&mut entry)?;
-        let tag = Tag::from_le_bytes(entry[..8].try_into().expect("8 bytes"));
-        let seq = u32::from_le_bytes(entry[8..].try_into().expect("4 bytes"));
-        map.insert(tag, seq);
-    }
-    Ok(map)
+/// Reads the peer's next-expected link seq — the whole of its answer in
+/// the reconnect handshake — off a blocking stream.
+fn read_resume(stream: &mut impl Read) -> std::io::Result<u32> {
+    let mut seq = [0u8; 4];
+    stream.read_exact(&mut seq)?;
+    Ok(u32::from_le_bytes(seq))
 }
 
 /// A rank's endpoint into a TCP full mesh. Built by
@@ -712,6 +625,7 @@ impl TcpTransport {
         let boot = |peer: usize, what: &str, e: std::io::Error| CommError::Bootstrap {
             detail: format!("configuring link to rank {peer}: {what}: {e}"),
         };
+        let retain = if opts.reconnect.is_some() { RETAIN_BYTES } else { 0 };
         let mut writers: Vec<Option<Mutex<WriterSlot>>> = Vec::with_capacity(world);
         let mut read_streams: Vec<Option<TcpStream>> = Vec::with_capacity(world);
         for (peer, slot) in streams.iter_mut().enumerate() {
@@ -722,7 +636,7 @@ impl TcpTransport {
                 continue;
             };
             stream
-                .set_nodelay(opts.nodelay)
+                .set_nodelay(true)
                 .map_err(|e| boot(peer, "TCP_NODELAY", e))?;
             // The clone shares the open file description, so one
             // O_NONBLOCK covers both halves.
@@ -733,13 +647,11 @@ impl TcpTransport {
             read_streams.push(Some(read_half));
             writers.push(Some(Mutex::new(WriterSlot {
                 stream,
-                seq: HashMap::new(),
                 hdrs: Vec::new(),
                 queue: VecDeque::new(),
                 queued_bytes: 0,
                 front_written: 0,
-                retained: VecDeque::new(),
-                retained_bytes: 0,
+                retained: Retention::new(retain),
             })));
         }
         let now = Instant::now();
@@ -751,8 +663,8 @@ impl TcpTransport {
             writers,
             demux: Mutex::new(Demux {
                 streams: read_streams,
-                staging: (0..world).map(|_| Staging::new(opts.read_buf_bytes)).collect(),
-                expected: (0..world).map(|_| HashMap::new()).collect(),
+                staging: (0..world).map(|_| Staging::new()).collect(),
+                expected: vec![0; world],
                 stash: TagStash::new(world),
                 last_heard: vec![now; world],
                 reconn: vec![PeerLink::Up; world],
@@ -827,11 +739,6 @@ impl TcpTransport {
     /// Overrides the receive timeout.
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
-    }
-
-    /// The active wire-path tuning.
-    pub fn options(&self) -> NetOptions {
-        self.opts
     }
 
     /// Whether the mesh sockets have `TCP_NODELAY` set (false for a
@@ -1139,7 +1046,7 @@ impl TcpTransport {
     }
 
     /// Parses every complete frame staged for `peer`, verifying checksum
-    /// and per-tag sequence, and stashes the payloads.
+    /// and link sequence, and stashes the payloads.
     fn parse_staged(&self, d: &mut Demux, peer: usize, stashed: &mut usize) -> Result<(), CommError> {
         let t0 = Instant::now();
         let result = loop {
@@ -1159,17 +1066,17 @@ impl TcpTransport {
                 stg.start = 0;
                 stg.end = 0;
             }
-            let want = d.expected[peer].entry(frame.tag).or_insert(0);
-            if frame.seq != *want {
+            let want = d.expected[peer];
+            if frame.seq != want {
                 break Err(CommError::Corrupted {
                     peer,
                     detail: format!(
-                        "tag {:#x}: expected seq {want}, got {}",
-                        frame.tag, frame.seq
+                        "expected link seq {want}, got {} (tag {:#x})",
+                        frame.seq, frame.tag
                     ),
                 });
             }
-            *want += 1;
+            d.expected[peer] = want.wrapping_add(1);
             self.wire_bytes_in.fetch_add(used as u64, Ordering::Relaxed);
             // Heartbeats are liveness signal only: sequence-checked like
             // any CTRL frame (above), but never stashed — receivers must
@@ -1194,24 +1101,13 @@ impl TcpTransport {
     fn enqueue_frame(&self, slot: &mut WriterSlot, tag: Tag, payload: Encoded) {
         let t0 = Instant::now();
         let payload_bytes = payload.payload_bytes();
-        let shape = payload.shape().clone();
-        let seq = slot.seq.entry(tag).or_insert(0);
-        let this_seq = *seq;
-        *seq += 1;
-        let body = payload.into_payload();
-        let hdr_start = slot.hdrs.len();
-        let hdr_len = wire::append_frame_header(&mut slot.hdrs, tag, this_seq, &shape, &body);
-        slot.queue.push_back(QueuedFrame {
-            hdr_start,
-            hdr_len,
-            payload: body,
-            tag,
-            shape,
-            seq: this_seq,
-        });
-        slot.queued_bytes += hdr_len + payload_bytes;
+        let seq = slot.retained.end().wrapping_add(slot.queue.len() as u32);
+        let frame = QueuedFrame::new(&mut slot.hdrs, tag, seq, payload);
+        let wire_len = frame.wire_len();
+        slot.queued_bytes += wire_len;
+        slot.queue.push_back(frame);
         self.pending_frames.fetch_add(1, Ordering::Relaxed);
-        let wire_len = (hdr_len + payload_bytes) as u64;
+        let wire_len = wire_len as u64;
         self.wire_bytes_out.fetch_add(wire_len, Ordering::Relaxed);
         self.clocks
             .serialize_ns
@@ -1249,7 +1145,7 @@ impl TcpTransport {
                 } else {
                     skip -= hdr.len();
                 }
-                let pay = qf.payload.as_ref();
+                let pay = qf.enc.payload().as_ref();
                 if skip < pay.len() {
                     slices.push(IoSlice::new(&pay[skip..]));
                     skip = 0;
@@ -1268,10 +1164,9 @@ impl TcpTransport {
                     self.note_syscall(&self.clocks.write_syscalls, t0.elapsed());
                     slot.front_written += n;
                     // A fully-written frame is only *kernel*-accepted, not
-                    // delivered; with reconnect armed it moves to the
-                    // retention buffer until the peer acknowledges it in
-                    // a reconnect handshake (or the link stays healthy).
-                    let retain = self.mesh.is_some() && self.opts.reconnect.is_some();
+                    // delivered: it moves to the retention, which keeps it
+                    // (with reconnect armed) until a reconnect handshake
+                    // acknowledges it or newer frames push it out.
                     while let Some(front) = slot.queue.front() {
                         let total = front.wire_len();
                         if slot.front_written < total {
@@ -1280,22 +1175,7 @@ impl TcpTransport {
                         slot.front_written -= total;
                         slot.queued_bytes -= total;
                         let sent = slot.queue.pop_front().expect("front exists");
-                        if retain {
-                            slot.retained_bytes += total;
-                            slot.retained.push_back(RetainedFrame {
-                                seq: sent.seq,
-                                tag: sent.tag,
-                                shape: sent.shape,
-                                payload: sent.payload,
-                                wire_len: total,
-                            });
-                            while slot.retained_bytes > self.opts.retain_bytes {
-                                let Some(old) = slot.retained.pop_front() else {
-                                    break;
-                                };
-                                slot.retained_bytes -= old.wire_len;
-                            }
-                        }
+                        slot.retained.push(sent.tag, sent.enc, total);
                         self.pending_frames.fetch_sub(1, Ordering::Relaxed);
                         self.clocks.writev_frames.fetch_add(1, Ordering::Relaxed);
                         if let Some(m) = &self.obs {
@@ -1366,8 +1246,8 @@ impl TcpTransport {
 
     /// A write error: the socket is gone. With a reconnect policy armed
     /// the queued frames keep their sequence numbers and park until the
-    /// link heals (sequence spaces survive a socket swap); only the
-    /// partial-write cursor resets, so the front frame is resent whole.
+    /// link heals (the link's sequence space survives a socket swap); only
+    /// the partial-write cursor resets, so the front frame is resent whole.
     /// Without one the queue is discarded and the peer condemned as
     /// [`CommError::PeerDead`].
     fn fail_writer(
@@ -1387,87 +1267,35 @@ impl TcpTransport {
             .fetch_sub(slot.queue.len() as u64, Ordering::Relaxed);
         slot.queue.clear();
         slot.hdrs.clear();
-        slot.seq.clear();
         slot.front_written = 0;
         slot.queued_bytes = 0;
-        slot.retained.clear();
-        slot.retained_bytes = 0;
         Err(CommError::PeerDead { rank: peer })
     }
 
-    /// Rebuilds the writer queue against the receiver's declared
-    /// delivery state (from the reconnect handshake). Frames the
-    /// receiver acknowledges are pruned from retention; flushed frames
-    /// it never got are re-queued from retention ahead of the unsent
-    /// queue, keeping their original sequence numbers, so the healed
-    /// link resumes exactly at the receiver's next-expected seq per
-    /// tag. A gap retention no longer covers — or a state table that
-    /// contradicts what was ever sent — is unrecoverable: the caller
-    /// condemns the peer rather than heal into silently misaligned
-    /// payloads.
+    /// Rebuilds the writer queue from `theirs`, the receiver's
+    /// next-expected link seq from the reconnect handshake: the retained
+    /// suffix from it, re-headered with its original seqs, goes back on
+    /// the queue ahead of the unsent frames, and everything below it is
+    /// acknowledged away. The healed link resumes exactly where the
+    /// receiver stands.
+    ///
+    /// # Errors
+    ///
+    /// As [`Retention::resume`]: a claim beyond what was ever flushed is
+    /// [`CommError::Corrupted`], a gap the retention no longer covers is
+    /// [`CommError::PeerDead`] — the caller condemns the peer rather than
+    /// heal into silently misaligned payloads.
     fn rebuild_for_delivery(
         &self,
         slot: &mut WriterSlot,
         peer: usize,
-        theirs: &HashMap<Tag, u32>,
+        theirs: u32,
     ) -> Result<(), CommError> {
-        // First queued (unsent) seq per tag; everything below it was
-        // fully flushed to the old socket.
-        let mut first_queued: HashMap<Tag, u32> = HashMap::new();
-        for qf in &slot.queue {
-            first_queued.entry(qf.tag).or_insert(qf.seq);
-        }
-        for (&tag, &next) in &slot.seq {
-            let exp = theirs.get(&tag).copied().unwrap_or(0);
-            let flushed_end = first_queued.get(&tag).copied().unwrap_or(next);
-            if exp > flushed_end {
-                return Err(CommError::Corrupted {
-                    peer,
-                    detail: format!(
-                        "reconnect state: peer expects seq {exp} on tag {tag:#x}, \
-                         only {flushed_end} frames ever flushed"
-                    ),
-                });
-            }
-            // Retention per tag is a contiguous suffix of the flushed
-            // frames, so holding the oldest undelivered one implies
-            // holding the whole gap.
-            if exp < flushed_end
-                && !slot.retained.iter().any(|r| r.tag == tag && r.seq == exp)
-            {
-                return Err(CommError::PeerDead { rank: peer });
-            }
-        }
-        if theirs.keys().any(|tag| !slot.seq.contains_key(tag)) {
-            return Err(CommError::Corrupted {
-                peer,
-                detail: "reconnect state: peer expects frames on a tag never sent".into(),
-            });
-        }
-        // Drain retention: acknowledged frames are gone for good, the
-        // undelivered suffix goes back on the queue (oldest first,
-        // ahead of the unsent frames — inter-tag order is irrelevant,
-        // per-tag order is preserved).
-        let mut resend: Vec<RetainedFrame> = Vec::new();
-        while let Some(r) = slot.retained.pop_front() {
-            slot.retained_bytes -= r.wire_len;
-            if r.seq >= theirs.get(&r.tag).copied().unwrap_or(0) {
-                resend.push(r);
-            }
-        }
-        for r in resend.into_iter().rev() {
-            let hdr_start = slot.hdrs.len();
-            let hdr_len =
-                wire::append_frame_header(&mut slot.hdrs, r.tag, r.seq, &r.shape, &r.payload);
-            slot.queued_bytes += hdr_len + r.payload.len();
-            slot.queue.push_front(QueuedFrame {
-                hdr_start,
-                hdr_len,
-                payload: r.payload,
-                tag: r.tag,
-                shape: r.shape,
-                seq: r.seq,
-            });
+        let resend = slot.retained.resume(theirs, peer)?;
+        for (i, (tag, enc)) in resend.into_iter().enumerate().rev() {
+            let frame = QueuedFrame::new(&mut slot.hdrs, tag, theirs.wrapping_add(i as u32), enc);
+            slot.queued_bytes += frame.wire_len();
+            slot.queue.push_front(frame);
             self.pending_frames.fetch_add(1, Ordering::Relaxed);
         }
         slot.front_written = 0;
@@ -1583,33 +1411,32 @@ impl TcpTransport {
     }
 
     /// One redial attempt toward `peer`: connect, announce ourselves
-    /// with the reconnect preamble plus our delivery state, read the
-    /// acceptor's delivery state back, and install the fresh link.
-    /// Failures advance the backoff schedule; exhausting it condemns
-    /// the peer.
+    /// with the reconnect preamble carrying our next-expected link seq,
+    /// read the acceptor's back, and install the fresh link. Failures
+    /// advance the backoff schedule; exhausting it condemns the peer.
     ///
-    /// Our delivery state is stable across the handshake: the read lane
-    /// to `peer` was detached when the link entered `Pending`
+    /// Our next-expected seq is stable across the handshake: the read
+    /// lane to `peer` was detached when the link entered `Pending`
     /// ([`Self::fail_link`]), so no sibling thread can advance
     /// `expected[peer]` between the snapshot and the install.
     fn try_dial(&self, peer: usize, addr: &str, policy: ReconnectPolicy) {
-        let state = encode_delivery_state(&lock(&self.demux).expected[peer]);
+        let mine = lock(&self.demux).expected[peer];
         let dialed = TcpStream::connect(addr).and_then(|mut s| {
-            let mut hello = [0u8; 8];
+            let mut hello = [0u8; 12];
             hello[..4].copy_from_slice(&RECON_MAGIC);
-            hello[4..].copy_from_slice(&(self.rank as u32).to_le_bytes());
+            hello[4..8].copy_from_slice(&(self.rank as u32).to_le_bytes());
+            hello[8..].copy_from_slice(&mine.to_le_bytes());
             s.write_all(&hello)?;
-            s.write_all(&state)?;
-            // The acceptor answers with its own delivery state; bound
+            // The acceptor answers with its own next-expected seq; bound
             // the wait so a wedged acceptor just advances the backoff.
             s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-            let theirs = read_delivery_state(&mut &s)?;
+            let theirs = read_resume(&mut &s)?;
             s.set_read_timeout(None)?;
             Ok((s, theirs))
         });
         match dialed {
             Ok((s, theirs)) => {
-                let _ = self.install_link(peer, s, &theirs);
+                let _ = self.install_link(peer, s, theirs);
             }
             Err(_) => {
                 let mut d = lock(&self.demux);
@@ -1630,8 +1457,8 @@ impl TcpTransport {
     }
 
     /// Drains the mesh listener: every pending connection must open with
-    /// the reconnect preamble naming a valid, un-condemned peer and
-    /// carry the dialer's delivery state; we answer with ours and then
+    /// the reconnect preamble naming a valid, un-condemned peer and the
+    /// dialer's next-expected link seq; we answer with ours and then
     /// replace the peer's link. Anything else is dropped.
     fn mesh_accept(&self) {
         let Some(mesh) = &self.mesh else {
@@ -1647,24 +1474,17 @@ impl TcpTransport {
                     if stream.set_nonblocking(false).is_err() {
                         continue;
                     }
-                    let mut hello = [0u8; 8];
+                    let mut hello = [0u8; 12];
                     let handshake = stream
                         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-                        .and_then(|()| (&stream).read_exact(&mut hello))
-                        .and_then(|()| {
-                            if hello[..4] == RECON_MAGIC {
-                                read_delivery_state(&mut &stream)
-                            } else {
-                                Err(std::io::Error::new(
-                                    std::io::ErrorKind::InvalidData,
-                                    "bad reconnect preamble",
-                                ))
-                            }
-                        });
-                    let Ok(theirs) = handshake else {
+                        .and_then(|()| (&stream).read_exact(&mut hello));
+                    if handshake.is_err() || hello[..4] != RECON_MAGIC {
                         continue;
+                    }
+                    let word = |at: usize| {
+                        u32::from_le_bytes(hello[at..at + 4].try_into().expect("4 bytes"))
                     };
-                    let peer = u32::from_le_bytes([hello[4], hello[5], hello[6], hello[7]]) as usize;
+                    let (peer, theirs) = (word(4) as usize, word(8));
                     if peer >= self.world || peer == self.rank {
                         continue;
                     }
@@ -1679,7 +1499,7 @@ impl TcpTransport {
                             continue;
                         }
                         // Quiesce the old lane before declaring our
-                        // delivery state: drain whatever the dead
+                        // next-expected seq: drain whatever the dead
                         // socket still holds, then detach it so no
                         // sibling thread advances `expected[peer]`
                         // between this reply and the install.
@@ -1690,13 +1510,13 @@ impl TcpTransport {
                             continue;
                         }
                         d.streams[peer] = None;
-                        encode_delivery_state(&d.expected[peer])
+                        d.expected[peer]
                     };
-                    if (&stream).write_all(&mine).is_err() {
+                    if (&stream).write_all(&mine.to_le_bytes()).is_err() {
                         continue;
                     }
                     let _ = stream.set_read_timeout(None);
-                    let _ = self.install_link(peer, stream, &theirs);
+                    let _ = self.install_link(peer, stream, theirs);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(_) => break,
@@ -1705,22 +1525,17 @@ impl TcpTransport {
     }
 
     /// Replaces `peer`'s link with a fresh stream (either side of a
-    /// reconnect). Sequence spaces survive the swap: the receive side
-    /// keeps its per-tag expectations (only partial staging from the
-    /// old socket is discarded), and the writer queue is rebuilt
-    /// against `theirs` — the peer's delivery state from the handshake
-    /// — retransmitting the flushed-but-undelivered suffix from
-    /// retention ([`Self::rebuild_for_delivery`]). Stashed frames from
+    /// reconnect). The link's sequence space survives the swap: the
+    /// receive side keeps its next-expected seq (only partial staging
+    /// from the old socket is discarded), and the writer queue is
+    /// rebuilt from `theirs` — the peer's next-expected seq from the
+    /// handshake — retransmitting the flushed-but-undelivered suffix
+    /// from retention ([`Self::rebuild_for_delivery`]). Stashed frames from
     /// the old connection stay deliverable. A condemned peer is
     /// refused: the [`CommError::PeerDead`] verdict is final for this
     /// incarnation, and a gap retention cannot cover condemns here
     /// rather than heal into misaligned payloads.
-    fn install_link(
-        &self,
-        peer: usize,
-        stream: TcpStream,
-        theirs: &HashMap<Tag, u32>,
-    ) -> Result<(), CommError> {
+    fn install_link(&self, peer: usize, stream: TcpStream, theirs: u32) -> Result<(), CommError> {
         let boot = |what: &str, e: std::io::Error| CommError::Bootstrap {
             detail: format!("reconnecting link to rank {peer}: {what}: {e}"),
         };
@@ -1728,7 +1543,7 @@ impl TcpTransport {
             return Err(CommError::PeerDead { rank: peer });
         }
         stream
-            .set_nodelay(self.opts.nodelay)
+            .set_nodelay(true)
             .map_err(|e| boot("TCP_NODELAY", e))?;
         stream
             .set_nonblocking(true)
@@ -1779,9 +1594,9 @@ impl TcpTransport {
             slot.stream = stream;
             d.streams[peer] = Some(read_half);
             // Partial staging from the old socket is discarded; the
-            // sender retransmits that frame whole. Sequence
-            // expectations are *kept* — the handshake advertised them,
-            // and the rebuilt writer queue resumes exactly there.
+            // sender retransmits that frame whole. The next-expected
+            // seq is *kept* — the handshake advertised it, and the
+            // rebuilt writer queue resumes exactly there.
             d.staging[peer].start = 0;
             d.staging[peer].end = 0;
             d.reconn[peer] = PeerLink::Up;
@@ -1871,7 +1686,7 @@ impl Transport for TcpTransport {
         payload: Encoded,
     ) -> Result<Option<Encoded>, CommError> {
         self.maybe_emit_heartbeats();
-        let defer = payload.payload_bytes() <= self.opts.coalesce_frame_bytes;
+        let defer = payload.payload_bytes() <= COALESCE_FRAME_BYTES;
         let mut slot = self.writer(peer)?;
         self.enqueue_frame(&mut slot, tag, payload);
         self.maybe_inject_reset(peer, &slot);
@@ -1880,7 +1695,7 @@ impl Transport for TcpTransport {
         // buffers absorb collective-sized frames, so the blocking flush
         // is the nonblocking path's slow lane, not a deadlock (the flush
         // drains inbound while it waits).
-        if !defer || slot.queued_bytes >= self.opts.coalesce_budget_bytes {
+        if !defer || slot.queued_bytes >= COALESCE_BUDGET_BYTES {
             self.flush_slot(peer, &mut slot)?;
         }
         drop(slot);
@@ -2045,18 +1860,14 @@ mod tests {
     }
 
     #[test]
-    fn tiny_read_buffer_still_carries_large_frames() {
-        // A staging buffer far smaller than the frame forces the
-        // compaction + growth path on every receive.
-        let opts = NetOptions {
-            read_buf_bytes: 64,
-            ..NetOptions::default()
-        };
-        let eps = TcpFabric::build_local_with(2, opts);
-        assert_eq!(eps[0].options().read_buf_bytes, 64);
+    fn frames_larger_than_the_read_buffer_still_arrive() {
+        // A frame several staging buffers long forces the compaction +
+        // growth path on its receive.
+        let eps = TcpFabric::build_local(2);
+        let len = 3 * READ_BUF_BYTES + 17;
         let big = Encoded::new(
-            Shape::new(vec![4096]),
-            cgx_tensor::Bytes::from((0..4096u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
+            Shape::new(vec![len]),
+            cgx_tensor::Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
         );
         let expect = big.clone();
         std::thread::scope(|s| {
@@ -2094,41 +1905,14 @@ mod tests {
         // Nothing set is the defaults, exactly: the benchmark harness
         // clears every CGX_* and builds its fabrics through this path.
         assert_eq!(NetOptions::parse(env(&[])).unwrap(), NetOptions::default());
-        let o = NetOptions::parse(env(&[
-            (ENV_READ_BUF, "1024"),
-            (ENV_COALESCE, "2048"),
-            (ENV_COALESCE_FRAME, "512"),
-            (ENV_NODELAY, "0"),
-        ]))
-        .unwrap();
+        let o = NetOptions::parse(env(&[(ENV_HEARTBEAT_TIMEOUT_MS, "700")])).unwrap();
         assert_eq!(
             o,
             NetOptions {
-                read_buf_bytes: 1024,
-                coalesce_budget_bytes: 2048,
-                coalesce_frame_bytes: 512,
-                nodelay: false,
+                heartbeat_timeout: Duration::from_millis(700),
                 ..NetOptions::default()
             }
         );
-        // The read buffer keeps its floor, and nodelay takes the one
-        // switch list (it used to read "off" and "FALSE" as on).
-        assert_eq!(
-            NetOptions::parse(env(&[(ENV_READ_BUF, "8")]))
-                .unwrap()
-                .read_buf_bytes,
-            64
-        );
-        for (word, on) in [
-            ("1", true),
-            ("true", true),
-            ("no", false),
-            ("false", false),
-            ("off", false),
-        ] {
-            let get = move |k: &str| (k == ENV_NODELAY).then(|| word.to_string());
-            assert_eq!(NetOptions::parse(get).unwrap().nodelay, on, "{word:?}");
-        }
     }
 
     #[test]
@@ -2136,35 +1920,22 @@ mod tests {
         let o = NetOptions::parse(env(&[
             (ENV_HEARTBEAT_MS, "40"),
             (ENV_RECONNECT_ATTEMPTS, "3"),
-            (ENV_RECONNECT_BASE_MS, "10"),
-            (ENV_RECONNECT_CAP_MS, "80"),
         ]))
         .unwrap();
         assert_eq!(o.heartbeat_interval, Some(Duration::from_millis(40)));
         assert_eq!(o.heartbeat_timeout, Duration::from_millis(250));
         let policy = o.reconnect.expect("reconnect armed");
         assert_eq!(policy.max_attempts, 3);
-        assert_eq!(policy.base, Duration::from_millis(10));
-        assert_eq!(policy.cap, Duration::from_millis(80));
-        // Zero switches either off; base and cap keep their floors.
+        // The backoff is the default schedule's: 20 ms toward 1 s.
+        assert_eq!(policy.base, Duration::from_millis(20));
+        assert_eq!(policy.cap, Duration::from_secs(1));
+        // Zero switches either off.
         let off = NetOptions::parse(env(&[
             (ENV_HEARTBEAT_MS, "0"),
             (ENV_RECONNECT_ATTEMPTS, "0"),
         ]))
         .unwrap();
         assert_eq!((off.heartbeat_interval, off.reconnect), (None, None));
-        let floored = NetOptions::parse(env(&[
-            (ENV_RECONNECT_ATTEMPTS, "2"),
-            (ENV_RECONNECT_BASE_MS, "0"),
-            (ENV_RECONNECT_CAP_MS, "0"),
-        ]))
-        .unwrap()
-        .reconnect
-        .expect("armed");
-        assert_eq!(
-            (floored.base, floored.cap),
-            (Duration::from_millis(1), Duration::from_millis(1))
-        );
 
         // A deadline at or below the interval guarantees false deaths:
         // both the env path and the builder floor it at
@@ -2184,15 +1955,9 @@ mod tests {
     fn net_options_parse_names_the_malformed_variable() {
         // `2OO` is not "no heartbeats": every key fails the typed way.
         for (key, value) in [
-            (ENV_READ_BUF, "64k"),
-            (ENV_COALESCE, "-1"),
-            (ENV_COALESCE_FRAME, ""),
-            (ENV_NODELAY, "nagle"),
             (ENV_HEARTBEAT_MS, "2OO"),
             (ENV_HEARTBEAT_TIMEOUT_MS, "1s"),
             (ENV_RECONNECT_ATTEMPTS, "three"),
-            (ENV_RECONNECT_BASE_MS, "2.5"),
-            (ENV_RECONNECT_CAP_MS, "inf"),
         ] {
             let get = move |k: &str| (k == key).then(|| value.to_string());
             assert_names(NetOptions::parse(get), key, value);
@@ -2326,26 +2091,21 @@ mod tests {
     }
 
     #[test]
-    fn delivery_state_roundtrips_and_bounds_entries() {
-        let mut map: HashMap<Tag, u32> = HashMap::new();
-        map.insert(7, 3);
-        map.insert(CTRL_TAG, 12);
-        map.insert(0, 1);
-        let bytes = encode_delivery_state(&map);
-        let back = read_delivery_state(&mut &bytes[..]).expect("roundtrip");
-        assert_eq!(back, map);
-        assert!(
-            read_delivery_state(&mut &encode_delivery_state(&HashMap::new())[..])
-                .expect("empty state")
-                .is_empty()
-        );
-        // An implausible entry count is rejected before allocation.
-        let huge = (MAX_STATE_ENTRIES as u32 + 1).to_le_bytes();
-        assert!(read_delivery_state(&mut &huge[..]).is_err());
+    fn resume_point_roundtrips_and_a_truncated_read_fails() {
+        // The handshake body is one fixed-size number each way.
+        for seq in [0u32, 12, 0x0A0B_0C0D, u32::MAX] {
+            assert_eq!(
+                read_resume(&mut &seq.to_le_bytes()[..]).expect("4 bytes"),
+                seq
+            );
+        }
+        let err = read_resume(&mut &[1u8, 2, 3][..]).expect_err("truncated");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
-    /// Builds a 2-rank mesh where rank 0 has flushed 3 frames on tag 7
-    /// (now in retention) and still queues 2 unsent ones (seqs 3, 4).
+    /// Builds a 2-rank mesh where rank 0 has flushed 3 frames (now in
+    /// retention, link seqs 0..3) and still queues 2 unsent ones (seqs 3,
+    /// 4); frame `i` carries byte `i`.
     fn retention_fixture() -> Vec<TcpTransport> {
         let policy = ReconnectPolicy::new(
             Duration::from_millis(5),
@@ -2365,10 +2125,25 @@ mod tests {
         }
         {
             let slot = lock(eps[0].writers[1].as_ref().expect("slot"));
-            assert_eq!(slot.retained.len(), 3, "flushed frames are retained");
+            assert_eq!(slot.retained.end(), 3, "flushed frames are retained");
+            assert_eq!(slot.retained.suffix(0, 1).expect("all held").count(), 3);
             assert_eq!(slot.queue.len(), 2, "small frames coalesce unsent");
         }
         eps
+    }
+
+    /// `(link seq, payload byte)` of every queued frame, as its header
+    /// would put it on the wire.
+    fn queued(slot: &WriterSlot) -> Vec<(u32, u8)> {
+        slot.queue
+            .iter()
+            .map(|q| {
+                let mut bytes = slot.hdrs[q.hdr_start..q.hdr_start + q.hdr_len].to_vec();
+                bytes.extend_from_slice(q.enc.payload());
+                let (frame, _) = wire::parse_frame(&bytes).expect("valid").expect("whole");
+                (frame.seq, frame.enc.payload()[0])
+            })
+            .collect()
     }
 
     #[test]
@@ -2377,14 +2152,12 @@ mod tests {
         // away and only the unsent frames remain, seqs untouched.
         let eps = retention_fixture();
         let mut slot = lock(eps[0].writers[1].as_ref().expect("slot"));
-        let theirs: HashMap<Tag, u32> = [(7, 3)].into_iter().collect();
         eps[0]
-            .rebuild_for_delivery(&mut slot, 1, &theirs)
+            .rebuild_for_delivery(&mut slot, 1, 3)
             .expect("no gap");
-        assert_eq!(slot.retained.len(), 0);
-        assert_eq!(slot.retained_bytes, 0);
-        let seqs: Vec<u32> = slot.queue.iter().map(|q| q.seq).collect();
-        assert_eq!(seqs, vec![3, 4]);
+        assert_eq!(slot.retained.end(), 3);
+        assert_eq!(slot.retained.suffix(3, 1).expect("empty").count(), 0);
+        assert_eq!(queued(&slot), [(3, 3), (4, 4)]);
     }
 
     #[test]
@@ -2393,13 +2166,15 @@ mod tests {
         // retention ahead of the unsent frames, original numbering.
         let eps = retention_fixture();
         let mut slot = lock(eps[0].writers[1].as_ref().expect("slot"));
-        let theirs: HashMap<Tag, u32> = [(7, 1)].into_iter().collect();
         eps[0]
-            .rebuild_for_delivery(&mut slot, 1, &theirs)
+            .rebuild_for_delivery(&mut slot, 1, 1)
             .expect("retention covers the gap");
-        assert_eq!(slot.retained.len(), 0);
-        let seqs: Vec<u32> = slot.queue.iter().map(|q| q.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3, 4]);
+        assert_eq!(
+            slot.retained.end(),
+            1,
+            "resent frames are retained again when written"
+        );
+        assert_eq!(queued(&slot), [(1, 1), (2, 2), (3, 3), (4, 4)]);
         assert_eq!(slot.front_written, 0, "front frame resent whole");
     }
 
@@ -2409,31 +2184,31 @@ mod tests {
         // a frame the receiver never got — refuse with a typed error.
         let eps = retention_fixture();
         let mut slot = lock(eps[0].writers[1].as_ref().expect("slot"));
-        let dropped = slot.retained.pop_front().expect("seq 0");
-        slot.retained_bytes -= dropped.wire_len;
-        let dropped = slot.retained.pop_front().expect("seq 1");
-        slot.retained_bytes -= dropped.wire_len;
-        let theirs: HashMap<Tag, u32> = [(7, 1)].into_iter().collect();
+        // The same three flushes into a store with room for one frame.
+        let mut pruned = Retention::new(1);
+        for i in 0..3u8 {
+            pruned.push(7, Encoded::new(Shape::new(vec![1]), vec![i].into()), 1);
+        }
+        slot.retained = pruned;
         let err = eps[0]
-            .rebuild_for_delivery(&mut slot, 1, &theirs)
+            .rebuild_for_delivery(&mut slot, 1, 1)
             .expect_err("gap not covered");
         assert!(matches!(err, CommError::PeerDead { rank: 1 }), "got {err:?}");
     }
 
     #[test]
     fn rebuild_rejects_contradictory_delivery_state() {
-        // A peer claiming more frames than were ever flushed, or frames
-        // on a tag never sent, is lying about shared history.
+        // A peer claiming more frames than were ever flushed is lying
+        // about shared history.
         let eps = retention_fixture();
         let mut slot = lock(eps[0].writers[1].as_ref().expect("slot"));
-        let ahead: HashMap<Tag, u32> = [(7, 99)].into_iter().collect();
         assert!(matches!(
-            eps[0].rebuild_for_delivery(&mut slot, 1, &ahead),
+            eps[0].rebuild_for_delivery(&mut slot, 1, 99),
             Err(CommError::Corrupted { peer: 1, .. })
         ));
-        let unknown: HashMap<Tag, u32> = [(9, 1)].into_iter().collect();
+        // Not even the queued frames count: they never reached a socket.
         assert!(matches!(
-            eps[0].rebuild_for_delivery(&mut slot, 1, &unknown),
+            eps[0].rebuild_for_delivery(&mut slot, 1, 4),
             Err(CommError::Corrupted { peer: 1, .. })
         ));
     }
@@ -2461,7 +2236,7 @@ mod tests {
         let (late, _) = listener.accept().expect("accept");
         let _ = dial.join().expect("dialer");
         let err = eps[0]
-            .install_link(1, late, &HashMap::new())
+            .install_link(1, late, 0)
             .expect_err("condemned is final");
         assert!(matches!(err, CommError::PeerDead { rank: 1 }), "got {err:?}");
         let d = lock(&eps[0].demux);

@@ -11,12 +11,14 @@
 //!
 //! The framing body is byte-for-byte the format of
 //! [`cgx_collectives::framing`] — the same seq+FNV envelope the chaos
-//! reliability layer uses in-process — so corruption detection and
-//! sequence accounting behave identically on both fabrics. TCP already
-//! guarantees ordered reliable delivery; the checksum is the
-//! end-to-end integrity check (paper: datacenter links do corrupt), and
-//! the per-`(peer, tag)` sequence number is the cheap assertion that the
-//! demux layer never reorders a lane.
+//! reliability layer uses in-process, read by the same
+//! [`framing::open`] — so corruption detection and sequence accounting
+//! behave identically on both fabrics. TCP already guarantees ordered
+//! reliable delivery; the checksum is the end-to-end integrity check
+//! (paper: datacenter links do corrupt), and the per-link sequence
+//! number — frames counted per (sender, receiver) pair across every tag
+//! — is the cheap assertion that the demux never reorders a link, and
+//! the one number a reconnect resumes from.
 //!
 //! # Multi-tenant tags
 //!
@@ -45,7 +47,8 @@ pub const MAX_DIMS: usize = 255;
 pub struct Frame {
     /// Demux tag.
     pub tag: Tag,
-    /// Per-`(sender, tag)` sequence number, verified by the checksum.
+    /// Link sequence number (per sender, across tags), verified by the
+    /// checksum.
     pub seq: u32,
     /// Payload with its tensor geometry.
     pub enc: Encoded,
@@ -58,8 +61,8 @@ pub fn frame_wire_bytes(ndims: usize, payload_len: usize) -> usize {
     4 + 8 + 1 + 4 * ndims + framing::HEADER_LEN + payload_len
 }
 
-/// Writes one frame. The caller supplies the per-`(peer, tag)` sequence
-/// number; the checksum binds `(tag, seq, payload)`.
+/// Writes one frame. The caller supplies the link sequence number; the
+/// checksum binds `(tag, seq, payload)`.
 ///
 /// # Errors
 ///
@@ -115,6 +118,44 @@ pub fn append_frame_header(
     dst.len() - before
 }
 
+/// Refuses a length prefix no frame can have: shorter than a tag, a
+/// dimension count and an envelope header, or past [`MAX_FRAME_BYTES`] —
+/// garbage must not look like a 4 GiB allocation request.
+fn check_len(len: usize) -> io::Result<()> {
+    if !(8 + 1 + framing::HEADER_LEN..=MAX_FRAME_BYTES).contains(&len) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("implausible frame length {len}"),
+        ));
+    }
+    Ok(())
+}
+
+/// Decodes everything after the length prefix — tag, geometry, and the
+/// envelope through [`framing::open`] — returning the frame's header and
+/// where its payload starts in `frame`.
+fn decode(frame: &[u8]) -> io::Result<(Tag, Shape, u32, usize)> {
+    let tag = Tag::from_le_bytes(frame[0..8].try_into().expect("8 bytes"));
+    let geom_end = 9 + 4 * frame[8] as usize;
+    if frame.len() < geom_end + framing::HEADER_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame shorter than its declared geometry",
+        ));
+    }
+    let dims = frame[9..geom_end]
+        .chunks_exact(4)
+        .map(|d| u32::from_le_bytes(d.try_into().expect("4 bytes")) as usize)
+        .collect();
+    let Some((seq, _)) = framing::open(tag, &frame[geom_end..]) else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("checksum/header mismatch on tag {tag:#x}"),
+        ));
+    };
+    Ok((tag, Shape::new(dims), seq, geom_end + framing::HEADER_LEN))
+}
+
 /// Attempts to decode one frame from the *front* of `buf` without
 /// consuming a reader: `Ok(None)` means the buffer does not yet hold a
 /// complete frame (read more), `Ok(Some((frame, consumed)))` hands back
@@ -131,47 +172,18 @@ pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
         return Ok(None);
     }
     let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
-    if len < 8 + 1 + framing::HEADER_LEN || len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible frame length {len}"),
-        ));
-    }
+    check_len(len)?;
     if buf.len() < 4 + len {
         return Ok(None);
     }
     let frame = &buf[4..4 + len];
-    let tag = Tag::from_le_bytes(frame[0..8].try_into().expect("8 bytes"));
-    let ndims = frame[8] as usize;
-    let geom_end = 9 + 4 * ndims;
-    if len < geom_end + framing::HEADER_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame shorter than its declared geometry",
-        ));
-    }
-    let mut dims = Vec::with_capacity(ndims);
-    for i in 0..ndims {
-        let at = 9 + 4 * i;
-        dims.push(u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes")) as usize);
-    }
-    let envelope = &frame[geom_end..];
-    let magic = u16::from_le_bytes([envelope[0], envelope[1]]);
-    let seq = u32::from_le_bytes(envelope[2..6].try_into().expect("4 bytes"));
-    let stated = u32::from_le_bytes(envelope[6..10].try_into().expect("4 bytes"));
-    let body = &envelope[framing::HEADER_LEN..];
-    if magic != framing::FRAME_MAGIC || framing::checksum(tag, seq, body) != stated {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checksum/header mismatch on tag {tag:#x}"),
-        ));
-    }
-    let payload = cgx_tensor::Bytes::copy_from_slice(body);
+    let (tag, shape, seq, body) = decode(frame)?;
+    let payload = cgx_tensor::Bytes::copy_from_slice(&frame[body..]);
     Ok(Some((
         Frame {
             tag,
             seq,
-            enc: Encoded::new(Shape::new(dims), payload),
+            enc: Encoded::new(shape, payload),
         },
         4 + len,
     )))
@@ -212,12 +224,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
         return Ok(None);
     }
     let len = u32::from_le_bytes(len_buf) as usize;
-    if len < 8 + 1 || len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible frame length {len}"),
-        ));
-    }
+    check_len(len)?;
     let mut buf = vec![0u8; len];
     if !read_exact_or_eof(r, &mut buf)? {
         return Err(io::Error::new(
@@ -225,31 +232,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
             "connection closed after frame length",
         ));
     }
-    let tag = Tag::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
-    let ndims = buf[8] as usize;
-    let geom_end = 9 + 4 * ndims;
-    if len < geom_end + framing::HEADER_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame shorter than its declared geometry",
-        ));
-    }
-    let mut dims = Vec::with_capacity(ndims);
-    for i in 0..ndims {
-        let at = 9 + 4 * i;
-        dims.push(u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize);
-    }
-    let body = cgx_tensor::Bytes::from(buf).slice(geom_end..);
-    let Some((seq, payload)) = framing::parse_verified(tag, &body) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checksum/header mismatch on tag {tag:#x}"),
-        ));
-    };
+    let (tag, shape, seq, body) = decode(&buf)?;
     Ok(Some(Frame {
         tag,
         seq,
-        enc: Encoded::new(Shape::new(dims), payload),
+        enc: Encoded::new(shape, cgx_tensor::Bytes::from(buf).slice(body..)),
     }))
 }
 

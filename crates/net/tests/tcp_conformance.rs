@@ -7,8 +7,9 @@ use cgx_collectives::conformance::{self, BoxTransport};
 use cgx_collectives::reduce::Algorithm;
 use cgx_collectives::{CommEngine, Transport};
 use cgx_compress::{CompressionScheme, Encoded, NoneCompressor, ScratchPool};
+use cgx_net::tcp::READ_BUF_BYTES;
 use cgx_net::wire::frame_wire_bytes;
-use cgx_net::{NetOptions, TcpFabric};
+use cgx_net::TcpFabric;
 use cgx_tensor::{Rng, Shape, Tensor};
 use std::sync::Barrier;
 use std::time::Duration;
@@ -72,11 +73,11 @@ fn finished_engine_leaves_no_frames_in_the_coalescer() {
     });
 }
 
-/// Frames one byte short of the read window, exactly it, one byte over
-/// and far beyond (1 MiB, split across many reads), each between small
-/// frames on other tags: every tag's frames arrive in order with their
-/// bytes intact, and both ends count the same wire bytes — under a
-/// 64-byte window, where nothing fits, and under the default one.
+/// Frames one byte short of the read buffer, exactly it, one byte over
+/// and far beyond (1 MiB, split across many reads and growing the
+/// buffer), each between small frames on other tags: every tag's frames
+/// arrive in order with their bytes intact, and both ends count the same
+/// wire bytes.
 #[test]
 fn frames_around_and_beyond_the_read_window_arrive_whole_and_counted() {
     const BIG: u64 = 1;
@@ -86,52 +87,43 @@ fn frames_around_and_beyond_the_read_window_arrive_whole_and_counted() {
         let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + salt) as u8).collect();
         Encoded::new(Shape::vector(len), bytes.into())
     };
-    for window in [64usize, NetOptions::default().read_buf_bytes] {
-        let overhead = frame_wire_bytes(1, 0);
-        let sizes = [
-            window - overhead - 1,
-            window - overhead,
-            window - overhead + 1,
-            1 << 20,
-        ];
-        let mut ends = TcpFabric::build_local_with(2, NetOptions::default().with_read_buf(window));
-        let to = ends.pop().expect("rank 1");
-        let from = ends.pop().expect("rank 0");
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for (k, &len) in sizes.iter().enumerate() {
-                    from.send_tagged(1, BEFORE, frame(5, k))
-                        .expect("small frame ahead");
-                    from.send_tagged(1, BIG, frame(len, k))
-                        .expect("large frame");
-                    from.send_tagged(1, AFTER, frame(9, k))
-                        .expect("small frame behind");
-                }
-            });
-            // One lane at a time, so the other two lanes' frames are
-            // stashed around the large ones and claimed afterwards.
-            let lanes = [(BIG, None), (BEFORE, Some(5)), (AFTER, Some(9))];
-            for (tag, small) in lanes {
-                for (k, &len) in sizes.iter().enumerate() {
-                    let got = to.recv_tagged(0, tag).expect("frame arrives");
-                    let want = frame(small.unwrap_or(len), k);
-                    assert_eq!(
-                        got.shape(),
-                        want.shape(),
-                        "window {window} tag {tag} frame {k}"
-                    );
-                    assert!(
-                        got.payload() == want.payload(),
-                        "window {window} tag {tag} frame {k}"
-                    );
-                }
+    let overhead = frame_wire_bytes(1, 0);
+    let sizes = [
+        READ_BUF_BYTES - overhead - 1,
+        READ_BUF_BYTES - overhead,
+        READ_BUF_BYTES - overhead + 1,
+        1 << 20,
+    ];
+    let mut ends = TcpFabric::build_local(2);
+    let to = ends.pop().expect("rank 1");
+    let from = ends.pop().expect("rank 0");
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for (k, &len) in sizes.iter().enumerate() {
+                from.send_tagged(1, BEFORE, frame(5, k))
+                    .expect("small frame ahead");
+                from.send_tagged(1, BIG, frame(len, k))
+                    .expect("large frame");
+                from.send_tagged(1, AFTER, frame(9, k))
+                    .expect("small frame behind");
             }
         });
-        let wire: usize = sizes.iter().map(|&len| frame_wire_bytes(1, len)).sum();
-        let wire = (wire + sizes.len() * (frame_wire_bytes(1, 5) + frame_wire_bytes(1, 9))) as u64;
-        assert_eq!(from.wire_bytes_sent(), wire, "window {window}");
-        assert_eq!(to.wire_bytes_received(), wire, "window {window}");
-    }
+        // One lane at a time, so the other two lanes' frames are
+        // stashed around the large ones and claimed afterwards.
+        let lanes = [(BIG, None), (BEFORE, Some(5)), (AFTER, Some(9))];
+        for (tag, small) in lanes {
+            for (k, &len) in sizes.iter().enumerate() {
+                let got = to.recv_tagged(0, tag).expect("frame arrives");
+                let want = frame(small.unwrap_or(len), k);
+                assert_eq!(got.shape(), want.shape(), "tag {tag} frame {k}");
+                assert!(got.payload() == want.payload(), "tag {tag} frame {k}");
+            }
+        }
+    });
+    let wire: usize = sizes.iter().map(|&len| frame_wire_bytes(1, len)).sum();
+    let wire = (wire + sizes.len() * (frame_wire_bytes(1, 5) + frame_wire_bytes(1, 9))) as u64;
+    assert_eq!(from.wire_bytes_sent(), wire);
+    assert_eq!(to.wire_bytes_received(), wire);
 }
 
 /// The paper's claim as counted by the sockets: one scatter-reduce-

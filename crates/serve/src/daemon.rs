@@ -101,19 +101,6 @@ fn nap<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> Mute
 /// conditions again.
 const SLICE: Duration = Duration::from_millis(20);
 
-fn dbg_on() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("CGX_SERVE_DEBUG").is_some())
-}
-
-macro_rules! sdbg {
-    ($($arg:tt)*) => {
-        if dbg_on() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-
 // ---------------------------------------------------------------------------
 // Configuration & errors
 // ---------------------------------------------------------------------------
@@ -619,10 +606,6 @@ fn outbound_turn(node: &NodeShared) -> (bool, Option<u64>) {
             let decision = lock(&node.state).sched.next(node.now_ns());
             match decision {
                 Dequeue::Frame { job, size, item } => {
-                    sdbg!(
-                        "[serve {}] dequeue job={} peer={} tag={:#x} size={}",
-                        node.rank, job, item.peer, item.tag, size
-                    );
                     match node.phys.try_send_tagged(item.peer, item.tag, item.payload) {
                         Ok(None) => {
                             sent_any = true;
@@ -732,11 +715,6 @@ fn pump_loop(node: &NodeShared) {
         if st.shutdown {
             let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + node.cfg.drain);
             if st.sched.is_empty() || Instant::now() >= deadline {
-                sdbg!(
-                    "[serve {}] pump exit: sched_empty={} ",
-                    node.rank,
-                    st.sched.is_empty()
-                );
                 drop(st);
                 // Last push so the final frames leave the process
                 // before the socket closes.
@@ -761,7 +739,6 @@ fn mark_peer_dead(node: &NodeShared, peer: usize, err: CommError) {
         if st.peer_dead[peer].is_some() {
             return;
         }
-        sdbg!("[serve {}] mark_peer_dead peer={peer} err={err:?}", node.rank);
         st.peer_dead[peer] = Some(err.clone());
         st.jobs.values().cloned().collect()
     };
@@ -796,10 +773,6 @@ fn route_frames(node: &NodeShared, frames: Vec<(usize, Tag, Encoded)>) {
             continue;
         }
         let size = payload.payload_bytes() as u64;
-        sdbg!(
-            "[serve {}] route ns={ns} peer={peer} local={local:#x} bytes={size}",
-            node.rank
-        );
         // The peer's tenant for this job detached in an orderly way: from
         // this job's perspective that peer is disconnected.
         let detach = (local == DETACH_TAG).then_some(CommError::Disconnected { peer });
