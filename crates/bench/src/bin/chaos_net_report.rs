@@ -132,7 +132,7 @@ struct ElasticOutcome {
 }
 
 /// 4-rank TCP run, rank 2 dies at step 8, survivors finish on world 3.
-fn measure_elastic_shrink(seed: u64) -> ElasticOutcome {
+fn measure_elastic_shrink() -> ElasticOutcome {
     let world = 4;
     let victim = 2;
     let work = Workload::standard(world);
@@ -145,14 +145,12 @@ fn measure_elastic_shrink(seed: u64) -> ElasticOutcome {
     let start = Instant::now();
     let runs: Vec<_> = std::thread::scope(|s| {
         let mut handles = Vec::new();
-        for (rank, mut t) in endpoints.into_iter().enumerate() {
+        for t in endpoints {
             let work = &work;
             let opts = &opts;
             handles.push(s.spawn(move || {
-                if rank == victim {
-                    t.set_fault(NetFaultPlan::new(seed).with_kill(victim, 8));
-                }
-                work.run_rank(&t, None, opts).expect("rank run")
+                work.run_rank(&t, None, opts, Some((victim, 8)))
+                    .expect("rank run")
             }));
         }
         handles
@@ -190,7 +188,7 @@ fn main() {
     let eof_ms = measure_eof_detection();
     let frozen_ms = measure_frozen_detection(hb_interval, hb_deadline);
     let (frames, reconnects, heal_ms) = measure_reconnect_heal(seed);
-    let elastic = measure_elastic_shrink(seed);
+    let elastic = measure_elastic_shrink();
 
     assert!(
         frozen_ms >= hb_deadline.as_secs_f64() * 1e3 * 0.9,

@@ -16,7 +16,7 @@
 //! own park slice.
 
 use crate::error::CommError;
-use crate::transport::{Tag, Transport};
+use crate::transport::{exchange_quiesce_markers, Tag, Transport};
 use cgx_compress::Encoded;
 use cgx_tensor::Shape;
 use std::cell::Cell;
@@ -371,19 +371,23 @@ pub fn check_silent_tag_parks_boundedly(build: &FabricBuilder, slice: Duration) 
     assert_same(&got, &payload(13), "unrelated stash");
 }
 
-/// `quiesce` completes when all peers participate — no deadlock, no
-/// panic — and the endpoints tear down cleanly afterwards.
+/// The teardown barrier, [`exchange_quiesce_markers`], completes when all
+/// peers take part — no deadlock, no panic, and promptly: each rank's
+/// receive finds the other's marker instead of waiting out the timeout —
+/// and the endpoints tear down cleanly afterwards.
 pub fn check_quiesce_completes(build: &FabricBuilder) {
     let eps = build(2);
+    let start = Instant::now();
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for ep in eps {
-            handles.push(s.spawn(move || ep.quiesce(&[0, 1])));
+            handles.push(s.spawn(move || exchange_quiesce_markers(&*ep, &[0, 1])));
         }
         for h in handles {
             h.join().expect("quiesce panicked");
         }
     });
+    assert!(start.elapsed() < PROMPT, "a marker never arrived");
 }
 
 /// Concurrent bidirectional traffic under threads: each rank sends a

@@ -61,7 +61,6 @@
 //! peers' handles.
 
 use crate::error::CommError;
-use crate::fault::FaultStats;
 use crate::reduce::{chunk_ranges, gather, tree, Algorithm, AllreduceStats};
 use crate::transport::{collective_tag_in_epoch, Tag, Transport};
 use cgx_compress::{Compressor, Encoded, NoneCompressor, ScratchPool};
@@ -221,9 +220,6 @@ pub struct CommEngine<'a> {
     /// peak since note `k` is the first entry at or after `k`.
     peaks: Vec<(usize, usize)>,
     notes: usize,
-    /// Transport fault counters already attributed to a completed wait;
-    /// each wait reports the delta accrued since the previous one.
-    faults_seen: FaultStats,
     /// Observability handle: disabled by default ([`CommEngine::with_obs`]
     /// turns it on). Recording never draws RNG or changes control flow, so
     /// enabling it cannot perturb byte-identical determinism.
@@ -280,7 +276,6 @@ impl<'a> CommEngine<'a> {
             in_flight: 0,
             peaks: Vec::new(),
             notes: 0,
-            faults_seen: transport.fault_stats(),
             obs: ObsHandle::disabled(),
             em: None,
         }
@@ -494,9 +489,6 @@ impl<'a> CommEngine<'a> {
                 }
                 let (tensor, mut stats) = self.ops[h.0].result.take().expect("checked above");
                 stats.wait_ns = stats.wait_ns.saturating_add(idle_ns);
-                let cur = self.t.fault_stats();
-                stats.faults = cur.since(&self.faults_seen);
-                self.faults_seen = cur;
                 let comp = self.ops[h.0].comp.take().expect("compressor present");
                 if let Some(em) = &self.em {
                     em.completed.inc();

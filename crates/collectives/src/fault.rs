@@ -21,29 +21,25 @@
 //!   control lane ([`CTRL_TAG`]) with backoff: the NACK is the receiver's
 //!   next-expected seq, and the sender resends that frame from its
 //!   [`Retention`]. Callers see byte-identical traffic in the original
-//!   per-tag order — transient faults only show up in [`FaultStats`] —
-//!   until the *bounded* retry budget is exhausted, at which point
-//!   [`CommError::Lost`] surfaces. The price of one sequence space per
-//!   link is head-of-line blocking: a frame lost on one tag holds back
-//!   the peer's later frames on every tag until it is resent, as a TCP
-//!   stream does.
+//!   per-tag order — transient faults only show up in
+//!   [`ChaosTransport::fault_stats`] — until the *bounded* retry budget is
+//!   exhausted, at which point [`CommError::Lost`] surfaces. The price of
+//!   one sequence space per link is head-of-line blocking: a frame lost on
+//!   one tag holds back the peer's later frames on every tag until it is
+//!   resent, as a TCP stream does.
 //!
-//! The wrapper also hosts the one-shot **kill** / **freeze** plans used by
-//! the elastic-recovery tests: [`Transport::begin_step`] returns `true` on
-//! the scheduled step (the worker returns, dropping its endpoint), or
-//! flips the endpoint into a black-hole mode that swallows sends and
-//! starves receives — the classic fail-stop vs fail-silent pair.
+//! A plan also carries the one-shot fail-stop **kill** the elastic-recovery
+//! tests schedule ([`FaultPlan::kill`]). The transport does nothing with
+//! it: the trainers read it from their config on any fabric and return
+//! on the scheduled step, and the rank's endpoint drops with them.
 
 use crate::error::CommError;
 use crate::framing::{frame, open, Retention, HEADER_LEN, RETAIN_BYTES};
 use crate::stash::TagStash;
-use crate::transport::{
-    exchange_quiesce_markers, ShmTransport, Tag, Transport, CTRL_TAG, QUIESCE_TAG,
-};
+use crate::transport::{ShmTransport, Tag, Transport, CTRL_TAG, QUIESCE_TAG};
 use cgx_compress::Encoded;
 use cgx_tensor::{Bytes, Shape};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -74,46 +70,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Field-wise accumulation.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.injected_drops += other.injected_drops;
-        self.injected_corruptions += other.injected_corruptions;
-        self.injected_duplicates += other.injected_duplicates;
-        self.injected_delays += other.injected_delays;
-        self.corruptions_caught += other.corruptions_caught;
-        self.duplicates_discarded += other.duplicates_discarded;
-        self.retransmit_requests += other.retransmit_requests;
-        self.frames_redelivered += other.frames_redelivered;
-        self.recovery_epochs += other.recovery_epochs;
-    }
-
-    /// The counters accrued since `base` was captured (saturating).
-    pub fn since(&self, base: &FaultStats) -> FaultStats {
-        FaultStats {
-            injected_drops: self.injected_drops.saturating_sub(base.injected_drops),
-            injected_corruptions: self
-                .injected_corruptions
-                .saturating_sub(base.injected_corruptions),
-            injected_duplicates: self
-                .injected_duplicates
-                .saturating_sub(base.injected_duplicates),
-            injected_delays: self.injected_delays.saturating_sub(base.injected_delays),
-            corruptions_caught: self
-                .corruptions_caught
-                .saturating_sub(base.corruptions_caught),
-            duplicates_discarded: self
-                .duplicates_discarded
-                .saturating_sub(base.duplicates_discarded),
-            retransmit_requests: self
-                .retransmit_requests
-                .saturating_sub(base.retransmit_requests),
-            frames_redelivered: self
-                .frames_redelivered
-                .saturating_sub(base.frames_redelivered),
-            recovery_epochs: self.recovery_epochs.saturating_sub(base.recovery_epochs),
-        }
-    }
-
     /// Total faults injected on the wire.
     pub fn injected_total(&self) -> usize {
         self.injected_drops
@@ -199,12 +155,10 @@ pub struct FaultPlan {
     pub retry_budget: u32,
     /// Minimum spacing between retransmission requests for one link.
     pub retry_backoff: Duration,
-    /// `(rank, step)`: that rank's [`Transport::begin_step`] returns
-    /// `true` at that step — fail-stop death.
+    /// `(rank, step)`: that rank dies at the top of that step — fail-stop.
+    /// Read by the trainers (`cgx_engine::train_rank` and its local-SGD
+    /// twin) on whatever fabric they run over; the transport ignores it.
     pub kill: Option<(usize, usize)>,
-    /// `(rank, step)`: that rank goes silent at that step — sends are
-    /// swallowed, receives starve — fail-silent death.
-    pub freeze: Option<(usize, usize)>,
 }
 
 impl FaultPlan {
@@ -220,7 +174,6 @@ impl FaultPlan {
             retry_budget: 64,
             retry_backoff: Duration::from_millis(2),
             kill: None,
-            freeze: None,
         }
     }
 
@@ -259,12 +212,6 @@ impl FaultPlan {
     /// Schedules `rank` to die (fail-stop) at the top of `step`.
     pub fn with_kill(mut self, rank: usize, step: usize) -> Self {
         self.kill = Some((rank, step));
-        self
-    }
-
-    /// Schedules `rank` to go silent (fail-silent) at the top of `step`.
-    pub fn with_freeze(mut self, rank: usize, step: usize) -> Self {
-        self.freeze = Some((rank, step));
         self
     }
 
@@ -448,7 +395,6 @@ pub struct ChaosTransport {
     inner: ShmTransport,
     plan: FaultPlan,
     state: Mutex<ChaosState>,
-    frozen: AtomicBool,
 }
 
 impl ChaosTransport {
@@ -466,7 +412,6 @@ impl ChaosTransport {
                 backlog: VecDeque::new(),
                 stats: FaultStats::default(),
             }),
-            frozen: AtomicBool::new(false),
         }
     }
 
@@ -478,6 +423,13 @@ impl ChaosTransport {
     /// The active fault plan.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
+    }
+
+    /// What the plan has done to this endpoint's inbound frames so far,
+    /// and what the reliability layer did about it. `recovery_epochs` is
+    /// the trainer's to count and stays zero here.
+    pub fn fault_stats(&self) -> FaultStats {
+        self.lock().stats
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ChaosState> {
@@ -509,18 +461,25 @@ impl ChaosTransport {
     /// takes in everything the peers framed, releases due delayed frames,
     /// and retries the send backlog. Returns how many frames it took in.
     fn pump(&self) -> usize {
-        if self.frozen.load(Ordering::Relaxed) {
-            return 0;
-        }
         let mut state = self.lock();
         // Incoming NACKs: resend the retained frame at the seq asked for.
         // A seq the store no longer (or never) holds is ignored — the
-        // receiver's budget or timeout bounds the stall.
+        // receiver's budget or timeout bounds the stall. A peer whose
+        // control lane reports it gone has filed all it ever will, so the
+        // harvest below still takes its last frames in.
         for peer in 0..self.inner.world() {
             if peer == self.inner.rank() {
                 continue;
             }
-            while let Ok(Some(msg)) = self.inner.try_recv_tagged(peer, CTRL_TAG) {
+            loop {
+                let msg = match self.inner.try_recv_tagged(peer, CTRL_TAG) {
+                    Ok(Some(msg)) => msg,
+                    Ok(None) => break,
+                    Err(gone) => {
+                        state.stash.close(peer, gone);
+                        break;
+                    }
+                };
                 let Ok(seq) = <[u8; 4]>::try_from(msg.payload().as_ref()) else {
                     continue;
                 };
@@ -535,11 +494,7 @@ impl ChaosTransport {
             }
         }
         // Everything framed, in the order it reached the fabric.
-        let stash = &mut state.stash;
-        let arrived = self.inner.harvest(
-            |tag| !raw_lane(tag),
-            |peer, err| stash.close(peer, err.clone()),
-        );
+        let arrived = self.inner.take_where(|tag| !raw_lane(tag));
         let taken = arrived.len();
         for (peer, tag, framed) in arrived {
             self.admit(&mut state, peer, tag, framed, true);
@@ -712,9 +667,6 @@ impl Transport for ChaosTransport {
     }
 
     fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
-        if self.frozen.load(Ordering::Relaxed) {
-            return Ok(()); // fail-silent: the bytes vanish
-        }
         if raw_lane(tag) {
             return self.inner.send_tagged(peer, tag, payload);
         }
@@ -735,9 +687,6 @@ impl Transport for ChaosTransport {
         tag: Tag,
         payload: Encoded,
     ) -> Result<Option<Encoded>, CommError> {
-        if self.frozen.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
         if raw_lane(tag) {
             return self.inner.try_send_tagged(peer, tag, payload);
         }
@@ -756,16 +705,10 @@ impl Transport for ChaosTransport {
     }
 
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
-        if self.frozen.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
         self.poll(peer, tag)
     }
 
     fn drain_inbound(&self) -> usize {
-        if self.frozen.load(Ordering::Relaxed) {
-            return 0;
-        }
         self.pump() + self.inner.drain_inbound()
     }
 
@@ -777,40 +720,7 @@ impl Transport for ChaosTransport {
     /// on the inner fabric, so no park outlasts [`Self::park_slice`]: the
     /// caller's next poll, which pumps, is what moves those along.
     fn park(&self, seen: u64, timeout: Duration) {
-        if self.frozen.load(Ordering::Relaxed) {
-            // Fail-silent: starve without consuming inbound traffic.
-            std::thread::sleep(timeout.min(Duration::from_millis(1)));
-        } else {
-            self.inner.park(seen, timeout.min(self.park_slice()));
-        }
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.lock().stats
-    }
-
-    fn begin_step(&self, step: usize) -> bool {
-        if let Some((rank, at)) = self.plan.kill {
-            if rank == self.inner.rank() && at == step {
-                return true;
-            }
-        }
-        if let Some((rank, at)) = self.plan.freeze {
-            if rank == self.inner.rank() && at == step {
-                self.frozen.store(true, Ordering::Relaxed);
-            }
-        }
-        false
-    }
-
-    /// The marker exchange every fabric with bytes in flight runs: each
-    /// receive it makes pumps, so NACKs keep being served until every peer
-    /// has confirmed it will ask for nothing more. A frozen endpoint owes
-    /// nobody anything it could still send and returns at once.
-    fn quiesce(&self, peers: &[usize]) {
-        if !self.frozen.load(Ordering::Relaxed) {
-            exchange_quiesce_markers(self, peers);
-        }
+        self.inner.park(seen, timeout.min(self.park_slice()));
     }
 }
 
@@ -818,6 +728,7 @@ impl Transport for ChaosTransport {
 mod tests {
     use super::*;
     use crate::transport::{collective_tag, ShmFabric};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn enc(bytes: &[u8]) -> Encoded {
         Encoded::new(Shape::vector(bytes.len().max(1)), Bytes::copy_from_slice(bytes))
@@ -912,7 +823,7 @@ mod tests {
             let got = Transport::recv_tagged(&b, 0, tag).unwrap();
             assert_eq!(got.payload().as_ref(), &[i]);
         }
-        assert_eq!(Transport::fault_stats(&b), FaultStats::default());
+        assert_eq!(b.fault_stats(), FaultStats::default());
     }
 
     #[test]
@@ -949,7 +860,7 @@ mod tests {
         }
         done.store(true, Ordering::Relaxed);
         sender.join().unwrap();
-        let stats = Transport::fault_stats(&b);
+        let stats = b.fault_stats();
         assert!(stats.injected_total() > 0, "plan injected nothing");
         assert!(
             stats.injected_drops == 0 || stats.frames_redelivered > 0,
@@ -973,7 +884,7 @@ mod tests {
         }
         // Every frame was duplicated; every duplicate was discarded, and
         // nothing further is deliverable.
-        let stats = Transport::fault_stats(&b);
+        let stats = b.fault_stats();
         assert_eq!(stats.injected_duplicates, 20);
         assert_eq!(stats.duplicates_discarded, 20);
         assert!(Transport::try_recv_tagged(&b, 0, tag).unwrap().is_none());
@@ -1019,7 +930,7 @@ mod tests {
         // B0 arrived whole, but it sits behind A0's gap on the link: it is
         // handed over only once A0 has been resent.
         assert_eq!(recv(lane_b), 20);
-        let stats = Transport::fault_stats(&b);
+        let stats = b.fault_stats();
         assert_eq!((stats.injected_drops, stats.frames_redelivered), (1, 1));
         assert!(stats.retransmit_requests >= 1);
         // Per-tag order holds on both lanes.
@@ -1046,28 +957,5 @@ mod tests {
             Err(CommError::Lost { peer: 0, retries }) => assert!(retries >= 3),
             other => panic!("expected Lost, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn freeze_goes_silent_and_kill_reports_death() {
-        let plan = FaultPlan::new(3).with_freeze(0, 2).with_kill(1, 5);
-        let mut eps = ShmFabric::build(2);
-        let b = ChaosTransport::new(eps.pop().unwrap(), plan.clone());
-        let a = ChaosTransport::new(eps.pop().unwrap(), plan);
-        assert!(!Transport::begin_step(&a, 0));
-        assert!(!Transport::begin_step(&b, 4));
-        assert!(Transport::begin_step(&b, 5), "kill step must fire");
-        assert!(!Transport::begin_step(&a, 2), "freeze is not a death");
-        // Frozen endpoint swallows sends: nothing ever reaches rank 1.
-        Transport::send_tagged(&a, 1, collective_tag(1, 0, 1), enc(&[1])).unwrap();
-        assert!(matches!(
-            Transport::recv_tagged_deadline(
-                &b,
-                0,
-                collective_tag(1, 0, 1),
-                Duration::from_millis(30)
-            ),
-            Err(CommError::Timeout { from: 0, .. })
-        ));
     }
 }

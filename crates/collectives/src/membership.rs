@@ -317,19 +317,6 @@ impl Transport for MembershipView<'_> {
             outcome => self.in_view(outcome),
         }
     }
-
-    fn fault_stats(&self) -> crate::fault::FaultStats {
-        self.inner.fault_stats()
-    }
-
-    fn begin_step(&self, step: usize) -> bool {
-        self.inner.begin_step(step)
-    }
-
-    fn quiesce(&self, peers: &[usize]) {
-        let phys: Vec<usize> = peers.iter().map(|&v| self.phys[v]).collect();
-        self.inner.quiesce(&phys);
-    }
 }
 
 #[cfg(test)]

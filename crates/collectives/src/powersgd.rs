@@ -32,30 +32,12 @@ impl PowerSgdState {
 /// All ranks must seed `Q` identically, which is guaranteed here by
 /// deriving it from a rank-independent RNG stream (`seed`). Both factors
 /// reduce losslessly through a [`CommEngine`], which draws one `next_u64`
-/// from `rng` per factor.
+/// from `rng` per factor and its encode buffers from `pool`.
 ///
 /// # Errors
 ///
 /// Propagates transport failures.
 pub fn allreduce_powersgd(
-    t: &dyn Transport,
-    grad: &Tensor,
-    rank_r: usize,
-    state: &mut PowerSgdState,
-    seed: u64,
-    rng: &mut Rng,
-) -> Result<(Tensor, AllreduceStats), CommError> {
-    allreduce_powersgd_scratch(t, grad, rank_r, state, seed, rng, &ScratchPool::new())
-}
-
-/// [`allreduce_powersgd`] with explicit scratch: both factor all-reduces
-/// draw their encode buffers from `pool`.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-#[allow(clippy::too_many_arguments)]
-pub fn allreduce_powersgd_scratch(
     t: &dyn Transport,
     grad: &Tensor,
     rank_r: usize,
@@ -114,6 +96,7 @@ mod tests {
     fn recovers_mean_of_shared_low_rank_gradient() {
         // All ranks hold the same rank-2 matrix; the mean equals it, and
         // rank-2 PowerSGD should recover it almost exactly.
+        let pool = ScratchPool::new();
         let results = ThreadCluster::run(4, |t| {
             let mut shared = Rng::seed_from_u64(42);
             let u = Tensor::randn(&mut shared, &[12, 2]);
@@ -123,8 +106,9 @@ mod tests {
             let mut st = PowerSgdState::new();
             let mut out = Tensor::zeros(&[12, 10]);
             for _ in 0..4 {
-                let (o, _) = allreduce_powersgd(&t, &grad, 2, &mut st, 7, &mut rng).unwrap();
-                out = o;
+                out = allreduce_powersgd(&t, &grad, 2, &mut st, 7, &mut rng, &pool)
+                    .unwrap()
+                    .0;
             }
             (grad, out)
         })
@@ -137,11 +121,12 @@ mod tests {
 
     #[test]
     fn all_ranks_agree_bitwise() {
+        let pool = ScratchPool::new();
         let results = ThreadCluster::run(3, |t| {
             let mut rng = Rng::seed_from_u64(900 + t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[16, 8]);
             let mut st = PowerSgdState::new();
-            allreduce_powersgd(&t, &grad, 4, &mut st, 11, &mut rng)
+            allreduce_powersgd(&t, &grad, 4, &mut st, 11, &mut rng, &pool)
                 .unwrap()
                 .0
         })
@@ -153,11 +138,12 @@ mod tests {
     #[test]
     fn traffic_is_rank_r_factors_not_full_matrix() {
         let (m, ncols, r) = (64usize, 48usize, 4usize);
+        let pool = ScratchPool::new();
         let stats = ThreadCluster::run(2, |t| {
             let mut rng = Rng::seed_from_u64(t.rank() as u64);
             let grad = Tensor::randn(&mut rng, &[m, ncols]);
             let mut st = PowerSgdState::new();
-            allreduce_powersgd(&t, &grad, r, &mut st, 3, &mut rng)
+            allreduce_powersgd(&t, &grad, r, &mut st, 3, &mut rng, &pool)
                 .unwrap()
                 .1
         })

@@ -38,7 +38,6 @@
 //! unfused implementation.
 
 use crate::error::CommError;
-use crate::fault::FaultStats;
 use crate::transport::Transport;
 use cgx_compress::{Compressor, Encoded, ScratchPool};
 use cgx_tensor::{Rng, Tensor};
@@ -67,12 +66,6 @@ pub struct AllreduceStats {
     /// while this one ran. Always 1 for the sequential entry points; > 1
     /// indicates the communication engine actually overlapped layers.
     pub max_in_flight: usize,
-    /// Transport-level fault activity attributed to this collective:
-    /// injected faults observed, corruptions caught by checksums, and
-    /// retransmissions that masked them. All zeros on a fault-free
-    /// transport; populated by [`crate::engine::CommEngine::wait`] and the
-    /// elastic trainers when running over a [`crate::fault::ChaosTransport`].
-    pub faults: FaultStats,
 }
 
 impl AllreduceStats {
@@ -90,7 +83,6 @@ impl AllreduceStats {
         self.wait_ns = self.wait_ns.saturating_add(other.wait_ns);
         self.decode_ns = self.decode_ns.saturating_add(other.decode_ns);
         self.max_in_flight = self.max_in_flight.max(other.max_in_flight);
-        self.faults.merge(&other.faults);
     }
 }
 

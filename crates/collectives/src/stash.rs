@@ -11,7 +11,7 @@
 //! still send more ([`TagStash::closed`]).
 
 use crate::error::CommError;
-use crate::transport::{tag_namespace, Tag, NATIVE_JOB};
+use crate::transport::Tag;
 use cgx_compress::Encoded;
 use std::collections::{HashMap, VecDeque};
 
@@ -86,19 +86,13 @@ impl TagStash {
         Some(filed.payload)
     }
 
-    /// Removes every payload whose tag carries a non-native namespace byte
-    /// (see [`crate::split_tag`]): the arrival-ordered harvest the serve
-    /// daemon's router makes.
-    pub fn take_namespaced(&mut self) -> Vec<(usize, Tag, Encoded)> {
-        self.take_where(|t| tag_namespace(t) != NATIVE_JOB)
-    }
-
     /// Removes every payload whose tag passes `keep`, as `(peer, tag,
     /// payload)` in the order they arrived — a peer's frame on one tag
     /// never overtakes what it sent first on another. The one harvest of
-    /// the stash: the serve router takes tenant traffic with it, the chaos
+    /// the stash: the serve router takes tenant traffic with it (tags
+    /// outside the native namespace, see [`crate::split_tag`]), the chaos
     /// layer everything its peers framed.
-    pub(crate) fn take_where(&mut self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
+    pub fn take_where(&mut self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
         let mut out = Vec::new();
         for (peer, queues) in self.queues.iter_mut().enumerate() {
             let tags: Vec<Tag> = queues.keys().copied().filter(|&t| keep(t)).collect();
@@ -160,7 +154,7 @@ impl TagStash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{collective_tag, namespace_tag};
+    use crate::transport::{collective_tag, namespace_tag, tag_namespace, NATIVE_JOB};
     use cgx_tensor::{Bytes, Shape};
 
     fn payload(byte: u8) -> Encoded {
@@ -221,7 +215,8 @@ mod tests {
     }
 
     #[test]
-    fn take_namespaced_is_in_arrival_order_and_leaves_native_traffic() {
+    fn take_where_is_in_arrival_order_and_leaves_what_it_passes_over() {
+        let tenant = |t: Tag| tag_namespace(t) != NATIVE_JOB;
         let mut s = TagStash::new(3);
         let native = collective_tag(5, 0, 1);
         let mut sent = Vec::new();
@@ -233,12 +228,12 @@ mod tests {
             s.file(peer, native, payload(100 + i));
         }
         let got: Vec<(usize, Tag, u8)> = s
-            .take_namespaced()
+            .take_where(tenant)
             .iter()
             .map(|(p, t, e)| (*p, *t, byte(e)))
             .collect();
         assert_eq!(got, sent);
-        assert!(s.take_namespaced().is_empty());
+        assert!(s.take_where(tenant).is_empty());
         assert_eq!(s.take(1, native).map(|e| byte(&e)), Some(100));
         assert_eq!(s.take(2, native).map(|e| byte(&e)), Some(101));
     }

@@ -36,7 +36,6 @@
 //! fabric.
 
 use crate::error::CommError;
-use crate::fault::FaultStats;
 use crate::stash::TagStash;
 use cgx_compress::Encoded;
 use cgx_obs::{Counter, MetricsRegistry};
@@ -70,8 +69,8 @@ pub const LEGACY_TAG: Tag = u64::MAX;
 /// from fault injection so recovery traffic itself cannot be lost forever.
 pub const CTRL_TAG: Tag = u64::MAX - 1;
 
-/// End-of-run quiesce lane (see [`Transport::quiesce`]). Exempt from fault
-/// injection and framing, like [`CTRL_TAG`].
+/// End-of-run quiesce lane (see [`exchange_quiesce_markers`]). Exempt from
+/// fault injection and framing, like [`CTRL_TAG`].
 pub const QUIESCE_TAG: Tag = u64::MAX - 2;
 
 /// Packs a collective id, pipeline segment and phase into a wire tag.
@@ -207,21 +206,22 @@ pub fn tag_namespace(wire: Tag) -> u8 {
 /// Object-safe transport abstraction: one rank's endpoint into a fabric of
 /// tag-multiplexed, per-`(peer, tag)`-FIFO point-to-point lanes.
 ///
-/// **Required** of a fabric are nine methods, none of which loops over a
-/// deadline: its geometry ([`rank`](Transport::rank),
-/// [`world`](Transport::world), [`timeout`](Transport::timeout)), the two
-/// sends, the non-blocking receive
-/// ([`try_recv_tagged`](Transport::try_recv_tagged)),
+/// **Nine required, receives provided.** A fabric owes nine methods, none
+/// of which loops over a deadline: its geometry
+/// ([`rank`](Transport::rank), [`world`](Transport::world),
+/// [`timeout`](Transport::timeout)), the two sends, the non-blocking
+/// receive ([`try_recv_tagged`](Transport::try_recv_tagged)),
 /// [`drain_inbound`](Transport::drain_inbound), and the eventcount pair
 /// [`arrivals`](Transport::arrivals) / [`park`](Transport::park).
-/// **Provided** on top of those, once: every blocking receive
-/// ([`recv_tagged_deadline`](Transport::recv_tagged_deadline),
+/// Everything else is provided on top of those, once: every blocking
+/// receive ([`recv_tagged_deadline`](Transport::recv_tagged_deadline),
 /// [`recv_tagged`](Transport::recv_tagged), [`recv`](Transport::recv)),
-/// the legacy-lane conveniences, and no-op defaults for what only some
-/// fabrics have ([`flush_outbound`](Transport::flush_outbound),
-/// [`fault_stats`](Transport::fault_stats),
-/// [`begin_step`](Transport::begin_step), [`quiesce`](Transport::quiesce),
-/// [`take_namespaced_stashed`](Transport::take_namespaced_stashed)).
+/// the legacy-lane conveniences, and a no-op
+/// [`flush_outbound`](Transport::flush_outbound) for fabrics that send
+/// eagerly. What belongs to one layer above stays there: fault counters
+/// on [`crate::fault::ChaosTransport`], the kill schedule in the
+/// trainer's config, teardown in [`exchange_quiesce_markers`], the serve
+/// daemon's harvest in each fabric's own `take_where`.
 ///
 /// **Waiting** is always the same three steps — sample
 /// [`arrivals`](Transport::arrivals), poll, then
@@ -240,8 +240,8 @@ pub fn tag_namespace(wire: Tag) -> u8 {
 /// single-owner — one rank drives its own transport from its own thread —
 /// so no auto-trait bound is imposed here. The one exception is the
 /// endpoint under a `cgx-serve` daemon, which tenant threads and the pump
-/// thread drive in turns: `ServeNode::new` asks for `Transport + Send +
-/// Sync`, which [`ShmTransport`] and the TCP endpoint are (a test beside
+/// thread drive in turns: `ServeNode::new` asks for a `Send + Sync`
+/// endpoint, which [`ShmTransport`] and the TCP endpoint are (a test beside
 /// each type says so at compile time).
 pub trait Transport {
     /// This endpoint's rank.
@@ -389,53 +389,15 @@ pub trait Transport {
         }
         Ok(())
     }
-
-    /// Cumulative fault/recovery counters for this endpoint. The plain
-    /// fabric never faults, so the default is all zeros.
-    fn fault_stats(&self) -> FaultStats {
-        FaultStats::default()
-    }
-
-    /// Hook called by trainers at the top of step `step`. Returns `true`
-    /// when this rank is scheduled to die now (the worker should return
-    /// and drop its endpoint); fault-injecting transports use it to
-    /// trigger one-shot kill/freeze plans. The plain fabric never does.
-    fn begin_step(&self, step: usize) -> bool {
-        let _ = step;
-        false
-    }
-
-    /// Teardown barrier: exchanges end-of-run markers with `peers`
-    /// (physical ranks; self is skipped) on the [`QUIESCE_TAG`] lane and
-    /// keeps the reliability layer's control lane serviced until every one
-    /// of them has confirmed. Only then is it safe to drop this endpoint —
-    /// a lossy transport may still owe a peer the retransmission of its
-    /// final frames. Best-effort: an unreachable peer is skipped after the
-    /// transport timeout rather than failing a finished run. The plain
-    /// fabric is lossless (buffered frames survive a dropped sender), so
-    /// its default is a no-op; fabrics whose bytes can still be in flight
-    /// when the run ends call [`exchange_quiesce_markers`].
-    fn quiesce(&self, peers: &[usize]) {
-        let _ = peers;
-    }
-
-    /// Removes and returns every stashed message addressed to a non-native
-    /// tag namespace (see [`split_tag`]), as `(peer, wire_tag, payload)`
-    /// triples in arrival order. The serve daemon's inbound turn pairs
-    /// this with [`Transport::drain_inbound`] to act as the fabric's
-    /// sole physical drainer, routing tenant traffic to per-job inboxes;
-    /// native traffic stays stashed for the endpoint's own collectives.
-    /// Fabrics that never sit under a daemon keep the empty default.
-    fn take_namespaced_stashed(&self) -> Vec<(usize, Tag, Encoded)> {
-        Vec::new()
-    }
 }
 
-/// The marker exchange behind [`Transport::quiesce`] on fabrics that keep
-/// bytes in flight (sockets, a daemon's scheduler queues): a marker to
-/// every one of `peers`, then one from each, so that nobody tears down
-/// while a peer's final frames are still on their way. Best-effort — a
-/// peer that fails or stays silent past the timeout is skipped.
+/// The teardown barrier, on every fabric: a marker to every one of `peers`
+/// (ranks of `t`; self is skipped) on the [`QUIESCE_TAG`] lane, then one
+/// from each, so that nobody drops its endpoint while a peer's final frames
+/// are still on their way — in a socket, behind a daemon's scheduler, or
+/// owed as a retransmission (each receive on a chaos endpoint services its
+/// control lane). Best-effort: a peer that fails or stays silent past the
+/// timeout is skipped rather than failing a finished run.
 pub fn exchange_quiesce_markers(t: &dyn Transport, peers: &[usize]) {
     let marker = Encoded::new(Shape::vector(1), Bytes::copy_from_slice(&[0x51]));
     let others = || {
@@ -559,23 +521,14 @@ impl ShmTransport {
         &self.boxes[self.rank]
     }
 
-    /// Takes every payload filed here whose tag passes `keep`, in arrival
-    /// order ([`TagStash::take_where`]), first telling `closed` of every
-    /// peer that has closed and why — under the same lock, so such a peer
-    /// has left nothing behind. The chaos layer's one read of the fabric
-    /// beneath it.
-    pub(crate) fn harvest(
-        &self,
-        keep: impl Fn(Tag) -> bool,
-        mut closed: impl FnMut(usize, &CommError),
-    ) -> Vec<(usize, Tag, Encoded)> {
+    /// Takes every payload filed here whose tag passes `keep`, as `(peer,
+    /// tag, payload)` in arrival order ([`TagStash::take_where`]). The one
+    /// read of the mailbox by a layer that routes it: the chaos layer
+    /// takes everything its peers framed, a `cgx-serve` daemon the
+    /// tenants' traffic.
+    pub fn take_where(&self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
         let mailbox = self.mailbox();
         let mut inbox = mailbox.lock();
-        for peer in 0..self.world {
-            if let Some(err) = inbox.stash.closed(peer) {
-                closed(peer, err);
-            }
-        }
         let taken = inbox.stash.take_where(keep);
         mailbox.note_space(&inbox);
         taken
@@ -734,14 +687,6 @@ impl Transport for ShmTransport {
             inbox.parked -= 1;
         }
     }
-
-    fn take_namespaced_stashed(&self) -> Vec<(usize, Tag, Encoded)> {
-        let mailbox = self.mailbox();
-        let mut inbox = mailbox.lock();
-        let taken = inbox.stash.take_namespaced();
-        mailbox.note_space(&inbox);
-        taken
-    }
 }
 
 /// Factory for a fully-connected fabric of `n` transports.
@@ -790,7 +735,7 @@ mod tests {
         Encoded::new(Shape::vector(1), Bytes::copy_from_slice(&[tag]))
     }
 
-    /// `cgx_serve::ServeNode::new` takes a `Transport + Send + Sync`: its
+    /// `cgx_serve::ServeNode::new` takes a `Send + Sync` endpoint: its
     /// tenant threads and its pump thread share the one endpoint.
     #[test]
     fn endpoint_is_send_and_sync() {
@@ -1246,7 +1191,7 @@ mod tests {
     }
 
     #[test]
-    fn take_namespaced_stashed_partitions_tenant_from_native() {
+    fn take_where_partitions_tenant_from_native() {
         let mut eps = ShmFabric::build(2);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
@@ -1258,7 +1203,8 @@ mod tests {
         a.send_tagged(1, t1, payload(3)).unwrap();
         a.send_tagged(1, t2, payload(4)).unwrap();
         b.drain_inbound();
-        let taken = b.take_namespaced_stashed();
+        let tenant = |t: Tag| tag_namespace(t) != NATIVE_JOB;
+        let taken = b.take_where(tenant);
         let got: Vec<(usize, Tag, u8)> = taken
             .iter()
             .map(|(p, t, e)| (*p, *t, e.payload()[0]))
@@ -1266,7 +1212,7 @@ mod tests {
         assert_eq!(got, vec![(0, t1, 2), (0, t1, 3), (0, t2, 4)]);
         // Native traffic is untouched and still deliverable.
         assert_eq!(b.recv_tagged(0, native).unwrap().payload().as_ref(), &[1]);
-        assert!(b.take_namespaced_stashed().is_empty());
+        assert!(b.take_where(tenant).is_empty());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! different (but fully reproducible) fault schedule.
 
 use cgx_collectives::reduce::{allreduce_scratch, Algorithm};
+use cgx_collectives::transport::exchange_quiesce_markers;
 use cgx_collectives::{
     agree, ChaosTransport, CommEngine, CommError, EngineOptions, FaultPlan, Membership,
     MembershipView, ShmTransport, ThreadCluster, Transport,
@@ -78,11 +79,11 @@ fn rank_grads(specs: &[(usize, CompressionScheme)], rank: usize) -> Vec<Tensor> 
 fn run_engine(plan: Option<FaultPlan>) -> (Vec<Vec<Tensor>>, usize) {
     let specs = layer_specs();
     let outs = ThreadCluster::try_run(WORLD, |raw: ShmTransport| {
-        let endpoint: Box<dyn Transport> = match &plan {
-            Some(p) => Box::new(ChaosTransport::new(raw, p.clone())),
-            None => Box::new(raw),
+        let mut chaos = None;
+        let t: &dyn Transport = match &plan {
+            Some(p) => chaos.insert(ChaosTransport::new(raw, p.clone())),
+            None => &raw,
         };
-        let t: &dyn Transport = endpoint.as_ref();
         let grads = rank_grads(&specs, t.rank());
         let mut master = Rng::seed_from_u64(0xAB5);
         let mut eng = CommEngine::new(t, ScratchPool::new(), EngineOptions::default());
@@ -98,8 +99,9 @@ fn run_engine(plan: Option<FaultPlan>) -> (Vec<Vec<Tensor>>, usize) {
             .map(|h| eng.wait(h).map(|r| r.0))
             .collect::<Result<Vec<Tensor>, CommError>>()?;
         let all: Vec<usize> = (0..WORLD).collect();
-        t.quiesce(&all);
-        Ok::<_, CommError>((results, t.fault_stats().injected_total()))
+        exchange_quiesce_markers(t, &all);
+        let injected = chaos.map_or(0, |c| c.fault_stats().injected_total());
+        Ok::<_, CommError>((results, injected))
     })
     .expect("chaos cluster");
     let injected = outs.iter().map(|(_, n)| n).sum();
@@ -237,7 +239,7 @@ fn survivors_agree_and_continue_on_shrunken_world() {
         );
         let (sum, stats, _) = eng.wait(h).expect("post-recovery allreduce");
         assert!(stats.bytes_sent > 0);
-        t.quiesce(&membership.physical_ranks());
+        exchange_quiesce_markers(t, &membership.physical_ranks());
         Ok(Some(sum))
     })
     .expect("survivors must not fail");

@@ -14,7 +14,9 @@
 //! recovery, live controller — as its gradients do.
 
 use crate::sync::RankSync;
-use crate::trainer::{run_threads, RankOutput, Replica, TrainConfig, TrainReport, TrainableModel};
+use crate::trainer::{
+    killed, run_threads, RankOutput, Replica, TrainConfig, TrainReport, TrainableModel,
+};
 use cgx_collectives::{CommError, Transport};
 use cgx_compress::ScratchPool;
 use cgx_tensor::{Rng, Tensor};
@@ -32,7 +34,8 @@ use cgx_tensor::{Rng, Tensor};
 /// of each round's mean deltas (rank-replicated, like the trainer's mean
 /// gradients) and counts rounds, not steps.
 ///
-/// Returns `Ok(None)` when the fault plan kills this rank mid-run.
+/// Returns `Ok(None)` when the fault plan kills this rank mid-run
+/// ([`TrainConfig::chaos`]), with `t` still open.
 ///
 /// # Errors
 ///
@@ -62,7 +65,7 @@ where
     // replicas by construction).
     let mut anchor: Vec<Tensor> = replica.model.params().to_vec();
     for step in 1..=cfg.steps {
-        if t.begin_step(step) {
+        if killed(cfg, t.rank(), step) {
             // Fail-stop injection: this rank dies here; survivors
             // notice at their next sync round and shrink around it.
             return Ok(None);

@@ -17,6 +17,7 @@ use cgx_adaptive::{AdaptiveController, AdaptiveTrainConfig, ControlledLayer};
 use cgx_collectives::hierarchy::{fan_down, gather_up, receive_down};
 use cgx_collectives::membership::agree;
 use cgx_collectives::reduce::{Algorithm, AllreduceStats};
+use cgx_collectives::transport::exchange_quiesce_markers;
 use cgx_collectives::{
     lane_epoch, CommEngine, CommError, EngineOptions, Membership, MembershipView, Transport,
 };
@@ -366,21 +367,18 @@ impl<'a> RankSync<'a> {
         }
     }
 
-    /// Teardown barrier — keep serving retransmissions until every
-    /// survivor has drained its final traffic, only then is it safe to
-    /// drop the endpoint (lossless fabrics no-op) — then the rank's
-    /// result.
+    /// Teardown barrier with every survivor — nobody drops its endpoint
+    /// while a peer's final frames, or a retransmission it owes, are still
+    /// on their way — then the rank's result.
     pub(crate) fn finish<M>(self, model: M, losses: Vec<f64>, sync_rounds: usize) -> RankOutput<M> {
-        self.t.quiesce(&self.membership.physical_ranks());
-        let mut faults = self.t.fault_stats();
-        faults.recovery_epochs += self.recoveries;
+        exchange_quiesce_markers(self.t, &self.membership.physical_ranks());
         RankOutput {
             model,
             losses,
             bytes: self.traffic.bytes_sent,
             kernel_calls: self.traffic.compress_calls,
             sync_rounds,
-            faults,
+            recovery_epochs: self.recoveries,
             final_world: self.membership.num_alive(),
             adaptive: self.controller.map(AdaptiveController::into_trace),
         }
@@ -393,7 +391,7 @@ mod tests {
     use crate::data::GaussianMixture;
     use crate::nn::Mlp;
     use crate::trainer::{train_rank, LayerCompression, TrainConfig};
-    use cgx_collectives::{ShmFabric, ThreadCluster, Topology};
+    use cgx_collectives::{FaultPlan, ShmFabric, ThreadCluster, Topology};
     use cgx_compress::ScratchPool;
     use cgx_tensor::Rng;
     use std::time::Duration;
@@ -434,8 +432,9 @@ mod tests {
     /// fabric says physical rank 3 disconnected, which the view over
     /// `[0, 2, 3]` must hand to `recover` as virtual rank 2 — read as a
     /// physical rank there is no such member (and in a larger world it
-    /// would be a live one). A rank leaves by running fewer steps: on the
-    /// shm fabric `finish` has nothing to wait for, and its endpoint drops.
+    /// would be a live one). A rank leaves by its own scheduled kill, which
+    /// the trainer reads from its config on this bare fabric: it returns,
+    /// and its endpoint drops.
     #[test]
     fn two_ranks_leave_at_different_steps_and_the_survivors_agree() {
         let task = GaussianMixture::new(4, 8, 1.5);
@@ -446,17 +445,18 @@ mod tests {
             compression: LayerCompression::cgx_default(),
             ..TrainConfig::new(4, 12)
         };
-        let steps = [cfg.steps, 3, cfg.steps, 6];
+        let kills = [None, Some(3), None, Some(6)];
         let pool = ScratchPool::new();
         let outputs: Vec<_> = std::thread::scope(|s| {
             let ranks: Vec<_> = ShmFabric::build(4)
                 .into_iter()
-                .zip(steps)
-                .map(|(mut t, steps)| {
+                .zip(kills)
+                .enumerate()
+                .map(|(rank, (mut t, kill))| {
                     t.set_timeout(Duration::from_secs(5));
                     let (task, model, pool) = (&task, &model, &pool);
                     let cfg = TrainConfig {
-                        steps,
+                        chaos: kill.map(|at| FaultPlan::new(0).with_kill(rank, at)),
                         ..cfg.clone()
                     };
                     s.spawn(move || {
@@ -473,13 +473,17 @@ mod tests {
             ranks
                 .into_iter()
                 .map(|h| h.join().expect("no rank panics"))
-                .map(|out| out.expect("no rank fails").expect("no rank is killed"))
+                .map(|out| out.expect("no rank fails"))
                 .collect()
         });
-        let survivors = [&outputs[0], &outputs[2]];
+        assert!(
+            outputs[1].is_none() && outputs[3].is_none(),
+            "a rank outlived its kill"
+        );
+        let survivors = [&outputs[0], &outputs[2]].map(|out| out.as_ref().expect("survivor"));
         for out in survivors {
             assert_eq!(out.final_world, 2);
-            assert_eq!(out.faults.recovery_epochs, 2);
+            assert_eq!(out.recovery_epochs, 2);
             assert_eq!(out.losses.len(), cfg.steps);
         }
         for (a, b) in survivors[0]

@@ -265,11 +265,15 @@ pub struct TrainConfig {
     /// submitted up front and redeemed in order, so their
     /// compress/send/decode work overlaps.
     pub engine: EngineOptions,
-    /// Deterministic fault injection: when set, every worker's endpoint is
-    /// wrapped in a [`ChaosTransport`] driven by this plan. Transient
-    /// faults are masked by the reliability layer without changing a
-    /// single delivered byte; kill/freeze entries take effect at the
-    /// scheduled step.
+    /// Deterministic fault injection. Its kill ([`FaultPlan::kill`]) is
+    /// read by [`train_rank`] and [`local_sgd_rank`](crate::local_sgd_rank)
+    /// themselves, on any fabric: the scheduled rank returns `Ok(None)` at
+    /// the top of the scheduled step. Its transient faults need a
+    /// [`ChaosTransport`]: the thread harnesses
+    /// ([`train_data_parallel`], [`train_local_sgd`](crate::train_local_sgd))
+    /// wrap every worker's endpoint in one driven by this plan, whose
+    /// reliability layer masks them without changing a single delivered
+    /// byte, and report its counters in [`TrainReport::faults`].
     pub chaos: Option<FaultPlan>,
     /// Shrink-and-continue recovery: when `true`, an unrecoverable peer
     /// loss triggers membership agreement and training continues on the
@@ -351,8 +355,8 @@ pub struct RankOutput<M> {
     /// Synchronization rounds performed: one per step under
     /// [`train_rank`], one per `sync_period` steps under local SGD.
     pub sync_rounds: usize,
-    /// Fault and recovery counters from this rank's endpoint.
-    pub faults: FaultStats,
+    /// Shrink-and-continue recoveries this rank went through.
+    pub recovery_epochs: usize,
     /// World size this rank finished with.
     pub final_world: usize,
     /// The live controller's re-plan history ([`TrainConfig::adaptive`]);
@@ -373,9 +377,10 @@ pub struct TrainReport {
     pub compress_calls_per_worker: usize,
     /// Synchronization rounds performed.
     pub sync_rounds: usize,
-    /// Fault and recovery counters from the reporting worker's endpoint
-    /// (all zeros on a fault-free fabric). `recovery_epochs` counts the
-    /// shrink-and-continue recoveries the run survived.
+    /// The reporting worker's fault counters: what its [`ChaosTransport`]
+    /// injected and masked (all zeros without [`TrainConfig::chaos`]),
+    /// and in `recovery_epochs` the shrink-and-continue recoveries the run
+    /// survived.
     pub faults: FaultStats,
     /// World size at the end of the run — smaller than `cfg.workers` if
     /// elastic recovery shrank the fleet.
@@ -457,7 +462,9 @@ impl<M: TrainableModel> Replica<M> {
 /// thread-backed run and a process-backed run with the same seed produce
 /// byte-identical replicas.
 ///
-/// Returns `Ok(None)` when the fault plan kills this rank mid-run.
+/// Returns `Ok(None)` when the fault plan kills this rank mid-run
+/// ([`TrainConfig::chaos`]), with `t` still open: dropping it is what the
+/// survivors observe.
 ///
 /// # Errors
 ///
@@ -482,7 +489,7 @@ where
     let mut losses = Vec::with_capacity(cfg.steps);
     let mut step = 0usize;
     while step < cfg.steps {
-        if t.begin_step(step) {
+        if killed(cfg, t.rank(), step) {
             // Fail-stop injection: this rank dies here. Dropping the
             // endpoint closes its channels, so survivors observe a
             // `Disconnected` and (if elastic) shrink around it.
@@ -505,9 +512,20 @@ where
     Ok(Some(sync.finish(replica.model, losses, cfg.steps)))
 }
 
-/// Wraps a raw fabric endpoint per the run's chaos configuration, timeout
-/// override, and observability handle.
-fn wrap_endpoint(mut raw: ShmTransport, cfg: &TrainConfig) -> Box<dyn Transport> {
+/// Whether `cfg`'s fault plan kills `rank` at the top of `step`.
+pub(crate) fn killed(cfg: &TrainConfig, rank: usize, step: usize) -> bool {
+    cfg.chaos.as_ref().and_then(|plan| plan.kill) == Some((rank, step))
+}
+
+/// Runs `rank` on a raw fabric endpoint wrapped per the run's chaos
+/// configuration, timeout override, and observability handle; returns
+/// its result beside the counters of the [`ChaosTransport`] it ran on
+/// (zeros when there was none), read before the endpoint drops.
+fn wrap_endpoint<T>(
+    mut raw: ShmTransport,
+    cfg: &TrainConfig,
+    rank: impl FnOnce(&dyn Transport) -> T,
+) -> (T, FaultStats) {
     if let Some(d) = cfg.comm_timeout {
         raw.set_timeout(d);
     }
@@ -515,15 +533,18 @@ fn wrap_endpoint(mut raw: ShmTransport, cfg: &TrainConfig) -> Box<dyn Transport>
         raw.set_obs(cfg.obs.registry());
     }
     match &cfg.chaos {
-        Some(plan) => Box::new(ChaosTransport::new(raw, plan.clone())),
-        None => Box::new(raw),
+        Some(plan) => {
+            let chaos = ChaosTransport::new(raw, plan.clone());
+            (rank(&chaos), chaos.fault_stats())
+        }
+        None => (rank(&raw), FaultStats::default()),
     }
 }
 
 /// The thread harness of both trainers: runs `rank` on `cfg.workers`
 /// threads, each on its wrapped [`ShmTransport`] endpoint, and reports the
 /// authoritative survivor — the one that finished with the largest world
-/// (a frozen zombie that partitioned itself away finishes with a smaller
+/// (a rank the others condemned while it lived finishes with a smaller
 /// one), lowest rank on ties.
 pub(crate) fn run_threads<M, F>(cfg: &TrainConfig, rank: F) -> Result<(M, TrainReport), CommError>
 where
@@ -536,22 +557,24 @@ where
     // rank drops the last reference get reused fleet-wide.
     let pool = ScratchPool::new();
     let outputs = ThreadCluster::try_run(cfg.workers, |raw: ShmTransport| {
-        rank(wrap_endpoint(raw, cfg).as_ref(), &pool)
+        let (out, faults) = wrap_endpoint(raw, cfg, |t| rank(t, &pool));
+        Ok::<_, CommError>(out?.map(|out| (out, faults)))
     })?;
-    let out = outputs
+    let (out, mut faults) = outputs
         .into_iter()
         .flatten()
-        .reduce(|best, out| {
-            if out.final_world > best.final_world {
-                out
+        .reduce(|best, cand| {
+            if cand.0.final_world > best.0.final_world {
+                cand
             } else {
                 best
             }
         })
         .expect("at least one rank survived");
+    faults.recovery_epochs = out.recovery_epochs;
     if cfg.obs.enabled() {
         pool.publish(cfg.obs.registry());
-        out.faults.publish(cfg.obs.registry());
+        faults.publish(cfg.obs.registry());
     }
     Ok((
         out.model,
@@ -560,7 +583,7 @@ where
             bytes_sent_per_worker: out.bytes,
             compress_calls_per_worker: out.kernel_calls,
             sync_rounds: out.sync_rounds,
-            faults: out.faults,
+            faults,
             final_world: out.final_world,
             metrics: cfg.obs.registry().snapshot(),
             adaptive: out.adaptive,
@@ -661,9 +684,8 @@ mod tests {
         let pool = ScratchPool::new();
         let task3 = task.clone();
         let replicas = ThreadCluster::try_run(cfg.workers, |raw| {
-            let endpoint = wrap_endpoint(raw, &cfg);
             let sampler = |r: &mut Rng| task3.sample_batch(r, 16);
-            train_rank(endpoint.as_ref(), &model, &sampler, &cfg, &pool)
+            wrap_endpoint(raw, &cfg, |t| train_rank(t, &model, &sampler, &cfg, &pool)).0
         })
         .unwrap();
         let reference = replicas[0].as_ref().expect("rank 0 survived");
@@ -1030,6 +1052,44 @@ mod tests {
     }
 
     #[test]
+    fn a_kill_in_the_config_fires_on_a_bare_fabric() {
+        // No chaos layer under the ranks: `train_rank` reads the kill from
+        // its config, so rank 1 returns at the top of step 5 — five batches
+        // drawn — and the elastic survivors finish on the world without it.
+        let task = GaussianMixture::new(4, 8, 1.5);
+        let model = Mlp::new(&mut Rng::seed_from_u64(33), &[8, 16, 4]);
+        let (victim, at) = (1, 5);
+        let cfg = TrainConfig {
+            chaos: Some(cgx_collectives::FaultPlan::new(3).with_kill(victim, at)),
+            elastic: true,
+            compression: LayerCompression::cgx_default(),
+            ..TrainConfig::new(3, 12)
+        };
+        let pool = ScratchPool::new();
+        let runs = ThreadCluster::try_run(cfg.workers, |t: ShmTransport| {
+            let drawn = std::cell::Cell::new(0);
+            let sampler = |r: &mut Rng| {
+                drawn.set(drawn.get() + 1);
+                task.sample_batch(r, 16)
+            };
+            let out = train_rank(&t, &model, &sampler, &cfg, &pool)?;
+            Ok::<_, CommError>((out, drawn.get()))
+        })
+        .unwrap();
+        for (rank, (out, drawn)) in runs.iter().enumerate() {
+            if rank == victim {
+                assert!(out.is_none(), "rank {victim} outlived its kill");
+                assert_eq!(*drawn, at, "rank {victim} died at the wrong step");
+            } else {
+                let out = out.as_ref().expect("a survivor was killed");
+                assert_eq!(out.final_world, cfg.workers - 1, "rank {rank}");
+                assert_eq!(out.recovery_epochs, 1, "rank {rank}");
+                assert_eq!(out.losses.len(), cfg.steps, "rank {rank}");
+            }
+        }
+    }
+
+    #[test]
     fn adaptive_training_replans_and_replicas_stay_identical() {
         // The live controller's determinism contract on a real run: every
         // rank re-plans at least twice mid-training, all replicas remain
@@ -1047,9 +1107,11 @@ mod tests {
         let pool = ScratchPool::new();
         let t = task.clone();
         let outputs = ThreadCluster::try_run(cfg.workers, |raw| {
-            let endpoint = wrap_endpoint(raw, &cfg);
             let sampler = |r: &mut Rng| t.sample_batch(r, 16);
-            train_rank(endpoint.as_ref(), &model, &sampler, &cfg, &pool)
+            wrap_endpoint(raw, &cfg, |ep| {
+                train_rank(ep, &model, &sampler, &cfg, &pool)
+            })
+            .0
         })
         .unwrap();
         let reference = outputs[0].as_ref().expect("rank 0 survived");

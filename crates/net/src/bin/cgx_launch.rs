@@ -27,7 +27,7 @@
 
 use cgx_collectives::CommError;
 use cgx_net::cluster::{ProcessCluster, WorkerEnv};
-use cgx_net::fault::{ENV_NET_KILL, ENV_NET_SIGKILL};
+use cgx_net::fault::{raise_sigkill, ENV_NET_KILL, ENV_NET_SIGKILL};
 use cgx_net::rendezvous::{rendezvous_with_options, DEFAULT_BOOT_TIMEOUT};
 use cgx_net::workload::{
     read, RunOptions, Workload, ENV_ADAPTIVE, ENV_ADAPTIVE_ALPHA, ENV_ADAPTIVE_INTERVAL,
@@ -87,12 +87,22 @@ fn run_worker(env: WorkerEnv) -> Result<(), String> {
     // roster switches on the hierarchical path.
     let topology = (topo.num_nodes() > 1).then(|| topo.clone());
     let run = work
-        .run_rank(&transport, topology, &opts)
+        .run_rank(
+            &transport,
+            topology,
+            &opts,
+            fault.and_then(|plan| plan.kill),
+        )
         .map_err(|e| format!("rank {}: training failed: {e}", env.rank))?;
     let Some(params) = run.params else {
-        // Scheduled orderly death: the endpoint was dropped mid-run and
-        // the survivors are shrinking around us. Exiting zero is the
-        // contract — this rank did exactly what the plan asked.
+        if fault.is_some_and(|plan| plan.sigkill) {
+            // Hard death, the endpoint still open: no destructor runs,
+            // the kernel tears the sockets down.
+            raise_sigkill();
+        }
+        // Scheduled orderly death: the endpoint drops on return and the
+        // survivors shrink around us. Exiting zero is the contract — this
+        // rank did exactly what the plan asked.
         println!("rank {}/{} died on schedule", env.rank, env.world);
         return Ok(());
     };

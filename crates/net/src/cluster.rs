@@ -72,43 +72,45 @@ pub struct WorkerEnv {
 }
 
 impl WorkerEnv {
-    /// Reads the worker identity from the environment. Returns `None`
-    /// when [`ENV_RANK`] is unset (i.e. this process is a coordinator,
-    /// not a spawned worker).
+    /// The worker identity described by `CGX_RANK`, `CGX_WORLD`,
+    /// `CGX_RENDEZVOUS` and `CGX_NODE` (default `0`), read through `get`.
+    /// Returns `None` when [`ENV_RANK`] is unset (i.e. this process is a
+    /// coordinator, not a spawned worker).
     ///
     /// # Errors
     ///
-    /// [`CommError::Bootstrap`] when the variables are present but
-    /// malformed or inconsistent.
-    pub fn from_env() -> Result<Option<Self>, CommError> {
-        let Ok(rank_s) = std::env::var(ENV_RANK) else {
+    /// [`CommError::InvalidConfig`] naming the variable when a value is
+    /// malformed; [`CommError::Bootstrap`] when a worker's world or
+    /// rendezvous address is missing or its rank is outside its world.
+    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Option<Self>, CommError> {
+        let Some(rank) = read(&get, ENV_RANK, "a rank", |v| v.parse().ok())? else {
             return Ok(None);
         };
-        let rank: usize = rank_s
-            .parse()
-            .map_err(|_| boot_err(format!("{ENV_RANK}={rank_s} is not a rank")))?;
-        let world_s =
-            std::env::var(ENV_WORLD).map_err(|_| boot_err(format!("{ENV_WORLD} unset")))?;
-        let world: usize = world_s
-            .parse()
-            .map_err(|_| boot_err(format!("{ENV_WORLD}={world_s} is not a world size")))?;
+        let unset = |key: &str| boot_err(format!("{key} unset"));
+        let world = read(&get, ENV_WORLD, "a world size", |v| v.parse().ok())?
+            .ok_or_else(|| unset(ENV_WORLD))?;
         if world == 0 || rank >= world {
             return Err(boot_err(format!("rank {rank} out of range for world {world}")));
         }
-        let rendezvous = std::env::var(ENV_RENDEZVOUS)
-            .map_err(|_| boot_err(format!("{ENV_RENDEZVOUS} unset")))?;
-        let node = match std::env::var(ENV_NODE) {
-            Ok(s) => s
-                .parse()
-                .map_err(|_| boot_err(format!("{ENV_NODE}={s} is not a node id")))?,
-            Err(_) => 0,
-        };
+        let rendezvous = read(&get, ENV_RENDEZVOUS, "an address", |v| Some(v.to_string()))?
+            .ok_or_else(|| unset(ENV_RENDEZVOUS))?;
+        let node = read(&get, ENV_NODE, "a node id", |v| v.parse().ok())?.unwrap_or(0);
         Ok(Some(WorkerEnv {
             rank,
             world,
             rendezvous,
             node,
         }))
+    }
+
+    /// [`Self::parse`] over the real process environment — what a spawned
+    /// worker calls.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::parse`].
+    pub fn from_env() -> Result<Option<Self>, CommError> {
+        Self::parse(|k| std::env::var(k).ok())
     }
 }
 
@@ -369,6 +371,7 @@ impl ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::tests::{assert_names, env};
 
     #[test]
     fn spawn_failure_is_a_bootstrap_error() {
@@ -426,21 +429,18 @@ mod tests {
 
     #[test]
     fn worker_env_roundtrip_parses_what_the_cluster_sets() {
-        // Mirror what ProcessCluster::run exports, without real spawns
-        // (env vars are process-global; keep this test single-threaded
-        // within the harness's per-test process... serialized by doing
-        // set/read/remove back-to-back).
-        std::env::set_var(ENV_RANK, "2");
-        std::env::set_var(ENV_WORLD, "4");
-        std::env::set_var(ENV_RENDEZVOUS, "127.0.0.1:9");
-        std::env::set_var(ENV_NODE, "1");
-        let env = WorkerEnv::from_env().expect("parse").expect("worker mode");
-        std::env::remove_var(ENV_RANK);
-        std::env::remove_var(ENV_WORLD);
-        std::env::remove_var(ENV_RENDEZVOUS);
-        std::env::remove_var(ENV_NODE);
+        // What ProcessCluster::run exports, read through a table: the
+        // process environment is never touched.
+        let parsed = WorkerEnv::parse(env(&[
+            (ENV_RANK, "2"),
+            (ENV_WORLD, "4"),
+            (ENV_RENDEZVOUS, "127.0.0.1:9"),
+            (ENV_NODE, "1"),
+        ]))
+        .expect("parse")
+        .expect("worker mode");
         assert_eq!(
-            env,
+            parsed,
             WorkerEnv {
                 rank: 2,
                 world: 4,
@@ -448,6 +448,19 @@ mod tests {
                 node: 1,
             }
         );
-        assert!(WorkerEnv::from_env().expect("parse").is_none());
+        assert!(WorkerEnv::parse(env(&[])).expect("parse").is_none());
+        // A value that does not parse fails naming its variable.
+        for (key, value) in [(ENV_RANK, "two"), (ENV_WORLD, "4x"), (ENV_NODE, "-1")] {
+            let get = move |k: &str| {
+                let valid = [(ENV_RANK, "2"), (ENV_WORLD, "4"), (ENV_RENDEZVOUS, "h:1")];
+                let v = if k == key {
+                    Some(value)
+                } else {
+                    valid.iter().find(|(set, _)| *set == k).map(|(_, v)| *v)
+                };
+                v.map(str::to_string)
+            };
+            assert_names(WorkerEnv::parse(get), key, value);
+        }
     }
 }

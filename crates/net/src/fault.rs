@@ -8,14 +8,18 @@
 //! Two fault shapes:
 //!
 //! * **Kill** — `(rank, step)`: that rank dies at the top of that step.
-//!   By default the worker returns and drops its endpoint (orderly FIN,
-//!   the thread-cluster analogue); with [`NetFaultPlan::with_sigkill`]
-//!   the process raises `SIGKILL` on itself — no destructors, no
-//!   flushes, the kernel tears the sockets down. That is the honest
-//!   model of an OOM kill or a preempted spot instance.
+//!   The trainer reads it (as `TrainConfig::chaos`'s kill, where
+//!   `cgx-launch` and [`Workload::run_rank`](crate::workload::Workload::run_rank)
+//!   put it) and returns; by default the worker then drops its endpoint
+//!   (orderly FIN, the thread-cluster analogue); with
+//!   [`NetFaultPlan::with_sigkill`] the process raises `SIGKILL` on itself
+//!   instead, endpoint still open — no destructors, no flushes, the kernel
+//!   tears the sockets down. That is the honest model of an OOM kill or a
+//!   preempted spot instance.
 //! * **Reset** — `(rank, peer, after_frames)`: that rank's socket toward
 //!   `peer` is shut down under the wire path after N outbound frames — a
-//!   transient link drop the reconnect path should heal.
+//!   transient link drop the reconnect path should heal. This half is the
+//!   transport's ([`TcpTransport::set_fault`](crate::TcpTransport::set_fault)).
 //!
 //! Plans come from the builder API in tests and from `CGX_NET_*`
 //! environment variables in spawned workers (see [`NetFaultPlan::from_env`]).
@@ -140,21 +144,6 @@ impl NetFaultPlan {
     pub fn from_env() -> Result<Option<Self>, CommError> {
         Self::parse(|k| std::env::var(k).ok())
     }
-
-    /// Whether `rank` is scheduled to die at `step`. In `SIGKILL` mode
-    /// this does not return on the doomed rank: the process is gone
-    /// before the call completes.
-    pub fn should_die(&self, rank: usize, step: usize) -> bool {
-        match self.kill {
-            Some((r, s)) if r == rank && s == step => {
-                if self.sigkill {
-                    raise_sigkill();
-                }
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 /// `rank@step` → `(rank, step)`.
@@ -195,12 +184,11 @@ mod tests {
     use crate::workload::tests::{assert_names, env};
 
     #[test]
-    fn builder_and_should_die_cover_the_schedule() {
+    fn builder_covers_the_schedule() {
         let plan = NetFaultPlan::new(42).with_kill(2, 20).with_reset(1, 0, 3);
         assert!(!plan.sigkill);
-        assert!(plan.should_die(2, 20));
-        assert!(!plan.should_die(2, 19));
-        assert!(!plan.should_die(1, 20));
+        assert_eq!(plan.kill, Some((2, 20)));
+        assert!(plan.with_sigkill().sigkill);
         assert_eq!(
             plan.reset,
             Some(ResetPlan {

@@ -57,11 +57,11 @@
 //!   wall time into serialize / syscall / park for its `net.tcp.*`
 //!   per-layer metrics.
 
-use crate::fault::NetFaultPlan;
+use crate::fault::{NetFaultPlan, ResetPlan};
 use crate::wire;
 use crate::workload::read;
 use cgx_collectives::framing::{Retention, RETAIN_BYTES};
-use cgx_collectives::transport::{exchange_quiesce_markers, Tag, CTRL_TAG};
+use cgx_collectives::transport::{Tag, CTRL_TAG};
 use cgx_collectives::{CommError, ReconnectPolicy, TagStash, Transport};
 use cgx_compress::Encoded;
 use cgx_obs::MetricsRegistry;
@@ -575,7 +575,7 @@ pub struct TcpTransport {
     peer_deaths: AtomicU64,
     reconnects_done: AtomicU64,
     mesh: Option<Mesh>,
-    fault: Option<NetFaultPlan>,
+    reset: Option<ResetPlan>,
     fault_frames: AtomicU64,
     fault_fired: AtomicBool,
 }
@@ -681,7 +681,7 @@ impl TcpTransport {
             peer_deaths: AtomicU64::new(0),
             reconnects_done: AtomicU64::new(0),
             mesh: None,
-            fault: None,
+            reset: None,
             fault_frames: AtomicU64::new(0),
             fault_fired: AtomicBool::new(false),
         })
@@ -710,10 +710,11 @@ impl TcpTransport {
         Ok(self)
     }
 
-    /// Arms deterministic socket-level fault injection (tests and the
-    /// chaos harness only). Must be called before the endpoint is shared.
+    /// Arms the plan's socket reset (tests and the chaos harness only);
+    /// its kill is the trainer's to read, not the transport's. Must be
+    /// called before the endpoint is shared.
     pub fn set_fault(&mut self, plan: NetFaultPlan) {
-        self.fault = Some(plan);
+        self.reset = plan.reset;
     }
 
     /// Socket-level drop injection: once the configured number of frames
@@ -721,10 +722,7 @@ impl TcpTransport {
     /// under the wire path's feet — exactly what a mid-run RST or cable
     /// pull looks like to the rest of the stack. One-shot.
     fn maybe_inject_reset(&self, peer: usize, slot: &WriterSlot) {
-        let Some(plan) = &self.fault else {
-            return;
-        };
-        let Some(reset) = &plan.reset else {
+        let Some(reset) = &self.reset else {
             return;
         };
         if reset.rank != self.rank || reset.peer != peer {
@@ -809,6 +807,14 @@ impl TcpTransport {
             poll_syscalls: self.clocks.poll_syscalls.load(Ordering::Relaxed),
             writev_frames: self.clocks.writev_frames.load(Ordering::Relaxed),
         }
+    }
+
+    /// Takes every payload the demux has stashed whose tag passes `keep`,
+    /// as `(peer, tag, payload)` in arrival order
+    /// ([`cgx_collectives::TagStash::take_where`]): how a `cgx-serve`
+    /// daemon routes what this endpoint took in.
+    pub fn take_where(&self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
+        lock(&self.demux).stash.take_where(keep)
     }
 
     /// The writer slot for `peer`. A missing slot is a fault condition
@@ -1733,13 +1739,6 @@ impl Transport for TcpTransport {
         self.pump(Duration::ZERO)
     }
 
-    fn begin_step(&self, step: usize) -> bool {
-        let Some(plan) = &self.fault else {
-            return false;
-        };
-        plan.should_die(self.rank, step)
-    }
-
     fn flush_outbound(&self) -> Result<(), CommError> {
         self.flush_all()
     }
@@ -1755,16 +1754,6 @@ impl Transport for TcpTransport {
         if lock(&self.demux).stash.arrivals() == seen {
             self.pump(timeout.min(PARK_SLICE));
         }
-    }
-
-    fn quiesce(&self, peers: &[usize]) {
-        // Graceful teardown over the wire: neither side closes its socket
-        // while the other's final-step traffic is still in flight.
-        exchange_quiesce_markers(self, peers);
-    }
-
-    fn take_namespaced_stashed(&self) -> Vec<(usize, Tag, Encoded)> {
-        lock(&self.demux).stash.take_namespaced()
     }
 }
 
@@ -1798,7 +1787,7 @@ mod tests {
     use crate::workload::tests::{assert_names, env};
     use cgx_obs::MetricsRegistry;
 
-    /// `cgx_serve::ServeNode::new` takes a `Transport + Send + Sync`: its
+    /// `cgx_serve::ServeNode::new` takes a `Send + Sync` endpoint: its
     /// tenant threads and its pump thread share the one endpoint.
     #[test]
     fn endpoint_is_send_and_sync() {

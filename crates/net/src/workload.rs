@@ -9,7 +9,7 @@
 //! byte-identical parameters — which is exactly what the launch parity
 //! test asserts.
 
-use cgx_collectives::{CommError, ShmTransport, ThreadCluster, Topology, Transport};
+use cgx_collectives::{CommError, FaultPlan, ShmTransport, ThreadCluster, Topology, Transport};
 use cgx_compress::ScratchPool;
 use cgx_engine::data::GaussianMixture;
 use cgx_engine::nn::Mlp;
@@ -197,15 +197,14 @@ impl Workload {
         }
     }
 
-    /// Runs this rank's share over an already-connected endpoint. A rank
-    /// whose fault plan kills it mid-run returns `params: None` instead
-    /// of panicking, and with `opts.elastic` the survivors shrink the
-    /// world and finish; with `opts.adaptive` per-layer bit-widths re-plan
-    /// mid-run from observed gradient norms, byte-identically on every
-    /// rank (the returned [`RankRun::plan_digest`] is the proof). The
-    /// transport's fault plan (if any) must have been installed before
-    /// this call — see
-    /// [`TcpTransport::set_fault`](crate::TcpTransport::set_fault).
+    /// Runs this rank's share over an already-connected endpoint. `kill`
+    /// (`CGX_NET_KILL`'s `(rank, step)`, the same on every rank) becomes
+    /// the trainer's [`TrainConfig::chaos`] kill: the rank it names
+    /// returns `params: None` at the top of that step, its endpoint still
+    /// open, and with `opts.elastic` the survivors shrink the world and
+    /// finish. With `opts.adaptive` per-layer bit-widths re-plan mid-run
+    /// from observed gradient norms, byte-identically on every rank (the
+    /// returned [`RankRun::plan_digest`] is the proof).
     ///
     /// # Errors
     ///
@@ -221,6 +220,7 @@ impl Workload {
         t: &dyn Transport,
         topology: Option<Topology>,
         opts: &RunOptions,
+        kill: Option<(usize, usize)>,
     ) -> Result<RankRun, CommError> {
         assert_eq!(t.world(), self.workers, "endpoint world mismatch");
         let model = Mlp::new(&mut Rng::seed_from_u64(self.seed ^ 0xB00), &[8, 16, 4]);
@@ -233,6 +233,7 @@ impl Workload {
             elastic: opts.elastic,
             comm_timeout: opts.comm_timeout,
             adaptive: opts.adaptive.clone(),
+            chaos: kill.map(|(rank, step)| FaultPlan::new(0).with_kill(rank, step)),
             ..TrainConfig::new(self.workers, self.steps)
         };
         let pool = ScratchPool::new();
@@ -240,7 +241,7 @@ impl Workload {
         Ok(match train_rank(t, &model, &sampler, &cfg, &pool)? {
             Some(out) => RankRun {
                 final_world: out.final_world,
-                recovery_epochs: out.faults.recovery_epochs,
+                recovery_epochs: out.recovery_epochs,
                 plan_digest: out.adaptive.as_ref().map(|t| t.digest()),
                 params: Some(params_bytes(&out.model)),
             },
@@ -266,7 +267,7 @@ impl Workload {
         opts: &RunOptions,
     ) -> Result<RankRun, CommError> {
         let runs = ThreadCluster::try_run(self.workers, |raw: ShmTransport| {
-            self.run_rank(&raw, topology.clone(), opts)
+            self.run_rank(&raw, topology.clone(), opts, None)
         })?;
         for (rank, other) in runs.iter().enumerate().skip(1) {
             assert_eq!(runs[0], *other, "rank {rank} diverged from rank 0");

@@ -49,7 +49,10 @@ fn tcp_adaptive_run_matches_the_shm_reference_plans_and_bytes() {
         .map(|ep| {
             let work = work;
             let opts = adaptive(&acfg);
-            std::thread::spawn(move || work.run_rank(&ep, None, &opts).expect("tcp adaptive rank"))
+            std::thread::spawn(move || {
+                work.run_rank(&ep, None, &opts, None)
+                    .expect("tcp adaptive rank")
+            })
         })
         .collect();
     let runs: Vec<_> = handles

@@ -5,8 +5,8 @@
 //! byte-identical replicas:
 //!
 //! * **In-process**: four threads over a loopback TCP mesh, the death an
-//!   orderly endpoint drop scheduled by [`NetFaultPlan`] — the socket
-//!   analogue of the thread-cluster chaos test.
+//!   orderly endpoint drop at the kill the trainer reads from its config —
+//!   the socket analogue of the thread-cluster chaos test.
 //! * **Cross-process**: four OS processes running `cgx-launch` in worker
 //!   mode, the death a real `SIGKILL` — no destructors, no flushes, the
 //!   kernel tears the sockets down.
@@ -14,7 +14,7 @@
 use cgx_net::cluster::{free_loopback_addr, ProcessCluster};
 use cgx_net::rendezvous::{rendezvous, DEFAULT_BOOT_TIMEOUT};
 use cgx_net::workload::{RunOptions, Workload};
-use cgx_net::{NetFaultPlan, TcpFabric};
+use cgx_net::TcpFabric;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -73,14 +73,12 @@ fn in_process_tcp_run_shrinks_around_an_orderly_death() {
     let endpoints = TcpFabric::build_local(world);
     let runs: Vec<_> = std::thread::scope(|s| {
         let mut handles = Vec::new();
-        for (rank, mut t) in endpoints.into_iter().enumerate() {
+        for t in endpoints {
             let work = &work;
             let opts = &opts;
             handles.push(s.spawn(move || {
-                if rank == victim {
-                    t.set_fault(NetFaultPlan::new(chaos_seed()).with_kill(victim, 8));
-                }
-                work.run_rank(&t, None, opts).expect("rank run")
+                work.run_rank(&t, None, opts, Some((victim, 8)))
+                    .expect("rank run")
             }));
         }
         handles

@@ -21,13 +21,13 @@
 //! `CGX_SERVE_QUANTUM`, `CGX_SERVE_PARK_US`, `CGX_SERVE_DRAIN_MS`) are
 //! read by [`ServeConfig::from_env`].
 
-use cgx_collectives::{CommError, ShmFabric, Transport};
+use cgx_collectives::{CommError, ShmFabric};
 use cgx_compress::ScratchPool;
 use cgx_engine::{local_sgd_rank, GaussianMixture, Mlp, TrainConfig};
 use cgx_net::workload::read;
 use cgx_net::TcpFabric;
 use cgx_obs::MetricsRegistry;
-use cgx_serve::{jain_index, JobSpec, ServeConfig, ServeNode};
+use cgx_serve::{jain_index, Harvest, JobSpec, ServeConfig, ServeNode};
 use cgx_tensor::Rng;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -67,14 +67,14 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let phys: Vec<Box<dyn Transport + Send + Sync>> = match fabric {
+    let phys: Vec<Box<dyn Harvest>> = match fabric {
         "shm" => ShmFabric::build(world)
             .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
+            .map(|t| Box::new(t) as Box<dyn Harvest>)
             .collect(),
         _ => TcpFabric::build_local(world)
             .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
+            .map(|t| Box::new(t) as Box<dyn Harvest>)
             .collect(),
     };
     let nodes: Vec<Arc<ServeNode>> = phys

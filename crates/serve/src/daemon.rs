@@ -19,8 +19,9 @@
 //!   backlog again *after* letting go, so nothing is stranded.
 //! * **Inbound turn** — under `inb`, held from the fabric read to the last
 //!   inbox push: the fabric's [`Transport::park`] (a blocking turn) or its
-//!   [`Transport::drain_inbound`], [`Transport::take_namespaced_stashed`],
-//!   then each frame, in the order it arrived, to the owning job's inbox
+//!   [`Transport::drain_inbound`], then its [`Harvest::take_where`] of
+//!   every frame outside the native namespace, then each of them, in the
+//!   order it arrived, to the owning job's inbox
 //!   (a [`TagStash`] + condvar). Traffic for a job id not yet attached on
 //!   this node is parked in a bounded orphan buffer and replayed on attach.
 //! * **Who drives** — a handle's own [`Transport::park`] is the election:
@@ -56,12 +57,14 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use cgx_collectives::transport::{exchange_quiesce_markers, Tag};
+use cgx_collectives::transport::Tag;
 use cgx_collectives::{
-    namespace_tag, split_tag, CommError, TagStash, Transport, MAX_TENANT_NS, NATIVE_JOB,
+    namespace_tag, split_tag, tag_namespace, CommError, ShmTransport, TagStash, Transport,
+    MAX_TENANT_NS, NATIVE_JOB,
 };
 use cgx_compress::Encoded;
 use cgx_net::workload::read;
+use cgx_net::TcpTransport;
 use cgx_obs::metrics::{names, Counter, MetricsRegistry};
 use cgx_tensor::Shape;
 
@@ -100,6 +103,27 @@ fn nap<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> Mute
 /// queue, before its caller looks at the deadline and at the terminal
 /// conditions again.
 const SLICE: Duration = Duration::from_millis(20);
+
+/// The physical endpoint a [`ServeNode`] wraps: a [`Transport`] that
+/// tenant threads and the pump drive in turns, plus the one read a router
+/// needs that no collective does — taking frames out of the stash by tag.
+pub trait Harvest: Transport + Send + Sync {
+    /// Removes every stashed frame whose wire tag passes `keep`, as
+    /// `(peer, wire_tag, payload)` in the order the frames arrived.
+    fn take_where(&self, keep: &dyn Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)>;
+}
+
+impl Harvest for ShmTransport {
+    fn take_where(&self, keep: &dyn Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
+        ShmTransport::take_where(self, keep)
+    }
+}
+
+impl Harvest for TcpTransport {
+    fn take_where(&self, keep: &dyn Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
+        TcpTransport::take_where(self, keep)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Configuration & errors
@@ -371,7 +395,7 @@ struct NodeShared {
     /// Monotonic origin for the scheduler's nanosecond clock.
     epoch: Instant,
     /// The physical endpoint, used in turns (module docs).
-    phys: Box<dyn Transport + Send + Sync>,
+    phys: Box<dyn Harvest>,
     /// Outbound turn: held from `sched.next` to the fabric send, so DRR
     /// order is wire order.
     out: Mutex<()>,
@@ -414,7 +438,7 @@ impl ServeNode {
     /// Boots a daemon over `phys`, which it owns from here on. `Sync`,
     /// because tenant threads and the pump thread take their turns on the
     /// one endpoint.
-    pub fn new(phys: Box<dyn Transport + Send + Sync>, cfg: ServeConfig) -> Self {
+    pub fn new(phys: Box<dyn Harvest>, cfg: ServeConfig) -> Self {
         let rank = phys.rank();
         let world = phys.world();
         let timeout = phys.timeout();
@@ -659,6 +683,14 @@ fn flush_fabric(node: &NodeShared) {
     }
 }
 
+/// Takes every tenant frame the fabric holds — everything outside the
+/// native namespace, whose traffic stays for the endpoint's own
+/// collectives — in the order the frames arrived.
+fn harvest(node: &NodeShared) -> Vec<(usize, Tag, Encoded)> {
+    node.phys
+        .take_where(&|wire| tag_namespace(wire) != NATIVE_JOB)
+}
+
 /// One inbound turn under `turn`, the `inb` lock: takes in what the fabric
 /// holds — first sitting in the fabric's own park for up to `wait`, unless
 /// that is zero — and routes it; returns the number of frames routed. The
@@ -678,7 +710,7 @@ fn inbound_turn(
     // Sampled before the harvest: what the fabric takes in from here on
     // ends the next park at once.
     *turn = node.phys.arrivals();
-    let harvested = node.phys.take_namespaced_stashed();
+    let harvested = harvest(node);
     let routed = harvested.len();
     if let Some(m) = node.metrics.as_ref().filter(|_| routed > 0) {
         (if pump { &m.turns_pump } else { &m.turns_tenant }).inc();
@@ -690,7 +722,7 @@ fn inbound_turn(
             if let Err(err) = node.phys.try_recv_tagged(peer, probe_tag()) {
                 // What the probe's own read took in was sent before the
                 // peer went: it is delivered before the death is.
-                route_frames(node, node.phys.take_namespaced_stashed());
+                route_frames(node, harvest(node));
                 mark_peer_dead(node, peer, err);
             }
         }
@@ -757,21 +789,16 @@ fn mark_peer_dead(node: &NodeShared, peer: usize, err: CommError) {
 /// then wakes each job that had a thread parked, once.
 ///
 /// The batch is routed as it comes. The wire is per-peer FIFO and the
-/// harvest is in arrival order ([`Transport::take_namespaced_stashed`]),
-/// so a DETACH control frame is met after every data frame its sender
-/// queued ahead of it: a receive never observes the disconnect while
-/// delivered-but-unrouted data still exists.
+/// harvest is in arrival order ([`Harvest::take_where`]), so a DETACH
+/// control frame is met after every data frame its sender queued ahead of
+/// it: a receive never observes the disconnect while delivered-but-unrouted
+/// data still exists.
 fn route_frames(node: &NodeShared, frames: Vec<(usize, Tag, Encoded)>) {
     let mut routed_bytes = 0u64;
     let mut routed_frames = 0u64;
     let mut wake: Vec<Arc<JobShared>> = Vec::new();
     for (peer, wire, payload) in frames {
         let (ns, local) = split_tag(wire);
-        if ns == NATIVE_JOB {
-            // Not tenant traffic (shouldn't be returned by the hook, but
-            // tolerate a conservative transport).
-            continue;
-        }
         let size = payload.payload_bytes() as u64;
         // The peer's tenant for this job detached in an orderly way: from
         // this job's perspective that peer is disconnected.
@@ -1036,12 +1063,6 @@ impl Transport for NamespacedTransport {
             inbox = nap(&self.job.cv, inbox, timeout.min(self.node.cfg.park));
             inbox.parked -= 1;
         }
-    }
-
-    fn quiesce(&self, peers: &[usize]) {
-        // On the job's quiesce lane: nobody tears down while a peer's
-        // final frames are still queued behind the daemon's scheduler.
-        exchange_quiesce_markers(self, peers);
     }
 }
 
@@ -1327,7 +1348,7 @@ mod tests {
     /// a DETACH sits) is met last.
     #[test]
     fn the_harvest_is_in_send_order_on_both_fabrics() {
-        fn ends<T: Transport + 'static>(mut fabric: Vec<T>) -> [Box<dyn Transport>; 2] {
+        fn ends<T: Harvest + 'static>(mut fabric: Vec<T>) -> [Box<dyn Harvest>; 2] {
             let to = fabric.pop().expect("rank 1");
             [Box::new(fabric.pop().expect("rank 0")), Box::new(to)]
         }
@@ -1350,7 +1371,7 @@ mod tests {
                 );
             }
             let got: Vec<(usize, Tag, u8)> = to
-                .take_namespaced_stashed()
+                .take_where(&|wire| tag_namespace(wire) != NATIVE_JOB)
                 .iter()
                 .map(|(peer, wire, frame)| (*peer, *wire, frame.payload()[0]))
                 .collect();
@@ -1481,6 +1502,12 @@ mod tests {
         }
         fn park(&self, _: u64, _: Duration) {
             self.waits.fetch_add(1, Relaxed);
+        }
+    }
+
+    impl Harvest for Hollow {
+        fn take_where(&self, _: &dyn Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
+            Vec::new()
         }
     }
 

@@ -50,6 +50,6 @@ pub mod daemon;
 pub mod qos;
 
 pub use daemon::{
-    JobSpec, NamespacedTransport, ServeConfig, ServeError, ServeNode, DETACH_TAG,
+    Harvest, JobSpec, NamespacedTransport, ServeConfig, ServeError, ServeNode, DETACH_TAG,
 };
 pub use qos::{jain_index, Dequeue, DrrScheduler};

@@ -16,14 +16,14 @@ use cgx_collectives::conformance::{check_silent_tag_parks_boundedly, run_all, Bo
 use cgx_collectives::{ShmFabric, Transport};
 use cgx_compress::Encoded;
 use cgx_net::TcpFabric;
-use cgx_serve::{JobSpec, NamespacedTransport, ServeConfig, ServeNode};
+use cgx_serve::{Harvest, JobSpec, NamespacedTransport, ServeConfig, ServeNode};
 use cgx_tensor::Shape;
 use std::sync::Arc;
 
 /// Wraps every endpoint of a physical fabric in its own daemon and
 /// attaches `job` on each, tying the daemon's lifetime to the handle.
 fn serve_endpoints(
-    phys: Vec<Box<dyn Transport + Send + Sync>>,
+    phys: Vec<Box<dyn Harvest>>,
     job: u8,
 ) -> (Vec<Arc<ServeNode>>, Vec<NamespacedTransport>) {
     let nodes: Vec<Arc<ServeNode>> = phys
@@ -41,10 +41,10 @@ fn serve_endpoints(
     (nodes, handles)
 }
 
-fn shm_phys(n: usize) -> Vec<Box<dyn Transport + Send + Sync>> {
+fn shm_phys(n: usize) -> Vec<Box<dyn Harvest>> {
     ShmFabric::build(n)
         .into_iter()
-        .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
+        .map(|t| Box::new(t) as Box<dyn Harvest>)
         .collect()
 }
 
@@ -57,9 +57,9 @@ fn namespaced_shm(n: usize) -> Vec<BoxTransport> {
 }
 
 fn namespaced_tcp(n: usize) -> Vec<BoxTransport> {
-    let phys: Vec<Box<dyn Transport + Send + Sync>> = TcpFabric::build_local(n)
+    let phys: Vec<Box<dyn Harvest>> = TcpFabric::build_local(n)
         .into_iter()
-        .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
+        .map(|t| Box::new(t) as Box<dyn Harvest>)
         .collect();
     let (_nodes, handles) = serve_endpoints(phys, 1);
     handles

@@ -20,11 +20,12 @@
 //!   a lone tenant pays for the daemon is timed in `lone_tenant.rs`, a
 //!   test binary of its own: no other test runs beside it.)
 
-use cgx_collectives::{CommError, ShmFabric, Transport};
+use cgx_collectives::transport::exchange_quiesce_markers;
+use cgx_collectives::{CommError, FaultPlan, ShmFabric, Transport};
 use cgx_compress::{Encoded, ScratchPool};
 use cgx_engine::data::GaussianMixture;
 use cgx_engine::nn::Mlp;
-use cgx_engine::{local_sgd_rank, TrainConfig};
+use cgx_engine::{local_sgd_rank, train_rank, TrainConfig};
 use cgx_net::{NetOptions, TcpFabric};
 use cgx_serve::{JobSpec, ServeConfig, ServeNode};
 use cgx_tensor::{Rng, Shape};
@@ -206,6 +207,59 @@ fn tenant_rank_death_leaves_other_jobs_uninterrupted() {
     }
 }
 
+/// A kill scheduled in the trainer's config fires on a tenant handle as on
+/// any fabric: the doomed rank returns at the top of its step — four
+/// batches drawn — its handle detaches, and the job's elastic survivors
+/// shrink around it and finish on the world without it, in consensus.
+#[test]
+fn a_scheduled_kill_fires_on_a_tenant_and_the_job_shrinks() {
+    let (victim, at) = (2, 4);
+    let cfg = TrainConfig {
+        workers: 3,
+        chaos: Some(FaultPlan::new(5).with_kill(victim, at)),
+        elastic: true,
+        ..job_cfg(9300, 10)
+    };
+    let nodes = serve_nodes_shm(3);
+    let runners: Vec<_> = attach_pair(&nodes, 1)
+        .into_iter()
+        .map(|t| {
+            let cfg = cfg.clone();
+            std::thread::spawn(move || {
+                let (task, model, pool) = (tiny_task(), tiny_model(31), ScratchPool::new());
+                let drawn = std::cell::Cell::new(0);
+                let sampler = |r: &mut Rng| {
+                    drawn.set(drawn.get() + 1);
+                    task.sample_batch(r, 8)
+                };
+                let out = train_rank(t.as_ref(), &model, &sampler, &cfg, &pool)
+                    .expect("train_rank failed");
+                (out, drawn.get())
+            })
+        })
+        .collect();
+    let runs: Vec<_> = runners
+        .into_iter()
+        .map(|h| h.join().expect("rank thread panicked"))
+        .collect();
+    let mut survivors = Vec::new();
+    for (rank, (out, drawn)) in runs.into_iter().enumerate() {
+        if rank == victim {
+            assert!(out.is_none(), "rank {victim} outlived its kill");
+            assert_eq!(drawn, at, "rank {victim} died at the wrong step");
+            continue;
+        }
+        let out = out.expect("a survivor was killed");
+        assert_eq!(
+            (out.final_world, out.recovery_epochs, out.losses.len()),
+            (2, 1, cfg.steps),
+            "rank {rank}"
+        );
+        survivors.push(out.model);
+    }
+    assert_models_bitwise_equal(&survivors[0], &survivors[1], "survivors");
+}
+
 #[test]
 fn sixty_four_tenants_share_one_tcp_mesh() {
     const JOBS: u8 = 64; // the admission default — the 65th would be rejected
@@ -346,7 +400,7 @@ fn concurrent_tenant_threads_keep_fifo_and_lose_nothing() {
                         }
                     }
                     // Once the peer has everything too, nothing is left over.
-                    end.quiesce(&[0, 1]);
+                    exchange_quiesce_markers(&end, &[0, 1]);
                     for tag in 0..TAGS {
                         let extra = end.try_recv_tagged(peer, tag as u64);
                         assert!(matches!(extra, Ok(None) | Err(_)), "job {job}: {extra:?}");
