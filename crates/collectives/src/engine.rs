@@ -41,7 +41,12 @@
 //!    global rank order 0..n (the same order [`crate::reduce`] uses), never
 //!    in arrival order. Because that order is rank-indexed — independent of
 //!    chunk boundaries — re-chunking by segmentation or coalescing leaves
-//!    every lossless per-element sum bit-identical.
+//!    every lossless per-element sum bit-identical. The accumulator is the
+//!    own chunk of the tensor the caller gets back, already holding this
+//!    rank's gradient `g`; `g` enters at its rank's position by
+//!    commutation (rank 1 adds `d0` onto `g`, the reference `g` onto
+//!    `d0`), and ranks ≥ 2 stage the prefix `d0 + … + d(me−1)` in one
+//!    pooled buffer that is then added onto `g`.
 //! 3. **Tag isolation.** Every message carries a
 //!    [`crate::transport::collective_tag`] (collective id + segment +
 //!    phase); per-tag demux inboxes mean concurrent collectives cannot
@@ -679,7 +684,6 @@ impl<'a> CommEngine<'a> {
                     q.grad,
                     q.comp,
                     q.rng,
-                    &self.pool,
                     rec,
                 )),
                 _ => Machine::Sra(SraMachine::new(
@@ -926,16 +930,18 @@ fn try_recv_chunk(
     }
 }
 
-/// One pipeline segment of an SRA collective.
+/// One pipeline segment of an SRA collective. My chunk accumulates in my
+/// range of the output, which holds my gradient chunk `g` at launch;
+/// phase 2 compresses from there and decodes the aggregate back over it.
 struct Seg {
     /// Absolute offset of this segment in the flat gradient.
     base: usize,
     /// Per-rank chunk ranges, relative to `base`.
     ranges: Vec<Range<usize>>,
-    /// Pooled accumulator for my chunk; `None` when my chunk is empty or
-    /// after phase 2 consumed it.
-    mine: Option<Vec<f32>>,
-    /// Next rank (0..n) whose contribution the accumulator absorbs.
+    /// Ranks ≥ 2 only: the pooled prefix `d0 + … + d(me−1)`, taken when
+    /// rank 0's chunk arrives and returned once it is added onto `g`.
+    prefix: Option<Vec<f32>>,
+    /// Next rank (0..n) whose contribution my chunk absorbs.
     next_acc: usize,
     phase2_done: bool,
     gathered: Vec<bool>,
@@ -946,6 +952,11 @@ struct Seg {
 /// [`crate::reduce::allreduce_scratch`]'s SRA arithmetic step for step; the
 /// only new freedom is segment-level interleaving, constrained so the
 /// compressor and RNG observe the sequential call order.
+///
+/// It reduces in the tensor it returns ([`Seg`]). Rank 1's `g + d0` is
+/// the reference's `d0 + g` bit for bit but in two cases no pin relies
+/// on: of two NaN payloads the other may survive, and a `-0.0` in `g`
+/// that top-k's sparse decode-add skips stays `-0.0`, not `0.0 + -0.0`.
 struct SraMachine {
     op_id: u32,
     epoch: u8,
@@ -1021,7 +1032,6 @@ impl SraMachine {
                     ));
                 }
                 let my_empty = ranges[me].is_empty();
-                let mine = (!my_empty).then(|| pool.take_f32(ranges[me].len()));
                 let gathered: Vec<bool> = ranges
                     .iter()
                     .enumerate()
@@ -1031,7 +1041,7 @@ impl SraMachine {
                 segs.push(Seg {
                     base,
                     ranges,
-                    mine,
+                    prefix: None,
                     // An empty own chunk skips accumulation and phase 2
                     // entirely (matching the sequential path).
                     next_acc: if my_empty { n } else { 0 },
@@ -1061,55 +1071,53 @@ impl SraMachine {
         let mut progressed = pump_outq(&mut self.outq, t, &self.rec)?;
         let (n, me, op_id, epoch) = (self.n, self.me, self.op_id, self.epoch);
 
-        // Decode-accumulate arriving phase-1 chunks, strictly in global
-        // rank order per segment (float sums must be rank-order-exact).
-        {
-            let out_slice = self.out.as_slice();
-            for (s, seg) in self.segs.iter_mut().enumerate() {
-                let Some(mine) = seg.mine.as_mut() else {
+        // Decode-accumulate arriving phase-1 chunks into my own chunk of
+        // the output, strictly in global rank order per segment (float
+        // sums must be rank-order-exact; see the module docs' invariant 2).
+        let out_slice = self.out.as_mut_slice();
+        for (s, seg) in self.segs.iter_mut().enumerate() {
+            let own =
+                &mut out_slice[seg.base + seg.ranges[me].start..seg.base + seg.ranges[me].end];
+            while seg.next_acc < n {
+                let j = seg.next_acc;
+                if j == me {
+                    if let Some(prefix) = seg.prefix.take() {
+                        for (g, p) in own.iter_mut().zip(&prefix) {
+                            *g += *p;
+                        }
+                        pool.put_f32(prefix);
+                    }
+                    seg.next_acc += 1;
+                    progressed = true;
                     continue;
-                };
-                while seg.next_acc < n {
-                    let j = seg.next_acc;
-                    if j == me {
-                        let abs =
-                            seg.base + seg.ranges[me].start..seg.base + seg.ranges[me].end;
-                        let own = &out_slice[abs];
-                        if j == 0 {
-                            mine.copy_from_slice(own);
-                        } else {
-                            for (m, g) in mine.iter_mut().zip(own) {
-                                *m += *g;
-                            }
-                        }
-                        seg.next_acc += 1;
-                        progressed = true;
-                        continue;
-                    }
-                    let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_SCATTER, epoch);
-                    match try_recv_chunk(t, j, tag, mine.len())? {
-                        Some(enc) => {
-                            timed_obs(
-                                &mut self.stats.decode_ns,
-                                &self.rec,
-                                SpanKind::Decode,
-                                pack_meta(op_id, s as u16, PHASE_SCATTER, epoch),
-                                || {
-                                    if j == 0 {
-                                        self.comp.decompress_into(&enc, mine);
-                                    } else {
-                                        self.comp.decompress_add_into(&enc, mine);
-                                    }
-                                },
-                            );
-                            self.stats.decompress_calls += 1;
-                            pool.recycle(enc);
-                            seg.next_acc += 1;
-                            progressed = true;
-                        }
-                        None => break,
-                    }
                 }
+                let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_SCATTER, epoch);
+                let Some(enc) = try_recv_chunk(t, j, tag, own.len())? else {
+                    break;
+                };
+                // Ranks 0 and 1 decode-add every peer onto `g` (rank 1's
+                // `g + d0` is the reference's `d0 + g`: one IEEE addition
+                // commutes); later ranks stage the prefix below them.
+                let staged = me >= 2 && j < me;
+                let acc: &mut [f32] = if staged {
+                    seg.prefix.get_or_insert_with(|| pool.take_f32(own.len()))
+                } else {
+                    own
+                };
+                timed_obs(
+                    &mut self.stats.decode_ns,
+                    &self.rec,
+                    SpanKind::Decode,
+                    pack_meta(op_id, s as u16, PHASE_SCATTER, epoch),
+                    || match j {
+                        0 if staged => self.comp.decompress_into(&enc, acc),
+                        _ => self.comp.decompress_add_into(&enc, acc),
+                    },
+                );
+                self.stats.decompress_calls += 1;
+                pool.recycle(enc);
+                seg.next_acc += 1;
+                progressed = true;
             }
         }
 
@@ -1125,14 +1133,14 @@ impl SraMachine {
             if seg.next_acc < n {
                 break;
             }
-            let mine = seg.mine.take().expect("accumulator live until phase 2");
-            let my_off = seg.base + seg.ranges[me].start;
+            let abs = seg.base + seg.ranges[me].start..seg.base + seg.ranges[me].end;
+            let (off, c) = (abs.start, &self.out.as_slice()[abs.clone()]);
             let enc = timed_obs(
                 &mut self.stats.compress_ns,
                 &self.rec,
                 SpanKind::Compress,
                 pack_meta(op_id, s as u16, PHASE_BCAST, epoch),
-                || self.comp.compress_slice_at(my_off, &mine, &mut self.rng, pool),
+                || self.comp.compress_slice_at(off, c, &mut self.rng, pool),
             );
             self.stats.compress_calls += 1;
             self.stats.bytes_sent += enc.payload_bytes() * (n - 1);
@@ -1142,7 +1150,6 @@ impl SraMachine {
                     self.outq.push_back((j, tag, enc.clone()));
                 }
             }
-            let abs = seg.base + seg.ranges[me].start..seg.base + seg.ranges[me].end;
             timed_obs(
                 &mut self.stats.decode_ns,
                 &self.rec,
@@ -1155,7 +1162,6 @@ impl SraMachine {
             );
             self.stats.decompress_calls += 1;
             pool.recycle(enc);
-            pool.put_f32(mine);
             seg.phase2_done = true;
             self.next_phase2 += 1;
             progressed = true;
@@ -1232,6 +1238,10 @@ impl SraMachine {
 /// Incremental ring allreduce. The ring's data dependency chain (each hop
 /// consumes the previous hop's sum) forces strictly sequential steps
 /// within one collective; pipelining happens *across* collectives.
+///
+/// The reduce hops decode-add into `out`'s chunk ranges and compress from
+/// them (the reference's operations on the same operands), and the
+/// relayed encodings are decoded over all of `out` at the end.
 struct RingMachine {
     op_id: u32,
     epoch: u8,
@@ -1241,7 +1251,6 @@ struct RingMachine {
     comp: Box<dyn Compressor>,
     rng: Rng,
     ranges: Vec<Range<usize>>,
-    chunks: Vec<Option<Vec<f32>>>,
     encs: Vec<Option<Encoded>>,
     phase: RingPhase,
     outq: VecDeque<Outgoing>,
@@ -1259,7 +1268,6 @@ enum RingPhase {
 }
 
 impl RingMachine {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         t: &dyn Transport,
         op_id: u32,
@@ -1267,33 +1275,18 @@ impl RingMachine {
         grad: Tensor,
         comp: Box<dyn Compressor>,
         rng: Rng,
-        pool: &ScratchPool,
         rec: EventRecorder,
     ) -> Self {
         let n = t.world();
-        let me = t.rank();
-        let ranges = chunk_ranges(grad.len(), n);
-        let gslice = grad.as_slice();
-        let chunks: Vec<Option<Vec<f32>>> = ranges
-            .iter()
-            .map(|r| {
-                (!r.is_empty()).then(|| {
-                    let mut v = pool.take_f32(r.len());
-                    v.copy_from_slice(&gslice[r.clone()]);
-                    v
-                })
-            })
-            .collect();
         RingMachine {
             op_id,
             epoch,
-            me,
+            me: t.rank(),
             n,
+            ranges: chunk_ranges(grad.len(), n),
             out: grad,
             comp,
             rng,
-            ranges,
-            chunks,
             encs: vec![None; n],
             phase: RingPhase::Reduce {
                 step: 0,
@@ -1317,15 +1310,15 @@ impl RingMachine {
             match self.phase {
                 RingPhase::Reduce { step, sent } => {
                     if !sent {
-                        let send_idx = (me + n - step) % n;
-                        if let Some(c) = &self.chunks[send_idx] {
-                            let off = self.ranges[send_idx].start;
+                        let r = &self.ranges[(me + n - step) % n];
+                        if !r.is_empty() {
+                            let c = &self.out.as_slice()[r.clone()];
                             let enc = timed_obs(
                                 &mut self.stats.compress_ns,
                                 &self.rec,
                                 SpanKind::Compress,
                                 pack_meta(self.op_id, step as u16, PHASE_SCATTER, self.epoch),
-                                || self.comp.compress_slice_at(off, c, &mut self.rng, pool),
+                                || self.comp.compress_slice_at(r.start, c, &mut self.rng, pool),
                             );
                             self.stats.compress_calls += 1;
                             self.stats.bytes_sent += enc.payload_bytes();
@@ -1344,8 +1337,9 @@ impl RingMachine {
                         progressed = true;
                         continue;
                     }
-                    let recv_idx = (me + n - step - 1) % n;
-                    if let Some(c) = self.chunks[recv_idx].as_mut() {
+                    let r = self.ranges[(me + n - step - 1) % n].clone();
+                    if !r.is_empty() {
+                        let c = &mut self.out.as_mut_slice()[r];
                         let tag = collective_tag_in_epoch(
                             self.op_id,
                             step as u16,
@@ -1379,14 +1373,15 @@ impl RingMachine {
                 }
                 RingPhase::Relay => {
                     let owned = (me + 1) % n;
-                    if let Some(c) = &self.chunks[owned] {
-                        let off = self.ranges[owned].start;
+                    let r = &self.ranges[owned];
+                    if !r.is_empty() {
+                        let c = &self.out.as_slice()[r.clone()];
                         let enc = timed_obs(
                             &mut self.stats.compress_ns,
                             &self.rec,
                             SpanKind::Compress,
                             pack_meta(self.op_id, 0, PHASE_BCAST, self.epoch),
-                            || self.comp.compress_slice_at(off, c, &mut self.rng, pool),
+                            || self.comp.compress_slice_at(r.start, c, &mut self.rng, pool),
                         );
                         self.stats.compress_calls += 1;
                         self.encs[owned] = Some(enc);
@@ -1460,9 +1455,6 @@ impl RingMachine {
                     }
                     for enc in self.encs.iter_mut().filter_map(Option::take) {
                         pool.recycle(enc);
-                    }
-                    for c in self.chunks.iter_mut().filter_map(Option::take) {
-                        pool.put_f32(c);
                     }
                     self.phase = RingPhase::Done;
                     progressed = true;
@@ -1724,6 +1716,116 @@ mod tests {
                         let back = b.0.as_slice().as_ptr() as usize;
                         assert_eq!(back, given.1[l], "{at} layer={l}: another buffer");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_machine_reduces_in_the_tensor_it_returns() {
+        // Lossy layers above `coalesce_elems`, cut into segments, each on
+        // a machine of its own. SRA sums into its own chunk of the tensor
+        // it returns: ranks 0 and 1 take no `f32` vector from the pool,
+        // ranks ≥ 2 one per segment for the prefix below them. The ring
+        // reduces in the returned tensor's chunk ranges and takes none.
+        let qsgd = |bits, bucket_size| CompressionScheme::Qsgd { bits, bucket_size };
+        let specs = vec![
+            (5000, qsgd(4, 128)),
+            (6001, qsgd(3, 64)),
+            (4999, qsgd(2, 256)),
+        ];
+        let opts = EngineOptions {
+            segment_elems: 1500,
+            ..EngineOptions::default()
+        };
+        let sra = Algorithm::ScatterReduceAllgather;
+        let runs = [(sra, 2), (sra, 4)].into_iter();
+        for (alg, n) in runs.chain((2..=5).map(|n| (Algorithm::Ring, n))) {
+            let specs = specs.clone();
+            let idle = ThreadCluster::run(n, move |t| {
+                let pool = ScratchPool::new();
+                let mut eng = CommEngine::new(&t, pool.clone(), opts);
+                let mut master = Rng::seed_from_u64(777);
+                let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
+                    .into_iter()
+                    .zip(&specs)
+                    .map(|(g, (_, scheme))| eng.submit_owned(alg, g, scheme.build(), &mut master))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        eng.wait(h).unwrap();
+                        pool.idle_f32s()
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .unwrap();
+            for (rank, after) in idle.iter().enumerate() {
+                let stages = alg == sra && rank >= 2;
+                assert!(
+                    after.iter().all(|&k| (k > 0) == stages),
+                    "{alg:?} n={n} rank={rank}: idle f32 vectors after each wait {after:?}"
+                );
+            }
+        }
+    }
+
+    /// Rank `rank`'s gradient for the commutation pin: its first 7⁴
+    /// elements walk every combination of seven special values over
+    /// ranks 0..4, the rest are ordinary.
+    fn special_grad(rank: usize) -> Tensor {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            f32::MAX,
+            -f32::MAX,
+        ];
+        let mut g = Tensor::randn(&mut Rng::seed_from_u64(50 + rank as u64), &[5000]);
+        let stride = 7usize.pow(rank as u32);
+        for (i, v) in g.as_mut_slice()[..7usize.pow(4)].iter_mut().enumerate() {
+            *v = specials[i / stride % 7];
+        }
+        g
+    }
+
+    #[test]
+    fn in_place_accumulation_commutes_bit_for_bit() {
+        // One lossless layer big enough for a machine of its own, holding
+        // signed zeros, subnormals and ±f32::MAX (whose sums overflow to
+        // ±∞) at the same indices on every rank: the engine's `g + d0`
+        // and `g + prefix` must be the reference's `d0 + g` and
+        // `prefix + g` to the bit. NaN is left out: which of two NaN
+        // payloads a sum keeps is unspecified, and no pin relies on it.
+        let opts = EngineOptions {
+            segment_elems: 1000,
+            ..EngineOptions::default()
+        };
+        for n in [2usize, 3, 4] {
+            for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
+                let seq = ThreadCluster::run(n, |t| {
+                    let mut rng = Rng::seed_from_u64(Rng::seed_from_u64(777).next_u64());
+                    let mut comp = CompressionScheme::None.build();
+                    let g = special_grad(t.rank());
+                    allreduce_scratch(alg, &t, &g, &mut *comp, &mut rng, &ScratchPool::new())
+                        .unwrap()
+                        .0
+                })
+                .unwrap();
+                let eng = ThreadCluster::run(n, |t| {
+                    let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+                    let comp = CompressionScheme::None.build();
+                    let g = special_grad(t.rank());
+                    let h = eng.submit_owned(alg, g, comp, &mut Rng::seed_from_u64(777));
+                    eng.wait(h).unwrap().0
+                })
+                .unwrap();
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                for (rank, (s, e)) in seq.iter().zip(&eng).enumerate() {
+                    assert_eq!(bits(s), bits(e), "{alg:?} n={n} rank={rank}");
                 }
             }
         }
