@@ -932,7 +932,8 @@ fn try_recv_chunk(
 
 /// One pipeline segment of an SRA collective. My chunk accumulates in my
 /// range of the output, which holds my gradient chunk `g` at launch;
-/// phase 2 compresses from there and decodes the aggregate back over it.
+/// phase 2 compresses from there and decodes the aggregate back over it,
+/// unless the codec is lossless and the decode would change no bit.
 struct Seg {
     /// Absolute offset of this segment in the flat gradient.
     base: usize,
@@ -1150,17 +1151,20 @@ impl SraMachine {
                     self.outq.push_back((j, tag, enc.clone()));
                 }
             }
-            timed_obs(
-                &mut self.stats.decode_ns,
-                &self.rec,
-                SpanKind::Decode,
-                pack_meta(op_id, s as u16, PHASE_BCAST, epoch),
-                || {
-                    self.comp
-                        .decompress_into(&enc, &mut self.out.as_mut_slice()[abs])
-                },
-            );
-            self.stats.decompress_calls += 1;
+            // A lossless decode would write back the bits already there.
+            if !self.comp.is_lossless() {
+                timed_obs(
+                    &mut self.stats.decode_ns,
+                    &self.rec,
+                    SpanKind::Decode,
+                    pack_meta(op_id, s as u16, PHASE_BCAST, epoch),
+                    || {
+                        self.comp
+                            .decompress_into(&enc, &mut self.out.as_mut_slice()[abs])
+                    },
+                );
+                self.stats.decompress_calls += 1;
+            }
             pool.recycle(enc);
             seg.phase2_done = true;
             self.next_phase2 += 1;
@@ -1241,7 +1245,8 @@ impl SraMachine {
 ///
 /// The reduce hops decode-add into `out`'s chunk ranges and compress from
 /// them (the reference's operations on the same operands), and the
-/// relayed encodings are decoded over all of `out` at the end.
+/// relayed encodings are decoded over all of `out` at the end — but for
+/// my own under a lossless codec, which would change no bit.
 struct RingMachine {
     op_id: u32,
     epoch: u8,
@@ -1436,8 +1441,12 @@ impl RingMachine {
                     progressed = true;
                 }
                 RingPhase::Decode => {
+                    // My relayed chunk was encoded from `out`; a lossless
+                    // decode of it would write back the bits already there.
+                    let own = (me + 1) % n;
+                    let lossless = self.comp.is_lossless();
                     for (i, r) in self.ranges.iter().enumerate() {
-                        if r.is_empty() {
+                        if r.is_empty() || (i == own && lossless) {
                             continue;
                         }
                         let enc = self.encs[i].as_ref().expect("all chunks gathered");
@@ -1770,10 +1779,63 @@ mod tests {
         }
     }
 
-    /// Rank `rank`'s gradient for the commutation pin: its first 7⁴
-    /// elements walk every combination of seven special values over
+    /// Rank `rank`'s gradient for the commutation pins: its first 7⁴
+    /// elements walk every combination of the seven `specials` over
     /// ranks 0..4, the rest are ordinary.
-    fn special_grad(rank: usize) -> Tensor {
+    fn special_grad(rank: usize, specials: [f32; 7]) -> Tensor {
+        let mut g = Tensor::randn(&mut Rng::seed_from_u64(50 + rank as u64), &[5000]);
+        let stride = 7usize.pow(rank as u32);
+        for (i, v) in g.as_mut_slice()[..7usize.pow(4)].iter_mut().enumerate() {
+            *v = specials[i / stride % 7];
+        }
+        g
+    }
+
+    /// One lossless [`special_grad`] layer, big enough for a machine of
+    /// its own and cut into five segments, reduced by `alg` at world `n`:
+    /// per rank, the bits of the reference's sum, the bits of the
+    /// engine's, and the engine's decode count.
+    fn special_runs(
+        alg: Algorithm,
+        n: usize,
+        specials: [f32; 7],
+    ) -> Vec<(Vec<u32>, Vec<u32>, usize)> {
+        let opts = EngineOptions {
+            segment_elems: 1000,
+            ..EngineOptions::default()
+        };
+        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let seq = ThreadCluster::run(n, |t| {
+            let mut rng = Rng::seed_from_u64(Rng::seed_from_u64(777).next_u64());
+            let mut comp = CompressionScheme::None.build();
+            let g = special_grad(t.rank(), specials);
+            allreduce_scratch(alg, &t, &g, &mut *comp, &mut rng, &ScratchPool::new())
+                .unwrap()
+                .0
+        })
+        .unwrap();
+        let eng = ThreadCluster::run(n, |t| {
+            let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+            let comp = CompressionScheme::None.build();
+            let g = special_grad(t.rank(), specials);
+            let h = eng.submit_owned(alg, g, comp, &mut Rng::seed_from_u64(777));
+            let (out, stats, _) = eng.wait(h).unwrap();
+            (out, stats.decompress_calls)
+        })
+        .unwrap();
+        seq.into_iter()
+            .zip(eng)
+            .map(|(s, (e, calls))| (bits(s), bits(e), calls))
+            .collect()
+    }
+
+    #[test]
+    fn in_place_accumulation_commutes_bit_for_bit() {
+        // Signed zeros, subnormals and ±f32::MAX (whose sums overflow to
+        // ±∞) at the same indices on every rank: the engine's `g + d0`
+        // and `g + prefix` must be the reference's `d0 + g` and
+        // `prefix + g` to the bit. NaN is left out: which of two NaN
+        // payloads a sum keeps is unspecified, and no pin relies on it.
         let specials = [
             0.0,
             -0.0,
@@ -1783,50 +1845,37 @@ mod tests {
             f32::MAX,
             -f32::MAX,
         ];
-        let mut g = Tensor::randn(&mut Rng::seed_from_u64(50 + rank as u64), &[5000]);
-        let stride = 7usize.pow(rank as u32);
-        for (i, v) in g.as_mut_slice()[..7usize.pow(4)].iter_mut().enumerate() {
-            *v = specials[i / stride % 7];
+        for n in [2usize, 3, 4] {
+            for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
+                for (rank, (s, e, _)) in special_runs(alg, n, specials).iter().enumerate() {
+                    assert_eq!(s, e, "{alg:?} n={n} rank={rank}");
+                }
+            }
         }
-        g
     }
 
     #[test]
-    fn in_place_accumulation_commutes_bit_for_bit() {
-        // One lossless layer big enough for a machine of its own, holding
-        // signed zeros, subnormals and ±f32::MAX (whose sums overflow to
-        // ±∞) at the same indices on every rank: the engine's `g + d0`
-        // and `g + prefix` must be the reference's `d0 + g` and
-        // `prefix + g` to the bit. NaN is left out: which of two NaN
-        // payloads a sum keeps is unspecified, and no pin relies on it.
-        let opts = EngineOptions {
-            segment_elems: 1000,
-            ..EngineOptions::default()
-        };
-        for n in [2usize, 3, 4] {
-            for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
-                let seq = ThreadCluster::run(n, |t| {
-                    let mut rng = Rng::seed_from_u64(Rng::seed_from_u64(777).next_u64());
-                    let mut comp = CompressionScheme::None.build();
-                    let g = special_grad(t.rank());
-                    allreduce_scratch(alg, &t, &g, &mut *comp, &mut rng, &ScratchPool::new())
-                        .unwrap()
-                        .0
-                })
-                .unwrap();
-                let eng = ThreadCluster::run(n, |t| {
-                    let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
-                    let comp = CompressionScheme::None.build();
-                    let g = special_grad(t.rank());
-                    let h = eng.submit_owned(alg, g, comp, &mut Rng::seed_from_u64(777));
-                    eng.wait(h).unwrap().0
-                })
-                .unwrap();
-                let bits =
-                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                for (rank, (s, e)) in seq.iter().zip(&eng).enumerate() {
-                    assert_eq!(bits(s), bits(e), "{alg:?} n={n} rank={rank}");
-                }
+    fn lossless_phase_two_decodes_nothing_it_encoded() {
+        // A lossless decode of the aggregate a rank just encoded would
+        // write back the bits already in its output. Per segment (SRA)
+        // or per op (Ring) a rank decodes its n − 1 peers' contributions
+        // and their n − 1 aggregates and nothing else, and the sum is
+        // still the reference's to the bit — ±∞ at shared indices too,
+        // and the one NaN their opposite sums make.
+        let specials = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1.5,
+        ];
+        let sra = (2..=4).map(|n| (Algorithm::ScatterReduceAllgather, n, 5));
+        for (alg, n, segments) in sra.chain((2..=5).map(|n| (Algorithm::Ring, n, 1))) {
+            for (rank, (s, e, calls)) in special_runs(alg, n, specials).iter().enumerate() {
+                assert_eq!(s, e, "{alg:?} n={n} rank={rank}");
+                assert_eq!(*calls, segments * 2 * (n - 1), "{alg:?} n={n} rank={rank}");
             }
         }
     }

@@ -9,7 +9,9 @@
 //! a frame replayed under a different tag or sequence number fails
 //! verification, so frames can never alias across collectives, and any
 //! single-bit corruption of the body is caught. [`open`] is the one reader
-//! of the envelope. Both consumers use the identical header layout, which
+//! of the envelope, in place; [`open_copy`] is the same reader for a
+//! receiver that copies the body out, and verifies in the copying pass.
+//! Both consumers use the identical header layout, which
 //! is the point — the reliability protocol debugged under deterministic
 //! chaos injection is byte-for-byte the protocol that runs on real sockets.
 //!
@@ -32,9 +34,126 @@ pub const HEADER_LEN: usize = 10;
 pub const FRAME_MAGIC: u16 = 0xC6FA;
 
 /// Independent multiply-xor chains [`checksum`] runs side by side. One
-/// chain retires a word per multiply *latency*; four keep the multiplier
-/// busy every cycle, which is as fast as scalar code goes.
-const LANES: usize = 4;
+/// chain retires a word per multiply *latency*; 32 are eight 4-lane AVX2
+/// registers, enough to keep the vector multipliers busy every cycle.
+const LANES: usize = 32;
+
+/// Payload bytes one round of the lanes reads: a word per lane.
+const BLOCK: usize = 8 * LANES;
+
+/// Bytes [`open_copy`] copies before it folds them: a whole number of
+/// blocks, small enough that the copy is still in L1 when the lanes read
+/// it back.
+const SUB_CHUNK: usize = 64 * BLOCK;
+
+const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const PRIME: u64 = 0x0100_0000_01B3;
+
+fn step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(PRIME)
+}
+
+/// The body that folds whole blocks into the lanes. Both compute the same
+/// function; [`Body::detect`] is the one place this module asks the CPU
+/// what it has, so holding [`Body::Avx2`] outside the tests is the proof
+/// that the CPU can run it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Body {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Body {
+    /// The fastest body this CPU can run.
+    fn detect() -> Body {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Body::Avx2;
+        }
+        Body::Portable
+    }
+}
+
+/// A [`checksum`] part way through its payload: the `(tag, seq, len)`
+/// prefix and the lanes seeded from it.
+struct Sum {
+    body: Body,
+    prefix: u64,
+    lanes: [u64; LANES],
+}
+
+impl Sum {
+    fn new(body: Body, tag: Tag, seq: u32, len: usize) -> Sum {
+        let mut h = step(OFFSET, tag);
+        h = step(h, u64::from(seq));
+        h = step(h, len as u64);
+        Sum {
+            body,
+            prefix: h,
+            lanes: std::array::from_fn(|i| step(h, i as u64)),
+        }
+    }
+
+    /// Folds `blocks`, a whole number of [`BLOCK`]s, into the lanes.
+    fn blocks(&mut self, blocks: &[u8]) {
+        debug_assert!(blocks.len().is_multiple_of(BLOCK));
+        match self.body {
+            Body::Portable => {
+                for block in blocks.chunks_exact(BLOCK) {
+                    for (lane, w) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
+                        *lane = step(*lane, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+                    }
+                }
+            }
+            // SAFETY: `Body::detect` names AVX2 only on a CPU that has it.
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => unsafe { blocks_avx2(&mut self.lanes, blocks) },
+        }
+    }
+
+    /// Deals the `tail` (under one block) onto the first lanes, the last
+    /// word zero-padded, then chains the lanes into the prefix in order.
+    fn finish(mut self, tail: &[u8]) -> u32 {
+        for (lane, w) in self.lanes.iter_mut().zip(tail.chunks(8)) {
+            let mut padded = [0u8; 8];
+            padded[..w.len()].copy_from_slice(w);
+            *lane = step(*lane, u64::from_le_bytes(padded));
+        }
+        let h = self.lanes.into_iter().fold(self.prefix, step);
+        (h ^ (h >> 32)) as u32
+    }
+}
+
+/// AVX2 body of [`Sum::blocks`]: lanes `4j..4j + 4` live in register `j`
+/// and take bytes `32j..32j + 32` of every block. AVX2 has no 64-bit
+/// multiply, but [`PRIME`] is `2^40 + 0x1B3`, so `x * PRIME` is
+/// `lo(x)·0x1B3 + (hi(x)·0x1B3 + (x << 8)) << 32` with two 32×32→64-bit
+/// `vpmuludq`s — the portable `wrapping_mul`, bit for bit.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn blocks_avx2(lanes: &mut [u64; LANES], blocks: &[u8]) {
+    use std::arch::x86_64::*;
+    let low = _mm256_set1_epi64x((PRIME & 0xFFFF_FFFF) as i64);
+    let mut acc: [__m256i; LANES / 4] =
+        std::array::from_fn(|j| _mm256_loadu_si256(lanes[4 * j..].as_ptr().cast()));
+    for block in blocks.chunks_exact(BLOCK) {
+        for (j, a) in acc.iter_mut().enumerate() {
+            let x = _mm256_xor_si256(*a, _mm256_loadu_si256(block[32 * j..].as_ptr().cast()));
+            let lo = _mm256_mul_epu32(x, low);
+            let hi = _mm256_mul_epu32(_mm256_srli_epi64::<32>(x), low);
+            let top = _mm256_add_epi64(hi, _mm256_slli_epi64::<8>(x));
+            *a = _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(top));
+        }
+    }
+    for (j, a) in acc.iter().enumerate() {
+        _mm256_storeu_si256(lanes[4 * j..].as_mut_ptr().cast(), *a);
+    }
+}
 
 /// FNV-style multiply-xor checksum over the tag, the sequence number, the
 /// payload length, and the payload, folded to 32 bits. The payload is
@@ -42,36 +161,22 @@ const LANES: usize = 4;
 /// chains (word `k` lands on lane `k % LANES`; the last word is
 /// zero-padded), each seeded from the `(tag, seq, len)` prefix and its
 /// lane index, and the lanes are then chained into the prefix in lane
-/// order. This runs over every wire byte twice (send and receive), so on
-/// the hot path its throughput matters; every step is a bijection of the
-/// running value, so any single-bit flip changes its lane and therefore
-/// the fold, and the bound length tells a short tail from the same bytes
-/// sent as zeros. Cheap and dependency-free.
+/// order. It runs over every wire byte twice — once at send, once where
+/// the receiver copies the body out ([`open_copy`]) — so on the hot path
+/// its throughput matters, and it runs on the widest body the CPU has.
+/// Every step is a bijection of the running value, so any single-bit flip
+/// changes its lane and therefore the fold, and the bound length tells a
+/// short tail from the same bytes sent as zeros. Cheap and
+/// dependency-free.
 pub fn checksum(tag: Tag, seq: u32, payload: &[u8]) -> u32 {
-    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const PRIME: u64 = 0x1_0000_0001_B3;
-    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME);
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-    let mut h = step(OFFSET, tag);
-    h = step(h, u64::from(seq));
-    h = step(h, payload.len() as u64);
-    let mut lanes = [0u64; LANES];
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        *lane = step(h, i as u64);
-    }
-    let mut blocks = payload.chunks_exact(8 * LANES);
-    for block in &mut blocks {
-        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane = step(*lane, word(w));
-        }
-    }
-    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
-        let mut padded = [0u8; 8];
-        padded[..w.len()].copy_from_slice(w);
-        *lane = step(*lane, word(&padded));
-    }
-    h = lanes.into_iter().fold(h, step);
-    (h ^ (h >> 32)) as u32
+    checksum_on(Body::detect(), tag, seq, payload)
+}
+
+fn checksum_on(body: Body, tag: Tag, seq: u32, payload: &[u8]) -> u32 {
+    let mut sum = Sum::new(body, tag, seq, payload.len());
+    let (blocks, tail) = payload.split_at(payload.len() - payload.len() % BLOCK);
+    sum.blocks(blocks);
+    sum.finish(tail)
 }
 
 /// Wraps `payload` in a checksummed frame carrying `seq`, preserving the
@@ -105,18 +210,44 @@ pub fn append_header(dst: &mut Vec<u8>, tag: Tag, seq: u32, body: &[u8]) {
 /// Opens one envelope: `Some((seq, body))` when `bytes` holds a header
 /// bearing [`FRAME_MAGIC`] whose stated checksum matches the body under
 /// `(tag, seq)`; `None` for anything shorter than a header, unmagical, or
-/// corrupted. The one reader of the format: the TCP demux parses arrivals
-/// in place with it, the bootstrap stream reader and the chaos layer call
-/// it too, so a mismatch is *observed* (counted, NACKed or fatal, as the
-/// caller decides), never masked.
+/// corrupted. With [`open_copy`] the one reader of the format: the
+/// bootstrap stream reader and the chaos layer verify in place with it,
+/// the TCP demux copies arrivals out of its staging ring with
+/// [`open_copy`], so a mismatch is *observed* (counted, NACKed or fatal,
+/// as the caller decides), never masked.
 pub fn open(tag: Tag, bytes: &[u8]) -> Option<(u32, &[u8])> {
+    let (seq, stated, body) = envelope(bytes)?;
+    (checksum(tag, seq, body) == stated).then_some((seq, body))
+}
+
+/// [`open`] for a receiver that needs the body in an allocation of its
+/// own: `Some((seq, copy))` under the same conditions. The copy and the
+/// verification are one pass over the wire bytes — each [`SUB_CHUNK`] is
+/// copied, then the lanes fold the bytes just written while they are
+/// still in L1 — instead of [`open`]'s verifying read followed by the
+/// caller's copy. What is verified is the copy the caller gets.
+pub fn open_copy(tag: Tag, bytes: &[u8]) -> Option<(u32, Vec<u8>)> {
+    let (seq, stated, body) = envelope(bytes)?;
+    let mut sum = Sum::new(Body::detect(), tag, seq, body.len());
+    let mut copy = Vec::with_capacity(body.len());
+    for part in body.chunks(SUB_CHUNK) {
+        let at = copy.len();
+        copy.extend_from_slice(part);
+        sum.blocks(&copy[at..at + part.len() - part.len() % BLOCK]);
+    }
+    // Every part but the last is whole blocks, so the tail is the copy's.
+    let tail = &copy[copy.len() - copy.len() % BLOCK..];
+    (sum.finish(tail) == stated).then_some((seq, copy))
+}
+
+/// `(seq, stated checksum, body)` of a magical envelope, unverified.
+fn envelope(bytes: &[u8]) -> Option<(u32, u32, &[u8])> {
     if bytes.len() < HEADER_LEN || bytes[..2] != FRAME_MAGIC.to_le_bytes() {
         return None;
     }
     let seq = u32::from_le_bytes(bytes[2..6].try_into().expect("4 bytes"));
     let stated = u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes"));
-    let body = &bytes[HEADER_LEN..];
-    (checksum(tag, seq, body) == stated).then_some((seq, body))
+    Some((seq, stated, &bytes[HEADER_LEN..]))
 }
 
 /// Bytes one link may hold for resending, on either fabric (TCP holds
@@ -254,16 +385,22 @@ mod tests {
         assert_ne!(checksum(7, 1, &[1, 2, 4]), sum, "body not bound");
     }
 
-    /// Payload bytes that differ at every position and in every word.
+    /// Payload bytes that differ at every position and in every word (the
+    /// `i / 256` term keeps one block's words from repeating the last's).
     fn pattern(len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+        (0..len).map(|i| (i * 37 + 11 + i / 256) as u8).collect()
+    }
+
+    /// Payload lengths for the bit-level checks: empty, tail-only, every
+    /// length up to and past the first and second 256-byte blocks, and a
+    /// tail after two.
+    fn short_lengths() -> impl Iterator<Item = usize> {
+        (0..=80).chain(240..=272).chain(500..=520).chain([600, 760])
     }
 
     #[test]
     fn every_single_bit_flip_changes_the_checksum() {
-        // 0..=80 bytes covers empty, tail-only, every lane of a full
-        // 32-byte block, a second block and every tail length after it.
-        for len in 0..=80usize {
+        for len in short_lengths() {
             let body = pattern(len);
             let sum = checksum(5, 9, &body);
             for bit in 0..len * 8 {
@@ -276,24 +413,113 @@ mod tests {
 
     #[test]
     fn checksum_binds_length_and_word_position() {
-        for len in 0..=80usize {
+        for len in short_lengths() {
             let body = pattern(len);
             // A zero-padded tail is not the same bytes sent as payload.
             let mut padded = body.clone();
             padded.push(0);
             assert_ne!(checksum(1, 0, &padded), checksum(1, 0, &body), "len {len}");
         }
-        // Equal words must still be told apart by where they sit: swap
-        // two words within a lane, across lanes, and into the tail.
-        let body = pattern(80);
+        // Equal words must still be told apart by where they sit. 600
+        // bytes are two blocks (words 0..64) and an 11-word tail: swap
+        // two words within a lane, across lanes (0 and 31 among them),
+        // between blocks, and into the tail.
+        let body = pattern(600);
         let sum = checksum(1, 0, &body);
-        for (a, b) in [(0usize, 4usize), (0, 1), (3, 8), (7, 9), (1, 6)] {
+        let pairs = [
+            (0usize, 32usize),
+            (0, 31),
+            (31, 63),
+            (0, 1),
+            (3, 40),
+            (31, 64),
+            (0, 64),
+            (63, 74),
+            (70, 74),
+        ];
+        for (a, b) in pairs {
             let mut swapped = body.clone();
             for k in 0..8 {
                 swapped.swap(8 * a + k, 8 * b + k);
             }
             assert_ne!(checksum(1, 0, &swapped), sum, "words {a} <-> {b}");
         }
+    }
+
+    /// Every body this CPU can run, the portable one first.
+    fn bodies() -> Vec<Body> {
+        let mut all = vec![Body::Portable];
+        if Body::detect() != Body::Portable {
+            all.push(Body::detect());
+        }
+        all
+    }
+
+    #[test]
+    fn every_body_computes_the_portable_checksum() {
+        // Under --nocapture a CI log says which bodies its runner ran.
+        let names: Vec<String> = bodies()
+            .iter()
+            .map(|b| format!("{b:?}").to_lowercase())
+            .collect();
+        println!("cgx-collectives checksum bodies exercised: {names:?}");
+        let lengths = (0..=3 * BLOCK + 8).chain([SUB_CHUNK + 5, 64 * 1024 + 3]);
+        for len in lengths {
+            let body = pattern(len);
+            let want = checksum_on(Body::Portable, 3, 7, &body);
+            for b in bodies() {
+                assert_eq!(checksum_on(b, 3, 7, &body), want, "{b:?} len {len}");
+            }
+        }
+        // Arbitrary words and prefixes, all-ones among them.
+        let mut rng = cgx_tensor::Rng::seed_from_u64(29);
+        for len in [2 * BLOCK + 40, 9000] {
+            let mut body: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            body[..BLOCK].fill(0xFF);
+            for (tag, seq) in [
+                (u64::MAX, u32::MAX),
+                (rng.next_u64(), rng.next_u64() as u32),
+            ] {
+                let want = checksum_on(Body::Portable, tag, seq, &body);
+                for b in bodies() {
+                    assert_eq!(checksum_on(b, tag, seq, &body), want, "{b:?} len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn open_copy_verifies_what_it_copies() {
+        let around = |n: usize| n.saturating_sub(1)..=n + 1;
+        let lengths = [
+            0,
+            8,
+            BLOCK,
+            2 * BLOCK,
+            SUB_CHUNK,
+            SUB_CHUNK + BLOCK,
+            2 * SUB_CHUNK,
+        ]
+        .into_iter()
+        .flat_map(around)
+        .chain([SUB_CHUNK - 7, 3 * SUB_CHUNK + 300]);
+        for len in lengths {
+            let body = pattern(len);
+            let mut framed = frame_bytes(0x51, 4, &body).to_vec();
+            let (seq, copy) = open_copy(0x51, &framed).expect("verifies");
+            assert_eq!((seq, copy.as_slice()), (4, &body[..]), "len {len}");
+            assert!(open_copy(0x52, &framed).is_none(), "len {len}: tag bound");
+            // A header stating any other value fails: the copying pass
+            // computes exactly `checksum`'s.
+            framed[6] ^= 1;
+            assert!(open_copy(0x51, &framed).is_none(), "len {len}: stated");
+            framed[6] ^= 1;
+            if let Some(last) = framed.len().checked_sub(1).filter(|&l| l >= HEADER_LEN) {
+                framed[last] ^= 0x80;
+                assert!(open_copy(0x51, &framed).is_none(), "len {len}: body");
+            }
+        }
+        assert!(open_copy(1, &[0xFA, 0xC6, 0, 0]).is_none(), "short");
     }
 
     /// The single multiply chain [`checksum`] replaced, kept as the
@@ -335,6 +561,7 @@ mod tests {
             lanes = lanes.min(best(checksum));
         }
         let ratio = chain.as_secs_f64() / lanes.as_secs_f64();
+        println!("checksum lanes: {ratio:.2}x the single chain");
         assert!(
             cfg!(debug_assertions) || ratio >= 2.0,
             "lanes only {ratio:.2}x the single chain"

@@ -194,8 +194,12 @@ impl Compressor for ErrorFeedback {
         self.inner.compressed_bytes(n)
     }
 
+    /// Never: what a window sends is the input plus the residual it left
+    /// last time, so even over a lossless inner codec a second round trip
+    /// of `-0.0` returns `+0.0` (`+0.0 + -0.0`), and an infinite element
+    /// leaves a NaN residual (`∞ − ∞`) behind for the next.
     fn is_lossless(&self) -> bool {
-        self.inner.is_lossless()
+        false
     }
 
     fn kernel_cost_per_element(&self) -> f64 {

@@ -130,7 +130,11 @@ pub trait Compressor: Send {
     /// performing the compression. Used by the performance plane.
     fn compressed_bytes(&self, n: usize) -> usize;
 
-    /// Whether decompression reproduces the input bit-exactly.
+    /// Whether decompression reproduces the input bit-exactly — on every
+    /// call, whatever the calls before it were, and for every `f32`
+    /// (signed zeros, infinities, NaN payloads). The engine relies on it:
+    /// it skips decoding an aggregate it just encoded from its own output,
+    /// and batches small lossless layers into one collective.
     fn is_lossless(&self) -> bool {
         false
     }
@@ -288,6 +292,52 @@ mod tests {
     #[should_panic(expected = "not f32-aligned")]
     fn misaligned_bytes_panic() {
         bytes_to_f32s(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn lossless_means_bit_exact_twice() {
+        // A compressor that says it is lossless returns its input by
+        // `to_bits` through `compress_slice_at` → `decompress_into`, the
+        // engine's calls, on the second round trip of a window as on the
+        // first — special values included.
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+            1.5,
+            -3.25e-3,
+        ];
+        let input: Vec<f32> = specials.iter().cycle().take(64).copied().collect();
+        let candidates: Vec<Box<dyn Compressor>> = vec![
+            Box::new(NoneCompressor::new()),
+            Box::new(ErrorFeedback::new(Box::new(NoneCompressor::new()))),
+            Box::new(ErrorFeedback::new(Box::new(TopKCompressor::new(1.0)))),
+            Box::new(TopKCompressor::new(1.0)),
+            Box::new(QsgdCompressor::new(8, 64)),
+            Box::new(NuqsgdCompressor::new(8, 64)),
+            Box::new(OneBitCompressor::new(64)),
+            Box::new(PowerSgdCompressor::new(1)),
+            Box::new(FakeCompressor::new(1.0)),
+        ];
+        let (pool, mut rng) = (ScratchPool::new(), Rng::seed_from_u64(3));
+        let mut lossless = Vec::new();
+        for mut c in candidates.into_iter().filter(|c| c.is_lossless()) {
+            for round in 0..2 {
+                let enc = c.compress_slice_at(8, &input, &mut rng, &pool);
+                let mut out = vec![7.0f32; input.len()];
+                c.decompress_into(&enc, &mut out);
+                for (i, (a, b)) in input.iter().zip(&out).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{} round {round} [{i}]", c.name());
+                }
+            }
+            lossless.push(c.name());
+        }
+        assert_eq!(lossless, ["none(fp32)"]);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! * **Ring-staged reads.** Each peer has a staging buffer
 //!   ([`READ_BUF_BYTES`]); one `read` syscall pulls an entire burst of
 //!   back-to-back frames, which are parsed in place
-//!   ([`wire::parse_frame`]) — header fields and checksum are verified
-//!   against the staging bytes directly, and the payload is copied
-//!   exactly once, out of the ring into its own allocation. Leftover
+//!   ([`wire::parse_frame`]) — header fields are decoded from the
+//!   staging bytes directly, and the payload is copied exactly once, out
+//!   of the ring into its own allocation, its checksum verified over the
+//!   copy in the same pass. Leftover
 //!   partial frames stay staged; the buffer compacts and grows on demand.
 //! * **Vectored zero-copy writes.** A send serializes only the frame
 //!   *header* into a per-peer arena and hands `(header, payload)` pairs

@@ -12,7 +12,8 @@
 //! The framing body is byte-for-byte the format of
 //! [`cgx_collectives::framing`] — the same seq+FNV envelope the chaos
 //! reliability layer uses in-process, read by the same
-//! [`framing::open`] — so corruption detection and sequence accounting
+//! [`framing::open`] (or [`framing::open_copy`], its copying form) — so
+//! corruption detection and sequence accounting
 //! behave identically on both fabrics. TCP already guarantees ordered
 //! reliable delivery; the checksum is the end-to-end integrity check
 //! (paper: datacenter links do corrupt), and the per-link sequence
@@ -131,10 +132,9 @@ fn check_len(len: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// Decodes everything after the length prefix — tag, geometry, and the
-/// envelope through [`framing::open`] — returning the frame's header and
-/// where its payload starts in `frame`.
-fn decode(frame: &[u8]) -> io::Result<(Tag, Shape, u32, usize)> {
+/// Decodes the tag and geometry after the length prefix, returning them
+/// and where the framing envelope starts in `frame`.
+fn decode_header(frame: &[u8]) -> io::Result<(Tag, Shape, usize)> {
     let tag = Tag::from_le_bytes(frame[0..8].try_into().expect("8 bytes"));
     let geom_end = 9 + 4 * frame[8] as usize;
     if frame.len() < geom_end + framing::HEADER_LEN {
@@ -147,13 +147,16 @@ fn decode(frame: &[u8]) -> io::Result<(Tag, Shape, u32, usize)> {
         .chunks_exact(4)
         .map(|d| u32::from_le_bytes(d.try_into().expect("4 bytes")) as usize)
         .collect();
-    let Some((seq, _)) = framing::open(tag, &frame[geom_end..]) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checksum/header mismatch on tag {tag:#x}"),
-        ));
-    };
-    Ok((tag, Shape::new(dims), seq, geom_end + framing::HEADER_LEN))
+    Ok((tag, Shape::new(dims), geom_end))
+}
+
+/// The error an envelope that fails [`framing::open`] or
+/// [`framing::open_copy`] becomes.
+fn mismatch(tag: Tag) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("checksum/header mismatch on tag {tag:#x}"),
+    )
 }
 
 /// Attempts to decode one frame from the *front* of `buf` without
@@ -161,7 +164,9 @@ fn decode(frame: &[u8]) -> io::Result<(Tag, Shape, u32, usize)> {
 /// complete frame (read more), `Ok(Some((frame, consumed)))` hands back
 /// the decoded frame and how many bytes it occupied. The event loop's
 /// staging buffers parse arrivals in place with this — the payload is
-/// copied exactly once, out of the staging ring into its own allocation.
+/// read exactly once, by [`framing::open_copy`], which copies it out of
+/// the staging ring into its own allocation and verifies the copy in
+/// the same pass.
 ///
 /// # Errors
 ///
@@ -177,13 +182,14 @@ pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
         return Ok(None);
     }
     let frame = &buf[4..4 + len];
-    let (tag, shape, seq, body) = decode(frame)?;
-    let payload = cgx_tensor::Bytes::copy_from_slice(&frame[body..]);
+    let (tag, shape, envelope) = decode_header(frame)?;
+    let (seq, payload) =
+        framing::open_copy(tag, &frame[envelope..]).ok_or_else(|| mismatch(tag))?;
     Ok(Some((
         Frame {
             tag,
             seq,
-            enc: Encoded::new(shape, payload),
+            enc: Encoded::new(shape, payload.into()),
         },
         4 + len,
     )))
@@ -232,7 +238,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
             "connection closed after frame length",
         ));
     }
-    let (tag, shape, seq, body) = decode(&buf)?;
+    let (tag, shape, envelope) = decode_header(&buf)?;
+    let (seq, _) = framing::open(tag, &buf[envelope..]).ok_or_else(|| mismatch(tag))?;
+    let body = envelope + framing::HEADER_LEN;
     Ok(Some(Frame {
         tag,
         seq,
@@ -352,6 +360,34 @@ mod tests {
         let giant = (u32::MAX).to_le_bytes();
         let err = parse_frame(&giant).expect_err("giant length");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn one_flipped_bit_in_a_mebibyte_frame_fails_the_parse() {
+        // The parse verifies while it copies, a sub-chunk at a time: a
+        // flip in the first block, at a sub-chunk boundary and in the
+        // last byte must each fail it, and the clean frame's payload is
+        // the bytes sent.
+        let payload: Vec<u8> = (0..1usize << 20)
+            .map(|i| (i * 131 + i / 4093) as u8)
+            .collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 0x77, 5, &Shape::new(vec![1 << 18]), &payload).expect("write");
+        let (frame, used) = parse_frame(&buf).expect("clean").expect("whole");
+        assert_eq!(used, buf.len());
+        assert_eq!(frame.enc.payload().as_ref(), payload.as_slice());
+        let body = buf.len() - payload.len();
+        for at in [
+            body + 3,
+            body + 16 * 1024,
+            body + 16 * 1024 - 1,
+            buf.len() - 1,
+        ] {
+            let mut flipped = buf.clone();
+            flipped[at] ^= 0x10;
+            let err = parse_frame(&flipped).expect_err("flipped");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {at}");
+        }
     }
 
     #[test]
