@@ -638,18 +638,14 @@ impl ChaosTransport {
             return self.inner.try_recv_tagged(peer, tag);
         }
         let mut state = self.lock();
-        if let Some(p) = state.stash.take(peer, tag) {
+        if let Some(p) = state.stash.receive(peer, tag)? {
             return Ok(Some(p));
         }
-        if state.stash.closed(peer).is_none() {
-            if let Err(lost) = self.maybe_nack(&mut state, peer) {
-                state.stash.close(peer, lost);
-            }
+        if let Err(lost) = self.maybe_nack(&mut state, peer) {
+            state.stash.close(peer, lost.clone());
+            return Err(lost);
         }
-        state
-            .stash
-            .closed(peer)
-            .map_or(Ok(None), |e| Err(e.clone()))
+        Ok(None)
     }
 }
 

@@ -28,9 +28,9 @@ struct Filed {
 /// Payloads filed per `(peer, tag)` in arrival order, FIFO within a key,
 /// with per-peer and total arrival counts and one terminal error per peer.
 ///
-/// The stash always wins over the error: callers take first and consult
-/// [`TagStash::closed`] only on a miss, so what a peer sent before it went
-/// away stays receivable.
+/// The stash always wins over the error: [`TagStash::receive`] takes first
+/// and consults [`TagStash::closed`] only on a miss, so what a peer sent
+/// before it went away stays receivable.
 #[derive(Debug)]
 pub struct TagStash {
     /// `queues[peer][tag]`, oldest first. Tags are single-use (one per
@@ -84,6 +84,16 @@ impl TagStash {
         }
         self.seen[peer] = self.seen[peer].max(filed.nth_of_peer + 1);
         Some(filed.payload)
+    }
+
+    /// A receive against the stash: the oldest payload under `(peer,
+    /// tag)` ([`TagStash::take`]) and, only when there is none, the error
+    /// `peer` closed with.
+    pub fn receive(&mut self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
+        match self.take(peer, tag) {
+            Some(payload) => Ok(Some(payload)),
+            None => self.closed(peer).map_or(Ok(None), |e| Err(e.clone())),
+        }
     }
 
     /// Removes every payload whose tag passes `keep`, as `(peer, tag,
@@ -209,8 +219,11 @@ mod tests {
         s.close(1, CommError::PeerDead { rank: 1 });
         assert_eq!(s.closed(1), Some(&CommError::Disconnected { peer: 1 }));
         assert_eq!(s.arrivals(), 2);
-        // What was filed before stays receivable.
-        assert!(s.take(1, 5).is_some());
+        // What was filed before stays receivable; then the error shows.
+        let mut receive = |peer| s.receive(peer, 5).map(|got| got.map(|e| byte(&e)));
+        assert_eq!(receive(1), Ok(Some(1)));
+        assert_eq!(receive(1), Err(CommError::Disconnected { peer: 1 }));
+        assert_eq!(receive(0), Ok(None));
         assert!(s.closed(0).is_none());
     }
 

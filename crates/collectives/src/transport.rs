@@ -642,15 +642,12 @@ impl Transport for ShmTransport {
         self.check_peer(peer);
         let mailbox = self.mailbox();
         let mut inbox = mailbox.lock();
-        let taken = inbox.stash.take(peer, tag);
+        let taken = inbox.stash.receive(peer, tag);
         mailbox.note_space(&inbox);
-        let Some(payload) = taken else {
-            return inbox
-                .stash
-                .closed(peer)
-                .map_or(Ok(None), |e| Err(e.clone()));
-        };
         drop(inbox);
+        let Some(payload) = taken? else {
+            return Ok(None);
+        };
         if let Some(m) = &self.obs {
             m.msgs_recv.inc();
             m.bytes_recv.add(payload.payload_bytes() as u64);

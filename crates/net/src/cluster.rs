@@ -30,13 +30,6 @@ pub const ENV_WORLD: &str = "CGX_WORLD";
 pub const ENV_RENDEZVOUS: &str = "CGX_RENDEZVOUS";
 /// Environment variable carrying this rank's node id (default `0`).
 pub const ENV_NODE: &str = "CGX_NODE";
-/// Environment variable: per-rank restart budget for
-/// [`ProcessCluster::run_supervised`] (default `0`, i.e. no restarts).
-/// A restarted worker cannot rejoin an already-formed mesh — rendezvous
-/// is one-shot — so restarts only help with failures *before* bootstrap
-/// completes (spawn races, transient port exhaustion). Elastic chaos
-/// runs deliberately leave this off and let the survivors shrink.
-pub const ENV_RESTART: &str = "CGX_RESTART";
 
 fn boot_err(detail: impl Into<String>) -> CommError {
     CommError::Bootstrap {
@@ -123,7 +116,6 @@ pub struct ProcessCluster {
     nodes: Vec<u32>,
     env: Vec<(String, String)>,
     args: Vec<String>,
-    restart_budget: u32,
 }
 
 impl ProcessCluster {
@@ -142,17 +134,7 @@ impl ProcessCluster {
             nodes: vec![0; world],
             env: Vec::new(),
             args: Vec::new(),
-            restart_budget: 0,
         }
-    }
-
-    /// Grants each rank a restart budget for
-    /// [`run_supervised`](Self::run_supervised) (see [`ENV_RESTART`] for
-    /// the caveats; the env var overrides this when set).
-    #[must_use]
-    pub fn restarts(mut self, budget: u32) -> Self {
-        self.restart_budget = budget;
-        self
     }
 
     /// Overrides the rendezvous address (e.g. a routable one for a
@@ -225,25 +207,17 @@ impl ProcessCluster {
 
     /// Spawns all ranks, supervises them to completion, and reports each
     /// rank's fate instead of folding deaths into an error — the entry
-    /// point for chaos runs, where a worker dying is the *plan*. When
-    /// [`ENV_RESTART`] grants a budget, a rank that dies is respawned up
-    /// to that many times before its failure is recorded.
+    /// point for chaos runs, where a worker dying is the *plan*. A dead
+    /// rank is not respawned: rendezvous is one-shot, so a new worker
+    /// could not rejoin the formed mesh; the survivors shrink instead.
     ///
     /// # Errors
     ///
     /// [`CommError::Bootstrap`] only when a rank cannot be *spawned* at
     /// all (the mesh can then never form, so every spawned rank is
-    /// killed rather than left to wait out its boot timeout), and
-    /// [`CommError::InvalidConfig`] when [`ENV_RESTART`] is not a count.
-    /// Deaths after a successful spawn are data, not errors.
+    /// killed rather than left to wait out its boot timeout). Deaths
+    /// after a successful spawn are data, not errors.
     pub fn run_supervised(&self) -> Result<ClusterReport, CommError> {
-        let restart_budget: u32 = read(
-            &|k| std::env::var(k).ok(),
-            ENV_RESTART,
-            "a restart count",
-            |v| v.parse().ok(),
-        )?
-        .unwrap_or(self.restart_budget);
         let mut children: Vec<(usize, Child)> = Vec::with_capacity(self.world);
         let mut spawn_failures: Vec<String> = Vec::new();
         for rank in 0..self.world {
@@ -261,62 +235,27 @@ impl ProcessCluster {
             }
             return Err(boot_err(spawn_failures.join("; ")));
         }
-        let mut exits: Vec<RankExit> = Vec::with_capacity(self.world);
-        for (rank, mut child) in children {
-            let mut restarts = 0u32;
-            let exit = loop {
-                match child.wait() {
-                    Ok(status) if status.success() => {
-                        break RankExit {
-                            rank,
-                            success: true,
-                            code: status.code(),
-                            restarts,
-                            detail: format!("rank {rank} ok"),
-                        }
-                    }
-                    Ok(status) => {
-                        if restarts < restart_budget {
-                            match self.spawn_rank(rank) {
-                                Ok(next) => {
-                                    restarts += 1;
-                                    child = next;
-                                    continue;
-                                }
-                                Err(e) => {
-                                    break RankExit {
-                                        rank,
-                                        success: false,
-                                        code: status.code(),
-                                        restarts,
-                                        detail: format!(
-                                            "rank {rank} exited with {status}; respawn failed: {e}"
-                                        ),
-                                    }
-                                }
-                            }
-                        }
-                        break RankExit {
-                            rank,
-                            success: false,
-                            code: status.code(),
-                            restarts,
-                            detail: format!("rank {rank} exited with {status}"),
-                        };
-                    }
-                    Err(e) => {
-                        break RankExit {
-                            rank,
-                            success: false,
-                            code: None,
-                            restarts,
-                            detail: format!("rank {rank} could not be awaited: {e}"),
-                        }
-                    }
-                }
-            };
-            exits.push(exit);
-        }
+        let exits = children
+            .into_iter()
+            .map(|(rank, mut child)| match child.wait() {
+                Ok(status) => RankExit {
+                    rank,
+                    success: status.success(),
+                    code: status.code(),
+                    detail: if status.success() {
+                        format!("rank {rank} ok")
+                    } else {
+                        format!("rank {rank} exited with {status}")
+                    },
+                },
+                Err(e) => RankExit {
+                    rank,
+                    success: false,
+                    code: None,
+                    detail: format!("rank {rank} could not be awaited: {e}"),
+                },
+            })
+            .collect();
         Ok(ClusterReport { exits })
     }
 }
@@ -326,13 +265,11 @@ impl ProcessCluster {
 pub struct RankExit {
     /// The rank.
     pub rank: usize,
-    /// Whether the final attempt exited zero.
+    /// Whether the worker exited zero.
     pub success: bool,
-    /// The exit code of the final attempt; `None` when the process was
-    /// killed by a signal (e.g. `SIGKILL`) or could not be awaited.
+    /// The worker's exit code; `None` when the process was killed by a
+    /// signal (e.g. `SIGKILL`) or could not be awaited.
     pub code: Option<i32>,
-    /// Restarts consumed before the final attempt.
-    pub restarts: u32,
     /// Human-readable description of the outcome.
     pub detail: String,
 }
@@ -347,13 +284,12 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Ranks whose final attempt exited zero.
+    /// Ranks whose worker exited zero.
     pub fn survivors(&self) -> usize {
         self.exits.iter().filter(|e| e.success).count()
     }
 
-    /// Ranks whose final attempt died (nonzero exit, signal, or
-    /// unawaitable).
+    /// Ranks whose worker died (nonzero exit, signal, or unawaitable).
     pub fn deaths(&self) -> usize {
         self.exits.len() - self.survivors()
     }
@@ -402,29 +338,6 @@ mod tests {
         assert_eq!(report.dead_ranks(), vec![1, 2]);
         assert_eq!(report.exits[1].code, Some(1));
         assert_eq!(report.exits[2].code, Some(2));
-        assert!(report.exits.iter().all(|e| e.restarts == 0));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn restart_budget_respawns_a_crashed_rank() {
-        // First attempt leaves a marker and dies; the respawn sees the
-        // marker and exits clean.
-        let mark = std::env::temp_dir().join(format!(
-            "cgx-restart-mark-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&mark);
-        let report = ProcessCluster::new("/bin/sh", 1)
-            .arg("-c")
-            .arg("if [ -f \"$CGX_MARK\" ]; then exit 0; else : > \"$CGX_MARK\"; exit 1; fi")
-            .env("CGX_MARK", mark.display().to_string())
-            .restarts(1)
-            .run_supervised()
-            .expect("spawns");
-        let _ = std::fs::remove_file(&mark);
-        assert_eq!(report.survivors(), 1);
-        assert_eq!(report.exits[0].restarts, 1);
     }
 
     #[test]

@@ -11,16 +11,24 @@
 //!
 //! Design notes:
 //!
-//! * **Caller-driven event loop.** Every socket is nonblocking; the
-//!   endpoint's single demux loop ([`poll(2)`] over all peer sockets,
-//!   then in-place frame parsing out of per-peer staging buffers) runs on
-//!   whichever thread is inside a transport call. Receives *are* the
-//!   event loop: [`Transport::park`] sleeps in `poll` until a socket turns
-//!   readable and parses frames directly on the waiting thread. This
-//!   replaces the previous one-eager-reader-thread-per-peer design —
-//!   `world - 1` threads, a condvar handoff (two context switches) per
-//!   frame — with zero extra threads and zero handoffs, which is what
-//!   makes an 8-rank loopback mesh cheap on small-core hosts.
+//! * **One lock, one link per peer.** All of an endpoint's mutable state
+//!   sits behind one mutex. Each peer is one `Link`: its socket (one
+//!   descriptor, never cloned), its read staging and next-expected link
+//!   seq, when it was last heard, its outbound queue with the header
+//!   arena, partial-write cursor and [`Retention`], and its redial state.
+//!   Beside the links sit the tag stash — which also holds a condemned
+//!   peer's error, the one record of that verdict — and the counters. The
+//!   lock is never held across a `poll(2)` wait and every socket is
+//!   nonblocking, so a thread parked, or blocked on a full socket, never
+//!   stalls a sibling thread's receive on the same endpoint.
+//! * **Caller-driven event loop.** The event loop (`poll(2)` over every
+//!   live peer socket, then in-place frame parsing out of per-peer staging
+//!   buffers) runs on whichever thread is inside a transport call.
+//!   Receives *are* the event loop: [`Transport::park`] sleeps in `poll`
+//!   until a socket turns readable (or, with frames queued, writable) and
+//!   parses frames directly on the waiting thread. No reader threads and
+//!   no handoffs, which is what makes an 8-rank loopback mesh cheap on
+//!   small-core hosts.
 //! * **Ring-staged reads.** Each peer has a staging buffer
 //!   ([`READ_BUF_BYTES`]); one `read` syscall pulls an entire burst of
 //!   back-to-back frames, which are parsed in place
@@ -37,10 +45,11 @@
 //! * **Small-frame coalescing.** Nonblocking sends of small frames
 //!   (≤ 16 KiB) are queued per peer and flushed as one vectored write at
 //!   a budget overflow (256 KiB queued, mirroring the engine's
-//!   coalescer), at any receive/park, at [`Transport::flush_outbound`]
-//!   (the engine calls it before parking), and on drop. Blocking sends
-//!   flush the queue plus the new frame in a single `writev`, so a link's
-//!   frames leave in the order their sequence numbers were assigned.
+//!   coalescer), at [`Transport::flush_outbound`] (the engine calls it
+//!   before parking), and on drop; every receive and park also pushes
+//!   what the sockets take without waiting. Blocking sends flush the
+//!   queue through the new frame in one `writev`, so a link's frames
+//!   leave in the order their sequence numbers were assigned.
 //! * **One sequence space per link.** Every frame to a peer — any tag,
 //!   heartbeats included — carries the next link seq; the demux accepts
 //!   exactly the one it expects (TCP delivers in order, so anything else
@@ -49,8 +58,9 @@
 //!   receiver's one next-expected number.
 //! * **Deadlock freedom without readers.** A blocking flush that hits a
 //!   full socket drains its own inbound traffic (`pump`) between
-//!   `POLLOUT` waits, so a cycle of ranks all mid-send keeps consuming
-//!   bytes and someone's write always completes.
+//!   `POLLOUT` waits, and a parked receiver wakes when a socket with
+//!   frames queued turns writable, so a cycle of ranks all mid-send keeps
+//!   consuming bytes and someone's write always completes.
 //! * **Byte-accurate accounting.** Every frame's full serialized size
 //!   (length prefix, tag, geometry, checksum envelope, payload) is
 //!   counted in [`TcpTransport::wire_bytes_sent`] — the benchmark's
@@ -70,8 +80,7 @@ use cgx_tensor::Shape;
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Environment variable enabling liveness heartbeats: the interval in
@@ -166,23 +175,20 @@ impl NetOptions {
             })
         };
         let mut o = NetOptions::default();
-        if let Some(ms) = millis(ENV_HEARTBEAT_MS)? {
-            o.heartbeat_interval = (ms > 0).then(|| Duration::from_millis(ms));
-            o.heartbeat_timeout = Duration::from_millis(ms.saturating_mul(5).max(250));
-        }
-        if let Some(ms) = millis(ENV_HEARTBEAT_TIMEOUT_MS)? {
+        let interval = millis(ENV_HEARTBEAT_MS)?;
+        let timeout =
+            millis(ENV_HEARTBEAT_TIMEOUT_MS)?.or(interval.map(|ms| ms.saturating_mul(5).max(250)));
+        if let Some(ms) = timeout {
             o.heartbeat_timeout = Duration::from_millis(ms);
         }
-        if let Some(interval) = o.heartbeat_interval {
-            o.heartbeat_timeout = o
-                .heartbeat_timeout
-                .max(interval * HB_TIMEOUT_FLOOR_INTERVALS);
+        if let Some(ms) = interval.filter(|&ms| ms > 0) {
+            o = o.with_heartbeat(Duration::from_millis(ms), o.heartbeat_timeout);
         }
         let attempts = read(&get, ENV_RECONNECT_ATTEMPTS, "an attempt count", |v| {
             v.parse::<u32>().ok()
         })?;
-        if let Some(attempts) = attempts {
-            o.reconnect = (attempts > 0).then(|| ReconnectPolicy {
+        if let Some(attempts) = attempts.filter(|&n| n > 0) {
+            o = o.with_reconnect(ReconnectPolicy {
                 max_attempts: attempts,
                 ..ReconnectPolicy::default_for(0x5EED_C0DE)
             });
@@ -356,15 +362,57 @@ impl WireStats {
     }
 }
 
+/// What an endpoint counts: the wire-path cost breakdown, byte and fault
+/// totals, and their mirror in an attached metrics registry.
 #[derive(Default)]
-struct WireClocks {
-    serialize_ns: AtomicU64,
-    syscall_ns: AtomicU64,
-    park_ns: AtomicU64,
-    read_syscalls: AtomicU64,
-    write_syscalls: AtomicU64,
-    poll_syscalls: AtomicU64,
-    writev_frames: AtomicU64,
+struct Meter {
+    stats: WireStats,
+    bytes_out: u64,
+    bytes_in: u64,
+    heartbeats: u64,
+    deaths: u64,
+    reconnects: u64,
+    obs: Option<TcpMetrics>,
+}
+
+impl Meter {
+    /// A `read` or `write_vectored` that took `took` (its own count is the
+    /// caller's to bump).
+    fn syscall(&mut self, took: Duration) {
+        self.stats.syscall_ns += took.as_nanos() as u64;
+        if let Some(m) = &self.obs {
+            m.syscalls.inc();
+        }
+    }
+
+    /// A `poll` that took `took`: parked time when it could wait, syscall
+    /// time when it was a probe.
+    fn poll(&mut self, took: Duration, could_wait: bool) {
+        self.stats.poll_syscalls += 1;
+        let ns = took.as_nanos() as u64;
+        if could_wait {
+            self.stats.park_ns += ns;
+        } else {
+            self.stats.syscall_ns += ns;
+        }
+        if let Some(m) = &self.obs {
+            m.syscalls.inc();
+        }
+    }
+}
+
+#[derive(Clone)]
+struct TcpMetrics {
+    msgs_sent: cgx_obs::Counter,
+    bytes_sent: cgx_obs::Counter,
+    wire_bytes_sent: cgx_obs::Counter,
+    msgs_recv: cgx_obs::Counter,
+    bytes_recv: cgx_obs::Counter,
+    writev_frames: cgx_obs::Counter,
+    syscalls: cgx_obs::Counter,
+    peer_dead: cgx_obs::Counter,
+    reconnects: cgx_obs::Counter,
+    heartbeats: cgx_obs::Counter,
 }
 
 /// Per-peer read staging: a contiguous buffer with a live `[start, end)`
@@ -412,9 +460,9 @@ impl Staging {
     }
 }
 
-/// One queued outbound frame: header bytes live in the slot's arena, the
+/// One queued outbound frame: header bytes live in the link's arena, the
 /// payload is the caller's reference-counted buffer — nothing is
-/// concatenated. Tag and payload move on into the slot's retention once
+/// concatenated. Tag and payload move on into the link's retention once
 /// the frame is written.
 struct QueuedFrame {
     hdr_start: usize,
@@ -441,9 +489,38 @@ impl QueuedFrame {
     }
 }
 
-/// Outbound half of one peer link.
-struct WriterSlot {
+/// Where a link stands in the reconnect cycle. Condemned is not a state
+/// here: that verdict is `stash.closed(peer)`, final for this
+/// incarnation — the error may already have driven an elastic-membership
+/// decision that a resurrected link would contradict.
+#[derive(Clone, Copy)]
+enum Redial {
+    /// Connected and flowing.
+    Up,
+    /// The socket dropped but the redial budget is not exhausted. The
+    /// dialing side (the rank that dialed this link at bootstrap) redials
+    /// per the backoff schedule; the accepting side just waits for the
+    /// redial until `give_up`. Outbound frames wait in the queue.
+    Pending {
+        attempts: u32,
+        next_at: Instant,
+        give_up: Instant,
+    },
+}
+
+/// One peer's link: its one socket and both directions' state.
+struct Link {
+    /// Kept open while the link is condemned or pending, until the
+    /// endpoint drops or a redial replaces it: a peer sees EOF only then.
     stream: TcpStream,
+    staging: Staging,
+    /// Next-expected link seq from the peer: TCP already delivers in
+    /// order, so a gap means a peer-side logic error — surfaced as
+    /// corruption rather than delivered out of order.
+    expected: u32,
+    /// When the peer was last heard from (any successful read). Drives
+    /// the liveness deadline when heartbeats are enabled.
+    last_heard: Instant,
     /// Serialized headers for queued frames (cleared when the queue
     /// drains).
     hdrs: Vec<u8>,
@@ -459,49 +536,170 @@ struct WriterSlot {
     /// names the receiver's next-expected seq; without it none are, and
     /// the store only counts.
     retained: Retention,
+    redial: Redial,
 }
 
-/// Demux state: per-peer staging, sequence verification, and the
-/// tag-demuxed stash, all advanced by whichever thread runs the event
-/// loop.
-struct Demux {
-    /// Read-side clones of the peer sockets (`None` for self and for
-    /// peers whose lane has closed).
-    streams: Vec<Option<TcpStream>>,
-    staging: Vec<Staging>,
-    /// Per-peer next-expected link seq: TCP already delivers in order,
-    /// so a gap means a peer-side logic error — surfaced as corruption
-    /// rather than delivered out of order.
-    expected: Vec<u32>,
-    /// Frames awaiting a receiver, and why a peer's lane is closed once
-    /// it is (EOF, I/O error, or checksum/sequence mismatch).
-    stash: TagStash,
-    /// When each peer was last heard from (any successful read). Drives
-    /// the liveness deadline when heartbeats are enabled.
-    last_heard: Vec<Instant>,
-    /// Per-peer link state machine for the reconnect path.
-    reconn: Vec<PeerLink>,
-}
+impl Link {
+    fn new(stream: TcpStream, retain: usize, now: Instant) -> Self {
+        Link {
+            stream,
+            staging: Staging::new(),
+            expected: 0,
+            last_heard: now,
+            hdrs: Vec::new(),
+            queue: VecDeque::new(),
+            queued_bytes: 0,
+            front_written: 0,
+            retained: Retention::new(retain),
+            redial: Redial::Up,
+        }
+    }
 
-/// Link state for one peer: healthy, mid-reconnect, or condemned.
-#[derive(Clone, Copy)]
-enum PeerLink {
-    /// Connected and flowing.
-    Up,
-    /// The socket dropped but the redial budget is not exhausted. The
-    /// dialing side (the rank that dialed this link at bootstrap) redials
-    /// per the backoff schedule; the accepting side just waits for the
-    /// redial until `give_up`.
-    Pending {
-        attempts: u32,
-        next_at: Instant,
-        give_up: Instant,
-    },
-    /// Condemned; `closed` carries the error. Final for this
-    /// incarnation: a later redial from a condemned peer is refused —
-    /// the error may already have driven an elastic-membership decision
-    /// that a resurrected lane would contradict.
-    Down,
+    /// The link seq the next queued frame gets.
+    fn next_seq(&self) -> u32 {
+        self.retained.end().wrapping_add(self.queue.len() as u32)
+    }
+
+    /// Whether a frame below link seq `upto` is still queued (the queue's
+    /// front is at `retained.end()`).
+    fn owes(&self, upto: u32) -> bool {
+        !self.queue.is_empty() && (upto.wrapping_sub(self.retained.end()) as i32) > 0
+    }
+
+    /// One vectored write over the front of the queue: `Ok(true)` when
+    /// bytes moved, `Ok(false)` when the socket would block. A frame fully
+    /// written is only *kernel*-accepted, not delivered: it moves to the
+    /// retention, which keeps it (with reconnect armed) until a reconnect
+    /// handshake acknowledges it or newer frames push it out.
+    fn write_some(&mut self, meter: &mut Meter) -> std::io::Result<bool> {
+        // Cap the slices per writev well under IOV_MAX.
+        const MAX_FRAMES_PER_WRITE: usize = 64;
+        let mut slices: Vec<IoSlice<'_>> =
+            Vec::with_capacity(2 * self.queue.len().min(MAX_FRAMES_PER_WRITE));
+        let mut skip = self.front_written;
+        for qf in self.queue.iter().take(MAX_FRAMES_PER_WRITE) {
+            let hdr = &self.hdrs[qf.hdr_start..qf.hdr_start + qf.hdr_len];
+            let pay = qf.enc.payload().as_ref();
+            for part in [hdr, pay] {
+                if skip < part.len() {
+                    slices.push(IoSlice::new(&part[skip..]));
+                    skip = 0;
+                } else {
+                    skip -= part.len();
+                }
+            }
+        }
+        let n = loop {
+            let t0 = Instant::now();
+            match (&self.stream).write_vectored(&slices) {
+                Ok(n) => {
+                    meter.stats.write_syscalls += 1;
+                    meter.syscall(t0.elapsed());
+                    break n;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) => return Err(e),
+            }
+        };
+        if n == 0 {
+            return Err(std::io::ErrorKind::WriteZero.into());
+        }
+        self.front_written += n;
+        while let Some(front) = self.queue.front() {
+            let total = front.wire_len();
+            if self.front_written < total {
+                break;
+            }
+            self.front_written -= total;
+            self.queued_bytes -= total;
+            let sent = self.queue.pop_front().expect("front exists");
+            self.retained.push(sent.tag, sent.enc, total);
+            meter.stats.writev_frames += 1;
+            if let Some(m) = &meter.obs {
+                m.writev_frames.inc();
+            }
+        }
+        if self.queue.is_empty() {
+            self.hdrs.clear();
+        }
+        Ok(true)
+    }
+
+    /// Parses every complete staged frame, verifying checksum and link
+    /// seq, and files the payloads in `stash` (heartbeats end here).
+    fn parse_staged(
+        &mut self,
+        peer: usize,
+        stash: &mut TagStash,
+        meter: &mut Meter,
+        stashed: &mut usize,
+    ) -> Result<(), CommError> {
+        let t0 = Instant::now();
+        let result = loop {
+            let (frame, used) = match wire::parse_frame(self.staging.window()) {
+                Ok(Some(x)) => x,
+                Ok(None) => break Ok(()),
+                Err(e) => {
+                    break Err(CommError::Corrupted {
+                        peer,
+                        detail: e.to_string(),
+                    })
+                }
+            };
+            let stg = &mut self.staging;
+            stg.start += used;
+            if stg.start == stg.end {
+                stg.start = 0;
+                stg.end = 0;
+            }
+            if frame.seq != self.expected {
+                break Err(CommError::Corrupted {
+                    peer,
+                    detail: format!(
+                        "expected link seq {}, got {} (tag {:#x})",
+                        self.expected, frame.seq, frame.tag
+                    ),
+                });
+            }
+            self.expected = self.expected.wrapping_add(1);
+            meter.bytes_in += used as u64;
+            // Heartbeats are liveness signal only: sequence-checked like
+            // any CTRL frame (above), but never stashed — receivers must
+            // not observe them as traffic.
+            if frame.tag == CTRL_TAG && frame.enc.payload().as_ref() == HB_PAYLOAD {
+                continue;
+            }
+            stash.file(peer, frame.tag, frame.enc);
+            *stashed += 1;
+        };
+        meter.stats.serialize_ns += t0.elapsed().as_nanos() as u64;
+        result
+    }
+
+    /// Rebuilds the queue from `theirs`, the receiver's next-expected
+    /// link seq from the reconnect handshake: the retained suffix from
+    /// it, re-headered with its original seqs, goes back on the queue
+    /// ahead of the unsent frames, and everything below it is
+    /// acknowledged away. The healed link resumes exactly where the
+    /// receiver stands.
+    ///
+    /// # Errors
+    ///
+    /// As [`Retention::resume`]: a claim beyond what was ever flushed is
+    /// [`CommError::Corrupted`], a gap the retention no longer covers is
+    /// [`CommError::PeerDead`] — the caller condemns the peer rather than
+    /// heal into silently misaligned payloads.
+    fn rebuild_for_delivery(&mut self, peer: usize, theirs: u32) -> Result<(), CommError> {
+        let resend = self.retained.resume(theirs, peer)?;
+        for (i, (tag, enc)) in resend.into_iter().enumerate().rev() {
+            let frame = QueuedFrame::new(&mut self.hdrs, tag, theirs.wrapping_add(i as u32), enc);
+            self.queued_bytes += frame.wire_len();
+            self.queue.push_front(frame);
+        }
+        self.front_written = 0;
+        Ok(())
+    }
 }
 
 /// Reconnect support: the retained bootstrap listener plus the dialable
@@ -512,17 +710,6 @@ struct Mesh {
     addrs: Vec<Option<String>>,
 }
 
-/// Outcome of one vectored write attempt.
-enum WriteProgress {
-    /// Bytes moved (or the queue drained).
-    Sent,
-    /// The socket would block; the queue is intact.
-    Full,
-    /// The link failed into the reconnect state; the queue was
-    /// re-sequenced and parked until the link heals.
-    Deferred,
-}
-
 /// Preamble identifying a redial on the mesh listener: magic + rank +
 /// the dialer's next-expected link seq from the acceptor, 12 bytes; the
 /// acceptor answers with its own next-expected seq, 4 bytes, before
@@ -530,13 +717,15 @@ enum WriteProgress {
 /// the mesh listener trusts its network, which for this fabric means the
 /// single-run rendezvous scope.
 const RECON_MAGIC: [u8; 4] = *b"CGXR";
-/// Bound on either blocking read of the reconnect handshake. Runs on
-/// the pump path, so it also bounds how long one malformed or stalled
-/// redial can stall an endpoint's receive loop.
+/// Bound on either blocking read of the reconnect handshake. The
+/// accepting side reads under the endpoint's lock, so this also bounds
+/// how long one malformed or stalled redial can stall the endpoint.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(500);
 /// Heartbeat payload on the CTRL lane (intercepted by the demux, never
 /// stashed).
 const HB_PAYLOAD: [u8; 1] = [0x48];
+/// The mesh listener's entry in a poll set, where peers stand for links.
+const LISTENER: usize = usize::MAX;
 
 /// Reads the peer's next-expected link seq — the whole of its answer in
 /// the reconnect handshake — off a blocking stream.
@@ -546,6 +735,473 @@ fn read_resume(stream: &mut impl Read) -> std::io::Result<u32> {
     Ok(u32::from_le_bytes(seq))
 }
 
+/// Everything mutable about an endpoint, behind its one lock. The event
+/// loop's steps are methods here; only the waits — and the redial's
+/// connect — run with the lock released, in [`TcpTransport`]'s methods.
+struct Endpoint {
+    /// `links[p]` talks to rank `p`; `None` for this rank itself.
+    links: Vec<Option<Link>>,
+    /// Frames awaiting a receiver and, once a peer is condemned, why (EOF,
+    /// I/O error, checksum/sequence mismatch, silence past the deadline,
+    /// or a spent redial budget).
+    stash: TagStash,
+    opts: NetOptions,
+    mesh: Option<Mesh>,
+    /// The planned socket reset, until it fires.
+    reset: Option<ResetPlan>,
+    /// When the last heartbeat round went out (endpoint birth before the
+    /// first).
+    last_heartbeat: Instant,
+    meter: Meter,
+}
+
+impl Endpoint {
+    fn link(&mut self, peer: usize) -> &mut Link {
+        self.links[peer].as_mut().expect("every peer has a link")
+    }
+
+    /// `peer`'s redial state, or `None` once it is condemned.
+    fn redial(&self, peer: usize) -> Option<Redial> {
+        match (&self.links[peer], self.stash.closed(peer)) {
+            (Some(link), None) => Some(link.redial),
+            _ => None,
+        }
+    }
+
+    fn live(&self, peer: usize) -> bool {
+        matches!(self.redial(peer), Some(Redial::Up))
+    }
+
+    fn parked(&self, peer: usize) -> bool {
+        matches!(self.redial(peer), Some(Redial::Pending { .. }))
+    }
+
+    /// Serializes a frame header into `peer`'s arena and queues the
+    /// `(header, payload)` pair; returns its link seq. Accounting happens
+    /// here: the frame is committed to the wire from the caller's point
+    /// of view.
+    fn enqueue(&mut self, peer: usize, tag: Tag, payload: Encoded) -> u32 {
+        let t0 = Instant::now();
+        let payload_bytes = payload.payload_bytes() as u64;
+        let link = self.link(peer);
+        let seq = link.next_seq();
+        let frame = QueuedFrame::new(&mut link.hdrs, tag, seq, payload);
+        let wire_len = frame.wire_len() as u64;
+        link.queued_bytes += frame.wire_len();
+        link.queue.push_back(frame);
+        let m = &mut self.meter;
+        m.bytes_out += wire_len;
+        m.stats.serialize_ns += t0.elapsed().as_nanos() as u64;
+        if let Some(o) = &m.obs {
+            o.msgs_sent.inc();
+            o.bytes_sent.add(payload_bytes);
+            o.wire_bytes_sent.add(wire_len);
+        }
+        seq
+    }
+
+    /// Socket-level drop injection: once the planned number of frames has
+    /// been enqueued toward the planned peer, shut its socket down under
+    /// the wire path's feet — exactly what a mid-run RST or cable pull
+    /// looks like to the rest of the stack. One-shot.
+    fn inject_reset(&mut self, peer: usize) {
+        let Some(plan) = self.reset.as_mut().filter(|p| p.peer == peer) else {
+            return;
+        };
+        if plan.after_frames > 1 {
+            plan.after_frames -= 1;
+            return;
+        }
+        self.reset = None;
+        let _ = self.link(peer).stream.shutdown(Shutdown::Both);
+    }
+
+    /// Writes `peer`'s queue until it drains or the socket would block,
+    /// never waiting. A socket error fails the link: the frames park for
+    /// the redial when one is armed, or are dropped with
+    /// [`CommError::PeerDead`].
+    fn push(&mut self, peer: usize) -> Result<(), CommError> {
+        loop {
+            if self.parked(peer) {
+                return Ok(());
+            }
+            let link = self.links[peer].as_mut().expect("every peer has a link");
+            if link.queue.is_empty() {
+                return Ok(());
+            }
+            match link.write_some(&mut self.meter) {
+                Ok(true) => {}
+                Ok(false) => return Ok(()),
+                Err(_) => return self.fail_writer(peer),
+            }
+        }
+    }
+
+    /// [`Self::push`] on every link; a failure stays with its link, for
+    /// that peer's next send or receive to surface.
+    fn push_all(&mut self) {
+        for peer in 0..self.links.len() {
+            if self.links[peer].is_some() {
+                let _ = self.push(peer);
+            }
+        }
+    }
+
+    /// A write error: the socket is gone. With a reconnect policy armed
+    /// the queued frames keep their sequence numbers and park until the
+    /// link heals (the link's sequence space survives a socket swap); only
+    /// the partial-write cursor resets, so the front frame is resent whole.
+    /// Without one the queue is discarded and the peer condemned as
+    /// [`CommError::PeerDead`].
+    fn fail_writer(&mut self, peer: usize) -> Result<(), CommError> {
+        self.fail_link(peer, CommError::PeerDead { rank: peer });
+        let parked = self.parked(peer);
+        let link = self.link(peer);
+        link.front_written = 0;
+        if parked {
+            return Ok(());
+        }
+        link.queue.clear();
+        link.hdrs.clear();
+        link.queued_bytes = 0;
+        Err(CommError::PeerDead { rank: peer })
+    }
+
+    /// Routes a detected link failure: transient classes enter the
+    /// reconnect state machine when one is armed, everything else (and
+    /// every failure past the budget) condemns the peer.
+    fn fail_link(&mut self, peer: usize, err: CommError) {
+        if self.stash.closed(peer).is_some() {
+            return;
+        }
+        // Corruption (checksum/sequence damage) is not healed by a
+        // redial: the stream itself is lying. Everything socket-shaped
+        // is worth one backoff schedule.
+        let transient = !matches!(err, CommError::Corrupted { .. });
+        let policy = self
+            .opts
+            .reconnect
+            .filter(|_| transient && self.mesh.is_some());
+        if let Some(policy) = policy {
+            let link = self.link(peer);
+            if matches!(link.redial, Redial::Up) {
+                let now = Instant::now();
+                link.redial = Redial::Pending {
+                    attempts: 0,
+                    next_at: now,
+                    // The accepting side has no dial schedule to
+                    // exhaust; it waits out the dialer's whole budget
+                    // plus slack for the dials themselves.
+                    give_up: now + policy.budget() + 2 * policy.cap,
+                };
+            }
+            return;
+        }
+        self.condemn(peer, err);
+    }
+
+    /// Marks `peer` permanently gone: records the error (the first one
+    /// wins) and bumps the death counters. Its socket stays open.
+    fn condemn(&mut self, peer: usize, err: CommError) {
+        if self.stash.closed(peer).is_none() && matches!(err, CommError::PeerDead { .. }) {
+            self.meter.deaths += 1;
+            if let Some(m) = &self.meter.obs {
+                m.peer_dead.inc();
+            }
+        }
+        self.stash.close(peer, err);
+    }
+
+    /// Drains `peer`'s socket, when its link is live, into its staging
+    /// buffer and parses every complete frame; returns the frames stashed.
+    fn read_peer(&mut self, peer: usize) -> usize {
+        if !self.live(peer) {
+            return 0;
+        }
+        let link = self.links[peer].as_mut().expect("live links exist");
+        let (stash, meter) = (&mut self.stash, &mut self.meter);
+        let mut stashed = 0;
+        let failed = loop {
+            link.staging.ensure_space();
+            let stg = &mut link.staging;
+            let t0 = Instant::now();
+            let res = link.stream.read(&mut stg.buf[stg.end..]);
+            meter.stats.read_syscalls += 1;
+            meter.syscall(t0.elapsed());
+            match res {
+                Ok(0) => {
+                    // Clean EOF on a frame boundary is an orderly
+                    // shutdown (the peer dropped its endpoint); EOF with
+                    // a partial frame staged means the process died
+                    // mid-write.
+                    break Some(if stg.start == stg.end {
+                        CommError::Disconnected { peer }
+                    } else {
+                        CommError::PeerDead { rank: peer }
+                    });
+                }
+                Ok(n) => {
+                    let space = stg.buf.len() - stg.end;
+                    stg.end += n;
+                    link.last_heard = Instant::now();
+                    if let Err(e) = link.parse_staged(peer, stash, meter, &mut stashed) {
+                        break Some(e);
+                    }
+                    // A short read means the kernel buffer is (almost
+                    // certainly) drained; a full one means more awaits.
+                    if n < space {
+                        break None;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break None,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                // ECONNRESET and friends: the peer's process is gone (or
+                // its host is), not merely done sending.
+                Err(_) => break Some(CommError::PeerDead { rank: peer }),
+            }
+        };
+        if let Some(err) = failed {
+            self.fail_link(peer, err);
+        }
+        stashed
+    }
+
+    /// Emits one heartbeat round on the CTRL lane when the interval has
+    /// elapsed. Never waits: a full socket leaves the frame queued for
+    /// the next flush.
+    fn emit_heartbeats(&mut self) {
+        let Some(interval) = self.opts.heartbeat_interval else {
+            return;
+        };
+        if self.last_heartbeat.elapsed() < interval {
+            return;
+        }
+        self.last_heartbeat = Instant::now();
+        for peer in 0..self.links.len() {
+            if !self.live(peer) {
+                continue;
+            }
+            let hb = Encoded::new(
+                Shape::new(vec![1]),
+                cgx_tensor::Bytes::copy_from_slice(&HB_PAYLOAD),
+            );
+            self.enqueue(peer, CTRL_TAG, hb);
+            self.meter.heartbeats += 1;
+            if let Some(m) = &self.meter.obs {
+                m.heartbeats.inc();
+            }
+            let _ = self.push(peer);
+        }
+    }
+
+    /// Condemns any live peer silent past the heartbeat deadline. A frozen
+    /// process keeps its sockets open, so this is the only way it is
+    /// ever detected. No-op unless heartbeats are enabled.
+    fn check_liveness(&mut self) {
+        if self.opts.heartbeat_interval.is_none() {
+            return;
+        }
+        for peer in 0..self.links.len() {
+            let silent = self.links[peer]
+                .as_ref()
+                .is_some_and(|l| l.last_heard.elapsed() > self.opts.heartbeat_timeout);
+            if silent && self.live(peer) {
+                self.condemn(peer, CommError::PeerDead { rank: peer });
+            }
+        }
+    }
+
+    /// Advances the reconnect state machine: condemns links past their
+    /// budget and returns every due redial toward a peer this rank
+    /// originally dialed, as `(peer, address, our next-expected seq)`.
+    /// Each one returned is marked in flight (next attempt at `give_up`),
+    /// so one thread dials it. Our next-expected seq holds until the
+    /// install: a pending link is never read.
+    fn due_redials(&mut self) -> Vec<(usize, String, u32)> {
+        let (Some(mesh), Some(policy)) = (&self.mesh, self.opts.reconnect) else {
+            return Vec::new();
+        };
+        let now = Instant::now();
+        let (mut dials, mut spent) = (Vec::new(), Vec::new());
+        for (peer, link) in self.links.iter_mut().enumerate() {
+            let Some(link) = link.as_mut().filter(|_| self.stash.closed(peer).is_none()) else {
+                continue;
+            };
+            let Redial::Pending {
+                attempts,
+                next_at,
+                give_up,
+            } = &mut link.redial
+            else {
+                continue;
+            };
+            if now >= *give_up || *attempts >= policy.max_attempts {
+                spent.push(peer);
+            } else if now >= *next_at {
+                if let Some(addr) = &mesh.addrs[peer] {
+                    *next_at = *give_up;
+                    dials.push((peer, addr.clone(), link.expected));
+                }
+            }
+        }
+        for peer in spent {
+            self.condemn(peer, CommError::PeerDead { rank: peer });
+        }
+        dials
+    }
+
+    /// A redial toward `peer` failed: advance its backoff schedule, and
+    /// condemn it once the schedule is exhausted.
+    fn back_off(&mut self, peer: usize) {
+        let Some(policy) = self.opts.reconnect else {
+            return;
+        };
+        if !self.parked(peer) {
+            return;
+        }
+        let Redial::Pending {
+            attempts, next_at, ..
+        } = &mut self.link(peer).redial
+        else {
+            return;
+        };
+        *attempts += 1;
+        if *attempts < policy.max_attempts {
+            *next_at = Instant::now() + policy.delay(*attempts);
+        } else {
+            self.condemn(peer, CommError::PeerDead { rank: peer });
+        }
+    }
+
+    /// Drains the mesh listener, answering every redial on it.
+    fn mesh_accept(&mut self) {
+        while let Some(Ok((stream, _))) = self.mesh.as_ref().map(|m| m.listener.accept()) {
+            let _ = self.accept_redial(stream);
+        }
+    }
+
+    /// One connection on the mesh listener: it must open with the
+    /// reconnect preamble naming a valid, un-condemned peer and the
+    /// dialer's next-expected link seq; we answer with ours and then
+    /// replace the peer's link. Anything else is dropped.
+    fn accept_redial(&mut self, stream: TcpStream) -> Option<()> {
+        // Sockets accepted from a nonblocking listener inherit O_NONBLOCK
+        // on some platforms (macOS/BSD); force blocking mode so the
+        // bounded read timeout — not an instant WouldBlock — governs the
+        // handshake.
+        stream.set_nonblocking(false).ok()?;
+        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok()?;
+        let mut hello = [0u8; 12];
+        (&stream).read_exact(&mut hello).ok()?;
+        if hello[..4] != RECON_MAGIC {
+            return None;
+        }
+        let word = |at: usize| u32::from_le_bytes(hello[at..at + 4].try_into().expect("4 bytes"));
+        let (peer, theirs) = (word(4) as usize, word(8));
+        // Once condemned, the verdict is final: the error may already
+        // have been surfaced and acted on. Refuse the redial.
+        if self.links.get(peer)?.is_none() || self.stash.closed(peer).is_some() {
+            return None;
+        }
+        // Drain whatever the old socket still holds before declaring our
+        // next-expected seq.
+        self.read_peer(peer);
+        if self.stash.closed(peer).is_some() {
+            return None;
+        }
+        (&stream)
+            .write_all(&self.link(peer).expected.to_le_bytes())
+            .ok()?;
+        let _ = stream.set_read_timeout(None);
+        self.install_link(peer, stream, theirs).ok()
+    }
+
+    /// Replaces `peer`'s socket with a fresh one (either side of a
+    /// reconnect). The link's sequence space survives the swap: the
+    /// receive side keeps its next-expected seq (only partial staging
+    /// from the old socket is discarded), and the queue is rebuilt from
+    /// `theirs` — the peer's next-expected seq from the handshake —
+    /// retransmitting the flushed-but-undelivered suffix from retention
+    /// ([`Link::rebuild_for_delivery`]). Stashed frames from the old
+    /// connection stay deliverable. A condemned peer is refused, and a
+    /// gap retention cannot cover condemns here rather than heal into
+    /// misaligned payloads.
+    fn install_link(
+        &mut self,
+        peer: usize,
+        stream: TcpStream,
+        theirs: u32,
+    ) -> Result<(), CommError> {
+        if self.stash.closed(peer).is_some() {
+            return Err(CommError::PeerDead { rank: peer });
+        }
+        let boot = |what: &str, e: std::io::Error| CommError::Bootstrap {
+            detail: format!("reconnecting link to rank {peer}: {what}: {e}"),
+        };
+        stream
+            .set_nodelay(true)
+            .map_err(|e| boot("TCP_NODELAY", e))?;
+        stream
+            .set_nonblocking(true)
+            .map_err(|e| boot("nonblocking mode", e))?;
+        let link = self.link(peer);
+        if let Err(e) = link.rebuild_for_delivery(peer, theirs) {
+            self.condemn(peer, e.clone());
+            return Err(e);
+        }
+        link.stream = stream;
+        // Partial staging from the old socket is discarded; the sender
+        // retransmits that frame whole. The next-expected seq is *kept* —
+        // the handshake advertised it, and the rebuilt queue resumes
+        // exactly there.
+        link.staging.start = 0;
+        link.staging.end = 0;
+        link.redial = Redial::Up;
+        link.last_heard = Instant::now();
+        self.meter.reconnects += 1;
+        if let Some(m) = &self.meter.obs {
+            m.reconnects.inc();
+        }
+        // Push what was parked during the outage — the peer is likely
+        // waiting on it; leftovers go out on the next flush.
+        let _ = self.push(peer);
+        Ok(())
+    }
+
+    /// The `poll(2)` set: every live link — readable, and writable too
+    /// while it has frames queued — and the mesh listener, beside the
+    /// peer each entry stands for ([`LISTENER`] for the listener).
+    fn poll_set(&self) -> (Vec<usize>, Vec<sys::PollFd>) {
+        let mut peers = Vec::with_capacity(self.links.len());
+        let mut fds = Vec::with_capacity(self.links.len());
+        for (peer, link) in self.links.iter().enumerate() {
+            let Some(link) = link.as_ref().filter(|_| self.live(peer)) else {
+                continue;
+            };
+            let out = if link.queue.is_empty() {
+                0
+            } else {
+                sys::POLLOUT
+            };
+            peers.push(peer);
+            fds.push(sys::PollFd {
+                fd: sys::raw_fd(&link.stream),
+                events: sys::POLLIN | out,
+                revents: 0,
+            });
+        }
+        if let Some(mesh) = &self.mesh {
+            peers.push(LISTENER);
+            fds.push(sys::PollFd {
+                fd: sys::raw_listener_fd(&mesh.listener),
+                events: sys::POLLIN,
+                revents: 0,
+            });
+        }
+        (peers, fds)
+    }
+}
+
 /// A rank's endpoint into a TCP full mesh. Built by
 /// [`crate::rendezvous::rendezvous`] (multi-process) or
 /// [`crate::rendezvous::TcpFabric::build_local`] (in-process loopback).
@@ -553,47 +1209,10 @@ pub struct TcpTransport {
     rank: usize,
     world: usize,
     timeout: Duration,
-    opts: NetOptions,
-    writers: Vec<Option<Mutex<WriterSlot>>>,
-    demux: Mutex<Demux>,
-    /// Frames queued in writer slots but not yet on the wire — the cheap
-    /// "anything to flush?" probe.
-    pending_frames: AtomicU64,
-    wire_bytes_out: AtomicU64,
-    wire_bytes_in: AtomicU64,
-    clocks: WireClocks,
-    obs: Option<TcpMetrics>,
-    /// Endpoint birth, the epoch for the heartbeat emission clock.
-    born: Instant,
-    /// Nanoseconds after `born` when the last heartbeat round was
-    /// emitted (CAS-claimed so only one pumping thread emits per
-    /// interval).
-    hb_last_ns: AtomicU64,
-    /// Re-entrancy guard: a flush inside heartbeat emission pumps, and
-    /// that pump must not recurse into emission.
-    hb_guard: AtomicBool,
-    heartbeats_out: AtomicU64,
-    peer_deaths: AtomicU64,
-    reconnects_done: AtomicU64,
-    mesh: Option<Mesh>,
-    reset: Option<ResetPlan>,
-    fault_frames: AtomicU64,
-    fault_fired: AtomicBool,
+    ep: Mutex<Endpoint>,
 }
 
-#[derive(Clone)]
-struct TcpMetrics {
-    msgs_sent: cgx_obs::Counter,
-    bytes_sent: cgx_obs::Counter,
-    wire_bytes_sent: cgx_obs::Counter,
-    msgs_recv: cgx_obs::Counter,
-    bytes_recv: cgx_obs::Counter,
-    writev_frames: cgx_obs::Counter,
-    syscalls: cgx_obs::Counter,
-    peer_dead: cgx_obs::Counter,
-    reconnects: cgx_obs::Counter,
-    heartbeats: cgx_obs::Counter,
-}
+type Guard<'a> = MutexGuard<'a, Endpoint>;
 
 /// How long one `poll` may park: long enough that waiting is cheap,
 /// short enough that a wakeup consumed by a sibling thread on the same
@@ -607,8 +1226,8 @@ impl TcpTransport {
     ///
     /// # Errors
     ///
-    /// [`CommError::Bootstrap`] if a stream cannot be cloned for the
-    /// demux side or configured (nonblocking, `TCP_NODELAY`).
+    /// [`CommError::Bootstrap`] if a stream cannot be configured
+    /// (nonblocking, `TCP_NODELAY`).
     ///
     /// # Panics
     ///
@@ -617,7 +1236,7 @@ impl TcpTransport {
     pub fn new(
         rank: usize,
         world: usize,
-        mut streams: Vec<Option<TcpStream>>,
+        streams: Vec<Option<TcpStream>>,
         timeout: Duration,
         opts: NetOptions,
     ) -> Result<Self, CommError> {
@@ -627,65 +1246,48 @@ impl TcpTransport {
             detail: format!("configuring link to rank {peer}: {what}: {e}"),
         };
         let retain = if opts.reconnect.is_some() { RETAIN_BYTES } else { 0 };
-        let mut writers: Vec<Option<Mutex<WriterSlot>>> = Vec::with_capacity(world);
-        let mut read_streams: Vec<Option<TcpStream>> = Vec::with_capacity(world);
-        for (peer, slot) in streams.iter_mut().enumerate() {
-            let Some(stream) = slot.take() else {
+        let now = Instant::now();
+        let mut links = Vec::with_capacity(world);
+        for (peer, slot) in streams.into_iter().enumerate() {
+            let Some(stream) = slot else {
                 assert_eq!(peer, rank, "missing stream for peer {peer}");
-                writers.push(None);
-                read_streams.push(None);
+                links.push(None);
                 continue;
             };
             stream
                 .set_nodelay(true)
                 .map_err(|e| boot(peer, "TCP_NODELAY", e))?;
-            // The clone shares the open file description, so one
-            // O_NONBLOCK covers both halves.
             stream
                 .set_nonblocking(true)
                 .map_err(|e| boot(peer, "nonblocking mode", e))?;
-            let read_half = stream.try_clone().map_err(|e| boot(peer, "demux clone", e))?;
-            read_streams.push(Some(read_half));
-            writers.push(Some(Mutex::new(WriterSlot {
-                stream,
-                hdrs: Vec::new(),
-                queue: VecDeque::new(),
-                queued_bytes: 0,
-                front_written: 0,
-                retained: Retention::new(retain),
-            })));
+            links.push(Some(Link::new(stream, retain, now)));
         }
-        let now = Instant::now();
         Ok(TcpTransport {
             rank,
             world,
             timeout,
-            opts,
-            writers,
-            demux: Mutex::new(Demux {
-                streams: read_streams,
-                staging: (0..world).map(|_| Staging::new()).collect(),
-                expected: vec![0; world],
+            ep: Mutex::new(Endpoint {
+                links,
                 stash: TagStash::new(world),
-                last_heard: vec![now; world],
-                reconn: vec![PeerLink::Up; world],
+                opts,
+                mesh: None,
+                reset: None,
+                last_heartbeat: now,
+                meter: Meter::default(),
             }),
-            pending_frames: AtomicU64::new(0),
-            wire_bytes_out: AtomicU64::new(0),
-            wire_bytes_in: AtomicU64::new(0),
-            clocks: WireClocks::default(),
-            obs: None,
-            born: now,
-            hb_last_ns: AtomicU64::new(0),
-            hb_guard: AtomicBool::new(false),
-            heartbeats_out: AtomicU64::new(0),
-            peer_deaths: AtomicU64::new(0),
-            reconnects_done: AtomicU64::new(0),
-            mesh: None,
-            reset: None,
-            fault_frames: AtomicU64::new(0),
-            fault_fired: AtomicBool::new(false),
         })
+    }
+
+    /// The endpoint's state. State mutations are small pushes and pops:
+    /// a poisoned lock is recovered rather than cascading a panic across
+    /// the mesh.
+    fn lock(&self) -> Guard<'_> {
+        self.ep.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The endpoint's state while it is not yet shared.
+    fn state(&mut self) -> &mut Endpoint {
+        self.ep.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Arms the reconnect path: retains the mesh `listener` (for redials
@@ -707,7 +1309,7 @@ impl TcpTransport {
         listener.set_nonblocking(true).map_err(|e| CommError::Bootstrap {
             detail: format!("nonblocking mesh listener: {e}"),
         })?;
-        self.mesh = Some(Mesh { listener, addrs });
+        self.state().mesh = Some(Mesh { listener, addrs });
         Ok(self)
     }
 
@@ -715,24 +1317,8 @@ impl TcpTransport {
     /// its kill is the trainer's to read, not the transport's. Must be
     /// called before the endpoint is shared.
     pub fn set_fault(&mut self, plan: NetFaultPlan) {
-        self.reset = plan.reset;
-    }
-
-    /// Socket-level drop injection: once the configured number of frames
-    /// has been enqueued toward the planned peer, shut the socket down
-    /// under the wire path's feet — exactly what a mid-run RST or cable
-    /// pull looks like to the rest of the stack. One-shot.
-    fn maybe_inject_reset(&self, peer: usize, slot: &WriterSlot) {
-        let Some(reset) = &self.reset else {
-            return;
-        };
-        if reset.rank != self.rank || reset.peer != peer {
-            return;
-        }
-        let n = self.fault_frames.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= reset.after_frames && !self.fault_fired.swap(true, Ordering::Relaxed) {
-            let _ = slot.stream.shutdown(Shutdown::Both);
-        }
+        let rank = self.rank;
+        self.state().reset = plan.reset.filter(|r| r.rank == rank);
     }
 
     /// Overrides the receive timeout.
@@ -743,9 +1329,9 @@ impl TcpTransport {
     /// Whether the mesh sockets have `TCP_NODELAY` set (false for a
     /// world of one, which has no sockets).
     pub fn nodelay(&self) -> bool {
-        self.writers.iter().flatten().next().is_some_and(|m| {
-            lock(m).stream.nodelay().unwrap_or(false)
-        })
+        let ep = self.lock();
+        let first = ep.links.iter().flatten().next();
+        first.is_some_and(|l| l.stream.nodelay().unwrap_or(false))
     }
 
     /// Enables message accounting into `registry`, mirroring
@@ -756,7 +1342,7 @@ impl TcpTransport {
     /// every read/write/poll issued by the wire path.
     pub fn set_obs(&mut self, registry: &MetricsRegistry) {
         use cgx_obs::names;
-        self.obs = Some(TcpMetrics {
+        self.state().meter.obs = Some(TcpMetrics {
             msgs_sent: registry.counter(names::TRANSPORT_MSGS_SENT),
             bytes_sent: registry.counter(names::TRANSPORT_BYTES_SENT),
             wire_bytes_sent: registry.counter(names::TRANSPORT_WIRE_BYTES_SENT),
@@ -773,41 +1359,33 @@ impl TcpTransport {
     /// Peers this endpoint has declared dead (socket failure past the
     /// redial budget, or liveness deadline elapsed).
     pub fn peer_deaths(&self) -> u64 {
-        self.peer_deaths.load(Ordering::Relaxed)
+        self.lock().meter.deaths
     }
 
     /// Links this endpoint has successfully re-established after a drop.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects_done.load(Ordering::Relaxed)
+        self.lock().meter.reconnects
     }
 
     /// Heartbeat frames this endpoint has emitted on the CTRL lane.
     pub fn heartbeats_sent(&self) -> u64 {
-        self.heartbeats_out.load(Ordering::Relaxed)
+        self.lock().meter.heartbeats
     }
 
     /// Total serialized bytes this endpoint has committed to its sockets,
     /// including all framing overhead.
     pub fn wire_bytes_sent(&self) -> u64 {
-        self.wire_bytes_out.load(Ordering::Relaxed)
+        self.lock().meter.bytes_out
     }
 
     /// Total serialized bytes this endpoint's demux has consumed.
     pub fn wire_bytes_received(&self) -> u64 {
-        self.wire_bytes_in.load(Ordering::Relaxed)
+        self.lock().meter.bytes_in
     }
 
     /// Snapshot of the wire-path cost breakdown.
     pub fn wire_stats(&self) -> WireStats {
-        WireStats {
-            serialize_ns: self.clocks.serialize_ns.load(Ordering::Relaxed),
-            syscall_ns: self.clocks.syscall_ns.load(Ordering::Relaxed),
-            park_ns: self.clocks.park_ns.load(Ordering::Relaxed),
-            read_syscalls: self.clocks.read_syscalls.load(Ordering::Relaxed),
-            write_syscalls: self.clocks.write_syscalls.load(Ordering::Relaxed),
-            poll_syscalls: self.clocks.poll_syscalls.load(Ordering::Relaxed),
-            writev_frames: self.clocks.writev_frames.load(Ordering::Relaxed),
-        }
+        self.lock().meter.stats
     }
 
     /// Takes every payload the demux has stashed whose tag passes `keep`,
@@ -815,62 +1393,26 @@ impl TcpTransport {
     /// ([`cgx_collectives::TagStash::take_where`]): how a `cgx-serve`
     /// daemon routes what this endpoint took in.
     pub fn take_where(&self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
-        lock(&self.demux).stash.take_where(keep)
-    }
-
-    /// The writer slot for `peer`. A missing slot is a fault condition
-    /// (the lane was torn down), not a caller bug — surfaced as a typed
-    /// [`CommError::PeerDead`] instead of a panic so fault paths stay
-    /// recoverable. Out-of-range/self peers are still caller bugs.
-    fn writer(&self, peer: usize) -> Result<MutexGuard<'_, WriterSlot>, CommError> {
-        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
-        match self.writers[peer].as_ref() {
-            Some(m) => Ok(lock(m)),
-            None => Err(CommError::PeerDead { rank: peer }),
-        }
-    }
-
-    fn note_syscall(&self, counter: &AtomicU64, elapsed: Duration) {
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.clocks
-            .syscall_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        if let Some(m) = &self.obs {
-            m.syscalls.inc();
-        }
-    }
-
-    fn note_recv(&self, payload: &Encoded) {
-        if let Some(m) = &self.obs {
-            m.msgs_recv.inc();
-            m.bytes_recv.add(payload.payload_bytes() as u64);
-        }
+        self.lock().stash.take_where(keep)
     }
 
     // ---- the event loop -------------------------------------------------
 
     /// One turn of the event loop: wait up to `timeout` for readable peer
-    /// sockets, then drain and parse every burst. Returns the number of
-    /// frames stashed. `Duration::ZERO` is a nonblocking probe.
+    /// sockets (and writable ones with frames queued), then drain and
+    /// parse every burst. Returns the number of frames stashed.
+    /// `Duration::ZERO` is a nonblocking probe.
     fn pump(&self, timeout: Duration) -> usize {
-        self.maybe_emit_heartbeats();
-        self.mesh_service();
-        // usize::MAX marks the mesh listener's slot in the poll set: a
-        // redialing peer must wake a parked receiver immediately.
-        const LISTENER: usize = usize::MAX;
-        let mut fds: Vec<(usize, i32)> = Vec::with_capacity(self.world);
-        {
-            let d = lock(&self.demux);
-            for (peer, stream) in d.streams.iter().enumerate() {
-                if let Some(s) = stream {
-                    if d.stash.closed(peer).is_none() {
-                        fds.push((peer, sys::raw_fd(s)));
-                    }
-                }
+        let (redials, (mut peers, mut fds)) = {
+            let mut ep = self.lock();
+            ep.emit_heartbeats();
+            (ep.due_redials(), ep.poll_set())
+        };
+        if !redials.is_empty() {
+            for (peer, addr, mine) in redials {
+                self.redial(peer, &addr, mine);
             }
-        }
-        if let Some(mesh) = &self.mesh {
-            fds.push((LISTENER, sys::raw_listener_fd(&mesh.listener)));
+            (peers, fds) = self.lock().poll_set();
         }
         if fds.is_empty() {
             if !timeout.is_zero() {
@@ -878,556 +1420,40 @@ impl TcpTransport {
             }
             return 0;
         }
-        let mut pollfds: Vec<sys::PollFd> = fds
-            .iter()
-            .map(|&(_, fd)| sys::PollFd {
-                fd,
-                events: sys::POLLIN,
-                revents: 0,
-            })
-            .collect();
-        // Poll outside the demux lock so a sibling thread on this
-        // endpoint can still receive while we park.
+        // Poll with the lock released, so a sibling thread on this
+        // endpoint can still send and receive while we park.
         let t0 = Instant::now();
-        let ready = sys::poll_wait(&mut pollfds, timeout).unwrap_or(0);
-        let waited = t0.elapsed();
-        self.clocks.poll_syscalls.fetch_add(1, Ordering::Relaxed);
-        if timeout.is_zero() {
-            self.clocks
-                .syscall_ns
-                .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-        } else {
-            self.clocks
-                .park_ns
-                .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-        }
-        if let Some(m) = &self.obs {
-            m.syscalls.inc();
-        }
+        let ready = sys::poll_wait(&mut fds, timeout).unwrap_or(0);
+        let took = t0.elapsed();
+        let mut ep = self.lock();
+        ep.meter.poll(took, !timeout.is_zero());
         let mut stashed = 0;
         let mut accept_ready = false;
-        if ready > 0 {
-            let mut d = lock(&self.demux);
-            for (i, &(peer, _)) in fds.iter().enumerate() {
-                if pollfds[i].revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0 {
-                    if peer == LISTENER {
-                        accept_ready = true;
-                    } else {
-                        stashed += self.read_peer(&mut d, peer);
-                    }
+        for (&peer, fd) in peers.iter().zip(&fds).filter(|_| ready > 0) {
+            if fd.revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0 {
+                if peer == LISTENER {
+                    accept_ready = true;
+                } else {
+                    stashed += ep.read_peer(peer);
                 }
             }
+            if peer != LISTENER && fd.revents & sys::POLLOUT != 0 {
+                let _ = ep.push(peer);
+            }
         }
-        self.check_liveness();
+        ep.check_liveness();
         if accept_ready {
-            self.mesh_accept();
+            ep.mesh_accept();
         }
         stashed
     }
 
-    /// Condemns any peer silent past the heartbeat deadline. A frozen
-    /// process keeps its sockets open, so this is the only way it is
-    /// ever detected. No-op unless heartbeats are enabled.
-    fn check_liveness(&self) {
-        let Some(_) = self.opts.heartbeat_interval else {
-            return;
-        };
-        let deadline = self.opts.heartbeat_timeout;
-        let mut d = lock(&self.demux);
-        for peer in 0..self.world {
-            if peer == self.rank || d.stash.closed(peer).is_some() || d.streams[peer].is_none() {
-                continue;
-            }
-            if !matches!(d.reconn[peer], PeerLink::Up) {
-                continue;
-            }
-            if d.last_heard[peer].elapsed() > deadline {
-                self.condemn(&mut d, peer, CommError::PeerDead { rank: peer });
-            }
-        }
-    }
-
-    /// Marks `peer` permanently gone: records the error (first one
-    /// wins), tears down its read lane, and bumps the death counters.
-    fn condemn(&self, d: &mut Demux, peer: usize, err: CommError) {
-        d.streams[peer] = None;
-        d.reconn[peer] = PeerLink::Down;
-        if d.stash.closed(peer).is_none() && matches!(err, CommError::PeerDead { .. }) {
-            self.peer_deaths.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.obs {
-                m.peer_dead.inc();
-            }
-        }
-        d.stash.close(peer, err);
-    }
-
-    /// Routes a detected link failure: transient classes enter the
-    /// reconnect state machine when one is armed, everything else (and
-    /// every failure past the budget) condemns the peer. Called with the
-    /// demux lock held.
-    fn fail_link(&self, d: &mut Demux, peer: usize, err: CommError) {
-        d.streams[peer] = None;
-        if d.stash.closed(peer).is_some() {
-            return;
-        }
-        // Corruption (checksum/sequence damage) is not healed by a
-        // redial: the stream itself is lying. Everything socket-shaped
-        // is worth one backoff schedule.
-        let transient = !matches!(err, CommError::Corrupted { .. });
-        if transient && self.mesh.is_some() {
-            if let Some(policy) = self.opts.reconnect {
-                match d.reconn[peer] {
-                    PeerLink::Pending { .. } => return,
-                    PeerLink::Down => {}
-                    PeerLink::Up => {
-                        let now = Instant::now();
-                        d.reconn[peer] = PeerLink::Pending {
-                            attempts: 0,
-                            next_at: now,
-                            // The accepting side has no dial schedule to
-                            // exhaust; it waits out the dialer's whole
-                            // budget plus slack for the dials themselves.
-                            give_up: now + policy.budget() + 2 * policy.cap,
-                        };
-                        return;
-                    }
-                }
-            }
-        }
-        self.condemn(d, peer, err);
-    }
-
-    /// Drains one readable peer socket into its staging buffer and
-    /// parses every complete frame. Called with the demux lock held.
-    fn read_peer(&self, d: &mut Demux, peer: usize) -> usize {
-        if d.stash.closed(peer).is_some() {
-            return 0;
-        }
-        let mut stashed = 0;
-        let outcome: Option<CommError> = loop {
-            d.staging[peer].ensure_space();
-            let Some(stream) = d.streams[peer].as_ref() else {
-                break None;
-            };
-            let stg = &mut d.staging[peer];
-            let t0 = Instant::now();
-            let res = Read::read(&mut &*stream, &mut stg.buf[stg.end..]);
-            self.note_syscall(&self.clocks.read_syscalls, t0.elapsed());
-            match res {
-                Ok(0) => {
-                    // Clean EOF on a frame boundary is an orderly
-                    // shutdown (the peer dropped its endpoint); EOF with
-                    // a partial frame staged means the process died
-                    // mid-write.
-                    break Some(if d.staging[peer].start == d.staging[peer].end {
-                        CommError::Disconnected { peer }
-                    } else {
-                        CommError::PeerDead { rank: peer }
-                    });
-                }
-                Ok(n) => {
-                    let space = stg.buf.len() - stg.end;
-                    stg.end += n;
-                    d.last_heard[peer] = Instant::now();
-                    match self.parse_staged(d, peer, &mut stashed) {
-                        Ok(()) => {}
-                        Err(e) => break Some(e),
-                    }
-                    // A short read means the kernel buffer is (almost
-                    // certainly) drained; a full one means more awaits.
-                    if n < space {
-                        break None;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break None,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                // ECONNRESET and friends: the peer's process is gone (or
-                // its host is), not merely done sending.
-                Err(_) => break Some(CommError::PeerDead { rank: peer }),
-            }
-        };
-        if let Some(err) = outcome {
-            self.fail_link(d, peer, err);
-        }
-        stashed
-    }
-
-    /// Parses every complete frame staged for `peer`, verifying checksum
-    /// and link sequence, and stashes the payloads.
-    fn parse_staged(&self, d: &mut Demux, peer: usize, stashed: &mut usize) -> Result<(), CommError> {
-        let t0 = Instant::now();
-        let result = loop {
-            let (frame, used) = match wire::parse_frame(d.staging[peer].window()) {
-                Ok(Some(x)) => x,
-                Ok(None) => break Ok(()),
-                Err(e) => {
-                    break Err(CommError::Corrupted {
-                        peer,
-                        detail: e.to_string(),
-                    })
-                }
-            };
-            let stg = &mut d.staging[peer];
-            stg.start += used;
-            if stg.start == stg.end {
-                stg.start = 0;
-                stg.end = 0;
-            }
-            let want = d.expected[peer];
-            if frame.seq != want {
-                break Err(CommError::Corrupted {
-                    peer,
-                    detail: format!(
-                        "expected link seq {want}, got {} (tag {:#x})",
-                        frame.seq, frame.tag
-                    ),
-                });
-            }
-            d.expected[peer] = want.wrapping_add(1);
-            self.wire_bytes_in.fetch_add(used as u64, Ordering::Relaxed);
-            // Heartbeats are liveness signal only: sequence-checked like
-            // any CTRL frame (above), but never stashed — receivers must
-            // not observe them as traffic.
-            if frame.tag == CTRL_TAG && frame.enc.payload().as_ref() == HB_PAYLOAD {
-                continue;
-            }
-            d.stash.file(peer, frame.tag, frame.enc);
-            *stashed += 1;
-        };
-        self.clocks
-            .serialize_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        result
-    }
-
-    // ---- the write path -------------------------------------------------
-
-    /// Serializes a frame header into the slot's arena and queues the
-    /// `(header, payload)` pair. Accounting happens here: the frame is
-    /// committed to the wire from the caller's point of view.
-    fn enqueue_frame(&self, slot: &mut WriterSlot, tag: Tag, payload: Encoded) {
-        let t0 = Instant::now();
-        let payload_bytes = payload.payload_bytes();
-        let seq = slot.retained.end().wrapping_add(slot.queue.len() as u32);
-        let frame = QueuedFrame::new(&mut slot.hdrs, tag, seq, payload);
-        let wire_len = frame.wire_len();
-        slot.queued_bytes += wire_len;
-        slot.queue.push_back(frame);
-        self.pending_frames.fetch_add(1, Ordering::Relaxed);
-        let wire_len = wire_len as u64;
-        self.wire_bytes_out.fetch_add(wire_len, Ordering::Relaxed);
-        self.clocks
-            .serialize_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if let Some(m) = &self.obs {
-            m.msgs_sent.inc();
-            m.bytes_sent.add(payload_bytes as u64);
-            m.wire_bytes_sent.add(wire_len);
-        }
-    }
-
-    /// Whether `peer`'s link is mid-reconnect (outbound frames are
-    /// parked in the writer queue until the link heals).
-    fn link_pending(&self, peer: usize) -> bool {
-        matches!(lock(&self.demux).reconn[peer], PeerLink::Pending { .. })
-    }
-
-    /// One vectored write attempt over the front of the queue. `Sent`
-    /// means bytes moved; `Full` means the socket would block;
-    /// `Deferred` means the link failed but entered the reconnect state
-    /// (the queue was re-sequenced and parked).
-    fn writev_slot(&self, peer: usize, slot: &mut WriterSlot) -> Result<WriteProgress, CommError> {
-        // Cap the slices per writev well under IOV_MAX.
-        const MAX_FRAMES_PER_WRITE: usize = 64;
-        loop {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(
-                2 * slot.queue.len().min(MAX_FRAMES_PER_WRITE),
-            );
-            let mut skip = slot.front_written;
-            for qf in slot.queue.iter().take(MAX_FRAMES_PER_WRITE) {
-                let hdr = &slot.hdrs[qf.hdr_start..qf.hdr_start + qf.hdr_len];
-                if skip < hdr.len() {
-                    slices.push(IoSlice::new(&hdr[skip..]));
-                    skip = 0;
-                } else {
-                    skip -= hdr.len();
-                }
-                let pay = qf.enc.payload().as_ref();
-                if skip < pay.len() {
-                    slices.push(IoSlice::new(&pay[skip..]));
-                    skip = 0;
-                } else {
-                    skip -= pay.len();
-                }
-            }
-            let t0 = Instant::now();
-            let res = Write::write_vectored(&mut &slot.stream, &slices);
-            match res {
-                Ok(0) => {
-                    self.note_syscall(&self.clocks.write_syscalls, t0.elapsed());
-                    return self.fail_writer(slot, peer);
-                }
-                Ok(n) => {
-                    self.note_syscall(&self.clocks.write_syscalls, t0.elapsed());
-                    slot.front_written += n;
-                    // A fully-written frame is only *kernel*-accepted, not
-                    // delivered: it moves to the retention, which keeps it
-                    // (with reconnect armed) until a reconnect handshake
-                    // acknowledges it or newer frames push it out.
-                    while let Some(front) = slot.queue.front() {
-                        let total = front.wire_len();
-                        if slot.front_written < total {
-                            break;
-                        }
-                        slot.front_written -= total;
-                        slot.queued_bytes -= total;
-                        let sent = slot.queue.pop_front().expect("front exists");
-                        slot.retained.push(sent.tag, sent.enc, total);
-                        self.pending_frames.fetch_sub(1, Ordering::Relaxed);
-                        self.clocks.writev_frames.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = &self.obs {
-                            m.writev_frames.inc();
-                        }
-                    }
-                    return Ok(WriteProgress::Sent);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(WriteProgress::Full);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return self.fail_writer(slot, peer),
-            }
-        }
-    }
-
-    /// Writes the slot's whole queue with vectored writes, handling
-    /// partial writes by cursor and `WouldBlock` by waiting for
-    /// `POLLOUT` — draining our own inbound between waits so a mesh of
-    /// mutually-blocked senders cannot deadlock. Bounded: a socket that
-    /// stays full past the endpoint timeout surfaces
-    /// [`CommError::Timeout`] instead of parking forever on a peer that
-    /// stopped reading.
-    fn flush_slot(&self, peer: usize, slot: &mut WriterSlot) -> Result<(), CommError> {
-        if !slot.queue.is_empty() && self.link_pending(peer) {
-            // Mid-reconnect: frames wait for the link to heal.
-            return Ok(());
-        }
-        let deadline = Instant::now() + self.timeout;
-        while !slot.queue.is_empty() {
-            match self.writev_slot(peer, slot)? {
-                WriteProgress::Sent => {}
-                WriteProgress::Deferred => return Ok(()),
-                WriteProgress::Full => {
-                    if Instant::now() >= deadline {
-                        return Err(CommError::Timeout {
-                            from: peer,
-                            waited: self.timeout,
-                            in_flight: 0,
-                        });
-                    }
-                    // Socket full: drain our own inbound (the peer may be
-                    // blocked sending to us), then wait for writability.
-                    self.pump(Duration::ZERO);
-                    let mut pfd = [sys::PollFd {
-                        fd: sys::raw_fd(&slot.stream),
-                        events: sys::POLLOUT,
-                        revents: 0,
-                    }];
-                    let t1 = Instant::now();
-                    let _ = sys::poll_wait(&mut pfd, Duration::from_millis(2));
-                    self.clocks.poll_syscalls.fetch_add(1, Ordering::Relaxed);
-                    self.clocks
-                        .park_ns
-                        .fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    if let Some(m) = &self.obs {
-                        m.syscalls.inc();
-                    }
-                }
-            }
-        }
-        slot.hdrs.clear();
-        slot.front_written = 0;
-        slot.queued_bytes = 0;
-        Ok(())
-    }
-
-    /// A write error: the socket is gone. With a reconnect policy armed
-    /// the queued frames keep their sequence numbers and park until the
-    /// link heals (the link's sequence space survives a socket swap); only
-    /// the partial-write cursor resets, so the front frame is resent whole.
-    /// Without one the queue is discarded and the peer condemned as
-    /// [`CommError::PeerDead`].
-    fn fail_writer(
-        &self,
-        slot: &mut WriterSlot,
-        peer: usize,
-    ) -> Result<WriteProgress, CommError> {
-        let mut d = lock(&self.demux);
-        self.fail_link(&mut d, peer, CommError::PeerDead { rank: peer });
-        if matches!(d.reconn[peer], PeerLink::Pending { .. }) {
-            drop(d);
-            slot.front_written = 0;
-            return Ok(WriteProgress::Deferred);
-        }
-        drop(d);
-        self.pending_frames
-            .fetch_sub(slot.queue.len() as u64, Ordering::Relaxed);
-        slot.queue.clear();
-        slot.hdrs.clear();
-        slot.front_written = 0;
-        slot.queued_bytes = 0;
-        Err(CommError::PeerDead { rank: peer })
-    }
-
-    /// Rebuilds the writer queue from `theirs`, the receiver's
-    /// next-expected link seq from the reconnect handshake: the retained
-    /// suffix from it, re-headered with its original seqs, goes back on
-    /// the queue ahead of the unsent frames, and everything below it is
-    /// acknowledged away. The healed link resumes exactly where the
-    /// receiver stands.
-    ///
-    /// # Errors
-    ///
-    /// As [`Retention::resume`]: a claim beyond what was ever flushed is
-    /// [`CommError::Corrupted`], a gap the retention no longer covers is
-    /// [`CommError::PeerDead`] — the caller condemns the peer rather than
-    /// heal into silently misaligned payloads.
-    fn rebuild_for_delivery(
-        &self,
-        slot: &mut WriterSlot,
-        peer: usize,
-        theirs: u32,
-    ) -> Result<(), CommError> {
-        let resend = slot.retained.resume(theirs, peer)?;
-        for (i, (tag, enc)) in resend.into_iter().enumerate().rev() {
-            let frame = QueuedFrame::new(&mut slot.hdrs, tag, theirs.wrapping_add(i as u32), enc);
-            slot.queued_bytes += frame.wire_len();
-            slot.queue.push_front(frame);
-            self.pending_frames.fetch_add(1, Ordering::Relaxed);
-        }
-        slot.front_written = 0;
-        Ok(())
-    }
-
-    // ---- liveness and reconnect -----------------------------------------
-
-    /// Emits one heartbeat round on the CTRL lane when the interval has
-    /// elapsed. Never blocks: busy writer slots are skipped (their
-    /// traffic is itself proof of life) and a full socket leaves the
-    /// frame queued for the next flush.
-    fn maybe_emit_heartbeats(&self) {
-        let Some(interval) = self.opts.heartbeat_interval else {
-            return;
-        };
-        let interval_ns = interval.as_nanos() as u64;
-        let now_ns = self.born.elapsed().as_nanos() as u64;
-        if now_ns.saturating_sub(self.hb_last_ns.load(Ordering::Relaxed)) < interval_ns {
-            return;
-        }
-        // Take the guard *before* advancing the interval clock: a round
-        // that loses to a concurrent (or re-entrant) emitter is retried
-        // on the next pump instead of being skipped with its timestamp
-        // already consumed, which would stretch emission gaps toward
-        // 2x the interval and erode the liveness margin.
-        if self.hb_guard.swap(true, Ordering::Acquire) {
-            return;
-        }
-        if now_ns.saturating_sub(self.hb_last_ns.load(Ordering::Relaxed)) < interval_ns {
-            self.hb_guard.store(false, Ordering::Release);
-            return;
-        }
-        self.hb_last_ns.store(now_ns, Ordering::Relaxed);
-        let up: Vec<usize> = {
-            let d = lock(&self.demux);
-            (0..self.world)
-                .filter(|&p| {
-                    p != self.rank
-                        && d.stash.closed(p).is_none()
-                        && d.streams[p].is_some()
-                        && matches!(d.reconn[p], PeerLink::Up)
-                })
-                .collect()
-        };
-        for peer in up {
-            let Some(m) = self.writers[peer].as_ref() else {
-                continue;
-            };
-            // try_lock: a slot busy flushing is already proving this
-            // rank alive, and blocking here could deadlock with a flush
-            // that pumps on this same thread.
-            let mut slot = match m.try_lock() {
-                Ok(g) => g,
-                Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-                Err(std::sync::TryLockError::WouldBlock) => continue,
-            };
-            let hb = Encoded::new(
-                Shape::new(vec![1]),
-                cgx_tensor::Bytes::copy_from_slice(&HB_PAYLOAD),
-            );
-            self.enqueue_frame(&mut slot, CTRL_TAG, hb);
-            self.heartbeats_out.fetch_add(1, Ordering::Relaxed);
-            if let Some(mm) = &self.obs {
-                mm.heartbeats.inc();
-            }
-            // One nonblocking attempt; a full socket keeps it queued.
-            let _ = self.writev_slot(peer, &mut slot);
-        }
-        self.hb_guard.store(false, Ordering::Release);
-    }
-
-    /// Advances the reconnect state machine: condemns links past their
-    /// budget and redials every due peer we originally dialed. Cheap
-    /// no-op without a mesh. Takes no locks across the dials themselves.
-    fn mesh_service(&self) {
-        let Some(mesh) = &self.mesh else {
-            return;
-        };
-        let Some(policy) = self.opts.reconnect else {
-            return;
-        };
-        let now = Instant::now();
-        let mut dials: Vec<(usize, String)> = Vec::new();
-        {
-            let mut d = lock(&self.demux);
-            for peer in 0..self.world {
-                if peer == self.rank {
-                    continue;
-                }
-                if let PeerLink::Pending {
-                    attempts,
-                    next_at,
-                    give_up,
-                    ..
-                } = d.reconn[peer]
-                {
-                    if now >= give_up || attempts >= policy.max_attempts {
-                        self.condemn(&mut d, peer, CommError::PeerDead { rank: peer });
-                        continue;
-                    }
-                    if now >= next_at {
-                        if let Some(addr) = mesh.addrs[peer].clone() {
-                            dials.push((peer, addr));
-                        }
-                    }
-                }
-            }
-        }
-        for (peer, addr) in dials {
-            self.try_dial(peer, &addr, policy);
-        }
-    }
-
-    /// One redial attempt toward `peer`: connect, announce ourselves
-    /// with the reconnect preamble carrying our next-expected link seq,
-    /// read the acceptor's back, and install the fresh link. Failures
-    /// advance the backoff schedule; exhausting it condemns the peer.
-    ///
-    /// Our next-expected seq is stable across the handshake: the read
-    /// lane to `peer` was detached when the link entered `Pending`
-    /// ([`Self::fail_link`]), so no sibling thread can advance
-    /// `expected[peer]` between the snapshot and the install.
-    fn try_dial(&self, peer: usize, addr: &str, policy: ReconnectPolicy) {
-        let mine = lock(&self.demux).expected[peer];
+    /// One redial attempt toward `peer`: connect, announce ourselves with
+    /// the reconnect preamble carrying `mine`, our next-expected link
+    /// seq, read the acceptor's back, and install the fresh link. The
+    /// connect and handshake run with the lock released. Failures advance
+    /// the backoff schedule; exhausting it condemns the peer.
+    fn redial(&self, peer: usize, addr: &str, mine: u32) {
         let dialed = TcpStream::connect(addr).and_then(|mut s| {
             let mut hello = [0u8; 12];
             hello[..4].copy_from_slice(&RECON_MAGIC);
@@ -1437,219 +1463,117 @@ impl TcpTransport {
             // The acceptor answers with its own next-expected seq; bound
             // the wait so a wedged acceptor just advances the backoff.
             s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-            let theirs = read_resume(&mut &s)?;
+            let theirs = read_resume(&mut s)?;
             s.set_read_timeout(None)?;
             Ok((s, theirs))
         });
-        match dialed {
-            Ok((s, theirs)) => {
-                let _ = self.install_link(peer, s, theirs);
-            }
-            Err(_) => {
-                let mut d = lock(&self.demux);
-                if let PeerLink::Pending {
-                    attempts, next_at, ..
-                } = &mut d.reconn[peer]
-                {
-                    *attempts += 1;
-                    let n = *attempts;
-                    if n >= policy.max_attempts {
-                        self.condemn(&mut d, peer, CommError::PeerDead { rank: peer });
-                    } else {
-                        *next_at = Instant::now() + policy.delay(n);
-                    }
-                }
-            }
+        let mut ep = self.lock();
+        let installed = dialed.is_ok_and(|(s, theirs)| ep.install_link(peer, s, theirs).is_ok());
+        if !installed {
+            ep.back_off(peer);
         }
     }
 
-    /// Drains the mesh listener: every pending connection must open with
-    /// the reconnect preamble naming a valid, un-condemned peer and the
-    /// dialer's next-expected link seq; we answer with ours and then
-    /// replace the peer's link. Anything else is dropped.
-    fn mesh_accept(&self) {
-        let Some(mesh) = &self.mesh else {
-            return;
+    // ---- the write path -------------------------------------------------
+
+    /// Queues one frame toward `peer` and, when `block` is set, the frame
+    /// is large or the queue is over its budget, flushes the queue
+    /// through it. The one send path: blocking and nonblocking sends
+    /// differ only in whether a small frame may wait in the queue.
+    fn send(&self, peer: usize, tag: Tag, payload: Encoded, block: bool) -> Result<(), CommError> {
+        assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
+        // Small frames coalesce until the budget overflows (mirroring the
+        // engine's coalescer); large ones go out now — kernel socket
+        // buffers absorb collective-sized frames, so the blocking flush is
+        // the nonblocking path's slow lane, not a deadlock (the flush
+        // drains inbound while it waits).
+        let flush = block || payload.payload_bytes() > COALESCE_FRAME_BYTES;
+        let mut ep = self.lock();
+        // Send-side emission too, not just the pump's: a rank that only
+        // sends for a while must still prove itself alive to peers it is
+        // not currently sending to.
+        ep.emit_heartbeats();
+        let seq = ep.enqueue(peer, tag, payload);
+        ep.inject_reset(peer);
+        let (ep, r) = if flush || ep.link(peer).queued_bytes >= COALESCE_BUDGET_BYTES {
+            self.flush(ep, peer, seq.wrapping_add(1))
+        } else {
+            (ep, Ok(()))
         };
+        let heal = r.is_ok() && ep.mesh.is_some() && ep.parked(peer);
+        drop(ep);
+        if heal {
+            // The frame parked behind a reconnect: drive the redial now,
+            // so a pure sender still heals its own links.
+            self.pump(Duration::ZERO);
+        }
+        r
+    }
+
+    /// Writes `peer`'s queue through link seq `upto` (exclusive), handling
+    /// partial writes by cursor and a full socket by waiting for
+    /// `POLLOUT` with the lock released — draining our own inbound
+    /// between waits, so a mesh of mutually-blocked senders cannot
+    /// deadlock. A link mid-reconnect keeps its frames for the redial.
+    /// Bounded: a socket that stays full past the endpoint timeout
+    /// surfaces [`CommError::Timeout`] instead of parking forever on a
+    /// peer that stopped reading.
+    fn flush<'a>(
+        &'a self,
+        mut ep: Guard<'a>,
+        peer: usize,
+        upto: u32,
+    ) -> (Guard<'a>, Result<(), CommError>) {
+        let deadline = Instant::now() + self.timeout;
         loop {
-            match mesh.listener.accept() {
-                Ok((stream, _)) => {
-                    // Sockets accepted from a nonblocking listener
-                    // inherit O_NONBLOCK on some platforms (macOS/BSD);
-                    // force blocking mode so the bounded read timeout —
-                    // not an instant WouldBlock — governs the handshake.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    let mut hello = [0u8; 12];
-                    let handshake = stream
-                        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-                        .and_then(|()| (&stream).read_exact(&mut hello));
-                    if handshake.is_err() || hello[..4] != RECON_MAGIC {
-                        continue;
-                    }
-                    let word = |at: usize| {
-                        u32::from_le_bytes(hello[at..at + 4].try_into().expect("4 bytes"))
-                    };
-                    let (peer, theirs) = (word(4) as usize, word(8));
-                    if peer >= self.world || peer == self.rank {
-                        continue;
-                    }
-                    let mine = {
-                        let mut d = lock(&self.demux);
-                        // Once condemned, the verdict is final: the
-                        // error may already have been surfaced and
-                        // acted on. Refuse the redial.
-                        if matches!(d.reconn[peer], PeerLink::Down)
-                            || d.stash.closed(peer).is_some()
-                        {
-                            continue;
-                        }
-                        // Quiesce the old lane before declaring our
-                        // next-expected seq: drain whatever the dead
-                        // socket still holds, then detach it so no
-                        // sibling thread advances `expected[peer]`
-                        // between this reply and the install.
-                        self.read_peer(&mut d, peer);
-                        if matches!(d.reconn[peer], PeerLink::Down)
-                            || d.stash.closed(peer).is_some()
-                        {
-                            continue;
-                        }
-                        d.streams[peer] = None;
-                        d.expected[peer]
-                    };
-                    if (&stream).write_all(&mine.to_le_bytes()).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_read_timeout(None);
-                    let _ = self.install_link(peer, stream, theirs);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+            if let Err(e) = ep.push(peer) {
+                return (ep, Err(e));
             }
+            if !ep.link(peer).owes(upto) || ep.parked(peer) {
+                return (ep, Ok(()));
+            }
+            if Instant::now() >= deadline {
+                let err = CommError::Timeout {
+                    from: peer,
+                    waited: self.timeout,
+                    in_flight: 0,
+                };
+                return (ep, Err(err));
+            }
+            let fd = sys::raw_fd(&ep.link(peer).stream);
+            drop(ep);
+            // Socket full: drain our own inbound (the peer may be blocked
+            // sending to us), then wait for writability.
+            self.pump(Duration::ZERO);
+            let mut pfd = [sys::PollFd {
+                fd,
+                events: sys::POLLOUT,
+                revents: 0,
+            }];
+            let t0 = Instant::now();
+            let _ = sys::poll_wait(&mut pfd, Duration::from_millis(2));
+            let took = t0.elapsed();
+            ep = self.lock();
+            ep.meter.poll(took, true);
         }
     }
 
-    /// Replaces `peer`'s link with a fresh stream (either side of a
-    /// reconnect). The link's sequence space survives the swap: the
-    /// receive side keeps its next-expected seq (only partial staging
-    /// from the old socket is discarded), and the writer queue is
-    /// rebuilt from `theirs` — the peer's next-expected seq from the
-    /// handshake — retransmitting the flushed-but-undelivered suffix
-    /// from retention ([`Self::rebuild_for_delivery`]). Stashed frames from
-    /// the old connection stay deliverable. A condemned peer is
-    /// refused: the [`CommError::PeerDead`] verdict is final for this
-    /// incarnation, and a gap retention cannot cover condemns here
-    /// rather than heal into misaligned payloads.
-    fn install_link(&self, peer: usize, stream: TcpStream, theirs: u32) -> Result<(), CommError> {
-        let boot = |what: &str, e: std::io::Error| CommError::Bootstrap {
-            detail: format!("reconnecting link to rank {peer}: {what}: {e}"),
-        };
-        if matches!(lock(&self.demux).reconn[peer], PeerLink::Down) {
-            return Err(CommError::PeerDead { rank: peer });
-        }
-        stream
-            .set_nodelay(true)
-            .map_err(|e| boot("TCP_NODELAY", e))?;
-        stream
-            .set_nonblocking(true)
-            .map_err(|e| boot("nonblocking mode", e))?;
-        let read_half = stream.try_clone().map_err(|e| boot("demux clone", e))?;
-        let Some(m) = self.writers[peer].as_ref() else {
-            return Err(CommError::PeerDead { rank: peer });
-        };
-        // try_lock, never block: this can run inside a flush's own pump
-        // (possibly already holding this very slot), and a blocking lock
-        // would deadlock. A persistently busy slot aborts the install —
-        // the dialing side simply redials on its backoff schedule.
-        let mut slot = 'acquire: {
-            for _ in 0..5 {
-                match m.try_lock() {
-                    Ok(g) => break 'acquire g,
-                    Err(std::sync::TryLockError::Poisoned(p)) => break 'acquire p.into_inner(),
-                    Err(std::sync::TryLockError::WouldBlock) => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                }
-            }
-            return Err(CommError::Timeout {
-                from: peer,
-                waited: Duration::from_millis(10),
-                in_flight: 0,
-            });
-        };
-        {
-            let mut d = lock(&self.demux);
-            // Re-check under the lock: the peer may have been condemned
-            // (budget exhausted, liveness expiry) while the handshake
-            // ran, and a condemned verdict must stay final. A lane that
-            // is already live again means a racing install won — drop
-            // this connection rather than double-install.
-            if matches!(d.reconn[peer], PeerLink::Down) || d.stash.closed(peer).is_some() {
-                return Err(CommError::PeerDead { rank: peer });
-            }
-            if d.streams[peer].is_some() {
-                return Err(CommError::Bootstrap {
-                    detail: format!("link to rank {peer} is already live"),
-                });
-            }
-            if let Err(e) = self.rebuild_for_delivery(&mut slot, peer, theirs) {
-                self.condemn(&mut d, peer, e.clone());
-                return Err(e);
-            }
-            slot.stream = stream;
-            d.streams[peer] = Some(read_half);
-            // Partial staging from the old socket is discarded; the
-            // sender retransmits that frame whole. The next-expected
-            // seq is *kept* — the handshake advertised it, and the
-            // rebuilt writer queue resumes exactly there.
-            d.staging[peer].start = 0;
-            d.staging[peer].end = 0;
-            d.reconn[peer] = PeerLink::Up;
-            d.last_heard[peer] = Instant::now();
-        }
-        self.reconnects_done.fetch_add(1, Ordering::Relaxed);
-        if let Some(mm) = &self.obs {
-            mm.reconnects.inc();
-        }
-        // One nonblocking push of anything parked during the outage —
-        // the peer is likely blocked waiting on it; leftovers go out on
-        // the next flush. (No blocking flush here: it could pump, and
-        // this may already be running inside a pump.)
-        if !slot.queue.is_empty() {
-            let _ = self.writev_slot(peer, &mut slot)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes every peer's coalescing queue. Fast no-op when nothing is
-    /// pending (one atomic load).
-    fn flush_all(&self) -> Result<(), CommError> {
-        if self.pending_frames.load(Ordering::Relaxed) == 0 {
-            return Ok(());
-        }
+    /// Flushes every link's queue through what it holds now.
+    fn flush_all<'a>(&'a self, mut ep: Guard<'a>) -> (Guard<'a>, Result<(), CommError>) {
         let mut first_err = None;
         for peer in 0..self.world {
-            let Some(m) = self.writers.get(peer).and_then(|w| w.as_ref()) else {
+            let Some(link) = ep.links[peer].as_ref().filter(|l| !l.queue.is_empty()) else {
                 continue;
             };
-            let mut slot = lock(m);
-            if slot.queue.is_empty() {
-                continue;
-            }
-            if let Err(e) = self.flush_slot(peer, &mut slot) {
+            let upto = link.next_seq();
+            let r;
+            (ep, r) = self.flush(ep, peer, upto);
+            if let Err(e) = r {
                 first_err.get_or_insert(e);
             }
         }
-        first_err.map_or(Ok(()), Err)
+        (ep, first_err.map_or(Ok(()), Err))
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // State mutations are small pushes/pops; recover from a poisoned
-    // lock rather than cascading a panic across the mesh.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Transport for TcpTransport {
@@ -1666,24 +1590,7 @@ impl Transport for TcpTransport {
     }
 
     fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
-        // Send-side emission too, not just pump(): a rank that only
-        // sends for a while must still prove itself alive to peers it
-        // is not currently sending to.
-        self.maybe_emit_heartbeats();
-        let mut slot = self.writer(peer)?;
-        self.enqueue_frame(&mut slot, tag, payload);
-        self.maybe_inject_reset(peer, &slot);
-        // One vectored write covers any coalesced backlog plus this
-        // frame, preserving per-peer submission order.
-        let r = self.flush_slot(peer, &mut slot);
-        drop(slot);
-        if r.is_ok() && self.mesh.is_some() && self.link_pending(peer) {
-            // The frame parked behind a reconnect: drive the redial now
-            // (with the slot released so the install can take it) so a
-            // pure sender still heals its own links.
-            self.pump(Duration::ZERO);
-        }
-        r
+        self.send(peer, tag, payload, true)
     }
 
     fn try_send_tagged(
@@ -1692,67 +1599,50 @@ impl Transport for TcpTransport {
         tag: Tag,
         payload: Encoded,
     ) -> Result<Option<Encoded>, CommError> {
-        self.maybe_emit_heartbeats();
-        let defer = payload.payload_bytes() <= COALESCE_FRAME_BYTES;
-        let mut slot = self.writer(peer)?;
-        self.enqueue_frame(&mut slot, tag, payload);
-        self.maybe_inject_reset(peer, &slot);
-        // Small frames coalesce until the budget overflows (mirroring
-        // the engine's coalescer); large ones go out now — kernel socket
-        // buffers absorb collective-sized frames, so the blocking flush
-        // is the nonblocking path's slow lane, not a deadlock (the flush
-        // drains inbound while it waits).
-        if !defer || slot.queued_bytes >= COALESCE_BUDGET_BYTES {
-            self.flush_slot(peer, &mut slot)?;
-        }
-        drop(slot);
-        if self.mesh.is_some() && self.link_pending(peer) {
-            self.pump(Duration::ZERO);
-        }
-        Ok(None)
+        self.send(peer, tag, payload, false).map(|()| None)
     }
 
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
         assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
-        let _ = self.flush_all();
-        let mut d = lock(&self.demux);
-        let mut taken = d.stash.take(peer, tag);
-        if taken.is_none() {
+        let mut ep = self.lock();
+        ep.push_all();
+        let mut got = ep.stash.receive(peer, tag);
+        if matches!(got, Ok(None)) {
             // Targeted probe: the frame usually already sits in this
             // peer's kernel buffer, and one nonblocking read on that
             // socket is cheaper than a full poll-all turn. Misses are left
             // to `park`, whose pump drains everyone.
-            self.read_peer(&mut d, peer);
-            taken = d.stash.take(peer, tag);
+            ep.read_peer(peer);
+            got = ep.stash.receive(peer, tag);
         }
-        let Some(payload) = taken else {
-            // Stash drained first: a payload that arrived before the
-            // peer died must still be delivered.
-            return d.stash.closed(peer).map_or(Ok(None), |e| Err(e.clone()));
-        };
-        drop(d);
-        self.note_recv(&payload);
-        Ok(Some(payload))
+        if let (Ok(Some(payload)), Some(m)) = (&got, &ep.meter.obs) {
+            m.msgs_recv.inc();
+            m.bytes_recv.add(payload.payload_bytes() as u64);
+        }
+        got
     }
 
     fn drain_inbound(&self) -> usize {
-        let _ = self.flush_all();
+        self.lock().push_all();
         self.pump(Duration::ZERO)
     }
 
     fn flush_outbound(&self) -> Result<(), CommError> {
-        self.flush_all()
+        self.flush_all(self.lock()).1
     }
 
     fn arrivals(&self) -> u64 {
-        lock(&self.demux).stash.arrivals()
+        self.lock().stash.arrivals()
     }
 
     /// One turn of the event loop: parked in `poll(2)` until a socket
     /// turns readable, then parsing what it holds on this thread.
     fn park(&self, seen: u64, timeout: Duration) {
-        let _ = self.flush_all();
-        if lock(&self.demux).stash.arrivals() == seen {
+        let mut ep = self.lock();
+        ep.push_all();
+        let idle = ep.stash.arrivals() == seen;
+        drop(ep);
+        if idle {
             self.pump(timeout.min(PARK_SLICE));
         }
     }
@@ -1763,9 +1653,9 @@ impl Drop for TcpTransport {
         // Flush any coalesced frames (best effort), then shut the
         // sockets down so every peer's event loop observes EOF. No
         // threads to reap: the event loop dies with its callers.
-        let _ = self.flush_all();
-        for slot in self.writers.iter().flatten() {
-            let _ = lock(slot).stream.shutdown(Shutdown::Both);
+        let (ep, _) = self.flush_all(self.lock());
+        for link in ep.links.iter().flatten() {
+            let _ = link.stream.shutdown(Shutdown::Both);
         }
     }
 }
@@ -1776,11 +1666,10 @@ impl std::fmt::Debug for TcpTransport {
             .field("rank", &self.rank)
             .field("world", &self.world)
             .field("timeout", &self.timeout)
-            .field("wire_bytes_out", &self.wire_bytes_out.load(Ordering::Relaxed))
+            .field("wire_bytes_out", &self.wire_bytes_sent())
             .finish()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2114,21 +2003,22 @@ mod tests {
             assert!(eps[0].try_send_tagged(1, 7, p).expect("deferred").is_none());
         }
         {
-            let slot = lock(eps[0].writers[1].as_ref().expect("slot"));
-            assert_eq!(slot.retained.end(), 3, "flushed frames are retained");
-            assert_eq!(slot.retained.suffix(0, 1).expect("all held").count(), 3);
-            assert_eq!(slot.queue.len(), 2, "small frames coalesce unsent");
+            let mut ep = eps[0].lock();
+            let link = ep.link(1);
+            assert_eq!(link.retained.end(), 3, "flushed frames are retained");
+            assert_eq!(link.retained.suffix(0, 1).expect("all held").count(), 3);
+            assert_eq!(link.queue.len(), 2, "small frames coalesce unsent");
         }
         eps
     }
 
     /// `(link seq, payload byte)` of every queued frame, as its header
     /// would put it on the wire.
-    fn queued(slot: &WriterSlot) -> Vec<(u32, u8)> {
-        slot.queue
+    fn queued(link: &Link) -> Vec<(u32, u8)> {
+        link.queue
             .iter()
             .map(|q| {
-                let mut bytes = slot.hdrs[q.hdr_start..q.hdr_start + q.hdr_len].to_vec();
+                let mut bytes = link.hdrs[q.hdr_start..q.hdr_start + q.hdr_len].to_vec();
                 bytes.extend_from_slice(q.enc.payload());
                 let (frame, _) = wire::parse_frame(&bytes).expect("valid").expect("whole");
                 (frame.seq, frame.enc.payload()[0])
@@ -2141,13 +2031,12 @@ mod tests {
         // Everything flushed was delivered: retention is acknowledged
         // away and only the unsent frames remain, seqs untouched.
         let eps = retention_fixture();
-        let mut slot = lock(eps[0].writers[1].as_ref().expect("slot"));
-        eps[0]
-            .rebuild_for_delivery(&mut slot, 1, 3)
-            .expect("no gap");
-        assert_eq!(slot.retained.end(), 3);
-        assert_eq!(slot.retained.suffix(3, 1).expect("empty").count(), 0);
-        assert_eq!(queued(&slot), [(3, 3), (4, 4)]);
+        let mut ep = eps[0].lock();
+        let link = ep.link(1);
+        link.rebuild_for_delivery(1, 3).expect("no gap");
+        assert_eq!(link.retained.end(), 3);
+        assert_eq!(link.retained.suffix(3, 1).expect("empty").count(), 0);
+        assert_eq!(queued(link), [(3, 3), (4, 4)]);
     }
 
     #[test]
@@ -2155,17 +2044,17 @@ mod tests {
         // The receiver only got seq 0: seqs 1 and 2 come back out of
         // retention ahead of the unsent frames, original numbering.
         let eps = retention_fixture();
-        let mut slot = lock(eps[0].writers[1].as_ref().expect("slot"));
-        eps[0]
-            .rebuild_for_delivery(&mut slot, 1, 1)
+        let mut ep = eps[0].lock();
+        let link = ep.link(1);
+        link.rebuild_for_delivery(1, 1)
             .expect("retention covers the gap");
         assert_eq!(
-            slot.retained.end(),
+            link.retained.end(),
             1,
             "resent frames are retained again when written"
         );
-        assert_eq!(queued(&slot), [(1, 1), (2, 2), (3, 3), (4, 4)]);
-        assert_eq!(slot.front_written, 0, "front frame resent whole");
+        assert_eq!(queued(link), [(1, 1), (2, 2), (3, 3), (4, 4)]);
+        assert_eq!(link.front_written, 0, "front frame resent whole");
     }
 
     #[test]
@@ -2173,15 +2062,16 @@ mod tests {
         // Retention no longer holds seq 1 (pruned): healing would skip
         // a frame the receiver never got — refuse with a typed error.
         let eps = retention_fixture();
-        let mut slot = lock(eps[0].writers[1].as_ref().expect("slot"));
+        let mut ep = eps[0].lock();
+        let link = ep.link(1);
         // The same three flushes into a store with room for one frame.
         let mut pruned = Retention::new(1);
         for i in 0..3u8 {
             pruned.push(7, Encoded::new(Shape::new(vec![1]), vec![i].into()), 1);
         }
-        slot.retained = pruned;
-        let err = eps[0]
-            .rebuild_for_delivery(&mut slot, 1, 1)
+        link.retained = pruned;
+        let err = link
+            .rebuild_for_delivery(1, 1)
             .expect_err("gap not covered");
         assert!(matches!(err, CommError::PeerDead { rank: 1 }), "got {err:?}");
     }
@@ -2191,14 +2081,15 @@ mod tests {
         // A peer claiming more frames than were ever flushed is lying
         // about shared history.
         let eps = retention_fixture();
-        let mut slot = lock(eps[0].writers[1].as_ref().expect("slot"));
+        let mut ep = eps[0].lock();
+        let link = ep.link(1);
         assert!(matches!(
-            eps[0].rebuild_for_delivery(&mut slot, 1, 99),
+            link.rebuild_for_delivery(1, 99),
             Err(CommError::Corrupted { peer: 1, .. })
         ));
         // Not even the queued frames count: they never reached a socket.
         assert!(matches!(
-            eps[0].rebuild_for_delivery(&mut slot, 1, 4),
+            link.rebuild_for_delivery(1, 4),
             Err(CommError::Corrupted { peer: 1, .. })
         ));
     }
@@ -2216,21 +2107,75 @@ mod tests {
         );
         let opts = NetOptions::default().with_reconnect(policy);
         let eps = TcpFabric::build_local_with(2, opts);
-        {
-            let mut d = lock(&eps[0].demux);
-            eps[0].condemn(&mut d, 1, CommError::PeerDead { rank: 1 });
-        }
+        let mut ep = eps[0].lock();
+        ep.condemn(1, CommError::PeerDead { rank: 1 });
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let dial = std::thread::spawn(move || TcpStream::connect(addr).expect("connect"));
-        let (late, _) = listener.accept().expect("accept");
-        let _ = dial.join().expect("dialer");
-        let err = eps[0]
-            .install_link(1, late, 0)
+        let late = || {
+            let dial = std::thread::spawn(move || TcpStream::connect(addr).expect("connect"));
+            let (late, _) = listener.accept().expect("accept");
+            let _ = dial.join().expect("dialer");
+            late
+        };
+        let err = ep
+            .install_link(1, late(), 0)
             .expect_err("condemned is final");
         assert!(matches!(err, CommError::PeerDead { rank: 1 }), "got {err:?}");
-        let d = lock(&eps[0].demux);
-        assert!(matches!(d.reconn[1], PeerLink::Down), "verdict stands");
-        assert!(d.stash.closed(1).is_some(), "error stays recorded");
+        assert_eq!(
+            ep.stash.closed(1),
+            Some(&CommError::PeerDead { rank: 1 }),
+            "verdict stands"
+        );
+        assert!(ep.stash.closed(1).is_some(), "error stays recorded");
+        assert!(!ep.live(1) && !ep.parked(1));
+        assert!(ep.install_link(1, late(), 0).is_err(), "and stays final");
+    }
+
+    #[test]
+    fn a_sender_blocked_on_a_full_socket_does_not_stall_a_receive_on_the_same_endpoint() {
+        // Serve's shape: two threads share rank 0's endpoint. S blocks on
+        // a 64 MiB frame that rank 1 leaves unread for 300 ms; meanwhile R
+        // receives a small frame rank 1 sent on another tag.
+        const BIG: Tag = 1;
+        const SMALL: Tag = 2;
+        let len = 64 << 20;
+        let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let big = Encoded::new(Shape::new(vec![len]), bytes.into());
+        let small = Encoded::new(Shape::new(vec![4]), vec![7u8; 4].into());
+        let expect = big.clone();
+        let mut eps = TcpFabric::build_local(2);
+        let b = eps.pop().expect("rank 1");
+        let a = eps.pop().expect("rank 0");
+        b.send_tagged(0, SMALL, small).expect("small frame");
+        // Counted at enqueue, which S does under the lock it then keeps
+        // until the socket is full: nonzero means S is waiting.
+        let s_waits = || {
+            while a.wire_bytes_sent() == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| a.send_tagged(1, BIG, big).expect("big frame"));
+            s.spawn(|| {
+                s_waits();
+                let t0 = Instant::now();
+                let got = a.recv_tagged(1, SMALL).expect("small frame");
+                let took = t0.elapsed();
+                assert_eq!(got.payload().as_ref(), &[7u8; 4]);
+                assert!(
+                    took < Duration::from_millis(100),
+                    "the receive waited {took:?} behind the blocked sender"
+                );
+            });
+            s_waits();
+            std::thread::sleep(Duration::from_millis(300));
+            let got = b.recv_tagged(0, BIG).expect("big frame");
+            assert!(got.payload() == expect.payload());
+        });
+        let (big_wire, small_wire) = (wire::frame_wire_bytes(1, len), wire::frame_wire_bytes(1, 4));
+        assert_eq!(a.wire_bytes_sent(), big_wire as u64);
+        assert_eq!(b.wire_bytes_received(), big_wire as u64);
+        assert_eq!(b.wire_bytes_sent(), small_wire as u64);
+        assert_eq!(a.wire_bytes_received(), small_wire as u64);
     }
 }

@@ -1005,15 +1005,7 @@ impl Transport for NamespacedTransport {
 
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
         assert!(peer < self.node.world, "peer {peer} out of range");
-        // Stash always wins: traffic that already arrived stays receivable
-        // past peer death.
-        let look = || {
-            let mut inbox = lock(&self.job.inbox);
-            match inbox.stash.take(peer, tag) {
-                Some(payload) => Ok(Some(payload)),
-                None => inbox.stash.closed(peer).cloned().map_or(Ok(None), Err),
-            }
-        };
+        let look = || lock(&self.job.inbox).stash.receive(peer, tag);
         // A miss takes one non-blocking inbound turn and looks again (the
         // analogue of `TcpTransport`'s targeted probe).
         match look()? {
