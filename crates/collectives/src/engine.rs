@@ -911,29 +911,47 @@ const PHASE_SCATTER: u8 = 1;
 const PHASE_BCAST: u8 = 2;
 
 /// The next frame on `(peer, tag)`, if one has arrived — refused unless
-/// it carries the `want` elements of its slot: `decompress*_into` asserts
-/// that length, and socket bytes must fail the collective, not panic.
+/// it carries the `want` elements of its slot in the payload bytes `comp`
+/// writes for them: `decompress*_into` asserts the one and runs out of
+/// bits on a short other, and socket bytes must fail the collective, not
+/// panic. A codec whose size is an estimate (PowerSGD's depends on the
+/// matrix shape) has only its element count checked.
 fn try_recv_chunk(
     t: &dyn Transport,
+    comp: &dyn Compressor,
     peer: usize,
     tag: Tag,
     want: usize,
 ) -> Result<Option<Encoded>, CommError> {
+    let refuse = |detail: String| {
+        Err(CommError::ShapeMismatch {
+            detail: format!("tag {tag:#x} from rank {peer}: {detail}"),
+        })
+    };
     match t.try_recv_tagged(peer, tag)? {
-        Some(enc) if enc.shape().len() != want => Err(CommError::ShapeMismatch {
-            detail: format!(
-                "tag {tag:#x} from rank {peer}: expected {want} elements, got {}",
-                enc.shape().len()
-            ),
-        }),
+        Some(enc) if enc.shape().len() != want => refuse(format!(
+            "expected {want} elements, got {}",
+            enc.shape().len()
+        )),
+        Some(enc)
+            if comp.compressed_bytes_is_exact()
+                && enc.payload_bytes() != comp.compressed_bytes(want) =>
+        {
+            let bytes = comp.compressed_bytes(want);
+            refuse(format!(
+                "expected {bytes} payload bytes, got {}",
+                enc.payload_bytes()
+            ))
+        }
         got => Ok(got),
     }
 }
 
 /// One pipeline segment of an SRA collective. My chunk accumulates in my
 /// range of the output, which holds my gradient chunk `g` at launch;
-/// phase 2 compresses from there and decodes the aggregate back over it,
-/// unless the codec is lossless and the decode would change no bit.
+/// phase 2 compresses from there and commits the aggregate over it
+/// (`Compressor::compress_committed_at`): what is left is what every
+/// peer decodes, and no decode of my own chunk is needed.
 struct Seg {
     /// Absolute offset of this segment in the flat gradient.
     base: usize,
@@ -1093,7 +1111,7 @@ impl SraMachine {
                     continue;
                 }
                 let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_SCATTER, epoch);
-                let Some(enc) = try_recv_chunk(t, j, tag, own.len())? else {
+                let Some(enc) = try_recv_chunk(t, &*self.comp, j, tag, own.len())? else {
                     break;
                 };
                 // Ranks 0 and 1 decode-add every peer onto `g` (rank 1's
@@ -1122,8 +1140,8 @@ impl SraMachine {
             }
         }
 
-        // Phase 2 in segment order: compress the aggregate, broadcast it,
-        // decode my own copy (consensus).
+        // Phase 2 in segment order: compress the aggregate and broadcast
+        // it, keeping in my chunk what the peers decode (consensus).
         while self.next_phase2 < self.segs.len() {
             let s = self.next_phase2;
             let seg = &mut self.segs[s];
@@ -1135,13 +1153,13 @@ impl SraMachine {
                 break;
             }
             let abs = seg.base + seg.ranges[me].start..seg.base + seg.ranges[me].end;
-            let (off, c) = (abs.start, &self.out.as_slice()[abs.clone()]);
+            let (off, c) = (abs.start, &mut self.out.as_mut_slice()[abs]);
             let enc = timed_obs(
                 &mut self.stats.compress_ns,
                 &self.rec,
                 SpanKind::Compress,
                 pack_meta(op_id, s as u16, PHASE_BCAST, epoch),
-                || self.comp.compress_slice_at(off, c, &mut self.rng, pool),
+                || self.comp.compress_committed_at(off, c, &mut self.rng, pool),
             );
             self.stats.compress_calls += 1;
             self.stats.bytes_sent += enc.payload_bytes() * (n - 1);
@@ -1150,20 +1168,6 @@ impl SraMachine {
                 if j != me {
                     self.outq.push_back((j, tag, enc.clone()));
                 }
-            }
-            // A lossless decode would write back the bits already there.
-            if !self.comp.is_lossless() {
-                timed_obs(
-                    &mut self.stats.decode_ns,
-                    &self.rec,
-                    SpanKind::Decode,
-                    pack_meta(op_id, s as u16, PHASE_BCAST, epoch),
-                    || {
-                        self.comp
-                            .decompress_into(&enc, &mut self.out.as_mut_slice()[abs])
-                    },
-                );
-                self.stats.decompress_calls += 1;
             }
             pool.recycle(enc);
             seg.phase2_done = true;
@@ -1183,7 +1187,7 @@ impl SraMachine {
                     continue;
                 }
                 let r = &seg.ranges[j];
-                let Some(enc) = try_recv_chunk(t, j, tag, r.len())? else {
+                let Some(enc) = try_recv_chunk(t, &*self.comp, j, tag, r.len())? else {
                     continue;
                 };
                 let abs = seg.base + r.start..seg.base + r.end;
@@ -1244,9 +1248,9 @@ impl SraMachine {
 /// within one collective; pipelining happens *across* collectives.
 ///
 /// The reduce hops decode-add into `out`'s chunk ranges and compress from
-/// them (the reference's operations on the same operands), and the
-/// relayed encodings are decoded over all of `out` at the end — but for
-/// my own under a lossless codec, which would change no bit.
+/// them (the reference's operations on the same operands). The relay
+/// commits my reduced chunk in place as it encodes it, and the relayed
+/// encodings of the others are decoded over the rest of `out` at the end.
 struct RingMachine {
     op_id: u32,
     epoch: u8,
@@ -1351,7 +1355,7 @@ impl RingMachine {
                             PHASE_SCATTER,
                             self.epoch,
                         );
-                        match try_recv_chunk(t, left, tag, c.len())? {
+                        match try_recv_chunk(t, &*self.comp, left, tag, c.len())? {
                             Some(enc) => {
                                 timed_obs(
                                     &mut self.stats.decode_ns,
@@ -1378,15 +1382,15 @@ impl RingMachine {
                 }
                 RingPhase::Relay => {
                     let owned = (me + 1) % n;
-                    let r = &self.ranges[owned];
+                    let r = self.ranges[owned].clone();
                     if !r.is_empty() {
-                        let c = &self.out.as_slice()[r.clone()];
+                        let (off, c) = (r.start, &mut self.out.as_mut_slice()[r]);
                         let enc = timed_obs(
                             &mut self.stats.compress_ns,
                             &self.rec,
                             SpanKind::Compress,
                             pack_meta(self.op_id, 0, PHASE_BCAST, self.epoch),
-                            || self.comp.compress_slice_at(r.start, c, &mut self.rng, pool),
+                            || self.comp.compress_committed_at(off, c, &mut self.rng, pool),
                         );
                         self.stats.compress_calls += 1;
                         self.encs[owned] = Some(enc);
@@ -1425,7 +1429,8 @@ impl RingMachine {
                             PHASE_BCAST,
                             self.epoch,
                         );
-                        match try_recv_chunk(t, left, tag, self.ranges[recv_idx].len())? {
+                        let want = self.ranges[recv_idx].len();
+                        match try_recv_chunk(t, &*self.comp, left, tag, want)? {
                             Some(enc) => self.encs[recv_idx] = Some(enc),
                             None => break,
                         }
@@ -1441,12 +1446,11 @@ impl RingMachine {
                     progressed = true;
                 }
                 RingPhase::Decode => {
-                    // My relayed chunk was encoded from `out`; a lossless
-                    // decode of it would write back the bits already there.
+                    // My relayed chunk was committed in `out` as it was
+                    // encoded.
                     let own = (me + 1) % n;
-                    let lossless = self.comp.is_lossless();
                     for (i, r) in self.ranges.iter().enumerate() {
-                        if r.is_empty() || (i == own && lossless) {
+                        if r.is_empty() || i == own {
                             continue;
                         }
                         let enc = self.encs[i].as_ref().expect("all chunks gathered");
@@ -1509,6 +1513,7 @@ mod tests {
     }
     use crate::reduce::allreduce_scratch;
     use cgx_compress::CompressionScheme;
+    use cgx_tensor::{Bytes, Shape};
     use std::time::Duration;
 
     /// The mixed-scheme inventory the equality tests reduce: odd lengths,
@@ -1800,33 +1805,87 @@ mod tests {
         n: usize,
         specials: [f32; 7],
     ) -> Vec<(Vec<u32>, Vec<u32>, usize)> {
-        let opts = EngineOptions {
-            segment_elems: 1000,
-            ..EngineOptions::default()
-        };
-        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let seq = ThreadCluster::run(n, |t| {
-            let mut rng = Rng::seed_from_u64(Rng::seed_from_u64(777).next_u64());
-            let mut comp = CompressionScheme::None.build();
-            let g = special_grad(t.rank(), specials);
-            allreduce_scratch(alg, &t, &g, &mut *comp, &mut rng, &ScratchPool::new())
-                .unwrap()
-                .0
-        })
-        .unwrap();
-        let eng = ThreadCluster::run(n, |t| {
-            let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
-            let comp = CompressionScheme::None.build();
-            let g = special_grad(t.rank(), specials);
-            let h = eng.submit_owned(alg, g, comp, &mut Rng::seed_from_u64(777));
-            let (out, stats, _) = eng.wait(h).unwrap();
-            (out, stats.decompress_calls)
-        })
-        .unwrap();
+        let grad = |rank| special_grad(rank, specials);
+        let seq = reference_run(alg, n, &|| CompressionScheme::None.build(), &grad);
+        let eng = engine_run(alg, n, 1000, &|| CompressionScheme::None.build(), &grad);
         seq.into_iter()
             .zip(eng)
-            .map(|(s, (e, calls))| (bits(s), bits(e), calls))
+            .map(|(s, (e, calls))| (s, e, calls))
             .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Per rank, the bits of `allreduce_scratch`'s sum of layer
+    /// `grad(rank)` under `comp()` at world `n`.
+    fn reference_run(
+        alg: Algorithm,
+        n: usize,
+        comp: &(dyn Fn() -> Box<dyn Compressor> + Sync),
+        grad: &(dyn Fn(usize) -> Tensor + Sync),
+    ) -> Vec<Vec<u32>> {
+        ThreadCluster::run(n, |t| {
+            let mut rng = Rng::seed_from_u64(Rng::seed_from_u64(777).next_u64());
+            let (g, pool) = (grad(t.rank()), ScratchPool::new());
+            bits(
+                &allreduce_scratch(alg, &t, &g, &mut *comp(), &mut rng, &pool)
+                    .unwrap()
+                    .0,
+            )
+        })
+        .unwrap()
+    }
+
+    /// Per rank, the bits of the engine's sum of the same layer, cut into
+    /// segments of `segment_elems`, and the engine's decode count.
+    fn engine_run(
+        alg: Algorithm,
+        n: usize,
+        segment_elems: usize,
+        comp: &(dyn Fn() -> Box<dyn Compressor> + Sync),
+        grad: &(dyn Fn(usize) -> Tensor + Sync),
+    ) -> Vec<(Vec<u32>, usize)> {
+        let opts = EngineOptions {
+            segment_elems,
+            ..EngineOptions::default()
+        };
+        ThreadCluster::run(n, |t| {
+            let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+            let h = eng.submit_owned(alg, grad(t.rank()), comp(), &mut Rng::seed_from_u64(777));
+            let (out, stats, _) = eng.wait(h).unwrap();
+            (bits(&out), stats.decompress_calls)
+        })
+        .unwrap()
+    }
+
+    /// A codec with the provided `compress_committed_at` — encode, then
+    /// decode back — over `0`: what phase 2 did before it committed.
+    struct DecodeBack(Box<dyn Compressor>);
+
+    impl Compressor for DecodeBack {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn compress(&mut self, grad: &Tensor, rng: &mut Rng) -> Encoded {
+            self.0.compress(grad, rng)
+        }
+        fn compress_slice(&mut self, data: &[f32], rng: &mut Rng, pool: &ScratchPool) -> Encoded {
+            self.0.compress_slice(data, rng, pool)
+        }
+        fn decompress(&self, enc: &Encoded) -> Tensor {
+            self.0.decompress(enc)
+        }
+        fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
+            self.0.decompress_into(enc, out)
+        }
+        fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
+            self.0.decompress_add_into(enc, out)
+        }
+        fn compressed_bytes(&self, n: usize) -> usize {
+            self.0.compressed_bytes(n)
+        }
     }
 
     #[test]
@@ -1876,6 +1935,43 @@ mod tests {
             for (rank, (s, e, calls)) in special_runs(alg, n, specials).iter().enumerate() {
                 assert_eq!(s, e, "{alg:?} n={n} rank={rank}");
                 assert_eq!(*calls, segments * 2 * (n - 1), "{alg:?} n={n} rank={rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn lossy_phase_two_decodes_nothing_it_encoded() {
+        // Phase 2 commits the aggregate a rank encodes into its own
+        // chunk: per segment (SRA) or per op (Ring) it decodes its n − 1
+        // peers' contributions and their n − 1 aggregates and nothing
+        // else, and what it keeps is what decoding its chunk back would
+        // write, to the bit — a whole bucket of zeros and one holding ±∞
+        // included. Uncut, that is the reference's sum; cut into five
+        // segments, which the reference has no notion of, it is the sum
+        // of the same engine with phase 2 decoding back.
+        let qsgd = || CompressionScheme::cgx_default().build();
+        let decode_back = || -> Box<dyn Compressor> { Box::new(DecodeBack(qsgd())) };
+        let grad = |rank: usize| {
+            let mut g = Tensor::randn(&mut Rng::seed_from_u64(60 + rank as u64), &[5000]);
+            g.as_mut_slice()[1024..1152].fill(0.0);
+            g.as_mut_slice()[2000 + rank] = [f32::INFINITY, f32::NEG_INFINITY][rank % 2];
+            g
+        };
+        let sra = (2..=4).flat_map(|n| [(1, n, 5000), (5, n, 1000)]);
+        let sra =
+            sra.map(|(segments, n, size)| (Algorithm::ScatterReduceAllgather, segments, n, size));
+        let ring = (2..=5).map(|n| (Algorithm::Ring, 1, n, 5000));
+        for (alg, segments, n, size) in sra.chain(ring) {
+            let what = format!("{alg:?} n={n} segments={segments}");
+            let committed = engine_run(alg, n, size, &qsgd, &grad);
+            let decoded = engine_run(alg, n, size, &decode_back, &grad);
+            let reference = reference_run(alg, n, &qsgd, &grad);
+            for (rank, ((bits, calls), (back, _))) in committed.iter().zip(&decoded).enumerate() {
+                assert_eq!(bits, back, "{what} rank={rank}");
+                if segments == 1 {
+                    assert_eq!(bits, &reference[rank], "{what} rank={rank}: reference");
+                }
+                assert_eq!(*calls, segments * 2 * (n - 1), "{what} rank={rank}");
             }
         }
     }
@@ -1990,6 +2086,104 @@ mod tests {
             assert!(
                 matches!(errs[0], Some(CommError::ShapeMismatch { .. })),
                 "phase {phase}: {:?}",
+                errs[0]
+            );
+        }
+    }
+
+    /// QSGD 4-bit / 64, whose payload size is exact.
+    const Q4: CompressionScheme = CompressionScheme::Qsgd {
+        bits: 4,
+        bucket_size: 64,
+    };
+
+    /// A frame of `elems` elements whose payload is `delta` bytes off the
+    /// `Q4` payload those take: the right element count, the wrong size.
+    fn resized_frame(elems: usize, delta: isize) -> Encoded {
+        let bytes = Q4
+            .build()
+            .compressed_bytes(elems)
+            .saturating_add_signed(delta);
+        Encoded::new(Shape::vector(elems), Bytes::from(vec![0u8; bytes]))
+    }
+
+    /// `f()`, or `Err` if it panicked.
+    fn caught<T>(f: impl FnOnce() -> T) -> Result<T, &'static str> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|_| "panicked")
+    }
+
+    #[test]
+    fn wrong_size_scatter_payload_poisons_every_rank_without_a_panic() {
+        // Rank 2 answers op 0's scatter phase with a frame of the 200
+        // elements its slot holds, but a payload short of them (10 bytes,
+        // of which QSGD would read far more) or longer than QSGD writes
+        // for them. Both honest ranks must see `ShapeMismatch` on wait,
+        // not the decoder's "bit stream exhausted" (a panic still reaches
+        // the gate, and the long frame's decode a timeout).
+        for delta in [10 - Q4.build().compressed_bytes(200) as isize, 1] {
+            let gate = std::sync::Barrier::new(3);
+            let errs = ThreadCluster::run(3, |mut t| {
+                t.set_timeout(Duration::from_secs(2));
+                let tag = collective_tag_in_epoch(0, 0, PHASE_SCATTER, 0);
+                if t.rank() == 2 {
+                    for peer in 0..2 {
+                        t.send_tagged(peer, tag, resized_frame(200, delta)).unwrap();
+                    }
+                    gate.wait();
+                    return Ok(None);
+                }
+                let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+                let g = Tensor::randn(&mut Rng::seed_from_u64(t.rank() as u64), &[600]);
+                let h = eng.submit(
+                    Algorithm::ScatterReduceAllgather,
+                    &g,
+                    Q4.build(),
+                    &mut Rng::seed_from_u64(1),
+                );
+                let err = caught(|| eng.wait(h).err());
+                gate.wait();
+                err
+            })
+            .unwrap();
+            for (rank, err) in errs.iter().take(2).enumerate() {
+                assert!(
+                    matches!(err, Ok(Some(CommError::ShapeMismatch { .. }))),
+                    "delta {delta}, rank {rank}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_size_relay_payload_is_a_typed_error_too() {
+        // The ring's relay hop at world 2: rank 1 sends a well-formed
+        // reduce hop, then a relayed chunk of the right element count
+        // with a payload short of it or longer than QSGD writes.
+        for delta in [-1isize, 1] {
+            let gate = std::sync::Barrier::new(2);
+            let errs = ThreadCluster::run(2, |mut t| {
+                t.set_timeout(Duration::from_secs(2));
+                let g = Tensor::randn(&mut Rng::seed_from_u64(5), &[600]);
+                let tag = |phase| collective_tag_in_epoch(0, 0, phase, 0);
+                if t.rank() == 1 {
+                    let zeros = Tensor::zeros(&[300]);
+                    let hop = Q4.build().compress(&zeros, &mut Rng::seed_from_u64(0));
+                    t.send_tagged(0, tag(PHASE_SCATTER), hop).unwrap();
+                    t.send_tagged(0, tag(PHASE_BCAST), resized_frame(300, delta))
+                        .unwrap();
+                    gate.wait();
+                    return Ok(None);
+                }
+                let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+                let h = eng.submit(Algorithm::Ring, &g, Q4.build(), &mut Rng::seed_from_u64(1));
+                let err = caught(|| eng.wait(h).err());
+                gate.wait();
+                err
+            })
+            .unwrap();
+            assert!(
+                matches!(errs[0], Ok(Some(CommError::ShapeMismatch { .. }))),
+                "delta {delta}: {:?}",
                 errs[0]
             );
         }

@@ -10,8 +10,8 @@
 //! The general writer/reader move one element at a time and flush byte by
 //! byte — correct for any width 1..=32, but far from "line rate" (paper
 //! Appendix A). For any width dividing 64 — what NUQSGD and OneBit write
-//! at 1, 2, 4 and 8 bits, and the readers read there; QSGD packs its own
-//! codes, at every width, in `simd.rs` — [`pack_fixed`] and
+//! at 1, 2, 4 and 8 bits, and the readers read there; QSGD's walk packs
+//! its own payload, at every width, in `simd.rs` — [`pack_fixed`] and
 //! [`unpack_fixed_with`] process
 //! a whole `u64` word per iteration. Because the stream is LSB-first and
 //! words are emitted little-endian, the fast path is **bit-identical** to
@@ -211,18 +211,6 @@ impl BitWriter {
                 self.write_bits(v, width);
             }
         }
-    }
-
-    /// Appends `n` zero bytes and lends them to the caller to fill — how
-    /// a kernel that packs its own codes writes into the stream. `None`,
-    /// with nothing appended, when the stream is not at a byte boundary.
-    pub(crate) fn append_bytes(&mut self, n: usize) -> Option<&mut [u8]> {
-        if self.acc_bits != 0 {
-            return None;
-        }
-        let start = self.buf.len();
-        self.buf.resize(start + n, 0);
-        Some(&mut self.buf[start..])
     }
 
     /// Appends a full `f32` (bit pattern, byte-aligned within the stream's
@@ -578,17 +566,5 @@ mod tests {
     #[should_panic(expected = "not word-packable")]
     fn pack_fixed_rejects_odd_width() {
         pack_fixed(&[1, 2], 3, &mut Vec::new());
-    }
-
-    #[test]
-    fn append_bytes_joins_the_stream_only_at_a_byte_boundary() {
-        let mut w = BitWriter::new();
-        w.write_bits(0xAB, 8);
-        w.append_bytes(2).expect("aligned").copy_from_slice(&[1, 2]);
-        w.write_bits(5, 3);
-        assert!(w.append_bytes(1).is_none());
-        w.write_bits(1, 5);
-        assert_eq!(w.byte_len(), 4);
-        assert_eq!(w.finish().as_ref(), &[0xAB, 1, 2, 0b0000_1101]);
     }
 }

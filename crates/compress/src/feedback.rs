@@ -148,6 +148,23 @@ impl Compressor for ErrorFeedback {
         rng: &mut Rng,
         pool: &ScratchPool,
     ) -> Encoded {
+        let mut recon = pool.take_f32(data.len());
+        recon.copy_from_slice(data);
+        let enc = self.compress_committed_at(offset, &mut recon, rng, pool);
+        pool.put_f32(recon);
+        enc
+    }
+
+    /// The window's residual is the corrected gradient less what the
+    /// inner codec commits, so the reconstruction `data` is left holding
+    /// is the one the residual is taken from: one inner commit per call.
+    fn compress_committed_at(
+        &mut self,
+        offset: usize,
+        data: &mut [f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
         let key = (offset, data.len());
         // The stored residual buffer doubles as the corrected-gradient
         // buffer, then becomes the new residual — no allocation at steady
@@ -156,7 +173,7 @@ impl Compressor for ErrorFeedback {
         // residual = corrected - reconstruction.
         let mut corrected = match self.slice_residuals.remove(&key) {
             Some(mut r) => {
-                for (c, d) in r.iter_mut().zip(data) {
+                for (c, d) in r.iter_mut().zip(data.iter()) {
                     *c += *d;
                 }
                 r
@@ -167,13 +184,11 @@ impl Compressor for ErrorFeedback {
                 c
             }
         };
-        let enc = self.inner.compress_slice(&corrected, rng, pool);
-        let mut recon = pool.take_f32(data.len());
-        self.inner.decompress_into(&enc, &mut recon);
-        for (c, v) in corrected.iter_mut().zip(&recon) {
+        data.copy_from_slice(&corrected);
+        let enc = self.inner.compress_committed_at(0, data, rng, pool);
+        for (c, v) in corrected.iter_mut().zip(data.iter()) {
             *c -= *v;
         }
-        pool.put_f32(recon);
         self.slice_residuals.insert(key, corrected);
         enc
     }
@@ -365,6 +380,72 @@ mod tests {
             allocs,
             "chunked EF must be allocation-free at steady state"
         );
+    }
+
+    #[test]
+    fn committed_window_matches_error_feedback_written_out() {
+        // EF-SGD by hand beside both entry points, five rounds over three
+        // windows (two of one length): corrected = residual + data (a copy
+        // on a window's first round), the inner codec's payload of it,
+        // the reconstruction decoded from that payload, residual =
+        // corrected − reconstruction. `compress_slice_at` then decoding,
+        // and `compress_committed_at`, each give its bytes, its
+        // reconstruction and its residual — over QSGD, which commits in
+        // its walk, over top-k and over FP32, which take the provided one.
+        type Build = fn() -> Box<dyn Compressor>;
+        let inners: [Build; 3] = [
+            || Box::new(crate::QsgdCompressor::new(4, 64)),
+            || Box::new(TopKCompressor::new(0.25)),
+            || Box::new(crate::NoneCompressor::new()),
+        ];
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let pool = ScratchPool::new();
+        for inner in inners {
+            let (mut by_hand, mut plain, mut committing) = (
+                inner(),
+                ErrorFeedback::new(inner()),
+                ErrorFeedback::new(inner()),
+            );
+            let what = plain.name();
+            let mut residuals: HashMap<usize, Vec<f32>> = HashMap::new();
+            let mut rngs = [0; 3].map(|_| Rng::seed_from_u64(17));
+            let mut grads = Rng::seed_from_u64(18);
+            for round in 0..5 {
+                for (offset, len) in [(0usize, 300usize), (300, 300), (600, 257)] {
+                    let at = format!("{what} round {round} window {offset}");
+                    let mut data: Vec<f32> = (0..len).map(|_| grads.normal() as f32).collect();
+                    data[round * 7] = -0.0;
+                    let mut corrected = match residuals.remove(&offset) {
+                        Some(mut r) => {
+                            r.iter_mut().zip(&data).for_each(|(c, d)| *c += *d);
+                            r
+                        }
+                        None => data.clone(),
+                    };
+                    let want = by_hand.compress_slice(&corrected, &mut rngs[0], &pool);
+                    let mut recon = vec![0.0f32; len];
+                    by_hand.decompress_into(&want, &mut recon);
+                    corrected.iter_mut().zip(&recon).for_each(|(c, v)| *c -= *v);
+
+                    let enc = plain.compress_slice_at(offset, &data, &mut rngs[1], &pool);
+                    let mut decoded = vec![0.0f32; len];
+                    plain.decompress_into(&enc, &mut decoded);
+                    let mut kept = data.clone();
+                    let committed =
+                        committing.compress_committed_at(offset, &mut kept, &mut rngs[2], &pool);
+                    for (path, enc, values, ef) in [
+                        ("plain", &enc, &decoded, &plain),
+                        ("committed", &committed, &kept, &committing),
+                    ] {
+                        assert_eq!(enc.payload(), want.payload(), "{at} {path}: bytes");
+                        assert_eq!(bits(values), bits(&recon), "{at} {path}: values");
+                        let residual = ef.slice_residual(offset, len).expect("retained");
+                        assert_eq!(bits(residual), bits(&corrected), "{at} {path}: residual");
+                    }
+                    residuals.insert(offset, corrected);
+                }
+            }
+        }
     }
 
     #[test]

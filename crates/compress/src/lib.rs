@@ -130,11 +130,21 @@ pub trait Compressor: Send {
     /// performing the compression. Used by the performance plane.
     fn compressed_bytes(&self, n: usize) -> usize;
 
+    /// Whether every payload of `n` elements is [`compressed_bytes`]`(n)`
+    /// bytes long, so that a receiver may refuse any other length before
+    /// decoding. True but for a codec whose size depends on more than the
+    /// element count (PowerSGD's on the matrix shape).
+    ///
+    /// [`compressed_bytes`]: Compressor::compressed_bytes
+    fn compressed_bytes_is_exact(&self) -> bool {
+        true
+    }
+
     /// Whether decompression reproduces the input bit-exactly — on every
     /// call, whatever the calls before it were, and for every `f32`
-    /// (signed zeros, infinities, NaN payloads). The engine relies on it:
-    /// it skips decoding an aggregate it just encoded from its own output,
-    /// and batches small lossless layers into one collective.
+    /// (signed zeros, infinities, NaN payloads). The engine batches small
+    /// lossless layers into one collective on it, and the provided
+    /// [`Compressor::compress_committed_at`] skips its decode on it.
     fn is_lossless(&self) -> bool {
         false
     }
@@ -184,6 +194,28 @@ pub trait Compressor: Send {
     ) -> Encoded {
         let _ = offset;
         self.compress_slice(data, rng, pool)
+    }
+
+    /// [`Compressor::compress_slice_at`], and then `data` holds exactly
+    /// what every receiver's [`Compressor::decompress_into`] of the
+    /// returned chunk writes — how an allreduce rank keeps the aggregate
+    /// it broadcasts without decoding its own chunk back. The payload and
+    /// the draws from `rng` are `compress_slice_at`'s. The default decodes
+    /// into `data` after encoding, unless the codec is lossless and the
+    /// decode would change no bit; overrides produce the values while
+    /// they encode.
+    fn compress_committed_at(
+        &mut self,
+        offset: usize,
+        data: &mut [f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
+        let enc = self.compress_slice_at(offset, data, rng, pool);
+        if !self.is_lossless() {
+            self.decompress_into(&enc, data);
+        }
+        enc
     }
 
     /// Compresses a tensor (preserving its shape), drawing the encode buffer
@@ -338,6 +370,125 @@ mod tests {
             lossless.push(c.name());
         }
         assert_eq!(lossless, ["none(fp32)"]);
+    }
+
+    /// A fresh codec of every kind an allreduce can hand a chunk to:
+    /// every [`CompressionScheme`], error feedback over FP32, and QSGD at
+    /// both norms, every width and bucket sizes whole in bytes or not.
+    fn every_codec() -> Vec<Box<dyn Fn() -> Box<dyn Compressor>>> {
+        let schemes = [
+            CompressionScheme::None,
+            CompressionScheme::Qsgd {
+                bits: 4,
+                bucket_size: 128,
+            },
+            CompressionScheme::Nuqsgd {
+                bits: 4,
+                bucket_size: 128,
+            },
+            CompressionScheme::TopK { ratio: 0.25 },
+            CompressionScheme::PowerSgd { rank: 2 },
+            CompressionScheme::OneBit { bucket_size: 64 },
+            CompressionScheme::Fake { gamma: 4.0 },
+        ];
+        let mut codecs: Vec<Box<dyn Fn() -> Box<dyn Compressor>>> = Vec::new();
+        for scheme in schemes {
+            codecs.push(Box::new(move || scheme.build()));
+        }
+        codecs.push(Box::new(|| {
+            Box::new(ErrorFeedback::new(Box::new(NoneCompressor::new())))
+        }));
+        for norm in [NormKind::L2, NormKind::Max] {
+            for bits in 2..=8 {
+                for bucket_size in [10, 63, 64, 128, 512] {
+                    codecs.push(Box::new(move || {
+                        Box::new(QsgdCompressor::with_norm(bits, bucket_size, norm))
+                    }));
+                }
+            }
+        }
+        codecs
+    }
+
+    /// `n` elements: ordinary values, the first 120 with ±0, ±∞, NaN and
+    /// subnormals among them, and two all-zero stretches that hold whole
+    /// buckets of every size up to 512.
+    fn committed_input(n: usize, rng: &mut Rng) -> Vec<f32> {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            1.0e-39,
+        ];
+        (0..n)
+            .map(|i| match i {
+                256..512 | 1024..1536 => 0.0,
+                0..120 if i % 7 == 3 => specials[i / 7 % specials.len()],
+                _ => rng.normal() as f32,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compress_committed_matches_compress_then_decompress() {
+        // What a commit leaves in `data` is what a receiver decodes from
+        // the chunk it returns, to the bit, with the payload and the
+        // draws of `compress_slice_at`: one codec takes the two calls,
+        // an identical one the commit, two rounds each so that stateful
+        // codecs (residuals, warm starts) are compared on their second.
+        let pool = ScratchPool::new();
+        let bits_of = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for build in every_codec() {
+            for n in [1usize, 7, 127, 128, 129, 1000, 32773] {
+                let (mut plain, mut committing) = (build(), build());
+                let what = format!("{} n={n}", plain.name());
+                let data = committed_input(n, &mut Rng::seed_from_u64(n as u64));
+                let (mut rng_a, mut rng_b) = (Rng::seed_from_u64(7), Rng::seed_from_u64(7));
+                for round in 0..2 {
+                    let enc = plain.compress_slice_at(8, &data, &mut rng_a, &pool);
+                    let mut decoded = vec![7.0f32; n];
+                    plain.decompress_into(&enc, &mut decoded);
+                    let mut kept = data.clone();
+                    let committed =
+                        committing.compress_committed_at(8, &mut kept, &mut rng_b, &pool);
+                    assert_eq!(enc.payload(), committed.payload(), "{what} round {round}");
+                    assert_eq!(bits_of(&kept), bits_of(&decoded), "{what} round {round}");
+                    assert_eq!(rng_a.clone().next_u64(), rng_b.clone().next_u64(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compressed_bytes_is_the_payload_length() {
+        // A receiver refuses a frame of any other length before decoding
+        // it, so for every codec that says its size is exact the size must
+        // be the payload's — through every compress entry point.
+        let (pool, mut rng) = (ScratchPool::new(), Rng::seed_from_u64(5));
+        let mut estimated = Vec::new();
+        for build in every_codec() {
+            let mut c = build();
+            if !c.compressed_bytes_is_exact() {
+                estimated.push(c.name());
+                continue;
+            }
+            for n in [1usize, 7, 127, 128, 129, 1000, 4099] {
+                let data = committed_input(n, &mut rng);
+                let what = format!("{} n={n}", c.name());
+                let want = c.compressed_bytes(n);
+                let enc = c.compress(&Tensor::from_slice(&data), &mut rng);
+                assert_eq!(enc.payload_bytes(), want, "{what}: compress");
+                let enc = c.compress_slice_at(3, &data, &mut rng, &pool);
+                assert_eq!(enc.payload_bytes(), want, "{what}: compress_slice_at");
+                let enc = c.compress_committed_at(3, &mut data.clone(), &mut rng, &pool);
+                assert_eq!(enc.payload_bytes(), want, "{what}: compress_committed_at");
+            }
+        }
+        assert_eq!(estimated, ["powersgd(r2)"]);
     }
 
     #[test]

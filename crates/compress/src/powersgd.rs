@@ -132,6 +132,12 @@ impl Compressor for PowerSgdCompressor {
         (3 + (m + n) * r) * 4
     }
 
+    /// No: the factors' size is the matrix shape's, which `n` alone does
+    /// not give (the estimate above assumes a square-ish one).
+    fn compressed_bytes_is_exact(&self) -> bool {
+        false
+    }
+
     fn aggregate_encoded(&self, a: &Encoded, b: &Encoded) -> Option<Encoded> {
         if a.payload().len() != b.payload().len() || a.shape() != b.shape() {
             return None;

@@ -9,10 +9,12 @@
 //! The paper's accuracy baseline is 4 bits with bucket size 128 (Transformers)
 //! or 1024 (CNNs).
 
-use crate::simd::{self, BucketQuantizer, Route};
+#[cfg(test)]
+use crate::simd::BucketQuantizer;
+use crate::simd::{self, Route, Walk};
 use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
 use cgx_tensor::rng::CounterRng;
-use cgx_tensor::{Rng, Shape, Tensor};
+use cgx_tensor::{Bytes, Rng, Shape, Tensor};
 
 /// Which per-bucket norm scales the quantization grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -46,9 +48,9 @@ pub struct QsgdCompressor {
     norm: NormKind,
     /// The widest kernel bodies this CPU runs, asked once.
     route: Route,
-    /// One byte per code of a bucket that does not start and end on a
-    /// byte of the stream; reused across calls so steady-state
-    /// compression allocates nothing.
+    /// The walk's 8-bit payload of a call whose buckets are no whole
+    /// number of bytes, on its way to the bit writer; reused across calls
+    /// so steady-state compression allocates nothing.
     codes: Vec<u8>,
 }
 
@@ -99,59 +101,83 @@ impl QsgdCompressor {
         (1u32 << (self.bits - 1)) - 1
     }
 
-    /// The bucket's scale as it goes on the wire.
+    /// The bucket's scale as it goes on the wire: the walk's norm, by the
+    /// scalar fold the tests hold it to.
+    #[cfg(test)]
     fn bucket_norm(&self, bucket: &[f32]) -> f32 {
         match self.norm {
-            NormKind::L2 => bucket
-                .iter()
-                .map(|x| (*x as f64).powi(2))
-                .sum::<f64>()
-                .sqrt() as f32,
+            NormKind::L2 => simd::l2_norm(bucket),
             NormKind::Max => simd::max_abs(self.route, bucket),
         }
     }
 
-    /// Quantizes `data` into `w`, one fused pass per bucket (the "line
-    /// rate" kernel of paper Appendix A; see [`crate::simd`]): scale by
-    /// `s / norm`, round stochastically, sign, offset and pack. All the
-    /// call's randomness is one key drawn from `rng`; element `j` of
-    /// bucket `b` rounds on draw `(b << 32) | j` of that key's
-    /// [`CounterRng`] stream, whatever the other elements are. The codes
-    /// of a bucket that starts and ends on a byte boundary are packed in
-    /// registers straight into the payload, at any width; a bucket that
-    /// does not — at most the last one, where `bucket_size * bits` is a
-    /// whole number of bytes — goes through the kernel's 8-bit form and
-    /// the bit writer.
-    fn encode_into(&mut self, data: &[f32], rng: &mut Rng, w: &mut BitWriter) {
+    /// The codebook of a bucket of norm `norm`: entry `code` is
+    /// `norm * (code - s) / s` in `f64`, rounded to `f32` — every decoder's
+    /// value for a code, and what a commit writes back. It is taken as
+    /// `norm * (code - s) * (1 / s)`, a multiply where two vector divides
+    /// per bucket were the table's cost, and is the quotient's `f32` for
+    /// every code of up to 4 bits (`codebook_is_the_quotient` checks it):
+    ///
+    /// - with `norm = m * 2^e` (`|m| < 2^24`) and `k = code - s`, `|k| <=
+    ///   s` (`s` odd), the exact `q = m * k * 2^e / s` is never halfway
+    ///   between two `f32`s: if `s` divides `m * k`, `q` is itself an
+    ///   `f32`, and otherwise it is at least `2^-25 / s` of itself from any
+    ///   such midpoint, where both `f64` results are within `2^-51` of it,
+    ///   so they round to the same `f32`;
+    /// - the one code above `2s`, `k = s + 1`, is a power of two, `k = 1`
+    ///   on a norm scaled by it: the same argument;
+    /// - `k = 0`, an infinite and a NaN norm give the same zero, infinity
+    ///   or NaN either way.
+    pub(crate) fn codebook(&self) -> impl Fn(f32) -> [f32; 16] {
+        let (inv, offset) = (1.0 / self.levels() as f64, self.levels() as i64);
+        move |norm| std::array::from_fn(|c| (norm as f64 * (c as i64 - offset) as f64 * inv) as f32)
+    }
+
+    /// Quantizes `data` into a payload over `buf`'s allocation, in one
+    /// walk of the call (the "line rate" kernel of paper Appendix A; see
+    /// [`crate::simd`]): per bucket the norm, then scale by `s / norm`,
+    /// round stochastically, sign, offset and pack. All the call's
+    /// randomness is one key drawn from `rng`; element `j` of bucket `b`
+    /// rounds on draw `(b << 32) | j` of that key's [`CounterRng`]
+    /// stream, whatever the other elements are. Where a bucket is a whole
+    /// number of bytes the codes are packed in registers straight into the
+    /// payload, at any width; where it is not, the norms after the first
+    /// would not start on a byte, and the walk's 8-bit form goes through
+    /// the bit writer. A `&mut` `data` is committed: see
+    /// [`Compressor::compress_committed_at`].
+    fn encode<E: simd::Elems>(&mut self, data: E, rng: &mut Rng, mut buf: Vec<u8>) -> Bytes {
         let stream = CounterRng::new(rng.next_u64());
-        let (bits, route) = (self.bits, self.route);
-        for (b, bucket) in data.chunks(self.bucket_size).enumerate() {
-            let norm = self.bucket_norm(bucket);
-            w.write_f32(norm);
-            let q = BucketQuantizer::new(self.levels(), norm, &stream, b as u64);
-            let run_bits = bucket.len() * bits as usize;
-            let packed = if run_bits.is_multiple_of(8) {
-                w.append_bytes(run_bits / 8)
-            } else {
-                None
-            };
-            if let Some(out) = packed {
-                simd::quantize_pack(route, bucket, &q, bits, out);
-            } else {
-                self.codes.resize(bucket.len(), 0);
-                simd::quantize_pack(route, bucket, &q, 8, &mut self.codes);
-                for &code in &self.codes {
-                    w.write_bits(code as u32, bits);
-                }
+        let walk = Walk {
+            levels: self.levels(),
+            bucket_size: self.bucket_size,
+            norm: self.norm,
+            stream: &stream,
+        };
+        let (n, bits, table_of) = (data.read().len(), self.bits, self.codebook());
+        if (self.bucket_size * bits as usize).is_multiple_of(8) {
+            buf.clear();
+            buf.resize(self.compressed_bytes(n), 0);
+            simd::quantize(self.route, &walk, bits, data, table_of, &mut buf);
+            return Bytes::from(buf);
+        }
+        self.codes.resize(n.div_ceil(self.bucket_size) * 4 + n, 0);
+        simd::quantize(self.route, &walk, 8, data, table_of, &mut self.codes);
+        let mut w = BitWriter::from_buf(buf);
+        for bucket in self.codes.chunks(4 + self.bucket_size) {
+            let (norm, codes) = bucket.split_at(4);
+            w.write_u32(u32::from_le_bytes(norm.try_into().expect("four bytes")));
+            for &code in codes {
+                w.write_bits(code.into(), bits);
             }
         }
+        w.finish()
     }
 
     /// Decodes `enc` over (`ADD` false) or onto (`ADD` true) `out`: by
     /// [`simd::lut_decode`] where it takes the layout (2 to 4 bits,
-    /// buckets of whole bytes), from a codebook built with the
-    /// per-element formula of [`QsgdCompressor::decode_with`], else by
-    /// that reader. The two agree bit for bit
+    /// buckets of whole bytes), from [`QsgdCompressor::codebook`], whose
+    /// entries are the values of the per-element formula of
+    /// [`QsgdCompressor::decode_with`], else by that reader. The two agree bit for bit
     /// (`kernel_matches_reader_on_every_layout` and
     /// `every_decoder_emits_its_pinned_values` pin this).
     /// Scatter-reduce decodes `~1.5n` elements per rank per step.
@@ -160,11 +186,7 @@ impl QsgdCompressor {
     ///
     /// Panics with `"bit stream exhausted"` on a short payload.
     fn decode<const ADD: bool>(&self, enc: &Encoded, out: &mut [f32]) {
-        let (s, offset) = (self.levels() as f64, self.levels() as i64);
-        let table_of = |norm: f32| {
-            std::array::from_fn(|c| (norm as f64 * (c as i64 - offset) as f64 / s) as f32)
-        };
-        let (route, payload) = (self.route, enc.payload());
+        let (route, payload, table_of) = (self.route, enc.payload(), self.codebook());
         if simd::lut_decode::<ADD>(route, self.bits, payload, self.bucket_size, table_of, out) {
             return;
         }
@@ -229,21 +251,38 @@ impl Compressor for QsgdCompressor {
     }
 
     fn compress(&mut self, grad: &Tensor, rng: &mut Rng) -> Encoded {
-        let mut w = BitWriter::with_capacity(self.compressed_bytes(grad.len()));
-        self.encode_into(grad.as_slice(), rng, &mut w);
-        Encoded::new(grad.shape().clone(), w.finish())
+        let payload = self.encode(grad.as_slice(), rng, Vec::new());
+        Encoded::new(grad.shape().clone(), payload)
     }
 
     fn compress_slice(&mut self, data: &[f32], rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let mut w = BitWriter::from_buf(pool.take_buf(self.compressed_bytes(data.len())));
-        self.encode_into(data, rng, &mut w);
-        Encoded::new(Shape::vector(data.len()), w.finish())
+        let buf = pool.take_buf(self.compressed_bytes(data.len()));
+        Encoded::new(Shape::vector(data.len()), self.encode(data, rng, buf))
     }
 
     fn compress_pooled(&mut self, grad: &Tensor, rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let mut w = BitWriter::from_buf(pool.take_buf(self.compressed_bytes(grad.len())));
-        self.encode_into(grad.as_slice(), rng, &mut w);
-        Encoded::new(grad.shape().clone(), w.finish())
+        let buf = pool.take_buf(self.compressed_bytes(grad.len()));
+        Encoded::new(grad.shape().clone(), self.encode(grad.as_slice(), rng, buf))
+    }
+
+    /// Up to 4 bits the walk commits each element from the register its
+    /// code is in, by the codebook the table decoders use; wider codes
+    /// have no codebook in registers and are decoded after the walk.
+    fn compress_committed_at(
+        &mut self,
+        _offset: usize,
+        data: &mut [f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
+        let n = data.len();
+        if self.bits > 4 {
+            let enc = self.compress_slice(data, rng, pool);
+            self.decode::<false>(&enc, data);
+            return enc;
+        }
+        let buf = pool.take_buf(self.compressed_bytes(n));
+        Encoded::new(Shape::vector(n), self.encode(data, rng, buf))
     }
 
     fn decompress(&self, enc: &Encoded) -> Tensor {
@@ -562,6 +601,34 @@ pub(crate) mod tests {
             let got_bits: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
             let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got_bits, want_bits, "bits={bits} bucket={bucket_size}");
+        }
+    }
+
+    #[test]
+    fn codebook_is_the_quotient() {
+        // Every entry a code of 2 to 4 bits indexes, against the quotient
+        // `decode_with` computes, for norms of every exponent, sign and
+        // NaN payload (random bit patterns) and the edges of the range.
+        let mut rng = Rng::seed_from_u64(59);
+        let edges = [0.0f32, -0.0, f32::MIN_POSITIVE, f32::MAX, f32::INFINITY, f32::NAN];
+        let tiny = [f32::from_bits(1), f32::from_bits(0x007f_ffff), -f32::MAX];
+        let random = (0..1 << 18).map(|_| f32::from_bits(rng.next_u32()));
+        let norms: Vec<f32> = edges.into_iter().chain(tiny).chain(random).collect();
+        for bits in 2..=4u32 {
+            let q = QsgdCompressor::new(bits, 128);
+            let (s, table_of) = (q.levels() as i64, q.codebook());
+            for &norm in &norms {
+                let table = table_of(norm);
+                for (code, entry) in table.iter().enumerate().take(1 << bits) {
+                    let quotient = (norm as f64 * (code as i64 - s) as f64 / s as f64) as f32;
+                    assert_eq!(
+                        entry.to_bits(),
+                        quotient.to_bits(),
+                        "bits={bits} norm={norm:e} ({:#x}) code={code}",
+                        norm.to_bits()
+                    );
+                }
+            }
         }
     }
 

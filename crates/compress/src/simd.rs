@@ -1,9 +1,9 @@
 //! The two fused kernels of the bucketed quantizers at the machine's
 //! vector width — sixteen elements per AVX-512 iteration, eight per AVX2
 //! one: stochastic rounding straight into packed codes, and packed codes
-//! straight into (or onto) `f32`s. The encoder's norm pass, [`max_abs`],
-//! is here too, eight lanes on either vector route: it is a bucket's
-//! first touch and runs at the speed of memory.
+//! straight into (or onto) `f32`s. The encoder's norm pass, the max-abs
+//! fold, is here too, eight lanes on either vector route: it is a
+//! bucket's first touch and runs at the speed of memory.
 //!
 //! # Routes
 //!
@@ -20,6 +20,13 @@
 //! are the references the tests hold every body this CPU can run to.
 //!
 //! # Encode
+//!
+//! [`quantize`] is one walk over a whole call: the payload is sized
+//! once, the route's constants are taken once, and per bucket the walk
+//! folds the norm, writes it, derives the bucket's round keys and runs
+//! the group bodies. A committing walk ([`Elems`]) also overwrites each
+//! element with the codebook entry its code decodes to, from the register
+//! the code is still in — the values every receiver's decode writes.
 //!
 //! Per element, with `s` positive levels, `scale = s / norm` and `r` the
 //! element's draw from the call's [`CounterRng`] stream:
@@ -43,14 +50,16 @@
 //!
 //! Eight codes fill `WIDTH` whole bytes at every width from 2 to 8, so a
 //! group of eight is one little-endian word with code `l` at bits
-//! `l * WIDTH..` and [`quantize_pack`] has one form for all seven widths.
+//! `l * WIDTH..` and [`quantize`] has one form for all seven widths.
 //! The 16-lane body narrows its sixteen codes to a byte each (`vpmovdb`)
 //! and closes the low `WIDTH` bits of every byte up with one `pext` per
 //! eight: two words, `2 * WIDTH` bytes. The 8-lane body shifts each lane
 //! to its place (`vpsllvd`), ors the lanes of each 128-bit half together
 //! and joins the halves — in a lane up to 4 bits, in a `u64` above; the
 //! scalar twin, which is also the tail of a bucket that is no multiple of
-//! eight, assembles the same word a code at a time.
+//! eight, assembles the same word a code at a time. A commit looks a
+//! code of up to 4 bits up in the bucket's sixteen-entry codebook: one
+//! `vpermps zmm`, or two `vpermps ymm` and a `vblendvps` on code bit 3.
 //!
 //! # Decode
 //!
@@ -73,7 +82,11 @@
 //! route, so the routes cannot differ, whatever the norm or the code.
 //! Wider codes decode by formula in the callers' bit readers.
 
+use crate::NormKind;
 use cgx_tensor::rng::CounterRng;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
+use std::ops::Range;
 
 const TWO_POW_24: f32 = 16_777_216.0;
 
@@ -152,203 +165,478 @@ impl BucketQuantizer {
     }
 }
 
-/// Writes the codes of `bucket`, `width` bits each and LSB-first, to
-/// `out` — the bytes `BitWriter::write_bits` would produce from a
-/// byte-aligned start.
+/// What a quantizer walk is asked for, besides its elements and its
+/// output.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk<'a> {
+    /// `s`, the number of positive levels.
+    pub(crate) levels: u32,
+    /// Elements per bucket; the last bucket may hold fewer.
+    pub(crate) bucket_size: usize,
+    /// The norm a bucket's grid spans.
+    pub(crate) norm: NormKind,
+    /// The call's stream: element `j` of bucket `b` rounds on draw
+    /// `(b << 32) | j`.
+    pub(crate) stream: &'a CounterRng,
+}
+
+/// The elements a walk quantizes: a `&[f32]` it only reads, or a
+/// `&mut [f32]` it also overwrites with what they decode to — the commit.
+pub(crate) trait Elems {
+    /// Whether the walk writes each element's decoded value back.
+    const COMMIT: bool;
+    /// The elements.
+    fn read(&self) -> &[f32];
+    /// The elements, to overwrite; asked for only when `COMMIT`.
+    fn write(&mut self) -> &mut [f32];
+    /// The start of the elements in `range`, for a vector body to load
+    /// from and, only when `COMMIT`, store to. Panics if `range` is out
+    /// of bounds.
+    fn lanes(&mut self, range: Range<usize>) -> *mut f32;
+}
+
+impl Elems for &[f32] {
+    const COMMIT: bool = false;
+    fn read(&self) -> &[f32] {
+        self
+    }
+    fn write(&mut self) -> &mut [f32] {
+        unreachable!("a walk that only encodes writes no element")
+    }
+    fn lanes(&mut self, range: Range<usize>) -> *mut f32 {
+        self[range].as_ptr().cast_mut()
+    }
+}
+
+impl Elems for &mut [f32] {
+    const COMMIT: bool = true;
+    fn read(&self) -> &[f32] {
+        self
+    }
+    fn write(&mut self) -> &mut [f32] {
+        self
+    }
+    fn lanes(&mut self, range: Range<usize>) -> *mut f32 {
+        self[range].as_mut_ptr()
+    }
+}
+
+/// Quantizes `data` into `out` in one walk: per bucket its norm (an
+/// `f32`, little-endian), then its codes, `width` bits each and
+/// LSB-first — the bytes `BitWriter` writes when every bucket starts on
+/// a byte. A committing walk also overwrites each element with entry
+/// `code` of `table_of(norm)`, its bucket's codebook: the value
+/// [`lut_decode`] writes for it from the same function.
 ///
 /// # Panics
 ///
-/// Panics unless `width` is in `2..=8` and `out` is exactly the whole
-/// number of bytes the codes fill.
-pub(crate) fn quantize_pack(
+/// Panics unless `width` is in `2..=8` and holds the codes of
+/// `walk.levels`, a bucket is a whole number of bytes, and `out` is
+/// exactly as long as the payload; and, for a commit, unless the codes
+/// index sixteen entries (`walk.levels <= 7`).
+pub(crate) fn quantize<E: Elems>(
     route: Route,
-    bucket: &[f32],
-    q: &BucketQuantizer,
+    walk: &Walk,
     width: u32,
+    data: E,
+    table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [u8],
 ) {
+    let (n, w) = (data.read().len(), width as usize);
     assert!((2..=8).contains(&width), "width {width} has no packed form");
-    assert_eq!(out.len() * 8, bucket.len() * width as usize, "packed size");
-    let done = match route.0 {
-        Body::Scalar => 0,
-        #[cfg(target_arch = "x86_64")]
-        _ => match width {
-            2 => quantize_pack_lanes::<2>(route, bucket, q, out),
-            3 => quantize_pack_lanes::<3>(route, bucket, q, out),
-            4 => quantize_pack_lanes::<4>(route, bucket, q, out),
-            5 => quantize_pack_lanes::<5>(route, bucket, q, out),
-            6 => quantize_pack_lanes::<6>(route, bucket, q, out),
-            7 => quantize_pack_lanes::<7>(route, bucket, q, out),
-            _ => quantize_pack_lanes::<8>(route, bucket, q, out),
-        },
-    };
-    // Eight codes fill `width` whole bytes at any width, and `done` is a
-    // multiple of 8: every group starts a byte, and the last one, of
-    // fewer codes, ends on one because `out` does.
-    let width = width as usize;
-    let groups = bucket[done..]
-        .chunks(8)
-        .zip(out[done / 8 * width..].chunks_mut(width));
-    for (g, (vals, bytes)) in groups.enumerate() {
-        let mut word = 0u64;
-        for (l, &v) in vals.iter().enumerate() {
-            word |= u64::from(q.code(done + 8 * g + l, v)) << (l * width);
-        }
-        bytes.copy_from_slice(&word.to_le_bytes()[..bytes.len()]);
+    assert!(
+        2 * walk.levels < 1 << width,
+        "{width} bits hold no level beyond"
+    );
+    assert!(
+        (walk.bucket_size * w).is_multiple_of(8),
+        "buckets end on a byte"
+    );
+    let payload = n.div_ceil(walk.bucket_size) * 4 + (n * w).div_ceil(8);
+    assert_eq!(out.len(), payload, "payload size");
+    assert!(!E::COMMIT || walk.levels <= 7, "codes beyond the codebook");
+    match width {
+        2 => quantize_on::<2, E>(route, walk, data, table_of, out),
+        3 => quantize_on::<3, E>(route, walk, data, table_of, out),
+        4 => quantize_on::<4, E>(route, walk, data, table_of, out),
+        5 => quantize_on::<5, E>(route, walk, data, table_of, out),
+        6 => quantize_on::<6, E>(route, walk, data, table_of, out),
+        7 => quantize_on::<7, E>(route, walk, data, table_of, out),
+        _ => quantize_on::<8, E>(route, walk, data, table_of, out),
     }
 }
 
-/// The vector bodies of [`quantize_pack`] on a vector `route`: the
-/// sixteens where it has them, then the whole group of eight they leave.
-/// Returns how many elements that took, a multiple of eight.
-#[cfg(target_arch = "x86_64")]
+/// [`quantize`] at one width, by the bucket walk `route` names. On
+/// [`Body::Scalar`] no groups are taken in registers: the twin the vector
+/// walks are tested against.
 #[inline]
-fn quantize_pack_lanes<const WIDTH: usize>(
+fn quantize_on<const WIDTH: usize, E: Elems>(
     route: Route,
-    bucket: &[f32],
-    q: &BucketQuantizer,
+    walk: &Walk,
+    mut data: E,
+    table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [u8],
-) -> usize {
-    // SAFETY: a `Route` names only bodies whose CPU features
-    // `Route::widest` has verified at runtime.
-    unsafe {
-        let done = match route.0 {
-            Body::Avx512 => quantize_pack_avx512::<WIDTH>(bucket, q, out),
-            _ => 0,
+) {
+    let data = &mut data;
+    match route.0 {
+        Body::Scalar => {
+            let groups = |_: &_, _: &_, _, _: &mut E, _: &mut _| 0;
+            quantize_buckets::<WIDTH, E>(walk, data, table_of, out, max_abs_scalar, groups)
+        }
+        // SAFETY (both arms): a `Route` names only bodies whose CPU
+        // features `Route::widest` has verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx2 => unsafe { quantize_avx2::<WIDTH, E>(walk, data, table_of, out) },
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx512 => unsafe { quantize_avx512::<WIDTH, E>(walk, data, table_of, out) },
+    }
+}
+
+/// The bucket walk of [`quantize`]. Per bucket: the norm (`max_abs` is
+/// the route's fold), written ahead of the codes; the quantizer and,
+/// committing, the codebook; then `groups` quantizes a leading multiple
+/// of eight of the bucket's elements (their indices in `data` are its
+/// range) in registers and says how many, and the rest go a word of up
+/// to eight codes at a time through [`BucketQuantizer::code`]. The group
+/// bodies take the bucket's values as arguments, not in a struct: one
+/// that lived on the stack cost each bucket a failed store forwarding.
+#[inline(always)]
+fn quantize_buckets<const WIDTH: usize, E: Elems>(
+    walk: &Walk,
+    data: &mut E,
+    table_of: impl Fn(f32) -> [f32; 16],
+    out: &mut [u8],
+    max_abs: impl Fn(&[f32]) -> f32,
+    mut groups: impl FnMut(&BucketQuantizer, &[f32; 16], Range<usize>, &mut E, &mut [u8]) -> usize,
+) {
+    let n = data.read().len();
+    let mut rest = out;
+    for (b, at) in (0..n).step_by(walk.bucket_size).enumerate() {
+        let len = walk.bucket_size.min(n - at);
+        let (head, after) = std::mem::take(&mut rest).split_at_mut(4);
+        let (codes, after) = after.split_at_mut((len * WIDTH).div_ceil(8));
+        rest = after;
+        let vals = &data.read()[at..at + len];
+        let norm = match walk.norm {
+            NormKind::Max => max_abs(vals),
+            NormKind::L2 => l2_norm(vals),
         };
-        match bucket.len() - done {
-            0..8 => done,
-            _ => quantize_pack_avx2::<WIDTH>(done, bucket, q, out),
+        head.copy_from_slice(&norm.to_le_bytes());
+        let q = BucketQuantizer::new(walk.levels, norm, walk.stream, b as u64);
+        let table = if E::COMMIT { table_of(norm) } else { [0.0; 16] };
+        let done = groups(&q, &table, at..at + len, data, codes);
+        // Eight codes fill `WIDTH` whole bytes and `done` is a multiple
+        // of 8, so every group starts a byte; the last one, of fewer
+        // codes, has the bytes those take.
+        for (g, bytes) in codes[done / 8 * WIDTH..].chunks_mut(WIDTH).enumerate() {
+            let first = done + 8 * g;
+            let mut word = 0u64;
+            for (l, j) in (first..len.min(first + 8)).enumerate() {
+                let code = q.code(j, data.read()[at + j]);
+                word |= u64::from(code) << (l * WIDTH);
+                if E::COMMIT {
+                    data.write()[at + j] = table[code as usize];
+                }
+            }
+            bytes.copy_from_slice(&word.to_le_bytes()[..bytes.len()]);
         }
     }
 }
 
-/// AVX-512 body of [`quantize_pack`] over the whole groups of sixteen
-/// elements (sixteen codes fill `2 * WIDTH` bytes); returns how many
-/// elements that was.
+/// AVX-512 body of [`quantize`]: every bucket's whole groups of sixteen
+/// by [`Sixteens`], then a whole group of eight after them by [`Eights`].
 ///
 /// # Safety
 ///
-/// The CPU must support AVX-512F and BMI2.
+/// The CPU must support AVX-512F and BMI2. Nothing else is asked of the
+/// caller: every load and store is inside a slice or an [`Elems::lanes`]
+/// range that was bounds-checked first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,bmi2")]
-unsafe fn quantize_pack_avx512<const WIDTH: usize>(
-    bucket: &[f32],
-    q: &BucketQuantizer,
+unsafe fn quantize_avx512<const WIDTH: usize, E: Elems>(
+    walk: &Walk,
+    data: &mut E,
+    table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [u8],
-) -> usize {
-    use std::arch::x86_64::*;
-    let scale = _mm512_set1_ps(q.scale);
-    let s = _mm512_set1_ps(q.levels as f32);
-    let minus_s = _mm512_set1_ps(-(q.levels as f32));
-    let offset = _mm512_set1_epi32(q.levels as i32);
-    let two_pow_24 = _mm512_set1_ps(TWO_POW_24);
-    let k0 = _mm512_set1_epi32(q.keys[0] as i32);
-    let k1 = _mm512_set1_epi32(q.keys[1] as i32);
-    let m0 = _mm512_set1_epi32(CounterRng::MULTIPLIERS[0] as i32);
-    let m1 = _mm512_set1_epi32(CounterRng::MULTIPLIERS[1] as i32);
-    // Lane l of group g is element 16g + l; its Weyl multiple moves on
-    // by 16 * WEYL from one group to the next.
-    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    let mut weyl = _mm512_mullo_epi32(lanes, _mm512_set1_epi32(CounterRng::WEYL as i32));
-    let weyl_step = _mm512_set1_epi32(CounterRng::WEYL.wrapping_mul(16) as i32);
-    // The low WIDTH bits of each of eight bytes.
-    let code_bits = 0x0101_0101_0101_0101u64 * ((1 << WIDTH) - 1);
-    let groups = bucket.chunks_exact(16);
-    let done = groups.len() * 16;
-    for (vals, bytes) in groups.zip(out.chunks_exact_mut(2 * WIDTH)) {
-        // r = CounterRng::mix(16g + l, keys) >> 8
-        let mut x = _mm512_xor_si512(weyl, k0);
-        weyl = _mm512_add_epi32(weyl, weyl_step);
-        x = _mm512_mullo_epi32(_mm512_xor_si512(x, _mm512_srli_epi32::<16>(x)), m0);
-        x = _mm512_add_epi32(_mm512_xor_si512(x, _mm512_srli_epi32::<15>(x)), k1);
-        x = _mm512_mullo_epi32(x, m1);
-        let r = _mm512_srli_epi32::<8>(_mm512_xor_si512(x, _mm512_srli_epi32::<15>(x)));
-        // Operand order matters: vmaxps returns its second operand when
-        // the first is NaN, as f32::max(NaN, -s) == -s.
-        let v = _mm512_mul_ps(_mm512_loadu_ps(vals.as_ptr()), scale);
-        let scaled = _mm512_min_ps(_mm512_max_ps(v, minus_s), s);
-        let t = _mm512_cvttps_epi32(_mm512_mul_ps(scaled, two_pow_24));
-        let level = _mm512_srai_epi32::<24>(_mm512_add_epi32(t, r));
-        // A code is at most 2s <= 254: a byte each, then the WIDTH bits
-        // of eight bytes closed up into one word of WIDTH bytes.
-        let codes = _mm512_cvtepi32_epi8(_mm512_add_epi32(offset, level));
-        let lo = _pext_u64(_mm_cvtsi128_si64(codes) as u64, code_bits);
-        let hi = _pext_u64(_mm_extract_epi64::<1>(codes) as u64, code_bits);
-        let word = u128::from(lo) | u128::from(hi) << (8 * WIDTH);
-        bytes.copy_from_slice(&word.to_le_bytes()[..2 * WIDTH]);
-    }
-    done
+) {
+    let sixteens = Sixteens::<WIDTH>::new(walk.levels);
+    let eights = Eights::<WIDTH>::new(walk.levels);
+    let max_abs = |vals: &[f32]| max_abs_avx(vals);
+    let groups = |q: &_, table: &_, at: Range<usize>, data: &mut E, codes: &mut _| {
+        let done = sixteens.run(q, table, at.clone(), data, codes);
+        match at.len() - done {
+            0..8 => done,
+            _ => eights.run(done, q, table, at, data, codes),
+        }
+    };
+    quantize_buckets::<WIDTH, E>(walk, data, table_of, out, max_abs, groups);
 }
 
-/// AVX2 body of [`quantize_pack`] over the whole groups of eight elements
-/// of `bucket[from..]` (eight codes fill `WIDTH` bytes), `from` being a
-/// multiple of eight; returns where it stopped.
+/// AVX2 body of [`quantize`]: every bucket's whole groups of eight by
+/// [`Eights`].
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2.
+/// The CPU must support AVX2. Nothing else is asked of the caller, as
+/// for [`quantize_avx512`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn quantize_pack_avx2<const WIDTH: usize>(
-    from: usize,
-    bucket: &[f32],
-    q: &BucketQuantizer,
+unsafe fn quantize_avx2<const WIDTH: usize, E: Elems>(
+    walk: &Walk,
+    data: &mut E,
+    table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [u8],
-) -> usize {
-    use std::arch::x86_64::*;
-    let scale = _mm256_set1_ps(q.scale);
-    let s = _mm256_set1_ps(q.levels as f32);
-    let minus_s = _mm256_set1_ps(-(q.levels as f32));
-    let offset = _mm256_set1_epi32(q.levels as i32);
-    let two_pow_24 = _mm256_set1_ps(TWO_POW_24);
-    let k0 = _mm256_set1_epi32(q.keys[0] as i32);
-    let k1 = _mm256_set1_epi32(q.keys[1] as i32);
-    let m0 = _mm256_set1_epi32(CounterRng::MULTIPLIERS[0] as i32);
-    let m1 = _mm256_set1_epi32(CounterRng::MULTIPLIERS[1] as i32);
-    // Lane l of group g is element from + 8g + l; its Weyl multiple moves
-    // on by 8 * WEYL from one group to the next.
-    let first = _mm256_set1_epi32(from as i32);
-    let lanes = _mm256_add_epi32(first, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    let mut weyl = _mm256_mullo_epi32(lanes, _mm256_set1_epi32(CounterRng::WEYL as i32));
-    let weyl_step = _mm256_set1_epi32(CounterRng::WEYL.wrapping_mul(8) as i32);
-    // Code l belongs at bits l * WIDTH.. of the group's word. Each 128-bit
-    // half gathers its four codes in its lowest lane; above WIDTH 4 a
-    // lane has no room for the other half's, and the two lanes are joined
-    // in a `u64` instead.
-    let w = WIDTH as i32;
-    let up = if WIDTH > 4 { 0 } else { 4 * w };
-    let shifts = _mm256_setr_epi32(0, w, 2 * w, 3 * w, up, up + w, up + 2 * w, up + 3 * w);
-    let groups = bucket[from..].chunks_exact(8);
-    let done = from + groups.len() * 8;
-    for (vals, bytes) in groups.zip(out[from / 8 * WIDTH..].chunks_exact_mut(WIDTH)) {
-        // r = CounterRng::mix(from + 8g + l, keys) >> 8
-        let mut x = _mm256_xor_si256(weyl, k0);
-        weyl = _mm256_add_epi32(weyl, weyl_step);
-        x = _mm256_mullo_epi32(_mm256_xor_si256(x, _mm256_srli_epi32::<16>(x)), m0);
-        x = _mm256_add_epi32(_mm256_xor_si256(x, _mm256_srli_epi32::<15>(x)), k1);
-        x = _mm256_mullo_epi32(x, m1);
-        let r = _mm256_srli_epi32::<8>(_mm256_xor_si256(x, _mm256_srli_epi32::<15>(x)));
-        // Operand order matters: vmaxps returns its second operand when
-        // the first is NaN, as f32::max(NaN, -s) == -s.
-        let v = _mm256_mul_ps(_mm256_loadu_ps(vals.as_ptr()), scale);
-        let scaled = _mm256_min_ps(_mm256_max_ps(v, minus_s), s);
-        let t = _mm256_cvttps_epi32(_mm256_mul_ps(scaled, two_pow_24));
-        let level = _mm256_srai_epi32::<24>(_mm256_add_epi32(t, r));
-        let placed = _mm256_sllv_epi32(_mm256_add_epi32(offset, level), shifts);
-        let pairs = _mm256_or_si256(placed, _mm256_shuffle_epi32::<0b01_00_11_10>(placed));
-        let quads = _mm256_or_si256(pairs, _mm256_shuffle_epi32::<0b10_11_00_01>(pairs));
-        let lo = _mm256_castsi256_si128(quads);
-        let hi = _mm256_extracti128_si256::<1>(quads);
-        let word = if WIDTH > 4 {
-            let (lo, hi) = (_mm_cvtsi128_si32(lo) as u32, _mm_cvtsi128_si32(hi) as u32);
-            u64::from(lo) | u64::from(hi) << (4 * WIDTH)
-        } else {
-            _mm_cvtsi128_si32(_mm_or_si128(lo, hi)) as u32 as u64
-        };
-        bytes.copy_from_slice(&word.to_le_bytes()[..WIDTH]);
+) {
+    let eights = Eights::<WIDTH>::new(walk.levels);
+    let max_abs = |vals: &[f32]| max_abs_avx(vals);
+    let groups = |q: &_, table: &_, at, data: &mut E, codes: &mut _| {
+        eights.run(0, q, table, at, data, codes)
+    };
+    quantize_buckets::<WIDTH, E>(walk, data, table_of, out, max_abs, groups);
+}
+
+/// The 16-lane group body of [`quantize`], with the constants of a call
+/// taken once.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Sixteens<const WIDTH: usize> {
+    s: __m512,
+    minus_s: __m512,
+    offset: __m512i,
+    two_pow_24: __m512,
+    m0: __m512i,
+    m1: __m512i,
+    /// Lane l's Weyl multiple in a bucket's first group; it moves on by
+    /// `step` from one group to the next.
+    weyl: __m512i,
+    step: __m512i,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<const WIDTH: usize> Sixteens<WIDTH> {
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn new(levels: u32) -> Self {
+        let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        Sixteens {
+            s: _mm512_set1_ps(levels as f32),
+            minus_s: _mm512_set1_ps(-(levels as f32)),
+            offset: _mm512_set1_epi32(levels as i32),
+            two_pow_24: _mm512_set1_ps(TWO_POW_24),
+            m0: _mm512_set1_epi32(CounterRng::MULTIPLIERS[0] as i32),
+            m1: _mm512_set1_epi32(CounterRng::MULTIPLIERS[1] as i32),
+            weyl: _mm512_mullo_epi32(lanes, _mm512_set1_epi32(CounterRng::WEYL as i32)),
+            step: _mm512_set1_epi32(CounterRng::WEYL.wrapping_mul(16) as i32),
+        }
     }
-    done
+
+    /// Quantizes the whole groups of sixteen of the bucket at `at` by `q`
+    /// (sixteen codes fill `2 * WIDTH` bytes of `codes`) and, committing,
+    /// writes their entries of `table` back; returns how many elements
+    /// that was.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and BMI2.
+    #[target_feature(enable = "avx512f,bmi2")]
+    #[inline]
+    unsafe fn run<E: Elems>(
+        &self,
+        q: &BucketQuantizer,
+        table: &[f32; 16],
+        at: Range<usize>,
+        data: &mut E,
+        codes: &mut [u8],
+    ) -> usize {
+        let Sixteens {
+            s,
+            minus_s,
+            offset,
+            two_pow_24,
+            m0,
+            m1,
+            mut weyl,
+            step,
+        } = *self;
+        let scale = _mm512_set1_ps(q.scale);
+        let k0 = _mm512_set1_epi32(q.keys[0] as i32);
+        let k1 = _mm512_set1_epi32(q.keys[1] as i32);
+        let book = _mm512_loadu_ps(table.as_ptr());
+        // The low WIDTH bits of each of eight bytes.
+        let code_bits = 0x0101_0101_0101_0101u64 * ((1 << WIDTH) - 1);
+        let groups = at.len() / 16;
+        let vals = data.lanes(at.start..at.start + 16 * groups);
+        for (g, bytes) in codes[..2 * WIDTH * groups]
+            .chunks_exact_mut(2 * WIDTH)
+            .enumerate()
+        {
+            // SAFETY: `vals` starts `16 * groups` elements, and only a
+            // commit, whose `lanes` lent them writable, stores.
+            let at = vals.add(16 * g);
+            // r = CounterRng::mix(16g + l, keys) >> 8
+            let mut x = _mm512_xor_si512(weyl, k0);
+            weyl = _mm512_add_epi32(weyl, step);
+            x = _mm512_mullo_epi32(_mm512_xor_si512(x, _mm512_srli_epi32::<16>(x)), m0);
+            x = _mm512_add_epi32(_mm512_xor_si512(x, _mm512_srli_epi32::<15>(x)), k1);
+            x = _mm512_mullo_epi32(x, m1);
+            let r = _mm512_srli_epi32::<8>(_mm512_xor_si512(x, _mm512_srli_epi32::<15>(x)));
+            // Operand order matters: vmaxps returns its second operand
+            // when the first is NaN, as f32::max(NaN, -s) == -s.
+            let v = _mm512_mul_ps(_mm512_loadu_ps(at), scale);
+            let scaled = _mm512_min_ps(_mm512_max_ps(v, minus_s), s);
+            let t = _mm512_cvttps_epi32(_mm512_mul_ps(scaled, two_pow_24));
+            let level = _mm512_srai_epi32::<24>(_mm512_add_epi32(t, r));
+            let code = _mm512_add_epi32(offset, level);
+            if E::COMMIT {
+                // A code of up to 4 bits is an index vpermps reads whole.
+                _mm512_storeu_ps(at, _mm512_permutexvar_ps(code, book));
+            }
+            // A code is at most 2s <= 254: a byte each, then the WIDTH
+            // bits of eight bytes closed up into one word of WIDTH bytes.
+            // The bytes go through memory: two loads are cheaper than
+            // moving both halves out of a register on the vector ports.
+            let mut narrow = [0u64; 2];
+            _mm512_mask_cvtepi32_storeu_epi8(narrow.as_mut_ptr().cast(), 0xFFFF, code);
+            let lo = _pext_u64(narrow[0], code_bits);
+            let hi = _pext_u64(narrow[1], code_bits);
+            let word = u128::from(lo) | u128::from(hi) << (8 * WIDTH);
+            bytes.copy_from_slice(&word.to_le_bytes()[..2 * WIDTH]);
+        }
+        groups * 16
+    }
+}
+
+/// The 8-lane group body of [`quantize`], with the constants of a call
+/// taken once.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Eights<const WIDTH: usize> {
+    s: __m256,
+    minus_s: __m256,
+    offset: __m256i,
+    two_pow_24: __m256,
+    m0: __m256i,
+    m1: __m256i,
+    /// Lane l's Weyl multiple in a bucket's first group; it moves on by
+    /// `step` from one group to the next.
+    weyl: __m256i,
+    step: __m256i,
+    /// Where each lane's code goes in its 128-bit half.
+    shifts: __m256i,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<const WIDTH: usize> Eights<WIDTH> {
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn new(levels: u32) -> Self {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        // Code l belongs at bits l * WIDTH.. of the group's word. Each
+        // 128-bit half gathers its four codes in its lowest lane; above
+        // WIDTH 4 a lane has no room for the other half's, and the two
+        // lanes are joined in a `u64` instead.
+        let w = WIDTH as i32;
+        let up = if WIDTH > 4 { 0 } else { 4 * w };
+        Eights {
+            s: _mm256_set1_ps(levels as f32),
+            minus_s: _mm256_set1_ps(-(levels as f32)),
+            offset: _mm256_set1_epi32(levels as i32),
+            two_pow_24: _mm256_set1_ps(TWO_POW_24),
+            m0: _mm256_set1_epi32(CounterRng::MULTIPLIERS[0] as i32),
+            m1: _mm256_set1_epi32(CounterRng::MULTIPLIERS[1] as i32),
+            weyl: _mm256_mullo_epi32(lanes, _mm256_set1_epi32(CounterRng::WEYL as i32)),
+            step: _mm256_set1_epi32(CounterRng::WEYL.wrapping_mul(8) as i32),
+            shifts: _mm256_setr_epi32(0, w, 2 * w, 3 * w, up, up + w, up + 2 * w, up + 3 * w),
+        }
+    }
+
+    /// Quantizes the whole groups of eight of the bucket at `at` by `q`
+    /// from its element `from`, a multiple of eight (eight codes fill
+    /// `WIDTH` bytes of `codes`), and, committing, writes their entries
+    /// of `table` back; returns where it stopped.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn run<E: Elems>(
+        &self,
+        from: usize,
+        q: &BucketQuantizer,
+        table: &[f32; 16],
+        at: Range<usize>,
+        data: &mut E,
+        codes: &mut [u8],
+    ) -> usize {
+        let Eights {
+            s,
+            minus_s,
+            offset,
+            two_pow_24,
+            m0,
+            m1,
+            weyl,
+            step,
+            shifts,
+        } = *self;
+        let scale = _mm256_set1_ps(q.scale);
+        let k0 = _mm256_set1_epi32(q.keys[0] as i32);
+        let k1 = _mm256_set1_epi32(q.keys[1] as i32);
+        let book_lo = _mm256_loadu_ps(table.as_ptr());
+        let book_hi = _mm256_loadu_ps(table[8..].as_ptr());
+        let first = _mm256_set1_epi32(CounterRng::WEYL.wrapping_mul(from as u32) as i32);
+        let mut weyl = _mm256_add_epi32(weyl, first);
+        let groups = (at.len() - from) / 8;
+        let vals = data.lanes(at.start + from..at.start + from + 8 * groups);
+        let words = codes[from / 8 * WIDTH..][..WIDTH * groups].chunks_exact_mut(WIDTH);
+        for (g, bytes) in words.enumerate() {
+            // SAFETY: `vals` starts `8 * groups` elements, and only a
+            // commit, whose `lanes` lent them writable, stores.
+            let at = vals.add(8 * g);
+            // r = CounterRng::mix(from + 8g + l, keys) >> 8
+            let mut x = _mm256_xor_si256(weyl, k0);
+            weyl = _mm256_add_epi32(weyl, step);
+            x = _mm256_mullo_epi32(_mm256_xor_si256(x, _mm256_srli_epi32::<16>(x)), m0);
+            x = _mm256_add_epi32(_mm256_xor_si256(x, _mm256_srli_epi32::<15>(x)), k1);
+            x = _mm256_mullo_epi32(x, m1);
+            let r = _mm256_srli_epi32::<8>(_mm256_xor_si256(x, _mm256_srli_epi32::<15>(x)));
+            // Operand order matters: vmaxps returns its second operand
+            // when the first is NaN, as f32::max(NaN, -s) == -s.
+            let v = _mm256_mul_ps(_mm256_loadu_ps(at), scale);
+            let scaled = _mm256_min_ps(_mm256_max_ps(v, minus_s), s);
+            let t = _mm256_cvttps_epi32(_mm256_mul_ps(scaled, two_pow_24));
+            let level = _mm256_srai_epi32::<24>(_mm256_add_epi32(t, r));
+            let code = _mm256_add_epi32(offset, level);
+            if E::COMMIT {
+                // vpermps reads the low three index bits; code bit 3
+                // picks the half.
+                let bit3 = _mm256_castsi256_ps(_mm256_slli_epi32::<28>(code));
+                let lo = _mm256_permutevar8x32_ps(book_lo, code);
+                let v = _mm256_blendv_ps(lo, _mm256_permutevar8x32_ps(book_hi, code), bit3);
+                _mm256_storeu_ps(at, v);
+            }
+            let placed = _mm256_sllv_epi32(code, shifts);
+            let pairs = _mm256_or_si256(placed, _mm256_shuffle_epi32::<0b01_00_11_10>(placed));
+            let quads = _mm256_or_si256(pairs, _mm256_shuffle_epi32::<0b10_11_00_01>(pairs));
+            let lo = _mm256_castsi256_si128(quads);
+            let hi = _mm256_extracti128_si256::<1>(quads);
+            let word = if WIDTH > 4 {
+                let (lo, hi) = (_mm_cvtsi128_si32(lo) as u32, _mm_cvtsi128_si32(hi) as u32);
+                u64::from(lo) | u64::from(hi) << (4 * WIDTH)
+            } else {
+                _mm_cvtsi128_si32(_mm_or_si128(lo, hi)) as u32 as u64
+            };
+            bytes.copy_from_slice(&word.to_le_bytes()[..WIDTH]);
+        }
+        from + groups * 8
+    }
 }
 
 /// Decodes the buckets of `payload` — per bucket an `f32` norm, then
@@ -467,7 +755,6 @@ unsafe fn lut_decode_avx512<const WIDTH: usize, const ADD: bool>(
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
     let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
     // Codes 0..8 of a group start at bit 0 of its first four bytes; codes
     // 8..16 start at bit 8 * WIDTH of the group, which is bit `up` of its
@@ -533,7 +820,6 @@ unsafe fn lut_eights<const WIDTH: usize, const ADD: bool>(
     codes: &[u8],
     dst: &mut [f32],
 ) -> usize {
-    use std::arch::x86_64::*;
     let w = WIDTH as i32;
     let shifts = _mm256_setr_epi32(0, w, 2 * w, 3 * w, 4 * w, 5 * w, 6 * w, 7 * w);
     let low_two = _mm256_set1_epi32(3);
@@ -566,21 +852,40 @@ unsafe fn lut_eights<const WIDTH: usize, const ADD: bool>(
     done
 }
 
-/// `max_j |bucket[j]|` — the max-norm pass of the encoder. NaN elements
-/// are skipped (`f32::max` ignores a NaN operand) and the result is never
-/// `-0.0`: `abs` clears the sign and the fold starts at `+0.0`.
+/// `max_j |bucket[j]|` — the max-norm fold of the walk on `route`. NaN
+/// elements are skipped (`f32::max` ignores a NaN operand) and the result
+/// is never `-0.0`: `abs` clears the sign and the fold starts at `+0.0`.
 ///
 /// Both vector routes run the one 8-lane body: the fold is a bucket's
 /// first touch and runs at memory speed in a step, where a 16-lane one
 /// measured no faster alone and slower in the encoder (DESIGN.md §4.2.1).
+#[cfg(test)]
 pub(crate) fn max_abs(route: Route, bucket: &[f32]) -> f32 {
     match route.0 {
-        Body::Scalar => bucket.iter().fold(0.0f32, |m, x| m.max(x.abs())),
+        Body::Scalar => max_abs_scalar(bucket),
         // SAFETY: a `Route` names only bodies whose CPU features
         // `Route::widest` has verified at runtime, and AVX2 implies AVX.
         #[cfg(target_arch = "x86_64")]
         Body::Avx2 | Body::Avx512 => unsafe { max_abs_avx(bucket) },
     }
+}
+
+/// The scalar fold of [`max_abs`].
+fn max_abs_scalar(bucket: &[f32]) -> f32 {
+    bucket.iter().fold(0.0f32, |m, x| m.max(x.abs()))
+}
+
+/// `sqrt(sum_j bucket[j]^2)`, summed in `f64` in element order — the L2
+/// norm of a bucket. Never inlined: which of two NaNs a sum keeps is the
+/// compiler's choice of operand order, so every route and the tests' twin
+/// call the one compiled body.
+#[inline(never)]
+pub(crate) fn l2_norm(bucket: &[f32]) -> f32 {
+    bucket
+        .iter()
+        .map(|x| (*x as f64).powi(2))
+        .sum::<f64>()
+        .sqrt() as f32
 }
 
 /// AVX body of [`max_abs`]: 32 elements per iteration, the last few by
@@ -597,8 +902,8 @@ pub(crate) fn max_abs(route: Route, bucket: &[f32]) -> f32 {
 /// The CPU must support AVX.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
+#[inline]
 unsafe fn max_abs_avx(bucket: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
     let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
     let mut acc = [_mm256_setzero_ps(); 4];
     let mut quads = bucket.chunks_exact(32);
@@ -652,14 +957,41 @@ pub(crate) mod tests {
         all.into_iter().filter(|r| r.lanes() <= widest).collect()
     }
 
+    /// `n` elements in buckets of `bucket_size`, bucket `b` of a kind
+    /// picked by `b`: ordinary values with specials among them, all
+    /// zeros, subnormals only, or ordinary values beside an infinity, a
+    /// NaN or `f32::MAX` — so that the walk meets every kind of norm.
+    fn walk_input(rng: &mut Rng, bucket_size: usize, n: usize) -> Vec<f32> {
+        let mut data: Vec<f32> = (0..n).map(|_| (rng.normal() * 2.0) as f32).collect();
+        for (b, bucket) in data.chunks_mut(bucket_size).enumerate() {
+            match b % 6 {
+                0 => {
+                    for (slot, special) in bucket.iter_mut().skip(1).step_by(3).zip(SPECIALS) {
+                        *slot = special;
+                    }
+                }
+                1 => bucket.fill(0.0),
+                2 => {
+                    for (j, v) in bucket.iter_mut().enumerate() {
+                        *v = f32::from_bits(j as u32 % 7) * if j % 2 == 0 { 1.0 } else { -1.0 };
+                    }
+                }
+                kind => bucket[bucket.len() / 2] = [f32::INFINITY, f32::NAN, f32::MAX][kind - 3],
+            }
+        }
+        data
+    }
+
     #[test]
-    fn packed_bytes_match_scalar_twin_code_for_code() {
+    fn walk_matches_per_bucket_twin() {
         // Under --nocapture a CI log says which bodies its runner could
         // test: one without AVX-512 is green on two of the three.
         let lanes: Vec<u64> = bodies().into_iter().map(Route::lanes).collect();
         println!("cgx-compress kernel bodies exercised, in lanes: {lanes:?}");
         let mut rng = Rng::seed_from_u64(43);
         let stream = CounterRng::new(rng.next_u64());
+        // Every width at its own levels, and the 8-bit form of 3-bit
+        // codes that buckets of no whole byte take.
         let layouts = [
             (2u32, 1u32),
             (3, 3),
@@ -669,44 +1001,61 @@ pub(crate) mod tests {
             (7, 63),
             (8, 127),
             (8, 3),
-            (8, 31),
         ];
         for (width, levels) in layouts {
-            // Lengths around the 8- and 16-lane groups, those a width
-            // packs into whole bytes: what the sixteens leave goes to the
-            // eights, and a partial last group exercises the word tail.
-            let lengths = [
-                0usize, 4, 8, 12, 15, 16, 17, 20, 24, 31, 40, 60, 64, 120, 128, 136, 1000,
-            ];
-            let whole = |n: &usize| (n * width as usize).is_multiple_of(8);
-            for n in lengths.into_iter().filter(whole) {
-                let mut bucket: Vec<f32> = (0..n).map(|_| (rng.normal() * 2.0) as f32).collect();
-                for (slot, special) in bucket.iter_mut().skip(1).step_by(3).zip(SPECIALS) {
-                    *slot = special;
-                }
-                let norms = [
-                    max_abs(SCALAR, &bucket),
-                    1.0,
-                    0.0,
-                    1.0e-42,
-                    f32::INFINITY,
-                    f32::NAN,
-                ];
-                for norm in norms {
-                    let q = BucketQuantizer::new(levels, norm, &stream, n as u64);
-                    let mut twin = crate::BitWriter::new();
-                    for (j, &v) in bucket.iter().enumerate() {
-                        twin.write_bits(q.code(j, v), width);
-                    }
-                    let twin = twin.finish();
-                    for route in bodies() {
-                        let mut packed = vec![0xAAu8; n * width as usize / 8];
-                        quantize_pack(route, &bucket, &q, width, &mut packed);
-                        assert_eq!(
-                            packed,
-                            twin.as_ref(),
-                            "{route:?} width={width} levels={levels} n={n} norm={norm}"
-                        );
+            // Buckets that are whole groups of sixteen, that leave the
+            // eights one (8, 24, 136) and that leave the word tail some
+            // (4, 12, 20 where they are whole bytes); lengths around the
+            // groups and the bucket end on a partial bucket.
+            let whole = |size: &usize| (size * width as usize).is_multiple_of(8);
+            let sizes = [4usize, 8, 12, 16, 20, 24, 64, 136]
+                .into_iter()
+                .filter(whole);
+            for bucket_size in sizes {
+                for n in [0usize, 1, 7, 8, 15, 16, 17, 31, 40, 127, 129, 515] {
+                    let data = walk_input(&mut rng, bucket_size, n);
+                    for norm in [NormKind::Max, NormKind::L2] {
+                        let walk = Walk {
+                            levels,
+                            bucket_size,
+                            norm,
+                            stream: &stream,
+                        };
+                        let mut twin = crate::BitWriter::new();
+                        let mut committed = Vec::with_capacity(n);
+                        for (b, bucket) in data.chunks(bucket_size).enumerate() {
+                            let norm = match norm {
+                                NormKind::Max => max_abs(SCALAR, bucket),
+                                NormKind::L2 => l2_norm(bucket),
+                            };
+                            twin.write_f32(norm);
+                            let q = BucketQuantizer::new(levels, norm, &stream, b as u64);
+                            let table = grid(levels)(norm);
+                            for (j, &v) in bucket.iter().enumerate() {
+                                let code = q.code(j, v);
+                                twin.write_bits(code, width);
+                                committed.push(table.get(code as usize).copied());
+                            }
+                        }
+                        let twin = twin.finish();
+                        for route in bodies() {
+                            let what = format!(
+                                "{route:?} width={width} levels={levels} bucket={bucket_size} n={n} {norm:?}"
+                            );
+                            let mut out = vec![0xAAu8; twin.len()];
+                            quantize(route, &walk, width, &data[..], grid(levels), &mut out);
+                            assert_eq!(out, twin.as_ref(), "{what}");
+                            if levels > 7 {
+                                continue;
+                            }
+                            let mut kept = data.clone();
+                            out.fill(0xAA);
+                            quantize(route, &walk, width, &mut kept[..], grid(levels), &mut out);
+                            assert_eq!(out, twin.as_ref(), "{what}: commit");
+                            let want: Vec<u32> =
+                                committed.iter().map(|v| v.unwrap().to_bits()).collect();
+                            assert_eq!(bits_of(&kept), want, "{what}: committed values");
+                        }
                     }
                 }
             }
@@ -752,10 +1101,11 @@ pub(crate) mod tests {
         );
     }
 
-    /// QSGD's codebook at `levels` positive levels.
+    /// QSGD's codebook at `levels` positive levels — the one its decoders
+    /// and commits use, which the tests below hold to the quotient.
     fn grid(levels: u32) -> impl Fn(f32) -> [f32; 16] {
-        let (s, offset) = (levels as f64, levels as i64);
-        move |norm| std::array::from_fn(|c| (norm as f64 * (c as i64 - offset) as f64 / s) as f32)
+        let bits = (levels + 1).trailing_zeros() + 1;
+        crate::QsgdCompressor::new(bits, 8).codebook()
     }
 
     /// [`lut_decode`]'s scalar walk over QSGD's codebook.
@@ -926,27 +1276,49 @@ pub(crate) mod tests {
         ];
         for (bits, bucket_size) in layouts {
             let levels = (1u32 << (bits - 1)) - 1;
-            let per_bucket = 4 + bucket_size * bits as usize / 8;
-            let mut payload = vec![0u8; N / bucket_size * per_bucket];
-            let mut out = vec![0.0f32; N];
+            let walk = Walk {
+                levels,
+                bucket_size,
+                norm: NormKind::Max,
+                stream: &stream,
+            };
+            let mut payload = vec![0u8; N / bucket_size * (4 + bucket_size * bits as usize / 8)];
+            let (mut kept, mut out) = (data.clone(), vec![0.0f32; N]);
             for route in bodies() {
                 let encode = melem_s(&mut || {
-                    let buckets = data.chunks(bucket_size).zip(payload.chunks_mut(per_bucket));
-                    for (b, (bucket, bytes)) in buckets.enumerate() {
-                        let norm = max_abs(route, bucket);
-                        bytes[..4].copy_from_slice(&norm.to_le_bytes());
-                        let q = BucketQuantizer::new(levels, norm, &stream, b as u64);
-                        quantize_pack(route, bucket, &q, bits, &mut bytes[4..]);
-                    }
+                    quantize(route, &walk, bits, &data[..], grid(levels), &mut payload);
                     std::hint::black_box(&mut payload);
                 });
-                let decode_add = melem_s(&mut || {
-                    lut_decode::<true>(route, bits, &payload, bucket_size, grid(levels), &mut out);
-                    std::hint::black_box(&mut out);
-                });
-                let decode_add = if bits <= 4 { decode_add } else { f64::NAN };
+                // Committing rewrites its input; after the first pass the
+                // values are grid points, which quantize as fast. Above 4
+                // bits neither a commit nor the table decode is a kernel.
+                let (mut commit, mut decode_add) = (f64::NAN, f64::NAN);
+                if bits <= 4 {
+                    commit = melem_s(&mut || {
+                        quantize(
+                            route,
+                            &walk,
+                            bits,
+                            &mut kept[..],
+                            grid(levels),
+                            &mut payload,
+                        );
+                        std::hint::black_box(&mut kept);
+                    });
+                    decode_add = melem_s(&mut || {
+                        lut_decode::<true>(
+                            route,
+                            bits,
+                            &payload,
+                            bucket_size,
+                            grid(levels),
+                            &mut out,
+                        );
+                        std::hint::black_box(&mut out);
+                    });
+                }
                 println!(
-                    "{bits} / {bucket_size:4} {:2} lanes: encode {encode:6.0} Melem/s, decode-add {decode_add:6.0}",
+                    "{bits} / {bucket_size:4} {:2} lanes: encode {encode:6.0} Melem/s, commit {commit:6.0}, decode-add {decode_add:6.0}",
                     route.lanes()
                 );
             }
