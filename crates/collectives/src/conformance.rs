@@ -11,19 +11,21 @@
 //!
 //! Each check builds a fresh fabric via the supplied closure, so state
 //! never leaks between checks. [`run_all`] runs the full battery;
-//! individual checks are public for finer-grained test reporting, and
-//! [`check_silent_tag_parks_boundedly`] is run beside it with the fabric's
-//! own park slice.
+//! individual checks are public for finer-grained test reporting. Beside
+//! it run [`check_silent_tag_parks_boundedly`], with the fabric's own park
+//! slice, and [`check_many_receivers`] on the fabrics whose endpoint serves
+//! many receiving threads (shm, TCP and serve handles).
 
 use crate::error::CommError;
 use crate::transport::{exchange_quiesce_markers, Tag, Transport};
 use cgx_compress::Encoded;
 use cgx_tensor::Shape;
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 /// A boxed endpoint as handed out by a fabric builder.
-pub type BoxTransport = Box<dyn Transport + Send>;
+pub type BoxTransport = Box<dyn Transport + Send + Sync>;
 
 /// Builds an `n`-rank fabric: element `i` is the endpoint for rank `i`.
 pub type FabricBuilder = dyn Fn(usize) -> Vec<BoxTransport> + Sync;
@@ -369,6 +371,66 @@ pub fn check_silent_tag_parks_boundedly(build: &FabricBuilder, slice: Duration) 
         .recv_tagged_deadline(0, 51, Duration::ZERO)
         .expect("still stashed");
     assert_same(&got, &payload(13), "unrelated stash");
+}
+
+/// Many receivers on one endpoint, beside a sibling probing a tag nobody
+/// sends on: five threads block on a tag each, and frames sent one at a
+/// time, last thread first, each reach their own thread within a few bare
+/// ping-pongs on the same endpoints — though the thread that was polling
+/// may just have left with its own frame: a waiter that sleeps out its
+/// park slice then fails here.
+pub fn check_many_receivers(build: &FabricBuilder) {
+    const K: u64 = 5;
+    let mut readings = Vec::new();
+    for _attempt in 0..3 {
+        let mut eps = build(2);
+        let b = eps.pop().expect("rank 1");
+        let a = eps.pop().expect("rank 0");
+        let (a, b, done, start) = (&*a, &*b, AtomicBool::new(false), Instant::now());
+        let (rtt, delay) = std::thread::scope(|s| {
+            let echo = || b.send(0, b.recv(0).expect("ping")).expect("pong");
+            s.spawn(move || (0..100).for_each(|_| echo()));
+            let trip = || {
+                let start = Instant::now();
+                a.send(1, payload(1)).expect("ping");
+                a.recv(1).expect("pong");
+                start.elapsed()
+            };
+            let mut trips: Vec<Duration> = (0..100).map(|_| trip()).collect();
+            trips.sort();
+            let rtt = trips[trips.len() / 2];
+            // Bounded, so that a failing receiver ends the check.
+            s.spawn(|| {
+                while !done.load(Relaxed) && start.elapsed() < WAIT {
+                    assert!(b.try_recv_tagged(0, 99).expect("probe").is_none());
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            });
+            let wait = move |tag| (b.recv_tagged_deadline(0, tag, WAIT), Instant::now());
+            let mut receivers: Vec<_> = (0..K).map(|k| s.spawn(move || wait(70 + k))).collect();
+            let delays = (0..K)
+                .rev()
+                .map(|k| {
+                    // Time for every thread to park, short of a slice, and
+                    // never the same twice, so no slice ends on a send.
+                    std::thread::sleep(Duration::from_millis(2 + k));
+                    let sent = Instant::now();
+                    a.send_tagged(1, 70 + k, payload(k as u32)).expect("send");
+                    let receiver = receivers.pop().expect("one per tag");
+                    let (got, at) = receiver.join().expect("receiver");
+                    assert_same(&got.expect("its own frame"), &payload(k as u32), "receiver");
+                    at.duration_since(sent)
+                })
+                .max();
+            done.store(true, Relaxed);
+            (rtt, delays.expect("five frames"))
+        });
+        if delay <= 20 * rtt {
+            return;
+        }
+        readings.push((rtt, delay));
+    }
+    panic!("no attempt was prompt: (round trip, slowest wake-up) = {readings:?}");
 }
 
 /// The teardown barrier, [`exchange_quiesce_markers`], completes when all

@@ -83,5 +83,5 @@ pub use reduce::{allreduce_scratch, AllreduceStats};
 pub use stash::TagStash;
 pub use transport::{
     namespace_tag, split_tag, tag_namespace, ShmFabric, ShmTransport, Transport,
-    MAX_NAMESPACED_OP, MAX_TENANT_NS, NATIVE_JOB, SERVE_CTRL_NS,
+    MAX_NAMESPACED_OP, MAX_TENANT_NS, NATIVE_JOB,
 };

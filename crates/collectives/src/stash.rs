@@ -3,17 +3,28 @@
 //! What has reached an endpoint and what its owner asks for next rarely
 //! coincide: several collectives are in flight, so a payload waits under
 //! its `(peer, tag)` until a receive names it. [`TagStash`] is that waiting
-//! room — the state behind the shared-memory mailbox, the TCP demux and a
-//! `cgx-serve` job inbox alike — together with the two facts every receive
-//! path needs beside it: how much has ever arrived
-//! ([`TagStash::arrivals`], the eventcount behind
-//! [`Transport::park`](crate::Transport::park)) and whether a peer can
-//! still send more ([`TagStash::closed`]).
+//! room — the state behind the shared-memory mailbox, the TCP demux and the
+//! chaos layer alike — together with the two facts every receive path
+//! needs beside it: how much has ever arrived ([`TagStash::arrivals`], the
+//! eventcount behind [`Transport::park`](crate::Transport::park)) and
+//! whether a peer can still send more ([`TagStash::closed`]).
+//!
+//! A `cgx-serve` tenant receives straight from this stash, on tags widened
+//! into its job's namespace ([`crate::namespace_tag`]), so the stash keeps
+//! the namespace rules. A [`DETACH_TAG`] frame from `peer` in job `j`'s
+//! namespace closes `(peer, j)` behind what `peer` filed before it. A
+//! namespace no receive has asked for yet holds at most [`ORPHAN_BYTES`]
+//! (one frame is always admitted): the frame that would pass that closes
+//! its `(peer, j)` with [`CommError::Lost`] and frees what the lane held,
+//! never delivering a stream with a gap. A closed lane files nothing more.
 
 use crate::error::CommError;
-use crate::transport::Tag;
+use crate::transport::{split_tag, tag_namespace, Tag, DETACH_TAG, NATIVE_JOB};
 use cgx_compress::Encoded;
 use std::collections::{HashMap, VecDeque};
+
+/// What a tenant namespace that no receive has asked for yet may hold.
+pub const ORPHAN_BYTES: u64 = 32 << 20;
 
 /// One filed payload and its place in the order of arrival.
 #[derive(Debug)]
@@ -26,11 +37,12 @@ struct Filed {
 }
 
 /// Payloads filed per `(peer, tag)` in arrival order, FIFO within a key,
-/// with per-peer and total arrival counts and one terminal error per peer.
+/// with per-peer and total arrival counts and one terminal error per peer
+/// and per closed tenant lane.
 ///
 /// The stash always wins over the error: [`TagStash::receive`] takes first
-/// and consults [`TagStash::closed`] only on a miss, so what a peer sent
-/// before it went away stays receivable.
+/// and consults the errors only on a miss, so what a peer sent before it
+/// went away, or detached, stays receivable.
 #[derive(Debug)]
 pub struct TagStash {
     /// `queues[peer][tag]`, oldest first. Tags are single-use (one per
@@ -41,9 +53,15 @@ pub struct TagStash {
     filed: Vec<u64>,
     /// `seen[peer]`: how far down `peer`'s stream the owner has looked.
     seen: Vec<u64>,
-    /// Payloads ever filed plus peers ever closed.
+    /// Payloads ever filed plus peers and `(peer, job)` lanes ever closed.
     arrivals: u64,
     closed: Vec<Option<CommError>>,
+    /// Closed `(peer, job)` lanes of tenant namespaces.
+    lanes_closed: HashMap<(usize, u8), CommError>,
+    /// Namespaces a receive has asked for, a bit each: they hold no orphans.
+    claimed: [u64; 4],
+    /// Bytes held per tenant namespace no receive has asked for yet.
+    orphans: HashMap<u8, u64>,
 }
 
 impl TagStash {
@@ -55,11 +73,33 @@ impl TagStash {
             seen: vec![0; world],
             arrivals: 0,
             closed: vec![None; world],
+            lanes_closed: HashMap::new(),
+            claimed: [0; 4],
+            orphans: HashMap::new(),
         }
     }
 
-    /// Files `payload` behind everything `peer` sent under `tag` before.
+    /// Files `payload` behind everything `peer` sent under `tag` before —
+    /// unless, in a tenant namespace, it is a DETACH or meets a closed lane
+    /// or a full orphan namespace (module docs).
     pub fn file(&mut self, peer: usize, tag: Tag, payload: Encoded) {
+        let (job, local) = split_tag(tag);
+        if job != NATIVE_JOB {
+            if self.lanes_closed.contains_key(&(peer, job)) {
+                return;
+            }
+            if local == DETACH_TAG {
+                return self.close_lane(peer, job, CommError::Disconnected { peer });
+            }
+            if self.claimed[usize::from(job / 64)] & 1 << (job % 64) == 0 {
+                let held = self.orphans.entry(job).or_default();
+                let size = payload.payload_bytes() as u64;
+                if *held > 0 && *held + size > ORPHAN_BYTES {
+                    return self.drop_orphan_lane(peer, job);
+                }
+                *held += size;
+            }
+        }
         let filed = Filed {
             nth: self.arrivals,
             nth_of_peer: self.filed[peer],
@@ -72,8 +112,11 @@ impl TagStash {
 
     /// The oldest payload under `(peer, tag)`. Taking one looks past
     /// everything `peer` filed before it; finding none looks at all of it
-    /// (see [`TagStash::unseen`]).
+    /// (see [`TagStash::unseen`]). Either way `tag`'s namespace has now
+    /// been asked for, and is no orphan.
     pub fn take(&mut self, peer: usize, tag: Tag) -> Option<Encoded> {
+        let job = tag_namespace(tag);
+        self.claimed[usize::from(job / 64)] |= 1 << (job % 64);
         let Some(queue) = self.queues[peer].get_mut(&tag) else {
             self.seen[peer] = self.filed[peer];
             return None;
@@ -88,25 +131,27 @@ impl TagStash {
 
     /// A receive against the stash: the oldest payload under `(peer,
     /// tag)` ([`TagStash::take`]) and, only when there is none, the error
-    /// `peer` closed with.
+    /// that closed `peer`'s lane in `tag`'s namespace, or `peer` itself.
     pub fn receive(&mut self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
-        match self.take(peer, tag) {
-            Some(payload) => Ok(Some(payload)),
-            None => self.closed(peer).map_or(Ok(None), |e| Err(e.clone())),
+        if let Some(payload) = self.take(peer, tag) {
+            return Ok(Some(payload));
         }
+        let lane = self.lanes_closed.get(&(peer, tag_namespace(tag)));
+        lane.or(self.closed(peer))
+            .map_or(Ok(None), |e| Err(e.clone()))
     }
 
     /// Removes every payload whose tag passes `keep`, as `(peer, tag,
     /// payload)` in the order they arrived — a peer's frame on one tag
-    /// never overtakes what it sent first on another. The one harvest of
-    /// the stash: the serve router takes tenant traffic with it (tags
-    /// outside the native namespace, see [`crate::split_tag`]), the chaos
-    /// layer everything its peers framed.
+    /// never overtakes what it sent first on another: how the chaos layer
+    /// takes in everything its peers framed.
     pub fn take_where(&mut self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
         let mut out = Vec::new();
         for (peer, queues) in self.queues.iter_mut().enumerate() {
             let tags: Vec<Tag> = queues.keys().copied().filter(|&t| keep(t)).collect();
             for tag in tags {
+                let job = tag_namespace(tag);
+                self.claimed[usize::from(job / 64)] |= 1 << (job % 64);
                 for filed in queues.remove(&tag).expect("key just listed") {
                     self.seen[peer] = self.seen[peer].max(filed.nth_of_peer + 1);
                     out.push((filed.nth, peer, tag, filed.payload));
@@ -153,6 +198,27 @@ impl TagStash {
     /// Why `peer` will file nothing more, once that is so.
     pub fn closed(&self, peer: usize) -> Option<&CommError> {
         self.closed[peer].as_ref()
+    }
+
+    /// [`TagStash::close`] for `peer`'s lane in tenant namespace `job`.
+    fn close_lane(&mut self, peer: usize, job: u8, err: CommError) {
+        self.lanes_closed.insert((peer, job), err);
+        self.arrivals += 1;
+    }
+
+    /// Closes `peer`'s lane in orphan namespace `job` as lost and frees
+    /// what it held, which counts as looked at, as after a miss on `peer`.
+    fn drop_orphan_lane(&mut self, peer: usize, job: u8) {
+        let held = self.orphans.get_mut(&job).expect("an orphan");
+        self.queues[peer].retain(|&tag, queue| {
+            let lane = tag_namespace(tag) == job;
+            for filed in queue.iter().filter(|_| lane) {
+                *held -= filed.payload.payload_bytes() as u64;
+            }
+            !lane
+        });
+        self.seen[peer] = self.filed[peer];
+        self.close_lane(peer, job, CommError::Lost { peer, retries: 0 });
     }
 
     /// Drops every filed payload (the owner is going away).
@@ -249,5 +315,104 @@ mod tests {
         assert!(s.take_where(tenant).is_empty());
         assert_eq!(s.take(1, native).map(|e| byte(&e)), Some(100));
         assert_eq!(s.take(2, native).map(|e| byte(&e)), Some(101));
+    }
+
+    /// A job's frames that arrive before any receive asks for its
+    /// namespace wait there, and are received in order once one does.
+    #[test]
+    fn an_orphan_namespace_is_received_in_order_by_a_late_receiver() {
+        let mut s = TagStash::new(3);
+        for i in 0..12u8 {
+            s.file(
+                1 + usize::from(i % 2),
+                namespace_tag(7, u64::from(i % 3)),
+                payload(i),
+            );
+        }
+        assert_eq!(s.orphans[&7], 12);
+        for tag in 0..3u8 {
+            for peer in 1..3 {
+                let want = (0..12u8).filter(|i| i % 3 == tag && 1 + usize::from(i % 2) == peer);
+                for i in want {
+                    let got = s.receive(peer, namespace_tag(7, u64::from(tag)));
+                    assert_eq!(got.map(|e| e.map(|e| byte(&e))), Ok(Some(i)));
+                }
+            }
+        }
+        assert_ne!(s.claimed[0] & 1 << 7, 0, "asked for, it is no orphan");
+    }
+
+    /// Past `ORPHAN_BYTES` the lane that would pass it reads a typed error
+    /// and what it held is freed; one oversized frame is always admitted,
+    /// and a namespace a receive has asked for has no bound.
+    #[test]
+    fn an_orphan_namespace_past_its_bound_loses_the_lane_and_frees_it() {
+        let big = || {
+            Encoded::new(
+                Shape::vector(1),
+                vec![0u8; ORPHAN_BYTES as usize + 1].into(),
+            )
+        };
+        let (orphan, claimed) = (namespace_tag(3, 8), namespace_tag(4, 8));
+        let mut s = TagStash::new(3);
+        s.file(1, orphan, big());
+        assert_eq!(s.orphans[&3], ORPHAN_BYTES + 1, "one frame is admitted");
+        s.file(1, orphan, payload(1));
+        assert_eq!(s.orphans[&3], 0, "lane (1, 3) is freed");
+        assert!(s.queues[1].is_empty());
+        assert_eq!(s.unseen(1), 0);
+        s.file(2, orphan, payload(2));
+        s.file(1, orphan, payload(9));
+        assert_eq!(s.orphans[&3], 1, "a closed lane files nothing");
+        assert_eq!(
+            s.receive(1, orphan),
+            Err(CommError::Lost {
+                peer: 1,
+                retries: 0
+            })
+        );
+        assert_eq!(
+            s.receive(2, orphan).map(|e| e.map(|e| byte(&e))),
+            Ok(Some(2))
+        );
+        assert_eq!(s.receive(2, orphan), Ok(None), "peer 2's lane is open");
+        assert_eq!(s.receive(1, claimed), Ok(None));
+        s.file(1, claimed, big());
+        s.file(1, claimed, big());
+        assert!(
+            s.receive(1, claimed).unwrap().is_some() && s.receive(1, claimed).unwrap().is_some()
+        );
+    }
+
+    /// A DETACH filed after data: the data is received first, then
+    /// `Disconnected`, and what the lane files later is dropped. Other
+    /// namespaces, other peers and native tags are untouched.
+    #[test]
+    fn a_detach_closes_its_lane_after_the_data_filed_before_it() {
+        let mut s = TagStash::new(3);
+        let (lane, other_job, native) = (namespace_tag(3, 5), namespace_tag(4, 5), 5);
+        for i in 0..4 {
+            s.file(1, lane, payload(i));
+            s.file(1, native, payload(10 + i));
+            s.file(1, other_job, payload(20 + i));
+            s.file(2, lane, payload(30 + i));
+        }
+        let before = s.arrivals();
+        s.file(1, namespace_tag(3, DETACH_TAG), payload(0x44));
+        assert_eq!(s.arrivals(), before + 1, "a detach wakes a parked receiver");
+        s.file(1, lane, payload(99));
+        let mut drain = |peer, tag| -> Vec<Result<u8, CommError>> {
+            std::iter::from_fn(|| s.receive(peer, tag).transpose())
+                .take(6)
+                .map(|r| r.map(|e| byte(&e)))
+                .collect()
+        };
+        let gone = Err(CommError::Disconnected { peer: 1 });
+        let lane_got = drain(1, lane);
+        assert_eq!(lane_got[..4], [Ok(0), Ok(1), Ok(2), Ok(3)]);
+        assert!(lane_got[4..].iter().all(|r| *r == gone), "{lane_got:?}");
+        assert_eq!(drain(1, native), [Ok(10), Ok(11), Ok(12), Ok(13)]);
+        assert_eq!(drain(1, other_job), [Ok(20), Ok(21), Ok(22), Ok(23)]);
+        assert_eq!(drain(2, lane), [Ok(30), Ok(31), Ok(32), Ok(33)]);
     }
 }

@@ -73,6 +73,11 @@ pub const CTRL_TAG: Tag = u64::MAX - 1;
 /// fault injection and framing, like [`CTRL_TAG`].
 pub const QUIESCE_TAG: Tag = u64::MAX - 2;
 
+/// A tenant's orderly detach, sent by `cgx-serve` to every peer of its job.
+/// Only meaningful inside a job namespace ([`namespace_tag`]): the
+/// [`TagStash`] that files one closes that `(peer, job)`.
+pub const DETACH_TAG: Tag = u64::MAX - 3;
+
 /// Packs a collective id, pipeline segment and phase into a wire tag.
 ///
 /// Layout: `[op:32][segment:16][phase:8][epoch:8]`. Collective ids are
@@ -115,11 +120,11 @@ pub fn membership_tag(epoch: u32, round: u16) -> Tag {
 // *native* namespace — a fabric with no daemon in front of it, whose tags
 // are bit-identical to the historical single-job layout (ops stay below
 // [`MAX_NAMESPACED_OP`], so their top byte was always zero). Bytes
-// 0x01..=0xFD address tenant jobs, 0xFE is the daemon's control plane
-// (attach/detach frames), and 0xFF is never sent as a namespace: it is the
-// top byte of the reserved special tags ([`LEGACY_TAG`], [`CTRL_TAG`],
-// [`QUIESCE_TAG`]), which [`namespace_tag`] relocates into each job's
-// low-56-bit space so per-job legacy/control/quiesce lanes stay distinct.
+// 0x01..=0xFD address tenant jobs, 0xFE is reserved, and 0xFF is never
+// sent as a namespace: it is the top byte of the reserved special tags
+// ([`LEGACY_TAG`], [`CTRL_TAG`], [`QUIESCE_TAG`], [`DETACH_TAG`]), which
+// [`namespace_tag`] relocates into each job's low-56-bit space so per-job
+// special lanes stay distinct.
 // ---------------------------------------------------------------------------
 
 /// Exclusive upper bound on collective ids once a job namespace rides the
@@ -131,12 +136,8 @@ pub const MAX_NAMESPACED_OP: u32 = 1 << 24;
 /// The native (daemon-less) job namespace: tags map through unchanged.
 pub const NATIVE_JOB: u8 = 0;
 
-/// Namespace byte reserved for the serve daemon's control plane
-/// (attach/detach/admission frames between daemons).
-pub const SERVE_CTRL_NS: u8 = 0xFE;
-
-/// Highest namespace byte assignable to a tenant job (0xFE is the control
-/// plane, 0xFF belongs to the special tags).
+/// Highest namespace byte assignable to a tenant job (0xFE is reserved,
+/// 0xFF belongs to the special tags).
 pub const MAX_TENANT_NS: u8 = 0xFD;
 
 const LOW56: u64 = (1 << 56) - 1;
@@ -149,7 +150,7 @@ const SPECIAL_LOW_FLOOR: u64 = 0x00FF_FFFF_FFFF_FF00;
 /// Maps a job-local tag into job `job`'s slice of the wire tag space.
 ///
 /// Identity for [`NATIVE_JOB`]; for every other namespace the job byte is
-/// stamped into the top byte, with the three reserved special tags
+/// stamped into the top byte, with the reserved special tags
 /// ([`LEGACY_TAG`] and friends) folded into the top of the job's low-56
 /// space so they round-trip through [`split_tag`].
 ///
@@ -164,7 +165,7 @@ pub fn namespace_tag(job: u8, tag: Tag) -> Tag {
         return tag;
     }
     if tag >> 56 == 0xFF && tag & LOW56 >= SPECIAL_LOW_FLOOR {
-        // LEGACY/CTRL/QUIESCE: relocate into this job's low-56 space.
+        // LEGACY/CTRL/QUIESCE/DETACH: relocate into this job's low-56 space.
         return ((job as u64) << 56) | (tag & LOW56);
     }
     assert!(
@@ -220,8 +221,9 @@ pub fn tag_namespace(wire: Tag) -> u8 {
 /// [`flush_outbound`](Transport::flush_outbound) for fabrics that send
 /// eagerly. What belongs to one layer above stays there: fault counters
 /// on [`crate::fault::ChaosTransport`], the kill schedule in the
-/// trainer's config, teardown in [`exchange_quiesce_markers`], the serve
-/// daemon's harvest in each fabric's own `take_where`.
+/// trainer's config, teardown in [`exchange_quiesce_markers`]; a
+/// `cgx-serve` tenant's receives are the fabric's own, on the tag widened
+/// by [`namespace_tag`].
 ///
 /// **Waiting** is always the same three steps — sample
 /// [`arrivals`](Transport::arrivals), poll, then
@@ -237,12 +239,13 @@ pub fn tag_namespace(wire: Tag) -> u8 {
 /// [`crate::membership::MembershipView`] re-maps ranks after an elastic
 /// shrink. The engine, the blocking collectives and both trainers are
 /// written against `&dyn Transport`, so all of them compose. Endpoints are
-/// single-owner — one rank drives its own transport from its own thread —
-/// so no auto-trait bound is imposed here. The one exception is the
-/// endpoint under a `cgx-serve` daemon, which tenant threads and the pump
-/// thread drive in turns: `ServeNode::new` asks for a `Send + Sync`
-/// endpoint, which [`ShmTransport`] and the TCP endpoint are (a test beside
-/// each type says so at compile time).
+/// usually single-owner — one rank drives its own transport from its own
+/// thread — so no auto-trait bound is imposed here. The exception is the
+/// endpoint under a `cgx-serve` daemon, on which every tenant thread and
+/// the pump thread receive and park at once: `ServeNode::new` asks for a
+/// `Send + Sync` endpoint, which [`ShmTransport`] and the TCP endpoint are
+/// (a test beside each type says so at compile time), and each wakes every
+/// thread parked on it when it takes a frame in.
 pub trait Transport {
     /// This endpoint's rank.
     fn rank(&self) -> usize;
@@ -522,10 +525,8 @@ impl ShmTransport {
     }
 
     /// Takes every payload filed here whose tag passes `keep`, as `(peer,
-    /// tag, payload)` in arrival order ([`TagStash::take_where`]). The one
-    /// read of the mailbox by a layer that routes it: the chaos layer
-    /// takes everything its peers framed, a `cgx-serve` daemon the
-    /// tenants' traffic.
+    /// tag, payload)` in arrival order ([`TagStash::take_where`]): how the
+    /// chaos layer takes in everything its peers framed.
     pub fn take_where(&self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
         let mailbox = self.mailbox();
         let mut inbox = mailbox.lock();
@@ -1160,7 +1161,7 @@ mod tests {
         }
         // Tenant jobs: every (job, tag) pair round-trips, and distinct
         // jobs never alias each other or native traffic.
-        for job in [1u8, 7, MAX_TENANT_NS, SERVE_CTRL_NS] {
+        for job in [1u8, 7, MAX_TENANT_NS, 0xFE] {
             for t in [
                 collective_tag(0, 0, 0),
                 collective_tag_in_epoch(MAX_NAMESPACED_OP - 1, u16::MAX, 0xEE, 0xFF),
@@ -1168,6 +1169,7 @@ mod tests {
                 LEGACY_TAG,
                 CTRL_TAG,
                 QUIESCE_TAG,
+                DETACH_TAG,
             ] {
                 let wire = namespace_tag(job, t);
                 assert_eq!(split_tag(wire), (job, t), "job {job} tag {t:#x}");

@@ -38,3 +38,10 @@ fn a_receive_on_a_silent_tag_does_not_spin_on_an_unrelated_stash() {
     conformance::check_silent_tag_parks_boundedly(&shm_builder, Duration::from_millis(200));
     conformance::check_silent_tag_parks_boundedly(&quiet_chaos_builder, Duration::from_millis(1));
 }
+
+/// Every receiving thread of a mailbox waits on its condvar, and a sender
+/// wakes them all.
+#[test]
+fn many_receivers_share_one_endpoint() {
+    conformance::check_many_receivers(&shm_builder);
+}

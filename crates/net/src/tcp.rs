@@ -29,6 +29,10 @@
 //!   parses frames directly on the waiting thread. No reader threads and
 //!   no handoffs, which is what makes an 8-rank loopback mesh cheap on
 //!   small-core hosts.
+//! * **Many receivers, one poller.** Of the threads parked on one endpoint
+//!   one polls and the others wait on its condvar. No other call reads a
+//!   socket meanwhile, so every arrival wakes the poll; whoever stashes or
+//!   stops polling wakes the waiters.
 //! * **Ring-staged reads.** Each peer has a staging buffer
 //!   ([`READ_BUF_BYTES`]); one `read` syscall pulls an entire burst of
 //!   back-to-back frames, which are parsed in place
@@ -46,10 +50,10 @@
 //!   (≤ 16 KiB) are queued per peer and flushed as one vectored write at
 //!   a budget overflow (256 KiB queued, mirroring the engine's
 //!   coalescer), at [`Transport::flush_outbound`] (the engine calls it
-//!   before parking), and on drop; every receive and park also pushes
-//!   what the sockets take without waiting. Blocking sends flush the
-//!   queue through the new frame in one `writev`, so a link's frames
-//!   leave in the order their sequence numbers were assigned.
+//!   before parking), and on drop; every receive that misses, and every
+//!   park, also pushes what the sockets take without waiting. Blocking
+//!   sends flush the queue through the new frame in one `writev`, so a
+//!   link's frames leave in the order their sequence numbers were assigned.
 //! * **One sequence space per link.** Every frame to a peer — any tag,
 //!   heartbeats included — carries the next link seq; the demux accepts
 //!   exactly the one it expects (TCP delivers in order, so anything else
@@ -57,10 +61,10 @@
 //!   flushed frames stay in a [`Retention`] and a redial resumes from the
 //!   receiver's one next-expected number.
 //! * **Deadlock freedom without readers.** A blocking flush that hits a
-//!   full socket drains its own inbound traffic (`pump`) between
-//!   `POLLOUT` waits, and a parked receiver wakes when a socket with
-//!   frames queued turns writable, so a cycle of ranks all mid-send keeps
-//!   consuming bytes and someone's write always completes.
+//!   full socket drains its own inbound traffic between `POLLOUT` waits
+//!   (or leaves it to the poller), and a parked receiver wakes when a
+//!   socket with frames queued turns writable, so a cycle of ranks all
+//!   mid-send keeps consuming bytes and someone's write always completes.
 //! * **Byte-accurate accounting.** Every frame's full serialized size
 //!   (length prefix, tag, geometry, checksum envelope, payload) is
 //!   counted in [`TcpTransport::wire_bytes_sent`] — the benchmark's
@@ -80,7 +84,7 @@ use cgx_tensor::Shape;
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Environment variable enabling liveness heartbeats: the interval in
@@ -753,6 +757,10 @@ struct Endpoint {
     /// first).
     last_heartbeat: Instant,
     meter: Meter,
+    /// A thread holds the poller role: it alone reads the sockets.
+    poller: bool,
+    /// Threads waiting on [`TcpTransport`]'s condvar for the poller.
+    parked: usize,
 }
 
 impl Endpoint {
@@ -1210,13 +1218,14 @@ pub struct TcpTransport {
     world: usize,
     timeout: Duration,
     ep: Mutex<Endpoint>,
+    /// Signalled when the poller stashes or gives its role up.
+    arrived: Condvar,
 }
 
 type Guard<'a> = MutexGuard<'a, Endpoint>;
 
-/// How long one `poll` may park: long enough that waiting is cheap,
-/// short enough that a wakeup consumed by a sibling thread on the same
-/// endpoint cannot stall a deadline by more than this.
+/// How long one park may block, in `poll` or on the condvar: waiting is
+/// cheap, and a wake-up that goes astray stalls a deadline no longer.
 const PARK_SLICE: Duration = Duration::from_millis(50);
 
 impl TcpTransport {
@@ -1274,7 +1283,10 @@ impl TcpTransport {
                 reset: None,
                 last_heartbeat: now,
                 meter: Meter::default(),
+                poller: false,
+                parked: 0,
             }),
+            arrived: Condvar::new(),
         })
     }
 
@@ -1388,38 +1400,34 @@ impl TcpTransport {
         self.lock().meter.stats
     }
 
-    /// Takes every payload the demux has stashed whose tag passes `keep`,
-    /// as `(peer, tag, payload)` in arrival order
-    /// ([`cgx_collectives::TagStash::take_where`]): how a `cgx-serve`
-    /// daemon routes what this endpoint took in.
-    pub fn take_where(&self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
-        self.lock().stash.take_where(keep)
+    /// Lets the endpoint go, first waking the parked threads if anything
+    /// arrived since `seen`.
+    fn release(&self, ep: Guard<'_>, seen: u64) {
+        let wake = ep.parked > 0 && ep.stash.arrivals() != seen;
+        drop(ep);
+        if wake {
+            self.arrived.notify_all();
+        }
     }
 
     // ---- the event loop -------------------------------------------------
 
-    /// One turn of the event loop: wait up to `timeout` for readable peer
-    /// sockets (and writable ones with frames queued), then drain and
-    /// parse every burst. Returns the number of frames stashed.
-    /// `Duration::ZERO` is a nonblocking probe.
-    fn pump(&self, timeout: Duration) -> usize {
-        let (redials, (mut peers, mut fds)) = {
-            let mut ep = self.lock();
-            ep.emit_heartbeats();
-            (ep.due_redials(), ep.poll_set())
-        };
+    /// One turn of the event loop by the thread that has just taken the
+    /// poller role in `ep`: wait up to `timeout` (zero: not at all) for
+    /// readable peer sockets, and writable ones with frames queued, parse
+    /// every burst, then give the role up. Returns the frames stashed.
+    fn turn<'a>(&'a self, mut ep: Guard<'a>, timeout: Duration) -> usize {
+        ep.emit_heartbeats();
+        let redials = ep.due_redials();
         if !redials.is_empty() {
+            drop(ep);
             for (peer, addr, mine) in redials {
                 self.redial(peer, &addr, mine);
             }
-            (peers, fds) = self.lock().poll_set();
+            ep = self.lock();
         }
-        if fds.is_empty() {
-            if !timeout.is_zero() {
-                std::thread::sleep(timeout.min(Duration::from_millis(1)));
-            }
-            return 0;
-        }
+        let (peers, mut fds) = ep.poll_set();
+        drop(ep);
         // Poll with the lock released, so a sibling thread on this
         // endpoint can still send and receive while we park.
         let t0 = Instant::now();
@@ -1445,7 +1453,32 @@ impl TcpTransport {
         if accept_ready {
             ep.mesh_accept();
         }
+        // Giving the role up wakes every parked thread: one of them may
+        // have its frame now, and another polls next.
+        ep.poller = false;
+        let wake = ep.parked > 0;
+        drop(ep);
+        if wake {
+            self.arrived.notify_all();
+        }
         stashed
+    }
+
+    /// A nonblocking [`Self::turn`] if no thread holds the poller role.
+    /// While one does, it reads the sockets itself, and this caller only
+    /// pushes writes, emits heartbeats and checks liveness.
+    fn drain(&self) -> usize {
+        let mut ep = self.lock();
+        let seen = ep.stash.arrivals();
+        ep.push_all();
+        if !ep.poller {
+            ep.poller = true;
+            return self.turn(ep, Duration::ZERO);
+        }
+        ep.emit_heartbeats();
+        ep.check_liveness();
+        self.release(ep, seen);
+        0
     }
 
     /// One redial attempt toward `peer`: connect, announce ourselves with
@@ -1489,7 +1522,7 @@ impl TcpTransport {
         // drains inbound while it waits).
         let flush = block || payload.payload_bytes() > COALESCE_FRAME_BYTES;
         let mut ep = self.lock();
-        // Send-side emission too, not just the pump's: a rank that only
+        // Send-side emission too, not just the turn's: a rank that only
         // sends for a while must still prove itself alive to peers it is
         // not currently sending to.
         ep.emit_heartbeats();
@@ -1505,7 +1538,7 @@ impl TcpTransport {
         if heal {
             // The frame parked behind a reconnect: drive the redial now,
             // so a pure sender still heals its own links.
-            self.pump(Duration::ZERO);
+            self.drain();
         }
         r
     }
@@ -1544,7 +1577,7 @@ impl TcpTransport {
             drop(ep);
             // Socket full: drain our own inbound (the peer may be blocked
             // sending to us), then wait for writability.
-            self.pump(Duration::ZERO);
+            self.drain();
             let mut pfd = [sys::PollFd {
                 fd,
                 events: sys::POLLOUT,
@@ -1605,26 +1638,31 @@ impl Transport for TcpTransport {
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
         assert!(peer < self.world && peer != self.rank, "bad peer {peer}");
         let mut ep = self.lock();
-        ep.push_all();
+        let seen = ep.stash.arrivals();
         let mut got = ep.stash.receive(peer, tag);
+        // Only a miss pushes queued sends: pushing on every receive cuts
+        // coalesced bursts short (DESIGN.md §10.4).
         if matches!(got, Ok(None)) {
+            ep.push_all();
             // Targeted probe: the frame usually already sits in this
             // peer's kernel buffer, and one nonblocking read on that
             // socket is cheaper than a full poll-all turn. Misses are left
-            // to `park`, whose pump drains everyone.
-            ep.read_peer(peer);
-            got = ep.stash.receive(peer, tag);
+            // to `park`, whose turn drains everyone.
+            if !ep.poller {
+                ep.read_peer(peer);
+                got = ep.stash.receive(peer, tag);
+            }
         }
         if let (Ok(Some(payload)), Some(m)) = (&got, &ep.meter.obs) {
             m.msgs_recv.inc();
             m.bytes_recv.add(payload.payload_bytes() as u64);
         }
+        self.release(ep, seen);
         got
     }
 
     fn drain_inbound(&self) -> usize {
-        self.lock().push_all();
-        self.pump(Duration::ZERO)
+        self.drain()
     }
 
     fn flush_outbound(&self) -> Result<(), CommError> {
@@ -1635,16 +1673,27 @@ impl Transport for TcpTransport {
         self.lock().stash.arrivals()
     }
 
-    /// One turn of the event loop: parked in `poll(2)` until a socket
-    /// turns readable, then parsing what it holds on this thread.
+    /// As the poller, one turn of the event loop: parked in `poll(2)`
+    /// until a socket turns readable, then parsing what it holds on this
+    /// thread. While another thread polls, a wait on the condvar instead.
     fn park(&self, seen: u64, timeout: Duration) {
         let mut ep = self.lock();
         ep.push_all();
-        let idle = ep.stash.arrivals() == seen;
-        drop(ep);
-        if idle {
-            self.pump(timeout.min(PARK_SLICE));
+        if ep.stash.arrivals() != seen {
+            return;
         }
+        let slice = timeout.min(PARK_SLICE);
+        if !ep.poller {
+            ep.poller = true;
+            self.turn(ep, slice);
+            return;
+        }
+        ep.parked += 1;
+        let (mut ep, _) = self
+            .arrived
+            .wait_timeout(ep, slice)
+            .unwrap_or_else(PoisonError::into_inner);
+        ep.parked -= 1;
     }
 }
 

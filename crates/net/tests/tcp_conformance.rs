@@ -32,6 +32,13 @@ fn a_receive_on_a_silent_tag_does_not_spin_on_an_unrelated_stash() {
     conformance::check_silent_tag_parks_boundedly(&tcp_builder, Duration::from_millis(50));
 }
 
+/// One receiving thread polls the sockets; the others wait on the
+/// endpoint's condvar, and whoever takes a frame in wakes them.
+#[test]
+fn many_receivers_share_one_endpoint() {
+    conformance::check_many_receivers(&tcp_builder);
+}
+
 /// A rank whose last `wait` has returned may stop calling its transport.
 /// Its final small frames must not sit in the coalescing queue meanwhile:
 /// the peer's own `wait` is still parked on them.

@@ -68,18 +68,6 @@ pub mod names {
     pub const SERVE_FRAMES_OUT: &str = "serve.frames_out";
     /// Tenant payload bytes the daemon placed on the fabric.
     pub const SERVE_BYTES_OUT: &str = "serve.bytes_out";
-    /// Inbound tenant frames routed to per-job inboxes.
-    pub const SERVE_FRAMES_ROUTED: &str = "serve.frames_routed";
-    /// Inbound tenant payload bytes routed to per-job inboxes.
-    pub const SERVE_BYTES_ROUTED: &str = "serve.bytes_routed";
-    /// Orphaned frames (job id not attached) evicted from the bounded
-    /// pre-attach buffer.
-    pub const SERVE_ORPHAN_DROPPED: &str = "serve.orphan_dropped";
-    /// Inbound turns (fabric read → route) that routed at least one frame
-    /// and were taken by a tenant thread.
-    pub const SERVE_TURNS_TENANT: &str = "serve.turns_tenant";
-    /// The same, taken by the daemon's pump thread, the fallback driver.
-    pub const SERVE_TURNS_PUMP: &str = "serve.turns_pump";
 }
 
 /// Monotonically increasing counter.

@@ -18,16 +18,16 @@
 //! | `CGX_SERVE_PERIOD`  | `4`     | steps between synchronisations       |
 //!
 //! Daemon-side limits (`CGX_SERVE_MAX_JOBS`, `CGX_SERVE_QUEUE_BYTES`,
-//! `CGX_SERVE_QUANTUM`, `CGX_SERVE_PARK_US`, `CGX_SERVE_DRAIN_MS`) are
-//! read by [`ServeConfig::from_env`].
+//! `CGX_SERVE_QUANTUM`, `CGX_SERVE_DRAIN_MS`, and `CGX_SERVE_PARK_US`, the
+//! pump's cadence) are read by [`ServeConfig::from_env`].
 
-use cgx_collectives::{CommError, ShmFabric};
+use cgx_collectives::{CommError, ShmFabric, Transport};
 use cgx_compress::ScratchPool;
 use cgx_engine::{local_sgd_rank, GaussianMixture, Mlp, TrainConfig};
 use cgx_net::workload::read;
 use cgx_net::TcpFabric;
 use cgx_obs::MetricsRegistry;
-use cgx_serve::{jain_index, Harvest, JobSpec, ServeConfig, ServeNode};
+use cgx_serve::{jain_index, JobSpec, ServeConfig, ServeNode};
 use cgx_tensor::Rng;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -67,14 +67,14 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let phys: Vec<Box<dyn Harvest>> = match fabric {
+    let phys: Vec<Box<dyn Transport + Send + Sync>> = match fabric {
         "shm" => ShmFabric::build(world)
             .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Harvest>)
+            .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
             .collect(),
         _ => TcpFabric::build_local(world)
             .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Harvest>)
+            .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
             .collect(),
     };
     let nodes: Vec<Arc<ServeNode>> = phys
@@ -153,11 +153,6 @@ fn main() {
         cgx_obs::names::SERVE_JOBS_REJECTED,
         cgx_obs::names::SERVE_FRAMES_OUT,
         cgx_obs::names::SERVE_BYTES_OUT,
-        cgx_obs::names::SERVE_FRAMES_ROUTED,
-        cgx_obs::names::SERVE_BYTES_ROUTED,
-        cgx_obs::names::SERVE_ORPHAN_DROPPED,
-        cgx_obs::names::SERVE_TURNS_TENANT,
-        cgx_obs::names::SERVE_TURNS_PUMP,
     ] {
         println!("  {name:<24}: {}", snap.get(name).unwrap_or(0));
     }

@@ -1,95 +1,52 @@
 //! The per-node collectives daemon: one physical transport shared by many
-//! tenant jobs attached through [`NamespacedTransport`] handles, and driven
-//! by whichever thread needs it.
+//! tenant jobs attached through [`NamespacedTransport`] handles.
 //!
-//! # Architecture
+//! A [`ServeNode`] owns one physical [`Transport`] endpoint (the node's
+//! slot in a TCP or shared-memory mesh), which every tenant thread and the
+//! daemon's pump thread use at once.
 //!
-//! A [`ServeNode`] takes ownership of one physical [`Transport`] endpoint
-//! (the node's slot in a TCP or shared-memory mesh). No thread owns it
-//! after that: the fabric is used in *turns*, each with one implementation
-//! that tenant threads and the daemon's pump thread call alike.
+//! * **Receives are the fabric's.** A handle's receive side is the
+//!   endpoint's own, on tags widened into the job's namespace
+//!   ([`cgx_collectives::namespace_tag`]): nothing is routed or filed
+//!   twice. The endpoint serves many receiving threads, and its stash
+//!   keeps the namespace rules ([`cgx_collectives::stash`]).
+//! * **Sends are scheduled.** A send is enqueued into its job's queue in a
+//!   [`DrrScheduler`]; the sender then try-locks `out` and, holding it from
+//!   dequeue to fabric send, transmits in weighted deficit-round-robin
+//!   order under the per-job rate caps. A thread that finds `out` taken
+//!   leaves its frame queued: the holder looks at the backlog again after
+//!   letting go. Lock order: `out → state`; `state` is never held across
+//!   a fabric call.
+//! * **The pump** stands in for idle tenants: every [`ServeConfig::park`] it
+//!   takes the outbound turn and flushes and drains the fabric, never
+//!   blocking in it — heartbeats and liveness while tenants compute
+//!   (DESIGN.md §12.1), throttled frames coming due, back-pressure
+//!   retries, detach retirement and the shutdown drain.
 //!
-//! * **Outbound turn** — a tenant's send is enqueued (its wire tag widened
-//!   into the job's namespace via [`cgx_collectives::namespace_tag`]) into
-//!   a per-job queue inside a [`DrrScheduler`]; the sender then try-locks
-//!   `out` and, holding it from dequeue to fabric send, transmits in
-//!   weighted deficit-round-robin order under the per-job rate caps — its
-//!   own frame and whatever the scheduler ranks ahead of it. A thread that
-//!   finds `out` taken leaves its frame queued: the holder looks at the
-//!   backlog again *after* letting go, so nothing is stranded.
-//! * **Inbound turn** — under `inb`, held from the fabric read to the last
-//!   inbox push: the fabric's [`Transport::park`] (a blocking turn) or its
-//!   [`Transport::drain_inbound`], then its [`Harvest::take_where`] of
-//!   every frame outside the native namespace, then each of them, in the
-//!   order it arrived, to the owning job's inbox
-//!   (a [`TagStash`] + condvar). Traffic for a job id not yet attached on
-//!   this node is parked in a bounded orphan buffer and replayed on attach.
-//! * **Who drives** — a handle's own [`Transport::park`] is the election:
-//!   a tenant whose receive finds its inbox empty stands for driver *with
-//!   the inbox still locked*; the winner of `inb.try_lock()` lets the
-//!   inbox go and blocks in the fabric's park, a loser sleeps on the job
-//!   condvar — the holder cannot have routed to it in between — for at
-//!   most [`ServeConfig::park`]. Lock order: `inbox → try inb`;
-//!   `inb`/`out` `→ state → inbox`; `state` is never held across a fabric
-//!   call.
-//! * **The pump** is the fallback driver: every `park` it takes both turns
-//!   without blocking in the fabric. That covers what no tenant call
-//!   would: heartbeats and liveness while tenants compute (a tenant that
-//!   computes for seconds between collectives does not starve heartbeat
-//!   emission, the failure mode of DESIGN.md §12.1), rate-throttled frames
-//!   coming due, fabric back-pressure retries, detach retirement and the
-//!   shutdown drain.
-//!
-//! # Tenant lifecycle
-//!
-//! [`ServeNode::attach`] admits a job (typed [`ServeError`] rejection when
-//! the node is full, the id is taken, or the daemon is shutting down) and
-//! returns a [`NamespacedTransport`] — a full [`Transport`] implementation,
-//! so trainers, the collectives engine, the adaptive controller and the
-//! conformance battery run over it unmodified. Dropping the handle sends a
-//! `DETACH` control frame to every peer **through the job's own DRR
-//! queue**, after any still-queued frames (per-peer FIFO makes this
-//! delivery-safe): remote ranks of the same job observe
-//! [`CommError::Disconnected`] rather than a hang, and other jobs never
-//! notice.
+//! [`ServeNode::attach`] admits a job, or rejects it with a typed
+//! [`ServeError`], and returns a full [`Transport`]. Dropping the handle
+//! sends a DETACH frame to every peer through the job's own queue, behind
+//! its queued data: remote ranks of the job then read
+//! [`CommError::Disconnected`], and other jobs notice nothing.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use cgx_collectives::transport::Tag;
-use cgx_collectives::{
-    namespace_tag, split_tag, tag_namespace, CommError, ShmTransport, TagStash, Transport,
-    MAX_TENANT_NS, NATIVE_JOB,
-};
+use cgx_collectives::transport::{Tag, DETACH_TAG};
+use cgx_collectives::{namespace_tag, CommError, Transport, MAX_TENANT_NS};
 use cgx_compress::Encoded;
 use cgx_net::workload::read;
-use cgx_net::TcpTransport;
 use cgx_obs::metrics::{names, Counter, MetricsRegistry};
 use cgx_tensor::Shape;
 
 use crate::qos::{Dequeue, DrrScheduler};
-
-/// Job-local control tag announcing a tenant's orderly detach. Lives in
-/// the reserved-special region (`u64::MAX - 3`) so [`namespace_tag`]
-/// relocates it into each job's wire namespace alongside the legacy,
-/// control and quiesce lanes.
-pub const DETACH_TAG: Tag = u64::MAX - 3;
 
 /// Recovers the permit for one mutex acquisition; the daemon holds no lock
 /// across a panic-capable region, so poisoning only ever reflects a caller
 /// panic — propagate the inner state rather than deadlocking.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Takes a turn lock (`out` / `inb`) if no thread holds it; never waits.
-fn try_turn<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    match m.try_lock() {
-        Ok(turn) => Some(turn),
-        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
 }
 
 /// [`Condvar::wait_timeout`] that, like [`lock`], looks through poisoning.
@@ -99,35 +56,9 @@ fn nap<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> Mute
         .0
 }
 
-/// Longest a driver sits in the fabric's park, or a sender on a full
-/// queue, before its caller looks at the deadline and at the terminal
-/// conditions again.
+/// Longest a sender on a full queue sleeps before it looks at the
+/// terminal conditions again.
 const SLICE: Duration = Duration::from_millis(20);
-
-/// The physical endpoint a [`ServeNode`] wraps: a [`Transport`] that
-/// tenant threads and the pump drive in turns, plus the one read a router
-/// needs that no collective does — taking frames out of the stash by tag.
-pub trait Harvest: Transport + Send + Sync {
-    /// Removes every stashed frame whose wire tag passes `keep`, as
-    /// `(peer, wire_tag, payload)` in the order the frames arrived.
-    fn take_where(&self, keep: &dyn Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)>;
-}
-
-impl Harvest for ShmTransport {
-    fn take_where(&self, keep: &dyn Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
-        ShmTransport::take_where(self, keep)
-    }
-}
-
-impl Harvest for TcpTransport {
-    fn take_where(&self, keep: &dyn Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
-        TcpTransport::take_where(self, keep)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Configuration & errors
-// ---------------------------------------------------------------------------
 
 /// Daemon tuning knobs, all overridable from the environment.
 #[derive(Debug, Clone)]
@@ -141,9 +72,8 @@ pub struct ServeConfig {
     /// DRR quantum in bytes (`CGX_SERVE_QUANTUM`): byte credit granted per
     /// scheduler visit per unit weight.
     pub quantum: u64,
-    /// Cadence of the pump's fallback turns, and the longest a tenant
-    /// thread that lost the driver election sleeps before it stands again
-    /// (`CGX_SERVE_PARK_US`, microseconds).
+    /// Cadence of the pump's fallback turns (`CGX_SERVE_PARK_US`,
+    /// microseconds).
     pub park: Duration,
     /// Shutdown drain budget (`CGX_SERVE_DRAIN_MS`): how long the pump
     /// keeps flushing queued frames after shutdown is requested.
@@ -293,10 +223,6 @@ impl JobSpec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared state
-// ---------------------------------------------------------------------------
-
 /// One queued outbound frame: physical peer, full wire tag, payload.
 #[derive(Debug)]
 struct QueuedFrame {
@@ -305,51 +231,19 @@ struct QueuedFrame {
     payload: Encoded,
 }
 
-/// Per-job inbound state, in *job-local* tag space.
-#[derive(Debug)]
-struct JobInbox {
-    /// Routed payloads, and each peer's terminal condition once it has
-    /// one: its process died, its daemon disconnected, or its tenant
-    /// detached.
-    stash: TagStash,
-    /// Threads parked on [`JobShared::cv`]: a notify is a system call,
-    /// skipped when nobody would hear it.
-    parked: usize,
-    /// This job's last inbound turn came back early with nothing: its
-    /// next park sleeps on the condvar instead of taking another.
-    dry: bool,
-}
-
-/// Handle-side shared state for one job.
-#[derive(Debug)]
-struct JobShared {
-    inbox: Mutex<JobInbox>,
-    /// Signalled, when somebody is parked, once per routed batch and on
-    /// death marks.
-    cv: Condvar,
-}
-
-/// Frames that arrived for a job id nobody attached yet.
-#[derive(Debug, Default)]
-struct Orphan {
-    frames: Vec<(usize, Tag, Encoded)>,
-    bytes: u64,
-    /// Death marks observed while orphaned (peer, error).
-    dead: Vec<(usize, CommError)>,
-}
-
 /// Everything the node mutex guards.
 struct NodeState {
     sched: DrrScheduler<QueuedFrame>,
-    jobs: HashMap<u8, Arc<JobShared>>,
+    /// Jobs attached and not yet retired.
+    jobs: HashSet<u8>,
     /// Ids ever attached — single-use per daemon lifetime.
     used_ids: HashSet<u8>,
-    orphans: HashMap<u8, Orphan>,
-    /// Physical-peer terminal errors, propagated to every job.
+    /// Physical peers a send found gone: later sends to them fail at once.
     peer_dead: Vec<Option<CommError>>,
     /// Jobs whose handles dropped; deregistered once their queue drains.
     detaching: HashSet<u8>,
-    /// Senders parked on [`NodeShared::space_cv`] (as [`JobInbox::parked`]).
+    /// Senders parked on [`NodeShared::space_cv`]: a notify is a system
+    /// call, skipped when nobody would hear it.
     blocked: usize,
     shutdown: bool,
 }
@@ -362,11 +256,6 @@ struct ServeMetrics {
     jobs_rejected: Counter,
     frames_out: Counter,
     bytes_out: Counter,
-    frames_routed: Counter,
-    bytes_routed: Counter,
-    orphan_dropped: Counter,
-    turns_tenant: Counter,
-    turns_pump: Counter,
 }
 
 impl ServeMetrics {
@@ -377,33 +266,20 @@ impl ServeMetrics {
             jobs_rejected: reg.counter(names::SERVE_JOBS_REJECTED),
             frames_out: reg.counter(names::SERVE_FRAMES_OUT),
             bytes_out: reg.counter(names::SERVE_BYTES_OUT),
-            frames_routed: reg.counter(names::SERVE_FRAMES_ROUTED),
-            bytes_routed: reg.counter(names::SERVE_BYTES_ROUTED),
-            orphan_dropped: reg.counter(names::SERVE_ORPHAN_DROPPED),
-            turns_tenant: reg.counter(names::SERVE_TURNS_TENANT),
-            turns_pump: reg.counter(names::SERVE_TURNS_PUMP),
         }
     }
 }
 
 /// State shared between the pump thread and every tenant handle.
 struct NodeShared {
-    rank: usize,
-    world: usize,
-    timeout: Duration,
     cfg: ServeConfig,
     /// Monotonic origin for the scheduler's nanosecond clock.
     epoch: Instant,
-    /// The physical endpoint, used in turns (module docs).
-    phys: Box<dyn Harvest>,
+    /// The physical endpoint, used by every thread at once (module docs).
+    phys: Box<dyn Transport + Send + Sync>,
     /// Outbound turn: held from `sched.next` to the fabric send, so DRR
     /// order is wire order.
     out: Mutex<()>,
-    /// Inbound turn: held from the fabric read to the last inbox push, so
-    /// arrival order — per-(peer, tag) FIFO, DETACH after data — holds
-    /// whoever routes. Guards the fabric's [`Transport::arrivals`] as of
-    /// the last harvest, which is what the next blocking turn parks on.
-    inb: Mutex<u64>,
     state: Mutex<NodeState>,
     /// The pump parks on this; signalled on detach and shutdown only.
     work_cv: Condvar,
@@ -419,10 +295,6 @@ impl NodeShared {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ServeNode
-// ---------------------------------------------------------------------------
-
 /// A per-node collectives daemon (see the [module docs](self)).
 ///
 /// Owns the pump thread; dropping the node requests shutdown, drains
@@ -436,26 +308,19 @@ pub struct ServeNode {
 
 impl ServeNode {
     /// Boots a daemon over `phys`, which it owns from here on. `Sync`,
-    /// because tenant threads and the pump thread take their turns on the
-    /// one endpoint.
-    pub fn new(phys: Box<dyn Harvest>, cfg: ServeConfig) -> Self {
-        let rank = phys.rank();
-        let world = phys.world();
-        let timeout = phys.timeout();
+    /// because tenant threads and the pump thread use the one endpoint at
+    /// once.
+    pub fn new(phys: Box<dyn Transport + Send + Sync>, cfg: ServeConfig) -> Self {
+        let (rank, world) = (phys.rank(), phys.world());
         let metrics = cfg.obs.as_ref().map(ServeMetrics::resolve);
         let shared = Arc::new(NodeShared {
-            rank,
-            world,
-            timeout,
             epoch: Instant::now(),
             phys,
             out: Mutex::new(()),
-            inb: Mutex::new(0),
             state: Mutex::new(NodeState {
                 sched: DrrScheduler::new(cfg.quantum),
-                jobs: HashMap::new(),
+                jobs: HashSet::new(),
                 used_ids: HashSet::new(),
-                orphans: HashMap::new(),
                 peer_dead: vec![None; world],
                 detaching: HashSet::new(),
                 blocked: 0,
@@ -475,16 +340,6 @@ impl ServeNode {
             shared,
             pump: Some(pump),
         }
-    }
-
-    /// This node's rank in the physical mesh.
-    pub fn rank(&self) -> usize {
-        self.shared.rank
-    }
-
-    /// Number of nodes in the physical mesh.
-    pub fn world(&self) -> usize {
-        self.shared.world
     }
 
     /// Admits a job and returns its transport handle.
@@ -522,44 +377,16 @@ impl ServeNode {
             );
         }
         st.used_ids.insert(spec.id);
-        st.sched
-            .register(spec.id, spec.weight.max(1), spec.rate);
-        let job = Arc::new(JobShared {
-            inbox: Mutex::new(JobInbox {
-                stash: TagStash::new(self.shared.world),
-                parked: 0,
-                dry: false,
-            }),
-            cv: Condvar::new(),
-        });
-        // Frames (and death marks) that raced ahead of this attach.
-        if let Some(orphan) = st.orphans.remove(&spec.id) {
-            let mut inbox = lock(&job.inbox);
-            for (peer, local, payload) in orphan.frames {
-                inbox.stash.file(peer, local, payload);
-            }
-            for (peer, err) in orphan.dead {
-                inbox.stash.close(peer, err);
-            }
-        }
-        // Peers already condemned at the physical level are dead for this
-        // job from birth.
-        for (peer, err) in st.peer_dead.iter().enumerate() {
-            if let Some(err) = err {
-                lock(&job.inbox).stash.close(peer, err.clone());
-            }
-        }
-        st.jobs.insert(spec.id, Arc::clone(&job));
+        st.jobs.insert(spec.id);
+        st.sched.register(spec.id, spec.weight.max(1), spec.rate);
         drop(st);
         if let Some(m) = &self.shared.metrics {
             m.jobs_attached.inc();
         }
         Ok(NamespacedTransport {
             node: Arc::clone(&self.shared),
-            job,
             id: spec.id,
             keepalive: None,
-            detached: false,
         })
     }
 
@@ -577,10 +404,7 @@ impl ServeNode {
 
 impl Drop for ServeNode {
     fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.shutdown = true;
-        }
+        lock(&self.shared.state).shutdown = true;
         self.shared.work_cv.notify_all();
         self.shared.space_cv.notify_all();
         if let Some(pump) = self.pump.take() {
@@ -592,27 +416,15 @@ impl Drop for ServeNode {
 impl std::fmt::Debug for ServeNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeNode")
-            .field("rank", &self.shared.rank)
-            .field("world", &self.shared.world)
+            .field("rank", &self.shared.phys.rank())
+            .field("world", &self.shared.phys.world())
             .finish_non_exhaustive()
     }
 }
 
-// ---------------------------------------------------------------------------
-// The two turns, and the pump that falls back on them
-// ---------------------------------------------------------------------------
-
-/// Max frames one outbound turn transmits: the pump services inbound in
-/// between, and a tenant pays for at most this much of its neighbours'
-/// backlog.
+/// Max frames one outbound turn transmits: a tenant pays for at most this
+/// much of its neighbours' backlog.
 const OUT_BATCH: usize = 64;
-
-/// Probe tag in the daemon control namespace: never sent, polled with
-/// [`Transport::try_recv_tagged`] purely to surface per-peer terminal
-/// errors from the physical transport.
-fn probe_tag() -> Tag {
-    namespace_tag(cgx_collectives::SERVE_CTRL_NS, 1)
-}
 
 /// One outbound turn, if `out` is free: dequeues in DRR order and sends
 /// until the scheduler is idle or throttled, the fabric pushes back, or
@@ -621,9 +433,11 @@ fn probe_tag() -> Tag {
 fn outbound_turn(node: &NodeShared) -> (bool, Option<u64>) {
     let mut sent_any = false;
     loop {
-        let Some(turn) = try_turn(&node.out) else {
+        let turn = match node.out.try_lock() {
+            Ok(turn) => turn,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
             // The holder sees our frame when it lets go (below).
-            return (sent_any, None);
+            Err(TryLockError::WouldBlock) => return (sent_any, None),
         };
         let (mut idle, mut ready) = (false, None);
         for _ in 0..OUT_BATCH {
@@ -646,8 +460,8 @@ fn outbound_turn(node: &NodeShared) -> (bool, Option<u64>) {
                             break;
                         }
                         // Physical peer is gone; the frame is
-                        // undeliverable. Condemn the peer for every job
-                        // and drop the frame.
+                        // undeliverable. Fail later sends to the peer and
+                        // drop the frame.
                         Err(err) => mark_peer_dead(node, item.peer, err),
                     }
                 }
@@ -683,65 +497,16 @@ fn flush_fabric(node: &NodeShared) {
     }
 }
 
-/// Takes every tenant frame the fabric holds — everything outside the
-/// native namespace, whose traffic stays for the endpoint's own
-/// collectives — in the order the frames arrived.
-fn harvest(node: &NodeShared) -> Vec<(usize, Tag, Encoded)> {
-    node.phys
-        .take_where(&|wire| tag_namespace(wire) != NATIVE_JOB)
-}
-
-/// One inbound turn under `turn`, the `inb` lock: takes in what the fabric
-/// holds — first sitting in the fabric's own park for up to `wait`, unless
-/// that is zero — and routes it; returns the number of frames routed. The
-/// liveness probe is one `read(2)` per peer on TCP, so it runs on the
-/// pump's cadence and when a wait came back empty, not on every turn.
-fn inbound_turn(
-    node: &NodeShared,
-    mut turn: MutexGuard<'_, u64>,
-    wait: Duration,
-    pump: bool,
-) -> usize {
-    if wait.is_zero() {
-        node.phys.drain_inbound();
-    } else {
-        node.phys.park(*turn, wait);
-    }
-    // Sampled before the harvest: what the fabric takes in from here on
-    // ends the next park at once.
-    *turn = node.phys.arrivals();
-    let harvested = harvest(node);
-    let routed = harvested.len();
-    if let Some(m) = node.metrics.as_ref().filter(|_| routed > 0) {
-        (if pump { &m.turns_pump } else { &m.turns_tenant }).inc();
-    }
-    route_frames(node, harvested);
-    if pump || (routed == 0 && !wait.is_zero()) {
-        let live = |p: &usize| *p != node.rank && lock(&node.state).peer_dead[*p].is_none();
-        for peer in (0..node.world).filter(live) {
-            if let Err(err) = node.phys.try_recv_tagged(peer, probe_tag()) {
-                // What the probe's own read took in was sent before the
-                // peer went: it is delivered before the death is.
-                route_frames(node, harvest(node));
-                mark_peer_dead(node, peer, err);
-            }
-        }
-    }
-    drop(turn);
-    routed
-}
-
-/// The fallback driver: takes both turns every [`ServeConfig::park`], or
-/// sooner while frames move or a throttled one comes due. It never blocks
-/// in the fabric: a pump asleep holding `inb` measured no faster than the
-/// hand-off this design replaced (DESIGN.md §14.1).
+/// The pump thread: every [`ServeConfig::park`], at once after a turn
+/// that sent, or when a throttled frame comes due, it takes the outbound
+/// turn, flushes, and takes in what the fabric holds, never blocking in
+/// the fabric.
 fn pump_loop(node: &NodeShared) {
     let mut drain_deadline: Option<Instant> = None;
     loop {
         let (sent, ready_ns) = outbound_turn(node);
         flush_fabric(node);
-        let routed =
-            try_turn(&node.inb).map_or(0, |turn| inbound_turn(node, turn, Duration::ZERO, true));
+        node.phys.drain_inbound();
         retire_detached(node);
         let st = lock(&node.state);
         if st.shutdown {
@@ -754,7 +519,7 @@ fn pump_loop(node: &NodeShared) {
                 return;
             }
         }
-        if !sent && routed == 0 {
+        if !sent {
             let due = ready_ns.map_or(u64::MAX, |at| at.saturating_sub(node.now_ns()).max(1));
             let park = node.cfg.park.min(Duration::from_nanos(due));
             drop(nap(&node.work_cv, st, park));
@@ -762,92 +527,13 @@ fn pump_loop(node: &NodeShared) {
     }
 }
 
-/// Records a terminal physical-peer error once and fans it out to every
-/// attached job's inbox (and to orphan buffers, so jobs that attach later
-/// still observe it).
+/// Records a terminal physical-peer error once, so that later sends to the
+/// peer fail at once. Receives need no such record: the fabric's own
+/// closed peer reads the same in every namespace.
 fn mark_peer_dead(node: &NodeShared, peer: usize, err: CommError) {
-    let jobs: Vec<Arc<JobShared>> = {
-        let mut st = lock(&node.state);
-        if st.peer_dead[peer].is_some() {
-            return;
-        }
-        st.peer_dead[peer] = Some(err.clone());
-        st.jobs.values().cloned().collect()
-    };
-    for job in jobs {
-        let mut inbox = lock(&job.inbox);
-        inbox.stash.close(peer, err.clone());
-        if inbox.parked > 0 {
-            job.cv.notify_all();
-        }
-    }
+    lock(&node.state).peer_dead[peer].get_or_insert(err);
     // Senders blocked on a full queue to the dead peer must wake and fail.
     node.space_cv.notify_all();
-}
-
-/// Routes harvested namespaced frames to job inboxes / orphan buffers,
-/// then wakes each job that had a thread parked, once.
-///
-/// The batch is routed as it comes. The wire is per-peer FIFO and the
-/// harvest is in arrival order ([`Harvest::take_where`]), so a DETACH
-/// control frame is met after every data frame its sender queued ahead of
-/// it: a receive never observes the disconnect while delivered-but-unrouted
-/// data still exists.
-fn route_frames(node: &NodeShared, frames: Vec<(usize, Tag, Encoded)>) {
-    let mut routed_bytes = 0u64;
-    let mut routed_frames = 0u64;
-    let mut wake: Vec<Arc<JobShared>> = Vec::new();
-    for (peer, wire, payload) in frames {
-        let (ns, local) = split_tag(wire);
-        let size = payload.payload_bytes() as u64;
-        // The peer's tenant for this job detached in an orderly way: from
-        // this job's perspective that peer is disconnected.
-        let detach = (local == DETACH_TAG).then_some(CommError::Disconnected { peer });
-        if detach.is_none() {
-            routed_frames += 1;
-            routed_bytes += size;
-        }
-        // Lookup-or-orphan under one acquisition: an `attach` racing this
-        // frame either finds it among the orphans or is found here.
-        let mut st = lock(&node.state);
-        let Some(job) = st.jobs.get(&ns).cloned() else {
-            let orphan = st.orphans.entry(ns).or_default();
-            if let Some(err) = detach {
-                orphan.dead.push((peer, err));
-                continue;
-            }
-            if orphan.bytes + size > node.cfg.queue_bytes && !orphan.frames.is_empty() {
-                // Bounded buffer: drop the oldest frame.
-                let (_, _, old) = orphan.frames.remove(0);
-                orphan.bytes -= old.payload_bytes() as u64;
-                if let Some(m) = &node.metrics {
-                    m.orphan_dropped.inc();
-                }
-            }
-            orphan.bytes += size;
-            orphan.frames.push((peer, local, payload));
-            continue;
-        };
-        drop(st);
-        let mut inbox = lock(&job.inbox);
-        match detach {
-            // Like a frame, an arrival: parked receivers wake to find it.
-            Some(err) => inbox.stash.close(peer, err),
-            None => inbox.stash.file(peer, local, payload),
-        }
-        if inbox.parked > 0 && !wake.iter().any(|j| Arc::ptr_eq(j, &job)) {
-            wake.push(Arc::clone(&job));
-        }
-    }
-    for job in wake {
-        job.cv.notify_all();
-    }
-    if routed_frames > 0 {
-        if let Some(m) = &node.metrics {
-            m.frames_routed.add(routed_frames);
-            m.bytes_routed.add(routed_bytes);
-        }
-    }
 }
 
 /// Deregisters detaching jobs whose outbound queues have fully drained.
@@ -877,24 +563,17 @@ fn retire_detached(node: &NodeShared) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// NamespacedTransport
-// ---------------------------------------------------------------------------
-
 /// A tenant job's endpoint into the shared daemon: a complete
-/// [`Transport`] whose traffic is tag-namespaced, QoS-scheduled and
-/// liveness-monitored by its [`ServeNode`]. Rank and world mirror the
-/// physical mesh; tags are job-local (the handle widens them on the way
-/// out and whoever routes narrows them on the way in).
+/// [`Transport`] whose traffic is tag-namespaced and QoS-scheduled by its
+/// [`ServeNode`]. Rank and world mirror the physical mesh; tags are
+/// job-local (the handle widens them into the job's namespace both ways).
 pub struct NamespacedTransport {
     node: Arc<NodeShared>,
-    job: Arc<JobShared>,
     id: u8,
     /// Optional owning reference that keeps the daemon alive as long as
     /// any tenant handle is: lets a test or trainer thread own "its"
     /// endpoint without separately managing the node's lifetime.
     keepalive: Option<Arc<ServeNode>>,
-    detached: bool,
 }
 
 impl NamespacedTransport {
@@ -903,11 +582,6 @@ impl NamespacedTransport {
     pub fn with_keepalive(mut self, node: Arc<ServeNode>) -> Self {
         self.keepalive = Some(node);
         self
-    }
-
-    /// The job id this handle is namespaced under.
-    pub fn job_id(&self) -> u8 {
-        self.id
     }
 
     fn wire(&self, tag: Tag) -> Tag {
@@ -925,13 +599,13 @@ impl NamespacedTransport {
         payload: Encoded,
         block: bool,
     ) -> Result<Option<Encoded>, CommError> {
-        assert!(peer < self.node.world, "peer {peer} out of range");
+        assert!(peer < self.world(), "peer {peer} out of range");
         let wire = self.wire(tag);
         let size = payload.payload_bytes() as u64;
         let cap = self.node.cfg.queue_bytes;
         let mut st = lock(&self.node.state);
         loop {
-            if st.shutdown || self.detached || st.detaching.contains(&self.id) {
+            if st.shutdown || st.detaching.contains(&self.id) {
                 return Err(CommError::Disconnected { peer });
             }
             if let Some(err) = &st.peer_dead[peer] {
@@ -971,23 +645,24 @@ impl std::fmt::Debug for NamespacedTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NamespacedTransport")
             .field("job", &self.id)
-            .field("rank", &self.node.rank)
-            .field("world", &self.node.world)
+            .field("rank", &self.rank())
+            .field("world", &self.world())
             .finish_non_exhaustive()
     }
 }
 
+/// The receive side forwards to the physical endpoint, on the widened tag.
 impl Transport for NamespacedTransport {
     fn rank(&self) -> usize {
-        self.node.rank
+        self.node.phys.rank()
     }
 
     fn world(&self) -> usize {
-        self.node.world
+        self.node.phys.world()
     }
 
     fn timeout(&self) -> Duration {
-        self.node.timeout
+        self.node.phys.timeout()
     }
 
     fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
@@ -1004,24 +679,15 @@ impl Transport for NamespacedTransport {
     }
 
     fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
-        assert!(peer < self.node.world, "peer {peer} out of range");
-        let look = || lock(&self.job.inbox).stash.receive(peer, tag);
-        // A miss takes one non-blocking inbound turn and looks again (the
-        // analogue of `TcpTransport`'s targeted probe).
-        match look()? {
-            None if self.drain_inbound() > 0 => look(),
-            found => Ok(found),
-        }
+        self.node.phys.try_recv_tagged(peer, self.wire(tag))
     }
 
     fn drain_inbound(&self) -> usize {
-        try_turn(&self.node.inb).map_or(0, |turn| {
-            inbound_turn(&self.node, turn, Duration::ZERO, false)
-        })
+        self.node.phys.drain_inbound()
     }
 
     fn flush_outbound(&self) -> Result<(), CommError> {
-        // A physical error condemns its peer for every job
+        // A physical error is recorded for later sends
         // (`mark_peer_dead`); it is not this tenant's to report.
         outbound_turn(&self.node);
         flush_fabric(&self.node);
@@ -1029,32 +695,11 @@ impl Transport for NamespacedTransport {
     }
 
     fn arrivals(&self) -> u64 {
-        lock(&self.job.inbox).stash.arrivals()
+        self.node.phys.arrivals()
     }
 
-    /// Drives the fabric meanwhile if no other thread does. The election
-    /// is the `inb` try-lock *with the inbox still locked*: the holder
-    /// needs this inbox to route here, so it cannot between a lost
-    /// election and the sleep.
     fn park(&self, seen: u64, timeout: Duration) {
-        let mut inbox = lock(&self.job.inbox);
-        if inbox.stash.arrivals() != seen {
-            return;
-        }
-        // No second turn straight after one that came back early with
-        // nothing: a fabric whose park returns at once must not make this
-        // spin.
-        let dry = std::mem::take(&mut inbox.dry);
-        if let Some(turn) = (!dry).then(|| try_turn(&self.node.inb)).flatten() {
-            drop(inbox);
-            let (wait, start) = (timeout.min(SLICE), Instant::now());
-            let dry = inbound_turn(&self.node, turn, wait, false) == 0 && start.elapsed() < wait;
-            lock(&self.job.inbox).dry = dry;
-        } else {
-            inbox.parked += 1;
-            inbox = nap(&self.job.cv, inbox, timeout.min(self.node.cfg.park));
-            inbox.parked -= 1;
-        }
+        self.node.phys.park(seen, timeout);
     }
 }
 
@@ -1066,12 +711,12 @@ impl Drop for NamespacedTransport {
         );
         // (0x44 = 'D' — inert; DETACH is recognised by tag, not payload.)
         let mut st = lock(&self.node.state);
-        if !st.shutdown && !self.detached {
+        if !st.shutdown {
             // Orderly detach: a control frame to every live peer, riding
             // this job's own queue so it lands *after* all queued data
             // (per-peer FIFO ⇒ delivery-safe).
-            for peer in 0..self.node.world {
-                if peer != self.node.rank && st.peer_dead[peer].is_none() {
+            for peer in 0..self.world() {
+                if peer != self.rank() && st.peer_dead[peer].is_none() {
                     st.sched.enqueue(
                         self.id,
                         1,
@@ -1096,8 +741,8 @@ impl Drop for NamespacedTransport {
 mod tests {
     use super::*;
     use cgx_collectives::ShmFabric;
-    use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-    use std::sync::atomic::{AtomicU32, AtomicU64};
+    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::Ordering::Relaxed;
 
     #[test]
     fn config_parse_overrides_floors_and_names_the_malformed_variable() {
@@ -1228,7 +873,7 @@ mod tests {
         let a = nodes[0].attach(JobSpec::new(9)).unwrap();
         a.send_tagged(1, 3, payload(0x33)).unwrap();
         a.send_tagged(1, 3, payload(0x34)).unwrap();
-        // Give the pumps time to route into node 1's orphan buffer.
+        // Give the pumps time to take them into node 1's stash.
         std::thread::sleep(Duration::from_millis(50));
         let b = nodes[1].attach(JobSpec::new(9)).unwrap();
         assert_eq!(b.recv_tagged(0, 3).unwrap().payload().as_ref(), &[0x33]);
@@ -1293,30 +938,28 @@ mod tests {
         u32::from_le_bytes(frame.payload().as_ref().try_into().expect("four bytes"))
     }
 
-    /// Frames for a job stream in while its `attach` races them: on
-    /// whichever side of the attach a frame lands — orphan buffer or inbox
-    /// — it is received exactly once, in per-(peer, tag) order. (The
-    /// lookup and the orphan insert used to take `state` twice; an attach
-    /// between them drained the orphans before the frame got there.)
+    /// Frames for a job stream in from a peer's fabric while the job
+    /// attaches and starts receiving: on whichever side of the attach a
+    /// frame lands, it is received exactly once, in per-(peer, tag) order.
     #[test]
     fn frames_racing_an_attach_are_delivered_once_in_order() {
         const FRAMES: u32 = 300;
         const TAGS: u32 = 3;
-        cgx_tensor::cases(256, |rng| {
+        cgx_tensor::cases(64, |rng| {
             let mut fabric = ShmFabric::build(2);
-            let _peer = fabric.pop().expect("rank 1 stays alive");
+            let peer = fabric.pop().expect("rank 1");
             let node = ServeNode::new(Box::new(fabric.pop().unwrap()), ServeConfig::default());
             let attach_after = rng.range(0..FRAMES as usize) as u32;
-            let routed = AtomicU32::new(0);
+            let sent = AtomicU64::new(0);
             std::thread::scope(|s| {
                 s.spawn(|| {
                     for i in 0..FRAMES {
                         let wire = namespace_tag(7, u64::from(i % TAGS));
-                        route_frames(&node.shared, vec![(1, wire, numbered(i))]);
-                        routed.store(i + 1, Release);
+                        peer.send_tagged(0, wire, numbered(i)).expect("send");
+                        sent.store(u64::from(i) + 1, Relaxed);
                     }
                 });
-                while routed.load(Acquire) < attach_after {
+                while sent.load(Relaxed) < u64::from(attach_after) {
                     std::hint::spin_loop();
                 }
                 let job = node.attach(JobSpec::new(7)).unwrap();
@@ -1334,48 +977,6 @@ mod tests {
         });
     }
 
-    /// What lets `route_frames` route a batch as it comes: both physical
-    /// fabrics hand the harvest back in the order the frames were sent,
-    /// however many tags they are spread over — so a frame sent last (where
-    /// a DETACH sits) is met last.
-    #[test]
-    fn the_harvest_is_in_send_order_on_both_fabrics() {
-        fn ends<T: Harvest + 'static>(mut fabric: Vec<T>) -> [Box<dyn Harvest>; 2] {
-            let to = fabric.pop().expect("rank 1");
-            [Box::new(fabric.pop().expect("rank 0")), Box::new(to)]
-        }
-        let fabrics = [
-            ends(ShmFabric::build(2)),
-            ends(cgx_net::TcpFabric::build_local(2)),
-        ];
-        for [from, to] in fabrics {
-            let mut sent: Vec<Tag> = (0..16).map(|i| namespace_tag(3, i % 8)).collect();
-            sent.push(namespace_tag(3, DETACH_TAG));
-            for (i, &wire) in sent.iter().enumerate() {
-                from.send_tagged(1, wire, payload(i as u8)).unwrap();
-            }
-            let start = Instant::now();
-            while to.arrivals() < sent.len() as u64 {
-                to.drain_inbound();
-                assert!(
-                    start.elapsed() < Duration::from_secs(10),
-                    "frames never arrived"
-                );
-            }
-            let got: Vec<(usize, Tag, u8)> = to
-                .take_where(&|wire| tag_namespace(wire) != NATIVE_JOB)
-                .iter()
-                .map(|(peer, wire, frame)| (*peer, *wire, frame.payload()[0]))
-                .collect();
-            let want: Vec<(usize, Tag, u8)> = sent
-                .iter()
-                .enumerate()
-                .map(|(i, &wire)| (0, wire, i as u8))
-                .collect();
-            assert_eq!(got, want);
-        }
-    }
-
     /// A send that finds `out` taken leaves its frame queued and returns;
     /// the frame still reaches the peer once the turn is free again.
     #[test]
@@ -1390,75 +991,13 @@ mod tests {
         assert_eq!(b.recv_tagged(0, 5).unwrap().payload().as_ref(), &[0x5A]);
     }
 
-    /// A receiver that loses the driver election sleeps on its condvar and
-    /// is woken by whoever routes to it — here the test thread, which
-    /// holds `inb` the way a driving tenant would.
-    #[test]
-    fn a_loser_of_the_election_is_woken_by_the_router() {
-        let nodes = two_nodes();
-        let b = nodes[1].attach(JobSpec::new(3)).unwrap();
-        let turn = lock(&nodes[1].shared.inb);
-        std::thread::scope(|s| {
-            let receiver = s.spawn(|| b.recv_tagged_deadline(0, 9, Duration::from_secs(10)));
-            while lock(&b.job.inbox).parked == 0 {
-                std::hint::spin_loop();
-            }
-            route_frames(
-                &nodes[1].shared,
-                vec![(0, namespace_tag(3, 9), payload(0x77))],
-            );
-            let got = receiver.join().unwrap().expect("routed frame");
-            assert_eq!(got.payload().as_ref(), &[0x77]);
-        });
-        drop(turn);
-    }
-
-    /// Hand-over: job A drives the fabric and leaves; job B, asleep on its
-    /// condvar since it lost the election, is sent a frame afterwards and
-    /// has it within a few `park`s — not one 20 ms slice later.
-    #[test]
-    fn a_waiting_job_takes_over_when_the_driver_leaves() {
-        const WAIT: Duration = Duration::from_secs(10);
-        let nodes: Vec<ServeNode> = cgx_net::TcpFabric::build_local(2)
-            .into_iter()
-            .map(|t| ServeNode::new(Box::new(t), ServeConfig::default()))
-            .collect();
-        let [a0, a1] = [0, 1].map(|n: usize| nodes[n].attach(JobSpec::new(1)).unwrap());
-        let [b0, b1] = [0, 1].map(|n: usize| nodes[n].attach(JobSpec::new(2)).unwrap());
-        let mut delays: Vec<Duration> = (0..5u64)
-            .map(|round| {
-                std::thread::scope(|s| {
-                    let a = s.spawn(|| a1.recv_tagged_deadline(0, round, WAIT));
-                    // `inb` is taken: A is in the fabric's wait (or, for a
-                    // few microseconds in each `park`, the pump looks in).
-                    while nodes[1].shared.inb.try_lock().is_ok() {
-                        std::hint::spin_loop();
-                    }
-                    let b = s.spawn(|| (b1.recv_tagged_deadline(0, round, WAIT), Instant::now()));
-                    while lock(&b1.job.inbox).parked == 0 {
-                        std::hint::spin_loop();
-                    }
-                    a0.send_tagged(1, round, payload(1)).unwrap();
-                    a.join().unwrap().expect("A's frame");
-                    let sent = Instant::now();
-                    b0.send_tagged(1, round, payload(2)).unwrap();
-                    let (got, at) = b.join().unwrap();
-                    got.expect("B's frame");
-                    at.duration_since(sent)
-                })
-            })
-            .collect();
-        delays.sort();
-        assert!(delays[2] <= Duration::from_millis(5), "B waited {delays:?}");
-    }
-
-    /// A fabric on which nothing ever happens and whose park returns at
-    /// once, as it may; it counts the inbound turns taken on it, by the
-    /// fabric call that opens each.
+    /// A fabric on which nothing ever happens; it counts the drains and
+    /// parks taken on it, and a park sleeps out its timeout, as a fabric's
+    /// native wait does when nothing arrives.
     #[derive(Default, Clone)]
     struct Hollow {
         drains: Arc<AtomicU64>,
-        waits: Arc<AtomicU64>,
+        parks: Arc<AtomicU64>,
     }
 
     impl Transport for Hollow {
@@ -1492,22 +1031,17 @@ mod tests {
         fn arrivals(&self) -> u64 {
             0
         }
-        fn park(&self, _: u64, _: Duration) {
-            self.waits.fetch_add(1, Relaxed);
+        fn park(&self, _: u64, timeout: Duration) {
+            self.parks.fetch_add(1, Relaxed);
+            std::thread::sleep(timeout);
         }
     }
 
-    impl Harvest for Hollow {
-        fn take_where(&self, _: &dyn Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
-            Vec::new()
-        }
-    }
-
-    /// No thread spins on the fabric: an attached but idle daemon takes at
-    /// most one (pump) turn per `park`, and a tenant blocked in a receive
-    /// on a fabric whose park returns early takes at most one more.
+    /// No thread spins on the fabric: an attached but idle daemon drains
+    /// it at most once per `park` and never blocks in it, and a tenant
+    /// blocked in a receive waits in the fabric's own park, once per wait.
     #[test]
-    fn nobody_takes_more_than_one_inbound_turn_per_park() {
+    fn the_pump_drains_once_per_park_and_a_tenant_waits_in_the_fabric() {
         let fabric = Hollow::default();
         let node = ServeNode::new(Box::new(fabric.clone()), ServeConfig::default());
         let tenant = node.attach(JobSpec::new(1)).unwrap();
@@ -1517,30 +1051,13 @@ mod tests {
         let parks = |since: Instant| {
             (since.elapsed().as_nanos() / node.shared.cfg.park.as_nanos()) as u64 + 2
         };
-
         let (start, before) = (Instant::now(), fabric.drains.load(Relaxed));
-        std::thread::sleep(window);
-        let (turns, allowed) = (fabric.drains.load(Relaxed) - before, parks(start));
-        assert!(turns > 0, "the fallback driver is not running");
-        assert!(
-            turns <= allowed,
-            "idle: {turns} pump turns in {allowed} parks"
-        );
-        assert_eq!(
-            fabric.waits.load(Relaxed),
-            0,
-            "a tenant that calls nothing takes no turn"
-        );
-
-        let start = Instant::now();
         let blocked = tenant.recv_tagged_deadline(1, 7, window);
         assert!(matches!(blocked, Err(CommError::Timeout { from: 1, .. })));
-        let (turns, allowed) = (fabric.waits.load(Relaxed), parks(start));
-        assert!(turns > 0, "nobody else drives: the tenant must");
-        assert!(
-            turns <= allowed,
-            "blocked: {turns} tenant turns in {allowed} parks"
-        );
+        let (drains, allowed) = (fabric.drains.load(Relaxed) - before, parks(start));
+        assert!(drains > 0, "the pump is not running");
+        assert!(drains <= allowed, "{drains} pump drains in {allowed} parks");
+        assert_eq!(fabric.parks.load(Relaxed), 1, "the pump never parks");
     }
 
     #[test]
@@ -1554,10 +1071,7 @@ mod tests {
         let n1 = ServeNode::new(Box::new(it.next().unwrap()), cfg);
         let a = n0.attach(JobSpec::new(1)).unwrap();
         let b = n1.attach(JobSpec::new(1)).unwrap();
-        let big = Encoded::new(
-            Shape::new(vec![32]),
-            vec![0xAB; 32].into(),
-        );
+        let big = Encoded::new(Shape::new(vec![32]), vec![0xAB; 32].into());
         // 32-byte frame exceeds the 8-byte cap but an empty queue admits it.
         a.send_tagged(1, 2, big.clone()).unwrap();
         a.send_tagged(1, 2, big.clone()).unwrap();

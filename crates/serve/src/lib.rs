@@ -19,10 +19,14 @@
 //! weights, and a detaching or dying tenant is announced to its own job's
 //! peers without other jobs observing anything.
 //!
-//! The fabric is driven by whichever thread needs it — a tenant's send or
-//! receive takes the daemon's turn on the socket itself — with the pump
-//! thread as the fallback driver, so transports with caller-driven liveness
-//! (the TCP fabric's heartbeats) are still serviced while a tenant computes.
+//! A tenant receives straight from the fabric: its receives and parks are
+//! the physical endpoint's own, on tags widened into its namespace, and the
+//! endpoint's stash keeps the namespace rules (a DETACH closes the
+//! detached peer's lane; a job not yet received from holds a bounded
+//! amount). Sends take the daemon's scheduled turn on the fabric from the
+//! sending thread itself, with the pump thread standing in for idle ones, so
+//! transports with caller-driven liveness (the TCP fabric's heartbeats) are
+//! still serviced while a tenant computes.
 //!
 //! ```
 //! use cgx_collectives::{ShmFabric, Transport};
@@ -49,7 +53,5 @@
 pub mod daemon;
 pub mod qos;
 
-pub use daemon::{
-    Harvest, JobSpec, NamespacedTransport, ServeConfig, ServeError, ServeNode, DETACH_TAG,
-};
+pub use daemon::{JobSpec, NamespacedTransport, ServeConfig, ServeError, ServeNode};
 pub use qos::{jain_index, Dequeue, DrrScheduler};

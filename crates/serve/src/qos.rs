@@ -241,15 +241,10 @@ impl<T> DrrScheduler<T> {
         !self.is_empty()
     }
 
-    /// Registered job ids, unordered.
-    pub fn job_ids(&self) -> Vec<u8> {
-        self.jobs.keys().copied().collect()
-    }
-
     /// Picks the next frame to transmit at time `now_ns`.
     ///
     /// Serves at most **one** frame per call so the caller interleaves
-    /// scheduling with inbound servicing. Work-conserving: whenever some
+    /// scheduling with its sends. Work-conserving: whenever some
     /// backlogged job is not rate-blocked, a frame IS returned — the round
     /// loop repeats, banking deficit, until one covers its head frame.
     /// [`Dequeue::Throttled`] is only possible when *every* backlogged job

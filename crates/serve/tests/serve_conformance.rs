@@ -12,18 +12,26 @@
 //!   exchanges bounded background traffic for the whole battery. Tenant
 //!   isolation means the battery cannot tell the difference.
 
-use cgx_collectives::conformance::{check_silent_tag_parks_boundedly, run_all, BoxTransport};
+use cgx_collectives::conformance::{
+    check_many_receivers, check_silent_tag_parks_boundedly, run_all, BoxTransport,
+};
 use cgx_collectives::{ShmFabric, Transport};
 use cgx_compress::Encoded;
 use cgx_net::TcpFabric;
-use cgx_serve::{Harvest, JobSpec, NamespacedTransport, ServeConfig, ServeNode};
+use cgx_serve::{JobSpec, NamespacedTransport, ServeConfig, ServeNode};
 use cgx_tensor::Shape;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// The longest one park blocks: the slice the shm battery grants a
+/// mailbox, whose condvar sleeps a whole deadline, and TCP's poll slice.
+const SHM_SLICE: Duration = Duration::from_millis(200);
+const TCP_SLICE: Duration = Duration::from_millis(50);
 
 /// Wraps every endpoint of a physical fabric in its own daemon and
 /// attaches `job` on each, tying the daemon's lifetime to the handle.
 fn serve_endpoints(
-    phys: Vec<Box<dyn Harvest>>,
+    phys: Vec<Box<dyn Transport + Send + Sync>>,
     job: u8,
 ) -> (Vec<Arc<ServeNode>>, Vec<NamespacedTransport>) {
     let nodes: Vec<Arc<ServeNode>> = phys
@@ -41,10 +49,10 @@ fn serve_endpoints(
     (nodes, handles)
 }
 
-fn shm_phys(n: usize) -> Vec<Box<dyn Harvest>> {
+fn shm_phys(n: usize) -> Vec<Box<dyn Transport + Send + Sync>> {
     ShmFabric::build(n)
         .into_iter()
-        .map(|t| Box::new(t) as Box<dyn Harvest>)
+        .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
         .collect()
 }
 
@@ -57,9 +65,9 @@ fn namespaced_shm(n: usize) -> Vec<BoxTransport> {
 }
 
 fn namespaced_tcp(n: usize) -> Vec<BoxTransport> {
-    let phys: Vec<Box<dyn Harvest>> = TcpFabric::build_local(n)
+    let phys: Vec<Box<dyn Transport + Send + Sync>> = TcpFabric::build_local(n)
         .into_iter()
-        .map(|t| Box::new(t) as Box<dyn Harvest>)
+        .map(|t| Box::new(t) as Box<dyn Transport + Send + Sync>)
         .collect();
     let (_nodes, handles) = serve_endpoints(phys, 1);
     handles
@@ -78,13 +86,21 @@ fn namespaced_tcp_transport_conforms() {
     run_all(&namespaced_tcp);
 }
 
-/// A handle's shortest park is the sleep of a thread that lost the driver
-/// election, `ServeConfig::park`; a driver sits in the fabric for longer.
+/// A handle's park is its fabric's: a whole deadline on the mailbox's
+/// condvar, a 50 ms slice on TCP. The pump, draining the same endpoint
+/// every `ServeConfig::park`, must not cut it short.
 #[test]
 fn a_receive_on_a_silent_tag_does_not_spin_on_an_unrelated_stash() {
-    let slice = ServeConfig::default().park;
-    check_silent_tag_parks_boundedly(&namespaced_shm, slice);
-    check_silent_tag_parks_boundedly(&namespaced_tcp, slice);
+    check_silent_tag_parks_boundedly(&namespaced_shm, SHM_SLICE);
+    check_silent_tag_parks_boundedly(&namespaced_tcp, TCP_SLICE);
+}
+
+/// A job's threads and the pump all receive and park on the node's one
+/// endpoint, and each is woken for its own frames.
+#[test]
+fn many_receivers_share_one_endpoint() {
+    check_many_receivers(&namespaced_shm);
+    check_many_receivers(&namespaced_tcp);
 }
 
 #[test]
