@@ -20,18 +20,17 @@
 //!   with consensus-identical replicas. A run that completes `Ok` is the
 //!   proof of zero post-shrink step failures: any failed step would
 //!   surface as an error.
-//!
-//! `CHAOS_SEED` selects the fault schedule (default 7) so CI can sweep
-//! the same matrix as the thread-level chaos suite.
 
-use cgx_collectives::{CommError, ReconnectPolicy, Transport};
+use cgx_collectives::{CommError, Transport};
 use cgx_compress::Encoded;
 use cgx_net::workload::{RunOptions, Workload};
-use cgx_net::{NetFaultPlan, NetOptions, TcpFabric};
+use cgx_net::{NetFaultPlan, NetOptions, ReconnectPolicy, TcpFabric};
 use cgx_tensor::Shape;
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(10);
+/// Seed of the redial schedule's jitter.
+const SEED: u64 = 7;
 
 fn payload(seed: u8) -> Encoded {
     Encoded::new(Shape::vector(4), vec![seed; 4].into())
@@ -82,19 +81,19 @@ fn measure_frozen_detection(interval: Duration, deadline: Duration) -> f64 {
 }
 
 /// Transient drop: socket dies after 3 frames, backoff redial heals it.
-fn measure_reconnect_heal(seed: u64) -> (u64, u64, f64) {
+fn measure_reconnect_heal() -> (u64, u64, f64) {
     const FRAMES: u8 = 10;
     let policy = ReconnectPolicy::new(
         Duration::from_millis(5),
         Duration::from_millis(100),
         8,
-        seed,
+        SEED,
     );
     let opts = NetOptions::default().with_reconnect(policy);
     let mut eps = TcpFabric::build_local_with(2, opts);
     let mut b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
-    b.set_fault(NetFaultPlan::new(seed).with_reset(1, 0, 3));
+    b.set_fault(NetFaultPlan::default().with_reset(1, 0, 3));
     let start = Instant::now();
     let (reconnects, wall_ms) = std::thread::scope(|s| {
         let (tx, rx) = std::sync::mpsc::channel::<()>();
@@ -178,16 +177,12 @@ fn measure_elastic_shrink() -> ElasticOutcome {
 }
 
 fn main() {
-    let seed: u64 = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
     let hb_interval = Duration::from_millis(20);
     let hb_deadline = Duration::from_millis(200);
 
     let eof_ms = measure_eof_detection();
     let frozen_ms = measure_frozen_detection(hb_interval, hb_deadline);
-    let (frames, reconnects, heal_ms) = measure_reconnect_heal(seed);
+    let (frames, reconnects, heal_ms) = measure_reconnect_heal();
     let elastic = measure_elastic_shrink();
 
     assert!(
@@ -201,7 +196,7 @@ fn main() {
     assert!(elastic.recovery_epochs >= 1);
 
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"detection\": {{\"eof_ms\": {eof_ms:.3}, \
+        "{{\n  \"seed\": {SEED},\n  \"detection\": {{\"eof_ms\": {eof_ms:.3}, \
          \"frozen_heartbeat_ms\": {frozen_ms:.1}, \"heartbeat_interval_ms\": {}, \
          \"heartbeat_deadline_ms\": {}}},\n  \"reconnect\": {{\"frames_sent\": {frames}, \
          \"reconnects\": {reconnects}, \"frames_delivered\": {frames}, \

@@ -2,8 +2,8 @@
 //! Shared helpers for the experiment binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the CGX
-//! paper from closed forms and the simulator, or (`chaos_report`,
-//! `chaos_net_report`, `sim_sweep`) drives a behaviour end to end and
+//! paper from closed forms and the simulator, or (`chaos_net_report`,
+//! `sim_sweep`) drives a behaviour end to end and
 //! asserts it; this crate provides the common table formatting so their
 //! output reads like the paper's artifacts. Nothing here times a training
 //! step: wall-clock numbers come from `benchmark/` (`BENCHMARK.json`). See

@@ -6,8 +6,8 @@
 //! payloads outliving both expired deadlines and disconnected peers, and
 //! wakeup semantics for the engine's parking model. This module states
 //! that contract once as executable checks, parameterized over a fabric
-//! builder, so every transport (shared-memory threads, TCP sockets, chaos
-//! wrappers, `cgx-serve` tenant handles) is held to the same behavior.
+//! builder, so every transport (shared-memory threads, TCP sockets,
+//! `cgx-serve` tenant handles) is held to the same behavior.
 //!
 //! Each check builds a fresh fabric via the supplied closure, so state
 //! never leaks between checks. [`run_all`] runs the full battery;
@@ -591,9 +591,7 @@ pub fn run_all(build: &FabricBuilder) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{ChaosTransport, FaultPlan};
     use crate::transport::ShmFabric;
-    use std::sync::{Arc, Mutex};
 
     fn shm_builder(n: usize) -> Vec<BoxTransport> {
         ShmFabric::build(n)
@@ -605,105 +603,5 @@ mod tests {
     #[test]
     fn shm_transport_conforms() {
         run_all(&shm_builder);
-    }
-
-    #[test]
-    fn chaos_wrapped_shm_conforms_when_quiet() {
-        // A fault plan that never fires must be behaviorally invisible.
-        let build = |n: usize| -> Vec<BoxTransport> {
-            ShmFabric::build(n)
-                .into_iter()
-                .map(|t| Box::new(ChaosTransport::new(t, FaultPlan::new(0))) as BoxTransport)
-                .collect()
-        };
-        run_all(&build);
-    }
-
-    /// A chaos endpoint shared with the thread that services it.
-    struct Serviced(Arc<ChaosTransport>);
-
-    impl Transport for Serviced {
-        fn rank(&self) -> usize {
-            self.0.rank()
-        }
-        fn world(&self) -> usize {
-            self.0.world()
-        }
-        fn timeout(&self) -> Duration {
-            self.0.timeout()
-        }
-        fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
-            self.0.send_tagged(peer, tag, payload)
-        }
-        fn try_send_tagged(
-            &self,
-            peer: usize,
-            tag: Tag,
-            payload: Encoded,
-        ) -> Result<Option<Encoded>, CommError> {
-            self.0.try_send_tagged(peer, tag, payload)
-        }
-        fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
-            self.0.try_recv_tagged(peer, tag)
-        }
-        fn drain_inbound(&self) -> usize {
-            self.0.drain_inbound()
-        }
-        fn arrivals(&self) -> u64 {
-            self.0.arrivals()
-        }
-        fn park(&self, seen: u64, timeout: Duration) {
-            self.0.park(seen, timeout);
-        }
-    }
-
-    #[test]
-    fn chaos_wrapped_shm_keeps_order_under_transient_faults() {
-        // The rates of `fault::tests::transient_faults_are_masked_in_order`,
-        // over several seeds. The checks send and then only receive, so a
-        // thread per endpoint answers its NACKs, as the rank's own later
-        // calls would; and a dropped endpoint lingers a while first, as a
-        // quiescing rank does, so that frames lost in flight before the
-        // disconnect can still be asked for.
-        const LINGER: Duration = Duration::from_millis(200);
-        let servicers = Arc::new(Mutex::new(Vec::new()));
-        for seed in 1..=8u64 {
-            let plan = FaultPlan::new(seed)
-                .with_drop(0.15)
-                .with_corrupt(0.1)
-                .with_duplicate(0.1)
-                .with_delay(0.1, Duration::from_millis(1));
-            let all = Arc::clone(&servicers);
-            let build = move |n: usize| -> Vec<BoxTransport> {
-                ShmFabric::build(n)
-                    .into_iter()
-                    .map(|t| {
-                        let t = Arc::new(ChaosTransport::new(t, plan.clone()));
-                        let mine = Arc::clone(&t);
-                        let servicer = std::thread::spawn(move || {
-                            let mut orphaned: Option<Instant> = None;
-                            while orphaned.is_none_or(|at| at.elapsed() < LINGER) {
-                                mine.drain_inbound();
-                                if orphaned.is_none() && Arc::strong_count(&mine) == 1 {
-                                    orphaned = Some(Instant::now());
-                                }
-                                std::thread::sleep(Duration::from_micros(200));
-                            }
-                            mine.fault_stats().injected_total()
-                        });
-                        all.lock().expect("servicers").push(servicer);
-                        Box::new(Serviced(t)) as BoxTransport
-                    })
-                    .collect()
-            };
-            check_per_tag_fifo(&build);
-            check_tag_demux_out_of_order(&build);
-            check_stash_survives_disconnect(&build);
-        }
-        let injected: usize = std::mem::take(&mut *servicers.lock().expect("servicers"))
-            .into_iter()
-            .map(|s| s.join().expect("servicer"))
-            .sum();
-        assert!(injected > 0, "no seed injected a fault");
     }
 }

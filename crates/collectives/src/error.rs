@@ -2,12 +2,12 @@
 //!
 //! The fault taxonomy distinguishes three severities:
 //!
-//! * **Transient, self-healing** — [`CommError::Corrupted`] frames are
-//!   detected by the transport checksum and retransmitted; callers only see
-//!   them through [`crate::fault::FaultStats`] counters.
-//! * **Transient, surfaced** — [`CommError::Lost`] means the bounded
-//!   retransmission budget was exhausted; [`CommError::Timeout`] means a
-//!   peer stopped making progress.
+//! * **Fatal to one link** — [`CommError::Corrupted`]: a frame failed the
+//!   transport checksum, or a peer claimed history it never sent; the
+//!   link is condemned rather than healed into misaligned payloads.
+//! * **Transient, surfaced** — [`CommError::Lost`] means frames of a lane
+//!   were dropped and will never be delivered (the stash's orphan bound);
+//!   [`CommError::Timeout`] means a peer stopped making progress.
 //! * **Recoverable peer loss** — the communication engine folds
 //!   `Disconnected`/`Timeout`/`Lost` into [`CommError::PeerLost`], the
 //!   signal the elastic trainers use to run a membership epoch and continue
@@ -37,20 +37,21 @@ pub enum CommError {
         /// The rank whose channel closed.
         peer: usize,
     },
-    /// A frame failed its checksum. Normally handled inside the transport
-    /// by retransmission; surfaced only by direct frame-level APIs.
+    /// A frame failed its checksum, or a peer's resume point contradicts
+    /// what was sent: the link it names is condemned.
     Corrupted {
         /// The rank the corrupted frame arrived from.
         peer: usize,
         /// Human-readable description (tag/sequence context).
         detail: String,
     },
-    /// A frame was never delivered despite exhausting the bounded
-    /// retransmission budget.
+    /// Frames from a peer were dropped and will never be delivered, so
+    /// nothing behind them can be either.
     Lost {
-        /// The rank the frame was expected from.
+        /// The rank the frames were expected from.
         peer: usize,
-        /// How many retransmission requests were issued before giving up.
+        /// How many retransmission requests were issued before giving up
+        /// (0 when the frames were dropped on arrival).
         retries: u32,
     },
     /// The peer's *process* is known dead: its socket reset or EOF'd

@@ -1,6 +1,5 @@
 //! Seq + FNV-checksummed payload framing, and the retention that resends
-//! from it, shared by the chaos/reliability layer
-//! ([`crate::fault::ChaosTransport`]) and the TCP wire format (`cgx-net`).
+//! from it: the envelope of the TCP wire format (`cgx-net`).
 //!
 //! A frame wraps one [`Encoded`] payload with a magic sentinel, a
 //! per-link sequence number — frames counted per (sender, receiver) pair
@@ -11,15 +10,12 @@
 //! single-bit corruption of the body is caught. [`open`] is the one reader
 //! of the envelope, in place; [`open_copy`] is the same reader for a
 //! receiver that copies the body out, and verifies in the copying pass.
-//! Both consumers use the identical header layout, which
-//! is the point — the reliability protocol debugged under deterministic
-//! chaos injection is byte-for-byte the protocol that runs on real sockets.
 //!
 //! A receiver accepts exactly the next link seq it expects, so "what I
 //! have" is one number, and a sender keeps one byte-bounded [`Retention`]
-//! of the frames it handed to the link. Both recoveries read "from `s` on"
-//! out of it: a chaos NACK names the receiver's next-expected seq and gets
-//! that frame again; a TCP reconnect resends the whole suffix from it.
+//! of the frames it handed to the link. A TCP reconnect reads "from `s`
+//! on" out of it: the receiver names its next-expected seq, and the sender
+//! resends the whole suffix from there.
 
 use crate::error::CommError;
 use crate::transport::Tag;
@@ -179,16 +175,6 @@ fn checksum_on(body: Body, tag: Tag, seq: u32, payload: &[u8]) -> u32 {
     sum.finish(tail)
 }
 
-/// Wraps `payload` in a checksummed frame carrying `seq`, preserving the
-/// payload's shape.
-pub fn frame(tag: Tag, seq: u32, payload: &Encoded) -> Encoded {
-    let body = payload.payload();
-    Encoded::new(
-        payload.shape().clone(),
-        frame_bytes(tag, seq, body),
-    )
-}
-
 /// The raw framed bytes for `body`: header plus payload, ready for a wire.
 pub fn frame_bytes(tag: Tag, seq: u32, body: &[u8]) -> Bytes {
     let mut buf = Vec::with_capacity(HEADER_LEN + body.len());
@@ -211,10 +197,9 @@ pub fn append_header(dst: &mut Vec<u8>, tag: Tag, seq: u32, body: &[u8]) {
 /// bearing [`FRAME_MAGIC`] whose stated checksum matches the body under
 /// `(tag, seq)`; `None` for anything shorter than a header, unmagical, or
 /// corrupted. With [`open_copy`] the one reader of the format: the
-/// bootstrap stream reader and the chaos layer verify in place with it,
-/// the TCP demux copies arrivals out of its staging ring with
-/// [`open_copy`], so a mismatch is *observed* (counted, NACKed or fatal,
-/// as the caller decides), never masked.
+/// bootstrap stream reader verifies in place with it, the TCP demux copies
+/// arrivals out of its staging ring with [`open_copy`], so a mismatch is
+/// *observed* (fatal to the link, as the caller decides), never masked.
 pub fn open(tag: Tag, bytes: &[u8]) -> Option<(u32, &[u8])> {
     let (seq, stated, body) = envelope(bytes)?;
     (checksum(tag, seq, body) == stated).then_some((seq, body))
@@ -366,14 +351,12 @@ mod tests {
 
     #[test]
     fn frame_parse_roundtrip_preserves_everything() {
-        let original = enc(&[9, 8, 7, 6]);
-        let framed = frame(0xAB, 3, &original);
-        assert_eq!(framed.shape(), original.shape());
-        let (seq, body) = open(0xAB, framed.payload()).expect("opens");
+        let framed = frame_bytes(0xAB, 3, &[9, 8, 7, 6]);
+        let (seq, body) = open(0xAB, &framed).expect("opens");
         assert_eq!(seq, 3);
         assert_eq!(body, &[9, 8, 7, 6]);
         // The body is the frame's own bytes past the header, not a copy.
-        assert_eq!(body.as_ptr(), framed.payload()[HEADER_LEN..].as_ptr());
+        assert_eq!(body.as_ptr(), framed[HEADER_LEN..].as_ptr());
     }
 
     #[test]

@@ -26,13 +26,10 @@
 //!   written straight down, faithfully reproducing where each scheme
 //!   re-quantizes (the compression-error differences of paper Figure 10),
 //! * [`powersgd`] — the factored PowerSGD Allreduce (associative path),
-//! * [`fault`] — seeded deterministic fault injection
-//!   ([`fault::ChaosTransport`]) plus the checksummed-retransmission
-//!   reliability layer that masks what it injects,
 //! * [`membership`] — membership-epoch agreement and the shrunken-world
 //!   [`membership::MembershipView`] behind elastic recovery,
-//! * [`framing`] — the seq+FNV checksummed frame format shared by the
-//!   chaos reliability layer and the `cgx-net` TCP wire protocol,
+//! * [`framing`] — the seq+FNV checksummed frame format of the `cgx-net`
+//!   TCP wire protocol, and the retention its reconnect resends from,
 //! * [`hierarchy`] — the node [`Topology`] and the two raw intra-node
 //!   hops staged around an engine round between node leaders,
 //! * [`conformance`] — the executable [`Transport`] contract, run against
@@ -64,7 +61,6 @@ pub mod cluster;
 pub mod conformance;
 pub mod engine;
 pub mod error;
-pub mod fault;
 pub mod framing;
 pub mod hierarchy;
 pub mod membership;
@@ -76,7 +72,6 @@ pub mod transport;
 pub use cluster::ThreadCluster;
 pub use engine::{lane_epoch, CommEngine, EngineOptions, Handle};
 pub use error::CommError;
-pub use fault::{ChaosTransport, FaultKind, FaultPlan, FaultStats, ReconnectPolicy};
 pub use hierarchy::Topology;
 pub use membership::{agree, Membership, MembershipView};
 pub use reduce::{allreduce_scratch, AllreduceStats};

@@ -4,8 +4,8 @@
 //! Production code reduces through [`crate::engine::CommEngine`], which runs
 //! SRA and Ring as nonblocking machines. [`allreduce_scratch`] is those
 //! schemes written straight down, one blocking collective at a time: what
-//! `engine_matches_sequential_loop_bitwise` and the chaos, stress and
-//! property suites hold the engine to, bit for bit, and what
+//! `engine_matches_sequential_loop_bitwise` and the stress and property
+//! suites hold the engine to, bit for bit, and what
 //! `fig10_reduction_schemes` counts kernels on. The Tree and Allgather
 //! bodies are also the engine's own eager path — it has no machine for
 //! them.

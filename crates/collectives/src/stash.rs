@@ -3,8 +3,8 @@
 //! What has reached an endpoint and what its owner asks for next rarely
 //! coincide: several collectives are in flight, so a payload waits under
 //! its `(peer, tag)` until a receive names it. [`TagStash`] is that waiting
-//! room — the state behind the shared-memory mailbox, the TCP demux and the
-//! chaos layer alike — together with the two facts every receive path
+//! room — the state behind the shared-memory mailbox and the TCP endpoint
+//! alike — together with the two facts every receive path
 //! needs beside it: how much has ever arrived ([`TagStash::arrivals`], the
 //! eventcount behind [`Transport::park`](crate::Transport::park)) and
 //! whether a peer can still send more ([`TagStash::closed`]).
@@ -26,11 +26,9 @@ use std::collections::{HashMap, VecDeque};
 /// What a tenant namespace that no receive has asked for yet may hold.
 pub const ORPHAN_BYTES: u64 = 32 << 20;
 
-/// One filed payload and its place in the order of arrival.
+/// One filed payload and its place in its peer's stream.
 #[derive(Debug)]
 struct Filed {
-    /// Its number among everything filed here.
-    nth: u64,
     /// Its number among what its peer filed here.
     nth_of_peer: u64,
     payload: Encoded,
@@ -101,7 +99,6 @@ impl TagStash {
             }
         }
         let filed = Filed {
-            nth: self.arrivals,
             nth_of_peer: self.filed[peer],
             payload,
         };
@@ -139,29 +136,6 @@ impl TagStash {
         let lane = self.lanes_closed.get(&(peer, tag_namespace(tag)));
         lane.or(self.closed(peer))
             .map_or(Ok(None), |e| Err(e.clone()))
-    }
-
-    /// Removes every payload whose tag passes `keep`, as `(peer, tag,
-    /// payload)` in the order they arrived — a peer's frame on one tag
-    /// never overtakes what it sent first on another: how the chaos layer
-    /// takes in everything its peers framed.
-    pub fn take_where(&mut self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
-        let mut out = Vec::new();
-        for (peer, queues) in self.queues.iter_mut().enumerate() {
-            let tags: Vec<Tag> = queues.keys().copied().filter(|&t| keep(t)).collect();
-            for tag in tags {
-                let job = tag_namespace(tag);
-                self.claimed[usize::from(job / 64)] |= 1 << (job % 64);
-                for filed in queues.remove(&tag).expect("key just listed") {
-                    self.seen[peer] = self.seen[peer].max(filed.nth_of_peer + 1);
-                    out.push((filed.nth, peer, tag, filed.payload));
-                }
-            }
-        }
-        out.sort_unstable_by_key(|&(nth, ..)| nth);
-        out.into_iter()
-            .map(|(_, peer, tag, p)| (peer, tag, p))
-            .collect()
     }
 
     /// Payloads ever filed plus peers ever closed: it moves exactly when
@@ -230,7 +204,7 @@ impl TagStash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{collective_tag, namespace_tag, tag_namespace, NATIVE_JOB};
+    use crate::transport::namespace_tag;
     use cgx_tensor::{Bytes, Shape};
 
     fn payload(byte: u8) -> Encoded {
@@ -291,30 +265,6 @@ mod tests {
         assert_eq!(receive(1), Err(CommError::Disconnected { peer: 1 }));
         assert_eq!(receive(0), Ok(None));
         assert!(s.closed(0).is_none());
-    }
-
-    #[test]
-    fn take_where_is_in_arrival_order_and_leaves_what_it_passes_over() {
-        let tenant = |t: Tag| tag_namespace(t) != NATIVE_JOB;
-        let mut s = TagStash::new(3);
-        let native = collective_tag(5, 0, 1);
-        let mut sent = Vec::new();
-        for i in 0..24u8 {
-            let peer = 1 + usize::from(i % 2);
-            let tag = namespace_tag(1 + i % 3, u64::from(i % 8));
-            s.file(peer, tag, payload(i));
-            sent.push((peer, tag, i));
-            s.file(peer, native, payload(100 + i));
-        }
-        let got: Vec<(usize, Tag, u8)> = s
-            .take_where(tenant)
-            .iter()
-            .map(|(p, t, e)| (*p, *t, byte(e)))
-            .collect();
-        assert_eq!(got, sent);
-        assert!(s.take_where(tenant).is_empty());
-        assert_eq!(s.take(1, native).map(|e| byte(&e)), Some(100));
-        assert_eq!(s.take(2, native).map(|e| byte(&e)), Some(101));
     }
 
     /// A job's frames that arrive before any receive asks for its

@@ -65,12 +65,11 @@ pub type Tag = u64;
 /// multiplexing existed).
 pub const LEGACY_TAG: Tag = u64::MAX;
 
-/// Control lane for the reliability layer (retransmission NACKs). Exempt
-/// from fault injection so recovery traffic itself cannot be lost forever.
+/// Control lane of a fabric's own protocol, never a collective's: the TCP
+/// endpoint's liveness heartbeats and the rendezvous handshake ride it.
 pub const CTRL_TAG: Tag = u64::MAX - 1;
 
-/// End-of-run quiesce lane (see [`exchange_quiesce_markers`]). Exempt from
-/// fault injection and framing, like [`CTRL_TAG`].
+/// End-of-run quiesce lane (see [`exchange_quiesce_markers`]).
 pub const QUIESCE_TAG: Tag = u64::MAX - 2;
 
 /// A tenant's orderly detach, sent by `cgx-serve` to every peer of its job.
@@ -219,9 +218,9 @@ pub fn tag_namespace(wire: Tag) -> u8 {
 /// [`recv_tagged`](Transport::recv_tagged), [`recv`](Transport::recv)),
 /// the legacy-lane conveniences, and a no-op
 /// [`flush_outbound`](Transport::flush_outbound) for fabrics that send
-/// eagerly. What belongs to one layer above stays there: fault counters
-/// on [`crate::fault::ChaosTransport`], the kill schedule in the
-/// trainer's config, teardown in [`exchange_quiesce_markers`]; a
+/// eagerly. What belongs to one layer above stays there: the kill
+/// schedule in the trainer's config, teardown in
+/// [`exchange_quiesce_markers`]; a
 /// `cgx-serve` tenant's receives are the fabric's own, on the tag widened
 /// by [`namespace_tag`].
 ///
@@ -233,9 +232,7 @@ pub fn tag_namespace(wire: Tag) -> u8 {
 /// never be the only thing between a caller and its deadline, and a caller
 /// must poll again after it rather than trust that something arrived.
 ///
-/// [`ShmTransport`] is the in-process fabric;
-/// [`crate::fault::ChaosTransport`] wraps it with deterministic fault
-/// injection plus checksummed retransmission, and
+/// [`ShmTransport`] is the in-process fabric, and
 /// [`crate::membership::MembershipView`] re-maps ranks after an elastic
 /// shrink. The engine, the blocking collectives and both trainers are
 /// written against `&dyn Transport`, so all of them compose. Endpoints are
@@ -397,9 +394,8 @@ pub trait Transport {
 /// The teardown barrier, on every fabric: a marker to every one of `peers`
 /// (ranks of `t`; self is skipped) on the [`QUIESCE_TAG`] lane, then one
 /// from each, so that nobody drops its endpoint while a peer's final frames
-/// are still on their way — in a socket, behind a daemon's scheduler, or
-/// owed as a retransmission (each receive on a chaos endpoint services its
-/// control lane). Best-effort: a peer that fails or stays silent past the
+/// are still on their way — in a socket, in a coalescing queue, or behind a
+/// daemon's scheduler. Best-effort: a peer that fails or stays silent past the
 /// timeout is skipped rather than failing a finished run.
 pub fn exchange_quiesce_markers(t: &dyn Transport, peers: &[usize]) {
     let marker = Encoded::new(Shape::vector(1), Bytes::copy_from_slice(&[0x51]));
@@ -522,17 +518,6 @@ impl ShmTransport {
 
     fn mailbox(&self) -> &Mailbox {
         &self.boxes[self.rank]
-    }
-
-    /// Takes every payload filed here whose tag passes `keep`, as `(peer,
-    /// tag, payload)` in arrival order ([`TagStash::take_where`]): how the
-    /// chaos layer takes in everything its peers framed.
-    pub fn take_where(&self, keep: impl Fn(Tag) -> bool) -> Vec<(usize, Tag, Encoded)> {
-        let mailbox = self.mailbox();
-        let mut inbox = mailbox.lock();
-        let taken = inbox.stash.take_where(keep);
-        mailbox.note_space(&inbox);
-        taken
     }
 
     fn check_peer(&self, peer: usize) {
@@ -1187,31 +1172,6 @@ mod tests {
     fn namespacing_an_already_namespaced_tag_panics() {
         let wire = namespace_tag(3, collective_tag(1, 0, 1));
         let _ = namespace_tag(4, wire);
-    }
-
-    #[test]
-    fn take_where_partitions_tenant_from_native() {
-        let mut eps = ShmFabric::build(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        let native = collective_tag(5, 0, 1);
-        let t1 = namespace_tag(1, collective_tag(5, 0, 1));
-        let t2 = namespace_tag(2, LEGACY_TAG);
-        a.send_tagged(1, native, payload(1)).unwrap();
-        a.send_tagged(1, t1, payload(2)).unwrap();
-        a.send_tagged(1, t1, payload(3)).unwrap();
-        a.send_tagged(1, t2, payload(4)).unwrap();
-        b.drain_inbound();
-        let tenant = |t: Tag| tag_namespace(t) != NATIVE_JOB;
-        let taken = b.take_where(tenant);
-        let got: Vec<(usize, Tag, u8)> = taken
-            .iter()
-            .map(|(p, t, e)| (*p, *t, e.payload()[0]))
-            .collect();
-        assert_eq!(got, vec![(0, t1, 2), (0, t1, 3), (0, t2, 4)]);
-        // Native traffic is untouched and still deliverable.
-        assert_eq!(b.recv_tagged(0, native).unwrap().payload().as_ref(), &[1]);
-        assert!(b.take_where(tenant).is_empty());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Runs the generic [`cgx_collectives::conformance`] battery against the
-//! shared-memory transport and its chaos wrapper. The same suite is
-//! instantiated for the TCP transport in `cgx-net`; any divergence in
-//! `Transport` semantics between backends fails here first.
+//! shared-memory transport. The same suite is instantiated for the TCP
+//! transport in `cgx-net`; any divergence in `Transport` semantics between
+//! backends fails here first.
 
 use cgx_collectives::conformance::{self, BoxTransport};
-use cgx_collectives::{ChaosTransport, FaultPlan, ShmFabric};
+use cgx_collectives::ShmFabric;
 use std::time::Duration;
 
 fn shm_builder(n: usize) -> Vec<BoxTransport> {
@@ -19,24 +19,10 @@ fn shm_transport_satisfies_the_transport_contract() {
     conformance::run_all(&shm_builder);
 }
 
-fn quiet_chaos_builder(n: usize) -> Vec<BoxTransport> {
-    ShmFabric::build(n)
-        .into_iter()
-        .map(|t| Box::new(ChaosTransport::new(t, FaultPlan::new(0))) as BoxTransport)
-        .collect()
-}
-
-#[test]
-fn quiet_chaos_wrapper_satisfies_the_transport_contract() {
-    conformance::run_all(&quiet_chaos_builder);
-}
-
-/// The mailbox's condvar sleeps a whole deadline in one park; the chaos
-/// layer wakes every millisecond to look at its retransmission timers.
+/// The mailbox's condvar sleeps a whole deadline in one park.
 #[test]
 fn a_receive_on_a_silent_tag_does_not_spin_on_an_unrelated_stash() {
     conformance::check_silent_tag_parks_boundedly(&shm_builder, Duration::from_millis(200));
-    conformance::check_silent_tag_parks_boundedly(&quiet_chaos_builder, Duration::from_millis(1));
 }
 
 /// Every receiving thread of a mailbox waits on its condvar, and a sender

@@ -34,8 +34,8 @@ use cgx_tensor::{Rng, Tensor};
 /// of each round's mean deltas (rank-replicated, like the trainer's mean
 /// gradients) and counts rounds, not steps.
 ///
-/// Returns `Ok(None)` when the fault plan kills this rank mid-run
-/// ([`TrainConfig::chaos`]), with `t` still open.
+/// Returns `Ok(None)` when [`TrainConfig::kill`] kills this rank mid-run,
+/// with `t` still open.
 ///
 /// # Errors
 ///
@@ -265,7 +265,7 @@ mod tests {
         let (task, model) = setup();
         let cfg = TrainConfig {
             lr: 0.2,
-            chaos: Some(cgx_collectives::FaultPlan::new(17).with_kill(3, 50)),
+            kill: Some((3, 50)),
             elastic: true,
             comm_timeout: Some(std::time::Duration::from_millis(300)),
             compression: LayerCompression::cgx_default(),
@@ -275,7 +275,7 @@ mod tests {
         let (trained, report) =
             train_local_sgd(&model, move |r| t.sample_batch(r, 16), &cfg, 8).unwrap();
         assert_eq!(report.final_world, 3, "world did not shrink to survivors");
-        assert_eq!(report.faults.recovery_epochs, 1);
+        assert_eq!(report.recovery_epochs, 1);
         assert_eq!(report.losses.len(), cfg.steps);
         assert!(
             eval(&trained, &task) > 0.8,

@@ -391,7 +391,7 @@ mod tests {
     use crate::data::GaussianMixture;
     use crate::nn::Mlp;
     use crate::trainer::{train_rank, LayerCompression, TrainConfig};
-    use cgx_collectives::{FaultPlan, ShmFabric, ThreadCluster, Topology};
+    use cgx_collectives::{ShmFabric, ThreadCluster, Topology};
     use cgx_compress::ScratchPool;
     use cgx_tensor::Rng;
     use std::time::Duration;
@@ -456,7 +456,7 @@ mod tests {
                     t.set_timeout(Duration::from_secs(5));
                     let (task, model, pool) = (&task, &model, &pool);
                     let cfg = TrainConfig {
-                        chaos: kill.map(|at| FaultPlan::new(0).with_kill(rank, at)),
+                        kill: kill.map(|at| (rank, at)),
                         ..cfg.clone()
                     };
                     s.spawn(move || {

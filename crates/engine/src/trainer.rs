@@ -12,10 +12,12 @@
 //!
 //! # Failure model
 //!
-//! With [`TrainConfig::chaos`] set, every worker's endpoint is wrapped in a
-//! [`ChaosTransport`] whose reliability layer masks transient faults
-//! (drops, corruption, duplicates, delays) without changing a single
-//! delivered byte — chaos runs train bit-identically to fault-free runs.
+//! The faults are the ones production fabrics have. Shared memory loses
+//! nothing, and a TCP link heals a socket reset itself (the retained
+//! suffix is resent on redial), so a transient fault never reaches the
+//! trainer. What does is a fail-stop death: [`TrainConfig::kill`]
+//! schedules one, on any fabric.
+//!
 //! With [`TrainConfig::elastic`] set, an unrecoverable peer loss
 //! ([`CommError::PeerLost`] from the engine, or any peer-scoped transport
 //! error) triggers shrink-and-continue recovery: survivors agree on a new
@@ -27,10 +29,7 @@ use crate::optimizer::{clip_global_norm, SgdMomentum};
 use crate::sync::RankSync;
 use cgx_adaptive::{AdaptivePlanTrace, AdaptiveTrainConfig};
 use cgx_collectives::reduce::Algorithm;
-use cgx_collectives::{
-    ChaosTransport, CommError, EngineOptions, FaultPlan, FaultStats, ShmTransport, ThreadCluster,
-    Topology, Transport,
-};
+use cgx_collectives::{CommError, EngineOptions, ShmTransport, ThreadCluster, Topology, Transport};
 use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
 use cgx_obs::{MetricsSnapshot, ObsHandle};
 use cgx_tensor::{Rng, Tensor};
@@ -265,16 +264,12 @@ pub struct TrainConfig {
     /// submitted up front and redeemed in order, so their
     /// compress/send/decode work overlaps.
     pub engine: EngineOptions,
-    /// Deterministic fault injection. Its kill ([`FaultPlan::kill`]) is
-    /// read by [`train_rank`] and [`local_sgd_rank`](crate::local_sgd_rank)
-    /// themselves, on any fabric: the scheduled rank returns `Ok(None)` at
-    /// the top of the scheduled step. Its transient faults need a
-    /// [`ChaosTransport`]: the thread harnesses
-    /// ([`train_data_parallel`], [`train_local_sgd`](crate::train_local_sgd))
-    /// wrap every worker's endpoint in one driven by this plan, whose
-    /// reliability layer masks them without changing a single delivered
-    /// byte, and report its counters in [`TrainReport::faults`].
-    pub chaos: Option<FaultPlan>,
+    /// `(rank, step)`: that rank dies (fail-stop) at the top of that step.
+    /// Read by [`train_rank`] and [`local_sgd_rank`](crate::local_sgd_rank)
+    /// themselves, on any fabric: the scheduled rank returns `Ok(None)`
+    /// with its endpoint still open, and dropping it is what the survivors
+    /// observe.
+    pub kill: Option<(usize, usize)>,
     /// Shrink-and-continue recovery: when `true`, an unrecoverable peer
     /// loss triggers membership agreement and training continues on the
     /// surviving world instead of failing. Recovery relies on the engine's
@@ -283,7 +278,7 @@ pub struct TrainConfig {
     pub elastic: bool,
     /// Override for the transport receive timeout — the budget after
     /// which a silent peer is declared lost. `None` keeps the fabric
-    /// default; chaos tests set it low so recovery is prompt.
+    /// default; kill tests set it low so recovery is prompt.
     pub comm_timeout: Option<Duration>,
     /// Node layout for hierarchical reduction. When set, the round's one
     /// engine exchange runs between the node leaders only (always SRA,
@@ -329,7 +324,7 @@ impl TrainConfig {
             seed: 1234,
             accumulation: 1,
             engine: EngineOptions::default(),
-            chaos: None,
+            kill: None,
             elastic: false,
             comm_timeout: None,
             topology: None,
@@ -341,7 +336,8 @@ impl TrainConfig {
 
 /// Per-rank result of a run ([`train_rank`] or
 /// [`local_sgd_rank`](crate::local_sgd_rank) returning `Ok(None)` means
-/// the rank was killed by the fault plan; survivors carry their replica).
+/// the rank was killed by [`TrainConfig::kill`]; survivors carry their
+/// replica).
 #[derive(Debug, Clone)]
 pub struct RankOutput<M> {
     /// The trained replica (bit-identical across survivors).
@@ -377,16 +373,13 @@ pub struct TrainReport {
     pub compress_calls_per_worker: usize,
     /// Synchronization rounds performed.
     pub sync_rounds: usize,
-    /// The reporting worker's fault counters: what its [`ChaosTransport`]
-    /// injected and masked (all zeros without [`TrainConfig::chaos`]),
-    /// and in `recovery_epochs` the shrink-and-continue recoveries the run
-    /// survived.
-    pub faults: FaultStats,
+    /// Shrink-and-continue recoveries the reporting worker went through.
+    pub recovery_epochs: usize,
     /// World size at the end of the run — smaller than `cfg.workers` if
     /// elastic recovery shrank the fleet.
     pub final_world: usize,
     /// Snapshot of the run's metrics registry ([`TrainConfig::obs`]):
-    /// engine, transport, pool and fault counters aggregated across all
+    /// engine, transport and pool counters aggregated across all
     /// workers. Empty when observability is disabled.
     pub metrics: MetricsSnapshot,
     /// The live controller's re-plan history ([`TrainConfig::adaptive`]);
@@ -462,9 +455,8 @@ impl<M: TrainableModel> Replica<M> {
 /// thread-backed run and a process-backed run with the same seed produce
 /// byte-identical replicas.
 ///
-/// Returns `Ok(None)` when the fault plan kills this rank mid-run
-/// ([`TrainConfig::chaos`]), with `t` still open: dropping it is what the
-/// survivors observe.
+/// Returns `Ok(None)` when [`TrainConfig::kill`] kills this rank mid-run,
+/// with `t` still open: dropping it is what the survivors observe.
 ///
 /// # Errors
 ///
@@ -512,37 +504,14 @@ where
     Ok(Some(sync.finish(replica.model, losses, cfg.steps)))
 }
 
-/// Whether `cfg`'s fault plan kills `rank` at the top of `step`.
+/// Whether [`TrainConfig::kill`] kills `rank` at the top of `step`.
 pub(crate) fn killed(cfg: &TrainConfig, rank: usize, step: usize) -> bool {
-    cfg.chaos.as_ref().and_then(|plan| plan.kill) == Some((rank, step))
-}
-
-/// Runs `rank` on a raw fabric endpoint wrapped per the run's chaos
-/// configuration, timeout override, and observability handle; returns
-/// its result beside the counters of the [`ChaosTransport`] it ran on
-/// (zeros when there was none), read before the endpoint drops.
-fn wrap_endpoint<T>(
-    mut raw: ShmTransport,
-    cfg: &TrainConfig,
-    rank: impl FnOnce(&dyn Transport) -> T,
-) -> (T, FaultStats) {
-    if let Some(d) = cfg.comm_timeout {
-        raw.set_timeout(d);
-    }
-    if cfg.obs.enabled() {
-        raw.set_obs(cfg.obs.registry());
-    }
-    match &cfg.chaos {
-        Some(plan) => {
-            let chaos = ChaosTransport::new(raw, plan.clone());
-            (rank(&chaos), chaos.fault_stats())
-        }
-        None => (rank(&raw), FaultStats::default()),
-    }
+    cfg.kill == Some((rank, step))
 }
 
 /// The thread harness of both trainers: runs `rank` on `cfg.workers`
-/// threads, each on its wrapped [`ShmTransport`] endpoint, and reports the
+/// threads, each on its own [`ShmTransport`] endpoint (with the run's
+/// timeout override and observability handle), and reports the
 /// authoritative survivor — the one that finished with the largest world
 /// (a rank the others condemned while it lived finishes with a smaller
 /// one), lowest rank on ties.
@@ -556,25 +525,28 @@ where
     // One pool shared by all workers: encode buffers recycled by whichever
     // rank drops the last reference get reused fleet-wide.
     let pool = ScratchPool::new();
-    let outputs = ThreadCluster::try_run(cfg.workers, |raw: ShmTransport| {
-        let (out, faults) = wrap_endpoint(raw, cfg, |t| rank(t, &pool));
-        Ok::<_, CommError>(out?.map(|out| (out, faults)))
+    let outputs = ThreadCluster::try_run(cfg.workers, |mut t: ShmTransport| {
+        if let Some(d) = cfg.comm_timeout {
+            t.set_timeout(d);
+        }
+        if cfg.obs.enabled() {
+            t.set_obs(cfg.obs.registry());
+        }
+        rank(&t, &pool)
     })?;
-    let (out, mut faults) = outputs
+    let out = outputs
         .into_iter()
         .flatten()
         .reduce(|best, cand| {
-            if cand.0.final_world > best.0.final_world {
+            if cand.final_world > best.final_world {
                 cand
             } else {
                 best
             }
         })
         .expect("at least one rank survived");
-    faults.recovery_epochs = out.recovery_epochs;
     if cfg.obs.enabled() {
         pool.publish(cfg.obs.registry());
-        faults.publish(cfg.obs.registry());
     }
     Ok((
         out.model,
@@ -583,7 +555,7 @@ where
             bytes_sent_per_worker: out.bytes,
             compress_calls_per_worker: out.kernel_calls,
             sync_rounds: out.sync_rounds,
-            faults,
+            recovery_epochs: out.recovery_epochs,
             final_world: out.final_world,
             metrics: cfg.obs.registry().snapshot(),
             adaptive: out.adaptive,
@@ -683,9 +655,9 @@ mod tests {
         // All four replicas byte-identical, via the public train_rank entry.
         let pool = ScratchPool::new();
         let task3 = task.clone();
-        let replicas = ThreadCluster::try_run(cfg.workers, |raw| {
+        let replicas = ThreadCluster::try_run(cfg.workers, |t| {
             let sampler = |r: &mut Rng| task3.sample_batch(r, 16);
-            wrap_endpoint(raw, &cfg, |t| train_rank(t, &model, &sampler, &cfg, &pool)).0
+            train_rank(&t, &model, &sampler, &cfg, &pool)
         })
         .unwrap();
         let reference = replicas[0].as_ref().expect("rank 0 survived");
@@ -985,42 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_training_is_byte_identical_to_fault_free() {
-        // The headline robustness claim: a seeded fault plan injecting
-        // drops, corruption, and duplicates at >1% per frame changes
-        // nothing — the reliability layer masks every fault and the
-        // trained replicas match the fault-free run byte for byte.
-        let task = GaussianMixture::new(4, 8, 1.5);
-        let mut rng = Rng::seed_from_u64(31);
-        let model = Mlp::new(&mut rng, &[8, 16, 4]);
-        let run = |chaos: Option<cgx_collectives::FaultPlan>| {
-            let cfg = TrainConfig {
-                chaos,
-                compression: LayerCompression::cgx_default(),
-                ..TrainConfig::new(4, 12)
-            };
-            let t = task.clone();
-            train_data_parallel(&model, move |r| t.sample_batch(r, 8), &cfg).unwrap()
-        };
-        let (clean_model, clean_report) = run(None);
-        let plan = cgx_collectives::FaultPlan::new(0xC5A0_5EED)
-            .with_drop(0.02)
-            .with_corrupt(0.02)
-            .with_duplicate(0.02);
-        let (chaos_model, chaos_report) = run(Some(plan));
-        for (a, b) in chaos_model.params().iter().zip(clean_model.params()) {
-            assert_eq!(a.as_slice(), b.as_slice(), "chaos changed the bytes");
-        }
-        assert_eq!(chaos_report.losses, clean_report.losses);
-        assert!(
-            chaos_report.faults.injected_total() > 0,
-            "plan injected nothing: {:?}",
-            chaos_report.faults
-        );
-        assert_eq!(clean_report.faults, Default::default());
-    }
-
-    #[test]
     fn killed_rank_shrinks_the_world_and_training_continues() {
         // Fail-stop a rank mid-run: survivors agree on a new membership
         // epoch, re-sync, and finish every remaining step on the
@@ -1030,7 +966,7 @@ mod tests {
         let model = Mlp::new(&mut rng, &[8, 16, 4]);
         let cfg = TrainConfig {
             lr: 0.2,
-            chaos: Some(cgx_collectives::FaultPlan::new(5).with_kill(2, 40)),
+            kill: Some((2, 40)),
             elastic: true,
             comm_timeout: Some(std::time::Duration::from_millis(300)),
             compression: LayerCompression::cgx_default(),
@@ -1040,7 +976,7 @@ mod tests {
         let (trained, report) =
             train_data_parallel(&model, move |r| t.sample_batch(r, 16), &cfg).unwrap();
         assert_eq!(report.final_world, 3, "world did not shrink to survivors");
-        assert_eq!(report.faults.recovery_epochs, 1);
+        assert_eq!(report.recovery_epochs, 1);
         assert_eq!(report.losses.len(), cfg.steps);
         for p in trained.params() {
             assert!(p.as_slice().iter().all(|v| v.is_finite()));
@@ -1053,14 +989,14 @@ mod tests {
 
     #[test]
     fn a_kill_in_the_config_fires_on_a_bare_fabric() {
-        // No chaos layer under the ranks: `train_rank` reads the kill from
+        // A bare fabric under the ranks: `train_rank` reads the kill from
         // its config, so rank 1 returns at the top of step 5 — five batches
         // drawn — and the elastic survivors finish on the world without it.
         let task = GaussianMixture::new(4, 8, 1.5);
         let model = Mlp::new(&mut Rng::seed_from_u64(33), &[8, 16, 4]);
         let (victim, at) = (1, 5);
         let cfg = TrainConfig {
-            chaos: Some(cgx_collectives::FaultPlan::new(3).with_kill(victim, at)),
+            kill: Some((victim, at)),
             elastic: true,
             compression: LayerCompression::cgx_default(),
             ..TrainConfig::new(3, 12)
@@ -1106,12 +1042,9 @@ mod tests {
         };
         let pool = ScratchPool::new();
         let t = task.clone();
-        let outputs = ThreadCluster::try_run(cfg.workers, |raw| {
+        let outputs = ThreadCluster::try_run(cfg.workers, |ep| {
             let sampler = |r: &mut Rng| t.sample_batch(r, 16);
-            wrap_endpoint(raw, &cfg, |ep| {
-                train_rank(ep, &model, &sampler, &cfg, &pool)
-            })
-            .0
+            train_rank(&ep, &model, &sampler, &cfg, &pool)
         })
         .unwrap();
         let reference = outputs[0].as_ref().expect("rank 0 survived");
@@ -1243,7 +1176,7 @@ mod tests {
         let model = Mlp::new(&mut rng, &[8, 16, 4]);
         let cfg = TrainConfig {
             lr: 0.2,
-            chaos: Some(cgx_collectives::FaultPlan::new(5).with_kill(2, 40)),
+            kill: Some((2, 40)),
             elastic: true,
             comm_timeout: Some(std::time::Duration::from_millis(300)),
             compression: LayerCompression::cgx_default(),
@@ -1345,7 +1278,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(35);
         let model = Mlp::new(&mut rng, &[6, 10, 3]);
         let cfg = TrainConfig {
-            chaos: Some(cgx_collectives::FaultPlan::new(9).with_kill(1, 3)),
+            kill: Some((1, 3)),
             comm_timeout: Some(std::time::Duration::from_millis(200)),
             // Two workers so exactly one survivor reports the loss (with
             // more, `try_run` aggregates into `MultipleFailures`).

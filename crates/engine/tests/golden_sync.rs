@@ -10,7 +10,7 @@
 //! means the sync path changed bytes — re-record only for a change that
 //! says it re-baselines them.
 
-use cgx_collectives::{FaultPlan, Topology};
+use cgx_collectives::Topology;
 use cgx_engine::data::GaussianMixture;
 use cgx_engine::nn::Mlp;
 use cgx_engine::{
@@ -96,7 +96,7 @@ const GOLDEN: &[Golden] = &[
         trainer: Trainer::DataParallel,
         steps: 30,
         tweak: |cfg| {
-            cfg.chaos = Some(FaultPlan::new(5).with_kill(2, 12));
+            cfg.kill = Some((2, 12));
             cfg.elastic = true;
             cfg.comm_timeout = Some(Duration::from_millis(300));
         },

@@ -274,9 +274,8 @@ pub struct RankExit {
     pub detail: String,
 }
 
-/// Per-rank outcomes of a supervised cluster run — the coordinator-side
-/// [`FaultStats`](cgx_collectives::FaultStats) analogue: which processes
-/// lived, which died, and how.
+/// Per-rank outcomes of a supervised cluster run: which processes lived,
+/// which died, and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterReport {
     /// One entry per rank, in rank order.

@@ -1,17 +1,18 @@
-//! Socket-level fault injection for the TCP fabric.
+//! Socket-level fault injection for the TCP fabric, and the redial
+//! schedule that heals what it breaks.
 //!
-//! Mirrors [`cgx_collectives::FaultPlan`] one layer down: where the chaos
-//! transport perturbs frames in process, [`NetFaultPlan`] kills real
-//! processes and resets real sockets, so the recovery machinery is
-//! exercised against the operating system rather than a simulation of it.
+//! The faults here are the ones a production fabric has: [`NetFaultPlan`]
+//! kills real processes and resets real sockets, so the recovery machinery
+//! is exercised against the operating system rather than a simulation of
+//! it.
 //!
 //! Two fault shapes:
 //!
 //! * **Kill** — `(rank, step)`: that rank dies at the top of that step.
-//!   The trainer reads it (as `TrainConfig::chaos`'s kill, where
-//!   `cgx-launch` and [`Workload::run_rank`](crate::workload::Workload::run_rank)
-//!   put it) and returns; by default the worker then drops its endpoint
-//!   (orderly FIN, the thread-cluster analogue); with
+//!   The trainer reads it (as `TrainConfig::kill`, where `cgx-launch` and
+//!   [`Workload::run_rank`](crate::workload::Workload::run_rank) put it)
+//!   and returns; by default the worker then drops its endpoint (orderly
+//!   FIN, the thread-cluster analogue); with
 //!   [`NetFaultPlan::with_sigkill`] the process raises `SIGKILL` on itself
 //!   instead, endpoint still open — no destructors, no flushes, the kernel
 //!   tears the sockets down. That is the honest model of an OOM kill or a
@@ -19,13 +20,15 @@
 //! * **Reset** — `(rank, peer, after_frames)`: that rank's socket toward
 //!   `peer` is shut down under the wire path after N outbound frames — a
 //!   transient link drop the reconnect path should heal. This half is the
-//!   transport's ([`TcpTransport::set_fault`](crate::TcpTransport::set_fault)).
+//!   transport's ([`TcpTransport::set_fault`](crate::TcpTransport::set_fault)),
+//!   and [`ReconnectPolicy`] is how it redials.
 //!
 //! Plans come from the builder API in tests and from `CGX_NET_*`
 //! environment variables in spawned workers (see [`NetFaultPlan::from_env`]).
 
 use crate::workload::{read, switch};
 use cgx_collectives::CommError;
+use std::time::Duration;
 
 /// Environment variable carrying the kill plan as `rank@step`
 /// (for example `2@20`: rank 2 dies at the top of step 20).
@@ -36,8 +39,6 @@ pub const ENV_NET_SIGKILL: &str = "CGX_NET_SIGKILL";
 /// Environment variable carrying the reset plan as `rank:peer@frames`
 /// (for example `1:0@3`: rank 1's socket to rank 0 drops after 3 frames).
 pub const ENV_NET_RESET: &str = "CGX_NET_RESET";
-/// Environment variable carrying the fault seed (defaults to 0).
-pub const ENV_NET_FAULT_SEED: &str = "CGX_NET_FAULT_SEED";
 
 /// A transient socket drop: `rank`'s connection toward `peer` is shut
 /// down once `after_frames` outbound frames have been enqueued to it.
@@ -51,12 +52,10 @@ pub struct ResetPlan {
     pub after_frames: u64,
 }
 
-/// Deterministic process/socket-level fault schedule for a TCP run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Deterministic process/socket-level fault schedule for a TCP run; the
+/// default schedules nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetFaultPlan {
-    /// Seed identifying the schedule (recorded in reports so chaos runs
-    /// are replayable).
-    pub seed: u64,
     /// `(rank, step)`: that rank dies at the top of that step.
     pub kill: Option<(usize, usize)>,
     /// Kill by raising `SIGKILL` instead of an orderly return.
@@ -66,16 +65,6 @@ pub struct NetFaultPlan {
 }
 
 impl NetFaultPlan {
-    /// An empty plan with the given seed.
-    pub fn new(seed: u64) -> Self {
-        NetFaultPlan {
-            seed,
-            kill: None,
-            sigkill: false,
-            reset: None,
-        }
-    }
-
     /// Returns `self` scheduling `rank` to die at the top of `step`.
     #[must_use]
     pub fn with_kill(mut self, rank: usize, step: usize) -> Self {
@@ -103,13 +92,13 @@ impl NetFaultPlan {
     }
 
     /// The plan described by `CGX_NET_KILL` / `CGX_NET_SIGKILL` /
-    /// `CGX_NET_RESET` / `CGX_NET_FAULT_SEED`, read through `get`, or
-    /// `None` when neither a kill nor a reset is scheduled.
+    /// `CGX_NET_RESET`, read through `get`, or `None` when neither a kill
+    /// nor a reset is scheduled.
     ///
     /// # Errors
     ///
     /// [`CommError::InvalidConfig`] naming the variable when a value is
-    /// malformed: a chaos worker whose schedule cannot be read must not
+    /// malformed: a worker whose fault schedule cannot be read must not
     /// run fault-free.
     pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Option<Self>, CommError> {
         let kill = read(&get, ENV_NET_KILL, "rank@step", parse_at)?;
@@ -123,12 +112,10 @@ impl NetFaultPlan {
             })
         })?;
         let sigkill = read(&get, ENV_NET_SIGKILL, "a switch (1/0)", switch)?.unwrap_or(false);
-        let seed = read(&get, ENV_NET_FAULT_SEED, "a u64 seed", |v| v.parse().ok())?.unwrap_or(0);
         if kill.is_none() && reset.is_none() {
             return Ok(None);
         }
         Ok(Some(NetFaultPlan {
-            seed,
             kill,
             sigkill,
             reset,
@@ -136,7 +123,7 @@ impl NetFaultPlan {
     }
 
     /// [`Self::parse`] over the real process environment — how spawned
-    /// workers inherit the coordinator's chaos schedule.
+    /// workers inherit the coordinator's fault schedule.
     ///
     /// # Errors
     ///
@@ -150,6 +137,78 @@ impl NetFaultPlan {
 fn parse_at(v: &str) -> Option<(usize, usize)> {
     let (rank, step) = v.split_once('@')?;
     Some((rank.trim().parse().ok()?, step.trim().parse().ok()?))
+}
+
+/// Jittered exponential backoff schedule for transport reconnection.
+///
+/// The schedule is purely functional: attempt `k`'s delay is a hash of
+/// `(seed, k)`, so a reconnect storm replays exactly from its seed. Delays
+/// start at `base`, grow exponentially with up to +50% deterministic jitter
+/// (de-synchronizing peers that lost the same link at the same instant),
+/// and clamp at `cap`; the sequence is strictly monotone until the clamp.
+/// After `max_attempts` failed dials the peer is condemned as
+/// [`CommError::PeerDead`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReconnectPolicy {
+    /// First-attempt delay and the schedule's lower bound.
+    pub base: Duration,
+    /// Upper clamp on any single delay.
+    pub cap: Duration,
+    /// Dial attempts before the peer is condemned.
+    pub max_attempts: u32,
+    /// Seed for the deterministic jitter stream.
+    pub seed: u64,
+}
+
+impl ReconnectPolicy {
+    /// A schedule of `max_attempts` dials backing off from `base` to `cap`.
+    pub fn new(base: Duration, cap: Duration, max_attempts: u32, seed: u64) -> Self {
+        assert!(base > Duration::ZERO, "backoff base must be positive");
+        assert!(cap >= base, "backoff cap must be >= base");
+        ReconnectPolicy {
+            base,
+            cap,
+            max_attempts,
+            seed,
+        }
+    }
+
+    /// Defaults tuned for loopback/cluster fabrics: 5 attempts backing
+    /// off from 20ms toward a 1s cap.
+    pub fn default_for(seed: u64) -> Self {
+        ReconnectPolicy::new(Duration::from_millis(20), Duration::from_secs(1), 5, seed)
+    }
+
+    /// Delay before dial attempt `attempt` (0-based). Pure integer math:
+    /// `min(cap, base * 2^attempt * (1 + jitter/2))` with
+    /// `jitter in [0, 1)` drawn from `splitmix64(seed ^ attempt)`.
+    pub fn delay(&self, attempt: u32) -> Duration {
+        let base_ns = self.base.as_nanos();
+        let cap_ns = self.cap.as_nanos();
+        let exp_ns = base_ns.saturating_mul(1u128 << attempt.min(64));
+        // 16 jitter bits -> multiplier in [65536, 98304) / 65536, i.e.
+        // [1.0, 1.5): attempt k's maximum (1.5 * 2^k) stays strictly
+        // below attempt k+1's minimum (2^(k+1)), keeping the schedule
+        // monotone until it clamps at the cap.
+        let jitter = (splitmix64(self.seed ^ attempt as u64) >> 48) as u128;
+        let jittered = exp_ns.saturating_add(exp_ns.saturating_mul(jitter) / (2 * 65536));
+        let ns = jittered.clamp(base_ns, cap_ns);
+        Duration::from_nanos(ns.min(u64::MAX as u128) as u64)
+    }
+
+    /// Worst-case total time the schedule can spend before condemning a
+    /// peer: the sum of every attempt's delay.
+    pub fn budget(&self) -> Duration {
+        (0..self.max_attempts).map(|k| self.delay(k)).sum()
+    }
+}
+
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Kills the current process with `SIGKILL` — no unwinding, no `Drop`,
@@ -185,7 +244,7 @@ mod tests {
 
     #[test]
     fn builder_covers_the_schedule() {
-        let plan = NetFaultPlan::new(42).with_kill(2, 20).with_reset(1, 0, 3);
+        let plan = NetFaultPlan::default().with_kill(2, 20).with_reset(1, 0, 3);
         assert!(!plan.sigkill);
         assert_eq!(plan.kill, Some((2, 20)));
         assert!(plan.with_sigkill().sigkill);
@@ -200,26 +259,22 @@ mod tests {
     }
 
     #[test]
-    fn parse_reads_kill_reset_seed_and_sigkill() {
-        let plan = NetFaultPlan::parse(env(&[
-            (ENV_NET_KILL, "2@20"),
-            (ENV_NET_RESET, "1:0@3"),
-            (ENV_NET_FAULT_SEED, "7"),
-        ]))
-        .unwrap()
-        .expect("plan armed");
+    fn parse_reads_kill_reset_and_sigkill() {
+        let plan = NetFaultPlan::parse(env(&[(ENV_NET_KILL, "2@20"), (ENV_NET_RESET, "1:0@3")]))
+            .unwrap()
+            .expect("plan armed");
         assert_eq!(
             plan,
-            NetFaultPlan::new(7).with_kill(2, 20).with_reset(1, 0, 3)
+            NetFaultPlan::default().with_kill(2, 20).with_reset(1, 0, 3)
         );
         let hard = NetFaultPlan::parse(env(&[(ENV_NET_KILL, " 1 @ 4 "), (ENV_NET_SIGKILL, "1")]))
             .unwrap()
             .expect("plan armed");
-        assert_eq!(hard, NetFaultPlan::new(0).with_kill(1, 4).with_sigkill());
+        assert_eq!(hard, NetFaultPlan::default().with_kill(1, 4).with_sigkill());
         // No kill and no reset is no plan, whatever else is set.
         assert_eq!(NetFaultPlan::parse(env(&[])).unwrap(), None);
         assert_eq!(
-            NetFaultPlan::parse(env(&[(ENV_NET_FAULT_SEED, "7")])).unwrap(),
+            NetFaultPlan::parse(env(&[(ENV_NET_SIGKILL, "1")])).unwrap(),
             None
         );
     }
@@ -232,10 +287,33 @@ mod tests {
             (ENV_NET_KILL, "not-a-plan"),
             (ENV_NET_RESET, "1-0@3"),
             (ENV_NET_SIGKILL, "hard"),
-            (ENV_NET_FAULT_SEED, "0x7"),
         ] {
             let get = move |k: &str| (k == key).then(|| value.to_string());
             assert_names(NetFaultPlan::parse(get), key, value);
         }
+    }
+
+    #[test]
+    fn backoff_schedule_is_bounded_monotone_and_deterministic() {
+        let p = ReconnectPolicy::new(Duration::from_millis(10), Duration::from_secs(2), 8, 99);
+        let delays: Vec<_> = (0..p.max_attempts).map(|k| p.delay(k)).collect();
+        for (k, d) in delays.iter().enumerate() {
+            assert!(*d >= p.base, "attempt {k} below base: {d:?}");
+            assert!(*d <= p.cap, "attempt {k} above cap: {d:?}");
+        }
+        for w in delays.windows(2) {
+            assert!(
+                w[1] > w[0] || w[1] == p.cap,
+                "schedule must grow until the cap: {delays:?}"
+            );
+        }
+        let replay: Vec<_> = (0..p.max_attempts).map(|k| p.delay(k)).collect();
+        assert_eq!(delays, replay, "same seed must replay the same schedule");
+        let other = ReconnectPolicy { seed: 100, ..p };
+        assert!(
+            (0..p.max_attempts).any(|k| other.delay(k) != p.delay(k)),
+            "different seeds must jitter differently"
+        );
+        assert_eq!(p.budget(), delays.iter().sum());
     }
 }

@@ -6,9 +6,8 @@
 //! [`ShmTransport`](cgx_collectives::ShmTransport) implements, backed by
 //! TCP sockets between real OS processes.
 //!
-//! - [`wire`] — length-prefixed frames that embed the chaos layer's
-//!   seq+FNV envelope, so corruption detection is identical on both
-//!   fabrics.
+//! - [`wire`] — length-prefixed frames around
+//!   [`framing`](cgx_collectives::framing)'s seq+FNV envelope.
 //! - [`tcp`] — [`TcpTransport`]: a caller-driven readiness event loop
 //!   (nonblocking sockets, `poll(2)`, in-place frame parsing, vectored
 //!   coalesced writes) feeding the tag-demuxed, deadline-aware stash
@@ -22,8 +21,8 @@
 //! - [`workload`] — the deterministic training workload behind the
 //!   `cgx-launch` binary and the Shm/TCP parity test.
 //! - [`fault`] — [`NetFaultPlan`]: process kills (orderly or `SIGKILL`)
-//!   and socket resets, the OS-level mirror of the in-process chaos
-//!   plan.
+//!   and socket resets, and the [`ReconnectPolicy`] that redials after a
+//!   reset.
 
 #![warn(missing_docs)]
 
@@ -35,6 +34,6 @@ pub mod wire;
 pub mod workload;
 
 pub use cluster::{ClusterReport, ProcessCluster, RankExit};
-pub use fault::{NetFaultPlan, ResetPlan};
+pub use fault::{NetFaultPlan, ReconnectPolicy, ResetPlan};
 pub use rendezvous::{rendezvous, rendezvous_with_options, TcpFabric, DEFAULT_BOOT_TIMEOUT};
 pub use tcp::{NetOptions, TcpTransport, WireStats};

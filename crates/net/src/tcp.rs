@@ -72,12 +72,12 @@
 //!   wall time into serialize / syscall / park for its `net.tcp.*`
 //!   per-layer metrics.
 
-use crate::fault::{NetFaultPlan, ResetPlan};
+use crate::fault::{NetFaultPlan, ReconnectPolicy, ResetPlan};
 use crate::wire;
 use crate::workload::read;
 use cgx_collectives::framing::{Retention, RETAIN_BYTES};
 use cgx_collectives::transport::{Tag, CTRL_TAG};
-use cgx_collectives::{CommError, ReconnectPolicy, TagStash, Transport};
+use cgx_collectives::{CommError, TagStash, Transport};
 use cgx_compress::Encoded;
 use cgx_obs::MetricsRegistry;
 use cgx_tensor::Shape;
@@ -1325,7 +1325,7 @@ impl TcpTransport {
         Ok(self)
     }
 
-    /// Arms the plan's socket reset (tests and the chaos harness only);
+    /// Arms the plan's socket reset (fault tests and reports only);
     /// its kill is the trainer's to read, not the transport's. Must be
     /// called before the endpoint is shared.
     pub fn set_fault(&mut self, plan: NetFaultPlan) {
@@ -1965,7 +1965,7 @@ mod tests {
         let mut eps = crate::rendezvous::TcpFabric::build_local_with(2, opts);
         let mut b = eps.pop().expect("rank 1");
         let a = eps.pop().expect("rank 0");
-        b.set_fault(NetFaultPlan::new(7).with_reset(1, 0, 3));
+        b.set_fault(NetFaultPlan::default().with_reset(1, 0, 3));
         std::thread::scope(|s| {
             s.spawn(move || {
                 for i in 0..10u8 {

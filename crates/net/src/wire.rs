@@ -10,11 +10,8 @@
 //! ```
 //!
 //! The framing body is byte-for-byte the format of
-//! [`cgx_collectives::framing`] — the same seq+FNV envelope the chaos
-//! reliability layer uses in-process, read by the same
-//! [`framing::open`] (or [`framing::open_copy`], its copying form) — so
-//! corruption detection and sequence accounting
-//! behave identically on both fabrics. TCP already guarantees ordered
+//! [`cgx_collectives::framing`], read by [`framing::open`] (or
+//! [`framing::open_copy`], its copying form). TCP already guarantees ordered
 //! reliable delivery; the checksum is the end-to-end integrity check
 //! (paper: datacenter links do corrupt), and the per-link sequence
 //! number — frames counted per (sender, receiver) pair across every tag

@@ -9,7 +9,7 @@
 //! byte-identical parameters — which is exactly what the launch parity
 //! test asserts.
 
-use cgx_collectives::{CommError, FaultPlan, ShmTransport, ThreadCluster, Topology, Transport};
+use cgx_collectives::{CommError, ShmTransport, ThreadCluster, Topology, Transport};
 use cgx_compress::ScratchPool;
 use cgx_engine::data::GaussianMixture;
 use cgx_engine::nn::Mlp;
@@ -199,7 +199,7 @@ impl Workload {
 
     /// Runs this rank's share over an already-connected endpoint. `kill`
     /// (`CGX_NET_KILL`'s `(rank, step)`, the same on every rank) becomes
-    /// the trainer's [`TrainConfig::chaos`] kill: the rank it names
+    /// the trainer's [`TrainConfig::kill`]: the rank it names
     /// returns `params: None` at the top of that step, its endpoint still
     /// open, and with `opts.elastic` the survivors shrink the world and
     /// finish. With `opts.adaptive` per-layer bit-widths re-plan mid-run
@@ -233,7 +233,7 @@ impl Workload {
             elastic: opts.elastic,
             comm_timeout: opts.comm_timeout,
             adaptive: opts.adaptive.clone(),
-            chaos: kill.map(|(rank, step)| FaultPlan::new(0).with_kill(rank, step)),
+            kill,
             ..TrainConfig::new(self.workers, self.steps)
         };
         let pool = ScratchPool::new();

@@ -3,9 +3,9 @@
 //! schedule is monotone nondecreasing until it clamps at the cap, and
 //! the jitter stream is a pure function of the seed — two policies built
 //! from the same parameters produce identical schedules, which is what
-//! makes chaos runs replayable.
+//! makes a reconnect storm replayable.
 
-use cgx_collectives::ReconnectPolicy;
+use cgx_net::ReconnectPolicy;
 use cgx_tensor::{cases, Rng};
 use std::time::Duration;
 

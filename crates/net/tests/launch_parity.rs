@@ -12,23 +12,8 @@ use cgx_net::cluster::ProcessCluster;
 use cgx_net::workload::{RunOptions, Workload};
 use std::path::PathBuf;
 
-/// Locates the `cgx-launch` binary: cargo exports it to integration
-/// tests at compile time; the offline harness points at its own copy via
-/// `CGX_LAUNCH_BIN`.
-fn launch_bin() -> PathBuf {
-    if let Ok(p) = std::env::var("CGX_LAUNCH_BIN") {
-        return PathBuf::from(p);
-    }
-    if let Some(p) = option_env!("CARGO_BIN_EXE_cgx-launch") {
-        return PathBuf::from(p);
-    }
-    let fallback = PathBuf::from(".verify/cgx_launch");
-    assert!(
-        fallback.exists(),
-        "cgx-launch binary not found: set CGX_LAUNCH_BIN or run under cargo"
-    );
-    fallback
-}
+/// The `cgx-launch` binary, which cargo builds for this test.
+const LAUNCH_BIN: &str = env!("CARGO_BIN_EXE_cgx-launch");
 
 struct ScratchDir(PathBuf);
 
@@ -58,7 +43,7 @@ fn read_replicas(dir: &ScratchDir, world: usize) -> Vec<Vec<u8>> {
 
 fn run_cluster(label: &str, world: usize, nodes: Option<&[u32]>) -> Vec<Vec<u8>> {
     let dir = ScratchDir::new(label);
-    let mut cluster = ProcessCluster::new(launch_bin(), world)
+    let mut cluster = ProcessCluster::new(LAUNCH_BIN, world)
         .env("CGX_OUT_DIR", dir.0.display().to_string());
     if let Some(nodes) = nodes {
         cluster = cluster.nodes(nodes);
@@ -112,7 +97,7 @@ fn hierarchical_process_run_matches_the_shm_reference_byte_for_byte() {
 #[test]
 fn a_malformed_step_count_or_seed_fails_the_worker_naming_the_variable() {
     for (key, value) in [("CGX_STEPS", "2O"), ("CGX_SEED", "-1")] {
-        let out = std::process::Command::new(launch_bin())
+        let out = std::process::Command::new(LAUNCH_BIN)
             .env("CGX_RANK", "0")
             .env("CGX_WORLD", "1")
             .env("CGX_RENDEZVOUS", "127.0.0.1:1")

@@ -5,7 +5,7 @@
 //!
 //! * [`MetricsRegistry`] — named atomic counters / gauges / histograms
 //!   unifying what used to be scattered stats (`AllreduceStats` timing
-//!   fields, `FaultStats`, `ScratchPool` hit counters, engine `idle_ns`);
+//!   fields, `ScratchPool` hit counters, engine `idle_ns`);
 //! * [`EventRecorder`] — a lock-free per-rank ring buffer of span events
 //!   covering every collective's lifecycle (submit → compress → wire →
 //!   decode-accumulate → complete, plus idle parks), tagged with the
@@ -18,7 +18,7 @@
 //! handle (the default everywhere) reduces every record to a single
 //! branch, and recording never draws RNG or alters control flow, so the
 //! byte-identical determinism guarantees of the pipelined engine and the
-//! chaos suites hold with the recorder on or off.
+//! parity suites hold with the recorder on or off.
 
 pub mod events;
 pub mod export;

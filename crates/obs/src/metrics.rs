@@ -1,8 +1,8 @@
 //! Named atomic metrics: counters, gauges, and fixed-bucket histograms.
 //!
 //! The registry unifies what used to be scattered ad-hoc statistics
-//! (`AllreduceStats` fields, `FaultStats`, `ScratchPool` hit counters,
-//! engine `idle_ns`) under one namespace. Handles are `Arc`-backed, so a
+//! (`AllreduceStats` fields, `ScratchPool` hit counters, engine
+//! `idle_ns`) under one namespace. Handles are `Arc`-backed, so a
 //! metric resolved once (at construction time, outside the hot path) costs
 //! a single relaxed atomic op per update afterwards.
 

@@ -21,7 +21,7 @@
 //!   test binary of its own: no other test runs beside it.)
 
 use cgx_collectives::transport::exchange_quiesce_markers;
-use cgx_collectives::{CommError, FaultPlan, ShmFabric, Transport};
+use cgx_collectives::{CommError, ShmFabric, Transport};
 use cgx_compress::{Encoded, ScratchPool};
 use cgx_engine::data::GaussianMixture;
 use cgx_engine::nn::Mlp;
@@ -216,7 +216,7 @@ fn a_scheduled_kill_fires_on_a_tenant_and_the_job_shrinks() {
     let (victim, at) = (2, 4);
     let cfg = TrainConfig {
         workers: 3,
-        chaos: Some(FaultPlan::new(5).with_kill(victim, at)),
+        kill: Some((victim, at)),
         elastic: true,
         ..job_cfg(9300, 10)
     };
