@@ -1775,9 +1775,16 @@ mod tests {
             })
             .unwrap();
             for (rank, after) in idle.iter().enumerate() {
-                let stages = alg == sra && rank >= 2;
+                // A rank that stages may have every vector it took out in
+                // machines still in flight at any wait but the last, after
+                // which every prefix has come back.
+                let holds = if alg == sra && rank >= 2 {
+                    after.last().is_some_and(|&k| k >= 1)
+                } else {
+                    after.iter().all(|&k| k == 0)
+                };
                 assert!(
-                    after.iter().all(|&k| (k > 0) == stages),
+                    holds,
                     "{alg:?} n={n} rank={rank}: idle f32 vectors after each wait {after:?}"
                 );
             }

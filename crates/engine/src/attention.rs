@@ -148,12 +148,14 @@ impl AttentionLm {
                 *r = s * inv_sqrt_d;
                 max = max.max(*r);
             }
+            // The row keeps its exponentials for the division.
             let mut z = 0.0f32;
-            for r in row.iter().take(i + 1) {
-                z += (r - max).exp();
+            for r in row.iter_mut().take(i + 1) {
+                *r = (*r - max).exp();
+                z += *r;
             }
-            for (j, r) in row.iter().enumerate().take(i + 1) {
-                a[i * l + j] = (r - max).exp() / z;
+            for (j, e) in row.iter().enumerate().take(i + 1) {
+                a[i * l + j] = e / z;
             }
         }
         let h = matmul(&a, &v);

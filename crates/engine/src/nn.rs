@@ -18,6 +18,10 @@ use cgx_tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
 /// Returns the mean loss and the gradient w.r.t. the logits (already
 /// divided by the batch size).
 ///
+/// Each row's exponentials are taken in `f64` of the `f32` difference to
+/// the row's maximum, by [`cgx_tensor::exp`], which returns the bits of
+/// `f64::exp` in vector lanes.
+///
 /// # Panics
 ///
 /// Panics if `logits` is not `batch x classes` or a label is out of range.
@@ -34,8 +38,9 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f64, Tensor)
         assert!(y < c, "label {y} out of range for {c} classes");
         let max = row.iter().fold(f32::NEG_INFINITY, |m, x| m.max(*x));
         for (e, x) in exp.iter_mut().zip(row) {
-            *e = ((x - max) as f64).exp();
+            *e = f64::from(x - max);
         }
+        cgx_tensor::exp(&mut exp);
         let z: f64 = exp.iter().sum();
         loss += -(exp[y] / z).ln();
         for (j, (d, e)) in d_row.iter_mut().zip(&exp).enumerate() {

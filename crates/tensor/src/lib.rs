@@ -21,6 +21,7 @@
 //! ```
 
 pub mod bytes;
+pub mod exp;
 pub mod linalg;
 pub mod rng;
 pub mod shape;
@@ -28,6 +29,7 @@ pub mod stats;
 pub mod tensor;
 
 pub use bytes::Bytes;
+pub use exp::exp;
 pub use linalg::{matmul, matmul_nt, matmul_tn, orthogonalize_columns};
 pub use rng::{cases, Rng};
 pub use shape::Shape;

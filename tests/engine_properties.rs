@@ -132,3 +132,80 @@ fn embedding_lm_gradient_sparsity_matches_batch_tokens() {
         }
     });
 }
+
+/// `softmax_cross_entropy` as it was computed one element at a time,
+/// before its `exp` ran in vector lanes.
+fn scalar_softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f64, Tensor) {
+    let (b, c) = logits.shape().as_matrix();
+    let mut dlogits = Tensor::zeros(&[b, c]);
+    let mut loss = 0.0f64;
+    let mut exp = vec![0.0f64; c];
+    let rows = logits.as_slice().chunks_exact(c);
+    let d_rows = dlogits.as_mut_slice().chunks_exact_mut(c);
+    for ((row, d_row), &y) in rows.zip(d_rows).zip(labels) {
+        let max = row.iter().fold(f32::NEG_INFINITY, |m, x| m.max(*x));
+        for (e, x) in exp.iter_mut().zip(row) {
+            *e = ((x - max) as f64).exp();
+        }
+        let z: f64 = exp.iter().sum();
+        loss += -(exp[y] / z).ln();
+        for (j, (d, e)) in d_row.iter_mut().zip(&exp).enumerate() {
+            let p = e / z;
+            *d = ((p - f64::from(u8::from(j == y))) / b as f64) as f32;
+        }
+    }
+    (loss / b as f64, dlogits)
+}
+
+#[test]
+fn softmax_ce_equals_its_scalar_form_bit_for_bit() {
+    // Widths off and on the kernel's 4 lanes, up to past the LM's 512
+    // classes; batches up to the LM's 64.
+    const WIDTHS: [usize; 10] = [1, 2, 3, 7, 8, 9, 15, 17, 64, 515];
+    const BATCHES: [usize; 7] = [1, 3, 7, 8, 9, 17, 64];
+    cases(60, |rng| {
+        let c = WIDTHS[rng.index(WIDTHS.len())];
+        let b = BATCHES[rng.index(BATCHES.len())];
+        let mut logits = Tensor::randn(rng, &[b, c]);
+        logits.scale([0.1, 3.0, 30.0][rng.index(3)]);
+        // A NaN or `+∞` makes the loss NaN, which would hide every other
+        // row's rounding from the comparison: one case in four has them.
+        let non_finite = rng.index(4) == 0;
+        for row in logits.as_mut_slice().chunks_exact_mut(c) {
+            let at = rng.index(c);
+            match rng.index(6) {
+                0 => row[at] = f32::NEG_INFINITY,
+                // Tied maxima.
+                1 => {
+                    let max = row.iter().fold(f32::NEG_INFINITY, |m, x| m.max(*x));
+                    row.iter_mut().step_by(2).for_each(|x| *x = max);
+                }
+                // Every logit but one 600 below the maximum: below the
+                // kernel's lanes, which hand them to `f64::exp`.
+                2 => {
+                    row.iter_mut().for_each(|x| *x = -600.0 + *x * 1e-3);
+                    row[at] = 0.0;
+                }
+                // A NaN, which the maximum passes over, or `+∞`.
+                3 if non_finite => row[at] = f32::from_bits(0x7fc0_1234),
+                4 if non_finite => row[at] = f32::INFINITY,
+                _ => {}
+            }
+        }
+        let labels: Vec<usize> = (0..b).map(|_| rng.index(c)).collect();
+        let (loss, d) = softmax_cross_entropy(&logits, &labels);
+        let (want_loss, want_d) = scalar_softmax_cross_entropy(&logits, &labels);
+        // Bit for bit; a NaN's payload is not a value.
+        let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        assert!(
+            same(loss, want_loss),
+            "{b}x{c}: loss {loss:e}, scalar {want_loss:e}"
+        );
+        for (at, (g, w)) in d.as_slice().iter().zip(want_d.as_slice()).enumerate() {
+            assert!(
+                same(f64::from(*g), f64::from(*w)),
+                "{b}x{c}: dlogits[{at}] is {g:e}, scalar {w:e}"
+            );
+        }
+    });
+}
