@@ -911,11 +911,10 @@ const PHASE_SCATTER: u8 = 1;
 const PHASE_BCAST: u8 = 2;
 
 /// The next frame on `(peer, tag)`, if one has arrived — refused unless
-/// it carries the `want` elements of its slot in the payload bytes `comp`
-/// writes for them: `decompress*_into` asserts the one and runs out of
-/// bits on a short other, and socket bytes must fail the collective, not
-/// panic. A codec whose size is an estimate (PowerSGD's depends on the
-/// matrix shape) has only its element count checked.
+/// it carries the `want` elements of its slot in a payload that passes
+/// `comp`'s [`Compressor::check_payload`] for them: `decompress*_into`
+/// asserts the one and runs out of bits on a short other, and socket
+/// bytes must fail the collective, not panic.
 fn try_recv_chunk(
     t: &dyn Transport,
     comp: &dyn Compressor,
@@ -933,17 +932,14 @@ fn try_recv_chunk(
             "expected {want} elements, got {}",
             enc.shape().len()
         )),
-        Some(enc)
-            if comp.compressed_bytes_is_exact()
-                && enc.payload_bytes() != comp.compressed_bytes(want) =>
-        {
-            let bytes = comp.compressed_bytes(want);
-            refuse(format!(
+        Some(enc) => match comp.check_payload(want, enc.payload()) {
+            Ok(()) => Ok(Some(enc)),
+            Err(bytes) => refuse(format!(
                 "expected {bytes} payload bytes, got {}",
                 enc.payload_bytes()
-            ))
-        }
-        got => Ok(got),
+            )),
+        },
+        None => Ok(None),
     }
 }
 
@@ -1893,6 +1889,9 @@ mod tests {
         fn compressed_bytes(&self, n: usize) -> usize {
             self.0.compressed_bytes(n)
         }
+        fn check_payload(&self, n: usize, payload: &[u8]) -> Result<(), usize> {
+            self.0.check_payload(n, payload)
+        }
     }
 
     #[test]
@@ -2119,22 +2118,43 @@ mod tests {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|_| "panicked")
     }
 
+    /// A `Q4` frame of 200 elements whose second bucket is zeros, so its
+    /// norm field says no codes follow, padded to the length it would
+    /// have with that bucket's codes: what a check by `compressed_bytes`
+    /// alone would let through.
+    fn padded_zero_bucket_frame() -> Encoded {
+        let mut g = Tensor::randn(&mut Rng::seed_from_u64(3), &[200]);
+        g.as_mut_slice()[64..128].fill(0.0);
+        let honest = Q4.build().compress(&g, &mut Rng::seed_from_u64(4));
+        let mut payload = honest.payload().to_vec();
+        payload.resize(Q4.build().compressed_bytes(200), 0);
+        Encoded::new(Shape::vector(200), Bytes::from(payload))
+    }
+
     #[test]
     fn wrong_size_scatter_payload_poisons_every_rank_without_a_panic() {
         // Rank 2 answers op 0's scatter phase with a frame of the 200
         // elements its slot holds, but a payload short of them (10 bytes,
-        // of which QSGD would read far more) or longer than QSGD writes
-        // for them. Both honest ranks must see `ShapeMismatch` on wait,
-        // not the decoder's "bit stream exhausted" (a panic still reaches
-        // the gate, and the long frame's decode a timeout).
-        for delta in [10 - Q4.build().compressed_bytes(200) as isize, 1] {
+        // of which QSGD would read far more), longer than QSGD writes
+        // for them, or as long as it would be if the bucket of zeros its
+        // norm fields skip had codes. Both honest ranks must see
+        // `ShapeMismatch` on wait, not the decoder's "bit stream
+        // exhausted" (a panic still reaches the gate, and the long
+        // frame's decode a timeout).
+        let short = 10 - Q4.build().compressed_bytes(200) as isize;
+        let frames = [
+            resized_frame(200, short),
+            resized_frame(200, 1),
+            padded_zero_bucket_frame(),
+        ];
+        for (case, frame) in frames.iter().enumerate() {
             let gate = std::sync::Barrier::new(3);
             let errs = ThreadCluster::run(3, |mut t| {
                 t.set_timeout(Duration::from_secs(2));
                 let tag = collective_tag_in_epoch(0, 0, PHASE_SCATTER, 0);
                 if t.rank() == 2 {
                     for peer in 0..2 {
-                        t.send_tagged(peer, tag, resized_frame(200, delta)).unwrap();
+                        t.send_tagged(peer, tag, frame.clone()).unwrap();
                     }
                     gate.wait();
                     return Ok(None);
@@ -2155,7 +2175,7 @@ mod tests {
             for (rank, err) in errs.iter().take(2).enumerate() {
                 assert!(
                     matches!(err, Ok(Some(CommError::ShapeMismatch { .. }))),
-                    "delta {delta}, rank {rank}: {err:?}"
+                    "frame {case}, rank {rank}: {err:?}"
                 );
             }
         }
@@ -2194,6 +2214,55 @@ mod tests {
                 errs[0]
             );
         }
+    }
+
+    #[test]
+    fn zero_buckets_keep_engine_equal_to_sequential() {
+        // A row-sparse embedding layer — untouched rows `+0.0`, some
+        // `-0.0`, rows touched on one rank or several, and a NaN among
+        // zeros on rank 0 — at every QSGD width, in buckets whole in
+        // bytes and not: buckets of zeros travel as their norm field
+        // alone, and the engine still sums what the reference does, to the
+        // bit, and sends fewer bytes than a payload with every code would
+        // take.
+        let grad = |rank: usize| {
+            let mut rng = Rng::seed_from_u64(80 + rank as u64);
+            let mut g: Vec<f32> = (0..96 * 40)
+                .map(|i| match i / 40 {
+                    r if r % 9 == rank || r % 13 == 0 => rng.normal() as f32,
+                    r if r % 4 == 1 => -0.0,
+                    _ => 0.0,
+                })
+                .collect();
+            if rank == 0 {
+                g[40 * 7 + 3] = f32::NAN;
+            }
+            Tensor::from_slice(&g)
+        };
+        for bits in 2..=8u32 {
+            for bucket_size in [128usize, 63] {
+                let comp = || CompressionScheme::Qsgd { bits, bucket_size }.build();
+                for (alg, n) in [(Algorithm::ScatterReduceAllgather, 3), (Algorithm::Ring, 2)] {
+                    let what = format!("{alg:?} n={n} bits={bits} bucket={bucket_size}");
+                    let reference = reference_run(alg, n, &comp, &grad);
+                    let engine = engine_run(alg, n, 96 * 40, &comp, &grad);
+                    for (rank, (s, (e, _))) in reference.iter().zip(&engine).enumerate() {
+                        assert_eq!(s, e, "{what} rank={rank}");
+                    }
+                }
+            }
+        }
+        let q4 = CompressionScheme::cgx_default();
+        let sent = ThreadCluster::run(3, |t| {
+            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+            let sra = Algorithm::ScatterReduceAllgather;
+            let h = eng.submit_owned(sra, grad(t.rank()), q4.build(), &mut Rng::seed_from_u64(7));
+            eng.wait(h).unwrap().1.bytes_sent
+        })
+        .unwrap();
+        // Two chunks out in each phase, of 1280 elements each.
+        let full = 2 * 2 * q4.build().compressed_bytes(96 * 40 / 3);
+        assert!(sent.iter().all(|&bytes| bytes < full), "{sent:?} of {full}");
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //!   bit: Scatter-Reduce-Allgather, Ring, Tree and Allgather-broadcast
 //!   written straight down, faithfully reproducing where each scheme
 //!   re-quantizes (the compression-error differences of paper Figure 10),
-//! * [`powersgd`] — the factored PowerSGD Allreduce (associative path),
 //! * [`membership`] — membership-epoch agreement and the shrunken-world
 //!   [`membership::MembershipView`] behind elastic recovery,
 //! * [`framing`] — the seq+FNV checksummed frame format of the `cgx-net`
@@ -64,7 +63,6 @@ pub mod error;
 pub mod framing;
 pub mod hierarchy;
 pub mod membership;
-pub mod powersgd;
 pub mod reduce;
 pub mod stash;
 pub mod transport;

@@ -209,6 +209,10 @@ impl Compressor for ErrorFeedback {
         self.inner.compressed_bytes(n)
     }
 
+    fn check_payload(&self, n: usize, payload: &[u8]) -> Result<(), usize> {
+        self.inner.check_payload(n, payload)
+    }
+
     /// Never: what a window sends is the input plus the residual it left
     /// last time, so even over a lossless inner codec a second round trip
     /// of `-0.0` returns `+0.0` (`+0.0 + -0.0`), and an infinite element

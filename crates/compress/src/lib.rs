@@ -126,18 +126,27 @@ pub trait Compressor: Send {
     /// with identical parameters.
     fn decompress(&self, enc: &Encoded) -> Tensor;
 
-    /// Exact payload size in bytes for an `n`-element tensor, without
-    /// performing the compression. Used by the performance plane.
+    /// Payload size in bytes for an `n`-element tensor, without
+    /// performing the compression: the largest a payload can be (QSGD
+    /// writes no codes for a bucket of zeros). Used by the performance
+    /// plane and to size encode buffers.
     fn compressed_bytes(&self, n: usize) -> usize;
 
-    /// Whether every payload of `n` elements is [`compressed_bytes`]`(n)`
-    /// bytes long, so that a receiver may refuse any other length before
-    /// decoding. True but for a codec whose size depends on more than the
-    /// element count (PowerSGD's on the matrix shape).
+    /// Checks that `payload` is as long as what this codec writes for `n`
+    /// elements, so that a receiver can refuse a frame before any decoder
+    /// reads it: the decoders panic on a payload shorter than they read.
+    /// `Err` carries the length the payload should have. The default
+    /// holds it to [`compressed_bytes`]`(n)`; a codec whose length varies
+    /// reads it off the payload's own fields, and one whose length the
+    /// element count does not give (PowerSGD's: the matrix shape does)
+    /// accepts any.
     ///
     /// [`compressed_bytes`]: Compressor::compressed_bytes
-    fn compressed_bytes_is_exact(&self) -> bool {
-        true
+    fn check_payload(&self, n: usize, payload: &[u8]) -> Result<(), usize> {
+        match self.compressed_bytes(n) {
+            len if len == payload.len() => Ok(()),
+            len => Err(len),
+        }
     }
 
     /// Whether decompression reproduces the input bit-exactly — on every
@@ -464,31 +473,47 @@ mod tests {
     }
 
     #[test]
-    fn compressed_bytes_is_the_payload_length() {
-        // A receiver refuses a frame of any other length before decoding
-        // it, so for every codec that says its size is exact the size must
-        // be the payload's — through every compress entry point.
+    fn every_payload_passes_the_receivers_check() {
+        // A receiver refuses a frame that fails `check_payload` before
+        // decoding it, so every payload a codec writes must pass — through
+        // every compress entry point — and none may exceed
+        // `compressed_bytes`. Only QSGD writes less (its buckets of zeros),
+        // and only PowerSGD's check accepts a payload a byte off.
         let (pool, mut rng) = (ScratchPool::new(), Rng::seed_from_u64(5));
-        let mut estimated = Vec::new();
+        let (mut shorter, mut any_length) = (Vec::new(), Vec::new());
         for build in every_codec() {
             let mut c = build();
-            if !c.compressed_bytes_is_exact() {
-                estimated.push(c.name());
-                continue;
-            }
             for n in [1usize, 7, 127, 128, 129, 1000, 4099] {
                 let data = committed_input(n, &mut rng);
                 let what = format!("{} n={n}", c.name());
-                let want = c.compressed_bytes(n);
-                let enc = c.compress(&Tensor::from_slice(&data), &mut rng);
-                assert_eq!(enc.payload_bytes(), want, "{what}: compress");
-                let enc = c.compress_slice_at(3, &data, &mut rng, &pool);
-                assert_eq!(enc.payload_bytes(), want, "{what}: compress_slice_at");
-                let enc = c.compress_committed_at(3, &mut data.clone(), &mut rng, &pool);
-                assert_eq!(enc.payload_bytes(), want, "{what}: compress_committed_at");
+                let encs = [
+                    c.compress(&Tensor::from_slice(&data), &mut rng),
+                    c.compress_slice_at(3, &data, &mut rng, &pool),
+                    c.compress_committed_at(3, &mut data.clone(), &mut rng, &pool),
+                ];
+                for (enc, call) in encs.iter().zip(["compress", "slice_at", "committed_at"]) {
+                    let payload = enc.payload();
+                    assert_eq!(c.check_payload(n, payload), Ok(()), "{what}: {call}");
+                    let longer = [payload.as_ref(), &[0]].concat();
+                    if c.check_payload(n, &longer).is_ok() {
+                        if !any_length.contains(&c.name()) {
+                            any_length.push(c.name());
+                        }
+                        continue;
+                    }
+                    assert!(payload.len() <= c.compressed_bytes(n), "{what}: {call}");
+                    if payload.len() < c.compressed_bytes(n) && !shorter.contains(&c.name()) {
+                        shorter.push(c.name());
+                    }
+                }
             }
         }
-        assert_eq!(estimated, ["powersgd(r2)"]);
+        assert!(
+            shorter.iter().all(|name| name.starts_with("qsgd")),
+            "{shorter:?}"
+        );
+        assert_eq!(shorter.len(), 2 * 7 * 5, "every QSGD layout skips a bucket");
+        assert_eq!(any_length, ["powersgd(r2)"]);
     }
 
     #[test]

@@ -132,10 +132,10 @@ impl Compressor for PowerSgdCompressor {
         (3 + (m + n) * r) * 4
     }
 
-    /// No: the factors' size is the matrix shape's, which `n` alone does
-    /// not give (the estimate above assumes a square-ish one).
-    fn compressed_bytes_is_exact(&self) -> bool {
-        false
+    /// Any length: the factors' size is the matrix shape's, which `n`
+    /// alone does not give (the estimate above assumes a square-ish one).
+    fn check_payload(&self, _n: usize, _payload: &[u8]) -> Result<(), usize> {
+        Ok(())
     }
 
     fn aggregate_encoded(&self, a: &Encoded, b: &Encoded) -> Option<Encoded> {

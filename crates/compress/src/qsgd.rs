@@ -139,7 +139,8 @@ impl QsgdCompressor {
     /// round stochastically, sign, offset and pack. All the call's
     /// randomness is one key drawn from `rng`; element `j` of bucket `b`
     /// rounds on draw `(b << 32) | j` of that key's [`CounterRng`]
-    /// stream, whatever the other elements are. Where a bucket is a whole
+    /// stream, whatever the other elements are. A bucket of zeros is its
+    /// norm field alone ([`simd::ZERO_BUCKET`]). Where a bucket is a whole
     /// number of bytes the codes are packed in registers straight into the
     /// payload, at any width; where it is not, the norms after the first
     /// would not start on a byte, and the walk's 8-bit form goes through
@@ -157,18 +158,27 @@ impl QsgdCompressor {
         if (self.bucket_size * bits as usize).is_multiple_of(8) {
             buf.clear();
             buf.resize(self.compressed_bytes(n), 0);
-            simd::quantize(self.route, &walk, bits, data, table_of, &mut buf);
+            let len = simd::quantize(self.route, &walk, bits, data, table_of, &mut buf);
+            buf.truncate(len);
             return Bytes::from(buf);
         }
         self.codes.resize(n.div_ceil(self.bucket_size) * 4 + n, 0);
-        simd::quantize(self.route, &walk, 8, data, table_of, &mut self.codes);
+        let len = simd::quantize(self.route, &walk, 8, data, table_of, &mut self.codes);
         let mut w = BitWriter::from_buf(buf);
-        for bucket in self.codes.chunks(4 + self.bucket_size) {
-            let (norm, codes) = bucket.split_at(4);
-            w.write_u32(u32::from_le_bytes(norm.try_into().expect("four bytes")));
+        let mut rest = &self.codes[..len];
+        for at in (0..n).step_by(self.bucket_size) {
+            let (norm, after) = rest.split_at(4);
+            let norm = u32::from_le_bytes(norm.try_into().expect("four bytes"));
+            w.write_u32(norm);
+            let len = match norm {
+                simd::ZERO_BUCKET => 0,
+                _ => self.bucket_size.min(n - at),
+            };
+            let (codes, after) = after.split_at(len);
             for &code in codes {
                 w.write_bits(code.into(), bits);
             }
+            rest = after;
         }
         w.finish()
     }
@@ -198,9 +208,10 @@ impl QsgdCompressor {
     }
 
     /// Decodes a payload of any layout, invoking `f(index, value)` for
-    /// every element in stream order: the reference the table kernel is
-    /// tested against, and the route of the layouts it does not take
-    /// (5 to 8 bits, and buckets that are no whole number of bytes).
+    /// every element in stream order — `+0.0` for each of a
+    /// [`simd::ZERO_BUCKET`]: the reference the table kernel is tested
+    /// against, and the route of the layouts it does not take (5 to 8
+    /// bits, and buckets that are no whole number of bytes).
     fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
         let n = enc.shape().len();
         let s = self.levels() as f64;
@@ -219,7 +230,16 @@ impl QsgdCompressor {
         let mut i = 0usize;
         while remaining > 0 {
             let bucket_len = remaining.min(self.bucket_size);
-            let norm = r.read_f32() as f64;
+            remaining -= bucket_len;
+            let norm = r.read_u32();
+            if norm == simd::ZERO_BUCKET {
+                for _ in 0..bucket_len {
+                    f(i, 0.0);
+                    i += 1;
+                }
+                continue;
+            }
+            let norm = f32::from_bits(norm) as f64;
             if use_lut {
                 for (c, t) in table[..table_len].iter_mut().enumerate() {
                     let signed = c as i64 - offset;
@@ -236,7 +256,6 @@ impl QsgdCompressor {
                     i += 1;
                 });
             }
-            remaining -= bucket_len;
         }
     }
 }
@@ -309,10 +328,38 @@ impl Compressor for QsgdCompressor {
         self.decode::<true>(enc, out);
     }
 
+    /// With every bucket's codes: a bucket of zeros has none.
     fn compressed_bytes(&self, n: usize) -> usize {
         let buckets = n.div_ceil(self.bucket_size);
         let bits = buckets as u64 * 32 + n as u64 * self.bits as u64;
         bits.div_ceil(8) as usize
+    }
+
+    /// The length `payload`'s own norm fields give: 32 bits per bucket,
+    /// and `bits` per element of every bucket whose field is not `-0.0`
+    /// (a bucket of zeros), rounded up to a byte. A field that `payload`
+    /// is too short to hold counts as a norm, so a payload cut short is
+    /// never the length it is held to.
+    fn check_payload(&self, n: usize, payload: &[u8]) -> Result<(), usize> {
+        let mut bit = 0;
+        for at in (0..n).step_by(self.bucket_size) {
+            // The field's 32 bits, LSB-first from bit `bit`.
+            let (byte, shift) = (bit / 8, bit % 8);
+            let field = payload.get(byte..byte + 4 + usize::from(shift > 0));
+            let norm = field.map(|src| {
+                let mut word = [0u8; 8];
+                word[..src.len()].copy_from_slice(src);
+                (u64::from_le_bytes(word) >> shift) as u32
+            });
+            bit += 32;
+            if norm != Some(simd::ZERO_BUCKET) {
+                bit += self.bucket_size.min(n - at) * self.bits as usize;
+            }
+        }
+        match bit.div_ceil(8) {
+            len if len == payload.len() => Ok(()),
+            len => Err(len),
+        }
     }
 
     fn kernel_cost_per_element(&self) -> f64 {
@@ -528,10 +575,107 @@ pub(crate) mod tests {
         }
     }
 
+    /// A row-sparse embedding gradient, `rows` rows of `dim`: every
+    /// seventh row touched (ordinary values), every fourth `-0.0` (a
+    /// product with a negative zero), the others `+0.0` — and a NaN in
+    /// the middle of the second bucket of `bucket_size` that holds only
+    /// zeros, whose max norm is `+0.0` but whose codes are not all `s`.
+    fn embedding_grad(rng: &mut Rng, rows: usize, dim: usize, bucket_size: usize) -> Vec<f32> {
+        let mut data: Vec<f32> = (0..rows * dim)
+            .map(|i| match i / dim {
+                r if r % 7 == 0 => (rng.normal() * 0.1) as f32,
+                r if r % 4 == 1 => -0.0,
+                _ => 0.0,
+            })
+            .collect();
+        let zeros = data.chunks(bucket_size).enumerate();
+        let mut zeros =
+            zeros.filter(|(_, b)| b.len() == bucket_size && b.iter().all(|v| *v == 0.0));
+        let (b, _) = zeros.nth(1).expect("two buckets of zeros");
+        data[b * bucket_size + bucket_size / 2] = f32::NAN;
+        data
+    }
+
+    #[test]
+    fn zero_buckets_keep_every_decoded_bit() {
+        // An embedding gradient through every compress entry point on
+        // every route, at every width, in buckets whole in bytes and not
+        // and buckets that end in the 8-lane group or the word tail:
+        // the payload is the per-bucket twin's (a bucket of ±0 is its
+        // `-0.0` norm field alone, a zero max norm over a NaN keeps its
+        // codes), it passes the receiver's check, and decode, decode-add
+        // onto `-0.0` and the commit give the bits of the quotient of the
+        // codes the twin skipped.
+        let lanes: Vec<u64> = simd::tests::bodies()
+            .into_iter()
+            .map(Route::lanes)
+            .collect();
+        println!("cgx-compress zero-bucket QSGD routes exercised, in lanes: {lanes:?}");
+        let (pool, mut rng) = (ScratchPool::new(), Rng::seed_from_u64(67));
+        let bits_of = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for bucket_size in [128usize, 63, 24, 8] {
+            let g = Tensor::from_slice(&embedding_grad(&mut rng, 50, 40, bucket_size));
+            let n = g.len();
+            let base: Vec<f32> = (0..n).map(|i| [-0.0, 0.0, 1.5][i % 3]).collect();
+            for (bits, norm_kind) in
+                (2..=8u32).flat_map(|b| [(b, NormKind::Max), (b, NormKind::L2)])
+            {
+                let mut q = QsgdCompressor::with_norm(bits, bucket_size, norm_kind);
+                let s = q.levels();
+                let stream = CounterRng::new(Rng::seed_from_u64(71).next_u64());
+                let (mut twin, mut quotients) = (BitWriter::new(), Vec::new());
+                for (b, bucket) in g.as_slice().chunks(bucket_size).enumerate() {
+                    let norm = q.bucket_norm(bucket);
+                    let zeros = bucket.iter().all(|v| *v == 0.0);
+                    twin.write_u32(if zeros { 0x8000_0000 } else { norm.to_bits() });
+                    let quantizer = BucketQuantizer::new(s, norm, &stream, b as u64);
+                    for (j, &v) in bucket.iter().enumerate() {
+                        let code = quantizer.code(j, v);
+                        if !zeros {
+                            twin.write_bits(code, bits);
+                        }
+                        quotients.push(
+                            (norm as f64 * (code as i64 - s as i64) as f64 / s as f64) as f32,
+                        );
+                    }
+                }
+                let twin = twin.finish();
+                let summed: Vec<f32> = base.iter().zip(&quotients).map(|(b, v)| b + v).collect();
+                for route in simd::tests::bodies() {
+                    q.route = route;
+                    let what = format!("{route:?} bits={bits} bucket={bucket_size} {norm_kind:?}");
+                    let rng = || Rng::seed_from_u64(71);
+                    let mut kept = g.as_slice().to_vec();
+                    let encs = [
+                        q.compress(&g, &mut rng()),
+                        q.compress_slice(g.as_slice(), &mut rng(), &pool),
+                        q.compress_pooled(&g, &mut rng(), &pool),
+                        q.compress_committed_at(0, &mut kept, &mut rng(), &pool),
+                    ];
+                    for enc in &encs {
+                        assert_eq!(enc.payload(), &twin, "{what}");
+                        assert_eq!(q.check_payload(n, enc.payload()), Ok(()), "{what}");
+                    }
+                    assert_eq!(bits_of(&kept), bits_of(&quotients), "{what}: committed");
+                    let mut decoded = vec![9.0f32; n];
+                    q.decompress_into(&encs[0], &mut decoded);
+                    assert_eq!(bits_of(&decoded), bits_of(&quotients), "{what}: decode");
+                    let mut sum = base.clone();
+                    q.decompress_add_into(&encs[0], &mut sum);
+                    assert_eq!(bits_of(&sum), bits_of(&summed), "{what}: decode-add");
+                    let mut reference = vec![9.0f32; n];
+                    q.decode_with(&encs[0], |i, v| reference[i] = v);
+                    assert_eq!(bits_of(&reference), bits_of(&quotients), "{what}: reader");
+                }
+            }
+        }
+    }
+
     #[test]
     fn rounding_is_addressed_by_position() {
         // What an element rounds to depends on its own value, its bucket's
-        // norm and its position — not on what the buckets before it hold.
+        // norm and its position — not on what the buckets before it hold,
+        // nor on whether a bucket before it was sent as zeros alone.
         let mut rng = Rng::seed_from_u64(43);
         let dense = Tensor::randn(&mut rng, &[640]);
         let mut sparse = dense.clone();
@@ -540,8 +684,8 @@ pub(crate) mod tests {
         let per_bucket = q.compressed_bytes(128);
         let a = q.compress(&dense, &mut Rng::seed_from_u64(9));
         let b = q.compress(&sparse, &mut Rng::seed_from_u64(9));
-        assert_ne!(a.payload()[..per_bucket], b.payload()[..per_bucket]);
-        assert_eq!(a.payload()[per_bucket..], b.payload()[per_bucket..]);
+        assert_eq!(b.payload()[..4], simd::ZERO_BUCKET.to_le_bytes());
+        assert_eq!(a.payload()[per_bucket..], b.payload()[4..]);
         let zeros = q.decompress(&b);
         assert!(zeros.as_slice()[..128].iter().all(|v| *v == 0.0));
     }

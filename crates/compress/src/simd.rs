@@ -28,6 +28,14 @@
 //! element with the codebook entry its code decodes to, from the register
 //! the code is still in — the values every receiver's decode writes.
 //!
+//! A bucket whose norm is `+0.0` and whose elements are all `±0` (not a
+//! zero max-norm over a NaN, which `max_abs` skips) is written as the
+//! norm field [`ZERO_BUCKET`] and nothing else: no round keys are drawn
+//! and no codes follow. Its codes would all be `s`, which decode to
+//! `+0.0`, so a commit writes `+0.0` over it and [`lut_decode`] writes
+//! (or adds) `+0.0` for it — the bits every decoder produced when the
+//! codes were on the wire.
+//!
 //! Per element, with `s` positive levels, `scale = s / norm` and `r` the
 //! element's draw from the call's [`CounterRng`] stream:
 //!
@@ -89,6 +97,11 @@ use std::arch::x86_64::*;
 use std::ops::Range;
 
 const TWO_POW_24: f32 = 16_777_216.0;
+
+/// The norm field of a bucket of zeros: the bits of `-0.0`, which neither
+/// norm produces (`max_abs` and [`l2_norm`] of a bucket of `±0` are
+/// `+0.0`). No codes follow it.
+pub(crate) const ZERO_BUCKET: u32 = 0x8000_0000;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Body {
@@ -224,16 +237,17 @@ impl Elems for &mut [f32] {
 /// Quantizes `data` into `out` in one walk: per bucket its norm (an
 /// `f32`, little-endian), then its codes, `width` bits each and
 /// LSB-first — the bytes `BitWriter` writes when every bucket starts on
-/// a byte. A committing walk also overwrites each element with entry
-/// `code` of `table_of(norm)`, its bucket's codebook: the value
-/// [`lut_decode`] writes for it from the same function.
+/// a byte — or, for a bucket of zeros, [`ZERO_BUCKET`] alone. A
+/// committing walk also overwrites each element with entry `code` of
+/// `table_of(norm)`, its bucket's codebook: the value [`lut_decode`]
+/// writes for it from the same function. Returns the payload's length.
 ///
 /// # Panics
 ///
 /// Panics unless `width` is in `2..=8` and holds the codes of
 /// `walk.levels`, a bucket is a whole number of bytes, and `out` is
-/// exactly as long as the payload; and, for a commit, unless the codes
-/// index sixteen entries (`walk.levels <= 7`).
+/// exactly as long as a payload with every code in it; and, for a
+/// commit, unless the codes index sixteen entries (`walk.levels <= 7`).
 pub(crate) fn quantize<E: Elems>(
     route: Route,
     walk: &Walk,
@@ -241,7 +255,7 @@ pub(crate) fn quantize<E: Elems>(
     data: E,
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [u8],
-) {
+) -> usize {
     let (n, w) = (data.read().len(), width as usize);
     assert!((2..=8).contains(&width), "width {width} has no packed form");
     assert!(
@@ -276,7 +290,7 @@ fn quantize_on<const WIDTH: usize, E: Elems>(
     mut data: E,
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [u8],
-) {
+) -> usize {
     let data = &mut data;
     match route.0 {
         Body::Scalar => {
@@ -292,8 +306,9 @@ fn quantize_on<const WIDTH: usize, E: Elems>(
     }
 }
 
-/// The bucket walk of [`quantize`]. Per bucket: the norm (`max_abs` is
-/// the route's fold), written ahead of the codes; the quantizer and,
+/// The bucket walk of [`quantize`], returning the payload's length. Per
+/// bucket: the norm (`max_abs` is the route's fold), written ahead of the
+/// codes — or [`ZERO_BUCKET`], and the next bucket; the quantizer and,
 /// committing, the codebook; then `groups` quantizes a leading multiple
 /// of eight of the bucket's elements (their indices in `data` are its
 /// range) in registers and says how many, and the rest go a word of up
@@ -308,20 +323,31 @@ fn quantize_buckets<const WIDTH: usize, E: Elems>(
     out: &mut [u8],
     max_abs: impl Fn(&[f32]) -> f32,
     mut groups: impl FnMut(&BucketQuantizer, &[f32; 16], Range<usize>, &mut E, &mut [u8]) -> usize,
-) {
-    let n = data.read().len();
+) -> usize {
+    let (n, max_len) = (data.read().len(), out.len());
     let mut rest = out;
     for (b, at) in (0..n).step_by(walk.bucket_size).enumerate() {
         let len = walk.bucket_size.min(n - at);
         let (head, after) = std::mem::take(&mut rest).split_at_mut(4);
-        let (codes, after) = after.split_at_mut((len * WIDTH).div_ceil(8));
-        rest = after;
         let vals = &data.read()[at..at + len];
         let norm = match walk.norm {
             NormKind::Max => max_abs(vals),
             NormKind::L2 => l2_norm(vals),
         };
+        // Every element `±0`, no bit but the sign set: a norm of `+0.0`
+        // over a NaN is a bucket with codes. One branch-free fold, which
+        // vectorises, where a test per element would not.
+        if norm.to_bits() == 0 && vals.iter().fold(0, |bits, v| bits | v.to_bits() << 1) == 0 {
+            head.copy_from_slice(&ZERO_BUCKET.to_le_bytes());
+            if E::COMMIT {
+                data.write()[at..at + len].fill(0.0);
+            }
+            rest = after;
+            continue;
+        }
         head.copy_from_slice(&norm.to_le_bytes());
+        let (codes, after) = after.split_at_mut((len * WIDTH).div_ceil(8));
+        rest = after;
         let q = BucketQuantizer::new(walk.levels, norm, walk.stream, b as u64);
         let table = if E::COMMIT { table_of(norm) } else { [0.0; 16] };
         let done = groups(&q, &table, at..at + len, data, codes);
@@ -341,6 +367,7 @@ fn quantize_buckets<const WIDTH: usize, E: Elems>(
             bytes.copy_from_slice(&word.to_le_bytes()[..bytes.len()]);
         }
     }
+    max_len - rest.len()
 }
 
 /// AVX-512 body of [`quantize`]: every bucket's whole groups of sixteen
@@ -358,7 +385,7 @@ unsafe fn quantize_avx512<const WIDTH: usize, E: Elems>(
     data: &mut E,
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [u8],
-) {
+) -> usize {
     let sixteens = Sixteens::<WIDTH>::new(walk.levels);
     let eights = Eights::<WIDTH>::new(walk.levels);
     let max_abs = |vals: &[f32]| max_abs_avx(vals);
@@ -369,7 +396,7 @@ unsafe fn quantize_avx512<const WIDTH: usize, E: Elems>(
             _ => eights.run(done, q, table, at, data, codes),
         }
     };
-    quantize_buckets::<WIDTH, E>(walk, data, table_of, out, max_abs, groups);
+    quantize_buckets::<WIDTH, E>(walk, data, table_of, out, max_abs, groups)
 }
 
 /// AVX2 body of [`quantize`]: every bucket's whole groups of eight by
@@ -386,13 +413,13 @@ unsafe fn quantize_avx2<const WIDTH: usize, E: Elems>(
     data: &mut E,
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [u8],
-) {
+) -> usize {
     let eights = Eights::<WIDTH>::new(walk.levels);
     let max_abs = |vals: &[f32]| max_abs_avx(vals);
     let groups = |q: &_, table: &_, at, data: &mut E, codes: &mut _| {
         eights.run(0, q, table, at, data, codes)
     };
-    quantize_buckets::<WIDTH, E>(walk, data, table_of, out, max_abs, groups);
+    quantize_buckets::<WIDTH, E>(walk, data, table_of, out, max_abs, groups)
 }
 
 /// The 16-lane group body of [`quantize`], with the constants of a call
@@ -642,15 +669,17 @@ impl<const WIDTH: usize> Eights<WIDTH> {
 /// Decodes the buckets of `payload` — per bucket an `f32` norm, then
 /// `bits`-bit codes, LSB-first — over `out` (`ADD` false) or onto it
 /// (`ADD` true): element `i` is entry `code_i` of `table_of(norm)`, its
-/// bucket's codebook. Returns `false`, with `out` untouched, for a layout
-/// it has no kernel for: a width outside `2..=4` (more than sixteen
-/// values), or full buckets that do not end on a byte, which leave norms
-/// unaligned.
+/// bucket's codebook, and every element of a [`ZERO_BUCKET`] is `+0.0`
+/// (NUQSGD, which decodes here too, never writes that norm). Returns
+/// `false`, with `out` untouched, for a layout it has no kernel for: a
+/// width outside `2..=4` (more than sixteen values), or full buckets that
+/// do not end on a byte, which leave norms unaligned.
 ///
 /// # Panics
 ///
-/// Panics with `"bit stream exhausted"` if `payload` is shorter than
-/// `out.len()` elements take.
+/// Panics with `"bit stream exhausted"`, before reading past its end, if
+/// `payload` is shorter than its norm fields say `out.len()` elements
+/// take.
 pub(crate) fn lut_decode<const ADD: bool>(
     route: Route,
     bits: u32,
@@ -663,9 +692,6 @@ pub(crate) fn lut_decode<const ADD: bool>(
     if !(2..=4).contains(&bits) || !(bucket_size * width).is_multiple_of(8) {
         return false;
     }
-    // The one length check of the decode: every read below is inside it.
-    let needed = n.div_ceil(bucket_size) * 4 + (n * width).div_ceil(8);
-    assert!(payload.len() >= needed, "bit stream exhausted");
     // One lane group at least, or the vector set-up is all a call does.
     let route = if n < 8 { Route(Body::Scalar) } else { route };
     match bits {
@@ -702,8 +728,9 @@ fn lut_decode_on<const WIDTH: usize, const ADD: bool>(
     }
 }
 
-/// The bucket walk of [`lut_decode`]. `groups` decodes a leading multiple
-/// of eight elements of a bucket from its codebook and says how many; the
+/// The bucket walk of [`lut_decode`], which checks each bucket's length
+/// before it reads the bucket. `groups` decodes a leading multiple of
+/// eight elements of a bucket from its codebook and says how many; the
 /// rest are looked up from one word of up to eight codes at a time.
 #[inline(always)]
 fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
@@ -715,10 +742,21 @@ fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
 ) {
     let mut rest = payload;
     for dst in out.chunks_mut(bucket_size) {
+        assert!(rest.len() >= 4, "bit stream exhausted");
         let (norm, after) = rest.split_at(4);
-        let (codes, after) = after.split_at((dst.len() * WIDTH).div_ceil(8));
+        let norm = u32::from_le_bytes(norm.try_into().expect("four bytes"));
+        if norm == ZERO_BUCKET {
+            for d in dst.iter_mut() {
+                *d = if ADD { *d + 0.0 } else { 0.0 };
+            }
+            rest = after;
+            continue;
+        }
+        let code_bytes = (dst.len() * WIDTH).div_ceil(8);
+        assert!(after.len() >= code_bytes, "bit stream exhausted");
+        let (codes, after) = after.split_at(code_bytes);
         rest = after;
-        let table = table_of(f32::from_le_bytes(norm.try_into().expect("four bytes")));
+        let table = table_of(f32::from_bits(norm));
         // Eight codes fill `WIDTH` whole bytes and `done` is a multiple
         // of 8, so every group starts a byte; the last one, of fewer
         // codes, has the bytes those take.
@@ -745,8 +783,8 @@ fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
 ///
 /// The CPU must support AVX-512F. Nothing else is asked of the caller:
 /// every load and store goes through a slice of exactly the length it
-/// touches, and a `payload` shorter than [`lut_decode`] has checked is a
-/// panic in the walk, not a wild read.
+/// touches, and a short `payload` is a panic in the walk, not a wild
+/// read.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn lut_decode_avx512<const WIDTH: usize, const ADD: bool>(
@@ -1024,6 +1062,11 @@ pub(crate) mod tests {
                         let mut twin = crate::BitWriter::new();
                         let mut committed = Vec::with_capacity(n);
                         for (b, bucket) in data.chunks(bucket_size).enumerate() {
+                            if bucket.iter().all(|v| *v == 0.0) {
+                                twin.write_u32(ZERO_BUCKET);
+                                committed.extend(bucket.iter().map(|_| Some(0.0)));
+                                continue;
+                            }
                             let norm = match norm {
                                 NormKind::Max => max_abs(SCALAR, bucket),
                                 NormKind::L2 => l2_norm(bucket),
@@ -1038,20 +1081,29 @@ pub(crate) mod tests {
                             }
                         }
                         let twin = twin.finish();
+                        let full = n.div_ceil(bucket_size) * 4 + (n * width as usize).div_ceil(8);
                         for route in bodies() {
                             let what = format!(
                                 "{route:?} width={width} levels={levels} bucket={bucket_size} n={n} {norm:?}"
                             );
-                            let mut out = vec![0xAAu8; twin.len()];
-                            quantize(route, &walk, width, &data[..], grid(levels), &mut out);
-                            assert_eq!(out, twin.as_ref(), "{what}");
+                            let mut out = vec![0xAAu8; full];
+                            let len =
+                                quantize(route, &walk, width, &data[..], grid(levels), &mut out);
+                            assert_eq!(out[..len], twin[..], "{what}");
                             if levels > 7 {
                                 continue;
                             }
                             let mut kept = data.clone();
                             out.fill(0xAA);
-                            quantize(route, &walk, width, &mut kept[..], grid(levels), &mut out);
-                            assert_eq!(out, twin.as_ref(), "{what}: commit");
+                            let len = quantize(
+                                route,
+                                &walk,
+                                width,
+                                &mut kept[..],
+                                grid(levels),
+                                &mut out,
+                            );
+                            assert_eq!(out[..len], twin[..], "{what}: commit");
                             let want: Vec<u32> =
                                 committed.iter().map(|v| v.unwrap().to_bits()).collect();
                             assert_eq!(bits_of(&kept), want, "{what}: committed values");

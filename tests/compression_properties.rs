@@ -2,7 +2,9 @@
 //! predictions are exact, round-trips preserve shape, error bounds hold,
 //! and the codecs are robust to adversarial inputs.
 
-use cgx::compress::{compression_error, CompressionScheme, Compressor, NormKind, QsgdCompressor};
+use cgx::compress::{
+    compression_error, CompressionScheme, Compressor, Encoded, NormKind, QsgdCompressor,
+};
 use cgx::tensor::{cases, Rng, Tensor};
 
 /// Gradient-like data with mixed scales, including exact zeros.
@@ -16,13 +18,25 @@ fn gradient(rng: &mut Rng, max_len: usize) -> Vec<f32> {
         .collect()
 }
 
+/// The exact QSGD payload length of `data`: `compressed_bytes`' bits
+/// less the codes of every bucket that holds only `±0`.
+fn qsgd_payload_len(q: &QsgdCompressor, data: &[f32]) -> usize {
+    let skipped: usize = data
+        .chunks(q.bucket_size())
+        .filter(|bucket| bucket.iter().all(|v| *v == 0.0))
+        .map(<[f32]>::len)
+        .sum();
+    let buckets = data.len().div_ceil(q.bucket_size());
+    (buckets * 32 + (data.len() - skipped) * q.bits() as usize).div_ceil(8)
+}
+
 #[test]
 fn qsgd_payload_matches_prediction() {
     cases(64, |rng| {
         let g = Tensor::from_slice(&gradient(rng, 4000));
         let mut q = QsgdCompressor::new(rng.range(2..=8) as u32, rng.range(1..2000));
         let enc = q.compress(&g, rng);
-        assert_eq!(enc.payload_bytes(), q.compressed_bytes(g.len()));
+        assert_eq!(enc.payload_bytes(), qsgd_payload_len(&q, g.as_slice()));
         let rt = q.decompress(&enc);
         assert_eq!(rt.shape(), g.shape());
         assert!(rt.as_slice().iter().all(|x| x.is_finite()));
@@ -127,5 +141,79 @@ fn quantization_is_unbiased_in_expectation() {
             (mean - value as f64).abs() < 0.1 * scale.max(0.5),
             "mean {mean} vs value {value}"
         );
+    });
+}
+
+/// Writes `value` over the 32 bits at bit `at` of `payload`, LSB-first as
+/// the bit writer lays a norm field down.
+fn put_u32_at_bit(payload: &mut [u8], at: usize, value: u32) {
+    for i in 0..32 {
+        let (byte, bit) = ((at + i) / 8, (at + i) % 8);
+        let set = (value >> i) & 1 == 1;
+        payload[byte] = (payload[byte] & !(1 << bit)) | (u8::from(set) << bit);
+    }
+}
+
+#[test]
+fn hostile_qsgd_payloads_are_refused_or_decode_cleanly() {
+    // A payload off a socket, cut short, extended, or with one bucket's
+    // norm field turned into the zero-bucket marker or out of it: the
+    // receiver's check refuses it, or every decoder takes it without a
+    // panic. A cut or an extension is always refused, and a decoder
+    // handed a refused payload anyway decodes it or stops with "bit
+    // stream exhausted" before reading past its end.
+    cases(96, |rng| {
+        let data = gradient(rng, 3000);
+        let (bits, bucket) = (rng.range(2..=8) as u32, rng.range(1..300));
+        let mut q = QsgdCompressor::new(bits, bucket);
+        let enc = q.compress(&Tensor::from_slice(&data), rng);
+        let n = data.len();
+        assert_eq!(q.check_payload(n, enc.payload()), Ok(()));
+        let honest = enc.payload().to_vec();
+        let cut = rng.range(1..=honest.len());
+        let extended = [honest.as_slice(), &vec![0u8; rng.range(1..9)]].concat();
+        // Bucket `b`'s norm field starts after the fields and codes of
+        // the buckets before it.
+        let b = rng.index(n.div_ceil(bucket));
+        let field_at: usize = data
+            .chunks(bucket)
+            .take(b)
+            .map(|chunk| match chunk.iter().all(|v| *v == 0.0) {
+                true => 32,
+                false => 32 + chunk.len() * bits as usize,
+            })
+            .sum();
+        let zeros = data
+            .chunks(bucket)
+            .nth(b)
+            .unwrap()
+            .iter()
+            .all(|v| *v == 0.0);
+        let mut flipped = honest.clone();
+        put_u32_at_bit(&mut flipped, field_at, if zeros { 0 } else { 0x8000_0000 });
+        for (what, payload) in [
+            ("cut", honest[..honest.len() - cut].to_vec()),
+            ("extended", extended),
+            ("flipped", flipped),
+        ] {
+            let what = format!("{what}: bits={bits} bucket={bucket} n={n} b={b}");
+            let refused = q.check_payload(n, &payload).is_err();
+            assert!(refused || what.starts_with("flipped"), "{what}: accepted");
+            let enc = Encoded::new(enc.shape().clone(), payload.into());
+            let decodes = std::panic::catch_unwind(|| {
+                let mut out = vec![1.0f32; n];
+                q.decompress_into(&enc, &mut out);
+                q.decompress_add_into(&enc, &mut out);
+                q.decompress(&enc)
+            });
+            match decodes {
+                Ok(_) => {}
+                Err(_) if !refused => panic!("{what}: a checked payload panicked the decode"),
+                Err(panic) => {
+                    let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+                    assert_eq!(message, "bit stream exhausted", "{what}");
+                }
+            }
+        }
     });
 }
