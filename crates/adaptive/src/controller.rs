@@ -85,9 +85,8 @@ impl AdaptiveTrainConfig {
         self.options_for_epoch(0).validate();
     }
 
-    /// Parses a policy name as used by the `CGX_ADAPTIVE` env knob and
-    /// the `--adaptive` launcher flag: `kmeans`, `linear`, `timeaware`,
-    /// `bayesopt` or `bayesopt:TRIALS`.
+    /// Parses a policy name as the `--adaptive` launcher flag takes it:
+    /// `kmeans`, `linear`, `timeaware`, `bayesopt` or `bayesopt:TRIALS`.
     pub fn parse_policy(s: &str) -> Option<AdaptivePolicy> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {

@@ -24,7 +24,7 @@
 use cgx_collectives::{CommError, Transport};
 use cgx_compress::Encoded;
 use cgx_net::workload::{RunOptions, Workload};
-use cgx_net::{NetFaultPlan, NetOptions, ReconnectPolicy, TcpFabric};
+use cgx_net::{NetOptions, ReconnectPolicy, ResetPlan, TcpFabric};
 use cgx_tensor::Shape;
 use std::time::{Duration, Instant};
 
@@ -93,7 +93,11 @@ fn measure_reconnect_heal() -> (u64, u64, f64) {
     let mut eps = TcpFabric::build_local_with(2, opts);
     let mut b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
-    b.set_fault(NetFaultPlan::default().with_reset(1, 0, 3));
+    b.set_reset(ResetPlan {
+        rank: 1,
+        peer: 0,
+        after_frames: 3,
+    });
     let start = Instant::now();
     let (reconnects, wall_ms) = std::thread::scope(|s| {
         let (tx, rx) = std::sync::mpsc::channel::<()>();

@@ -29,7 +29,7 @@ use crate::optimizer::{clip_global_norm, SgdMomentum};
 use crate::sync::RankSync;
 use cgx_adaptive::{AdaptivePlanTrace, AdaptiveTrainConfig};
 use cgx_collectives::reduce::Algorithm;
-use cgx_collectives::{CommError, EngineOptions, ShmTransport, ThreadCluster, Topology, Transport};
+use cgx_collectives::{CommError, ShmTransport, ThreadCluster, Topology, Transport};
 use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
 use cgx_obs::{MetricsSnapshot, ObsHandle};
 use cgx_tensor::{Rng, Tensor};
@@ -259,11 +259,6 @@ pub struct TrainConfig {
     /// Section 2.2, batch scaling): local gradients of `accumulation`
     /// batches are averaged before the single update. 1 = off.
     pub accumulation: usize,
-    /// Tuning for the communication engine (segmentation, coalescing)
-    /// every flat reduction runs through: all layers of a round are
-    /// submitted up front and redeemed in order, so their
-    /// compress/send/decode work overlaps.
-    pub engine: EngineOptions,
     /// `(rank, step)`: that rank dies (fail-stop) at the top of that step.
     /// Read by [`train_rank`] and [`local_sgd_rank`](crate::local_sgd_rank)
     /// themselves, on any fabric: the scheduled rank returns `Ok(None)`
@@ -323,7 +318,6 @@ impl TrainConfig {
             compression: LayerCompression::none(),
             seed: 1234,
             accumulation: 1,
-            engine: EngineOptions::default(),
             kill: None,
             elastic: false,
             comm_timeout: None,

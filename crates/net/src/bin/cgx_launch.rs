@@ -1,56 +1,184 @@
 //! `cgx-launch`: run the standard CGX workload as real OS processes over
 //! TCP.
 //!
-//! Two modes, selected by the environment:
+//! Two modes, one command line:
 //!
-//! - **Worker** (`CGX_RANK` set): rendezvous with the mesh, train, and —
-//!   when `CGX_OUT_DIR` is set — write this replica's final parameters
-//!   to `<dir>/params_rank<rank>.bin` as little-endian `f32` bytes plus
-//!   a `report_rank<rank>.txt` sidecar (final world, recovery epochs).
 //! - **Coordinator** (`CGX_RANK` unset): spawn one copy of this binary
-//!   per rank via [`ProcessCluster`], wait for all of them, and verify
-//!   every written replica is byte-identical.
+//!   per rank via [`ProcessCluster`], handing each its own arguments,
+//!   wait for all of them, and verify every written replica is
+//!   byte-identical.
+//! - **Worker** (`CGX_RANK` set, with `CGX_WORLD`, `CGX_RENDEZVOUS` and
+//!   `CGX_NODE`: the identity the coordinator gives each rank, and the
+//!   only variables this binary reads): rendezvous with the mesh, train,
+//!   and — with `--out-dir` — write this replica's final parameters to
+//!   `<dir>/params_rank<rank>.bin` as little-endian `f32` bytes plus a
+//!   `report_rank<rank>.txt` sidecar (final world, recovery epochs).
+//!
+//! Both parse the same arguments with [`parse`]:
 //!
 //! ```text
 //! cgx-launch --world 4 --out-dir /tmp/cgx [--nodes 0,0,1,1] [--steps 40] [--seed 4242]
 //! ```
 //!
-//! Chaos mode (`--kill rank@step`, optionally `--sigkill`) arms the
-//! fault plan in every worker's environment, supervises the cluster
-//! instead of requiring unanimous success, and verifies that the
-//! *survivors* converged to byte-identical parameters on the shrunken
-//! world:
+//! Chaos mode (`--kill rank@step`, optionally `--sigkill`) kills that
+//! rank at that step, trains elastically, supervises the cluster instead
+//! of requiring unanimous success, and verifies that the *survivors*
+//! converged to byte-identical parameters on the shrunken world:
 //!
 //! ```text
 //! cgx-launch --world 4 --out-dir /tmp/cgx --kill 2@20 --sigkill --comm-timeout-ms 2000
 //! ```
 
 use cgx_collectives::CommError;
+use cgx_engine::AdaptiveTrainConfig;
 use cgx_net::cluster::{ProcessCluster, WorkerEnv};
-use cgx_net::fault::{raise_sigkill, ENV_NET_KILL, ENV_NET_SIGKILL};
-use cgx_net::rendezvous::{rendezvous_with_options, DEFAULT_BOOT_TIMEOUT};
-use cgx_net::workload::{
-    read, RunOptions, Workload, ENV_ADAPTIVE, ENV_ADAPTIVE_ALPHA, ENV_ADAPTIVE_INTERVAL,
-    ENV_ADAPTIVE_WARMUP, ENV_COMM_TIMEOUT_MS, ENV_ELASTIC,
-};
-use cgx_net::{NetFaultPlan, NetOptions};
+use cgx_net::fault::raise_sigkill;
+use cgx_net::rendezvous::{rendezvous, DEFAULT_BOOT_TIMEOUT};
+use cgx_net::workload::{flags, read, RunOptions, Workload};
+use cgx_net::NetOptions;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
-const ENV_OUT_DIR: &str = "CGX_OUT_DIR";
-const ENV_STEPS: &str = "CGX_STEPS";
-const ENV_SEED: &str = "CGX_SEED";
+const USAGE: &str = "usage: cgx-launch [--world N] [--nodes 0,0,1,1] [--out-dir DIR] [--steps N] \
+     [--seed N] [--kill RANK@STEP] [--sigkill] [--comm-timeout-ms N] [--adaptive POLICY] \
+     [--adaptive-alpha A] [--adaptive-interval N] [--adaptive-warmup N]";
 
-fn workload(world: usize) -> Result<Workload, CommError> {
-    let get = |key: &str| std::env::var(key).ok();
-    let mut w = Workload::standard(world);
-    if let Some(steps) = read(&get, ENV_STEPS, "a step count", |v| v.parse().ok())? {
-        w.steps = steps;
+/// Everything a launch is told. The coordinator and every worker parse
+/// the same arguments into it.
+#[derive(Debug)]
+struct Cli {
+    world: usize,
+    nodes: Option<Vec<u32>>,
+    out_dir: Option<PathBuf>,
+    steps: usize,
+    seed: u64,
+    kill: Option<(usize, usize)>,
+    sigkill: bool,
+    run: RunOptions,
+}
+
+/// Parses `cgx-launch`'s arguments. A worker passes the world its
+/// identity names (`CGX_WORLD`): that is its world, and `--nodes` and
+/// `--kill` are checked against it.
+///
+/// # Errors
+///
+/// [`CommError::InvalidConfig`] naming the flag and quoting its value when
+/// a value is malformed, and naming the flags when two disagree: a
+/// mistyped launch fails before anything is spawned, never on a default.
+fn parse(
+    args: impl IntoIterator<Item = String>,
+    identity_world: Option<usize>,
+) -> Result<Cli, CommError> {
+    let get = flags(
+        args,
+        &[
+            "--world",
+            "--nodes",
+            "--out-dir",
+            "--steps",
+            "--seed",
+            "--kill",
+            "--comm-timeout-ms",
+            "--adaptive",
+            "--adaptive-alpha",
+            "--adaptive-interval",
+            "--adaptive-warmup",
+        ],
+        &["--sigkill"],
+    )?;
+    let invalid = |detail: String| CommError::InvalidConfig { detail };
+    let number = |key, want| read(&get, key, want, |v| v.parse::<u64>().ok());
+    let world = read(&get, "--world", "a world size above 0", |v| {
+        v.parse().ok().filter(|&n: &usize| n > 0)
+    })?;
+    let world = match (identity_world, world) {
+        (Some(env), Some(flag)) if env != flag => {
+            return Err(invalid(format!("--world is {flag} but CGX_WORLD is {env}")))
+        }
+        (Some(env), _) => env,
+        (None, flag) => flag.unwrap_or(4),
+    };
+    let nodes = read(&get, "--nodes", "a comma-separated list of node ids", |v| {
+        v.split(',')
+            .map(|s| s.trim().parse().ok())
+            .collect::<Option<Vec<u32>>>()
+    })?;
+    if let Some(nodes) = nodes.as_ref().filter(|n| n.len() != world) {
+        return Err(invalid(format!(
+            "--nodes names {} ranks but --world is {world}",
+            nodes.len()
+        )));
     }
-    if let Some(seed) = read(&get, ENV_SEED, "a u64", |v| v.parse().ok())? {
-        w.seed = seed;
+    let kill = read(&get, "--kill", "rank@step", |v| {
+        let (rank, step) = v.split_once('@')?;
+        Some((rank.trim().parse().ok()?, step.trim().parse().ok()?))
+    })?;
+    if let Some((rank, _)) = kill.filter(|&(rank, _)| rank >= world) {
+        return Err(invalid(format!(
+            "--kill names rank {rank} but --world is {world}"
+        )));
     }
-    Ok(w)
+    let sigkill = get("--sigkill").is_some();
+    if sigkill && kill.is_none() {
+        return Err(invalid("--sigkill requires --kill".into()));
+    }
+    let base = Workload::standard(world);
+    let policy = read(
+        &get,
+        "--adaptive",
+        "a policy name",
+        AdaptiveTrainConfig::parse_policy,
+    )?;
+    let adaptive_base = AdaptiveTrainConfig::default();
+    let adaptive = match policy {
+        Some(policy) => Some(AdaptiveTrainConfig {
+            policy,
+            alpha: read(&get, "--adaptive-alpha", "a float above 0", |v| {
+                v.parse().ok().filter(|a: &f64| a.is_finite() && *a > 0.0)
+            })?
+            .unwrap_or(adaptive_base.alpha),
+            replan_interval: read(&get, "--adaptive-interval", "a step count above 0", |v| {
+                v.parse().ok().filter(|&n: &usize| n > 0)
+            })?
+            .unwrap_or(adaptive_base.replan_interval),
+            warmup: read(&get, "--adaptive-warmup", "a step count", |v| {
+                v.parse().ok()
+            })?
+            .unwrap_or(adaptive_base.warmup),
+            ..adaptive_base
+        }),
+        None if [
+            "--adaptive-alpha",
+            "--adaptive-interval",
+            "--adaptive-warmup",
+        ]
+        .iter()
+        .any(|key| get(key).is_some()) =>
+        {
+            return Err(invalid(
+                "--adaptive-alpha/--adaptive-interval/--adaptive-warmup require --adaptive".into(),
+            ))
+        }
+        None => None,
+    };
+    Ok(Cli {
+        world,
+        nodes,
+        out_dir: get("--out-dir").map(PathBuf::from),
+        steps: read(&get, "--steps", "a step count", |v| v.parse().ok())?.unwrap_or(base.steps),
+        seed: number("--seed", "a u64")?.unwrap_or(base.seed),
+        kill,
+        sigkill,
+        run: RunOptions {
+            // A kill trains elastically: the survivors shrink around it.
+            elastic: kill.is_some(),
+            comm_timeout: number("--comm-timeout-ms", "a count of milliseconds")?
+                .map(Duration::from_millis),
+            adaptive,
+        },
+    })
 }
 
 fn rank_file(dir: &Path, rank: usize) -> PathBuf {
@@ -61,41 +189,33 @@ fn report_file(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("report_rank{rank}.txt"))
 }
 
-fn run_worker(env: WorkerEnv) -> Result<(), String> {
-    let bad_env = |e| format!("rank {}: {e}", env.rank);
-    let work = workload(env.world).map_err(bad_env)?;
-    let opts = RunOptions::from_env().map_err(bad_env)?;
-    let net = NetOptions::from_env().map_err(bad_env)?;
-    let fault = NetFaultPlan::from_env().map_err(bad_env)?;
-    let (mut transport, topo) = rendezvous_with_options(
+fn run_worker(env: WorkerEnv, cli: &Cli) -> Result<(), String> {
+    let work = Workload {
+        workers: env.world,
+        steps: cli.steps,
+        seed: cli.seed,
+    };
+    let (mut transport, topo) = rendezvous(
         env.rank,
         env.world,
         &env.rendezvous,
         env.node,
         DEFAULT_BOOT_TIMEOUT,
-        net,
+        NetOptions::default(),
     )
     .map_err(|e| format!("rank {}: bootstrap failed: {e}", env.rank))?;
-    if let Some(timeout) = opts.comm_timeout {
+    if let Some(timeout) = cli.run.comm_timeout {
         transport.set_timeout(timeout);
-    }
-    if let Some(plan) = fault {
-        transport.set_fault(plan);
     }
     // A flat cluster (every rank on one node) runs the flat collective —
     // identical semantics to the thread-backed reference; a multi-node
     // roster switches on the hierarchical path.
     let topology = (topo.num_nodes() > 1).then(|| topo.clone());
     let run = work
-        .run_rank(
-            &transport,
-            topology,
-            &opts,
-            fault.and_then(|plan| plan.kill),
-        )
+        .run_rank(&transport, topology, &cli.run, cli.kill)
         .map_err(|e| format!("rank {}: training failed: {e}", env.rank))?;
     let Some(params) = run.params else {
-        if fault.is_some_and(|plan| plan.sigkill) {
+        if cli.sigkill {
             // Hard death, the endpoint still open: no destructor runs,
             // the kernel tears the sockets down.
             raise_sigkill();
@@ -106,15 +226,15 @@ fn run_worker(env: WorkerEnv) -> Result<(), String> {
         println!("rank {}/{} died on schedule", env.rank, env.world);
         return Ok(());
     };
-    if let Ok(dir) = std::env::var(ENV_OUT_DIR) {
+    if let Some(dir) = &cli.out_dir {
         // Hand-launched workers (no coordinator) may point at a directory
         // nobody has created yet.
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("rank {}: creating {dir}: {e}", env.rank))?;
-        let path = rank_file(Path::new(&dir), env.rank);
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("rank {}: creating {}: {e}", env.rank, dir.display()))?;
+        let path = rank_file(dir, env.rank);
         std::fs::write(&path, &params)
             .map_err(|e| format!("rank {}: writing {}: {e}", env.rank, path.display()))?;
-        let report = report_file(Path::new(&dir), env.rank);
+        let report = report_file(dir, env.rank);
         let mut body = format!(
             "final_world={}\nrecovery_epochs={}\n",
             run.final_world, run.recovery_epochs
@@ -134,82 +254,6 @@ fn run_worker(env: WorkerEnv) -> Result<(), String> {
         run.final_world,
     );
     Ok(())
-}
-
-struct Cli {
-    world: usize,
-    nodes: Option<Vec<u32>>,
-    out_dir: Option<PathBuf>,
-    steps: Option<String>,
-    seed: Option<String>,
-    kill: Option<(usize, usize)>,
-    sigkill: bool,
-    comm_timeout_ms: Option<String>,
-    adaptive: Option<String>,
-    adaptive_alpha: Option<String>,
-    adaptive_interval: Option<String>,
-    adaptive_warmup: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: cgx-launch [--world N] [--nodes 0,0,1,1] [--out-dir DIR] [--steps N] [--seed N] \
-         [--kill RANK@STEP] [--sigkill] [--comm-timeout-ms N] \
-         [--adaptive POLICY] [--adaptive-alpha A] [--adaptive-interval N] [--adaptive-warmup N]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_cli() -> Cli {
-    let mut cli = Cli {
-        world: 4,
-        nodes: None,
-        out_dir: None,
-        steps: None,
-        seed: None,
-        kill: None,
-        sigkill: false,
-        comm_timeout_ms: None,
-        adaptive: None,
-        adaptive_alpha: None,
-        adaptive_interval: None,
-        adaptive_warmup: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--world" => cli.world = value().parse().unwrap_or_else(|_| usage()),
-            "--nodes" => {
-                cli.nodes = Some(
-                    value()
-                        .split(',')
-                        .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                )
-            }
-            "--out-dir" => cli.out_dir = Some(PathBuf::from(value())),
-            "--steps" => cli.steps = Some(value()),
-            "--seed" => cli.seed = Some(value()),
-            "--kill" => {
-                let v = value();
-                let Some((r, s)) = v.split_once('@') else {
-                    usage()
-                };
-                let rank = r.trim().parse().unwrap_or_else(|_| usage());
-                let step = s.trim().parse().unwrap_or_else(|_| usage());
-                cli.kill = Some((rank, step));
-            }
-            "--sigkill" => cli.sigkill = true,
-            "--comm-timeout-ms" => cli.comm_timeout_ms = Some(value()),
-            "--adaptive" => cli.adaptive = Some(value()),
-            "--adaptive-alpha" => cli.adaptive_alpha = Some(value()),
-            "--adaptive-interval" => cli.adaptive_interval = Some(value()),
-            "--adaptive-warmup" => cli.adaptive_warmup = Some(value()),
-            _ => usage(),
-        }
-    }
-    cli
 }
 
 /// Verifies that every rank in `ranks` wrote a byte-identical replica
@@ -262,51 +306,19 @@ fn check_consensus(dir: &Path, ranks: &[usize]) -> Result<(Vec<u8>, usize), Stri
     Ok((first, final_world.expect("at least one rank")))
 }
 
-fn run_coordinator() -> Result<(), String> {
-    let cli = parse_cli();
+fn run_coordinator(cli: &Cli, args: Vec<String>) -> Result<(), String> {
     let bin = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let mut cluster = ProcessCluster::new(bin, cli.world);
+    for arg in args {
+        cluster = cluster.arg(arg);
+    }
     if let Some(nodes) = &cli.nodes {
-        if nodes.len() != cli.world {
-            return Err(format!(
-                "--nodes names {} ranks but --world is {}",
-                nodes.len(),
-                cli.world
-            ));
-        }
         cluster = cluster.nodes(nodes);
     }
     if let Some(dir) = &cli.out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        cluster = cluster.env(ENV_OUT_DIR, dir.display().to_string());
-    }
-    if let Some(steps) = &cli.steps {
-        cluster = cluster.env(ENV_STEPS, steps);
-    }
-    if let Some(seed) = &cli.seed {
-        cluster = cluster.env(ENV_SEED, seed);
-    }
-    if let Some(policy) = &cli.adaptive {
-        cluster = cluster.env(ENV_ADAPTIVE, policy);
-    } else if cli.adaptive_alpha.is_some()
-        || cli.adaptive_interval.is_some()
-        || cli.adaptive_warmup.is_some()
-    {
-        return Err("--adaptive-alpha/--adaptive-interval/--adaptive-warmup require --adaptive".into());
-    }
-    if let Some(v) = &cli.adaptive_alpha {
-        cluster = cluster.env(ENV_ADAPTIVE_ALPHA, v);
-    }
-    if let Some(v) = &cli.adaptive_interval {
-        cluster = cluster.env(ENV_ADAPTIVE_INTERVAL, v);
-    }
-    if let Some(v) = &cli.adaptive_warmup {
-        cluster = cluster.env(ENV_ADAPTIVE_WARMUP, v);
     }
     let Some((krank, kstep)) = cli.kill else {
-        if cli.sigkill || cli.comm_timeout_ms.is_some() {
-            return Err("--sigkill/--comm-timeout-ms require --kill".into());
-        }
         cluster.run().map_err(|e| e.to_string())?;
         if let Some(dir) = &cli.out_dir {
             let ranks: Vec<usize> = (0..cli.world).collect();
@@ -321,23 +333,8 @@ fn run_coordinator() -> Result<(), String> {
         }
         return Ok(());
     };
-    // Chaos mode: arm the fault plan in every worker, supervise, and
-    // require the *survivors* to agree on a shrunken world.
-    if krank >= cli.world {
-        return Err(format!(
-            "--kill names rank {krank} but --world is {}",
-            cli.world
-        ));
-    }
-    cluster = cluster
-        .env(ENV_NET_KILL, format!("{krank}@{kstep}"))
-        .env(ENV_ELASTIC, "1");
-    if cli.sigkill {
-        cluster = cluster.env(ENV_NET_SIGKILL, "1");
-    }
-    if let Some(ms) = &cli.comm_timeout_ms {
-        cluster = cluster.env(ENV_COMM_TIMEOUT_MS, ms);
-    }
+    // Chaos mode: supervise, and require the *survivors* to agree on a
+    // shrunken world.
     let report = cluster.run_supervised().map_err(|e| e.to_string())?;
     for exit in &report.exits {
         if exit.rank != krank && !exit.success {
@@ -380,16 +377,212 @@ fn run_coordinator() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let result = match WorkerEnv::from_env() {
-        Ok(Some(env)) => run_worker(env),
-        Ok(None) => run_coordinator(),
-        Err(e) => Err(format!("bad worker environment: {e}")),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let env = match WorkerEnv::from_env() {
+        Ok(env) => env,
+        Err(e) => {
+            eprintln!("cgx-launch: bad worker environment: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let cli = match parse(args.iter().cloned(), env.as_ref().map(|env| env.world)) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("cgx-launch: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let result = match env {
+        Some(env) => run_worker(env, &cli),
+        None => run_coordinator(&cli, args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("cgx-launch: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(args: &[&str]) -> Result<Cli, CommError> {
+        parse(args.iter().map(|a| a.to_string()), None)
+    }
+
+    /// What a worker whose identity names a world of `world` parses.
+    fn worker(world: usize, args: &[&str]) -> Result<Cli, CommError> {
+        parse(args.iter().map(|a| a.to_string()), Some(world))
+    }
+
+    /// `args` must fail as the [`CommError::InvalidConfig`] that names
+    /// the flag and quotes the value it refused.
+    fn assert_names(args: &[&str], flag: &str, value: &str) {
+        match cli(args) {
+            Err(CommError::InvalidConfig { detail }) => {
+                assert!(detail.contains(flag), "{args:?}: {detail}");
+                assert!(detail.contains(&format!("{value:?}")), "{args:?}: {detail}");
+            }
+            other => panic!("{args:?}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn no_flags_is_the_standard_static_run() {
+        let c = cli(&[]).unwrap();
+        let standard = Workload::standard(4);
+        assert_eq!(
+            (c.world, c.steps, c.seed),
+            (4, standard.steps, standard.seed)
+        );
+        assert_eq!(
+            (c.nodes, c.out_dir, c.kill, c.sigkill),
+            (None, None, None, false)
+        );
+        assert_eq!(c.run, RunOptions::default());
+    }
+
+    #[test]
+    fn flags_set_the_run_options() {
+        // A kill trains elastically: the survivors shrink around it.
+        let c = cli(&["--kill", " 1 @ 4 ", "--sigkill"]).unwrap();
+        assert_eq!(
+            (c.kill, c.sigkill, c.run.elastic),
+            (Some((1, 4)), true, true)
+        );
+        let c = cli(&["--kill", "2@20"]).unwrap();
+        assert_eq!(
+            (c.kill, c.sigkill, c.run.elastic),
+            (Some((2, 20)), false, true)
+        );
+        let c = cli(&["--adaptive", "kmeans"]).unwrap();
+        assert_eq!(c.run.adaptive, Some(AdaptiveTrainConfig::default()));
+        let c = cli(&[
+            "--comm-timeout-ms",
+            "2000",
+            "--adaptive",
+            "linear",
+            "--adaptive-alpha",
+            "3.5",
+            "--adaptive-interval",
+            "16",
+            "--adaptive-warmup",
+            "2",
+        ])
+        .unwrap();
+        assert_eq!(c.run.comm_timeout, Some(Duration::from_secs(2)));
+        let cfg = c.run.adaptive.expect("enabled");
+        assert_eq!(
+            cfg.policy,
+            AdaptiveTrainConfig::parse_policy("linear").unwrap()
+        );
+        assert_eq!((cfg.alpha, cfg.replan_interval, cfg.warmup), (3.5, 16, 2));
+        let c = cli(&[
+            "--world", "4", "--nodes", "0, 0,1,1", "--steps", "24", "--seed", "7",
+        ])
+        .unwrap();
+        assert_eq!((c.nodes, c.steps, c.seed), (Some(vec![0, 0, 1, 1]), 24, 7));
+    }
+
+    #[test]
+    fn a_malformed_flag_is_named_never_a_default() {
+        // `2s` is not "no timeout override", `2@l2` is not "no kill":
+        // every flag fails the same typed way.
+        for (args, flag, value) in [
+            (&["--comm-timeout-ms", "2s"][..], "--comm-timeout-ms", "2s"),
+            (&["--comm-timeout-ms", "1s"][..], "--comm-timeout-ms", "1s"),
+            (&["--sigkill", "hard"][..], "--sigkill", "hard"),
+            (
+                &["--adaptive", "quantum-annealing"][..],
+                "--adaptive",
+                "quantum-annealing",
+            ),
+            (&["--adaptive", "1"][..], "--adaptive", "1"),
+            (
+                &["--adaptive", "kmeans", "--adaptive-alpha", "big"][..],
+                "--adaptive-alpha",
+                "big",
+            ),
+            (
+                &["--adaptive", "kmeans", "--adaptive-alpha", "-1"][..],
+                "--adaptive-alpha",
+                "-1",
+            ),
+            (
+                &["--adaptive", "kmeans", "--adaptive-interval", "0"][..],
+                "--adaptive-interval",
+                "0",
+            ),
+            (
+                &["--adaptive", "kmeans", "--adaptive-warmup", "-3"][..],
+                "--adaptive-warmup",
+                "-3",
+            ),
+            (&["--kill", "2@l2"][..], "--kill", "2@l2"),
+            (&["--kill", "not-a-plan"][..], "--kill", "not-a-plan"),
+            (&["--kill", "1-0@3"][..], "--kill", "1-0@3"),
+            (&["--world", "0"][..], "--world", "0"),
+            (&["--world", "four"][..], "--world", "four"),
+            (&["--nodes", "0,x"][..], "--nodes", "0,x"),
+            (&["--steps", "2O"][..], "--steps", "2O"),
+            (&["--seed", "-1"][..], "--seed", "-1"),
+        ] {
+            assert_names(args, flag, value);
+        }
+    }
+
+    #[test]
+    fn flags_that_disagree_are_refused_naming_both() {
+        for (args, names) in [
+            (
+                &["--world", "2", "--nodes", "0,0,1"][..],
+                "--nodes names 3 ranks but --world is 2",
+            ),
+            (
+                &["--kill", "4@1"][..],
+                "--kill names rank 4 but --world is 4",
+            ),
+            (&["--sigkill"][..], "--sigkill requires --kill"),
+            (&["--adaptive-alpha", "3"][..], "require --adaptive"),
+            (&["--steps"][..], "--steps needs a value"),
+            (&["--wrold", "2"][..], "unknown argument \"--wrold\""),
+        ] {
+            match cli(args) {
+                Err(CommError::InvalidConfig { detail }) => {
+                    assert!(detail.contains(names), "{args:?}: {detail}")
+                }
+                other => panic!("{args:?}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_checks_its_flags_against_the_world_it_was_given() {
+        // A hand-launched worker of a world of 8 may kill rank 6 and name
+        // eight nodes without repeating `--world`.
+        let c = worker(8, &["--kill", "6@5", "--nodes", "0,0,0,0,1,1,1,1"]).unwrap();
+        assert_eq!((c.world, c.kill), (8, Some((6, 5))));
+        assert_eq!(worker(8, &["--world", "8"]).unwrap().world, 8);
+        for (args, names) in [
+            (&["--world", "2"][..], "--world is 2 but CGX_WORLD is 8"),
+            (
+                &["--kill", "8@5"][..],
+                "--kill names rank 8 but --world is 8",
+            ),
+            (
+                &["--nodes", "0,0,1,1"][..],
+                "--nodes names 4 ranks but --world is 8",
+            ),
+        ] {
+            match worker(8, args) {
+                Err(CommError::InvalidConfig { detail }) => {
+                    assert!(detail.contains(names), "{args:?}: {detail}")
+                }
+                other => panic!("{args:?}: expected InvalidConfig, got {other:?}"),
+            }
         }
     }
 }

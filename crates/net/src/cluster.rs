@@ -9,12 +9,9 @@
 //! back with [`WorkerEnv::from_env`] — `cgx-launch` is exactly that
 //! round trip.
 //!
-//! Workers inherit the coordinator's environment (spawning only *adds*
-//! the identity variables), so the failure handling set on the launcher —
-//! `CGX_NET_HEARTBEAT_MS`, `CGX_NET_HEARTBEAT_TIMEOUT_MS`,
-//! `CGX_NET_RECONNECT_ATTEMPTS` (see [`NetOptions`](crate::NetOptions)) —
-//! reaches every rank without explicit plumbing; [`ProcessCluster::env`]
-//! can still override any of them per cluster.
+//! The identity is all a worker reads from its environment. Everything
+//! else it is told on its command line: [`ProcessCluster::arg`] hands
+//! every rank the same arguments, and `cgx-launch` passes its own.
 
 use crate::workload::read;
 use cgx_collectives::CommError;
@@ -114,7 +111,6 @@ pub struct ProcessCluster {
     world: usize,
     rendezvous: String,
     nodes: Vec<u32>,
-    env: Vec<(String, String)>,
     args: Vec<String>,
 }
 
@@ -132,7 +128,6 @@ impl ProcessCluster {
             world,
             rendezvous: free_loopback_addr(),
             nodes: vec![0; world],
-            env: Vec::new(),
             args: Vec::new(),
         }
     }
@@ -157,13 +152,6 @@ impl ProcessCluster {
         self
     }
 
-    /// Adds an environment variable shared by every worker.
-    #[must_use]
-    pub fn env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.env.push((key.into(), value.into()));
-        self
-    }
-
     /// Adds a command-line argument passed to every worker.
     #[must_use]
     pub fn arg(mut self, arg: impl Into<String>) -> Self {
@@ -174,7 +162,6 @@ impl ProcessCluster {
     fn spawn_rank(&self, rank: usize) -> std::io::Result<Child> {
         let mut cmd = Command::new(&self.bin);
         cmd.args(&self.args)
-            .envs(self.env.iter().map(|(k, v)| (k.as_str(), v.as_str())))
             .env(ENV_RANK, rank.to_string())
             .env(ENV_WORLD, self.world.to_string())
             .env(ENV_RENDEZVOUS, &self.rendezvous)

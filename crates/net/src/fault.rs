@@ -1,44 +1,24 @@
 //! Socket-level fault injection for the TCP fabric, and the redial
 //! schedule that heals what it breaks.
 //!
-//! The faults here are the ones a production fabric has: [`NetFaultPlan`]
-//! kills real processes and resets real sockets, so the recovery machinery
-//! is exercised against the operating system rather than a simulation of
-//! it.
-//!
-//! Two fault shapes:
+//! The faults here are the ones a production fabric has: real processes
+//! die and real sockets reset, so the recovery machinery is exercised
+//! against the operating system rather than a simulation of it.
 //!
 //! * **Kill** — `(rank, step)`: that rank dies at the top of that step.
-//!   The trainer reads it (as `TrainConfig::kill`, where `cgx-launch` and
-//!   [`Workload::run_rank`](crate::workload::Workload::run_rank) put it)
-//!   and returns; by default the worker then drops its endpoint (orderly
-//!   FIN, the thread-cluster analogue); with
-//!   [`NetFaultPlan::with_sigkill`] the process raises `SIGKILL` on itself
-//!   instead, endpoint still open — no destructors, no flushes, the kernel
-//!   tears the sockets down. That is the honest model of an OOM kill or a
-//!   preempted spot instance.
-//! * **Reset** — `(rank, peer, after_frames)`: that rank's socket toward
-//!   `peer` is shut down under the wire path after N outbound frames — a
-//!   transient link drop the reconnect path should heal. This half is the
-//!   transport's ([`TcpTransport::set_fault`](crate::TcpTransport::set_fault)),
-//!   and [`ReconnectPolicy`] is how it redials.
-//!
-//! Plans come from the builder API in tests and from `CGX_NET_*`
-//! environment variables in spawned workers (see [`NetFaultPlan::from_env`]).
+//!   The trainer reads it as `TrainConfig::kill` (where `cgx-launch
+//!   --kill` and [`Workload::run_rank`](crate::workload::Workload::run_rank)
+//!   put it) and returns; the worker then drops its endpoint (orderly
+//!   FIN), or with `--sigkill` calls [`raise_sigkill`], endpoint still
+//!   open — no destructors, no flushes, the kernel tears the sockets down.
+//!   That is the honest model of an OOM kill or a preempted spot instance.
+//! * **Reset** — a [`ResetPlan`]: that rank's socket toward `peer` is shut
+//!   down under the wire path after N outbound frames — a transient link
+//!   drop the reconnect path should heal. Tests arm it on the transport
+//!   ([`TcpTransport::set_reset`](crate::TcpTransport::set_reset)), and
+//!   [`ReconnectPolicy`] is how it redials.
 
-use crate::workload::{read, switch};
-use cgx_collectives::CommError;
 use std::time::Duration;
-
-/// Environment variable carrying the kill plan as `rank@step`
-/// (for example `2@20`: rank 2 dies at the top of step 20).
-pub const ENV_NET_KILL: &str = "CGX_NET_KILL";
-/// Environment variable: when set truthy, the kill is a real `SIGKILL`
-/// instead of an orderly return.
-pub const ENV_NET_SIGKILL: &str = "CGX_NET_SIGKILL";
-/// Environment variable carrying the reset plan as `rank:peer@frames`
-/// (for example `1:0@3`: rank 1's socket to rank 0 drops after 3 frames).
-pub const ENV_NET_RESET: &str = "CGX_NET_RESET";
 
 /// A transient socket drop: `rank`'s connection toward `peer` is shut
 /// down once `after_frames` outbound frames have been enqueued to it.
@@ -52,93 +32,6 @@ pub struct ResetPlan {
     pub after_frames: u64,
 }
 
-/// Deterministic process/socket-level fault schedule for a TCP run; the
-/// default schedules nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetFaultPlan {
-    /// `(rank, step)`: that rank dies at the top of that step.
-    pub kill: Option<(usize, usize)>,
-    /// Kill by raising `SIGKILL` instead of an orderly return.
-    pub sigkill: bool,
-    /// Transient socket drop to inject.
-    pub reset: Option<ResetPlan>,
-}
-
-impl NetFaultPlan {
-    /// Returns `self` scheduling `rank` to die at the top of `step`.
-    #[must_use]
-    pub fn with_kill(mut self, rank: usize, step: usize) -> Self {
-        self.kill = Some((rank, step));
-        self
-    }
-
-    /// Returns `self` with kills escalated to `SIGKILL`.
-    #[must_use]
-    pub fn with_sigkill(mut self) -> Self {
-        self.sigkill = true;
-        self
-    }
-
-    /// Returns `self` scheduling a socket reset: `rank`'s link to `peer`
-    /// drops after `after_frames` outbound frames.
-    #[must_use]
-    pub fn with_reset(mut self, rank: usize, peer: usize, after_frames: u64) -> Self {
-        self.reset = Some(ResetPlan {
-            rank,
-            peer,
-            after_frames,
-        });
-        self
-    }
-
-    /// The plan described by `CGX_NET_KILL` / `CGX_NET_SIGKILL` /
-    /// `CGX_NET_RESET`, read through `get`, or `None` when neither a kill
-    /// nor a reset is scheduled.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::InvalidConfig`] naming the variable when a value is
-    /// malformed: a worker whose fault schedule cannot be read must not
-    /// run fault-free.
-    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Option<Self>, CommError> {
-        let kill = read(&get, ENV_NET_KILL, "rank@step", parse_at)?;
-        let reset = read(&get, ENV_NET_RESET, "rank:peer@frames", |v| {
-            let (pair, frames) = v.split_once('@')?;
-            let (rank, peer) = pair.split_once(':')?;
-            Some(ResetPlan {
-                rank: rank.trim().parse().ok()?,
-                peer: peer.trim().parse().ok()?,
-                after_frames: frames.trim().parse().ok()?,
-            })
-        })?;
-        let sigkill = read(&get, ENV_NET_SIGKILL, "a switch (1/0)", switch)?.unwrap_or(false);
-        if kill.is_none() && reset.is_none() {
-            return Ok(None);
-        }
-        Ok(Some(NetFaultPlan {
-            kill,
-            sigkill,
-            reset,
-        }))
-    }
-
-    /// [`Self::parse`] over the real process environment — how spawned
-    /// workers inherit the coordinator's fault schedule.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::parse`].
-    pub fn from_env() -> Result<Option<Self>, CommError> {
-        Self::parse(|k| std::env::var(k).ok())
-    }
-}
-
-/// `rank@step` → `(rank, step)`.
-fn parse_at(v: &str) -> Option<(usize, usize)> {
-    let (rank, step) = v.split_once('@')?;
-    Some((rank.trim().parse().ok()?, step.trim().parse().ok()?))
-}
-
 /// Jittered exponential backoff schedule for transport reconnection.
 ///
 /// The schedule is purely functional: attempt `k`'s delay is a hash of
@@ -147,7 +40,7 @@ fn parse_at(v: &str) -> Option<(usize, usize)> {
 /// (de-synchronizing peers that lost the same link at the same instant),
 /// and clamp at `cap`; the sequence is strictly monotone until the clamp.
 /// After `max_attempts` failed dials the peer is condemned as
-/// [`CommError::PeerDead`].
+/// [`CommError::PeerDead`](cgx_collectives::CommError::PeerDead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconnectPolicy {
     /// First-attempt delay and the schedule's lower bound.
@@ -240,58 +133,6 @@ pub fn raise_sigkill() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::tests::{assert_names, env};
-
-    #[test]
-    fn builder_covers_the_schedule() {
-        let plan = NetFaultPlan::default().with_kill(2, 20).with_reset(1, 0, 3);
-        assert!(!plan.sigkill);
-        assert_eq!(plan.kill, Some((2, 20)));
-        assert!(plan.with_sigkill().sigkill);
-        assert_eq!(
-            plan.reset,
-            Some(ResetPlan {
-                rank: 1,
-                peer: 0,
-                after_frames: 3
-            })
-        );
-    }
-
-    #[test]
-    fn parse_reads_kill_reset_and_sigkill() {
-        let plan = NetFaultPlan::parse(env(&[(ENV_NET_KILL, "2@20"), (ENV_NET_RESET, "1:0@3")]))
-            .unwrap()
-            .expect("plan armed");
-        assert_eq!(
-            plan,
-            NetFaultPlan::default().with_kill(2, 20).with_reset(1, 0, 3)
-        );
-        let hard = NetFaultPlan::parse(env(&[(ENV_NET_KILL, " 1 @ 4 "), (ENV_NET_SIGKILL, "1")]))
-            .unwrap()
-            .expect("plan armed");
-        assert_eq!(hard, NetFaultPlan::default().with_kill(1, 4).with_sigkill());
-        // No kill and no reset is no plan, whatever else is set.
-        assert_eq!(NetFaultPlan::parse(env(&[])).unwrap(), None);
-        assert_eq!(
-            NetFaultPlan::parse(env(&[(ENV_NET_SIGKILL, "1")])).unwrap(),
-            None
-        );
-    }
-
-    #[test]
-    fn parse_names_the_malformed_variable() {
-        // `2@l2` is not "no fault plan": every key fails the typed way.
-        for (key, value) in [
-            (ENV_NET_KILL, "2@l2"),
-            (ENV_NET_KILL, "not-a-plan"),
-            (ENV_NET_RESET, "1-0@3"),
-            (ENV_NET_SIGKILL, "hard"),
-        ] {
-            let get = move |k: &str| (k == key).then(|| value.to_string());
-            assert_names(NetFaultPlan::parse(get), key, value);
-        }
-    }
 
     #[test]
     fn backoff_schedule_is_bounded_monotone_and_deterministic() {

@@ -16,13 +16,15 @@
 //!   full mesh plus a node [`Topology`](cgx_collectives::Topology), and
 //!   [`TcpFabric`] for in-process loopback meshes.
 //! - [`cluster`] — [`ProcessCluster`]: spawn-and-wait of one OS process
-//!   per rank, env-driven (`CGX_RANK`, `CGX_WORLD`, `CGX_RENDEZVOUS`),
-//!   with supervised mode reporting per-rank deaths.
+//!   per rank, each told its identity through `CGX_RANK`, `CGX_WORLD`,
+//!   `CGX_RENDEZVOUS` and `CGX_NODE`, with supervised mode reporting
+//!   per-rank deaths.
 //! - [`workload`] — the deterministic training workload behind the
-//!   `cgx-launch` binary and the Shm/TCP parity test.
-//! - [`fault`] — [`NetFaultPlan`]: process kills (orderly or `SIGKILL`)
-//!   and socket resets, and the [`ReconnectPolicy`] that redials after a
-//!   reset.
+//!   `cgx-launch` binary and the Shm/TCP parity test, and the one reader
+//!   ([`workload::read`] over [`workload::flags`]) the binaries parse
+//!   their flags with.
+//! - [`fault`] — socket resets ([`ResetPlan`]), the [`ReconnectPolicy`]
+//!   that redials after one, and [`fault::raise_sigkill`].
 
 #![warn(missing_docs)]
 
@@ -34,6 +36,6 @@ pub mod wire;
 pub mod workload;
 
 pub use cluster::{ClusterReport, ProcessCluster, RankExit};
-pub use fault::{NetFaultPlan, ReconnectPolicy, ResetPlan};
-pub use rendezvous::{rendezvous, rendezvous_with_options, TcpFabric, DEFAULT_BOOT_TIMEOUT};
+pub use fault::{ReconnectPolicy, ResetPlan};
+pub use rendezvous::{rendezvous, TcpFabric, DEFAULT_BOOT_TIMEOUT};
 pub use tcp::{NetOptions, TcpTransport, WireStats};

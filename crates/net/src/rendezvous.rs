@@ -324,33 +324,17 @@ fn rendezvous_peer(
     Ok((transport, topo))
 }
 
-/// Bootstraps one rank of a TCP mesh. Rank 0 listens on `root_addr`;
-/// every other rank dials it. Returns the connected endpoint plus the
-/// cluster's node [`Topology`] (from each rank's announced `node` id).
+/// Bootstraps one rank of a TCP mesh with wire-path tuning `opts`. Rank
+/// 0 listens on `root_addr`; every other rank dials it. Returns the
+/// connected endpoint plus the cluster's node [`Topology`] (from each
+/// rank's announced `node` id).
 ///
 /// # Errors
 ///
 /// [`CommError::Bootstrap`] when the cluster cannot form within `boot`
 /// (unreachable address, world-size disagreement, duplicate or missing
-/// ranks); [`CommError::InvalidConfig`] when a `CGX_NET_*` variable is
-/// malformed.
+/// ranks).
 pub fn rendezvous(
-    rank: usize,
-    world: usize,
-    root_addr: &str,
-    node: u32,
-    boot: Duration,
-) -> Result<(TcpTransport, Topology), CommError> {
-    rendezvous_with_options(rank, world, root_addr, node, boot, NetOptions::from_env()?)
-}
-
-/// [`rendezvous`] with explicit wire-path tuning instead of the
-/// `CGX_NET_*` environment defaults.
-///
-/// # Errors
-///
-/// Same failure modes as [`rendezvous`].
-pub fn rendezvous_with_options(
     rank: usize,
     world: usize,
     root_addr: &str,
@@ -382,24 +366,13 @@ pub struct TcpFabric;
 
 impl TcpFabric {
     /// Builds an `n`-rank loopback mesh with the given per-rank node ids
-    /// (driving the returned [`Topology`]).
+    /// (driving the returned [`Topology`]) and wire-path tuning `opts`.
     ///
     /// # Panics
     ///
-    /// Panics if `node_of` is empty, a `CGX_NET_*` variable is malformed,
-    /// or bootstrap fails (loopback rendezvous failing is a bug, not an
-    /// environment problem).
-    pub fn build_local_with_nodes(node_of: &[u32]) -> (Vec<TcpTransport>, Topology) {
-        let opts = NetOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
-        Self::build_local_with_nodes_opts(node_of, opts)
-    }
-
-    /// [`Self::build_local_with_nodes`] with explicit wire-path tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_of` is empty or bootstrap fails.
-    pub fn build_local_with_nodes_opts(
+    /// Panics if `node_of` is empty or bootstrap fails (loopback
+    /// rendezvous failing is a bug, not an environment problem).
+    pub fn build_local_with_nodes(
         node_of: &[u32],
         opts: NetOptions,
     ) -> (Vec<TcpTransport>, Topology) {
@@ -448,7 +421,7 @@ impl TcpFabric {
     ///
     /// Panics if `n` is zero or bootstrap fails.
     pub fn build_local(n: usize) -> Vec<TcpTransport> {
-        Self::build_local_with_nodes(&vec![0u32; n]).0
+        Self::build_local_with(n, NetOptions::default())
     }
 
     /// Builds an `n`-rank loopback mesh with explicit wire-path tuning.
@@ -457,7 +430,7 @@ impl TcpFabric {
     ///
     /// Panics if `n` is zero or bootstrap fails.
     pub fn build_local_with(n: usize, opts: NetOptions) -> Vec<TcpTransport> {
-        Self::build_local_with_nodes_opts(&vec![0u32; n], opts).0
+        Self::build_local_with_nodes(&vec![0u32; n], opts).0
     }
 }
 
@@ -497,7 +470,7 @@ mod tests {
 
     #[test]
     fn node_ids_become_the_topology() {
-        let (eps, topo) = TcpFabric::build_local_with_nodes(&[0, 0, 1, 1]);
+        let (eps, topo) = TcpFabric::build_local_with_nodes(&[0, 0, 1, 1], NetOptions::default());
         assert_eq!(topo, Topology::new(vec![0, 0, 1, 1]));
         assert_eq!(topo.leaders(), vec![0, 2]);
         assert_eq!(eps.len(), 4);
@@ -509,7 +482,8 @@ mod tests {
 
     #[test]
     fn single_rank_world_needs_no_sockets() {
-        let (t, topo) = rendezvous(0, 1, "unused:0", 3, Duration::from_secs(1)).expect("boot");
+        let boot = Duration::from_secs(1);
+        let (t, topo) = rendezvous(0, 1, "unused:0", 3, boot, NetOptions::default()).expect("boot");
         assert_eq!(t.world(), 1);
         assert_eq!(topo, Topology::new(vec![3]));
     }

@@ -72,9 +72,8 @@
 //!   wall time into serialize / syscall / park for its `net.tcp.*`
 //!   per-layer metrics.
 
-use crate::fault::{NetFaultPlan, ReconnectPolicy, ResetPlan};
+use crate::fault::{ReconnectPolicy, ResetPlan};
 use crate::wire;
-use crate::workload::read;
 use cgx_collectives::framing::{Retention, RETAIN_BYTES};
 use cgx_collectives::transport::{Tag, CTRL_TAG};
 use cgx_collectives::{CommError, TagStash, Transport};
@@ -87,17 +86,6 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Environment variable enabling liveness heartbeats: the interval in
-/// milliseconds between CTRL-lane probes (`0` disables).
-pub const ENV_HEARTBEAT_MS: &str = "CGX_NET_HEARTBEAT_MS";
-/// Environment variable overriding the liveness deadline in milliseconds
-/// (a peer silent for longer is declared [`CommError::PeerDead`]).
-pub const ENV_HEARTBEAT_TIMEOUT_MS: &str = "CGX_NET_HEARTBEAT_TIMEOUT_MS";
-/// Environment variable enabling the reconnect path: the number of
-/// redial attempts before a dropped peer is condemned (`0` disables). The
-/// backoff is [`ReconnectPolicy::default_for`]'s, 20 ms toward 1 s.
-pub const ENV_RECONNECT_ATTEMPTS: &str = "CGX_NET_RECONNECT_ATTEMPTS";
-
 /// Per-peer read staging buffer; it grows past this only while a single
 /// frame is larger.
 pub const READ_BUF_BYTES: usize = 256 * 1024;
@@ -109,11 +97,10 @@ const COALESCE_BUDGET_BYTES: usize = 256 * 1024;
 const COALESCE_FRAME_BYTES: usize = 16 * 1024;
 
 /// The failure handling of the TCP wire path: liveness probing and
-/// redialing, both off by default. Each can be armed per-process through
-/// `CGX_NET_*` environment variables ([`NetOptions::from_env`]) or
-/// per-fabric by handing a value to
-/// [`rendezvous_with_options`](crate::rendezvous_with_options) or
-/// [`TcpFabric::build_local_with`](crate::TcpFabric::build_local_with).
+/// redialing, both off by default. Each is armed per fabric by handing a
+/// value to [`rendezvous`](crate::rendezvous()) or
+/// [`TcpFabric::build_local_with`](crate::TcpFabric::build_local_with)
+/// (`cgx-launch` runs on the default).
 /// Every mesh socket has Nagle's algorithm off: collective frames are
 /// latency-sensitive and already batched into single vectored writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,52 +150,6 @@ impl Default for NetOptions {
 pub const HB_TIMEOUT_FLOOR_INTERVALS: u32 = 3;
 
 impl NetOptions {
-    /// Defaults overridden by the `CGX_NET_*` keys, read through `get` so
-    /// the parse is pure and testable; with every key absent this is
-    /// [`NetOptions::default`].
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::InvalidConfig`] naming the variable when a value is
-    /// malformed: a mistyped heartbeat interval must fail the launch, not
-    /// leave it running without liveness detection.
-    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Self, CommError> {
-        let millis = |key| {
-            read(&get, key, "a count of milliseconds", |v| {
-                v.parse::<u64>().ok()
-            })
-        };
-        let mut o = NetOptions::default();
-        let interval = millis(ENV_HEARTBEAT_MS)?;
-        let timeout =
-            millis(ENV_HEARTBEAT_TIMEOUT_MS)?.or(interval.map(|ms| ms.saturating_mul(5).max(250)));
-        if let Some(ms) = timeout {
-            o.heartbeat_timeout = Duration::from_millis(ms);
-        }
-        if let Some(ms) = interval.filter(|&ms| ms > 0) {
-            o = o.with_heartbeat(Duration::from_millis(ms), o.heartbeat_timeout);
-        }
-        let attempts = read(&get, ENV_RECONNECT_ATTEMPTS, "an attempt count", |v| {
-            v.parse::<u32>().ok()
-        })?;
-        if let Some(attempts) = attempts.filter(|&n| n > 0) {
-            o = o.with_reconnect(ReconnectPolicy {
-                max_attempts: attempts,
-                ..ReconnectPolicy::default_for(0x5EED_C0DE)
-            });
-        }
-        Ok(o)
-    }
-
-    /// [`Self::parse`] over the real process environment.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::parse`].
-    pub fn from_env() -> Result<Self, CommError> {
-        Self::parse(|k| std::env::var(k).ok())
-    }
-
     /// Returns `self` with liveness heartbeats every `interval` and a
     /// silence deadline of `timeout`, floored at
     /// [`HB_TIMEOUT_FLOOR_INTERVALS`] intervals (a deadline at or below
@@ -1325,12 +1266,12 @@ impl TcpTransport {
         Ok(self)
     }
 
-    /// Arms the plan's socket reset (fault tests and reports only);
-    /// its kill is the trainer's to read, not the transport's. Must be
-    /// called before the endpoint is shared.
-    pub fn set_fault(&mut self, plan: NetFaultPlan) {
+    /// Arms a socket reset (fault tests and reports only), if `plan`
+    /// names this endpoint's rank. Must be called before the endpoint is
+    /// shared.
+    pub fn set_reset(&mut self, plan: ResetPlan) {
         let rank = self.rank;
-        self.state().reset = plan.reset.filter(|r| r.rank == rank);
+        self.state().reset = Some(plan).filter(|r| r.rank == rank);
     }
 
     /// Overrides the receive timeout.
@@ -1723,7 +1664,6 @@ impl std::fmt::Debug for TcpTransport {
 mod tests {
     use super::*;
     use crate::rendezvous::TcpFabric;
-    use crate::workload::tests::{assert_names, env};
     use cgx_obs::MetricsRegistry;
 
     /// `cgx_serve::ServeNode::new` takes a `Send + Sync` endpoint: its
@@ -1829,67 +1769,11 @@ mod tests {
     }
 
     #[test]
-    fn net_options_parse_overrides_the_defaults() {
-        // Nothing set is the defaults, exactly: the benchmark harness
-        // clears every CGX_* and builds its fabrics through this path.
-        assert_eq!(NetOptions::parse(env(&[])).unwrap(), NetOptions::default());
-        let o = NetOptions::parse(env(&[(ENV_HEARTBEAT_TIMEOUT_MS, "700")])).unwrap();
-        assert_eq!(
-            o,
-            NetOptions {
-                heartbeat_timeout: Duration::from_millis(700),
-                ..NetOptions::default()
-            }
-        );
-    }
-
-    #[test]
-    fn net_options_parse_arms_heartbeats_and_reconnect() {
-        let o = NetOptions::parse(env(&[
-            (ENV_HEARTBEAT_MS, "40"),
-            (ENV_RECONNECT_ATTEMPTS, "3"),
-        ]))
-        .unwrap();
-        assert_eq!(o.heartbeat_interval, Some(Duration::from_millis(40)));
-        assert_eq!(o.heartbeat_timeout, Duration::from_millis(250));
-        let policy = o.reconnect.expect("reconnect armed");
-        assert_eq!(policy.max_attempts, 3);
-        // The backoff is the default schedule's: 20 ms toward 1 s.
-        assert_eq!(policy.base, Duration::from_millis(20));
-        assert_eq!(policy.cap, Duration::from_secs(1));
-        // Zero switches either off.
-        let off = NetOptions::parse(env(&[
-            (ENV_HEARTBEAT_MS, "0"),
-            (ENV_RECONNECT_ATTEMPTS, "0"),
-        ]))
-        .unwrap();
-        assert_eq!((off.heartbeat_interval, off.reconnect), (None, None));
-
-        // A deadline at or below the interval guarantees false deaths:
-        // both the env path and the builder floor it at
-        // HB_TIMEOUT_FLOOR_INTERVALS emission intervals.
-        let clamped = NetOptions::parse(env(&[
-            (ENV_HEARTBEAT_MS, "100"),
-            (ENV_HEARTBEAT_TIMEOUT_MS, "50"),
-        ]))
-        .unwrap();
-        assert_eq!(clamped.heartbeat_timeout, Duration::from_millis(300));
+    fn a_heartbeat_deadline_is_floored_at_three_intervals() {
+        // A deadline at or below the interval guarantees false deaths.
         let built = NetOptions::default()
             .with_heartbeat(Duration::from_millis(50), Duration::from_millis(50));
         assert_eq!(built.heartbeat_timeout, Duration::from_millis(150));
-    }
-
-    #[test]
-    fn net_options_parse_names_the_malformed_variable() {
-        // `2OO` is not "no heartbeats": every key fails the typed way.
-        for (key, value) in [
-            (ENV_HEARTBEAT_MS, "2OO"),
-            (ENV_HEARTBEAT_TIMEOUT_MS, "1s"),
-            (ENV_RECONNECT_ATTEMPTS, "three"),
-        ] {
-            let get = move |k: &str| (k == key).then(|| value.to_string());
-            assert_names(NetOptions::parse(get), key, value);
-        }
     }
 
     #[test]
@@ -1965,7 +1849,11 @@ mod tests {
         let mut eps = crate::rendezvous::TcpFabric::build_local_with(2, opts);
         let mut b = eps.pop().expect("rank 1");
         let a = eps.pop().expect("rank 0");
-        b.set_fault(NetFaultPlan::default().with_reset(1, 0, 3));
+        b.set_reset(ResetPlan {
+            rank: 1,
+            peer: 0,
+            after_frames: 3,
+        });
         std::thread::scope(|s| {
             s.spawn(move || {
                 for i in 0..10u8 {

@@ -17,44 +17,11 @@ use cgx_engine::{train_rank, AdaptiveTrainConfig, LayerCompression, TrainConfig}
 use cgx_tensor::Rng;
 use std::time::Duration;
 
-/// Environment variable: when truthy, workers train elastically — an
-/// unrecoverable peer loss shrinks the world and training continues on
-/// the survivors instead of failing the run.
-pub const ENV_ELASTIC: &str = "CGX_ELASTIC";
-/// Environment variable overriding the transport receive timeout, in
-/// milliseconds — the budget after which a silent peer is declared lost.
-pub const ENV_COMM_TIMEOUT_MS: &str = "CGX_COMM_TIMEOUT_MS";
-/// Environment variable switching on the live adaptive-compression
-/// controller. Truthy values enable the default policy; a policy name
-/// (`kmeans`, `linear`, `timeaware`, `bayesopt`, `bayesopt:N`) selects
-/// one explicitly.
-pub const ENV_ADAPTIVE: &str = "CGX_ADAPTIVE";
-/// Environment variable overriding the adaptive error-budget multiplier
-/// α (error allowed relative to uniform 4-bit).
-pub const ENV_ADAPTIVE_ALPHA: &str = "CGX_ADAPTIVE_ALPHA";
-/// Environment variable overriding how many observed steps sit between
-/// re-plans.
-pub const ENV_ADAPTIVE_INTERVAL: &str = "CGX_ADAPTIVE_INTERVAL";
-/// Environment variable overriding the warm-up steps before the first
-/// re-plan may commit.
-pub const ENV_ADAPTIVE_WARMUP: &str = "CGX_ADAPTIVE_WARMUP";
-
-/// The one list of switch words, for every `CGX_*` on/off variable in
-/// the workspace: `Some(on)` for a recognised one (case-insensitive; the
-/// empty string is off), `None` for anything else.
-pub fn switch(value: &str) -> Option<bool> {
-    match value.to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "" | "0" | "false" | "no" | "off" => Some(false),
-        _ => None,
-    }
-}
-
 /// `key`'s value as `parse` reads it; absent is `None`, a value `parse`
-/// turns down is an [`CommError::InvalidConfig`] naming `key`. Every
-/// `CGX_*` parser ([`RunOptions`], [`NetOptions`](crate::NetOptions),
-/// [`NetFaultPlan`](crate::NetFaultPlan), `cgx_serve::ServeConfig`) is
-/// written over this one function.
+/// turns down is an [`CommError::InvalidConfig`] naming `key` and quoting
+/// the value. `get` is the process environment for a worker's identity
+/// ([`WorkerEnv`](crate::cluster::WorkerEnv)) and a binary's argv, through
+/// [`flags`], for everything else.
 ///
 /// # Errors
 ///
@@ -77,10 +44,50 @@ pub fn read<T>(
     }
 }
 
+/// `args` as a `get` for [`read`]: each of `valued` takes the next
+/// argument as its value, each of `switches` stands alone (its value is
+/// the empty string), and a flag given twice keeps its last value.
+///
+/// # Errors
+///
+/// [`CommError::InvalidConfig`] for an argument that is no flag, a valued
+/// flag without a value, or a value after a switch (naming the switch).
+pub fn flags(
+    args: impl IntoIterator<Item = String>,
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<impl Fn(&str) -> Option<String>, CommError> {
+    let invalid = |detail| CommError::InvalidConfig { detail };
+    let mut given: Vec<(String, String)> = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if switches.contains(&arg.as_str()) {
+            given.push((arg, String::new()));
+        } else if valued.contains(&arg.as_str()) {
+            let value = args
+                .next()
+                .ok_or_else(|| invalid(format!("{arg} needs a value")))?;
+            given.push((arg, value));
+        } else {
+            return Err(invalid(match given.last() {
+                Some((last, _)) if switches.contains(&last.as_str()) && !arg.starts_with("--") => {
+                    format!("{last} takes no value, got {arg:?}")
+                }
+                _ => format!("unknown argument {arg:?}"),
+            }));
+        }
+    }
+    Ok(move |key: &str| {
+        given
+            .iter()
+            .rev()
+            .find(|(flag, _)| flag == key)
+            .map(|(_, v)| v.clone())
+    })
+}
+
 /// How a launch runs its [`Workload`]: the fault-tolerance and
-/// adaptive-compression knobs spawned workers read from the `CGX_*`
-/// environment, so the coordinator's flags reach every rank without
-/// explicit plumbing.
+/// adaptive-compression settings, which `cgx-launch` reads from its flags.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunOptions {
     /// Shrink-and-continue on unrecoverable peer loss.
@@ -89,69 +96,6 @@ pub struct RunOptions {
     pub comm_timeout: Option<Duration>,
     /// The live controller's configuration; `None` keeps the static plan.
     pub adaptive: Option<AdaptiveTrainConfig>,
-}
-
-impl RunOptions {
-    /// The options described by `CGX_ELASTIC`, `CGX_COMM_TIMEOUT_MS` and
-    /// the `CGX_ADAPTIVE*` keys, read through `get` so the parse is pure
-    /// and testable.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::InvalidConfig`] naming the variable when a value is
-    /// malformed — a misconfigured launch must fail loudly, not train
-    /// silently on the defaults.
-    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Self, CommError> {
-        let base = AdaptiveTrainConfig::default();
-        // Off, on with the default policy, or on with a named one; the
-        // overrides belong to the switch and are not read without it.
-        let policy = read(
-            &get,
-            ENV_ADAPTIVE,
-            "a switch or a policy name",
-            |v| match switch(v) {
-                Some(on) => Some(on.then_some(base.policy)),
-                None => AdaptiveTrainConfig::parse_policy(v).map(Some),
-            },
-        )?;
-        let adaptive = match policy.flatten() {
-            None => None,
-            Some(policy) => Some(AdaptiveTrainConfig {
-                policy,
-                alpha: read(&get, ENV_ADAPTIVE_ALPHA, "a float above 0", |v| {
-                    v.parse().ok().filter(|a: &f64| a.is_finite() && *a > 0.0)
-                })?
-                .unwrap_or(base.alpha),
-                replan_interval: read(&get, ENV_ADAPTIVE_INTERVAL, "a step count above 0", |v| {
-                    v.parse().ok().filter(|n| *n > 0)
-                })?
-                .unwrap_or(base.replan_interval),
-                warmup: read(&get, ENV_ADAPTIVE_WARMUP, "a step count", |v| {
-                    v.parse().ok()
-                })?
-                .unwrap_or(base.warmup),
-                ..base
-            }),
-        };
-        Ok(RunOptions {
-            elastic: read(&get, ENV_ELASTIC, "a switch (1/0)", switch)?.unwrap_or(false),
-            comm_timeout: read(&get, ENV_COMM_TIMEOUT_MS, "a count of milliseconds", |v| {
-                v.parse().ok()
-            })?
-            .map(Duration::from_millis),
-            adaptive,
-        })
-    }
-
-    /// [`Self::parse`] over the real process environment — what spawned
-    /// workers call.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::parse`].
-    pub fn from_env() -> Result<Self, CommError> {
-        Self::parse(|k| std::env::var(k).ok())
-    }
 }
 
 /// What one rank's run produced, fault-tolerant form: a rank scheduled
@@ -198,7 +142,7 @@ impl Workload {
     }
 
     /// Runs this rank's share over an already-connected endpoint. `kill`
-    /// (`CGX_NET_KILL`'s `(rank, step)`, the same on every rank) becomes
+    /// (`cgx-launch --kill`'s `(rank, step)`, the same on every rank) becomes
     /// the trainer's [`TrainConfig::kill`]: the rank it names
     /// returns `params: None` at the top of that step, its endpoint still
     /// open, and with `opts.elastic` the survivors shrink the world and
@@ -331,69 +275,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn env_parser_handles_switches_policy_and_overrides() {
-        // Nothing set: the static, non-elastic run on fabric defaults.
-        assert_eq!(RunOptions::parse(env(&[])).unwrap(), RunOptions::default());
-        // One switch list for both switches, either case.
-        for (word, on) in [("1", true), ("on", true), ("TRUE", true), ("yes", true)]
-            .into_iter()
-            .chain([
-                ("", false),
-                ("0", false),
-                ("off", false),
-                ("No", false),
-                ("false", false),
-            ])
-        {
-            let get =
-                move |k: &str| matches!(k, ENV_ELASTIC | ENV_ADAPTIVE).then(|| word.to_string());
-            let opts = RunOptions::parse(get).unwrap();
-            assert_eq!(opts.elastic, on, "CGX_ELASTIC={word:?}");
-            assert_eq!(opts.adaptive.is_some(), on, "CGX_ADAPTIVE={word:?}");
-        }
-        // Truthy adaptive switch: defaults.
-        let opts = RunOptions::parse(env(&[("CGX_ADAPTIVE", "1")])).unwrap();
-        assert_eq!(opts.adaptive, Some(AdaptiveTrainConfig::default()));
-        // Timeout, policy name and numeric overrides.
-        let opts = RunOptions::parse(env(&[
-            ("CGX_COMM_TIMEOUT_MS", "2000"),
-            ("CGX_ADAPTIVE", "linear"),
-            ("CGX_ADAPTIVE_ALPHA", "3.5"),
-            ("CGX_ADAPTIVE_INTERVAL", "16"),
-            ("CGX_ADAPTIVE_WARMUP", "2"),
-        ]))
+    fn flags_take_values_stand_switches_alone_and_refuse_the_rest() {
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let get = flags(
+            argv(&["--n", "1", "--on", "--n", "-2"]),
+            &["--n"],
+            &["--on"],
+        )
         .unwrap();
-        assert_eq!(opts.comm_timeout, Some(Duration::from_secs(2)));
-        let cfg = opts.adaptive.expect("enabled");
-        assert_eq!(
-            cfg.policy,
-            AdaptiveTrainConfig::parse_policy("linear").unwrap()
-        );
-        assert_eq!(cfg.alpha, 3.5);
-        assert_eq!(cfg.replan_interval, 16);
-        assert_eq!(cfg.warmup, 2);
-        // The overrides belong to the switch: without it they are not read.
-        let opts = RunOptions::parse(env(&[("CGX_ADAPTIVE_ALPHA", "oops")])).unwrap();
-        assert_eq!(opts.adaptive, None);
-    }
-
-    #[test]
-    fn env_parser_names_the_malformed_variable() {
-        // A value the parser cannot read is never a silent default (`"2s"`
-        // is not "no timeout override", `"maybe"` is not "elastic on") and
-        // never a panic: every key fails the same typed way.
-        let cases: [&'static [(&str, &str)]; 7] = [
-            &[("CGX_COMM_TIMEOUT_MS", "2s")],
-            &[("CGX_ELASTIC", "maybe")],
-            &[("CGX_ADAPTIVE", "quantum-annealing")],
-            &[("CGX_ADAPTIVE", "1"), ("CGX_ADAPTIVE_ALPHA", "big")],
-            &[("CGX_ADAPTIVE", "1"), ("CGX_ADAPTIVE_ALPHA", "-1")],
-            &[("CGX_ADAPTIVE", "1"), ("CGX_ADAPTIVE_INTERVAL", "0")],
-            &[("CGX_ADAPTIVE", "1"), ("CGX_ADAPTIVE_WARMUP", "-3")],
-        ];
-        for map in cases {
-            let (key, value) = *map.last().unwrap();
-            assert_names(RunOptions::parse(env(map)), key, value);
+        assert_eq!(get("--n").as_deref(), Some("-2"), "the last value wins");
+        assert_eq!(get("--on").as_deref(), Some(""));
+        assert_eq!(get("--off"), None);
+        for (args, names) in [
+            (&["--on", "maybe"][..], "--on takes no value, got \"maybe\""),
+            (&["--n"][..], "--n needs a value"),
+            (&["--m", "1"][..], "unknown argument \"--m\""),
+        ] {
+            match flags(argv(args), &["--n"], &["--on"]) {
+                Err(CommError::InvalidConfig { detail }) => assert_eq!(detail, names),
+                Ok(_) => panic!("{args:?} parsed"),
+                Err(other) => panic!("{args:?}: {other:?}"),
+            }
         }
     }
 

@@ -44,7 +44,10 @@ fn read_replicas(dir: &ScratchDir, world: usize) -> Vec<Vec<u8>> {
 fn run_cluster(label: &str, world: usize, nodes: Option<&[u32]>) -> Vec<Vec<u8>> {
     let dir = ScratchDir::new(label);
     let mut cluster = ProcessCluster::new(LAUNCH_BIN, world)
-        .env("CGX_OUT_DIR", dir.0.display().to_string());
+        .arg("--world")
+        .arg(world.to_string())
+        .arg("--out-dir")
+        .arg(dir.0.display().to_string());
     if let Some(nodes) = nodes {
         cluster = cluster.nodes(nodes);
     }
@@ -91,24 +94,41 @@ fn hierarchical_process_run_matches_the_shm_reference_byte_for_byte() {
     );
 }
 
-/// `CGX_STEPS` and `CGX_SEED` go through the one `CGX_*` reader: a value
-/// that does not parse fails the worker before it opens a socket, with
-/// the variable's name and the value on stderr — never a default.
+/// `--steps` and `--seed` go through the one flag reader: a value that
+/// does not parse fails the worker before it opens a socket, with the
+/// flag's name and the value on stderr — never a default.
 #[test]
-fn a_malformed_step_count_or_seed_fails_the_worker_naming_the_variable() {
-    for (key, value) in [("CGX_STEPS", "2O"), ("CGX_SEED", "-1")] {
+fn a_malformed_step_count_or_seed_fails_the_worker_naming_the_flag() {
+    for (flag, value) in [("--steps", "2O"), ("--seed", "-1")] {
         let out = std::process::Command::new(LAUNCH_BIN)
             .env("CGX_RANK", "0")
             .env("CGX_WORLD", "1")
             .env("CGX_RENDEZVOUS", "127.0.0.1:1")
-            .env(key, value)
+            .args([flag, value])
             .output()
             .expect("cgx-launch runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{key}={value}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
         assert!(
-            stderr.contains(&format!("{key} must be")) && stderr.contains(value),
-            "{key}={value}: {stderr}"
+            stderr.contains(&format!("{flag} must be")) && stderr.contains(value),
+            "{flag} {value}: {stderr}"
         );
     }
+}
+
+/// A world of no ranks is refused by the parser, naming the flag and the
+/// value, before the coordinator spawns anything.
+#[test]
+fn a_world_of_zero_is_a_typed_error_not_a_panic() {
+    let out = std::process::Command::new(LAUNCH_BIN)
+        .args(["--world", "0"])
+        .output()
+        .expect("cgx-launch runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--world must be") && stderr.contains("\"0\""),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

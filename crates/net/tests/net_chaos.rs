@@ -20,7 +20,7 @@ use cgx_compress::{CompressionScheme, ScratchPool};
 use cgx_net::cluster::{free_loopback_addr, ProcessCluster};
 use cgx_net::rendezvous::{rendezvous, DEFAULT_BOOT_TIMEOUT};
 use cgx_net::workload::{RunOptions, Workload};
-use cgx_net::{NetFaultPlan, NetOptions, ReconnectPolicy, TcpFabric};
+use cgx_net::{NetOptions, ReconnectPolicy, ResetPlan, TcpFabric};
 use cgx_tensor::{Rng, Tensor};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -118,7 +118,11 @@ fn engine_results_are_byte_identical_to_shm_across_a_socket_reset() {
     let reference = ThreadCluster::run(WORLD, |t| reduce_layers(&t)).expect("shm run");
     let policy = ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(100), 8, 7);
     let mut eps = TcpFabric::build_local_with(WORLD, NetOptions::default().with_reconnect(policy));
-    eps[1].set_fault(NetFaultPlan::default().with_reset(1, 0, RESET_AFTER));
+    eps[1].set_reset(ResetPlan {
+        rank: 1,
+        peer: 0,
+        after_frames: RESET_AFTER,
+    });
     let runs: Vec<(Vec<Tensor>, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = eps
             .into_iter()
@@ -198,12 +202,17 @@ fn four_process_tcp_run_survives_a_sigkill() {
     let victim = 2;
     let dir = ScratchDir::new("net_chaos_sigkill");
     let report = ProcessCluster::new(LAUNCH_BIN, world)
-        .env("CGX_OUT_DIR", dir.0.display().to_string())
-        .env("CGX_STEPS", "24")
-        .env("CGX_NET_KILL", format!("{victim}@12"))
-        .env("CGX_NET_SIGKILL", "1")
-        .env("CGX_ELASTIC", "1")
-        .env("CGX_COMM_TIMEOUT_MS", "2000")
+        .arg("--world")
+        .arg(world.to_string())
+        .arg("--out-dir")
+        .arg(dir.0.display().to_string())
+        .arg("--steps")
+        .arg("24")
+        .arg("--kill")
+        .arg(format!("{victim}@12"))
+        .arg("--sigkill")
+        .arg("--comm-timeout-ms")
+        .arg("2000")
         .run_supervised()
         .expect("all ranks spawn");
     assert_eq!(report.deaths(), 1, "exactly the victim dies: {report:?}");
@@ -236,18 +245,27 @@ fn four_process_tcp_run_survives_a_sigkill() {
 fn launched_worker_times_out_on_a_silent_peer_within_its_comm_timeout() {
     // Rank 1 is a real `cgx-launch` worker; this test is rank 0, which
     // joins the mesh and then never sends. The worker's first receive
-    // must give up after CGX_COMM_TIMEOUT_MS, not the fabric's 30 s.
+    // must give up after its --comm-timeout-ms, not the fabric's 30 s.
     let addr = free_loopback_addr();
+    // Rank 0 starts binding before the worker is spawned: the freed port
+    // is then open to other processes for a thread start, not a process
+    // start.
+    let rank0 = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            rendezvous(0, 2, &addr, 0, DEFAULT_BOOT_TIMEOUT, NetOptions::default())
+        })
+    };
     let worker = Command::new(LAUNCH_BIN)
         .env("CGX_RANK", "1")
         .env("CGX_WORLD", "2")
         .env("CGX_RENDEZVOUS", &addr)
-        .env("CGX_COMM_TIMEOUT_MS", "200")
+        .args(["--comm-timeout-ms", "200"])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn worker");
-    let (silent, _) = rendezvous(0, 2, &addr, 0, DEFAULT_BOOT_TIMEOUT).expect("mesh forms");
+    let (silent, _) = rank0.join().expect("rank 0 runs").expect("mesh forms");
     let formed = Instant::now();
     let out = worker.wait_with_output().expect("worker exits");
     let took = formed.elapsed();

@@ -1,72 +1,77 @@
 //! `cgx-serve` — the multi-tenant collectives daemon, self-driving demo.
 //!
-//! Boots one [`ServeNode`] per rank of a local mesh (TCP by default, shm
-//! with `CGX_SERVE_FABRIC=shm`), attaches `CGX_SERVE_JOBS` concurrent
-//! local-SGD tenants through the job API, trains them all to completion
-//! over the shared fabric, and prints a per-job byte/fairness summary.
+//! Boots one [`ServeNode`] per rank of a local mesh, attaches `--jobs`
+//! concurrent local-SGD tenants through the job API, trains them all to
+//! completion over the shared fabric, and prints a per-job byte/fairness
+//! summary.
 //!
-//! Knobs (all environment variables, all optional; a value that does not
-//! parse ends the process with status 1 and a message naming the
-//! variable, as every `CGX_*` parser does):
+//! Flags (all optional; a value that does not parse ends the process with
+//! status 2 and a message naming the flag):
 //!
-//! | knob                | default | meaning                              |
-//! |---------------------|---------|--------------------------------------|
-//! | `CGX_SERVE_FABRIC`  | `tcp`   | physical mesh: `tcp` or `shm`        |
-//! | `CGX_SERVE_WORLD`   | `2`     | ranks in the mesh (one daemon each)  |
-//! | `CGX_SERVE_JOBS`    | `8`     | concurrent tenant jobs, 1 to 253     |
-//! | `CGX_SERVE_STEPS`   | `8`     | local-SGD steps per job              |
-//! | `CGX_SERVE_PERIOD`  | `4`     | steps between synchronisations       |
-//!
-//! Daemon-side limits (`CGX_SERVE_MAX_JOBS`, `CGX_SERVE_QUEUE_BYTES`,
-//! `CGX_SERVE_QUANTUM`, `CGX_SERVE_DRAIN_MS`, and `CGX_SERVE_PARK_US`, the
-//! pump's cadence) are read by [`ServeConfig::from_env`].
+//! | flag       | default | meaning                                                         |
+//! |------------|---------|-----------------------------------------------------------------|
+//! | `--fabric` | `tcp`   | physical mesh: `tcp` or `shm`                                   |
+//! | `--world`  | `2`     | ranks in the mesh (one daemon each)                             |
+//! | `--jobs`   | `8`     | concurrent tenant jobs, 1 to 253 (each daemon admits that many) |
+//! | `--steps`  | `8`     | local-SGD steps per job                                         |
+//! | `--period` | `4`     | steps between synchronisations                                  |
 
 use cgx_collectives::{CommError, ShmFabric, Transport};
 use cgx_compress::ScratchPool;
 use cgx_engine::{local_sgd_rank, GaussianMixture, Mlp, TrainConfig};
-use cgx_net::workload::read;
+use cgx_net::workload::{flags, read};
 use cgx_net::TcpFabric;
 use cgx_obs::MetricsRegistry;
 use cgx_serve::{jain_index, JobSpec, ServeConfig, ServeNode};
 use cgx_tensor::Rng;
+use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-/// The demo's own knobs (the table above): fabric, world, jobs, steps,
-/// period.
-fn knobs() -> Result<(&'static str, usize, u8, usize, usize), CommError> {
-    let get = |key: &str| std::env::var(key).ok();
+const USAGE: &str =
+    "usage: cgx-serve [--fabric tcp|shm] [--world N] [--jobs 1..253] [--steps N] [--period N]";
+
+/// The demo's flags (the table above): fabric, world, jobs, steps, period.
+fn knobs(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(&'static str, usize, u8, usize, usize), CommError> {
+    let get = flags(
+        args,
+        &["--fabric", "--world", "--jobs", "--steps", "--period"],
+        &[],
+    )?;
     let count = |key, default| {
         read(&get, key, "a positive integer", |v| {
             v.parse::<usize>().ok().filter(|&n| n > 0)
         })
         .map(|v| v.unwrap_or(default))
     };
-    let fabric = read(&get, "CGX_SERVE_FABRIC", "`tcp` or `shm`", |v| {
+    let fabric = read(&get, "--fabric", "`tcp` or `shm`", |v| {
         ["tcp", "shm"].into_iter().find(|&f| f == v)
     })?;
-    let jobs = read(&get, "CGX_SERVE_JOBS", "a job count from 1 to 253", |v| {
+    let jobs = read(&get, "--jobs", "a job count from 1 to 253", |v| {
         v.parse::<u8>().ok().filter(|j| (1..=0xFD).contains(j))
     })?;
     Ok((
         fabric.unwrap_or("tcp"),
-        count("CGX_SERVE_WORLD", 2)?,
+        count("--world", 2)?,
         jobs.unwrap_or(8),
-        count("CGX_SERVE_STEPS", 8)?,
-        count("CGX_SERVE_PERIOD", 4)?,
+        count("--steps", 8)?,
+        count("--period", 4)?,
     ))
 }
 
-fn main() {
-    let registry = MetricsRegistry::new();
-    let parsed = knobs().and_then(|demo| Ok((demo, ServeConfig::from_env()?)));
-    let ((fabric, world, jobs, steps, period), cfg) = match parsed {
-        Ok((demo, cfg)) => (demo, cfg.with_obs(&registry)),
+fn main() -> ExitCode {
+    let (fabric, world, jobs, steps, period) = match knobs(std::env::args().skip(1)) {
+        Ok(demo) => demo,
         Err(e) => {
-            eprintln!("cgx-serve: {e}");
-            std::process::exit(1);
+            eprintln!("cgx-serve: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
+    let registry = MetricsRegistry::new();
+    let mut cfg = ServeConfig::default().with_obs(&registry);
+    cfg.max_jobs = usize::from(jobs);
     let phys: Vec<Box<dyn Transport + Send + Sync>> = match fabric {
         "shm" => ShmFabric::build(world)
             .into_iter()
@@ -156,4 +161,5 @@ fn main() {
     ] {
         println!("  {name:<24}: {}", snap.get(name).unwrap_or(0));
     }
+    ExitCode::SUCCESS
 }

@@ -17,7 +17,7 @@
 //!   leaves its frame queued: the holder looks at the backlog again after
 //!   letting go. Lock order: `out → state`; `state` is never held across
 //!   a fabric call.
-//! * **The pump** stands in for idle tenants: every [`ServeConfig::park`] it
+//! * **The pump** stands in for idle tenants: every `PARK` (200 µs) it
 //!   takes the outbound turn and flushes and drains the fabric, never
 //!   blocking in it — heartbeats and liveness while tenants compute
 //!   (DESIGN.md §12.1), throttled frames coming due, back-pressure
@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 use cgx_collectives::transport::{Tag, DETACH_TAG};
 use cgx_collectives::{namespace_tag, CommError, Transport, MAX_TENANT_NS};
 use cgx_compress::Encoded;
-use cgx_net::workload::read;
 use cgx_obs::metrics::{names, Counter, MetricsRegistry};
 use cgx_tensor::Shape;
 
@@ -60,24 +59,24 @@ fn nap<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> Mute
 /// terminal conditions again.
 const SLICE: Duration = Duration::from_millis(20);
 
-/// Daemon tuning knobs, all overridable from the environment.
+/// DRR quantum in bytes: byte credit granted per scheduler visit per
+/// unit weight.
+const QUANTUM: u64 = 64 << 10;
+/// Cadence of the pump's fallback turns.
+const PARK: Duration = Duration::from_micros(200);
+/// Shutdown drain budget: how long the pump keeps flushing queued frames
+/// after shutdown is requested.
+const DRAIN: Duration = Duration::from_millis(2000);
+
+/// Per-daemon limits: attached jobs, and each job's outbound queue.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Maximum concurrently attached jobs (`CGX_SERVE_MAX_JOBS`).
+    /// Maximum concurrently attached jobs.
     pub max_jobs: usize,
-    /// Per-job outbound queue cap in bytes (`CGX_SERVE_QUEUE_BYTES`). A
-    /// single frame larger than the cap is still admitted when the queue
-    /// is empty, so one oversized send can never wedge a tenant.
+    /// Per-job outbound queue cap in bytes. A single frame larger than
+    /// the cap is still admitted when the queue is empty, so one
+    /// oversized send can never wedge a tenant.
     pub queue_bytes: u64,
-    /// DRR quantum in bytes (`CGX_SERVE_QUANTUM`): byte credit granted per
-    /// scheduler visit per unit weight.
-    pub quantum: u64,
-    /// Cadence of the pump's fallback turns (`CGX_SERVE_PARK_US`,
-    /// microseconds).
-    pub park: Duration,
-    /// Shutdown drain budget (`CGX_SERVE_DRAIN_MS`): how long the pump
-    /// keeps flushing queued frames after shutdown is requested.
-    pub drain: Duration,
     /// Metrics registry for `serve.*` counters, if observability is on.
     obs: Option<MetricsRegistry>,
 }
@@ -87,56 +86,12 @@ impl Default for ServeConfig {
         ServeConfig {
             max_jobs: 64,
             queue_bytes: 32 << 20,
-            quantum: 64 << 10,
-            park: Duration::from_micros(200),
-            drain: Duration::from_millis(2000),
             obs: None,
         }
     }
 }
 
 impl ServeConfig {
-    /// Defaults overridden by the `CGX_SERVE_*` limits, read through `get`
-    /// so the parse is pure and testable.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::InvalidConfig`] naming the variable when a value is
-    /// malformed, as in every other `CGX_*` parser.
-    pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Self, CommError> {
-        let count = |key| {
-            read(&get, key, "a non-negative integer", |v| {
-                v.parse::<u64>().ok()
-            })
-        };
-        let mut cfg = ServeConfig::default();
-        if let Some(v) = count("CGX_SERVE_MAX_JOBS")? {
-            cfg.max_jobs = usize::try_from(v).unwrap_or(usize::MAX).max(1);
-        }
-        if let Some(v) = count("CGX_SERVE_QUEUE_BYTES")? {
-            cfg.queue_bytes = v.max(1);
-        }
-        if let Some(v) = count("CGX_SERVE_QUANTUM")? {
-            cfg.quantum = v.max(1);
-        }
-        if let Some(v) = count("CGX_SERVE_PARK_US")? {
-            cfg.park = Duration::from_micros(v.max(1));
-        }
-        if let Some(v) = count("CGX_SERVE_DRAIN_MS")? {
-            cfg.drain = Duration::from_millis(v);
-        }
-        Ok(cfg)
-    }
-
-    /// [`Self::parse`] over the real process environment.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::parse`].
-    pub fn from_env() -> Result<Self, CommError> {
-        Self::parse(|k| std::env::var(k).ok())
-    }
-
     /// Attaches a metrics registry; the daemon then maintains the
     /// `serve.*` counters on it.
     pub fn with_obs(mut self, registry: &MetricsRegistry) -> Self {
@@ -318,7 +273,7 @@ impl ServeNode {
             phys,
             out: Mutex::new(()),
             state: Mutex::new(NodeState {
-                sched: DrrScheduler::new(cfg.quantum),
+                sched: DrrScheduler::new(QUANTUM),
                 jobs: HashSet::new(),
                 used_ids: HashSet::new(),
                 peer_dead: vec![None; world],
@@ -497,7 +452,7 @@ fn flush_fabric(node: &NodeShared) {
     }
 }
 
-/// The pump thread: every [`ServeConfig::park`], at once after a turn
+/// The pump thread: every [`PARK`], at once after a turn
 /// that sent, or when a throttled frame comes due, it takes the outbound
 /// turn, flushes, and takes in what the fabric holds, never blocking in
 /// the fabric.
@@ -510,7 +465,7 @@ fn pump_loop(node: &NodeShared) {
         retire_detached(node);
         let st = lock(&node.state);
         if st.shutdown {
-            let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + node.cfg.drain);
+            let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN);
             if st.sched.is_empty() || Instant::now() >= deadline {
                 drop(st);
                 // Last push so the final frames leave the process
@@ -521,7 +476,7 @@ fn pump_loop(node: &NodeShared) {
         }
         if !sent {
             let due = ready_ns.map_or(u64::MAX, |at| at.saturating_sub(node.now_ns()).max(1));
-            let park = node.cfg.park.min(Duration::from_nanos(due));
+            let park = PARK.min(Duration::from_nanos(due));
             drop(nap(&node.work_cv, st, park));
         }
     }
@@ -743,59 +698,6 @@ mod tests {
     use cgx_collectives::ShmFabric;
     use std::sync::atomic::AtomicU64;
     use std::sync::atomic::Ordering::Relaxed;
-
-    #[test]
-    fn config_parse_overrides_floors_and_names_the_malformed_variable() {
-        let none = ServeConfig::parse(|_| None).unwrap();
-        let d = ServeConfig::default();
-        assert_eq!(
-            (
-                none.max_jobs,
-                none.queue_bytes,
-                none.quantum,
-                none.park,
-                none.drain
-            ),
-            (d.max_jobs, d.queue_bytes, d.quantum, d.park, d.drain)
-        );
-        let set = |pairs: &'static [(&str, &str)]| {
-            ServeConfig::parse(move |k| {
-                pairs
-                    .iter()
-                    .find(|(key, _)| *key == k)
-                    .map(|(_, v)| v.to_string())
-            })
-        };
-        let cfg = set(&[
-            ("CGX_SERVE_MAX_JOBS", "8"),
-            ("CGX_SERVE_QUEUE_BYTES", " 4096 "),
-            ("CGX_SERVE_QUANTUM", "0"),
-            ("CGX_SERVE_PARK_US", "0"),
-            ("CGX_SERVE_DRAIN_MS", "0"),
-        ])
-        .unwrap();
-        assert_eq!((cfg.max_jobs, cfg.queue_bytes, cfg.quantum), (8, 4096, 1));
-        assert_eq!(
-            (cfg.park, cfg.drain),
-            (Duration::from_micros(1), Duration::ZERO)
-        );
-        assert_eq!(set(&[("CGX_SERVE_MAX_JOBS", "0")]).unwrap().max_jobs, 1);
-        for (key, value) in [
-            ("CGX_SERVE_MAX_JOBS", "many"),
-            ("CGX_SERVE_QUEUE_BYTES", "32M"),
-            ("CGX_SERVE_QUANTUM", "-1"),
-            ("CGX_SERVE_PARK_US", "2OO"),
-            ("CGX_SERVE_DRAIN_MS", "2s"),
-        ] {
-            let get = move |k: &str| (k == key).then(|| value.to_string());
-            match ServeConfig::parse(get) {
-                Err(CommError::InvalidConfig { detail }) => {
-                    assert!(detail.contains(key), "{key}={value}: {detail}");
-                }
-                other => panic!("{key}={value}: expected InvalidConfig, got {other:?}"),
-            }
-        }
-    }
 
     fn payload(byte: u8) -> Encoded {
         Encoded::new(
@@ -1048,9 +950,7 @@ mod tests {
         let window = Duration::from_millis(100);
         // One more for the turn under way when the window opens, one for
         // a condvar that wakes unasked.
-        let parks = |since: Instant| {
-            (since.elapsed().as_nanos() / node.shared.cfg.park.as_nanos()) as u64 + 2
-        };
+        let parks = |since: Instant| (since.elapsed().as_nanos() / PARK.as_nanos()) as u64 + 2;
         let (start, before) = (Instant::now(), fabric.drains.load(Relaxed));
         let blocked = tenant.recv_tagged_deadline(1, 7, window);
         assert!(matches!(blocked, Err(CommError::Timeout { from: 1, .. })));

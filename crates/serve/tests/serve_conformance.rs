@@ -88,7 +88,7 @@ fn namespaced_tcp_transport_conforms() {
 
 /// A handle's park is its fabric's: a whole deadline on the mailbox's
 /// condvar, a 50 ms slice on TCP. The pump, draining the same endpoint
-/// every `ServeConfig::park`, must not cut it short.
+/// every pump turn, must not cut it short.
 #[test]
 fn a_receive_on_a_silent_tag_does_not_spin_on_an_unrelated_stash() {
     check_silent_tag_parks_boundedly(&namespaced_shm, SHM_SLICE);

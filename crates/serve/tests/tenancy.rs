@@ -411,30 +411,50 @@ fn concurrent_tenant_threads_keep_fifo_and_lose_nothing() {
     });
 }
 
-/// The `cgx-serve` demo reads its five knobs through the one `CGX_*`
-/// reader: a fabric that is neither `tcp` nor `shm` used to build a TCP
-/// mesh and a count that does not parse used to fall back to its default;
-/// each now ends the process with status 1, the variable's name and the
-/// value on stderr, before any daemon is up.
+/// The `cgx-serve` demo reads its five flags through the one flag reader:
+/// a fabric that is neither `tcp` nor `shm`, or a count that does not
+/// parse, ends the process with status 2, the flag's name and the value on
+/// stderr, before any daemon is up — never a default.
 #[test]
-fn the_demo_binary_names_a_malformed_knob_and_exits_nonzero() {
-    for (key, value) in [
-        ("CGX_SERVE_FABRIC", "shmm"),
-        ("CGX_SERVE_WORLD", "abc"),
-        ("CGX_SERVE_JOBS", "254"),
-        ("CGX_SERVE_STEPS", "0"),
-        ("CGX_SERVE_PERIOD", "4s"),
+fn the_demo_binary_names_a_malformed_flag_and_exits_nonzero() {
+    for (flag, value) in [
+        ("--fabric", "shmm"),
+        ("--fabric", "2s"),
+        ("--world", "abc"),
+        ("--world", "32M"),
+        ("--jobs", "254"),
+        ("--jobs", "many"),
+        ("--steps", "0"),
+        ("--steps", "-1"),
+        ("--period", "4s"),
+        ("--period", "2OO"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cgx-serve"))
-            .env(key, value)
+            .args([flag, value])
             .output()
             .expect("cgx-serve runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{key}={value}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
         assert!(
-            stderr.contains(&format!("{key} must be")) && stderr.contains(value),
-            "{key}={value}: {stderr}"
+            stderr.contains(&format!("{flag} must be")) && stderr.contains(value),
+            "{flag} {value}: {stderr}"
         );
-        assert!(out.stdout.is_empty(), "{key}={value} still ran the demo");
+        assert!(out.stdout.is_empty(), "{flag} {value} still ran the demo");
     }
+}
+
+/// Each daemon admits as many jobs as the demo runs: 65 tenants, one past
+/// the library's default admission limit, all train to completion.
+#[test]
+fn the_demo_binary_admits_every_job_it_was_asked_for() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cgx-serve"))
+        .args(["--jobs", "65", "--steps", "1", "--period", "1"])
+        .output()
+        .expect("cgx-serve runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(out.status.success(), "{stderr}");
+    assert!(stdout.contains("jobs            : 65"), "{stdout}");
 }
