@@ -3,7 +3,9 @@
 //!
 //! Every production reduction runs here — the trainers' rounds, flat or
 //! as the leader exchange of a [`crate::hierarchy::Topology`], the PowerSGD
-//! factors, the QNCCL ring. One blocking
+//! factors, the QNCCL ring. Only SRA, the paper's scheme, is pipelined;
+//! the comparison schemes run their sequential reference at submit
+//! ([`CommEngine::submit_owned`]). One blocking
 //! [`crate::reduce::allreduce_scratch`] call per layer (the sequential
 //! reference) makes every layer pay the full SRA round-trip latency before
 //! the next layer's chunks even hit the wire, and every tiny filtered FP32
@@ -66,7 +68,7 @@
 //! peers' handles.
 
 use crate::error::CommError;
-use crate::reduce::{chunk_ranges, gather, tree, Algorithm, AllreduceStats};
+use crate::reduce::{allreduce_scratch, check_chunk, chunk_ranges, Algorithm, AllreduceStats};
 use crate::transport::{collective_tag_in_epoch, Tag, Transport};
 use cgx_compress::{Compressor, Encoded, NoneCompressor, ScratchPool};
 use cgx_obs::{pack_meta, Counter, EventRecorder, Gauge, Histogram, ObsHandle, SpanKind};
@@ -84,11 +86,9 @@ pub struct EngineOptions {
     /// different `segment_elems` are not byte-comparable (each setting is
     /// still deterministic and consensus-exact).
     pub segment_elems: usize,
-    /// Lossless submissions of at most this many elements are coalesced
-    /// into one concatenated SRA collective. `0` disables coalescing.
-    /// Only applies to [`Algorithm::ScatterReduceAllgather`]: the ring's
-    /// accumulation order depends on chunk indices, so re-chunking there
-    /// would perturb float sums.
+    /// Lossless [`Algorithm::ScatterReduceAllgather`] submissions of at
+    /// most this many elements are coalesced into one concatenated SRA
+    /// collective. `0` disables coalescing.
     pub coalesce_elems: usize,
     /// Flush the pending coalesce group once it holds this many elements.
     pub coalesce_budget: usize,
@@ -158,7 +158,6 @@ struct Member {
 /// already allocated (at submit), so tags stay rank-aligned no matter
 /// when the launch happens.
 struct QueuedLaunch {
-    alg: Algorithm,
     grad: Tensor,
     comp: Box<dyn Compressor>,
     rng: Rng,
@@ -172,7 +171,7 @@ struct OpState {
     /// The caller's compressor, returned at `wait`. For machine-driven ops
     /// it lives inside the machine while running.
     comp: Option<Box<dyn Compressor>>,
-    machine: Option<Machine>,
+    machine: Option<SraMachine>,
     /// Submission parked behind the live-machine cap.
     queued: Option<QueuedLaunch>,
     /// Set on coalesce-group driver ops (which have no external handle).
@@ -346,10 +345,13 @@ impl<'a> CommEngine<'a> {
     /// An engine that is or becomes poisoned drops it with the rest of
     /// the collective.
     ///
-    /// [`Algorithm::Tree`] and [`Algorithm::AllgatherBroadcast`] have no
-    /// pipelined machine; they run eagerly (blocking) at submit, which is
-    /// safe because every rank reaches the same submit in program order,
-    /// and return a tensor of their own.
+    /// Only [`Algorithm::ScatterReduceAllgather`] has a pipelined machine.
+    /// [`Algorithm::Ring`], [`Algorithm::Tree`] and
+    /// [`Algorithm::AllgatherBroadcast`] run their sequential reference
+    /// ([`crate::reduce::allreduce_scratch`]) eagerly (blocking) at submit,
+    /// on the legacy lane, which is safe because every rank reaches the
+    /// same submit in program order; they return a tensor of their own
+    /// and record no engine spans.
     pub fn submit_owned(
         &mut self,
         alg: Algorithm,
@@ -409,7 +411,7 @@ impl<'a> CommEngine<'a> {
             em.submitted.inc();
         }
         match alg {
-            Algorithm::ScatterReduceAllgather | Algorithm::Ring => {
+            Algorithm::ScatterReduceAllgather => {
                 // The op id is claimed now (submit order is rank-aligned);
                 // the machine itself launches when a live slot is free.
                 let op_id = self.alloc_op_id();
@@ -421,7 +423,6 @@ impl<'a> CommEngine<'a> {
                     grad.len() as u64,
                 );
                 op.queued = Some(QueuedLaunch {
-                    alg,
                     grad,
                     comp,
                     rng: op_rng,
@@ -436,16 +437,12 @@ impl<'a> CommEngine<'a> {
                 // `wait`, and submit never blocks on them.
                 self.pump_launch_queue();
             }
-            Algorithm::Tree | Algorithm::AllgatherBroadcast => {
+            Algorithm::Ring | Algorithm::Tree | Algorithm::AllgatherBroadcast => {
                 // Eager path: these run one-at-a-time on the legacy lane.
                 op.noted = self.note_in_flight();
                 self.ops.push(op);
                 let mut comp = comp;
-                let run = match alg {
-                    Algorithm::Tree => tree(self.t, &grad, &mut *comp, &mut op_rng, &self.pool),
-                    _ => gather(self.t, &grad, &mut *comp, &mut op_rng, &self.pool),
-                };
-                match run {
+                match allreduce_scratch(alg, self.t, &grad, &mut *comp, &mut op_rng, &self.pool) {
                     Ok((out, mut stats)) => {
                         stats.max_in_flight = self.peak_since(self.ops[idx].noted);
                         self.ops[idx].result = Some((out, stats));
@@ -605,13 +602,6 @@ impl<'a> CommEngine<'a> {
         self.peaks[self.peaks.partition_point(|&(k, _)| k < noted)].1
     }
 
-    /// The machines a progress round pumps, in launch order.
-    fn active_machines(&self) -> impl Iterator<Item = &Machine> {
-        self.active
-            .iter()
-            .filter_map(|&i| self.ops[i].machine.as_ref())
-    }
-
     /// Builds one SRA collective over the concatenation of all pending
     /// coalesced layers. Called at deterministic program points only
     /// (budget overflow at submit, entry to wait), so the flush — and the
@@ -651,12 +641,12 @@ impl<'a> CommEngine<'a> {
         // caller starts blocking), even if it briefly overshoots the
         // live-machine cap; pumping it puts the group's chunks on the
         // wire before the wait loop takes over.
-        self.launch(self.ops.len() - 1, Machine::Sra(m));
+        self.launch(self.ops.len() - 1, m);
     }
 
     /// Makes `m` op `idx`'s live machine and pumps it once, so its phase-1
     /// sends reach the peers; the rest is the next `progress_all` round's.
-    fn launch(&mut self, idx: usize, mut m: Machine) {
+    fn launch(&mut self, idx: usize, mut m: SraMachine) {
         let pumped = m.progress(self.t, &self.pool);
         self.ops[idx].machine = Some(m);
         self.active.push(idx);
@@ -675,29 +665,17 @@ impl<'a> CommEngine<'a> {
                 return;
             };
             let q = self.ops[idx].queued.take().expect("queued launch");
-            let rec = self.obs.recorder().clone();
-            let m = match q.alg {
-                Algorithm::Ring => Machine::Ring(RingMachine::new(
-                    self.t,
-                    q.op_id,
-                    self.opts.epoch,
-                    q.grad,
-                    q.comp,
-                    q.rng,
-                    rec,
-                )),
-                _ => Machine::Sra(SraMachine::new(
-                    self.t,
-                    q.op_id,
-                    self.opts.epoch,
-                    q.grad,
-                    q.comp,
-                    q.rng,
-                    &self.pool,
-                    self.opts.segment_elems,
-                    rec,
-                )),
-            };
+            let m = SraMachine::new(
+                self.t,
+                q.op_id,
+                self.opts.epoch,
+                q.grad,
+                q.comp,
+                q.rng,
+                &self.pool,
+                self.opts.segment_elems,
+                self.obs.recorder().clone(),
+            );
             self.launch(idx, m);
         }
     }
@@ -735,11 +713,11 @@ impl<'a> CommEngine<'a> {
         let rec = self.obs.recorder();
         rec.instant(
             SpanKind::Complete,
-            pack_meta(m.op_id(), 0, 0, self.opts.epoch),
+            pack_meta(m.op_id, 0, 0, self.opts.epoch),
             rec.now_ns(),
             0,
         );
-        let (out, mut stats, comp) = m.into_parts();
+        let (out, mut stats, comp) = (m.out, m.stats, m.comp);
         if let Some(members) = self.ops[i].members.take() {
             // Coalesce-group driver: scatter slices back to the members.
             // Wire traffic is attributed to the first member (the group
@@ -772,7 +750,10 @@ impl<'a> CommEngine<'a> {
     /// Best guess at which peer the engine is stalled on, for timeout
     /// reporting.
     fn blocked_peer(&self) -> usize {
-        self.active_machines().next().map_or(0, Machine::blocked_on)
+        self.active
+            .first()
+            .and_then(|&i| self.ops[i].machine.as_ref())
+            .map_or(0, SraMachine::blocked_on)
     }
 
     /// Records the first failure, promoting peer-scoped transport faults
@@ -805,48 +786,6 @@ impl std::fmt::Debug for CommEngine<'_> {
             .field("in_flight", &self.in_flight)
             .field("poisoned", &self.poisoned)
             .finish()
-    }
-}
-
-enum Machine {
-    Sra(SraMachine),
-    Ring(RingMachine),
-}
-
-impl Machine {
-    fn progress(&mut self, t: &dyn Transport, pool: &ScratchPool) -> Result<bool, CommError> {
-        match self {
-            Machine::Sra(m) => m.progress(t, pool),
-            Machine::Ring(m) => m.progress(t, pool),
-        }
-    }
-
-    fn finished(&self) -> bool {
-        match self {
-            Machine::Sra(m) => m.finished(),
-            Machine::Ring(m) => m.finished(),
-        }
-    }
-
-    fn blocked_on(&self) -> usize {
-        match self {
-            Machine::Sra(m) => m.blocked_on(),
-            Machine::Ring(m) => m.blocked_on(),
-        }
-    }
-
-    fn op_id(&self) -> u32 {
-        match self {
-            Machine::Sra(m) => m.op_id,
-            Machine::Ring(m) => m.op_id,
-        }
-    }
-
-    fn into_parts(self) -> (Tensor, AllreduceStats, Box<dyn Compressor>) {
-        match self {
-            Machine::Sra(m) => (m.out, m.stats, m.comp),
-            Machine::Ring(m) => (m.out, m.stats, m.comp),
-        }
     }
 }
 
@@ -910,11 +849,8 @@ fn timed_obs<T>(
 const PHASE_SCATTER: u8 = 1;
 const PHASE_BCAST: u8 = 2;
 
-/// The next frame on `(peer, tag)`, if one has arrived — refused unless
-/// it carries the `want` elements of its slot in a payload that passes
-/// `comp`'s [`Compressor::check_payload`] for them: `decompress*_into`
-/// asserts the one and runs out of bits on a short other, and socket
-/// bytes must fail the collective, not panic.
+/// The next frame on `(peer, tag)`, if one has arrived, through
+/// [`check_chunk`] for the `want` elements of its slot.
 fn try_recv_chunk(
     t: &dyn Transport,
     comp: &dyn Compressor,
@@ -922,25 +858,9 @@ fn try_recv_chunk(
     tag: Tag,
     want: usize,
 ) -> Result<Option<Encoded>, CommError> {
-    let refuse = |detail: String| {
-        Err(CommError::ShapeMismatch {
-            detail: format!("tag {tag:#x} from rank {peer}: {detail}"),
-        })
-    };
-    match t.try_recv_tagged(peer, tag)? {
-        Some(enc) if enc.shape().len() != want => refuse(format!(
-            "expected {want} elements, got {}",
-            enc.shape().len()
-        )),
-        Some(enc) => match comp.check_payload(want, enc.payload()) {
-            Ok(()) => Ok(Some(enc)),
-            Err(bytes) => refuse(format!(
-                "expected {bytes} payload bytes, got {}",
-                enc.payload_bytes()
-            )),
-        },
-        None => Ok(None),
-    }
+    t.try_recv_tagged(peer, tag)?
+        .map(|enc| check_chunk(comp, enc, want, peer, tag))
+        .transpose()
 }
 
 /// One pipeline segment of an SRA collective. My chunk accumulates in my
@@ -1239,256 +1159,6 @@ impl SraMachine {
     }
 }
 
-/// Incremental ring allreduce. The ring's data dependency chain (each hop
-/// consumes the previous hop's sum) forces strictly sequential steps
-/// within one collective; pipelining happens *across* collectives.
-///
-/// The reduce hops decode-add into `out`'s chunk ranges and compress from
-/// them (the reference's operations on the same operands). The relay
-/// commits my reduced chunk in place as it encodes it, and the relayed
-/// encodings of the others are decoded over the rest of `out` at the end.
-struct RingMachine {
-    op_id: u32,
-    epoch: u8,
-    me: usize,
-    n: usize,
-    out: Tensor,
-    comp: Box<dyn Compressor>,
-    rng: Rng,
-    ranges: Vec<Range<usize>>,
-    encs: Vec<Option<Encoded>>,
-    phase: RingPhase,
-    outq: VecDeque<Outgoing>,
-    stats: AllreduceStats,
-    rec: EventRecorder,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RingPhase {
-    Reduce { step: usize, sent: bool },
-    Relay,
-    Gather { step: usize, sent: bool },
-    Decode,
-    Done,
-}
-
-impl RingMachine {
-    fn new(
-        t: &dyn Transport,
-        op_id: u32,
-        epoch: u8,
-        grad: Tensor,
-        comp: Box<dyn Compressor>,
-        rng: Rng,
-        rec: EventRecorder,
-    ) -> Self {
-        let n = t.world();
-        RingMachine {
-            op_id,
-            epoch,
-            me: t.rank(),
-            n,
-            ranges: chunk_ranges(grad.len(), n),
-            out: grad,
-            comp,
-            rng,
-            encs: vec![None; n],
-            phase: RingPhase::Reduce {
-                step: 0,
-                sent: false,
-            },
-            outq: VecDeque::new(),
-            stats: AllreduceStats {
-                max_in_flight: 1,
-                ..AllreduceStats::default()
-            },
-            rec,
-        }
-    }
-
-    fn progress(&mut self, t: &dyn Transport, pool: &ScratchPool) -> Result<bool, CommError> {
-        let mut progressed = pump_outq(&mut self.outq, t, &self.rec)?;
-        let (n, me) = (self.n, self.me);
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        loop {
-            match self.phase {
-                RingPhase::Reduce { step, sent } => {
-                    if !sent {
-                        let r = &self.ranges[(me + n - step) % n];
-                        if !r.is_empty() {
-                            let c = &self.out.as_slice()[r.clone()];
-                            let enc = timed_obs(
-                                &mut self.stats.compress_ns,
-                                &self.rec,
-                                SpanKind::Compress,
-                                pack_meta(self.op_id, step as u16, PHASE_SCATTER, self.epoch),
-                                || self.comp.compress_slice_at(r.start, c, &mut self.rng, pool),
-                            );
-                            self.stats.compress_calls += 1;
-                            self.stats.bytes_sent += enc.payload_bytes();
-                            self.outq.push_back((
-                                right,
-                                collective_tag_in_epoch(
-                                    self.op_id,
-                                    step as u16,
-                                    PHASE_SCATTER,
-                                    self.epoch,
-                                ),
-                                enc,
-                            ));
-                        }
-                        self.phase = RingPhase::Reduce { step, sent: true };
-                        progressed = true;
-                        continue;
-                    }
-                    let r = self.ranges[(me + n - step - 1) % n].clone();
-                    if !r.is_empty() {
-                        let c = &mut self.out.as_mut_slice()[r];
-                        let tag = collective_tag_in_epoch(
-                            self.op_id,
-                            step as u16,
-                            PHASE_SCATTER,
-                            self.epoch,
-                        );
-                        match try_recv_chunk(t, &*self.comp, left, tag, c.len())? {
-                            Some(enc) => {
-                                timed_obs(
-                                    &mut self.stats.decode_ns,
-                                    &self.rec,
-                                    SpanKind::Decode,
-                                    pack_meta(self.op_id, step as u16, PHASE_SCATTER, self.epoch),
-                                    || self.comp.decompress_add_into(&enc, c),
-                                );
-                                self.stats.decompress_calls += 1;
-                                pool.recycle(enc);
-                            }
-                            None => break,
-                        }
-                    }
-                    self.phase = if step + 1 < n - 1 {
-                        RingPhase::Reduce {
-                            step: step + 1,
-                            sent: false,
-                        }
-                    } else {
-                        RingPhase::Relay
-                    };
-                    progressed = true;
-                }
-                RingPhase::Relay => {
-                    let owned = (me + 1) % n;
-                    let r = self.ranges[owned].clone();
-                    if !r.is_empty() {
-                        let (off, c) = (r.start, &mut self.out.as_mut_slice()[r]);
-                        let enc = timed_obs(
-                            &mut self.stats.compress_ns,
-                            &self.rec,
-                            SpanKind::Compress,
-                            pack_meta(self.op_id, 0, PHASE_BCAST, self.epoch),
-                            || self.comp.compress_committed_at(off, c, &mut self.rng, pool),
-                        );
-                        self.stats.compress_calls += 1;
-                        self.encs[owned] = Some(enc);
-                    }
-                    self.phase = RingPhase::Gather {
-                        step: 0,
-                        sent: false,
-                    };
-                    progressed = true;
-                }
-                RingPhase::Gather { step, sent } => {
-                    if !sent {
-                        let send_idx = (me + 1 + n - step) % n;
-                        if let Some(enc) = &self.encs[send_idx] {
-                            self.stats.bytes_sent += enc.payload_bytes();
-                            self.outq.push_back((
-                                right,
-                                collective_tag_in_epoch(
-                                    self.op_id,
-                                    step as u16,
-                                    PHASE_BCAST,
-                                    self.epoch,
-                                ),
-                                enc.clone(),
-                            ));
-                        }
-                        self.phase = RingPhase::Gather { step, sent: true };
-                        progressed = true;
-                        continue;
-                    }
-                    let recv_idx = (me + n - step) % n;
-                    if !self.ranges[recv_idx].is_empty() {
-                        let tag = collective_tag_in_epoch(
-                            self.op_id,
-                            step as u16,
-                            PHASE_BCAST,
-                            self.epoch,
-                        );
-                        let want = self.ranges[recv_idx].len();
-                        match try_recv_chunk(t, &*self.comp, left, tag, want)? {
-                            Some(enc) => self.encs[recv_idx] = Some(enc),
-                            None => break,
-                        }
-                    }
-                    self.phase = if step + 1 < n - 1 {
-                        RingPhase::Gather {
-                            step: step + 1,
-                            sent: false,
-                        }
-                    } else {
-                        RingPhase::Decode
-                    };
-                    progressed = true;
-                }
-                RingPhase::Decode => {
-                    // My relayed chunk was committed in `out` as it was
-                    // encoded.
-                    let own = (me + 1) % n;
-                    for (i, r) in self.ranges.iter().enumerate() {
-                        if r.is_empty() || i == own {
-                            continue;
-                        }
-                        let enc = self.encs[i].as_ref().expect("all chunks gathered");
-                        timed_obs(
-                            &mut self.stats.decode_ns,
-                            &self.rec,
-                            SpanKind::Decode,
-                            pack_meta(self.op_id, i as u16, PHASE_BCAST, self.epoch),
-                            || {
-                                self.comp
-                                    .decompress_into(enc, &mut self.out.as_mut_slice()[r.clone()])
-                            },
-                        );
-                        self.stats.decompress_calls += 1;
-                    }
-                    for enc in self.encs.iter_mut().filter_map(Option::take) {
-                        pool.recycle(enc);
-                    }
-                    self.phase = RingPhase::Done;
-                    progressed = true;
-                }
-                RingPhase::Done => break,
-            }
-            // Newly queued messages should hit the wire promptly.
-            progressed |= pump_outq(&mut self.outq, t, &self.rec)?;
-        }
-        Ok(progressed)
-    }
-
-    fn finished(&self) -> bool {
-        self.phase == RingPhase::Done && self.outq.is_empty()
-    }
-
-    fn blocked_on(&self) -> usize {
-        if let Some(&(p, _, _)) = self.outq.front() {
-            p
-        } else {
-            (self.me + self.n - 1) % self.n
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1671,7 +1341,7 @@ mod tests {
         // gradient given comes back at `wait` in the allocation it went
         // in with: reduced in place by a machine (cut into segments
         // here), refilled from its coalesce group's sum (the three small
-        // FP32 layers under SRA), or untouched in a world of one.
+        // FP32 layers), or untouched in a world of one.
         let specs = layer_specs();
         let opts = EngineOptions {
             segment_elems: 100,
@@ -1685,47 +1355,46 @@ mod tests {
                 s.max_in_flight,
             ]
         };
+        let alg = Algorithm::ScatterReduceAllgather;
         for n in [1usize, 4] {
-            for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
-                let run = |owned: bool| {
-                    let specs = specs.clone();
-                    ThreadCluster::run(n, move |t| {
-                        let mut master = Rng::seed_from_u64(777);
-                        let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
-                        let mut moved_in = Vec::new();
-                        let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
-                            .into_iter()
-                            .zip(&specs)
-                            .map(|(g, (_, scheme))| {
-                                moved_in.push(g.as_slice().as_ptr() as usize);
-                                match owned {
-                                    true => eng.submit_owned(alg, g, scheme.build(), &mut master),
-                                    false => eng.submit(alg, &g, scheme.build(), &mut master),
-                                }
-                            })
-                            .collect();
-                        let outs: Vec<_> = handles
-                            .into_iter()
-                            .map(|h| eng.wait(h).unwrap())
-                            .map(|(out, stats, _)| (out, counts(&stats)))
-                            .collect();
-                        (outs, moved_in, master.next_u64())
-                    })
-                    .unwrap()
-                };
-                for (rank, (lent, given)) in run(false).iter().zip(&run(true)).enumerate() {
-                    let at = format!("{alg:?} n={n} rank={rank}");
-                    assert_eq!(lent.2, given.2, "{at}: rng draws");
-                    for (l, (a, b)) in lent.0.iter().zip(&given.0).enumerate() {
-                        let bits = |t: &Tensor| -> Vec<u32> {
-                            t.as_slice().iter().map(|v| v.to_bits()).collect()
-                        };
-                        assert_eq!(bits(&a.0), bits(&b.0), "{at} layer={l}");
-                        assert_eq!(a.0.shape(), b.0.shape(), "{at} layer={l}");
-                        assert_eq!(a.1, b.1, "{at} layer={l}: stats");
-                        let back = b.0.as_slice().as_ptr() as usize;
-                        assert_eq!(back, given.1[l], "{at} layer={l}: another buffer");
-                    }
+            let run = |owned: bool| {
+                let specs = specs.clone();
+                ThreadCluster::run(n, move |t| {
+                    let mut master = Rng::seed_from_u64(777);
+                    let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+                    let mut moved_in = Vec::new();
+                    let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
+                        .into_iter()
+                        .zip(&specs)
+                        .map(|(g, (_, scheme))| {
+                            moved_in.push(g.as_slice().as_ptr() as usize);
+                            match owned {
+                                true => eng.submit_owned(alg, g, scheme.build(), &mut master),
+                                false => eng.submit(alg, &g, scheme.build(), &mut master),
+                            }
+                        })
+                        .collect();
+                    let outs: Vec<_> = handles
+                        .into_iter()
+                        .map(|h| eng.wait(h).unwrap())
+                        .map(|(out, stats, _)| (out, counts(&stats)))
+                        .collect();
+                    (outs, moved_in, master.next_u64())
+                })
+                .unwrap()
+            };
+            for (rank, (lent, given)) in run(false).iter().zip(&run(true)).enumerate() {
+                let at = format!("{alg:?} n={n} rank={rank}");
+                assert_eq!(lent.2, given.2, "{at}: rng draws");
+                for (l, (a, b)) in lent.0.iter().zip(&given.0).enumerate() {
+                    let bits = |t: &Tensor| -> Vec<u32> {
+                        t.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&a.0), bits(&b.0), "{at} layer={l}");
+                    assert_eq!(a.0.shape(), b.0.shape(), "{at} layer={l}");
+                    assert_eq!(a.1, b.1, "{at} layer={l}: stats");
+                    let back = b.0.as_slice().as_ptr() as usize;
+                    assert_eq!(back, given.1[l], "{at} layer={l}: another buffer");
                 }
             }
         }
@@ -1736,8 +1405,7 @@ mod tests {
         // Lossy layers above `coalesce_elems`, cut into segments, each on
         // a machine of its own. SRA sums into its own chunk of the tensor
         // it returns: ranks 0 and 1 take no `f32` vector from the pool,
-        // ranks ≥ 2 one per segment for the prefix below them. The ring
-        // reduces in the returned tensor's chunk ranges and takes none.
+        // ranks ≥ 2 one per segment for the prefix below them.
         let qsgd = |bits, bucket_size| CompressionScheme::Qsgd { bits, bucket_size };
         let specs = vec![
             (5000, qsgd(4, 128)),
@@ -1748,9 +1416,8 @@ mod tests {
             segment_elems: 1500,
             ..EngineOptions::default()
         };
-        let sra = Algorithm::ScatterReduceAllgather;
-        let runs = [(sra, 2), (sra, 4)].into_iter();
-        for (alg, n) in runs.chain((2..=5).map(|n| (Algorithm::Ring, n))) {
+        let alg = Algorithm::ScatterReduceAllgather;
+        for n in [2usize, 4] {
             let specs = specs.clone();
             let idle = ThreadCluster::run(n, move |t| {
                 let pool = ScratchPool::new();
@@ -1774,14 +1441,14 @@ mod tests {
                 // A rank that stages may have every vector it took out in
                 // machines still in flight at any wait but the last, after
                 // which every prefix has come back.
-                let holds = if alg == sra && rank >= 2 {
+                let holds = if rank >= 2 {
                     after.last().is_some_and(|&k| k >= 1)
                 } else {
                     after.iter().all(|&k| k == 0)
                 };
                 assert!(
                     holds,
-                    "{alg:?} n={n} rank={rank}: idle f32 vectors after each wait {after:?}"
+                    "n={n} rank={rank}: idle f32 vectors after each wait {after:?}"
                 );
             }
         }
@@ -1922,9 +1589,9 @@ mod tests {
     #[test]
     fn lossless_phase_two_decodes_nothing_it_encoded() {
         // A lossless decode of the aggregate a rank just encoded would
-        // write back the bits already in its output. Per segment (SRA)
-        // or per op (Ring) a rank decodes its n − 1 peers' contributions
-        // and their n − 1 aggregates and nothing else, and the sum is
+        // write back the bits already in its output. Per segment a rank
+        // decodes its n − 1 peers' contributions and their n − 1
+        // aggregates and nothing else, and the sum is
         // still the reference's to the bit — ±∞ at shared indices too,
         // and the one NaN their opposite sums make.
         let specials = [
@@ -1936,11 +1603,11 @@ mod tests {
             f32::NEG_INFINITY,
             -1.5,
         ];
-        let sra = (2..=4).map(|n| (Algorithm::ScatterReduceAllgather, n, 5));
-        for (alg, n, segments) in sra.chain((2..=5).map(|n| (Algorithm::Ring, n, 1))) {
+        let alg = Algorithm::ScatterReduceAllgather;
+        for n in 2..=4 {
             for (rank, (s, e, calls)) in special_runs(alg, n, specials).iter().enumerate() {
-                assert_eq!(s, e, "{alg:?} n={n} rank={rank}");
-                assert_eq!(*calls, segments * 2 * (n - 1), "{alg:?} n={n} rank={rank}");
+                assert_eq!(s, e, "n={n} rank={rank}");
+                assert_eq!(*calls, 5 * 2 * (n - 1), "n={n} rank={rank}");
             }
         }
     }
@@ -1948,8 +1615,8 @@ mod tests {
     #[test]
     fn lossy_phase_two_decodes_nothing_it_encoded() {
         // Phase 2 commits the aggregate a rank encodes into its own
-        // chunk: per segment (SRA) or per op (Ring) it decodes its n − 1
-        // peers' contributions and their n − 1 aggregates and nothing
+        // chunk: per segment it decodes its n − 1 peers' contributions
+        // and their n − 1 aggregates and nothing
         // else, and what it keeps is what decoding its chunk back would
         // write, to the bit — a whole bucket of zeros and one holding ±∞
         // included. Uncut, that is the reference's sum; cut into five
@@ -1963,12 +1630,9 @@ mod tests {
             g.as_mut_slice()[2000 + rank] = [f32::INFINITY, f32::NEG_INFINITY][rank % 2];
             g
         };
-        let sra = (2..=4).flat_map(|n| [(1, n, 5000), (5, n, 1000)]);
-        let sra =
-            sra.map(|(segments, n, size)| (Algorithm::ScatterReduceAllgather, segments, n, size));
-        let ring = (2..=5).map(|n| (Algorithm::Ring, 1, n, 5000));
-        for (alg, segments, n, size) in sra.chain(ring) {
-            let what = format!("{alg:?} n={n} segments={segments}");
+        let alg = Algorithm::ScatterReduceAllgather;
+        for (segments, n, size) in (2..=4).flat_map(|n| [(1, n, 5000), (5, n, 1000)]) {
+            let what = format!("n={n} segments={segments}");
             let committed = engine_run(alg, n, size, &qsgd, &grad);
             let decoded = engine_run(alg, n, size, &decode_back, &grad);
             let reference = reference_run(alg, n, &qsgd, &grad);
@@ -2053,46 +1717,6 @@ mod tests {
             assert!(
                 matches!(err, Some(CommError::ShapeMismatch { .. })),
                 "rank {rank}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn wrong_length_ring_frames_are_typed_errors_too() {
-        // The ring's reduce hop and its relay hop both take frames from
-        // the left neighbour; rank 1 sends a short one on each in turn.
-        for phase in [PHASE_SCATTER, PHASE_BCAST] {
-            let gate = std::sync::Barrier::new(2);
-            let errs = ThreadCluster::run(2, |t| {
-                let g = Tensor::randn(&mut Rng::seed_from_u64(5), &[600]);
-                let tag = |phase| collective_tag_in_epoch(0, 0, phase, 0);
-                if t.rank() == 1 {
-                    if phase == PHASE_BCAST {
-                        // A well-formed reduce hop first, so rank 0 gets
-                        // as far as the relay.
-                        t.send_tagged(0, tag(PHASE_SCATTER), stray_frame(300))
-                            .unwrap();
-                    }
-                    t.send_tagged(0, tag(phase), stray_frame(7)).unwrap();
-                    gate.wait();
-                    return None;
-                }
-                let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
-                let h = eng.submit(
-                    Algorithm::Ring,
-                    &g,
-                    CompressionScheme::None.build(),
-                    &mut Rng::seed_from_u64(1),
-                );
-                let err = eng.wait(h).err();
-                gate.wait();
-                err
-            })
-            .unwrap();
-            assert!(
-                matches!(errs[0], Some(CommError::ShapeMismatch { .. })),
-                "phase {phase}: {:?}",
-                errs[0]
             );
         }
     }
@@ -2182,37 +1806,49 @@ mod tests {
     }
 
     #[test]
-    fn wrong_size_relay_payload_is_a_typed_error_too() {
-        // The ring's relay hop at world 2: rank 1 sends a well-formed
-        // reduce hop, then a relayed chunk of the right element count
-        // with a payload short of it or longer than QSGD writes.
-        for delta in [-1isize, 1] {
-            let gate = std::sync::Barrier::new(2);
-            let errs = ThreadCluster::run(2, |mut t| {
-                t.set_timeout(Duration::from_secs(2));
-                let g = Tensor::randn(&mut Rng::seed_from_u64(5), &[600]);
-                let tag = |phase| collective_tag_in_epoch(0, 0, phase, 0);
-                if t.rank() == 1 {
-                    let zeros = Tensor::zeros(&[300]);
-                    let hop = Q4.build().compress(&zeros, &mut Rng::seed_from_u64(0));
-                    t.send_tagged(0, tag(PHASE_SCATTER), hop).unwrap();
-                    t.send_tagged(0, tag(PHASE_BCAST), resized_frame(300, delta))
-                        .unwrap();
-                    gate.wait();
-                    return Ok(None);
+    fn wrong_frames_on_the_eager_paths_are_typed_errors() {
+        // Rank 0 of two submits 600 elements by a scheme the engine runs
+        // at submit, and rank 1 answers on the legacy lane with a frame of
+        // 7 elements, or of the count rank 0 receives first (the ring's
+        // 300-element chunk, the others' whole tensor) in half the payload
+        // the codec writes for it. Rank 0 must see `ShapeMismatch`, not
+        // the decoder's length assertion or "bit stream exhausted" (a
+        // panic still reaches the gate).
+        for alg in [
+            Algorithm::Ring,
+            Algorithm::Tree,
+            Algorithm::AllgatherBroadcast,
+        ] {
+            let want = if alg == Algorithm::Ring { 300 } else { 600 };
+            for scheme in [CompressionScheme::None, Q4] {
+                let bytes = |elems| scheme.build().compressed_bytes(elems);
+                for (elems, size) in [(7, bytes(7)), (want, bytes(want) / 2)] {
+                    let frame = Encoded::new(Shape::vector(elems), Bytes::from(vec![0u8; size]));
+                    let gate = std::sync::Barrier::new(2);
+                    let errs = ThreadCluster::run(2, |mut t| {
+                        t.set_timeout(Duration::from_secs(2));
+                        if t.rank() == 1 {
+                            t.send(0, frame.clone()).unwrap();
+                            gate.wait();
+                            return Ok(None);
+                        }
+                        let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+                        let g = Tensor::randn(&mut Rng::seed_from_u64(5), &[600]);
+                        let err = caught(|| {
+                            let h = eng.submit(alg, &g, scheme.build(), &mut Rng::seed_from_u64(1));
+                            eng.wait(h).err()
+                        });
+                        gate.wait();
+                        err
+                    })
+                    .unwrap();
+                    assert!(
+                        matches!(errs[0], Ok(Some(CommError::ShapeMismatch { .. }))),
+                        "{alg:?} {scheme:?}, {elems} elements in {size} bytes: {:?}",
+                        errs[0]
+                    );
                 }
-                let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
-                let h = eng.submit(Algorithm::Ring, &g, Q4.build(), &mut Rng::seed_from_u64(1));
-                let err = caught(|| eng.wait(h).err());
-                gate.wait();
-                err
-            })
-            .unwrap();
-            assert!(
-                matches!(errs[0], Ok(Some(CommError::ShapeMismatch { .. }))),
-                "delta {delta}: {:?}",
-                errs[0]
-            );
+            }
         }
     }
 
@@ -2268,7 +1904,11 @@ mod tests {
     #[test]
     fn eager_algorithms_match_sequential_through_engine() {
         let specs = layer_specs();
-        for alg in [Algorithm::Tree, Algorithm::AllgatherBroadcast] {
+        for alg in [
+            Algorithm::Ring,
+            Algorithm::Tree,
+            Algorithm::AllgatherBroadcast,
+        ] {
             let seq = run_sequential(alg, 4, &specs);
             let eng = run_engine(alg, 4, &specs, EngineOptions::default());
             assert_eq!(seq, eng, "{alg:?}");

@@ -58,12 +58,6 @@ impl Topology {
         Topology { node_of }
     }
 
-    /// Every rank on one node — the reduction degenerates to the two
-    /// intra-node hops around a leader exchange of one.
-    pub fn single_node(world: usize) -> Self {
-        Topology::new(vec![0; world])
-    }
-
     /// `nodes` nodes of `per_node` consecutive ranks each (the layout of
     /// a homogeneous cluster launched rank-major).
     ///
@@ -309,7 +303,7 @@ mod tests {
         // One node of two: the member ships 5 floats where the leader sums
         // into 4, then the leader fans 4 down where the member holds 5.
         // Each receiving rank gets `ShapeMismatch` naming the sender.
-        let topo = Topology::single_node(2);
+        let topo = Topology::grouped(1, 2);
         let outcomes = ThreadCluster::run(2, |t| {
             let leader = topo.is_leader(t.rank());
             let mut held = vec![Tensor::full(&[if leader { 4 } else { 5 }], 1.0)];
@@ -345,7 +339,7 @@ mod tests {
         assert_eq!(topo.node_peers(3), vec![2, 3, 4]);
         let grouped = Topology::grouped(2, 2);
         assert_eq!(grouped, Topology::new(vec![0, 0, 1, 1]));
-        assert_eq!(Topology::single_node(4).leaders(), vec![0]);
+        assert_eq!(Topology::grouped(1, 4).leaders(), vec![0]);
     }
 
     #[test]
@@ -392,7 +386,7 @@ mod tests {
 
     #[test]
     fn single_node_topology_skips_the_leader_exchange() {
-        let topo = Topology::single_node(3);
+        let topo = Topology::grouped(1, 3);
         let results = ThreadCluster::run(3, |t| {
             let mut rng = Rng::seed_from_u64(3);
             let grads = vec![Tensor::full(&[8], t.rank() as f32)];

@@ -18,13 +18,15 @@
 //! * [`ThreadCluster`] — spawn-and-join harness with panic containment,
 //! * [`engine`] — the one allreduce production code runs: the
 //!   layer-parallel communication engine, nonblocking submit/wait over
-//!   tag-multiplexed channels, chunk-pipelined SRA and Ring machines, and
+//!   tag-multiplexed channels, a chunk-pipelined SRA machine, and
 //!   small-layer coalescing (paper Section 4), parameterized by any
 //!   [`cgx_compress::Compressor`],
-//! * [`reduce`] — the sequential reference the engine is held to bit for
-//!   bit: Scatter-Reduce-Allgather, Ring, Tree and Allgather-broadcast
-//!   written straight down, faithfully reproducing where each scheme
-//!   re-quantizes (the compression-error differences of paper Figure 10),
+//! * [`reduce`] — the sequential reference the engine's SRA is held to
+//!   bit for bit: Scatter-Reduce-Allgather, Ring, Tree and
+//!   Allgather-broadcast written straight down, faithfully reproducing
+//!   where each scheme re-quantizes (the compression-error differences of
+//!   paper Figure 10); the engine runs the last three at submit, and every
+//!   chunk either receives passes one check ([`reduce`]'s `check_chunk`),
 //! * [`membership`] — membership-epoch agreement and the shrunken-world
 //!   [`membership::MembershipView`] behind elastic recovery,
 //! * [`framing`] — the seq+FNV checksummed frame format of the `cgx-net`

@@ -91,11 +91,6 @@ impl Membership {
         self.alive.iter().filter(|a| **a).count()
     }
 
-    /// Whether physical rank `rank` is still a member.
-    pub fn is_alive(&self, rank: usize) -> bool {
-        self.alive[rank]
-    }
-
     /// Surviving physical ranks in ascending order — the virtual->physical
     /// rank map.
     pub fn physical_ranks(&self) -> Vec<usize> {

@@ -2,13 +2,14 @@
 //! Section 3, "Reduction Schemes") and the subject of Figure 10.
 //!
 //! Production code reduces through [`crate::engine::CommEngine`], which runs
-//! SRA and Ring as nonblocking machines. [`allreduce_scratch`] is those
-//! schemes written straight down, one blocking collective at a time: what
+//! SRA as a nonblocking machine. [`allreduce_scratch`] is every scheme
+//! written straight down, one blocking collective at a time: what
 //! `engine_matches_sequential_loop_bitwise` and the stress and property
-//! suites hold the engine to, bit for bit, and what
-//! `fig10_reduction_schemes` counts kernels on. The Tree and Allgather
-//! bodies are also the engine's own eager path — it has no machine for
-//! them.
+//! suites hold the engine's SRA to, bit for bit, and what
+//! `fig10_reduction_schemes` counts kernels on. The Ring, Tree and
+//! Allgather bodies are also the engine's own eager path — it has no
+//! machine for them. Every chunk received here or by the engine passes
+//! `check_chunk` before a decoder reads it.
 //!
 //! All schemes are generic over the [`Compressor`], and each performs the
 //! decompress-sum-recompress dance exactly where a real implementation
@@ -38,7 +39,7 @@
 //! unfused implementation.
 
 use crate::error::CommError;
-use crate::transport::Transport;
+use crate::transport::{Tag, Transport, LEGACY_TAG};
 use cgx_compress::{Compressor, Encoded, ScratchPool};
 use cgx_tensor::{Rng, Tensor};
 use std::ops::Range;
@@ -138,6 +139,50 @@ pub fn chunk_ranges(len: usize, n: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// The one check every received chunk passes, in the engine and in the
+/// reference alike: `enc`, from `peer` on `tag`, must carry the `want`
+/// elements of its slot in a payload that passes `comp`'s
+/// [`Compressor::check_payload`] for them. The decoders assert the one and
+/// run out of bits on a short other, and socket bytes must fail the
+/// collective, not panic.
+///
+/// # Errors
+///
+/// [`CommError::ShapeMismatch`] naming the tag, the peer and the mismatch.
+pub(crate) fn check_chunk(
+    comp: &dyn Compressor,
+    enc: Encoded,
+    want: usize,
+    peer: usize,
+    tag: Tag,
+) -> Result<Encoded, CommError> {
+    let refuse = |detail: String| CommError::ShapeMismatch {
+        detail: format!("tag {tag:#x} from rank {peer}: {detail}"),
+    };
+    if enc.shape().len() != want {
+        let got = enc.shape().len();
+        return Err(refuse(format!("expected {want} elements, got {got}")));
+    }
+    match comp.check_payload(want, enc.payload()) {
+        Ok(()) => Ok(enc),
+        Err(bytes) => Err(refuse(format!(
+            "expected {bytes} payload bytes, got {}",
+            enc.payload_bytes()
+        ))),
+    }
+}
+
+/// The reference's receive: the next legacy-lane chunk from `peer`,
+/// through [`check_chunk`] for `want` elements.
+fn recv_chunk(
+    t: &dyn Transport,
+    comp: &dyn Compressor,
+    peer: usize,
+    want: usize,
+) -> Result<Encoded, CommError> {
+    check_chunk(comp, t.recv(peer)?, want, peer, LEGACY_TAG)
+}
+
 /// One blocking allreduce of `grad` by `alg` — the sequential reference
 /// (see the module docs) — drawing all encode buffers and accumulator
 /// scratch from `pool`. Returns the *sum*. `rng` is the collective's own
@@ -219,7 +264,7 @@ fn sra(
                 }
                 continue;
             }
-            let enc = timed(&mut stats.wait_ns, || t.recv(j))?;
+            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, comp, j, mine.len()))?;
             timed(&mut stats.decode_ns, || {
                 if j == 0 {
                     comp.decompress_into(&enc, &mut mine);
@@ -249,16 +294,7 @@ fn sra(
         if j == me || range.is_empty() {
             continue;
         }
-        let enc = timed(&mut stats.wait_ns, || t.recv(j))?;
-        if enc.shape().len() != range.len() {
-            return Err(CommError::ShapeMismatch {
-                detail: format!(
-                    "chunk {j}: expected {} elements, got {}",
-                    range.len(),
-                    enc.shape().len()
-                ),
-            });
-        }
+        let enc = timed(&mut stats.wait_ns, || recv_chunk(t, comp, j, range.len()))?;
         timed(&mut stats.decode_ns, || {
             comp.decompress_into(&enc, &mut out.as_mut_slice()[range.clone()])
         });
@@ -311,7 +347,7 @@ fn ring(
             t.send(right, enc)?;
         }
         if let Some(c) = chunks[recv_idx].as_mut() {
-            let enc = timed(&mut stats.wait_ns, || t.recv(left))?;
+            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, comp, left, c.len()))?;
             timed(&mut stats.decode_ns, || comp.decompress_add_into(&enc, c));
             stats.decompress_calls += 1;
             pool.recycle(enc);
@@ -337,8 +373,9 @@ fn ring(
         } else if !ranges[send_idx].is_empty() {
             unreachable!("chunk {send_idx} should have an encoding by step {s}");
         }
-        if !ranges[recv_idx].is_empty() {
-            let enc = timed(&mut stats.wait_ns, || t.recv(left))?;
+        let want = ranges[recv_idx].len();
+        if want > 0 {
+            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, comp, left, want))?;
             encs[recv_idx] = Some(enc);
         }
     }
@@ -364,9 +401,7 @@ fn ring(
 
 /// Binomial-tree Allreduce (hierarchical parameter server): reduce to rank
 /// 0 with a re-quantization per level, then relay rank 0's encoding down.
-/// Blocking; also what the engine runs eagerly at submit for
-/// [`Algorithm::Tree`].
-pub(crate) fn tree(
+fn tree(
     t: &dyn Transport,
     grad: &Tensor,
     comp: &mut dyn Compressor,
@@ -396,7 +431,9 @@ pub(crate) fn tree(
             break;
         }
         if me.is_multiple_of(2 * span) && me + span < n {
-            let enc = timed(&mut stats.wait_ns, || t.recv(me + span))?;
+            let enc = timed(&mut stats.wait_ns, || {
+                recv_chunk(t, comp, me + span, acc.len())
+            })?;
             timed(&mut stats.decode_ns, || {
                 comp.decompress_add_into(&enc, acc.as_mut_slice())
             });
@@ -423,7 +460,9 @@ pub(crate) fn tree(
         let mut s = top / 2;
         while s >= 1 {
             if s == recv_span {
-                enc = Some(timed(&mut stats.wait_ns, || t.recv(me - s))?);
+                enc = Some(timed(&mut stats.wait_ns, || {
+                    recv_chunk(t, comp, me - s, grad.len())
+                })?);
                 break;
             }
             s /= 2;
@@ -451,9 +490,7 @@ pub(crate) fn tree(
 
 /// Allgather-broadcast (the GRACE implementation strategy): every rank
 /// broadcasts its compressed gradient; everyone decodes and sums all `n`.
-/// Blocking; also what the engine runs eagerly at submit for
-/// [`Algorithm::AllgatherBroadcast`].
-pub(crate) fn gather(
+fn gather(
     t: &dyn Transport,
     grad: &Tensor,
     comp: &mut dyn Compressor,
@@ -480,7 +517,9 @@ pub(crate) fn gather(
     encs[me] = Some(enc);
     for (j, slot) in encs.iter_mut().enumerate() {
         if j != me {
-            *slot = Some(timed(&mut stats.wait_ns, || t.recv(j))?);
+            *slot = Some(timed(&mut stats.wait_ns, || {
+                recv_chunk(t, comp, j, grad.len())
+            })?);
         }
     }
     let mut out = Tensor::zeros(grad.shape().dims());

@@ -39,10 +39,6 @@ fn build_compressors(schemes: &[CompressionScheme]) -> Compressors {
 /// typed error instead of one of them panicking mid-run.
 fn validate(cfg: &TrainConfig, n_params: usize, world: usize) -> Result<(), CommError> {
     let topo_world = cfg.topology.as_ref().map(|topo| topo.world());
-    let pipelined = matches!(
-        cfg.algorithm,
-        Algorithm::ScatterReduceAllgather | Algorithm::Ring
-    );
     let detail = if let Err(e) = cfg.compression.validate(n_params) {
         e.to_string()
     } else if cfg.accumulation == 0 {
@@ -51,8 +47,8 @@ fn validate(cfg: &TrainConfig, n_params: usize, world: usize) -> Result<(), Comm
         format!("topology describes {described} ranks but the fabric has {world}")
     } else if cfg.elastic && topo_world.is_some() {
         "hierarchical reduction has no membership path; disable elastic or topology".into()
-    } else if cfg.elastic && !pipelined {
-        "elastic recovery requires an epoch-scoped pipelined algorithm (SRA or Ring)".into()
+    } else if cfg.elastic && cfg.algorithm != Algorithm::ScatterReduceAllgather {
+        "elastic recovery needs the engine's epoch-scoped lanes, which only SRA runs on".into()
     } else {
         return Ok(());
     };

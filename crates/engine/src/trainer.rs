@@ -248,8 +248,9 @@ pub struct TrainConfig {
     /// [`local_sgd_rank`](crate::local_sgd_rank).
     pub clip: Option<f64>,
     /// Reduction algorithm of the round's engine exchange in the flat (no
-    /// [`TrainConfig::topology`]) world; SRA and Ring run as pipelined
-    /// machines, Tree and Allgather eagerly at submit.
+    /// [`TrainConfig::topology`]) world; SRA runs as the engine's
+    /// pipelined machine, Ring, Tree and Allgather as their sequential
+    /// reference, eagerly at submit.
     pub algorithm: Algorithm,
     /// Per-layer compression policy.
     pub compression: LayerCompression,
@@ -268,8 +269,8 @@ pub struct TrainConfig {
     /// Shrink-and-continue recovery: when `true`, an unrecoverable peer
     /// loss triggers membership agreement and training continues on the
     /// surviving world instead of failing. Recovery relies on the engine's
-    /// epoch-scoped message lanes, so it requires an SRA or Ring
-    /// `algorithm` and no `topology`.
+    /// epoch-scoped message lanes, which only SRA runs on, so it requires
+    /// the SRA `algorithm` and no `topology`.
     pub elastic: bool,
     /// Override for the transport receive timeout — the budget after
     /// which a silent peer is declared lost. `None` keeps the fabric
@@ -1224,44 +1225,56 @@ mod tests {
         // `cgx-launch --nodes`), an elastic run without epoch-scoped lanes
         // and a zero accumulation are the same class of mistake as the
         // per-layer list above and fail the same way: typed, up front, on
-        // every rank — not an `assert!` that takes one rank down.
+        // every rank of a two-rank world — not an `assert!` that takes one
+        // rank down. An elastic Ring is refused like an elastic Tree: the
+        // engine runs both at submit, on the legacy lane.
         let task = GaussianMixture::new(3, 6, 1.5);
         let mut rng = Rng::seed_from_u64(55);
         let model = Mlp::new(&mut rng, &[6, 10, 3]);
         type Tweak = fn(&mut TrainConfig);
-        let cases: [(Tweak, &str); 4] = [
+        let cases: [(Tweak, &str); 5] = [
             (
                 |c| c.topology = Some(Topology::grouped(2, 2)),
-                "topology describes 4 ranks but the fabric has 1",
+                "topology describes 4 ranks but the fabric has 2",
             ),
             (
                 |c| {
                     c.elastic = true;
                     c.algorithm = Algorithm::Tree;
                 },
-                "SRA or Ring",
+                "only SRA",
             ),
             (
                 |c| {
                     c.elastic = true;
-                    c.topology = Some(Topology::grouped(1, 1));
+                    c.algorithm = Algorithm::Ring;
+                },
+                "only SRA",
+            ),
+            (
+                |c| {
+                    c.elastic = true;
+                    c.topology = Some(Topology::grouped(1, 2));
                 },
                 "no membership path",
             ),
             (|c| c.accumulation = 0, "accumulation"),
         ];
+        let sampler = |r: &mut Rng| task.sample_batch(r, 8);
         for (tweak, want) in cases {
-            let mut cfg = TrainConfig::new(1, 5);
+            let mut cfg = TrainConfig::new(2, 5);
             tweak(&mut cfg);
-            let t = task.clone();
-            match train_data_parallel(&model, move |r| t.sample_batch(r, 8), &cfg) {
-                Err(CommError::InvalidConfig { detail }) => {
-                    assert!(detail.contains(want), "detail: {detail}")
+            let errs = ThreadCluster::run(2, |t| {
+                train_rank(&t, &model, &sampler, &cfg, &ScratchPool::new()).err()
+            })
+            .unwrap();
+            for (rank, err) in errs.into_iter().enumerate() {
+                match err {
+                    Some(CommError::InvalidConfig { detail }) => {
+                        assert!(detail.contains(want), "rank {rank}: {detail}")
+                    }
+                    other => panic!("rank {rank}: expected InvalidConfig ({want}), got {other:?}"),
                 }
-                other => panic!(
-                    "expected InvalidConfig ({want}), got {:?}",
-                    other.map(|_| ())
-                ),
             }
         }
     }

@@ -66,12 +66,6 @@ impl ReconnectPolicy {
         }
     }
 
-    /// Defaults tuned for loopback/cluster fabrics: 5 attempts backing
-    /// off from 20ms toward a 1s cap.
-    pub fn default_for(seed: u64) -> Self {
-        ReconnectPolicy::new(Duration::from_millis(20), Duration::from_secs(1), 5, seed)
-    }
-
     /// Delay before dial attempt `attempt` (0-based). Pure integer math:
     /// `min(cap, base * 2^attempt * (1 + jitter/2))` with
     /// `jitter in [0, 1)` drawn from `splitmix64(seed ^ attempt)`.

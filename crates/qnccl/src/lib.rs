@@ -136,7 +136,8 @@ impl FusedBuffer {
 /// uniformly quantized, oblivious to the layer structure inside the buffer.
 ///
 /// It runs as the one ring the stack has, a [`CommEngine`] collective
-/// under [`Algorithm::Ring`], and owns a scratch pool, so repeated calls
+/// under [`Algorithm::Ring`] (which the engine runs at submit, as its
+/// sequential reference), and owns a scratch pool, so repeated calls
 /// reuse encode buffers instead of allocating per step.
 #[derive(Debug, Clone)]
 pub struct QncclRing {
