@@ -185,7 +185,10 @@ mod tests {
         // warm-started subspace converges, shrinking the error.
         let u = Tensor::randn(&mut rng, &[30, 2]);
         let v = Tensor::randn(&mut rng, &[2, 20]);
-        let base = matmul(&u, &v);
+        let mut base = matmul(&u, &v);
+        // Without the noise both errors would be f32 rounding alone, and
+        // their order an accident of where the products round.
+        base.axpy(1e-4, &Tensor::randn(&mut rng, &[30, 20]));
         let mut c = PowerSgdCompressor::new(2);
         let mut first_err = None;
         let mut last_err = 0.0;

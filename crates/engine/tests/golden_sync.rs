@@ -6,9 +6,11 @@
 //! at v0.12.0, when a `TrainConfig` flag still chose between the engine
 //! and one blocking allreduce per layer: every row was run under both
 //! settings and the two agreed, which is what the two fork-parity tests
-//! deleted with the blocking branch used to compare. A row that moves
-//! means the sync path changed bytes — re-record only for a change that
-//! says it re-baselines them.
+//! deleted with the blocking branch used to compare. The parameter
+//! digests were re-recorded once, at v0.34.0, when every matrix product
+//! began to fuse its multiply-adds (the plans did not move). A row that
+//! moves means the sync path changed bytes — re-record only for a change
+//! that says it re-baselines them.
 
 use cgx_collectives::Topology;
 use cgx_engine::data::GaussianMixture;
@@ -62,7 +64,7 @@ const GOLDEN: &[Golden] = &[
         trainer: Trainer::DataParallel,
         steps: 30,
         tweak: |_| {},
-        params: 0x4945_82B3_09BA_AAB9,
+        params: 0x523A_72FF_FBCF_25C6,
         plan: None,
     },
     Golden {
@@ -70,7 +72,7 @@ const GOLDEN: &[Golden] = &[
         trainer: Trainer::DataParallel,
         steps: 40,
         tweak: |cfg| cfg.adaptive = kmeans(),
-        params: 0x19AB_9E93_B409_9D7A,
+        params: 0x9850_AB1C_1851_CB00,
         plan: Some(0xF30F_B92A_2506_12C1),
     },
     Golden {
@@ -78,7 +80,7 @@ const GOLDEN: &[Golden] = &[
         trainer: Trainer::DataParallel,
         steps: 30,
         tweak: |cfg| cfg.topology = Some(Topology::grouped(2, 2)),
-        params: 0x1B46_4B38_ABE8_5909,
+        params: 0x1603_6681_B14E_C9CE,
         plan: None,
     },
     // Every rank its own node: no member, so no hop, and every rank in the
@@ -88,7 +90,7 @@ const GOLDEN: &[Golden] = &[
         trainer: Trainer::DataParallel,
         steps: 30,
         tweak: |cfg| cfg.topology = Some(Topology::new(vec![0, 1, 2, 3])),
-        params: 0x4945_82B3_09BA_AAB9,
+        params: 0x523A_72FF_FBCF_25C6,
         plan: None,
     },
     Golden {
@@ -100,7 +102,7 @@ const GOLDEN: &[Golden] = &[
             cfg.elastic = true;
             cfg.comm_timeout = Some(Duration::from_millis(300));
         },
-        params: 0x7A35_AAB0_500F_0EFF,
+        params: 0x1DD1_9275_9BBC_C2AF,
         plan: None,
     },
     Golden {
@@ -108,7 +110,7 @@ const GOLDEN: &[Golden] = &[
         trainer: Trainer::LocalSgd { period: 7 },
         steps: 45,
         tweak: |_| {},
-        params: 0x5DC8_3131_1F1E_8625,
+        params: 0x5782_F18F_27FE_3921,
         plan: None,
     },
     Golden {
@@ -116,7 +118,7 @@ const GOLDEN: &[Golden] = &[
         trainer: Trainer::LocalSgd { period: 7 },
         steps: 150,
         tweak: |cfg| cfg.adaptive = kmeans(),
-        params: 0x59F2_9C5C_BD83_0DB3,
+        params: 0x6CFB_2C1D_A606_7DA5,
         plan: Some(0x3CED_7FA3_E7A1_9D7E),
     },
 ];

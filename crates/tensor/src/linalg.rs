@@ -6,13 +6,21 @@
 //! row-major [`Tensor`] matrices.
 //!
 //! The three products are one register-tiled kernel run at the CPU's vector
-//! width, and every element they return is nevertheless the scalar dot
-//! product: its `k` products, each rounded, added one at a time in
-//! ascending `k` starting from `+0.0`, never fused — on every CPU, bit for
-//! bit. No term is skipped, so a zero factor does not hide an infinite or
-//! NaN one: `0 · ∞` makes the sum NaN, as IEEE 754 says. (For finite
-//! operands skipping zero terms would change no bit: a sum that starts at
-//! `+0.0` can never become `-0.0`, and adding `±0.0` to it is the identity.)
+//! width, and every element they return is nevertheless one scalar loop:
+//! its `k` products, each fused with the running sum in one rounding
+//! (`sum = a.mul_add(b, sum)`), in ascending `k` starting from `+0.0` — on
+//! every CPU, bit for bit. Where the CPU has no fused multiply-add the
+//! portable build still computes exactly that, through libm's `fmaf`, and
+//! is several times slower. No term is skipped, so a zero factor does not
+//! hide an infinite or NaN one: `0 · ∞` makes the sum NaN, as IEEE 754
+//! says. (For finite operands skipping zero terms would change no bit: a
+//! sum that starts at `+0.0` can never become `-0.0`, and fusing `±0.0`
+//! into it is the identity.)
+//!
+//! Under AVX-512F a register tile is 8 rows of 32 columns, sixteen
+//! accumulators; under AVX2 and in the portable build 4 rows of 16. A
+//! transposed right operand (`matmul_nt`) is first packed row-major, in
+//! 8 x 8 blocks read as runs of eight consecutive elements.
 
 use crate::Tensor;
 
@@ -104,11 +112,6 @@ impl<'a> Strided<'a> {
     }
 }
 
-/// Rows of `C` in a register tile: with [`gemm`]'s two registers of
-/// columns, eight accumulators — half of AVX2's sixteen registers, the
-/// other half holds the operands.
-const MR: usize = 4;
-
 /// Rows of `C` finished before the strips start over. Walking a strip down
 /// all of a tall `C` touches one page per row and comes back to each for
 /// every strip; 64 rows are what the first-level TLB still maps.
@@ -117,62 +120,69 @@ const MC: usize = 64;
 /// `C = A · B` into the row-major `m x n` `c`, `A` being `m x k` and `B`
 /// `k x n` — the one product behind [`matmul`], [`matmul_tn`] and
 /// [`matmul_nt`], compiled three times and run at the widest vector width
-/// the CPU has.
+/// the CPU fuses multiply-adds at.
 ///
-/// It keeps the module's promise — each `C[i][j]` the scalar sum of its
-/// products in ascending `k` — by running the vector lanes across `j`: a
-/// lane performs exactly that sequence for one element, so the register
-/// width changes no bit, and a tile of several rows cannot skip a term
-/// for one of them.
+/// It keeps the module's promise — each `C[i][j]` the fused multiply-adds
+/// of its products in ascending `k` — by running the vector lanes across
+/// `j`: a lane performs exactly that sequence for one element, so the
+/// register width changes no bit, and a tile of several rows cannot skip a
+/// term for one of them.
 fn gemm(m: usize, n: usize, k: usize, a: Strided, b: Strided, c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F support was just verified at runtime.
-            return unsafe { gemm_avx512(m, n, k, a, b, c) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { gemm_avx2(m, n, k, a, b, c) };
+        if std::arch::is_x86_feature_detected!("fma") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F and FMA support were just verified at runtime.
+                return unsafe { gemm_avx512(m, n, k, a, b, c) };
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 and FMA support were just verified at runtime.
+                return unsafe { gemm_avx2(m, n, k, a, b, c) };
+            }
         }
     }
     gemm_portable(m, n, k, a, b, c)
 }
 
-/// [`gemm_tiled`] with tiles of two 16-lane registers a row.
+/// [`gemm_tiled`] with tiles of 8 rows of two 16-lane registers: sixteen
+/// of the 32 registers accumulate, the rest hold the operands.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX-512F.
+/// The CPU must support AVX-512F and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,fma")]
 unsafe fn gemm_avx512(m: usize, n: usize, k: usize, a: Strided, b: Strided, c: &mut [f32]) {
-    gemm_tiled::<32>(m, n, k, a, b, c)
+    gemm_tiled::<8, 32>(m, n, k, a, b, c)
 }
 
-/// [`gemm_tiled`] with tiles of two 8-lane registers a row.
+/// [`gemm_tiled`] with tiles of 4 rows of two 8-lane registers: eight of
+/// the sixteen registers accumulate.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2.
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_avx2(m: usize, n: usize, k: usize, a: Strided, b: Strided, c: &mut [f32]) {
-    gemm_tiled::<16>(m, n, k, a, b, c)
+    gemm_tiled::<4, 16>(m, n, k, a, b, c)
 }
 
-/// [`gemm_tiled`] at whatever width the build target guarantees.
+/// [`gemm_tiled`] for a CPU without the two routes above. Its multiply-adds
+/// are `f32::mul_add`, correctly rounded on every target; where the build
+/// target has no fused instruction each one is a call into libm's `fmaf`,
+/// several times slower than a multiply and an add.
 fn gemm_portable(m: usize, n: usize, k: usize, a: Strided, b: Strided, c: &mut [f32]) {
-    gemm_tiled::<16>(m, n, k, a, b, c)
+    gemm_tiled::<4, 16>(m, n, k, a, b, c)
 }
 
 /// Covers `C` with register tiles, [`MC`] rows at a time: strips of `NR`
 /// columns, then of each smaller power of two for what is left of `n` (so
 /// a narrow `C` — PowerSGD's rank-wide factors — is tiled like any other);
-/// down a strip, tiles of [`MR`] rows, then single rows for what is left
-/// of `m`.
+/// down a strip, tiles of `MR` rows, then one of 4 rows if `MR` is larger
+/// and 4 are left, then single rows for what is left of `m`.
 #[inline(always)]
-fn gemm_tiled<const NR: usize>(
+fn gemm_tiled<const MR: usize, const NR: usize>(
     m: usize,
     n: usize,
     k: usize,
@@ -188,25 +198,24 @@ fn gemm_tiled<const NR: usize>(
     // Where `B`'s columns are strided (`matmul_nt`), each strip of it is
     // packed row-major here first: `k x NR` stays in the first-level cache
     // while every tile of the strip reads it. A strip is packed again for
-    // each `MC` rows; moving its `k * NR` elements is a sixth of the time
-    // of the `MC * k * NR` multiply-adds they then feed.
+    // each `MC` rows.
     let mut panel = vec![0.0f32; if b.col == 1 { 0 } else { k * NR }];
     for (a_rows, c) in (0..m).step_by(MC).zip(c.chunks_mut(MC * n.max(1))) {
         let a = a.rows_from(a_rows);
         let mut j = 0;
-        j = strips::<NR>(j, n, k, a, b, c, &mut panel);
-        j = strips::<16>(j, n, k, a, b, c, &mut panel);
-        j = strips::<8>(j, n, k, a, b, c, &mut panel);
-        j = strips::<4>(j, n, k, a, b, c, &mut panel);
-        j = strips::<2>(j, n, k, a, b, c, &mut panel);
-        strips::<1>(j, n, k, a, b, c, &mut panel);
+        j = strips::<MR, NR>(j, n, k, a, b, c, &mut panel);
+        j = strips::<MR, 16>(j, n, k, a, b, c, &mut panel);
+        j = strips::<MR, 8>(j, n, k, a, b, c, &mut panel);
+        j = strips::<MR, 4>(j, n, k, a, b, c, &mut panel);
+        j = strips::<MR, 2>(j, n, k, a, b, c, &mut panel);
+        strips::<MR, 1>(j, n, k, a, b, c, &mut panel);
     }
 }
 
 /// The strips of `W` columns that fit in `n` from column `j` on, down all
 /// the rows of `c`; returns the first column they leave.
 #[inline(always)]
-fn strips<const W: usize>(
+fn strips<const MR: usize, const W: usize>(
     mut j: usize,
     n: usize,
     k: usize,
@@ -219,16 +228,7 @@ fn strips<const W: usize>(
         let (b, b_row) = if b.col == 1 {
             (&b.data[j..], b.row)
         } else {
-            // Eight rows of the panel at a time, so that the block being
-            // written and the `W` lines being read both stay cached.
-            for (block, rows) in panel[..k * W].chunks_mut(8 * W).enumerate() {
-                for l in 0..W {
-                    let column = &b.data[(j + l) * b.col + block * 8 * b.row..];
-                    for (p, row) in rows.chunks_exact_mut(W).enumerate() {
-                        row[l] = column[p * b.row];
-                    }
-                }
-            }
+            pack::<W>(k, b, j, &mut panel[..k * W]);
             (&*panel, W)
         };
         let m = c.len() / n;
@@ -236,6 +236,10 @@ fn strips<const W: usize>(
         while i + MR <= m {
             tile::<MR, W>(k, a.rows_from(i), b, b_row, &mut c[i * n + j..], n);
             i += MR;
+        }
+        if MR > 4 && i + 4 <= m {
+            tile::<4, W>(k, a.rows_from(i), b, b_row, &mut c[i * n + j..], n);
+            i += 4;
         }
         while i < m {
             tile::<1, W>(k, a.rows_from(i), b, b_row, &mut c[i * n + j..], n);
@@ -246,10 +250,42 @@ fn strips<const W: usize>(
     j
 }
 
+/// Columns `j..j + W` of `b` row-major into the `k x W` `panel`, where
+/// `b` is a transpose (its rows 1 apart, so that each of its columns is
+/// `k` consecutive elements). The panel fills in 8 x 8 blocks: eight runs
+/// of eight elements, each contiguous in `b`, become eight runs contiguous
+/// in the panel. What the blocks leave, the last `k % 8` rows and a strip
+/// narrower than 8, is moved one element at a time.
+#[inline(always)]
+fn pack<const W: usize>(k: usize, b: Strided, j: usize, panel: &mut [f32]) {
+    assert_eq!(b.row, 1, "a packed operand is a transpose");
+    let (blocks_k, blocks_w) = (k / 8 * 8, W / 8 * 8);
+    for l0 in (0..blocks_w).step_by(8) {
+        for p0 in (0..blocks_k).step_by(8) {
+            let mut block = [[0.0f32; 8]; 8];
+            for (l, run) in block.iter_mut().enumerate() {
+                run.copy_from_slice(&b.data[(j + l0 + l) * b.col + p0..][..8]);
+            }
+            for p in 0..8 {
+                let row = &mut panel[(p0 + p) * W + l0..][..8];
+                for l in 0..8 {
+                    row[l] = block[l][p];
+                }
+            }
+        }
+    }
+    for l in 0..W {
+        let from = if l < blocks_w { blocks_k } else { 0 };
+        for p in from..k {
+            panel[p * W + l] = b.data[(j + l) * b.col + p];
+        }
+    }
+}
+
 /// One `R x W` tile of `C`, its rows `c_row` apart from `c[0]` on, from the
 /// first `R` rows of `a` and the first `W` columns of the row-major `b` —
 /// the only accumulation in this module, in the order its first page
-/// promises: `k` innermost, ascending, a multiply and then an add.
+/// promises: `k` innermost, ascending, one fused multiply-add each.
 #[inline(always)]
 fn tile<const R: usize, const W: usize>(
     k: usize,
@@ -259,15 +295,34 @@ fn tile<const R: usize, const W: usize>(
     c: &mut [f32],
     c_row: usize,
 ) {
+    // The last element of each operand the loop reads, checked once here
+    // instead of at every `k` step (`k` is at least 1).
+    let last = |rows: usize, row: usize, cols: usize, col: usize| {
+        (rows - 1)
+            .checked_mul(row)?
+            .checked_add((cols - 1).checked_mul(col)?)
+    };
+    let (a_last, b_last) = (last(R, a.row, k, a.col), last(k, b_row, W, 1));
+    assert!(
+        a_last.is_some_and(|at| at < a.data.len()) && b_last.is_some_and(|at| at < b.len()),
+        "tile bounds"
+    );
+    // The tile is rebuilt whole at each `k` step: written as an update in
+    // place, LLVM leaves an 8 x 32 one in memory and fuses one lane at a
+    // time.
     let mut acc = [[0.0f32; W]; R];
     for p in 0..k {
-        let b_p: &[f32; W] = b[p * b_row..][..W].try_into().expect("W columns");
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let x = a.data[r * a.row + p * a.col];
-            for (sum, y) in acc_r.iter_mut().zip(b_p) {
-                *sum += x * y;
+        // SAFETY: `p * b_row + W - 1 <= b_last`, in bounds by the check above.
+        let b_p = unsafe { &*b.as_ptr().add(p * b_row).cast::<[f32; W]>() };
+        let mut next = [[0.0f32; W]; R];
+        for r in 0..R {
+            // SAFETY: `r * a.row + p * a.col <= a_last`, in bounds likewise.
+            let x = unsafe { *a.data.get_unchecked(r * a.row + p * a.col) };
+            for l in 0..W {
+                next[r][l] = x.mul_add(b_p[l], acc[r][l]);
             }
         }
+        acc = next;
     }
     for (r, acc_r) in acc.iter().enumerate() {
         c[r * c_row..][..W].copy_from_slice(acc_r);
@@ -334,14 +389,15 @@ mod tests {
         let mut all: Vec<(&'static str, Gemm)> = vec![("portable", gemm_portable)];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                all.push(("avx2", |m, n, k, a, b, c| unsafe {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") && has!("fma") {
+                // SAFETY: AVX2 and FMA support were just verified at runtime.
+                all.push(("avx2+fma", |m, n, k, a, b, c| unsafe {
                     gemm_avx2(m, n, k, a, b, c)
                 }));
             }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F support was just verified at runtime.
+            if has!("avx512f") && has!("fma") {
+                // SAFETY: AVX-512F and FMA support were just verified at runtime.
                 all.push(("avx512", |m, n, k, a, b, c| unsafe {
                     gemm_avx512(m, n, k, a, b, c)
                 }));
@@ -364,8 +420,12 @@ mod tests {
 
     #[test]
     fn every_variant_equals_the_scalar_sum_bit_for_bit() {
-        const DIMS: [usize; 13] = [0, 1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 64, 70];
+        const DIMS: [usize; 18] = [
+            0, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32, 33, 64, 70,
+        ];
         let variants = variants();
+        let names: Vec<_> = variants.iter().map(|(name, _)| *name).collect();
+        println!("gemm routes run: {names:?}");
         cases(400, |rng| {
             let [m, n, k] = [(); 3].map(|_| DIMS[rng.index(DIMS.len())]);
             let (a, b) = (operand(rng, m * k), operand(rng, k * n));
@@ -380,7 +440,8 @@ mod tests {
                 for (at, sum) in want.iter_mut().enumerate() {
                     let (i, j) = (at / n, at % n);
                     for p in 0..k {
-                        *sum += a.data[i * a.row + p * a.col] * b.data[p * b.row + j * b.col];
+                        let (x, y) = (a.data[i * a.row + p * a.col], b.data[p * b.row + j * b.col]);
+                        *sum = x.mul_add(y, *sum);
                     }
                 }
                 for (name, gemm) in &variants {
@@ -390,7 +451,7 @@ mod tests {
                     for (at, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert!(
                             g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                            "{name} {m}x{n}x{k} strides a {}/{} b {}/{}: element {at} is {g:e}, the scalar sum {w:e}",
+                            "{name} {m}x{n}x{k} strides a {}/{} b {}/{}: element {at} is {g:e}, the scalar mul_add sum {w:e}",
                             a.row, a.col, b.row, b.col
                         );
                     }

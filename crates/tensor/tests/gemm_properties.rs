@@ -1,17 +1,16 @@
-//! The three matrix products against the scalar sums they replaced, bit
-//! for bit. Every `C[i][j]` must be its `k` products added one at a time
-//! in ascending `k` from `+0.0` — the contract that lets the vectorised
-//! kernel behind `matmul` / `matmul_tn` / `matmul_nt` stand in for a
-//! scalar loop without moving a digest anywhere above it. The per-variant
-//! half of this (every compiled body the CPU can run, and the zero-sized
-//! dimensions a `Shape` cannot express) is `linalg::tests`, which can
-//! reach the private entries.
+//! The three matrix products against a scalar loop, bit for bit. Every
+//! `C[i][j]` must be its `k` fused multiply-adds in ascending `k` from
+//! `+0.0` — the contract that lets the vectorised kernel behind `matmul` /
+//! `matmul_tn` / `matmul_nt` stand in for a scalar loop on every CPU,
+//! whatever its vector width. The per-variant half of this (every compiled
+//! body the CPU can run, and the zero-sized dimensions a `Shape` cannot
+//! express) is `linalg::tests`, which can reach the private entries.
 
 use cgx_tensor::{cases, matmul, matmul_nt, matmul_tn, Rng, Tensor};
 
-/// Tile multiples of every variant (4 rows; 16 or 32 columns), their
-/// neighbours, and sizes that are all edge.
-const DIMS: [usize; 12] = [1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 64, 70];
+/// Tile multiples of every variant (4 or 8 rows; 16 or 32 columns; packed
+/// blocks of 8), their neighbours, and sizes that are all edge.
+const DIMS: [usize; 17] = [1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32, 33, 64, 70];
 
 /// Mostly unit Gaussians; one element in eight is a signed zero, a
 /// subnormal or `f32::MAX`, whose products overflow and cancel to NaN.
@@ -37,15 +36,15 @@ fn transposed(t: &Tensor) -> Tensor {
     out
 }
 
-/// `A · B` as the scalar loops computed it: ascending `k`, from `+0.0`,
-/// no term skipped.
+/// `A · B` as a scalar loop of fused multiply-adds: ascending `k`, from
+/// `+0.0`, no term skipped.
 fn reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
     let ((m, k), (_, n)) = (a.shape().as_matrix(), b.shape().as_matrix());
     let mut c = vec![0.0f32; m * n];
     for i in 0..m {
         for j in 0..n {
             for p in 0..k {
-                c[i * n + j] += a[i * k + p] * b[p * n + j];
+                c[i * n + j] = a[i * k + p].mul_add(b[p * n + j], c[i * n + j]);
             }
         }
     }
@@ -58,7 +57,7 @@ fn assert_same_bits(what: &str, got: &Tensor, want: &[f32]) {
     for (at, (g, w)) in got.as_slice().iter().zip(want).enumerate() {
         assert!(
             g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-            "{what} {}: element {at} is {g:e}, the scalar sum {w:e}",
+            "{what} {}: element {at} is {g:e}, the scalar mul_add sum {w:e}",
             got.shape()
         );
     }
