@@ -1538,20 +1538,18 @@ mod tests {
         fn name(&self) -> String {
             self.0.name()
         }
-        fn compress(&mut self, grad: &Tensor, rng: &mut Rng) -> Encoded {
-            self.0.compress(grad, rng)
+        fn encode(
+            &mut self,
+            shape: Shape,
+            offset: usize,
+            data: &[f32],
+            rng: &mut Rng,
+            pool: &ScratchPool,
+        ) -> Encoded {
+            self.0.encode(shape, offset, data, rng, pool)
         }
-        fn compress_slice(&mut self, data: &[f32], rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-            self.0.compress_slice(data, rng, pool)
-        }
-        fn decompress(&self, enc: &Encoded) -> Tensor {
-            self.0.decompress(enc)
-        }
-        fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
-            self.0.decompress_into(enc, out)
-        }
-        fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
-            self.0.decompress_add_into(enc, out)
+        fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+            self.0.decode(enc, out, add)
         }
         fn compressed_bytes(&self, n: usize) -> usize {
             self.0.compressed_bytes(n)

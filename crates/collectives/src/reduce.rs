@@ -415,7 +415,7 @@ fn tree(
         return Ok((grad.clone(), stats));
     }
     stats.max_in_flight = 1;
-    // Full-shape compression (compress_pooled, not compress_slice) so
+    // Whole-tensor encodes (the tensor's shape, not a slice's) so
     // shape-sensitive codecs see the original tensor geometry.
     let mut acc = grad.clone();
     // Reduce up the tree.
@@ -423,7 +423,7 @@ fn tree(
     while span < n {
         if me % (2 * span) == span {
             let enc = timed(&mut stats.compress_ns, || {
-                comp.compress_pooled(&acc, rng, pool)
+                comp.encode(acc.shape().clone(), 0, acc.as_slice(), rng, pool)
             });
             stats.compress_calls += 1;
             stats.bytes_sent += enc.payload_bytes();
@@ -449,7 +449,7 @@ fn tree(
     }
     let root_enc: Encoded = if me == 0 {
         let enc = timed(&mut stats.compress_ns, || {
-            comp.compress_pooled(&acc, rng, pool)
+            comp.encode(acc.shape().clone(), 0, acc.as_slice(), rng, pool)
         });
         stats.compress_calls += 1;
         enc
@@ -505,7 +505,7 @@ fn gather(
     }
     stats.max_in_flight = 1;
     let enc = timed(&mut stats.compress_ns, || {
-        comp.compress_pooled(grad, rng, pool)
+        comp.encode(grad.shape().clone(), 0, grad.as_slice(), rng, pool)
     });
     stats.compress_calls += 1;
     stats.bytes_sent += enc.payload_bytes() * (n - 1);

@@ -204,7 +204,7 @@ impl BitWriter {
     /// otherwise. The payload is bit-identical either way.
     pub fn write_run(&mut self, values: &[u32], width: u32) {
         let run_bits = values.len() * width as usize;
-        if self.acc_bits == 0 && is_word_packable(width) && run_bits % 8 == 0 {
+        if self.acc_bits == 0 && is_word_packable(width) && run_bits.is_multiple_of(8) {
             pack_fixed(values, width, &mut self.buf);
         } else {
             for &v in values {
@@ -303,7 +303,7 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub fn read_run(&mut self, width: u32, count: usize, mut f: impl FnMut(u32)) {
         let run_bits = count * width as usize;
-        if self.acc_bits == 0 && is_word_packable(width) && run_bits % 8 == 0 {
+        if self.acc_bits == 0 && is_word_packable(width) && run_bits.is_multiple_of(8) {
             let nbytes = run_bits / 8;
             unpack_fixed_with(&self.bytes[self.pos..], width, count, f);
             self.pos += nbytes;

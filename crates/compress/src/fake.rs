@@ -6,8 +6,8 @@
 //! only transmitted bytes matter — and produces Figure 1 and the bandwidth
 //! ceiling of Table 8.
 
-use crate::{bytes_to_f32s, f32s_to_bytes, Compressor, Encoded};
-use cgx_tensor::{Rng, Tensor};
+use crate::{bytes_to_f32s, f32s_to_bytes, Compressor, Encoded, ScratchPool};
+use cgx_tensor::{Rng, Shape};
 
 /// Transmits only the first `N/γ` elements of the buffer.
 ///
@@ -53,16 +53,24 @@ impl Compressor for FakeCompressor {
         format!("fake(x{})", self.gamma)
     }
 
-    fn compress(&mut self, grad: &Tensor, _rng: &mut Rng) -> Encoded {
-        let k = self.k_for(grad.len());
-        Encoded::new(grad.shape().clone(), f32s_to_bytes(&grad.as_slice()[..k]))
+    fn encode(
+        &mut self,
+        shape: Shape,
+        _offset: usize,
+        data: &[f32],
+        _rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
+        Encoded::new(shape, f32s_to_bytes(&data[..self.k_for(data.len())], pool))
     }
 
-    fn decompress(&self, enc: &Encoded) -> Tensor {
+    /// The head the payload carries, then zeros.
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
         let head = bytes_to_f32s(enc.payload());
-        let mut out = Tensor::zeros(enc.shape().dims());
-        out.as_mut_slice()[..head.len()].copy_from_slice(&head);
-        out
+        let values = head.into_iter().chain(std::iter::repeat(0.0));
+        for (o, v) in out.iter_mut().zip(values) {
+            *o = if add { *o + v } else { v };
+        }
     }
 
     fn compressed_bytes(&self, n: usize) -> usize {
@@ -74,6 +82,7 @@ impl Compressor for FakeCompressor {
 mod tests {
     use super::*;
     use crate::round_trip;
+    use cgx_tensor::Tensor;
 
     #[test]
     fn gamma_one_is_identity() {

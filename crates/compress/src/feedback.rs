@@ -9,13 +9,15 @@
 use std::collections::HashMap;
 
 use crate::{Compressor, Encoded, ScratchPool};
-use cgx_tensor::{Rng, Tensor};
+use cgx_tensor::{Rng, Shape};
 
-/// Wraps a compressor with an error-feedback residual buffer.
+/// Wraps a compressor with an error-feedback residual per window.
 ///
-/// On each call the residual from the previous step is added to the incoming
-/// gradient before compression, and the new residual (input minus what the
-/// wire format can represent) is retained.
+/// On each call the residual the window kept last time is added to the
+/// incoming gradient before compression, and the new residual (input minus
+/// what the wire format can represent) is kept. A window is `(offset,
+/// len)` within the owning gradient; a whole tensor is the window `(0,
+/// len)`.
 ///
 /// # Examples
 ///
@@ -27,151 +29,64 @@ use cgx_tensor::{Rng, Tensor};
 /// let g = Tensor::from_slice(&[1.0, 0.1]);
 /// let _ = ef.compress(&g, &mut rng);
 /// // The dropped 0.1 is remembered:
-/// assert!(ef.residual().unwrap().as_slice()[1] > 0.0);
+/// assert!(ef.residual(0, 2).unwrap()[1] > 0.0);
 /// ```
 pub struct ErrorFeedback {
     inner: Box<dyn Compressor>,
-    residual: Option<Tensor>,
-    /// Per-window residuals for the chunked (`compress_slice_at`) path,
-    /// keyed by `(offset, len)` of the window within the owning tensor.
-    /// Chunked allreduce feeds one compressor many distinct windows of the
-    /// same gradient (per-peer scatter chunks, the aggregate chunk, pipeline
+    /// One residual per window, keyed by `(offset, len)`. Chunked
+    /// allreduce feeds one compressor many distinct windows of the same
+    /// gradient (per-peer scatter chunks, the aggregate chunk, pipeline
     /// segments); keying by position keeps each window's EF-SGD residual
-    /// independent instead of conflating or dropping them by length.
-    slice_residuals: HashMap<(usize, usize), Vec<f32>>,
+    /// its own instead of conflating or dropping them by length.
+    residuals: HashMap<(usize, usize), Vec<f32>>,
 }
 
 impl std::fmt::Debug for ErrorFeedback {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ErrorFeedback")
             .field("inner", &self.inner.name())
-            .field("has_residual", &self.residual.is_some())
-            .field("slice_residuals", &self.slice_residuals.len())
+            .field("residuals", &self.residuals.len())
             .finish()
     }
 }
 
 impl ErrorFeedback {
-    /// Wraps `inner` with a fresh (zero) residual.
+    /// Wraps `inner` with no residual yet.
     pub fn new(inner: Box<dyn Compressor>) -> Self {
         ErrorFeedback {
             inner,
-            residual: None,
-            slice_residuals: HashMap::new(),
+            residuals: HashMap::new(),
         }
     }
 
-    /// The residual accumulated so far, if any step has run.
-    pub fn residual(&self) -> Option<&Tensor> {
-        self.residual.as_ref()
+    /// The residual kept for the window at `(offset, len)`, if a call has
+    /// encoded that window.
+    pub fn residual(&self, offset: usize, len: usize) -> Option<&[f32]> {
+        self.residuals.get(&(offset, len)).map(Vec::as_slice)
     }
 
-    /// The residual accumulated for the chunk window at `(offset, len)`,
-    /// if the chunked path has compressed that window.
-    pub fn slice_residual(&self, offset: usize, len: usize) -> Option<&[f32]> {
-        self.slice_residuals
-            .get(&(offset, len))
-            .map(Vec::as_slice)
-    }
-
-    /// Number of distinct chunk windows with retained residual state.
-    pub fn slice_residual_windows(&self) -> usize {
-        self.slice_residuals.len()
-    }
-
-    /// Clears the residual (e.g. at epoch boundaries, if desired).
+    /// Clears every residual (e.g. at epoch boundaries, if desired).
     pub fn reset(&mut self) {
-        self.residual = None;
-        self.slice_residuals.clear();
+        self.residuals.clear();
     }
 
-    /// The stored residual, but only if it matches the incoming gradient's
-    /// element count. Chunked allreduce schemes feed one compressor slices
-    /// of varying length (near-equal chunks differ by one element, and the
-    /// aggregate chunk differs from the scatter chunks), so a stale
-    /// residual of another length is dropped rather than zip-panicking —
-    /// deterministically, hence identically on every rank and in both the
-    /// sequential and engine paths.
-    fn residual_for(&self, len: usize) -> Option<&Tensor> {
-        self.residual.as_ref().filter(|r| r.len() == len)
-    }
-}
-
-impl Compressor for ErrorFeedback {
-    fn name(&self) -> String {
-        format!("ef[{}]", self.inner.name())
-    }
-
-    fn compress(&mut self, grad: &Tensor, rng: &mut Rng) -> Encoded {
-        let mut corrected = grad.clone();
-        if let Some(res) = self.residual_for(grad.len()) {
-            corrected.add_assign(res);
-        }
-        let enc = self.inner.compress(&corrected, rng);
-        let mut new_residual = corrected;
-        let reconstructed = self.inner.decompress(&enc);
-        new_residual.sub_assign(&reconstructed);
-        self.residual = Some(new_residual);
-        enc
-    }
-
-    fn compress_pooled(&mut self, grad: &Tensor, rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let mut corrected = grad.clone();
-        if let Some(res) = self.residual_for(grad.len()) {
-            corrected.add_assign(res);
-        }
-        let enc = self.inner.compress_pooled(&corrected, rng, pool);
-        // Subtract the reconstruction through pooled scratch instead of
-        // materializing a tensor; arithmetic matches `sub_assign`.
-        let mut recon = pool.take_f32(grad.len());
-        self.inner.decompress_into(&enc, &mut recon);
-        let mut new_residual = corrected;
-        for (r, v) in new_residual.as_mut_slice().iter_mut().zip(&recon) {
-            *r -= *v;
-        }
-        pool.put_f32(recon);
-        self.residual = Some(new_residual);
-        enc
-    }
-
-    fn compress_slice(&mut self, data: &[f32], rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        // An un-positioned slice is the window starting at element 0; going
-        // through the keyed path keeps slice compression allocation-free
-        // (the inherited default would heap-allocate a Tensor per call).
-        self.compress_slice_at(0, data, rng, pool)
-    }
-
-    fn compress_slice_at(
+    /// Encodes the window `data` plus its residual, leaves `data` holding
+    /// what the inner codec's receivers decode, and keeps the difference
+    /// as the window's residual. The stored residual buffer doubles as
+    /// the corrected-gradient buffer, so steady state allocates nothing:
+    /// corrected = residual + data (element-wise `f32` add in index
+    /// order; a copy of `data` on a window's first call), new residual =
+    /// corrected − reconstruction.
+    fn commit(
         &mut self,
-        offset: usize,
-        data: &[f32],
-        rng: &mut Rng,
-        pool: &ScratchPool,
-    ) -> Encoded {
-        let mut recon = pool.take_f32(data.len());
-        recon.copy_from_slice(data);
-        let enc = self.compress_committed_at(offset, &mut recon, rng, pool);
-        pool.put_f32(recon);
-        enc
-    }
-
-    /// The window's residual is the corrected gradient less what the
-    /// inner codec commits, so the reconstruction `data` is left holding
-    /// is the one the residual is taken from: one inner commit per call.
-    fn compress_committed_at(
-        &mut self,
+        shape: Shape,
         offset: usize,
         data: &mut [f32],
         rng: &mut Rng,
         pool: &ScratchPool,
     ) -> Encoded {
         let key = (offset, data.len());
-        // The stored residual buffer doubles as the corrected-gradient
-        // buffer, then becomes the new residual — no allocation at steady
-        // state. Arithmetic matches the tensor path exactly: corrected =
-        // grad + residual (element-wise f32 add in index order), new
-        // residual = corrected - reconstruction.
-        let mut corrected = match self.slice_residuals.remove(&key) {
+        let mut corrected = match self.residuals.remove(&key) {
             Some(mut r) => {
                 for (c, d) in r.iter_mut().zip(data.iter()) {
                     *c += *d;
@@ -185,24 +100,52 @@ impl Compressor for ErrorFeedback {
             }
         };
         data.copy_from_slice(&corrected);
-        let enc = self.inner.compress_committed_at(0, data, rng, pool);
+        let enc = self.inner.encode(shape, 0, data, rng, pool);
+        if !self.inner.is_lossless() {
+            self.inner.decompress_into(&enc, data);
+        }
         for (c, v) in corrected.iter_mut().zip(data.iter()) {
             *c -= *v;
         }
-        self.slice_residuals.insert(key, corrected);
+        self.residuals.insert(key, corrected);
+        enc
+    }
+}
+
+impl Compressor for ErrorFeedback {
+    fn name(&self) -> String {
+        format!("ef[{}]", self.inner.name())
+    }
+
+    fn encode(
+        &mut self,
+        shape: Shape,
+        offset: usize,
+        data: &[f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
+        let mut recon = pool.take_f32(data.len());
+        recon.copy_from_slice(data);
+        let enc = self.commit(shape, offset, &mut recon, rng, pool);
+        pool.put_f32(recon);
         enc
     }
 
-    fn decompress(&self, enc: &Encoded) -> Tensor {
-        self.inner.decompress(enc)
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+        self.inner.decode(enc, out, add);
     }
 
-    fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
-        self.inner.decompress_into(enc, out);
-    }
-
-    fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
-        self.inner.decompress_add_into(enc, out);
+    /// The reconstruction `data` is left holding is the one the window's
+    /// residual is taken from.
+    fn compress_committed_at(
+        &mut self,
+        offset: usize,
+        data: &mut [f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
+        self.commit(Shape::vector(data.len()), offset, data, rng, pool)
     }
 
     fn compressed_bytes(&self, n: usize) -> usize {
@@ -231,6 +174,7 @@ impl Compressor for ErrorFeedback {
 mod tests {
     use super::*;
     use crate::TopKCompressor;
+    use cgx_tensor::Tensor;
 
     #[test]
     fn residual_feeds_back_dropped_mass() {
@@ -280,9 +224,9 @@ mod tests {
         let g = Tensor::from_slice(&[1.0, 0.4]);
         let mut ef = ErrorFeedback::new(Box::new(TopKCompressor::new(0.5)));
         let _ = ef.compress(&g, &mut rng);
-        assert!(ef.residual().is_some());
+        assert!(ef.residual(0, 2).is_some());
         ef.reset();
-        assert!(ef.residual().is_none());
+        assert!(ef.residual(0, 2).is_none());
     }
 
     #[test]
@@ -293,12 +237,11 @@ mod tests {
 
     #[test]
     fn segmented_ef_transmits_same_mass_as_unsegmented() {
-        // Regression: the chunk-pipelined path used to inherit the default
-        // `compress_slice`, so alternating chunk lengths (5 then 3, as
-        // produced by near-equal chunking) dropped the residual every call
-        // and EF-SGD silently degraded to plain TopK. Offset-keyed
-        // residuals must transmit the same gradient mass as whole-tensor
-        // EF.
+        // Regression: residuals once matched by length alone, so
+        // alternating chunk lengths (5 then 3, as produced by near-equal
+        // chunking) dropped the residual every call and EF-SGD silently
+        // degraded to plain TopK. Offset-keyed residuals must transmit the
+        // same gradient mass as whole-tensor EF.
         let g: Vec<f32> = vec![0.9, -0.5, 0.3, -0.1, 0.7, 0.2, -0.8, 0.05];
         let steps = 400;
 
@@ -331,7 +274,7 @@ mod tests {
                 pool.recycle(enc);
             }
         }
-        assert_eq!(seg.slice_residual_windows(), 2);
+        assert!(seg.residual(0, 5).is_some() && seg.residual(5, 3).is_some());
 
         // Both paths must transmit (almost) the full accumulated gradient:
         // per-element error stays bounded by one step's magnitude instead of
@@ -364,12 +307,11 @@ mod tests {
         let b = [0.2f32, 0.9];
         let _ = ef.compress_slice_at(0, &a, &mut rng, &pool);
         let _ = ef.compress_slice_at(2, &b, &mut rng, &pool);
-        let ra = ef.slice_residual(0, 2).expect("window (0,2) retained");
-        let rb = ef.slice_residual(2, 2).expect("window (2,2) retained");
+        let ra = ef.residual(0, 2).expect("window (0,2) retained");
+        let rb = ef.residual(2, 2).expect("window (2,2) retained");
         // top-1 keeps the max-magnitude element, the residual holds the other.
         assert!((ra[1] - 0.4).abs() < 1e-6, "{ra:?}");
         assert!((rb[0] - 0.2).abs() < 1e-6, "{rb:?}");
-        assert_eq!(ef.slice_residual_windows(), 2);
         // Steady state: after one warm-up round, no further pool
         // allocations.
         let enc = ef.compress_slice_at(0, &a, &mut rng, &pool);
@@ -443,7 +385,7 @@ mod tests {
                     ] {
                         assert_eq!(enc.payload(), want.payload(), "{at} {path}: bytes");
                         assert_eq!(bits(values), bits(&recon), "{at} {path}: values");
-                        let residual = ef.slice_residual(offset, len).expect("retained");
+                        let residual = ef.residual(offset, len).expect("retained");
                         assert_eq!(bits(residual), bits(&corrected), "{at} {path}: residual");
                     }
                     residuals.insert(offset, corrected);
@@ -458,17 +400,17 @@ mod tests {
         let mut rng = Rng::seed_from_u64(6);
         let mut ef = ErrorFeedback::new(Box::new(TopKCompressor::new(0.5)));
         let _ = ef.compress_slice_at(4, &[1.0, 0.25], &mut rng, &pool);
-        assert_eq!(ef.slice_residual_windows(), 1);
+        assert!(ef.residual(4, 2).is_some());
         ef.reset();
-        assert_eq!(ef.slice_residual_windows(), 0);
-        assert!(ef.slice_residual(4, 2).is_none());
+        assert!(ef.residual(4, 2).is_none());
     }
 
     #[test]
-    fn mismatched_length_drops_residual_instead_of_panicking() {
+    fn another_length_is_another_window() {
         // Chunked allreduce feeds one compressor slices of different
-        // lengths (e.g. 257-element then 256-element chunks). The stale
-        // residual must be ignored, not zipped against the wrong length.
+        // lengths (e.g. 257-element then 256-element chunks). A window of
+        // another length starts from no residual, and neither window's
+        // residual is zipped against the other's length.
         let mut rng = Rng::seed_from_u64(4);
         let mut ef = ErrorFeedback::new(Box::new(TopKCompressor::new(0.5)));
         let _ = ef.compress(&Tensor::from_slice(&[1.0, 0.4, 0.2]), &mut rng);
@@ -477,7 +419,7 @@ mod tests {
         let mut fresh = ErrorFeedback::new(Box::new(TopKCompressor::new(0.5)));
         let fresh_enc = fresh.compress(&Tensor::from_slice(&[1.0, 0.4]), &mut rng);
         assert_eq!(enc.payload(), fresh_enc.payload());
-        // And the new residual has the new length.
-        assert_eq!(ef.residual().unwrap().len(), 2);
+        assert_eq!(ef.residual(0, 2).map(<[f32]>::len), Some(2));
+        assert_eq!(ef.residual(0, 3).map(<[f32]>::len), Some(3));
     }
 }

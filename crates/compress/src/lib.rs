@@ -22,6 +22,10 @@
 //! what the performance simulator charges to the network, so wire sizes are
 //! exact rather than modeled.
 //!
+//! A codec implements one encoder, [`Compressor::encode`], and one decoder,
+//! [`Compressor::decode`]; whole-tensor, slice and windowed compression and
+//! the three decompressions are provided over those two.
+//!
 //! # Examples
 //!
 //! ```
@@ -106,25 +110,54 @@ impl Encoded {
 
 /// A lossy (or lossless) gradient codec.
 ///
-/// Implementations must satisfy the round-trip contract: for every tensor
-/// `g`, `decompress(compress(g))` has the same shape as `g`. Compressors may
-/// be stateful across calls (PowerSGD warm-starts its `Q` factor), which is
-/// why [`Compressor::compress`] takes `&mut self`; use one instance per layer.
+/// A codec writes one encoder, [`Compressor::encode`], and one decoder,
+/// [`Compressor::decode`]. Every other way in — [`compress`],
+/// [`compress_slice`], [`compress_slice_at`], [`decompress`],
+/// [`decompress_into`] and [`decompress_add_into`] — is a provided method
+/// over those two that no codec overrides, so the entry points cannot
+/// disagree. Decoding a chunk gives back its shape. Compressors may be
+/// stateful across calls (PowerSGD warm-starts its `Q` factor, error
+/// feedback keeps a residual per window), which is why encoding takes
+/// `&mut self`; use one instance per layer.
+///
+/// [`compress`]: Compressor::compress
+/// [`compress_slice`]: Compressor::compress_slice
+/// [`compress_slice_at`]: Compressor::compress_slice_at
+/// [`decompress`]: Compressor::decompress
+/// [`decompress_into`]: Compressor::decompress_into
+/// [`decompress_add_into`]: Compressor::decompress_add_into
 pub trait Compressor: Send {
     /// A short human-readable name, e.g. `"qsgd(4b,128)"`.
     fn name(&self) -> String;
 
-    /// Compresses a gradient into a wire chunk. Stochastic schemes draw from
-    /// `rng`.
-    fn compress(&mut self, grad: &Tensor, rng: &mut Rng) -> Encoded;
+    /// Encodes `data`, the elements of a chunk of shape `shape`, into a
+    /// wire chunk of that shape, drawing the payload buffer from `pool`;
+    /// stochastic schemes draw from `rng`. The chunk starts at element
+    /// `offset` of the gradient it belongs to: a stateful codec keys its
+    /// per-chunk state by `(offset, data.len())` — [`ErrorFeedback`] keeps
+    /// one residual per window, which is what preserves EF-SGD under
+    /// segmentation — and the wire format never depends on `offset`.
+    fn encode(
+        &mut self,
+        shape: Shape,
+        offset: usize,
+        data: &[f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded;
 
-    /// Reconstructs a dense tensor from a wire chunk.
+    /// Decodes `enc` over `out` (`add` false), or adds its values onto
+    /// `out` (`add` true). The add is `out[i] += decoded[i]` with the very
+    /// `f32`s the overwrite writes, in element order, because allreduce
+    /// consensus depends on every rank computing bit-equal sums; a sparse
+    /// codec may leave the slots it stores nothing for untouched.
     ///
     /// # Panics
     ///
     /// Implementations may panic on payloads not produced by a compressor
-    /// with identical parameters.
-    fn decompress(&self, enc: &Encoded) -> Tensor;
+    /// with identical parameters. `out` holds the chunk's element count:
+    /// the provided decoders assert it.
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool);
 
     /// Payload size in bytes for an `n`-element tensor, without
     /// performing the compression: the largest a payload can be (QSGD
@@ -132,14 +165,12 @@ pub trait Compressor: Send {
     /// plane and to size encode buffers.
     fn compressed_bytes(&self, n: usize) -> usize;
 
-    /// Checks that `payload` is as long as what this codec writes for `n`
-    /// elements, so that a receiver can refuse a frame before any decoder
-    /// reads it: the decoders panic on a payload shorter than they read.
-    /// `Err` carries the length the payload should have. The default
-    /// holds it to [`compressed_bytes`]`(n)`; a codec whose length varies
-    /// reads it off the payload's own fields, and one whose length the
-    /// element count does not give (PowerSGD's: the matrix shape does)
-    /// accepts any.
+    /// Checks that `payload` is what this codec writes for `n` elements,
+    /// so that a receiver can refuse a frame before any decoder reads it:
+    /// the decoders panic on a payload shorter than they read. `Err`
+    /// carries the length the payload should have. The default holds it
+    /// to [`compressed_bytes`]`(n)`; a codec whose length varies reads it
+    /// off the payload's own fields (QSGD's norms, PowerSGD's header).
     ///
     /// [`compressed_bytes`]: Compressor::compressed_bytes
     fn check_payload(&self, n: usize, payload: &[u8]) -> Result<(), usize> {
@@ -158,51 +189,11 @@ pub trait Compressor: Send {
         false
     }
 
-    /// Attempts to aggregate two encoded chunks directly (without a
-    /// decompress/sum/re-compress round-trip). Only associative schemes
-    /// (lossless float payloads, PowerSGD factors before orthogonalization)
-    /// support this; the default is `None`, signalling non-associativity —
-    /// the property that forces CGX to integrate at the communication-engine
-    /// layer (paper Section 3).
-    fn aggregate_encoded(&self, _a: &Encoded, _b: &Encoded) -> Option<Encoded> {
-        None
-    }
-
     /// Estimated extra compute seconds per element for compress+decompress on
     /// the reference GPU. Quantization runs "at line rate" (paper Appendix A:
     /// 1-3% of step time); decomposition is costlier.
     fn kernel_cost_per_element(&self) -> f64 {
         0.0
-    }
-
-    /// Compresses a flat `f32` slice (vector shape), drawing the encode
-    /// buffer from `pool` when the implementation supports buffer reuse.
-    /// The default ignores the pool and delegates to
-    /// [`Compressor::compress`]; the wire format is identical either way.
-    fn compress_slice(&mut self, data: &[f32], rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let _ = pool;
-        self.compress(&Tensor::from_slice(data), rng)
-    }
-
-    /// Compresses a flat `f32` slice that is a window of a larger gradient,
-    /// starting at element `offset` of the owning tensor. Chunked allreduce
-    /// paths (segmented SRA, ring reduce-scatter) call this so *stateful*
-    /// compressors can key their per-chunk state by position instead of
-    /// conflating every chunk that happens to share a length —
-    /// [`ErrorFeedback`] overrides it to keep one residual per
-    /// `(offset, len)` window, which is what preserves EF-SGD semantics
-    /// under segmentation. Stateless compressors ignore `offset`; the
-    /// default delegates to [`Compressor::compress_slice`], so the wire
-    /// format never depends on `offset`.
-    fn compress_slice_at(
-        &mut self,
-        offset: usize,
-        data: &[f32],
-        rng: &mut Rng,
-        pool: &ScratchPool,
-    ) -> Encoded {
-        let _ = offset;
-        self.compress_slice(data, rng, pool)
     }
 
     /// [`Compressor::compress_slice_at`], and then `data` holds exactly
@@ -227,74 +218,93 @@ pub trait Compressor: Send {
         enc
     }
 
-    /// Compresses a tensor (preserving its shape), drawing the encode buffer
-    /// from `pool` when supported. Default ignores the pool.
-    fn compress_pooled(&mut self, grad: &Tensor, rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let _ = pool;
-        self.compress(grad, rng)
+    /// Compresses a whole gradient, keeping its shape: the window at
+    /// element 0, through a pool of its own.
+    fn compress(&mut self, grad: &Tensor, rng: &mut Rng) -> Encoded {
+        let pool = ScratchPool::new();
+        self.encode(grad.shape().clone(), 0, grad.as_slice(), rng, &pool)
     }
 
-    /// Decodes a wire chunk into an existing slice, overwriting it. The
-    /// default materializes a tensor via [`Compressor::decompress`] and
-    /// copies; overrides decode in place without allocating.
+    /// Compresses a flat `f32` slice (vector shape), the window at element
+    /// 0.
+    fn compress_slice(&mut self, data: &[f32], rng: &mut Rng, pool: &ScratchPool) -> Encoded {
+        self.compress_slice_at(0, data, rng, pool)
+    }
+
+    /// Compresses a flat `f32` slice (vector shape) that is the window at
+    /// element `offset` of a larger gradient: the entry point of the
+    /// chunked paths (segmented SRA, ring reduce-scatter).
+    fn compress_slice_at(
+        &mut self,
+        offset: usize,
+        data: &[f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
+        self.encode(Shape::vector(data.len()), offset, data, rng, pool)
+    }
+
+    /// Reconstructs a dense tensor of the chunk's shape.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` differs from the encoded element count.
+    /// As [`Compressor::decode`].
+    fn decompress(&self, enc: &Encoded) -> Tensor {
+        let mut out = vec![0.0; enc.shape().len()];
+        self.decode(enc, &mut out, false);
+        Tensor::from_vec(enc.shape().dims(), out)
+    }
+
+    /// Decodes a wire chunk over an existing slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the encoded element count, and
+    /// as [`Compressor::decode`].
     fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
-        let t = self.decompress(enc);
-        assert_eq!(t.len(), out.len(), "decompress_into length mismatch");
-        out.copy_from_slice(t.as_slice());
+        self.decode(enc, chunk_sized(enc, out), false);
     }
 
-    /// Fused decode-accumulate: adds the decoded values of `enc` into `out`
-    /// element-wise. The default decompresses then adds; overrides must be
-    /// arithmetically identical (`out[i] += decoded[i]` with the exact same
-    /// decoded `f32` values, in the same element order), because allreduce
-    /// consensus depends on every rank computing bit-equal sums.
+    /// Fused decode-accumulate: adds the decoded values of `enc` onto
+    /// `out`, bit for bit what decoding and then adding would give.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` differs from the encoded element count.
+    /// Panics if `out.len()` differs from the encoded element count, and
+    /// as [`Compressor::decode`].
     fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
-        let t = self.decompress(enc);
-        assert_eq!(t.len(), out.len(), "decompress_add_into length mismatch");
-        for (o, v) in out.iter_mut().zip(t.as_slice()) {
-            *o += *v;
-        }
+        self.decode(enc, chunk_sized(enc, out), true);
     }
+}
+
+/// `out`, after asserting that it holds `enc`'s element count.
+fn chunk_sized<'a>(enc: &Encoded, out: &'a mut [f32]) -> &'a mut [f32] {
+    assert_eq!(enc.shape().len(), out.len(), "decoded length mismatch");
+    out
 }
 
 /// Convenience: compress then immediately decompress, returning the lossy
 /// reconstruction. Useful for measuring compression error.
-pub fn round_trip(c: &mut dyn Compressor, grad: &Tensor, rng: &mut Rng) -> Tensor {
+#[cfg(test)]
+pub(crate) fn round_trip(c: &mut dyn Compressor, grad: &Tensor, rng: &mut Rng) -> Tensor {
     let enc = c.compress(grad, rng);
     c.decompress(&enc)
 }
 
-/// Writes `xs` little-endian over `out` in one pass (on a little-endian
-/// target the loop is a plain copy).
-///
-/// # Panics
-///
-/// Panics if `out` is not exactly four bytes per element.
-pub(crate) fn write_f32s_le(xs: &[f32], out: &mut [u8]) {
-    assert_eq!(out.len(), xs.len() * 4, "f32 payload size");
-    for (dst, x) in out.chunks_exact_mut(4).zip(xs) {
+/// `xs` little-endian, in a buffer from `pool` (the payload of every
+/// codec that ships raw `f32`s); on a little-endian target the write is
+/// a plain copy.
+pub(crate) fn f32s_to_bytes(xs: &[f32], pool: &ScratchPool) -> Bytes {
+    let mut buf = pool.take_buf(xs.len() * 4);
+    buf.resize(xs.len() * 4, 0);
+    for (dst, x) in buf.chunks_exact_mut(4).zip(xs) {
         dst.copy_from_slice(&x.to_le_bytes());
     }
-}
-
-/// Serializes an `f32` slice little-endian into bytes (shared helper for
-/// float-payload compressors).
-pub(crate) fn f32s_to_bytes(xs: &[f32]) -> Bytes {
-    let mut buf = vec![0u8; xs.len() * 4];
-    write_f32s_le(xs, &mut buf);
     Bytes::from(buf)
 }
 
 /// Reads little-endian `f32`s from `b` over `out`, the inverse of
-/// [`write_f32s_le`].
+/// [`f32s_to_bytes`].
 ///
 /// # Panics
 ///
@@ -325,7 +335,7 @@ mod tests {
     #[test]
     fn f32_bytes_roundtrip() {
         let xs = [1.0f32, -2.5, 3.25e-8, f32::MAX];
-        let b = f32s_to_bytes(&xs);
+        let b = f32s_to_bytes(&xs, &ScratchPool::new());
         assert_eq!(bytes_to_f32s(&b), xs.to_vec());
     }
 
@@ -476,11 +486,12 @@ mod tests {
     fn every_payload_passes_the_receivers_check() {
         // A receiver refuses a frame that fails `check_payload` before
         // decoding it, so every payload a codec writes must pass — through
-        // every compress entry point — and none may exceed
-        // `compressed_bytes`. Only QSGD writes less (its buckets of zeros),
-        // and only PowerSGD's check accepts a payload a byte off.
+        // every compress entry point — and one a byte longer must not.
+        // None exceeds `compressed_bytes` but PowerSGD, whose length is its
+        // matrix's, which `n` alone does not give; only QSGD writes less
+        // (its buckets of zeros).
         let (pool, mut rng) = (ScratchPool::new(), Rng::seed_from_u64(5));
-        let (mut shorter, mut any_length) = (Vec::new(), Vec::new());
+        let mut shorter = Vec::new();
         for build in every_codec() {
             let mut c = build();
             for n in [1usize, 7, 127, 128, 129, 1000, 4099] {
@@ -494,11 +505,9 @@ mod tests {
                 for (enc, call) in encs.iter().zip(["compress", "slice_at", "committed_at"]) {
                     let payload = enc.payload();
                     assert_eq!(c.check_payload(n, payload), Ok(()), "{what}: {call}");
-                    let longer = [payload.as_ref(), &[0]].concat();
-                    if c.check_payload(n, &longer).is_ok() {
-                        if !any_length.contains(&c.name()) {
-                            any_length.push(c.name());
-                        }
+                    let extended = [payload.as_ref(), &[0]].concat();
+                    assert!(c.check_payload(n, &extended).is_err(), "{what}: {call}");
+                    if c.name().starts_with("powersgd") {
                         continue;
                     }
                     assert!(payload.len() <= c.compressed_bytes(n), "{what}: {call}");
@@ -513,7 +522,6 @@ mod tests {
             "{shorter:?}"
         );
         assert_eq!(shorter.len(), 2 * 7 * 5, "every QSGD layout skips a bucket");
-        assert_eq!(any_length, ["powersgd(r2)"]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::{simd, BitReader, BitWriter, Compressor, Encoded, ScratchPool};
 use cgx_tensor::rng::CounterRng;
-use cgx_tensor::{Rng, Shape, Tensor};
+use cgx_tensor::{Rng, Shape};
 
 /// Non-uniform (exponential-grid) stochastic quantizer with bucketing.
 ///
@@ -128,28 +128,6 @@ impl NuqsgdCompressor {
         self.codes = codes;
     }
 
-    /// Decodes `enc` over (`ADD` false) or onto (`ADD` true) `out`: by
-    /// [`simd::lut_decode`] where it takes the layout, from a codebook
-    /// built with the formula of [`NuqsgdCompressor::decode_with`], else
-    /// by that reader. The two agree bit for bit.
-    fn decode<const ADD: bool>(&self, enc: &Encoded, out: &mut [f32]) {
-        let table_of = |norm: f32| {
-            std::array::from_fn(|code| {
-                let mag = norm as f64 * self.levels[(code >> 1).min(self.levels.len() - 1)];
-                (if code & 1 == 1 { -mag } else { mag }) as f32
-            })
-        };
-        let (route, payload) = (simd::Route::widest(), enc.payload());
-        if simd::lut_decode::<ADD>(route, self.bits, payload, self.bucket_size, table_of, out) {
-            return;
-        }
-        if ADD {
-            self.decode_with(enc, |i, v| out[i] += v);
-        } else {
-            self.decode_with(enc, |i, v| out[i] = v);
-        }
-    }
-
     /// Decodes a payload of any layout, invoking `f(index, value)` per
     /// element in stream order.
     fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
@@ -177,46 +155,40 @@ impl Compressor for NuqsgdCompressor {
         format!("nuqsgd({}b,{})", self.bits, self.bucket_size)
     }
 
-    fn compress(&mut self, grad: &Tensor, rng: &mut Rng) -> Encoded {
-        let mut w = BitWriter::with_capacity(self.compressed_bytes(grad.len()));
-        self.encode_into(grad.as_slice(), rng, &mut w);
-        Encoded::new(grad.shape().clone(), w.finish())
-    }
-
-    fn compress_slice(&mut self, data: &[f32], rng: &mut Rng, pool: &ScratchPool) -> Encoded {
+    fn encode(
+        &mut self,
+        shape: Shape,
+        _offset: usize,
+        data: &[f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
         let mut w = BitWriter::from_buf(pool.take_buf(self.compressed_bytes(data.len())));
         self.encode_into(data, rng, &mut w);
-        Encoded::new(Shape::vector(data.len()), w.finish())
+        Encoded::new(shape, w.finish())
     }
 
-    fn compress_pooled(&mut self, grad: &Tensor, rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let mut w = BitWriter::from_buf(pool.take_buf(self.compressed_bytes(grad.len())));
-        self.encode_into(grad.as_slice(), rng, &mut w);
-        Encoded::new(grad.shape().clone(), w.finish())
-    }
-
-    fn decompress(&self, enc: &Encoded) -> Tensor {
-        let mut out = vec![0.0; enc.shape().len()];
-        self.decode::<false>(enc, &mut out);
-        Tensor::from_vec(enc.shape().dims(), out)
-    }
-
-    fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
-        assert_eq!(
-            enc.shape().len(),
-            out.len(),
-            "decompress_into length mismatch"
-        );
-        self.decode::<false>(enc, out);
-    }
-
-    fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
-        assert_eq!(
-            enc.shape().len(),
-            out.len(),
-            "decompress_add_into length mismatch"
-        );
-        self.decode::<true>(enc, out);
+    /// By [`simd::lut_decode`] where it takes the layout, from a codebook
+    /// built with the formula of [`NuqsgdCompressor::decode_with`], else
+    /// by that reader. The two agree bit for bit.
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+        let table_of = |norm: f32| {
+            std::array::from_fn(|code| {
+                let mag = norm as f64 * self.levels[(code >> 1).min(self.levels.len() - 1)];
+                (if code & 1 == 1 { -mag } else { mag }) as f32
+            })
+        };
+        let (route, payload) = (simd::Route::widest(), enc.payload());
+        let (bits, bucket_size) = (self.bits, self.bucket_size);
+        let taken = match add {
+            true => simd::lut_decode::<true>(route, bits, payload, bucket_size, table_of, out),
+            false => simd::lut_decode::<false>(route, bits, payload, bucket_size, table_of, out),
+        };
+        match (taken, add) {
+            (true, _) => {}
+            (false, true) => self.decode_with(enc, |i, v| out[i] += v),
+            (false, false) => self.decode_with(enc, |i, v| out[i] = v),
+        }
     }
 
     fn compressed_bytes(&self, n: usize) -> usize {
@@ -235,6 +207,7 @@ impl Compressor for NuqsgdCompressor {
 mod tests {
     use super::*;
     use crate::{round_trip, QsgdCompressor};
+    use cgx_tensor::Tensor;
 
     #[test]
     fn codebook_is_geometric_with_zero() {
@@ -322,24 +295,6 @@ mod tests {
     #[test]
     fn name_reflects_parameters() {
         assert_eq!(NuqsgdCompressor::new(4, 128).name(), "nuqsgd(4b,128)");
-    }
-
-    #[test]
-    fn pooled_compress_is_bit_identical() {
-        let mut seed_rng = Rng::seed_from_u64(31);
-        let pool = ScratchPool::new();
-        for n in [1usize, 127, 128, 1000] {
-            for bits in [2u32, 3, 4, 8] {
-                let g = Tensor::randn(&mut seed_rng, &[n]);
-                let mut q = NuqsgdCompressor::new(bits, 128);
-                let mut rng_a = Rng::seed_from_u64(8);
-                let mut rng_b = Rng::seed_from_u64(8);
-                let plain = q.compress(&g, &mut rng_a);
-                let pooled = q.compress_slice(g.as_slice(), &mut rng_b, &pool);
-                assert_eq!(plain.payload(), pooled.payload(), "n={n} bits={bits}");
-                pool.recycle(pooled);
-            }
-        }
     }
 
     #[test]

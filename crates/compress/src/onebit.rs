@@ -7,7 +7,7 @@
 //! [`ErrorFeedback`](crate::ErrorFeedback) to recover accuracy.
 
 use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
-use cgx_tensor::{Rng, Shape, Tensor};
+use cgx_tensor::{Rng, Shape};
 
 /// Sign compressor with two per-bucket scales.
 ///
@@ -86,7 +86,7 @@ impl OneBitCompressor {
     }
 
     /// Decodes a payload, invoking `f(index, value)` per element in stream
-    /// order; the shared kernel behind all decompression entry points.
+    /// order.
     fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
         let n = enc.shape().len();
         let mut r = BitReader::new(enc.payload());
@@ -110,46 +110,25 @@ impl Compressor for OneBitCompressor {
         format!("onebit({})", self.bucket_size)
     }
 
-    fn compress(&mut self, grad: &Tensor, _rng: &mut Rng) -> Encoded {
-        let mut w = BitWriter::with_capacity(self.compressed_bytes(grad.len()));
-        self.encode_into(grad.as_slice(), &mut w);
-        Encoded::new(grad.shape().clone(), w.finish())
-    }
-
-    fn compress_slice(&mut self, data: &[f32], _rng: &mut Rng, pool: &ScratchPool) -> Encoded {
+    fn encode(
+        &mut self,
+        shape: Shape,
+        _offset: usize,
+        data: &[f32],
+        _rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
         let mut w = BitWriter::from_buf(pool.take_buf(self.compressed_bytes(data.len())));
         self.encode_into(data, &mut w);
-        Encoded::new(Shape::vector(data.len()), w.finish())
+        Encoded::new(shape, w.finish())
     }
 
-    fn compress_pooled(&mut self, grad: &Tensor, _rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let mut w = BitWriter::from_buf(pool.take_buf(self.compressed_bytes(grad.len())));
-        self.encode_into(grad.as_slice(), &mut w);
-        Encoded::new(grad.shape().clone(), w.finish())
-    }
-
-    fn decompress(&self, enc: &Encoded) -> Tensor {
-        let mut out = Vec::with_capacity(enc.shape().len());
-        self.decode_with(enc, |_, v| out.push(v));
-        Tensor::from_vec(enc.shape().dims(), out)
-    }
-
-    fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
-        assert_eq!(
-            enc.shape().len(),
-            out.len(),
-            "decompress_into length mismatch"
-        );
-        self.decode_with(enc, |i, v| out[i] = v);
-    }
-
-    fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
-        assert_eq!(
-            enc.shape().len(),
-            out.len(),
-            "decompress_add_into length mismatch"
-        );
-        self.decode_with(enc, |i, v| out[i] += v);
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+        if add {
+            self.decode_with(enc, |i, v| out[i] += v);
+        } else {
+            self.decode_with(enc, |i, v| out[i] = v);
+        }
     }
 
     fn compressed_bytes(&self, n: usize) -> usize {
@@ -167,6 +146,7 @@ impl Compressor for OneBitCompressor {
 mod tests {
     use super::*;
     use crate::round_trip;
+    use cgx_tensor::Tensor;
 
     #[test]
     fn reconstruction_uses_bucket_means() {
@@ -209,20 +189,6 @@ mod tests {
         let n = 1 << 20;
         let ratio = (n * 4) as f64 / c.compressed_bytes(n) as f64;
         assert!(ratio > 30.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn pooled_compress_is_bit_identical() {
-        let mut rng = Rng::seed_from_u64(7);
-        let pool = ScratchPool::new();
-        for n in [1usize, 63, 64, 1000] {
-            let g = Tensor::randn(&mut rng, &[n]);
-            let mut c = OneBitCompressor::new(64);
-            let plain = c.compress(&g, &mut rng);
-            let pooled = c.compress_slice(g.as_slice(), &mut rng, &pool);
-            assert_eq!(plain.payload(), pooled.payload(), "n={n}");
-            pool.recycle(pooled);
-        }
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! `(m·n) / (r·(m+n))` — up to ~100x for large square layers.
 //!
 //! Unlike quantization, the `P`/`Q` factors sum linearly *before*
-//! orthogonalization, so this scheme is associative
-//! ([`Compressor::aggregate_encoded`] is supported) and works with plain
+//! orthogonalization, so the scheme is associative and works with plain
 //! MPI/NCCL Allreduce — the property the paper credits for PowerSGD's
-//! adoption in PyTorch DDP.
+//! adoption in PyTorch DDP. Here it runs through the engine like every
+//! other codec: each rank's payload is decoded and summed.
 
-use crate::{bytes_to_f32s, f32s_to_bytes, Compressor, Encoded};
-use cgx_tensor::{matmul, matmul_tn, orthogonalize_columns, Rng, Tensor};
+use crate::{bytes_to_f32s, f32s_to_bytes, Compressor, Encoded, ScratchPool};
+use cgx_tensor::{matmul, matmul_tn, orthogonalize_columns, Rng, Shape, Tensor};
 
 /// Warm-started rank-`r` PowerSGD compressor.
 ///
@@ -67,10 +67,17 @@ impl Compressor for PowerSgdCompressor {
         format!("powersgd(r{})", self.rank)
     }
 
-    fn compress(&mut self, grad: &Tensor, rng: &mut Rng) -> Encoded {
-        let (m, n) = grad.shape().as_matrix();
+    fn encode(
+        &mut self,
+        shape: Shape,
+        _offset: usize,
+        data: &[f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
+        let (m, n) = shape.as_matrix();
         let r = self.effective_rank(m, n);
-        let mat = grad.clone().reshape(&[m, n]);
+        let mat = Tensor::from_vec(&[m, n], data.to_vec());
         // Reuse warm-started Q if the shape still matches; otherwise init.
         let q_ok = self
             .q_state
@@ -96,10 +103,10 @@ impl Compressor for PowerSgdCompressor {
         floats.push(r as f32);
         floats.extend_from_slice(p.as_slice());
         floats.extend_from_slice(q.as_slice());
-        Encoded::new(grad.shape().clone(), f32s_to_bytes(&floats))
+        Encoded::new(shape, f32s_to_bytes(&floats, pool))
     }
 
-    fn decompress(&self, enc: &Encoded) -> Tensor {
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
         let floats = bytes_to_f32s(enc.payload());
         assert!(floats.len() >= 3, "truncated PowerSGD payload");
         let m = floats[0] as usize;
@@ -119,7 +126,11 @@ impl Compressor for PowerSgdCompressor {
                 qt[j * n + i] = q[i * r + j];
             }
         }
-        matmul(&p, &qt).reshape(enc.shape().dims())
+        let rec = matmul(&p, &qt);
+        assert_eq!(rec.len(), out.len(), "PowerSGD payload length mismatch");
+        for (o, v) in out.iter_mut().zip(rec.as_slice()) {
+            *o = if add { *o + v } else { *v };
+        }
     }
 
     fn compressed_bytes(&self, n_elems: usize) -> usize {
@@ -132,26 +143,24 @@ impl Compressor for PowerSgdCompressor {
         (3 + (m + n) * r) * 4
     }
 
-    /// Any length: the factors' size is the matrix shape's, which `n`
-    /// alone does not give (the estimate above assumes a square-ish one).
-    fn check_payload(&self, _n: usize, _payload: &[u8]) -> Result<(), usize> {
-        Ok(())
-    }
-
-    fn aggregate_encoded(&self, a: &Encoded, b: &Encoded) -> Option<Encoded> {
-        if a.payload().len() != b.payload().len() || a.shape() != b.shape() {
-            return None;
+    /// Read off the 12-byte header `[m, n, r]`: dims that are finite
+    /// integers with `m·n = count`, the rank this codec uses for them,
+    /// and `3 + (m + n)·r` floats in all. `Err` carries that length where
+    /// the dims are a matrix of `count` elements, else the estimate.
+    fn check_payload(&self, count: usize, payload: &[u8]) -> Result<(), usize> {
+        let dim = |at: usize| {
+            let d = f32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?);
+            (d.is_finite() && d >= 0.0 && d.fract() == 0.0).then_some(d as usize)
+        };
+        let (m, n) = match (dim(0), dim(4)) {
+            (Some(m), Some(n)) if m.checked_mul(n) == Some(count) => (m, n),
+            _ => return Err(self.compressed_bytes(count)),
+        };
+        let r = self.effective_rank(m, n);
+        match (3 + (m + n) * r) * 4 {
+            len if len == payload.len() && dim(8) == Some(r) => Ok(()),
+            len => Err(len),
         }
-        let fa = bytes_to_f32s(a.payload());
-        let fb = bytes_to_f32s(b.payload());
-        if fa[..3] != fb[..3] {
-            return None;
-        }
-        let mut out = fa.clone();
-        for (o, v) in out.iter_mut().zip(&fb).skip(3) {
-            *o += v;
-        }
-        Some(Encoded::new(a.shape().clone(), f32s_to_bytes(&out)))
     }
 
     fn kernel_cost_per_element(&self) -> f64 {
@@ -225,22 +234,6 @@ mod tests {
         assert_eq!(rt.shape(), g.shape());
         // Rank >= 1 on a 1 x 100 matrix is exact.
         assert!(rt.l2_distance(&g) / g.norm2() < 1e-4);
-    }
-
-    #[test]
-    fn aggregate_encoded_sums_factors() {
-        let mut rng = Rng::seed_from_u64(5);
-        let g = Tensor::randn(&mut rng, &[10, 10]);
-        let mut c = PowerSgdCompressor::new(2);
-        let enc = c.compress(&g, &mut rng);
-        let doubled = c.aggregate_encoded(&enc, &enc).expect("associative");
-        let rt1 = c.decompress(&enc);
-        let rt2 = c.decompress(&doubled);
-        // Doubling both P and Q quadruples P·Qᵀ — callers rescale; here we
-        // just verify linear payload addition.
-        let mut quad = rt1.clone();
-        quad.scale(4.0);
-        assert!(rt2.l2_distance(&quad) < 1e-3 * quad.norm2().max(1.0));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::simd::BucketQuantizer;
 use crate::simd::{self, Route, Walk};
 use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
 use cgx_tensor::rng::CounterRng;
-use cgx_tensor::{Bytes, Rng, Shape, Tensor};
+use cgx_tensor::{Bytes, Rng, Shape};
 
 /// Which per-bucket norm scales the quantization grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -146,7 +146,7 @@ impl QsgdCompressor {
     /// would not start on a byte, and the walk's 8-bit form goes through
     /// the bit writer. A `&mut` `data` is committed: see
     /// [`Compressor::compress_committed_at`].
-    fn encode<E: simd::Elems>(&mut self, data: E, rng: &mut Rng, mut buf: Vec<u8>) -> Bytes {
+    fn quantize<E: simd::Elems>(&mut self, data: E, rng: &mut Rng, mut buf: Vec<u8>) -> Bytes {
         let stream = CounterRng::new(rng.next_u64());
         let walk = Walk {
             levels: self.levels(),
@@ -181,30 +181,6 @@ impl QsgdCompressor {
             rest = after;
         }
         w.finish()
-    }
-
-    /// Decodes `enc` over (`ADD` false) or onto (`ADD` true) `out`: by
-    /// [`simd::lut_decode`] where it takes the layout (2 to 4 bits,
-    /// buckets of whole bytes), from [`QsgdCompressor::codebook`], whose
-    /// entries are the values of the per-element formula of
-    /// [`QsgdCompressor::decode_with`], else by that reader. The two agree bit for bit
-    /// (`kernel_matches_reader_on_every_layout` and
-    /// `every_decoder_emits_its_pinned_values` pin this).
-    /// Scatter-reduce decodes `~1.5n` elements per rank per step.
-    ///
-    /// # Panics
-    ///
-    /// Panics with `"bit stream exhausted"` on a short payload.
-    fn decode<const ADD: bool>(&self, enc: &Encoded, out: &mut [f32]) {
-        let (route, payload, table_of) = (self.route, enc.payload(), self.codebook());
-        if simd::lut_decode::<ADD>(route, self.bits, payload, self.bucket_size, table_of, out) {
-            return;
-        }
-        if ADD {
-            self.decode_with(enc, |i, v| out[i] += v);
-        } else {
-            self.decode_with(enc, |i, v| out[i] = v);
-        }
     }
 
     /// Decodes a payload of any layout, invoking `f(index, value)` for
@@ -269,19 +245,41 @@ impl Compressor for QsgdCompressor {
         format!("qsgd({}b,{},{norm})", self.bits, self.bucket_size)
     }
 
-    fn compress(&mut self, grad: &Tensor, rng: &mut Rng) -> Encoded {
-        let payload = self.encode(grad.as_slice(), rng, Vec::new());
-        Encoded::new(grad.shape().clone(), payload)
-    }
-
-    fn compress_slice(&mut self, data: &[f32], rng: &mut Rng, pool: &ScratchPool) -> Encoded {
+    fn encode(
+        &mut self,
+        shape: Shape,
+        _offset: usize,
+        data: &[f32],
+        rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
         let buf = pool.take_buf(self.compressed_bytes(data.len()));
-        Encoded::new(Shape::vector(data.len()), self.encode(data, rng, buf))
+        Encoded::new(shape, self.quantize(data, rng, buf))
     }
 
-    fn compress_pooled(&mut self, grad: &Tensor, rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let buf = pool.take_buf(self.compressed_bytes(grad.len()));
-        Encoded::new(grad.shape().clone(), self.encode(grad.as_slice(), rng, buf))
+    /// By [`simd::lut_decode`] where it takes the layout (2 to 4 bits,
+    /// buckets of whole bytes), from [`QsgdCompressor::codebook`], whose
+    /// entries are the values of the per-element formula of
+    /// [`QsgdCompressor::decode_with`], else by that reader. The two agree
+    /// bit for bit (`kernel_matches_reader_on_every_layout` and
+    /// `every_decoder_emits_its_pinned_values` pin this). Scatter-reduce
+    /// decodes `~1.5n` elements per rank per step.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `"bit stream exhausted"` on a short payload.
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+        let (route, payload, table_of) = (self.route, enc.payload(), self.codebook());
+        let (bits, bucket_size) = (self.bits, self.bucket_size);
+        let taken = match add {
+            true => simd::lut_decode::<true>(route, bits, payload, bucket_size, table_of, out),
+            false => simd::lut_decode::<false>(route, bits, payload, bucket_size, table_of, out),
+        };
+        match (taken, add) {
+            (true, _) => {}
+            (false, true) => self.decode_with(enc, |i, v| out[i] += v),
+            (false, false) => self.decode_with(enc, |i, v| out[i] = v),
+        }
     }
 
     /// Up to 4 bits the walk commits each element from the register its
@@ -289,43 +287,19 @@ impl Compressor for QsgdCompressor {
     /// have no codebook in registers and are decoded after the walk.
     fn compress_committed_at(
         &mut self,
-        _offset: usize,
+        offset: usize,
         data: &mut [f32],
         rng: &mut Rng,
         pool: &ScratchPool,
     ) -> Encoded {
         let n = data.len();
         if self.bits > 4 {
-            let enc = self.compress_slice(data, rng, pool);
-            self.decode::<false>(&enc, data);
+            let enc = self.compress_slice_at(offset, data, rng, pool);
+            self.decode(&enc, data, false);
             return enc;
         }
         let buf = pool.take_buf(self.compressed_bytes(n));
-        Encoded::new(Shape::vector(n), self.encode(data, rng, buf))
-    }
-
-    fn decompress(&self, enc: &Encoded) -> Tensor {
-        let mut out = vec![0.0; enc.shape().len()];
-        self.decode::<false>(enc, &mut out);
-        Tensor::from_vec(enc.shape().dims(), out)
-    }
-
-    fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
-        assert_eq!(
-            enc.shape().len(),
-            out.len(),
-            "decompress_into length mismatch"
-        );
-        self.decode::<false>(enc, out);
-    }
-
-    fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
-        assert_eq!(
-            enc.shape().len(),
-            out.len(),
-            "decompress_add_into length mismatch"
-        );
-        self.decode::<true>(enc, out);
+        Encoded::new(Shape::vector(n), self.quantize(data, rng, buf))
     }
 
     /// With every bucket's codes: a bucket of zeros has none.
@@ -374,6 +348,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::round_trip;
     use crate::simd::tests::crafted_payload;
+    use cgx_tensor::Tensor;
 
     const PROBE: [f32; 8] = [0.3, -0.7, 0.05, 0.9, -0.2, 0.0, 0.61, -0.33];
 
@@ -649,7 +624,7 @@ pub(crate) mod tests {
                     let encs = [
                         q.compress(&g, &mut rng()),
                         q.compress_slice(g.as_slice(), &mut rng(), &pool),
-                        q.compress_pooled(&g, &mut rng(), &pool),
+                        q.encode(g.shape().clone(), 0, g.as_slice(), &mut rng(), &pool),
                         q.compress_committed_at(0, &mut kept, &mut rng(), &pool),
                     ];
                     for enc in &encs {
@@ -712,8 +687,8 @@ pub(crate) mod tests {
                 pool.recycle(c.compress_slice(g.as_slice(), &mut rng, &pool));
                 assert_eq!(rng, expected, "{} compress_slice n={n}", c.name());
                 let mut rng = Rng::seed_from_u64(55);
-                pool.recycle(c.compress_pooled(&g, &mut rng, &pool));
-                assert_eq!(rng, expected, "{} compress_pooled n={n}", c.name());
+                pool.recycle(c.encode(g.shape().clone(), 0, g.as_slice(), &mut rng, &pool));
+                assert_eq!(rng, expected, "{} encode n={n}", c.name());
             }
         }
     }
@@ -754,7 +729,14 @@ pub(crate) mod tests {
         // `decode_with` computes, for norms of every exponent, sign and
         // NaN payload (random bit patterns) and the edges of the range.
         let mut rng = Rng::seed_from_u64(59);
-        let edges = [0.0f32, -0.0, f32::MIN_POSITIVE, f32::MAX, f32::INFINITY, f32::NAN];
+        let edges = [
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ];
         let tiny = [f32::from_bits(1), f32::from_bits(0x007f_ffff), -f32::MAX];
         let random = (0..1 << 18).map(|_| f32::from_bits(rng.next_u32()));
         let norms: Vec<f32> = edges.into_iter().chain(tiny).chain(random).collect();
@@ -772,26 +754,6 @@ pub(crate) mod tests {
                         norm.to_bits()
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_compress_is_bit_identical() {
-        // Same rng stream → same stochastic rounding → the pooled/fused
-        // writer must produce byte-for-byte the same payload.
-        let mut seed_rng = Rng::seed_from_u64(21);
-        let pool = ScratchPool::new();
-        for n in [1usize, 100, 129, 1000] {
-            for bits in [2u32, 3, 4, 8] {
-                let g = Tensor::randn(&mut seed_rng, &[n]);
-                let mut q = QsgdCompressor::new(bits, 128);
-                let mut rng_a = Rng::seed_from_u64(5);
-                let mut rng_b = Rng::seed_from_u64(5);
-                let plain = q.compress(&g, &mut rng_a);
-                let pooled = q.compress_slice(g.as_slice(), &mut rng_b, &pool);
-                assert_eq!(plain.payload(), pooled.payload(), "n={n} bits={bits}");
-                pool.recycle(pooled);
             }
         }
     }

@@ -107,11 +107,6 @@ impl CompressionScheme {
             CompressionScheme::Fake { gamma } => 32.0 / gamma,
         }
     }
-
-    /// Nominal compression ratio vs FP32 (NaN where shape-dependent).
-    pub fn nominal_ratio(&self) -> f64 {
-        32.0 / self.nominal_bits_per_element()
-    }
 }
 
 impl Default for CompressionScheme {
@@ -178,17 +173,6 @@ mod tests {
             let rt = c.decompress(&enc);
             assert_eq!(rt.shape(), g.shape(), "scheme {scheme}");
         }
-    }
-
-    #[test]
-    fn nominal_ratios() {
-        let q = CompressionScheme::Qsgd {
-            bits: 4,
-            bucket_size: 128,
-        };
-        assert!((q.nominal_ratio() - 32.0 / 4.25).abs() < 1e-9);
-        assert!((CompressionScheme::Fake { gamma: 8.0 }.nominal_ratio() - 8.0).abs() < 1e-9);
-        assert_eq!(CompressionScheme::None.nominal_ratio(), 1.0);
     }
 
     #[test]

@@ -173,8 +173,12 @@ impl ScratchPool {
     pub fn publish(&self, registry: &cgx_obs::MetricsRegistry) {
         registry.gauge("pool.allocations").set(self.allocations());
         registry.gauge("pool.reuses").set(self.reuses());
-        registry.gauge("pool.idle_bufs").set(self.idle_bufs() as u64);
-        registry.gauge("pool.idle_f32s").set(self.idle_f32s() as u64);
+        registry
+            .gauge("pool.idle_bufs")
+            .set(self.idle_bufs() as u64);
+        registry
+            .gauge("pool.idle_f32s")
+            .set(self.idle_f32s() as u64);
         let lanes = crate::simd::Route::widest().lanes();
         registry.gauge("compress.kernel_lanes").set(lanes);
     }

@@ -7,7 +7,7 @@
 //! (Section 6, "Heterogeneous compression").
 
 use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
-use cgx_tensor::{Rng, Tensor};
+use cgx_tensor::{Rng, Shape, Tensor};
 
 /// Sparsifier that keeps the top `ratio` fraction of components by
 /// magnitude (at least one).
@@ -56,16 +56,6 @@ impl TopKCompressor {
         ((n as f64 * self.ratio).round() as usize).clamp(1, n.max(1))
     }
 
-    fn encode_into(&self, grad: &Tensor, w: &mut BitWriter) {
-        let k = self.k_for(grad.len());
-        let idx = grad.top_k_indices(k);
-        w.write_u32(k as u32);
-        for i in idx {
-            w.write_u32(i as u32);
-            w.write_f32(grad[i]);
-        }
-    }
-
     /// Decodes the sparse payload, invoking `f(index, value)` for each of
     /// the `k` stored pairs in stream order.
     fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
@@ -86,55 +76,36 @@ impl Compressor for TopKCompressor {
         format!("topk({}%)", self.ratio * 100.0)
     }
 
-    fn compress(&mut self, grad: &Tensor, _rng: &mut Rng) -> Encoded {
-        let mut w = BitWriter::with_capacity(self.compressed_bytes(grad.len()));
-        self.encode_into(grad, &mut w);
-        Encoded::new(grad.shape().clone(), w.finish())
-    }
-
-    fn compress_slice(&mut self, data: &[f32], _rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        // Selection still materializes a tensor view; only the encode
-        // buffer is pooled.
-        let t = Tensor::from_slice(data);
+    /// `k` as a `u32`, then each kept (index, value) pair in index order.
+    fn encode(
+        &mut self,
+        shape: Shape,
+        _offset: usize,
+        data: &[f32],
+        _rng: &mut Rng,
+        pool: &ScratchPool,
+    ) -> Encoded {
+        let k = self.k_for(data.len());
         let mut w = BitWriter::from_buf(pool.take_buf(self.compressed_bytes(data.len())));
-        self.encode_into(&t, &mut w);
-        Encoded::new(t.shape().clone(), w.finish())
+        w.write_u32(k as u32);
+        for i in Tensor::from_slice(data).top_k_indices(k) {
+            w.write_u32(i as u32);
+            w.write_f32(data[i]);
+        }
+        Encoded::new(shape, w.finish())
     }
 
-    fn compress_pooled(&mut self, grad: &Tensor, _rng: &mut Rng, pool: &ScratchPool) -> Encoded {
-        let mut w = BitWriter::from_buf(pool.take_buf(self.compressed_bytes(grad.len())));
-        self.encode_into(grad, &mut w);
-        Encoded::new(grad.shape().clone(), w.finish())
-    }
-
-    fn decompress(&self, enc: &Encoded) -> Tensor {
-        let mut out = Tensor::zeros(enc.shape().dims());
-        let slice = out.as_mut_slice();
-        self.decode_with(enc, |i, v| slice[i] = v);
-        out
-    }
-
-    fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
-        assert_eq!(
-            enc.shape().len(),
-            out.len(),
-            "decompress_into length mismatch"
-        );
-        out.fill(0.0);
-        self.decode_with(enc, |i, v| out[i] = v);
-    }
-
-    fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
-        // Sparse fusion: only the k stored slots are touched. Untouched
-        // slots keep their value instead of gaining `+ 0.0`; the only
-        // observable difference is an accumulator of -0.0 staying -0.0,
-        // and -0.0 == 0.0 under f32 comparison, so consensus checks hold.
-        assert_eq!(
-            enc.shape().len(),
-            out.len(),
-            "decompress_add_into length mismatch"
-        );
-        self.decode_with(enc, |i, v| out[i] += v);
+    /// The decode-add touches only the `k` stored slots. Untouched slots
+    /// keep their value instead of gaining `+ 0.0`; the only observable
+    /// difference is an accumulator of -0.0 staying -0.0, and -0.0 == 0.0
+    /// under f32 comparison, so consensus checks hold.
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+        if add {
+            self.decode_with(enc, |i, v| out[i] += v);
+        } else {
+            out.fill(0.0);
+            self.decode_with(enc, |i, v| out[i] = v);
+        }
     }
 
     fn compressed_bytes(&self, n: usize) -> usize {
@@ -202,18 +173,6 @@ mod tests {
     #[should_panic(expected = "ratio must be in (0, 1]")]
     fn zero_ratio_panics() {
         TopKCompressor::new(0.0);
-    }
-
-    #[test]
-    fn pooled_compress_is_bit_identical() {
-        let mut rng = Rng::seed_from_u64(6);
-        let pool = ScratchPool::new();
-        let g = Tensor::randn(&mut rng, &[200]);
-        let mut c = TopKCompressor::new(0.1);
-        let plain = c.compress(&g, &mut rng);
-        let pooled = c.compress_slice(g.as_slice(), &mut rng, &pool);
-        assert_eq!(plain.payload(), pooled.payload());
-        pool.recycle(pooled);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! ULP-identical to the generic ones they replace.
 
 use cgx_compress::{
-    is_word_packable, pack_fixed, unpack_fixed, BitReader, BitWriter, Compressor, Encoded,
-    NuqsgdCompressor, OneBitCompressor, QsgdCompressor, ScratchPool, TopKCompressor,
+    is_word_packable, pack_fixed, unpack_fixed, BitReader, BitWriter, CompressionScheme,
+    Compressor, Encoded, NuqsgdCompressor, OneBitCompressor, QsgdCompressor, ScratchPool,
+    TopKCompressor,
 };
 use cgx_tensor::{cases, Rng, Tensor};
 
@@ -143,20 +144,67 @@ fn topk_fused_decode_add_is_ulp_exact() {
     });
 }
 
+/// Every scheme, with parameters drawn from `rng`.
+fn every_scheme(rng: &mut Rng) -> [CompressionScheme; 7] {
+    let (bits, bucket_size) = (rng.range(2..=8) as u32, rng.range(1..512));
+    [
+        CompressionScheme::None,
+        CompressionScheme::Qsgd { bits, bucket_size },
+        CompressionScheme::Nuqsgd { bits, bucket_size },
+        CompressionScheme::TopK {
+            ratio: rng.uniform_range(0.01, 1.0),
+        },
+        CompressionScheme::PowerSgd {
+            rank: rng.range(1..5),
+        },
+        CompressionScheme::OneBit { bucket_size },
+        CompressionScheme::Fake {
+            gamma: rng.uniform_range(1.0, 8.0),
+        },
+    ]
+}
+
 #[test]
-fn pooled_compress_is_bit_identical_across_schemes() {
-    cases(64, |rng| {
-        // The pooled encode path (scratch-buffer reuse + write_run fast
-        // path) must emit byte-identical payloads to the plain path.
-        let pool = ScratchPool::new();
-        let g = Tensor::from_slice(&gradient(rng, 1200));
-        let (bits, bucket) = (rng.range(2..=8) as u32, rng.range(1..512));
-        let mut a = QsgdCompressor::new(bits, bucket);
-        let mut b = QsgdCompressor::new(bits, bucket);
-        let mut rng_b = rng.clone();
-        let plain = a.compress(&g, rng);
-        let pooled = b.compress_pooled(&g, &mut rng_b, &pool);
-        assert_eq!(plain.payload(), pooled.payload());
-        assert_eq!(plain.shape(), pooled.shape());
+fn recycled_pool_buffers_encode_the_same_bytes() {
+    // An encode takes its payload buffer (and error feedback its scratch)
+    // from the pool, whose free buffers are other payloads recycled —
+    // any length, capacity and contents. Whatever they hold, every
+    // scheme's payload, twice over (stateful codecs on their second
+    // call), is the one it writes through a fresh pool.
+    cases(48, |rng| {
+        let (rows, cols) = (rng.range(1..48), rng.range(1..48));
+        let data: Vec<f32> = gradient(rng, 4000)
+            .into_iter()
+            .cycle()
+            .take(rows * cols)
+            .collect();
+        let shape = Tensor::zeros(&[rows, cols]).shape().clone();
+        for scheme in every_scheme(rng) {
+            let (fresh, recycled) = (ScratchPool::new(), ScratchPool::new());
+            for other in every_scheme(rng) {
+                let junk = gradient(rng, 3000);
+                recycled.recycle(other.build().compress_slice(&junk, rng, &recycled));
+                recycled.put_f32(vec![f32::NAN; rng.range(0..3000)]);
+            }
+            let (mut a, mut b) = (scheme.build(), scheme.build());
+            let seed = rng.next_u64();
+            let (mut rng_a, mut rng_b) = (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));
+            for call in 0..2 {
+                let want = a.encode(shape.clone(), 0, &data, &mut rng_a, &fresh);
+                let reuses = recycled.reuses();
+                let got = b.encode(shape.clone(), 0, &data, &mut rng_b, &recycled);
+                assert!(
+                    recycled.reuses() > reuses,
+                    "{scheme}: the buffer was not recycled"
+                );
+                assert_eq!(
+                    got.payload(),
+                    want.payload(),
+                    "{scheme} {rows}x{cols} call {call}"
+                );
+                assert_eq!(got.shape(), want.shape());
+                recycled.recycle(got);
+            }
+        }
     });
 }

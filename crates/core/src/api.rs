@@ -71,12 +71,6 @@ impl CgxBuilder {
         self
     }
 
-    /// Disables the automatic norm/bias filter (QNCCL-like behaviour).
-    pub fn without_small_layer_filter(mut self) -> Self {
-        self.filter_small_layers = false;
-        self
-    }
-
     /// Finalizes the session.
     pub fn build(self) -> Cgx {
         Cgx {

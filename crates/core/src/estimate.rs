@@ -83,14 +83,6 @@ impl SystemSetup {
         }
     }
 
-    /// CGX with an explicit uniform scheme.
-    pub fn cgx_with_scheme(scheme: CompressionScheme) -> Self {
-        SystemSetup::Cgx {
-            session: Box::new(CgxBuilder::new().default_scheme(scheme).build()),
-            fp32: false,
-        }
-    }
-
     /// Display label for tables.
     pub fn label(&self) -> String {
         match self {

@@ -11,8 +11,17 @@
 //! began to fuse its multiply-adds (the plans did not move). A row that
 //! moves means the sync path changed bytes — re-record only for a change
 //! that says it re-baselines them.
+//!
+//! The last eight rows run the two error-feedback schemes (top-k and
+//! one-bit) under each of the four algorithms, recorded at v0.34.0 before
+//! error feedback went from two residual stores (one tensor for whole
+//! gradients, one per window for chunks) to one per window. No other row
+//! runs a codec with a residual, and none runs Tree or Allgather, the
+//! algorithms that compress whole gradients.
 
+use cgx_collectives::reduce::Algorithm;
 use cgx_collectives::Topology;
+use cgx_compress::CompressionScheme;
 use cgx_engine::data::GaussianMixture;
 use cgx_engine::nn::Mlp;
 use cgx_engine::{
@@ -120,6 +129,98 @@ const GOLDEN: &[Golden] = &[
         tweak: |cfg| cfg.adaptive = kmeans(),
         params: 0x6CFB_2C1D_A606_7DA5,
         plan: Some(0x3CED_7FA3_E7A1_9D7E),
+    },
+    Golden {
+        name: "data-parallel top-k 25 % (error feedback), ScatterReduceAllgather",
+        trainer: Trainer::DataParallel,
+        steps: 20,
+        tweak: |cfg| {
+            cfg.compression = LayerCompression::uniform(CompressionScheme::TopK { ratio: 0.25 });
+            cfg.algorithm = Algorithm::ScatterReduceAllgather;
+        },
+        params: 0x3749_FE80_1E3B_9A48,
+        plan: None,
+    },
+    Golden {
+        name: "data-parallel one-bit/16 (error feedback), ScatterReduceAllgather",
+        trainer: Trainer::DataParallel,
+        steps: 20,
+        tweak: |cfg| {
+            cfg.compression =
+                LayerCompression::uniform(CompressionScheme::OneBit { bucket_size: 16 });
+            cfg.algorithm = Algorithm::ScatterReduceAllgather;
+        },
+        params: 0x1E58_AF4F_664E_E888,
+        plan: None,
+    },
+    Golden {
+        name: "data-parallel top-k 25 % (error feedback), Ring",
+        trainer: Trainer::DataParallel,
+        steps: 20,
+        tweak: |cfg| {
+            cfg.compression = LayerCompression::uniform(CompressionScheme::TopK { ratio: 0.25 });
+            cfg.algorithm = Algorithm::Ring;
+        },
+        params: 0x52AB_6712_099C_AB26,
+        plan: None,
+    },
+    Golden {
+        name: "data-parallel one-bit/16 (error feedback), Ring",
+        trainer: Trainer::DataParallel,
+        steps: 20,
+        tweak: |cfg| {
+            cfg.compression =
+                LayerCompression::uniform(CompressionScheme::OneBit { bucket_size: 16 });
+            cfg.algorithm = Algorithm::Ring;
+        },
+        params: 0x71B5_1C5B_1032_775D,
+        plan: None,
+    },
+    Golden {
+        name: "data-parallel top-k 25 % (error feedback), Tree",
+        trainer: Trainer::DataParallel,
+        steps: 20,
+        tweak: |cfg| {
+            cfg.compression = LayerCompression::uniform(CompressionScheme::TopK { ratio: 0.25 });
+            cfg.algorithm = Algorithm::Tree;
+        },
+        params: 0xC62D_20AC_11DF_F9A7,
+        plan: None,
+    },
+    Golden {
+        name: "data-parallel one-bit/16 (error feedback), Tree",
+        trainer: Trainer::DataParallel,
+        steps: 20,
+        tweak: |cfg| {
+            cfg.compression =
+                LayerCompression::uniform(CompressionScheme::OneBit { bucket_size: 16 });
+            cfg.algorithm = Algorithm::Tree;
+        },
+        params: 0x1B78_9292_C9D9_4FF9,
+        plan: None,
+    },
+    Golden {
+        name: "data-parallel top-k 25 % (error feedback), AllgatherBroadcast",
+        trainer: Trainer::DataParallel,
+        steps: 20,
+        tweak: |cfg| {
+            cfg.compression = LayerCompression::uniform(CompressionScheme::TopK { ratio: 0.25 });
+            cfg.algorithm = Algorithm::AllgatherBroadcast;
+        },
+        params: 0x0D4C_2633_117F_46AB,
+        plan: None,
+    },
+    Golden {
+        name: "data-parallel one-bit/16 (error feedback), AllgatherBroadcast",
+        trainer: Trainer::DataParallel,
+        steps: 20,
+        tweak: |cfg| {
+            cfg.compression =
+                LayerCompression::uniform(CompressionScheme::OneBit { bucket_size: 16 });
+            cfg.algorithm = Algorithm::AllgatherBroadcast;
+        },
+        params: 0xAD64_60FC_FD23_367F,
+        plan: None,
     },
 ];
 

@@ -210,11 +210,6 @@ impl OpGraph {
         self.sealed
     }
 
-    /// Total dependency edges.
-    pub fn edge_count(&self) -> usize {
-        self.deps.len()
-    }
-
     /// Resets to empty, keeping every allocation for reuse.
     pub fn clear(&mut self) {
         self.srcs.clear();
@@ -421,22 +416,6 @@ impl Fabric {
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.egress_bw.len()
-    }
-
-    /// Sets one rank's egress/ingress lane bandwidths (bytes/s).
-    pub fn set_rank_bandwidth(
-        &mut self,
-        rank: usize,
-        egress_bw: f64,
-        ingress_bw: f64,
-    ) -> Result<(), SimError> {
-        let ranks = self.ranks();
-        if rank >= ranks {
-            return Err(SimError::BadRank { op: 0, rank, ranks });
-        }
-        self.egress_bw[rank] = egress_bw;
-        self.ingress_bw[rank] = ingress_bw;
-        Ok(())
     }
 
     /// Scales one rank's lanes by `factor` (straggler modelling).

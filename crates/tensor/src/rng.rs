@@ -92,11 +92,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f32` in `[0, 1)`.
-    pub fn uniform_f32(&mut self) -> f32 {
-        self.uniform() as f32
-    }
-
     /// Uniform `f64` in `[lo, hi)`.
     ///
     /// # Panics

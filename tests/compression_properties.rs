@@ -3,7 +3,8 @@
 //! and the codecs are robust to adversarial inputs.
 
 use cgx::compress::{
-    compression_error, CompressionScheme, Compressor, Encoded, NormKind, QsgdCompressor,
+    compression_error, CompressionScheme, Compressor, Encoded, NormKind, PowerSgdCompressor,
+    QsgdCompressor,
 };
 use cgx::tensor::{cases, Rng, Tensor};
 
@@ -214,6 +215,66 @@ fn hostile_qsgd_payloads_are_refused_or_decode_cleanly() {
                     assert_eq!(message, "bit stream exhausted", "{what}");
                 }
             }
+        }
+    });
+}
+
+/// A PowerSGD payload: the header `[m, n, r]` and `floats` factor
+/// values after it, every one an `f32` little-endian.
+fn powersgd_payload(header: [f32; 3], floats: usize) -> Vec<u8> {
+    let values = header
+        .into_iter()
+        .chain((0..floats).map(|i| i as f32 * 0.25));
+    values.flat_map(f32::to_le_bytes).collect()
+}
+
+#[test]
+fn hostile_powersgd_payloads_are_refused() {
+    // A PowerSGD frame off a socket is its header `[m, n, r]` and the
+    // factors `P` (m × r) and `Q` (n × r). The receiver's check reads
+    // the header: a payload cut, extended or not whole in `f32`s, one
+    // whose dims do not multiply to the element count or are no finite
+    // integers, or whose rank is not the codec's for those dims is
+    // refused; the honest one passes and decodes.
+    cases(64, |rng| {
+        let (m, n, rank) = (rng.range(1..40), rng.range(1..40), rng.range(1..6));
+        let g = Tensor::randn(rng, &[m, n]);
+        let mut c = PowerSgdCompressor::new(rank);
+        let enc = c.compress(&g, rng);
+        let (count, r) = (m * n, rank.min(m).min(n));
+        assert_eq!(c.check_payload(count, enc.payload()), Ok(()));
+        assert_eq!(c.decompress(&enc).shape(), g.shape());
+        let honest = enc.payload().to_vec();
+        let header = [m as f32, n as f32, r as f32];
+        let cut = rng.range(1..=honest.len());
+        let (mut nan_dims, mut half_dims) = (header, header);
+        nan_dims[rng.index(3)] = f32::NAN;
+        half_dims[rng.index(2)] += 0.5;
+        for (what, payload) in [
+            ("cut", honest[..honest.len() - cut].to_vec()),
+            ("extended", [&honest[..], &[0; 4]].concat()),
+            ("unaligned", [&honest[..], &[0; 1]].concat()),
+            ("thirteen bytes", honest[..13].to_vec()),
+            (
+                "wrong dims",
+                powersgd_payload([(m + 1) as f32, n as f32, r as f32], (m + 1 + n) * r),
+            ),
+            (
+                "wrong rank",
+                powersgd_payload([m as f32, n as f32, (r + 1) as f32], (m + n) * (r + 1)),
+            ),
+            ("NaN dims", powersgd_payload(nan_dims, (m + n) * r)),
+            ("fractional dims", powersgd_payload(half_dims, (m + n) * r)),
+            (
+                "infinite dims",
+                powersgd_payload([f32::INFINITY, n as f32, r as f32], (m + n) * r),
+            ),
+        ] {
+            let what = format!("{what}: m={m} n={n} rank={rank}");
+            assert!(
+                c.check_payload(count, &payload).is_err(),
+                "{what}: accepted"
+            );
         }
     });
 }

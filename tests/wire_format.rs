@@ -162,13 +162,9 @@ fn every_encoder_emits_its_pinned_bytes() {
                 let mut rng = Rng::seed_from_u64(42);
                 let g = Tensor::randn(&mut rng, &[len]);
                 h = fnv(h, scheme.build().compress(&g, &mut rng.clone()).payload());
-                h = fnv(
-                    h,
-                    scheme
-                        .build()
-                        .compress_pooled(&g, &mut rng, &pool)
-                        .payload(),
-                );
+                let (shape, data) = (g.shape().clone(), g.as_slice());
+                let enc = scheme.build().encode(shape, 0, data, &mut rng, &pool);
+                h = fnv(h, enc.payload());
             }
             format!("{scheme} {h:#018x}")
         })
