@@ -44,7 +44,7 @@ fn main() {
     for bucket in [32usize, 128, 512, 2048, 8192] {
         let mut q = QsgdCompressor::new(4, bucket);
         let enc = q.compress(&grad, &mut rng);
-        let err = q.decompress(&enc).l2_distance(&grad) / grad.norm2();
+        let err = q.decompress(&enc).expect("own payload").l2_distance(&grad) / grad.norm2();
         rows.push(vec![
             bucket.to_string(),
             format!(
@@ -84,7 +84,7 @@ fn main() {
             };
             let mut q = QsgdCompressor::new(4, 128);
             let enc = q.compress(g, &mut rng);
-            let err = q.decompress(&enc).l2_distance(g);
+            let err = q.decompress(&enc).expect("own payload").l2_distance(g);
             let e = per_kind.entry(kind).or_insert((0.0, 0.0, 0));
             e.0 += err * err;
             e.1 += g.norm2_sq();
@@ -143,7 +143,7 @@ fn main() {
             let mut transmitted = Tensor::zeros(&[1024]);
             for _ in 0..steps {
                 let enc = c.compress(&steady, rng);
-                transmitted.add_assign(&c.decompress(&enc));
+                transmitted.add_assign(&c.decompress(&enc).expect("own payload"));
             }
             transmitted.scale(1.0 / steps as f32);
             transmitted.l2_distance(&steady) / steady.norm2()
@@ -179,9 +179,9 @@ fn main() {
         let mut uq = QsgdCompressor::new(bits, 128);
         let mut nq = NuqsgdCompressor::new(bits, 128);
         let enc_u = uq.compress(&gc, &mut rng);
-        let eu = uq.decompress(&enc_u).l2_distance(&gc) / gc.norm2();
+        let eu = uq.decompress(&enc_u).expect("own payload").l2_distance(&gc) / gc.norm2();
         let enc_n = nq.compress(&gc, &mut rng);
-        let en = nq.decompress(&enc_n).l2_distance(&gc) / gc.norm2();
+        let en = nq.decompress(&enc_n).expect("own payload").l2_distance(&gc) / gc.norm2();
         rows.push(vec![
             format!("{bits}"),
             format!("{eu:.4}"),

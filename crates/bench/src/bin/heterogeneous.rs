@@ -78,7 +78,7 @@ fn main() {
     let steps = 60;
     for _ in 0..steps {
         let enc = ef.compress(&sub, &mut rng);
-        transmitted.add_assign(&ef.decompress(&enc));
+        transmitted.add_assign(&ef.decompress(&enc).expect("own payload"));
     }
     transmitted.scale(1.0 / steps as f32);
     let rel = transmitted.l2_distance(&sub) / sub.norm2().max(1e-9);

@@ -853,13 +853,12 @@ const PHASE_BCAST: u8 = 2;
 /// [`check_chunk`] for the `want` elements of its slot.
 fn try_recv_chunk(
     t: &dyn Transport,
-    comp: &dyn Compressor,
     peer: usize,
     tag: Tag,
     want: usize,
 ) -> Result<Option<Encoded>, CommError> {
     t.try_recv_tagged(peer, tag)?
-        .map(|enc| check_chunk(comp, enc, want, peer, tag))
+        .map(|enc| check_chunk(enc, want, peer, tag))
         .transpose()
 }
 
@@ -1027,7 +1026,7 @@ impl SraMachine {
                     continue;
                 }
                 let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_SCATTER, epoch);
-                let Some(enc) = try_recv_chunk(t, &*self.comp, j, tag, own.len())? else {
+                let Some(enc) = try_recv_chunk(t, j, tag, own.len())? else {
                     break;
                 };
                 // Ranks 0 and 1 decode-add every peer onto `g` (rank 1's
@@ -1048,7 +1047,8 @@ impl SraMachine {
                         0 if staged => self.comp.decompress_into(&enc, acc),
                         _ => self.comp.decompress_add_into(&enc, acc),
                     },
-                );
+                )
+                .map_err(|e| crate::reduce::refused(tag, j, e))?;
                 self.stats.decompress_calls += 1;
                 pool.recycle(enc);
                 seg.next_acc += 1;
@@ -1103,7 +1103,7 @@ impl SraMachine {
                     continue;
                 }
                 let r = &seg.ranges[j];
-                let Some(enc) = try_recv_chunk(t, &*self.comp, j, tag, r.len())? else {
+                let Some(enc) = try_recv_chunk(t, j, tag, r.len())? else {
                     continue;
                 };
                 let abs = seg.base + r.start..seg.base + r.end;
@@ -1116,7 +1116,8 @@ impl SraMachine {
                         self.comp
                             .decompress_into(&enc, &mut self.out.as_mut_slice()[abs])
                     },
-                );
+                )
+                .map_err(|e| crate::reduce::refused(tag, j, e))?;
                 self.stats.decompress_calls += 1;
                 pool.recycle(enc);
                 seg.gathered[j] = true;
@@ -1548,14 +1549,16 @@ mod tests {
         ) -> Encoded {
             self.0.encode(shape, offset, data, rng, pool)
         }
-        fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+        fn decode(
+            &self,
+            enc: &Encoded,
+            out: &mut [f32],
+            add: bool,
+        ) -> Result<(), cgx_compress::PayloadError> {
             self.0.decode(enc, out, add)
         }
         fn compressed_bytes(&self, n: usize) -> usize {
             self.0.compressed_bytes(n)
-        }
-        fn check_payload(&self, n: usize, payload: &[u8]) -> Result<(), usize> {
-            self.0.check_payload(n, payload)
         }
     }
 
@@ -1753,23 +1756,40 @@ mod tests {
         Encoded::new(Shape::vector(200), Bytes::from(payload))
     }
 
+    /// TopK at 25 %, whose payload for 200 elements is `k = 50` and 50
+    /// (index, value) pairs.
+    const TOP_QUARTER: CompressionScheme = CompressionScheme::TopK { ratio: 0.25 };
+
+    /// A `TOP_QUARTER` frame of 200 elements, of the right length and `k`,
+    /// whose last pair's index is 200: one past the chunk.
+    fn index_past_the_chunk_frame() -> Encoded {
+        let g = Tensor::randn(&mut Rng::seed_from_u64(6), &[200]);
+        let honest = TOP_QUARTER.build().compress(&g, &mut Rng::seed_from_u64(7));
+        let mut payload = honest.payload().to_vec();
+        let last = payload.len() - 8;
+        payload[last..last + 4].copy_from_slice(&200u32.to_le_bytes());
+        Encoded::new(Shape::vector(200), Bytes::from(payload))
+    }
+
     #[test]
     fn wrong_size_scatter_payload_poisons_every_rank_without_a_panic() {
         // Rank 2 answers op 0's scatter phase with a frame of the 200
         // elements its slot holds, but a payload short of them (10 bytes,
         // of which QSGD would read far more), longer than QSGD writes
         // for them, or as long as it would be if the bucket of zeros its
-        // norm fields skip had codes. Both honest ranks must see
-        // `ShapeMismatch` on wait, not the decoder's "bit stream
-        // exhausted" (a panic still reaches the gate, and the long
-        // frame's decode a timeout).
+        // norm fields skip had codes; or, under TopK, a payload of the
+        // right length with an index past the chunk. Both honest ranks
+        // must see `ShapeMismatch` on wait, not a panic of the decoder (a
+        // panic still reaches the gate, and the long frame's decode a
+        // timeout).
         let short = 10 - Q4.build().compressed_bytes(200) as isize;
         let frames = [
-            resized_frame(200, short),
-            resized_frame(200, 1),
-            padded_zero_bucket_frame(),
+            (Q4, resized_frame(200, short)),
+            (Q4, resized_frame(200, 1)),
+            (Q4, padded_zero_bucket_frame()),
+            (TOP_QUARTER, index_past_the_chunk_frame()),
         ];
-        for (case, frame) in frames.iter().enumerate() {
+        for (case, (codec, frame)) in frames.iter().enumerate() {
             let gate = std::sync::Barrier::new(3);
             let errs = ThreadCluster::run(3, |mut t| {
                 t.set_timeout(Duration::from_secs(2));
@@ -1786,7 +1806,7 @@ mod tests {
                 let h = eng.submit(
                     Algorithm::ScatterReduceAllgather,
                     &g,
-                    Q4.build(),
+                    codec.build(),
                     &mut Rng::seed_from_u64(1),
                 );
                 let err = caught(|| eng.wait(h).err());

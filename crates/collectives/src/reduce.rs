@@ -9,7 +9,7 @@
 //! `fig10_reduction_schemes` counts kernels on. The Ring, Tree and
 //! Allgather bodies are also the engine's own eager path — it has no
 //! machine for them. Every chunk received here or by the engine passes
-//! `check_chunk` before a decoder reads it.
+//! `check_chunk`, then its codec's decode: either refusal is a typed error.
 //!
 //! All schemes are generic over the [`Compressor`], and each performs the
 //! decompress-sum-recompress dance exactly where a real implementation
@@ -40,7 +40,7 @@
 
 use crate::error::CommError;
 use crate::transport::{Tag, Transport, LEGACY_TAG};
-use cgx_compress::{Compressor, Encoded, ScratchPool};
+use cgx_compress::{Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::{Rng, Tensor};
 use std::ops::Range;
 
@@ -139,48 +139,42 @@ pub fn chunk_ranges(len: usize, n: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// The one check every received chunk passes, in the engine and in the
+/// The check every received chunk passes, in the engine and in the
 /// reference alike: `enc`, from `peer` on `tag`, must carry the `want`
-/// elements of its slot in a payload that passes `comp`'s
-/// [`Compressor::check_payload`] for them. The decoders assert the one and
-/// run out of bits on a short other, and socket bytes must fail the
-/// collective, not panic.
+/// elements of its slot. What its payload may hold is its codec's decode
+/// to say, whose [`PayloadError`] the receiver passes to [`refused`].
 ///
 /// # Errors
 ///
-/// [`CommError::ShapeMismatch`] naming the tag, the peer and the mismatch.
+/// [`CommError::ShapeMismatch`] naming the tag, the peer and the counts.
 pub(crate) fn check_chunk(
-    comp: &dyn Compressor,
     enc: Encoded,
     want: usize,
     peer: usize,
     tag: Tag,
 ) -> Result<Encoded, CommError> {
-    let refuse = |detail: String| CommError::ShapeMismatch {
-        detail: format!("tag {tag:#x} from rank {peer}: {detail}"),
-    };
-    if enc.shape().len() != want {
-        let got = enc.shape().len();
-        return Err(refuse(format!("expected {want} elements, got {got}")));
+    match enc.shape().len() {
+        got if got == want => Ok(enc),
+        got => Err(refused(tag, peer, format!("expected {want} elements, got {got}"))),
     }
-    match comp.check_payload(want, enc.payload()) {
-        Ok(()) => Ok(enc),
-        Err(bytes) => Err(refuse(format!(
-            "expected {bytes} payload bytes, got {}",
-            enc.payload_bytes()
-        ))),
-    }
+}
+
+/// The error that fails a collective over a chunk from `peer` on `tag`:
+/// socket bytes must fail the collective, not panic the rank.
+pub(crate) fn refused(tag: Tag, peer: usize, why: impl std::fmt::Display) -> CommError {
+    let detail = format!("tag {tag:#x} from rank {peer}: {why}");
+    CommError::ShapeMismatch { detail }
 }
 
 /// The reference's receive: the next legacy-lane chunk from `peer`,
 /// through [`check_chunk`] for `want` elements.
-fn recv_chunk(
-    t: &dyn Transport,
-    comp: &dyn Compressor,
-    peer: usize,
-    want: usize,
-) -> Result<Encoded, CommError> {
-    check_chunk(comp, t.recv(peer)?, want, peer, LEGACY_TAG)
+fn recv_chunk(t: &dyn Transport, peer: usize, want: usize) -> Result<Encoded, CommError> {
+    check_chunk(t.recv(peer)?, want, peer, LEGACY_TAG)
+}
+
+/// The refusal of a payload that `peer` sent on the legacy lane.
+fn sent_by(peer: usize) -> impl Fn(PayloadError) -> CommError {
+    move |e| refused(LEGACY_TAG, peer, e)
 }
 
 /// One blocking allreduce of `grad` by `alg` — the sequential reference
@@ -264,14 +258,12 @@ fn sra(
                 }
                 continue;
             }
-            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, comp, j, mine.len()))?;
-            timed(&mut stats.decode_ns, || {
-                if j == 0 {
-                    comp.decompress_into(&enc, &mut mine);
-                } else {
-                    comp.decompress_add_into(&enc, &mut mine);
-                }
-            });
+            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, j, mine.len()))?;
+            timed(&mut stats.decode_ns, || match j {
+                0 => comp.decompress_into(&enc, &mut mine),
+                _ => comp.decompress_add_into(&enc, &mut mine),
+            })
+            .map_err(sent_by(j))?;
             stats.decompress_calls += 1;
             pool.recycle(enc);
         }
@@ -285,7 +277,8 @@ fn sra(
         t.broadcast(&enc)?;
         timed(&mut stats.decode_ns, || {
             comp.decompress_into(&enc, &mut out.as_mut_slice()[ranges[me].clone()])
-        });
+        })
+        .map_err(sent_by(me))?;
         stats.decompress_calls += 1;
         pool.recycle(enc);
         pool.put_f32(mine);
@@ -294,10 +287,11 @@ fn sra(
         if j == me || range.is_empty() {
             continue;
         }
-        let enc = timed(&mut stats.wait_ns, || recv_chunk(t, comp, j, range.len()))?;
+        let enc = timed(&mut stats.wait_ns, || recv_chunk(t, j, range.len()))?;
         timed(&mut stats.decode_ns, || {
             comp.decompress_into(&enc, &mut out.as_mut_slice()[range.clone()])
-        });
+        })
+        .map_err(sent_by(j))?;
         stats.decompress_calls += 1;
         pool.recycle(enc);
     }
@@ -347,8 +341,8 @@ fn ring(
             t.send(right, enc)?;
         }
         if let Some(c) = chunks[recv_idx].as_mut() {
-            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, comp, left, c.len()))?;
-            timed(&mut stats.decode_ns, || comp.decompress_add_into(&enc, c));
+            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, left, c.len()))?;
+            timed(&mut stats.decode_ns, || comp.decompress_add_into(&enc, c)).map_err(sent_by(left))?;
             stats.decompress_calls += 1;
             pool.recycle(enc);
         }
@@ -375,7 +369,7 @@ fn ring(
         }
         let want = ranges[recv_idx].len();
         if want > 0 {
-            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, comp, left, want))?;
+            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, left, want))?;
             encs[recv_idx] = Some(enc);
         }
     }
@@ -387,7 +381,8 @@ fn ring(
         let enc = encs[i].as_ref().expect("all chunks gathered");
         timed(&mut stats.decode_ns, || {
             comp.decompress_into(enc, &mut out.as_mut_slice()[r.clone()])
-        });
+        })
+        .map_err(sent_by(left))?;
         stats.decompress_calls += 1;
     }
     for enc in encs.into_iter().flatten() {
@@ -431,12 +426,11 @@ fn tree(
             break;
         }
         if me.is_multiple_of(2 * span) && me + span < n {
-            let enc = timed(&mut stats.wait_ns, || {
-                recv_chunk(t, comp, me + span, acc.len())
-            })?;
+            let enc = timed(&mut stats.wait_ns, || recv_chunk(t, me + span, acc.len()))?;
             timed(&mut stats.decode_ns, || {
                 comp.decompress_add_into(&enc, acc.as_mut_slice())
-            });
+            })
+            .map_err(sent_by(me + span))?;
             stats.decompress_calls += 1;
             pool.recycle(enc);
         }
@@ -460,9 +454,7 @@ fn tree(
         let mut s = top / 2;
         while s >= 1 {
             if s == recv_span {
-                enc = Some(timed(&mut stats.wait_ns, || {
-                    recv_chunk(t, comp, me - s, grad.len())
-                })?);
+                enc = Some(timed(&mut stats.wait_ns, || recv_chunk(t, me - s, grad.len()))?);
                 break;
             }
             s /= 2;
@@ -482,7 +474,8 @@ fn tree(
         }
         s /= 2;
     }
-    let out = timed(&mut stats.decode_ns, || comp.decompress(&root_enc));
+    let parent = me - (me & me.wrapping_neg());
+    let out = timed(&mut stats.decode_ns, || comp.decompress(&root_enc)).map_err(sent_by(parent))?;
     stats.decompress_calls += 1;
     pool.recycle(root_enc);
     Ok((out, stats))
@@ -517,16 +510,15 @@ fn gather(
     encs[me] = Some(enc);
     for (j, slot) in encs.iter_mut().enumerate() {
         if j != me {
-            *slot = Some(timed(&mut stats.wait_ns, || {
-                recv_chunk(t, comp, j, grad.len())
-            })?);
+            *slot = Some(timed(&mut stats.wait_ns, || recv_chunk(t, j, grad.len()))?);
         }
     }
     let mut out = Tensor::zeros(grad.shape().dims());
-    for e in encs.iter().flatten() {
+    for (j, e) in encs.iter().flatten().enumerate() {
         timed(&mut stats.decode_ns, || {
             comp.decompress_add_into(e, out.as_mut_slice())
-        });
+        })
+        .map_err(sent_by(j))?;
         stats.decompress_calls += 1;
     }
     for e in encs.into_iter().flatten() {

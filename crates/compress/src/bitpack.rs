@@ -18,6 +18,7 @@
 //! the scalar path; [`BitWriter::write_run`] and [`BitReader::read_run`]
 //! dispatch between them automatically based on width and alignment.
 
+use crate::PayloadError;
 use cgx_tensor::Bytes;
 
 /// Whether `width` is handled by the word-wide kernels ([`pack_fixed`] /
@@ -130,9 +131,10 @@ pub fn unpack_fixed(bytes: &[u8], width: u32, count: usize) -> Vec<u32> {
 /// w.write_f32(2.5);
 /// let bytes = w.finish();
 /// let mut r = BitReader::new(&bytes);
-/// assert_eq!(r.read_bits(3), 5);
-/// assert_eq!(r.read_bits(1), 1);
-/// assert_eq!(r.read_f32(), 2.5);
+/// assert_eq!(r.read_bits(3), Ok(5));
+/// assert_eq!(r.read_bits(1), Ok(1));
+/// assert_eq!(r.read_f32(), Ok(2.5));
+/// assert_eq!(r.finish(), Ok(()));
 /// ```
 #[derive(Debug, Default)]
 pub struct BitWriter {
@@ -245,7 +247,9 @@ impl BitWriter {
 }
 
 /// Reads values of arbitrary bit width from a payload written by
-/// [`BitWriter`].
+/// [`BitWriter`]. A read that the payload cannot satisfy is a
+/// [`PayloadError`], not a panic: the bytes are a receiver's, off a
+/// socket.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
@@ -265,63 +269,96 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Reads `width` bits (1..=32).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is exhausted or `width` is invalid.
+    /// `Ok` if `bits` more bits are left to read.
     #[inline]
-    pub fn read_bits(&mut self, width: u32) -> u32 {
-        assert!((1..=32).contains(&width), "invalid width {width}");
+    fn fits(&self, bits: usize) -> Result<(), PayloadError> {
+        let left = (self.bytes.len() - self.pos) * 8 + self.acc_bits as usize;
+        match bits <= left {
+            true => Ok(()),
+            false => Err(PayloadError::Short),
+        }
+    }
+
+    /// The next `width` (at most 32) bits, which [`BitReader::fits`] has
+    /// found left.
+    #[inline]
+    fn take(&mut self, width: u32) -> u32 {
         while self.acc_bits < width {
-            assert!(self.pos < self.bytes.len(), "bit stream exhausted");
             self.acc |= (self.bytes[self.pos] as u64) << self.acc_bits;
             self.pos += 1;
             self.acc_bits += 8;
         }
-        let mask = if width == 32 {
-            u32::MAX as u64
-        } else {
-            (1u64 << width) - 1
-        };
-        let value = (self.acc & mask) as u32;
+        let value = (self.acc & (u32::MAX as u64 >> (32 - width))) as u32;
         self.acc >>= width;
         self.acc_bits -= width;
         value
     }
 
-    /// Reads a run of `count` equal-width values, invoking `f` once per
-    /// value in stream order. Dispatches to the word-wide
-    /// [`unpack_fixed_with`] kernel when the reader is byte-aligned, the
-    /// width is word-packable, and the run covers whole bytes; falls back
-    /// to [`BitReader::read_bits`] otherwise. Decoded values are identical
-    /// either way.
+    /// Reads `width` bits; a width above 32 reads 32.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the payload is exhausted.
+    /// [`PayloadError::Short`] if fewer bits are left.
     #[inline]
-    pub fn read_run(&mut self, width: u32, count: usize, mut f: impl FnMut(u32)) {
-        let run_bits = count * width as usize;
+    pub fn read_bits(&mut self, width: u32) -> Result<u32, PayloadError> {
+        let width = width.min(32);
+        self.fits(width as usize)?;
+        Ok(self.take(width))
+    }
+
+    /// Reads a run of `count` equal-width values, invoking `f` once per
+    /// value in stream order. The run is checked to fit once, before any
+    /// value is read. Dispatches to the word-wide [`unpack_fixed_with`]
+    /// kernel when the reader is byte-aligned, the width is word-packable,
+    /// and the run covers whole bytes; reads value by value otherwise.
+    /// Decoded values are identical either way.
+    ///
+    /// # Errors
+    ///
+    /// [`PayloadError::Short`], with `f` never called, if the run does
+    /// not fit in what is left.
+    #[inline]
+    pub fn read_run(
+        &mut self,
+        width: u32,
+        count: usize,
+        mut f: impl FnMut(u32),
+    ) -> Result<(), PayloadError> {
+        let width = width.min(32);
+        let run_bits = count.saturating_mul(width as usize);
+        self.fits(run_bits)?;
         if self.acc_bits == 0 && is_word_packable(width) && run_bits.is_multiple_of(8) {
-            let nbytes = run_bits / 8;
             unpack_fixed_with(&self.bytes[self.pos..], width, count, f);
-            self.pos += nbytes;
+            self.pos += run_bits / 8;
         } else {
             for _ in 0..count {
-                f(self.read_bits(width));
+                f(self.take(width));
             }
         }
+        Ok(())
     }
 
-    /// Reads an `f32` bit pattern.
-    pub fn read_f32(&mut self) -> f32 {
-        f32::from_bits(self.read_bits(32))
+    /// Reads an `f32` bit pattern: [`BitReader::read_bits`]`(32)`.
+    pub fn read_f32(&mut self) -> Result<f32, PayloadError> {
+        self.read_bits(32).map(f32::from_bits)
     }
 
-    /// Reads a `u32`.
-    pub fn read_u32(&mut self) -> u32 {
+    /// Reads a `u32`: [`BitReader::read_bits`]`(32)`.
+    pub fn read_u32(&mut self) -> Result<u32, PayloadError> {
         self.read_bits(32)
+    }
+
+    /// Ends a decode: `Ok` if the reader has reached the payload's last
+    /// byte, whose bits past the last read are padding.
+    ///
+    /// # Errors
+    ///
+    /// [`PayloadError::Trailing`] if whole bytes are left unread.
+    pub fn finish(self) -> Result<(), PayloadError> {
+        match self.pos == self.bytes.len() {
+            true => Ok(()),
+            false => Err(PayloadError::Trailing),
+        }
     }
 }
 
@@ -339,10 +376,11 @@ mod tests {
         w.write_bits(7, 5);
         let b = w.finish();
         let mut r = BitReader::new(&b);
-        assert_eq!(r.read_bits(3), 0b101);
-        assert_eq!(r.read_bits(1), 0b1);
-        assert_eq!(r.read_bits(16), 0xABCD);
-        assert_eq!(r.read_bits(5), 7);
+        assert_eq!(r.read_bits(3), Ok(0b101));
+        assert_eq!(r.read_bits(1), Ok(0b1));
+        assert_eq!(r.read_bits(16), Ok(0xABCD));
+        assert_eq!(r.read_bits(5), Ok(7));
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -398,9 +436,9 @@ mod tests {
         }
         let b = w.finish();
         let mut r = BitReader::new(&b);
-        assert_eq!(r.read_bits(3), 5);
+        assert_eq!(r.read_bits(3), Ok(5));
         for v in vals {
-            assert_eq!(r.read_f32().to_bits(), v.to_bits());
+            assert_eq!(r.read_f32().map(f32::to_bits), Ok(v.to_bits()));
         }
     }
 
@@ -411,10 +449,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bit stream exhausted")]
-    fn reading_past_end_panics() {
+    fn reading_past_end_is_an_error() {
         let b = BitWriter::new().finish();
-        BitReader::new(&b).read_bits(1);
+        assert_eq!(BitReader::new(&b).read_bits(1), Err(PayloadError::Short));
+        // A run that does not fit calls nothing, and the reader keeps its
+        // place; bytes left unread make the payload too long.
+        let b = [0xA5u8, 0x0F];
+        let mut r = BitReader::new(&b);
+        assert_eq!(
+            r.read_run(4, 5, |_| panic!("read")),
+            Err(PayloadError::Short)
+        );
+        assert_eq!(r.read_bits(4), Ok(5));
+        assert_eq!(r.finish(), Err(PayloadError::Trailing));
     }
 
     #[test]
@@ -439,8 +486,9 @@ mod tests {
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
             for (v, wd) in &items {
-                assert_eq!(r.read_bits(*wd), *v);
+                assert_eq!(r.read_bits(*wd), Ok(*v));
             }
+            assert_eq!(r.finish(), Ok(()));
         }
     }
 
@@ -523,9 +571,10 @@ mod tests {
                 let bytes = w.finish();
                 let mut r = BitReader::new(&bytes);
                 let mut got = Vec::with_capacity(n);
-                r.read_run(width, n, |v| got.push(v));
+                assert_eq!(r.read_run(width, n, |v| got.push(v)), Ok(()));
                 assert_eq!(got, values, "width={width} n={n}");
-                assert_eq!(r.read_f32(), 1.25);
+                assert_eq!(r.read_f32(), Ok(1.25));
+                assert_eq!(r.finish(), Ok(()));
             }
         }
     }
@@ -557,9 +606,9 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         let mut got = Vec::new();
-        r.read_run(2, 3, |v| got.push(v));
+        assert_eq!(r.read_run(2, 3, |v| got.push(v)), Ok(()));
         assert_eq!(got, vec![1, 2, 3]);
-        assert_eq!(r.read_bits(2), 0b11);
+        assert_eq!(r.read_bits(2), Ok(0b11));
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! the L2 norm of the compression error, "which is known to be associated
 //! with convergence" (Karimireddy et al., 2019). These helpers measure it.
 
-use crate::Compressor;
+use crate::{own_payload, Compressor};
 use cgx_tensor::{Rng, Tensor};
 
 /// L2 norm of `g - decompress(compress(g))`.
 pub fn compression_error(c: &mut dyn Compressor, grad: &Tensor, rng: &mut Rng) -> f64 {
     let enc = c.compress(grad, rng);
-    c.decompress(&enc).l2_distance(grad)
+    own_payload(c.decompress(&enc)).l2_distance(grad)
 }
 
 /// Compression error normalized by the gradient norm (0 for a zero

@@ -6,7 +6,7 @@
 //! only transmitted bytes matter — and produces Figure 1 and the bandwidth
 //! ceiling of Table 8.
 
-use crate::{bytes_to_f32s, f32s_to_bytes, Compressor, Encoded, ScratchPool};
+use crate::{exact_len, f32s_to_bytes, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::{Rng, Shape};
 
 /// Transmits only the first `N/γ` elements of the buffer.
@@ -65,12 +65,15 @@ impl Compressor for FakeCompressor {
     }
 
     /// The head the payload carries, then zeros.
-    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
-        let head = bytes_to_f32s(enc.payload());
-        let values = head.into_iter().chain(std::iter::repeat(0.0));
-        for (o, v) in out.iter_mut().zip(values) {
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError> {
+        let payload = enc.payload();
+        exact_len(payload, self.compressed_bytes(out.len()))?;
+        let head = payload.chunks_exact(4);
+        let head = head.map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+        for (o, v) in out.iter_mut().zip(head.chain(std::iter::repeat(0.0))) {
             *o = if add { *o + v } else { v };
         }
+        Ok(())
     }
 
     fn compressed_bytes(&self, n: usize) -> usize {

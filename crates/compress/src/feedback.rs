@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use crate::{Compressor, Encoded, ScratchPool};
+use crate::{own_payload, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::{Rng, Shape};
 
 /// Wraps a compressor with an error-feedback residual per window.
@@ -102,7 +102,7 @@ impl ErrorFeedback {
         data.copy_from_slice(&corrected);
         let enc = self.inner.encode(shape, 0, data, rng, pool);
         if !self.inner.is_lossless() {
-            self.inner.decompress_into(&enc, data);
+            own_payload(self.inner.decompress_into(&enc, data));
         }
         for (c, v) in corrected.iter_mut().zip(data.iter()) {
             *c -= *v;
@@ -132,8 +132,8 @@ impl Compressor for ErrorFeedback {
         enc
     }
 
-    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
-        self.inner.decode(enc, out, add);
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError> {
+        self.inner.decode(enc, out, add)
     }
 
     /// The reconstruction `data` is left holding is the one the window's
@@ -150,10 +150,6 @@ impl Compressor for ErrorFeedback {
 
     fn compressed_bytes(&self, n: usize) -> usize {
         self.inner.compressed_bytes(n)
-    }
-
-    fn check_payload(&self, n: usize, payload: &[u8]) -> Result<(), usize> {
-        self.inner.check_payload(n, payload)
     }
 
     /// Never: what a window sends is the input plus the residual it left
@@ -184,13 +180,13 @@ mod tests {
         let g = Tensor::from_slice(&[1.0, 0.4]);
         let mut ef = ErrorFeedback::new(Box::new(TopKCompressor::new(0.5)));
         let enc1 = ef.compress(&g, &mut rng);
-        let first = ef.decompress(&enc1);
+        let first = ef.decompress(&enc1).unwrap();
         assert_eq!(first.as_slice(), &[1.0, 0.0]);
         // After two more identical steps the residual at index 1 is 1.2 > 1.0
         // so index 1 finally transmits (with the accumulated value).
         let _ = ef.compress(&g, &mut rng);
         let enc3 = ef.compress(&g, &mut rng);
-        let third = ef.decompress(&enc3);
+        let third = ef.decompress(&enc3).unwrap();
         assert_eq!(third.as_slice()[0], 0.0);
         assert!((third.as_slice()[1] - 1.2).abs() < 1e-6);
     }
@@ -206,7 +202,7 @@ mod tests {
         let steps = 400;
         for _ in 0..steps {
             let enc = ef.compress(&g, &mut rng);
-            transmitted.add_assign(&ef.decompress(&enc));
+            transmitted.add_assign(&ef.decompress(&enc).unwrap());
         }
         for i in 0..4 {
             let expect = g[i] * steps as f32;
@@ -251,7 +247,7 @@ mod tests {
         let mut whole_sum = vec![0.0f32; g.len()];
         for _ in 0..steps {
             let enc = whole.compress(&Tensor::from_slice(&g), &mut rng);
-            let dec = whole.decompress(&enc);
+            let dec = whole.decompress(&enc).unwrap();
             for (s, v) in whole_sum.iter_mut().zip(dec.as_slice()) {
                 *s += *v;
             }
@@ -267,7 +263,7 @@ mod tests {
             for (start, end) in [(0usize, 5usize), (5, 8)] {
                 let enc = seg.compress_slice_at(start, &g[start..end], &mut rng, &pool);
                 let mut dec = vec![0.0f32; end - start];
-                seg.decompress_into(&enc, &mut dec);
+                seg.decompress_into(&enc, &mut dec).unwrap();
                 for (s, v) in seg_sum[start..end].iter_mut().zip(&dec) {
                     *s += *v;
                 }
@@ -370,12 +366,12 @@ mod tests {
                     };
                     let want = by_hand.compress_slice(&corrected, &mut rngs[0], &pool);
                     let mut recon = vec![0.0f32; len];
-                    by_hand.decompress_into(&want, &mut recon);
+                    by_hand.decompress_into(&want, &mut recon).unwrap();
                     corrected.iter_mut().zip(&recon).for_each(|(c, v)| *c -= *v);
 
                     let enc = plain.compress_slice_at(offset, &data, &mut rngs[1], &pool);
                     let mut decoded = vec![0.0f32; len];
-                    plain.decompress_into(&enc, &mut decoded);
+                    plain.decompress_into(&enc, &mut decoded).unwrap();
                     let mut kept = data.clone();
                     let committed =
                         committing.compress_committed_at(offset, &mut kept, &mut rngs[2], &pool);

@@ -24,7 +24,9 @@
 //!
 //! A codec implements one encoder, [`Compressor::encode`], and one decoder,
 //! [`Compressor::decode`]; whole-tensor, slice and windowed compression and
-//! the three decompressions are provided over those two.
+//! the three decompressions are provided over those two. The decoder is the
+//! one definition of a valid payload: bytes it does not accept are a
+//! [`PayloadError`], never a panic.
 //!
 //! # Examples
 //!
@@ -36,7 +38,7 @@
 //! let grad = Tensor::randn(&mut rng, &[1024]);
 //! let mut q = QsgdCompressor::new(4, 128);
 //! let enc = q.compress(&grad, &mut rng);
-//! let restored = q.decompress(&enc);
+//! let restored = q.decompress(&enc).unwrap();
 //! assert_eq!(restored.len(), grad.len());
 //! // ~4.25 bits/element instead of 32.
 //! assert!((enc.payload_bytes() as f64) < 0.2 * 4.0 * 1024.0);
@@ -71,6 +73,39 @@ pub use scratch::ScratchPool;
 pub use topk::TopKCompressor;
 
 use cgx_tensor::{Bytes, Rng, Shape, Tensor};
+use std::cmp::Ordering;
+use std::fmt;
+
+/// Why a decoder refused a payload. A receiver turns it into a failed
+/// collective: no byte off a socket may panic a rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PayloadError {
+    /// The payload ends before the fields it declares.
+    Short,
+    /// Bytes are left after the payload's last field.
+    Trailing,
+    /// A header field is not what the codec writes for the chunk (TopK's
+    /// `k`, PowerSGD's `[m, n, r]`).
+    BadHeader,
+    /// A stored index is not an element of the chunk.
+    IndexOutOfRange,
+    /// The slice to decode into does not hold the chunk's element count.
+    WrongCount,
+}
+
+impl fmt::Display for PayloadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            PayloadError::Short => "payload shorter than its fields",
+            PayloadError::Trailing => "bytes after the payload's last field",
+            PayloadError::BadHeader => "payload header is not the codec's for the chunk",
+            PayloadError::IndexOutOfRange => "payload index outside the chunk",
+            PayloadError::WrongCount => "element count differs from the chunk's",
+        })
+    }
+}
+
+impl std::error::Error for PayloadError {}
 
 /// A compressed gradient chunk: the original shape plus an opaque payload in
 /// the owning compressor's wire format.
@@ -115,10 +150,11 @@ impl Encoded {
 /// [`compress_slice`], [`compress_slice_at`], [`decompress`],
 /// [`decompress_into`] and [`decompress_add_into`] — is a provided method
 /// over those two that no codec overrides, so the entry points cannot
-/// disagree. Decoding a chunk gives back its shape. Compressors may be
-/// stateful across calls (PowerSGD warm-starts its `Q` factor, error
-/// feedback keeps a residual per window), which is why encoding takes
-/// `&mut self`; use one instance per layer.
+/// disagree. Decoding a chunk gives back its shape, or the
+/// [`PayloadError`] that says why its payload is not one this codec writes
+/// for it. Compressors may be stateful across calls (PowerSGD warm-starts
+/// its `Q` factor, error feedback keeps a residual per window), which is
+/// why encoding takes `&mut self`; use one instance per layer.
 ///
 /// [`compress`]: Compressor::compress
 /// [`compress_slice`]: Compressor::compress_slice
@@ -150,35 +186,25 @@ pub trait Compressor: Send {
     /// `out` (`add` true). The add is `out[i] += decoded[i]` with the very
     /// `f32`s the overwrite writes, in element order, because allreduce
     /// consensus depends on every rank computing bit-equal sums; a sparse
-    /// codec may leave the slots it stores nothing for untouched.
+    /// codec may leave the slots it stores nothing for untouched. The
+    /// element count is `out.len()`; the provided decoders hold it to the
+    /// chunk's shape.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Implementations may panic on payloads not produced by a compressor
-    /// with identical parameters. `out` holds the chunk's element count:
-    /// the provided decoders assert it.
-    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool);
+    /// A [`PayloadError`] for any payload that is not what a codec with
+    /// identical parameters writes for `out.len()` elements: `decode` is
+    /// the one definition of a valid payload, and no payload panics it.
+    /// After an `Err`, `out` is unspecified (a decode-add may have added
+    /// part of the chunk): the caller aborts its collective, so a chunk
+    /// half added is never used.
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError>;
 
     /// Payload size in bytes for an `n`-element tensor, without
     /// performing the compression: the largest a payload can be (QSGD
     /// writes no codes for a bucket of zeros). Used by the performance
     /// plane and to size encode buffers.
     fn compressed_bytes(&self, n: usize) -> usize;
-
-    /// Checks that `payload` is what this codec writes for `n` elements,
-    /// so that a receiver can refuse a frame before any decoder reads it:
-    /// the decoders panic on a payload shorter than they read. `Err`
-    /// carries the length the payload should have. The default holds it
-    /// to [`compressed_bytes`]`(n)`; a codec whose length varies reads it
-    /// off the payload's own fields (QSGD's norms, PowerSGD's header).
-    ///
-    /// [`compressed_bytes`]: Compressor::compressed_bytes
-    fn check_payload(&self, n: usize, payload: &[u8]) -> Result<(), usize> {
-        match self.compressed_bytes(n) {
-            len if len == payload.len() => Ok(()),
-            len => Err(len),
-        }
-    }
 
     /// Whether decompression reproduces the input bit-exactly — on every
     /// call, whatever the calls before it were, and for every `f32`
@@ -213,7 +239,7 @@ pub trait Compressor: Send {
     ) -> Encoded {
         let enc = self.compress_slice_at(offset, data, rng, pool);
         if !self.is_lossless() {
-            self.decompress_into(&enc, data);
+            own_payload(self.decompress_into(&enc, data));
         }
         enc
     }
@@ -246,41 +272,57 @@ pub trait Compressor: Send {
 
     /// Reconstructs a dense tensor of the chunk's shape.
     ///
-    /// # Panics
+    /// # Errors
     ///
     /// As [`Compressor::decode`].
-    fn decompress(&self, enc: &Encoded) -> Tensor {
+    fn decompress(&self, enc: &Encoded) -> Result<Tensor, PayloadError> {
         let mut out = vec![0.0; enc.shape().len()];
-        self.decode(enc, &mut out, false);
-        Tensor::from_vec(enc.shape().dims(), out)
+        self.decode(enc, &mut out, false)?;
+        Ok(Tensor::from_vec(enc.shape().dims(), out))
     }
 
     /// Decodes a wire chunk over an existing slice.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `out.len()` differs from the encoded element count, and
-    /// as [`Compressor::decode`].
-    fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) {
-        self.decode(enc, chunk_sized(enc, out), false);
+    /// [`PayloadError::WrongCount`] if `out.len()` differs from the
+    /// encoded element count, and as [`Compressor::decode`].
+    fn decompress_into(&self, enc: &Encoded, out: &mut [f32]) -> Result<(), PayloadError> {
+        self.decode(enc, chunk_sized(enc, out)?, false)
     }
 
     /// Fused decode-accumulate: adds the decoded values of `enc` onto
     /// `out`, bit for bit what decoding and then adding would give.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `out.len()` differs from the encoded element count, and
-    /// as [`Compressor::decode`].
-    fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) {
-        self.decode(enc, chunk_sized(enc, out), true);
+    /// As [`Compressor::decompress_into`].
+    fn decompress_add_into(&self, enc: &Encoded, out: &mut [f32]) -> Result<(), PayloadError> {
+        self.decode(enc, chunk_sized(enc, out)?, true)
     }
 }
 
-/// `out`, after asserting that it holds `enc`'s element count.
-fn chunk_sized<'a>(enc: &Encoded, out: &'a mut [f32]) -> &'a mut [f32] {
-    assert_eq!(enc.shape().len(), out.len(), "decoded length mismatch");
-    out
+/// `out`, if it holds `enc`'s element count.
+fn chunk_sized<'a>(enc: &Encoded, out: &'a mut [f32]) -> Result<&'a mut [f32], PayloadError> {
+    match enc.shape().len() == out.len() {
+        true => Ok(out),
+        false => Err(PayloadError::WrongCount),
+    }
+}
+
+/// The decode of a payload the codec has just written, which is one it
+/// writes: an encoder commits what its receivers will decode.
+pub(crate) fn own_payload<T>(decoded: Result<T, PayloadError>) -> T {
+    decoded.expect("a codec decodes the payload it wrote")
+}
+
+/// `Ok` if `payload` is `len` bytes long, else why not.
+pub(crate) fn exact_len(payload: &[u8], len: usize) -> Result<(), PayloadError> {
+    match payload.len().cmp(&len) {
+        Ordering::Less => Err(PayloadError::Short),
+        Ordering::Equal => Ok(()),
+        Ordering::Greater => Err(PayloadError::Trailing),
+    }
 }
 
 /// Convenience: compress then immediately decompress, returning the lossy
@@ -288,7 +330,7 @@ fn chunk_sized<'a>(enc: &Encoded, out: &'a mut [f32]) -> &'a mut [f32] {
 #[cfg(test)]
 pub(crate) fn round_trip(c: &mut dyn Compressor, grad: &Tensor, rng: &mut Rng) -> Tensor {
     let enc = c.compress(grad, rng);
-    c.decompress(&enc)
+    own_payload(c.decompress(&enc))
 }
 
 /// `xs` little-endian, in a buffer from `pool` (the payload of every
@@ -306,26 +348,15 @@ pub(crate) fn f32s_to_bytes(xs: &[f32], pool: &ScratchPool) -> Bytes {
 /// Reads little-endian `f32`s from `b` over `out`, the inverse of
 /// [`f32s_to_bytes`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `b` is not exactly four bytes per element.
-pub(crate) fn read_f32s_le(b: &[u8], out: &mut [f32]) {
-    assert_eq!(b.len(), out.len() * 4, "f32 payload size");
-    for (o, src) in out.iter_mut().zip(b.chunks_exact(4)) {
-        *o = f32::from_le_bytes(src.try_into().expect("4-byte chunk"));
+/// Unless `b` is exactly four bytes per element.
+pub(crate) fn read_f32s_le(b: &[u8], out: &mut [f32]) -> Result<(), PayloadError> {
+    exact_len(b, out.len() * 4)?;
+    for (o, c) in out.iter_mut().zip(b.chunks_exact(4)) {
+        *o = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
     }
-}
-
-/// Deserializes little-endian bytes into `f32`s.
-///
-/// # Panics
-///
-/// Panics if the byte length is not a multiple of 4.
-pub(crate) fn bytes_to_f32s(b: &[u8]) -> Vec<f32> {
-    assert!(b.len().is_multiple_of(4), "payload not f32-aligned");
-    let mut out = vec![0.0; b.len() / 4];
-    read_f32s_le(b, &mut out);
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -336,13 +367,10 @@ mod tests {
     fn f32_bytes_roundtrip() {
         let xs = [1.0f32, -2.5, 3.25e-8, f32::MAX];
         let b = f32s_to_bytes(&xs, &ScratchPool::new());
-        assert_eq!(bytes_to_f32s(&b), xs.to_vec());
-    }
-
-    #[test]
-    #[should_panic(expected = "not f32-aligned")]
-    fn misaligned_bytes_panic() {
-        bytes_to_f32s(&[1, 2, 3]);
+        let mut back = [0.0f32; 4];
+        assert_eq!(read_f32s_le(&b, &mut back), Ok(()));
+        assert_eq!(back, xs);
+        assert_eq!(read_f32s_le(&b[1..], &mut back), Err(PayloadError::Short));
     }
 
     #[test]
@@ -381,7 +409,7 @@ mod tests {
             for round in 0..2 {
                 let enc = c.compress_slice_at(8, &input, &mut rng, &pool);
                 let mut out = vec![7.0f32; input.len()];
-                c.decompress_into(&enc, &mut out);
+                c.decompress_into(&enc, &mut out).unwrap();
                 for (i, (a, b)) in input.iter().zip(&out).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "{} round {round} [{i}]", c.name());
                 }
@@ -470,7 +498,7 @@ mod tests {
                 for round in 0..2 {
                     let enc = plain.compress_slice_at(8, &data, &mut rng_a, &pool);
                     let mut decoded = vec![7.0f32; n];
-                    plain.decompress_into(&enc, &mut decoded);
+                    plain.decompress_into(&enc, &mut decoded).unwrap();
                     let mut kept = data.clone();
                     let committed =
                         committing.compress_committed_at(8, &mut kept, &mut rng_b, &pool);
@@ -483,36 +511,55 @@ mod tests {
     }
 
     #[test]
-    fn every_payload_passes_the_receivers_check() {
-        // A receiver refuses a frame that fails `check_payload` before
-        // decoding it, so every payload a codec writes must pass — through
-        // every compress entry point — and one a byte longer must not.
-        // None exceeds `compressed_bytes` but PowerSGD, whose length is its
-        // matrix's, which `n` alone does not give; only QSGD writes less
-        // (its buckets of zeros).
+    fn every_decoder_refuses_or_decodes() {
+        // The decoder is a receiver's one check. Every payload a codec
+        // writes, through every compress entry point, decodes through
+        // every decompress entry point, and one a byte longer is refused;
+        // random bytes, of the honest length or of any, decode or are
+        // refused, and never panic. No payload exceeds `compressed_bytes`
+        // but PowerSGD's, whose length is its matrix's, which `n` alone
+        // does not give; only QSGD writes less (its buckets of zeros).
         let (pool, mut rng) = (ScratchPool::new(), Rng::seed_from_u64(5));
         let mut shorter = Vec::new();
         for build in every_codec() {
             let mut c = build();
             for n in [1usize, 7, 127, 128, 129, 1000, 4099] {
                 let data = committed_input(n, &mut rng);
-                let what = format!("{} n={n}", c.name());
                 let encs = [
                     c.compress(&Tensor::from_slice(&data), &mut rng),
                     c.compress_slice_at(3, &data, &mut rng, &pool),
                     c.compress_committed_at(3, &mut data.clone(), &mut rng, &pool),
                 ];
                 for (enc, call) in encs.iter().zip(["compress", "slice_at", "committed_at"]) {
-                    let payload = enc.payload();
-                    assert_eq!(c.check_payload(n, payload), Ok(()), "{what}: {call}");
-                    let extended = [payload.as_ref(), &[0]].concat();
-                    assert!(c.check_payload(n, &extended).is_err(), "{what}: {call}");
+                    let what = format!("{} n={n}: {call}", c.name());
+                    let mut out = vec![0.5f32; n];
+                    assert!(c.decompress(enc).is_ok(), "{what}");
+                    assert_eq!(c.decompress_into(enc, &mut out), Ok(()), "{what}");
+                    assert_eq!(c.decompress_add_into(enc, &mut out), Ok(()), "{what}");
+                    let extended = [enc.payload().as_ref(), &[0]].concat();
+                    let extended = Encoded::new(enc.shape().clone(), extended.into());
+                    assert!(c.decompress(&extended).is_err(), "{what}: extended");
+                    let len = enc.payload_bytes();
                     if c.name().starts_with("powersgd") {
                         continue;
                     }
-                    assert!(payload.len() <= c.compressed_bytes(n), "{what}: {call}");
-                    if payload.len() < c.compressed_bytes(n) && !shorter.contains(&c.name()) {
+                    assert!(len <= c.compressed_bytes(n), "{what}");
+                    if len < c.compressed_bytes(n) && !shorter.contains(&c.name()) {
                         shorter.push(c.name());
+                    }
+                }
+                let honest = encs[0].payload_bytes();
+                let mut random_len = || rng.index(2 * honest + 16);
+                for len in [honest, honest, random_len(), random_len()] {
+                    let payload: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+                    let enc = Encoded::new(Shape::vector(n), payload.into());
+                    for add in [false, true] {
+                        let mut out = vec![0.5f32; n];
+                        let decode = || c.decode(&enc, &mut out, add).is_ok();
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(decode));
+                        let what = format!("{} n={n}: {len} random bytes, add={add}", c.name());
+                        assert!(outcome.is_ok(), "{what}: panicked");
                     }
                 }
             }

@@ -1,6 +1,8 @@
 //! Lossless passthrough "compression" — the FP32 baseline.
 
-use crate::{f32s_to_bytes, read_f32s_le, Compressor, Encoded, ScratchPool};
+use crate::{
+    exact_len, f32s_to_bytes, read_f32s_le, Compressor, Encoded, PayloadError, ScratchPool,
+};
 use cgx_tensor::{Rng, Shape};
 
 /// Identity codec: ships raw `f32`s. This is the uncompressed NCCL/Horovod
@@ -15,7 +17,7 @@ use cgx_tensor::{Rng, Shape};
 /// let g = Tensor::from_slice(&[1.0, -2.0]);
 /// let mut c = NoneCompressor::new();
 /// let enc = c.compress(&g, &mut rng);
-/// assert_eq!(c.decompress(&enc).as_slice(), g.as_slice());
+/// assert_eq!(c.decompress(&enc).unwrap().as_slice(), g.as_slice());
 /// assert!(c.is_lossless());
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,16 +46,16 @@ impl Compressor for NoneCompressor {
         Encoded::new(shape, f32s_to_bytes(data, pool))
     }
 
-    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError> {
         let b = enc.payload();
         if !add {
-            read_f32s_le(b, out);
-            return;
+            return read_f32s_le(b, out);
         }
-        assert_eq!(b.len(), out.len() * 4, "f32 payload size");
+        exact_len(b, out.len() * 4)?;
         for (o, c) in out.iter_mut().zip(b.chunks_exact(4)) {
             *o += f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         }
+        Ok(())
     }
 
     fn compressed_bytes(&self, n: usize) -> usize {

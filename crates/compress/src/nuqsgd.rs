@@ -12,7 +12,7 @@
 //! component (sign + level index), identical size to QSGD — only the
 //! codebook differs.
 
-use crate::{simd, BitReader, BitWriter, Compressor, Encoded, ScratchPool};
+use crate::{simd, BitReader, BitWriter, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::rng::CounterRng;
 use cgx_tensor::{Rng, Shape};
 
@@ -128,25 +128,30 @@ impl NuqsgdCompressor {
         self.codes = codes;
     }
 
-    /// Decodes a payload of any layout, invoking `f(index, value)` per
-    /// element in stream order.
-    fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
-        let n = enc.shape().len();
-        let mut r = BitReader::new(enc.payload());
+    /// Decodes the payload of an `n`-element chunk, of any layout,
+    /// invoking `f(index, value)` per element in stream order.
+    fn decode_with(
+        &self,
+        payload: &[u8],
+        n: usize,
+        mut f: impl FnMut(usize, f32),
+    ) -> Result<(), PayloadError> {
+        let mut r = BitReader::new(payload);
         let mut remaining = n;
         let mut i = 0usize;
         while remaining > 0 {
             let bucket_len = remaining.min(self.bucket_size);
-            let norm = r.read_f32() as f64;
+            let norm = r.read_f32()? as f64;
             r.read_run(self.bits, bucket_len, |code| {
                 let neg = code & 1 == 1;
                 let idx = (code >> 1) as usize;
                 let mag = norm * self.levels[idx.min(self.levels.len() - 1)];
                 f(i, if neg { -mag as f32 } else { mag as f32 });
                 i += 1;
-            });
+            })?;
             remaining -= bucket_len;
         }
+        r.finish()
     }
 }
 
@@ -171,7 +176,7 @@ impl Compressor for NuqsgdCompressor {
     /// By [`simd::lut_decode`] where it takes the layout, from a codebook
     /// built with the formula of [`NuqsgdCompressor::decode_with`], else
     /// by that reader. The two agree bit for bit.
-    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError> {
         let table_of = |norm: f32| {
             std::array::from_fn(|code| {
                 let mag = norm as f64 * self.levels[(code >> 1).min(self.levels.len() - 1)];
@@ -184,10 +189,10 @@ impl Compressor for NuqsgdCompressor {
             true => simd::lut_decode::<true>(route, bits, payload, bucket_size, table_of, out),
             false => simd::lut_decode::<false>(route, bits, payload, bucket_size, table_of, out),
         };
-        match (taken, add) {
-            (true, _) => {}
-            (false, true) => self.decode_with(enc, |i, v| out[i] += v),
-            (false, false) => self.decode_with(enc, |i, v| out[i] = v),
+        match (taken?, add, out.len()) {
+            (true, _, _) => Ok(()),
+            (false, true, n) => self.decode_with(payload, n, |i, v| out[i] += v),
+            (false, false, n) => self.decode_with(payload, n, |i, v| out[i] = v),
         }
     }
 
@@ -306,7 +311,8 @@ mod tests {
                     let q = NuqsgdCompressor::new(bits, bucket_size);
                     let enc = crafted(bits, bucket_size, n);
                     let mut reference = vec![0.0f32; n];
-                    q.decode_with(&enc, |i, v| reference[i] = v);
+                    q.decode_with(enc.payload(), n, |i, v| reference[i] = v)
+                        .unwrap();
                     assert_decodes_to(&q, &enc, &reference);
                 }
             }
@@ -320,12 +326,12 @@ mod tests {
             let g = Tensor::randn(&mut rng, &[300]);
             let mut q = NuqsgdCompressor::new(bits, 128);
             let enc = q.compress(&g, &mut rng);
-            let dense = q.decompress(&enc);
+            let dense = q.decompress(&enc).unwrap();
             let mut overwrite = vec![5.0f32; g.len()];
-            q.decompress_into(&enc, &mut overwrite);
+            q.decompress_into(&enc, &mut overwrite).unwrap();
             assert_eq!(overwrite, dense.as_slice(), "bits={bits}");
             let mut fused = vec![1.0f32; g.len()];
-            q.decompress_add_into(&enc, &mut fused);
+            q.decompress_add_into(&enc, &mut fused).unwrap();
             for (f, d) in fused.iter().zip(dense.as_slice()) {
                 assert_eq!(*f, 1.0 + *d, "bits={bits}");
             }

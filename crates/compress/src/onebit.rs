@@ -6,7 +6,7 @@
 //! is scale-aware. Biased — pair with
 //! [`ErrorFeedback`](crate::ErrorFeedback) to recover accuracy.
 
-use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
+use crate::{exact_len, BitReader, BitWriter, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::{Rng, Shape};
 
 /// Sign compressor with two per-bucket scales.
@@ -20,7 +20,7 @@ use cgx_tensor::{Rng, Shape};
 /// let g = Tensor::from_slice(&[2.0, -4.0, 6.0, -8.0]);
 /// let mut c = OneBitCompressor::new(4);
 /// let enc = c.compress(&g, &mut rng);
-/// let rt = c.decompress(&enc);
+/// let rt = c.decompress(&enc).unwrap();
 /// assert_eq!(rt.as_slice(), &[4.0, -6.0, 4.0, -6.0]);
 /// ```
 #[derive(Debug, Clone)]
@@ -85,23 +85,30 @@ impl OneBitCompressor {
         self.codes = codes;
     }
 
-    /// Decodes a payload, invoking `f(index, value)` per element in stream
-    /// order.
-    fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
-        let n = enc.shape().len();
-        let mut r = BitReader::new(enc.payload());
+    /// Decodes the payload of an `n`-element chunk, of exactly
+    /// [`Compressor::compressed_bytes`]`(n)` bytes, invoking `f(index,
+    /// value)` per element in stream order.
+    fn decode_with(
+        &self,
+        payload: &[u8],
+        n: usize,
+        mut f: impl FnMut(usize, f32),
+    ) -> Result<(), PayloadError> {
+        exact_len(payload, self.compressed_bytes(n))?;
+        let mut r = BitReader::new(payload);
         let mut remaining = n;
         let mut i = 0usize;
         while remaining > 0 {
             let bucket_len = remaining.min(self.bucket_size);
-            let pos_mean = r.read_f32();
-            let neg_mean = r.read_f32();
+            let pos_mean = r.read_f32()?;
+            let neg_mean = r.read_f32()?;
             r.read_run(1, bucket_len, |sign| {
                 f(i, if sign == 1 { pos_mean } else { -neg_mean });
                 i += 1;
-            });
+            })?;
             remaining -= bucket_len;
         }
+        Ok(())
     }
 }
 
@@ -123,11 +130,12 @@ impl Compressor for OneBitCompressor {
         Encoded::new(shape, w.finish())
     }
 
-    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError> {
+        let (payload, n) = (enc.payload(), out.len());
         if add {
-            self.decode_with(enc, |i, v| out[i] += v);
+            self.decode_with(payload, n, |i, v| out[i] += v)
         } else {
-            self.decode_with(enc, |i, v| out[i] = v);
+            self.decode_with(payload, n, |i, v| out[i] = v)
         }
     }
 
@@ -197,12 +205,12 @@ mod tests {
         let g = Tensor::randn(&mut rng, &[777]);
         let mut c = OneBitCompressor::new(64);
         let enc = c.compress(&g, &mut rng);
-        let dense = c.decompress(&enc);
+        let dense = c.decompress(&enc).unwrap();
         let mut overwrite = vec![3.0f32; g.len()];
-        c.decompress_into(&enc, &mut overwrite);
+        c.decompress_into(&enc, &mut overwrite).unwrap();
         assert_eq!(overwrite, dense.as_slice());
         let mut fused = vec![0.5f32; g.len()];
-        c.decompress_add_into(&enc, &mut fused);
+        c.decompress_add_into(&enc, &mut fused).unwrap();
         for (f, d) in fused.iter().zip(dense.as_slice()) {
             assert_eq!(*f, 0.5 + *d);
         }

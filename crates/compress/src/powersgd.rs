@@ -12,7 +12,7 @@
 //! adoption in PyTorch DDP. Here it runs through the engine like every
 //! other codec: each rank's payload is decoded and summed.
 
-use crate::{bytes_to_f32s, f32s_to_bytes, Compressor, Encoded, ScratchPool};
+use crate::{f32s_to_bytes, read_f32s_le, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::{matmul, matmul_tn, orthogonalize_columns, Rng, Shape, Tensor};
 
 /// Warm-started rank-`r` PowerSGD compressor.
@@ -29,7 +29,7 @@ use cgx_tensor::{matmul, matmul_tn, orthogonalize_columns, Rng, Shape, Tensor};
 /// let g = Tensor::randn(&mut rng, &[32, 16]);
 /// let mut p = PowerSgdCompressor::new(4);
 /// let enc = p.compress(&g, &mut rng);
-/// assert_eq!(p.decompress(&enc).shape(), g.shape());
+/// assert_eq!(p.decompress(&enc).unwrap().shape(), g.shape());
 /// ```
 #[derive(Debug)]
 pub struct PowerSgdCompressor {
@@ -106,19 +106,25 @@ impl Compressor for PowerSgdCompressor {
         Encoded::new(shape, f32s_to_bytes(&floats, pool))
     }
 
-    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
-        let floats = bytes_to_f32s(enc.payload());
-        assert!(floats.len() >= 3, "truncated PowerSGD payload");
-        let m = floats[0] as usize;
-        let n = floats[1] as usize;
-        let r = floats[2] as usize;
-        assert_eq!(
-            floats.len(),
-            3 + (m + n) * r,
-            "PowerSGD payload length mismatch"
-        );
-        let p = Tensor::from_vec(&[m, r], floats[3..3 + m * r].to_vec());
-        let q = Tensor::from_vec(&[n, r], floats[3 + m * r..].to_vec());
+    /// The 12-byte header `[m, n, r]` must hold positive integers with
+    /// `m·n = out.len()` and `r` the rank this codec uses for them, and
+    /// the factors after it `(m + n)·r` floats.
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError> {
+        let (mut header, payload) = ([0.0f32; 3], enc.payload());
+        read_f32s_le(payload.get(..12).ok_or(PayloadError::Short)?, &mut header)?;
+        let dim = |d: f32| (d.is_finite() && d >= 1.0 && d.fract() == 0.0).then_some(d as usize);
+        let (m, n) = match (dim(header[0]), dim(header[1])) {
+            (Some(m), Some(n)) if m.checked_mul(n) == Some(out.len()) => (m, n),
+            _ => return Err(PayloadError::BadHeader),
+        };
+        let r = self.effective_rank(m, n);
+        if dim(header[2]) != Some(r) {
+            return Err(PayloadError::BadHeader);
+        }
+        let mut floats = vec![0.0f32; (m + n) * r];
+        read_f32s_le(&payload[12..], &mut floats)?;
+        let p = Tensor::from_vec(&[m, r], floats[..m * r].to_vec());
+        let q = Tensor::from_vec(&[n, r], floats[m * r..].to_vec());
         // M = P Qᵀ. Compute via matmul with Q transposed: (m x r)·(r x n).
         let mut qt = Tensor::zeros(&[r, n]);
         for i in 0..n {
@@ -127,10 +133,10 @@ impl Compressor for PowerSgdCompressor {
             }
         }
         let rec = matmul(&p, &qt);
-        assert_eq!(rec.len(), out.len(), "PowerSGD payload length mismatch");
         for (o, v) in out.iter_mut().zip(rec.as_slice()) {
             *o = if add { *o + v } else { *v };
         }
+        Ok(())
     }
 
     fn compressed_bytes(&self, n_elems: usize) -> usize {
@@ -141,26 +147,6 @@ impl Compressor for PowerSgdCompressor {
         let n = n_elems.div_ceil(m);
         let r = self.effective_rank(m, n);
         (3 + (m + n) * r) * 4
-    }
-
-    /// Read off the 12-byte header `[m, n, r]`: dims that are finite
-    /// integers with `m·n = count`, the rank this codec uses for them,
-    /// and `3 + (m + n)·r` floats in all. `Err` carries that length where
-    /// the dims are a matrix of `count` elements, else the estimate.
-    fn check_payload(&self, count: usize, payload: &[u8]) -> Result<(), usize> {
-        let dim = |at: usize| {
-            let d = f32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?);
-            (d.is_finite() && d >= 0.0 && d.fract() == 0.0).then_some(d as usize)
-        };
-        let (m, n) = match (dim(0), dim(4)) {
-            (Some(m), Some(n)) if m.checked_mul(n) == Some(count) => (m, n),
-            _ => return Err(self.compressed_bytes(count)),
-        };
-        let r = self.effective_rank(m, n);
-        match (3 + (m + n) * r) * 4 {
-            len if len == payload.len() && dim(8) == Some(r) => Ok(()),
-            len => Err(len),
-        }
     }
 
     fn kernel_cost_per_element(&self) -> f64 {
@@ -183,7 +169,7 @@ mod tests {
         let m = matmul(&u, &v);
         let mut c = PowerSgdCompressor::new(1);
         let enc = c.compress(&m, &mut rng);
-        let rt = c.decompress(&enc);
+        let rt = c.decompress(&enc).unwrap();
         assert!(rt.l2_distance(&m) / m.norm2() < 1e-4);
     }
 
@@ -203,7 +189,7 @@ mod tests {
         let mut last_err = 0.0;
         for _ in 0..8 {
             let enc = c.compress(&base, &mut rng);
-            let rt = c.decompress(&enc);
+            let rt = c.decompress(&enc).unwrap();
             last_err = rt.l2_distance(&base);
             first_err.get_or_insert(last_err);
         }
@@ -230,7 +216,7 @@ mod tests {
         let g = Tensor::randn(&mut rng, &[100]);
         let mut c = PowerSgdCompressor::new(4);
         let enc = c.compress(&g, &mut rng);
-        let rt = c.decompress(&enc);
+        let rt = c.decompress(&enc).unwrap();
         assert_eq!(rt.shape(), g.shape());
         // Rank >= 1 on a 1 x 100 matrix is exact.
         assert!(rt.l2_distance(&g) / g.norm2() < 1e-4);
@@ -245,7 +231,7 @@ mod tests {
         // Effective rank 3 => payload = (3 + (3+50)*3) * 4 bytes.
         assert_eq!(enc.payload_bytes(), (3 + 53 * 3) * 4);
         // Full-rank factorization reconstructs exactly (up to fp error).
-        let rt = c.decompress(&enc);
+        let rt = c.decompress(&enc).unwrap();
         assert!(rt.l2_distance(&g) / g.norm2() < 1e-3);
     }
 

@@ -12,7 +12,7 @@
 #[cfg(test)]
 use crate::simd::BucketQuantizer;
 use crate::simd::{self, Route, Walk};
-use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
+use crate::{own_payload, BitReader, BitWriter, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::rng::CounterRng;
 use cgx_tensor::{Bytes, Rng, Shape};
 
@@ -188,8 +188,12 @@ impl QsgdCompressor {
     /// [`simd::ZERO_BUCKET`]: the reference the table kernel is tested
     /// against, and the route of the layouts it does not take (5 to 8
     /// bits, and buckets that are no whole number of bytes).
-    fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
-        let n = enc.shape().len();
+    fn decode_with(
+        &self,
+        payload: &[u8],
+        n: usize,
+        mut f: impl FnMut(usize, f32),
+    ) -> Result<(), PayloadError> {
         let s = self.levels() as f64;
         let offset = self.levels() as i64;
         // Codebook lookup: a bucket decodes every code to one of 2^bits
@@ -201,13 +205,13 @@ impl QsgdCompressor {
         let table_len = 1usize << self.bits;
         let use_lut = table_len <= 64.max(self.bucket_size / 2);
         let mut table = [0.0f32; 256];
-        let mut r = BitReader::new(enc.payload());
+        let mut r = BitReader::new(payload);
         let mut remaining = n;
         let mut i = 0usize;
         while remaining > 0 {
             let bucket_len = remaining.min(self.bucket_size);
             remaining -= bucket_len;
-            let norm = r.read_u32();
+            let norm = r.read_u32()?;
             if norm == simd::ZERO_BUCKET {
                 for _ in 0..bucket_len {
                     f(i, 0.0);
@@ -224,15 +228,16 @@ impl QsgdCompressor {
                 r.read_run(self.bits, bucket_len, |code| {
                     f(i, table[code as usize]);
                     i += 1;
-                });
+                })?;
             } else {
                 r.read_run(self.bits, bucket_len, |code| {
                     let signed = code as i64 - offset;
                     f(i, (norm * signed as f64 / s) as f32);
                     i += 1;
-                });
+                })?;
             }
         }
+        r.finish()
     }
 }
 
@@ -263,22 +268,19 @@ impl Compressor for QsgdCompressor {
     /// [`QsgdCompressor::decode_with`], else by that reader. The two agree
     /// bit for bit (`kernel_matches_reader_on_every_layout` and
     /// `every_decoder_emits_its_pinned_values` pin this). Scatter-reduce
-    /// decodes `~1.5n` elements per rank per step.
-    ///
-    /// # Panics
-    ///
-    /// Panics with `"bit stream exhausted"` on a short payload.
-    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+    /// decodes `~1.5n` elements per rank per step. Either walk reads each
+    /// norm field once, and with it how many bytes of codes follow.
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError> {
         let (route, payload, table_of) = (self.route, enc.payload(), self.codebook());
         let (bits, bucket_size) = (self.bits, self.bucket_size);
         let taken = match add {
             true => simd::lut_decode::<true>(route, bits, payload, bucket_size, table_of, out),
             false => simd::lut_decode::<false>(route, bits, payload, bucket_size, table_of, out),
         };
-        match (taken, add) {
-            (true, _) => {}
-            (false, true) => self.decode_with(enc, |i, v| out[i] += v),
-            (false, false) => self.decode_with(enc, |i, v| out[i] = v),
+        match (taken?, add, out.len()) {
+            (true, _, _) => Ok(()),
+            (false, true, n) => self.decode_with(payload, n, |i, v| out[i] += v),
+            (false, false, n) => self.decode_with(payload, n, |i, v| out[i] = v),
         }
     }
 
@@ -295,7 +297,7 @@ impl Compressor for QsgdCompressor {
         let n = data.len();
         if self.bits > 4 {
             let enc = self.compress_slice_at(offset, data, rng, pool);
-            self.decode(&enc, data, false);
+            own_payload(self.decode(&enc, data, false));
             return enc;
         }
         let buf = pool.take_buf(self.compressed_bytes(n));
@@ -307,33 +309,6 @@ impl Compressor for QsgdCompressor {
         let buckets = n.div_ceil(self.bucket_size);
         let bits = buckets as u64 * 32 + n as u64 * self.bits as u64;
         bits.div_ceil(8) as usize
-    }
-
-    /// The length `payload`'s own norm fields give: 32 bits per bucket,
-    /// and `bits` per element of every bucket whose field is not `-0.0`
-    /// (a bucket of zeros), rounded up to a byte. A field that `payload`
-    /// is too short to hold counts as a norm, so a payload cut short is
-    /// never the length it is held to.
-    fn check_payload(&self, n: usize, payload: &[u8]) -> Result<(), usize> {
-        let mut bit = 0;
-        for at in (0..n).step_by(self.bucket_size) {
-            // The field's 32 bits, LSB-first from bit `bit`.
-            let (byte, shift) = (bit / 8, bit % 8);
-            let field = payload.get(byte..byte + 4 + usize::from(shift > 0));
-            let norm = field.map(|src| {
-                let mut word = [0u8; 8];
-                word[..src.len()].copy_from_slice(src);
-                (u64::from_le_bytes(word) >> shift) as u32
-            });
-            bit += 32;
-            if norm != Some(simd::ZERO_BUCKET) {
-                bit += self.bucket_size.min(n - at) * self.bits as usize;
-            }
-        }
-        match bit.div_ceil(8) {
-            len if len == payload.len() => Ok(()),
-            len => Err(len),
-        }
     }
 
     fn kernel_cost_per_element(&self) -> f64 {
@@ -629,17 +604,18 @@ pub(crate) mod tests {
                     ];
                     for enc in &encs {
                         assert_eq!(enc.payload(), &twin, "{what}");
-                        assert_eq!(q.check_payload(n, enc.payload()), Ok(()), "{what}");
+                        assert_eq!(q.decompress_into(enc, &mut vec![0.0; n]), Ok(()), "{what}");
                     }
                     assert_eq!(bits_of(&kept), bits_of(&quotients), "{what}: committed");
                     let mut decoded = vec![9.0f32; n];
-                    q.decompress_into(&encs[0], &mut decoded);
+                    q.decompress_into(&encs[0], &mut decoded).unwrap();
                     assert_eq!(bits_of(&decoded), bits_of(&quotients), "{what}: decode");
                     let mut sum = base.clone();
-                    q.decompress_add_into(&encs[0], &mut sum);
+                    q.decompress_add_into(&encs[0], &mut sum).unwrap();
                     assert_eq!(bits_of(&sum), bits_of(&summed), "{what}: decode-add");
                     let mut reference = vec![9.0f32; n];
-                    q.decode_with(&encs[0], |i, v| reference[i] = v);
+                    q.decode_with(encs[0].payload(), n, |i, v| reference[i] = v)
+                        .unwrap();
                     assert_eq!(bits_of(&reference), bits_of(&quotients), "{what}: reader");
                 }
             }
@@ -661,7 +637,7 @@ pub(crate) mod tests {
         let b = q.compress(&sparse, &mut Rng::seed_from_u64(9));
         assert_eq!(b.payload()[..4], simd::ZERO_BUCKET.to_le_bytes());
         assert_eq!(a.payload()[per_bucket..], b.payload()[4..]);
-        let zeros = q.decompress(&b);
+        let zeros = q.decompress(&b).unwrap();
         assert!(zeros.as_slice()[..128].iter().all(|v| *v == 0.0));
     }
 
@@ -702,7 +678,7 @@ pub(crate) mod tests {
             let g = Tensor::randn(&mut rng, &[1000]);
             let mut q = QsgdCompressor::new(bits, bucket_size);
             let enc = q.compress(&g, &mut rng);
-            let got = q.decompress(&enc);
+            let got = q.decompress(&enc).unwrap();
             let s = q.levels() as f64;
             let offset = q.levels() as i64;
             let mut r = crate::BitReader::new(enc.payload());
@@ -710,9 +686,9 @@ pub(crate) mod tests {
             let mut remaining = g.len();
             while remaining > 0 {
                 let bucket_len = remaining.min(bucket_size);
-                let norm = r.read_f32() as f64;
+                let norm = r.read_f32().unwrap() as f64;
                 for _ in 0..bucket_len {
-                    let signed = r.read_bits(bits) as i64 - offset;
+                    let signed = r.read_bits(bits).unwrap() as i64 - offset;
                     want.push((norm * signed as f64 / s) as f32);
                 }
                 remaining -= bucket_len;
@@ -765,13 +741,13 @@ pub(crate) mod tests {
             let g = Tensor::randn(&mut rng, &[515]);
             let mut q = QsgdCompressor::new(bits, 128);
             let enc = q.compress(&g, &mut rng);
-            let dense = q.decompress(&enc);
+            let dense = q.decompress(&enc).unwrap();
             let mut overwrite = vec![9.0f32; g.len()];
-            q.decompress_into(&enc, &mut overwrite);
+            q.decompress_into(&enc, &mut overwrite).unwrap();
             assert_eq!(overwrite, dense.as_slice(), "decompress_into bits={bits}");
             let base: Vec<f32> = (0..g.len()).map(|i| i as f32 * 0.25).collect();
             let mut fused = base.clone();
-            q.decompress_add_into(&enc, &mut fused);
+            q.decompress_add_into(&enc, &mut fused).unwrap();
             let unfused: Vec<f32> = base
                 .iter()
                 .zip(dense.as_slice())
@@ -802,15 +778,17 @@ pub(crate) mod tests {
                 let mut q = QsgdCompressor::new(bits, bucket_size);
                 let enc = q.compress(&g, &mut rng);
                 let mut fast = vec![0.0f32; n];
-                q.decompress_into(&enc, &mut fast);
+                q.decompress_into(&enc, &mut fast).unwrap();
                 let mut reference = vec![0.0f32; n];
-                q.decode_with(&enc, |i, v| reference[i] = v);
+                q.decode_with(enc.payload(), n, |i, v| reference[i] = v)
+                    .unwrap();
                 assert_eq!(fast, reference, "bits={bits} bucket={bucket_size} n={n}");
                 let base: Vec<f32> = (0..n).map(|i| i as f32 * 0.5 - 9.0).collect();
                 let mut fast_add = base.clone();
-                q.decompress_add_into(&enc, &mut fast_add);
+                q.decompress_add_into(&enc, &mut fast_add).unwrap();
                 let mut ref_add = base;
-                q.decode_with(&enc, |i, v| ref_add[i] += v);
+                q.decode_with(enc.payload(), n, |i, v| ref_add[i] += v)
+                    .unwrap();
                 assert_eq!(
                     fast_add, ref_add,
                     "add: bits={bits} bucket={bucket_size} n={n}"
@@ -830,7 +808,7 @@ pub(crate) mod tests {
     pub(crate) fn assert_decodes_to(c: &dyn Compressor, enc: &Encoded, reference: &[f32]) {
         let bits_of = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let mut stored = vec![9.0f32; reference.len()];
-        c.decompress_into(enc, &mut stored);
+        c.decompress_into(enc, &mut stored).unwrap();
         assert_eq!(bits_of(&stored), bits_of(reference), "{} store", c.name());
         let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY];
         let base: Vec<f32> = (0..reference.len())
@@ -841,7 +819,7 @@ pub(crate) mod tests {
             .collect();
         let want: Vec<f32> = base.iter().zip(reference).map(|(b, v)| b + v).collect();
         let mut summed = base;
-        c.decompress_add_into(enc, &mut summed);
+        c.decompress_add_into(enc, &mut summed).unwrap();
         assert_eq!(bits_of(&summed), bits_of(&want), "{} add", c.name());
     }
 
@@ -853,7 +831,8 @@ pub(crate) mod tests {
                     let q = QsgdCompressor::new(bits, bucket_size);
                     let enc = crafted(bits, bucket_size, n);
                     let mut reference = vec![0.0f32; n];
-                    q.decode_with(&enc, |i, v| reference[i] = v);
+                    q.decode_with(enc.payload(), n, |i, v| reference[i] = v)
+                        .unwrap();
                     assert_decodes_to(&q, &enc, &reference);
                 }
             }
@@ -902,13 +881,13 @@ pub(crate) mod tests {
                     table_of,
                     &mut out,
                 );
-                assert_eq!(taken, bits <= 4, "{what}: decode");
+                assert_eq!(taken, Ok(bits <= 4), "{what}: decode");
             }
         }
     }
 
     #[test]
-    fn short_payloads_panic_before_any_read() {
+    fn short_payloads_are_refused() {
         // (4, 8, 7) and (3, 8, 7) are below one lane group and decode in
         // the scalar twin; the others reach the vector body.
         let layouts = [
@@ -929,19 +908,17 @@ pub(crate) mod tests {
                 let short = Encoded::new(enc.shape().clone(), enc.payload().slice(..cut.min(full)));
                 for add in [false, true] {
                     let mut out = vec![0.0f32; n];
-                    let decode = std::panic::AssertUnwindSafe(|| match add {
+                    let decoded = match add {
                         true => q.decompress_add_into(&short, &mut out),
                         false => q.decompress_into(&short, &mut out),
-                    });
-                    let outcome = std::panic::catch_unwind(decode);
+                    };
                     let what = format!("bits={bits} bucket={bucket_size} n={n} cut={cut}");
-                    if cut >= full {
-                        assert!(outcome.is_ok(), "{what}: a whole payload decodes");
-                        continue;
-                    }
-                    let panic = outcome.expect_err(&what);
-                    let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
-                    assert_eq!(message, "bit stream exhausted", "{what}");
+                    let want = if cut >= full {
+                        Ok(())
+                    } else {
+                        Err(PayloadError::Short)
+                    };
+                    assert_eq!(decoded, want, "{what}");
                 }
             }
         }

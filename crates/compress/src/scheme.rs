@@ -170,7 +170,7 @@ mod tests {
         ] {
             let mut c = scheme.build();
             let enc = c.compress(&g, &mut rng);
-            let rt = c.decompress(&enc);
+            let rt = c.decompress(&enc).unwrap();
             assert_eq!(rt.shape(), g.shape(), "scheme {scheme}");
         }
     }

@@ -90,7 +90,7 @@
 //! route, so the routes cannot differ, whatever the norm or the code.
 //! Wider codes decode by formula in the callers' bit readers.
 
-use crate::NormKind;
+use crate::{NormKind, PayloadError};
 use cgx_tensor::rng::CounterRng;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -671,15 +671,16 @@ impl<const WIDTH: usize> Eights<WIDTH> {
 /// (`ADD` true): element `i` is entry `code_i` of `table_of(norm)`, its
 /// bucket's codebook, and every element of a [`ZERO_BUCKET`] is `+0.0`
 /// (NUQSGD, which decodes here too, never writes that norm). Returns
-/// `false`, with `out` untouched, for a layout it has no kernel for: a
+/// `Ok(false)`, with `out` untouched, for a layout it has no kernel for: a
 /// width outside `2..=4` (more than sixteen values), or full buckets that
 /// do not end on a byte, which leave norms unaligned.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with `"bit stream exhausted"`, before reading past its end, if
-/// `payload` is shorter than its norm fields say `out.len()` elements
-/// take.
+/// [`PayloadError::Short`], before reading past its end, if `payload` is
+/// shorter than its norm fields say `out.len()` elements take, and
+/// [`PayloadError::Trailing`] if bytes are left after the last bucket.
+/// `out` is unspecified then.
 pub(crate) fn lut_decode<const ADD: bool>(
     route: Route,
     bits: u32,
@@ -687,10 +688,10 @@ pub(crate) fn lut_decode<const ADD: bool>(
     bucket_size: usize,
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [f32],
-) -> bool {
+) -> Result<bool, PayloadError> {
     let (n, width) = (out.len(), bits as usize);
     if !(2..=4).contains(&bits) || !(bucket_size * width).is_multiple_of(8) {
-        return false;
+        return Ok(false);
     }
     // One lane group at least, or the vector set-up is all a call does.
     let route = if n < 8 { Route(Body::Scalar) } else { route };
@@ -699,7 +700,7 @@ pub(crate) fn lut_decode<const ADD: bool>(
         3 => lut_decode_on::<3, ADD>(route, payload, bucket_size, table_of, out),
         _ => lut_decode_on::<4, ADD>(route, payload, bucket_size, table_of, out),
     }
-    true
+    .map(|()| true)
 }
 
 /// [`lut_decode`] at one width, by the bucket walk `route` names. On
@@ -712,7 +713,7 @@ fn lut_decode_on<const WIDTH: usize, const ADD: bool>(
     bucket_size: usize,
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [f32],
-) {
+) -> Result<(), PayloadError> {
     match route.0 {
         Body::Scalar => {
             lut_decode_buckets::<WIDTH, ADD>(payload, bucket_size, table_of, out, |_, _, _| 0)
@@ -729,9 +730,10 @@ fn lut_decode_on<const WIDTH: usize, const ADD: bool>(
 }
 
 /// The bucket walk of [`lut_decode`], which checks each bucket's length
-/// before it reads the bucket. `groups` decodes a leading multiple of
-/// eight elements of a bucket from its codebook and says how many; the
-/// rest are looked up from one word of up to eight codes at a time.
+/// before it reads the bucket, and that no byte follows the last.
+/// `groups` decodes a leading multiple of eight elements of a bucket from
+/// its codebook and says how many; the rest are looked up from one word
+/// of up to eight codes at a time.
 #[inline(always)]
 fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
     payload: &[u8],
@@ -739,12 +741,11 @@ fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [f32],
     groups: impl Fn(&[f32; 16], &[u8], &mut [f32]) -> usize,
-) {
+) -> Result<(), PayloadError> {
     let mut rest = payload;
     for dst in out.chunks_mut(bucket_size) {
-        assert!(rest.len() >= 4, "bit stream exhausted");
-        let (norm, after) = rest.split_at(4);
-        let norm = u32::from_le_bytes(norm.try_into().expect("four bytes"));
+        let (norm, after) = rest.split_first_chunk().ok_or(PayloadError::Short)?;
+        let norm = u32::from_le_bytes(*norm);
         if norm == ZERO_BUCKET {
             for d in dst.iter_mut() {
                 *d = if ADD { *d + 0.0 } else { 0.0 };
@@ -753,8 +754,9 @@ fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
             continue;
         }
         let code_bytes = (dst.len() * WIDTH).div_ceil(8);
-        assert!(after.len() >= code_bytes, "bit stream exhausted");
-        let (codes, after) = after.split_at(code_bytes);
+        let (codes, after) = after
+            .split_at_checked(code_bytes)
+            .ok_or(PayloadError::Short)?;
         rest = after;
         let table = table_of(f32::from_bits(norm));
         // Eight codes fill `WIDTH` whole bytes and `done` is a multiple
@@ -772,6 +774,10 @@ fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
             }
         }
     }
+    match rest.is_empty() {
+        true => Ok(()),
+        false => Err(PayloadError::Trailing),
+    }
 }
 
 /// AVX-512 body of [`lut_decode`]: every bucket's whole groups of
@@ -783,7 +789,7 @@ fn lut_decode_buckets<const WIDTH: usize, const ADD: bool>(
 ///
 /// The CPU must support AVX-512F. Nothing else is asked of the caller:
 /// every load and store goes through a slice of exactly the length it
-/// touches, and a short `payload` is a panic in the walk, not a wild
+/// touches, and a short `payload` is an `Err` of the walk, not a wild
 /// read.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
@@ -792,7 +798,7 @@ unsafe fn lut_decode_avx512<const WIDTH: usize, const ADD: bool>(
     bucket_size: usize,
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [f32],
-) {
+) -> Result<(), PayloadError> {
     let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
     // Codes 0..8 of a group start at bit 0 of its first four bytes; codes
     // 8..16 start at bit 8 * WIDTH of the group, which is bit `up` of its
@@ -810,8 +816,9 @@ unsafe fn lut_decode_avx512<const WIDTH: usize, const ADD: bool>(
         let groups = dst.chunks_exact_mut(16);
         let done = groups.len() * 16;
         for (bytes, vals) in codes.chunks_exact(2 * WIDTH).zip(groups) {
-            let low = i32::from_le_bytes(bytes[..4].try_into().expect("four bytes"));
-            let high = i32::from_le_bytes(bytes[2 * WIDTH - 4..].try_into().expect("four bytes"));
+            let high = &bytes[2 * WIDTH - 4..];
+            let low = i32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            let high = i32::from_le_bytes([high[0], high[1], high[2], high[3]]);
             let halves = _mm512_mask_set1_epi32(_mm512_set1_epi32(low), 0xFF00, high);
             let mut v = _mm512_permutexvar_ps(_mm512_srlv_epi32(halves, shifts), book);
             if ADD {
@@ -820,7 +827,7 @@ unsafe fn lut_decode_avx512<const WIDTH: usize, const ADD: bool>(
             _mm512_storeu_ps(vals.as_mut_ptr(), v);
         }
         done + lut_eights::<WIDTH, ADD>(table, &codes[done / 8 * WIDTH..], &mut dst[done..])
-    });
+    })
 }
 
 /// AVX2 body of [`lut_decode`]: every bucket's whole groups of eight
@@ -837,10 +844,10 @@ unsafe fn lut_decode_avx2<const WIDTH: usize, const ADD: bool>(
     bucket_size: usize,
     table_of: impl Fn(f32) -> [f32; 16],
     out: &mut [f32],
-) {
+) -> Result<(), PayloadError> {
     lut_decode_buckets::<WIDTH, ADD>(payload, bucket_size, table_of, out, |table, codes, dst| {
         lut_eights::<WIDTH, ADD>(table, codes, dst)
-    });
+    })
 }
 
 /// Looks the whole groups of eight elements of `dst` up in `table` —
@@ -1163,7 +1170,7 @@ pub(crate) mod tests {
     /// [`lut_decode`]'s scalar walk over QSGD's codebook.
     fn twin<const ADD: bool>(bits: u32, payload: &[u8], bucket_size: usize, out: &mut [f32]) {
         let table_of = grid((1 << (bits - 1)) - 1);
-        lut_decode::<ADD>(SCALAR, bits, payload, bucket_size, table_of, out);
+        lut_decode::<ADD>(SCALAR, bits, payload, bucket_size, table_of, out).unwrap();
     }
 
     fn bits_of(xs: &[f32]) -> Vec<u32> {
@@ -1203,9 +1210,9 @@ pub(crate) mod tests {
                     let mut r = crate::BitReader::new(&payload);
                     let mut want = Vec::with_capacity(n);
                     for b in 0..n.div_ceil(bucket_size) {
-                        let norm = r.read_f32() as f64;
+                        let norm = r.read_f32().unwrap() as f64;
                         for _ in 0..bucket_size.min(n - b * bucket_size) {
-                            let signed = r.read_bits(bits) as i64 - levels as i64;
+                            let signed = r.read_bits(bits).unwrap() as i64 - levels as i64;
                             want.push((norm * signed as f64 / levels as f64) as f32);
                         }
                     }
@@ -1231,10 +1238,10 @@ pub(crate) mod tests {
                         );
                         assert_eq!(
                             taken,
-                            (bucket_size * bits as usize).is_multiple_of(8),
+                            Ok((bucket_size * bits as usize).is_multiple_of(8)),
                             "{what}"
                         );
-                        if !taken {
+                        if taken == Ok(false) {
                             assert!(got.iter().all(|v| *v == 9.0), "{what}: untouched");
                             continue;
                         }
@@ -1249,7 +1256,8 @@ pub(crate) mod tests {
                             bucket_size,
                             table_of,
                             &mut kernel_sum,
-                        );
+                        )
+                        .unwrap();
                         for (i, (b, v)) in base.iter().zip(&want).enumerate() {
                             // Which payload the sum of two NaNs carries is
                             // the compiler's choice of operand order.
@@ -1365,7 +1373,8 @@ pub(crate) mod tests {
                             bucket_size,
                             grid(levels),
                             &mut out,
-                        );
+                        )
+                        .unwrap();
                         std::hint::black_box(&mut out);
                     });
                 }

@@ -6,7 +6,7 @@
 //! it only for naturally-sparse layers such as Transformer embeddings
 //! (Section 6, "Heterogeneous compression").
 
-use crate::{BitReader, BitWriter, Compressor, Encoded, ScratchPool};
+use crate::{exact_len, BitReader, BitWriter, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::{Rng, Shape, Tensor};
 
 /// Sparsifier that keeps the top `ratio` fraction of components by
@@ -24,7 +24,7 @@ use cgx_tensor::{Rng, Shape, Tensor};
 /// let g = Tensor::from_slice(&[0.0, 5.0, -0.1, 0.0]);
 /// let mut c = TopKCompressor::new(0.25);
 /// let enc = c.compress(&g, &mut rng);
-/// let rt = c.decompress(&enc);
+/// let rt = c.decompress(&enc).unwrap();
 /// assert_eq!(rt.as_slice(), &[0.0, 5.0, 0.0, 0.0]);
 /// ```
 #[derive(Debug, Clone)]
@@ -56,18 +56,30 @@ impl TopKCompressor {
         ((n as f64 * self.ratio).round() as usize).clamp(1, n.max(1))
     }
 
-    /// Decodes the sparse payload, invoking `f(index, value)` for each of
-    /// the `k` stored pairs in stream order.
-    fn decode_with(&self, enc: &Encoded, mut f: impl FnMut(usize, f32)) {
-        let n = enc.shape().len();
-        let mut r = BitReader::new(enc.payload());
-        let k = r.read_u32() as usize;
+    /// Decodes the sparse payload of an `n`-element chunk, invoking
+    /// `f(index, value)` for each of the `k` stored pairs in stream order:
+    /// the payload is `4 + 8k` bytes, its `k` field is
+    /// [`TopKCompressor::k_for`]`(n)`, and every index is below `n`.
+    fn decode_with(
+        &self,
+        payload: &[u8],
+        n: usize,
+        mut f: impl FnMut(usize, f32),
+    ) -> Result<(), PayloadError> {
+        let k = self.k_for(n);
+        exact_len(payload, 4 + 8 * k)?;
+        let mut r = BitReader::new(payload);
+        if r.read_u32()? as usize != k {
+            return Err(PayloadError::BadHeader);
+        }
         for _ in 0..k {
-            let i = r.read_u32() as usize;
-            let v = r.read_f32();
-            assert!(i < n, "index {i} out of bounds in TopK payload");
+            let (i, v) = (r.read_u32()? as usize, r.read_f32()?);
+            if i >= n {
+                return Err(PayloadError::IndexOutOfRange);
+            }
             f(i, v);
         }
+        Ok(())
     }
 }
 
@@ -99,12 +111,13 @@ impl Compressor for TopKCompressor {
     /// keep their value instead of gaining `+ 0.0`; the only observable
     /// difference is an accumulator of -0.0 staying -0.0, and -0.0 == 0.0
     /// under f32 comparison, so consensus checks hold.
-    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) {
+    fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError> {
+        let (payload, n) = (enc.payload(), out.len());
         if add {
-            self.decode_with(enc, |i, v| out[i] += v);
+            self.decode_with(payload, n, |i, v| out[i] += v)
         } else {
             out.fill(0.0);
-            self.decode_with(enc, |i, v| out[i] = v);
+            self.decode_with(payload, n, |i, v| out[i] = v)
         }
     }
 
@@ -181,13 +194,13 @@ mod tests {
         let g = Tensor::randn(&mut rng, &[100]);
         let mut c = TopKCompressor::new(0.2);
         let enc = c.compress(&g, &mut rng);
-        let dense = c.decompress(&enc);
+        let dense = c.decompress(&enc).unwrap();
         let mut overwrite = vec![2.0f32; g.len()];
-        c.decompress_into(&enc, &mut overwrite);
+        c.decompress_into(&enc, &mut overwrite).unwrap();
         assert_eq!(overwrite, dense.as_slice());
         let base: Vec<f32> = (0..g.len()).map(|i| 0.1 * i as f32).collect();
         let mut fused = base.clone();
-        c.decompress_add_into(&enc, &mut fused);
+        c.decompress_add_into(&enc, &mut fused).unwrap();
         let unfused: Vec<f32> = base
             .iter()
             .zip(dense.as_slice())

@@ -38,7 +38,7 @@ fn assert_fused_matches(comp: &mut dyn Compressor, rng: &mut Rng) {
     let data = gradient(rng, 1200);
     let enc: Encoded = comp.compress(&Tensor::from_slice(&data), rng);
     // Reference: materialize the decode, then add elementwise.
-    let decoded = comp.decompress(&enc);
+    let decoded = comp.decompress(&enc).unwrap();
     let base = Tensor::randn(rng, &[data.len()]);
     let mut expect: Vec<f32> = base.as_slice().to_vec();
     for (e, d) in expect.iter_mut().zip(decoded.as_slice()) {
@@ -46,7 +46,7 @@ fn assert_fused_matches(comp: &mut dyn Compressor, rng: &mut Rng) {
     }
     // Fused path.
     let mut fused: Vec<f32> = base.as_slice().to_vec();
-    comp.decompress_add_into(&enc, &mut fused);
+    comp.decompress_add_into(&enc, &mut fused).unwrap();
     for (i, (a, b)) in fused.iter().zip(&expect).enumerate() {
         assert_eq!(
             a.to_bits(),
@@ -83,9 +83,10 @@ fn run_writes_match_scalar_writes_for_all_widths() {
         // And read_run recovers the exact values plus the trailer.
         let mut r = BitReader::new(&run_bytes);
         let mut got = Vec::with_capacity(values.len());
-        r.read_run(width, values.len(), |v| got.push(v));
+        assert_eq!(r.read_run(width, values.len(), |v| got.push(v)), Ok(()));
         assert_eq!(got, values);
-        assert_eq!(r.read_f32(), 1.5);
+        assert_eq!(r.read_f32(), Ok(1.5));
+        assert_eq!(r.finish(), Ok(()));
     });
 }
 

@@ -130,20 +130,24 @@ fn check_len(len: usize) -> io::Result<()> {
 }
 
 /// Decodes the tag and geometry after the length prefix, returning them
-/// and where the framing envelope starts in `frame`.
+/// and where the framing envelope starts in `frame`. A geometry that
+/// `Shape` cannot hold — a zero dimension, or an element count past
+/// `usize` — is refused before a `Shape` is built.
 fn decode_header(frame: &[u8]) -> io::Result<(Tag, Shape, usize)> {
+    let invalid = |why: &str| Err(io::Error::new(io::ErrorKind::InvalidData, why.to_string()));
     let tag = Tag::from_le_bytes(frame[0..8].try_into().expect("8 bytes"));
     let geom_end = 9 + 4 * frame[8] as usize;
     if frame.len() < geom_end + framing::HEADER_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame shorter than its declared geometry",
-        ));
+        return invalid("frame shorter than its declared geometry");
     }
-    let dims = frame[9..geom_end]
+    let dims: Vec<usize> = frame[9..geom_end]
         .chunks_exact(4)
-        .map(|d| u32::from_le_bytes(d.try_into().expect("4 bytes")) as usize)
+        .map(|d| u32::from_le_bytes([d[0], d[1], d[2], d[3]]) as usize)
         .collect();
+    let count = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d).filter(|_| d > 0));
+    if count.is_none() {
+        return invalid("a zero dimension or an element count past usize");
+    }
     Ok((tag, Shape::new(dims), geom_end))
 }
 
@@ -300,6 +304,29 @@ mod tests {
         buf[last] ^= 0x40;
         let err = read_frame(&mut io::Cursor::new(buf)).expect_err("corrupt");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn hostile_geometry_is_invalid_data() {
+        // A frame whose one dimension is 0, and one whose dimensions
+        // multiply past `usize`, each with a well-formed envelope after
+        // them: both parses refuse the geometry instead of handing it to
+        // `Shape`, whose constructor asserts and whose element count
+        // overflows.
+        let overflowing = vec![u32::MAX as usize; usize::BITS as usize / 32 + 1];
+        for dims in [vec![0usize], vec![3, 0, 2], overflowing] {
+            let mut frame = 7u64.to_le_bytes().to_vec();
+            frame.push(dims.len() as u8);
+            for d in &dims {
+                frame.extend_from_slice(&(*d as u32).to_le_bytes());
+            }
+            frame.extend_from_slice(&framing::frame_bytes(7, 0, &[]));
+            let buf = [&(frame.len() as u32).to_le_bytes()[..], &frame].concat();
+            let err = parse_frame(&buf).expect_err("parse");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{dims:?}");
+            let err = read_frame(&mut io::Cursor::new(buf)).expect_err("read");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{dims:?}");
+        }
     }
 
     #[test]

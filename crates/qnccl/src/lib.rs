@@ -278,7 +278,7 @@ mod tests {
         let fused = FusedBuffer::pack(&grads);
         let mut blob_comp = QsgdCompressor::new(4, 2048);
         let enc = blob_comp.compress(fused.flat(), &mut rng);
-        let blob_rt = fused.with_flat(blob_comp.decompress(&enc)).unpack();
+        let blob_rt = fused.with_flat(blob_comp.decompress(&enc).unwrap()).unpack();
         // CGX: per-layer compression (and the bias filtered to fp32).
         let mut layer_rt = Vec::new();
         for (i, g) in grads.iter().enumerate() {
@@ -288,7 +288,7 @@ mod tests {
             }
             let mut c = CompressionScheme::cgx_default().build();
             let e = c.compress(g, &mut rng);
-            layer_rt.push(c.decompress(&e));
+            layer_rt.push(c.decompress(&e).unwrap());
         }
         // Compare error on the quiet big matrix (layer 0).
         let blob_err = blob_rt[0].l2_distance(&grads[0]);

@@ -25,7 +25,9 @@ fn main() {
         encoded.payload_bytes(),
         (grad.len() * 4) as f64 / encoded.payload_bytes() as f64,
     );
-    let restored = quantizer.decompress(&encoded);
+    let restored = quantizer
+        .decompress(&encoded)
+        .expect("QSGD decodes its own payload");
     println!(
         "relative reconstruction error: {:.4}",
         restored.l2_distance(&grad) / grad.norm2()

@@ -3,8 +3,8 @@
 //! and the codecs are robust to adversarial inputs.
 
 use cgx::compress::{
-    compression_error, CompressionScheme, Compressor, Encoded, NormKind, PowerSgdCompressor,
-    QsgdCompressor,
+    compression_error, CompressionScheme, Compressor, Encoded, NormKind, PayloadError,
+    PowerSgdCompressor, QsgdCompressor, TopKCompressor,
 };
 use cgx::tensor::{cases, Rng, Tensor};
 
@@ -38,7 +38,7 @@ fn qsgd_payload_matches_prediction() {
         let mut q = QsgdCompressor::new(rng.range(2..=8) as u32, rng.range(1..2000));
         let enc = q.compress(&g, rng);
         assert_eq!(enc.payload_bytes(), qsgd_payload_len(&q, g.as_slice()));
-        let rt = q.decompress(&enc);
+        let rt = q.decompress(&enc).unwrap();
         assert_eq!(rt.shape(), g.shape());
         assert!(rt.as_slice().iter().all(|x| x.is_finite()));
     });
@@ -52,7 +52,7 @@ fn qsgd_error_bounded_by_one_grid_step_per_element() {
         let g = Tensor::from_slice(&data);
         let mut q = QsgdCompressor::with_norm(bits, bucket, NormKind::Max);
         let enc = q.compress(&g, rng);
-        let rt = q.decompress(&enc);
+        let rt = q.decompress(&enc).unwrap();
         let s = ((1u32 << (bits - 1)) - 1) as f64;
         for (chunk, rt_chunk) in data.chunks(bucket).zip(rt.as_slice().chunks(bucket)) {
             let max = chunk.iter().fold(0.0f64, |m, x| m.max(x.abs() as f64));
@@ -86,7 +86,7 @@ fn all_schemes_roundtrip_any_shape() {
         ] {
             let mut c = scheme.build();
             let enc = c.compress(&g, rng);
-            let rt = c.decompress(&enc);
+            let rt = c.decompress(&enc).unwrap();
             assert_eq!(rt.shape(), g.shape(), "scheme {scheme}");
             assert!(
                 rt.as_slice().iter().all(|x| x.is_finite()),
@@ -134,7 +134,7 @@ fn quantization_is_unbiased_in_expectation() {
         let mut acc = 0.0f64;
         for _ in 0..trials {
             let enc = q.compress(&g, rng);
-            acc += q.decompress(&enc)[0] as f64;
+            acc += q.decompress(&enc).unwrap()[0] as f64;
         }
         let mean = acc / trials as f64;
         let scale = (2.0 * value.abs() + 1.0) as f64;
@@ -155,21 +155,31 @@ fn put_u32_at_bit(payload: &mut [u8], at: usize, value: u32) {
     }
 }
 
+/// Every way `c` decodes `payload` as a chunk of `shape`, each from a
+/// fresh output: `decompress`, `decompress_into` and `decompress_add_into`.
+/// A panic fails the test that asked.
+fn every_decode(c: &dyn Compressor, enc: &Encoded) -> [Result<(), PayloadError>; 3] {
+    let n = enc.shape().len();
+    [
+        c.decompress(enc).map(|_| ()),
+        c.decompress_into(enc, &mut vec![1.0; n]),
+        c.decompress_add_into(enc, &mut vec![1.0; n]),
+    ]
+}
+
 #[test]
 fn hostile_qsgd_payloads_are_refused_or_decode_cleanly() {
     // A payload off a socket, cut short, extended, or with one bucket's
-    // norm field turned into the zero-bucket marker or out of it: the
-    // receiver's check refuses it, or every decoder takes it without a
-    // panic. A cut or an extension is always refused, and a decoder
-    // handed a refused payload anyway decodes it or stops with "bit
-    // stream exhausted" before reading past its end.
+    // norm field turned into the zero-bucket marker or out of it: a cut
+    // or an extension is refused by every decoder, and a flipped field
+    // decodes or is refused, never with a panic.
     cases(96, |rng| {
         let data = gradient(rng, 3000);
         let (bits, bucket) = (rng.range(2..=8) as u32, rng.range(1..300));
         let mut q = QsgdCompressor::new(bits, bucket);
         let enc = q.compress(&Tensor::from_slice(&data), rng);
         let n = data.len();
-        assert_eq!(q.check_payload(n, enc.payload()), Ok(()));
+        assert_eq!(every_decode(&q, &enc), [Ok(()); 3]);
         let honest = enc.payload().to_vec();
         let cut = rng.range(1..=honest.len());
         let extended = [honest.as_slice(), &vec![0u8; rng.range(1..9)]].concat();
@@ -198,22 +208,9 @@ fn hostile_qsgd_payloads_are_refused_or_decode_cleanly() {
             ("flipped", flipped),
         ] {
             let what = format!("{what}: bits={bits} bucket={bucket} n={n} b={b}");
-            let refused = q.check_payload(n, &payload).is_err();
-            assert!(refused || what.starts_with("flipped"), "{what}: accepted");
             let enc = Encoded::new(enc.shape().clone(), payload.into());
-            let decodes = std::panic::catch_unwind(|| {
-                let mut out = vec![1.0f32; n];
-                q.decompress_into(&enc, &mut out);
-                q.decompress_add_into(&enc, &mut out);
-                q.decompress(&enc)
-            });
-            match decodes {
-                Ok(_) => {}
-                Err(_) if !refused => panic!("{what}: a checked payload panicked the decode"),
-                Err(panic) => {
-                    let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
-                    assert_eq!(message, "bit stream exhausted", "{what}");
-                }
+            for decoded in every_decode(&q, &enc) {
+                assert!(decoded.is_err() || what.starts_with("flipped"), "{what}");
             }
         }
     });
@@ -231,19 +228,19 @@ fn powersgd_payload(header: [f32; 3], floats: usize) -> Vec<u8> {
 #[test]
 fn hostile_powersgd_payloads_are_refused() {
     // A PowerSGD frame off a socket is its header `[m, n, r]` and the
-    // factors `P` (m × r) and `Q` (n × r). The receiver's check reads
-    // the header: a payload cut, extended or not whole in `f32`s, one
-    // whose dims do not multiply to the element count or are no finite
-    // integers, or whose rank is not the codec's for those dims is
-    // refused; the honest one passes and decodes.
+    // factors `P` (m × r) and `Q` (n × r). The decoder reads the header:
+    // a payload cut, extended or not whole in `f32`s, one whose dims do
+    // not multiply to the element count or are no finite integers, or
+    // whose rank is not the codec's for those dims is refused; the honest
+    // one decodes.
     cases(64, |rng| {
         let (m, n, rank) = (rng.range(1..40), rng.range(1..40), rng.range(1..6));
         let g = Tensor::randn(rng, &[m, n]);
         let mut c = PowerSgdCompressor::new(rank);
         let enc = c.compress(&g, rng);
-        let (count, r) = (m * n, rank.min(m).min(n));
-        assert_eq!(c.check_payload(count, enc.payload()), Ok(()));
-        assert_eq!(c.decompress(&enc).shape(), g.shape());
+        let r = rank.min(m).min(n);
+        assert_eq!(every_decode(&c, &enc), [Ok(()); 3]);
+        assert_eq!(c.decompress(&enc).unwrap().shape(), g.shape());
         let honest = enc.payload().to_vec();
         let header = [m as f32, n as f32, r as f32];
         let cut = rng.range(1..=honest.len());
@@ -271,10 +268,52 @@ fn hostile_powersgd_payloads_are_refused() {
             ),
         ] {
             let what = format!("{what}: m={m} n={n} rank={rank}");
-            assert!(
-                c.check_payload(count, &payload).is_err(),
-                "{what}: accepted"
-            );
+            let enc = Encoded::new(enc.shape().clone(), payload.into());
+            for decoded in every_decode(&c, &enc) {
+                assert!(decoded.is_err(), "{what}: accepted");
+            }
+        }
+    });
+}
+
+#[test]
+fn hostile_topk_payloads_are_refused() {
+    // A TopK frame off a socket is `k` and `k` (index, value) pairs. Of
+    // the right length, random bytes, a `k` field that is not the codec's
+    // for the element count, one larger than the payload holds, or one
+    // index past the chunk; and the honest payload cut short or extended:
+    // every decoder refuses each, and none panics. The honest one decodes.
+    cases(64, |rng| {
+        let n = rng.range(1..600);
+        let g = Tensor::randn(rng, &[n]);
+        let mut c = TopKCompressor::new(rng.uniform_range(0.01, 1.0));
+        let enc = c.compress(&g, rng);
+        let k = c.k_for(n);
+        assert_eq!(every_decode(&c, &enc), [Ok(()); 3]);
+        let honest = enc.payload().to_vec();
+        assert_eq!(honest.len(), 4 + 8 * k);
+        let with_k = |field: u32| [&field.to_le_bytes()[..], &honest[4..]].concat();
+        let mut random: Vec<u8> = (0..honest.len()).map(|_| rng.next_u32() as u8).collect();
+        // Random bytes whose `k` is the codec's still hold indices past
+        // any chunk of fewer than 2^32 elements with overwhelming odds.
+        random[..4].copy_from_slice(&(k as u32).to_le_bytes());
+        let mut past = honest.clone();
+        let pair = 4 + 8 * rng.index(k);
+        let index = n as u32 + rng.range(0..1000) as u32;
+        past[pair..pair + 4].copy_from_slice(&index.to_le_bytes());
+        for (what, payload) in [
+            ("random", random),
+            ("a smaller k", with_k(rng.index(k) as u32)),
+            ("k past the payload", with_k((k + 1 + rng.range(0..1000)) as u32)),
+            ("index past the chunk", past),
+            ("cut", honest[..rng.index(honest.len())].to_vec()),
+            ("extended", [&honest[..], &vec![0; rng.range(1..9)]].concat()),
+        ] {
+            let what = format!("{what}: n={n} k={k}");
+            let enc = Encoded::new(enc.shape().clone(), payload.into());
+            for decoded in every_decode(&c, &enc) {
+                assert!(decoded.is_err(), "{what}: accepted");
+            }
         }
     });
 }

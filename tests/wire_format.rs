@@ -95,10 +95,10 @@ fn decode_is_a_pure_function_of_the_payload() {
         for scheme in all_schemes() {
             let mut c = scheme.build();
             let enc = c.compress(&g, rng);
-            let a = c.decompress(&enc);
-            let b = c.decompress(&enc);
+            let a = c.decompress(&enc).unwrap();
+            let b = c.decompress(&enc).unwrap();
             assert_eq!(a.as_slice(), b.as_slice());
-            let d = scheme.build().decompress(&enc);
+            let d = scheme.build().decompress(&enc).unwrap();
             assert_eq!(a.as_slice(), d.as_slice(), "scheme {scheme}");
         }
     });
@@ -124,7 +124,7 @@ fn qsgd_wire_layout_is_stable() {
     assert_eq!(f32::from_le_bytes([p[6], p[7], p[8], p[9]]), 2.0);
     // Decoding never flips a sign (stochastic rounding can zero a value,
     // but a nonzero decoded value always carries the input's sign).
-    let rt = c.decompress(&enc);
+    let rt = c.decompress(&enc).unwrap();
     for (a, b) in rt.as_slice().iter().zip(g.as_slice()) {
         if *a != 0.0 && *b != 0.0 {
             assert!(a.signum() == b.signum(), "{a} vs {b}");
@@ -210,8 +210,8 @@ fn every_decoder_emits_its_pinned_values() {
                 let mut c = scheme.build();
                 let enc = c.compress(&g, &mut rng);
                 let mut summed: Vec<f32> = (0..len).map(|i| i as f32 * 0.37 - 11.0).collect();
-                c.decompress_add_into(&enc, &mut summed);
-                for v in c.decompress(&enc).as_slice().iter().chain(&summed) {
+                c.decompress_add_into(&enc, &mut summed).unwrap();
+                for v in c.decompress(&enc).unwrap().as_slice().iter().chain(&summed) {
                     h = fnv(h, &v.to_bits().to_le_bytes());
                 }
             }
