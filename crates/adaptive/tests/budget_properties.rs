@@ -11,7 +11,8 @@ use cgx_adaptive::{
     assign_bits, quant_levels, uniform_assignment, AdaptiveOptions, AdaptivePolicy, LayerProfile,
 };
 use cgx_compress::CompressionScheme;
-use cgx_tensor::{cases, Rng};
+use cgx_tensor::Rng;
+use cgx_testkit::cases;
 
 /// The bit-widths any sampled choice set draws from.
 const CHOICE_POOL: [u32; 6] = [1, 2, 3, 4, 6, 8];

@@ -213,10 +213,6 @@ pub struct CommEngine<'a> {
     /// Ops whose machine is live, in launch order: all a progress round,
     /// a park or a timeout report scans.
     active: Vec<usize>,
-    /// High-water mark of `active.len()` over the engine's lifetime. With
-    /// [`EngineOptions::max_live`] nonzero this never exceeds the cap —
-    /// the observability property tests assert exactly that.
-    live_hwm: usize,
     poisoned: Option<CommError>,
     in_flight: usize,
     /// `(note, in_flight)` of each [`CommEngine::note_in_flight`] call no
@@ -275,7 +271,6 @@ impl<'a> CommEngine<'a> {
             group: Vec::new(),
             launch_queue: VecDeque::new(),
             active: Vec::new(),
-            live_hwm: 0,
             poisoned: None,
             in_flight: 0,
             peaks: Vec::new(),
@@ -312,12 +307,6 @@ impl<'a> CommEngine<'a> {
     /// Number of collectives currently in flight (submitted, not finished).
     pub fn in_flight(&self) -> usize {
         self.in_flight
-    }
-
-    /// Peak number of pipelined machines that were simultaneously live.
-    /// Bounded by [`EngineOptions::max_live`] when the cap is nonzero.
-    pub fn max_live_seen(&self) -> usize {
-        self.live_hwm
     }
 
     /// [`CommEngine::submit_owned`] on a copy of `grad`, for a caller that
@@ -650,7 +639,6 @@ impl<'a> CommEngine<'a> {
         let pumped = m.progress(self.t, &self.pool);
         self.ops[idx].machine = Some(m);
         self.active.push(idx);
-        self.live_hwm = self.live_hwm.max(self.active.len());
         if let Err(e) = pumped {
             self.poison(e);
         }

@@ -7,9 +7,9 @@
 //! `(tag, seq, len, payload)`. The checksum binds the payload to its lane:
 //! a frame replayed under a different tag or sequence number fails
 //! verification, so frames can never alias across collectives, and any
-//! single-bit corruption of the body is caught. [`open`] is the one reader
-//! of the envelope, in place; [`open_copy`] is the same reader for a
-//! receiver that copies the body out, and verifies in the copying pass.
+//! single-bit corruption of the body is caught. [`open_copy`] is the one
+//! reader of the envelope: it copies the body out, and verifies in the
+//! copying pass.
 //!
 //! A receiver accepts exactly the next link seq it expects, so "what I
 //! have" is one number, and a sender keeps one byte-bounded [`Retention`]
@@ -20,7 +20,6 @@
 use crate::error::CommError;
 use crate::transport::Tag;
 use cgx_compress::Encoded;
-use cgx_tensor::Bytes;
 use std::collections::VecDeque;
 
 /// Frame header: `[magic:u16][seq:u32][checksum:u32]`, little-endian.
@@ -175,42 +174,26 @@ fn checksum_on(body: Body, tag: Tag, seq: u32, payload: &[u8]) -> u32 {
     sum.finish(tail)
 }
 
-/// The raw framed bytes for `body`: header plus payload, ready for a wire.
-pub fn frame_bytes(tag: Tag, seq: u32, body: &[u8]) -> Bytes {
-    let mut buf = Vec::with_capacity(HEADER_LEN + body.len());
-    append_header(&mut buf, tag, seq, body);
-    buf.extend_from_slice(body);
-    buf.into()
-}
-
 /// Appends only the [`HEADER_LEN`]-byte framing header for `body` to
 /// `dst`, without copying the body. The zero-copy wire path hands
 /// `(header, body)` to a vectored write instead of materializing the
-/// concatenation [`frame_bytes`] builds.
+/// concatenation.
 pub fn append_header(dst: &mut Vec<u8>, tag: Tag, seq: u32, body: &[u8]) {
     dst.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     dst.extend_from_slice(&seq.to_le_bytes());
     dst.extend_from_slice(&checksum(tag, seq, body).to_le_bytes());
 }
 
-/// Opens one envelope: `Some((seq, body))` when `bytes` holds a header
-/// bearing [`FRAME_MAGIC`] whose stated checksum matches the body under
-/// `(tag, seq)`; `None` for anything shorter than a header, unmagical, or
-/// corrupted. With [`open_copy`] the one reader of the format: the
-/// bootstrap stream reader verifies in place with it, the TCP demux copies
-/// arrivals out of its staging ring with [`open_copy`], so a mismatch is
-/// *observed* (fatal to the link, as the caller decides), never masked.
-pub fn open(tag: Tag, bytes: &[u8]) -> Option<(u32, &[u8])> {
-    let (seq, stated, body) = envelope(bytes)?;
-    (checksum(tag, seq, body) == stated).then_some((seq, body))
-}
-
-/// [`open`] for a receiver that needs the body in an allocation of its
-/// own: `Some((seq, copy))` under the same conditions. The copy and the
-/// verification are one pass over the wire bytes — each [`SUB_CHUNK`] is
-/// copied, then the lanes fold the bytes just written while they are
-/// still in L1 — instead of [`open`]'s verifying read followed by the
-/// caller's copy. What is verified is the copy the caller gets.
+/// Opens one envelope into an allocation of its own: `Some((seq, copy))`
+/// when `bytes` holds a header bearing [`FRAME_MAGIC`] whose stated
+/// checksum matches the body under `(tag, seq)`; `None` for anything
+/// shorter than a header, unmagical, or corrupted. The one reader of the
+/// format: the TCP demux and the bootstrap reader both parse through it,
+/// so a mismatch is *observed* (fatal to the link or the boot, as the
+/// caller decides), never masked. The copy and the verification are one
+/// pass over the wire bytes — each [`SUB_CHUNK`] is copied, then the lanes
+/// fold the bytes just written while they are still in L1. What is
+/// verified is the copy the caller gets.
 pub fn open_copy(tag: Tag, bytes: &[u8]) -> Option<(u32, Vec<u8>)> {
     let (seq, stated, body) = envelope(bytes)?;
     let mut sum = Sum::new(Body::detect(), tag, seq, body.len());
@@ -343,20 +326,18 @@ impl Retention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgx_tensor::Shape;
+    use cgx_tensor::{Bytes, Shape};
+
+    /// The framed bytes for `body`: its header, then the body.
+    fn framed(tag: Tag, seq: u32, body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(HEADER_LEN + body.len());
+        append_header(&mut buf, tag, seq, body);
+        buf.extend_from_slice(body);
+        buf
+    }
 
     fn enc(bytes: &[u8]) -> Encoded {
         Encoded::new(Shape::vector(bytes.len().max(1)), Bytes::copy_from_slice(bytes))
-    }
-
-    #[test]
-    fn frame_parse_roundtrip_preserves_everything() {
-        let framed = frame_bytes(0xAB, 3, &[9, 8, 7, 6]);
-        let (seq, body) = open(0xAB, &framed).expect("opens");
-        assert_eq!(seq, 3);
-        assert_eq!(body, &[9, 8, 7, 6]);
-        // The body is the frame's own bytes past the header, not a copy.
-        assert_eq!(body.as_ptr(), framed[HEADER_LEN..].as_ptr());
     }
 
     #[test]
@@ -488,18 +469,18 @@ mod tests {
         .chain([SUB_CHUNK - 7, 3 * SUB_CHUNK + 300]);
         for len in lengths {
             let body = pattern(len);
-            let mut framed = frame_bytes(0x51, 4, &body).to_vec();
-            let (seq, copy) = open_copy(0x51, &framed).expect("verifies");
+            let mut frame = framed(0x51, 4, &body);
+            let (seq, copy) = open_copy(0x51, &frame).expect("verifies");
             assert_eq!((seq, copy.as_slice()), (4, &body[..]), "len {len}");
-            assert!(open_copy(0x52, &framed).is_none(), "len {len}: tag bound");
+            assert!(open_copy(0x52, &frame).is_none(), "len {len}: tag bound");
             // A header stating any other value fails: the copying pass
             // computes exactly `checksum`'s.
-            framed[6] ^= 1;
-            assert!(open_copy(0x51, &framed).is_none(), "len {len}: stated");
-            framed[6] ^= 1;
-            if let Some(last) = framed.len().checked_sub(1).filter(|&l| l >= HEADER_LEN) {
-                framed[last] ^= 0x80;
-                assert!(open_copy(0x51, &framed).is_none(), "len {len}: body");
+            frame[6] ^= 1;
+            assert!(open_copy(0x51, &frame).is_none(), "len {len}: stated");
+            frame[6] ^= 1;
+            if let Some(last) = frame.len().checked_sub(1).filter(|&l| l >= HEADER_LEN) {
+                frame[last] ^= 0x80;
+                assert!(open_copy(0x51, &frame).is_none(), "len {len}: body");
             }
         }
         assert!(open_copy(1, &[0xFA, 0xC6, 0, 0]).is_none(), "short");
@@ -552,36 +533,12 @@ mod tests {
     }
 
     #[test]
-    fn append_header_matches_frame_bytes_prefix() {
-        let body = [4u8, 5, 6, 7, 8];
-        let framed = frame_bytes(0xBEEF, 12, &body);
-        let mut hdr = Vec::new();
-        append_header(&mut hdr, 0xBEEF, 12, &body);
-        assert_eq!(hdr.len(), HEADER_LEN);
-        assert_eq!(&framed[..HEADER_LEN], hdr.as_slice());
-    }
-
-    #[test]
-    fn open_rejects_short_and_unmagical_buffers() {
-        assert!(open(1, &[1, 2, 3]).is_none());
-        let mut raw = frame_bytes(1, 0, &[5]).to_vec();
-        assert!(open(1, &raw).is_some());
+    fn open_copy_rejects_short_and_unmagical_buffers() {
+        assert!(open_copy(1, &[1, 2, 3]).is_none());
+        let mut raw = framed(1, 0, &[5]);
+        assert!(open_copy(1, &raw).is_some());
         raw[0] ^= 0xFF; // break the magic
-        assert!(open(1, &raw).is_none());
-    }
-
-    #[test]
-    fn open_is_strict() {
-        let framed = frame_bytes(42, 7, &[10, 20, 30]);
-        let (seq, body) = open(42, &framed).expect("verifies");
-        assert_eq!((seq, body), (7, &[10u8, 20, 30][..]));
-        // Wrong lane: same bytes fail under another tag.
-        assert!(open(43, &framed).is_none());
-        // A flipped body bit fails too.
-        let mut raw = framed.to_vec();
-        let last = raw.len() - 1;
-        raw[last] ^= 1;
-        assert!(open(42, &raw).is_none());
+        assert!(open_copy(1, &raw).is_none());
     }
 
     /// A store holding link seqs `0..n`, frame `i` tagged `100 + i`,

@@ -32,9 +32,10 @@
 //! * [`framing`] — the seq+FNV checksummed frame format of the `cgx-net`
 //!   TCP wire protocol, and the retention its reconnect resends from,
 //! * [`hierarchy`] — the node [`Topology`] and the two raw intra-node
-//!   hops staged around an engine round between node leaders,
-//! * [`conformance`] — the executable [`Transport`] contract, run against
-//!   every transport implementation.
+//!   hops staged around an engine round between node leaders.
+//!
+//! The executable [`Transport`] contract every fabric is held to is the
+//! dev-only `cgx-testkit` crate's `conformance` battery.
 //!
 //! # Examples
 //!
@@ -59,7 +60,6 @@
 //! ```
 
 pub mod cluster;
-pub mod conformance;
 pub mod engine;
 pub mod error;
 pub mod framing;

@@ -6,7 +6,8 @@
 use cgx_collectives::reduce::{allreduce_scratch, Algorithm};
 use cgx_collectives::{CommEngine, EngineOptions, ThreadCluster};
 use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
-use cgx_tensor::{cases, Rng, Tensor};
+use cgx_tensor::{Rng, Tensor};
+use cgx_testkit::cases;
 
 /// Between 1 and `max` layers, each an odd length (including lengths
 /// smaller than the world size) plus a scheme.

@@ -1,10 +1,10 @@
-//! Runs the generic [`cgx_collectives::conformance`] battery against the
+//! Runs the generic [`cgx_testkit::conformance`] battery against the
 //! shared-memory transport. The same suite is instantiated for the TCP
 //! transport in `cgx-net`; any divergence in `Transport` semantics between
 //! backends fails here first.
 
-use cgx_collectives::conformance::{self, BoxTransport};
 use cgx_collectives::ShmFabric;
+use cgx_testkit::conformance::{self, BoxTransport};
 use std::time::Duration;
 
 fn shm_builder(n: usize) -> Vec<BoxTransport> {

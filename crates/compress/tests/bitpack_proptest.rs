@@ -7,7 +7,8 @@ use cgx_compress::{
     Compressor, Encoded, NuqsgdCompressor, OneBitCompressor, QsgdCompressor, ScratchPool,
     TopKCompressor,
 };
-use cgx_tensor::{cases, Rng, Tensor};
+use cgx_tensor::{Rng, Tensor};
+use cgx_testkit::cases;
 
 /// Up to `max_len` values that fit `width` bits, as the kernels require.
 fn masked_values(rng: &mut Rng, width: u32, max_len: usize) -> Vec<u32> {

@@ -34,20 +34,6 @@ fn boot_err(detail: impl Into<String>) -> CommError {
     }
 }
 
-/// Reserves a loopback address for a rendezvous listener by binding an
-/// ephemeral port and immediately releasing it.
-///
-/// # Panics
-///
-/// Panics if the loopback interface cannot bind at all.
-pub fn free_loopback_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    listener
-        .local_addr()
-        .expect("listener address")
-        .to_string()
-}
-
 /// A rank's identity as read from the `CGX_*` environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerEnv {
@@ -116,17 +102,21 @@ pub struct ProcessCluster {
 
 impl ProcessCluster {
     /// A cluster of `world` copies of `bin`, rendezvousing on a freshly
-    /// reserved loopback address, all ranks on node 0.
+    /// reserved loopback address (an ephemeral port bound and released at
+    /// once), all ranks on node 0.
     ///
     /// # Panics
     ///
-    /// Panics if `world` is zero.
+    /// Panics if `world` is zero or the loopback interface cannot bind.
     pub fn new(bin: impl Into<PathBuf>, world: usize) -> Self {
         assert!(world > 0, "need at least one rank");
+        let rendezvous = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("bind loopback");
         ProcessCluster {
             bin: bin.into(),
             world,
-            rendezvous: free_loopback_addr(),
+            rendezvous: rendezvous.to_string(),
             nodes: vec![0; world],
             args: Vec::new(),
         }
@@ -279,15 +269,6 @@ impl ClusterReport {
     pub fn deaths(&self) -> usize {
         self.exits.len() - self.survivors()
     }
-
-    /// The ranks that died, in rank order.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        self.exits
-            .iter()
-            .filter(|e| !e.success)
-            .map(|e| e.rank)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -321,7 +302,7 @@ mod tests {
             .expect("all ranks spawn");
         assert_eq!(report.survivors(), 1);
         assert_eq!(report.deaths(), 2);
-        assert_eq!(report.dead_ranks(), vec![1, 2]);
+        assert!(!report.exits[1].success && !report.exits[2].success);
         assert_eq!(report.exits[1].code, Some(1));
         assert_eq!(report.exits[2].code, Some(2));
     }

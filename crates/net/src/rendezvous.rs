@@ -23,7 +23,7 @@ use crate::wire;
 use cgx_collectives::transport::{Tag, CTRL_TAG, DEFAULT_TIMEOUT};
 use cgx_collectives::{CommError, Topology};
 use cgx_tensor::Shape;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -41,14 +41,35 @@ fn boot_err(detail: impl Into<String>) -> CommError {
 }
 
 fn send_ctrl<W: Write>(w: &mut W, body: &[u8]) -> Result<(), CommError> {
-    wire::write_frame(w, CTRL_TAG, 0, &Shape::new(vec![body.len()]), body)
+    let mut frame = Vec::with_capacity(wire::frame_wire_bytes(1, body.len()));
+    wire::append_frame_header(&mut frame, CTRL_TAG, 0, &Shape::new(vec![body.len()]), body);
+    frame.extend_from_slice(body);
+    w.write_all(&frame)
         .map_err(|e| boot_err(format!("control send failed: {e}")))
 }
 
+/// Reads one control frame: its length prefix, then exactly the bytes that
+/// prefix states, through [`wire::parse_frame`]. It never reads past the
+/// frame, because the stream goes on as a mesh link, and the buffer grows
+/// a step at a time as bytes arrive, whatever length the prefix claims.
 fn recv_ctrl<R: Read>(r: &mut R, expect: u8, what: &str) -> Result<Vec<u8>, CommError> {
-    let frame = wire::read_frame(r)
-        .map_err(|e| boot_err(format!("control recv failed while awaiting {what}: {e}")))?
-        .ok_or_else(|| boot_err(format!("peer closed while awaiting {what}")))?;
+    const STEP: usize = 64 << 10;
+    let failed = |e: io::Error| boot_err(format!("control recv failed while awaiting {what}: {e}"));
+    let mut buf = Vec::new();
+    let mut want = 4;
+    let frame = loop {
+        while buf.len() < want {
+            let step = (want - buf.len()).min(STEP);
+            let got = r.by_ref().take(step as u64).read_to_end(&mut buf);
+            if got.map_err(failed)? < step {
+                return Err(boot_err(format!("peer closed while awaiting {what}")));
+            }
+        }
+        match wire::parse_frame(&buf).map_err(failed)? {
+            Some((frame, _)) => break frame,
+            None => want = 4 + u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize,
+        }
+    };
     if frame.tag != CTRL_TAG {
         return Err(boot_err(format!(
             "expected control frame ({what}), got tag {:#x}",
@@ -372,10 +393,7 @@ impl TcpFabric {
     ///
     /// Panics if `node_of` is empty or bootstrap fails (loopback
     /// rendezvous failing is a bug, not an environment problem).
-    pub fn build_local_with_nodes(
-        node_of: &[u32],
-        opts: NetOptions,
-    ) -> (Vec<TcpTransport>, Topology) {
+    fn build_local_with_nodes(node_of: &[u32], opts: NetOptions) -> (Vec<TcpTransport>, Topology) {
         let world = node_of.len();
         assert!(world > 0, "need at least one rank");
         if world == 1 {
@@ -530,6 +548,45 @@ mod tests {
             );
             drop(zombie);
         });
+    }
+
+    #[test]
+    fn hostile_hello_is_a_bootstrap_error() {
+        // What a root may be sent in place of a HELLO: nothing, a frame on
+        // another tag, a frame cut short, a length no frame has, and a
+        // 1 GiB length, each followed by a close. Each is a typed boot
+        // error inside the boot budget, not a panic or a 1 GiB buffer.
+        let mut hello = Vec::new();
+        send_ctrl(&mut hello, &[MSG_HELLO, 1, 0, 0, 0]).expect("frame");
+        let mut other_tag = Vec::new();
+        wire::append_frame_header(&mut other_tag, 7, 0, &Shape::new(vec![1]), &[MSG_HELLO]);
+        other_tag.push(MSG_HELLO);
+        let implausible = [&3u32.to_le_bytes()[..], &[0; 16]].concat();
+        let giant = (wire::MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        let hostile = [
+            ("nothing", Vec::new()),
+            ("another tag", other_tag),
+            ("a frame cut short", hello[..hello.len() / 2].to_vec()),
+            ("an implausible length", implausible),
+            ("a 1 GiB length", giant),
+        ];
+        let boot = Duration::from_secs(5);
+        for (what, bytes) in hostile {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let t0 = Instant::now();
+            let opts = NetOptions::default();
+            let root = std::thread::spawn(move || {
+                rendezvous_root(listener, 2, 0, boot, DEFAULT_TIMEOUT, opts).map(|_| ())
+            });
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&bytes).expect("write");
+            drop(stream);
+            let got = root.join().expect("the root does not panic");
+            let typed = matches!(got, Err(CommError::Bootstrap { .. }));
+            assert!(typed, "{what}: {got:?}");
+            assert!(t0.elapsed() < boot, "{what} took {:?}", t0.elapsed());
+        }
     }
 
     #[test]

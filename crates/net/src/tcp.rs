@@ -6,7 +6,7 @@
 //! of threads. The [`Transport`] contract — per-tag FIFO, cross-tag
 //! out-of-order delivery, stashed payloads outliving expired deadlines
 //! and dead peers — is enforced by the shared conformance suite
-//! (`cgx_collectives::conformance`), instantiated for this type in this
+//! (`cgx_testkit::conformance`), instantiated for this type in this
 //! crate's tests.
 //!
 //! Design notes:
@@ -314,8 +314,6 @@ struct Meter {
     stats: WireStats,
     bytes_out: u64,
     bytes_in: u64,
-    heartbeats: u64,
-    deaths: u64,
     reconnects: u64,
     obs: Option<TcpMetrics>,
 }
@@ -850,10 +848,9 @@ impl Endpoint {
     }
 
     /// Marks `peer` permanently gone: records the error (the first one
-    /// wins) and bumps the death counters. Its socket stays open.
+    /// wins) and bumps `transport.peer_dead`. Its socket stays open.
     fn condemn(&mut self, peer: usize, err: CommError) {
         if self.stash.closed(peer).is_none() && matches!(err, CommError::PeerDead { .. }) {
-            self.meter.deaths += 1;
             if let Some(m) = &self.meter.obs {
                 m.peer_dead.inc();
             }
@@ -935,7 +932,6 @@ impl Endpoint {
                 cgx_tensor::Bytes::copy_from_slice(&HB_PAYLOAD),
             );
             self.enqueue(peer, CTRL_TAG, hb);
-            self.meter.heartbeats += 1;
             if let Some(m) = &self.meter.obs {
                 m.heartbeats.inc();
             }
@@ -1279,14 +1275,6 @@ impl TcpTransport {
         self.timeout = timeout;
     }
 
-    /// Whether the mesh sockets have `TCP_NODELAY` set (false for a
-    /// world of one, which has no sockets).
-    pub fn nodelay(&self) -> bool {
-        let ep = self.lock();
-        let first = ep.links.iter().flatten().next();
-        first.is_some_and(|l| l.stream.nodelay().unwrap_or(false))
-    }
-
     /// Enables message accounting into `registry`, mirroring
     /// [`cgx_collectives::ShmTransport::set_obs`] (`transport.*`
     /// counters) plus `transport.wire_bytes_sent` for the full on-wire
@@ -1309,20 +1297,9 @@ impl TcpTransport {
         });
     }
 
-    /// Peers this endpoint has declared dead (socket failure past the
-    /// redial budget, or liveness deadline elapsed).
-    pub fn peer_deaths(&self) -> u64 {
-        self.lock().meter.deaths
-    }
-
     /// Links this endpoint has successfully re-established after a drop.
     pub fn reconnects(&self) -> u64 {
         self.lock().meter.reconnects
-    }
-
-    /// Heartbeat frames this endpoint has emitted on the CTRL lane.
-    pub fn heartbeats_sent(&self) -> u64 {
-        self.lock().meter.heartbeats
     }
 
     /// Total serialized bytes this endpoint has committed to its sockets,
@@ -1723,7 +1700,10 @@ mod tests {
     fn mesh_sockets_have_nodelay_set() {
         let eps = TcpFabric::build_local(2);
         for ep in &eps {
-            assert!(ep.nodelay(), "rank {} socket is Nagle-delayed", ep.rank());
+            let state = ep.lock();
+            let link = state.links.iter().flatten().next().expect("a mesh socket");
+            let nodelay = link.stream.nodelay().expect("nodelay");
+            assert!(nodelay, "rank {} socket is Nagle-delayed", ep.rank());
         }
     }
 
@@ -1786,7 +1766,9 @@ mod tests {
             .with_heartbeat(Duration::from_millis(20), Duration::from_millis(150));
         let mut eps = TcpFabric::build_local_with(2, opts);
         let frozen = eps.pop().expect("rank 1");
-        let a = eps.pop().expect("rank 0");
+        let mut a = eps.pop().expect("rank 0");
+        let registry = MetricsRegistry::new();
+        a.set_obs(&registry);
         let t0 = Instant::now();
         let err = a
             .recv_tagged_deadline(1, 5, Duration::from_secs(10))
@@ -1800,8 +1782,10 @@ mod tests {
             "detection took {:?}, deadline was 150ms",
             t0.elapsed()
         );
-        assert!(a.heartbeats_sent() > 0, "rank 0 emitted heartbeats");
-        assert_eq!(a.peer_deaths(), 1);
+        let snap = registry.snapshot();
+        let heartbeats = snap.get("transport.heartbeats").unwrap_or(0);
+        assert!(heartbeats > 0, "rank 0 emitted heartbeats");
+        assert_eq!(snap.get("transport.peer_dead"), Some(1));
         drop(frozen);
     }
 

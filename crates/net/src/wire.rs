@@ -10,8 +10,9 @@
 //! ```
 //!
 //! The framing body is byte-for-byte the format of
-//! [`cgx_collectives::framing`], read by [`framing::open`] (or
-//! [`framing::open_copy`], its copying form). TCP already guarantees ordered
+//! [`cgx_collectives::framing`], read by [`framing::open_copy`]. Every
+//! frame is written as [`append_frame_header`] plus the payload and read by
+//! [`parse_frame`]. TCP already guarantees ordered
 //! reliable delivery; the checksum is the end-to-end integrity check
 //! (paper: datacenter links do corrupt), and the per-link sequence
 //! number — frames counted per (sender, receiver) pair across every tag
@@ -31,7 +32,7 @@ use cgx_collectives::framing;
 use cgx_collectives::transport::Tag;
 use cgx_compress::Encoded;
 use cgx_tensor::Shape;
-use std::io::{self, Read, Write};
+use std::io;
 
 /// Hard cap on a frame's post-length size: a parter that hands us garbage
 /// for a length must not look like a 4 GiB allocation request.
@@ -57,32 +58,6 @@ pub struct Frame {
 /// transport's byte accounting.
 pub fn frame_wire_bytes(ndims: usize, payload_len: usize) -> usize {
     4 + 8 + 1 + 4 * ndims + framing::HEADER_LEN + payload_len
-}
-
-/// Writes one frame. The caller supplies the link sequence number; the
-/// checksum binds `(tag, seq, payload)`.
-///
-/// # Errors
-///
-/// Propagates I/O failures from `w`.
-///
-/// # Panics
-///
-/// Panics if the shape has more than [`MAX_DIMS`] dimensions (no real
-/// tensor comes close).
-pub fn write_frame<W: Write>(
-    w: &mut W,
-    tag: Tag,
-    seq: u32,
-    shape: &Shape,
-    payload: &[u8],
-) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(frame_wire_bytes(shape.dims().len(), payload.len()));
-    append_frame_header(&mut buf, tag, seq, shape, payload);
-    buf.extend_from_slice(payload);
-    // One write_all for the whole frame: interleaving-safe under the
-    // per-peer writer lock and far fewer syscalls than field-at-a-time.
-    w.write_all(&buf)
 }
 
 /// Serializes everything that precedes the payload — length prefix, tag,
@@ -151,8 +126,7 @@ fn decode_header(frame: &[u8]) -> io::Result<(Tag, Shape, usize)> {
     Ok((tag, Shape::new(dims), geom_end))
 }
 
-/// The error an envelope that fails [`framing::open`] or
-/// [`framing::open_copy`] becomes.
+/// The error an envelope that fails [`framing::open_copy`] becomes.
 fn mismatch(tag: Tag) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -196,69 +170,21 @@ pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
     )))
 }
 
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false); // clean EOF at a frame boundary
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one frame, verifying the checksum. `Ok(None)` means the peer
-/// closed the connection cleanly at a frame boundary.
-///
-/// # Errors
-///
-/// `InvalidData` for an oversized length, malformed geometry, or a
-/// checksum mismatch; `UnexpectedEof` for a mid-frame close; otherwise
-/// the underlying I/O error.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
-    let mut len_buf = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len_buf)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    check_len(len)?;
-    let mut buf = vec![0u8; len];
-    if !read_exact_or_eof(r, &mut buf)? {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed after frame length",
-        ));
-    }
-    let (tag, shape, envelope) = decode_header(&buf)?;
-    let (seq, _) = framing::open(tag, &buf[envelope..]).ok_or_else(|| mismatch(tag))?;
-    let body = envelope + framing::HEADER_LEN;
-    Ok(Some(Frame {
-        tag,
-        seq,
-        enc: Encoded::new(shape, cgx_tensor::Bytes::from(buf).slice(body..)),
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Appends one frame to `buf`: its header, then the payload.
+    fn push_frame(buf: &mut Vec<u8>, tag: Tag, seq: u32, dims: Vec<usize>, payload: &[u8]) {
+        append_frame_header(buf, tag, seq, &Shape::new(dims), payload);
+        buf.extend_from_slice(payload);
+    }
+
     fn roundtrip(tag: Tag, seq: u32, dims: Vec<usize>, payload: &[u8]) -> Frame {
         let mut buf = Vec::new();
-        write_frame(&mut buf, tag, seq, &Shape::new(dims), payload).expect("write");
-        let mut cursor = io::Cursor::new(buf);
-        let frame = read_frame(&mut cursor).expect("read").expect("not EOF");
-        assert_eq!(cursor.position() as usize, cursor.get_ref().len(), "trailing bytes");
+        push_frame(&mut buf, tag, seq, dims, payload);
+        let (frame, used) = parse_frame(&buf).expect("parse").expect("whole");
+        assert_eq!(used, buf.len(), "trailing bytes");
         frame
     }
 
@@ -281,36 +207,16 @@ mod tests {
     #[test]
     fn wire_byte_accounting_matches_serialization() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, 9, 1, &Shape::new(vec![2, 2]), &[0u8; 16]).expect("write");
-        assert_eq!(buf.len(), frame_wire_bytes(2, 16));
-    }
-
-    #[test]
-    fn eof_at_boundary_is_none_mid_frame_is_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 1, 0, &Shape::new(vec![1]), &[9]).expect("write");
-        let mut empty = io::Cursor::new(Vec::<u8>::new());
-        assert!(read_frame(&mut empty).expect("clean EOF").is_none());
-        let mut truncated = io::Cursor::new(buf[..buf.len() - 1].to_vec());
-        let err = read_frame(&mut truncated).expect_err("mid-frame close");
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn corrupted_payload_is_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 5, 3, &Shape::new(vec![1]), &[7, 7, 7, 7]).expect("write");
-        let last = buf.len() - 1;
-        buf[last] ^= 0x40;
-        let err = read_frame(&mut io::Cursor::new(buf)).expect_err("corrupt");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let n = append_frame_header(&mut buf, 9, 1, &Shape::new(vec![2, 2]), &[0u8; 16]);
+        assert_eq!(n, buf.len(), "the header length it reports");
+        assert_eq!(n + 16, frame_wire_bytes(2, 16));
     }
 
     #[test]
     fn hostile_geometry_is_invalid_data() {
         // A frame whose one dimension is 0, and one whose dimensions
         // multiply past `usize`, each with a well-formed envelope after
-        // them: both parses refuse the geometry instead of handing it to
+        // them: the parse refuses the geometry instead of handing it to
         // `Shape`, whose constructor asserts and whose element count
         // overflows.
         let overflowing = vec![u32::MAX as usize; usize::BITS as usize / 32 + 1];
@@ -320,42 +226,18 @@ mod tests {
             for d in &dims {
                 frame.extend_from_slice(&(*d as u32).to_le_bytes());
             }
-            frame.extend_from_slice(&framing::frame_bytes(7, 0, &[]));
+            framing::append_header(&mut frame, 7, 0, &[]);
             let buf = [&(frame.len() as u32).to_le_bytes()[..], &frame].concat();
             let err = parse_frame(&buf).expect_err("parse");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{dims:?}");
-            let err = read_frame(&mut io::Cursor::new(buf)).expect_err("read");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{dims:?}");
         }
     }
 
     #[test]
-    fn implausible_length_is_rejected_without_allocation() {
-        let mut buf = (u32::MAX).to_le_bytes().to_vec();
-        buf.extend_from_slice(&[0u8; 32]);
-        let err = read_frame(&mut io::Cursor::new(buf)).expect_err("giant length");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn header_plus_payload_equals_write_frame_bytes() {
-        let shape = Shape::new(vec![2, 3]);
-        let payload = [9u8, 1, 1, 2, 3, 5];
-        let mut whole = Vec::new();
-        write_frame(&mut whole, 17, 4, &shape, &payload).expect("write");
-        let mut hdr = Vec::new();
-        let n = append_frame_header(&mut hdr, 17, 4, &shape, &payload);
-        assert_eq!(n, hdr.len());
-        assert_eq!(n + payload.len(), whole.len());
-        assert_eq!(&whole[..n], hdr.as_slice());
-        assert_eq!(&whole[n..], &payload);
-    }
-
-    #[test]
     fn parse_frame_is_incremental_and_reports_consumed() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, 33, 2, &Shape::new(vec![4]), &[1, 2, 3, 4]).expect("write");
-        write_frame(&mut buf, 34, 0, &Shape::new(vec![1]), &[9]).expect("write");
+        push_frame(&mut buf, 33, 2, vec![4], &[1, 2, 3, 4]);
+        push_frame(&mut buf, 34, 0, vec![1], &[9]);
         // Every strict prefix of the first frame is "need more bytes".
         let first_len = buf.len() - frame_wire_bytes(1, 1);
         for cut in 0..first_len {
@@ -376,7 +258,7 @@ mod tests {
     #[test]
     fn parse_frame_rejects_corruption_in_place() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, 5, 3, &Shape::new(vec![1]), &[7, 7, 7, 7]).expect("write");
+        push_frame(&mut buf, 5, 3, vec![1], &[7, 7, 7, 7]);
         let last = buf.len() - 1;
         buf[last] ^= 0x40;
         let err = parse_frame(&buf).expect_err("corrupt");
@@ -396,7 +278,7 @@ mod tests {
             .map(|i| (i * 131 + i / 4093) as u8)
             .collect();
         let mut buf = Vec::new();
-        write_frame(&mut buf, 0x77, 5, &Shape::new(vec![1 << 18]), &payload).expect("write");
+        push_frame(&mut buf, 0x77, 5, vec![1 << 18], &payload);
         let (frame, used) = parse_frame(&buf).expect("clean").expect("whole");
         assert_eq!(used, buf.len());
         assert_eq!(frame.enc.payload().as_ref(), payload.as_slice());
@@ -412,20 +294,5 @@ mod tests {
             let err = parse_frame(&flipped).expect_err("flipped");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {at}");
         }
-    }
-
-    #[test]
-    fn back_to_back_frames_stream() {
-        let mut buf = Vec::new();
-        for seq in 0..3u32 {
-            write_frame(&mut buf, 77, seq, &Shape::new(vec![1]), &[seq as u8]).expect("write");
-        }
-        let mut cursor = io::Cursor::new(buf);
-        for seq in 0..3u32 {
-            let f = read_frame(&mut cursor).expect("read").expect("frame");
-            assert_eq!(f.seq, seq);
-            assert_eq!(f.enc.payload().as_ref(), &[seq as u8]);
-        }
-        assert!(read_frame(&mut cursor).expect("eof").is_none());
     }
 }

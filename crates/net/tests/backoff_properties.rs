@@ -6,7 +6,8 @@
 //! makes a reconnect storm replayable.
 
 use cgx_net::ReconnectPolicy;
-use cgx_tensor::{cases, Rng};
+use cgx_tensor::Rng;
+use cgx_testkit::cases;
 use std::time::Duration;
 
 /// A base of 1..=50 ms, a cap up to 2 s above it, and any seed.

@@ -17,11 +17,12 @@ use cgx_collectives::reduce::Algorithm;
 use cgx_collectives::transport::exchange_quiesce_markers;
 use cgx_collectives::{CommEngine, EngineOptions, ThreadCluster, Transport};
 use cgx_compress::{CompressionScheme, ScratchPool};
-use cgx_net::cluster::{free_loopback_addr, ProcessCluster};
+use cgx_net::cluster::ProcessCluster;
 use cgx_net::rendezvous::{rendezvous, DEFAULT_BOOT_TIMEOUT};
 use cgx_net::workload::{RunOptions, Workload};
 use cgx_net::{NetOptions, ReconnectPolicy, ResetPlan, TcpFabric};
 use cgx_tensor::{Rng, Tensor};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -216,7 +217,13 @@ fn four_process_tcp_run_survives_a_sigkill() {
         .run_supervised()
         .expect("all ranks spawn");
     assert_eq!(report.deaths(), 1, "exactly the victim dies: {report:?}");
-    assert_eq!(report.dead_ranks(), vec![victim]);
+    let dead: Vec<usize> = report
+        .exits
+        .iter()
+        .filter(|e| !e.success)
+        .map(|e| e.rank)
+        .collect();
+    assert_eq!(dead, vec![victim]);
     assert_eq!(
         report.exits[victim].code, None,
         "SIGKILL leaves no exit code: {:?}",
@@ -246,7 +253,10 @@ fn launched_worker_times_out_on_a_silent_peer_within_its_comm_timeout() {
     // Rank 1 is a real `cgx-launch` worker; this test is rank 0, which
     // joins the mesh and then never sends. The worker's first receive
     // must give up after its --comm-timeout-ms, not the fabric's 30 s.
-    let addr = free_loopback_addr();
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("a free loopback port")
+        .to_string();
     // Rank 0 starts binding before the worker is spawned: the freed port
     // is then open to other processes for a thread start, not a process
     // start.

@@ -1,9 +1,8 @@
-//! Runs the generic [`cgx_collectives::conformance`] battery against the
+//! Runs the generic [`cgx_testkit::conformance`] battery against the
 //! TCP transport over loopback sockets — the same suite the in-process
 //! `ShmTransport` passes. Tag demux, per-tag FIFO, deadline semantics,
 //! stash-beats-disconnect, quiesce: one contract, two fabrics.
 
-use cgx_collectives::conformance::{self, BoxTransport};
 use cgx_collectives::reduce::Algorithm;
 use cgx_collectives::{CommEngine, Transport};
 use cgx_compress::{CompressionScheme, Encoded, NoneCompressor, ScratchPool};
@@ -11,6 +10,7 @@ use cgx_net::tcp::READ_BUF_BYTES;
 use cgx_net::wire::frame_wire_bytes;
 use cgx_net::TcpFabric;
 use cgx_tensor::{Rng, Shape, Tensor};
+use cgx_testkit::conformance::{self, BoxTransport};
 use std::sync::Barrier;
 use std::time::Duration;
 

@@ -345,11 +345,6 @@ impl ServeNode {
         })
     }
 
-    /// Number of currently attached jobs.
-    pub fn attached_jobs(&self) -> usize {
-        lock(&self.shared.state).jobs.len()
-    }
-
     /// Cumulative bytes the daemon dequeued for `job` — the QoS share
     /// accounting benchmarks read.
     pub fn job_sent_bytes(&self, job: u8) -> u64 {
@@ -737,7 +732,7 @@ mod tests {
             node.attach(JobSpec::new(3)).unwrap_err(),
             ServeError::JobLimit { limit: 2 }
         );
-        assert_eq!(node.attached_jobs(), 2);
+        assert_eq!(lock(&node.shared.state).jobs.len(), 2);
     }
 
     #[test]
@@ -847,7 +842,7 @@ mod tests {
     fn frames_racing_an_attach_are_delivered_once_in_order() {
         const FRAMES: u32 = 300;
         const TAGS: u32 = 3;
-        cgx_tensor::cases(64, |rng| {
+        cgx_testkit::cases(64, |rng| {
             let mut fabric = ShmFabric::build(2);
             let peer = fabric.pop().expect("rank 1");
             let node = ServeNode::new(Box::new(fabric.pop().unwrap()), ServeConfig::default());

@@ -16,7 +16,7 @@
 //! here is fully deterministic.
 
 use cgx_serve::{jain_index, Dequeue, DrrScheduler};
-use cgx_tensor::cases;
+use cgx_testkit::cases;
 
 /// Drains until `Idle`/`Throttled`, returning `(job, size)` in order.
 fn drain(s: &mut DrrScheduler<u32>, limit: usize) -> Vec<(u8, u64)> {

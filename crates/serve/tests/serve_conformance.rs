@@ -12,14 +12,14 @@
 //!   exchanges bounded background traffic for the whole battery. Tenant
 //!   isolation means the battery cannot tell the difference.
 
-use cgx_collectives::conformance::{
-    check_many_receivers, check_silent_tag_parks_boundedly, run_all, BoxTransport,
-};
 use cgx_collectives::{ShmFabric, Transport};
 use cgx_compress::Encoded;
 use cgx_net::TcpFabric;
 use cgx_serve::{JobSpec, NamespacedTransport, ServeConfig, ServeNode};
 use cgx_tensor::Shape;
+use cgx_testkit::conformance::{
+    check_many_receivers, check_silent_tag_parks_boundedly, run_all, BoxTransport,
+};
 use std::sync::Arc;
 use std::time::Duration;
 

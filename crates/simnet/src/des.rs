@@ -1177,8 +1177,9 @@ pub fn build_hierarchical(
 // Compatibility façade.
 // ---------------------------------------------------------------------------
 
-/// Reusable graph + scratch bundle for the [`NetworkDes`] convenience
-/// methods; one per sweep thread avoids all per-call allocation.
+/// Reusable graph + scratch bundle for sweep loops over the graph
+/// builders and [`run`]; one per sweep thread avoids all per-call
+/// allocation.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     /// The op graph the next build fills (reused across builds).
@@ -1228,55 +1229,29 @@ impl NetworkDes {
         Fabric::uniform(self.ranks, self.lane_bw, self.alpha)
     }
 
+    /// The makespan in seconds of the graph `build` makes for this
+    /// network's ranks, moving `total_bytes` (wire).
+    fn simulate(
+        &self,
+        build: fn(&mut OpGraph, usize) -> Result<(), SimError>,
+        total_bytes: f64,
+    ) -> Result<f64, SimError> {
+        let mut g = OpGraph::new();
+        build(&mut g, self.ranks)?;
+        let stats = run(&g, &self.fabric()?, total_bytes, &mut DesScratch::new())?;
+        Ok(stats.makespan_seconds())
+    }
+
     /// Simulates a scatter-reduce-allgather allreduce of `total_bytes`
     /// (wire); returns the makespan in seconds.
     pub fn sra_allreduce(&self, total_bytes: f64) -> Result<f64, SimError> {
-        self.sra_allreduce_with(total_bytes, &mut SimWorkspace::new())
-    }
-
-    /// [`sra_allreduce`](Self::sra_allreduce) reusing caller scratch.
-    pub fn sra_allreduce_with(
-        &self,
-        total_bytes: f64,
-        ws: &mut SimWorkspace,
-    ) -> Result<f64, SimError> {
-        build_sra(&mut ws.graph, self.ranks)?;
-        let stats = run(&ws.graph, &self.fabric()?, total_bytes, &mut ws.scratch)?;
-        Ok(stats.makespan_seconds())
+        self.simulate(build_sra, total_bytes)
     }
 
     /// Simulates a chunked ring allreduce of `total_bytes` (wire);
     /// returns the makespan in seconds.
     pub fn ring_allreduce(&self, total_bytes: f64) -> Result<f64, SimError> {
-        self.ring_allreduce_with(total_bytes, &mut SimWorkspace::new())
-    }
-
-    /// [`ring_allreduce`](Self::ring_allreduce) reusing caller scratch.
-    pub fn ring_allreduce_with(
-        &self,
-        total_bytes: f64,
-        ws: &mut SimWorkspace,
-    ) -> Result<f64, SimError> {
-        build_ring(&mut ws.graph, self.ranks)?;
-        let stats = run(&ws.graph, &self.fabric()?, total_bytes, &mut ws.scratch)?;
-        Ok(stats.makespan_seconds())
-    }
-
-    /// Simulates a binomial-tree allreduce of `total_bytes` (wire);
-    /// returns the makespan in seconds.
-    pub fn tree_allreduce(&self, total_bytes: f64) -> Result<f64, SimError> {
-        self.tree_allreduce_with(total_bytes, &mut SimWorkspace::new())
-    }
-
-    /// [`tree_allreduce`](Self::tree_allreduce) reusing caller scratch.
-    pub fn tree_allreduce_with(
-        &self,
-        total_bytes: f64,
-        ws: &mut SimWorkspace,
-    ) -> Result<f64, SimError> {
-        build_tree(&mut ws.graph, self.ranks)?;
-        let stats = run(&ws.graph, &self.fabric()?, total_bytes, &mut ws.scratch)?;
-        Ok(stats.makespan_seconds())
+        self.simulate(build_ring, total_bytes)
     }
 }
 
@@ -1612,12 +1587,11 @@ mod tests {
 
     #[test]
     fn des_sra_matches_analytic_within_factor_two() {
-        let mut ws = SimWorkspace::new();
         for n in [2usize, 4, 8] {
             for bytes in [1e6, 100e6] {
                 let bw = 2e9;
                 let net = NetworkDes::new(n, bw, 10e-6);
-                let des = net.sra_allreduce_with(bytes, &mut ws).unwrap();
+                let des = net.sra_allreduce(bytes).unwrap();
                 let analytic = allreduce_time(
                     ReductionScheme::ScatterReduceAllgather,
                     n,
@@ -1635,12 +1609,11 @@ mod tests {
 
     #[test]
     fn des_ring_matches_analytic_within_factor_two() {
-        let mut ws = SimWorkspace::new();
         for n in [2usize, 4, 8] {
             let bw = 2e9;
             let bytes = 50e6;
             let net = NetworkDes::new(n, bw, 10e-6);
-            let des = net.ring_allreduce_with(bytes, &mut ws).unwrap();
+            let des = net.ring_allreduce(bytes).unwrap();
             let analytic =
                 allreduce_time(ReductionScheme::Ring, n, bytes as usize, CommCost::new(bw, 10e-6));
             let ratio = des / analytic;
@@ -1678,7 +1651,11 @@ mod tests {
         let net = NetworkDes::new(1, 1e9, 1e-3);
         assert_eq!(net.sra_allreduce(1e9).unwrap(), 0.0);
         assert_eq!(net.ring_allreduce(1e9).unwrap(), 0.0);
-        assert_eq!(net.tree_allreduce(1e9).unwrap(), 0.0);
+        let mut g = OpGraph::new();
+        build_tree(&mut g, 1).unwrap();
+        let fabric = Fabric::uniform(1, 1e9, 1e-3).unwrap();
+        let stats = run(&g, &fabric, 1e9, &mut DesScratch::new()).unwrap();
+        assert_eq!(stats.makespan_seconds(), 0.0);
     }
 
     /// Dense (join-free) SRA with frac payloads, mirroring the legacy

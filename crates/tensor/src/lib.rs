@@ -31,7 +31,7 @@ pub mod tensor;
 pub use bytes::Bytes;
 pub use exp::exp;
 pub use linalg::{matmul, matmul_nt, matmul_tn, orthogonalize_columns};
-pub use rng::{cases, Rng};
+pub use rng::Rng;
 pub use shape::Shape;
 pub use stats::RunningStat;
 pub use tensor::Tensor;

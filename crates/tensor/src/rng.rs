@@ -306,43 +306,6 @@ impl CounterRng {
     }
 }
 
-/// Runs `property` on `n` seeded cases — the whole of this workspace's
-/// property testing. Case `i` draws from a generator derived from the
-/// running test's name (libtest names each test's thread after it) and `i`,
-/// so every run of a test sees the same cases and a failure repeats. The
-/// property states its claims with plain `assert!`s; when one fails, the
-/// case index is printed on top of its message.
-///
-/// # Examples
-///
-/// ```
-/// cgx_tensor::rng::cases(32, |rng| {
-///     let n = rng.range(1..=100);
-///     assert!(rng.index(n) < n);
-/// });
-/// ```
-pub fn cases(n: u32, mut property: impl FnMut(&mut Rng)) {
-    struct Case(u32);
-    impl Drop for Case {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                eprintln!("property failed at case {}", self.0);
-            }
-        }
-    }
-    let thread = std::thread::current();
-    let name = thread.name().unwrap_or_default().bytes();
-    // FNV-1a; `seed_from_u64` then mixes the case index in thoroughly.
-    let seed = name.fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    });
-    for i in 0..n {
-        let case = Case(i);
-        property(&mut Rng::seed_from_u64(seed ^ u64::from(i)));
-        drop(case);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,8 @@
 //! body the CPU can run, and the zero-sized dimensions a `Shape` cannot
 //! express) is `linalg::tests`, which can reach the private entries.
 
-use cgx_tensor::{cases, matmul, matmul_nt, matmul_tn, Rng, Tensor};
+use cgx_tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
+use cgx_testkit::cases;
 
 /// Tile multiples of every variant (4 or 8 rows; 16 or 32 columns; packed
 /// blocks of 8), their neighbours, and sizes that are all edge.

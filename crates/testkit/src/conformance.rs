@@ -16,8 +16,8 @@
 //! slice, and [`check_many_receivers`] on the fabrics whose endpoint serves
 //! many receiving threads (shm, TCP and serve handles).
 
-use crate::error::CommError;
-use crate::transport::{exchange_quiesce_markers, Tag, Transport};
+use cgx_collectives::transport::{exchange_quiesce_markers, Tag, Transport};
+use cgx_collectives::CommError;
 use cgx_compress::Encoded;
 use cgx_tensor::Shape;
 use std::cell::Cell;
@@ -54,6 +54,25 @@ fn assert_same(a: &Encoded, b: &Encoded, what: &str) {
 fn await_arrival(t: &dyn Transport, seen: u64) {
     let start = Instant::now();
     while t.arrivals() == seen {
+        t.park(seen, WAIT);
+        assert!(start.elapsed() < PROMPT, "parked through an arrival");
+    }
+}
+
+/// Polls `t` with `poll` until it hands back a frame, parking between
+/// polls, and returns it, which must be [`PROMPT`]. The arrival that ends a
+/// park may be another job's frame on an endpoint that tenants share, so a
+/// poll before this frame lands must come up empty — never an error.
+fn await_frame(
+    t: &dyn Transport,
+    mut poll: impl FnMut() -> Result<Option<Encoded>, CommError>,
+) -> Encoded {
+    let start = Instant::now();
+    loop {
+        let seen = t.arrivals();
+        if let Some(got) = poll().expect("a poll before the frame lands is empty") {
+            return got;
+        }
         t.park(seen, WAIT);
         assert!(start.elapsed() < PROMPT, "parked through an arrival");
     }
@@ -139,12 +158,15 @@ pub fn check_stashed_payload_beats_expired_deadline(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
-    let seen = b.arrivals();
     a.send_tagged(1, 40, payload(4)).expect("send");
-    await_arrival(&*b, seen);
-    let got = b
-        .recv_tagged_deadline(0, 40, Duration::ZERO)
-        .expect("stashed payload must be delivered on an expired deadline");
+    // Until the frame lands, an expired deadline is a timeout.
+    let got = await_frame(&*b, || {
+        match b.recv_tagged_deadline(0, 40, Duration::ZERO) {
+            Ok(got) => Ok(Some(got)),
+            Err(CommError::Timeout { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
+    });
     assert_same(&got, &payload(4), "stashed payload");
 }
 
@@ -158,13 +180,8 @@ pub fn check_try_recv(build: &FabricBuilder) {
         b.try_recv_tagged(0, 5).expect("idle try_recv").is_none(),
         "phantom payload"
     );
-    let seen = b.arrivals();
     a.send_tagged(1, 5, payload(5)).expect("send");
-    await_arrival(&*b, seen);
-    let got = b
-        .try_recv_tagged(0, 5)
-        .expect("try_recv")
-        .expect("payload was stashed");
+    let got = await_frame(&*b, || b.try_recv_tagged(0, 5));
     assert_same(&got, &payload(5), "try_recv payload");
 }
 
@@ -591,7 +608,10 @@ pub fn run_all(build: &FabricBuilder) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::ShmFabric;
+    use cgx_collectives::{ShmFabric, ShmTransport};
+    use std::sync::atomic::AtomicU64;
+    use std::sync::{Arc, Mutex};
+    use std::thread::JoinHandle;
 
     fn shm_builder(n: usize) -> Vec<BoxTransport> {
         ShmFabric::build(n)
@@ -603,5 +623,95 @@ mod tests {
     #[test]
     fn shm_transport_conforms() {
         run_all(&shm_builder);
+    }
+
+    /// An shm endpoint on which another job's frame arrives first: rank 0's
+    /// sends count as an arrival at once and land 30 ms later, as on a
+    /// tenant handle whose neighbour's frame beats the checked one.
+    struct Lagged {
+        inner: Arc<ShmTransport>,
+        ghosts: Arc<AtomicU64>,
+        sends: Mutex<Vec<JoinHandle<Result<(), CommError>>>>,
+    }
+
+    impl Drop for Lagged {
+        fn drop(&mut self) {
+            let sends = self.sends.get_mut().unwrap_or_else(|e| e.into_inner());
+            for send in sends.drain(..) {
+                // The peer may be gone by now; only the join matters.
+                let _ = send.join();
+            }
+        }
+    }
+
+    impl Transport for Lagged {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn world(&self) -> usize {
+            self.inner.world()
+        }
+        fn timeout(&self) -> Duration {
+            self.inner.timeout()
+        }
+        fn send_tagged(&self, peer: usize, tag: Tag, payload: Encoded) -> Result<(), CommError> {
+            if self.inner.rank() != 0 {
+                return self.inner.send_tagged(peer, tag, payload);
+            }
+            self.ghosts.fetch_add(1, Relaxed);
+            let inner = Arc::clone(&self.inner);
+            let send = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                inner.send_tagged(peer, tag, payload)
+            });
+            self.sends.lock().expect("no send thread panics").push(send);
+            Ok(())
+        }
+        fn try_send_tagged(
+            &self,
+            peer: usize,
+            tag: Tag,
+            payload: Encoded,
+        ) -> Result<Option<Encoded>, CommError> {
+            self.inner.try_send_tagged(peer, tag, payload)
+        }
+        fn try_recv_tagged(&self, peer: usize, tag: Tag) -> Result<Option<Encoded>, CommError> {
+            self.inner.try_recv_tagged(peer, tag)
+        }
+        fn drain_inbound(&self) -> usize {
+            self.inner.drain_inbound()
+        }
+        fn arrivals(&self) -> u64 {
+            self.inner.arrivals() + self.ghosts.load(Relaxed)
+        }
+        fn park(&self, seen: u64, timeout: Duration) {
+            let (start, slice) = (Instant::now(), Duration::from_millis(1));
+            while self.arrivals() == seen && start.elapsed() < timeout {
+                self.inner.park(self.inner.arrivals(), slice);
+            }
+        }
+    }
+
+    fn lagged_builder(n: usize) -> Vec<BoxTransport> {
+        let ghosts = Arc::new(AtomicU64::new(0));
+        ShmFabric::build(n)
+            .into_iter()
+            .map(|t| {
+                let (inner, ghosts) = (Arc::new(t), Arc::clone(&ghosts));
+                let sends = Mutex::new(Vec::new());
+                Box::new(Lagged {
+                    inner,
+                    ghosts,
+                    sends,
+                }) as BoxTransport
+            })
+            .collect()
+    }
+
+    /// The receive checks wait for their own frame, not for any arrival.
+    #[test]
+    fn an_arrival_that_is_not_the_frame_fools_no_receive_check() {
+        check_try_recv(&lagged_builder);
+        check_stashed_payload_beats_expired_deadline(&lagged_builder);
     }
 }

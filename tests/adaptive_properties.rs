@@ -5,7 +5,8 @@
 use cgx::adaptive::{
     assign_bits, kmeans, uniform_assignment, AdaptiveOptions, AdaptivePolicy, LayerProfile,
 };
-use cgx::tensor::{cases, Rng};
+use cgx::tensor::Rng;
+use cgx_testkit::cases;
 
 fn profiles(rng: &mut Rng) -> Vec<LayerProfile> {
     (0..rng.range(1..60))

@@ -7,7 +7,8 @@
 use cgx::collectives::reduce::{chunk_ranges, Algorithm, AllreduceStats};
 use cgx::collectives::{CommEngine, ThreadCluster, Transport};
 use cgx::compress::{Compressor, NoneCompressor, QsgdCompressor, ScratchPool};
-use cgx::tensor::{cases, Rng, Tensor};
+use cgx::tensor::{Rng, Tensor};
+use cgx_testkit::cases;
 
 /// One collective on an engine of its own: the sum and the stats.
 fn allreduce(

@@ -6,7 +6,8 @@ use cgx::compress::{
     compression_error, CompressionScheme, Compressor, Encoded, NormKind, PayloadError,
     PowerSgdCompressor, QsgdCompressor, TopKCompressor,
 };
-use cgx::tensor::{cases, Rng, Tensor};
+use cgx::tensor::{Rng, Tensor};
+use cgx_testkit::cases;
 
 /// Gradient-like data with mixed scales, including exact zeros.
 fn gradient(rng: &mut Rng, max_len: usize) -> Vec<f32> {

@@ -3,7 +3,8 @@
 
 use cgx::engine::nn::{softmax_cross_entropy, Mlp};
 use cgx::engine::{clip_global_norm, EmbeddingLm, LrSchedule, SgdMomentum};
-use cgx::tensor::{cases, Tensor};
+use cgx::tensor::Tensor;
+use cgx_testkit::cases;
 
 #[test]
 fn softmax_ce_gradient_rows_sum_to_zero() {

@@ -2,7 +2,8 @@
 //! source.
 
 use cgx::models::{GradientSynth, LayerKind, ModelId, ModelSpec};
-use cgx::tensor::{cases, Rng};
+use cgx::tensor::Rng;
+use cgx_testkit::cases;
 
 #[test]
 fn zoo_invariants_hold_for_every_model() {

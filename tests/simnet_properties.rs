@@ -6,7 +6,8 @@ use cgx::simnet::{
     allreduce_time, fuse_messages, run, simulate_step, CommCost, ComputeProfile, DesScratch,
     Fabric, LayerMsg, MachineSpec, NetworkDes, OpGraph, ReductionScheme, SimError, StepConfig,
 };
-use cgx::tensor::{cases, Rng};
+use cgx::tensor::Rng;
+use cgx_testkit::cases;
 
 /// Between 1 and `max_len` layers of up to `max_elems` elements.
 fn random_layers(rng: &mut Rng, max_elems: usize, max_len: usize) -> Vec<LayerMsg> {

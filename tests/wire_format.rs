@@ -8,7 +8,8 @@
 use cgx::adaptive::{AdaptiveTrainConfig, BitAssignment};
 use cgx::collectives::framing;
 use cgx::compress::{CompressionScheme, ScratchPool};
-use cgx::tensor::{cases, Rng, Tensor};
+use cgx::tensor::{Rng, Tensor};
+use cgx_testkit::cases;
 
 fn all_schemes() -> Vec<CompressionScheme> {
     vec![
@@ -237,7 +238,14 @@ const GOLDEN_DECODED: [&str; 11] = [
 
 #[test]
 fn frame_header_bytes_are_pinned() {
-    let framed = framing::frame_bytes(0x0102_0304_0506_0708, 0x0A0B_0C0D, b"cgx frame body");
+    let mut framed = Vec::new();
+    framing::append_header(
+        &mut framed,
+        0x0102_0304_0506_0708,
+        0x0A0B_0C0D,
+        b"cgx frame body",
+    );
+    framed.extend_from_slice(b"cgx frame body");
     // Magic, sequence number, checksum: little-endian, in that order.
     let header = [0xfa, 0xc6, 0x0d, 0x0c, 0x0b, 0x0a, 0xa0, 0x0e, 0x30, 0x0a];
     assert_eq!(framed[..framing::HEADER_LEN], header);
