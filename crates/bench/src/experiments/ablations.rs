@@ -9,7 +9,7 @@
 //! 5. bit-width vs accuracy under real training (why 4 bits is the static
 //!    choice).
 
-use cgx_bench::{note, render_table};
+use crate::{note, render_table};
 use cgx_compress::{
     CompressionScheme, Compressor, ErrorFeedback, NuqsgdCompressor, OneBitCompressor,
     QsgdCompressor, TopKCompressor,
@@ -19,7 +19,9 @@ use cgx_engine::nn::Mlp;
 use cgx_engine::{train_data_parallel, LayerCompression, TrainConfig};
 use cgx_tensor::{Rng, Tensor};
 
-fn train_acc(compression: LayerCompression) -> f64 {
+/// Top-1 accuracy, wire bytes per worker and final loss of 4 workers
+/// training a small MLP for 300 steps under `compression`.
+fn train(compression: LayerCompression) -> Vec<String> {
     let task = GaussianMixture::new(6, 12, 1.2);
     let mut rng = Rng::seed_from_u64(5);
     let model = Mlp::new(&mut rng, &[12, 32, 6]);
@@ -29,13 +31,18 @@ fn train_acc(compression: LayerCompression) -> f64 {
         ..TrainConfig::new(4, 300)
     };
     let t = task.clone();
-    let (trained, _) = train_data_parallel(&model, move |r| t.sample_batch(r, 16), &cfg).unwrap();
+    let (trained, report) =
+        train_data_parallel(&model, move |r| t.sample_batch(r, 16), &cfg).unwrap();
     let mut eval_rng = Rng::seed_from_u64(777);
     let (x, y) = task.sample_batch(&mut eval_rng, 2048);
-    trained.accuracy(&x, &y) * 100.0
+    vec![
+        format!("{:.1}", trained.accuracy(&x, &y) * 100.0),
+        report.bytes_sent_per_worker.to_string(),
+        format!("{:.3}", report.losses.last().copied().unwrap_or(f64::NAN)),
+    ]
 }
 
-fn main() {
+pub fn run() -> String {
     let mut rng = Rng::seed_from_u64(1);
     let grad = Tensor::randn(&mut rng, &[1 << 18]);
 
@@ -54,15 +61,15 @@ fn main() {
             format!("{:.4}", err),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "Ablation 1: bucket size at 4 bits (256k-element gradient)",
-            &["bucket", "bits/element", "relative error"],
-            &rows,
-        )
+    let mut out = render_table(
+        "Ablation 1: bucket size at 4 bits (256k-element gradient)",
+        &["bucket", "bits/element", "relative error"],
+        &rows,
     );
-    note("larger buckets: smaller wire, larger error — pick per bit-width (paper Section 4).");
+    note(
+        &mut out,
+        "larger buckets: smaller wire, larger error — pick per bit-width (paper Section 4).",
+    );
 
     // 2. The small-layer filter: what it costs and what it protects.
     // Rationale (paper Section 3): norm/bias layers are compression-
@@ -101,22 +108,20 @@ fn main() {
                 ]
             })
             .collect();
-        print!(
-            "{}",
-            render_table(
-                "Ablation 2: what the small-layer filter protects (ResNet50, 4-bit)",
-                &[
-                    "layer kind",
-                    "relative quantization error",
-                    "share of traffic"
-                ],
-                &rows,
-            )
+        out += &render_table(
+            "Ablation 2: what the small-layer filter protects (ResNet50, 4-bit)",
+            &[
+                "layer kind",
+                "relative quantization error",
+                "share of traffic",
+            ],
+            &rows,
         );
         note(
+            &mut out,
             "the filtered layers carry ~0.2% of the traffic: exactness for them is (almost) free,",
         );
-        note("and skipping their compression kernels avoids many tiny launches — the paper's filter rationale.");
+        note(&mut out, "and skipping their compression kernels avoids many tiny launches — the paper's filter rationale.");
     }
 
     // 3. Error feedback for biased compressors: transmitted mass over time.
@@ -156,15 +161,15 @@ fn main() {
             format!("{e_ef:.3}"),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "Ablation 3: error feedback — long-run bias of the transmitted mean",
-            &["compressor", "without EF", "with EF"],
-            &rows,
-        )
+    out += &render_table(
+        "Ablation 3: error feedback — long-run bias of the transmitted mean",
+        &["compressor", "without EF", "with EF"],
+        &rows,
     );
-    note("EF drives the long-run transmitted mean to the true gradient (Karimireddy et al.).");
+    note(
+        &mut out,
+        "EF drives the long-run transmitted mean to the true gradient (Karimireddy et al.).",
+    );
 
     // 4. QSGD vs NUQSGD error on realistic (concentrated) gradients.
     let concentrated: Vec<f32> = (0..1 << 16)
@@ -188,33 +193,40 @@ fn main() {
             format!("{en:.4}"),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "Ablation 4: uniform (QSGD) vs non-uniform (NUQSGD) grids, concentrated gradients",
-            &["bits", "QSGD rel. error", "NUQSGD rel. error"],
-            &rows,
-        )
+    out += &render_table(
+        "Ablation 4: uniform (QSGD) vs non-uniform (NUQSGD) grids, concentrated gradients",
+        &["bits", "QSGD rel. error", "NUQSGD rel. error"],
+        &rows,
     );
 
     // 5. Bit-width vs accuracy under real training.
     let mut rows = Vec::new();
     for bits in [2u32, 3, 4, 8] {
-        let acc = train_acc(LayerCompression::filtered(CompressionScheme::Qsgd {
+        let scheme = CompressionScheme::Qsgd {
             bits,
             bucket_size: 128,
-        }));
-        rows.push(vec![format!("{bits}"), format!("{acc:.1}")]);
+        };
+        rows.push(
+            [
+                vec![format!("{bits}")],
+                train(LayerCompression::filtered(scheme)),
+            ]
+            .concat(),
+        );
     }
-    let fp32 = train_acc(LayerCompression::none());
-    rows.push(vec!["fp32".into(), format!("{fp32:.1}")]);
-    print!(
-        "{}",
-        render_table(
-            "Ablation 5: bit-width vs accuracy under real training",
-            &["bits", "top-1 %"],
-            &rows,
-        )
+    rows.push([vec!["fp32".into()], train(LayerCompression::none())].concat());
+    out += &render_table(
+        "Ablation 5: bit-width vs accuracy under real training",
+        &["bits", "top-1 %", "wire bytes/worker", "final loss"],
+        &rows,
     );
-    note("4 bits is the lowest uniform width matching fp32 — the paper's static baseline.");
+    note(
+        &mut out,
+        "4 bits is the lowest uniform width matching fp32 — the paper's static baseline.",
+    );
+    note(
+        &mut out,
+        "a final loss of inf is not divergence: `softmax_cross_entropy` takes ln of a target probability that underflowed to 0; its gradient stays finite.",
+    );
+    out
 }

@@ -6,15 +6,15 @@
 //! controller — the component the trainers embed — over the model zoo
 //! (closed-form gradient statistics, so every cell is deterministic).
 
+use crate::{bit_histogram, fmt_ms, note, render_table};
 use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx_bench::{fmt_ms, note, render_table};
 use cgx_core::live_adaptive_session;
 use cgx_core::session_sim::simulate_adaptive_session;
 use cgx_engine::AdaptiveTrainConfig;
 use cgx_models::{ModelId, ModelSpec};
 use cgx_simnet::MachineSpec;
 
-fn main() {
+pub fn run() -> String {
     let cluster = MachineSpec::genesis_cluster();
     let report = simulate_adaptive_session(
         &cluster,
@@ -29,39 +29,34 @@ fn main() {
         .epochs
         .iter()
         .map(|e| {
-            let mut hist = std::collections::BTreeMap::new();
-            for b in &e.assignment.bits {
-                *hist.entry(*b).or_insert(0usize) += 1;
-            }
-            let hist_s = hist
-                .iter()
-                .map(|(b, c)| format!("{b}b x{c}"))
-                .collect::<Vec<_>>()
-                .join(", ");
             vec![
                 e.start_step.to_string(),
                 format!("{:.2}", e.size_ratio),
                 format!("{:.2}", e.error_ratio),
                 fmt_ms(e.step_seconds),
-                hist_s,
+                bit_histogram(&e.assignment.bits),
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "Online adaptive compression: Transformer-XL on the 4x4x3090 cluster (KMEANS, period 250)",
-            &["step", "size vs 4-bit", "error vs 4-bit", "step time", "bit histogram"],
-            &rows,
-        )
+    let mut out = render_table(
+        "Online adaptive compression: Transformer-XL on the 4x4x3090 cluster (KMEANS, period 250)",
+        &[
+            "step",
+            "size vs 4-bit",
+            "error vs 4-bit",
+            "step time",
+            "bit histogram",
+        ],
+        &rows,
     );
-    println!(
+    outln!(
+        out,
         "\nend-to-end: adaptive {:.1} s vs static 4-bit {:.1} s -> {:.2}x speedup over the whole run",
         report.adaptive_seconds,
         report.static_seconds,
         report.speedup()
     );
-    note("re-profiling is cheap (closed-form statistics) and keeps every epoch inside the alpha error budget.");
+    note(&mut out, "re-profiling is cheap (closed-form statistics) and keeps every epoch inside the alpha error budget.");
 
     let zoo: Vec<Vec<String>> = ModelId::all()
         .into_iter()
@@ -81,18 +76,17 @@ fn main() {
             ]
         })
         .collect();
-    print!(
-        "\n{}",
-        render_table(
-            "Live controller over the model zoo (64 steps, default AdaptiveTrainConfig, seed 7)",
-            &[
-                "model",
-                "re-plans",
-                "wire vs static 4-bit",
-                "final bits/elem"
-            ],
-            &zoo,
-        )
+    out += "\n";
+    out += &render_table(
+        "Live controller over the model zoo (64 steps, default AdaptiveTrainConfig, seed 7)",
+        &[
+            "model",
+            "re-plans",
+            "wire vs static 4-bit",
+            "final bits/elem",
+        ],
+        &zoo,
     );
-    note("integrated wire traffic of the plans the live controller commits, against uniform 4-bit over the same steps.");
+    note(&mut out, "integrated wire traffic of the plans the live controller commits, against uniform 4-bit over the same steps.");
+    out
 }

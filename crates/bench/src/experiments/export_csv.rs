@@ -1,15 +1,17 @@
-//! CSV exporter for the headline data series (plot-ready).
-//!
-//! Usage: `cargo run --release -p cgx-bench --bin export_csv [fig1|fig3|table5]`
-//! (default: all, concatenated with `# section` headers).
+//! Plot-ready CSV for the headline data series: Figure 1, Figure 3 and
+//! Table 5, each under a `# section` header.
 
 use cgx_core::estimate::{estimate, SystemSetup};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 
-fn fig1() {
-    println!("# fig1: step_seconds vs compression gamma, 8x RTX 3090");
-    println!("model,gamma,step_seconds,ideal_seconds");
+pub fn run() -> String {
+    let mut out = String::new();
+    outln!(
+        out,
+        "# fig1: step_seconds vs compression gamma, 8x RTX 3090"
+    );
+    outln!(out, "model,gamma,step_seconds,ideal_seconds");
     let machine = MachineSpec::rtx3090();
     for model in ModelId::all() {
         let ideal = estimate(&machine, model, &SystemSetup::Ideal)
@@ -17,21 +19,28 @@ fn fig1() {
             .step_seconds;
         for gamma in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0] {
             let e = estimate(&machine, model, &SystemSetup::Fake { gamma });
-            println!("{model},{gamma},{:.6},{:.6}", e.report.step_seconds, ideal);
+            outln!(
+                out,
+                "{model},{gamma},{:.6},{:.6}",
+                e.report.step_seconds,
+                ideal
+            );
         }
     }
-}
 
-fn fig3() {
-    println!("# fig3: throughput (items/s) per machine/model/setup/gpus");
-    println!("machine,model,setup,gpus,throughput,scaling");
+    outln!(
+        out,
+        "# fig3: throughput (items/s) per machine/model/setup/gpus"
+    );
+    outln!(out, "machine,model,setup,gpus,throughput,scaling");
+    let fig3 = [
+        ModelId::ResNet50,
+        ModelId::TransformerXl,
+        ModelId::VitBase,
+        ModelId::BertBase,
+    ];
     for machine in MachineSpec::table2_systems() {
-        for model in [
-            ModelId::ResNet50,
-            ModelId::TransformerXl,
-            ModelId::VitBase,
-            ModelId::BertBase,
-        ] {
+        for model in fig3 {
             for gpus in [1usize, 2, 4, 8] {
                 let m = machine.with_gpus(gpus);
                 for (name, setup) in [
@@ -47,7 +56,8 @@ fn fig3() {
                     ("ideal", SystemSetup::Ideal),
                 ] {
                     let e = estimate(&m, model, &setup);
-                    println!(
+                    outln!(
+                        out,
                         "{},{model},{name},{gpus},{:.1},{:.4}",
                         machine.name(),
                         e.throughput,
@@ -57,11 +67,9 @@ fn fig3() {
             }
         }
     }
-}
 
-fn table5() {
-    println!("# table5: multi-node throughput (items/s)");
-    println!("model,setup,throughput");
+    outln!(out, "# table5: multi-node throughput (items/s)");
+    outln!(out, "model,setup,throughput");
     let cluster = MachineSpec::genesis_cluster();
     for model in [
         ModelId::ResNet50,
@@ -74,20 +82,8 @@ fn table5() {
             ("cgx", SystemSetup::cgx()),
         ] {
             let e = estimate(&cluster, model, &setup);
-            println!("{model},{name},{:.1}", e.throughput);
+            outln!(out, "{model},{name},{:.1}", e.throughput);
         }
     }
-}
-
-fn main() {
-    match std::env::args().nth(1).as_deref() {
-        Some("fig1") => fig1(),
-        Some("fig3") => fig3(),
-        Some("table5") => table5(),
-        _ => {
-            fig1();
-            fig3();
-            table5();
-        }
-    }
+    out
 }

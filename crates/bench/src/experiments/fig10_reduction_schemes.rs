@@ -6,29 +6,20 @@
 //! Paper shape: SRA is fastest; repeated compression/decompression (Ring,
 //! Tree) additionally inflates the compression error.
 
-use cgx_bench::{fmt_ms, note, render_table};
+use crate::{cgx_step_inputs, fmt_ms, note, render_table};
 use cgx_collectives::reduce::{allreduce_scratch, Algorithm};
 use cgx_collectives::ThreadCluster;
 use cgx_compress::{QsgdCompressor, ScratchPool};
-use cgx_core::api::CgxBuilder;
-use cgx_models::{ModelId, ModelSpec};
-use cgx_simnet::{simulate_step, ComputeProfile, MachineSpec, ReductionScheme, StepConfig};
+use cgx_models::ModelId;
+use cgx_simnet::{simulate_step, MachineSpec, ReductionScheme, StepConfig};
 use cgx_tensor::{Rng, Tensor};
 
-fn scheme_label(s: ReductionScheme) -> String {
-    s.to_string()
-}
-
-fn main() {
+pub fn run() -> String {
     let rtx = MachineSpec::rtx3090();
     // --- Performance plane: step time per scheme ---
     let mut rows = Vec::new();
     for model in [ModelId::ResNet50, ModelId::TransformerXl, ModelId::VitBase] {
-        let spec = ModelSpec::build(model);
-        let mut session = CgxBuilder::new().build();
-        session.register_model_spec(&spec);
-        let msgs = session.layer_messages(spec.precision());
-        let compute = ComputeProfile::new(rtx.gpu().step_compute_seconds(&spec));
+        let (msgs, compute) = cgx_step_inputs(&rtx, model);
         let mut row = vec![model.to_string()];
         for scheme in ReductionScheme::all() {
             let mut cfg = StepConfig::cgx(rtx.clone());
@@ -39,16 +30,13 @@ fn main() {
         rows.push(row);
     }
     let headers: Vec<String> = std::iter::once("model".to_string())
-        .chain(ReductionScheme::all().iter().map(|s| scheme_label(*s)))
+        .chain(ReductionScheme::all().iter().map(ToString::to_string))
         .collect();
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    print!(
-        "{}",
-        render_table(
-            "Figure 10a: time per iteration by reduction scheme (4-bit, 8x RTX 3090)",
-            &header_refs,
-            &rows,
-        )
+    let mut out = render_table(
+        "Figure 10a: time per iteration by reduction scheme (4-bit, 8x RTX 3090)",
+        &header_refs,
+        &rows,
     );
 
     // --- Functional plane: end-to-end compression error per scheme, on the
@@ -82,18 +70,19 @@ fn main() {
             kernels.to_string(),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "Figure 10b: measured compression error by scheme (8 ranks, 64k floats, 4-bit)",
-            &[
-                "scheme",
-                "relative error",
-                "bytes sent/rank",
-                "compress calls/rank",
-            ],
-            &err_rows,
-        )
+    out += &render_table(
+        "Figure 10b: measured compression error by scheme (8 ranks, 64k floats, 4-bit)",
+        &[
+            "scheme",
+            "relative error",
+            "bytes sent/rank",
+            "compress calls/rank",
+        ],
+        &err_rows,
     );
-    note("paper: SRA is fastest and has the lowest error (one aggregation round-trip).");
+    note(
+        &mut out,
+        "paper: SRA is fastest and has the lowest error (one aggregation round-trip).",
+    );
+    out
 }

@@ -4,20 +4,15 @@
 //! Paper shape: SHM outperforms the other backends by up to 33% (single
 //! memory transfer through the copy engine, minimal synchronization).
 
-use cgx_bench::{fmt_ms, note, render_table};
-use cgx_core::api::CgxBuilder;
-use cgx_models::{ModelId, ModelSpec};
-use cgx_simnet::{simulate_step, CommBackend, ComputeProfile, MachineSpec, StepConfig};
+use crate::{cgx_step_inputs, fmt_ms, note, render_table};
+use cgx_models::ModelId;
+use cgx_simnet::{simulate_step, CommBackend, MachineSpec, StepConfig};
 
-fn main() {
+pub fn run() -> String {
     let rtx = MachineSpec::rtx3090();
     let mut rows = Vec::new();
     for model in [ModelId::ResNet50, ModelId::TransformerXl, ModelId::VitBase] {
-        let spec = ModelSpec::build(model);
-        let mut session = CgxBuilder::new().build();
-        session.register_model_spec(&spec);
-        let msgs = session.layer_messages(spec.precision());
-        let compute = ComputeProfile::new(rtx.gpu().step_compute_seconds(&spec));
+        let (msgs, compute) = cgx_step_inputs(&rtx, model);
         let mut row = vec![model.to_string()];
         let mut times = Vec::new();
         for backend in CommBackend::all() {
@@ -30,13 +25,14 @@ fn main() {
         row.push(format!("+{:.0}%", 100.0 * (times[2] / times[0] - 1.0)));
         rows.push(row);
     }
-    print!(
-        "{}",
-        render_table(
-            "Figure 11: time per iteration by backend (4-bit CGX, 8x RTX 3090)",
-            &["model", "SHM", "NCCL", "MPI", "MPI vs SHM"],
-            &rows,
-        )
+    let mut out = render_table(
+        "Figure 11: time per iteration by backend (4-bit CGX, 8x RTX 3090)",
+        &["model", "SHM", "NCCL", "MPI", "MPI vs SHM"],
+        &rows,
     );
-    note("paper: the SHM backend outperforms other communication libraries by up to 33%.");
+    note(
+        &mut out,
+        "paper: the SHM backend outperforms other communication libraries by up to 33%.",
+    );
+    out
 }

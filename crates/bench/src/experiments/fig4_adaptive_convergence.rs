@@ -8,8 +8,8 @@
 //! translates into a faster time axis — exactly how the paper's Figure 4 is
 //! constructed.
 
+use crate::{note, render_table};
 use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx_bench::{note, render_table};
 use cgx_core::adaptive::adaptive_compression_for;
 use cgx_core::estimate::{estimate, estimate_with_schemes, SystemSetup};
 use cgx_engine::data::MarkovChainLm;
@@ -52,7 +52,7 @@ fn train_ppl_curve(compression: LayerCompression, seed: u64) -> Vec<f64> {
     curve
 }
 
-fn lm_compression(bits_emb: u32, _bucket_emb: usize) -> LayerCompression {
+fn lm_compression(bits_emb: u32) -> LayerCompression {
     // Bucket scaled to the proxy's embedding row width (16): quantization
     // grids are per-row, as they effectively are on the real 512-wide
     // embedding with bucket 1024.
@@ -65,7 +65,7 @@ fn lm_compression(bits_emb: u32, _bucket_emb: usize) -> LayerCompression {
     )
 }
 
-fn main() {
+pub fn run() -> String {
     let cluster = MachineSpec::genesis_cluster();
     let model = ModelSpec::build(ModelId::TransformerXl);
     // Step time per scheme from the performance plane (multi-node TXL).
@@ -96,11 +96,10 @@ fn main() {
             .position(|&i| model.layers()[i].name().contains("word_emb"))
             .expect("embedding assigned");
         let bits = outcome.assignment.bits[emb_pos];
-        let bucket = outcome.assignment.bucket_sizes[emb_pos];
         results.push((
             name.into(),
             step,
-            train_ppl_curve(lm_compression(bits, bucket), 1000),
+            train_ppl_curve(lm_compression(bits), 1000),
         ));
     }
     let mut rows = Vec::new();
@@ -113,13 +112,10 @@ fn main() {
             ]);
         }
     }
-    print!(
-        "{}",
-        render_table(
-            "Figure 4: perplexity vs simulated wall-clock (TXL proxy, adaptive schemes)",
-            &["scheme", "wall-clock", "perplexity"],
-            &rows,
-        )
+    let mut out = render_table(
+        "Figure 4: perplexity vs simulated wall-clock (TXL proxy, adaptive schemes)",
+        &["scheme", "wall-clock", "perplexity"],
+        &rows,
     );
     // Final comparison: perplexity reached per unit time.
     let horizon = results
@@ -136,13 +132,11 @@ fn main() {
             format!("{:.3}", curve[curve.len() - 1]),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "perplexity at the shared time horizon (faster schemes fit more steps)",
-            &["scheme", "step time", "ppl @ horizon", "ppl @ end"],
-            &finals,
-        )
+    out += &render_table(
+        "perplexity at the shared time horizon (faster schemes fit more steps)",
+        &["scheme", "step time", "ppl @ horizon", "ppl @ end"],
+        &finals,
     );
-    note("paper shape: adaptive schemes reach a given perplexity sooner; all converge to the same level.");
+    note(&mut out, "paper shape: adaptive schemes reach a given perplexity sooner; all converge to the same level.");
+    out
 }

@@ -3,13 +3,14 @@
 //! bandwidth matrix and the ring-contention analysis that explains the
 //! Allreduce bandwidth collapse.
 
-use cgx_bench::{note, render_table};
+use crate::{note, render_table};
 use cgx_simnet::MachineSpec;
 
-fn main() {
+pub fn run() -> String {
+    let mut out = String::new();
     for machine in [MachineSpec::rtx3090(), MachineSpec::dgx1()] {
         let topo = machine.topology();
-        println!("{}", topo.render_ascii());
+        outln!(out, "{}", topo.render_ascii());
         let matrix = topo.bandwidth_matrix();
         let n = matrix.len();
         let headers: Vec<String> = std::iter::once("GB/s".to_string())
@@ -29,21 +30,21 @@ fn main() {
                     .collect()
             })
             .collect();
-        print!(
-            "{}",
-            render_table(
-                &format!("{}: pairwise GPU bandwidth matrix", machine.name()),
-                &header_refs,
-                &rows,
-            )
+        out += &render_table(
+            &format!("{}: pairwise GPU bandwidth matrix", machine.name()),
+            &header_refs,
+            &rows,
         );
-        println!(
+        outln!(
+            out,
             "ring contention: per-flow {:.2} GB/s -> Allreduce algbw {:.2} GB/s\n",
             topo.ring_flow_bandwidth() / 1e9,
             topo.ring_allreduce_algbw() / 1e9,
         );
     }
     note(
+        &mut out,
         "paper: 13-16 GB/s pairwise on the 3090 box, ~1 GB/s Allreduce; NVLink machines ~100 GB/s.",
     );
+    out
 }

@@ -9,12 +9,12 @@
 //! by up to 130% (VGG16, whose 138M parameters are the most
 //! bandwidth-hungry).
 
-use cgx_bench::{fmt_items, fmt_pct, note, render_table};
+use crate::{fmt_items, fmt_pct, note, render_table};
 use cgx_core::estimate::{estimate, SystemSetup};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 
-fn main() {
+pub fn run() -> String {
     let rtx = MachineSpec::rtx3090();
     let mut rows = Vec::new();
     for model in [ModelId::ResNet50, ModelId::Vgg16] {
@@ -32,13 +32,14 @@ fn main() {
             ]);
         }
     }
-    print!(
-        "{}",
-        render_table(
-            "Figure 9: TensorFlow-frontend CNN throughput, 8x RTX 3090 (imgs/s)",
-            &["model", "NCCL", "CGX", "ideal", "CGX gain"],
-            &rows,
-        )
+    let mut out = render_table(
+        "Figure 9: TensorFlow-frontend CNN throughput, 8x RTX 3090 (imgs/s)",
+        &["model", "NCCL", "CGX", "ideal", "CGX gain"],
+        &rows,
     );
-    note("paper: CGX outperforms the NCCL backend by up to 130% (largest for VGG16).");
+    note(
+        &mut out,
+        "paper: CGX outperforms the NCCL backend by up to 130% (largest for VGG16).",
+    );
+    out
 }

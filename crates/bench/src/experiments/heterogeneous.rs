@@ -10,15 +10,15 @@
 //! Also demonstrated functionally: EF-TopK on a real embedding gradient is
 //! lossless *in aggregate* (the residual re-injects dropped rows).
 
-use cgx_bench::{fmt_ms, note, render_table};
+use crate::{fmt_ms, note, render_table};
 use cgx_compress::CompressionScheme;
 use cgx_core::api::CgxBuilder;
 use cgx_core::estimate::{estimate, SystemSetup};
 use cgx_models::{GradientSynth, ModelId, ModelSpec};
 use cgx_simnet::MachineSpec;
-use cgx_tensor::Rng;
+use cgx_tensor::{Rng, Tensor};
 
-fn main() {
+pub fn run() -> String {
     let machine = MachineSpec::rtx3090();
     // Uniform 4-bit CGX.
     let uniform = estimate(&machine, ModelId::TransformerXl, &SystemSetup::cgx());
@@ -50,15 +50,15 @@ fn main() {
             ),
         ],
     ];
-    print!(
-        "{}",
-        render_table(
-            "Heterogeneous compression on Transformer-XL (8x RTX 3090)",
-            &["configuration", "step time", "wire", "speedup"],
-            &rows,
-        )
+    let mut out = render_table(
+        "Heterogeneous compression on Transformer-XL (8x RTX 3090)",
+        &["configuration", "step time", "wire", "speedup"],
+        &rows,
     );
-    note("paper: 'we only obtain a modest additional 3% speedup over quantization'.");
+    note(
+        &mut out,
+        "paper: 'we only obtain a modest additional 3% speedup over quantization'.",
+    );
 
     // Functional check: EF-TopK transmits the sparse embedding gradient's
     // full mass over repeated steps.
@@ -71,10 +71,10 @@ fn main() {
     let mut synth = GradientSynth::new(&model, 3);
     // Work with a slice of the embedding for speed.
     let full = synth.layer_gradient(emb_idx);
-    let sub = cgx_tensor::Tensor::from_slice(&full.as_slice()[..262_144]);
+    let sub = Tensor::from_slice(&full.as_slice()[..262_144]);
     let mut ef = CompressionScheme::TopK { ratio: 0.01 }.build();
     let mut rng = Rng::seed_from_u64(9);
-    let mut transmitted = cgx_tensor::Tensor::zeros(&[262_144]);
+    let mut transmitted = Tensor::zeros(&[262_144]);
     let steps = 60;
     for _ in 0..steps {
         let enc = ef.compress(&sub, &mut rng);
@@ -82,9 +82,14 @@ fn main() {
     }
     transmitted.scale(1.0 / steps as f32);
     let rel = transmitted.l2_distance(&sub) / sub.norm2().max(1e-9);
-    println!(
+    outln!(
+        out,
         "EF-TopK(1%) on a 256k-element embedding slice: long-run transmitted mean within {:.1}% of the true gradient",
         rel * 100.0
     );
-    note("error feedback makes 1%-density sparsification faithful over time on sparse embeddings.");
+    note(
+        &mut out,
+        "error feedback makes 1%-density sparsification faithful over time on sparse embeddings.",
+    );
+    out
 }

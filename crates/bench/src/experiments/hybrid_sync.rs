@@ -6,7 +6,7 @@
 //! accuracy degrades gracefully; compression composes with period-based
 //! savings (they are orthogonal axes).
 
-use cgx_bench::{note, render_table};
+use crate::{note, render_table};
 use cgx_engine::data::GaussianMixture;
 use cgx_engine::nn::Mlp;
 use cgx_engine::{train_data_parallel, train_local_sgd, LayerCompression, TrainConfig};
@@ -15,7 +15,7 @@ use cgx_tensor::Rng;
 const WORKERS: usize = 4;
 const STEPS: usize = 300;
 
-fn main() {
+pub fn run() -> String {
     let task = GaussianMixture::new(6, 12, 1.2);
     let mut rng = Rng::seed_from_u64(5);
     let model = Mlp::new(&mut rng, &[12, 32, 6]);
@@ -67,14 +67,15 @@ fn main() {
             ]);
         }
     }
-    print!(
-        "{}",
-        render_table(
-            "Hybrid synchronization: accuracy vs communication (4 workers, 300 steps)",
-            &["strategy", "sync period", "top-1 %", "traffic/worker"],
-            &rows,
-        )
+    let mut out = render_table(
+        "Hybrid synchronization: accuracy vs communication (4 workers, 300 steps)",
+        &["strategy", "sync period", "top-1 %", "traffic/worker"],
+        &rows,
     );
-    note("local SGD trades synchronization frequency for traffic; compression stacks on top.");
-    note("paper conclusion: 'extending our results to hybrid synchronization setups' — implemented here.");
+    note(
+        &mut out,
+        "local SGD trades synchronization frequency for traffic; compression stacks on top.",
+    );
+    note(&mut out, "paper conclusion: 'extending our results to hybrid synchronization setups' — implemented here.");
+    out
 }

@@ -4,15 +4,13 @@
 //! single node once compression removes the bottleneck, and gradient
 //! clipping (Transformers) forbids it outright.
 
-use cgx_bench::{fmt_ms, note, render_table};
-use cgx_core::api::CgxBuilder;
-use cgx_models::{ModelId, ModelSpec};
+use crate::{cgx_step_inputs, fmt_ms, note, render_table};
+use cgx_models::ModelId;
 use cgx_simnet::{
-    cross_barrier_step, simulate_step_ordered, ComputeProfile, MachineSpec, MessageOrder,
-    StepConfig,
+    cross_barrier_step, simulate_step_ordered, MachineSpec, MessageOrder, StepConfig,
 };
 
-fn main() {
+pub fn run() -> String {
     let rtx = MachineSpec::rtx3090();
     let mut rows = Vec::new();
     for (model, clipping) in [
@@ -21,11 +19,7 @@ fn main() {
         (ModelId::TransformerXl, true), // clipping required
         (ModelId::BertBase, true),
     ] {
-        let spec = ModelSpec::build(model);
-        let mut session = CgxBuilder::new().build();
-        session.register_model_spec(&spec);
-        let msgs = session.layer_messages(spec.precision());
-        let compute = ComputeProfile::new(rtx.gpu().step_compute_seconds(&spec));
+        let (msgs, compute) = cgx_step_inputs(&rtx, model);
         let cfg = StepConfig::cgx(rtx.clone());
         let fifo = simulate_step_ordered(&cfg, &msgs, compute, MessageOrder::Fifo);
         let prio = simulate_step_ordered(&cfg, &msgs, compute, MessageOrder::Priority);
@@ -40,14 +34,12 @@ fn main() {
             },
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "Scheduling ablations: CGX 4-bit on 8x RTX 3090",
-            &["model", "FIFO", "priority", "cross-barrier"],
-            &rows,
-        )
+    let mut out = render_table(
+        "Scheduling ablations: CGX 4-bit on 8x RTX 3090",
+        &["model", "FIFO", "priority", "cross-barrier"],
+        &rows,
     );
-    note("paper: 'cross-barrier optimization does not provide significant performance in a single node setup'.");
-    note("gradient clipping requires the global gradient before the update (Technical Issue 3) -> n/a for Transformers.");
+    note(&mut out, "paper: 'cross-barrier optimization does not provide significant performance in a single node setup'.");
+    note(&mut out, "gradient clipping requires the global gradient before the update (Technical Issue 3) -> n/a for Transformers.");
+    out
 }

@@ -2,42 +2,26 @@
 //! showing how CGX overlaps per-layer compressed transfers with the
 //! backward pass — and why the embedding (produced last) is the residual
 //! bottleneck (Table 8's "embedding gap").
-//!
-//! Usage: `cargo run --release -p cgx-bench --bin timeline [model]`
-//! (model: resnet50 | txl | vit | bert | vgg16 | gpt2; default txl).
 
-use cgx_core::api::CgxBuilder;
-use cgx_models::{ModelId, ModelSpec};
-use cgx_simnet::{
-    fuse_messages, simulate_step_traced, ComputeProfile, Lane, MachineSpec, StepConfig,
-};
+use crate::cgx_step_inputs;
+use cgx_models::ModelId;
+use cgx_simnet::{fuse_messages, simulate_step_traced, Lane, MachineSpec, StepConfig};
 
 const WIDTH: usize = 100;
 
-fn parse_model(arg: Option<String>) -> ModelId {
-    match arg.as_deref() {
-        Some("resnet50") => ModelId::ResNet50,
-        Some("vgg16") => ModelId::Vgg16,
-        Some("vit") => ModelId::VitBase,
-        Some("bert") => ModelId::BertBase,
-        Some("gpt2") => ModelId::Gpt2,
-        _ => ModelId::TransformerXl,
-    }
-}
-
-fn main() {
-    let model = parse_model(std::env::args().nth(1));
+/// The `timeline` experiment for `model`: an ASCII Gantt chart of one CGX
+/// step on the 8x RTX 3090 machine.
+pub fn run(model: ModelId) -> String {
     let machine = MachineSpec::rtx3090();
-    let spec = ModelSpec::build(model);
-    let mut session = CgxBuilder::new().build();
-    session.register_model_spec(&spec);
+    let (msgs, compute) = cgx_step_inputs(&machine, model);
     // Fuse for readability: the chart gets one bar per ~2 MB bucket.
-    let msgs = fuse_messages(&session.layer_messages(spec.precision()), 2 * 1024 * 1024);
-    let compute = ComputeProfile::new(machine.gpu().step_compute_seconds(&spec));
+    let msgs = fuse_messages(&msgs, 2 * 1024 * 1024);
     let cfg = StepConfig::cgx(machine);
     let (report, trace) = simulate_step_traced(&cfg, &msgs, compute);
 
-    println!(
+    let mut out = String::new();
+    outln!(
+        out,
         "{model} on 8x RTX 3090 with CGX: step {:.1} ms (compute {:.1} ms, exposed comm {:.1} ms, {:.0}% of linear)\n",
         report.step_seconds * 1000.0,
         report.compute_seconds * 1000.0,
@@ -45,7 +29,7 @@ fn main() {
         report.scaling_efficiency() * 100.0,
     );
     let scale = WIDTH as f64 / report.step_seconds;
-    println!("{:<26} |{}|", "", "-".repeat(WIDTH));
+    outln!(out, "{:<26} |{}|", "", "-".repeat(WIDTH));
     for lane in [Lane::Compute, Lane::Link] {
         for e in trace.iter().filter(|e| e.lane == lane) {
             let start = (e.start * scale).round() as usize;
@@ -66,9 +50,13 @@ fn main() {
                     .repeat(len.max(1).min(WIDTH - start.min(WIDTH - 1))),
             );
             let name: String = e.name.chars().take(25).collect();
-            println!("{name:<26} |{bar:<WIDTH$}|");
+            outln!(out, "{name:<26} |{bar:<WIDTH$}|");
         }
     }
-    println!("\n  # = GPU compute (forward/backward/kernels)   = = link transfer");
-    println!("  the last transfers (first forward layers, e.g. embeddings) extend past backward: the residual gap.");
+    outln!(
+        out,
+        "\n  # = GPU compute (forward/backward/kernels)   = = link transfer"
+    );
+    outln!(out, "  the last transfers (first forward layers, e.g. embeddings) extend past backward: the residual gap.");
+    out
 }

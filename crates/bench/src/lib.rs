@@ -1,31 +1,97 @@
 #![warn(missing_docs)]
-//! Shared helpers for the experiment binaries.
+//! The paper's experiments: every table and figure of the CGX evaluation,
+//! regenerated from closed forms, the simulator and real compressed
+//! training.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the CGX
-//! paper from closed forms and the simulator, or (`chaos_net_report`,
-//! `sim_sweep`) drives a behaviour end to end and
-//! asserts it; this crate provides the common table formatting so their
-//! output reads like the paper's artifacts. Nothing here times a training
-//! step: wall-clock numbers come from `benchmark/` (`BENCHMARK.json`). See
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
-//! paper-vs-measured results.
+//! [`EXPERIMENTS`] lists them in `EXPERIMENTS.md`'s order; each computes
+//! the text it prints, and each is deterministic. `cgx experiments <id>`
+//! runs one, `cgx experiments all` every one. Nothing here times a
+//! training step: wall-clock numbers come from `benchmark/`
+//! (`BENCHMARK.json`). The two bins under `src/bin/` (`chaos_net_report`,
+//! `sim_sweep`) drive a behaviour end to end and assert it.
 
+use cgx_core::api::CgxBuilder;
+use cgx_models::{ModelId, ModelSpec};
+use cgx_simnet::{ComputeProfile, LayerMsg, MachineSpec};
 use std::fmt::Write as _;
+
+/// `writeln!` into a `String`, which cannot fail.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
+
+mod experiments {
+    pub mod ablations;
+    pub mod adaptive_online;
+    pub mod export_csv;
+    pub mod fig10_reduction_schemes;
+    pub mod fig11_backends;
+    pub mod fig1_compression_sweep;
+    pub mod fig3_throughput;
+    pub mod fig4_adaptive_convergence;
+    pub mod fig5_table7_adaptive;
+    pub mod fig6_overhead;
+    pub mod fig7_powersgd;
+    pub mod fig8_topology;
+    pub mod fig9_tensorflow;
+    pub mod heterogeneous;
+    pub mod hybrid_sync;
+    pub mod scheduling;
+    pub mod table1_gpus;
+    pub mod table2_systems;
+    pub mod table3_accuracy;
+    pub mod table4_cloud;
+    pub mod table5_multinode;
+    pub mod table6_baselines;
+    pub mod table8_ceiling;
+    pub mod timeline;
+}
+
+use experiments::*;
+
+/// What computes one experiment's text.
+pub type Experiment = fn() -> String;
+
+/// Every experiment in `EXPERIMENTS.md`'s order: its id, which
+/// `EXPERIMENTS.md` and `DESIGN.md` §5 cite, and what computes its text.
+pub const EXPERIMENTS: [(&str, Experiment); 24] = [
+    ("fig1_compression_sweep", fig1_compression_sweep::run),
+    ("table1_gpus", table1_gpus::run),
+    ("table2_systems", table2_systems::run),
+    ("fig3_throughput", fig3_throughput::run),
+    ("table3_accuracy", table3_accuracy::run),
+    ("table4_cloud", table4_cloud::run),
+    ("table5_multinode", table5_multinode::run),
+    ("table6_baselines", table6_baselines::run),
+    ("fig4_adaptive_convergence", fig4_adaptive_convergence::run),
+    ("fig5_table7_adaptive", fig5_table7_adaptive::run),
+    ("fig6_overhead", fig6_overhead::run),
+    ("fig7_powersgd", fig7_powersgd::run),
+    ("table8_ceiling", table8_ceiling::run),
+    ("fig8_topology", fig8_topology::run),
+    ("fig9_tensorflow", fig9_tensorflow::run),
+    ("fig10_reduction_schemes", fig10_reduction_schemes::run),
+    ("fig11_backends", fig11_backends::run),
+    ("ablations", ablations::run),
+    ("heterogeneous", heterogeneous::run),
+    ("adaptive_online", adaptive_online::run),
+    ("hybrid_sync", hybrid_sync::run),
+    ("scheduling", scheduling::run),
+    ("timeline", || timeline(ModelId::TransformerXl)),
+    ("export_csv", export_csv::run),
+];
+
+pub use experiments::timeline::run as timeline;
 
 /// Renders an ASCII table with a title, headers, and rows.
 ///
-/// # Examples
+/// # Panics
 ///
-/// ```
-/// let t = cgx_bench::render_table(
-///     "demo",
-///     &["name", "value"],
-///     &[vec!["a".into(), "1".into()]],
-/// );
-/// assert!(t.contains("| a"));
-/// assert!(t.contains("demo"));
-/// ```
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+/// Panics on a row whose width differs from the headers'.
+fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -63,7 +129,7 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
 }
 
 /// Formats a throughput value compactly (`1.23k`, `45.6k`, `789`).
-pub fn fmt_items(v: f64) -> String {
+fn fmt_items(v: f64) -> String {
     if v >= 100_000.0 {
         format!("{:.0}k", v / 1000.0)
     } else if v >= 10_000.0 {
@@ -76,18 +142,39 @@ pub fn fmt_items(v: f64) -> String {
 }
 
 /// Formats seconds as milliseconds with 1 decimal.
-pub fn fmt_ms(seconds: f64) -> String {
+fn fmt_ms(seconds: f64) -> String {
     format!("{:.1} ms", seconds * 1000.0)
 }
 
 /// Formats a 0..1 fraction as a percentage.
-pub fn fmt_pct(frac: f64) -> String {
+fn fmt_pct(frac: f64) -> String {
     format!("{:.0}%", frac * 100.0)
 }
 
-/// Prints a free-form note line under a table.
-pub fn note(text: &str) {
-    println!("   note: {text}");
+/// Appends a free-form note line under a table.
+fn note(out: &mut String, text: &str) {
+    outln!(out, "   note: {text}");
+}
+
+/// A bit assignment as a histogram: `2b x1, 4b x12`.
+fn bit_histogram(bits: &[u32]) -> String {
+    let mut hist = std::collections::BTreeMap::new();
+    for b in bits {
+        *hist.entry(*b).or_insert(0usize) += 1;
+    }
+    let cells: Vec<String> = hist.iter().map(|(b, c)| format!("{b}b x{c}")).collect();
+    cells.join(", ")
+}
+
+/// What one simulated CGX step on `machine` reduces: the default
+/// session's per-layer messages for `model`, and the step's compute on
+/// `machine`'s GPU.
+fn cgx_step_inputs(machine: &MachineSpec, model: ModelId) -> (Vec<LayerMsg>, ComputeProfile) {
+    let spec = ModelSpec::build(model);
+    let mut session = CgxBuilder::new().build();
+    session.register_model_spec(&spec);
+    let compute = ComputeProfile::new(machine.gpu().step_compute_seconds(&spec));
+    (session.layer_messages(spec.precision()), compute)
 }
 
 #[cfg(test)]
@@ -111,6 +198,14 @@ mod tests {
     }
 
     #[test]
+    fn table_shows_title_headers_and_cells() {
+        let t = render_table("demo", &["a", "b"], &[vec!["xxxxxx".into(), "1".into()]]);
+        assert!(t.starts_with("== demo ==\n"), "{t}");
+        assert!(t.contains("| a      | b |"), "{t}");
+        assert!(t.contains("| xxxxxx | 1 |"), "{t}");
+    }
+
+    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn ragged_rows_panic() {
         render_table("t", &["a", "b"], &[vec!["1".into()]]);
@@ -124,5 +219,6 @@ mod tests {
         assert_eq!(fmt_items(260_000.0), "260k");
         assert_eq!(fmt_ms(0.0376), "37.6 ms");
         assert_eq!(fmt_pct(0.895), "90%");
+        assert_eq!(bit_histogram(&[4, 2, 4]), "2b x1, 4b x2");
     }
 }

@@ -172,6 +172,28 @@ impl fmt::Display for ModelId {
     }
 }
 
+/// The short names [`ModelId`]'s `FromStr` reads, one per model; it also
+/// takes `resnet`, `vgg`, `vit-base`, `transformer-xl`, `bert-base` and
+/// `gpt-2`, in any case.
+const MODEL_NAMES: &str = "resnet50, vgg16, vit, txl, bert, gpt2";
+
+impl std::str::FromStr for ModelId {
+    type Err = String;
+
+    /// Reads a model name; the error names the choices.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "resnet50" | "resnet" => Ok(ModelId::ResNet50),
+            "vgg16" | "vgg" => Ok(ModelId::Vgg16),
+            "vit" | "vit-base" => Ok(ModelId::VitBase),
+            "txl" | "transformer-xl" | "transformerxl" => Ok(ModelId::TransformerXl),
+            "bert" | "bert-base" => Ok(ModelId::BertBase),
+            "gpt2" | "gpt-2" => Ok(ModelId::Gpt2),
+            _ => Err(format!("unknown model {s:?}: one of {MODEL_NAMES}")),
+        }
+    }
+}
+
 /// A complete model description: ordered parameter tensors plus the training
 /// recipe constants the paper uses (Appendix C).
 #[derive(Debug, Clone, PartialEq)]
@@ -316,6 +338,21 @@ mod tests {
         assert_eq!(ModelId::ResNet50.unit(), "imgs/s");
         assert_eq!(ModelId::BertBase.unit(), "tokens/s");
         assert_eq!(ModelId::all().len(), 6);
+    }
+
+    #[test]
+    fn every_model_parses_from_its_short_name_and_nothing_else_does() {
+        let names: Vec<&str> = MODEL_NAMES.split(", ").collect();
+        for (name, id) in names.iter().zip(ModelId::all()) {
+            assert_eq!(name.parse::<ModelId>(), Ok(id));
+            assert_eq!(name.to_uppercase().parse::<ModelId>(), Ok(id));
+        }
+        assert_eq!("resnet".parse::<ModelId>(), Ok(ModelId::ResNet50));
+        let err = "resnet5".parse::<ModelId>().unwrap_err();
+        assert!(
+            err.contains("\"resnet5\"") && err.contains(MODEL_NAMES),
+            "{err}"
+        );
     }
 
     #[test]

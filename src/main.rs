@@ -7,49 +7,51 @@
 //! cgx memory   --model vit
 //! cgx machines
 //! cgx models
+//! cgx experiments <id> | all | list
 //! ```
 //!
-//! Argument parsing is hand-rolled (no extra dependencies); every value has
-//! a sensible default so `cgx <subcommand>` alone always works.
+//! Every flag has a default, so `cgx <subcommand>` alone always works. A
+//! flag the subcommand does not take, or a value it cannot read, is an
+//! error naming the choices (exit status 2). Flags are read by
+//! `cgx_net::workload::{flags, read}`, as in `cgx-launch` and `cgx-serve`.
 
 use cgx::adaptive::{AdaptiveOptions, AdaptivePolicy};
+use cgx::collectives::CommError;
 use cgx::core::adaptive::adaptive_compression_for;
 use cgx::core::estimate::{estimate, estimate_with_schemes, SystemSetup};
 use cgx::models::{ModelId, ModelSpec};
+use cgx::net::workload::{flags, read};
 use cgx::simnet::{max_batch, training_memory_mb, GpuModel, MachineSpec, OptimizerKind};
-use std::collections::HashMap;
+use cgx_bench::EXPERIMENTS;
 use std::process::ExitCode;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args
-                .get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .cloned()
-                .unwrap_or_else(|| "true".to_string());
-            if value != "true" || args.get(i + 1).map(|v| v == "true").unwrap_or(false) {
-                i += 1;
-            }
-            out.insert(key.to_string(), value);
-        }
-        i += 1;
-    }
-    out
+const USAGE: &str = "\
+usage: cgx <subcommand> [flags]
+
+subcommands:
+  estimate  --machine <m> --model <id> --setup <s>   one throughput estimate
+  compare   --machine <m> --model <id>               all setups side by side
+  adaptive  --model <id> [--policy p] [--multinode]  adaptive bit assignment
+  memory    --model <id>                             memory footprint per GPU
+  machines                                           list machines
+  models                                             list models
+  experiments <id> | all | list                      regenerate a paper table or figure
+                                                     (timeline takes --model)
+
+machines: rtx3090 rtx2080 dgx1 a6000 aws genesis cluster
+models:   resnet50 vgg16 vit txl bert gpt2
+setups:   cgx nccl qnccl grace powersgd ideal
+policies: kmeans linear bayes timeaware";
+
+fn invalid(detail: String) -> CommError {
+    CommError::InvalidConfig { detail }
 }
 
-fn parse_model(s: &str) -> Option<ModelId> {
-    match s.to_ascii_lowercase().as_str() {
-        "resnet50" | "resnet" => Some(ModelId::ResNet50),
-        "vgg16" | "vgg" => Some(ModelId::Vgg16),
-        "vit" | "vit-base" => Some(ModelId::VitBase),
-        "txl" | "transformer-xl" | "transformerxl" => Some(ModelId::TransformerXl),
-        "bert" | "bert-base" => Some(ModelId::BertBase),
-        "gpt2" | "gpt-2" => Some(ModelId::Gpt2),
-        _ => None,
-    }
+/// `--model`, read by `ModelId`'s parser, whose error names the choices.
+fn model(get: &impl Fn(&str) -> Option<String>) -> Result<ModelId, CommError> {
+    get("--model").map_or(Ok(ModelId::TransformerXl), |v| {
+        v.trim().parse().map_err(invalid)
+    })
 }
 
 fn parse_machine(s: &str) -> Option<MachineSpec> {
@@ -90,47 +92,66 @@ fn parse_policy(s: &str) -> Option<AdaptivePolicy> {
     }
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: cgx <subcommand> [flags]\n\
-         \n\
-         subcommands:\n\
-           estimate  --machine <m> --model <id> --setup <s>   one throughput estimate\n\
-           compare   --machine <m> --model <id>               all setups side by side\n\
-           adaptive  --model <id> [--policy p] [--multinode]  adaptive bit assignment\n\
-           memory    --model <id>                             memory footprint per GPU\n\
-           machines                                           list machines\n\
-           models                                             list models\n\
-         \n\
-         machines: rtx3090 rtx2080 dgx1 a6000 aws genesis cluster\n\
-         models:   resnet50 vgg16 vit txl bert gpt2\n\
-         setups:   cgx nccl qnccl grace powersgd ideal\n\
-         policies: kmeans linear bayes timeaware"
-    );
-    ExitCode::FAILURE
+/// `cgx experiments <id> | all | list`: prints the experiment's text.
+fn experiments(args: &[String]) -> Result<(), CommError> {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    let choices = format!("all, list, {}", ids.join(", "));
+    let Some((id, rest)) = args.split_first() else {
+        return Err(invalid(format!("experiments needs one of {choices}")));
+    };
+    let valued: &[&str] = if id == "timeline" { &["--model"] } else { &[] };
+    let get = flags(rest.iter().cloned(), valued, &[])?;
+    match id.as_str() {
+        "list" => ids.iter().for_each(|id| println!("{id}")),
+        "all" => {
+            for (id, run) in EXPERIMENTS {
+                print!("### {id}\n{}", run());
+            }
+        }
+        "timeline" => print!("{}", cgx_bench::timeline(model(&get)?)),
+        _ => {
+            let unknown = || invalid(format!("unknown experiment {id:?}: one of {choices}"));
+            let (_, run) = EXPERIMENTS
+                .iter()
+                .find(|(known, _)| known == id)
+                .ok_or_else(unknown)?;
+            print!("{}", run());
+        }
+    }
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
+fn run(args: &[String]) -> Result<(), CommError> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(invalid("no subcommand".into()));
     };
-    let flags = parse_flags(&args[1..]);
-    let model = flags.get("model").map(String::as_str).unwrap_or("txl");
-    let machine_name = flags
-        .get("machine")
-        .map(String::as_str)
-        .unwrap_or("rtx3090");
+    let (valued, switches): (&[&str], &[&str]) = match cmd.as_str() {
+        "estimate" => (&["--machine", "--model", "--setup"], &[]),
+        "compare" => (&["--machine", "--model"], &[]),
+        "adaptive" => (&["--model", "--policy"], &["--multinode"]),
+        "memory" => (&["--model"], &[]),
+        "machines" | "models" => (&[], &[]),
+        "experiments" => return experiments(rest),
+        _ => return Err(invalid(format!("unknown subcommand {cmd:?}"))),
+    };
+    let get = flags(rest.iter().cloned(), valued, switches)?;
+    let model = model(&get)?;
+    let machine = read(
+        &get,
+        "--machine",
+        "one of rtx3090, rtx2080, dgx1, a6000, aws, genesis, cluster",
+        parse_machine,
+    )?
+    .unwrap_or_else(MachineSpec::rtx3090);
     match cmd.as_str() {
         "estimate" => {
-            let (Some(model), Some(machine)) = (parse_model(model), parse_machine(machine_name))
-            else {
-                return usage();
-            };
-            let Some(setup) = parse_setup(flags.get("setup").map(String::as_str).unwrap_or("cgx"))
-            else {
-                return usage();
-            };
+            let setup = read(
+                &get,
+                "--setup",
+                "one of cgx, nccl, qnccl, grace, powersgd, ideal",
+                parse_setup,
+            )?
+            .unwrap_or_else(SystemSetup::cgx);
             let e = estimate(&machine, model, &setup);
             println!(
                 "{} | {} | {}: {:.0} {} ({:.0}% of linear), step {:.1} ms, exposed comm {:.1} ms, wire {:.1} MB",
@@ -144,13 +165,8 @@ fn main() -> ExitCode {
                 e.report.exposed_comm_seconds * 1000.0,
                 e.wire_bytes as f64 / 1e6,
             );
-            ExitCode::SUCCESS
         }
         "compare" => {
-            let (Some(model), Some(machine)) = (parse_model(model), parse_machine(machine_name))
-            else {
-                return usage();
-            };
             for setup in [
                 SystemSetup::Ideal,
                 SystemSetup::BaselineNccl,
@@ -171,32 +187,30 @@ fn main() -> ExitCode {
                     e.scaling * 100.0
                 );
             }
-            ExitCode::SUCCESS
         }
         "adaptive" => {
-            let Some(model_id) = parse_model(model) else {
-                return usage();
-            };
-            let Some(policy) =
-                parse_policy(flags.get("policy").map(String::as_str).unwrap_or("kmeans"))
-            else {
-                return usage();
-            };
-            let machine = if flags.contains_key("multinode") {
+            let policy = read(
+                &get,
+                "--policy",
+                "one of kmeans, linear, bayes, timeaware",
+                parse_policy,
+            )?
+            .unwrap_or(AdaptivePolicy::KMeans);
+            let machine = if get("--multinode").is_some() {
                 MachineSpec::genesis_cluster()
             } else {
                 MachineSpec::rtx3090()
             };
-            let spec = ModelSpec::build(model_id);
+            let spec = ModelSpec::build(model);
             let out = adaptive_compression_for(&spec, policy, &AdaptiveOptions::default(), 2, 7);
-            let stat = estimate(&machine, model_id, &SystemSetup::cgx());
-            let adapt = estimate_with_schemes(&machine, model_id, &out.schemes);
+            let stat = estimate(&machine, model, &SystemSetup::cgx());
+            let adapt = estimate_with_schemes(&machine, model, &out.schemes);
             let mut hist = std::collections::BTreeMap::new();
             for b in &out.assignment.bits {
                 *hist.entry(*b).or_insert(0usize) += 1;
             }
             println!(
-                "{model_id} on {}: size {:.2} of static-4bit, error {:.2} of static-4bit",
+                "{model} on {}: size {:.2} of static-4bit, error {:.2} of static-4bit",
                 machine.name(),
                 out.size_ratio_vs_static4,
                 out.error_ratio_vs_static4
@@ -208,19 +222,15 @@ fn main() -> ExitCode {
                 "throughput: static {:.0} -> adaptive {:.0} {} ({:.2}x)",
                 stat.throughput,
                 adapt.throughput,
-                model_id.unit(),
+                model.unit(),
                 adapt.throughput / stat.throughput
             );
-            ExitCode::SUCCESS
         }
         "memory" => {
-            let Some(model_id) = parse_model(model) else {
-                return usage();
-            };
-            let spec = ModelSpec::build(model_id);
+            let spec = ModelSpec::build(model);
             let opt = OptimizerKind::for_model(&spec);
             println!(
-                "{model_id}: recipe batch {} / GPU, footprint {:.1} GB at recipe batch",
+                "{model}: recipe batch {} / GPU, footprint {:.1} GB at recipe batch",
                 spec.per_gpu_batch(),
                 training_memory_mb(&spec, spec.per_gpu_batch(), opt) / 1024.0
             );
@@ -238,7 +248,6 @@ fn main() -> ExitCode {
                     }
                 );
             }
-            ExitCode::SUCCESS
         }
         "machines" => {
             for m in MachineSpec::table2_systems() {
@@ -251,9 +260,9 @@ fn main() -> ExitCode {
                 );
             }
             println!("plus cloud: aws (4xV100), genesis (4x3090), cluster (4x4x3090)");
-            ExitCode::SUCCESS
         }
-        "models" => {
+        _ => {
+            // models
             for id in ModelId::all() {
                 let m = ModelSpec::build(id);
                 println!(
@@ -265,8 +274,18 @@ fn main() -> ExitCode {
                     id.unit()
                 );
             }
-            ExitCode::SUCCESS
         }
-        _ => usage(),
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cgx: {e}\n\n{USAGE}");
+            ExitCode::from(2)
+        }
     }
 }
