@@ -224,9 +224,5 @@ pub fn run() -> String {
         &mut out,
         "4 bits is the lowest uniform width matching fp32 — the paper's static baseline.",
     );
-    note(
-        &mut out,
-        "a final loss of inf is not divergence: `softmax_cross_entropy` takes ln of a target probability that underflowed to 0; its gradient stays finite.",
-    );
     out
 }

@@ -312,6 +312,10 @@ impl Transport for MembershipView<'_> {
             outcome => self.in_view(outcome),
         }
     }
+
+    fn drive_within(&self) -> Option<Duration> {
+        self.inner.drive_within()
+    }
 }
 
 #[cfg(test)]

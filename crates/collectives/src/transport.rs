@@ -314,6 +314,16 @@ pub trait Transport {
         Ok(())
     }
 
+    /// How often some thread must call into this endpoint
+    /// ([`Transport::drain_inbound`] will do) while its owners compute,
+    /// for the fabric to stay live: a fabric whose heartbeats and redials
+    /// go out only from inside its calls says so here. `None`, the
+    /// default: the fabric needs no caller to stay live. Fixed for the
+    /// endpoint's life once it is shared.
+    fn drive_within(&self) -> Option<Duration> {
+        None
+    }
+
     /// Receives the next payload with `tag` from `peer` within `timeout`.
     /// A payload that is already here is delivered even on an expired
     /// deadline. The one deadline loop of the receive side.

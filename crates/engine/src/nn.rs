@@ -42,7 +42,15 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f64, Tensor)
         }
         cgx_tensor::exp(&mut exp);
         let z: f64 = exp.iter().sum();
-        loss += -(exp[y] / z).ln();
+        // A target far below the row's maximum underflows its probability
+        // to 0: its loss is then `ln z - (x_y - max)`, finite, and every
+        // loss that was finite keeps its bits.
+        let p_y = exp[y] / z;
+        loss += if p_y > 0.0 {
+            -p_y.ln()
+        } else {
+            z.ln() - f64::from(row[y] - max)
+        };
         for (j, (d, e)) in d_row.iter_mut().zip(&exp).enumerate() {
             let p = e / z;
             *d = ((p - f64::from(u8::from(j == y))) / b as f64) as f32;
@@ -373,6 +381,14 @@ mod tests {
         let (loss, d) = softmax_cross_entropy(&logits, &[0]);
         assert!(loss.is_finite() && loss < 1e-6);
         assert!(d.as_slice().iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn softmax_ce_is_finite_when_the_target_probability_underflows() {
+        let logits = Tensor::from_vec(&[1, 2], vec![0.0, -1000.0]);
+        let (loss, d) = softmax_cross_entropy(&logits, &[1]);
+        assert!((loss - 1000.0).abs() < 1e-9, "loss {loss}");
+        assert!(d.as_slice().iter().all(|g| g.is_finite()));
     }
 
     fn numeric_grad_check<F>(params_len: usize, mut f: F)

@@ -1591,6 +1591,16 @@ impl Transport for TcpTransport {
         self.lock().stash.arrivals()
     }
 
+    /// Heartbeats, liveness checks and redials run only inside calls: a
+    /// heartbeat interval, and with reconnect armed at most a
+    /// [`PARK_SLICE`], so a dropped link is redialed while its owners
+    /// compute.
+    fn drive_within(&self) -> Option<Duration> {
+        let opts = self.lock().opts;
+        let redial = opts.reconnect.map(|_| PARK_SLICE);
+        opts.heartbeat_interval.into_iter().chain(redial).min()
+    }
+
     /// As the poller, one turn of the event loop: parked in `poll(2)`
     /// until a socket turns readable, then parsing what it holds on this
     /// thread. While another thread polls, a wait on the condvar instead.
@@ -1754,6 +1764,24 @@ mod tests {
         let built = NetOptions::default()
             .with_heartbeat(Duration::from_millis(50), Duration::from_millis(50));
         assert_eq!(built.heartbeat_timeout, Duration::from_millis(150));
+    }
+
+    /// An endpoint asks to be called into as often as its heartbeats go
+    /// out, and with reconnect armed at least every park slice; with
+    /// neither it needs no caller.
+    #[test]
+    fn drive_within_is_the_heartbeat_interval_capped_by_reconnect() {
+        let drive = |opts: NetOptions| TcpFabric::build_local_with(2, opts)[0].drive_within();
+        let ms = Duration::from_millis;
+        let policy = ReconnectPolicy::new(ms(5), ms(100), 8, 7);
+        assert_eq!(drive(NetOptions::default()), None);
+        let beats = NetOptions::default().with_heartbeat(ms(5), ms(15));
+        assert_eq!(drive(beats), Some(ms(5)));
+        assert_eq!(drive(beats.with_reconnect(policy)), Some(ms(5)));
+        let slow_beats = NetOptions::default().with_heartbeat(ms(500), ms(1500));
+        assert_eq!(drive(slow_beats.with_reconnect(policy)), Some(PARK_SLICE));
+        let redials = NetOptions::default().with_reconnect(policy);
+        assert_eq!(drive(redials), Some(PARK_SLICE));
     }
 
     #[test]

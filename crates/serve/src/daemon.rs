@@ -17,11 +17,14 @@
 //!   leaves its frame queued: the holder looks at the backlog again after
 //!   letting go. Lock order: `out → state`; `state` is never held across
 //!   a fabric call.
-//! * **The pump** stands in for idle tenants: every `PARK` (200 µs) it
-//!   takes the outbound turn and flushes and drains the fabric, never
-//!   blocking in it — heartbeats and liveness while tenants compute
-//!   (DESIGN.md §12.1), throttled frames coming due, back-pressure
-//!   retries, detach retirement and the shutdown drain.
+//! * **The pump** stands in for idle tenants, and sleeps until it owes
+//!   the fabric something: a throttled frame coming due, a back-pressured
+//!   backlog or an unretired detach (looked at again every `PARK`,
+//!   200 µs), a detach or the shutdown drain, and the fabric's own
+//!   liveness cadence ([`Transport::drive_within`]: the TCP fabric's
+//!   heartbeats and redials while tenants compute, DESIGN.md §12.1). Then
+//!   it takes the outbound turn and flushes and drains the fabric, never
+//!   blocking in it. A tenant whose turn leaves frames behind wakes it.
 //!
 //! [`ServeNode::attach`] admits a job, or rejects it with a typed
 //! [`ServeError`], and returns a full [`Transport`]. Dropping the handle
@@ -62,7 +65,8 @@ const SLICE: Duration = Duration::from_millis(20);
 /// DRR quantum in bytes: byte credit granted per scheduler visit per
 /// unit weight.
 const QUANTUM: u64 = 64 << 10;
-/// Cadence of the pump's fallback turns.
+/// How soon the pump looks again at a back-pressured backlog, an
+/// unretired detach or the shutdown drain.
 const PARK: Duration = Duration::from_micros(200);
 /// Shutdown drain budget: how long the pump keeps flushing queued frames
 /// after shutdown is requested.
@@ -201,6 +205,9 @@ struct NodeState {
     /// call, skipped when nobody would hear it.
     blocked: usize,
     shutdown: bool,
+    /// When the pump next owes the fabric a turn, on the node clock;
+    /// `u64::MAX` while nothing is owed ([`NodeShared::owe`]).
+    wake_ns: u64,
 }
 
 /// Pre-resolved `serve.*` counters.
@@ -236,7 +243,8 @@ struct NodeShared {
     /// order is wire order.
     out: Mutex<()>,
     state: Mutex<NodeState>,
-    /// The pump parks on this; signalled on detach and shutdown only.
+    /// The pump sleeps on this; signalled when its next turn is owed
+    /// sooner than it would wake ([`NodeShared::owe`]).
     work_cv: Condvar,
     /// Tenants blocked on a full queue park on this; signalled once per
     /// outbound turn that dequeued, and on terminal conditions.
@@ -247,6 +255,15 @@ struct NodeShared {
 impl NodeShared {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Owes the pump a turn at `at_ns`, waking it if it would sleep past
+    /// that: a notify is a system call, made only then.
+    fn owe(&self, st: &mut NodeState, at_ns: u64) {
+        if at_ns < st.wake_ns {
+            st.wake_ns = at_ns;
+            self.work_cv.notify_one();
+        }
     }
 }
 
@@ -280,6 +297,7 @@ impl ServeNode {
                 detaching: HashSet::new(),
                 blocked: 0,
                 shutdown: false,
+                wake_ns: u64::MAX,
             }),
             work_cv: Condvar::new(),
             space_cv: Condvar::new(),
@@ -321,7 +339,10 @@ impl ServeNode {
             return reject(&self.shared.metrics, ServeError::ShuttingDown);
         }
         if st.used_ids.contains(&spec.id) {
-            return reject(&self.shared.metrics, ServeError::DuplicateJob { id: spec.id });
+            return reject(
+                &self.shared.metrics,
+                ServeError::DuplicateJob { id: spec.id },
+            );
         }
         if st.jobs.len() >= self.shared.cfg.max_jobs {
             return reject(
@@ -354,8 +375,10 @@ impl ServeNode {
 
 impl Drop for ServeNode {
     fn drop(&mut self) {
-        lock(&self.shared.state).shutdown = true;
-        self.shared.work_cv.notify_all();
+        let mut st = lock(&self.shared.state);
+        st.shutdown = true;
+        self.shared.owe(&mut st, 0);
+        drop(st);
         self.shared.space_cv.notify_all();
         if let Some(pump) = self.pump.take() {
             let _ = pump.join();
@@ -378,18 +401,18 @@ const OUT_BATCH: usize = 64;
 
 /// One outbound turn, if `out` is free: dequeues in DRR order and sends
 /// until the scheduler is idle or throttled, the fabric pushes back, or
-/// [`OUT_BATCH`] frames went. Returns whether anything was sent and, when
-/// every backlogged job is rate-capped, when the first comes due.
-fn outbound_turn(node: &NodeShared) -> (bool, Option<u64>) {
-    let mut sent_any = false;
+/// [`OUT_BATCH`] frames went. Frames it leaves behind are owed to the
+/// pump: when the first comes due, in a [`PARK`] when the fabric pushed
+/// back, and at once after a full batch.
+fn outbound_turn(node: &NodeShared) {
     loop {
         let turn = match node.out.try_lock() {
             Ok(turn) => turn,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
             // The holder sees our frame when it lets go (below).
-            Err(TryLockError::WouldBlock) => return (sent_any, None),
+            Err(TryLockError::WouldBlock) => return,
         };
-        let (mut idle, mut ready) = (false, None);
+        let (mut sent_any, mut idle, mut owed) = (false, false, 0);
         for _ in 0..OUT_BATCH {
             let decision = lock(&node.state).sched.next(node.now_ns());
             match decision {
@@ -407,6 +430,7 @@ fn outbound_turn(node: &NodeShared) -> (bool, Option<u64>) {
                             // the front of its queue; the pump retries.
                             let frame = QueuedFrame { payload, ..item };
                             lock(&node.state).sched.refund(job, size, frame);
+                            owed = node.now_ns() + PARK.as_nanos() as u64;
                             break;
                         }
                         // Physical peer is gone; the frame is
@@ -416,7 +440,7 @@ fn outbound_turn(node: &NodeShared) -> (bool, Option<u64>) {
                     }
                 }
                 Dequeue::Throttled { ready_ns } => {
-                    ready = Some(ready_ns);
+                    owed = ready_ns;
                     break;
                 }
                 Dequeue::Idle => {
@@ -426,14 +450,18 @@ fn outbound_turn(node: &NodeShared) -> (bool, Option<u64>) {
             }
         }
         drop(turn);
-        let st = lock(&node.state);
+        let mut st = lock(&node.state);
         if sent_any && st.blocked > 0 {
             node.space_cv.notify_all();
         }
+        if !idle {
+            node.owe(&mut st, owed);
+            return;
+        }
         // A frame enqueued by a thread that found `out` taken since the
         // scheduler last read idle is ours to send: go round again.
-        if !(idle && st.sched.has_backlog()) {
-            return (sent_any, ready);
+        if !st.sched.has_backlog() {
+            return;
         }
     }
 }
@@ -447,18 +475,35 @@ fn flush_fabric(node: &NodeShared) {
     }
 }
 
-/// The pump thread: every [`PARK`], at once after a turn
-/// that sent, or when a throttled frame comes due, it takes the outbound
-/// turn, flushes, and takes in what the fabric holds, never blocking in
-/// the fabric.
+/// The pump thread: sleeps until a turn is owed ([`NodeState::wake_ns`]),
+/// then takes the outbound turn, flushes, takes in what the fabric holds
+/// and retires drained detaches, never blocking in the fabric. Besides
+/// what tenants leave it, it owes an unretired detach and the shutdown
+/// drain a look every [`PARK`], and the fabric a call within its
+/// [`Transport::drive_within`]. With none of these owed it makes no call.
 fn pump_loop(node: &NodeShared) {
+    let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    let cadence = node.phys.drive_within().map(nanos);
     let mut drain_deadline: Option<Instant> = None;
+    let mut st = lock(&node.state);
+    st.wake_ns = st.wake_ns.min(cadence.unwrap_or(u64::MAX));
     loop {
-        let (sent, ready_ns) = outbound_turn(node);
+        let now = node.now_ns();
+        if st.wake_ns > now {
+            // Owed nothing (`u64::MAX`), it sleeps for centuries, that is
+            // until notified.
+            let timeout = Duration::from_nanos(st.wake_ns - now);
+            st = nap(&node.work_cv, st, timeout);
+            continue;
+        }
+        st.wake_ns = u64::MAX;
+        drop(st);
+        outbound_turn(node);
         flush_fabric(node);
         node.phys.drain_inbound();
         retire_detached(node);
-        let st = lock(&node.state);
+        st = lock(&node.state);
+        let now = node.now_ns();
         if st.shutdown {
             let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN);
             if st.sched.is_empty() || Instant::now() >= deadline {
@@ -469,11 +514,11 @@ fn pump_loop(node: &NodeShared) {
                 return;
             }
         }
-        if !sent {
-            let due = ready_ns.map_or(u64::MAX, |at| at.saturating_sub(node.now_ns()).max(1));
-            let park = PARK.min(Duration::from_nanos(due));
-            drop(nap(&node.work_cv, st, park));
+        let mut next = cadence.map_or(u64::MAX, |c| now.saturating_add(c));
+        if st.shutdown || !st.detaching.is_empty() {
+            next = next.min(now + PARK.as_nanos() as u64);
         }
+        st.wake_ns = st.wake_ns.min(next);
     }
 }
 
@@ -679,9 +724,9 @@ impl Drop for NamespacedTransport {
                 }
             }
             st.detaching.insert(self.id);
+            self.node.owe(&mut st, 0);
         }
         drop(st);
-        self.node.work_cv.notify_all();
         // `keepalive` (if any) drops after self, possibly shutting the
         // daemon down once the last handle is gone.
     }
@@ -711,8 +756,10 @@ mod tests {
     #[test]
     fn admission_rejects_bad_duplicate_and_overflow() {
         let fabric = ShmFabric::build(1);
-        let mut cfg = ServeConfig::default();
-        cfg.max_jobs = 2;
+        let cfg = ServeConfig {
+            max_jobs: 2,
+            ..ServeConfig::default()
+        };
         let node = ServeNode::new(Box::new(fabric.into_iter().next().unwrap()), cfg);
         assert_eq!(
             node.attach(JobSpec::new(0)).unwrap_err(),
@@ -842,11 +889,15 @@ mod tests {
     fn frames_racing_an_attach_are_delivered_once_in_order() {
         const FRAMES: u32 = 300;
         const TAGS: u32 = 3;
+        // The shm pair's capacity: until the attached job receives, nobody
+        // on the node looks at the fabric, and the peer's sends block
+        // past this many frames, so the attach comes no later.
+        const ADMITTED: usize = 256;
         cgx_testkit::cases(64, |rng| {
             let mut fabric = ShmFabric::build(2);
             let peer = fabric.pop().expect("rank 1");
             let node = ServeNode::new(Box::new(fabric.pop().unwrap()), ServeConfig::default());
-            let attach_after = rng.range(0..FRAMES as usize) as u32;
+            let attach_after = rng.range(0..ADMITTED + 1) as u32;
             let sent = AtomicU64::new(0);
             std::thread::scope(|s| {
                 s.spawn(|| {
@@ -874,8 +925,9 @@ mod tests {
         });
     }
 
-    /// A send that finds `out` taken leaves its frame queued and returns;
-    /// the frame still reaches the peer once the turn is free again.
+    /// A send that finds `out` taken leaves its frame queued and returns,
+    /// owing the pump nothing: the holder's look at the backlog after it
+    /// lets go of the turn sends the frame.
     #[test]
     fn a_frame_enqueued_while_out_is_taken_is_not_stranded() {
         let nodes = two_nodes();
@@ -883,18 +935,30 @@ mod tests {
         let b = nodes[1].attach(JobSpec::new(1)).unwrap();
         let turn = lock(&nodes[0].shared.out);
         a.send_tagged(1, 5, payload(0x5A)).unwrap();
-        assert!(lock(&nodes[0].shared.state).sched.has_backlog());
-        drop(turn);
+        let st = lock(&nodes[0].shared.state);
+        assert!(st.sched.has_backlog());
+        assert_eq!(st.wake_ns, u64::MAX, "the pump is owed a turn");
+        drop((st, turn));
+        // The holder, a turn of its own that had read the scheduler idle
+        // before the frame came, goes round once more.
+        outbound_turn(&nodes[0].shared);
         assert_eq!(b.recv_tagged(0, 5).unwrap().payload().as_ref(), &[0x5A]);
     }
 
-    /// A fabric on which nothing ever happens; it counts the drains and
-    /// parks taken on it, and a park sleeps out its timeout, as a fabric's
-    /// native wait does when nothing arrives.
+    /// A fabric on which nothing ever happens; it counts the calls made
+    /// on it and, apart, the parks, and a park sleeps out its timeout, as
+    /// a fabric's native wait does when nothing arrives. It declares no
+    /// liveness cadence.
     #[derive(Default, Clone)]
     struct Hollow {
-        drains: Arc<AtomicU64>,
+        calls: Arc<AtomicU64>,
         parks: Arc<AtomicU64>,
+    }
+
+    impl Hollow {
+        fn call(&self) {
+            self.calls.fetch_add(1, Relaxed);
+        }
     }
 
     impl Transport for Hollow {
@@ -908,6 +972,7 @@ mod tests {
             Duration::from_secs(1)
         }
         fn send_tagged(&self, _: usize, _: Tag, _: Encoded) -> Result<(), CommError> {
+            self.call();
             Ok(())
         }
         fn try_send_tagged(
@@ -916,16 +981,23 @@ mod tests {
             _: Tag,
             _: Encoded,
         ) -> Result<Option<Encoded>, CommError> {
+            self.call();
             Ok(None)
         }
         fn try_recv_tagged(&self, _: usize, _: Tag) -> Result<Option<Encoded>, CommError> {
+            self.call();
             Ok(None)
         }
         fn drain_inbound(&self) -> usize {
-            self.drains.fetch_add(1, Relaxed);
+            self.call();
             0
         }
+        fn flush_outbound(&self) -> Result<(), CommError> {
+            self.call();
+            Ok(())
+        }
         fn arrivals(&self) -> u64 {
+            self.call();
             0
         }
         fn park(&self, _: u64, timeout: Duration) {
@@ -934,33 +1006,85 @@ mod tests {
         }
     }
 
-    /// No thread spins on the fabric: an attached but idle daemon drains
-    /// it at most once per `park` and never blocks in it, and a tenant
-    /// blocked in a receive waits in the fabric's own park, once per wait.
+    /// No thread spins on the fabric: an attached daemon that owes the
+    /// fabric nothing makes no call on it, and a tenant blocked in a
+    /// receive waits in the fabric's own park, once per wait.
     #[test]
-    fn the_pump_drains_once_per_park_and_a_tenant_waits_in_the_fabric() {
+    fn an_idle_daemon_makes_no_fabric_call_and_a_tenant_waits_in_the_fabric() {
         let fabric = Hollow::default();
         let node = ServeNode::new(Box::new(fabric.clone()), ServeConfig::default());
         let tenant = node.attach(JobSpec::new(1)).unwrap();
-        let window = Duration::from_millis(100);
-        // One more for the turn under way when the window opens, one for
-        // a condvar that wakes unasked.
-        let parks = |since: Instant| (since.elapsed().as_nanos() / PARK.as_nanos()) as u64 + 2;
-        let (start, before) = (Instant::now(), fabric.drains.load(Relaxed));
-        let blocked = tenant.recv_tagged_deadline(1, 7, window);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            fabric.calls.load(Relaxed),
+            0,
+            "the idle pump called the fabric"
+        );
+        let blocked = tenant.recv_tagged_deadline(1, 7, Duration::from_millis(100));
         assert!(matches!(blocked, Err(CommError::Timeout { from: 1, .. })));
-        let (drains, allowed) = (fabric.drains.load(Relaxed) - before, parks(start));
-        assert!(drains > 0, "the pump is not running");
-        assert!(drains <= allowed, "{drains} pump drains in {allowed} parks");
         assert_eq!(fabric.parks.load(Relaxed), 1, "the pump never parks");
+    }
+
+    /// Frames a rate cap holds back leave as they come due, though their
+    /// tenant makes no call after its sends: they are owed to the pump.
+    #[test]
+    fn throttled_frames_leave_while_their_tenant_is_silent() {
+        const FRAMES: u32 = 5;
+        // 10 kB/s with a 100-byte burst: 100-byte frame `k` is due no
+        // sooner than `k` × 10 ms after the first.
+        let step = Duration::from_millis(10);
+        let nodes = two_nodes();
+        let a = nodes[0].attach(JobSpec::new(1).rate(10_000, 100)).unwrap();
+        let b = nodes[1].attach(JobSpec::new(1)).unwrap();
+        let start = Instant::now();
+        for i in 0..FRAMES {
+            let frame = Encoded::new(Shape::new(vec![100]), vec![i as u8; 100].into());
+            a.send_tagged(1, 6, frame).unwrap();
+        }
+        for i in 0..FRAMES {
+            let got = b
+                .recv_tagged_deadline(0, 6, Duration::from_secs(10))
+                .unwrap();
+            assert_eq!(got.payload()[0], i as u8, "order");
+            assert!(start.elapsed() >= step * i, "frame {i} beat its due time");
+        }
+    }
+
+    /// Frames the fabric pushes back leave as its pair frees, though their
+    /// tenant makes no call after its sends: the shm pair takes 256 frames
+    /// until its receiver looks, and the pump retries the rest.
+    #[test]
+    fn back_pressured_frames_leave_while_their_tenant_is_silent() {
+        const FRAMES: u32 = 300;
+        let nodes = two_nodes();
+        let a = nodes[0].attach(JobSpec::new(1)).unwrap();
+        let b = nodes[1].attach(JobSpec::new(1)).unwrap();
+        for i in 0..FRAMES {
+            a.send_tagged(1, 8, numbered(i)).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        // Under `out`, no retry holds a frame between dequeue and refund.
+        let turn = lock(&nodes[0].shared.out);
+        let held = lock(&nodes[0].shared.state).sched.queued_bytes(1);
+        drop(turn);
+        assert_eq!(held, 4 * 44, "the fabric pushed 44 frames back");
+        for i in 0..FRAMES {
+            let got = b
+                .recv_tagged_deadline(0, 8, Duration::from_secs(10))
+                .unwrap();
+            assert_eq!(number(&got), i, "order");
+        }
     }
 
     #[test]
     fn per_job_queue_cap_gives_backpressure_not_failure() {
         let fabric = ShmFabric::build(2);
-        let mut cfg = ServeConfig::default();
-        cfg.queue_bytes = 8; // tiny: every frame over 8 bytes relies on the
-                             // empty-queue escape hatch
+        // Tiny: every frame over 8 bytes relies on the empty-queue escape
+        // hatch.
+        let cfg = ServeConfig {
+            queue_bytes: 8,
+            ..ServeConfig::default()
+        };
         let mut it = fabric.into_iter();
         let n0 = ServeNode::new(Box::new(it.next().unwrap()), cfg.clone());
         let n1 = ServeNode::new(Box::new(it.next().unwrap()), cfg);

@@ -24,9 +24,12 @@
 //! endpoint's stash keeps the namespace rules (a DETACH closes the
 //! detached peer's lane; a job not yet received from holds a bounded
 //! amount). Sends take the daemon's scheduled turn on the fabric from the
-//! sending thread itself, with the pump thread standing in for idle ones, so
-//! transports with caller-driven liveness (the TCP fabric's heartbeats) are
-//! still serviced while a tenant computes.
+//! sending thread itself. The pump thread stands in for idle ones only
+//! when something is owed: frames a rate cap or the fabric held back, a
+//! detach, and the fabric's own liveness cadence
+//! ([`cgx_collectives::Transport::drive_within`]), so transports with
+//! caller-driven liveness (the TCP fabric's heartbeats) are still serviced
+//! while a tenant computes, and an idle daemon costs nothing.
 //!
 //! ```
 //! use cgx_collectives::{ShmFabric, Transport};

@@ -411,7 +411,11 @@ mod tests {
         assert!(order.contains(&(1, 950)), "big frame must eventually send");
         assert!(order.contains(&(2, 50)));
         // Small job must not have been starved until after the big frame.
-        assert_eq!(order[0], (2, 50), "small frame goes first while big banks deficit");
+        assert_eq!(
+            order[0],
+            (2, 50),
+            "small frame goes first while big banks deficit"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! What one tenant, alone on its daemons, pays for them (DESIGN.md §14.1):
 //! the tenant's own thread sends through the daemon's scheduler and
-//! receives straight from the fabric, so a round trip costs little more
-//! than on the bare socket.
+//! receives straight from the fabric, and the pump, owed nothing, sleeps,
+//! so a round trip costs little more than on the bare socket.
 //!
 //! The one test is a test binary of its own because it compares two
 //! timings: `cargo test` runs the tests of one binary side by side, and a

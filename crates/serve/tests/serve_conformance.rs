@@ -88,15 +88,15 @@ fn namespaced_tcp_transport_conforms() {
 
 /// A handle's park is its fabric's: a whole deadline on the mailbox's
 /// condvar, a 50 ms slice on TCP. The pump, draining the same endpoint
-/// every pump turn, must not cut it short.
+/// on any turn it owes the fabric, must not cut it short.
 #[test]
 fn a_receive_on_a_silent_tag_does_not_spin_on_an_unrelated_stash() {
     check_silent_tag_parks_boundedly(&namespaced_shm, SHM_SLICE);
     check_silent_tag_parks_boundedly(&namespaced_tcp, TCP_SLICE);
 }
 
-/// A job's threads and the pump all receive and park on the node's one
-/// endpoint, and each is woken for its own frames.
+/// A job's threads all receive and park on the node's one endpoint, which
+/// the pump drains on its turns, and each is woken for its own frames.
 #[test]
 fn many_receivers_share_one_endpoint() {
     check_many_receivers(&namespaced_shm);
@@ -122,10 +122,7 @@ fn conformance_holds_with_a_noisy_neighbour_job() {
                 std::thread::spawn(move || {
                     let next = (rank + 1) % n;
                     let prev = (rank + n - 1) % n;
-                    let payload = Encoded::new(
-                        Shape::new(vec![8]),
-                        vec![rank as u8; 8].into(),
-                    );
+                    let payload = Encoded::new(Shape::new(vec![8]), vec![rank as u8; 8].into());
                     for i in 0..64u64 {
                         if noisy.send_tagged(next, 9000 + i, payload.clone()).is_err() {
                             return;
