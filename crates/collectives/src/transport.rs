@@ -319,7 +319,10 @@ pub trait Transport {
     /// for the fabric to stay live: a fabric whose heartbeats and redials
     /// go out only from inside its calls says so here. `None`, the
     /// default: the fabric needs no caller to stay live. Fixed for the
-    /// endpoint's life once it is shared.
+    /// endpoint's life once it is shared. A wrapper must forward it, as it
+    /// forwards [`Transport::flush_outbound`]: left at the default, it
+    /// hides the wrapped fabric's cadence, and a serve daemon over it
+    /// stops driving heartbeats and redials while its tenants compute.
     fn drive_within(&self) -> Option<Duration> {
         None
     }

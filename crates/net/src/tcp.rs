@@ -1651,6 +1651,7 @@ impl std::fmt::Debug for TcpTransport {
 mod tests {
     use super::*;
     use crate::rendezvous::TcpFabric;
+    use cgx_collectives::{Membership, MembershipView};
     use cgx_obs::MetricsRegistry;
 
     /// `cgx_serve::ServeNode::new` takes a `Send + Sync` endpoint: its
@@ -1768,7 +1769,7 @@ mod tests {
 
     /// An endpoint asks to be called into as often as its heartbeats go
     /// out, and with reconnect armed at least every park slice; with
-    /// neither it needs no caller.
+    /// neither it needs no caller. A membership view over it asks the same.
     #[test]
     fn drive_within_is_the_heartbeat_interval_capped_by_reconnect() {
         let drive = |opts: NetOptions| TcpFabric::build_local_with(2, opts)[0].drive_within();
@@ -1777,6 +1778,9 @@ mod tests {
         assert_eq!(drive(NetOptions::default()), None);
         let beats = NetOptions::default().with_heartbeat(ms(5), ms(15));
         assert_eq!(drive(beats), Some(ms(5)));
+        let beating = TcpFabric::build_local_with(2, beats);
+        let view = MembershipView::new(&beating[0], &Membership::full(2));
+        assert_eq!(view.drive_within(), Some(ms(5)), "the view hides it");
         assert_eq!(drive(beats.with_reconnect(policy)), Some(ms(5)));
         let slow_beats = NetOptions::default().with_heartbeat(ms(500), ms(1500));
         assert_eq!(drive(slow_beats.with_reconnect(policy)), Some(PARK_SLICE));

@@ -14,8 +14,9 @@
 //!   [`DrrScheduler`]; the sender then try-locks `out` and, holding it from
 //!   dequeue to fabric send, transmits in weighted deficit-round-robin
 //!   order under the per-job rate caps. A thread that finds `out` taken
-//!   leaves its frame queued: the holder looks at the backlog again after
-//!   letting go. Lock order: `out → state`; `state` is never held across
+//!   leaves its frame queued: the holder, however its turn ended, goes
+//!   round again after letting go if a frame came in since it last read
+//!   the scheduler. Lock order: `out → state`; `state` is never held across
 //!   a fabric call.
 //! * **The pump** stands in for idle tenants, and sleeps until it owes
 //!   the fabric something: a throttled frame coming due, a back-pressured
@@ -208,6 +209,16 @@ struct NodeState {
     /// When the pump next owes the fabric a turn, on the node clock;
     /// `u64::MAX` while nothing is owed ([`NodeShared::owe`]).
     wake_ns: u64,
+    /// Frames ever enqueued: a turn that sees it move after its last
+    /// scheduler read goes round again ([`let_go`]).
+    enqueued: u64,
+}
+
+impl NodeState {
+    fn enqueue(&mut self, job: u8, size: u64, frame: QueuedFrame) {
+        self.sched.enqueue(job, size, frame);
+        self.enqueued += 1;
+    }
 }
 
 /// Pre-resolved `serve.*` counters.
@@ -298,6 +309,7 @@ impl ServeNode {
                 blocked: 0,
                 shutdown: false,
                 wake_ns: u64::MAX,
+                enqueued: 0,
             }),
             work_cv: Condvar::new(),
             space_cv: Condvar::new(),
@@ -409,61 +421,88 @@ fn outbound_turn(node: &NodeShared) {
         let turn = match node.out.try_lock() {
             Ok(turn) => turn,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            // The holder sees our frame when it lets go (below).
+            // The holder sees our frame when it lets go (`let_go`).
             Err(TryLockError::WouldBlock) => return,
         };
-        let (mut sent_any, mut idle, mut owed) = (false, false, 0);
-        for _ in 0..OUT_BATCH {
-            let decision = lock(&node.state).sched.next(node.now_ns());
-            match decision {
-                Dequeue::Frame { job, size, item } => {
-                    match node.phys.try_send_tagged(item.peer, item.tag, item.payload) {
-                        Ok(None) => {
-                            sent_any = true;
-                            if let Some(m) = &node.metrics {
-                                m.frames_out.inc();
-                                m.bytes_out.add(size);
-                            }
-                        }
-                        Ok(Some(payload)) => {
-                            // Fabric backpressure: put the frame back at
-                            // the front of its queue; the pump retries.
-                            let frame = QueuedFrame { payload, ..item };
-                            lock(&node.state).sched.refund(job, size, frame);
-                            owed = node.now_ns() + PARK.as_nanos() as u64;
-                            break;
-                        }
-                        // Physical peer is gone; the frame is
-                        // undeliverable. Fail later sends to the peer and
-                        // drop the frame.
-                        Err(err) => mark_peer_dead(node, item.peer, err),
-                    }
-                }
-                Dequeue::Throttled { ready_ns } => {
-                    owed = ready_ns;
-                    break;
-                }
-                Dequeue::Idle => {
-                    idle = true;
-                    break;
-                }
-            }
-        }
-        drop(turn);
-        let mut st = lock(&node.state);
-        if sent_any && st.blocked > 0 {
-            node.space_cv.notify_all();
-        }
-        if !idle {
-            node.owe(&mut st, owed);
-            return;
-        }
-        // A frame enqueued by a thread that found `out` taken since the
-        // scheduler last read idle is ours to send: go round again.
-        if !st.sched.has_backlog() {
+        let batch = send_batch(node);
+        if !let_go(node, turn, &batch) {
             return;
         }
     }
+}
+
+/// What one batch of an outbound turn left behind.
+struct Batch {
+    sent_any: bool,
+    /// When the pump owes the fabric a turn for the frames left behind:
+    /// `u64::MAX` when the scheduler read idle, 0 after a full batch.
+    owed: u64,
+    /// [`NodeState::enqueued`] at the batch's last scheduler read.
+    seen: u64,
+}
+
+/// The sending half of an outbound turn; the caller holds `out`.
+fn send_batch(node: &NodeShared) -> Batch {
+    let mut batch = Batch {
+        sent_any: false,
+        owed: 0,
+        seen: 0,
+    };
+    for _ in 0..OUT_BATCH {
+        let decision = {
+            let mut st = lock(&node.state);
+            batch.seen = st.enqueued;
+            st.sched.next(node.now_ns())
+        };
+        match decision {
+            Dequeue::Frame { job, size, item } => {
+                match node.phys.try_send_tagged(item.peer, item.tag, item.payload) {
+                    Ok(None) => {
+                        batch.sent_any = true;
+                        if let Some(m) = &node.metrics {
+                            m.frames_out.inc();
+                            m.bytes_out.add(size);
+                        }
+                    }
+                    Ok(Some(payload)) => {
+                        // Fabric backpressure: put the frame back at the
+                        // front of its queue; the pump retries.
+                        let frame = QueuedFrame { payload, ..item };
+                        lock(&node.state).sched.refund(job, size, frame);
+                        batch.owed = node.now_ns() + PARK.as_nanos() as u64;
+                        return batch;
+                    }
+                    // Physical peer is gone; the frame is undeliverable.
+                    // Fail later sends to the peer and drop the frame.
+                    Err(err) => mark_peer_dead(node, item.peer, err),
+                }
+            }
+            Dequeue::Throttled { ready_ns } => {
+                batch.owed = ready_ns;
+                return batch;
+            }
+            Dequeue::Idle => {
+                batch.owed = u64::MAX;
+                return batch;
+            }
+        }
+    }
+    batch
+}
+
+/// Lets go of `out` after `batch`, wakes senders waiting for queue space
+/// and owes the pump what the batch left behind. Returns whether to go
+/// round again: a frame enqueued since the batch last read the scheduler
+/// may be a sender's that found `out` taken, and is ours to send, unless
+/// a full batch left it to the pump.
+fn let_go(node: &NodeShared, turn: MutexGuard<'_, ()>, batch: &Batch) -> bool {
+    drop(turn);
+    let mut st = lock(&node.state);
+    if batch.sent_any && st.blocked > 0 {
+        node.space_cv.notify_all();
+    }
+    node.owe(&mut st, batch.owed);
+    batch.owed != 0 && st.enqueued != batch.seen
 }
 
 /// Pushes the fabric's coalesced wire buffers (and TCP heartbeats) out.
@@ -610,7 +649,7 @@ impl NamespacedTransport {
             // An empty queue admits any single frame so an oversized send
             // can always make progress.
             if queued == 0 || queued + size <= cap {
-                st.sched.enqueue(
+                st.enqueue(
                     self.id,
                     size,
                     QueuedFrame {
@@ -712,7 +751,7 @@ impl Drop for NamespacedTransport {
             // (per-peer FIFO ⇒ delivery-safe).
             for peer in 0..self.world() {
                 if peer != self.rank() && st.peer_dead[peer].is_none() {
-                    st.sched.enqueue(
+                    st.enqueue(
                         self.id,
                         1,
                         QueuedFrame {
@@ -925,24 +964,63 @@ mod tests {
         });
     }
 
+    /// One outbound turn as [`outbound_turn`] takes it, with `during` run
+    /// between the turn's last scheduler read and its letting go of `out`.
+    fn turn_racing(node: &NodeShared, during: impl FnOnce()) -> Batch {
+        let turn = lock(&node.out);
+        let batch = send_batch(node);
+        during();
+        if let_go(node, turn, &batch) {
+            outbound_turn(node);
+        }
+        batch
+    }
+
     /// A send that finds `out` taken leaves its frame queued and returns,
-    /// owing the pump nothing: the holder's look at the backlog after it
-    /// lets go of the turn sends the frame.
+    /// owing the pump nothing: the holder, whose turn had read the
+    /// scheduler idle, goes round again after it lets go and sends it.
     #[test]
     fn a_frame_enqueued_while_out_is_taken_is_not_stranded() {
         let nodes = two_nodes();
         let a = nodes[0].attach(JobSpec::new(1)).unwrap();
         let b = nodes[1].attach(JobSpec::new(1)).unwrap();
-        let turn = lock(&nodes[0].shared.out);
-        a.send_tagged(1, 5, payload(0x5A)).unwrap();
-        let st = lock(&nodes[0].shared.state);
-        assert!(st.sched.has_backlog());
-        assert_eq!(st.wake_ns, u64::MAX, "the pump is owed a turn");
-        drop((st, turn));
-        // The holder, a turn of its own that had read the scheduler idle
-        // before the frame came, goes round once more.
-        outbound_turn(&nodes[0].shared);
-        assert_eq!(b.recv_tagged(0, 5).unwrap().payload().as_ref(), &[0x5A]);
+        let batch = turn_racing(&nodes[0].shared, || {
+            a.send_tagged(1, 5, payload(0x5A)).unwrap();
+            let st = lock(&nodes[0].shared.state);
+            assert!(st.sched.has_backlog());
+            assert_eq!(st.wake_ns, u64::MAX, "the pump is owed a turn");
+        });
+        assert_eq!(batch.owed, u64::MAX, "the turn read the scheduler idle");
+        let got = b.recv_tagged_deadline(0, 5, Duration::from_secs(5));
+        assert_eq!(got.unwrap().payload().as_ref(), &[0x5A]);
+    }
+
+    /// An uncapped job's frame that comes in while a turn holds `out`
+    /// and reads every backlogged job throttled does not wait for the
+    /// capped job's due time: the holder goes round again and sends it.
+    #[test]
+    fn a_throttled_turn_does_not_strand_an_uncapped_frame() {
+        let nodes = two_nodes();
+        // 100 B/s with a 100-byte burst: the second 100-byte frame is due
+        // a second after the first.
+        let capped = nodes[0].attach(JobSpec::new(1).rate(100, 100)).unwrap();
+        let free = nodes[0].attach(JobSpec::new(2)).unwrap();
+        let free_peer = nodes[1].attach(JobSpec::new(2)).unwrap();
+        let hundred = || Encoded::new(Shape::new(vec![100]), vec![7; 100].into());
+        capped.send_tagged(1, 6, hundred()).unwrap();
+        capped.send_tagged(1, 6, hundred()).unwrap();
+        let start = Instant::now();
+        let batch = turn_racing(&nodes[0].shared, || {
+            free.send_tagged(1, 6, payload(0xF4)).unwrap();
+        });
+        let due = Duration::from_nanos(batch.owed.saturating_sub(nodes[0].shared.now_ns()));
+        assert!(
+            due > Duration::from_millis(500),
+            "capped frame due in {due:?}"
+        );
+        let got = free_peer.recv_tagged_deadline(0, 6, Duration::from_millis(400));
+        assert_eq!(got.unwrap().payload().as_ref(), &[0xF4]);
+        assert!(start.elapsed() < Duration::from_millis(400));
     }
 
     /// A fabric on which nothing ever happens; it counts the calls made

@@ -299,8 +299,9 @@ pub fn check_no_lost_wakeup(build: &FabricBuilder) {
     assert_same(&got, &payload(11), "post-park payload");
 }
 
-/// Forwards the nine required methods — a whole [`Transport`] — and counts
-/// the parks; the blocking receives it inherits are the provided ones.
+/// Forwards the nine required methods — a whole [`Transport`] — and the
+/// two provided hooks, and counts the parks; the blocking receives it
+/// inherits are the provided ones.
 struct CountingParks<'a> {
     inner: &'a dyn Transport,
     parks: Cell<u64>,
@@ -339,6 +340,12 @@ impl Transport for CountingParks<'_> {
     fn park(&self, seen: u64, timeout: Duration) {
         self.parks.set(self.parks.get() + 1);
         self.inner.park(seen, timeout);
+    }
+    fn flush_outbound(&self) -> Result<(), CommError> {
+        self.inner.flush_outbound()
+    }
+    fn drive_within(&self) -> Option<Duration> {
+        self.inner.drive_within()
     }
 }
 
@@ -689,6 +696,9 @@ mod tests {
             while self.arrivals() == seen && start.elapsed() < timeout {
                 self.inner.park(self.inner.arrivals(), slice);
             }
+        }
+        fn drive_within(&self) -> Option<Duration> {
+            self.inner.drive_within()
         }
     }
 
