@@ -8,8 +8,8 @@
 
 use crate::{bit_histogram, fmt_ms, note, render_table};
 use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx_core::live_adaptive_session;
-use cgx_core::session_sim::simulate_adaptive_session;
+use crate::adaptive::live_adaptive_session;
+use crate::session_sim::simulate_adaptive_session;
 use cgx_engine::AdaptiveTrainConfig;
 use cgx_models::{ModelId, ModelSpec};
 use cgx_simnet::MachineSpec;

@@ -1,7 +1,7 @@
 //! Plot-ready CSV for the headline data series: Figure 1, Figure 3 and
 //! Table 5, each under a `# section` header.
 
-use cgx_core::estimate::{estimate, SystemSetup};
+use crate::estimate::{estimate, SystemSetup};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

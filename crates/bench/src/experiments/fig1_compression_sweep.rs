@@ -7,7 +7,7 @@
 //! Transformer-class models keep benefiting up to two orders.
 
 use crate::{fmt_ms, note, render_table};
-use cgx_core::estimate::{estimate, SystemSetup};
+use crate::estimate::{estimate, SystemSetup};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

@@ -7,7 +7,7 @@
 //! on Transformer-class models; QNCCL improves on NCCL but trails CGX.
 
 use crate::{fmt_items, fmt_pct, note, render_table};
-use cgx_core::estimate::{estimate, Estimate, SystemSetup};
+use crate::estimate::{estimate, Estimate, SystemSetup};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

@@ -13,8 +13,8 @@
 
 use crate::{bit_histogram, fmt_items, note, render_table};
 use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx_core::adaptive::adaptive_compression_for;
-use cgx_core::estimate::{estimate, estimate_with_schemes, SystemSetup};
+use crate::adaptive::adaptive_compression_for;
+use crate::estimate::{estimate, estimate_with_schemes, SystemSetup};
 use cgx_models::{ModelId, ModelSpec};
 use cgx_simnet::MachineSpec;
 

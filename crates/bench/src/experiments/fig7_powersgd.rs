@@ -7,8 +7,8 @@
 //! the wire savings.
 
 use crate::{fmt_ms, note, render_table};
-use cgx_core::api::CgxBuilder;
-use cgx_core::estimate::{estimate, SystemSetup};
+use crate::api::CgxBuilder;
+use crate::estimate::{estimate, SystemSetup};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

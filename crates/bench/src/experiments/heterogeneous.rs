@@ -12,8 +12,8 @@
 
 use crate::{fmt_ms, note, render_table};
 use cgx_compress::CompressionScheme;
-use cgx_core::api::CgxBuilder;
-use cgx_core::estimate::{estimate, SystemSetup};
+use crate::api::CgxBuilder;
+use crate::estimate::{estimate, SystemSetup};
 use cgx_models::{GradientSynth, ModelId, ModelSpec};
 use cgx_simnet::MachineSpec;
 use cgx_tensor::{Rng, Tensor};

@@ -6,7 +6,7 @@
 //! tokens/second/$.
 
 use crate::{fmt_items, note, render_table};
-use cgx_core::cloud::{cost_efficiency, table4_offers};
+use crate::cloud::{cost_efficiency, table4_offers};
 use cgx_models::ModelId;
 
 pub fn run() -> String {

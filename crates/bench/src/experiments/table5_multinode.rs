@@ -5,7 +5,7 @@
 //! collapse; CGX's hierarchical compressed reduction recovers up to 10x.
 
 use crate::{fmt_items, note, render_table};
-use cgx_core::estimate::{estimate, SystemSetup};
+use crate::estimate::{estimate, SystemSetup};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

@@ -5,8 +5,8 @@
 //! Paper shape: CGX > PowerSGD > baseline > GRACE.
 
 use crate::{fmt_items, note, render_table};
-use cgx_core::api::CgxBuilder;
-use cgx_core::estimate::{estimate_fp32, SystemSetup};
+use crate::api::CgxBuilder;
+use crate::estimate::{estimate_fp32, SystemSetup};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

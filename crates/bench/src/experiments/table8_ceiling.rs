@@ -7,7 +7,7 @@
 //! approach.
 
 use crate::{fmt_pct, note, render_table};
-use cgx_core::estimate::{estimate, SystemSetup};
+use crate::estimate::{estimate, SystemSetup};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

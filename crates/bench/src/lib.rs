@@ -9,8 +9,53 @@
 //! training step: wall-clock numbers come from `benchmark/`
 //! (`BENCHMARK.json`). The two bins under `src/bin/` (`chaos_net_report`,
 //! `sim_sweep`) drive a behaviour end to end and assert it.
+//!
+//! The experiments stand on the paper's estimator:
+//!
+//! * [`api`] — the user-facing registration/configuration API mirroring the
+//!   paper's Listing 1 (`register_model`, `exclude_layer`, per-layer
+//!   compression parameters, backend selection);
+//! * [`estimate`] — the end-to-end performance estimator: combines the
+//!   model zoo, compression wire formats, and the machine simulator to
+//!   predict step time and throughput for CGX and for every baseline the
+//!   paper compares against (vanilla NCCL, QNCCL, GRACE, PowerSGD, ideal
+//!   linear scaling);
+//! * [`adaptive`] — periodic adaptive layer-wise compression wired to the
+//!   gradient statistics of a registered model;
+//! * [`cloud`] — the cost-efficiency arithmetic of Table 4;
+//! * [`session_sim`] — the online adaptive session on the simulator.
+//!
+//! # Examples
+//!
+//! ```
+//! use cgx_bench::api::CgxBuilder;
+//! use cgx_bench::estimate::{estimate, SystemSetup};
+//! use cgx_models::ModelId;
+//! use cgx_simnet::MachineSpec;
+//!
+//! // Listing-1-style registration.
+//! let mut cgx = CgxBuilder::new().build();
+//! cgx.register_model_spec(&cgx_models::ModelSpec::build(ModelId::ResNet50));
+//! cgx.exclude_layer("bn");
+//! cgx.exclude_layer("bias");
+//!
+//! // How fast does this run on the 8x RTX 3090 box?
+//! let est = estimate(&MachineSpec::rtx3090(), ModelId::ResNet50, &SystemSetup::cgx());
+//! let base = estimate(
+//!     &MachineSpec::rtx3090(),
+//!     ModelId::ResNet50,
+//!     &SystemSetup::BaselineNccl,
+//! );
+//! assert!(est.throughput > base.throughput);
+//! ```
 
-use cgx_core::api::CgxBuilder;
+pub mod adaptive;
+pub mod api;
+pub mod cloud;
+pub mod estimate;
+pub mod session_sim;
+
+use api::CgxBuilder;
 use cgx_models::{ModelId, ModelSpec};
 use cgx_simnet::{ComputeProfile, LayerMsg, MachineSpec};
 use std::fmt::Write as _;

@@ -408,6 +408,30 @@ mod tests {
     }
 
     #[test]
+    fn scale_out_to_512_ranks_is_simulable() {
+        use crate::des::{build_hierarchical, build_ring, build_sra, build_tree, run};
+        use crate::des::{DesScratch, OpGraph};
+        let cluster = MachineSpec::rtx3090().scale_out(64, 1.25e9, 1.5e-3);
+        let fabric = cluster.fabric(CommBackend::Shm).unwrap();
+        assert_eq!(fabric.ranks(), 512);
+        let (mut g, mut s) = (OpGraph::new(), DesScratch::new());
+        // ResNet50's gradient, raw and at 4 bits.
+        let (raw, q4) = (102e6, 102e6 / 7.5);
+        let mut sra = [0.0; 2];
+        for (i, bytes) in [raw, q4].into_iter().enumerate() {
+            build_ring(&mut g, 512).unwrap();
+            assert!(run(&g, &fabric, bytes, &mut s).unwrap().makespan_seconds() > 0.0);
+            build_tree(&mut g, 512).unwrap();
+            assert!(run(&g, &fabric, bytes, &mut s).unwrap().makespan_seconds() > 0.0);
+            build_hierarchical(&mut g, 64, 8, bytes / raw).unwrap();
+            assert!(run(&g, &fabric, raw, &mut s).unwrap().makespan_seconds() > 0.0);
+            build_sra(&mut g, 512).unwrap();
+            sra[i] = run(&g, &fabric, bytes, &mut s).unwrap().makespan_seconds();
+        }
+        assert!(sra[1] < sra[0], "q4 must beat fp32 on the wire: {sra:?}");
+    }
+
+    #[test]
     fn lane_envelope_shapes_per_rank_bandwidth() {
         // The dual-NUMA RTX box routes some GPUs over a slower bus; the
         // lane envelope must not be uniform.

@@ -5,14 +5,15 @@
 //! cargo run --release --example drive_allreduce
 //! ```
 //!
-//! Every rank of a [`ThreadCluster`] packs a gradient into a
-//! [`FusedBuffer`] and reduces it over a [`QncclRing`]; all ranks must end
-//! bit-equal (the repository's consensus invariant), on lengths and
-//! bit-widths the word-wide kernels cannot take whole, and a rerun must
-//! reproduce the digest.
+//! Every rank of a [`ThreadCluster`] reduces a gradient through its
+//! [`CommEngine`] on the uniformly quantized ring (QNCCL's collective)
+//! and divides by the world for the mean; all ranks must end bit-equal
+//! (the repository's consensus invariant), on lengths and bit-widths the
+//! word-wide kernels cannot take whole, and a rerun must reproduce the
+//! digest.
 
-use cgx::collectives::ThreadCluster;
-use cgx::qnccl::{FusedBuffer, QncclRing};
+use cgx::collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
+use cgx::compress::{QsgdCompressor, ScratchPool};
 use cgx::tensor::{Rng, Tensor};
 
 fn fnv(xs: &[f32]) -> u64 {
@@ -26,16 +27,17 @@ fn fnv(xs: &[f32]) -> u64 {
 fn run_case(label: &str, world: usize, bits: u32, bucket: usize, n: usize, steps: usize) -> u64 {
     let results = ThreadCluster::run(world, move |t| {
         let mut rng = Rng::seed_from_u64(500 + t.rank() as u64);
-        let mut ring = QncclRing::new(bits, bucket);
+        let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
         let mut last = None;
         for step in 0..steps {
             let mut g = Tensor::randn(&mut rng, &[n]);
             g.scale(1.0 / (step + 1) as f32);
-            let fused = FusedBuffer::pack(&[g]);
-            last = Some(
-                ring.allreduce_with_stats(&t, &fused, &mut rng)
-                    .expect("allreduce"),
-            );
+            let comp = Box::new(QsgdCompressor::new(bits, bucket));
+            let (mut mean, stats, _) = eng
+                .allreduce(Algorithm::Ring, &g, comp, &mut rng)
+                .expect("allreduce");
+            mean.scale(1.0 / world as f32);
+            last = Some((mean, stats));
         }
         last.expect("at least one step")
     })
@@ -43,12 +45,12 @@ fn run_case(label: &str, world: usize, bits: u32, bucket: usize, n: usize, steps
     let (first, stats) = &results[0];
     for (rank, (r, _)) in results.iter().enumerate().skip(1) {
         assert_eq!(
-            r.flat().as_slice(),
-            first.flat().as_slice(),
+            r.as_slice(),
+            first.as_slice(),
             "rank {rank} diverged ({label})"
         );
     }
-    let digest = fnv(first.flat().as_slice());
+    let digest = fnv(first.as_slice());
     println!(
         "{label}: world={world} bits={bits} bucket={bucket} n={n} steps={steps} \
          consensus=OK digest={digest:016x} bytes_sent={}",

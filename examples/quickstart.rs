@@ -7,7 +7,7 @@
 
 use cgx::collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
 use cgx::compress::{Compressor, QsgdCompressor, ScratchPool};
-use cgx::core::estimate::{estimate, SystemSetup};
+use cgx::bench::estimate::{estimate, SystemSetup};
 use cgx::models::ModelId;
 use cgx::simnet::MachineSpec;
 use cgx::tensor::{Rng, Tensor};

@@ -23,22 +23,21 @@
 //!   machines (throughput experiments);
 //! * [`adaptive`] — Algorithm 1 (k-means bit-width assignment) and its
 //!   baselines;
-//! * [`core`] — the CGX session API, baselines (QNCCL, GRACE, PowerSGD
-//!   hook), and the end-to-end estimator;
-//! * [`qnccl`] — the QNCCL comparison artefact: quantization at the
-//!   communication-primitive level over fused buffers;
 //! * [`net`] — the TCP fabric: socket-backed transport, rendezvous
 //!   bootstrap, the `cgx-launch` multi-process launcher, and node-aware
 //!   hierarchical reduction topologies;
 //! * [`serve`] — CGX as a service: the `cgx-serve` multi-tenant daemon
 //!   that shares one transport mesh between many jobs with per-job tag
-//!   namespaces, weighted-DRR QoS shaping, and admission control.
+//!   namespaces, weighted-DRR QoS shaping, and admission control;
+//! * [`bench`] — the paper's experiments (`cgx experiments`) and the
+//!   estimator they stand on: the CGX session API, the baseline setups
+//!   (QNCCL, GRACE, PowerSGD), and the end-to-end performance model.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use cgx::core::api::CgxBuilder;
-//! use cgx::core::estimate::{estimate, SystemSetup};
+//! use cgx::bench::api::CgxBuilder;
+//! use cgx::bench::estimate::{estimate, SystemSetup};
 //! use cgx::models::ModelId;
 //! use cgx::simnet::MachineSpec;
 //!
@@ -64,8 +63,8 @@ pub mod prelude {
     pub use cgx_adaptive::{assign_bits, AdaptiveOptions, AdaptivePolicy, LayerProfile};
     pub use cgx_collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
     pub use cgx_compress::{CompressionScheme, Compressor, QsgdCompressor, ScratchPool};
-    pub use cgx_core::api::{Cgx, CgxBuilder};
-    pub use cgx_core::estimate::{estimate, SystemSetup};
+    pub use cgx_bench::api::{Cgx, CgxBuilder};
+    pub use cgx_bench::estimate::{estimate, SystemSetup};
     pub use cgx_engine::{train_data_parallel, LayerCompression, TrainConfig};
     pub use cgx_models::{ModelId, ModelSpec};
     pub use cgx_simnet::{CommBackend, MachineSpec, ReductionScheme};
@@ -73,13 +72,12 @@ pub mod prelude {
 }
 
 pub use cgx_adaptive as adaptive;
+pub use cgx_bench as bench;
 pub use cgx_collectives as collectives;
 pub use cgx_compress as compress;
-pub use cgx_core as core;
 pub use cgx_engine as engine;
 pub use cgx_models as models;
 pub use cgx_net as net;
-pub use cgx_qnccl as qnccl;
 pub use cgx_serve as serve;
 pub use cgx_simnet as simnet;
 pub use cgx_tensor as tensor;

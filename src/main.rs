@@ -17,8 +17,8 @@
 
 use cgx::adaptive::{AdaptiveOptions, AdaptivePolicy};
 use cgx::collectives::CommError;
-use cgx::core::adaptive::adaptive_compression_for;
-use cgx::core::estimate::{estimate, estimate_with_schemes, SystemSetup};
+use cgx::bench::adaptive::adaptive_compression_for;
+use cgx::bench::estimate::{estimate, estimate_with_schemes, SystemSetup};
 use cgx::models::{ModelId, ModelSpec};
 use cgx::net::workload::{flags, read};
 use cgx::simnet::{max_batch, training_memory_mb, GpuModel, MachineSpec, OptimizerKind};

@@ -3,7 +3,7 @@
 //! compressed collectives, accuracy recovery.
 
 use cgx::compress::CompressionScheme;
-use cgx::core::api::CgxBuilder;
+use cgx::bench::api::CgxBuilder;
 use cgx::engine::data::{GaussianMixture, MarkovChainLm};
 use cgx::engine::nn::{EmbeddingLm, Mlp};
 use cgx::engine::{train_data_parallel, LayerCompression, TrainConfig};

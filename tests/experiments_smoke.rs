@@ -4,9 +4,9 @@
 //! substrate (cost model, wire formats, policies) is caught here.
 
 use cgx::adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx::core::adaptive::adaptive_compression_for;
-use cgx::core::cloud::{cost_efficiency, table4_offers};
-use cgx::core::estimate::{estimate, estimate_fp32, estimate_with_schemes, SystemSetup};
+use cgx::bench::adaptive::adaptive_compression_for;
+use cgx::bench::cloud::{cost_efficiency, table4_offers};
+use cgx::bench::estimate::{estimate, estimate_fp32, estimate_with_schemes, SystemSetup};
 use cgx::models::{ModelId, ModelSpec};
 use cgx::simnet::MachineSpec;
 
@@ -172,7 +172,7 @@ fn qnccl_between_nccl_and_cgx_with_worse_granularity() {
 
 #[test]
 fn figure11_shm_fastest_mpi_within_a_third() {
-    use cgx::core::api::CgxBuilder;
+    use cgx::bench::api::CgxBuilder;
     use cgx::simnet::{simulate_step, CommBackend, ComputeProfile, StepConfig};
     let rtx = MachineSpec::rtx3090();
     for model in [ModelId::ResNet50, ModelId::TransformerXl] {

@@ -3,8 +3,8 @@
 //! limits, the attention LM.
 
 use cgx::adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx::core::api::CgxBuilder;
-use cgx::core::session_sim::simulate_adaptive_session;
+use cgx::bench::api::CgxBuilder;
+use cgx::bench::session_sim::simulate_adaptive_session;
 use cgx::engine::data::GaussianMixture;
 use cgx::engine::nn::Mlp;
 use cgx::engine::{train_data_parallel, train_local_sgd, LayerCompression, TrainConfig};
@@ -115,15 +115,18 @@ fn memory_model_reproduces_the_2080_batch_limit() {
 
 #[test]
 fn qnccl_fused_ring_reduces_exactly_like_a_mean() {
-    use cgx::collectives::ThreadCluster;
-    use cgx::qnccl::{FusedBuffer, QncclRing};
+    use cgx::collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
+    use cgx::compress::{QsgdCompressor, ScratchPool};
     use cgx::tensor::Tensor;
     let results = ThreadCluster::run(4, |t| {
-        let grads = vec![Tensor::full(&[64], t.rank() as f32)];
-        let fused = FusedBuffer::pack(&grads);
-        let mut ring = QncclRing::new(8, 64);
+        let grad = Tensor::full(&[64], t.rank() as f32);
+        let comp = Box::new(QsgdCompressor::new(8, 64));
         let mut rng = Rng::seed_from_u64(t.rank() as u64);
-        ring.allreduce(&t, &fused, &mut rng).unwrap().unpack()[0].clone()
+        let (mut mean, _, _) = CommEngine::with_defaults(&t, ScratchPool::new())
+            .allreduce(Algorithm::Ring, &grad, comp, &mut rng)
+            .unwrap();
+        mean.scale(0.25);
+        mean
     })
     .unwrap();
     // Mean of 0..=3 is 1.5; 8-bit quantization of a constant bucket is

@@ -187,7 +187,7 @@ fn malformed_inputs_error_instead_of_panicking() {
 fn gpu_subsets_scale_monotonically() {
     cases(48, |rng| {
         // More GPUs never reduce aggregate CGX throughput on the 3090 box.
-        use cgx::core::estimate::{estimate, SystemSetup};
+        use cgx::bench::estimate::{estimate, SystemSetup};
         use cgx::models::ModelId;
         let gpus = rng.range(1..=8);
         let m = MachineSpec::rtx3090().with_gpus(gpus);
