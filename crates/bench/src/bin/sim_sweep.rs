@@ -114,13 +114,13 @@ fn apply_scenario(f: &mut Fabric, scenario: usize, seed: u64) {
 /// graphs also on the node split and the inter/intra byte ratio.
 type GraphKey = (usize, usize, usize, u32);
 
-fn graph_for<'c>(
-    cache: &'c mut HashMap<GraphKey, OpGraph>,
+fn graph_for(
+    cache: &mut HashMap<GraphKey, OpGraph>,
     scheme: usize,
     world: usize,
     nodes: usize,
     ratio: f64,
-) -> &'c OpGraph {
+) -> &OpGraph {
     let ratio_key = if SCHEMES[scheme] == "hier" { (ratio * 1000.0).round() as u32 } else { 0 };
     let nodes_key = if SCHEMES[scheme] == "hier" { nodes } else { 0 };
     cache.entry((scheme, world, nodes_key, ratio_key)).or_insert_with(|| {
@@ -147,8 +147,8 @@ fn build_grid() -> Vec<Config> {
         for model in 0..6 {
             for machine in 0..4 {
                 for bits in 0..BITS.len() {
-                    for scheme in 0..SCHEMES.len() {
-                        if SCHEMES[scheme] == "hier" && world <= 8 {
+                    for (scheme, &name) in SCHEMES.iter().enumerate() {
+                        if name == "hier" && world <= 8 {
                             continue; // single node: no node split to exploit
                         }
                         for scenario in 0..SCENARIOS.len() {

@@ -1645,7 +1645,7 @@ mod tests {
             let mut rng = Rng::seed_from_u64(11);
             let mut live: Vec<(usize, usize)> = Vec::new(); // (noted, swept mark)
             for _ in 0..400 {
-                if live.is_empty() || rng.next_u64() % 3 != 0 {
+                if live.is_empty() || !rng.next_u64().is_multiple_of(3) {
                     let noted = eng.note_in_flight();
                     live.push((noted, 0));
                     for op in &mut live {

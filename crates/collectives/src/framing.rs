@@ -489,7 +489,7 @@ mod tests {
     /// The single multiply chain [`checksum`] replaced, kept as the
     /// yardstick for the throughput floor below.
     fn single_chain(tag: Tag, seq: u32, payload: &[u8]) -> u32 {
-        const PRIME: u64 = 0x1_0000_0001_B3;
+        const PRIME: u64 = 0x0100_0000_01B3;
         let mut h = (0xCBF2_9CE4_8422_2325 ^ tag).wrapping_mul(PRIME);
         h = (h ^ u64::from(seq)).wrapping_mul(PRIME);
         h = (h ^ payload.len() as u64).wrapping_mul(PRIME);

@@ -344,7 +344,7 @@ mod tests {
             let (_, grads) = model.loss_and_grads(&seqs, &tgts);
             let eps = 1e-3f32;
             let mut check_rng = Rng::seed_from_u64(7);
-            for p in 0..model.params().len() {
+            for (p, grad) in grads.iter().enumerate() {
                 for _ in 0..4 {
                     let i = check_rng.index(model.params()[p].len());
                     let mut mp = model.clone();
@@ -354,7 +354,7 @@ mod tests {
                     mm.params_mut()[p][i] -= eps;
                     let (lm, _) = mm.loss_and_grads(&seqs, &tgts);
                     let numeric = (lp - lm) / (2.0 * eps as f64);
-                    let analytic = grads[p][i] as f64;
+                    let analytic = grad[i] as f64;
                     assert!(
                         (numeric - analytic).abs() < 2e-2 * (1.0 + analytic.abs()),
                         "width {dim}, param {p} idx {i}: numeric {numeric} vs analytic {analytic}"

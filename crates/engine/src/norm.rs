@@ -309,7 +309,7 @@ mod tests {
             let (_, grads) = model.loss_and_grads(&x, &y);
             let eps = 1e-3f32;
             let mut check_rng = Rng::seed_from_u64(7);
-            for p in 0..model.params().len() {
+            for (p, grad) in grads.iter().enumerate() {
                 for _ in 0..3 {
                     let i = check_rng.index(model.params()[p].len());
                     let mut mp = model.clone();
@@ -319,7 +319,7 @@ mod tests {
                     mm.params_mut()[p][i] -= eps;
                     let (lm, _) = mm.loss_and_grads(&x, &y);
                     let numeric = (lp - lm) / (2.0 * eps as f64);
-                    let analytic = grads[p][i] as f64;
+                    let analytic = grad[i] as f64;
                     assert!(
                         (numeric - analytic).abs() < 1e-2 * (1.0 + analytic.abs()),
                         "{hidden} hidden, param {p} idx {i}: numeric {numeric} vs analytic {analytic}"

@@ -47,7 +47,6 @@ fn tcp_adaptive_run_matches_the_shm_reference_plans_and_bytes() {
     let handles: Vec<_> = endpoints
         .into_iter()
         .map(|ep| {
-            let work = work;
             let opts = adaptive(&acfg);
             std::thread::spawn(move || {
                 work.run_rank(&ep, None, &opts, None)

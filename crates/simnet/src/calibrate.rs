@@ -119,9 +119,9 @@ fn solve4(mut a: [[f64; 4]; 4], mut b: [f64; 4]) -> Option<[f64; 4]> {
         a.swap(col, pivot);
         b.swap(col, pivot);
         for row in col + 1..4 {
-            let f = a[row][col] / a[col][col];
-            for k in col..4 {
-                a[row][k] -= f * a[col][k];
+            let (f, pivot_row) = (a[row][col] / a[col][col], a[col]);
+            for (x, p) in a[row][col..].iter_mut().zip(&pivot_row[col..]) {
+                *x -= f * p;
             }
             b[row] -= f * b[col];
         }

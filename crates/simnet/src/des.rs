@@ -120,7 +120,7 @@ fn sec_to_ns(seconds: f64, what: &'static str) -> Result<u64, SimError> {
 /// Saturating f64→u64 nanosecond conversion (round to nearest).
 #[inline]
 fn f64_to_ns(ns: f64) -> u64 {
-    if !(ns > 0.0) {
+    if ns.is_nan() || ns <= 0.0 {
         0
     } else if ns >= u64::MAX as f64 {
         u64::MAX
@@ -653,7 +653,7 @@ impl Wheel {
             let mut best: Option<usize> = None;
             for (k, &(t, op)) in bucket.iter().enumerate() {
                 if t < window_end
-                    && best.map_or(true, |b| {
+                    && best.is_none_or(|b| {
                         let (bt, bop) = bucket[b];
                         (t, op) < (bt, bop)
                     })
