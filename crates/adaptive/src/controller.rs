@@ -365,8 +365,12 @@ impl AdaptiveController {
             .iter()
             .map(|&i| {
                 let l = &self.layers[i];
-                LayerProfile::new(l.name.clone(), l.elements, (self.sumsq[i] / self.observed as f64).sqrt())
-                    .with_exposure(l.exposure)
+                LayerProfile::new(
+                    l.name.clone(),
+                    l.elements,
+                    (self.sumsq[i] / self.observed as f64).sqrt(),
+                )
+                .with_exposure(l.exposure)
             })
             .collect();
 
@@ -536,7 +540,8 @@ mod tests {
         }
         assert_eq!(a.trace().digest(), b.trace().digest());
         assert_ne!(
-            a.bandwidth_bps(), b.bandwidth_bps(),
+            a.bandwidth_bps(),
+            b.bandwidth_bps(),
             "advisory state genuinely differed"
         );
     }

@@ -108,11 +108,7 @@ impl AdaptiveOptions {
         let mut sorted = self.bit_choices.clone();
         sorted.sort_unstable();
         for w in sorted.windows(2) {
-            assert!(
-                w[0] != w[1],
-                "duplicate bit choice {} in bit_choices",
-                w[0]
-            );
+            assert!(w[0] != w[1], "duplicate bit choice {} in bit_choices", w[0]);
         }
         assert!(
             self.alpha.is_finite() && self.alpha > 0.0,
@@ -813,10 +809,7 @@ mod tests {
     fn one_bit_assignment_maps_to_sign_compression() {
         let a = BitAssignment::from_bits(vec![1, 4]);
         let schemes = a.to_schemes();
-        assert_eq!(
-            schemes[0],
-            CompressionScheme::OneBit { bucket_size: 1024 }
-        );
+        assert_eq!(schemes[0], CompressionScheme::OneBit { bucket_size: 1024 });
         assert_eq!(
             schemes[1],
             CompressionScheme::Qsgd {

@@ -253,12 +253,7 @@ mod tests {
         // plans, every one within budget, and the integrated wire
         // traffic at least a fifth below static 4-bit (0.632 today).
         let cfg = AdaptiveTrainConfig::default();
-        let report = live_adaptive_session(
-            &ModelSpec::build(ModelId::TransformerXl),
-            &cfg,
-            64,
-            7,
-        );
+        let report = live_adaptive_session(&ModelSpec::build(ModelId::TransformerXl), &cfg, 64, 7);
         assert!(
             report.trace.replans() >= 2,
             "only {} re-plans",

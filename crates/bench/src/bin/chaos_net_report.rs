@@ -103,7 +103,8 @@ fn measure_reconnect_heal() -> (u64, u64, f64) {
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let sender = s.spawn(move || {
             for i in 0..FRAMES {
-                b.send_tagged(0, 21, payload(i)).expect("send through reset");
+                b.send_tagged(0, 21, payload(i))
+                    .expect("send through reset");
             }
             b.flush_outbound().expect("flush");
             // Hold the endpoint until the receiver drains everything.

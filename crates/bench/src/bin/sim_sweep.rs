@@ -67,11 +67,18 @@ fn model_table() -> Vec<ModelData> {
                 wire[i] = if b == 32 {
                     raw
                 } else {
-                    let scheme = CompressionScheme::Qsgd { bits: b, bucket_size: 128 };
+                    let scheme = CompressionScheme::Qsgd {
+                        bits: b,
+                        bucket_size: 128,
+                    };
                     (params * scheme.nominal_bits_per_element() / 8.0).min(raw)
                 };
             }
-            ModelData { name: id.name(), raw_bytes: raw, wire_bytes: wire }
+            ModelData {
+                name: id.name(),
+                raw_bytes: raw,
+                wire_bytes: wire,
+            }
         })
         .collect()
 }
@@ -121,18 +128,24 @@ fn graph_for(
     nodes: usize,
     ratio: f64,
 ) -> &OpGraph {
-    let ratio_key = if SCHEMES[scheme] == "hier" { (ratio * 1000.0).round() as u32 } else { 0 };
+    let ratio_key = if SCHEMES[scheme] == "hier" {
+        (ratio * 1000.0).round() as u32
+    } else {
+        0
+    };
     let nodes_key = if SCHEMES[scheme] == "hier" { nodes } else { 0 };
-    cache.entry((scheme, world, nodes_key, ratio_key)).or_insert_with(|| {
-        let mut g = OpGraph::new();
-        match SCHEMES[scheme] {
-            "sra" => build_sra(&mut g, world).expect("sra"),
-            "ring" => build_ring(&mut g, world).expect("ring"),
-            "tree" => build_tree(&mut g, world).expect("tree"),
-            _ => build_hierarchical(&mut g, nodes, world / nodes, ratio).expect("hier"),
-        }
-        g
-    })
+    cache
+        .entry((scheme, world, nodes_key, ratio_key))
+        .or_insert_with(|| {
+            let mut g = OpGraph::new();
+            match SCHEMES[scheme] {
+                "sra" => build_sra(&mut g, world).expect("sra"),
+                "ring" => build_ring(&mut g, world).expect("ring"),
+                "tree" => build_tree(&mut g, world).expect("tree"),
+                _ => build_hierarchical(&mut g, nodes, world / nodes, ratio).expect("hier"),
+            }
+            g
+        })
 }
 
 struct CellResult {
@@ -152,7 +165,14 @@ fn build_grid() -> Vec<Config> {
                             continue; // single node: no node split to exploit
                         }
                         for scenario in 0..SCENARIOS.len() {
-                            grid.push(Config { model, machine, world, bits, scheme, scenario });
+                            grid.push(Config {
+                                model,
+                                machine,
+                                world,
+                                bits,
+                                scheme,
+                                scenario,
+                            });
                         }
                     }
                 }
@@ -170,7 +190,14 @@ fn build_grid() -> Vec<Config> {
                 for &bits in &big_bits {
                     for scheme in 0..SCHEMES.len() {
                         for &scenario in &big_scenarios {
-                            grid.push(Config { model, machine, world, bits, scheme, scenario });
+                            grid.push(Config {
+                                model,
+                                machine,
+                                world,
+                                bits,
+                                scheme,
+                                scenario,
+                            });
                         }
                     }
                 }
@@ -192,7 +219,9 @@ fn run_sweep(
     worlds.extend_from_slice(&BIG_WORLDS);
     for (mi, m) in machines.iter().enumerate() {
         for &w in &worlds {
-            let fab = machine_at(m, w).fabric(CommBackend::Shm).expect("catalog fabric");
+            let fab = machine_at(m, w)
+                .fabric(CommBackend::Shm)
+                .expect("catalog fabric");
             base_fabrics.insert((mi, w), fab);
         }
     }
@@ -217,7 +246,11 @@ fn run_sweep(
                         let wire = md.wire_bytes[cfg.bits];
                         let nodes = if cfg.world <= 8 { 1 } else { cfg.world / 8 };
                         let hier = SCHEMES[cfg.scheme] == "hier";
-                        let ratio = if md.raw_bytes > 0.0 { wire / md.raw_bytes } else { 1.0 };
+                        let ratio = if md.raw_bytes > 0.0 {
+                            wire / md.raw_bytes
+                        } else {
+                            1.0
+                        };
                         let g = graph_for(&mut cache, cfg.scheme, cfg.world, nodes, ratio);
                         let mut fab = base_fabrics[&(cfg.machine, cfg.world)].clone();
                         apply_scenario(&mut fab, cfg.scenario, (lo + idx) as u64);
@@ -234,7 +267,10 @@ fn run_sweep(
                 out
             }));
         }
-        handles.into_iter().flat_map(|h| h.join().expect("sweep thread")).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep thread"))
+            .collect()
     })
 }
 
@@ -304,19 +340,24 @@ fn speedup_512() -> (f64, f64, f64) {
 }
 
 fn main() {
-    let out_path =
-        std::env::var("CGX_SIM_OUT").unwrap_or_else(|_| "BENCH_simnet.json".to_string());
+    let out_path = std::env::var("CGX_SIM_OUT").unwrap_or_else(|_| "BENCH_simnet.json".to_string());
 
     let models = model_table();
     let machines = machine_table();
     let grid = build_grid();
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     eprintln!("sim_sweep: {} configs on {} threads", grid.len(), threads);
 
     let t0 = Instant::now();
     let results = run_sweep(&grid, &models, &machines, threads);
     let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(results.len(), grid.len(), "every config must produce a result");
+    assert_eq!(
+        results.len(),
+        grid.len(),
+        "every config must produce a result"
+    );
     let events: u64 = results.iter().map(|r| r.events).sum();
     let events_per_sec = events as f64 / elapsed;
     let configs_per_sec = results.len() as f64 / elapsed;
@@ -332,7 +373,10 @@ fn main() {
     // Legacy-core comparison (slow: the dense 512-rank op list alone is
     // ~0.5M heap-allocated ops).
     let mut speedup_json = String::from("  \"speedup_512_sra\": null,\n");
-    if std::env::var("CGX_SIM_SPEEDUP").map(|v| v != "0").unwrap_or(true) {
+    if std::env::var("CGX_SIM_SPEEDUP")
+        .map(|v| v != "0")
+        .unwrap_or(true)
+    {
         let (legacy_eps, wheel_eps, speedup) = speedup_512();
         eprintln!(
             "sim_sweep: 512-rank SRA: wheel {:.2}M ev/s vs legacy {:.3}M ev/s = {:.1}x",
@@ -344,7 +388,10 @@ fn main() {
             "  \"speedup_512_sra\": {{\"legacy_events_per_sec\": {:.0}, \"wheel_events_per_sec\": {:.0}, \"speedup\": {:.2}}},\n",
             legacy_eps, wheel_eps, speedup
         );
-        assert!(speedup >= 10.0, "wheel must be >=10x the legacy core, got {speedup:.1}x");
+        assert!(
+            speedup >= 10.0,
+            "wheel must be >=10x the legacy core, got {speedup:.1}x"
+        );
     }
 
     let mut out = String::new();

@@ -6,10 +6,10 @@
 //! controller — the component the trainers embed — over the model zoo
 //! (closed-form gradient statistics, so every cell is deterministic).
 
-use crate::{bit_histogram, fmt_ms, note, render_table};
-use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
 use crate::adaptive::live_adaptive_session;
 use crate::session_sim::simulate_adaptive_session;
+use crate::{bit_histogram, fmt_ms, note, render_table};
+use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
 use cgx_engine::AdaptiveTrainConfig;
 use cgx_models::{ModelId, ModelSpec};
 use cgx_simnet::MachineSpec;

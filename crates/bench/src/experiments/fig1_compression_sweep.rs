@@ -6,8 +6,8 @@
 //! ResNet50 saturates around one order of magnitude of compression while
 //! Transformer-class models keep benefiting up to two orders.
 
-use crate::{fmt_ms, note, render_table};
 use crate::estimate::{estimate, SystemSetup};
+use crate::{fmt_ms, note, render_table};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

@@ -6,8 +6,8 @@
 //! reaches 80-90% (a 2-3x self-speedup) and matches/outperforms the DGX-1
 //! on Transformer-class models; QNCCL improves on NCCL but trails CGX.
 
-use crate::{fmt_items, fmt_pct, note, render_table};
 use crate::estimate::{estimate, Estimate, SystemSetup};
+use crate::{fmt_items, fmt_pct, note, render_table};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

@@ -8,10 +8,10 @@
 //! translates into a faster time axis — exactly how the paper's Figure 4 is
 //! constructed.
 
-use crate::{note, render_table};
-use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
 use crate::adaptive::adaptive_compression_for;
 use crate::estimate::{estimate, estimate_with_schemes, SystemSetup};
+use crate::{note, render_table};
+use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
 use cgx_engine::data::MarkovChainLm;
 use cgx_engine::nn::EmbeddingLm;
 use cgx_engine::{train_data_parallel, LayerCompression, TrainConfig};

@@ -11,10 +11,10 @@
 //! single-node, 1.39x multi-node); Linear trails (1.02x / 1.13x); adaptive
 //! gains are far larger multi-node, where bandwidth is scarcer.
 
-use crate::{bit_histogram, fmt_items, note, render_table};
-use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
 use crate::adaptive::adaptive_compression_for;
 use crate::estimate::{estimate, estimate_with_schemes, SystemSetup};
+use crate::{bit_histogram, fmt_items, note, render_table};
+use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
 use cgx_models::{ModelId, ModelSpec};
 use cgx_simnet::MachineSpec;
 

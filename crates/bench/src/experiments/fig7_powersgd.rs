@@ -6,9 +6,9 @@
 //! per step and its higher-rank settings (needed for Transformers) erode
 //! the wire savings.
 
-use crate::{fmt_ms, note, render_table};
 use crate::api::CgxBuilder;
 use crate::estimate::{estimate, SystemSetup};
+use crate::{fmt_ms, note, render_table};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

@@ -9,8 +9,8 @@
 //! by up to 130% (VGG16, whose 138M parameters are the most
 //! bandwidth-hungry).
 
-use crate::{fmt_items, fmt_pct, note, render_table};
 use crate::estimate::{estimate, SystemSetup};
+use crate::{fmt_items, fmt_pct, note, render_table};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

@@ -10,10 +10,10 @@
 //! Also demonstrated functionally: EF-TopK on a real embedding gradient is
 //! lossless *in aggregate* (the residual re-injects dropped rows).
 
-use crate::{fmt_ms, note, render_table};
-use cgx_compress::CompressionScheme;
 use crate::api::CgxBuilder;
 use crate::estimate::{estimate, SystemSetup};
+use crate::{fmt_ms, note, render_table};
+use cgx_compress::CompressionScheme;
 use cgx_models::{GradientSynth, ModelId, ModelSpec};
 use cgx_simnet::MachineSpec;
 use cgx_tensor::{Rng, Tensor};

@@ -5,8 +5,8 @@
 //! Genesis+CGX nearly matches AWS raw throughput and roughly doubles its
 //! tokens/second/$.
 
-use crate::{fmt_items, note, render_table};
 use crate::cloud::{cost_efficiency, table4_offers};
+use crate::{fmt_items, note, render_table};
 use cgx_models::ModelId;
 
 pub fn run() -> String {

@@ -4,8 +4,8 @@
 //! Paper shape: the slow inter-node links make the uncompressed baseline
 //! collapse; CGX's hierarchical compressed reduction recovers up to 10x.
 
-use crate::{fmt_items, note, render_table};
 use crate::estimate::{estimate, SystemSetup};
+use crate::{fmt_items, note, render_table};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

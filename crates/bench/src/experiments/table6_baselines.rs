@@ -4,9 +4,9 @@
 //!
 //! Paper shape: CGX > PowerSGD > baseline > GRACE.
 
-use crate::{fmt_items, note, render_table};
 use crate::api::CgxBuilder;
 use crate::estimate::{estimate_fp32, SystemSetup};
+use crate::{fmt_items, note, render_table};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

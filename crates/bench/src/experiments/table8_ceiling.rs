@@ -6,8 +6,8 @@
 //! non-overlappable first layers (embeddings), which CGX's real numbers
 //! approach.
 
-use crate::{fmt_pct, note, render_table};
 use crate::estimate::{estimate, SystemSetup};
+use crate::{fmt_pct, note, render_table};
 use cgx_models::ModelId;
 use cgx_simnet::MachineSpec;
 

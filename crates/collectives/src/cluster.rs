@@ -215,7 +215,12 @@ mod tests {
                 Box::new(NoneCompressor::new()),
                 &mut rng,
             );
-            let h2 = eng.submit(Algorithm::Ring, &g, Box::new(NoneCompressor::new()), &mut rng);
+            let h2 = eng.submit(
+                Algorithm::Ring,
+                &g,
+                Box::new(NoneCompressor::new()),
+                &mut rng,
+            );
             assert!(eng.wait(h1).is_err(), "rank {rank}: h1 should poison");
             assert!(eng.wait(h2).is_err(), "rank {rank}: h2 should poison");
             sink.lock().expect("sink").push(rank);

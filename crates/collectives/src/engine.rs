@@ -462,7 +462,10 @@ impl<'a> CommEngine<'a> {
     /// # Panics
     ///
     /// Panics if `h` was already waited on.
-    pub fn wait(&mut self, h: Handle) -> Result<(Tensor, AllreduceStats, Box<dyn Compressor>), CommError> {
+    pub fn wait(
+        &mut self,
+        h: Handle,
+    ) -> Result<(Tensor, AllreduceStats, Box<dyn Compressor>), CommError> {
         self.flush_pending();
         let was_busy = self.in_flight > 0;
         let mut idle_ns: u64 = 0;
@@ -1175,12 +1178,30 @@ mod tests {
     /// stochastic + sparsifying + lossless codecs side by side.
     fn layer_specs() -> Vec<(usize, CompressionScheme)> {
         vec![
-            (513, CompressionScheme::Qsgd { bits: 4, bucket_size: 128 }),
+            (
+                513,
+                CompressionScheme::Qsgd {
+                    bits: 4,
+                    bucket_size: 128,
+                },
+            ),
             (37, CompressionScheme::None),
-            (1023, CompressionScheme::Nuqsgd { bits: 4, bucket_size: 64 }),
+            (
+                1023,
+                CompressionScheme::Nuqsgd {
+                    bits: 4,
+                    bucket_size: 64,
+                },
+            ),
             (129, CompressionScheme::None),
             (771, CompressionScheme::TopK { ratio: 0.25 }),
-            (255, CompressionScheme::Qsgd { bits: 2, bucket_size: 256 }),
+            (
+                255,
+                CompressionScheme::Qsgd {
+                    bits: 2,
+                    bucket_size: 256,
+                },
+            ),
             (63, CompressionScheme::None),
         ]
     }
@@ -1988,7 +2009,13 @@ mod tests {
         let specs: Vec<(usize, CompressionScheme)> = (0..24)
             .map(|i| {
                 if i % 5 == 3 {
-                    (257, CompressionScheme::Qsgd { bits: 4, bucket_size: 128 })
+                    (
+                        257,
+                        CompressionScheme::Qsgd {
+                            bits: 4,
+                            bucket_size: 128,
+                        },
+                    )
                 } else {
                     (64 + (i % 7) * 33, CompressionScheme::None)
                 }
@@ -2024,7 +2051,10 @@ mod tests {
                 let other = Tensor::randn(&mut grng, &[333]);
                 let mut master = Rng::seed_from_u64(5);
                 let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
-                let scheme = CompressionScheme::Qsgd { bits: 4, bucket_size: 64 };
+                let scheme = CompressionScheme::Qsgd {
+                    bits: 4,
+                    bucket_size: 64,
+                };
                 if batched {
                     let h1 = eng.submit(
                         Algorithm::ScatterReduceAllgather,
@@ -2136,9 +2166,17 @@ mod tests {
             let mut grng = Rng::seed_from_u64(t.rank() as u64);
             let g = Tensor::randn(&mut grng, &[512]);
             let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
-            let scheme = CompressionScheme::Qsgd { bits: 4, bucket_size: 128 };
+            let scheme = CompressionScheme::Qsgd {
+                bits: 4,
+                bucket_size: 128,
+            };
             let (_, _, comp) = eng
-                .allreduce(Algorithm::ScatterReduceAllgather, &g, scheme.build(), &mut master)
+                .allreduce(
+                    Algorithm::ScatterReduceAllgather,
+                    &g,
+                    scheme.build(),
+                    &mut master,
+                )
                 .unwrap();
             comp.name()
         })

@@ -169,7 +169,10 @@ impl fmt::Display for CommError {
                 )
             }
             CommError::PeerDead { rank } => {
-                write!(f, "rank {rank} process is dead (socket reset or liveness deadline elapsed)")
+                write!(
+                    f,
+                    "rank {rank} process is dead (socket reset or liveness deadline elapsed)"
+                )
             }
             CommError::PeerLost { peer, cause } => {
                 write!(f, "peer {peer} lost ({cause})")
@@ -217,7 +220,10 @@ mod tests {
             message: "boom".into(),
         };
         assert!(e.to_string().contains("boom"));
-        let e = CommError::Lost { peer: 2, retries: 9 };
+        let e = CommError::Lost {
+            peer: 2,
+            retries: 9,
+        };
         assert!(e.to_string().contains("9 retransmission"));
         let e = CommError::PeerLost {
             peer: 4,
@@ -251,7 +257,14 @@ mod tests {
             .peer(),
             Some(1)
         );
-        assert_eq!(CommError::Lost { peer: 2, retries: 1 }.peer(), Some(2));
+        assert_eq!(
+            CommError::Lost {
+                peer: 2,
+                retries: 1
+            }
+            .peer(),
+            Some(2)
+        );
         assert_eq!(CommError::PeerDead { rank: 7 }.peer(), Some(7));
         assert_eq!(
             CommError::PeerLost {
@@ -261,10 +274,7 @@ mod tests {
             .peer(),
             Some(5)
         );
-        assert_eq!(
-            CommError::ShapeMismatch { detail: "x".into() }.peer(),
-            None
-        );
+        assert_eq!(CommError::ShapeMismatch { detail: "x".into() }.peer(), None);
     }
 
     #[test]

@@ -337,7 +337,10 @@ mod tests {
     }
 
     fn enc(bytes: &[u8]) -> Encoded {
-        Encoded::new(Shape::vector(bytes.len().max(1)), Bytes::copy_from_slice(bytes))
+        Encoded::new(
+            Shape::vector(bytes.len().max(1)),
+            Bytes::copy_from_slice(bytes),
+        )
     }
 
     #[test]

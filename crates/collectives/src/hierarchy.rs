@@ -430,7 +430,9 @@ mod tests {
         let results = ThreadCluster::run(4, |t| {
             let grad = Tensor::from_vec(
                 &[65],
-                (0..65).map(|i| (i as f32 * 0.37) - t.rank() as f32).collect(),
+                (0..65)
+                    .map(|i| (i as f32 * 0.37) - t.rank() as f32)
+                    .collect(),
             );
             let scheme = CompressionScheme::Qsgd {
                 bits: 4,

@@ -77,6 +77,6 @@ pub use membership::{agree, Membership, MembershipView};
 pub use reduce::{allreduce_scratch, AllreduceStats};
 pub use stash::TagStash;
 pub use transport::{
-    namespace_tag, split_tag, tag_namespace, ShmFabric, ShmTransport, Transport,
-    MAX_NAMESPACED_OP, MAX_TENANT_NS, NATIVE_JOB,
+    namespace_tag, split_tag, tag_namespace, ShmFabric, ShmTransport, Transport, MAX_NAMESPACED_OP,
+    MAX_TENANT_NS, NATIVE_JOB,
 };

@@ -68,7 +68,10 @@ impl Membership {
             ranks.windows(2).all(|w| w[0] < w[1]),
             "subgroup ranks must be strictly ascending"
         );
-        assert!(*ranks.last().expect("non-empty") < world, "rank out of range");
+        assert!(
+            *ranks.last().expect("non-empty") < world,
+            "rank out of range"
+        );
         let mut alive = vec![false; world];
         for &r in ranks {
             alive[r] = true;
@@ -426,13 +429,7 @@ mod tests {
                     }
                     let suspects: &[usize] = if rank == 1 { &[] } else { &[3] };
                     let step = [5u64, 7, 6, 0][rank];
-                    Some(agree(
-                        &t,
-                        &prev,
-                        suspects,
-                        step,
-                        Duration::from_millis(500),
-                    ))
+                    Some(agree(&t, &prev, suspects, step, Duration::from_millis(500)))
                 })
             })
             .collect();

@@ -155,7 +155,11 @@ pub(crate) fn check_chunk(
 ) -> Result<Encoded, CommError> {
     match enc.shape().len() {
         got if got == want => Ok(enc),
-        got => Err(refused(tag, peer, format!("expected {want} elements, got {got}"))),
+        got => Err(refused(
+            tag,
+            peer,
+            format!("expected {want} elements, got {got}"),
+        )),
     }
 }
 
@@ -342,7 +346,8 @@ fn ring(
         }
         if let Some(c) = chunks[recv_idx].as_mut() {
             let enc = timed(&mut stats.wait_ns, || recv_chunk(t, left, c.len()))?;
-            timed(&mut stats.decode_ns, || comp.decompress_add_into(&enc, c)).map_err(sent_by(left))?;
+            timed(&mut stats.decode_ns, || comp.decompress_add_into(&enc, c))
+                .map_err(sent_by(left))?;
             stats.decompress_calls += 1;
             pool.recycle(enc);
         }
@@ -454,7 +459,9 @@ fn tree(
         let mut s = top / 2;
         while s >= 1 {
             if s == recv_span {
-                enc = Some(timed(&mut stats.wait_ns, || recv_chunk(t, me - s, grad.len()))?);
+                enc = Some(timed(&mut stats.wait_ns, || {
+                    recv_chunk(t, me - s, grad.len())
+                })?);
                 break;
             }
             s /= 2;
@@ -475,7 +482,8 @@ fn tree(
         s /= 2;
     }
     let parent = me - (me & me.wrapping_neg());
-    let out = timed(&mut stats.decode_ns, || comp.decompress(&root_enc)).map_err(sent_by(parent))?;
+    let out =
+        timed(&mut stats.decode_ns, || comp.decompress(&root_enc)).map_err(sent_by(parent))?;
     stats.decompress_calls += 1;
     pool.recycle(root_enc);
     Ok((out, stats))

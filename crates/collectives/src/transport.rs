@@ -854,7 +854,10 @@ mod tests {
         // The legacy receive looks only under its own tag; the tagged
         // message stays filed under `t`.
         assert_eq!(b.recv(0).unwrap().payload().as_ref(), &[4]);
-        assert_eq!(b.try_recv_tagged(0, t).unwrap().unwrap().payload().as_ref(), &[9]);
+        assert_eq!(
+            b.try_recv_tagged(0, t).unwrap().unwrap().payload().as_ref(),
+            &[9]
+        );
     }
 
     #[test]
@@ -862,7 +865,10 @@ mod tests {
         let mut eps = ShmFabric::build(2);
         let b = eps.pop().unwrap();
         let _a = eps.pop().unwrap();
-        assert!(b.try_recv_tagged(0, collective_tag(0, 0, 0)).unwrap().is_none());
+        assert!(b
+            .try_recv_tagged(0, collective_tag(0, 0, 0))
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -914,13 +920,22 @@ mod tests {
         let c = eps.pop().unwrap();
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
-        a.send_tagged(2, collective_tag(1, 0, 0), payload(1)).unwrap();
-        b.send_tagged(2, collective_tag(2, 0, 0), payload(2)).unwrap();
-        b.send_tagged(2, collective_tag(2, 1, 0), payload(3)).unwrap();
+        a.send_tagged(2, collective_tag(1, 0, 0), payload(1))
+            .unwrap();
+        b.send_tagged(2, collective_tag(2, 0, 0), payload(2))
+            .unwrap();
+        b.send_tagged(2, collective_tag(2, 1, 0), payload(3))
+            .unwrap();
         assert_eq!(c.drain_inbound(), 3);
         assert_eq!(c.drain_inbound(), 0);
-        assert!(c.try_recv_tagged(0, collective_tag(1, 0, 0)).unwrap().is_some());
-        assert!(c.try_recv_tagged(1, collective_tag(2, 1, 0)).unwrap().is_some());
+        assert!(c
+            .try_recv_tagged(0, collective_tag(1, 0, 0))
+            .unwrap()
+            .is_some());
+        assert!(c
+            .try_recv_tagged(1, collective_tag(2, 1, 0))
+            .unwrap()
+            .is_some());
     }
 
     #[test]
@@ -937,7 +952,10 @@ mod tests {
             }) => {}
             other => panic!("expected immediate timeout, got {other:?}"),
         }
-        assert!(t0.elapsed() < Duration::from_secs(1), "did not return promptly");
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "did not return promptly"
+        );
     }
 
     #[test]
@@ -1003,7 +1021,11 @@ mod tests {
         assert!(arrived_since(&c, seen, Duration::from_secs(5)));
         // The arrival was stashed, not dropped.
         assert_eq!(
-            c.try_recv_tagged(1, tag).unwrap().unwrap().payload().as_ref(),
+            c.try_recv_tagged(1, tag)
+                .unwrap()
+                .unwrap()
+                .payload()
+                .as_ref(),
             &[5]
         );
         assert!(!arrived_since(&c, c.arrivals(), Duration::from_millis(5)));
@@ -1191,10 +1213,7 @@ mod tests {
     fn epoch_tags_namespace_cleanly() {
         // Epoch 0 is the historical wire format; other epochs and the
         // membership/control lanes never collide with collective tags.
-        assert_eq!(
-            collective_tag_in_epoch(7, 3, 1, 0),
-            collective_tag(7, 3, 1)
-        );
+        assert_eq!(collective_tag_in_epoch(7, 3, 1, 0), collective_tag(7, 3, 1));
         assert_ne!(
             collective_tag_in_epoch(7, 3, 1, 1),
             collective_tag_in_epoch(7, 3, 1, 2)

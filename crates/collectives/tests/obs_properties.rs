@@ -210,8 +210,12 @@ fn event_stream_is_structurally_sound() {
         let obs = ObsHandle::new_enabled().fork_rank(1 << 14);
         let grads = rank_grads(&specs, t.rank());
         let mut master = Rng::seed_from_u64(0xAB5 ^ 31);
-        let mut eng = CommEngine::new(&t, cgx_compress::ScratchPool::new(), EngineOptions::default())
-            .with_obs(obs.clone());
+        let mut eng = CommEngine::new(
+            &t,
+            cgx_compress::ScratchPool::new(),
+            EngineOptions::default(),
+        )
+        .with_obs(obs.clone());
         let handles: Vec<_> = grads
             .iter()
             .zip(&specs)

@@ -1050,7 +1050,11 @@ mod tests {
             trace.replans(),
             cfg.steps
         );
-        let max_bits = *AdaptiveTrainConfig::default().bit_choices.iter().max().unwrap();
+        let max_bits = *AdaptiveTrainConfig::default()
+            .bit_choices
+            .iter()
+            .max()
+            .unwrap();
         for rec in &trace.records {
             assert!(
                 rec.estimated_error <= rec.budget * (1.0 + 1e-9)
@@ -1157,7 +1161,10 @@ mod tests {
             "metric disagrees with trace"
         );
         assert!(adaptive.metrics.get("adaptive.plan_epoch").is_some());
-        assert!(adaptive.metrics.get("adaptive.millibits_per_element").is_some());
+        assert!(adaptive
+            .metrics
+            .get("adaptive.millibits_per_element")
+            .is_some());
         assert!(static4.metrics.get("adaptive.replans").is_none());
     }
 

@@ -269,7 +269,9 @@ fn check_consensus(dir: &Path, ranks: &[usize]) -> Result<(Vec<u8>, usize), Stri
         let other = std::fs::read(rank_file(dir, rank))
             .map_err(|e| format!("reading rank {rank} replica: {e}"))?;
         if other != first {
-            return Err(format!("rank {rank} replica diverged from rank {first_rank}"));
+            return Err(format!(
+                "rank {rank} replica diverged from rank {first_rank}"
+            ));
         }
         let report = std::fs::read_to_string(report_file(dir, rank))
             .map_err(|e| format!("reading rank {rank} report: {e}"))?;
@@ -343,7 +345,9 @@ fn run_coordinator(cli: &Cli, args: Vec<String>) -> Result<(), String> {
     }
     let doomed = &report.exits[krank];
     if cli.sigkill && doomed.success {
-        return Err(format!("rank {krank} was SIGKILL-scheduled but exited clean"));
+        return Err(format!(
+            "rank {krank} was SIGKILL-scheduled but exited clean"
+        ));
     }
     if !cli.sigkill && !doomed.success {
         return Err(format!(

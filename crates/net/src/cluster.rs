@@ -66,7 +66,9 @@ impl WorkerEnv {
         let world = read(&get, ENV_WORLD, "a world size", |v| v.parse().ok())?
             .ok_or_else(|| unset(ENV_WORLD))?;
         if world == 0 || rank >= world {
-            return Err(boot_err(format!("rank {rank} out of range for world {world}")));
+            return Err(boot_err(format!(
+                "rank {rank} out of range for world {world}"
+            )));
         }
         let rendezvous = read(&get, ENV_RENDEZVOUS, "an address", |v| Some(v.to_string()))?
             .ok_or_else(|| unset(ENV_RENDEZVOUS))?;

@@ -152,7 +152,11 @@ fn accept_with_deadline(
     }
 }
 
-fn connect_with_deadline(addr: &str, deadline: Instant, what: &str) -> Result<TcpStream, CommError> {
+fn connect_with_deadline(
+    addr: &str,
+    deadline: Instant,
+    what: &str,
+) -> Result<TcpStream, CommError> {
     loop {
         match TcpStream::connect(addr) {
             Ok(stream) => return Ok(stream),
@@ -372,8 +376,11 @@ pub fn rendezvous(
         ));
     }
     if rank == 0 {
-        let listener = TcpListener::bind(root_addr)
-            .map_err(|e| boot_err(format!("could not bind rendezvous address {root_addr}: {e}")))?;
+        let listener = TcpListener::bind(root_addr).map_err(|e| {
+            boot_err(format!(
+                "could not bind rendezvous address {root_addr}: {e}"
+            ))
+        })?;
         rendezvous_root(listener, world, node, boot, DEFAULT_TIMEOUT, opts)
     } else {
         rendezvous_peer(rank, world, root_addr, node, boot, DEFAULT_TIMEOUT, opts)
@@ -404,7 +411,10 @@ impl TcpFabric {
             );
         }
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback rendezvous");
-        let root_addr = listener.local_addr().expect("rendezvous address").to_string();
+        let root_addr = listener
+            .local_addr()
+            .expect("rendezvous address")
+            .to_string();
         let boot = DEFAULT_BOOT_TIMEOUT;
         let results: Vec<(TcpTransport, Topology)> = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(world);
@@ -513,9 +523,11 @@ mod tests {
         let boot = Duration::from_secs(5);
         std::thread::scope(|s| {
             let opts = NetOptions::default();
-            let root = s.spawn(move || rendezvous_root(listener, 2, 0, boot, DEFAULT_TIMEOUT, opts));
+            let root =
+                s.spawn(move || rendezvous_root(listener, 2, 0, boot, DEFAULT_TIMEOUT, opts));
             // This peer thinks the world has 3 ranks; the root expects 2.
-            let peer = s.spawn(move || rendezvous_peer(1, 3, &addr, 0, boot, DEFAULT_TIMEOUT, opts));
+            let peer =
+                s.spawn(move || rendezvous_peer(1, 3, &addr, 0, boot, DEFAULT_TIMEOUT, opts));
             let root_err = root.join().expect("root thread").expect_err("must fail");
             assert!(
                 matches!(root_err, CommError::Bootstrap { ref detail } if detail.contains("world")),
@@ -539,7 +551,10 @@ mod tests {
                 s.spawn(move || rendezvous_root(listener, 3, 0, boot, DEFAULT_TIMEOUT, opts));
             let zombie = TcpStream::connect(&addr).expect("connect");
             let t0 = Instant::now();
-            let err = root.join().expect("root thread").expect_err("boot must fail");
+            let err = root
+                .join()
+                .expect("root thread")
+                .expect_err("boot must fail");
             assert!(matches!(err, CommError::Bootstrap { .. }), "got {err:?}");
             assert!(
                 t0.elapsed() < Duration::from_secs(10),

@@ -1191,7 +1191,11 @@ impl TcpTransport {
         let boot = |peer: usize, what: &str, e: std::io::Error| CommError::Bootstrap {
             detail: format!("configuring link to rank {peer}: {what}: {e}"),
         };
-        let retain = if opts.reconnect.is_some() { RETAIN_BYTES } else { 0 };
+        let retain = if opts.reconnect.is_some() {
+            RETAIN_BYTES
+        } else {
+            0
+        };
         let now = Instant::now();
         let mut links = Vec::with_capacity(world);
         for (peer, slot) in streams.into_iter().enumerate() {
@@ -1255,9 +1259,11 @@ impl TcpTransport {
         addrs: Vec<Option<String>>,
     ) -> Result<Self, CommError> {
         assert_eq!(addrs.len(), self.world, "need one addr slot per rank");
-        listener.set_nonblocking(true).map_err(|e| CommError::Bootstrap {
-            detail: format!("nonblocking mesh listener: {e}"),
-        })?;
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| CommError::Bootstrap {
+                detail: format!("nonblocking mesh listener: {e}"),
+            })?;
         self.state().mesh = Some(Mesh { listener, addrs });
         Ok(self)
     }
@@ -1669,10 +1675,7 @@ mod tests {
         for ep in &mut eps {
             ep.set_obs(&registry);
         }
-        let payload = Encoded::new(
-            Shape::new(vec![8]),
-            vec![3u8; 32].into(),
-        );
+        let payload = Encoded::new(Shape::new(vec![8]), vec![3u8; 32].into());
         let wire = wire::frame_wire_bytes(1, 32) as u64;
         std::thread::scope(|s| {
             let mut it = eps.into_iter();
@@ -1704,7 +1707,10 @@ mod tests {
         let err = b
             .recv_tagged_deadline(0, 4, Duration::from_secs(5))
             .expect_err("peer is gone");
-        assert!(matches!(err, CommError::Disconnected { peer: 0 }), "got {err:?}");
+        assert!(
+            matches!(err, CommError::Disconnected { peer: 0 }),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -1746,10 +1752,7 @@ mod tests {
         let a = it.next().expect("rank 0");
         let b = it.next().expect("rank 1");
         for i in 0..10u32 {
-            let p = Encoded::new(
-                Shape::new(vec![4]),
-                vec![i as u8; 4].into(),
-            );
+            let p = Encoded::new(Shape::new(vec![4]), vec![i as u8; 4].into());
             assert!(a.try_send_tagged(1, 77, p).expect("try_send").is_none());
         }
         a.flush_outbound().expect("flush");
@@ -1825,8 +1828,8 @@ mod tests {
     fn heartbeats_are_invisible_to_receivers() {
         // With heartbeats far faster than the traffic, real payloads
         // must still arrive unperturbed and in order.
-        let opts = NetOptions::default()
-            .with_heartbeat(Duration::from_millis(5), Duration::from_secs(5));
+        let opts =
+            NetOptions::default().with_heartbeat(Duration::from_millis(5), Duration::from_secs(5));
         let eps = TcpFabric::build_local_with(2, opts);
         std::thread::scope(|s| {
             let mut it = eps.into_iter();
@@ -1835,10 +1838,7 @@ mod tests {
             s.spawn(move || {
                 for i in 0..20u8 {
                     std::thread::sleep(Duration::from_millis(2));
-                    let p = Encoded::new(
-                        Shape::new(vec![1]),
-                        vec![i].into(),
-                    );
+                    let p = Encoded::new(Shape::new(vec![1]), vec![i].into());
                     a.send_tagged(1, 13, p).expect("send");
                 }
             });
@@ -1855,12 +1855,8 @@ mod tests {
         // after 3 outbound frames. With a reconnect policy armed the
         // link must heal transparently: all 10 payloads arrive, in
         // order, and the transports record a reconnect.
-        let policy = ReconnectPolicy::new(
-            Duration::from_millis(5),
-            Duration::from_millis(100),
-            8,
-            7,
-        );
+        let policy =
+            ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(100), 8, 7);
         let opts = NetOptions::default().with_reconnect(policy);
         let mut eps = crate::rendezvous::TcpFabric::build_local_with(2, opts);
         let mut b = eps.pop().expect("rank 1");
@@ -1873,10 +1869,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(move || {
                 for i in 0..10u8 {
-                    let p = Encoded::new(
-                        Shape::new(vec![1]),
-                        vec![i].into(),
-                    );
+                    let p = Encoded::new(Shape::new(vec![1]), vec![i].into());
                     b.send_tagged(0, 21, p).expect("send survives the reset");
                 }
                 assert!(b.reconnects() >= 1, "rank 1 redialed");
@@ -1896,12 +1889,8 @@ mod tests {
         // Rank 1 vanishes entirely (endpoint dropped, listener gone).
         // Rank 0's redials must all fail and surface a typed PeerDead
         // once the budget is spent — bounded, no hang.
-        let policy = ReconnectPolicy::new(
-            Duration::from_millis(2),
-            Duration::from_millis(10),
-            3,
-            11,
-        );
+        let policy =
+            ReconnectPolicy::new(Duration::from_millis(2), Duration::from_millis(10), 3, 11);
         let opts = NetOptions::default().with_reconnect(policy);
         let mut eps = crate::rendezvous::TcpFabric::build_local_with(2, opts);
         let b = eps.pop().expect("rank 1");
@@ -1939,12 +1928,8 @@ mod tests {
     /// retention, link seqs 0..3) and still queues 2 unsent ones (seqs 3,
     /// 4); frame `i` carries byte `i`.
     fn retention_fixture() -> Vec<TcpTransport> {
-        let policy = ReconnectPolicy::new(
-            Duration::from_millis(5),
-            Duration::from_millis(50),
-            4,
-            3,
-        );
+        let policy =
+            ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(50), 4, 3);
         let opts = NetOptions::default().with_reconnect(policy);
         let eps = TcpFabric::build_local_with(2, opts);
         for i in 0..3u8 {
@@ -2026,7 +2011,10 @@ mod tests {
         let err = link
             .rebuild_for_delivery(1, 1)
             .expect_err("gap not covered");
-        assert!(matches!(err, CommError::PeerDead { rank: 1 }), "got {err:?}");
+        assert!(
+            matches!(err, CommError::PeerDead { rank: 1 }),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -2052,12 +2040,8 @@ mod tests {
         // Once PeerDead has been decided (and possibly surfaced to the
         // elastic layer), install_link must refuse the fresh socket and
         // leave the verdict in place.
-        let policy = ReconnectPolicy::new(
-            Duration::from_millis(2),
-            Duration::from_millis(10),
-            2,
-            5,
-        );
+        let policy =
+            ReconnectPolicy::new(Duration::from_millis(2), Duration::from_millis(10), 2, 5);
         let opts = NetOptions::default().with_reconnect(policy);
         let eps = TcpFabric::build_local_with(2, opts);
         let mut ep = eps[0].lock();
@@ -2073,7 +2057,10 @@ mod tests {
         let err = ep
             .install_link(1, late(), 0)
             .expect_err("condemned is final");
-        assert!(matches!(err, CommError::PeerDead { rank: 1 }), "got {err:?}");
+        assert!(
+            matches!(err, CommError::PeerDead { rank: 1 }),
+            "got {err:?}"
+        );
         assert_eq!(
             ep.stash.closed(1),
             Some(&CommError::PeerDead { rank: 1 }),

@@ -78,7 +78,11 @@ pub fn append_frame_header(
     payload: &[u8],
 ) -> usize {
     let dims = shape.dims();
-    assert!(dims.len() <= MAX_DIMS, "tensor rank {} too large", dims.len());
+    assert!(
+        dims.len() <= MAX_DIMS,
+        "tensor rank {} too large",
+        dims.len()
+    );
     let before = dst.len();
     let after_len = 8 + 1 + 4 * dims.len() + framing::HEADER_LEN + payload.len();
     dst.extend_from_slice(&(after_len as u32).to_le_bytes());
@@ -119,7 +123,9 @@ fn decode_header(frame: &[u8]) -> io::Result<(Tag, Shape, usize)> {
         .chunks_exact(4)
         .map(|d| u32::from_le_bytes([d[0], d[1], d[2], d[3]]) as usize)
         .collect();
-    let count = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d).filter(|_| d > 0));
+    let count = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d).filter(|_| d > 0));
     if count.is_none() {
         return invalid("a zero dimension or an element count past usize");
     }
@@ -242,7 +248,9 @@ mod tests {
         let first_len = buf.len() - frame_wire_bytes(1, 1);
         for cut in 0..first_len {
             assert!(
-                parse_frame(&buf[..cut]).expect("prefix parses clean").is_none(),
+                parse_frame(&buf[..cut])
+                    .expect("prefix parses clean")
+                    .is_none(),
                 "prefix of {cut} bytes should be incomplete"
             );
         }
@@ -250,7 +258,9 @@ mod tests {
         assert_eq!(used1, first_len);
         assert_eq!((f1.tag, f1.seq), (33, 2));
         assert_eq!(f1.enc.payload().as_ref(), &[1, 2, 3, 4]);
-        let (f2, used2) = parse_frame(&buf[used1..]).expect("parse").expect("complete");
+        let (f2, used2) = parse_frame(&buf[used1..])
+            .expect("parse")
+            .expect("complete");
         assert_eq!(used1 + used2, buf.len());
         assert_eq!((f2.tag, f2.seq), (34, 0));
     }

@@ -35,8 +35,7 @@ fn read_replicas(dir: &ScratchDir, world: usize) -> Vec<Vec<u8>> {
     (0..world)
         .map(|rank| {
             let path = dir.0.join(format!("params_rank{rank}.bin"));
-            std::fs::read(&path)
-                .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+            std::fs::read(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
         })
         .collect()
 }

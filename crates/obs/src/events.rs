@@ -233,7 +233,10 @@ impl EventRecorder {
     /// Number of events lost to ring wrap-around.
     pub fn dropped(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.head.load(Ordering::Acquire).saturating_sub(inner.slots.len()),
+            Some(inner) => inner
+                .head
+                .load(Ordering::Acquire)
+                .saturating_sub(inner.slots.len()),
             None => 0,
         }
     }
@@ -388,7 +391,10 @@ mod tests {
         let ev = r.events();
         assert_eq!(ev.len(), 4);
         // Oldest retained first: metas 6, 7, 8, 9.
-        assert_eq!(ev.iter().map(|e| e.meta).collect::<Vec<_>>(), vec![6, 7, 8, 9]);
+        assert_eq!(
+            ev.iter().map(|e| e.meta).collect::<Vec<_>>(),
+            vec![6, 7, 8, 9]
+        );
     }
 
     #[test]

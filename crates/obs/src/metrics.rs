@@ -152,7 +152,8 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        let idx = (64 - (v.saturating_add(1)).leading_zeros() as usize - 1).min(HISTOGRAM_BUCKETS - 1);
+        let idx =
+            (64 - (v.saturating_add(1)).leading_zeros() as usize - 1).min(HISTOGRAM_BUCKETS - 1);
         let h = &self.0;
         h.buckets[idx].fetch_add(1, Ordering::Relaxed);
         h.count.fetch_add(1, Ordering::Relaxed);

@@ -320,9 +320,17 @@ pub fn calibrate(bench_net_json: &str) -> Result<Option<CalibrationReport>, SimE
         let sim_us = model.replay(p.world, p.wire_bytes, p.q4, &mut g, &mut scratch)?;
         let rel_err = (sim_us - p.step_us as f64).abs() / p.step_us as f64;
         max_rel_err = max_rel_err.max(rel_err);
-        out.push(CalPoint { measured: p, sim_us, rel_err });
+        out.push(CalPoint {
+            measured: p,
+            sim_us,
+            rel_err,
+        });
     }
-    Ok(Some(CalibrationReport { model, points: out, max_rel_err }))
+    Ok(Some(CalibrationReport {
+        model,
+        points: out,
+        max_rel_err,
+    }))
 }
 
 #[cfg(test)]
@@ -347,9 +355,22 @@ mod tests {
         assert_eq!(pts.len(), 6);
         assert_eq!(
             pts[0],
-            NetPoint { world: 2, q4: false, wire_bytes: 262198, step_us: 1806 }
+            NetPoint {
+                world: 2,
+                q4: false,
+                wire_bytes: 262198,
+                step_us: 1806
+            }
         );
-        assert_eq!(pts[5], NetPoint { world: 8, q4: true, wire_bytes: 61306, step_us: 5530 });
+        assert_eq!(
+            pts[5],
+            NetPoint {
+                world: 8,
+                q4: true,
+                wire_bytes: 61306,
+                step_us: 5530
+            }
+        );
         assert!(parse_bench_net("{}").is_none());
         assert!(parse_bench_net("not json at all").is_none());
     }
@@ -358,7 +379,10 @@ mod tests {
     fn fit_is_sane_and_replay_matches_closed_form() {
         let pts = parse_bench_net(BENCH_NET).unwrap();
         let m = LoopbackModel::fit(&pts).expect("fit");
-        assert!(m.c_fp32_us > m.c_q4_us, "fp32 serializes more than q4: {m:?}");
+        assert!(
+            m.c_fp32_us > m.c_q4_us,
+            "fp32 serializes more than q4: {m:?}"
+        );
         assert!(m.per_msg_us > 0.0 && m.per_byte_us > 0.0, "{m:?}");
         // The DES replay must agree with the closed form it encodes —
         // the bus is saturated from t=0, so the makespan is exactly the
@@ -366,10 +390,17 @@ mod tests {
         let mut g = OpGraph::new();
         let mut s = DesScratch::new();
         for p in &pts {
-            let sim = m.replay(p.world, p.wire_bytes, p.q4, &mut g, &mut s).unwrap();
+            let sim = m
+                .replay(p.world, p.wire_bytes, p.q4, &mut g, &mut s)
+                .unwrap();
             let closed = m.predict_us(p.world, p.wire_bytes, p.q4);
             let err = (sim - closed).abs() / closed;
-            assert!(err < 1e-3, "world {} {}: sim {sim:.1} vs closed {closed:.1}", p.world, p.mode());
+            assert!(
+                err < 1e-3,
+                "world {} {}: sim {sim:.1} vs closed {closed:.1}",
+                p.world,
+                p.mode()
+            );
         }
     }
 

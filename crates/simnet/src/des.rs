@@ -97,11 +97,17 @@ impl std::fmt::Display for SimError {
                 write!(f, "op {op}: rank {rank} out of range (fabric has {ranks})")
             }
             SimError::DepOutOfRange { op, dep } => {
-                write!(f, "op {op}: dependency {dep} does not point at an earlier op")
+                write!(
+                    f,
+                    "op {op}: dependency {dep} does not point at an earlier op"
+                )
             }
             SimError::Unsealed => write!(f, "op graph must be sealed before running"),
             SimError::Cycle { completed, total } => {
-                write!(f, "dependency cycle: only {completed}/{total} ops completed")
+                write!(
+                    f,
+                    "dependency cycle: only {completed}/{total} ops completed"
+                )
             }
         }
     }
@@ -491,7 +497,9 @@ impl Fabric {
     /// `amp` must lie in `[0, 1)`.
     pub fn set_jitter(&mut self, seed: u64, amp: f64) -> Result<(), SimError> {
         if !amp.is_finite() || !(0.0..1.0).contains(&amp) {
-            return Err(SimError::InvalidFabric("jitter amplitude must be in [0, 1)"));
+            return Err(SimError::InvalidFabric(
+                "jitter amplitude must be in [0, 1)",
+            ));
         }
         self.jitter_seed = seed;
         self.jitter_amp = amp;
@@ -521,7 +529,9 @@ impl Fabric {
             return Err(SimError::InvalidFabric("inter bandwidth must be positive"));
         }
         if !self.jitter_amp.is_finite() || !(0.0..1.0).contains(&self.jitter_amp) {
-            return Err(SimError::InvalidFabric("jitter amplitude must be in [0, 1)"));
+            return Err(SimError::InvalidFabric(
+                "jitter amplitude must be in [0, 1)",
+            ));
         }
         if let Some(b) = &self.bus {
             if !b.bytes_per_sec.is_finite() || b.bytes_per_sec <= 0.0 {
@@ -769,14 +779,21 @@ fn run_inner(
         let op = (0..n)
             .find(|&i| graph.srcs[i] as usize == bad || graph.dsts[i] as usize == bad)
             .unwrap_or(0);
-        return Err(SimError::BadRank { op, rank: bad, ranks });
+        return Err(SimError::BadRank {
+            op,
+            rank: bad,
+            ranks,
+        });
     }
     if let Some(t) = times.as_deref_mut() {
         t.clear();
         t.resize(n, 0);
     }
     if n == 0 {
-        return Ok(RunStats { makespan_ns: 0, events: 0 });
+        return Ok(RunStats {
+            makespan_ns: 0,
+            events: 0,
+        });
     }
 
     // --- reset scratch -----------------------------------------------------
@@ -837,11 +854,16 @@ fn run_inner(
                 // Compute: occupies the rank's lanes (and bus) for
                 // `fixed` ns; no α.
                 let dur = if fabric.jitter_amp > 0.0 {
-                    f64_to_ns(fixed as f64 * jitter_mult(fabric.jitter_seed, op as u32, fabric.jitter_amp))
+                    f64_to_ns(
+                        fixed as f64
+                            * jitter_mult(fabric.jitter_seed, op as u32, fabric.jitter_amp),
+                    )
                 } else {
                     fixed
                 };
-                let mut start = ready.max(scratch.egress_free[src]).max(scratch.ingress_free[src]);
+                let mut start = ready
+                    .max(scratch.egress_free[src])
+                    .max(scratch.ingress_free[src]);
                 if fabric.bus.is_some() {
                     start = start.max(bus_free);
                 }
@@ -869,7 +891,9 @@ fn run_inner(
                 let lane_ns = f64_to_ns(bytes / rate * 1e9 * jit)
                     .saturating_add(fixed)
                     .saturating_add(fabric.per_op_lane_ns);
-                let mut start = ready.max(scratch.egress_free[src]).max(scratch.ingress_free[dst]);
+                let mut start = ready
+                    .max(scratch.egress_free[src])
+                    .max(scratch.ingress_free[dst]);
                 if cross {
                     start = start
                         .max(scratch.uplink_free[src_node as usize])
@@ -894,7 +918,11 @@ fn run_inner(
                     bus_free = bus_busy;
                     end = end.max(bus_busy);
                 }
-                let alpha = if cross { fabric.inter_alpha_ns } else { fabric.alpha_ns };
+                let alpha = if cross {
+                    fabric.inter_alpha_ns
+                } else {
+                    fabric.alpha_ns
+                };
                 scratch.wheel.push(end.saturating_add(alpha), op as u32);
             }
         }};
@@ -924,9 +952,15 @@ fn run_inner(
         }
     }
     if completed != n {
-        return Err(SimError::Cycle { completed, total: n });
+        return Err(SimError::Cycle {
+            completed,
+            total: n,
+        });
     }
-    Ok(RunStats { makespan_ns: makespan, events: n as u64 })
+    Ok(RunStats {
+        makespan_ns: makespan,
+        events: n as u64,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1032,10 +1066,10 @@ pub fn build_tree(g: &mut OpGraph, ranks: usize) -> Result<(), SimError> {
     let mut last: Vec<Option<u32>> = vec![None; n];
     let mut deps: Vec<u32> = Vec::with_capacity(2);
     let hop = |g: &mut OpGraph,
-                   last: &mut Vec<Option<u32>>,
-                   deps: &mut Vec<u32>,
-                   src: usize,
-                   dst: usize|
+               last: &mut Vec<Option<u32>>,
+               deps: &mut Vec<u32>,
+               src: usize,
+               dst: usize|
      -> Result<(), SimError> {
         deps.clear();
         if let Some(p) = last[src] {
@@ -1222,7 +1256,11 @@ impl NetworkDes {
         assert!(ranks > 0, "need at least one rank");
         assert!(lane_bw > 0.0, "bandwidth must be positive");
         assert!(alpha >= 0.0, "alpha must be non-negative");
-        NetworkDes { ranks, lane_bw, alpha }
+        NetworkDes {
+            ranks,
+            lane_bw,
+            alpha,
+        }
     }
 
     fn fabric(&self) -> Result<Fabric, SimError> {
@@ -1281,7 +1319,12 @@ pub mod legacy {
     impl SendOp {
         /// Creates a transfer with no dependencies.
         pub fn new(src: usize, dst: usize, bytes: f64) -> Self {
-            SendOp { src, dst, bytes, deps: Vec::new() }
+            SendOp {
+                src,
+                dst,
+                bytes,
+                deps: Vec::new(),
+            }
         }
 
         /// Adds dependencies.
@@ -1382,14 +1425,21 @@ pub mod legacy {
             assert!(ranks > 0, "need at least one rank");
             assert!(lane_bw > 0.0, "bandwidth must be positive");
             assert!(alpha >= 0.0, "alpha must be non-negative");
-            NetworkDes { ranks, lane_bw, alpha }
+            NetworkDes {
+                ranks,
+                lane_bw,
+                alpha,
+            }
         }
 
         /// Executes the operation graph; returns per-op completion times and
         /// the makespan.
         pub fn run(&self, ops: &[SendOp]) -> (Vec<f64>, f64) {
             for (i, op) in ops.iter().enumerate() {
-                assert!(op.src < self.ranks && op.dst < self.ranks, "op {i}: bad rank");
+                assert!(
+                    op.src < self.ranks && op.dst < self.ranks,
+                    "op {i}: bad rank"
+                );
                 assert!(op.src != op.dst, "op {i}: self-send");
             }
             let n_ops = ops.len();
@@ -1423,7 +1473,9 @@ pub mod legacy {
                         continue;
                     }
                     let op = &ops[i];
-                    let start = ready_at[i].max(egress_free[op.src]).max(ingress_free[op.dst]);
+                    let start = ready_at[i]
+                        .max(egress_free[op.src])
+                        .max(ingress_free[op.dst]);
                     // Bandwidth occupies the lanes; latency rides in flight.
                     let lane_busy_until = start + op.bytes / self.lane_bw;
                     let end = lane_busy_until + self.alpha;
@@ -1483,8 +1535,8 @@ mod tests {
     /// Runs a hand-built graph, returning (per-op times, makespan).
     fn run_graph(g: &OpGraph, f: &Fabric, ref_bytes: f64) -> (Vec<u64>, u64) {
         let mut times = Vec::new();
-        let stats = run_with_times(g, f, ref_bytes, &mut DesScratch::new(), &mut times)
-            .expect("run");
+        let stats =
+            run_with_times(g, f, ref_bytes, &mut DesScratch::new(), &mut times).expect("run");
         (times, stats.makespan_ns)
     }
 
@@ -1546,7 +1598,10 @@ mod tests {
     #[test]
     fn errors_not_panics_on_malformed_inputs() {
         let mut g = OpGraph::new();
-        assert!(matches!(g.push_transfer(1, 1, 1.0, &[]), Err(SimError::BadRank { .. })));
+        assert!(matches!(
+            g.push_transfer(1, 1, 1.0, &[]),
+            Err(SimError::BadRank { .. })
+        ));
         assert!(matches!(
             g.push_transfer(0, 1, 1.0, &[5]),
             Err(SimError::DepOutOfRange { .. })
@@ -1566,7 +1621,11 @@ mod tests {
         // Rank 7 does not fit a 4-rank fabric.
         assert!(matches!(
             run(&g, &uniform(4, 1e9, 0.0), 1.0, &mut scratch),
-            Err(SimError::BadRank { rank: 7, ranks: 4, .. })
+            Err(SimError::BadRank {
+                rank: 7,
+                ranks: 4,
+                ..
+            })
         ));
         // Non-finite payload.
         assert_eq!(
@@ -1581,7 +1640,11 @@ mod tests {
         assert!(f.set_jitter(1, 1.5).is_err());
         assert!(f.set_nodes(0, 1e9, 0.0).is_err());
         // A NaN smuggled into the public fields surfaces as Err at run.
-        let net = NetworkDes { ranks: 2, lane_bw: f64::NAN, alpha: 0.0 };
+        let net = NetworkDes {
+            ranks: 2,
+            lane_bw: f64::NAN,
+            alpha: 0.0,
+        };
         assert!(net.sra_allreduce(1e6).is_err());
     }
 
@@ -1614,8 +1677,12 @@ mod tests {
             let bytes = 50e6;
             let net = NetworkDes::new(n, bw, 10e-6);
             let des = net.ring_allreduce(bytes).unwrap();
-            let analytic =
-                allreduce_time(ReductionScheme::Ring, n, bytes as usize, CommCost::new(bw, 10e-6));
+            let analytic = allreduce_time(
+                ReductionScheme::Ring,
+                n,
+                bytes as usize,
+                CommCost::new(bw, 10e-6),
+            );
             let ratio = des / analytic;
             assert!(
                 (0.5..2.0).contains(&ratio),
@@ -1769,16 +1836,32 @@ mod tests {
         for &seed in &[1u64, 7, 42, 1234, 0xC6C] {
             for &ranks in &[2usize, 3, 5, 8, 16] {
                 for &alpha in &[0u64, 500, 123_456] {
-                    let ops = corpus_dag(seed.wrapping_mul(31).wrapping_add(ranks as u64), ranks, 200);
-                    assert_identical(&ops, ranks, alpha, &format!("dag s{seed} n{ranks} a{alpha}"));
+                    let ops =
+                        corpus_dag(seed.wrapping_mul(31).wrapping_add(ranks as u64), ranks, 200);
+                    assert_identical(
+                        &ops,
+                        ranks,
+                        alpha,
+                        &format!("dag s{seed} n{ranks} a{alpha}"),
+                    );
                 }
             }
         }
         // The legacy collective builders themselves (dense SRA, ring).
         for &ranks in &[2usize, 3, 5, 8] {
             let chunk = 777_000.0;
-            assert_identical(&legacy::sra_ops(ranks, chunk), ranks, 500, &format!("sra n{ranks}"));
-            assert_identical(&legacy::ring_ops(ranks, chunk), ranks, 500, &format!("ring n{ranks}"));
+            assert_identical(
+                &legacy::sra_ops(ranks, chunk),
+                ranks,
+                500,
+                &format!("sra n{ranks}"),
+            );
+            assert_identical(
+                &legacy::ring_ops(ranks, chunk),
+                ranks,
+                500,
+                &format!("ring n{ranks}"),
+            );
         }
     }
 

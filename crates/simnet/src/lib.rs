@@ -52,7 +52,9 @@ pub mod step;
 pub mod topology;
 
 pub use backend::CommBackend;
-pub use calibrate::{calibrate, parse_bench_net, CalPoint, CalibrationReport, LoopbackModel, NetPoint};
+pub use calibrate::{
+    calibrate, parse_bench_net, CalPoint, CalibrationReport, LoopbackModel, NetPoint,
+};
 pub use collective::{
     allreduce_time, flat_multinode_allreduce_time, hierarchical_allreduce_time, CommCost,
     ReductionScheme,

@@ -389,7 +389,7 @@ mod tests {
 
     #[test]
     fn fabric_reflects_scale_out_and_runs() {
-        use crate::des::{build_sra, OpGraph, DesScratch, run};
+        use crate::des::{build_sra, run, DesScratch, OpGraph};
         let m = MachineSpec::genesis_3090();
         let flat = m.fabric(CommBackend::Shm).unwrap();
         assert_eq!(flat.ranks(), 4);

@@ -151,7 +151,11 @@ impl Topology {
         // explored fastest-first so that among equal-hop paths the
         // highest-bandwidth route wins (NVLink over the PCIe fallback).
         let mut order: Vec<usize> = (0..self.links.len()).collect();
-        order.sort_by(|x, y| self.links[*y].bandwidth.total_cmp(&self.links[*x].bandwidth));
+        order.sort_by(|x, y| {
+            self.links[*y]
+                .bandwidth
+                .total_cmp(&self.links[*x].bandwidth)
+        });
         let mut prev: Vec<Option<(usize, usize)>> = vec![None; self.devices.len()];
         let mut visited = vec![false; self.devices.len()];
         visited[from] = true;

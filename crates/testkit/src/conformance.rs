@@ -503,8 +503,9 @@ pub fn check_concurrent_all_pairs(build: &FabricBuilder) {
                         // demux under concurrency.
                         for i in (0..3u32).rev() {
                             let tag: Tag = 1000 + i as Tag;
-                            let enc =
-                                ep.recv_tagged_deadline(peer, tag, WAIT).expect("recv burst");
+                            let enc = ep
+                                .recv_tagged_deadline(peer, tag, WAIT)
+                                .expect("recv burst");
                             assert_same(&enc, &payload(peer as u32 * 100 + i), "burst");
                             got.push((peer, enc));
                         }

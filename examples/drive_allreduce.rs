@@ -67,5 +67,8 @@ fn main() {
     run_case("8bit", 4, 8, 512, 4_096, 2);
     run_case("single-element", 2, 4, 128, 1, 1);
     let again = run_case("default-4bit-rerun", 4, 4, 128, 65_536, 4);
-    assert_eq!(first, again, "a rerun must reproduce the result bit for bit");
+    assert_eq!(
+        first, again,
+        "a rerun must reproduce the result bit for bit"
+    );
 }

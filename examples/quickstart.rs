@@ -5,9 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use cgx::bench::estimate::{estimate, SystemSetup};
 use cgx::collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
 use cgx::compress::{Compressor, QsgdCompressor, ScratchPool};
-use cgx::bench::estimate::{estimate, SystemSetup};
 use cgx::models::ModelId;
 use cgx::simnet::MachineSpec;
 use cgx::tensor::{Rng, Tensor};

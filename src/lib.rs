@@ -61,10 +61,10 @@
 /// ```
 pub mod prelude {
     pub use cgx_adaptive::{assign_bits, AdaptiveOptions, AdaptivePolicy, LayerProfile};
-    pub use cgx_collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
-    pub use cgx_compress::{CompressionScheme, Compressor, QsgdCompressor, ScratchPool};
     pub use cgx_bench::api::{Cgx, CgxBuilder};
     pub use cgx_bench::estimate::{estimate, SystemSetup};
+    pub use cgx_collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
+    pub use cgx_compress::{CompressionScheme, Compressor, QsgdCompressor, ScratchPool};
     pub use cgx_engine::{train_data_parallel, LayerCompression, TrainConfig};
     pub use cgx_models::{ModelId, ModelSpec};
     pub use cgx_simnet::{CommBackend, MachineSpec, ReductionScheme};

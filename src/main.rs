@@ -16,9 +16,9 @@
 //! `cgx_net::workload::{flags, read}`, as in `cgx-launch` and `cgx-serve`.
 
 use cgx::adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx::collectives::CommError;
 use cgx::bench::adaptive::adaptive_compression_for;
 use cgx::bench::estimate::{estimate, estimate_with_schemes, SystemSetup};
+use cgx::collectives::CommError;
 use cgx::models::{ModelId, ModelSpec};
 use cgx::net::workload::{flags, read};
 use cgx::simnet::{max_batch, training_memory_mb, GpuModel, MachineSpec, OptimizerKind};

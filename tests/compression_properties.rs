@@ -305,10 +305,16 @@ fn hostile_topk_payloads_are_refused() {
         for (what, payload) in [
             ("random", random),
             ("a smaller k", with_k(rng.index(k) as u32)),
-            ("k past the payload", with_k((k + 1 + rng.range(0..1000)) as u32)),
+            (
+                "k past the payload",
+                with_k((k + 1 + rng.range(0..1000)) as u32),
+            ),
             ("index past the chunk", past),
             ("cut", honest[..rng.index(honest.len())].to_vec()),
-            ("extended", [&honest[..], &vec![0; rng.range(1..9)]].concat()),
+            (
+                "extended",
+                [&honest[..], &vec![0; rng.range(1..9)]].concat(),
+            ),
         ] {
             let what = format!("{what}: n={n} k={k}");
             let enc = Encoded::new(enc.shape().clone(), payload.into());

@@ -2,8 +2,8 @@
 //! engine, end to end — registration, filters, per-layer overrides,
 //! compressed collectives, accuracy recovery.
 
-use cgx::compress::CompressionScheme;
 use cgx::bench::api::CgxBuilder;
+use cgx::compress::CompressionScheme;
 use cgx::engine::data::{GaussianMixture, MarkovChainLm};
 use cgx::engine::nn::{EmbeddingLm, Mlp};
 use cgx::engine::{train_data_parallel, LayerCompression, TrainConfig};
