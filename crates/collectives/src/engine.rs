@@ -2,8 +2,8 @@
 //! compressed allreduce (paper Section 4, Fig. 2).
 //!
 //! Every production reduction runs here — the trainers' rounds, flat or
-//! as the leader exchange of a [`crate::hierarchy::Topology`], the PowerSGD
-//! factors, the QNCCL ring. Only SRA, the paper's scheme, is pipelined;
+//! as the leader exchange of a [`crate::hierarchy::Topology`], and the
+//! PowerSGD factors. Only SRA, the paper's scheme, is pipelined;
 //! the comparison schemes run their sequential reference at submit
 //! ([`CommEngine::submit_owned`]). One blocking
 //! [`crate::reduce::allreduce_scratch`] call per layer (the sequential
