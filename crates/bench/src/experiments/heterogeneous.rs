@@ -75,7 +75,7 @@ pub fn run() -> String {
     let mut ef = CompressionScheme::TopK { ratio: 0.01 }.build();
     let mut rng = Rng::seed_from_u64(9);
     let mut transmitted = Tensor::zeros(&[262_144]);
-    let steps = 60;
+    let steps = 20;
     for _ in 0..steps {
         let enc = ef.compress(&sub, &mut rng);
         transmitted.add_assign(&ef.decompress(&enc).expect("own payload"));

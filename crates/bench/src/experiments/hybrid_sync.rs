@@ -13,7 +13,7 @@ use cgx_engine::{train_data_parallel, train_local_sgd, LayerCompression, TrainCo
 use cgx_tensor::Rng;
 
 const WORKERS: usize = 4;
-const STEPS: usize = 300;
+const STEPS: usize = 200;
 
 pub fn run() -> String {
     let task = GaussianMixture::new(6, 12, 1.2);
@@ -68,7 +68,9 @@ pub fn run() -> String {
         }
     }
     let mut out = render_table(
-        "Hybrid synchronization: accuracy vs communication (4 workers, 300 steps)",
+        &format!(
+            "Hybrid synchronization: accuracy vs communication ({WORKERS} workers, {STEPS} steps)"
+        ),
         &["strategy", "sync period", "top-1 %", "traffic/worker"],
         &rows,
     );

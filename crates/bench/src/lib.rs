@@ -7,8 +7,7 @@
 //! the text it prints, and each is deterministic. `cgx experiments <id>`
 //! runs one, `cgx experiments all` every one. Nothing here times a
 //! training step: wall-clock numbers come from `benchmark/`
-//! (`BENCHMARK.json`). The two bins under `src/bin/` (`chaos_net_report`,
-//! `sim_sweep`) drive a behaviour end to end and assert it.
+//! (`BENCHMARK.json`).
 //!
 //! The experiments stand on the paper's estimator:
 //!

@@ -50,9 +50,6 @@ pub enum CommError {
     Lost {
         /// The rank the frames were expected from.
         peer: usize,
-        /// How many retransmission requests were issued before giving up
-        /// (0 when the frames were dropped on arrival).
-        retries: u32,
     },
     /// The peer's *process* is known dead: its socket reset or EOF'd
     /// mid-frame, a write to it failed, or its liveness deadline elapsed
@@ -162,12 +159,7 @@ impl fmt::Display for CommError {
             CommError::Corrupted { peer, detail } => {
                 write!(f, "corrupted frame from rank {peer}: {detail}")
             }
-            CommError::Lost { peer, retries } => {
-                write!(
-                    f,
-                    "frame from rank {peer} lost after {retries} retransmission requests"
-                )
-            }
+            CommError::Lost { peer } => write!(f, "frames from rank {peer} were lost"),
             CommError::PeerDead { rank } => {
                 write!(
                     f,
@@ -220,11 +212,8 @@ mod tests {
             message: "boom".into(),
         };
         assert!(e.to_string().contains("boom"));
-        let e = CommError::Lost {
-            peer: 2,
-            retries: 9,
-        };
-        assert!(e.to_string().contains("9 retransmission"));
+        let e = CommError::Lost { peer: 2 };
+        assert_eq!(e.to_string(), "frames from rank 2 were lost");
         let e = CommError::PeerLost {
             peer: 4,
             cause: Box::new(CommError::Disconnected { peer: 4 }),
@@ -257,14 +246,7 @@ mod tests {
             .peer(),
             Some(1)
         );
-        assert_eq!(
-            CommError::Lost {
-                peer: 2,
-                retries: 1
-            }
-            .peer(),
-            Some(2)
-        );
+        assert_eq!(CommError::Lost { peer: 2 }.peer(), Some(2));
         assert_eq!(CommError::PeerDead { rank: 7 }.peer(), Some(7));
         assert_eq!(
             CommError::PeerLost {
@@ -279,17 +261,8 @@ mod tests {
 
     #[test]
     fn with_peer_renames_exactly_the_implicated_rank() {
-        let lost = CommError::Lost {
-            peer: 2,
-            retries: 4,
-        };
-        assert_eq!(
-            lost.with_peer(0),
-            CommError::Lost {
-                peer: 0,
-                retries: 4
-            }
-        );
+        let lost = CommError::Lost { peer: 2 };
+        assert_eq!(lost.with_peer(0), CommError::Lost { peer: 0 });
         assert_eq!(CommError::PeerDead { rank: 7 }.with_peer(1).peer(), Some(1));
         let none = CommError::ShapeMismatch { detail: "x".into() };
         assert_eq!(none.clone().with_peer(3), none);

@@ -192,7 +192,7 @@ impl TagStash {
             !lane
         });
         self.seen[peer] = self.filed[peer];
-        self.close_lane(peer, job, CommError::Lost { peer, retries: 0 });
+        self.close_lane(peer, job, CommError::Lost { peer });
     }
 
     /// Drops every filed payload (the owner is going away).
@@ -314,13 +314,7 @@ mod tests {
         s.file(2, orphan, payload(2));
         s.file(1, orphan, payload(9));
         assert_eq!(s.orphans[&3], 1, "a closed lane files nothing");
-        assert_eq!(
-            s.receive(1, orphan),
-            Err(CommError::Lost {
-                peer: 1,
-                retries: 0
-            })
-        );
+        assert_eq!(s.receive(1, orphan), Err(CommError::Lost { peer: 1 }));
         assert_eq!(
             s.receive(2, orphan).map(|e| e.map(|e| byte(&e))),
             Ok(Some(2))

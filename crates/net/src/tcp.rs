@@ -1796,9 +1796,10 @@ mod tests {
         // 2 ranks with aggressive liveness settings. Rank 1 "freezes":
         // it never pumps, so it stops emitting heartbeats, and rank 0
         // must condemn it as PeerDead within the deadline — even though
-        // the socket stays open (the case plain EOF detection misses).
-        let opts = NetOptions::default()
-            .with_heartbeat(Duration::from_millis(20), Duration::from_millis(150));
+        // the socket stays open (the case plain EOF detection misses) —
+        // and not before it, or a live peer could be condemned early.
+        let deadline = Duration::from_millis(150);
+        let opts = NetOptions::default().with_heartbeat(Duration::from_millis(20), deadline);
         let mut eps = TcpFabric::build_local_with(2, opts);
         let frozen = eps.pop().expect("rank 1");
         let mut a = eps.pop().expect("rank 0");
@@ -1815,6 +1816,11 @@ mod tests {
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "detection took {:?}, deadline was 150ms",
+            t0.elapsed()
+        );
+        assert!(
+            t0.elapsed() >= deadline.mul_f64(0.9),
+            "detection took {:?}, before the 150ms deadline",
             t0.elapsed()
         );
         let snap = registry.snapshot();

@@ -1,10 +1,16 @@
 //! Property-based tests over the performance plane: cost-model
 //! monotonicity, step-simulator sanity, DES-vs-analytic agreement, and
-//! topology invariants, for randomized parameters.
+//! topology invariants, for randomized parameters; and the catalog sweep,
+//! every cell of which must simulate.
 
+use std::collections::HashMap;
+
+use cgx::compress::CompressionScheme;
+use cgx::models::{ModelId, ModelSpec};
 use cgx::simnet::{
-    allreduce_time, fuse_messages, run, simulate_step, CommCost, ComputeProfile, DesScratch,
-    Fabric, LayerMsg, MachineSpec, NetworkDes, OpGraph, ReductionScheme, SimError, StepConfig,
+    allreduce_time, build_hierarchical, build_ring, build_sra, build_tree, fuse_messages, run,
+    simulate_step, CommBackend, CommCost, ComputeProfile, DesScratch, Fabric, LayerMsg,
+    MachineSpec, NetworkDes, OpGraph, ReductionScheme, SimError, SimWorkspace, StepConfig,
 };
 use cgx::tensor::Rng;
 use cgx_testkit::cases;
@@ -216,4 +222,223 @@ fn topology_p2p_is_symmetric_and_positive() {
         }
         assert!(t.ring_allreduce_algbw() > 0.0);
     });
+}
+
+// --- the catalog sweep: (model x machine x bit-width x reduction scheme
+// x fault scenario x world), every cell through the event-wheel DES ------
+
+/// Reduction layouts swept. Hierarchical applies to multi-node worlds.
+const SCHEMES: [&str; 4] = ["sra", "ring", "tree", "hier"];
+/// Wire bit-widths: 32 = uncompressed fp32, the rest are QSGD widths.
+const BITS: [u32; 6] = [32, 2, 3, 4, 6, 8];
+/// Fault/heterogeneity scenarios.
+const SCENARIOS: [&str; 4] = ["uniform", "straggler", "jitter", "mixed"];
+/// Full-cross world sizes (single node up to 8, then 8-GPU nodes).
+const FULL_WORLDS: [usize; 5] = [4, 8, 16, 32, 64];
+/// Scale-out world sizes swept on a reduced grid.
+const BIG_WORLDS: [usize; 3] = [128, 256, 512];
+/// Catalog interconnect for scale-out machines: ~10 GbE effective.
+const INTER_BW: f64 = 1.25e9;
+const INTER_ALPHA: f64 = 1.5e-3;
+
+/// One grid cell.
+#[derive(Clone, Copy, Debug)]
+struct Config {
+    model: usize,
+    machine: usize,
+    world: usize,
+    bits: usize,
+    scheme: usize,
+    scenario: usize,
+}
+
+/// Per-model wire sizes, precomputed once.
+struct ModelData {
+    raw_bytes: f64,
+    wire_bytes: [f64; 6],
+}
+
+fn model_table() -> Vec<ModelData> {
+    ModelId::all()
+        .into_iter()
+        .map(|id| {
+            let spec = ModelSpec::build(id);
+            let raw = spec.grad_bytes() as f64;
+            let params = spec.param_count() as f64;
+            let mut wire = [0.0; 6];
+            for (i, &b) in BITS.iter().enumerate() {
+                wire[i] = if b == 32 {
+                    raw
+                } else {
+                    let scheme = CompressionScheme::Qsgd {
+                        bits: b,
+                        bucket_size: 128,
+                    };
+                    (params * scheme.nominal_bits_per_element() / 8.0).min(raw)
+                };
+            }
+            ModelData {
+                raw_bytes: raw,
+                wire_bytes: wire,
+            }
+        })
+        .collect()
+}
+
+/// The machine instance backing a (machine, world) pair: a slice of one
+/// node up to 8 ranks, 8-GPU nodes joined by the catalog interconnect
+/// beyond that.
+fn machine_at(base: &MachineSpec, world: usize) -> MachineSpec {
+    if world <= base.gpus_per_node() {
+        base.with_gpus(world)
+    } else {
+        base.scale_out(world / base.gpus_per_node(), INTER_BW, INTER_ALPHA)
+    }
+}
+
+/// Applies a fault/heterogeneity scenario on top of a catalog fabric.
+fn apply_scenario(f: &mut Fabric, scenario: usize, seed: u64) {
+    match SCENARIOS[scenario] {
+        "straggler" => {
+            // One late, degraded rank: 2 ms release + 70% lanes.
+            f.set_release(0, 2e-3).expect("release");
+            f.scale_rank_bandwidth(0, 0.7).expect("scale");
+        }
+        "jitter" => f.set_jitter(seed, 0.08).expect("jitter"),
+        "mixed" => {
+            // Alternating GPU generations: odd ranks at 60% bandwidth.
+            for r in (1..f.ranks()).step_by(2) {
+                f.scale_rank_bandwidth(r, 0.6).expect("scale");
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Graph cache key: flat graphs depend on (scheme, world); hierarchical
+/// graphs also on the node split and the inter/intra byte ratio.
+type GraphKey = (usize, usize, usize, u32);
+
+fn graph_for(
+    cache: &mut HashMap<GraphKey, OpGraph>,
+    scheme: usize,
+    world: usize,
+    nodes: usize,
+    ratio: f64,
+) -> &OpGraph {
+    let ratio_key = if SCHEMES[scheme] == "hier" {
+        (ratio * 1000.0).round() as u32
+    } else {
+        0
+    };
+    let nodes_key = if SCHEMES[scheme] == "hier" { nodes } else { 0 };
+    cache
+        .entry((scheme, world, nodes_key, ratio_key))
+        .or_insert_with(|| {
+            let mut g = OpGraph::new();
+            match SCHEMES[scheme] {
+                "sra" => build_sra(&mut g, world).expect("sra"),
+                "ring" => build_ring(&mut g, world).expect("ring"),
+                "tree" => build_tree(&mut g, world).expect("tree"),
+                _ => build_hierarchical(&mut g, nodes, world / nodes, ratio).expect("hier"),
+            }
+            g
+        })
+}
+
+fn build_grid() -> Vec<Config> {
+    let mut grid = Vec::new();
+    for &world in &FULL_WORLDS {
+        for model in 0..6 {
+            for machine in 0..4 {
+                for bits in 0..BITS.len() {
+                    for (scheme, &name) in SCHEMES.iter().enumerate() {
+                        if name == "hier" && world <= 8 {
+                            continue; // single node: no node split to exploit
+                        }
+                        for scenario in 0..SCENARIOS.len() {
+                            grid.push(Config {
+                                model,
+                                machine,
+                                world,
+                                bits,
+                                scheme,
+                                scenario,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Scale-out tail: 128..512 ranks on a reduced cross.
+    let big_models = [0usize, 5]; // ResNet50, GPT-2
+    let big_machines = [0usize, 2]; // DGX-1, RTX-3090
+    let big_bits = [0usize, 3]; // fp32, q4
+    let big_scenarios = [0usize, 2]; // uniform, jitter
+    for &world in &BIG_WORLDS {
+        for &model in &big_models {
+            for &machine in &big_machines {
+                for &bits in &big_bits {
+                    for scheme in 0..SCHEMES.len() {
+                        for &scenario in &big_scenarios {
+                            grid.push(Config {
+                                model,
+                                machine,
+                                world,
+                                bits,
+                                scheme,
+                                scenario,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    grid
+}
+
+/// Every one of the 10,560 catalog cells simulates. Ignored: a debug
+/// build takes minutes, so it runs with `cargo test --release --test
+/// simnet_properties -- --ignored`.
+#[test]
+#[ignore]
+fn every_catalog_cell_simulates() {
+    let models = model_table();
+    let machines = MachineSpec::table2_systems();
+    let grid = build_grid();
+    assert_eq!(grid.len(), 10_560);
+    // Base fabrics per (machine, world): cloned then scenario-mutated.
+    let mut base_fabrics: HashMap<(usize, usize), Fabric> = HashMap::new();
+    for (mi, m) in machines.iter().enumerate() {
+        for &w in FULL_WORLDS.iter().chain(&BIG_WORLDS) {
+            let fab = machine_at(m, w)
+                .fabric(CommBackend::Shm)
+                .expect("catalog fabric");
+            base_fabrics.insert((mi, w), fab);
+        }
+    }
+    let mut cache: HashMap<GraphKey, OpGraph> = HashMap::new();
+    let mut ws = SimWorkspace::new();
+    let mut simulated = 0;
+    for (i, cfg) in grid.iter().enumerate() {
+        let md = &models[cfg.model];
+        let wire = md.wire_bytes[cfg.bits];
+        let nodes = if cfg.world <= 8 { 1 } else { cfg.world / 8 };
+        let hier = SCHEMES[cfg.scheme] == "hier";
+        let ratio = if md.raw_bytes > 0.0 {
+            wire / md.raw_bytes
+        } else {
+            1.0
+        };
+        let g = graph_for(&mut cache, cfg.scheme, cfg.world, nodes, ratio);
+        let mut fab = base_fabrics[&(cfg.machine, cfg.world)].clone();
+        apply_scenario(&mut fab, cfg.scenario, i as u64);
+        let ref_bytes = if hier { md.raw_bytes } else { wire };
+        let stats = run(g, &fab, ref_bytes, &mut ws.scratch);
+        assert!(stats.is_ok(), "cell {i} {cfg:?}: {stats:?}");
+        simulated += 1;
+    }
+    assert_eq!(simulated, grid.len(), "every cell must produce a result");
 }
