@@ -85,22 +85,6 @@ impl AdaptiveTrainConfig {
         self.options_for_epoch(0).validate();
     }
 
-    /// Parses a policy name as the `--adaptive` launcher flag takes it:
-    /// `kmeans`, `linear`, `timeaware`, `bayesopt` or `bayesopt:TRIALS`.
-    pub fn parse_policy(s: &str) -> Option<AdaptivePolicy> {
-        let s = s.trim().to_ascii_lowercase();
-        match s.as_str() {
-            "kmeans" | "k-means" => Some(AdaptivePolicy::KMeans),
-            "linear" => Some(AdaptivePolicy::Linear),
-            "timeaware" | "time-aware" => Some(AdaptivePolicy::TimeAware),
-            "bayesopt" | "bayes" => Some(AdaptivePolicy::BayesOpt { trials: 200 }),
-            _ => {
-                let trials = s.strip_prefix("bayesopt:")?.parse().ok()?;
-                (trials > 0).then_some(AdaptivePolicy::BayesOpt { trials })
-            }
-        }
-    }
-
     /// The solver options for one committed plan: the seed mixes the
     /// base seed with the plan epoch so consecutive plans explore
     /// independently yet identically on every rank.
@@ -643,23 +627,5 @@ mod tests {
         if up.record.size_ratio_vs_static4 < 1.0 {
             assert!(up.record.predicted_step_saving_s > 0.0);
         }
-    }
-
-    #[test]
-    fn policy_names_parse() {
-        assert_eq!(
-            AdaptiveTrainConfig::parse_policy("kmeans"),
-            Some(AdaptivePolicy::KMeans)
-        );
-        assert_eq!(
-            AdaptiveTrainConfig::parse_policy("TimeAware"),
-            Some(AdaptivePolicy::TimeAware)
-        );
-        assert_eq!(
-            AdaptiveTrainConfig::parse_policy("bayesopt:50"),
-            Some(AdaptivePolicy::BayesOpt { trials: 50 })
-        );
-        assert_eq!(AdaptiveTrainConfig::parse_policy("bayesopt:0"), None);
-        assert_eq!(AdaptiveTrainConfig::parse_policy("nope"), None);
     }
 }

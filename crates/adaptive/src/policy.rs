@@ -66,6 +66,33 @@ pub enum AdaptivePolicy {
     TimeAware,
 }
 
+/// The policy names [`AdaptivePolicy`]'s `FromStr` reads.
+const POLICY_NAMES: &str = "kmeans, linear, timeaware, bayes, bayesopt:TRIALS";
+
+impl std::str::FromStr for AdaptivePolicy {
+    type Err = String;
+
+    /// Reads a policy name in any case: `kmeans` (or `k-means`), `linear`,
+    /// `timeaware` (or `time-aware`), `bayes` (or `bayesopt`) for 300
+    /// trials — the count Fig. 4 and Fig. 5 use — or `bayesopt:TRIALS`;
+    /// the error names the choices.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let name = s.trim().to_ascii_lowercase();
+        match name.as_str() {
+            "kmeans" | "k-means" => Ok(AdaptivePolicy::KMeans),
+            "linear" => Ok(AdaptivePolicy::Linear),
+            "timeaware" | "time-aware" => Ok(AdaptivePolicy::TimeAware),
+            "bayes" | "bayesopt" => Ok(AdaptivePolicy::BayesOpt { trials: 300 }),
+            _ => name
+                .strip_prefix("bayesopt:")
+                .and_then(|t| t.parse().ok())
+                .filter(|&trials| trials > 0)
+                .map(|trials| AdaptivePolicy::BayesOpt { trials })
+                .ok_or_else(|| format!("unknown policy {s:?}: one of {POLICY_NAMES}")),
+        }
+    }
+}
+
 /// Tunables of the assignment problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveOptions {
@@ -567,6 +594,27 @@ fn exploit_budget_time_aware(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn policy_names_parse() {
+        let bayes = AdaptivePolicy::BayesOpt { trials: 300 };
+        for (name, want) in [
+            ("kmeans", AdaptivePolicy::KMeans),
+            ("K-Means", AdaptivePolicy::KMeans),
+            ("linear", AdaptivePolicy::Linear),
+            ("TimeAware", AdaptivePolicy::TimeAware),
+            (" time-aware ", AdaptivePolicy::TimeAware),
+            ("bayes", bayes),
+            ("BayesOpt", bayes),
+            ("bayesopt:50", AdaptivePolicy::BayesOpt { trials: 50 }),
+        ] {
+            assert_eq!(name.parse(), Ok(want), "{name:?}");
+        }
+        for bad in ["bayesopt:0", "bayes:50", "nope", ""] {
+            let err = bad.parse::<AdaptivePolicy>().expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")) && err.contains(POLICY_NAMES));
+        }
+    }
 
     /// A Transformer-XL-like profile: one huge low-norm embedding, a body
     /// of medium layers, a few small high-norm layers.

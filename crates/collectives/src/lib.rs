@@ -29,8 +29,6 @@
 //!   chunk either receives passes one check ([`reduce`]'s `check_chunk`),
 //! * [`membership`] — membership-epoch agreement and the shrunken-world
 //!   [`membership::MembershipView`] behind elastic recovery,
-//! * [`framing`] — the seq+FNV checksummed frame format of the `cgx-net`
-//!   TCP wire protocol, and the retention its reconnect resends from,
 //! * [`hierarchy`] — the node [`Topology`] and the two raw intra-node
 //!   hops staged around an engine round between node leaders.
 //!
@@ -62,7 +60,6 @@
 pub mod cluster;
 pub mod engine;
 pub mod error;
-pub mod framing;
 pub mod hierarchy;
 pub mod membership;
 pub mod reduce;

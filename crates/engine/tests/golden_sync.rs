@@ -62,7 +62,7 @@ struct Golden {
 
 fn kmeans() -> Option<AdaptiveTrainConfig> {
     Some(AdaptiveTrainConfig {
-        policy: AdaptiveTrainConfig::parse_policy("kmeans").expect("known policy"),
+        policy: "kmeans".parse().expect("known policy"),
         ..AdaptiveTrainConfig::default()
     })
 }

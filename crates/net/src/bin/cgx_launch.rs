@@ -125,12 +125,9 @@ fn parse(
         return Err(invalid("--sigkill requires --kill".into()));
     }
     let base = Workload::standard(world);
-    let policy = read(
-        &get,
-        "--adaptive",
-        "a policy name",
-        AdaptiveTrainConfig::parse_policy,
-    )?;
+    let policy = get("--adaptive")
+        .map(|v| v.parse().map_err(|e| invalid(format!("--adaptive: {e}"))))
+        .transpose()?;
     let adaptive_base = AdaptiveTrainConfig::default();
     let adaptive = match policy {
         Some(policy) => Some(AdaptiveTrainConfig {
@@ -479,10 +476,7 @@ mod tests {
         .unwrap();
         assert_eq!(c.run.comm_timeout, Some(Duration::from_secs(2)));
         let cfg = c.run.adaptive.expect("enabled");
-        assert_eq!(
-            cfg.policy,
-            AdaptiveTrainConfig::parse_policy("linear").unwrap()
-        );
+        assert_eq!(cfg.policy, "linear".parse().unwrap());
         assert_eq!((cfg.alpha, cfg.replan_interval, cfg.warmup), (3.5, 16, 2));
         let c = cli(&[
             "--world", "4", "--nodes", "0, 0,1,1", "--steps", "24", "--seed", "7",

@@ -13,6 +13,7 @@
 //! else it is told on its command line: [`ProcessCluster::arg`] hands
 //! every rank the same arguments, and `cgx-launch` passes its own.
 
+use crate::boot_err;
 use crate::workload::read;
 use cgx_collectives::CommError;
 use std::net::TcpListener;
@@ -27,12 +28,6 @@ pub const ENV_WORLD: &str = "CGX_WORLD";
 pub const ENV_RENDEZVOUS: &str = "CGX_RENDEZVOUS";
 /// Environment variable carrying this rank's node id (default `0`).
 pub const ENV_NODE: &str = "CGX_NODE";
-
-fn boot_err(detail: impl Into<String>) -> CommError {
-    CommError::Bootstrap {
-        detail: detail.into(),
-    }
-}
 
 /// A rank's identity as read from the `CGX_*` environment.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,8 +6,9 @@
 //! [`ShmTransport`](cgx_collectives::ShmTransport) implements, backed by
 //! TCP sockets between real OS processes.
 //!
-//! - [`wire`] — length-prefixed frames around
-//!   [`framing`](cgx_collectives::framing)'s seq+FNV envelope.
+//! - [`wire`] — every byte format on a socket: the length-prefixed
+//!   frame and its seq+checksum envelope, the control frames boot and
+//!   redial speak, and the retention a reconnect resends from.
 //! - [`tcp`] — [`TcpTransport`]: a caller-driven readiness event loop
 //!   (nonblocking sockets, `poll(2)`, in-place frame parsing, vectored
 //!   coalesced writes) feeding the tag-demuxed, deadline-aware stash
@@ -39,3 +40,12 @@ pub use cluster::{ClusterReport, ProcessCluster, RankExit};
 pub use fault::{ReconnectPolicy, ResetPlan};
 pub use rendezvous::{rendezvous, TcpFabric, DEFAULT_BOOT_TIMEOUT};
 pub use tcp::{NetOptions, TcpTransport, WireStats};
+
+use cgx_collectives::CommError;
+
+/// A failure to form or re-form the mesh.
+fn boot_err(detail: impl Into<String>) -> CommError {
+    CommError::Bootstrap {
+        detail: detail.into(),
+    }
+}

@@ -18,100 +18,16 @@
 //! Every step is bounded by a boot deadline; failures surface as
 //! [`CommError::Bootstrap`] (no membership exists yet to shrink).
 
-use crate::tcp::{NetOptions, TcpTransport};
-use crate::wire;
-use cgx_collectives::transport::{Tag, CTRL_TAG, DEFAULT_TIMEOUT};
+use crate::boot_err;
+use crate::tcp::{Mesh, NetOptions, TcpTransport};
+use crate::wire::{get_str, get_u32, put_str, recv_ctrl, send_ctrl};
+use crate::wire::{MSG_HELLO, MSG_PEER, MSG_ROSTER};
 use cgx_collectives::{CommError, Topology};
-use cgx_tensor::Shape;
-use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Default budget for the whole bootstrap (listen, connect, mesh).
 pub const DEFAULT_BOOT_TIMEOUT: Duration = Duration::from_secs(30);
-
-const MSG_HELLO: u8 = 0x01;
-const MSG_ROSTER: u8 = 0x02;
-const MSG_PEER: u8 = 0x03;
-
-fn boot_err(detail: impl Into<String>) -> CommError {
-    CommError::Bootstrap {
-        detail: detail.into(),
-    }
-}
-
-fn send_ctrl<W: Write>(w: &mut W, body: &[u8]) -> Result<(), CommError> {
-    let mut frame = Vec::with_capacity(wire::frame_wire_bytes(1, body.len()));
-    wire::append_frame_header(&mut frame, CTRL_TAG, 0, &Shape::new(vec![body.len()]), body);
-    frame.extend_from_slice(body);
-    w.write_all(&frame)
-        .map_err(|e| boot_err(format!("control send failed: {e}")))
-}
-
-/// Reads one control frame: its length prefix, then exactly the bytes that
-/// prefix states, through [`wire::parse_frame`]. It never reads past the
-/// frame, because the stream goes on as a mesh link, and the buffer grows
-/// a step at a time as bytes arrive, whatever length the prefix claims.
-fn recv_ctrl<R: Read>(r: &mut R, expect: u8, what: &str) -> Result<Vec<u8>, CommError> {
-    const STEP: usize = 64 << 10;
-    let failed = |e: io::Error| boot_err(format!("control recv failed while awaiting {what}: {e}"));
-    let mut buf = Vec::new();
-    let mut want = 4;
-    let frame = loop {
-        while buf.len() < want {
-            let step = (want - buf.len()).min(STEP);
-            let got = r.by_ref().take(step as u64).read_to_end(&mut buf);
-            if got.map_err(failed)? < step {
-                return Err(boot_err(format!("peer closed while awaiting {what}")));
-            }
-        }
-        match wire::parse_frame(&buf).map_err(failed)? {
-            Some((frame, _)) => break frame,
-            None => want = 4 + u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize,
-        }
-    };
-    if frame.tag != CTRL_TAG {
-        return Err(boot_err(format!(
-            "expected control frame ({what}), got tag {:#x}",
-            frame.tag as Tag
-        )));
-    }
-    let body = frame.enc.payload().to_vec();
-    if body.first() != Some(&expect) {
-        return Err(boot_err(format!(
-            "expected {what} (op {expect:#x}), got op {:?}",
-            body.first()
-        )));
-    }
-    Ok(body)
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_u32(body: &[u8], at: &mut usize) -> Result<u32, CommError> {
-    let end = *at + 4;
-    let bytes = body
-        .get(*at..end)
-        .ok_or_else(|| boot_err("truncated control message"))?;
-    *at = end;
-    Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
-}
-
-fn get_str(body: &[u8], at: &mut usize) -> Result<String, CommError> {
-    let len_bytes = body
-        .get(*at..*at + 2)
-        .ok_or_else(|| boot_err("truncated control message"))?;
-    let len = u16::from_le_bytes(len_bytes.try_into().expect("2 bytes")) as usize;
-    *at += 2;
-    let s = body
-        .get(*at..*at + len)
-        .ok_or_else(|| boot_err("truncated control string"))?;
-    *at += len;
-    String::from_utf8(s.to_vec()).map_err(|_| boot_err("control string is not UTF-8"))
-}
 
 /// Accepts one connection before `deadline` (the listener is switched to
 /// nonblocking polling so a missing peer cannot hang the boot forever).
@@ -126,19 +42,10 @@ fn accept_with_deadline(
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
+                // Blocking, so the control read's deadline governs it.
                 stream
                     .set_nonblocking(false)
                     .map_err(|e| boot_err(format!("accepted stream setup: {e}")))?;
-                // A peer that connects and then dies mid-handshake must
-                // not hang the boot: bound the upcoming control read by
-                // the remaining budget. Cleared once the handshake is
-                // done.
-                let remaining = deadline
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(10));
-                stream
-                    .set_read_timeout(Some(remaining))
-                    .map_err(|e| boot_err(format!("accepted stream deadline: {e}")))?;
                 return Ok(stream);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -188,7 +95,6 @@ fn rendezvous_root(
     world: usize,
     node: u32,
     boot: Duration,
-    timeout: Duration,
     opts: NetOptions,
 ) -> Result<(TcpTransport, Topology), CommError> {
     let deadline = Instant::now() + boot;
@@ -199,8 +105,10 @@ fn rendezvous_root(
         addr: String::new(), // rank 0 never gets dialed during meshing
     });
     for _ in 1..world {
-        let mut stream = accept_with_deadline(&listener, deadline, "a HELLO connection")?;
-        let body = recv_ctrl(&mut stream, MSG_HELLO, "HELLO")?;
+        let stream = accept_with_deadline(&listener, deadline, "a HELLO connection")?;
+        // A peer that connects and then stalls or dies mid-handshake
+        // cannot hang the boot: the read ends at the boot deadline.
+        let body = recv_ctrl(&stream, MSG_HELLO, "HELLO", deadline)?;
         let mut at = 1;
         let rank = get_u32(&body, &mut at)? as usize;
         let their_world = get_u32(&body, &mut at)? as usize;
@@ -217,7 +125,6 @@ fn rendezvous_root(
         if streams[rank].is_some() {
             return Err(boot_err(format!("rank {rank} joined twice")));
         }
-        let _ = stream.set_read_timeout(None);
         streams[rank] = Some(stream);
         entries[rank] = Some(RosterEntry {
             node: their_node,
@@ -237,16 +144,14 @@ fn rendezvous_root(
     for stream in streams.iter_mut().flatten() {
         send_ctrl(stream, &roster)?;
     }
-    let topo = roster_topology(&entries);
-    let transport = TcpTransport::new(0, world, streams, timeout, opts)?;
-    let transport = if opts.reconnect.is_some() {
-        // Rank 0 never dials: it keeps its rendezvous listener so every
-        // dropped peer can redial it.
-        transport.with_mesh(listener, vec![None; world])?
-    } else {
-        transport
+    // Rank 0 never dials: it keeps its rendezvous listener so every
+    // dropped peer can redial it.
+    let mesh = Mesh {
+        listener,
+        addrs: vec![None; world],
     };
-    Ok((transport, topo))
+    let transport = TcpTransport::new(0, streams, Some(mesh), opts)?;
+    Ok((transport, roster_topology(&entries)))
 }
 
 fn rendezvous_peer(
@@ -255,7 +160,6 @@ fn rendezvous_peer(
     root_addr: &str,
     node: u32,
     boot: Duration,
-    timeout: Duration,
     opts: NetOptions,
 ) -> Result<(TcpTransport, Topology), CommError> {
     let deadline = Instant::now() + boot;
@@ -281,15 +185,9 @@ fn rendezvous_peer(
     hello.extend_from_slice(&node.to_le_bytes());
     put_str(&mut hello, &my_addr);
     send_ctrl(&mut root, &hello)?;
-    // The root may die mid-bootstrap; bound the ROSTER wait by the
-    // remaining budget instead of hanging on a silent socket.
-    let remaining = deadline
-        .saturating_duration_since(Instant::now())
-        .max(Duration::from_millis(10));
-    root.set_read_timeout(Some(remaining))
-        .map_err(|e| boot_err(format!("root stream deadline: {e}")))?;
-    let body = recv_ctrl(&mut root, MSG_ROSTER, "ROSTER")?;
-    let _ = root.set_read_timeout(None);
+    // The root may die mid-bootstrap: the ROSTER wait ends at the boot
+    // deadline instead of hanging on a silent socket.
+    let body = recv_ctrl(&root, MSG_ROSTER, "ROSTER", deadline)?;
     let mut at = 1;
     let roster_world = get_u32(&body, &mut at)? as usize;
     if roster_world != world {
@@ -316,8 +214,8 @@ fn rendezvous_peer(
     }
     // Accept every higher rank.
     for _ in rank + 1..world {
-        let mut stream = accept_with_deadline(&listener, deadline, "a PEER connection")?;
-        let body = recv_ctrl(&mut stream, MSG_PEER, "PEER")?;
+        let stream = accept_with_deadline(&listener, deadline, "a PEER connection")?;
+        let body = recv_ctrl(&stream, MSG_PEER, "PEER", deadline)?;
         let mut at = 1;
         let their_rank = get_u32(&body, &mut at)? as usize;
         if their_rank <= rank || their_rank >= world {
@@ -328,25 +226,18 @@ fn rendezvous_peer(
         if streams[their_rank].is_some() {
             return Err(boot_err(format!("rank {their_rank} dialed twice")));
         }
-        let _ = stream.set_read_timeout(None);
         streams[their_rank] = Some(stream);
     }
-    let topo = roster_topology(&entries);
-    let transport = TcpTransport::new(rank, world, streams, timeout, opts)?;
-    let transport = if opts.reconnect.is_some() {
-        // Redial direction mirrors bootstrap: this rank re-dials the
-        // root and every lower rank (at their rostered addresses);
-        // higher ranks redial us on the retained mesh listener.
-        let mut addrs: Vec<Option<String>> = vec![None; world];
-        addrs[0] = Some(root_addr.to_string());
-        for (j, entry) in entries.iter().enumerate().take(rank).skip(1) {
-            addrs[j] = Some(entry.addr.clone());
-        }
-        transport.with_mesh(listener, addrs)?
-    } else {
-        transport
-    };
-    Ok((transport, topo))
+    // Redial direction mirrors bootstrap: this rank re-dials the root and
+    // every lower rank (at their rostered addresses); higher ranks redial
+    // us on the retained mesh listener.
+    let mut addrs: Vec<Option<String>> = vec![None; world];
+    addrs[0] = Some(root_addr.to_string());
+    for (j, entry) in entries.iter().enumerate().take(rank).skip(1) {
+        addrs[j] = Some(entry.addr.clone());
+    }
+    let transport = TcpTransport::new(rank, streams, Some(Mesh { listener, addrs }), opts)?;
+    Ok((transport, roster_topology(&entries)))
 }
 
 /// Bootstraps one rank of a TCP mesh with wire-path tuning `opts`. Rank
@@ -370,10 +261,8 @@ pub fn rendezvous(
     assert!(world > 0, "world must be at least 1");
     assert!(rank < world, "rank {rank} out of range for world {world}");
     if world == 1 {
-        return Ok((
-            TcpTransport::new(0, 1, vec![None], DEFAULT_TIMEOUT, opts)?,
-            Topology::new(vec![node as usize]),
-        ));
+        let alone = TcpTransport::new(0, vec![None], None, opts)?;
+        return Ok((alone, Topology::new(vec![node as usize])));
     }
     if rank == 0 {
         let listener = TcpListener::bind(root_addr).map_err(|e| {
@@ -381,9 +270,9 @@ pub fn rendezvous(
                 "could not bind rendezvous address {root_addr}: {e}"
             ))
         })?;
-        rendezvous_root(listener, world, node, boot, DEFAULT_TIMEOUT, opts)
+        rendezvous_root(listener, world, node, boot, opts)
     } else {
-        rendezvous_peer(rank, world, root_addr, node, boot, DEFAULT_TIMEOUT, opts)
+        rendezvous_peer(rank, world, root_addr, node, boot, opts)
     }
 }
 
@@ -403,13 +292,6 @@ impl TcpFabric {
     fn build_local_with_nodes(node_of: &[u32], opts: NetOptions) -> (Vec<TcpTransport>, Topology) {
         let world = node_of.len();
         assert!(world > 0, "need at least one rank");
-        if world == 1 {
-            return (
-                vec![TcpTransport::new(0, 1, vec![None], DEFAULT_TIMEOUT, opts)
-                    .expect("socketless single-rank endpoint")],
-                Topology::new(vec![node_of[0] as usize]),
-            );
-        }
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback rendezvous");
         let root_addr = listener
             .local_addr()
@@ -421,14 +303,13 @@ impl TcpFabric {
             let root_node = node_of[0];
             let root_listener = listener;
             handles.push(s.spawn(move || {
-                rendezvous_root(root_listener, world, root_node, boot, DEFAULT_TIMEOUT, opts)
+                rendezvous_root(root_listener, world, root_node, boot, opts)
                     .expect("root bootstrap")
             }));
             for (rank, &node) in node_of.iter().enumerate().skip(1) {
                 let addr = root_addr.clone();
                 handles.push(s.spawn(move || {
-                    rendezvous_peer(rank, world, &addr, node, boot, DEFAULT_TIMEOUT, opts)
-                        .expect("peer bootstrap")
+                    rendezvous_peer(rank, world, &addr, node, boot, opts).expect("peer bootstrap")
                 }));
             }
             handles
@@ -465,8 +346,11 @@ impl TcpFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
     use cgx_collectives::Transport;
     use cgx_compress::Encoded;
+    use cgx_tensor::Shape;
+    use std::io::Write;
 
     fn enc(data: &[u8]) -> Encoded {
         Encoded::new(Shape::new(vec![data.len()]), data.to_vec().into())
@@ -523,11 +407,9 @@ mod tests {
         let boot = Duration::from_secs(5);
         std::thread::scope(|s| {
             let opts = NetOptions::default();
-            let root =
-                s.spawn(move || rendezvous_root(listener, 2, 0, boot, DEFAULT_TIMEOUT, opts));
+            let root = s.spawn(move || rendezvous_root(listener, 2, 0, boot, opts));
             // This peer thinks the world has 3 ranks; the root expects 2.
-            let peer =
-                s.spawn(move || rendezvous_peer(1, 3, &addr, 0, boot, DEFAULT_TIMEOUT, opts));
+            let peer = s.spawn(move || rendezvous_peer(1, 3, &addr, 0, boot, opts));
             let root_err = root.join().expect("root thread").expect_err("must fail");
             assert!(
                 matches!(root_err, CommError::Bootstrap { ref detail } if detail.contains("world")),
@@ -547,8 +429,7 @@ mod tests {
         let boot = Duration::from_millis(500);
         std::thread::scope(|s| {
             let opts = NetOptions::default();
-            let root =
-                s.spawn(move || rendezvous_root(listener, 3, 0, boot, DEFAULT_TIMEOUT, opts));
+            let root = s.spawn(move || rendezvous_root(listener, 3, 0, boot, opts));
             let zombie = TcpStream::connect(&addr).expect("connect");
             let t0 = Instant::now();
             let err = root
@@ -591,9 +472,8 @@ mod tests {
             let addr = listener.local_addr().expect("addr");
             let t0 = Instant::now();
             let opts = NetOptions::default();
-            let root = std::thread::spawn(move || {
-                rendezvous_root(listener, 2, 0, boot, DEFAULT_TIMEOUT, opts).map(|_| ())
-            });
+            let root =
+                std::thread::spawn(move || rendezvous_root(listener, 2, 0, boot, opts).map(|_| ()));
             let mut stream = TcpStream::connect(addr).expect("connect");
             stream.write_all(&bytes).expect("write");
             drop(stream);
@@ -602,6 +482,102 @@ mod tests {
             assert!(typed, "{what}: {got:?}");
             assert!(t0.elapsed() < boot, "{what} took {:?}", t0.elapsed());
         }
+    }
+
+    #[test]
+    fn a_bad_redial_leaves_the_link_alone() {
+        // Rogue connections on rank 0's mesh listener — the rendezvous
+        // listener, kept for redials — are each dropped without touching
+        // the 0 <-> 1 link, and none stalls the endpoint past the
+        // handshake deadline: a ping-pong runs beside them throughout.
+        use crate::fault::ReconnectPolicy;
+        use crate::tcp::HANDSHAKE_TIMEOUT;
+        use crate::wire::MSG_REDIAL;
+        use std::io::Read;
+        use std::net::Shutdown;
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+        let policy =
+            ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(50), 4, 3);
+        let opts = NetOptions::default().with_reconnect(policy);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let boot = Duration::from_secs(10);
+        let (a, b) = std::thread::scope(|s| {
+            let root = s.spawn(move || rendezvous_root(listener, 2, 0, boot, opts));
+            let (b, _) = rendezvous_peer(1, 2, &addr.to_string(), 0, boot, opts).expect("peer");
+            (root.join().expect("root thread").expect("root").0, b)
+        });
+        let redial = |rank: u32| {
+            let mut body = vec![MSG_REDIAL];
+            body.extend_from_slice(&rank.to_le_bytes());
+            body.extend_from_slice(&0u32.to_le_bytes());
+            let mut frame = Vec::new();
+            send_ctrl(&mut frame, &body).expect("frame");
+            frame
+        };
+        let truncated = redial(1)[..20].to_vec();
+        let no_gap = Duration::ZERO;
+        let rogues = [
+            ("garbage", b"GET / HTTP/1.1\r\n\r\n".to_vec(), no_gap),
+            ("a REDIAL naming rank 0 itself", redial(0), no_gap),
+            ("a REDIAL naming rank 2 of 2", redial(2), no_gap),
+            ("a truncated REDIAL", truncated, no_gap),
+            ("a byte every 300 ms", redial(7), Duration::from_millis(300)),
+        ];
+        let (done, rounds) = (AtomicBool::new(false), AtomicUsize::new(0));
+        let worst = std::thread::scope(|s| {
+            s.spawn(|| loop {
+                let ping = a.recv_tagged_deadline(1, 1, boot).expect("ping");
+                a.send_tagged(1, 2, ping.clone()).expect("pong");
+                if ping.payload()[0] == 1 {
+                    break;
+                }
+            });
+            let pinger = s.spawn(|| {
+                let mut worst = Duration::ZERO;
+                loop {
+                    let last = done.load(SeqCst);
+                    let t0 = Instant::now();
+                    b.send_tagged(0, 1, enc(&[u8::from(last)])).expect("ping");
+                    b.recv_tagged_deadline(0, 2, boot).expect("pong");
+                    worst = worst.max(t0.elapsed());
+                    rounds.fetch_add(1, SeqCst);
+                    if last {
+                        return worst;
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            });
+            for (what, bytes, gap) in rogues {
+                let mut rogue = TcpStream::connect(addr).expect("connect");
+                rogue.set_nodelay(true).expect("nodelay");
+                // A drip stops after 12 bytes (3.6 s), or once rank 0 has
+                // dropped it and a write fails.
+                let chunk = if gap.is_zero() { bytes.len() } else { 1 };
+                for part in bytes.chunks(chunk).take(12) {
+                    if rogue.write_all(part).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(gap);
+                }
+                // Rank 0 answers a rogue only by dropping it.
+                let _ = rogue.shutdown(Shutdown::Write);
+                rogue.set_read_timeout(Some(boot)).expect("timeout");
+                assert!(matches!(rogue.read(&mut [0; 8]), Ok(0) | Err(_)), "{what}");
+                let (seen, t0) = (rounds.load(SeqCst), Instant::now());
+                while rounds.load(SeqCst) < seen + 2 {
+                    assert!(t0.elapsed() < boot, "{what}: the link stopped");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                assert_eq!((a.reconnects(), b.reconnects()), (0, 0), "{what}");
+            }
+            done.store(true, SeqCst);
+            pinger.join().expect("pinger")
+        });
+        assert!(
+            worst < 2 * HANDSHAKE_TIMEOUT,
+            "a round trip took {worst:?} beside a rogue redial"
+        );
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //!   sits behind one mutex. Each peer is one `Link`: its socket (one
 //!   descriptor, never cloned), its read staging and next-expected link
 //!   seq, when it was last heard, its outbound queue with the header
-//!   arena, partial-write cursor and [`Retention`], and its redial state.
-//!   Beside the links sit the tag stash — which also holds a condemned
-//!   peer's error, the one record of that verdict — and the counters. The
-//!   lock is never held across a `poll(2)` wait and every socket is
-//!   nonblocking, so a thread parked, or blocked on a full socket, never
-//!   stalls a sibling thread's receive on the same endpoint.
+//!   arena, partial-write cursor and `wire::Retention`, and its redial
+//!   state. Beside the links sit the tag stash — which also holds a
+//!   condemned peer's error, the one record of that verdict — and the
+//!   counters. The lock is never held across a `poll(2)` wait and every
+//!   socket is nonblocking, so a thread parked, or blocked on a full
+//!   socket, never stalls a sibling thread's receive on the same endpoint.
 //! * **Caller-driven event loop.** The event loop (`poll(2)` over every
 //!   live peer socket, then in-place frame parsing out of per-peer staging
 //!   buffers) runs on whichever thread is inside a transport call.
@@ -58,8 +58,8 @@
 //!   heartbeats included — carries the next link seq; the demux accepts
 //!   exactly the one it expects (TCP delivers in order, so anything else
 //!   is a peer-side bug, surfaced as corruption). With reconnect armed,
-//!   flushed frames stay in a [`Retention`] and a redial resumes from the
-//!   receiver's one next-expected number.
+//!   flushed frames stay in a `wire::Retention` and a redial resumes from
+//!   the receiver's one next-expected number.
 //! * **Deadlock freedom without readers.** A blocking flush that hits a
 //!   full socket drains its own inbound traffic between `POLLOUT` waits
 //!   (or leaves it to the poller), and a parked receiver wakes when a
@@ -72,10 +72,11 @@
 //!   wall time into serialize / syscall / park for its `net.tcp.*`
 //!   per-layer metrics.
 
+use crate::boot_err;
 use crate::fault::{ReconnectPolicy, ResetPlan};
-use crate::wire;
-use cgx_collectives::framing::{Retention, RETAIN_BYTES};
-use cgx_collectives::transport::{Tag, CTRL_TAG};
+use crate::wire::{self, get_u32, recv_ctrl, send_ctrl, Retention, RETAIN_BYTES};
+use crate::wire::{MSG_REDIAL, MSG_RESUME};
+use cgx_collectives::transport::{Tag, CTRL_TAG, DEFAULT_TIMEOUT};
 use cgx_collectives::{CommError, TagStash, Transport};
 use cgx_compress::Encoded;
 use cgx_obs::MetricsRegistry;
@@ -648,35 +649,34 @@ impl Link {
 /// Reconnect support: the retained bootstrap listener plus the dialable
 /// address of every peer this rank originally dialed (`None` for peers
 /// that dial *us* on a drop).
-struct Mesh {
-    listener: TcpListener,
-    addrs: Vec<Option<String>>,
+pub(crate) struct Mesh {
+    pub(crate) listener: TcpListener,
+    pub(crate) addrs: Vec<Option<String>>,
 }
 
-/// Preamble identifying a redial on the mesh listener: magic + rank +
-/// the dialer's next-expected link seq from the acceptor, 12 bytes; the
-/// acceptor answers with its own next-expected seq, 4 bytes, before
-/// either side installs the link. Note the preamble is unauthenticated —
-/// the mesh listener trusts its network, which for this fabric means the
-/// single-run rendezvous scope.
-const RECON_MAGIC: [u8; 4] = *b"CGXR";
-/// Bound on either blocking read of the reconnect handshake. The
-/// accepting side reads under the endpoint's lock, so this also bounds
-/// how long one malformed or stalled redial can stall the endpoint.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(500);
+/// Deadline of either side's read in the reconnect handshake: the
+/// dialer's REDIAL `{rank, next-expected}` and the acceptor's RESUME
+/// `{next-expected}`, both control frames. The accepting side reads under
+/// the endpoint's lock, so this also bounds how long one malformed or
+/// stalled redial can stall the endpoint. Note the handshake is
+/// unauthenticated — the mesh listener trusts its network, which for this
+/// fabric means the single-run rendezvous scope.
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Puts a mesh socket toward `peer` in the mode the event loop drives:
+/// nonblocking, Nagle off.
+fn configure(stream: &TcpStream, peer: usize) -> Result<(), CommError> {
+    stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_nonblocking(true))
+        .map_err(|e| boot_err(format!("configuring link to rank {peer}: {e}")))
+}
+
 /// Heartbeat payload on the CTRL lane (intercepted by the demux, never
 /// stashed).
 const HB_PAYLOAD: [u8; 1] = [0x48];
 /// The mesh listener's entry in a poll set, where peers stand for links.
 const LISTENER: usize = usize::MAX;
-
-/// Reads the peer's next-expected link seq — the whole of its answer in
-/// the reconnect handshake — off a blocking stream.
-fn read_resume(stream: &mut impl Read) -> std::io::Result<u32> {
-    let mut seq = [0u8; 4];
-    stream.read_exact(&mut seq)?;
-    Ok(u32::from_le_bytes(seq))
-}
 
 /// Everything mutable about an endpoint, behind its one lock. The event
 /// loop's steps are methods here; only the waits — and the redial's
@@ -1025,24 +1025,20 @@ impl Endpoint {
         }
     }
 
-    /// One connection on the mesh listener: it must open with the
-    /// reconnect preamble naming a valid, un-condemned peer and the
-    /// dialer's next-expected link seq; we answer with ours and then
-    /// replace the peer's link. Anything else is dropped.
+    /// One connection on the mesh listener: it must open with a REDIAL
+    /// naming a valid, un-condemned peer and the dialer's next-expected
+    /// link seq; we answer with a RESUME carrying ours and then replace the
+    /// peer's link. Anything else is dropped.
     fn accept_redial(&mut self, stream: TcpStream) -> Option<()> {
         // Sockets accepted from a nonblocking listener inherit O_NONBLOCK
         // on some platforms (macOS/BSD); force blocking mode so the
-        // bounded read timeout — not an instant WouldBlock — governs the
-        // handshake.
+        // deadline — not an instant WouldBlock — governs the handshake.
         stream.set_nonblocking(false).ok()?;
-        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok()?;
-        let mut hello = [0u8; 12];
-        (&stream).read_exact(&mut hello).ok()?;
-        if hello[..4] != RECON_MAGIC {
-            return None;
-        }
-        let word = |at: usize| u32::from_le_bytes(hello[at..at + 4].try_into().expect("4 bytes"));
-        let (peer, theirs) = (word(4) as usize, word(8));
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+        let body = recv_ctrl(&stream, MSG_REDIAL, "REDIAL", deadline).ok()?;
+        let mut at = 1;
+        let peer = get_u32(&body, &mut at).ok()? as usize;
+        let theirs = get_u32(&body, &mut at).ok()?;
         // Once condemned, the verdict is final: the error may already
         // have been surfaced and acted on. Refuse the redial.
         if self.links.get(peer)?.is_none() || self.stash.closed(peer).is_some() {
@@ -1054,10 +1050,9 @@ impl Endpoint {
         if self.stash.closed(peer).is_some() {
             return None;
         }
-        (&stream)
-            .write_all(&self.link(peer).expected.to_le_bytes())
-            .ok()?;
-        let _ = stream.set_read_timeout(None);
+        let mut resume = vec![MSG_RESUME];
+        resume.extend_from_slice(&self.link(peer).expected.to_le_bytes());
+        send_ctrl(&mut &stream, &resume).ok()?;
         self.install_link(peer, stream, theirs).ok()
     }
 
@@ -1080,15 +1075,7 @@ impl Endpoint {
         if self.stash.closed(peer).is_some() {
             return Err(CommError::PeerDead { rank: peer });
         }
-        let boot = |what: &str, e: std::io::Error| CommError::Bootstrap {
-            detail: format!("reconnecting link to rank {peer}: {what}: {e}"),
-        };
-        stream
-            .set_nodelay(true)
-            .map_err(|e| boot("TCP_NODELAY", e))?;
-        stream
-            .set_nonblocking(true)
-            .map_err(|e| boot("nonblocking mode", e))?;
+        configure(&stream, peer)?;
         let link = self.link(peer);
         if let Err(e) = link.rebuild_for_delivery(peer, theirs) {
             self.condemn(peer, e.clone());
@@ -1168,29 +1155,33 @@ const PARK_SLICE: Duration = Duration::from_millis(50);
 impl TcpTransport {
     /// Assembles an endpoint from connected per-peer streams
     /// (`streams[p]` talks to rank `p`; the self entry must be `None`),
-    /// switching every socket to nonblocking readiness-driven I/O.
+    /// switching every socket to nonblocking readiness-driven I/O. With
+    /// [`NetOptions::reconnect`] set it keeps the rendezvous's `mesh`:
+    /// the listener, for redials from peers that originally dialed us,
+    /// and the dialable address of every peer we originally dialed.
     ///
     /// # Errors
     ///
-    /// [`CommError::Bootstrap`] if a stream cannot be configured
-    /// (nonblocking, `TCP_NODELAY`).
+    /// [`CommError::Bootstrap`] if a stream or the listener cannot be
+    /// configured (nonblocking, `TCP_NODELAY`).
     ///
     /// # Panics
     ///
-    /// Panics if the stream vector disagrees with `world` or a peer
-    /// entry is missing.
-    pub fn new(
+    /// Panics if the self entry is not `None` or a peer entry is missing.
+    pub(crate) fn new(
         rank: usize,
-        world: usize,
         streams: Vec<Option<TcpStream>>,
-        timeout: Duration,
+        mesh: Option<Mesh>,
         opts: NetOptions,
     ) -> Result<Self, CommError> {
-        assert_eq!(streams.len(), world, "need one stream slot per rank");
+        let world = streams.len();
         assert!(streams[rank].is_none(), "self entry must be empty");
-        let boot = |peer: usize, what: &str, e: std::io::Error| CommError::Bootstrap {
-            detail: format!("configuring link to rank {peer}: {what}: {e}"),
-        };
+        let mesh = mesh.filter(|_| opts.reconnect.is_some());
+        if let Some(m) = &mesh {
+            m.listener
+                .set_nonblocking(true)
+                .map_err(|e| boot_err(format!("nonblocking mesh listener: {e}")))?;
+        }
         let retain = if opts.reconnect.is_some() {
             RETAIN_BYTES
         } else {
@@ -1204,23 +1195,18 @@ impl TcpTransport {
                 links.push(None);
                 continue;
             };
-            stream
-                .set_nodelay(true)
-                .map_err(|e| boot(peer, "TCP_NODELAY", e))?;
-            stream
-                .set_nonblocking(true)
-                .map_err(|e| boot(peer, "nonblocking mode", e))?;
+            configure(&stream, peer)?;
             links.push(Some(Link::new(stream, retain, now)));
         }
         Ok(TcpTransport {
             rank,
             world,
-            timeout,
+            timeout: DEFAULT_TIMEOUT,
             ep: Mutex::new(Endpoint {
                 links,
                 stash: TagStash::new(world),
                 opts,
-                mesh: None,
+                mesh,
                 reset: None,
                 last_heartbeat: now,
                 meter: Meter::default(),
@@ -1241,31 +1227,6 @@ impl TcpTransport {
     /// The endpoint's state while it is not yet shared.
     fn state(&mut self) -> &mut Endpoint {
         self.ep.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Arms the reconnect path: retains the mesh `listener` (for redials
-    /// from peers that originally dialed us) and records the dialable
-    /// address of every peer we originally dialed (`addrs[p]`; `None`
-    /// for peers that redial us). Used by the rendezvous when
-    /// [`NetOptions::reconnect`] is set.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Bootstrap`] if the listener cannot be switched to
-    /// nonblocking accepts.
-    pub fn with_mesh(
-        mut self,
-        listener: TcpListener,
-        addrs: Vec<Option<String>>,
-    ) -> Result<Self, CommError> {
-        assert_eq!(addrs.len(), self.world, "need one addr slot per rank");
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| CommError::Bootstrap {
-                detail: format!("nonblocking mesh listener: {e}"),
-            })?;
-        self.state().mesh = Some(Mesh { listener, addrs });
-        Ok(self)
     }
 
     /// Arms a socket reset (fault tests and reports only), if `plan`
@@ -1405,25 +1366,24 @@ impl TcpTransport {
         0
     }
 
-    /// One redial attempt toward `peer`: connect, announce ourselves with
-    /// the reconnect preamble carrying `mine`, our next-expected link
-    /// seq, read the acceptor's back, and install the fresh link. The
-    /// connect and handshake run with the lock released. Failures advance
-    /// the backoff schedule; exhausting it condemns the peer.
+    /// One redial attempt toward `peer`: connect, send a REDIAL carrying
+    /// `mine`, our next-expected link seq, read the acceptor's RESUME, and
+    /// install the fresh link. The connect and handshake run with the
+    /// lock released. Failures advance the backoff schedule; exhausting
+    /// it condemns the peer.
     fn redial(&self, peer: usize, addr: &str, mine: u32) {
-        let dialed = TcpStream::connect(addr).and_then(|mut s| {
-            let mut hello = [0u8; 12];
-            hello[..4].copy_from_slice(&RECON_MAGIC);
-            hello[4..8].copy_from_slice(&(self.rank as u32).to_le_bytes());
-            hello[8..].copy_from_slice(&mine.to_le_bytes());
-            s.write_all(&hello)?;
-            // The acceptor answers with its own next-expected seq; bound
-            // the wait so a wedged acceptor just advances the backoff.
-            s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-            let theirs = read_resume(&mut s)?;
-            s.set_read_timeout(None)?;
-            Ok((s, theirs))
-        });
+        let dialed = TcpStream::connect(addr)
+            .map_err(|e| boot_err(format!("redialing rank {peer}: {e}")))
+            .and_then(|mut s| {
+                let mut redial = vec![MSG_REDIAL];
+                redial.extend_from_slice(&(self.rank as u32).to_le_bytes());
+                redial.extend_from_slice(&mine.to_le_bytes());
+                send_ctrl(&mut s, &redial)?;
+                // A wedged acceptor just advances the backoff.
+                let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+                let resume = recv_ctrl(&s, MSG_RESUME, "RESUME", deadline)?;
+                Ok((s, get_u32(&resume, &mut 1)?))
+            });
         let mut ep = self.lock();
         let installed = dialed.is_ok_and(|(s, theirs)| ep.install_link(peer, s, theirs).is_ok());
         if !installed {
@@ -1917,19 +1877,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn resume_point_roundtrips_and_a_truncated_read_fails() {
-        // The handshake body is one fixed-size number each way.
-        for seq in [0u32, 12, 0x0A0B_0C0D, u32::MAX] {
-            assert_eq!(
-                read_resume(&mut &seq.to_le_bytes()[..]).expect("4 bytes"),
-                seq
-            );
-        }
-        let err = read_resume(&mut &[1u8, 2, 3][..]).expect_err("truncated");
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-    }
-
     /// Builds a 2-rank mesh where rank 0 has flushed 3 frames (now in
     /// retention, link seqs 0..3) and still queues 2 unsent ones (seqs 3,
     /// 4); frame `i` carries byte `i`.
@@ -1950,7 +1897,7 @@ mod tests {
             let mut ep = eps[0].lock();
             let link = ep.link(1);
             assert_eq!(link.retained.end(), 3, "flushed frames are retained");
-            assert_eq!(link.retained.suffix(0, 1).expect("all held").count(), 3);
+            assert_eq!(link.retained.held(), 3);
             assert_eq!(link.queue.len(), 2, "small frames coalesce unsent");
         }
         eps
@@ -1979,7 +1926,7 @@ mod tests {
         let link = ep.link(1);
         link.rebuild_for_delivery(1, 3).expect("no gap");
         assert_eq!(link.retained.end(), 3);
-        assert_eq!(link.retained.suffix(3, 1).expect("empty").count(), 0);
+        assert_eq!(link.retained.held(), 0);
         assert_eq!(queued(link), [(3, 3), (4, 4)]);
     }
 

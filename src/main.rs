@@ -41,7 +41,7 @@ subcommands:
 machines: rtx3090 rtx2080 dgx1 a6000 aws genesis cluster
 models:   resnet50 vgg16 vit txl bert gpt2
 setups:   cgx nccl qnccl grace powersgd ideal
-policies: kmeans linear bayes timeaware";
+policies: kmeans linear timeaware bayes bayesopt:TRIALS";
 
 fn invalid(detail: String) -> CommError {
     CommError::InvalidConfig { detail }
@@ -78,16 +78,6 @@ fn parse_setup(s: &str) -> Option<SystemSetup> {
         "grace" => Some(SystemSetup::Grace { bits: 4 }),
         "powersgd" => Some(SystemSetup::PowerSgd { rank: 4 }),
         "ideal" => Some(SystemSetup::Ideal),
-        _ => None,
-    }
-}
-
-fn parse_policy(s: &str) -> Option<AdaptivePolicy> {
-    match s.to_ascii_lowercase().as_str() {
-        "kmeans" => Some(AdaptivePolicy::KMeans),
-        "linear" => Some(AdaptivePolicy::Linear),
-        "bayes" => Some(AdaptivePolicy::BayesOpt { trials: 300 }),
-        "timeaware" | "time-aware" => Some(AdaptivePolicy::TimeAware),
         _ => None,
     }
 }
@@ -189,13 +179,9 @@ fn run(args: &[String]) -> Result<(), CommError> {
             }
         }
         "adaptive" => {
-            let policy = read(
-                &get,
-                "--policy",
-                "one of kmeans, linear, bayes, timeaware",
-                parse_policy,
-            )?
-            .unwrap_or(AdaptivePolicy::KMeans);
+            let policy = get("--policy").map_or(Ok(AdaptivePolicy::KMeans), |v| {
+                v.parse().map_err(|e| invalid(format!("--policy: {e}")))
+            })?;
             let machine = if get("--multinode").is_some() {
                 MachineSpec::genesis_cluster()
             } else {

@@ -6,8 +6,8 @@
 //! beyond their predicted sizes.
 
 use cgx::adaptive::{AdaptiveTrainConfig, BitAssignment};
-use cgx::collectives::framing;
 use cgx::compress::{CompressionScheme, ScratchPool};
+use cgx::net::wire;
 use cgx::tensor::{Rng, Tensor};
 use cgx_testkit::cases;
 
@@ -239,7 +239,7 @@ const GOLDEN_DECODED: [&str; 11] = [
 #[test]
 fn frame_header_bytes_are_pinned() {
     let mut framed = Vec::new();
-    framing::append_header(
+    wire::append_header(
         &mut framed,
         0x0102_0304_0506_0708,
         0x0A0B_0C0D,
@@ -248,11 +248,11 @@ fn frame_header_bytes_are_pinned() {
     framed.extend_from_slice(b"cgx frame body");
     // Magic, sequence number, checksum: little-endian, in that order.
     let header = [0xfa, 0xc6, 0x0d, 0x0c, 0x0b, 0x0a, 0xa0, 0x0e, 0x30, 0x0a];
-    assert_eq!(framed[..framing::HEADER_LEN], header);
-    assert_eq!(&framed[framing::HEADER_LEN..], b"cgx frame body");
+    assert_eq!(framed[..wire::HEADER_LEN], header);
+    assert_eq!(&framed[wire::HEADER_LEN..], b"cgx frame body");
     // Two whole 256-byte blocks and a tail: the lanes' block path, on
     // whichever body this CPU runs.
     let body: Vec<u8> = (0..600usize).map(|i| (i * 131 + 7) as u8).collect();
-    let sum = framing::checksum(0x0102_0304_0506_0708, 0x0A0B_0C0D, &body);
+    let sum = wire::checksum(0x0102_0304_0506_0708, 0x0A0B_0C0D, &body);
     assert_eq!(sum, 0xe048_160a);
 }
