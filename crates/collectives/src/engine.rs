@@ -17,14 +17,15 @@
 //!   in-flight reductions cooperatively from the worker thread until the
 //!   requested one completes. While one collective is blocked on a peer,
 //!   others keep compressing, sending and decoding.
-//! * **Chunk pipelining.** Layers larger than
-//!   [`EngineOptions::segment_elems`] are split into pipeline segments;
-//!   decode-accumulate of segment *k−1* overlaps compress/send of segment
-//!   *k* (and of other layers).
-//! * **Small-layer coalescing.** Consecutive lossless (FP32) submissions at
-//!   or below [`EngineOptions::coalesce_elems`] elements are batched into a
-//!   single concatenated SRA collective, amortizing per-message latency
-//!   across the dozens of norm/bias layers of a real model.
+//! * **Chunk pipelining.** Layers larger than `SEGMENT_ELEMS` (65,536
+//!   elements) are split into pipeline segments; decode-accumulate of
+//!   segment *k−1* overlaps compress/send of segment *k* (and of other
+//!   layers). At most `MAX_LIVE` (8) machines run at once.
+//! * **Small-layer coalescing.** Lossless (FP32) submissions of at most
+//!   `COALESCE_ELEMS` (4,096) elements are batched into one concatenated
+//!   SRA collective of up to `COALESCE_BUDGET` (2²⁰) elements, amortizing
+//!   per-message latency across the dozens of norm/bias layers of a real
+//!   model.
 //!
 //! # Why consensus and byte-equality survive
 //!
@@ -77,47 +78,32 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for the communication engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Layers larger than this many elements are cut into pipeline segments
+/// of at most this size. Segment boundaries are lossy codecs' bucket
+/// geometry, so this is part of the wire format.
+const SEGMENT_ELEMS: usize = 1 << 16;
+/// Lossless SRA submissions of at most this many elements are coalesced
+/// into one concatenated collective.
+const COALESCE_ELEMS: usize = 4096;
+/// The pending coalesce group is flushed before it would exceed this many
+/// elements.
+const COALESCE_BUDGET: usize = 1 << 20;
+/// At most this many pipelined machines run at once (a coalesce group
+/// may add one); later submissions launch FIFO as earlier ones finish.
+/// This keeps the progress scan O(`MAX_LIVE`) when a whole model's layers
+/// are submitted at once, and since launch order is the (rank-invariant)
+/// submit order it changes timing only, never bytes.
+const MAX_LIVE: usize = 8;
+
+/// What a caller chooses for an engine: the lane epoch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Layers larger than this many elements are split into pipeline
-    /// segments of at most this size. `0` disables segmentation. Segment
-    /// boundaries change lossy codecs' bucket geometry, so runs with
-    /// different `segment_elems` are not byte-comparable (each setting is
-    /// still deterministic and consensus-exact).
-    pub segment_elems: usize,
-    /// Lossless [`Algorithm::ScatterReduceAllgather`] submissions of at
-    /// most this many elements are coalesced into one concatenated SRA
-    /// collective. `0` disables coalescing.
-    pub coalesce_elems: usize,
-    /// Flush the pending coalesce group once it holds this many elements.
-    pub coalesce_budget: usize,
-    /// At most this many pipelined machines run concurrently; further
-    /// submissions queue and launch FIFO as earlier collectives finish.
-    /// `0` means unlimited. Bounding the live set keeps the engine's
-    /// progress scan O(`max_live`) instead of O(submitted), which
-    /// dominates when a whole model's layers are submitted at once.
-    /// Launch order is the (rank-invariant) submit order, so the cap
-    /// changes timing only — never bytes.
-    pub max_live: usize,
     /// Membership epoch stamped into every wire tag
     /// ([`crate::transport::collective_tag_in_epoch`]). Elastic trainers
     /// bump it after each recovery so a straggler's pre-recovery frames
     /// cannot alias post-recovery collectives. Epoch 0 keeps the
     /// historical wire format byte-identical.
     pub epoch: u8,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            segment_elems: 1 << 16,
-            coalesce_elems: 4096,
-            coalesce_budget: 1 << 20,
-            max_live: 8,
-            epoch: 0,
-        }
-    }
 }
 
 /// Packs a membership epoch and a compression-plan epoch into the 8-bit
@@ -153,7 +139,7 @@ struct Member {
     tensor: Tensor,
 }
 
-/// A submission parked behind [`EngineOptions::max_live`]: everything
+/// A submission parked behind [`MAX_LIVE`]: everything
 /// needed to build its machine when a live slot frees up. The op id is
 /// already allocated (at submit), so tags stay rank-aligned no matter
 /// when the launch happens.
@@ -367,11 +353,10 @@ impl<'a> CommEngine<'a> {
         }
 
         let coalescible = alg == Algorithm::ScatterReduceAllgather
-            && self.opts.coalesce_elems > 0
-            && grad.len() <= self.opts.coalesce_elems
+            && grad.len() <= COALESCE_ELEMS
             && comp.is_lossless();
         if coalescible {
-            if self.group.len() + grad.len() > self.opts.coalesce_budget {
+            if self.group.len() + grad.len() > COALESCE_BUDGET {
                 self.flush_pending();
             }
             if self.pending.is_empty() {
@@ -623,7 +608,6 @@ impl<'a> CommEngine<'a> {
             Box::new(NoneCompressor::new()),
             Rng::seed_from_u64(0xC0A1_E5CE ^ u64::from(op_id)),
             &self.pool,
-            self.opts.segment_elems,
             rec.clone(),
         );
         let mut driver = OpState::new();
@@ -649,9 +633,7 @@ impl<'a> CommEngine<'a> {
 
     /// Launches queued machines FIFO while live slots are available.
     fn pump_launch_queue(&mut self) {
-        while self.poisoned.is_none()
-            && (self.opts.max_live == 0 || self.active.len() < self.opts.max_live)
-        {
+        while self.poisoned.is_none() && self.active.len() < MAX_LIVE {
             let Some(idx) = self.launch_queue.pop_front() else {
                 return;
             };
@@ -664,7 +646,6 @@ impl<'a> CommEngine<'a> {
                 q.comp,
                 q.rng,
                 &self.pool,
-                self.opts.segment_elems,
                 self.obs.recorder().clone(),
             );
             self.launch(idx, m);
@@ -909,17 +890,12 @@ impl SraMachine {
         mut comp: Box<dyn Compressor>,
         mut rng: Rng,
         pool: &ScratchPool,
-        segment_elems: usize,
         rec: EventRecorder,
     ) -> Self {
         let n = t.world();
         let me = t.rank();
         let len = grad.len();
-        let nsegs = if segment_elems == 0 {
-            1
-        } else {
-            len.div_ceil(segment_elems).clamp(1, usize::from(u16::MAX))
-        };
+        let nsegs = len.div_ceil(SEGMENT_ELEMS).clamp(1, usize::from(u16::MAX));
         let seg_ranges = chunk_ranges(len, nsegs);
         let mut stats = AllreduceStats {
             max_in_flight: 1,
@@ -1206,6 +1182,21 @@ mod tests {
         ]
     }
 
+    /// [`layer_specs`] three times over: 12 lossy layers, more than
+    /// [`MAX_LIVE`] machines.
+    fn three_inventories() -> Vec<(usize, CompressionScheme)> {
+        let specs = layer_specs();
+        specs
+            .iter()
+            .cycle()
+            .take(3 * specs.len())
+            .copied()
+            .collect()
+    }
+
+    /// A layer the 65,536-element segment cut splits in three.
+    const THREE_SEGMENTS: usize = 2 * 65_536 + 3;
+
     fn rank_grads(rank: usize, specs: &[(usize, CompressionScheme)]) -> Vec<Tensor> {
         let mut grng = Rng::seed_from_u64(9000 + rank as u64);
         specs
@@ -1243,10 +1234,9 @@ mod tests {
         alg: Algorithm,
         n: usize,
         specs: &[(usize, CompressionScheme)],
-        opts: EngineOptions,
     ) -> Vec<Vec<Tensor>> {
         let strip = |rank: Vec<(Tensor, usize)>| rank.into_iter().map(|(out, _)| out).collect();
-        run_engine_sent(alg, n, specs, opts, false)
+        run_engine_sent(alg, n, specs, false)
             .into_iter()
             .map(strip)
             .collect()
@@ -1258,14 +1248,12 @@ mod tests {
         alg: Algorithm,
         n: usize,
         specs: &[(usize, CompressionScheme)],
-        opts: EngineOptions,
         clobber: bool,
     ) -> Vec<Vec<(Tensor, usize)>> {
         let specs = specs.to_vec();
         ThreadCluster::run(n, move |t| {
-            let pool = ScratchPool::new();
             let mut master = Rng::seed_from_u64(777);
-            let mut eng = CommEngine::new(&t, pool, opts);
+            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
             let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
                 .into_iter()
                 .zip(&specs)
@@ -1290,27 +1278,21 @@ mod tests {
     fn engine_matches_sequential_loop_bitwise() {
         // The acceptance property: N concurrent tagged allreduces over
         // mixed schemes == the sequential per-layer loop, byte for byte,
-        // on every rank — including the coalesced lossless layers.
-        // However many machines may be live at once (0 = no cap, 1 = one
-        // at a time, 8 = the default): the cap moves launches, not bytes.
-        let specs = layer_specs();
+        // on every rank — including the coalesced lossless layers. The
+        // inventory three times over is 12 SRA machines, so four of them
+        // wait for a live slot: the cap moves launches, not bytes.
+        let specs = three_inventories();
         for n in [2usize, 3, 4, 5, 8] {
             for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
                 let seq = run_sequential(alg, n, &specs);
-                for max_live in [0usize, 1, 8] {
-                    let opts = EngineOptions {
-                        max_live,
-                        ..EngineOptions::default()
-                    };
-                    let eng = run_engine(alg, n, &specs, opts);
-                    for (rank, (s, e)) in seq.iter().zip(&eng).enumerate() {
-                        for (l, (a, b)) in s.iter().zip(e).enumerate() {
-                            assert_eq!(
-                                a.as_slice(),
-                                b.as_slice(),
-                                "{alg:?} n={n} max_live={max_live} rank={rank} layer={l}"
-                            );
-                        }
+                let eng = run_engine(alg, n, &specs);
+                for (rank, (s, e)) in seq.iter().zip(&eng).enumerate() {
+                    for (l, (a, b)) in s.iter().zip(e).enumerate() {
+                        assert_eq!(
+                            a.as_slice(),
+                            b.as_slice(),
+                            "{alg:?} n={n} rank={rank} layer={l}"
+                        );
                     }
                 }
             }
@@ -1320,19 +1302,16 @@ mod tests {
     #[test]
     fn submit_is_done_with_the_gradient_when_it_returns() {
         // The caller may reuse or free a gradient as soon as `submit`
-        // returns — also while the op still waits for a live slot
-        // (`max_live: 1`), is cut into segments, or sits in a coalesce
-        // group: outputs and wire bytes are those of the untouched run.
-        let specs = layer_specs();
-        let opts = EngineOptions {
-            segment_elems: 100,
-            max_live: 1,
-            ..EngineOptions::default()
-        };
+        // returns — also while the op still waits for a live slot (the
+        // last five of 13 machines), is cut into segments (the last
+        // layer, which waits too), or sits in a coalesce group: outputs
+        // and wire bytes are those of the untouched run.
+        let mut specs = three_inventories();
+        specs.push((THREE_SEGMENTS, Q4));
         for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
             for n in [2usize, 3] {
-                let kept = run_engine_sent(alg, n, &specs, opts, false);
-                let clobbered = run_engine_sent(alg, n, &specs, opts, true);
+                let kept = run_engine_sent(alg, n, &specs, false);
+                let clobbered = run_engine_sent(alg, n, &specs, true);
                 for (rank, (k, c)) in kept.iter().zip(&clobbered).enumerate() {
                     for (l, (a, b)) in k.iter().zip(c).enumerate() {
                         let at = format!("{alg:?} n={n} rank={rank} layer={l}");
@@ -1349,14 +1328,11 @@ mod tests {
         // Same sums, same traffic, same draws from the caller's RNG,
         // whether the engine is lent a gradient or given it — and a
         // gradient given comes back at `wait` in the allocation it went
-        // in with: reduced in place by a machine (cut into segments
-        // here), refilled from its coalesce group's sum (the three small
-        // FP32 layers), or untouched in a world of one.
-        let specs = layer_specs();
-        let opts = EngineOptions {
-            segment_elems: 100,
-            ..EngineOptions::default()
-        };
+        // in with: reduced in place by a machine (the last layer cut into
+        // segments), refilled from its coalesce group's sum (the three
+        // small FP32 layers), or untouched in a world of one.
+        let mut specs = layer_specs();
+        specs.push((THREE_SEGMENTS, Q4));
         let counts = |s: &AllreduceStats| {
             [
                 s.bytes_sent,
@@ -1371,7 +1347,7 @@ mod tests {
                 let specs = specs.clone();
                 ThreadCluster::run(n, move |t| {
                     let mut master = Rng::seed_from_u64(777);
-                    let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+                    let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
                     let mut moved_in = Vec::new();
                     let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
                         .into_iter()
@@ -1412,26 +1388,22 @@ mod tests {
 
     #[test]
     fn a_machine_reduces_in_the_tensor_it_returns() {
-        // Lossy layers above `coalesce_elems`, cut into segments, each on
-        // a machine of its own. SRA sums into its own chunk of the tensor
+        // Lossy layers, cut into three, two and two segments, each on a
+        // machine of its own. SRA sums into its own chunk of the tensor
         // it returns: ranks 0 and 1 take no `f32` vector from the pool,
         // ranks ≥ 2 one per segment for the prefix below them.
         let qsgd = |bits, bucket_size| CompressionScheme::Qsgd { bits, bucket_size };
         let specs = vec![
-            (5000, qsgd(4, 128)),
-            (6001, qsgd(3, 64)),
-            (4999, qsgd(2, 256)),
+            (THREE_SEGMENTS, qsgd(4, 128)),
+            (SEGMENT_ELEMS + 1, qsgd(3, 64)),
+            (2 * SEGMENT_ELEMS - 1, qsgd(2, 256)),
         ];
-        let opts = EngineOptions {
-            segment_elems: 1500,
-            ..EngineOptions::default()
-        };
         let alg = Algorithm::ScatterReduceAllgather;
         for n in [2usize, 4] {
             let specs = specs.clone();
             let idle = ThreadCluster::run(n, move |t| {
                 let pool = ScratchPool::new();
-                let mut eng = CommEngine::new(&t, pool.clone(), opts);
+                let mut eng = CommEngine::with_defaults(&t, pool.clone());
                 let mut master = Rng::seed_from_u64(777);
                 let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
                     .into_iter()
@@ -1468,7 +1440,7 @@ mod tests {
     /// elements walk every combination of the seven `specials` over
     /// ranks 0..4, the rest are ordinary.
     fn special_grad(rank: usize, specials: [f32; 7]) -> Tensor {
-        let mut g = Tensor::randn(&mut Rng::seed_from_u64(50 + rank as u64), &[5000]);
+        let mut g = Tensor::randn(&mut Rng::seed_from_u64(50 + rank as u64), &[THREE_SEGMENTS]);
         let stride = 7usize.pow(rank as u32);
         for (i, v) in g.as_mut_slice()[..7usize.pow(4)].iter_mut().enumerate() {
             *v = specials[i / stride % 7];
@@ -1477,7 +1449,7 @@ mod tests {
     }
 
     /// One lossless [`special_grad`] layer, big enough for a machine of
-    /// its own and cut into five segments, reduced by `alg` at world `n`:
+    /// its own and cut into three segments, reduced by `alg` at world `n`:
     /// per rank, the bits of the reference's sum, the bits of the
     /// engine's, and the engine's decode count.
     fn special_runs(
@@ -1487,7 +1459,7 @@ mod tests {
     ) -> Vec<(Vec<u32>, Vec<u32>, usize)> {
         let grad = |rank| special_grad(rank, specials);
         let seq = reference_run(alg, n, &|| CompressionScheme::None.build(), &grad);
-        let eng = engine_run(alg, n, 1000, &|| CompressionScheme::None.build(), &grad);
+        let eng = engine_run(alg, n, &|| CompressionScheme::None.build(), &grad);
         seq.into_iter()
             .zip(eng)
             .map(|(s, (e, calls))| (s, e, calls))
@@ -1518,21 +1490,16 @@ mod tests {
         .unwrap()
     }
 
-    /// Per rank, the bits of the engine's sum of the same layer, cut into
-    /// segments of `segment_elems`, and the engine's decode count.
+    /// Per rank, the bits of the engine's sum of the same layer and the
+    /// engine's decode count.
     fn engine_run(
         alg: Algorithm,
         n: usize,
-        segment_elems: usize,
         comp: &(dyn Fn() -> Box<dyn Compressor> + Sync),
         grad: &(dyn Fn(usize) -> Tensor + Sync),
     ) -> Vec<(Vec<u32>, usize)> {
-        let opts = EngineOptions {
-            segment_elems,
-            ..EngineOptions::default()
-        };
         ThreadCluster::run(n, |t| {
-            let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
             let h = eng.submit_owned(alg, grad(t.rank()), comp(), &mut Rng::seed_from_u64(777));
             let (out, stats, _) = eng.wait(h).unwrap();
             (bits(&out), stats.decompress_calls)
@@ -1617,7 +1584,7 @@ mod tests {
         for n in 2..=4 {
             for (rank, (s, e, calls)) in special_runs(alg, n, specials).iter().enumerate() {
                 assert_eq!(s, e, "n={n} rank={rank}");
-                assert_eq!(*calls, 5 * 2 * (n - 1), "n={n} rank={rank}");
+                assert_eq!(*calls, 3 * 2 * (n - 1), "n={n} rank={rank}");
             }
         }
     }
@@ -1629,29 +1596,33 @@ mod tests {
         // and their n − 1 aggregates and nothing
         // else, and what it keeps is what decoding its chunk back would
         // write, to the bit — a whole bucket of zeros and one holding ±∞
-        // included. Uncut, that is the reference's sum; cut into five
+        // included. Uncut, that is the reference's sum; cut into three
         // segments, which the reference has no notion of, it is the sum
         // of the same engine with phase 2 decoding back.
         let qsgd = || CompressionScheme::cgx_default().build();
         let decode_back = || -> Box<dyn Compressor> { Box::new(DecodeBack(qsgd())) };
-        let grad = |rank: usize| {
-            let mut g = Tensor::randn(&mut Rng::seed_from_u64(60 + rank as u64), &[5000]);
-            g.as_mut_slice()[1024..1152].fill(0.0);
-            g.as_mut_slice()[2000 + rank] = [f32::INFINITY, f32::NEG_INFINITY][rank % 2];
-            g
+        let grad = |len: usize| {
+            move |rank: usize| {
+                let mut g = Tensor::randn(&mut Rng::seed_from_u64(60 + rank as u64), &[len]);
+                g.as_mut_slice()[1024..1152].fill(0.0);
+                g.as_mut_slice()[2000 + rank] = [f32::INFINITY, f32::NEG_INFINITY][rank % 2];
+                g
+            }
         };
         let alg = Algorithm::ScatterReduceAllgather;
-        for (segments, n, size) in (2..=4).flat_map(|n| [(1, n, 5000), (5, n, 1000)]) {
+        for (segments, n, len) in (2..=4).flat_map(|n| [(1, n, 5000), (3, n, THREE_SEGMENTS)]) {
             let what = format!("n={n} segments={segments}");
-            let committed = engine_run(alg, n, size, &qsgd, &grad);
-            let decoded = engine_run(alg, n, size, &decode_back, &grad);
-            let reference = reference_run(alg, n, &qsgd, &grad);
+            let committed = engine_run(alg, n, &qsgd, &grad(len));
+            let decoded = engine_run(alg, n, &decode_back, &grad(len));
             for (rank, ((bits, calls), (back, _))) in committed.iter().zip(&decoded).enumerate() {
                 assert_eq!(bits, back, "{what} rank={rank}");
-                if segments == 1 {
+                assert_eq!(*calls, segments * 2 * (n - 1), "{what} rank={rank}");
+            }
+            if segments == 1 {
+                let reference = reference_run(alg, n, &qsgd, &grad(len));
+                for (rank, (bits, _)) in committed.iter().enumerate() {
                     assert_eq!(bits, &reference[rank], "{what} rank={rank}: reference");
                 }
-                assert_eq!(*calls, segments * 2 * (n - 1), "{what} rank={rank}");
             }
         }
     }
@@ -1908,7 +1879,7 @@ mod tests {
                 for (alg, n) in [(Algorithm::ScatterReduceAllgather, 3), (Algorithm::Ring, 2)] {
                     let what = format!("{alg:?} n={n} bits={bits} bucket={bucket_size}");
                     let reference = reference_run(alg, n, &comp, &grad);
-                    let engine = engine_run(alg, n, 96 * 40, &comp, &grad);
+                    let engine = engine_run(alg, n, &comp, &grad);
                     for (rank, (s, (e, _))) in reference.iter().zip(&engine).enumerate() {
                         assert_eq!(s, e, "{what} rank={rank}");
                     }
@@ -1937,7 +1908,7 @@ mod tests {
             Algorithm::AllgatherBroadcast,
         ] {
             let seq = run_sequential(alg, 4, &specs);
-            let eng = run_engine(alg, 4, &specs, EngineOptions::default());
+            let eng = run_engine(alg, 4, &specs);
             assert_eq!(seq, eng, "{alg:?}");
         }
     }
@@ -1945,12 +1916,7 @@ mod tests {
     #[test]
     fn all_ranks_reach_consensus_through_engine() {
         let specs = layer_specs();
-        let results = run_engine(
-            Algorithm::ScatterReduceAllgather,
-            8,
-            &specs,
-            EngineOptions::default(),
-        );
+        let results = run_engine(Algorithm::ScatterReduceAllgather, 8, &specs);
         for r in &results[1..] {
             assert_eq!(r, &results[0]);
         }
@@ -2001,36 +1967,29 @@ mod tests {
 
     #[test]
     fn budget_overflow_flush_mid_submit_matches_sequential() {
-        // A coalesce budget smaller than the inventory forces flushes
-        // *during* submit. Each flush appends the group-driver op, so a
-        // member submitted right after one must not alias the driver's
-        // slot (regression: the member's handle used to point at the
-        // driver, leaving a stale index in the next pending group).
-        let specs: Vec<(usize, CompressionScheme)> = (0..24)
-            .map(|i| {
-                if i % 5 == 3 {
-                    (
-                        257,
-                        CompressionScheme::Qsgd {
-                            bits: 4,
-                            bucket_size: 128,
-                        },
-                    )
-                } else {
-                    (64 + (i % 7) * 33, CompressionScheme::None)
-                }
+        // More small lossless layers than `COALESCE_BUDGET` holds force a
+        // flush *during* submit, so they travel as two groups. Each flush
+        // appends the group-driver op, so a member submitted right after
+        // one must not alias the driver's slot (regression: the member's
+        // handle used to point at the driver, leaving a stale index in
+        // the next pending group).
+        let specs: Vec<(usize, CompressionScheme)> = (0..300)
+            .map(|i| match i % 50 {
+                3 => (257, Q4),
+                _ => (COALESCE_ELEMS - (i % 7) * 33, CompressionScheme::None),
             })
             .collect();
-        let opts = EngineOptions {
-            coalesce_budget: 300,
-            ..EngineOptions::default()
-        };
-        let seq = run_sequential(Algorithm::ScatterReduceAllgather, 4, &specs);
-        let eng = run_engine(Algorithm::ScatterReduceAllgather, 4, &specs, opts);
+        let sra = Algorithm::ScatterReduceAllgather;
+        let seq = run_sequential(sra, 4, &specs);
+        let eng = run_engine_sent(sra, 4, &specs, false);
         for (rank, (s, e)) in seq.iter().zip(&eng).enumerate() {
             for (l, (a, b)) in s.iter().zip(e).enumerate() {
-                assert_eq!(a.as_slice(), b.as_slice(), "rank={rank} layer={l}");
+                assert_eq!(a.as_slice(), b.0.as_slice(), "rank={rank} layer={l}");
             }
+            let leaders = (e.iter().zip(&specs))
+                .filter(|((_, sent), (_, scheme))| *sent > 0 && *scheme == CompressionScheme::None)
+                .count();
+            assert_eq!(leaders, 2, "rank={rank}: coalesce groups");
         }
     }
 
@@ -2040,17 +1999,13 @@ mod tests {
         // produce identical bytes whether it runs alone or interleaved
         // with other collectives — the determinism invariant that makes
         // pipelining safe for stochastic codecs.
-        let opts = EngineOptions {
-            segment_elems: 128,
-            ..EngineOptions::default()
-        };
         let run = |batched: bool| {
             ThreadCluster::run(4, move |t| {
                 let mut grng = Rng::seed_from_u64(40 + t.rank() as u64);
-                let big = Tensor::randn(&mut grng, &[1000]);
+                let big = Tensor::randn(&mut grng, &[THREE_SEGMENTS]);
                 let other = Tensor::randn(&mut grng, &[333]);
                 let mut master = Rng::seed_from_u64(5);
-                let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+                let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
                 let scheme = CompressionScheme::Qsgd {
                     bits: 4,
                     bucket_size: 64,
@@ -2109,14 +2064,12 @@ mod tests {
         // in-flight depth must exceed 1 — layers genuinely overlapped.
         let stats = ThreadCluster::run(4, |t| {
             let mut grng = Rng::seed_from_u64(t.rank() as u64);
-            let grads: Vec<Tensor> = (0..6).map(|_| Tensor::randn(&mut grng, &[700])).collect();
+            // Too long to coalesce: each layer is its own collective.
+            let grads: Vec<Tensor> = (0..6)
+                .map(|_| Tensor::randn(&mut grng, &[COALESCE_ELEMS + 1]))
+                .collect();
             let mut master = Rng::seed_from_u64(3);
-            // Disable coalescing so each layer is its own collective.
-            let opts = EngineOptions {
-                coalesce_elems: 0,
-                ..EngineOptions::default()
-            };
-            let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
             let handles: Vec<Handle> = grads
                 .iter()
                 .map(|g| {
@@ -2199,12 +2152,9 @@ mod tests {
             t.set_timeout(Duration::from_secs(5));
             let mut master = Rng::seed_from_u64(1);
             let mut grng = Rng::seed_from_u64(7);
-            let g = Tensor::randn(&mut grng, &[600]);
-            let opts = EngineOptions {
-                coalesce_elems: 0,
-                ..EngineOptions::default()
-            };
-            let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+            // Too long to coalesce: h1 is a machine of its own.
+            let g = Tensor::randn(&mut grng, &[COALESCE_ELEMS + 1]);
+            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
             let h1 = eng.submit(
                 Algorithm::ScatterReduceAllgather,
                 &g,
@@ -2241,11 +2191,73 @@ mod tests {
     }
 
     #[test]
-    fn options_default_values_are_sane() {
-        let o = EngineOptions::default();
-        assert!(o.segment_elems > 0);
-        assert!(o.coalesce_elems > 0);
-        assert!(o.coalesce_budget >= o.coalesce_elems);
-        assert!(o.max_live > 0, "default should bound the progress scan");
+    fn a_layer_past_the_segment_cut_reaches_consensus_in_three_segments() {
+        // Each segment compresses its n − 1 peer chunks and one aggregate.
+        for n in [3usize, 4] {
+            let out = ThreadCluster::run(n, |t| {
+                let mut grng = Rng::seed_from_u64(70 + t.rank() as u64);
+                let g = Tensor::randn(&mut grng, &[THREE_SEGMENTS]);
+                let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+                let sra = Algorithm::ScatterReduceAllgather;
+                let (sum, stats, _) = eng
+                    .allreduce(sra, &g, Q4.build(), &mut Rng::seed_from_u64(3))
+                    .unwrap();
+                (bits(&sum), stats.compress_calls)
+            })
+            .unwrap();
+            for (rank, (sum, calls)) in out.iter().enumerate() {
+                assert_eq!(sum, &out[0].0, "n={n} rank={rank}");
+                assert_eq!(*calls, 3 * n, "n={n} rank={rank}: compress calls");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lossless_layer_at_the_coalesce_cut_joins_the_group_and_one_more_does_not() {
+        // The small layer after it carries no traffic in a group it does
+        // not lead (the group's first member carries it all).
+        for (len, joins) in [(4096, true), (4097, false)] {
+            let specs = [
+                (len, CompressionScheme::None),
+                (64, CompressionScheme::None),
+            ];
+            let sra = Algorithm::ScatterReduceAllgather;
+            for (rank, layers) in run_engine_sent(sra, 3, &specs, false).iter().enumerate() {
+                assert_eq!(layers[1].1 == 0, joins, "len={len} rank={rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_more_than_eight_machines_run_at_once() {
+        // Twelve lossy layers submitted before any wait: eight machines
+        // launch, four queue, and the waits still reach consensus.
+        let sums = ThreadCluster::run(3, |t| {
+            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+            let (mut grng, mut master) =
+                (Rng::seed_from_u64(t.rank() as u64), Rng::seed_from_u64(5));
+            let sra = Algorithm::ScatterReduceAllgather;
+            let handles: Vec<Handle> = (0..12)
+                .map(|_| {
+                    let g = Tensor::randn(&mut grng, &[300]);
+                    let h = eng.submit_owned(sra, g, Q4.build(), &mut master);
+                    assert!(eng.active.len() <= MAX_LIVE);
+                    h
+                })
+                .collect();
+            assert_eq!((eng.active.len(), eng.launch_queue.len()), (8, 4));
+            handles
+                .into_iter()
+                .map(|h| {
+                    let sum = eng.wait(h).unwrap().0;
+                    assert!(eng.active.len() <= MAX_LIVE);
+                    bits(&sum)
+                })
+                .collect::<Vec<_>>()
+        })
+        .unwrap();
+        for (rank, s) in sums.iter().enumerate() {
+            assert_eq!(s, &sums[0], "rank {rank}");
+        }
     }
 }

@@ -18,12 +18,14 @@
 //! topology is what layers it): [`gather_up`] before the exchange,
 //! [`fan_down`] on a leader as the engine redeems each layer,
 //! [`receive_down`] on a member. The exchange is bit-exact and both hops
-//! move raw little-endian `f32`s, so every rank ends byte-identical.
+//! move raw little-endian `f32`s through [`NoneCompressor`], so every rank
+//! ends byte-identical.
 
 use crate::error::CommError;
+use crate::reduce::{check_chunk, refused};
 use crate::transport::{collective_tag, Tag, Transport};
-use cgx_compress::Encoded;
-use cgx_tensor::Tensor;
+use cgx_compress::{Compressor, Encoded, NoneCompressor};
+use cgx_tensor::{Rng, Tensor};
 
 /// Phase byte for the intra-node member -> leader gather. Engine
 /// collectives only emit phases 1 and 2 and membership gossip uses
@@ -113,39 +115,27 @@ impl Topology {
     }
 }
 
-/// Serializes a tensor as raw little-endian bytes for the lossless
-/// intra-node hops.
-fn raw_encode(tensor: &Tensor) -> Encoded {
-    let mut buf = Vec::with_capacity(tensor.len() * 4);
-    for v in tensor.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    Encoded::new(tensor.shape().clone(), buf.into())
+/// A hop's frame: `tensor` in its own shape, as FP32 (which draws nothing
+/// from the RNG).
+fn fp32(tensor: &Tensor) -> Encoded {
+    NoneCompressor.compress(tensor, &mut Rng::seed_from_u64(0))
 }
 
-/// The one decoder of both hops: `fold`s each float of a raw frame from
-/// `peer` into its slot of `out` (added on the way up, assigned on the way
-/// down), once the frame is known to be `out`'s length.
-fn raw_decode(
-    frame: &Encoded,
+/// Receives `peer`'s next frame on `tag` and decodes it into `out`, added
+/// on the way up and assigned on the way down.
+fn recv_fp32(
+    t: &dyn Transport,
     peer: usize,
+    tag: Tag,
     out: &mut [f32],
-    fold: impl Fn(&mut f32, f32),
+    add: bool,
 ) -> Result<(), CommError> {
-    let bytes = frame.payload();
-    if bytes.len() != out.len() * 4 {
-        return Err(CommError::ShapeMismatch {
-            detail: format!(
-                "raw intra-node frame from rank {peer}: expected {} bytes, got {}",
-                out.len() * 4,
-                bytes.len()
-            ),
-        });
+    let frame = check_chunk(t.recv_tagged(peer, tag)?, out.len(), peer, tag)?;
+    match add {
+        true => NoneCompressor.decompress_add_into(&frame, out),
+        false => NoneCompressor.decompress_into(&frame, out),
     }
-    for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-        fold(o, f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-    }
-    Ok(())
+    .map_err(|e| refused(tag, peer, e))
 }
 
 /// The up hop, every layer of a round. A member ships each tensor raw to
@@ -179,7 +169,7 @@ pub fn gather_up(
     if me != leader {
         let mut sent = 0;
         for g in tensors.iter() {
-            let enc = raw_encode(g);
+            let enc = fp32(g);
             sent += enc.payload_bytes();
             t.send_tagged(leader, up_tag(), enc)?;
         }
@@ -192,7 +182,7 @@ pub fn gather_up(
         // -0.0 becomes +0.0, as in an accumulator that began zeroed.
         sum.iter_mut().for_each(|s| *s += 0.0);
         for &r in &peers[1..] {
-            raw_decode(&t.recv_tagged(r, up_tag())?, r, sum, |s, v| *s += v)?;
+            recv_fp32(t, r, up_tag(), sum, true)?;
         }
     }
     Ok(0)
@@ -208,7 +198,7 @@ pub fn gather_up(
 /// Propagates transport failures.
 pub fn fan_down(t: &dyn Transport, topo: &Topology, result: &Tensor) -> Result<usize, CommError> {
     let me = t.rank();
-    let down = raw_encode(result);
+    let down = fp32(result);
     let mut sent = 0;
     for r in topo.node_peers(me) {
         if r != me {
@@ -233,8 +223,7 @@ pub fn receive_down(
 ) -> Result<(), CommError> {
     let leader = topo.leader_of(t.rank());
     for g in tensors.iter_mut() {
-        let frame = t.recv_tagged(leader, down_tag())?;
-        raw_decode(&frame, leader, g.as_mut_slice(), |o, v| *o = v)?;
+        recv_fp32(t, leader, down_tag(), g.as_mut_slice(), false)?;
     }
     Ok(())
 }
@@ -290,12 +279,10 @@ mod tests {
     };
 
     #[test]
-    fn raw_hop_payload_is_little_endian_f32s() {
-        let enc = raw_encode(&Tensor::from_vec(&[2], vec![1.0, -2.5]));
+    fn hop_payload_is_little_endian_f32s_in_the_tensors_shape() {
+        let enc = fp32(&Tensor::from_vec(&[1, 2], vec![1.0, -2.5]));
         assert_eq!(enc.payload()[..], [0, 0, 0x80, 0x3f, 0, 0, 0x20, 0xc0]);
-        let mut back = [0.0; 2];
-        raw_decode(&enc, 0, &mut back, |o, v| *o = v).expect("sizes match");
-        assert_eq!(back, [1.0, -2.5]);
+        assert_eq!(enc.shape().dims(), [1, 2]);
     }
 
     #[test]

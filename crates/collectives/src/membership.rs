@@ -1,7 +1,7 @@
 //! Membership epochs and elastic shrink-and-continue.
 //!
 //! When a peer is unrecoverably lost mid-collective the engine surfaces
-//! [`CommError::PeerLost`](crate::error::CommError::PeerLost) instead of a
+//! [`CommError::PeerLost`] instead of a
 //! terminal poison. Survivors then run [`agree`] — a fixed-round
 //! all-to-all gossip over the surviving fabric — to converge on a new
 //! [`Membership`]: a monotonically-growing dead set (a union is

@@ -24,7 +24,7 @@
 //!
 //! # Flow control
 //!
-//! Each ordered pair may have [`SLOT_CAPACITY`] payloads filed that the
+//! Each ordered pair may have `SLOT_CAPACITY` payloads filed that the
 //! receiver has not yet *looked at*. A payload counts as looked at once the
 //! receiver takes it, takes a later one from the same sender, comes up
 //! empty on that sender, or calls [`Transport::drain_inbound`]; beyond the

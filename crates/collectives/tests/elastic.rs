@@ -49,14 +49,7 @@ fn survivors_agree_and_continue_on_shrunken_world() {
         assert_eq!(membership.num_alive(), WORLD - 1);
         assert!(membership.virtual_rank(2).is_none());
         let view = MembershipView::new(t, &membership);
-        let mut eng = CommEngine::new(
-            &view,
-            pool.clone(),
-            EngineOptions {
-                epoch: 1,
-                ..EngineOptions::default()
-            },
-        );
+        let mut eng = CommEngine::new(&view, pool.clone(), EngineOptions { epoch: 1 });
         let h = eng.submit(
             Algorithm::ScatterReduceAllgather,
             &g,

@@ -1,24 +1,27 @@
 //! Release-mode stress test for the communication engine: 8 ranks driving
 //! 50 concurrent collectives of mixed compression schemes and odd sizes,
 //! checked bit-for-bit against the blocking per-layer loop, plus a
-//! segmented variant checked for cross-rank consensus.
+//! variant of layers past the segment cut checked for cross-rank
+//! consensus.
 //!
 //! CI runs this with `--release` where the thread interleavings are
 //! meaningfully different from debug builds (no debug-assert slowdowns, so
 //! many more collectives genuinely overlap).
 
 use cgx_collectives::reduce::{allreduce_scratch, Algorithm};
-use cgx_collectives::{CommEngine, EngineOptions, ThreadCluster};
+use cgx_collectives::{CommEngine, ThreadCluster};
 use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
 use cgx_tensor::{Rng, Tensor};
 
 const WORLD: usize = 8;
 const LAYERS: usize = 50;
+/// The engine's segment cut, in elements.
+const SEGMENT: usize = 1 << 16;
 
-/// Deterministic mixed-scheme inventory: odd lengths from tiny (smaller
-/// than the world) through multi-thousand, cycling through every
-/// quantizer family plus filtered FP32 layers.
-fn layer_specs() -> Vec<(usize, CompressionScheme, Algorithm)> {
+/// Deterministic mixed-scheme inventory of `layers` layers: odd lengths
+/// of at least `min` elements and at most `min + span`, cycling through
+/// every quantizer family plus filtered FP32 layers.
+fn layer_specs(layers: usize, min: usize, span: u64) -> Vec<(usize, CompressionScheme, Algorithm)> {
     let schemes = [
         CompressionScheme::Qsgd {
             bits: 4,
@@ -37,9 +40,9 @@ fn layer_specs() -> Vec<(usize, CompressionScheme, Algorithm)> {
         CompressionScheme::None,
     ];
     let mut lens = Rng::seed_from_u64(0x57E55);
-    (0..LAYERS)
+    (0..layers)
         .map(|i| {
-            let len = (lens.next_u64() % 4000 + 1) as usize | 1;
+            let len = (min + (lens.next_u64() % span) as usize) | 1;
             let alg = if i % 3 == 2 {
                 Algorithm::Ring
             } else {
@@ -58,15 +61,14 @@ fn rank_grads(specs: &[(usize, CompressionScheme, Algorithm)], rank: usize) -> V
         .collect()
 }
 
-fn run_engine(opts: EngineOptions) -> Vec<Vec<Tensor>> {
-    let specs = layer_specs();
+fn run_engine(specs: &[(usize, CompressionScheme, Algorithm)]) -> Vec<Vec<Tensor>> {
     ThreadCluster::run(WORLD, |t| {
-        let grads = rank_grads(&specs, t.rank());
+        let grads = rank_grads(specs, t.rank());
         let mut master = Rng::seed_from_u64(0xAB5);
-        let mut eng = CommEngine::new(&t, ScratchPool::new(), opts);
+        let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
         let handles: Vec<_> = grads
             .iter()
-            .zip(&specs)
+            .zip(specs)
             .map(|(g, (_, scheme, alg))| eng.submit(*alg, g, scheme.build(), &mut master))
             .collect();
         handles
@@ -77,14 +79,13 @@ fn run_engine(opts: EngineOptions) -> Vec<Vec<Tensor>> {
     .expect("engine cluster")
 }
 
-fn run_sequential() -> Vec<Vec<Tensor>> {
-    let specs = layer_specs();
+fn run_sequential(specs: &[(usize, CompressionScheme, Algorithm)]) -> Vec<Vec<Tensor>> {
     ThreadCluster::run(WORLD, |t| {
-        let grads = rank_grads(&specs, t.rank());
+        let grads = rank_grads(specs, t.rank());
         let mut master = Rng::seed_from_u64(0xAB5);
         grads
             .iter()
-            .zip(&specs)
+            .zip(specs)
             .map(|(g, (_, scheme, alg))| {
                 // One draw per layer: the same stream the engine consumes.
                 let mut lrng = Rng::seed_from_u64(master.next_u64());
@@ -112,10 +113,11 @@ fn assert_consensus(by_rank: &[Vec<Tensor>]) {
 
 #[test]
 fn stress_50_mixed_layers_match_sequential_bitwise() {
-    // Default options: coalescing on, no layer here reaches the segment
-    // cut, so engine and sequential results must be byte-identical.
-    let eng = run_engine(EngineOptions::default());
-    let seq = run_sequential();
+    // Coalescing on, no layer here reaches the segment cut, so engine and
+    // sequential results must be byte-identical.
+    let specs = layer_specs(LAYERS, 1, 4000);
+    let eng = run_engine(&specs);
+    let seq = run_sequential(&specs);
     assert_consensus(&eng);
     assert_consensus(&seq);
     for (i, (a, b)) in eng[0].iter().zip(&seq[0]).enumerate() {
@@ -129,14 +131,12 @@ fn stress_50_mixed_layers_match_sequential_bitwise() {
 
 #[test]
 fn stress_segmented_pipeline_reaches_consensus() {
-    // Force heavy segmentation: most layers split into many pipeline
-    // chunks, so dozens of tagged segments from 50 collectives interleave
-    // on the wire. Lossy codecs see different bucket geometry than the
-    // unsegmented run, so the check here is the consensus invariant
-    // (every rank byte-identical), not equality to the sequential loop.
-    let eng = run_engine(EngineOptions {
-        segment_elems: 257,
-        ..EngineOptions::default()
-    });
+    // Every layer past the segment cut: 12 collectives, more than the
+    // eight live machines, split into two or three pipeline segments
+    // each, so their tagged segments interleave on the wire. Lossy codecs
+    // see different bucket geometry than the unsegmented run, so the
+    // check here is the consensus invariant (every rank byte-identical),
+    // not equality to the sequential loop.
+    let eng = run_engine(&layer_specs(12, SEGMENT + 1, 2 * SEGMENT as u64));
     assert_consensus(&eng);
 }

@@ -9,13 +9,13 @@
 //!    run had available — the three components are disjoint slices of the
 //!    same thread's time.
 //! 2. **Concurrency respects the cap**: the live machines the event stream
-//!    shows never outnumber `EngineOptions::max_live`.
+//!    shows never outnumber the engine's eight.
 //! 3. **Recording is free when off and invisible when on**: a disabled
 //!    recorder stores exactly zero events across a full run, and enabling
 //!    recording changes no delivered byte.
 
 use cgx_collectives::reduce::Algorithm;
-use cgx_collectives::{AllreduceStats, CommEngine, EngineOptions, ThreadCluster};
+use cgx_collectives::{AllreduceStats, CommEngine, ThreadCluster};
 use cgx_compress::CompressionScheme;
 use cgx_obs::{meta_op, Event, ObsHandle, SpanKind};
 use cgx_tensor::{Rng, Tensor};
@@ -23,9 +23,12 @@ use std::time::Instant;
 
 const WORLD: usize = 4;
 
-/// Mixed-scheme inventory: odd sizes, lossy and lossless codecs, both
-/// pipelined algorithms.
-fn layer_specs(seed: u64, layers: usize) -> Vec<(usize, CompressionScheme, Algorithm)> {
+/// The engine's segment cut, in elements.
+const SEGMENT: usize = 1 << 16;
+
+/// Mixed-scheme inventory: odd sizes past `min`, lossy and lossless
+/// codecs, both pipelined algorithms.
+fn layer_specs(seed: u64, layers: usize, min: usize) -> Vec<(usize, CompressionScheme, Algorithm)> {
     let schemes = [
         CompressionScheme::Qsgd {
             bits: 4,
@@ -41,7 +44,7 @@ fn layer_specs(seed: u64, layers: usize) -> Vec<(usize, CompressionScheme, Algor
     let mut rng = Rng::seed_from_u64(seed);
     (0..layers)
         .map(|i| {
-            let len = (rng.next_u64() % 3000 + 1) as usize;
+            let len = min + (rng.next_u64() % 3000 + 1) as usize;
             let alg = if i % 4 == 3 {
                 Algorithm::Ring
             } else {
@@ -63,15 +66,16 @@ fn rank_grads(specs: &[(usize, CompressionScheme, Algorithm)], rank: usize) -> V
 /// One rank's outputs, stats and recorded events.
 type RankRun = (Vec<Tensor>, Vec<AllreduceStats>, Vec<Event>);
 
-/// Runs one engine step on every rank.
-fn run_once(seed: u64, layers: usize, opts: EngineOptions, obs: ObsHandle) -> Vec<RankRun> {
-    let specs = layer_specs(seed, layers);
+/// Runs one engine step on every rank, over layers of more than `min`
+/// elements.
+fn run_once(seed: u64, layers: usize, min: usize, obs: ObsHandle) -> Vec<RankRun> {
+    let specs = layer_specs(seed, layers, min);
     ThreadCluster::run(WORLD, move |t| {
         let rank_obs = obs.fork_rank(1 << 14);
         let grads = rank_grads(&specs, t.rank());
         let mut master = Rng::seed_from_u64(0xAB5 ^ seed);
-        let mut eng =
-            CommEngine::new(&t, cgx_compress::ScratchPool::new(), opts).with_obs(rank_obs.clone());
+        let mut eng = CommEngine::with_defaults(&t, cgx_compress::ScratchPool::new())
+            .with_obs(rank_obs.clone());
         let t0 = Instant::now();
         let handles: Vec<_> = grads
             .iter()
@@ -126,41 +130,32 @@ fn most_live(events: &[Event]) -> usize {
 #[test]
 fn timing_components_never_exceed_wall_clock() {
     // Randomized sweep: the in-closure assertion does the work; three
-    // seeds x two option shapes cover segmented and unsegmented paths.
+    // seeds x two layer sizes cover unsegmented and segmented paths (past
+    // twice the segment cut, every layer is three segments).
     for seed in [1u64, 7, 42] {
-        run_once(seed, 12, EngineOptions::default(), ObsHandle::disabled());
-        run_once(
-            seed,
-            12,
-            EngineOptions {
-                segment_elems: 300,
-                ..EngineOptions::default()
-            },
-            ObsHandle::new_enabled(),
-        );
+        run_once(seed, 12, 0, ObsHandle::disabled());
+        run_once(seed, 4, 2 * SEGMENT, ObsHandle::new_enabled());
     }
 }
 
 #[test]
-fn live_machines_never_exceed_max_live_cap() {
-    for (seed, cap) in [(3u64, 1usize), (5, 2), (9, 3)] {
-        let opts = EngineOptions {
-            max_live: cap,
-            coalesce_elems: 0, // every layer is its own machine
-            ..EngineOptions::default()
-        };
-        let per_rank = run_once(seed, 16, opts, ObsHandle::new_enabled());
+fn live_machines_never_exceed_the_cap() {
+    // 32 layers, too long to coalesce: 24 SRA machines, three times the
+    // cap of eight.
+    const CAP: usize = 8;
+    for seed in [3u64, 5, 9] {
+        let per_rank = run_once(seed, 32, 4096, ObsHandle::new_enabled());
         for (rank, (_, stats, events)) in per_rank.iter().enumerate() {
             let live = most_live(events);
             assert!(
-                live <= cap,
-                "rank {rank}: {live} live machines under cap {cap}"
+                live <= CAP,
+                "rank {rank}: {live} live machines under cap {CAP}"
             );
             assert!(live >= 1, "rank {rank}: nothing ever launched");
             // Submitted-but-queued collectives may exceed the live cap,
             // but never the total submitted.
             for s in stats {
-                assert!(s.max_in_flight <= 16);
+                assert!(s.max_in_flight <= 32);
             }
         }
     }
@@ -168,7 +163,7 @@ fn live_machines_never_exceed_max_live_cap() {
 
 #[test]
 fn disabled_recorder_stores_exactly_zero_events() {
-    let per_rank = run_once(11, 10, EngineOptions::default(), ObsHandle::disabled());
+    let per_rank = run_once(11, 10, 0, ObsHandle::disabled());
     for (rank, (_, _, events)) in per_rank.iter().enumerate() {
         assert!(
             events.is_empty(),
@@ -181,9 +176,8 @@ fn disabled_recorder_stores_exactly_zero_events() {
 fn enabling_the_recorder_changes_no_delivered_byte() {
     // The determinism acceptance check: identical inventory, identical
     // seeds, recorder off vs on — outputs must match bit for bit.
-    let opts = EngineOptions::default();
-    let off = run_once(21, 14, opts, ObsHandle::disabled());
-    let on = run_once(21, 14, opts, ObsHandle::new_enabled());
+    let off = run_once(21, 14, 0, ObsHandle::disabled());
+    let on = run_once(21, 14, 0, ObsHandle::new_enabled());
     for (rank, ((a, _, events_off), (b, _, events_on))) in off.iter().zip(on.iter()).enumerate() {
         assert!(events_off.is_empty());
         assert!(
@@ -205,17 +199,13 @@ fn event_stream_is_structurally_sound() {
     // Submits and completes pair up per collective; compress/decode spans
     // have nonzero-capable ordering (end >= start); wire events carry the
     // payload size.
-    let specs = layer_specs(31, 8);
+    let specs = layer_specs(31, 8, 0);
     let results = ThreadCluster::run(WORLD, move |t| {
         let obs = ObsHandle::new_enabled().fork_rank(1 << 14);
         let grads = rank_grads(&specs, t.rank());
         let mut master = Rng::seed_from_u64(0xAB5 ^ 31);
-        let mut eng = CommEngine::new(
-            &t,
-            cgx_compress::ScratchPool::new(),
-            EngineOptions::default(),
-        )
-        .with_obs(obs.clone());
+        let mut eng =
+            CommEngine::with_defaults(&t, cgx_compress::ScratchPool::new()).with_obs(obs.clone());
         let handles: Vec<_> = grads
             .iter()
             .zip(&specs)

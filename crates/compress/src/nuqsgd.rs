@@ -173,8 +173,8 @@ impl Compressor for NuqsgdCompressor {
         Encoded::new(shape, w.finish())
     }
 
-    /// By [`simd::lut_decode`] where it takes the layout, from a codebook
-    /// built with the formula of [`NuqsgdCompressor::decode_with`], else
+    /// By `simd::lut_decode` where it takes the layout, from a codebook
+    /// built with the formula of `NuqsgdCompressor::decode_with`, else
     /// by that reader. The two agree bit for bit.
     fn decode(&self, enc: &Encoded, out: &mut [f32], add: bool) -> Result<(), PayloadError> {
         let table_of = |norm: f32| {

@@ -262,10 +262,10 @@ impl Compressor for QsgdCompressor {
         Encoded::new(shape, self.quantize(data, rng, buf))
     }
 
-    /// By [`simd::lut_decode`] where it takes the layout (2 to 4 bits,
-    /// buckets of whole bytes), from [`QsgdCompressor::codebook`], whose
+    /// By `simd::lut_decode` where it takes the layout (2 to 4 bits,
+    /// buckets of whole bytes), from `QsgdCompressor::codebook`, whose
     /// entries are the values of the per-element formula of
-    /// [`QsgdCompressor::decode_with`], else by that reader. The two agree
+    /// `QsgdCompressor::decode_with`, else by that reader. The two agree
     /// bit for bit (`kernel_matches_reader_on_every_layout` and
     /// `every_decoder_emits_its_pinned_values` pin this). Scatter-reduce
     /// decodes `~1.5n` elements per rank per step. Either walk reads each

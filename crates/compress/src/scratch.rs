@@ -8,7 +8,7 @@
 //! allocation in the compression path.
 //!
 //! The pool is internally shared: cloning it yields a handle to the same
-//! free lists, so a [`ThreadCluster`]-style closure can clone one pool into
+//! free lists, so a `ThreadCluster`-style closure can clone one pool into
 //! every simulated rank and buffers flow back regardless of which rank ends
 //! up dropping a broadcast payload. Payloads return via
 //! [`ScratchPool::recycle`], which reclaims the underlying buffer when this

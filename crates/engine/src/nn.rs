@@ -19,7 +19,7 @@ use cgx_tensor::{matmul, matmul_nt, matmul_tn, Rng, Tensor};
 /// divided by the batch size).
 ///
 /// Each row's exponentials are taken in `f64` of the `f32` difference to
-/// the row's maximum, by [`cgx_tensor::exp`], which returns the bits of
+/// the row's maximum, by [`cgx_tensor::exp()`], which returns the bits of
 /// `f64::exp` in vector lanes.
 ///
 /// # Panics

@@ -219,7 +219,6 @@ impl<'a> RankSync<'a> {
     fn engine_opts(&self) -> EngineOptions {
         EngineOptions {
             epoch: lane_epoch(self.membership.epoch() as u64, self.plan_epoch),
-            ..EngineOptions::default()
         }
     }
 

@@ -119,14 +119,6 @@ impl ProcessCluster {
         }
     }
 
-    /// Overrides the rendezvous address (e.g. a routable one for a
-    /// multi-host launch).
-    #[must_use]
-    pub fn rendezvous(mut self, addr: impl Into<String>) -> Self {
-        self.rendezvous = addr.into();
-        self
-    }
-
     /// Assigns per-rank node ids (drives the hierarchical topology).
     ///
     /// # Panics

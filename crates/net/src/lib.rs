@@ -13,7 +13,7 @@
 //!   (nonblocking sockets, `poll(2)`, in-place frame parsing, vectored
 //!   coalesced writes) feeding the tag-demuxed, deadline-aware stash
 //!   model with zero extra threads.
-//! - [`rendezvous`] — bootstrap from "N processes and one address" to a
+//! - [`rendezvous`](mod@rendezvous) — bootstrap from "N processes and one address" to a
 //!   full mesh plus a node [`Topology`](cgx_collectives::Topology), and
 //!   [`TcpFabric`] for in-process loopback meshes.
 //! - [`cluster`] — [`ProcessCluster`]: spawn-and-wait of one OS process

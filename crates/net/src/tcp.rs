@@ -292,20 +292,6 @@ impl WireStats {
     pub fn syscalls(&self) -> u64 {
         self.read_syscalls + self.write_syscalls + self.poll_syscalls
     }
-
-    /// Element-wise difference against an earlier snapshot.
-    #[must_use]
-    pub fn since(&self, base: &WireStats) -> WireStats {
-        WireStats {
-            serialize_ns: self.serialize_ns - base.serialize_ns,
-            syscall_ns: self.syscall_ns - base.syscall_ns,
-            park_ns: self.park_ns - base.park_ns,
-            read_syscalls: self.read_syscalls - base.read_syscalls,
-            write_syscalls: self.write_syscalls - base.write_syscalls,
-            poll_syscalls: self.poll_syscalls - base.poll_syscalls,
-            writev_frames: self.writev_frames - base.writev_frames,
-        }
-    }
 }
 
 /// What an endpoint counts: the wire-path cost breakdown, byte and fault
@@ -1559,7 +1545,7 @@ impl Transport for TcpTransport {
 
     /// Heartbeats, liveness checks and redials run only inside calls: a
     /// heartbeat interval, and with reconnect armed at most a
-    /// [`PARK_SLICE`], so a dropped link is redialed while its owners
+    /// `PARK_SLICE`, so a dropped link is redialed while its owners
     /// compute.
     fn drive_within(&self) -> Option<Duration> {
         let opts = self.lock().opts;

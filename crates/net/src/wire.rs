@@ -316,7 +316,7 @@ unsafe fn blocks_avx2(lanes: &mut [u64; LANES], blocks: &[u8]) {
 
 /// FNV-style multiply-xor checksum over the tag, the sequence number, the
 /// payload length, and the payload, folded to 32 bits. The payload is
-/// read as 64-bit words dealt round-robin onto [`LANES`] independent
+/// read as 64-bit words dealt round-robin onto `LANES` independent
 /// chains (word `k` lands on lane `k % LANES`; the last word is
 /// zero-padded), each seeded from the `(tag, seq, len)` prefix and its
 /// lane index, and the lanes are then chained into the prefix in lane

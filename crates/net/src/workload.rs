@@ -4,7 +4,7 @@
 //! 4-bit CGX compression) that any rank can run over any
 //! [`Transport`] via [`cgx_engine::train_rank`]. Because the trainer's
 //! RNG streams are derived from `(seed, rank)` alone, a thread-backed
-//! [`ShmTransport`](cgx_collectives::ShmTransport) run and a
+//! [`ShmTransport`] run and a
 //! process-backed TCP run of the same [`Workload`] produce
 //! byte-identical parameters — which is exactly what the launch parity
 //! test asserts.

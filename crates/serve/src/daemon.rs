@@ -72,16 +72,16 @@ const PARK: Duration = Duration::from_micros(200);
 /// Shutdown drain budget: how long the pump keeps flushing queued frames
 /// after shutdown is requested.
 const DRAIN: Duration = Duration::from_millis(2000);
+/// Per-job outbound queue cap in bytes. A single frame larger than the
+/// cap is still admitted when the queue is empty, so one oversized send
+/// can never wedge a tenant.
+const QUEUE_BYTES: u64 = 32 << 20;
 
-/// Per-daemon limits: attached jobs, and each job's outbound queue.
+/// Per-daemon limits: attached jobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Maximum concurrently attached jobs.
     pub max_jobs: usize,
-    /// Per-job outbound queue cap in bytes. A single frame larger than
-    /// the cap is still admitted when the queue is empty, so one
-    /// oversized send can never wedge a tenant.
-    pub queue_bytes: u64,
     /// Metrics registry for `serve.*` counters, if observability is on.
     obs: Option<MetricsRegistry>,
 }
@@ -90,7 +90,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_jobs: 64,
-            queue_bytes: 32 << 20,
             obs: None,
         }
     }
@@ -636,7 +635,6 @@ impl NamespacedTransport {
         assert!(peer < self.world(), "peer {peer} out of range");
         let wire = self.wire(tag);
         let size = payload.payload_bytes() as u64;
-        let cap = self.node.cfg.queue_bytes;
         let mut st = lock(&self.node.state);
         loop {
             if st.shutdown || st.detaching.contains(&self.id) {
@@ -648,7 +646,7 @@ impl NamespacedTransport {
             let queued = st.sched.queued_bytes(self.id);
             // An empty queue admits any single frame so an oversized send
             // can always make progress.
-            if queued == 0 || queued + size <= cap {
+            if queued == 0 || queued + size <= QUEUE_BYTES {
                 st.enqueue(
                     self.id,
                     size,
@@ -1156,25 +1154,21 @@ mod tests {
 
     #[test]
     fn per_job_queue_cap_gives_backpressure_not_failure() {
-        let fabric = ShmFabric::build(2);
-        // Tiny: every frame over 8 bytes relies on the empty-queue escape
-        // hatch.
-        let cfg = ServeConfig {
-            queue_bytes: 8,
-            ..ServeConfig::default()
-        };
-        let mut it = fabric.into_iter();
-        let n0 = ServeNode::new(Box::new(it.next().unwrap()), cfg.clone());
-        let n1 = ServeNode::new(Box::new(it.next().unwrap()), cfg);
-        let a = n0.attach(JobSpec::new(1)).unwrap();
-        let b = n1.attach(JobSpec::new(1)).unwrap();
-        let big = Encoded::new(Shape::new(vec![32]), vec![0xAB; 32].into());
-        // 32-byte frame exceeds the 8-byte cap but an empty queue admits it.
-        a.send_tagged(1, 2, big.clone()).unwrap();
-        a.send_tagged(1, 2, big.clone()).unwrap();
-        a.send_tagged(1, 2, big.clone()).unwrap();
+        let nodes = two_nodes();
+        let a = nodes[0].attach(JobSpec::new(1)).unwrap();
+        let b = nodes[1].attach(JobSpec::new(1)).unwrap();
+        // Asked for first, b's namespace holds no orphans, whose bound a
+        // frame this size would pass.
+        assert!(b.try_recv_tagged(0, 2).unwrap().is_none());
+        // Every frame exceeds the cap and relies on the empty-queue escape
+        // hatch; the clones share one buffer.
+        let len = QUEUE_BYTES as usize + 4;
+        let big = Encoded::new(Shape::new(vec![len]), vec![0xAB; len].into());
         for _ in 0..3 {
-            assert_eq!(b.recv_tagged(0, 2).unwrap().payload().len(), 32);
+            a.send_tagged(1, 2, big.clone()).unwrap();
+        }
+        for _ in 0..3 {
+            assert_eq!(b.recv_tagged(0, 2).unwrap().payload().len(), len);
         }
     }
 }

@@ -24,7 +24,7 @@
 //!    count.
 //! 3. [`LoopbackModel::replay`] runs the same step through the DES —
 //!    per-rank compute ops feeding an SRA graph over a bus-limited
-//!    [`Fabric`](crate::des::Fabric) — and reports the simulated time,
+//!    [`Fabric`] — and reports the simulated time,
 //!    so the calibration error measures the *simulator*, not just the
 //!    closed form.
 //! 4. [`calibrate`] ties it together into a per-point relative-error

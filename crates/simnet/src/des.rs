@@ -21,7 +21,7 @@
 //!   panics and bit-reproducible results across hosts. All time
 //!   arithmetic saturates at `u64::MAX` rather than overflowing.
 //! * **Calendar-queue event wheel.** Pending completions live in a
-//!   power-of-two ring of time buckets ([`Wheel`]); push is O(1), pop
+//!   power-of-two ring of time buckets (`Wheel`); push is O(1), pop
 //!   scans one bucket (sized so the expected occupancy is a handful of
 //!   events) — O(1) amortized vs `O(log n)` heap churn. Far-future
 //!   events park in an overflow list drained once per lap.

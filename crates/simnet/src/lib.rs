@@ -21,7 +21,7 @@
 //!   (Figure 10);
 //! * [`des`] — a first-principles discrete-event network simulation that
 //!   cross-validates the closed forms (lane contention, dependency stalls);
-//! * [`calibrate`] — fits the DES loopback fabric to measured step
+//! * [`calibrate`](mod@calibrate) — fits the DES loopback fabric to measured step
 //!   times and reports per-point relative error;
 //! * [`step`] — the per-step overlap simulator behind Figures 1 and 3 and
 //!   Tables 4-8.

@@ -29,7 +29,7 @@
 //! * [`serve`] — CGX as a service: the `cgx-serve` multi-tenant daemon
 //!   that shares one transport mesh between many jobs with per-job tag
 //!   namespaces, weighted-DRR QoS shaping, and admission control;
-//! * [`bench`] — the paper's experiments (`cgx experiments`) and the
+//! * [`bench`](mod@bench) — the paper's experiments (`cgx experiments`) and the
 //!   estimator they stand on: the CGX session API, the baseline setups
 //!   (QNCCL, GRACE, PowerSGD), and the end-to-end performance model.
 //!
