@@ -144,7 +144,7 @@ pub struct PlanRecord {
     pub measured_bandwidth_bps: Option<f64>,
     /// Advisory: predicted step-time saving vs uniform 4-bit at the
     /// measured bandwidth, in seconds (0 when bandwidth is unknown).
-    pub predicted_step_saving_s: f64,
+    pub(crate) predicted_step_saving_s: f64,
 }
 
 /// The scheme swap a committed re-plan asks the trainer to perform.

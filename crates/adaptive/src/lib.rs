@@ -45,6 +45,5 @@ pub use controller::{
 };
 pub use kmeans::{kmeans, KMeansResult};
 pub use policy::{
-    assign_bits, quant_levels, uniform_assignment, AdaptiveOptions, AdaptivePolicy, BitAssignment,
-    LayerProfile,
+    assign_bits, uniform_assignment, AdaptiveOptions, AdaptivePolicy, BitAssignment, LayerProfile,
 };

@@ -13,7 +13,7 @@ pub struct LayerProfile {
     /// Parameter count.
     pub size: usize,
     /// `‖G_ℓ‖` of the accumulated gradient.
-    pub grad_norm: f64,
+    pub(crate) grad_norm: f64,
     /// Fraction of this layer's transfer that cannot be overlapped with
     /// backward compute (1.0 = fully exposed, e.g. the embedding, which is
     /// produced last; 0.0 = fully hidden). Used only by the time-aware
@@ -152,7 +152,7 @@ impl AdaptiveOptions {
 /// # Panics
 ///
 /// Panics if `bits` is 0 (no such scheme) or above 32.
-pub fn quant_levels(bits: u32) -> f64 {
+pub(crate) fn quant_levels(bits: u32) -> f64 {
     assert!(
         (1..=32).contains(&bits),
         "bit width {bits} out of range (want 1..=32)"
@@ -209,7 +209,7 @@ impl BitAssignment {
 
     /// Modelled total compression error: per layer, quantization error
     /// scales as `‖G_ℓ‖ / s(b)` with `s(b) = max(2^(b-1) - 1, 1)` levels
-    /// (see [`quant_levels`]); errors add in quadrature.
+    /// (see `quant_levels`); errors add in quadrature.
     pub fn estimated_error(&self, profiles: &[LayerProfile]) -> f64 {
         self.bits
             .iter()

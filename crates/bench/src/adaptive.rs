@@ -18,7 +18,7 @@ use cgx_models::{GradientSynth, ModelSpec};
 pub struct AdaptiveOutcome {
     /// Indices (into the model's layer list) of the compressible layers the
     /// assignment covers.
-    pub layer_indices: Vec<usize>,
+    pub(crate) layer_indices: Vec<usize>,
     /// The bit assignment over those layers.
     pub assignment: BitAssignment,
     /// The profiles the policy saw.
@@ -89,20 +89,20 @@ pub fn adaptive_compression_for(
 
 /// What a [`live_adaptive_session`] run produced.
 #[derive(Debug, Clone)]
-pub struct LiveSessionReport {
+pub(crate) struct LiveSessionReport {
     /// Every plan the controller committed, in order.
     pub trace: AdaptivePlanTrace,
     /// Total wire bits the run transmitted per gradient exchange,
     /// integrated over all steps under whichever plan was live.
-    pub adaptive_wire_bits: f64,
+    pub(crate) adaptive_wire_bits: f64,
     /// The same integral under the static uniform 4-bit plan.
-    pub static4_wire_bits: f64,
+    pub(crate) static4_wire_bits: f64,
 }
 
 impl LiveSessionReport {
     /// Wire-traffic ratio of the live-adaptive run vs static 4-bit
     /// (< 1.0 means the controller saved bytes).
-    pub fn wire_ratio_vs_static4(&self) -> f64 {
+    pub(crate) fn wire_ratio_vs_static4(&self) -> f64 {
         self.adaptive_wire_bits / self.static4_wire_bits.max(1e-12)
     }
 }
@@ -118,7 +118,7 @@ impl LiveSessionReport {
 /// # Panics
 ///
 /// Panics if `total_steps` is zero or the config is invalid.
-pub fn live_adaptive_session(
+pub(crate) fn live_adaptive_session(
     model: &ModelSpec,
     cfg: &AdaptiveTrainConfig,
     total_steps: usize,

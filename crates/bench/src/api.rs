@@ -31,7 +31,6 @@ pub struct RegisteredLayer {
 pub struct CgxBuilder {
     backend: CommBackend,
     reduction: ReductionScheme,
-    default_scheme: CompressionScheme,
     filter_small_layers: bool,
 }
 
@@ -48,7 +47,6 @@ impl CgxBuilder {
         CgxBuilder {
             backend: CommBackend::Shm,
             reduction: ReductionScheme::ScatterReduceAllgather,
-            default_scheme: CompressionScheme::cgx_default(),
             filter_small_layers: true,
         }
     }
@@ -65,18 +63,11 @@ impl CgxBuilder {
         self
     }
 
-    /// Sets the default compression scheme for non-excluded layers.
-    pub fn default_scheme(mut self, scheme: CompressionScheme) -> Self {
-        self.default_scheme = scheme;
-        self
-    }
-
     /// Finalizes the session.
     pub fn build(self) -> Cgx {
         Cgx {
             backend: self.backend,
             reduction: self.reduction,
-            default_scheme: self.default_scheme,
             filter_small_layers: self.filter_small_layers,
             layers: Vec::new(),
             excludes: Vec::new(),
@@ -90,7 +81,6 @@ impl CgxBuilder {
 pub struct Cgx {
     backend: CommBackend,
     reduction: ReductionScheme,
-    default_scheme: CompressionScheme,
     filter_small_layers: bool,
     layers: Vec<RegisteredLayer>,
     excludes: Vec<String>,
@@ -133,7 +123,11 @@ impl Cgx {
 
     /// Pins a compression scheme for layers whose name contains `pattern`
     /// (the per-layer parameter API).
-    pub fn set_layer_scheme(&mut self, pattern: impl Into<String>, scheme: CompressionScheme) {
+    pub(crate) fn set_layer_scheme(
+        &mut self,
+        pattern: impl Into<String>,
+        scheme: CompressionScheme,
+    ) {
         self.overrides.push((pattern.into(), scheme));
     }
 
@@ -173,15 +167,15 @@ impl Cgx {
                 }
             }
         }
-        self.default_scheme
+        CompressionScheme::cgx_default()
     }
 
     /// Derives the functional-plane policy for the training engine.
     pub fn layer_compression(&self) -> LayerCompression {
         let mut lc = if self.filter_small_layers {
-            LayerCompression::filtered(self.default_scheme)
+            LayerCompression::cgx_default()
         } else {
-            LayerCompression::uniform(self.default_scheme)
+            LayerCompression::uniform(CompressionScheme::cgx_default())
         };
         for p in &self.excludes {
             lc = lc.with_override(p.clone(), CompressionScheme::None);
@@ -381,7 +375,6 @@ mod tests {
         let cgx = CgxBuilder::new()
             .backend(CommBackend::Mpi)
             .reduction(ReductionScheme::Ring)
-            .default_scheme(CompressionScheme::OneBit { bucket_size: 64 })
             .build();
         assert_eq!(cgx.backend(), CommBackend::Mpi);
         assert_eq!(cgx.reduction(), ReductionScheme::Ring);

@@ -69,35 +69,35 @@ macro_rules! outln {
 
 mod experiments {
     pub mod ablations;
-    pub mod adaptive_online;
+    pub(crate) mod adaptive_online;
     pub mod export_csv;
-    pub mod fig10_reduction_schemes;
-    pub mod fig11_backends;
+    pub(crate) mod fig10_reduction_schemes;
+    pub(crate) mod fig11_backends;
     pub mod fig1_compression_sweep;
-    pub mod fig3_throughput;
+    pub(crate) mod fig3_throughput;
     pub mod fig4_adaptive_convergence;
     pub mod fig5_table7_adaptive;
-    pub mod fig6_overhead;
-    pub mod fig7_powersgd;
-    pub mod fig8_topology;
-    pub mod fig9_tensorflow;
-    pub mod heterogeneous;
-    pub mod hybrid_sync;
+    pub(crate) mod fig6_overhead;
+    pub(crate) mod fig7_powersgd;
+    pub(crate) mod fig8_topology;
+    pub(crate) mod fig9_tensorflow;
+    pub(crate) mod heterogeneous;
+    pub(crate) mod hybrid_sync;
     pub mod scheduling;
-    pub mod table1_gpus;
+    pub(crate) mod table1_gpus;
     pub mod table2_systems;
     pub mod table3_accuracy;
-    pub mod table4_cloud;
-    pub mod table5_multinode;
-    pub mod table6_baselines;
-    pub mod table8_ceiling;
+    pub(crate) mod table4_cloud;
+    pub(crate) mod table5_multinode;
+    pub(crate) mod table6_baselines;
+    pub(crate) mod table8_ceiling;
     pub mod timeline;
 }
 
 use experiments::*;
 
 /// What computes one experiment's text.
-pub type Experiment = fn() -> String;
+pub(crate) type Experiment = fn() -> String;
 
 /// Every experiment in `EXPERIMENTS.md`'s order: its id, which
 /// `EXPERIMENTS.md` and `DESIGN.md` §5 cite, and what computes its text.

@@ -27,7 +27,7 @@ pub struct AdaptationEpoch {
     /// Compressed-size ratio vs static uniform 4-bit.
     pub size_ratio: f64,
     /// Estimated-error ratio vs static uniform 4-bit (same statistics).
-    pub error_ratio: f64,
+    pub(crate) error_ratio: f64,
     /// Simulated step seconds under this assignment.
     pub step_seconds: f64,
 }
@@ -38,9 +38,9 @@ pub struct SessionReport {
     /// Per-epoch controller decisions.
     pub epochs: Vec<AdaptationEpoch>,
     /// Total simulated wall-clock of the adaptive run, seconds.
-    pub adaptive_seconds: f64,
+    pub(crate) adaptive_seconds: f64,
     /// Total simulated wall-clock of the static 4-bit run, seconds.
-    pub static_seconds: f64,
+    pub(crate) static_seconds: f64,
 }
 
 impl SessionReport {

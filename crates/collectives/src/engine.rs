@@ -51,7 +51,7 @@
 //!    `d0`), and ranks ≥ 2 stage the prefix `d0 + … + d(me−1)` in one
 //!    pooled buffer that is then added onto `g`.
 //! 3. **Tag isolation.** Every message carries a
-//!    [`crate::transport::collective_tag`] (collective id + segment +
+//!    `crate::transport::collective_tag` (collective id + segment +
 //!    phase); per-tag demux inboxes mean concurrent collectives cannot
 //!    steal each other's payloads. Collective ids are issued by a rank-local
 //!    counter, which stays rank-aligned because all ranks submit in the
@@ -99,7 +99,7 @@ const MAX_LIVE: usize = 8;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Membership epoch stamped into every wire tag
-    /// ([`crate::transport::collective_tag_in_epoch`]). Elastic trainers
+    /// (`crate::transport::collective_tag_in_epoch`). Elastic trainers
     /// bump it after each recovery so a straggler's pre-recovery frames
     /// cannot alias post-recovery collectives. Epoch 0 keeps the
     /// historical wire format byte-identical.

@@ -126,7 +126,7 @@ impl CommError {
     /// [`MembershipView`](crate::MembershipView)). Unchanged if it
     /// implicates none.
     #[must_use]
-    pub fn with_peer(mut self, peer: usize) -> Self {
+    pub(crate) fn with_peer(mut self, peer: usize) -> Self {
         match &mut self {
             CommError::Timeout { from: rank, .. }
             | CommError::Disconnected { peer: rank }

@@ -82,7 +82,7 @@ impl Topology {
     }
 
     /// The leader (lowest rank) of `rank`'s node.
-    pub fn leader_of(&self, rank: usize) -> usize {
+    pub(crate) fn leader_of(&self, rank: usize) -> usize {
         let node = self.node_of[rank];
         (0..self.node_of.len())
             .find(|&r| self.node_of[r] == node)
@@ -102,7 +102,7 @@ impl Topology {
     }
 
     /// The ranks sharing `rank`'s node, ascending (including `rank`).
-    pub fn node_peers(&self, rank: usize) -> Vec<usize> {
+    pub(crate) fn node_peers(&self, rank: usize) -> Vec<usize> {
         let node = self.node_of[rank];
         (0..self.node_of.len())
             .filter(|&r| self.node_of[r] == node)

@@ -101,7 +101,7 @@ impl Membership {
     }
 
     /// The dense virtual rank of physical rank `rank`, if alive.
-    pub fn virtual_rank(&self, rank: usize) -> Option<usize> {
+    pub(crate) fn virtual_rank(&self, rank: usize) -> Option<usize> {
         if !self.alive[rank] {
             return None;
         }

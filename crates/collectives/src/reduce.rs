@@ -52,7 +52,7 @@ pub struct AllreduceStats {
     /// Number of compression-kernel invocations on this rank.
     pub compress_calls: usize,
     /// Number of decompression-kernel invocations on this rank.
-    pub decompress_calls: usize,
+    pub(crate) decompress_calls: usize,
     /// Wall time spent inside compression kernels, nanoseconds.
     pub compress_ns: u64,
     /// Wall time spent blocked on the transport (waiting for peer

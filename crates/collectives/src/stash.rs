@@ -13,7 +13,7 @@
 //! into its job's namespace ([`crate::namespace_tag`]), so the stash keeps
 //! the namespace rules. A [`DETACH_TAG`] frame from `peer` in job `j`'s
 //! namespace closes `(peer, j)` behind what `peer` filed before it. A
-//! namespace no receive has asked for yet holds at most [`ORPHAN_BYTES`]
+//! namespace no receive has asked for yet holds at most `ORPHAN_BYTES`
 //! (one frame is always admitted): the frame that would pass that closes
 //! its `(peer, j)` with [`CommError::Lost`] and frees what the lane held,
 //! never delivering a stream with a gap. A closed lane files nothing more.
@@ -24,7 +24,7 @@ use cgx_compress::Encoded;
 use std::collections::{HashMap, VecDeque};
 
 /// What a tenant namespace that no receive has asked for yet may hold.
-pub const ORPHAN_BYTES: u64 = 32 << 20;
+pub(crate) const ORPHAN_BYTES: u64 = 32 << 20;
 
 /// One filed payload and its place in its peer's stream.
 #[derive(Debug)]
@@ -109,7 +109,7 @@ impl TagStash {
 
     /// The oldest payload under `(peer, tag)`. Taking one looks past
     /// everything `peer` filed before it; finding none looks at all of it
-    /// (see [`TagStash::unseen`]). Either way `tag`'s namespace has now
+    /// (see `TagStash::unseen`). Either way `tag`'s namespace has now
     /// been asked for, and is no orphan.
     pub fn take(&mut self, peer: usize, tag: Tag) -> Option<Encoded> {
         let job = tag_namespace(tag);
@@ -148,12 +148,12 @@ impl TagStash {
     /// taken, nor passed over by a later take or a miss on that peer, nor
     /// covered by [`TagStash::look`]. The shared-memory fabric bounds this
     /// per pair; fabrics with their own flow control ignore it.
-    pub fn unseen(&self, peer: usize) -> usize {
+    pub(crate) fn unseen(&self, peer: usize) -> usize {
         (self.filed[peer] - self.seen[peer]) as usize
     }
 
     /// Looks at everything filed so far; returns how much of it was new.
-    pub fn look(&mut self) -> usize {
+    pub(crate) fn look(&mut self) -> usize {
         let new = (0..self.filed.len()).map(|peer| self.unseen(peer)).sum();
         self.seen.copy_from_slice(&self.filed);
         new

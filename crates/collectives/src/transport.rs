@@ -15,7 +15,7 @@
 //! expecting layer *k*'s chunk could pull layer *k+1*'s instead. Every
 //! message therefore carries a **tag** — the header a real implementation
 //! would prepend: collective id + pipeline segment + phase, packed by
-//! [`collective_tag`] — and a send files its payload straight under its
+//! `collective_tag` — and a send files its payload straight under its
 //! `(sender, tag)` in the receiver's mailbox (a [`TagStash`]). A receive
 //! for tag *t* looks only there, so traffic for other tags is never in its
 //! way and there is no second place a payload could be waiting.
@@ -32,7 +32,7 @@
 //! back ([`Transport::try_send_tagged`]).
 //!
 //! The pre-engine entry points ([`Transport::send`] / [`Transport::recv`])
-//! are tag [`LEGACY_TAG`] and interoperate with tagged traffic on the same
+//! are tag `LEGACY_TAG` and interoperate with tagged traffic on the same
 //! fabric.
 
 use crate::error::CommError;
@@ -57,20 +57,20 @@ const SLOT_CAPACITY: usize = 256;
 /// tensors, short enough to fail tests promptly on deadlock.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Message tag: collective id + segment + phase, or [`LEGACY_TAG`].
+/// Message tag: collective id + segment + phase, or `LEGACY_TAG`.
 pub type Tag = u64;
 
 /// The tag used by the untagged [`Transport::send`] /
 /// [`Transport::recv`] API (one collective at a time, as before tag
 /// multiplexing existed).
-pub const LEGACY_TAG: Tag = u64::MAX;
+pub(crate) const LEGACY_TAG: Tag = u64::MAX;
 
 /// Control lane of a fabric's own protocol, never a collective's: the TCP
 /// endpoint's liveness heartbeats and the rendezvous handshake ride it.
 pub const CTRL_TAG: Tag = u64::MAX - 1;
 
 /// End-of-run quiesce lane (see [`exchange_quiesce_markers`]).
-pub const QUIESCE_TAG: Tag = u64::MAX - 2;
+pub(crate) const QUIESCE_TAG: Tag = u64::MAX - 2;
 
 /// A tenant's orderly detach, sent by `cgx-serve` to every peer of its job.
 /// Only meaningful inside a job namespace ([`namespace_tag`]): the
@@ -84,7 +84,7 @@ pub const DETACH_TAG: Tag = u64::MAX - 3;
 /// every rank starts collectives in the same order — the standard ordering
 /// requirement of MPI/NCCL communicators, which the engine upholds.
 #[inline]
-pub fn collective_tag(op: u32, segment: u16, phase: u8) -> Tag {
+pub(crate) fn collective_tag(op: u32, segment: u16, phase: u8) -> Tag {
     ((op as u64) << 32) | ((segment as u64) << 16) | ((phase as u64) << 8)
 }
 
@@ -95,17 +95,17 @@ pub fn collective_tag(op: u32, segment: u16, phase: u8) -> Tag {
 /// aliasing post-recovery tags. Epoch 0 is bit-identical to
 /// [`collective_tag`], so fault-free runs keep their historical wire tags.
 #[inline]
-pub fn collective_tag_in_epoch(op: u32, segment: u16, phase: u8, epoch: u8) -> Tag {
+pub(crate) fn collective_tag_in_epoch(op: u32, segment: u16, phase: u8, epoch: u8) -> Tag {
     collective_tag(op, segment, phase) | (epoch as u64)
 }
 
 /// Phase byte reserved for membership-agreement gossip rounds; no
 /// collective ever emits it ([`crate::engine`] uses phases 1 and 2).
-pub const MEMBERSHIP_PHASE: u8 = 0xEE;
+pub(crate) const MEMBERSHIP_PHASE: u8 = 0xEE;
 
 /// Tag for one round of membership-epoch agreement.
 #[inline]
-pub fn membership_tag(epoch: u32, round: u16) -> Tag {
+pub(crate) fn membership_tag(epoch: u32, round: u16) -> Tag {
     ((epoch as u64) << 32) | ((round as u64) << 16) | ((MEMBERSHIP_PHASE as u64) << 8)
 }
 
@@ -130,10 +130,10 @@ pub fn membership_tag(epoch: u32, round: u16) -> Tag {
 /// tag's top byte. The engine allocates op ids per instance from zero and
 /// wraps here, so the bound is unreachable in practice (2^24 concurrent
 /// collectives) while keeping every engine tag namespace-clean.
-pub const MAX_NAMESPACED_OP: u32 = 1 << 24;
+pub(crate) const MAX_NAMESPACED_OP: u32 = 1 << 24;
 
 /// The native (daemon-less) job namespace: tags map through unchanged.
-pub const NATIVE_JOB: u8 = 0;
+pub(crate) const NATIVE_JOB: u8 = 0;
 
 /// Highest namespace byte assignable to a tenant job (0xFE is reserved,
 /// 0xFF belongs to the special tags).
@@ -148,15 +148,15 @@ const SPECIAL_LOW_FLOOR: u64 = 0x00FF_FFFF_FFFF_FF00;
 
 /// Maps a job-local tag into job `job`'s slice of the wire tag space.
 ///
-/// Identity for [`NATIVE_JOB`]; for every other namespace the job byte is
+/// Identity for `NATIVE_JOB`; for every other namespace the job byte is
 /// stamped into the top byte, with the reserved special tags
-/// ([`LEGACY_TAG`] and friends) folded into the top of the job's low-56
-/// space so they round-trip through [`split_tag`].
+/// (`LEGACY_TAG` and friends) folded into the top of the job's low-56
+/// space so they round-trip through `split_tag`.
 ///
 /// # Panics
 ///
 /// Panics if a non-special tag already carries a namespace byte (op ids
-/// must stay below [`MAX_NAMESPACED_OP`]).
+/// must stay below `MAX_NAMESPACED_OP`).
 #[inline]
 #[must_use]
 pub fn namespace_tag(job: u8, tag: Tag) -> Tag {
@@ -181,7 +181,7 @@ pub fn namespace_tag(job: u8, tag: Tag) -> Tag {
 /// the tag unchanged.
 #[inline]
 #[must_use]
-pub fn split_tag(wire: Tag) -> (u8, Tag) {
+pub(crate) fn split_tag(wire: Tag) -> (u8, Tag) {
     let ns = (wire >> 56) as u8;
     if ns == NATIVE_JOB || ns == 0xFF {
         return (NATIVE_JOB, wire);
@@ -199,7 +199,7 @@ pub fn split_tag(wire: Tag) -> (u8, Tag) {
 /// daemon-less traffic (including the 0xFF-prefixed special tags).
 #[inline]
 #[must_use]
-pub fn tag_namespace(wire: Tag) -> u8 {
+pub(crate) fn tag_namespace(wire: Tag) -> u8 {
     split_tag(wire).0
 }
 
@@ -405,7 +405,7 @@ pub trait Transport {
 }
 
 /// The teardown barrier, on every fabric: a marker to every one of `peers`
-/// (ranks of `t`; self is skipped) on the [`QUIESCE_TAG`] lane, then one
+/// (ranks of `t`; self is skipped) on the `QUIESCE_TAG` lane, then one
 /// from each, so that nobody drops its endpoint while a peer's final frames
 /// are still on their way — in a socket, in a coalescing queue, or behind a
 /// daemon's scheduler. Best-effort: a peer that fails or stays silent past the

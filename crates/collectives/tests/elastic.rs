@@ -47,7 +47,7 @@ fn survivors_agree_and_continue_on_shrunken_world() {
         let (membership, _) = agree(t, &Membership::full(WORLD), &[suspect], 1, t.timeout());
         assert_eq!(membership.epoch(), 1);
         assert_eq!(membership.num_alive(), WORLD - 1);
-        assert!(membership.virtual_rank(2).is_none());
+        assert!(!membership.physical_ranks().contains(&2));
         let view = MembershipView::new(t, &membership);
         let mut eng = CommEngine::new(&view, pool.clone(), EngineOptions { epoch: 1 });
         let h = eng.submit(

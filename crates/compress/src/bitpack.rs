@@ -24,7 +24,7 @@ use cgx_tensor::Bytes;
 /// Whether `width` is handled by the word-wide kernels ([`pack_fixed`] /
 /// [`unpack_fixed_with`]): a whole number of values must fit in a `u64`.
 #[inline]
-pub fn is_word_packable(width: u32) -> bool {
+pub(crate) fn is_word_packable(width: u32) -> bool {
     matches!(width, 1 | 2 | 4 | 8 | 16 | 32)
 }
 
@@ -36,7 +36,7 @@ pub fn is_word_packable(width: u32) -> bool {
 ///
 /// Panics if `width` is not word-packable. Debug builds also check that
 /// every value fits in `width` bits.
-pub fn pack_fixed(values: &[u32], width: u32, out: &mut Vec<u8>) {
+pub(crate) fn pack_fixed(values: &[u32], width: u32, out: &mut Vec<u8>) {
     assert!(is_word_packable(width), "width {width} not word-packable");
     let per_word = (64 / width) as usize;
     out.reserve((values.len() * width as usize).div_ceil(8));
@@ -79,7 +79,7 @@ pub fn pack_fixed(values: &[u32], width: u32, out: &mut Vec<u8>) {
 ///
 /// Panics if `width` is not word-packable or `bytes` is too short.
 #[inline]
-pub fn unpack_fixed_with(bytes: &[u8], width: u32, count: usize, mut f: impl FnMut(u32)) {
+pub(crate) fn unpack_fixed_with(bytes: &[u8], width: u32, count: usize, mut f: impl FnMut(u32)) {
     assert!(is_word_packable(width), "width {width} not word-packable");
     let needed = (count * width as usize).div_ceil(8);
     assert!(bytes.len() >= needed, "bit stream exhausted");
@@ -112,32 +112,9 @@ pub fn unpack_fixed_with(bytes: &[u8], width: u32, count: usize, mut f: impl FnM
     }
 }
 
-/// Convenience wrapper around [`unpack_fixed_with`] collecting into a `Vec`.
-pub fn unpack_fixed(bytes: &[u8], width: u32, count: usize) -> Vec<u32> {
-    let mut out = Vec::with_capacity(count);
-    unpack_fixed_with(bytes, width, count, |v| out.push(v));
-    out
-}
-
 /// Appends values of arbitrary bit width (1..=32) to a byte buffer.
-///
-/// # Examples
-///
-/// ```
-/// use cgx_compress::{BitReader, BitWriter};
-/// let mut w = BitWriter::new();
-/// w.write_bits(5, 3);
-/// w.write_bits(1, 1);
-/// w.write_f32(2.5);
-/// let bytes = w.finish();
-/// let mut r = BitReader::new(&bytes);
-/// assert_eq!(r.read_bits(3), Ok(5));
-/// assert_eq!(r.read_bits(1), Ok(1));
-/// assert_eq!(r.read_f32(), Ok(2.5));
-/// assert_eq!(r.finish(), Ok(()));
-/// ```
 #[derive(Debug, Default)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     buf: Vec<u8>,
     /// Bits accumulated but not yet flushed to `buf`.
     acc: u64,
@@ -146,28 +123,10 @@ pub struct BitWriter {
 }
 
 impl BitWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a writer with an initial capacity hint (bytes).
-    /// `with_capacity(0)` is identical to [`BitWriter::new`].
-    pub fn with_capacity(bytes: usize) -> Self {
-        if bytes == 0 {
-            return Self::new();
-        }
-        BitWriter {
-            buf: Vec::with_capacity(bytes),
-            acc: 0,
-            acc_bits: 0,
-        }
-    }
-
     /// Creates a writer over a caller-provided buffer (e.g. one recycled
     /// through a [`ScratchPool`](crate::ScratchPool)), clearing any
     /// previous contents but keeping the allocation.
-    pub fn from_buf(mut buf: Vec<u8>) -> Self {
+    pub(crate) fn from_buf(mut buf: Vec<u8>) -> Self {
         buf.clear();
         BitWriter {
             buf,
@@ -183,7 +142,7 @@ impl BitWriter {
     /// Panics if `width` is 0 or exceeds 32, or if `value` has bits set above
     /// `width`.
     #[inline]
-    pub fn write_bits(&mut self, value: u32, width: u32) {
+    pub(crate) fn write_bits(&mut self, value: u32, width: u32) {
         assert!((1..=32).contains(&width), "invalid width {width}");
         assert!(
             width == 32 || value < (1u32 << width),
@@ -204,7 +163,7 @@ impl BitWriter {
     /// byte must stay in the accumulator for the *next* write, which the
     /// fixed kernel cannot do). Falls back to [`BitWriter::write_bits`]
     /// otherwise. The payload is bit-identical either way.
-    pub fn write_run(&mut self, values: &[u32], width: u32) {
+    pub(crate) fn write_run(&mut self, values: &[u32], width: u32) {
         let run_bits = values.len() * width as usize;
         if self.acc_bits == 0 && is_word_packable(width) && run_bits.is_multiple_of(8) {
             pack_fixed(values, width, &mut self.buf);
@@ -217,17 +176,17 @@ impl BitWriter {
 
     /// Appends a full `f32` (bit pattern, byte-aligned within the stream's
     /// bit order).
-    pub fn write_f32(&mut self, value: f32) {
+    pub(crate) fn write_f32(&mut self, value: f32) {
         self.write_bits(value.to_bits(), 32);
     }
 
     /// Appends a `u32`.
-    pub fn write_u32(&mut self, value: u32) {
+    pub(crate) fn write_u32(&mut self, value: u32) {
         self.write_bits(value, 32);
     }
 
     /// Number of complete bytes the stream would occupy if finished now.
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.buf.len() + self.acc_bits.div_ceil(8) as usize
     }
 
@@ -251,7 +210,7 @@ impl BitWriter {
 /// [`PayloadError`], not a panic: the bytes are a receiver's, off a
 /// socket.
 #[derive(Debug)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     bytes: &'a [u8],
     pos: usize,
     acc: u64,
@@ -300,7 +259,7 @@ impl<'a> BitReader<'a> {
     ///
     /// [`PayloadError::Short`] if fewer bits are left.
     #[inline]
-    pub fn read_bits(&mut self, width: u32) -> Result<u32, PayloadError> {
+    pub(crate) fn read_bits(&mut self, width: u32) -> Result<u32, PayloadError> {
         let width = width.min(32);
         self.fits(width as usize)?;
         Ok(self.take(width))
@@ -318,7 +277,7 @@ impl<'a> BitReader<'a> {
     /// [`PayloadError::Short`], with `f` never called, if the run does
     /// not fit in what is left.
     #[inline]
-    pub fn read_run(
+    pub(crate) fn read_run(
         &mut self,
         width: u32,
         count: usize,
@@ -339,12 +298,12 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads an `f32` bit pattern: [`BitReader::read_bits`]`(32)`.
-    pub fn read_f32(&mut self) -> Result<f32, PayloadError> {
+    pub(crate) fn read_f32(&mut self) -> Result<f32, PayloadError> {
         self.read_bits(32).map(f32::from_bits)
     }
 
     /// Reads a `u32`: [`BitReader::read_bits`]`(32)`.
-    pub fn read_u32(&mut self) -> Result<u32, PayloadError> {
+    pub(crate) fn read_u32(&mut self) -> Result<u32, PayloadError> {
         self.read_bits(32)
     }
 
@@ -366,10 +325,11 @@ impl<'a> BitReader<'a> {
 mod tests {
     use super::*;
     use cgx_tensor::Rng;
+    use cgx_testkit::cases;
 
     #[test]
     fn roundtrip_mixed_widths() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(0b101, 3);
         w.write_bits(0b1, 1);
         w.write_bits(0xABCD, 16);
@@ -385,7 +345,7 @@ mod tests {
 
     #[test]
     fn byte_len_counts_partial_bytes() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         assert_eq!(w.byte_len(), 0);
         w.write_bits(1, 1);
         assert_eq!(w.byte_len(), 1);
@@ -400,7 +360,7 @@ mod tests {
         // 0..8 leftover bits beyond a byte boundary: every partial-byte
         // state the accumulator can be in.
         for extra_bits in 0..8u32 {
-            let mut w = BitWriter::new();
+            let mut w = BitWriter::default();
             w.write_bits(0xA5, 8);
             for _ in 0..extra_bits {
                 w.write_bits(1, 1);
@@ -410,25 +370,15 @@ mod tests {
             assert_eq!(payload.len(), predicted, "extra_bits={extra_bits}");
         }
         // And the empty writer.
-        let w = BitWriter::new();
+        let w = BitWriter::default();
         assert_eq!(w.byte_len(), 0);
         assert_eq!(w.finish().len(), 0);
     }
 
     #[test]
-    fn with_capacity_zero_behaves_like_new() {
-        let mut a = BitWriter::with_capacity(0);
-        let mut b = BitWriter::new();
-        a.write_bits(3, 2);
-        b.write_bits(3, 2);
-        assert_eq!(a.byte_len(), b.byte_len());
-        assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
     fn f32_special_values_roundtrip() {
         let vals = [0.0f32, -0.0, 1.5, f32::INFINITY, f32::MIN_POSITIVE];
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         // Offset by 3 bits so floats straddle byte boundaries.
         w.write_bits(5, 3);
         for v in vals {
@@ -445,12 +395,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit")]
     fn oversized_value_panics() {
-        BitWriter::new().write_bits(8, 3);
+        BitWriter::default().write_bits(8, 3);
     }
 
     #[test]
     fn reading_past_end_is_an_error() {
-        let b = BitWriter::new().finish();
+        let b = BitWriter::default().finish();
         assert_eq!(BitReader::new(&b).read_bits(1), Err(PayloadError::Short));
         // A run that does not fit calls nothing, and the reader keeps its
         // place; bytes left unread make the payload too long.
@@ -479,7 +429,7 @@ mod tests {
                     (value, width)
                 })
                 .collect();
-            let mut w = BitWriter::new();
+            let mut w = BitWriter::default();
             for (v, wd) in &items {
                 w.write_bits(*v, *wd);
             }
@@ -510,7 +460,7 @@ mod tests {
         for width in [1u32, 2, 4, 8, 16, 32] {
             for n in [0usize, 1, 3, 15, 16, 17, 63, 64, 65, 1000] {
                 let values = random_values(&mut rng, width, n);
-                let mut scalar = BitWriter::new();
+                let mut scalar = BitWriter::default();
                 for &v in &values {
                     scalar.write_bits(v, width);
                 }
@@ -522,18 +472,16 @@ mod tests {
     }
 
     #[test]
-    fn unpack_fixed_roundtrips_pack_fixed() {
+    fn unpack_fixed_with_roundtrips_pack_fixed() {
         let mut rng = Rng::seed_from_u64(11);
         for width in [1u32, 2, 4, 8, 16, 32] {
             for n in [0usize, 1, 5, 64, 129, 777] {
                 let values = random_values(&mut rng, width, n);
                 let mut packed = Vec::new();
                 pack_fixed(&values, width, &mut packed);
-                assert_eq!(
-                    unpack_fixed(&packed, width, n),
-                    values,
-                    "width={width} n={n}"
-                );
+                let mut back = Vec::with_capacity(n);
+                unpack_fixed_with(&packed, width, n, |v| back.push(v));
+                assert_eq!(back, values, "width={width} n={n}");
             }
         }
     }
@@ -545,10 +493,10 @@ mod tests {
         let mut rng = Rng::seed_from_u64(13);
         for width in [2u32, 4, 8] {
             let values = random_values(&mut rng, width, 37);
-            let mut a = BitWriter::new();
+            let mut a = BitWriter::default();
             a.write_bits(5, 3);
             a.write_run(&values, width);
-            let mut b = BitWriter::new();
+            let mut b = BitWriter::default();
             b.write_bits(5, 3);
             for &v in &values {
                 b.write_bits(v, width);
@@ -565,7 +513,7 @@ mod tests {
         for width in [1u32, 2, 4, 8] {
             for n in [8usize, 16, 24, 120] {
                 let values = random_values(&mut rng, width, n);
-                let mut w = BitWriter::new();
+                let mut w = BitWriter::default();
                 w.write_run(&values, width);
                 w.write_f32(1.25);
                 let bytes = w.finish();
@@ -583,10 +531,10 @@ mod tests {
     fn write_run_partial_byte_run_carries_bits_into_next_write() {
         // 3 values of 2 bits leave 6 bits in the accumulator; the next
         // write must share that byte, exactly as scalar writes would.
-        let mut a = BitWriter::new();
+        let mut a = BitWriter::default();
         a.write_run(&[1, 2, 3], 2);
         a.write_f32(0.5);
-        let mut b = BitWriter::new();
+        let mut b = BitWriter::default();
         for v in [1u32, 2, 3] {
             b.write_bits(v, 2);
         }
@@ -598,7 +546,7 @@ mod tests {
     fn read_run_partial_byte_run_falls_back() {
         // 3 values of 2 bits = 6 bits: not a whole number of bytes, so the
         // fast path is skipped, but results must be identical.
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         for v in [1u32, 2, 3] {
             w.write_bits(v, 2);
         }
@@ -615,5 +563,76 @@ mod tests {
     #[should_panic(expected = "not word-packable")]
     fn pack_fixed_rejects_odd_width() {
         pack_fixed(&[1, 2], 3, &mut Vec::new());
+    }
+
+    /// Up to `max_len` values that fit `width` bits, as the kernels require.
+    fn masked_values(rng: &mut Rng, width: u32, max_len: usize) -> Vec<u32> {
+        let mask = if width == 32 {
+            u32::MAX
+        } else {
+            (1u32 << width) - 1
+        };
+        (0..rng.range(0..max_len))
+            .map(|_| rng.next_u32() & mask)
+            .collect()
+    }
+
+    #[test]
+    fn run_writes_match_scalar_writes_for_all_widths() {
+        cases(64, |rng| {
+            // write_run (which internally dispatches to pack_fixed when the
+            // alignment conditions hold) must always produce the same stream as
+            // element-at-a-time write_bits, for every width — not just the
+            // word-packable ones.
+            let width = rng.range(1..=32) as u32;
+            let values = masked_values(rng, width, 600);
+
+            let mut scalar = BitWriter::default();
+            for &v in &values {
+                scalar.write_bits(v, width);
+            }
+            // Trailing f32 exercises the post-run partial-byte state.
+            scalar.write_f32(1.5);
+            let scalar_bytes = scalar.finish();
+
+            let mut run = BitWriter::default();
+            run.write_run(&values, width);
+            run.write_f32(1.5);
+            let run_bytes = run.finish();
+            assert_eq!(&scalar_bytes[..], &run_bytes[..]);
+
+            // And read_run recovers the exact values plus the trailer.
+            let mut r = BitReader::new(&run_bytes);
+            let mut got = Vec::with_capacity(values.len());
+            assert_eq!(r.read_run(width, values.len(), |v| got.push(v)), Ok(()));
+            assert_eq!(got, values);
+            assert_eq!(r.read_f32(), Ok(1.5));
+            assert_eq!(r.finish(), Ok(()));
+        });
+    }
+
+    #[test]
+    fn pack_fixed_roundtrips_and_matches_bitwriter() {
+        cases(64, |rng| {
+            let width = [1u32, 2, 4, 8, 16, 32][rng.index(6)];
+            assert!(is_word_packable(width));
+            let values = masked_values(rng, width.min(8), 600);
+
+            let mut packed = Vec::new();
+            pack_fixed(&values, width, &mut packed);
+
+            let mut w = BitWriter::default();
+            for &v in &values {
+                w.write_bits(v, width);
+            }
+            let scalar = w.finish();
+            // pack_fixed zero-pads the final partial byte exactly like finish().
+            assert_eq!(&packed[..], &scalar[..]);
+
+            let mut back = Vec::with_capacity(values.len());
+            let mut r = BitReader::new(&packed);
+            assert_eq!(r.read_run(width, values.len(), |v| back.push(v)), Ok(()));
+            assert_eq!(back, values);
+        });
     }
 }

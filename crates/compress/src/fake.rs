@@ -10,20 +10,8 @@ use crate::{exact_len, f32s_to_bytes, Compressor, Encoded, PayloadError, Scratch
 use cgx_tensor::{Rng, Shape};
 
 /// Transmits only the first `N/γ` elements of the buffer.
-///
-/// # Examples
-///
-/// ```
-/// use cgx_compress::{Compressor, FakeCompressor};
-/// use cgx_tensor::{Rng, Tensor};
-/// let mut rng = Rng::seed_from_u64(0);
-/// let g = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0]);
-/// let mut c = FakeCompressor::new(2.0);
-/// let enc = c.compress(&g, &mut rng);
-/// assert_eq!(enc.payload_bytes(), 8); // 2 of 4 f32s
-/// ```
 #[derive(Debug, Clone)]
-pub struct FakeCompressor {
+pub(crate) struct FakeCompressor {
     gamma: f64,
 }
 
@@ -36,11 +24,6 @@ impl FakeCompressor {
     pub fn new(gamma: f64) -> Self {
         assert!(gamma >= 1.0, "compression ratio must be >= 1, got {gamma}");
         FakeCompressor { gamma }
-    }
-
-    /// The configured ratio γ.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
     }
 
     fn k_for(&self, n: usize) -> usize {

@@ -14,7 +14,7 @@
 //!   (Ramezani-Kebrya et al.), lower variance on concentrated gradients,
 //! * [`OneBitCompressor`] — sign compression with per-bucket mean magnitude
 //!   (Seide et al.),
-//! * [`FakeCompressor`] — the synthetic "transmit the first `N/γ` elements"
+//! * `FakeCompressor` — the synthetic "transmit the first `N/γ` elements"
 //!   operator behind the paper's Figure 1 motivation experiment,
 //! * [`NoneCompressor`] — lossless passthrough (the FP32 baseline).
 //!
@@ -44,9 +44,9 @@
 //! assert!((enc.payload_bytes() as f64) < 0.2 * 4.0 * 1024.0);
 //! ```
 
-pub mod bitpack;
+pub(crate) mod bitpack;
 pub mod error;
-pub mod fake;
+pub(crate) mod fake;
 pub mod feedback;
 pub mod none;
 pub mod nuqsgd;
@@ -58,10 +58,7 @@ pub mod scratch;
 mod simd;
 pub mod topk;
 
-pub use bitpack::{is_word_packable, pack_fixed, unpack_fixed, unpack_fixed_with};
-pub use bitpack::{BitReader, BitWriter};
-pub use error::{compression_error, relative_compression_error};
-pub use fake::FakeCompressor;
+pub use error::compression_error;
 pub use feedback::ErrorFeedback;
 pub use none::NoneCompressor;
 pub use nuqsgd::NuqsgdCompressor;
@@ -138,7 +135,7 @@ impl Encoded {
 
     /// Consumes the chunk, returning the payload (e.g. for recycling its
     /// buffer through a [`ScratchPool`]).
-    pub fn into_payload(self) -> Bytes {
+    pub(crate) fn into_payload(self) -> Bytes {
         self.payload
     }
 }
@@ -401,7 +398,7 @@ mod tests {
             Box::new(NuqsgdCompressor::new(8, 64)),
             Box::new(OneBitCompressor::new(64)),
             Box::new(PowerSgdCompressor::new(1)),
-            Box::new(FakeCompressor::new(1.0)),
+            Box::new(fake::FakeCompressor::new(1.0)),
         ];
         let (pool, mut rng) = (ScratchPool::new(), Rng::seed_from_u64(3));
         let mut lossless = Vec::new();

@@ -12,7 +12,8 @@
 //! component (sign + level index), identical size to QSGD — only the
 //! codebook differs.
 
-use crate::{simd, BitReader, BitWriter, Compressor, Encoded, PayloadError, ScratchPool};
+use crate::bitpack::{BitReader, BitWriter};
+use crate::{simd, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::rng::CounterRng;
 use cgx_tensor::{Rng, Shape};
 
@@ -69,11 +70,6 @@ impl NuqsgdCompressor {
     /// Bucket size.
     pub fn bucket_size(&self) -> usize {
         self.bucket_size
-    }
-
-    /// The magnitude codebook (descending, ending in 0).
-    pub fn codebook(&self) -> &[f64] {
-        &self.levels
     }
 
     /// Stochastically rounds `a` in `[0, 1]` to a codebook index, taking
@@ -218,10 +214,10 @@ mod tests {
     fn codebook_is_geometric_with_zero() {
         let q = NuqsgdCompressor::new(4, 128);
         // s = 7 non-zero levels + 0.
-        assert_eq!(q.codebook().len(), 8);
-        assert_eq!(q.codebook()[0], 1.0);
-        assert_eq!(q.codebook()[1], 0.5);
-        assert_eq!(*q.codebook().last().unwrap(), 0.0);
+        assert_eq!(q.levels.len(), 8);
+        assert_eq!(q.levels[0], 1.0);
+        assert_eq!(q.levels[1], 0.5);
+        assert_eq!(*q.levels.last().unwrap(), 0.0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! is scale-aware. Biased — pair with
 //! [`ErrorFeedback`](crate::ErrorFeedback) to recover accuracy.
 
-use crate::{exact_len, BitReader, BitWriter, Compressor, Encoded, PayloadError, ScratchPool};
+use crate::bitpack::{BitReader, BitWriter};
+use crate::{exact_len, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::{Rng, Shape};
 
 /// Sign compressor with two per-bucket scales.

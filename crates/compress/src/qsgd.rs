@@ -9,10 +9,11 @@
 //! The paper's accuracy baseline is 4 bits with bucket size 128 (Transformers)
 //! or 1024 (CNNs).
 
+use crate::bitpack::{BitReader, BitWriter};
 #[cfg(test)]
 use crate::simd::BucketQuantizer;
 use crate::simd::{self, Route, Walk};
-use crate::{own_payload, BitReader, BitWriter, Compressor, Encoded, PayloadError, ScratchPool};
+use crate::{own_payload, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::rng::CounterRng;
 use cgx_tensor::{Bytes, Rng, Shape};
 
@@ -97,7 +98,7 @@ impl QsgdCompressor {
     }
 
     /// Number of positive quantization levels `s` (levels are `-s..=s`).
-    pub fn levels(&self) -> u32 {
+    pub(crate) fn levels(&self) -> u32 {
         (1u32 << (self.bits - 1)) - 1
     }
 
@@ -503,7 +504,7 @@ pub(crate) mod tests {
                         let mut rng = Rng::seed_from_u64(77);
                         let enc = q.compress(&g, &mut rng);
                         let stream = CounterRng::new(Rng::seed_from_u64(77).next_u64());
-                        let mut w = BitWriter::new();
+                        let mut w = BitWriter::default();
                         for (b, bucket) in g.as_slice().chunks(bucket_size).enumerate() {
                             let norm = q.bucket_norm(bucket);
                             w.write_f32(norm);
@@ -573,7 +574,7 @@ pub(crate) mod tests {
                 let mut q = QsgdCompressor::with_norm(bits, bucket_size, norm_kind);
                 let s = q.levels();
                 let stream = CounterRng::new(Rng::seed_from_u64(71).next_u64());
-                let (mut twin, mut quotients) = (BitWriter::new(), Vec::new());
+                let (mut twin, mut quotients) = (BitWriter::default(), Vec::new());
                 for (b, bucket) in g.as_slice().chunks(bucket_size).enumerate() {
                     let norm = q.bucket_norm(bucket);
                     let zeros = bucket.iter().all(|v| *v == 0.0);
@@ -681,7 +682,7 @@ pub(crate) mod tests {
             let got = q.decompress(&enc).unwrap();
             let s = q.levels() as f64;
             let offset = q.levels() as i64;
-            let mut r = crate::BitReader::new(enc.payload());
+            let mut r = crate::bitpack::BitReader::new(enc.payload());
             let mut want = Vec::with_capacity(g.len());
             let mut remaining = g.len();
             while remaining > 0 {

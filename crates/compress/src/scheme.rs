@@ -5,9 +5,10 @@
 //! [`CompressionScheme`] is that parameter record; `build()` instantiates the
 //! matching [`Compressor`].
 
+use crate::fake::FakeCompressor;
 use crate::{
-    Compressor, ErrorFeedback, FakeCompressor, NoneCompressor, NormKind, NuqsgdCompressor,
-    OneBitCompressor, PowerSgdCompressor, QsgdCompressor, TopKCompressor,
+    Compressor, ErrorFeedback, NoneCompressor, NormKind, NuqsgdCompressor, OneBitCompressor,
+    PowerSgdCompressor, QsgdCompressor, TopKCompressor,
 };
 
 /// A serializable description of a compression configuration.

@@ -40,10 +40,10 @@ struct Inner {
 /// ```
 /// use cgx_compress::ScratchPool;
 /// let pool = ScratchPool::new();
-/// let buf = pool.take_buf(64);
-/// pool.put_buf(buf);
+/// let v = pool.take_f32(64);
+/// pool.put_f32(v);
 /// assert_eq!(pool.allocations(), 1);
-/// let _again = pool.take_buf(64); // reused, counter unchanged
+/// let _again = pool.take_f32(64); // reused, counter unchanged
 /// assert_eq!(pool.allocations(), 1);
 /// assert_eq!(pool.reuses(), 1);
 /// ```
@@ -59,7 +59,7 @@ impl ScratchPool {
     }
 
     /// Pre-populates the pool with `count` byte buffers of `capacity` bytes
-    /// each, so subsequent [`ScratchPool::take_buf`] calls hit the free
+    /// each, so subsequent `ScratchPool::take_buf` calls hit the free
     /// list. Prewarmed buffers do not count as allocations.
     pub fn prewarm(&self, count: usize, capacity: usize) {
         let mut bufs = self.inner.bufs.lock().expect("scratch pool poisoned");
@@ -78,7 +78,7 @@ impl ScratchPool {
 
     /// Takes a cleared byte buffer from the pool, allocating one with
     /// `capacity` bytes if the free list is empty.
-    pub fn take_buf(&self, capacity: usize) -> Vec<u8> {
+    pub(crate) fn take_buf(&self, capacity: usize) -> Vec<u8> {
         let popped = self.inner.bufs.lock().expect("scratch pool poisoned").pop();
         match popped {
             Some(mut buf) => {
@@ -94,7 +94,7 @@ impl ScratchPool {
     }
 
     /// Returns a byte buffer to the pool.
-    pub fn put_buf(&self, buf: Vec<u8>) {
+    pub(crate) fn put_buf(&self, buf: Vec<u8>) {
         self.inner
             .bufs
             .lock()
@@ -151,7 +151,7 @@ impl ScratchPool {
     }
 
     /// Number of byte buffers currently parked in the free list.
-    pub fn idle_bufs(&self) -> usize {
+    pub(crate) fn idle_bufs(&self) -> usize {
         self.inner.bufs.lock().expect("scratch pool poisoned").len()
     }
 

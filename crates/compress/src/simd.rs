@@ -1066,7 +1066,7 @@ pub(crate) mod tests {
                             norm,
                             stream: &stream,
                         };
-                        let mut twin = crate::BitWriter::new();
+                        let mut twin = crate::bitpack::BitWriter::default();
                         let mut committed = Vec::with_capacity(n);
                         for (b, bucket) in data.chunks(bucket_size).enumerate() {
                             if bucket.iter().all(|v| *v == 0.0) {
@@ -1183,7 +1183,7 @@ pub(crate) mod tests {
     /// off-grid `2s + 1` included.
     pub(crate) fn crafted_payload(bits: u32, bucket_size: usize, n: usize) -> cgx_tensor::Bytes {
         let norms = [0.731, 0.0, 1.0e-42, f32::MAX, f32::INFINITY, f32::NAN];
-        let mut w = crate::BitWriter::new();
+        let mut w = crate::bitpack::BitWriter::default();
         for b in 0..n.div_ceil(bucket_size) {
             w.write_f32(norms[(b + n) % norms.len()]);
             for j in 0..bucket_size.min(n - b * bucket_size) {
@@ -1207,7 +1207,7 @@ pub(crate) mod tests {
                 ];
                 for n in lengths {
                     let payload = crafted_payload(bits, bucket_size, n);
-                    let mut r = crate::BitReader::new(&payload);
+                    let mut r = crate::bitpack::BitReader::new(&payload);
                     let mut want = Vec::with_capacity(n);
                     for b in 0..n.div_ceil(bucket_size) {
                         let norm = r.read_f32().unwrap() as f64;

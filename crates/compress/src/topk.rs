@@ -6,7 +6,8 @@
 //! it only for naturally-sparse layers such as Transformer embeddings
 //! (Section 6, "Heterogeneous compression").
 
-use crate::{exact_len, BitReader, BitWriter, Compressor, Encoded, PayloadError, ScratchPool};
+use crate::bitpack::{BitReader, BitWriter};
+use crate::{exact_len, Compressor, Encoded, PayloadError, ScratchPool};
 use cgx_tensor::{Rng, Shape, Tensor};
 
 /// Sparsifier that keeps the top `ratio` fraction of components by

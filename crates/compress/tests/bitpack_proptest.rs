@@ -1,26 +1,14 @@
-//! Property tests for the word-wide bitpacking fast path and the fused
-//! decode-accumulate kernels: the specialized paths must be bit- and
-//! ULP-identical to the generic ones they replace.
+//! Property tests for the fused decode-accumulate kernels and recycled
+//! pool buffers: the specialized paths must be bit- and ULP-identical to
+//! the generic ones they replace. The word-wide bitpacking fast path's
+//! properties are `bitpack`'s unit tests.
 
 use cgx_compress::{
-    is_word_packable, pack_fixed, unpack_fixed, BitReader, BitWriter, CompressionScheme,
-    Compressor, Encoded, NuqsgdCompressor, OneBitCompressor, QsgdCompressor, ScratchPool,
-    TopKCompressor,
+    CompressionScheme, Compressor, Encoded, NuqsgdCompressor, OneBitCompressor, QsgdCompressor,
+    ScratchPool, TopKCompressor,
 };
 use cgx_tensor::{Rng, Tensor};
 use cgx_testkit::cases;
-
-/// Up to `max_len` values that fit `width` bits, as the kernels require.
-fn masked_values(rng: &mut Rng, width: u32, max_len: usize) -> Vec<u32> {
-    let mask = if width == 32 {
-        u32::MAX
-    } else {
-        (1u32 << width) - 1
-    };
-    (0..rng.range(0..max_len))
-        .map(|_| rng.next_u32() & mask)
-        .collect()
-}
 
 /// Gradient-like data with mixed scales, including exact zeros.
 fn gradient(rng: &mut Rng, max_len: usize) -> Vec<f32> {
@@ -55,63 +43,6 @@ fn assert_fused_matches(comp: &mut dyn Compressor, rng: &mut Rng) {
             "element {i} diverged: fused {a} vs reference {b}"
         );
     }
-}
-
-#[test]
-fn run_writes_match_scalar_writes_for_all_widths() {
-    cases(64, |rng| {
-        // write_run (which internally dispatches to pack_fixed when the
-        // alignment conditions hold) must always produce the same stream as
-        // element-at-a-time write_bits, for every width — not just the
-        // word-packable ones.
-        let width = rng.range(1..=32) as u32;
-        let values = masked_values(rng, width, 600);
-
-        let mut scalar = BitWriter::new();
-        for &v in &values {
-            scalar.write_bits(v, width);
-        }
-        // Trailing f32 exercises the post-run partial-byte state.
-        scalar.write_f32(1.5);
-        let scalar_bytes = scalar.finish();
-
-        let mut run = BitWriter::new();
-        run.write_run(&values, width);
-        run.write_f32(1.5);
-        let run_bytes = run.finish();
-        assert_eq!(&scalar_bytes[..], &run_bytes[..]);
-
-        // And read_run recovers the exact values plus the trailer.
-        let mut r = BitReader::new(&run_bytes);
-        let mut got = Vec::with_capacity(values.len());
-        assert_eq!(r.read_run(width, values.len(), |v| got.push(v)), Ok(()));
-        assert_eq!(got, values);
-        assert_eq!(r.read_f32(), Ok(1.5));
-        assert_eq!(r.finish(), Ok(()));
-    });
-}
-
-#[test]
-fn pack_fixed_roundtrips_and_matches_bitwriter() {
-    cases(64, |rng| {
-        let width = [1u32, 2, 4, 8, 16, 32][rng.index(6)];
-        assert!(is_word_packable(width));
-        let values = masked_values(rng, width.min(8), 600);
-
-        let mut packed = Vec::new();
-        pack_fixed(&values, width, &mut packed);
-
-        let mut w = BitWriter::new();
-        for &v in &values {
-            w.write_bits(v, width);
-        }
-        let scalar = w.finish();
-        // pack_fixed zero-pads the final partial byte exactly like finish().
-        assert_eq!(&packed[..], &scalar[..]);
-
-        let back = unpack_fixed(&packed, width, values.len());
-        assert_eq!(back, values);
-    });
 }
 
 #[test]

@@ -38,9 +38,8 @@
 
 pub mod attention;
 pub mod data;
-pub mod local_sgd;
+pub(crate) mod local_sgd;
 pub mod nn;
-pub mod norm;
 pub mod optimizer;
 mod sync;
 pub mod trainer;
@@ -49,7 +48,6 @@ pub use attention::AttentionLm;
 pub use data::{GaussianMixture, MarkovChainLm};
 pub use local_sgd::{local_sgd_rank, train_local_sgd};
 pub use nn::{EmbeddingLm, Mlp};
-pub use norm::MlpNorm;
 pub use optimizer::{clip_global_norm, Adam, LrSchedule, SgdMomentum};
 pub use trainer::{
     train_data_parallel, train_rank, LayerCompression, PerLayerMismatch, RankOutput, TrainConfig,

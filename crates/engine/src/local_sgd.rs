@@ -101,7 +101,7 @@ where
         }
         anchor = params.to_vec();
     }
-    Ok(Some(sync.finish(replica.model, losses, sync_rounds)))
+    Ok(Some(sync.finish(replica.model, losses)))
 }
 
 /// Trains `model` with local SGD over a thread-per-rank shared-memory
@@ -140,7 +140,7 @@ mod tests {
     use crate::optimizer::SgdMomentum;
     use crate::trainer::LayerCompression;
     use cgx_collectives::ThreadCluster;
-    use cgx_compress::ScratchPool;
+    use cgx_compress::{CompressionScheme, ScratchPool};
 
     fn setup() -> (GaussianMixture, Mlp) {
         let task = GaussianMixture::new(5, 10, 1.3);
@@ -164,10 +164,9 @@ mod tests {
             ..TrainConfig::new(4, 240)
         };
         let t = task.clone();
-        let (trained, report) =
+        let (trained, _) =
             train_local_sgd(&model, move |r| t.sample_batch(r, 16), &cfg, 8).unwrap();
         assert!(eval(&trained, &task) > 0.85);
-        assert_eq!(report.sync_rounds, 30);
     }
 
     #[test]
@@ -186,8 +185,6 @@ mod tests {
         };
         let every = run(1);
         let sparse = run(8);
-        assert_eq!(every.sync_rounds, 64);
-        assert_eq!(sparse.sync_rounds, 8);
         let ratio = every.bytes_sent_per_worker as f64 / sparse.bytes_sent_per_worker as f64;
         assert!((6.0..10.0).contains(&ratio), "traffic ratio {ratio}");
     }
@@ -208,7 +205,12 @@ mod tests {
             let mut data_rng = Rng::seed_from_u64(cfg.seed ^ (0xD00D + t.rank() as u64 * 7919));
             let mut comp_rng =
                 Rng::seed_from_u64(cfg.seed ^ (0xC0FFEE + t.rank() as u64 * 104_729));
-            let mut comps = cfg.compression.build_all(&specs);
+            let mut comps: Vec<_> = cfg
+                .compression
+                .schemes(&specs)
+                .iter()
+                .map(CompressionScheme::build)
+                .collect();
             let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, cfg.weight_decay);
             let mut anchor: Vec<Tensor> = local.params().to_vec();
             for step in 1..=cfg.steps {
@@ -300,13 +302,11 @@ mod tests {
         let t = task.clone();
         let (trained, report) =
             train_local_sgd(&model, move |r| t.sample_batch(r, 16), &cfg, 8).unwrap();
-        assert_eq!(report.sync_rounds, 30);
         let trace = report.adaptive.as_ref().expect("adaptive trace present");
         assert!(
             trace.replans() >= 2,
-            "only {} re-plans over {} sync rounds",
-            trace.replans(),
-            report.sync_rounds
+            "only {} re-plans over 30 sync rounds",
+            trace.replans()
         );
         for rec in &trace.records {
             let max_bits = 8;

@@ -47,12 +47,6 @@ impl SgdMomentum {
         self.lr
     }
 
-    /// Overrides the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one update: `v = m*v + g`, `p -= lr * (v + wd * p)`.
     ///
     /// # Panics
@@ -121,7 +115,13 @@ impl Adam {
     /// # Panics
     ///
     /// Panics if any parameter is out of range.
-    pub fn with_params(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
+    pub(crate) fn with_params(
+        lr: f32,
+        beta1: f32,
+        beta2: f32,
+        eps: f32,
+        weight_decay: f32,
+    ) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         assert!(
             (0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2),
@@ -144,16 +144,6 @@ impl Adam {
     /// Learning rate.
     pub fn lr(&self) -> f32 {
         self.lr
-    }
-
-    /// Overrides the learning rate (for schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`.
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
     }
 
     /// Applies one bias-corrected Adam update.

@@ -365,14 +365,13 @@ impl<'a> RankSync<'a> {
     /// Teardown barrier with every survivor — nobody drops its endpoint
     /// while a peer's final frames, or a retransmission it owes, are still
     /// on their way — then the rank's result.
-    pub(crate) fn finish<M>(self, model: M, losses: Vec<f64>, sync_rounds: usize) -> RankOutput<M> {
+    pub(crate) fn finish<M>(self, model: M, losses: Vec<f64>) -> RankOutput<M> {
         exchange_quiesce_markers(self.t, &self.membership.physical_ranks());
         RankOutput {
             model,
             losses,
             bytes: self.traffic.bytes_sent,
             kernel_calls: self.traffic.compress_calls,
-            sync_rounds,
             recovery_epochs: self.recoveries,
             final_world: self.membership.num_alive(),
             adaptive: self.controller.map(AdaptiveController::into_trace),

@@ -30,7 +30,7 @@ use crate::sync::RankSync;
 use cgx_adaptive::{AdaptivePlanTrace, AdaptiveTrainConfig};
 use cgx_collectives::reduce::Algorithm;
 use cgx_collectives::{CommError, ShmTransport, ThreadCluster, Topology, Transport};
-use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
+use cgx_compress::{CompressionScheme, ScratchPool};
 use cgx_obs::{MetricsSnapshot, ObsHandle};
 use cgx_tensor::{Rng, Tensor};
 use std::time::Duration;
@@ -221,12 +221,6 @@ impl LayerCompression {
             .map(|(i, s)| self.scheme_for(i, s))
             .collect()
     }
-
-    /// Builds one compressor per parameter.
-    pub fn build_all(&self, specs: &[ParamSpec]) -> Vec<Box<dyn Compressor>> {
-        let schemes = self.schemes(specs);
-        schemes.iter().map(CompressionScheme::build).collect()
-    }
 }
 
 /// Data-parallel training configuration.
@@ -343,9 +337,6 @@ pub struct RankOutput<M> {
     pub bytes: usize,
     /// Compression-kernel invocations on this rank.
     pub kernel_calls: usize,
-    /// Synchronization rounds performed: one per step under
-    /// [`train_rank`], one per `sync_period` steps under local SGD.
-    pub sync_rounds: usize,
     /// Shrink-and-continue recoveries this rank went through.
     pub recovery_epochs: usize,
     /// World size this rank finished with.
@@ -364,10 +355,6 @@ pub struct TrainReport {
     pub losses: Vec<f64>,
     /// Wire bytes transmitted per worker over the whole run.
     pub bytes_sent_per_worker: usize,
-    /// Compression-kernel invocations per worker over the whole run.
-    pub compress_calls_per_worker: usize,
-    /// Synchronization rounds performed.
-    pub sync_rounds: usize,
     /// Shrink-and-continue recoveries the reporting worker went through.
     pub recovery_epochs: usize,
     /// World size at the end of the run — smaller than `cfg.workers` if
@@ -496,7 +483,7 @@ where
         replica.apply(&mut grads);
         step += 1;
     }
-    Ok(Some(sync.finish(replica.model, losses, cfg.steps)))
+    Ok(Some(sync.finish(replica.model, losses)))
 }
 
 /// Whether [`TrainConfig::kill`] kills `rank` at the top of `step`.
@@ -548,8 +535,6 @@ where
         TrainReport {
             losses: out.losses,
             bytes_sent_per_worker: out.bytes,
-            compress_calls_per_worker: out.kernel_calls,
-            sync_rounds: out.sync_rounds,
             recovery_epochs: out.recovery_epochs,
             final_world: out.final_world,
             metrics: cfg.obs.registry().snapshot(),
@@ -725,7 +710,12 @@ mod tests {
             let mut data_rng = Rng::seed_from_u64(cfg.seed ^ (0xD00D + t.rank() as u64 * 7919));
             let mut comp_rng =
                 Rng::seed_from_u64(cfg.seed ^ (0xC0FFEE + t.rank() as u64 * 104_729));
-            let mut comps = cfg.compression.build_all(&specs);
+            let mut comps: Vec<_> = cfg
+                .compression
+                .schemes(&specs)
+                .iter()
+                .map(CompressionScheme::build)
+                .collect();
             let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, cfg.weight_decay);
             for _ in 0..cfg.steps {
                 let batch = task.sample_batch(&mut data_rng, 8);

@@ -84,7 +84,7 @@ impl GradientSynth {
 
     /// Fraction of rows receiving gradient for an embedding layer (1.0 for
     /// everything else).
-    pub fn embedding_density(layer: &LayerSpec) -> f64 {
+    pub(crate) fn embedding_density(layer: &LayerSpec) -> f64 {
         if layer.kind() != LayerKind::Embedding {
             return 1.0;
         }

@@ -122,7 +122,7 @@ pub fn vgg16() -> ModelSpec {
 }
 
 /// ViT-B/16 (Dosovitskiy et al.) — ~86 M parameters.
-pub fn vit_base() -> ModelSpec {
+pub(crate) fn vit_base() -> ModelSpec {
     let d = 768;
     let mut l = LayerList::new();
     l.push("cls_token", LayerKind::Other, &[d]);
@@ -147,7 +147,7 @@ pub fn vit_base() -> ModelSpec {
 /// ~137 M sit in the vocabulary embedding. The paper calls this "the model
 /// with the most non-uniform layer sizes" and uses it as the adaptive
 /// compression case study. Sequence (target) length 192, per-GPU batch 32.
-pub fn transformer_xl_base() -> ModelSpec {
+pub(crate) fn transformer_xl_base() -> ModelSpec {
     let d = 512;
     let d_inner = 2048;
     let vocab = 267_735; // WikiText-103 vocabulary
@@ -168,7 +168,7 @@ pub fn transformer_xl_base() -> ModelSpec {
 
 /// BERT base for SQuAD question answering — ~109 M parameters. Per-GPU
 /// batch 3, sequence length 384, FP32 (paper Appendix C).
-pub fn bert_base() -> ModelSpec {
+pub(crate) fn bert_base() -> ModelSpec {
     let d = 768;
     let mut l = LayerList::new();
     l.embedding("embeddings.word_embeddings", 30_522, d);
@@ -193,7 +193,7 @@ pub fn bert_base() -> ModelSpec {
 
 /// GPT-2 small on WikiText-2 — ~124 M parameters. Per-GPU batch 3,
 /// sequence length 1024, AMP level 2.
-pub fn gpt2_small() -> ModelSpec {
+pub(crate) fn gpt2_small() -> ModelSpec {
     let d = 768;
     let mut l = LayerList::new();
     l.embedding("wte", 50_257, d);

@@ -21,13 +21,13 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
 /// Environment variable carrying this process's rank.
-pub const ENV_RANK: &str = "CGX_RANK";
+pub(crate) const ENV_RANK: &str = "CGX_RANK";
 /// Environment variable carrying the world size.
-pub const ENV_WORLD: &str = "CGX_WORLD";
+pub(crate) const ENV_WORLD: &str = "CGX_WORLD";
 /// Environment variable carrying the rank-0 rendezvous address.
-pub const ENV_RENDEZVOUS: &str = "CGX_RENDEZVOUS";
+pub(crate) const ENV_RENDEZVOUS: &str = "CGX_RENDEZVOUS";
 /// Environment variable carrying this rank's node id (default `0`).
-pub const ENV_NODE: &str = "CGX_NODE";
+pub(crate) const ENV_NODE: &str = "CGX_NODE";
 
 /// A rank's identity as read from the `CGX_*` environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +45,7 @@ pub struct WorkerEnv {
 impl WorkerEnv {
     /// The worker identity described by `CGX_RANK`, `CGX_WORLD`,
     /// `CGX_RENDEZVOUS` and `CGX_NODE` (default `0`), read through `get`.
-    /// Returns `None` when [`ENV_RANK`] is unset (i.e. this process is a
+    /// Returns `None` when `ENV_RANK` is unset (i.e. this process is a
     /// coordinator, not a spawned worker).
     ///
     /// # Errors
@@ -253,11 +253,6 @@ impl ClusterReport {
     pub fn survivors(&self) -> usize {
         self.exits.iter().filter(|e| e.success).count()
     }
-
-    /// Ranks whose worker died (nonzero exit, signal, or unawaitable).
-    pub fn deaths(&self) -> usize {
-        self.exits.len() - self.survivors()
-    }
 }
 
 #[cfg(test)]
@@ -290,7 +285,6 @@ mod tests {
             .run_supervised()
             .expect("all ranks spawn");
         assert_eq!(report.survivors(), 1);
-        assert_eq!(report.deaths(), 2);
         assert!(!report.exits[1].success && !report.exits[2].success);
         assert_eq!(report.exits[1].code, Some(1));
         assert_eq!(report.exits[2].code, Some(2));

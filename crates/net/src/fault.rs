@@ -12,10 +12,10 @@
 //!   FIN), or with `--sigkill` calls [`raise_sigkill`], endpoint still
 //!   open — no destructors, no flushes, the kernel tears the sockets down.
 //!   That is the honest model of an OOM kill or a preempted spot instance.
-//! * **Reset** — a [`ResetPlan`]: that rank's socket toward `peer` is shut
+//! * **Reset** — a `ResetPlan`: that rank's socket toward `peer` is shut
 //!   down under the wire path after N outbound frames — a transient link
 //!   drop the reconnect path should heal. Tests arm it on the transport
-//!   ([`TcpTransport::set_reset`](crate::TcpTransport::set_reset)), and
+//!   (`tcp::tests::set_reset`), and
 //!   [`ReconnectPolicy`] is how it redials.
 
 use std::time::Duration;
@@ -23,13 +23,13 @@ use std::time::Duration;
 /// A transient socket drop: `rank`'s connection toward `peer` is shut
 /// down once `after_frames` outbound frames have been enqueued to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResetPlan {
+pub(crate) struct ResetPlan {
     /// The rank whose socket is sabotaged.
     pub rank: usize,
     /// The peer whose link drops.
     pub peer: usize,
     /// Outbound frames to that peer before the drop fires (one-shot).
-    pub after_frames: u64,
+    pub(crate) after_frames: u64,
 }
 
 /// Jittered exponential backoff schedule for transport reconnection.
@@ -48,7 +48,7 @@ pub struct ReconnectPolicy {
     /// Upper clamp on any single delay.
     pub cap: Duration,
     /// Dial attempts before the peer is condemned.
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Seed for the deterministic jitter stream.
     pub seed: u64,
 }
@@ -127,6 +127,8 @@ pub fn raise_sigkill() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgx_tensor::Rng;
+    use cgx_testkit::cases;
 
     #[test]
     fn backoff_schedule_is_bounded_monotone_and_deterministic() {
@@ -150,5 +152,78 @@ mod tests {
             "different seeds must jitter differently"
         );
         assert_eq!(p.budget(), delays.iter().sum());
+    }
+
+    // The reconnect schedule's properties: every delay stays within
+    // `[base, cap]`, the schedule is monotone until it clamps at the cap,
+    // and the jitter is a pure function of the seed, which is what makes a
+    // reconnect storm replayable.
+
+    /// A base of 1..=50 ms, a cap up to 2 s above it, and any seed.
+    fn schedule(rng: &mut Rng) -> (Duration, Duration, u64) {
+        let base_ms = rng.range(1..=50) as u64;
+        let cap_ms = base_ms + rng.range(0..=2000) as u64;
+        let (base, cap) = (
+            Duration::from_millis(base_ms),
+            Duration::from_millis(cap_ms),
+        );
+        (base, cap, rng.next_u64())
+    }
+
+    #[test]
+    fn delays_stay_within_base_and_cap() {
+        cases(256, |rng| {
+            let (base, cap, seed) = schedule(rng);
+            let attempts = rng.range(1..=12) as u32;
+            let policy = ReconnectPolicy::new(base, cap, attempts, seed);
+            for k in 0..attempts {
+                let d = policy.delay(k);
+                assert!(d >= base, "attempt {k} delay {d:?} below base {base:?}");
+                assert!(d <= cap, "attempt {k} delay {d:?} above cap {cap:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn schedule_is_monotone_until_the_cap() {
+        cases(256, |rng| {
+            let (base, cap, seed) = schedule(rng);
+            let policy = ReconnectPolicy::new(base, cap, 12, seed);
+            let mut prev = Duration::ZERO;
+            let mut capped = false;
+            for k in 0..policy.max_attempts {
+                let d = policy.delay(k);
+                if capped {
+                    // Once a delay hits the cap, every later one sits there.
+                    assert_eq!(d, cap, "attempt {k} left the cap");
+                } else {
+                    assert!(
+                        d >= prev,
+                        "attempt {k} delay {d:?} shrank from {prev:?} before the cap"
+                    );
+                }
+                capped = capped || d == cap;
+                prev = d;
+            }
+        });
+    }
+
+    #[test]
+    fn jitter_is_deterministic_under_a_fixed_seed() {
+        cases(256, |rng| {
+            let (base, cap, seed) = schedule(rng);
+            let a = ReconnectPolicy::new(base, cap, 8, seed);
+            let b = ReconnectPolicy::new(base, cap, 8, seed);
+            for k in 0..a.max_attempts {
+                assert_eq!(a.delay(k), b.delay(k), "attempt {k} not replayable");
+            }
+            assert_eq!(a.budget(), b.budget());
+            // A different seed is allowed to (and in general does) move the
+            // delays, but never outside the bounds checked above; budget
+            // stays within [attempts*base, attempts*cap] either way.
+            let c = ReconnectPolicy::new(base, cap, 8, seed ^ 0xDEAD_BEEF);
+            assert!(c.budget() >= base * 8, "budget below the floor");
+            assert!(c.budget() <= cap * 8, "budget above the ceiling");
+        });
     }
 }

@@ -24,7 +24,7 @@
 //!   `cgx-launch` binary and the Shm/TCP parity test, and the one reader
 //!   ([`workload::read`] over [`workload::flags`]) the binaries parse
 //!   their flags with.
-//! - [`fault`] — socket resets ([`ResetPlan`]), the [`ReconnectPolicy`]
+//! - [`fault`] — socket resets (`ResetPlan`), the [`ReconnectPolicy`]
 //!   that redials after one, and [`fault::raise_sigkill`].
 
 #![warn(missing_docs)]
@@ -37,7 +37,7 @@ pub mod wire;
 pub mod workload;
 
 pub use cluster::{ClusterReport, ProcessCluster, RankExit};
-pub use fault::{ReconnectPolicy, ResetPlan};
+pub use fault::ReconnectPolicy;
 pub use rendezvous::{rendezvous, TcpFabric, DEFAULT_BOOT_TIMEOUT};
 pub use tcp::{NetOptions, TcpTransport, WireStats};
 

@@ -498,7 +498,10 @@ mod tests {
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
         let policy =
             ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(50), 4, 3);
-        let opts = NetOptions::default().with_reconnect(policy);
+        let opts = NetOptions {
+            reconnect: Some(policy),
+            ..Default::default()
+        };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let boot = Duration::from_secs(10);
@@ -596,7 +599,6 @@ mod tests {
             s.spawn(move || {
                 let got = b.recv_tagged(0, 5).expect("recv");
                 assert_eq!(got.payload_bytes(), 64);
-                assert_eq!(b.wire_bytes_received(), expected);
             });
         });
     }

@@ -34,9 +34,9 @@
 //!   socket meanwhile, so every arrival wakes the poll; whoever stashes or
 //!   stops polling wakes the waiters.
 //! * **Ring-staged reads.** Each peer has a staging buffer
-//!   ([`READ_BUF_BYTES`]); one `read` syscall pulls an entire burst of
+//!   (`READ_BUF_BYTES`); one `read` syscall pulls an entire burst of
 //!   back-to-back frames, which are parsed in place
-//!   ([`wire::parse_frame`]) — header fields are decoded from the
+//!   (`wire::parse_frame`) — header fields are decoded from the
 //!   staging bytes directly, and the payload is copied exactly once, out
 //!   of the ring into its own allocation, its checksum verified over the
 //!   copy in the same pass. Leftover
@@ -89,7 +89,7 @@ use std::time::{Duration, Instant};
 
 /// Per-peer read staging buffer; it grows past this only while a single
 /// frame is larger.
-pub const READ_BUF_BYTES: usize = 256 * 1024;
+pub(crate) const READ_BUF_BYTES: usize = 256 * 1024;
 /// Coalescing budget: queued-but-unflushed outbound bytes per peer above
 /// which the queue is flushed at once.
 const COALESCE_BUDGET_BYTES: usize = 256 * 1024;
@@ -118,17 +118,17 @@ pub struct NetOptions {
     /// calls emits nothing during that gap and will be falsely
     /// condemned by its peers — size `heartbeat_timeout` above the
     /// longest inter-collective gap the workload can produce.
-    pub heartbeat_interval: Option<Duration>,
+    pub(crate) heartbeat_interval: Option<Duration>,
     /// Silence deadline: with heartbeats on, a peer not heard from for
     /// this long is declared [`CommError::PeerDead`]. Only enforced when
     /// `heartbeat_interval` is set, and floored at
     /// [`HB_TIMEOUT_FLOOR_INTERVALS`] emission intervals by every
     /// constructor — a deadline at or below the interval would
     /// guarantee false deaths.
-    pub heartbeat_timeout: Duration,
+    pub(crate) heartbeat_timeout: Duration,
     /// Redial policy for transient socket drops. `None` (the default)
     /// fails fast: any socket error condemns the peer immediately. Armed,
-    /// every link keeps its last [`RETAIN_BYTES`] of flushed frames so
+    /// every link keeps its last `RETAIN_BYTES` of flushed frames so
     /// that the undelivered suffix of a dropped link can be resent; a gap
     /// that outgrew them condemns the peer instead of healing into
     /// silently misaligned payloads.
@@ -148,24 +148,17 @@ impl Default for NetOptions {
 /// Minimum ratio of liveness deadline to heartbeat interval. Below ~2
 /// intervals a single delayed emission round trips the deadline; three
 /// leaves margin for scheduling jitter on loaded hosts.
-pub const HB_TIMEOUT_FLOOR_INTERVALS: u32 = 3;
+pub(crate) const HB_TIMEOUT_FLOOR_INTERVALS: u32 = 3;
 
 impl NetOptions {
     /// Returns `self` with liveness heartbeats every `interval` and a
     /// silence deadline of `timeout`, floored at
-    /// [`HB_TIMEOUT_FLOOR_INTERVALS`] intervals (a deadline at or below
+    /// `HB_TIMEOUT_FLOOR_INTERVALS` intervals (a deadline at or below
     /// the emission interval would condemn every healthy peer).
     #[must_use]
     pub fn with_heartbeat(mut self, interval: Duration, timeout: Duration) -> Self {
         self.heartbeat_interval = Some(interval);
         self.heartbeat_timeout = timeout.max(interval * HB_TIMEOUT_FLOOR_INTERVALS);
-        self
-    }
-
-    /// Returns `self` with the given redial policy for transient drops.
-    #[must_use]
-    pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = Some(policy);
         self
     }
 }
@@ -180,16 +173,16 @@ mod sys {
     use std::os::unix::io::AsRawFd;
     use std::time::Duration;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
+    pub(crate) const POLLIN: i16 = 0x001;
+    pub(crate) const POLLOUT: i16 = 0x004;
+    pub(crate) const POLLERR: i16 = 0x008;
+    pub(crate) const POLLHUP: i16 = 0x010;
 
     #[repr(C)]
-    pub struct PollFd {
-        pub fd: i32,
+    pub(crate) struct PollFd {
+        pub(crate) fd: i32,
         pub events: i16,
-        pub revents: i16,
+        pub(crate) revents: i16,
     }
 
     extern "C" {
@@ -198,18 +191,18 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: usize, timeout: i32) -> i32;
     }
 
-    pub fn raw_fd(stream: &TcpStream) -> i32 {
+    pub(crate) fn raw_fd(stream: &TcpStream) -> i32 {
         stream.as_raw_fd()
     }
 
-    pub fn raw_listener_fd(listener: &std::net::TcpListener) -> i32 {
+    pub(crate) fn raw_listener_fd(listener: &std::net::TcpListener) -> i32 {
         listener.as_raw_fd()
     }
 
     /// `poll(2)` retrying `EINTR`. Nonzero sub-millisecond timeouts round
     /// up to 1 ms so they actually sleep; zero stays a nonblocking probe.
     /// Returns how many entries have events.
-    pub fn poll_wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    pub(crate) fn poll_wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         let ms: i32 = if timeout.is_zero() {
             0
         } else {
@@ -237,26 +230,26 @@ mod sys {
     use std::net::TcpStream;
     use std::time::Duration;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
+    pub(crate) const POLLIN: i16 = 0x001;
+    pub(crate) const POLLOUT: i16 = 0x004;
+    pub(crate) const POLLERR: i16 = 0x008;
+    pub(crate) const POLLHUP: i16 = 0x010;
 
-    pub struct PollFd {
-        pub fd: i32,
+    pub(crate) struct PollFd {
+        pub(crate) fd: i32,
         pub events: i16,
-        pub revents: i16,
+        pub(crate) revents: i16,
     }
 
-    pub fn raw_fd(_stream: &TcpStream) -> i32 {
+    pub(crate) fn raw_fd(_stream: &TcpStream) -> i32 {
         0
     }
 
-    pub fn raw_listener_fd(_listener: &std::net::TcpListener) -> i32 {
+    pub(crate) fn raw_listener_fd(_listener: &std::net::TcpListener) -> i32 {
         0
     }
 
-    pub fn poll_wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    pub(crate) fn poll_wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         if !timeout.is_zero() {
             std::thread::sleep(timeout.min(Duration::from_millis(1)));
         }
@@ -278,11 +271,11 @@ pub struct WireStats {
     /// Time parked in `poll` waiting for readiness.
     pub park_ns: u64,
     /// `read` syscalls issued.
-    pub read_syscalls: u64,
+    pub(crate) read_syscalls: u64,
     /// `write_vectored` syscalls issued.
-    pub write_syscalls: u64,
+    pub(crate) write_syscalls: u64,
     /// `poll` syscalls issued.
-    pub poll_syscalls: u64,
+    pub(crate) poll_syscalls: u64,
     /// Frames that crossed the wire via vectored writes.
     pub writev_frames: u64,
 }
@@ -300,7 +293,6 @@ impl WireStats {
 struct Meter {
     stats: WireStats,
     bytes_out: u64,
-    bytes_in: u64,
     reconnects: u64,
     obs: Option<TcpMetrics>,
 }
@@ -593,7 +585,6 @@ impl Link {
                 });
             }
             self.expected = self.expected.wrapping_add(1);
-            meter.bytes_in += used as u64;
             // Heartbeats are liveness signal only: sequence-checked like
             // any CTRL frame (above), but never stashed — receivers must
             // not observe them as traffic.
@@ -1215,14 +1206,6 @@ impl TcpTransport {
         self.ep.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Arms a socket reset (fault tests and reports only), if `plan`
-    /// names this endpoint's rank. Must be called before the endpoint is
-    /// shared.
-    pub fn set_reset(&mut self, plan: ResetPlan) {
-        let rank = self.rank;
-        self.state().reset = Some(plan).filter(|r| r.rank == rank);
-    }
-
     /// Overrides the receive timeout.
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
@@ -1259,11 +1242,6 @@ impl TcpTransport {
     /// including all framing overhead.
     pub fn wire_bytes_sent(&self) -> u64 {
         self.lock().meter.bytes_out
-    }
-
-    /// Total serialized bytes this endpoint's demux has consumed.
-    pub fn wire_bytes_received(&self) -> u64 {
-        self.lock().meter.bytes_in
     }
 
     /// Snapshot of the wire-path cost breakdown.
@@ -1602,6 +1580,13 @@ impl std::fmt::Debug for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Arms a socket reset, if `plan` names `t`'s rank. Must be called
+    /// before the endpoint is shared.
+    pub(crate) fn set_reset(t: &mut TcpTransport, plan: ResetPlan) {
+        let rank = t.rank;
+        t.state().reset = Some(plan).filter(|r| r.rank == rank);
+    }
     use crate::rendezvous::TcpFabric;
     use cgx_collectives::{Membership, MembershipView};
     use cgx_obs::MetricsRegistry;
@@ -1730,10 +1715,25 @@ mod tests {
         let beating = TcpFabric::build_local_with(2, beats);
         let view = MembershipView::new(&beating[0], &Membership::full(2));
         assert_eq!(view.drive_within(), Some(ms(5)), "the view hides it");
-        assert_eq!(drive(beats.with_reconnect(policy)), Some(ms(5)));
+        assert_eq!(
+            drive(NetOptions {
+                reconnect: Some(policy),
+                ..beats
+            }),
+            Some(ms(5))
+        );
         let slow_beats = NetOptions::default().with_heartbeat(ms(500), ms(1500));
-        assert_eq!(drive(slow_beats.with_reconnect(policy)), Some(PARK_SLICE));
-        let redials = NetOptions::default().with_reconnect(policy);
+        assert_eq!(
+            drive(NetOptions {
+                reconnect: Some(policy),
+                ..slow_beats
+            }),
+            Some(PARK_SLICE)
+        );
+        let redials = NetOptions {
+            reconnect: Some(policy),
+            ..Default::default()
+        };
         assert_eq!(drive(redials), Some(PARK_SLICE));
     }
 
@@ -1809,15 +1809,21 @@ mod tests {
         // order, and the transports record a reconnect.
         let policy =
             ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(100), 8, 7);
-        let opts = NetOptions::default().with_reconnect(policy);
+        let opts = NetOptions {
+            reconnect: Some(policy),
+            ..Default::default()
+        };
         let mut eps = crate::rendezvous::TcpFabric::build_local_with(2, opts);
         let mut b = eps.pop().expect("rank 1");
         let a = eps.pop().expect("rank 0");
-        b.set_reset(ResetPlan {
-            rank: 1,
-            peer: 0,
-            after_frames: 3,
-        });
+        set_reset(
+            &mut b,
+            ResetPlan {
+                rank: 1,
+                peer: 0,
+                after_frames: 3,
+            },
+        );
         std::thread::scope(|s| {
             s.spawn(move || {
                 for i in 0..10u8 {
@@ -1843,7 +1849,10 @@ mod tests {
         // once the budget is spent — bounded, no hang.
         let policy =
             ReconnectPolicy::new(Duration::from_millis(2), Duration::from_millis(10), 3, 11);
-        let opts = NetOptions::default().with_reconnect(policy);
+        let opts = NetOptions {
+            reconnect: Some(policy),
+            ..Default::default()
+        };
         let mut eps = crate::rendezvous::TcpFabric::build_local_with(2, opts);
         let b = eps.pop().expect("rank 1");
         let a = eps.pop().expect("rank 0");
@@ -1869,7 +1878,10 @@ mod tests {
     fn retention_fixture() -> Vec<TcpTransport> {
         let policy =
             ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(50), 4, 3);
-        let opts = NetOptions::default().with_reconnect(policy);
+        let opts = NetOptions {
+            reconnect: Some(policy),
+            ..Default::default()
+        };
         let eps = TcpFabric::build_local_with(2, opts);
         for i in 0..3u8 {
             let p = Encoded::new(Shape::new(vec![1]), vec![i].into());
@@ -1981,7 +1993,10 @@ mod tests {
         // leave the verdict in place.
         let policy =
             ReconnectPolicy::new(Duration::from_millis(2), Duration::from_millis(10), 2, 5);
-        let opts = NetOptions::default().with_reconnect(policy);
+        let opts = NetOptions {
+            reconnect: Some(policy),
+            ..Default::default()
+        };
         let eps = TcpFabric::build_local_with(2, opts);
         let mut ep = eps[0].lock();
         ep.condemn(1, CommError::PeerDead { rank: 1 });
@@ -2053,8 +2068,189 @@ mod tests {
         });
         let (big_wire, small_wire) = (wire::frame_wire_bytes(1, len), wire::frame_wire_bytes(1, 4));
         assert_eq!(a.wire_bytes_sent(), big_wire as u64);
-        assert_eq!(b.wire_bytes_received(), big_wire as u64);
         assert_eq!(b.wire_bytes_sent(), small_wire as u64);
-        assert_eq!(a.wire_bytes_received(), small_wire as u64);
+    }
+
+    /// Frames one byte short of the read buffer, exactly it, one byte over
+    /// and far beyond (1 MiB, split across many reads and growing the
+    /// buffer), each between small frames on other tags: every tag's frames
+    /// arrive in order with their bytes intact, and the sender counts every
+    /// frame's wire bytes.
+    #[test]
+    fn frames_around_and_beyond_the_read_window_arrive_whole_and_counted() {
+        const BIG: u64 = 1;
+        const BEFORE: u64 = 2;
+        const AFTER: u64 = 3;
+        let frame = |len: usize, salt: usize| {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + salt) as u8).collect();
+            Encoded::new(Shape::vector(len), bytes.into())
+        };
+        let overhead = wire::frame_wire_bytes(1, 0);
+        let sizes = [
+            READ_BUF_BYTES - overhead - 1,
+            READ_BUF_BYTES - overhead,
+            READ_BUF_BYTES - overhead + 1,
+            1 << 20,
+        ];
+        let mut ends = TcpFabric::build_local(2);
+        let to = ends.pop().expect("rank 1");
+        let from = ends.pop().expect("rank 0");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for (k, &len) in sizes.iter().enumerate() {
+                    from.send_tagged(1, BEFORE, frame(5, k))
+                        .expect("small frame ahead");
+                    from.send_tagged(1, BIG, frame(len, k))
+                        .expect("large frame");
+                    from.send_tagged(1, AFTER, frame(9, k))
+                        .expect("small frame behind");
+                }
+            });
+            // One lane at a time, so the other two lanes' frames are
+            // stashed around the large ones and claimed afterwards.
+            let lanes = [(BIG, None), (BEFORE, Some(5)), (AFTER, Some(9))];
+            for (tag, small) in lanes {
+                for (k, &len) in sizes.iter().enumerate() {
+                    let got = to.recv_tagged(0, tag).expect("frame arrives");
+                    let want = frame(small.unwrap_or(len), k);
+                    assert_eq!(got.shape(), want.shape(), "tag {tag} frame {k}");
+                    assert!(got.payload() == want.payload(), "tag {tag} frame {k}");
+                }
+            }
+        });
+        let wire: usize = sizes
+            .iter()
+            .map(|&len| wire::frame_wire_bytes(1, len))
+            .sum();
+        let wire = (wire
+            + sizes.len() * (wire::frame_wire_bytes(1, 5) + wire::frame_wire_bytes(1, 9)))
+            as u64;
+        assert_eq!(from.wire_bytes_sent(), wire);
+    }
+
+    /// A link reset heals: rank 1's socket toward rank 0 is shut down
+    /// partway through an engine run, the reconnect path redials and
+    /// resends the retained suffix, and every rank's results equal the
+    /// shared-memory run's byte for byte.
+    mod socket_reset {
+        use super::*;
+        use cgx_collectives::reduce::Algorithm;
+        use cgx_collectives::transport::exchange_quiesce_markers;
+        use cgx_collectives::{CommEngine, EngineOptions, ThreadCluster};
+        use cgx_compress::{CompressionScheme, ScratchPool};
+        use cgx_tensor::{Rng, Tensor};
+
+        const WORLD: usize = 4;
+        const LAYERS: usize = 12;
+        /// Rank 1's frames toward rank 0 before its socket is shut down: it sends
+        /// 21 over the run (the engine's 20, then the teardown marker), so the
+        /// reset lands partway through the layers.
+        const RESET_AFTER: u64 = 8;
+
+        /// Twelve layers of odd lengths, cycling through four schemes: two lossy
+        /// quantizers, the lossless path and a sparsifier.
+        fn layer_specs() -> Vec<(usize, CompressionScheme)> {
+            let schemes = [
+                CompressionScheme::Qsgd {
+                    bits: 4,
+                    bucket_size: 128,
+                },
+                CompressionScheme::None,
+                CompressionScheme::Nuqsgd {
+                    bits: 4,
+                    bucket_size: 64,
+                },
+                CompressionScheme::TopK { ratio: 0.25 },
+            ];
+            let mut lens = Rng::seed_from_u64(0xC4A0);
+            (0..LAYERS)
+                .map(|i| {
+                    let len = (lens.next_u64() % 3000 + 16) as usize | 1;
+                    (len, schemes[i % schemes.len()])
+                })
+                .collect()
+        }
+
+        fn rank_grads(specs: &[(usize, CompressionScheme)], rank: usize) -> Vec<Tensor> {
+            let mut rng = Rng::seed_from_u64(0xD1CE + rank as u64 * 31);
+            specs
+                .iter()
+                .map(|(len, _)| Tensor::randn(&mut rng, &[*len]))
+                .collect()
+        }
+
+        /// Reduces every layer through one SRA engine on `t`, then runs the
+        /// teardown barrier; returns the rank's results.
+        fn reduce_layers(t: &dyn Transport) -> Vec<Tensor> {
+            let specs = layer_specs();
+            let grads = rank_grads(&specs, t.rank());
+            let mut master = Rng::seed_from_u64(0xAB5);
+            let mut eng = CommEngine::new(t, ScratchPool::new(), EngineOptions::default());
+            let handles: Vec<_> = grads
+                .iter()
+                .zip(&specs)
+                .map(|(g, (_, scheme))| {
+                    eng.submit(
+                        Algorithm::ScatterReduceAllgather,
+                        g,
+                        scheme.build(),
+                        &mut master,
+                    )
+                })
+                .collect();
+            let results = handles
+                .into_iter()
+                .map(|h| eng.wait(h).expect("layer reduces").0)
+                .collect();
+            drop(eng);
+            let all: Vec<usize> = (0..t.world()).collect();
+            exchange_quiesce_markers(t, &all);
+            results
+        }
+
+        #[test]
+        fn engine_results_are_byte_identical_to_shm_across_a_socket_reset() {
+            let reference = ThreadCluster::run(WORLD, |t| reduce_layers(&t)).expect("shm run");
+            let policy =
+                ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(100), 8, 7);
+            let opts = NetOptions {
+                reconnect: Some(policy),
+                ..Default::default()
+            };
+            let mut eps = TcpFabric::build_local_with(WORLD, opts);
+            set_reset(
+                &mut eps[1],
+                ResetPlan {
+                    rank: 1,
+                    peer: 0,
+                    after_frames: RESET_AFTER,
+                },
+            );
+            let runs: Vec<(Vec<Tensor>, u64)> = std::thread::scope(|s| {
+                let handles: Vec<_> = eps
+                    .into_iter()
+                    .map(|t| s.spawn(move || (reduce_layers(&t), t.reconnects())))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("rank panicked"))
+                    .collect()
+            });
+            for (rank, (got, _)) in runs.iter().enumerate() {
+                assert_eq!(got.len(), LAYERS, "rank {rank}");
+                for (i, (a, b)) in got.iter().zip(&reference[rank]).enumerate() {
+                    assert_eq!(
+                        a.as_slice(),
+                        b.as_slice(),
+                        "rank {rank} layer {i} differs from the shm run"
+                    );
+                }
+            }
+            let (healed, redialed) = (runs[0].1, runs[1].1);
+            assert!(
+                healed >= 1 && redialed >= 1,
+                "the reset was not healed by a reconnect: rank 0 {healed}, rank 1 {redialed}"
+            );
+        }
     }
 }

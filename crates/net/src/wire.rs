@@ -11,8 +11,8 @@
 //! [payload]
 //! ```
 //!
-//! Every frame is written as [`append_frame_header`] plus the payload and
-//! read by [`parse_frame`], which copies the payload out of the staging
+//! Every frame is written as `append_frame_header` plus the payload and
+//! read by `parse_frame`, which copies the payload out of the staging
 //! ring and verifies the checksum in the copying pass. TCP already
 //! guarantees ordered reliable delivery; the checksum is the end-to-end
 //! integrity check (paper: datacenter links do corrupt). It is an
@@ -46,7 +46,7 @@
 //! namespace: `[job:8][op:24][segment:16][phase:8][epoch:8]` (see
 //! [`cgx_collectives::namespace_tag`]). Namespace 0x00 is single-job
 //! traffic — bit-identical to the historical layout, since collective
-//! ids stay below [`cgx_collectives::MAX_NAMESPACED_OP`] — so the frame
+//! ids stay below `cgx_collectives::MAX_NAMESPACED_OP` — so the frame
 //! format itself is unchanged; only the tag's interpretation widens.
 
 use crate::boot_err;
@@ -61,10 +61,10 @@ use std::time::Instant;
 
 /// Hard cap on a frame's post-length size: a parter that hands us garbage
 /// for a length must not look like a 4 GiB allocation request.
-pub const MAX_FRAME_BYTES: usize = 1 << 30;
+pub(crate) const MAX_FRAME_BYTES: usize = 1 << 30;
 
 /// Maximum tensor rank encodable in the geometry header.
-pub const MAX_DIMS: usize = 255;
+pub(crate) const MAX_DIMS: usize = 255;
 
 /// Envelope header: `[magic:u16][seq:u32][checksum:u32]`, little-endian.
 pub const HEADER_LEN: usize = 10;
@@ -87,7 +87,7 @@ pub struct Frame {
 /// Serialized size of a frame carrying `payload_len` payload bytes with
 /// `ndims` dimensions — the number that goes over the wire, used by the
 /// transport's byte accounting.
-pub fn frame_wire_bytes(ndims: usize, payload_len: usize) -> usize {
+pub(crate) fn frame_wire_bytes(ndims: usize, payload_len: usize) -> usize {
     4 + 8 + 1 + 4 * ndims + HEADER_LEN + payload_len
 }
 
@@ -101,7 +101,7 @@ pub fn frame_wire_bytes(ndims: usize, payload_len: usize) -> usize {
 ///
 /// Panics if the shape has more than [`MAX_DIMS`] dimensions (no real
 /// tensor comes close).
-pub fn append_frame_header(
+pub(crate) fn append_frame_header(
     dst: &mut Vec<u8>,
     tag: Tag,
     seq: u32,
@@ -163,7 +163,7 @@ fn decode_header(frame: &[u8]) -> io::Result<(Tag, Shape, usize)> {
 ///
 /// `InvalidData` for an implausible length, malformed geometry, or a
 /// checksum mismatch.
-pub fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
+pub(crate) fn parse_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -502,7 +502,7 @@ pub(crate) fn get_str(body: &[u8], at: &mut usize) -> Result<String, CommError> 
 
 /// Bytes one link may hold for resending (TCP holds them only with a
 /// reconnect policy armed; without one it keeps none).
-pub const RETAIN_BYTES: usize = 8 << 20;
+pub(crate) const RETAIN_BYTES: usize = 8 << 20;
 
 /// The frames a sender has handed to one link, kept for resending: a
 /// contiguous suffix of everything the link ever carried, oldest first,

@@ -222,7 +222,7 @@ impl Workload {
 
 /// Serializes a model's parameters as little-endian `f32` bytes, in
 /// forward order — the byte-comparable fingerprint of a replica.
-pub fn params_bytes(model: &Mlp) -> Vec<u8> {
+pub(crate) fn params_bytes(model: &Mlp) -> Vec<u8> {
     let mut buf = Vec::new();
     for p in model.params() {
         for v in p.as_slice() {

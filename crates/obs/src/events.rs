@@ -39,16 +39,6 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// All kinds, in discriminant order.
-    pub const ALL: [SpanKind; 6] = [
-        SpanKind::Submit,
-        SpanKind::Compress,
-        SpanKind::Wire,
-        SpanKind::Decode,
-        SpanKind::Complete,
-        SpanKind::Idle,
-    ];
-
     /// Stable lowercase name (used by exporters).
     pub fn name(self) -> &'static str {
         match self {
@@ -85,17 +75,17 @@ pub fn meta_op(meta: u64) -> u32 {
 }
 
 /// Extract the segment index from a packed `meta` word.
-pub fn meta_segment(meta: u64) -> u16 {
+pub(crate) fn meta_segment(meta: u64) -> u16 {
     (meta >> 16) as u16
 }
 
 /// Extract the phase from a packed `meta` word.
-pub fn meta_phase(meta: u64) -> u8 {
+pub(crate) fn meta_phase(meta: u64) -> u8 {
     (meta >> 8) as u8
 }
 
 /// Extract the membership epoch from a packed `meta` word.
-pub fn meta_epoch(meta: u64) -> u8 {
+pub(crate) fn meta_epoch(meta: u64) -> u8 {
     meta as u8
 }
 
@@ -151,7 +141,7 @@ pub struct EventRecorder {
     inner: Option<Arc<RecorderInner>>,
 }
 
-/// Default ring capacity (events) for [`EventRecorder::new_default`].
+/// Default ring capacity (events) for `EventRecorder::new_default`.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 impl EventRecorder {
@@ -179,7 +169,7 @@ impl EventRecorder {
     }
 
     /// Create an enabled recorder with [`DEFAULT_RING_CAPACITY`].
-    pub fn new_default() -> Self {
+    pub(crate) fn new_default() -> Self {
         Self::new(DEFAULT_RING_CAPACITY)
     }
 

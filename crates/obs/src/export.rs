@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use crate::events::{meta_epoch, meta_op, meta_phase, meta_segment, Event, SpanKind};
 
 /// Quote + escape `s` as a JSON string (returned value includes the quotes).
-pub fn json_string(s: &str) -> String {
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -28,7 +28,7 @@ pub fn json_string(s: &str) -> String {
 
 /// Format a float with enough precision for trace timestamps without
 /// scientific notation.
-pub fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.3}")
     } else {

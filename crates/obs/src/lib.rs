@@ -21,17 +21,15 @@
 //! parity suites hold with the recorder on or off.
 
 pub mod events;
-pub mod export;
+pub(crate) mod export;
 pub mod metrics;
 
 pub use events::{
-    meta_epoch, meta_op, meta_phase, meta_segment, pack_meta, Event, EventRecorder, ObsHandle,
-    SpanKind, DEFAULT_RING_CAPACITY,
+    meta_op, pack_meta, Event, EventRecorder, ObsHandle, SpanKind, DEFAULT_RING_CAPACITY,
 };
-pub use export::{chrome_trace_json, json_f64, json_string};
+pub use export::chrome_trace_json;
 pub use metrics::{
     names, Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot,
-    HISTOGRAM_BUCKETS,
 };
 
 #[cfg(test)]

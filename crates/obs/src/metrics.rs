@@ -7,7 +7,6 @@
 //! a single relaxed atomic op per update afterwards.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -119,14 +118,14 @@ impl Gauge {
 }
 
 /// Number of power-of-two buckets in a [`Histogram`].
-pub const HISTOGRAM_BUCKETS: usize = 32;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 32;
 
 /// Power-of-two-bucketed histogram: bucket `i` counts samples `v` with
 /// `2^i <= v+1 < 2^(i+1)` (bucket 0 holds zeros, bucket 1 holds 1–2, ...).
 /// Good enough to eyeball latency distributions without any allocation on
 /// record.
 #[derive(Debug)]
-pub struct HistogramInner {
+pub(crate) struct HistogramInner {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -238,31 +237,6 @@ impl MetricsSnapshot {
     /// Look up a metric's scalar value (counter/gauge value, histogram sum).
     pub fn get(&self, name: &str) -> Option<u64> {
         self.values.get(name).map(MetricValue::scalar)
-    }
-
-    /// Render as a JSON object (`{"name": value, ...}`; histograms become
-    /// `{"count":..,"sum":..,"max":..}` objects).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in self.values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:", crate::export::json_string(name));
-            match *v {
-                MetricValue::Counter(c) => {
-                    let _ = write!(out, "{c}");
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = write!(out, "{g}");
-                }
-                MetricValue::Histogram { count, sum, max } => {
-                    let _ = write!(out, "{{\"count\":{count},\"sum\":{sum},\"max\":{max}}}");
-                }
-            }
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -394,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_decoupled_and_json_renders() {
+    fn snapshot_is_decoupled() {
         let reg = MetricsRegistry::new();
         reg.counter("a").add(7);
         reg.gauge("b").set(2);
@@ -402,10 +376,8 @@ mod tests {
         let snap = reg.snapshot();
         reg.counter("a").add(100);
         assert_eq!(snap.get("a"), Some(7));
-        let json = snap.to_json();
-        assert!(json.contains("\"a\":7"), "{json}");
-        assert!(json.contains("\"b\":2"), "{json}");
-        assert!(json.contains("\"count\":1"), "{json}");
+        assert_eq!(snap.get("b"), Some(2));
+        assert_eq!(snap.get("c"), Some(10));
     }
 
     #[test]

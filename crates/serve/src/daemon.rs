@@ -370,11 +370,20 @@ impl ServeNode {
         if let Some(m) = &self.shared.metrics {
             m.jobs_attached.inc();
         }
-        Ok(NamespacedTransport {
+        let tenant = NamespacedTransport {
             node: Arc::clone(&self.shared),
             id: spec.id,
             keepalive: None,
-        })
+        };
+        // Claim the namespace in the fabric's stash now, through the miss
+        // a first receive makes (a DETACH is never filed, so this one always
+        // misses): what peers send the tenant before its first receive is
+        // then its own, not an orphan under the stash's orphan bound.
+        let (rank, world) = (self.shared.phys.rank(), self.shared.phys.world());
+        if world > 1 {
+            let _ = tenant.try_recv_tagged((rank + 1) % world, DETACH_TAG);
+        }
+        Ok(tenant)
     }
 
     /// Cumulative bytes the daemon dequeued for `job` — the QoS share
@@ -985,7 +994,7 @@ mod tests {
         let batch = turn_racing(&nodes[0].shared, || {
             a.send_tagged(1, 5, payload(0x5A)).unwrap();
             let st = lock(&nodes[0].shared.state);
-            assert!(st.sched.has_backlog());
+            assert!(!st.sched.is_empty());
             assert_eq!(st.wake_ns, u64::MAX, "the pump is owed a turn");
         });
         assert_eq!(batch.owed, u64::MAX, "the turn read the scheduler idle");
@@ -1090,10 +1099,12 @@ mod tests {
         let fabric = Hollow::default();
         let node = ServeNode::new(Box::new(fabric.clone()), ServeConfig::default());
         let tenant = node.attach(JobSpec::new(1)).unwrap();
+        let attached = fabric.calls.load(Relaxed);
+        assert_eq!(attached, 1, "attaching claims the namespace in one receive");
         std::thread::sleep(Duration::from_millis(100));
         assert_eq!(
             fabric.calls.load(Relaxed),
-            0,
+            attached,
             "the idle pump called the fabric"
         );
         let blocked = tenant.recv_tagged_deadline(1, 7, Duration::from_millis(100));
@@ -1157,9 +1168,6 @@ mod tests {
         let nodes = two_nodes();
         let a = nodes[0].attach(JobSpec::new(1)).unwrap();
         let b = nodes[1].attach(JobSpec::new(1)).unwrap();
-        // Asked for first, b's namespace holds no orphans, whose bound a
-        // frame this size would pass.
-        assert!(b.try_recv_tagged(0, 2).unwrap().is_none());
         // Every frame exceeds the cap and relies on the empty-queue escape
         // hatch; the clones share one buffer.
         let len = QUEUE_BYTES as usize + 4;
@@ -1169,6 +1177,30 @@ mod tests {
         }
         for _ in 0..3 {
             assert_eq!(b.recv_tagged(0, 2).unwrap().payload().len(), len);
+        }
+    }
+
+    #[test]
+    fn an_attached_tenant_owns_its_namespace_before_its_first_receive() {
+        let nodes = two_nodes();
+        let a = nodes[0].attach(JobSpec::new(1)).unwrap();
+        let b = nodes[1].attach(JobSpec::new(1)).unwrap();
+        // Four frames, 36 MiB in all, reach b's stash before b receives
+        // anything: past what a namespace nobody has claimed may hold.
+        let len = 9 << 20;
+        let frame = |k: u8| Encoded::new(Shape::new(vec![len]), vec![k; len].into());
+        let before = b.arrivals();
+        for k in 0..4 {
+            a.send_tagged(1, 2, frame(k)).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while b.arrivals() < before + 4 {
+            assert!(Instant::now() < deadline, "the frames never reached b");
+            b.park(b.arrivals(), Duration::from_millis(50));
+        }
+        for k in 0..4 {
+            let got = b.recv_tagged(0, 2).expect("every frame arrives");
+            assert!(got.payload() == frame(k).payload(), "frame {k} intact");
         }
     }
 }

@@ -13,7 +13,7 @@
 //! The scheduler is deliberately *pure*: it never reads a clock or touches
 //! a socket. Callers pass `now_ns` into [`DrrScheduler::next`] and perform
 //! the physical send themselves (refunding on backpressure via
-//! [`DrrScheduler::refund`]). That keeps every scheduling decision
+//! `DrrScheduler::refund`). That keeps every scheduling decision
 //! deterministic and unit-testable — the property tests drive it with a
 //! simulated clock.
 //!
@@ -177,7 +177,7 @@ impl<T> DrrScheduler<T> {
     }
 
     /// Removes a job, returning any frames still queued (in order).
-    pub fn deregister(&mut self, job: u8) -> Vec<T> {
+    pub(crate) fn deregister(&mut self, job: u8) -> Vec<T> {
         self.active.retain(|&j| j != job);
         match self.jobs.remove(&job) {
             Some(q) => q.queue.into_iter().map(|(_, item)| item).collect(),
@@ -203,7 +203,7 @@ impl<T> DrrScheduler<T> {
     /// Returns a frame to the *front* of its job's queue after a failed or
     /// backpressured physical send, restoring the deficit, tokens and byte
     /// accounting consumed when it was dequeued.
-    pub fn refund(&mut self, job: u8, size: u64, item: T) {
+    pub(crate) fn refund(&mut self, job: u8, size: u64, item: T) {
         let Some(q) = self.jobs.get_mut(&job) else {
             return;
         };
@@ -234,11 +234,6 @@ impl<T> DrrScheduler<T> {
     /// True when no job has any queued frame.
     pub fn is_empty(&self) -> bool {
         self.jobs.values().all(|q| q.queue.is_empty())
-    }
-
-    /// True when at least one job has backlog.
-    pub fn has_backlog(&self) -> bool {
-        !self.is_empty()
     }
 
     /// Picks the next frame to transmit at time `now_ns`.

@@ -40,7 +40,7 @@ impl CommBackend {
     /// Fraction of the machine's effective link bandwidth this backend
     /// sustains (SHM's single-copy path is the reference; MPI loses ~25%
     /// to host synchronization — Figure 11 shows SHM up to 33% faster).
-    pub fn bandwidth_efficiency(self) -> f64 {
+    pub(crate) fn bandwidth_efficiency(self) -> f64 {
         match self {
             CommBackend::Shm => 1.0,
             CommBackend::Nccl => 0.85,
@@ -51,7 +51,7 @@ impl CommBackend {
     /// Multiplier on compression-kernel time when kernels must share the
     /// GPU with this backend's communication kernels (NCCL restricts
     /// available SMs — the paper's QNCCL overhead).
-    pub fn kernel_contention(self) -> f64 {
+    pub(crate) fn kernel_contention(self) -> f64 {
         match self {
             CommBackend::Shm => 1.0,
             CommBackend::Nccl => 1.3,
@@ -63,16 +63,11 @@ impl CommBackend {
     /// the *compute* stream: the MPI backend "has to synchronize host and
     /// device, as we cannot control MPI-internal memory transfers"
     /// (paper Section 4) — that stall blocks the backward pass itself.
-    pub fn host_sync_stall(self) -> f64 {
+    pub(crate) fn host_sync_stall(self) -> f64 {
         match self {
             CommBackend::Mpi => 250e-6,
             CommBackend::Shm | CommBackend::Nccl => 0.0,
         }
-    }
-
-    /// Whether the backend works across nodes (SHM is single-node only).
-    pub fn supports_multi_node(self) -> bool {
-        !matches!(self, CommBackend::Shm)
     }
 }
 
@@ -97,13 +92,6 @@ mod tests {
         assert!(CommBackend::Shm.alpha() < CommBackend::Mpi.alpha());
         assert_eq!(CommBackend::Shm.bandwidth_efficiency(), 1.0);
         assert!(CommBackend::Mpi.bandwidth_efficiency() < 1.0);
-    }
-
-    #[test]
-    fn shm_is_single_node_only() {
-        assert!(!CommBackend::Shm.supports_multi_node());
-        assert!(CommBackend::Nccl.supports_multi_node());
-        assert!(CommBackend::Mpi.supports_multi_node());
     }
 
     #[test]

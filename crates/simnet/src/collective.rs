@@ -40,7 +40,7 @@ impl ReductionScheme {
     /// Number of sequential compress-decompress round-trips a gradient
     /// suffers end to end. Determines compression-error accumulation (why
     /// SRA wins accuracy-wise) and kernel-time accounting.
-    pub fn requantization_rounds(self, n: usize) -> usize {
+    pub(crate) fn requantization_rounds(self, n: usize) -> usize {
         match self {
             ReductionScheme::ScatterReduceAllgather => 2,
             ReductionScheme::Ring => n.max(2), // re-quantized at each of N-1 hops
@@ -67,7 +67,7 @@ impl fmt::Display for ReductionScheme {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommCost {
     /// Per-GPU (or per-node) concurrent stream bandwidth, bytes/s.
-    pub stream_bw: f64,
+    pub(crate) stream_bw: f64,
     /// Per-round latency, seconds.
     pub alpha: f64,
 }
@@ -131,7 +131,7 @@ pub fn allreduce_time(scheme: ReductionScheme, n: usize, full_bytes: usize, cost
 ///
 /// This models CGX's heterogeneous transport (SHM within a node, NCCL/MPI
 /// across nodes).
-pub fn hierarchical_allreduce_time(
+pub(crate) fn hierarchical_allreduce_time(
     scheme: ReductionScheme,
     gpus_per_node: usize,
     nodes: usize,
@@ -142,24 +142,6 @@ pub fn hierarchical_allreduce_time(
     let intra_t = allreduce_time(scheme, gpus_per_node, full_bytes, intra);
     let inter_t = allreduce_time(scheme, nodes, full_bytes, inter);
     intra_t + inter_t
-}
-
-/// Flat (non-hierarchical) multi-node Allreduce: all `gpus_per_node * nodes`
-/// ranks form one ring/tree whose pace is set by the slow inter-node links.
-/// This is what vanilla NCCL does on the Table 5 cluster.
-pub fn flat_multinode_allreduce_time(
-    scheme: ReductionScheme,
-    gpus_per_node: usize,
-    nodes: usize,
-    full_bytes: usize,
-    inter: CommCost,
-) -> f64 {
-    let n = gpus_per_node * nodes;
-    // Every chunk eventually crosses the inter-node boundary; the bottleneck
-    // bandwidth per flow is the per-node inter link shared by the node's
-    // GPUs' flows.
-    let bottleneck = CommCost::new(inter.stream_bw / gpus_per_node as f64, inter.alpha);
-    allreduce_time(scheme, n, full_bytes, bottleneck)
 }
 
 #[cfg(test)]
@@ -240,28 +222,6 @@ mod tests {
             ReductionScheme::AllgatherBroadcast.requantization_rounds(n),
             1
         );
-    }
-
-    #[test]
-    fn hierarchical_beats_flat_on_slow_inter_links() {
-        let intra = c(7.0);
-        let inter = CommCost::new(0.3e9, 50e-6);
-        let h = hierarchical_allreduce_time(
-            ReductionScheme::ScatterReduceAllgather,
-            4,
-            4,
-            100 * MB,
-            intra,
-            inter,
-        );
-        let f = flat_multinode_allreduce_time(
-            ReductionScheme::ScatterReduceAllgather,
-            4,
-            4,
-            100 * MB,
-            inter,
-        );
-        assert!(h < f, "hierarchical {h} vs flat {f}");
     }
 
     #[test]

@@ -36,8 +36,7 @@
 //! * **Heterogeneous fabric.** [`Fabric`] carries per-rank egress and
 //!   ingress bandwidth, per-rank release offsets (compute stragglers),
 //!   a node map with shared per-node uplink/downlink lanes and a
-//!   separate inter-node α, an optional host-side serial [`Bus`] (used
-//!   by loopback calibration), and seeded multiplicative jitter.
+//!   separate inter-node α, and seeded multiplicative jitter.
 //!
 //! The previous `f64`-time `BinaryHeap` core is kept verbatim in a
 //! test-only `legacy` module as a validation oracle: the pinned-seed
@@ -147,7 +146,7 @@ fn f64_to_ns(ns: f64) -> u64 {
 ///   fixed `fixed_ns` floor) from `src`'s egress lane to `dst`'s ingress
 ///   lane; pays α in flight.
 /// * **compute** (`src == dst`, `fixed_ns > 0`): occupies both of the
-///   rank's lanes (and the [`Bus`], when configured) for `fixed_ns`; no α.
+///   rank's lanes for `fixed_ns`; no α.
 /// * **join** (`src == dst`, `frac == 0`, `fixed_ns == 0`): a zero-cost
 ///   aggregation point that completes the instant its last dependency
 ///   does — it exists so an op fanning in from `k` producers costs one
@@ -209,11 +208,6 @@ impl OpGraph {
     /// True when no ops have been pushed.
     pub fn is_empty(&self) -> bool {
         self.srcs.is_empty()
-    }
-
-    /// True once [`seal`](OpGraph::seal)ed and unmodified since.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
     }
 
     /// Resets to empty, keeping every allocation for reuse.
@@ -299,12 +293,11 @@ impl OpGraph {
     }
 
     /// Appends a zero-cost join on `rank` (completes with its last dep).
-    pub fn push_join(&mut self, rank: usize, deps: &[u32]) -> Result<u32, SimError> {
+    pub(crate) fn push_join(&mut self, rank: usize, deps: &[u32]) -> Result<u32, SimError> {
         self.push(rank, rank, 0.0, 0, deps)
     }
 
-    /// Appends a compute occupancy of `fixed_ns` on `rank`'s lanes (and
-    /// the bus, when the fabric has one).
+    /// Appends a compute occupancy of `fixed_ns` on `rank`'s lanes.
     pub fn push_compute(
         &mut self,
         rank: usize,
@@ -355,23 +348,12 @@ impl OpGraph {
 }
 
 // ---------------------------------------------------------------------------
-// Fabric: heterogeneous bandwidth, nodes, stragglers, jitter, host bus.
+// Fabric: heterogeneous bandwidth, nodes, stragglers, jitter.
 // ---------------------------------------------------------------------------
 
-/// A serial host-side resource every op crosses (memory bus / loopback
-/// kernel path). Used by the calibration replay, where the single-host
-/// TCP-loopback fabric is bus-bound, not lane-bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bus {
-    /// Fixed bus occupancy per transfer (framing, syscalls), ns.
-    pub per_op_ns: u64,
-    /// Bus bandwidth, bytes/s.
-    pub bytes_per_sec: f64,
-}
-
 /// The simulated fabric: per-rank lane bandwidths, per-rank release
-/// offsets, an optional node map with shared inter-node lanes, an
-/// optional serial [`Bus`], and seeded jitter.
+/// offsets, an optional node map with shared inter-node lanes, and
+/// seeded jitter.
 ///
 /// Build one with [`Fabric::uniform`] and specialize it with the
 /// setters; [`run`] validates the whole fabric and returns
@@ -386,8 +368,6 @@ pub struct Fabric {
     inter_bw: f64,
     alpha_ns: u64,
     inter_alpha_ns: u64,
-    per_op_lane_ns: u64,
-    bus: Option<Bus>,
     jitter_seed: u64,
     jitter_amp: f64,
 }
@@ -412,8 +392,6 @@ impl Fabric {
             inter_bw: lane_bw,
             alpha_ns,
             inter_alpha_ns: alpha_ns,
-            per_op_lane_ns: 0,
-            bus: None,
             jitter_seed: 0,
             jitter_amp: 0.0,
         })
@@ -452,7 +430,7 @@ impl Fabric {
     /// their node's shared uplink (source side) and downlink
     /// (destination side) — which is what makes hierarchical schemes
     /// beat flat ones on slow interconnects.
-    pub fn set_nodes(
+    pub(crate) fn set_nodes(
         &mut self,
         gpus_per_node: usize,
         inter_bw: f64,
@@ -469,26 +447,6 @@ impl Fabric {
         self.n_nodes = ranks.div_ceil(gpus_per_node);
         self.inter_bw = inter_bw;
         self.inter_alpha_ns = sec_to_ns(inter_alpha, "inter_alpha")?;
-        Ok(())
-    }
-
-    /// Attaches a serial host bus: `per_op` seconds fixed occupancy per
-    /// transfer plus `bytes_per_sec` streaming bandwidth.
-    pub fn set_bus(&mut self, per_op: f64, bytes_per_sec: f64) -> Result<(), SimError> {
-        if !bytes_per_sec.is_finite() || bytes_per_sec <= 0.0 {
-            return Err(SimError::InvalidFabric("bus bandwidth must be positive"));
-        }
-        self.bus = Some(Bus {
-            per_op_ns: sec_to_ns(per_op, "bus per_op")?,
-            bytes_per_sec,
-        });
-        Ok(())
-    }
-
-    /// Adds a fixed per-op lane occupancy (seconds) — per-message CPU
-    /// cost that does serialize the lane, unlike α.
-    pub fn set_per_op_lane(&mut self, seconds: f64) -> Result<(), SimError> {
-        self.per_op_lane_ns = sec_to_ns(seconds, "per_op_lane")?;
         Ok(())
     }
 
@@ -532,11 +490,6 @@ impl Fabric {
             return Err(SimError::InvalidFabric(
                 "jitter amplitude must be in [0, 1)",
             ));
-        }
-        if let Some(b) = &self.bus {
-            if !b.bytes_per_sec.is_finite() || b.bytes_per_sec <= 0.0 {
-                return Err(SimError::InvalidFabric("bus bandwidth must be positive"));
-            }
         }
         Ok(())
     }
@@ -720,7 +673,7 @@ pub struct RunStats {
 
 impl RunStats {
     /// Makespan in seconds.
-    pub fn makespan_seconds(&self) -> f64 {
+    pub(crate) fn makespan_seconds(&self) -> f64 {
         self.makespan_ns as f64 / 1e9
     }
 }
@@ -731,8 +684,8 @@ impl RunStats {
 /// Scheduling semantics (identical to the legacy heap core): an op is
 /// scheduled the instant its last dependency completes; it claims its
 /// lanes (source egress, destination ingress, plus the node uplink /
-/// downlink pair when crossing nodes and the bus when one is
-/// configured) at `start = max(ready, lane frees)`, holds them for the
+/// downlink pair when crossing nodes) at `start = max(ready, lane
+/// frees)`, holds them for the
 /// op duration, and completes α later (α rides in flight — it does not
 /// serialize lanes). Completions are processed in `(time, op index)`
 /// order; dependents of one completion are scheduled in index order.
@@ -744,18 +697,6 @@ pub fn run(
     scratch: &mut DesScratch,
 ) -> Result<RunStats, SimError> {
     run_inner(graph, fabric, ref_bytes, scratch, None)
-}
-
-/// Like [`run`], but also records each op's completion time (ns) into
-/// `times` (cleared and resized to `graph.len()`).
-pub fn run_with_times(
-    graph: &OpGraph,
-    fabric: &Fabric,
-    ref_bytes: f64,
-    scratch: &mut DesScratch,
-    times: &mut Vec<u64>,
-) -> Result<RunStats, SimError> {
-    run_inner(graph, fabric, ref_bytes, scratch, Some(times))
 }
 
 fn run_inner(
@@ -812,8 +753,8 @@ fn run_inner(
     // one lap of the wheel covers ~2x the estimate so mis-estimates
     // only cost overflow drains, never correctness. The estimate uses
     // the *bottleneck* per-rank bandwidth: on a multi-node fabric most
-    // chunks cross the shared uplinks, and with a serial bus every op
-    // occupies it — underestimating the makespan by orders of magnitude
+    // chunks cross the shared uplinks — underestimating the makespan by
+    // orders of magnitude
     // would make the wheel lap (and rescan its overflow list) that many
     // times.
     let avg_bw = fabric.egress_bw.iter().sum::<f64>() / ranks as f64;
@@ -822,20 +763,14 @@ fn run_inner(
     } else {
         avg_bw
     };
-    let mut est_ns = graph.frac_sum * ref_bytes / (eff_bw * ranks as f64) * 1e9
+    let est_ns = graph.frac_sum * ref_bytes / (eff_bw * ranks as f64) * 1e9
         + graph.fixed_sum as f64 / ranks as f64
         + fabric.alpha_ns as f64
         + fabric.inter_alpha_ns as f64;
-    if let Some(bus) = fabric.bus {
-        est_ns += n as f64 * bus.per_op_ns as f64
-            + graph.frac_sum * ref_bytes / bus.bytes_per_sec * 1e9
-            + graph.fixed_sum as f64;
-    }
     let nbuckets = (n / 4).next_power_of_two().clamp(16, 65_536);
     let width = f64_to_ns(2.0 * est_ns / nbuckets as f64).max(1);
     scratch.wheel.reset(nbuckets, width);
 
-    let mut bus_free: u64 = 0;
     let mut completed: usize = 0;
     let mut makespan: u64 = 0;
 
@@ -851,7 +786,7 @@ fn run_inner(
                 // Join: completes the instant it is ready.
                 scratch.wheel.push(ready, op as u32);
             } else if src == dst {
-                // Compute: occupies the rank's lanes (and bus) for
+                // Compute: occupies the rank's lanes for
                 // `fixed` ns; no α.
                 let dur = if fabric.jitter_amp > 0.0 {
                     f64_to_ns(
@@ -861,18 +796,12 @@ fn run_inner(
                 } else {
                     fixed
                 };
-                let mut start = ready
+                let start = ready
                     .max(scratch.egress_free[src])
                     .max(scratch.ingress_free[src]);
-                if fabric.bus.is_some() {
-                    start = start.max(bus_free);
-                }
                 let busy = start.saturating_add(dur);
                 scratch.egress_free[src] = busy;
                 scratch.ingress_free[src] = busy;
-                if fabric.bus.is_some() {
-                    bus_free = busy;
-                }
                 scratch.wheel.push(busy, op as u32);
             } else {
                 let bytes = frac * ref_bytes;
@@ -888,9 +817,7 @@ fn run_inner(
                 } else {
                     1.0
                 };
-                let lane_ns = f64_to_ns(bytes / rate * 1e9 * jit)
-                    .saturating_add(fixed)
-                    .saturating_add(fabric.per_op_lane_ns);
+                let lane_ns = f64_to_ns(bytes / rate * 1e9 * jit).saturating_add(fixed);
                 let mut start = ready
                     .max(scratch.egress_free[src])
                     .max(scratch.ingress_free[dst]);
@@ -899,9 +826,6 @@ fn run_inner(
                         .max(scratch.uplink_free[src_node as usize])
                         .max(scratch.downlink_free[dst_node as usize]);
                 }
-                if fabric.bus.is_some() {
-                    start = start.max(bus_free);
-                }
                 let lane_busy = start.saturating_add(lane_ns);
                 scratch.egress_free[src] = lane_busy;
                 scratch.ingress_free[dst] = lane_busy;
@@ -909,15 +833,7 @@ fn run_inner(
                     scratch.uplink_free[src_node as usize] = lane_busy;
                     scratch.downlink_free[dst_node as usize] = lane_busy;
                 }
-                let mut end = lane_busy;
-                if let Some(bus) = &fabric.bus {
-                    let bus_ns = bus
-                        .per_op_ns
-                        .saturating_add(f64_to_ns(bytes / bus.bytes_per_sec * 1e9));
-                    let bus_busy = start.saturating_add(bus_ns);
-                    bus_free = bus_busy;
-                    end = end.max(bus_busy);
-                }
+                let end = lane_busy;
                 let alpha = if cross {
                     fabric.inter_alpha_ns
                 } else {
@@ -1112,7 +1028,7 @@ pub fn build_tree(g: &mut OpGraph, ranks: usize) -> Result<(), SimError> {
 /// scatter-reduce-allgather among themselves with per-chunk
 /// `inter_frac / nodes` payload (`inter_frac` is the compressed-wire
 /// fraction of `ref_bytes`, e.g. `1/7.5` for 4-bit QSGD), and leaders
-/// broadcast the raw result back. With [`Fabric::set_nodes`] in place
+/// broadcast the raw result back. With `Fabric::set_nodes` in place
 /// the leader phase automatically rides the shared inter-node lanes.
 pub fn build_hierarchical(
     g: &mut OpGraph,
@@ -1239,7 +1155,7 @@ pub struct NetworkDes {
     /// Number of ranks.
     pub ranks: usize,
     /// Per-lane bandwidth, bytes/s.
-    pub lane_bw: f64,
+    pub(crate) lane_bw: f64,
     /// Per-transfer latency, seconds.
     pub alpha: f64,
 }
@@ -1537,7 +1453,7 @@ mod tests {
     fn run_graph(g: &OpGraph, f: &Fabric, ref_bytes: f64) -> (Vec<u64>, u64) {
         let mut times = Vec::new();
         let stats =
-            run_with_times(g, f, ref_bytes, &mut DesScratch::new(), &mut times).expect("run");
+            run_inner(g, f, ref_bytes, &mut DesScratch::new(), Some(&mut times)).expect("run");
         (times, stats.makespan_ns)
     }
 
@@ -1910,37 +1826,6 @@ mod tests {
     // --- heterogeneity ----------------------------------------------------
 
     #[test]
-    fn compute_ops_serialize_on_the_bus() {
-        let mut g = OpGraph::new();
-        for r in 0..4 {
-            g.push_compute(r, 1_000, &[]).unwrap();
-        }
-        g.seal();
-        // Without a bus, computes on distinct ranks run in parallel.
-        let (_, free) = run_graph(&g, &uniform(4, 1e9, 0.0), 0.0);
-        assert_eq!(free, 1_000);
-        // With a serial bus they stack: 4 x 1 µs.
-        let mut f = uniform(4, 1e9, 0.0);
-        f.set_bus(0.0, 1e9).unwrap();
-        let (_, bused) = run_graph(&g, &f, 0.0);
-        assert_eq!(bused, 4_000);
-    }
-
-    #[test]
-    fn bus_charges_per_op_and_bytes_on_transfers() {
-        let mut g = OpGraph::new();
-        g.push_transfer(0, 1, 1.0, &[]).unwrap();
-        g.push_transfer(2, 3, 1.0, &[]).unwrap();
-        g.seal();
-        let mut f = uniform(4, 1e12, 0.0); // lanes effectively free
-        f.set_bus(10e-6, 1e9).unwrap(); // 10 µs/op + 1 GB/s
-        let (done, makespan) = run_graph(&g, &f, 1e6);
-        // Each op: 10 µs + 1 ms of bus; the second queues behind the first.
-        assert_eq!(done[0], 1_010_000);
-        assert_eq!(makespan, 2_020_000);
-    }
-
-    #[test]
     fn stragglers_delay_and_slow_lanes() {
         let mut g = OpGraph::new();
         g.push_transfer(0, 1, 1.0, &[]).unwrap();
@@ -2020,6 +1905,6 @@ mod tests {
         assert_eq!(stats.makespan_ns, 0);
         assert_eq!(stats.events, 0);
         build_sra(&mut g, 1).unwrap();
-        assert!(g.is_empty() && g.is_sealed());
+        assert!(g.is_empty() && g.sealed);
     }
 }

@@ -2,15 +2,19 @@
 //! Discrete-event performance simulator of multi-GPU machines.
 //!
 //! The CGX paper's throughput results are produced on real 8-GPU servers;
-//! this crate is the substitute substrate: a calibrated α-β cost model of
-//! the same machines (Table 2), their interconnect topologies (Figure 8),
-//! the reduction schemes of Section 3, and a step simulator that overlaps
-//! per-layer gradient communication with the backward pass exactly the way
-//! the real communication engine does.
+//! this crate is the substitute substrate: an α-β cost model of the same
+//! machines (Table 2), its constants set to the paper's published
+//! bandwidths, their interconnect topologies (Figure 8), the reduction
+//! schemes of Section 3, and a step simulator that overlaps per-layer
+//! gradient communication with the backward pass. The step simulator does
+//! not model the real communication engine's 65,536-element segment cut,
+//! its 4,096-element coalescing or its cap of eight live collectives
+//! (`MAX_LIVE`): each message it is given, a layer or a fused bucket, is
+//! one collective, never cut and never queued behind a cap.
 //!
 //! Layering:
 //!
-//! * [`hardware`] — GPU spec sheets and single-GPU throughput envelopes
+//! * `hardware` — GPU spec sheets and single-GPU throughput envelopes
 //!   (Table 1);
 //! * [`topology`] — device graphs, p2p bandwidth matrices, ring contention
 //!   analysis (Figure 8 and the "1 GB/s Allreduce on a 16 GB/s bus" effect);
@@ -21,8 +25,6 @@
 //!   (Figure 10);
 //! * [`des`] — a first-principles discrete-event network simulation that
 //!   cross-validates the closed forms (lane contention, dependency stalls);
-//! * [`calibrate`](mod@calibrate) — fits the DES loopback fabric to measured step
-//!   times and reports per-point relative error;
 //! * [`step`] — the per-step overlap simulator behind Figures 1 and 3 and
 //!   Tables 4-8.
 //!
@@ -41,10 +43,9 @@
 //! ```
 
 pub mod backend;
-pub mod calibrate;
 pub mod collective;
 pub mod des;
-pub mod hardware;
+pub(crate) mod hardware;
 pub mod machine;
 pub mod memory;
 pub mod schedule;
@@ -52,23 +53,17 @@ pub mod step;
 pub mod topology;
 
 pub use backend::CommBackend;
-pub use calibrate::{
-    calibrate, parse_bench_net, CalPoint, CalibrationReport, LoopbackModel, NetPoint,
-};
-pub use collective::{
-    allreduce_time, flat_multinode_allreduce_time, hierarchical_allreduce_time, CommCost,
-    ReductionScheme,
-};
+pub use collective::{allreduce_time, CommCost, ReductionScheme};
 pub use des::{
-    build_hierarchical, build_ring, build_sra, build_tree, run, run_with_times, Bus, DesScratch,
-    Fabric, NetworkDes, OpGraph, RunStats, SimError, SimWorkspace,
+    build_hierarchical, build_ring, build_sra, build_tree, run, DesScratch, Fabric, NetworkDes,
+    OpGraph, RunStats, SimError, SimWorkspace,
 };
 pub use hardware::{GpuModel, GpuSpec};
 pub use machine::MachineSpec;
-pub use memory::{max_batch, recipe_batch_fits, training_memory_mb, OptimizerKind};
+pub use memory::{max_batch, training_memory_mb, OptimizerKind};
 pub use schedule::{cross_barrier_step, simulate_step_ordered, MessageOrder};
 pub use step::{
-    fuse_messages, message_time, simulate_step, simulate_step_traced, ComputeProfile, Lane,
-    LayerMsg, StepConfig, StepReport, SyncMode, TraceEvent, TransportQuality,
+    fuse_messages, simulate_step, simulate_step_traced, ComputeProfile, Lane, LayerMsg, StepConfig,
+    StepReport, SyncMode, TraceEvent, TransportQuality,
 };
-pub use topology::{Device, Link, LinkKind, Topology};
+pub use topology::{Link, LinkKind, Topology};

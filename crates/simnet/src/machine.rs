@@ -88,7 +88,7 @@ impl MachineSpec {
     }
 
     /// Inter-node round latency.
-    pub fn inter_alpha(&self) -> f64 {
+    pub(crate) fn inter_alpha(&self) -> f64 {
         self.inter_alpha
     }
 

@@ -39,7 +39,7 @@ impl OptimizerKind {
 }
 
 /// Memory the framework and CUDA context reserve regardless of the model.
-pub const FRAMEWORK_RESERVE_MB: f64 = 1500.0;
+pub(crate) const FRAMEWORK_RESERVE_MB: f64 = 1500.0;
 
 /// Estimated resident training memory in MB for a per-GPU batch size.
 pub fn training_memory_mb(model: &ModelSpec, batch: usize, optimizer: OptimizerKind) -> f64 {
@@ -77,11 +77,6 @@ pub fn max_batch(model: &ModelSpec, gpu: GpuModel) -> usize {
     lo
 }
 
-/// Whether the paper's recipe batch fits on this GPU.
-pub fn recipe_batch_fits(model: &ModelSpec, gpu: GpuModel) -> bool {
-    max_batch(model, gpu) >= model.per_gpu_batch()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,7 +107,7 @@ mod tests {
         for id in ModelId::all() {
             let m = ModelSpec::build(id);
             assert!(
-                recipe_batch_fits(&m, GpuModel::Rtx3090),
+                max_batch(&m, GpuModel::Rtx3090) >= m.per_gpu_batch(),
                 "{id}: batch {} should fit 24 GB (max {})",
                 m.per_gpu_batch(),
                 max_batch(&m, GpuModel::Rtx3090),

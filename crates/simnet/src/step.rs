@@ -67,9 +67,9 @@ pub struct ComputeProfile {
     /// Single-GPU fwd+bwd+optimizer time per step, seconds.
     pub step_seconds: f64,
     /// Fraction of `step_seconds` spent in the forward pass.
-    pub forward_frac: f64,
+    pub(crate) forward_frac: f64,
     /// Fraction spent in the optimizer/update phase (after synchronization).
-    pub optimizer_frac: f64,
+    pub(crate) optimizer_frac: f64,
 }
 
 impl ComputeProfile {
@@ -89,17 +89,17 @@ impl ComputeProfile {
     }
 
     /// Forward-pass seconds.
-    pub fn forward_seconds(&self) -> f64 {
+    pub(crate) fn forward_seconds(&self) -> f64 {
         self.step_seconds * self.forward_frac
     }
 
     /// Backward-pass seconds.
-    pub fn backward_seconds(&self) -> f64 {
+    pub(crate) fn backward_seconds(&self) -> f64 {
         self.step_seconds * (1.0 - self.forward_frac - self.optimizer_frac)
     }
 
     /// Optimizer seconds.
-    pub fn optimizer_seconds(&self) -> f64 {
+    pub(crate) fn optimizer_seconds(&self) -> f64 {
         self.step_seconds * self.optimizer_frac
     }
 }
@@ -246,7 +246,7 @@ impl StepReport {
 /// distributed-pipeline tax proportional to compute (kernel-launch jitter,
 /// stragglers, input-pipeline imbalance). This term is what caps scaling at
 /// the paper's Table 8 ceiling of ~88-95% even with bandwidth removed.
-pub fn framework_overhead(total_gpus: usize, compute_seconds: f64) -> f64 {
+pub(crate) fn framework_overhead(total_gpus: usize, compute_seconds: f64) -> f64 {
     if total_gpus <= 1 {
         0.0
     } else {
@@ -259,7 +259,7 @@ pub fn framework_overhead(total_gpus: usize, compute_seconds: f64) -> f64 {
 /// Multi-node machines use hierarchical reduction for CGX-style configs
 /// (SHM/MPI/NCCL mixed transports) and flat reduction for the vanilla NCCL
 /// baseline — matching how the respective systems actually behave.
-pub fn message_time(cfg: &StepConfig, wire_bytes: usize) -> f64 {
+pub(crate) fn message_time(cfg: &StepConfig, wire_bytes: usize) -> f64 {
     let m = &cfg.machine;
     let n_local = m.gpus_per_node();
     let intra_bw = match cfg.transport {

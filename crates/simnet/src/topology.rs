@@ -12,7 +12,7 @@ use std::fmt;
 
 /// Kind of a device node in the interconnect graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Device {
+pub(crate) enum Device {
     /// GPU with its rank id.
     Gpu(u32),
     /// PCIe switch.
@@ -25,7 +25,7 @@ pub enum Device {
 
 impl Device {
     /// Whether this node is a GPU.
-    pub fn is_gpu(self) -> bool {
+    pub(crate) fn is_gpu(self) -> bool {
         matches!(self, Device::Gpu(_))
     }
 }
@@ -89,7 +89,7 @@ impl Topology {
     }
 
     /// Adds a device, returning its index.
-    pub fn add_device(&mut self, d: Device) -> usize {
+    pub(crate) fn add_device(&mut self, d: Device) -> usize {
         self.devices.push(d);
         self.devices.len() - 1
     }
@@ -100,7 +100,7 @@ impl Topology {
     ///
     /// Panics if an endpoint index is out of range or bandwidth is not
     /// positive.
-    pub fn add_link(&mut self, a: usize, b: usize, bandwidth: f64, kind: LinkKind) {
+    pub(crate) fn add_link(&mut self, a: usize, b: usize, bandwidth: f64, kind: LinkKind) {
         assert!(
             a < self.devices.len() && b < self.devices.len(),
             "bad endpoint"
@@ -114,18 +114,13 @@ impl Topology {
         });
     }
 
-    /// All devices.
-    pub fn devices(&self) -> &[Device] {
-        &self.devices
-    }
-
     /// All links.
     pub fn links(&self) -> &[Link] {
         &self.links
     }
 
     /// Number of GPUs.
-    pub fn gpu_count(&self) -> usize {
+    pub(crate) fn gpu_count(&self) -> usize {
         self.devices.iter().filter(|d| d.is_gpu()).count()
     }
 
@@ -134,7 +129,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if no such GPU exists.
-    pub fn gpu_index(&self, rank: u32) -> usize {
+    pub(crate) fn gpu_index(&self, rank: u32) -> usize {
         self.devices
             .iter()
             .position(|d| *d == Device::Gpu(rank))
@@ -213,7 +208,7 @@ impl Topology {
     /// heterogeneity when a topology is lowered onto a DES
     /// [`Fabric`](crate::des::Fabric): GPUs hanging off a slower PCIe
     /// switch get proportionally slower lanes.
-    pub fn gpu_lane_bandwidths(&self) -> Vec<f64> {
+    pub(crate) fn gpu_lane_bandwidths(&self) -> Vec<f64> {
         (0..self.gpu_count() as u32)
             .map(|r| {
                 let di = self.gpu_index(r);
@@ -271,7 +266,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the order does not cover every GPU exactly once.
-    pub fn ring_flow_bandwidth_for(&self, order: &[u32]) -> f64 {
+    pub(crate) fn ring_flow_bandwidth_for(&self, order: &[u32]) -> f64 {
         let n = self.gpu_count();
         assert_eq!(order.len(), n, "order must cover all GPUs");
         let mut load = vec![0usize; self.links.len()];
@@ -360,7 +355,7 @@ pub fn rtx_dual_numa(name: &str, n_gpus: u32, pcie_bw: f64, qpi_bw: f64) -> Topo
 }
 
 /// A flat single-root PCIe topology (4-GPU cloud instances).
-pub fn single_root_pcie(name: &str, n_gpus: u32, pcie_bw: f64) -> Topology {
+pub(crate) fn single_root_pcie(name: &str, n_gpus: u32, pcie_bw: f64) -> Topology {
     let mut t = Topology::new(name);
     let root = t.add_device(Device::NumaRoot(0));
     for g in 0..n_gpus {
@@ -373,7 +368,7 @@ pub fn single_root_pcie(name: &str, n_gpus: u32, pcie_bw: f64) -> Topology {
 /// The DGX-1 NVLink "hypercube mesh with backbone ring" (Li et al., 2020):
 /// two quads of fully-connected GPUs plus cross links, each NVLink at
 /// `nvlink_bw` per direction (V100: 25 GB/s/link, doubled on ring edges).
-pub fn dgx1_hypercube(name: &str, nvlink_bw: f64) -> Topology {
+pub(crate) fn dgx1_hypercube(name: &str, nvlink_bw: f64) -> Topology {
     let mut t = Topology::new(name);
     let root = t.add_device(Device::NumaRoot(0));
     let gpus: Vec<usize> = (0..8).map(|g| t.add_device(Device::Gpu(g))).collect();
@@ -408,7 +403,7 @@ mod tests {
         let t = rtx_dual_numa("rtx3090", 8, 16e9, 12e9);
         assert_eq!(t.gpu_count(), 8);
         // 2 NUMA + QPI + 4 switches + 8 GPUs = 15 devices.
-        assert_eq!(t.devices().len(), 15);
+        assert_eq!(t.devices.len(), 15);
     }
 
     #[test]

@@ -22,10 +22,9 @@
 
 pub mod bytes;
 pub mod exp;
-pub mod linalg;
+pub(crate) mod linalg;
 pub mod rng;
 pub mod shape;
-pub mod stats;
 pub mod tensor;
 
 pub use bytes::Bytes;
@@ -33,5 +32,4 @@ pub use exp::exp;
 pub use linalg::{matmul, matmul_nt, matmul_tn, orthogonalize_columns};
 pub use rng::Rng;
 pub use shape::Shape;
-pub use stats::RunningStat;
 pub use tensor::Tensor;

@@ -8,17 +8,8 @@
 //! every experiment bit-reproducible.
 
 /// SplitMix64 step used for seeding; also handy as a cheap stateless mixer.
-///
-/// # Examples
-///
-/// ```
-/// let mut state = 1u64;
-/// let a = cgx_tensor::rng::split_mix64(&mut state);
-/// let b = cgx_tensor::rng::split_mix64(&mut state);
-/// assert_ne!(a, b);
-/// ```
 #[inline]
-pub fn split_mix64(state: &mut u64) -> u64 {
+pub(crate) fn split_mix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -57,13 +48,6 @@ impl Rng {
             s,
             spare_normal: None,
         }
-    }
-
-    /// Derives an independent child generator; useful for giving each
-    /// simulated worker its own stream.
-    pub fn fork(&mut self, stream: u64) -> Rng {
-        let base = self.next_u64();
-        Rng::seed_from_u64(base ^ stream.wrapping_mul(0x9E3779B97F4A7C15))
     }
 
     /// Returns the next raw 64-bit output.
@@ -171,7 +155,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `std_dev < 0`.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "negative standard deviation");
         mean + std_dev * self.normal()
     }
@@ -205,14 +189,6 @@ impl Rng {
             x -= w;
         }
         weights.len() - 1
-    }
-
-    /// Fisher-Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
     }
 
     /// Samples `k` distinct indices from `[0, n)` (reservoir sampling).
@@ -254,8 +230,9 @@ impl Rng {
 /// ```
 /// use cgx_tensor::rng::CounterRng;
 /// let stream = CounterRng::new(7);
-/// assert_eq!(stream.u32_at(1000), CounterRng::new(7).u32_at(1000));
-/// assert_ne!(stream.u32_at(1000), stream.u32_at(1001));
+/// let keys = stream.round_keys(0);
+/// assert_eq!(keys, CounterRng::new(7).round_keys(0));
+/// assert_ne!(CounterRng::mix(1000, keys), CounterRng::mix(1001, keys));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterRng {
@@ -278,12 +255,6 @@ impl CounterRng {
         CounterRng { key }
     }
 
-    /// Draw `i` of the stream.
-    #[inline]
-    pub fn u32_at(&self, i: u64) -> u32 {
-        Self::mix(i as u32, self.round_keys(i >> 32))
-    }
-
     /// The round keys of positions `(block << 32) | counter`.
     #[inline]
     pub fn round_keys(&self, block: u64) -> [u32; 2] {
@@ -294,8 +265,8 @@ impl CounterRng {
         [k as u32, (k >> 32) as u32]
     }
 
-    /// The keyed permutation of a 32-bit counter: `u32_at(i) ==
-    /// mix(i as u32, round_keys(i >> 32))`.
+    /// The keyed permutation of a 32-bit counter: draw `i` of the stream
+    /// is `mix(i as u32, round_keys(i >> 32))`.
     #[inline]
     pub fn mix(counter: u32, keys: [u32; 2]) -> u32 {
         let mut x = counter.wrapping_mul(Self::WEYL) ^ keys[0];
@@ -309,6 +280,11 @@ impl CounterRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Draw `i` of the stream, as the quantizers address it.
+    fn u32_at(stream: &CounterRng, i: u64) -> u32 {
+        CounterRng::mix(i as u32, stream.round_keys(i >> 32))
+    }
 
     /// Pearson correlation of two equally long samples.
     fn correlation(a: &[f64], b: &[f64]) -> f64 {
@@ -324,28 +300,21 @@ mod tests {
 
     fn unit_draws(stream: CounterRng, from: u64) -> Vec<f64> {
         (from..from + DRAWS)
-            .map(|i| stream.u32_at(i) as f64 / 4294967296.0)
+            .map(|i| u32_at(&stream, i) as f64 / 4294967296.0)
             .collect()
     }
 
     #[test]
     fn counter_rng_is_a_pure_function_of_key_and_position() {
         let a = CounterRng::new(0xDEAD_BEEF);
-        let forward: Vec<u32> = (0..64).map(|i| a.u32_at(i)).collect();
-        let backward: Vec<u32> = (0..64).rev().map(|i| a.u32_at(i)).collect();
+        let forward: Vec<u32> = (0..64).map(|i| u32_at(&a, i)).collect();
+        let backward: Vec<u32> = (0..64).rev().map(|i| u32_at(&a, i)).collect();
         assert!(forward.iter().eq(backward.iter().rev()));
-        assert_eq!(CounterRng::new(0xDEAD_BEEF).u32_at(17), forward[17]);
-        assert_ne!(CounterRng::new(0xDEAD_BEEE).u32_at(17), forward[17]);
+        assert_eq!(u32_at(&CounterRng::new(0xDEAD_BEEF), 17), forward[17]);
+        assert_ne!(u32_at(&CounterRng::new(0xDEAD_BEEE), 17), forward[17]);
         // Positions 2^32 apart share a low counter half but not a draw.
-        let far: Vec<u32> = (0..64).map(|i| a.u32_at((1 << 32) + i)).collect();
+        let far: Vec<u32> = (0..64).map(|i| u32_at(&a, (1 << 32) + i)).collect();
         assert_eq!(far.iter().zip(&forward).filter(|(x, y)| x == y).count(), 0);
-        for i in [0u64, 5, u32::MAX as u64, 1 << 32, (7 << 32) + 9] {
-            assert_eq!(
-                a.u32_at(i),
-                CounterRng::mix(i as u32, a.round_keys(i >> 32)),
-                "i={i}"
-            );
-        }
     }
 
     #[test]
@@ -353,7 +322,7 @@ mod tests {
         let stream = CounterRng::new(1);
         let mut ones = [0u64; 32];
         for i in 0..DRAWS {
-            let x = stream.u32_at(i);
+            let x = u32_at(&stream, i);
             for (bit, count) in ones.iter_mut().enumerate() {
                 *count += u64::from(x >> bit & 1);
             }
@@ -405,14 +374,6 @@ mod tests {
         let mut b = Rng::seed_from_u64(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2, "streams should be effectively independent");
-    }
-
-    #[test]
-    fn fork_produces_distinct_stream() {
-        let mut parent = Rng::seed_from_u64(5);
-        let mut c1 = parent.fork(0);
-        let mut c2 = parent.fork(1);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]
@@ -486,17 +447,6 @@ mod tests {
     #[should_panic(expected = "weights sum to zero")]
     fn categorical_zero_weights_panics() {
         Rng::seed_from_u64(1).categorical(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::seed_from_u64(29);
-        let mut v: Vec<usize> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle should move things");
     }
 
     #[test]

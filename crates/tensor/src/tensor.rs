@@ -115,22 +115,6 @@ impl Tensor {
         self.data
     }
 
-    /// Reinterprets the tensor with a new shape of identical element count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if element counts differ.
-    pub fn reshape(mut self, dims: &[usize]) -> Self {
-        let shape = Shape::from(dims);
-        assert_eq!(
-            shape.len(),
-            self.data.len(),
-            "reshape changes element count"
-        );
-        self.shape = shape;
-        self
-    }
-
     /// Sets every element to `value`.
     pub fn fill(&mut self, value: f32) {
         for x in &mut self.data {
@@ -255,18 +239,6 @@ impl Tensor {
             })
             .sum::<f64>()
             .sqrt()
-    }
-
-    /// Clips every element into `[-bound, bound]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound < 0`.
-    pub fn clamp_abs(&mut self, bound: f32) {
-        assert!(bound >= 0.0, "negative clamp bound");
-        for x in &mut self.data {
-            *x = x.clamp(-bound, bound);
-        }
     }
 
     /// Returns the indices of the `k` largest-magnitude elements.
@@ -432,19 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0]).reshape(&[2, 2]);
-        assert_eq!(t.shape().dims(), &[2, 2]);
-        assert_eq!(t.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "reshape changes element count")]
-    fn bad_reshape_panics() {
-        let _ = Tensor::from_slice(&[1.0, 2.0]).reshape(&[3]);
-    }
-
-    #[test]
     fn randn_has_reasonable_moments() {
         let mut rng = Rng::seed_from_u64(1);
         let t = Tensor::randn(&mut rng, &[10_000]);
@@ -452,13 +411,6 @@ mod tests {
         assert!(mean.abs() < 0.05, "mean {mean}");
         let var = t.norm2_sq() / t.len() as f64;
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn clamp_abs_bounds_values() {
-        let mut t = Tensor::from_slice(&[-5.0, 0.2, 7.0]);
-        t.clamp_abs(1.0);
-        assert_eq!(t.as_slice(), &[-1.0, 0.2, 1.0]);
     }
 
     #[test]

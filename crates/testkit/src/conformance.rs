@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 pub type BoxTransport = Box<dyn Transport + Send + Sync>;
 
 /// Builds an `n`-rank fabric: element `i` is the endpoint for rank `i`.
-pub type FabricBuilder = dyn Fn(usize) -> Vec<BoxTransport> + Sync;
+pub(crate) type FabricBuilder = dyn Fn(usize) -> Vec<BoxTransport> + Sync;
 
 const WAIT: Duration = Duration::from_secs(10);
 const SHORT: Duration = Duration::from_millis(50);
@@ -80,7 +80,7 @@ fn await_frame(
 
 /// Endpoints report the rank/world geometry they were built with, and a
 /// nonzero receive timeout.
-pub fn check_identity(build: &FabricBuilder) {
+pub(crate) fn check_identity(build: &FabricBuilder) {
     for n in [1usize, 2, 4] {
         let eps = build(n);
         assert_eq!(eps.len(), n, "builder returned wrong endpoint count");
@@ -95,7 +95,7 @@ pub fn check_identity(build: &FabricBuilder) {
 /// Messages on different tags are delivered independently of send order:
 /// receiving the later-sent tag first must not consume or reorder the
 /// earlier one.
-pub fn check_tag_demux_out_of_order(build: &FabricBuilder) {
+pub(crate) fn check_tag_demux_out_of_order(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
@@ -108,7 +108,7 @@ pub fn check_tag_demux_out_of_order(build: &FabricBuilder) {
 }
 
 /// Within one `(peer, tag)` lane, delivery order is send order.
-pub fn check_per_tag_fifo(build: &FabricBuilder) {
+pub(crate) fn check_per_tag_fifo(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
@@ -123,7 +123,7 @@ pub fn check_per_tag_fifo(build: &FabricBuilder) {
 
 /// A receive against a silent (but live) peer times out with
 /// [`CommError::Timeout`] naming that peer.
-pub fn check_timeout_names_the_peer(build: &FabricBuilder) {
+pub(crate) fn check_timeout_names_the_peer(build: &FabricBuilder) {
     let eps = build(2);
     // Keep rank 0 alive for the duration so the failure is a timeout,
     // not a disconnect.
@@ -138,7 +138,7 @@ pub fn check_timeout_names_the_peer(build: &FabricBuilder) {
 }
 
 /// A zero deadline with nothing pending fails fast rather than blocking.
-pub fn check_zero_deadline_times_out(build: &FabricBuilder) {
+pub(crate) fn check_zero_deadline_times_out(build: &FabricBuilder) {
     let eps = build(2);
     let start = std::time::Instant::now();
     let err = eps[0]
@@ -154,7 +154,7 @@ pub fn check_zero_deadline_times_out(build: &FabricBuilder) {
 /// A payload that already reached this endpoint is delivered even when
 /// the caller's deadline has expired: staleness of the deadline must not
 /// drop data that is already here.
-pub fn check_stashed_payload_beats_expired_deadline(build: &FabricBuilder) {
+pub(crate) fn check_stashed_payload_beats_expired_deadline(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
@@ -172,7 +172,7 @@ pub fn check_stashed_payload_beats_expired_deadline(build: &FabricBuilder) {
 
 /// `try_recv_tagged` is `Ok(None)` when idle and surfaces a pending
 /// payload after the transport has observed it.
-pub fn check_try_recv(build: &FabricBuilder) {
+pub(crate) fn check_try_recv(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
@@ -187,7 +187,7 @@ pub fn check_try_recv(build: &FabricBuilder) {
 
 /// The legacy (untagged) lane and tagged lanes share the fabric without
 /// interfering.
-pub fn check_legacy_and_tagged_coexist(build: &FabricBuilder) {
+pub(crate) fn check_legacy_and_tagged_coexist(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
@@ -200,7 +200,7 @@ pub fn check_legacy_and_tagged_coexist(build: &FabricBuilder) {
 }
 
 /// `broadcast` reaches every other rank on the legacy lane.
-pub fn check_broadcast(build: &FabricBuilder) {
+pub(crate) fn check_broadcast(build: &FabricBuilder) {
     let mut eps = build(3);
     let c = eps.pop().expect("rank 2");
     let b = eps.pop().expect("rank 1");
@@ -212,7 +212,7 @@ pub fn check_broadcast(build: &FabricBuilder) {
 
 /// Payloads sent before a peer goes away remain receivable; only after
 /// the lane is drained does [`CommError::Disconnected`] surface.
-pub fn check_stash_survives_disconnect(build: &FabricBuilder) {
+pub(crate) fn check_stash_survives_disconnect(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
@@ -245,7 +245,7 @@ pub fn check_stash_survives_disconnect(build: &FabricBuilder) {
 /// see. The write path is held to the same standard: sending into the
 /// dead lane either buffers or fails naming the peer — it must not
 /// panic.
-pub fn check_peer_death_is_typed_and_bounded(build: &FabricBuilder) {
+pub(crate) fn check_peer_death_is_typed_and_bounded(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
@@ -282,7 +282,7 @@ pub fn check_peer_death_is_typed_and_bounded(build: &FabricBuilder) {
 /// the park — which is on the sample taken *before* the poll, not on
 /// whatever the fabric last looked at — and once it is stashed a park on
 /// that sample returns at once, leaving it receivable.
-pub fn check_no_lost_wakeup(build: &FabricBuilder) {
+pub(crate) fn check_no_lost_wakeup(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
@@ -461,7 +461,7 @@ pub fn check_many_receivers(build: &FabricBuilder) {
 /// peers take part — no deadlock, no panic, and promptly: each rank's
 /// receive finds the other's marker instead of waiting out the timeout —
 /// and the endpoints tear down cleanly afterwards.
-pub fn check_quiesce_completes(build: &FabricBuilder) {
+pub(crate) fn check_quiesce_completes(build: &FabricBuilder) {
     let eps = build(2);
     let start = Instant::now();
     std::thread::scope(|s| {
@@ -479,7 +479,7 @@ pub fn check_quiesce_completes(build: &FabricBuilder) {
 /// Concurrent bidirectional traffic under threads: each rank sends a
 /// burst to every other rank and receives every burst intact. Exercises
 /// the locking/wakeup paths that single-threaded checks cannot.
-pub fn check_concurrent_all_pairs(build: &FabricBuilder) {
+pub(crate) fn check_concurrent_all_pairs(build: &FabricBuilder) {
     let n = 4;
     let eps = build(n);
     let outputs: Vec<Vec<(usize, Encoded)>> = std::thread::scope(|s| {
@@ -529,7 +529,7 @@ pub fn check_concurrent_all_pairs(build: &FabricBuilder) {
 /// that land fewer bytes than offered) and staged multi-read reassembly
 /// on the receive side. A small trailer frame after the bulk one proves
 /// the lane realigns at the next frame boundary.
-pub fn check_partial_short_writes(build: &FabricBuilder) {
+pub(crate) fn check_partial_short_writes(build: &FabricBuilder) {
     let mut eps = build(2);
     let b = eps.pop().expect("rank 1");
     let a = eps.pop().expect("rank 0");
@@ -564,7 +564,7 @@ pub fn check_partial_short_writes(build: &FabricBuilder) {
 /// per-tag FIFO across batching, and the receive side must demux a burst
 /// of back-to-back frames landing in one read. `flush_outbound` is the
 /// contract point that makes deferred frames visible without a receive.
-pub fn check_interleaved_small_frame_bursts(build: &FabricBuilder) {
+pub(crate) fn check_interleaved_small_frame_bursts(build: &FabricBuilder) {
     const ROUNDS: u32 = 50;
     const TAGS: u64 = 4;
     let mut eps = build(2);

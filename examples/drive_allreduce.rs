@@ -12,9 +12,9 @@
 //! word-wide kernels cannot take whole, and a rerun must reproduce the
 //! digest.
 
-use cgx::collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
-use cgx::compress::{QsgdCompressor, ScratchPool};
-use cgx::tensor::{Rng, Tensor};
+use cgx_collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
+use cgx_compress::{QsgdCompressor, ScratchPool};
+use cgx_tensor::{Rng, Tensor};
 
 fn fnv(xs: &[f32]) -> u64 {
     xs.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {

@@ -5,12 +5,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cgx::bench::estimate::{estimate, SystemSetup};
-use cgx::collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
-use cgx::compress::{Compressor, QsgdCompressor, ScratchPool};
-use cgx::models::ModelId;
-use cgx::simnet::MachineSpec;
-use cgx::tensor::{Rng, Tensor};
+use cgx_bench::estimate::{estimate, SystemSetup};
+use cgx_collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
+use cgx_compress::{Compressor, QsgdCompressor, ScratchPool};
+use cgx_models::ModelId;
+use cgx_simnet::MachineSpec;
+use cgx_tensor::{Rng, Tensor};
 
 fn main() {
     // 1. Compress a gradient with the paper's default: 4-bit stochastic

@@ -15,14 +15,14 @@
 //! error naming the choices (exit status 2). Flags are read by
 //! `cgx_net::workload::{flags, read}`, as in `cgx-launch` and `cgx-serve`.
 
-use cgx::adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx::bench::adaptive::adaptive_compression_for;
-use cgx::bench::estimate::{estimate, estimate_with_schemes, SystemSetup};
-use cgx::collectives::CommError;
-use cgx::models::{ModelId, ModelSpec};
-use cgx::net::workload::{flags, read};
-use cgx::simnet::{max_batch, training_memory_mb, GpuModel, MachineSpec, OptimizerKind};
+use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
+use cgx_bench::adaptive::adaptive_compression_for;
+use cgx_bench::estimate::{estimate, estimate_with_schemes, SystemSetup};
 use cgx_bench::EXPERIMENTS;
+use cgx_collectives::CommError;
+use cgx_models::{ModelId, ModelSpec};
+use cgx_net::workload::{flags, read};
+use cgx_simnet::{max_batch, training_memory_mb, GpuModel, MachineSpec, OptimizerKind};
 use std::process::ExitCode;
 
 const USAGE: &str = "\

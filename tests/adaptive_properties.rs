@@ -2,10 +2,10 @@
 //! feasibility, bit-choice validity, determinism, and dominance relations
 //! for randomized layer profiles.
 
-use cgx::adaptive::{
+use cgx_adaptive::{
     assign_bits, kmeans, uniform_assignment, AdaptiveOptions, AdaptivePolicy, LayerProfile,
 };
-use cgx::tensor::Rng;
+use cgx_tensor::Rng;
 use cgx_testkit::cases;
 
 fn profiles(rng: &mut Rng) -> Vec<LayerProfile> {

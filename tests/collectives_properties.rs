@@ -4,10 +4,10 @@
 //! lossless codec, reaches bit-exact consensus under quantization, and
 //! matches its analytic traffic accounting.
 
-use cgx::collectives::reduce::{chunk_ranges, Algorithm, AllreduceStats};
-use cgx::collectives::{CommEngine, ThreadCluster, Transport};
-use cgx::compress::{Compressor, NoneCompressor, QsgdCompressor, ScratchPool};
-use cgx::tensor::{Rng, Tensor};
+use cgx_collectives::reduce::{chunk_ranges, Algorithm, AllreduceStats};
+use cgx_collectives::{CommEngine, ThreadCluster, Transport};
+use cgx_compress::{Compressor, NoneCompressor, QsgdCompressor, ScratchPool};
+use cgx_tensor::{Rng, Tensor};
 use cgx_testkit::cases;
 
 /// One collective on an engine of its own: the sum and the stats.

@@ -2,11 +2,11 @@
 //! predictions are exact, round-trips preserve shape, error bounds hold,
 //! and the codecs are robust to adversarial inputs.
 
-use cgx::compress::{
+use cgx_compress::{
     compression_error, CompressionScheme, Compressor, Encoded, NormKind, PayloadError,
     PowerSgdCompressor, QsgdCompressor, TopKCompressor,
 };
-use cgx::tensor::{Rng, Tensor};
+use cgx_tensor::{Rng, Tensor};
 use cgx_testkit::cases;
 
 /// Gradient-like data with mixed scales, including exact zeros.

@@ -2,12 +2,12 @@
 //! engine, end to end — registration, filters, per-layer overrides,
 //! compressed collectives, accuracy recovery.
 
-use cgx::bench::api::CgxBuilder;
-use cgx::compress::CompressionScheme;
-use cgx::engine::data::{GaussianMixture, MarkovChainLm};
-use cgx::engine::nn::{EmbeddingLm, Mlp};
-use cgx::engine::{train_data_parallel, LayerCompression, TrainConfig};
-use cgx::tensor::Rng;
+use cgx_bench::api::CgxBuilder;
+use cgx_compress::CompressionScheme;
+use cgx_engine::data::{GaussianMixture, MarkovChainLm};
+use cgx_engine::nn::{EmbeddingLm, Mlp};
+use cgx_engine::{train_data_parallel, LayerCompression, TrainConfig};
+use cgx_tensor::Rng;
 
 #[test]
 fn session_policy_drives_the_training_engine() {
@@ -101,7 +101,7 @@ fn compressed_and_uncompressed_reach_similar_loss() {
 
 #[test]
 fn all_reduction_algorithms_train_successfully() {
-    use cgx::collectives::reduce::Algorithm;
+    use cgx_collectives::reduce::Algorithm;
     let task = GaussianMixture::new(3, 6, 1.5);
     let mut rng = Rng::seed_from_u64(31);
     let model = Mlp::new(&mut rng, &[6, 12, 3]);

@@ -1,9 +1,9 @@
 //! Property-based tests over the training substrate: loss/gradient
 //! identities that must hold for arbitrary shapes, batches, and seeds.
 
-use cgx::engine::nn::{softmax_cross_entropy, Mlp};
-use cgx::engine::{clip_global_norm, EmbeddingLm, LrSchedule, SgdMomentum};
-use cgx::tensor::Tensor;
+use cgx_engine::nn::{softmax_cross_entropy, Mlp};
+use cgx_engine::{clip_global_norm, EmbeddingLm, LrSchedule, SgdMomentum};
+use cgx_tensor::Tensor;
 use cgx_testkit::cases;
 
 #[test]

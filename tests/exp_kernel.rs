@@ -4,7 +4,7 @@
 //! non-positive `f32` — what a softmax feeds it. (`cargo test --release
 //! -p cgx-tensor --lib -- --ignored` runs all 2³¹ of them.)
 
-use cgx::tensor::exp;
+use cgx_tensor::exp;
 
 /// `x` and the `f64`s on either side of it.
 fn around(x: f64) -> [f64; 3] {

@@ -3,12 +3,12 @@
 //! qualitative *shapes* of every table and figure so a regression in any
 //! substrate (cost model, wire formats, policies) is caught here.
 
-use cgx::adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx::bench::adaptive::adaptive_compression_for;
-use cgx::bench::cloud::{cost_efficiency, table4_offers};
-use cgx::bench::estimate::{estimate, estimate_fp32, estimate_with_schemes, SystemSetup};
-use cgx::models::{ModelId, ModelSpec};
-use cgx::simnet::MachineSpec;
+use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
+use cgx_bench::adaptive::adaptive_compression_for;
+use cgx_bench::cloud::{cost_efficiency, table4_offers};
+use cgx_bench::estimate::{estimate, estimate_fp32, estimate_with_schemes, SystemSetup};
+use cgx_models::{ModelId, ModelSpec};
+use cgx_simnet::MachineSpec;
 
 #[test]
 fn figure1_compression_approaches_ideal_monotonically() {
@@ -172,8 +172,8 @@ fn qnccl_between_nccl_and_cgx_with_worse_granularity() {
 
 #[test]
 fn figure11_shm_fastest_mpi_within_a_third() {
-    use cgx::bench::api::CgxBuilder;
-    use cgx::simnet::{simulate_step, CommBackend, ComputeProfile, StepConfig};
+    use cgx_bench::api::CgxBuilder;
+    use cgx_simnet::{simulate_step, CommBackend, ComputeProfile, StepConfig};
     let rtx = MachineSpec::rtx3090();
     for model in [ModelId::ResNet50, ModelId::TransformerXl] {
         let spec = ModelSpec::build(model);

@@ -2,20 +2,20 @@
 //! scheduling ablations, local SGD, online adaptation, QNCCL, memory
 //! limits, the attention LM.
 
-use cgx::adaptive::{AdaptiveOptions, AdaptivePolicy};
-use cgx::bench::api::CgxBuilder;
-use cgx::bench::session_sim::simulate_adaptive_session;
-use cgx::engine::data::GaussianMixture;
-use cgx::engine::nn::Mlp;
-use cgx::engine::{train_data_parallel, train_local_sgd, LayerCompression, TrainConfig};
-use cgx::models::{ModelId, ModelSpec};
-use cgx::simnet::{
+use cgx_adaptive::{AdaptiveOptions, AdaptivePolicy};
+use cgx_bench::api::CgxBuilder;
+use cgx_bench::session_sim::simulate_adaptive_session;
+use cgx_engine::data::GaussianMixture;
+use cgx_engine::nn::Mlp;
+use cgx_engine::{train_data_parallel, train_local_sgd, LayerCompression, TrainConfig};
+use cgx_models::{ModelId, ModelSpec};
+use cgx_simnet::{
     cross_barrier_step, max_batch, simulate_step_ordered, ComputeProfile, GpuModel, MachineSpec,
     MessageOrder, StepConfig,
 };
-use cgx::tensor::Rng;
+use cgx_tensor::Rng;
 
-fn cgx_msgs(model: ModelId) -> (Vec<cgx::simnet::LayerMsg>, ComputeProfile) {
+fn cgx_msgs(model: ModelId) -> (Vec<cgx_simnet::LayerMsg>, ComputeProfile) {
     let spec = ModelSpec::build(model);
     let mut session = CgxBuilder::new().build();
     session.register_model_spec(&spec);
@@ -115,9 +115,9 @@ fn memory_model_reproduces_the_2080_batch_limit() {
 
 #[test]
 fn qnccl_fused_ring_reduces_exactly_like_a_mean() {
-    use cgx::collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
-    use cgx::compress::{QsgdCompressor, ScratchPool};
-    use cgx::tensor::Tensor;
+    use cgx_collectives::{reduce::Algorithm, CommEngine, ThreadCluster};
+    use cgx_compress::{QsgdCompressor, ScratchPool};
+    use cgx_tensor::Tensor;
     let results = ThreadCluster::run(4, |t| {
         let grad = Tensor::full(&[64], t.rank() as f32);
         let comp = Box::new(QsgdCompressor::new(8, 64));

@@ -1,8 +1,8 @@
 //! Property/invariant tests over the model zoo and the synthetic gradient
 //! source.
 
-use cgx::models::{GradientSynth, LayerKind, ModelId, ModelSpec};
-use cgx::tensor::Rng;
+use cgx_models::{GradientSynth, LayerKind, ModelId, ModelSpec};
+use cgx_tensor::Rng;
 use cgx_testkit::cases;
 
 #[test]
@@ -59,7 +59,7 @@ fn gradient_decay_rates_are_kind_dependent() {
         .iter()
         .find(|l| l.kind() == LayerKind::Norm)
         .unwrap();
-    let ratio = |l: &cgx::models::LayerSpec| {
+    let ratio = |l: &cgx_models::LayerSpec| {
         GradientSynth::layer_sigma(l, 1000) / GradientSynth::layer_sigma(l, 0)
     };
     assert!(ratio(emb) < ratio(lin), "embedding must decay fastest");

@@ -5,14 +5,14 @@
 
 use std::collections::HashMap;
 
-use cgx::compress::CompressionScheme;
-use cgx::models::{ModelId, ModelSpec};
-use cgx::simnet::{
+use cgx_compress::CompressionScheme;
+use cgx_models::{ModelId, ModelSpec};
+use cgx_simnet::{
     allreduce_time, build_hierarchical, build_ring, build_sra, build_tree, fuse_messages, run,
     simulate_step, CommBackend, CommCost, ComputeProfile, DesScratch, Fabric, LayerMsg,
     MachineSpec, NetworkDes, OpGraph, ReductionScheme, SimError, SimWorkspace, StepConfig,
 };
-use cgx::tensor::Rng;
+use cgx_tensor::Rng;
 use cgx_testkit::cases;
 
 /// Between 1 and `max_len` layers of up to `max_elems` elements.
@@ -193,8 +193,8 @@ fn malformed_inputs_error_instead_of_panicking() {
 fn gpu_subsets_scale_monotonically() {
     cases(48, |rng| {
         // More GPUs never reduce aggregate CGX throughput on the 3090 box.
-        use cgx::bench::estimate::{estimate, SystemSetup};
-        use cgx::models::ModelId;
+        use cgx_bench::estimate::{estimate, SystemSetup};
+        use cgx_models::ModelId;
         let gpus = rng.range(1..=8);
         let m = MachineSpec::rtx3090().with_gpus(gpus);
         let e = estimate(&m, ModelId::ResNet50, &SystemSetup::cgx());
@@ -210,7 +210,7 @@ fn gpu_subsets_scale_monotonically() {
 #[test]
 fn topology_p2p_is_symmetric_and_positive() {
     cases(48, |rng| {
-        use cgx::simnet::topology::rtx_dual_numa;
+        use cgx_simnet::topology::rtx_dual_numa;
         let (pcie, qpi) = (rng.range(4..40) as f64 * 1e9, rng.range(4..40) as f64 * 1e9);
         let t = rtx_dual_numa("p", 8, pcie, qpi);
         for i in 0..8u32 {

@@ -5,10 +5,10 @@
 //! state, parameters), stable across calls, and must never waste space
 //! beyond their predicted sizes.
 
-use cgx::adaptive::{AdaptiveTrainConfig, BitAssignment};
-use cgx::compress::{CompressionScheme, ScratchPool};
-use cgx::net::wire;
-use cgx::tensor::{Rng, Tensor};
+use cgx_adaptive::{AdaptiveTrainConfig, BitAssignment};
+use cgx_compress::{CompressionScheme, ScratchPool};
+use cgx_net::wire;
+use cgx_tensor::{Rng, Tensor};
 use cgx_testkit::cases;
 
 fn all_schemes() -> Vec<CompressionScheme> {
