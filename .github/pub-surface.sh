@@ -12,8 +12,8 @@ cd "$(dirname "$0")/.."
 
 # Names kept `pub` though no file outside names them: "crate name  reason".
 # A type that a kept signature exposes stays public (rustc's
-# private_interfaces lint); so do three fields that struct-update syntax
-# needs, and three items that only tests reach but that stay on purpose.
+# private_interfaces lint); so do two fields that struct-update syntax
+# needs, and two items that only tests reach but that stay on purpose.
 allow='
 cgx-adaptive PlanRecord            field PlanUpdate::record
 cgx-adaptive KMeansResult          returned by kmeans
@@ -30,13 +30,10 @@ cgx-engine PerLayerMismatch        returned by LayerCompression::validate
 cgx-engine TrainReport             returned by train_data_parallel and train_local_sgd
 cgx-engine TrainableModel          bound of train_rank and local_sgd_rank
 cgx-engine momentum                TrainConfig is built as { .., ..TrainConfig::new(..) }, which needs every field public
-cgx-engine weight_decay            as momentum
 cgx-engine accumulation            as momentum
 cgx-net ClusterReport              returned by ProcessCluster::run_supervised
 cgx-net RankExit                   field ClusterReport::exits
-cgx-net ReconnectPolicy            field NetOptions::reconnect
 cgx-net WireStats                  returned by TcpTransport::wire_stats
-cgx-net reconnect                  the one way to arm the reconnect layer (no binary arms it yet)
 cgx-net run_reference_shm          the shm reference oracle the launch and adaptive parity tests compare against
 cgx-obs MetricValue                field MetricsSnapshot::values
 cgx-serve ServeError               returned by ServeNode::attach

@@ -3,8 +3,8 @@
 //! The fault taxonomy distinguishes three severities:
 //!
 //! * **Fatal to one link** — [`CommError::Corrupted`]: a frame failed the
-//!   transport checksum, or a peer claimed history it never sent; the
-//!   link is condemned rather than healed into misaligned payloads.
+//!   transport checksum or broke the link's seq order; the link is
+//!   condemned, as it is on any socket error.
 //! * **Transient, surfaced** — [`CommError::Lost`] means frames of a lane
 //!   were dropped and will never be delivered (the stash's orphan bound);
 //!   [`CommError::Timeout`] means a peer stopped making progress.
@@ -37,8 +37,8 @@ pub enum CommError {
         /// The rank whose channel closed.
         peer: usize,
     },
-    /// A frame failed its checksum, or a peer's resume point contradicts
-    /// what was sent: the link it names is condemned.
+    /// A frame failed its checksum or arrived out of link-seq order: the
+    /// link it names is condemned.
     Corrupted {
         /// The rank the corrupted frame arrived from.
         peer: usize,

@@ -316,13 +316,13 @@ pub trait Transport {
 
     /// How often some thread must call into this endpoint
     /// ([`Transport::drain_inbound`] will do) while its owners compute,
-    /// for the fabric to stay live: a fabric whose heartbeats and redials
-    /// go out only from inside its calls says so here. `None`, the
-    /// default: the fabric needs no caller to stay live. Fixed for the
+    /// for the fabric to stay live: a fabric whose heartbeats go out only
+    /// from inside its calls says so here. `None`, the default: the
+    /// fabric needs no caller to stay live. Fixed for the
     /// endpoint's life once it is shared. A wrapper must forward it, as it
     /// forwards [`Transport::flush_outbound`]: left at the default, it
     /// hides the wrapped fabric's cadence, and a serve daemon over it
-    /// stops driving heartbeats and redials while its tenants compute.
+    /// stops driving heartbeats while its tenants compute.
     fn drive_within(&self) -> Option<Duration> {
         None
     }

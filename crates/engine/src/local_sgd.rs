@@ -211,7 +211,7 @@ mod tests {
                 .iter()
                 .map(CompressionScheme::build)
                 .collect();
-            let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, cfg.weight_decay);
+            let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, 0.0);
             let mut anchor: Vec<Tensor> = local.params().to_vec();
             for step in 1..=cfg.steps {
                 let (x, y) = task.sample_batch(&mut data_rng, 8);

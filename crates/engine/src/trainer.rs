@@ -13,10 +13,9 @@
 //! # Failure model
 //!
 //! The faults are the ones production fabrics have. Shared memory loses
-//! nothing, and a TCP link heals a socket reset itself (the retained
-//! suffix is resent on redial), so a transient fault never reaches the
-//! trainer. What does is a fail-stop death: [`TrainConfig::kill`]
-//! schedules one, on any fabric.
+//! nothing; a TCP socket error, EOF or silence condemns the peer with a
+//! typed error, so every fault reaches the trainer as a fail-stop death.
+//! [`TrainConfig::kill`] schedules one, on any fabric.
 //!
 //! With [`TrainConfig::elastic`] set, an unrecoverable peer loss
 //! ([`CommError::PeerLost`] from the engine, or any peer-scoped transport
@@ -234,8 +233,6 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Momentum coefficient.
     pub momentum: f32,
-    /// Decoupled weight decay.
-    pub weight_decay: f32,
     /// Global-norm gradient clipping threshold, if any. Applied to the
     /// gradient the optimizer is about to consume: the synchronized mean
     /// under [`train_rank`], the local one under
@@ -307,7 +304,6 @@ impl TrainConfig {
             steps,
             lr: 0.1,
             momentum: 0.9,
-            weight_decay: 0.0,
             clip: None,
             algorithm: Algorithm::ScatterReduceAllgather,
             compression: LayerCompression::none(),
@@ -386,7 +382,7 @@ impl<M: TrainableModel> Replica<M> {
         Replica {
             model: model.clone(),
             data_rng: Rng::seed_from_u64(cfg.seed ^ (0xD00D + rank as u64 * 7919)),
-            opt: SgdMomentum::new(cfg.lr, cfg.momentum, cfg.weight_decay),
+            opt: SgdMomentum::new(cfg.lr, cfg.momentum, 0.0),
             accumulation: cfg.accumulation,
             clip: cfg.clip,
         }
@@ -716,7 +712,7 @@ mod tests {
                 .iter()
                 .map(CompressionScheme::build)
                 .collect();
-            let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, cfg.weight_decay);
+            let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, 0.0);
             for _ in 0..cfg.steps {
                 let batch = task.sample_batch(&mut data_rng, 8);
                 let (_, mut grads) = local.loss_and_grads(&batch.0, &batch.1);
@@ -755,7 +751,7 @@ mod tests {
         // Sequential reference with the identical RNG stream.
         let mut seq = model.clone();
         let mut data_rng = Rng::seed_from_u64(cfg.seed ^ 0xD00D);
-        let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, cfg.weight_decay);
+        let mut opt = SgdMomentum::new(cfg.lr, cfg.momentum, 0.0);
         for _ in 0..cfg.steps {
             let (x, y) = task.sample_batch(&mut data_rng, 8);
             let (_, grads) = seq.loss_and_grads(&x, &y);

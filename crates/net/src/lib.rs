@@ -7,12 +7,13 @@
 //! TCP sockets between real OS processes.
 //!
 //! - [`wire`] — every byte format on a socket: the length-prefixed
-//!   frame and its seq+checksum envelope, the control frames boot and
-//!   redial speak, and the retention a reconnect resends from.
+//!   frame and its seq+checksum envelope, and the control frames boot
+//!   speaks.
 //! - [`tcp`] — [`TcpTransport`]: a caller-driven readiness event loop
 //!   (nonblocking sockets, `poll(2)`, in-place frame parsing, vectored
 //!   coalesced writes) feeding the tag-demuxed, deadline-aware stash
-//!   model with zero extra threads.
+//!   model with zero extra threads. A socket error condemns its peer
+//!   with a typed error; nothing is redialed.
 //! - [`rendezvous`](mod@rendezvous) — bootstrap from "N processes and one address" to a
 //!   full mesh plus a node [`Topology`](cgx_collectives::Topology), and
 //!   [`TcpFabric`] for in-process loopback meshes.
@@ -24,8 +25,7 @@
 //!   `cgx-launch` binary and the Shm/TCP parity test, and the one reader
 //!   ([`workload::read`] over [`workload::flags`]) the binaries parse
 //!   their flags with.
-//! - [`fault`] — socket resets (`ResetPlan`), the [`ReconnectPolicy`]
-//!   that redials after one, and [`fault::raise_sigkill`].
+//! - [`fault`] — the injected process kill and [`fault::raise_sigkill`].
 
 #![warn(missing_docs)]
 
@@ -37,13 +37,12 @@ pub mod wire;
 pub mod workload;
 
 pub use cluster::{ClusterReport, ProcessCluster, RankExit};
-pub use fault::ReconnectPolicy;
 pub use rendezvous::{rendezvous, TcpFabric, DEFAULT_BOOT_TIMEOUT};
 pub use tcp::{NetOptions, TcpTransport, WireStats};
 
 use cgx_collectives::CommError;
 
-/// A failure to form or re-form the mesh.
+/// A failure to form the mesh.
 fn boot_err(detail: impl Into<String>) -> CommError {
     CommError::Bootstrap {
         detail: detail.into(),

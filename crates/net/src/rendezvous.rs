@@ -19,7 +19,7 @@
 //! [`CommError::Bootstrap`] (no membership exists yet to shrink).
 
 use crate::boot_err;
-use crate::tcp::{Mesh, NetOptions, TcpTransport};
+use crate::tcp::{NetOptions, TcpTransport};
 use crate::wire::{get_str, get_u32, put_str, recv_ctrl, send_ctrl};
 use crate::wire::{MSG_HELLO, MSG_PEER, MSG_ROSTER};
 use cgx_collectives::{CommError, Topology};
@@ -144,13 +144,7 @@ fn rendezvous_root(
     for stream in streams.iter_mut().flatten() {
         send_ctrl(stream, &roster)?;
     }
-    // Rank 0 never dials: it keeps its rendezvous listener so every
-    // dropped peer can redial it.
-    let mesh = Mesh {
-        listener,
-        addrs: vec![None; world],
-    };
-    let transport = TcpTransport::new(0, streams, Some(mesh), opts)?;
+    let transport = TcpTransport::new(0, streams, opts)?;
     Ok((transport, roster_topology(&entries)))
 }
 
@@ -228,15 +222,7 @@ fn rendezvous_peer(
         }
         streams[their_rank] = Some(stream);
     }
-    // Redial direction mirrors bootstrap: this rank re-dials the root and
-    // every lower rank (at their rostered addresses); higher ranks redial
-    // us on the retained mesh listener.
-    let mut addrs: Vec<Option<String>> = vec![None; world];
-    addrs[0] = Some(root_addr.to_string());
-    for (j, entry) in entries.iter().enumerate().take(rank).skip(1) {
-        addrs[j] = Some(entry.addr.clone());
-    }
-    let transport = TcpTransport::new(rank, streams, Some(Mesh { listener, addrs }), opts)?;
+    let transport = TcpTransport::new(rank, streams, opts)?;
     Ok((transport, roster_topology(&entries)))
 }
 
@@ -261,7 +247,7 @@ pub fn rendezvous(
     assert!(world > 0, "world must be at least 1");
     assert!(rank < world, "rank {rank} out of range for world {world}");
     if world == 1 {
-        let alone = TcpTransport::new(0, vec![None], None, opts)?;
+        let alone = TcpTransport::new(0, vec![None], opts)?;
         return Ok((alone, Topology::new(vec![node as usize])));
     }
     if rank == 0 {
@@ -482,105 +468,6 @@ mod tests {
             assert!(typed, "{what}: {got:?}");
             assert!(t0.elapsed() < boot, "{what} took {:?}", t0.elapsed());
         }
-    }
-
-    #[test]
-    fn a_bad_redial_leaves_the_link_alone() {
-        // Rogue connections on rank 0's mesh listener — the rendezvous
-        // listener, kept for redials — are each dropped without touching
-        // the 0 <-> 1 link, and none stalls the endpoint past the
-        // handshake deadline: a ping-pong runs beside them throughout.
-        use crate::fault::ReconnectPolicy;
-        use crate::tcp::HANDSHAKE_TIMEOUT;
-        use crate::wire::MSG_REDIAL;
-        use std::io::Read;
-        use std::net::Shutdown;
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
-        let policy =
-            ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(50), 4, 3);
-        let opts = NetOptions {
-            reconnect: Some(policy),
-            ..Default::default()
-        };
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let boot = Duration::from_secs(10);
-        let (a, b) = std::thread::scope(|s| {
-            let root = s.spawn(move || rendezvous_root(listener, 2, 0, boot, opts));
-            let (b, _) = rendezvous_peer(1, 2, &addr.to_string(), 0, boot, opts).expect("peer");
-            (root.join().expect("root thread").expect("root").0, b)
-        });
-        let redial = |rank: u32| {
-            let mut body = vec![MSG_REDIAL];
-            body.extend_from_slice(&rank.to_le_bytes());
-            body.extend_from_slice(&0u32.to_le_bytes());
-            let mut frame = Vec::new();
-            send_ctrl(&mut frame, &body).expect("frame");
-            frame
-        };
-        let truncated = redial(1)[..20].to_vec();
-        let no_gap = Duration::ZERO;
-        let rogues = [
-            ("garbage", b"GET / HTTP/1.1\r\n\r\n".to_vec(), no_gap),
-            ("a REDIAL naming rank 0 itself", redial(0), no_gap),
-            ("a REDIAL naming rank 2 of 2", redial(2), no_gap),
-            ("a truncated REDIAL", truncated, no_gap),
-            ("a byte every 300 ms", redial(7), Duration::from_millis(300)),
-        ];
-        let (done, rounds) = (AtomicBool::new(false), AtomicUsize::new(0));
-        let worst = std::thread::scope(|s| {
-            s.spawn(|| loop {
-                let ping = a.recv_tagged_deadline(1, 1, boot).expect("ping");
-                a.send_tagged(1, 2, ping.clone()).expect("pong");
-                if ping.payload()[0] == 1 {
-                    break;
-                }
-            });
-            let pinger = s.spawn(|| {
-                let mut worst = Duration::ZERO;
-                loop {
-                    let last = done.load(SeqCst);
-                    let t0 = Instant::now();
-                    b.send_tagged(0, 1, enc(&[u8::from(last)])).expect("ping");
-                    b.recv_tagged_deadline(0, 2, boot).expect("pong");
-                    worst = worst.max(t0.elapsed());
-                    rounds.fetch_add(1, SeqCst);
-                    if last {
-                        return worst;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            });
-            for (what, bytes, gap) in rogues {
-                let mut rogue = TcpStream::connect(addr).expect("connect");
-                rogue.set_nodelay(true).expect("nodelay");
-                // A drip stops after 12 bytes (3.6 s), or once rank 0 has
-                // dropped it and a write fails.
-                let chunk = if gap.is_zero() { bytes.len() } else { 1 };
-                for part in bytes.chunks(chunk).take(12) {
-                    if rogue.write_all(part).is_err() {
-                        break;
-                    }
-                    std::thread::sleep(gap);
-                }
-                // Rank 0 answers a rogue only by dropping it.
-                let _ = rogue.shutdown(Shutdown::Write);
-                rogue.set_read_timeout(Some(boot)).expect("timeout");
-                assert!(matches!(rogue.read(&mut [0; 8]), Ok(0) | Err(_)), "{what}");
-                let (seen, t0) = (rounds.load(SeqCst), Instant::now());
-                while rounds.load(SeqCst) < seen + 2 {
-                    assert!(t0.elapsed() < boot, "{what}: the link stopped");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                assert_eq!((a.reconnects(), b.reconnects()), (0, 0), "{what}");
-            }
-            done.store(true, SeqCst);
-            pinger.join().expect("pinger")
-        });
-        assert!(
-            worst < 2 * HANDSHAKE_TIMEOUT,
-            "a round trip took {worst:?} beside a rogue redial"
-        );
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! * **One lock, one link per peer.** All of an endpoint's mutable state
 //!   sits behind one mutex. Each peer is one `Link`: its socket (one
 //!   descriptor, never cloned), its read staging and next-expected link
-//!   seq, when it was last heard, its outbound queue with the header
-//!   arena, partial-write cursor and `wire::Retention`, and its redial
-//!   state. Beside the links sit the tag stash — which also holds a
-//!   condemned peer's error, the one record of that verdict — and the
-//!   counters. The lock is never held across a `poll(2)` wait and every
-//!   socket is nonblocking, so a thread parked, or blocked on a full
-//!   socket, never stalls a sibling thread's receive on the same endpoint.
+//!   seq, when it was last heard, and its outbound queue with the header
+//!   arena, partial-write cursor and next link seq. Beside the links sit
+//!   the tag stash — which also holds a condemned peer's error, the one
+//!   record of that verdict — and the counters. The lock is never held
+//!   across a `poll(2)` wait and every socket is nonblocking, so a thread
+//!   parked, or blocked on a full socket, never stalls a sibling thread's
+//!   receive on the same endpoint.
 //! * **Caller-driven event loop.** The event loop (`poll(2)` over every
 //!   live peer socket, then in-place frame parsing out of per-peer staging
 //!   buffers) runs on whichever thread is inside a transport call.
@@ -57,9 +57,12 @@
 //! * **One sequence space per link.** Every frame to a peer — any tag,
 //!   heartbeats included — carries the next link seq; the demux accepts
 //!   exactly the one it expects (TCP delivers in order, so anything else
-//!   is a peer-side bug, surfaced as corruption). With reconnect armed,
-//!   flushed frames stay in a `wire::Retention` and a redial resumes from
-//!   the receiver's one next-expected number.
+//!   is a peer-side bug, surfaced as corruption).
+//! * **One failure path per link.** EOF, a socket error, a bad checksum or
+//!   seq, and silence past the heartbeat deadline each condemn the peer
+//!   for good with a typed [`CommError`]; nothing is retained or redialed.
+//!   Frames already stashed from it are still delivered first, and the
+//!   elastic layer shrinks the membership around it.
 //! * **Deadlock freedom without readers.** A blocking flush that hits a
 //!   full socket drains its own inbound traffic between `POLLOUT` waits
 //!   (or leaves it to the poller), and a parked receiver wakes when a
@@ -73,9 +76,7 @@
 //!   per-layer metrics.
 
 use crate::boot_err;
-use crate::fault::{ReconnectPolicy, ResetPlan};
-use crate::wire::{self, get_u32, recv_ctrl, send_ctrl, Retention, RETAIN_BYTES};
-use crate::wire::{MSG_REDIAL, MSG_RESUME};
+use crate::wire;
 use cgx_collectives::transport::{Tag, CTRL_TAG, DEFAULT_TIMEOUT};
 use cgx_collectives::{CommError, TagStash, Transport};
 use cgx_compress::Encoded;
@@ -83,7 +84,7 @@ use cgx_obs::MetricsRegistry;
 use cgx_tensor::Shape;
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -97,13 +98,13 @@ const COALESCE_BUDGET_BYTES: usize = 256 * 1024;
 /// queue; bigger frames flush right away.
 const COALESCE_FRAME_BYTES: usize = 16 * 1024;
 
-/// The failure handling of the TCP wire path: liveness probing and
-/// redialing, both off by default. Each is armed per fabric by handing a
-/// value to [`rendezvous`](crate::rendezvous()) or
+/// Liveness probing on the TCP wire path, off by default: heartbeats on
+/// the CTRL lane and a silence deadline, the one way a frozen peer (its
+/// sockets still open) is detected. Armed per fabric by handing a value to
+/// [`rendezvous`](crate::rendezvous()) or
 /// [`TcpFabric::build_local_with`](crate::TcpFabric::build_local_with)
-/// (`cgx-launch` runs on the default).
-/// Every mesh socket has Nagle's algorithm off: collective frames are
-/// latency-sensitive and already batched into single vectored writes.
+/// (`cgx-launch` runs on the default). Every other failure is detected
+/// on the socket itself and condemns the peer at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetOptions {
     /// Liveness probing: interval between heartbeat frames on the CTRL
@@ -126,13 +127,6 @@ pub struct NetOptions {
     /// constructor — a deadline at or below the interval would
     /// guarantee false deaths.
     pub(crate) heartbeat_timeout: Duration,
-    /// Redial policy for transient socket drops. `None` (the default)
-    /// fails fast: any socket error condemns the peer immediately. Armed,
-    /// every link keeps its last `RETAIN_BYTES` of flushed frames so
-    /// that the undelivered suffix of a dropped link can be resent; a gap
-    /// that outgrew them condemns the peer instead of healing into
-    /// silently misaligned payloads.
-    pub reconnect: Option<ReconnectPolicy>,
 }
 
 impl Default for NetOptions {
@@ -140,7 +134,6 @@ impl Default for NetOptions {
         NetOptions {
             heartbeat_interval: None,
             heartbeat_timeout: Duration::from_secs(1),
-            reconnect: None,
         }
     }
 }
@@ -195,10 +188,6 @@ mod sys {
         stream.as_raw_fd()
     }
 
-    pub(crate) fn raw_listener_fd(listener: &std::net::TcpListener) -> i32 {
-        listener.as_raw_fd()
-    }
-
     /// `poll(2)` retrying `EINTR`. Nonzero sub-millisecond timeouts round
     /// up to 1 ms so they actually sleep; zero stays a nonblocking probe.
     /// Returns how many entries have events.
@@ -245,10 +234,6 @@ mod sys {
         0
     }
 
-    pub(crate) fn raw_listener_fd(_listener: &std::net::TcpListener) -> i32 {
-        0
-    }
-
     pub(crate) fn poll_wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         if !timeout.is_zero() {
             std::thread::sleep(timeout.min(Duration::from_millis(1)));
@@ -287,13 +272,12 @@ impl WireStats {
     }
 }
 
-/// What an endpoint counts: the wire-path cost breakdown, byte and fault
-/// totals, and their mirror in an attached metrics registry.
+/// What an endpoint counts: the wire-path cost breakdown, the byte total,
+/// and their mirror in an attached metrics registry.
 #[derive(Default)]
 struct Meter {
     stats: WireStats,
     bytes_out: u64,
-    reconnects: u64,
     obs: Option<TcpMetrics>,
 }
 
@@ -333,7 +317,6 @@ struct TcpMetrics {
     writev_frames: cgx_obs::Counter,
     syscalls: cgx_obs::Counter,
     peer_dead: cgx_obs::Counter,
-    reconnects: cgx_obs::Counter,
     heartbeats: cgx_obs::Counter,
 }
 
@@ -384,12 +367,10 @@ impl Staging {
 
 /// One queued outbound frame: header bytes live in the link's arena, the
 /// payload is the caller's reference-counted buffer — nothing is
-/// concatenated. Tag and payload move on into the link's retention once
-/// the frame is written.
+/// concatenated.
 struct QueuedFrame {
     hdr_start: usize,
     hdr_len: usize,
-    tag: Tag,
     enc: Encoded,
 }
 
@@ -401,7 +382,6 @@ impl QueuedFrame {
         QueuedFrame {
             hdr_start,
             hdr_len,
-            tag,
             enc,
         }
     }
@@ -411,29 +391,10 @@ impl QueuedFrame {
     }
 }
 
-/// Where a link stands in the reconnect cycle. Condemned is not a state
-/// here: that verdict is `stash.closed(peer)`, final for this
-/// incarnation — the error may already have driven an elastic-membership
-/// decision that a resurrected link would contradict.
-#[derive(Clone, Copy)]
-enum Redial {
-    /// Connected and flowing.
-    Up,
-    /// The socket dropped but the redial budget is not exhausted. The
-    /// dialing side (the rank that dialed this link at bootstrap) redials
-    /// per the backoff schedule; the accepting side just waits for the
-    /// redial until `give_up`. Outbound frames wait in the queue.
-    Pending {
-        attempts: u32,
-        next_at: Instant,
-        give_up: Instant,
-    },
-}
-
 /// One peer's link: its one socket and both directions' state.
 struct Link {
-    /// Kept open while the link is condemned or pending, until the
-    /// endpoint drops or a redial replaces it: a peer sees EOF only then.
+    /// Kept open while the link is condemned, until the endpoint drops: a
+    /// peer sees EOF only then.
     stream: TcpStream,
     staging: Staging,
     /// Next-expected link seq from the peer: TCP already delivers in
@@ -446,23 +407,17 @@ struct Link {
     /// Serialized headers for queued frames (cleared when the queue
     /// drains).
     hdrs: Vec<u8>,
-    /// Frames not yet fully written, at link seqs `retained.end()` on.
+    /// Frames not yet fully written, the last at link seq `next_seq - 1`.
     queue: VecDeque<QueuedFrame>,
     queued_bytes: usize,
     /// Bytes of the front frame already written (partial-write cursor).
     front_written: usize,
-    /// Frames fully written to the socket, by link seq. The kernel can
-    /// accept bytes it never puts on the wire (and an RST discards a
-    /// receiver's undrained buffer), so with reconnect armed the last
-    /// [`RETAIN_BYTES`] of them are kept until a reconnect handshake
-    /// names the receiver's next-expected seq; without it none are, and
-    /// the store only counts.
-    retained: Retention,
-    redial: Redial,
+    /// The link seq the next queued frame gets (wrapping).
+    next_seq: u32,
 }
 
 impl Link {
-    fn new(stream: TcpStream, retain: usize, now: Instant) -> Self {
+    fn new(stream: TcpStream, now: Instant) -> Self {
         Link {
             stream,
             staging: Staging::new(),
@@ -472,27 +427,18 @@ impl Link {
             queue: VecDeque::new(),
             queued_bytes: 0,
             front_written: 0,
-            retained: Retention::new(retain),
-            redial: Redial::Up,
+            next_seq: 0,
         }
     }
 
-    /// The link seq the next queued frame gets.
-    fn next_seq(&self) -> u32 {
-        self.retained.end().wrapping_add(self.queue.len() as u32)
-    }
-
-    /// Whether a frame below link seq `upto` is still queued (the queue's
-    /// front is at `retained.end()`).
+    /// Whether a frame below link seq `upto` is still queued.
     fn owes(&self, upto: u32) -> bool {
-        !self.queue.is_empty() && (upto.wrapping_sub(self.retained.end()) as i32) > 0
+        let front = self.next_seq.wrapping_sub(self.queue.len() as u32);
+        !self.queue.is_empty() && (upto.wrapping_sub(front) as i32) > 0
     }
 
     /// One vectored write over the front of the queue: `Ok(true)` when
-    /// bytes moved, `Ok(false)` when the socket would block. A frame fully
-    /// written is only *kernel*-accepted, not delivered: it moves to the
-    /// retention, which keeps it (with reconnect armed) until a reconnect
-    /// handshake acknowledges it or newer frames push it out.
+    /// bytes moved, `Ok(false)` when the socket would block.
     fn write_some(&mut self, meter: &mut Meter) -> std::io::Result<bool> {
         // Cap the slices per writev well under IOV_MAX.
         const MAX_FRAMES_PER_WRITE: usize = 64;
@@ -535,8 +481,7 @@ impl Link {
             }
             self.front_written -= total;
             self.queued_bytes -= total;
-            let sent = self.queue.pop_front().expect("front exists");
-            self.retained.push(sent.tag, sent.enc, total);
+            self.queue.pop_front();
             meter.stats.writev_frames += 1;
             if let Some(m) = &meter.obs {
                 m.writev_frames.inc();
@@ -597,51 +542,11 @@ impl Link {
         meter.stats.serialize_ns += t0.elapsed().as_nanos() as u64;
         result
     }
-
-    /// Rebuilds the queue from `theirs`, the receiver's next-expected
-    /// link seq from the reconnect handshake: the retained suffix from
-    /// it, re-headered with its original seqs, goes back on the queue
-    /// ahead of the unsent frames, and everything below it is
-    /// acknowledged away. The healed link resumes exactly where the
-    /// receiver stands.
-    ///
-    /// # Errors
-    ///
-    /// As [`Retention::resume`]: a claim beyond what was ever flushed is
-    /// [`CommError::Corrupted`], a gap the retention no longer covers is
-    /// [`CommError::PeerDead`] — the caller condemns the peer rather than
-    /// heal into silently misaligned payloads.
-    fn rebuild_for_delivery(&mut self, peer: usize, theirs: u32) -> Result<(), CommError> {
-        let resend = self.retained.resume(theirs, peer)?;
-        for (i, (tag, enc)) in resend.into_iter().enumerate().rev() {
-            let frame = QueuedFrame::new(&mut self.hdrs, tag, theirs.wrapping_add(i as u32), enc);
-            self.queued_bytes += frame.wire_len();
-            self.queue.push_front(frame);
-        }
-        self.front_written = 0;
-        Ok(())
-    }
 }
-
-/// Reconnect support: the retained bootstrap listener plus the dialable
-/// address of every peer this rank originally dialed (`None` for peers
-/// that dial *us* on a drop).
-pub(crate) struct Mesh {
-    pub(crate) listener: TcpListener,
-    pub(crate) addrs: Vec<Option<String>>,
-}
-
-/// Deadline of either side's read in the reconnect handshake: the
-/// dialer's REDIAL `{rank, next-expected}` and the acceptor's RESUME
-/// `{next-expected}`, both control frames. The accepting side reads under
-/// the endpoint's lock, so this also bounds how long one malformed or
-/// stalled redial can stall the endpoint. Note the handshake is
-/// unauthenticated — the mesh listener trusts its network, which for this
-/// fabric means the single-run rendezvous scope.
-pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Puts a mesh socket toward `peer` in the mode the event loop drives:
-/// nonblocking, Nagle off.
+/// nonblocking, and Nagle off — collective frames are latency-sensitive
+/// and already batched into single vectored writes.
 fn configure(stream: &TcpStream, peer: usize) -> Result<(), CommError> {
     stream
         .set_nodelay(true)
@@ -652,23 +557,18 @@ fn configure(stream: &TcpStream, peer: usize) -> Result<(), CommError> {
 /// Heartbeat payload on the CTRL lane (intercepted by the demux, never
 /// stashed).
 const HB_PAYLOAD: [u8; 1] = [0x48];
-/// The mesh listener's entry in a poll set, where peers stand for links.
-const LISTENER: usize = usize::MAX;
 
 /// Everything mutable about an endpoint, behind its one lock. The event
-/// loop's steps are methods here; only the waits — and the redial's
-/// connect — run with the lock released, in [`TcpTransport`]'s methods.
+/// loop's steps are methods here; only the waits run with the lock
+/// released, in [`TcpTransport`]'s methods.
 struct Endpoint {
     /// `links[p]` talks to rank `p`; `None` for this rank itself.
     links: Vec<Option<Link>>,
     /// Frames awaiting a receiver and, once a peer is condemned, why (EOF,
-    /// I/O error, checksum/sequence mismatch, silence past the deadline,
-    /// or a spent redial budget).
+    /// I/O error, checksum/sequence mismatch, or silence past the
+    /// deadline).
     stash: TagStash,
     opts: NetOptions,
-    mesh: Option<Mesh>,
-    /// The planned socket reset, until it fires.
-    reset: Option<ResetPlan>,
     /// When the last heartbeat round went out (endpoint birth before the
     /// first).
     last_heartbeat: Instant,
@@ -684,20 +584,9 @@ impl Endpoint {
         self.links[peer].as_mut().expect("every peer has a link")
     }
 
-    /// `peer`'s redial state, or `None` once it is condemned.
-    fn redial(&self, peer: usize) -> Option<Redial> {
-        match (&self.links[peer], self.stash.closed(peer)) {
-            (Some(link), None) => Some(link.redial),
-            _ => None,
-        }
-    }
-
+    /// Whether `peer` has a link and is not condemned.
     fn live(&self, peer: usize) -> bool {
-        matches!(self.redial(peer), Some(Redial::Up))
-    }
-
-    fn parked(&self, peer: usize) -> bool {
-        matches!(self.redial(peer), Some(Redial::Pending { .. }))
+        self.links[peer].is_some() && self.stash.closed(peer).is_none()
     }
 
     /// Serializes a frame header into `peer`'s arena and queues the
@@ -708,7 +597,8 @@ impl Endpoint {
         let t0 = Instant::now();
         let payload_bytes = payload.payload_bytes() as u64;
         let link = self.link(peer);
-        let seq = link.next_seq();
+        let seq = link.next_seq;
+        link.next_seq = seq.wrapping_add(1);
         let frame = QueuedFrame::new(&mut link.hdrs, tag, seq, payload);
         let wire_len = frame.wire_len() as u64;
         link.queued_bytes += frame.wire_len();
@@ -724,31 +614,11 @@ impl Endpoint {
         seq
     }
 
-    /// Socket-level drop injection: once the planned number of frames has
-    /// been enqueued toward the planned peer, shut its socket down under
-    /// the wire path's feet — exactly what a mid-run RST or cable pull
-    /// looks like to the rest of the stack. One-shot.
-    fn inject_reset(&mut self, peer: usize) {
-        let Some(plan) = self.reset.as_mut().filter(|p| p.peer == peer) else {
-            return;
-        };
-        if plan.after_frames > 1 {
-            plan.after_frames -= 1;
-            return;
-        }
-        self.reset = None;
-        let _ = self.link(peer).stream.shutdown(Shutdown::Both);
-    }
-
     /// Writes `peer`'s queue until it drains or the socket would block,
-    /// never waiting. A socket error fails the link: the frames park for
-    /// the redial when one is armed, or are dropped with
-    /// [`CommError::PeerDead`].
+    /// never waiting. A socket error condemns the peer as
+    /// [`CommError::PeerDead`] and drops the queued frames.
     fn push(&mut self, peer: usize) -> Result<(), CommError> {
         loop {
-            if self.parked(peer) {
-                return Ok(());
-            }
             let link = self.links[peer].as_mut().expect("every peer has a link");
             if link.queue.is_empty() {
                 return Ok(());
@@ -756,7 +626,14 @@ impl Endpoint {
             match link.write_some(&mut self.meter) {
                 Ok(true) => {}
                 Ok(false) => return Ok(()),
-                Err(_) => return self.fail_writer(peer),
+                Err(_) => {
+                    link.queue.clear();
+                    link.hdrs.clear();
+                    link.queued_bytes = 0;
+                    link.front_written = 0;
+                    self.condemn(peer, CommError::PeerDead { rank: peer });
+                    return Err(CommError::PeerDead { rank: peer });
+                }
             }
         }
     }
@@ -769,59 +646,6 @@ impl Endpoint {
                 let _ = self.push(peer);
             }
         }
-    }
-
-    /// A write error: the socket is gone. With a reconnect policy armed
-    /// the queued frames keep their sequence numbers and park until the
-    /// link heals (the link's sequence space survives a socket swap); only
-    /// the partial-write cursor resets, so the front frame is resent whole.
-    /// Without one the queue is discarded and the peer condemned as
-    /// [`CommError::PeerDead`].
-    fn fail_writer(&mut self, peer: usize) -> Result<(), CommError> {
-        self.fail_link(peer, CommError::PeerDead { rank: peer });
-        let parked = self.parked(peer);
-        let link = self.link(peer);
-        link.front_written = 0;
-        if parked {
-            return Ok(());
-        }
-        link.queue.clear();
-        link.hdrs.clear();
-        link.queued_bytes = 0;
-        Err(CommError::PeerDead { rank: peer })
-    }
-
-    /// Routes a detected link failure: transient classes enter the
-    /// reconnect state machine when one is armed, everything else (and
-    /// every failure past the budget) condemns the peer.
-    fn fail_link(&mut self, peer: usize, err: CommError) {
-        if self.stash.closed(peer).is_some() {
-            return;
-        }
-        // Corruption (checksum/sequence damage) is not healed by a
-        // redial: the stream itself is lying. Everything socket-shaped
-        // is worth one backoff schedule.
-        let transient = !matches!(err, CommError::Corrupted { .. });
-        let policy = self
-            .opts
-            .reconnect
-            .filter(|_| transient && self.mesh.is_some());
-        if let Some(policy) = policy {
-            let link = self.link(peer);
-            if matches!(link.redial, Redial::Up) {
-                let now = Instant::now();
-                link.redial = Redial::Pending {
-                    attempts: 0,
-                    next_at: now,
-                    // The accepting side has no dial schedule to
-                    // exhaust; it waits out the dialer's whole budget
-                    // plus slack for the dials themselves.
-                    give_up: now + policy.budget() + 2 * policy.cap,
-                };
-            }
-            return;
-        }
-        self.condemn(peer, err);
     }
 
     /// Marks `peer` permanently gone: records the error (the first one
@@ -884,7 +708,7 @@ impl Endpoint {
             }
         };
         if let Some(err) = failed {
-            self.fail_link(peer, err);
+            self.condemn(peer, err);
         }
         stashed
     }
@@ -933,153 +757,8 @@ impl Endpoint {
         }
     }
 
-    /// Advances the reconnect state machine: condemns links past their
-    /// budget and returns every due redial toward a peer this rank
-    /// originally dialed, as `(peer, address, our next-expected seq)`.
-    /// Each one returned is marked in flight (next attempt at `give_up`),
-    /// so one thread dials it. Our next-expected seq holds until the
-    /// install: a pending link is never read.
-    fn due_redials(&mut self) -> Vec<(usize, String, u32)> {
-        let (Some(mesh), Some(policy)) = (&self.mesh, self.opts.reconnect) else {
-            return Vec::new();
-        };
-        let now = Instant::now();
-        let (mut dials, mut spent) = (Vec::new(), Vec::new());
-        for (peer, link) in self.links.iter_mut().enumerate() {
-            let Some(link) = link.as_mut().filter(|_| self.stash.closed(peer).is_none()) else {
-                continue;
-            };
-            let Redial::Pending {
-                attempts,
-                next_at,
-                give_up,
-            } = &mut link.redial
-            else {
-                continue;
-            };
-            if now >= *give_up || *attempts >= policy.max_attempts {
-                spent.push(peer);
-            } else if now >= *next_at {
-                if let Some(addr) = &mesh.addrs[peer] {
-                    *next_at = *give_up;
-                    dials.push((peer, addr.clone(), link.expected));
-                }
-            }
-        }
-        for peer in spent {
-            self.condemn(peer, CommError::PeerDead { rank: peer });
-        }
-        dials
-    }
-
-    /// A redial toward `peer` failed: advance its backoff schedule, and
-    /// condemn it once the schedule is exhausted.
-    fn back_off(&mut self, peer: usize) {
-        let Some(policy) = self.opts.reconnect else {
-            return;
-        };
-        if !self.parked(peer) {
-            return;
-        }
-        let Redial::Pending {
-            attempts, next_at, ..
-        } = &mut self.link(peer).redial
-        else {
-            return;
-        };
-        *attempts += 1;
-        if *attempts < policy.max_attempts {
-            *next_at = Instant::now() + policy.delay(*attempts);
-        } else {
-            self.condemn(peer, CommError::PeerDead { rank: peer });
-        }
-    }
-
-    /// Drains the mesh listener, answering every redial on it.
-    fn mesh_accept(&mut self) {
-        while let Some(Ok((stream, _))) = self.mesh.as_ref().map(|m| m.listener.accept()) {
-            let _ = self.accept_redial(stream);
-        }
-    }
-
-    /// One connection on the mesh listener: it must open with a REDIAL
-    /// naming a valid, un-condemned peer and the dialer's next-expected
-    /// link seq; we answer with a RESUME carrying ours and then replace the
-    /// peer's link. Anything else is dropped.
-    fn accept_redial(&mut self, stream: TcpStream) -> Option<()> {
-        // Sockets accepted from a nonblocking listener inherit O_NONBLOCK
-        // on some platforms (macOS/BSD); force blocking mode so the
-        // deadline — not an instant WouldBlock — governs the handshake.
-        stream.set_nonblocking(false).ok()?;
-        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        let body = recv_ctrl(&stream, MSG_REDIAL, "REDIAL", deadline).ok()?;
-        let mut at = 1;
-        let peer = get_u32(&body, &mut at).ok()? as usize;
-        let theirs = get_u32(&body, &mut at).ok()?;
-        // Once condemned, the verdict is final: the error may already
-        // have been surfaced and acted on. Refuse the redial.
-        if self.links.get(peer)?.is_none() || self.stash.closed(peer).is_some() {
-            return None;
-        }
-        // Drain whatever the old socket still holds before declaring our
-        // next-expected seq.
-        self.read_peer(peer);
-        if self.stash.closed(peer).is_some() {
-            return None;
-        }
-        let mut resume = vec![MSG_RESUME];
-        resume.extend_from_slice(&self.link(peer).expected.to_le_bytes());
-        send_ctrl(&mut &stream, &resume).ok()?;
-        self.install_link(peer, stream, theirs).ok()
-    }
-
-    /// Replaces `peer`'s socket with a fresh one (either side of a
-    /// reconnect). The link's sequence space survives the swap: the
-    /// receive side keeps its next-expected seq (only partial staging
-    /// from the old socket is discarded), and the queue is rebuilt from
-    /// `theirs` — the peer's next-expected seq from the handshake —
-    /// retransmitting the flushed-but-undelivered suffix from retention
-    /// ([`Link::rebuild_for_delivery`]). Stashed frames from the old
-    /// connection stay deliverable. A condemned peer is refused, and a
-    /// gap retention cannot cover condemns here rather than heal into
-    /// misaligned payloads.
-    fn install_link(
-        &mut self,
-        peer: usize,
-        stream: TcpStream,
-        theirs: u32,
-    ) -> Result<(), CommError> {
-        if self.stash.closed(peer).is_some() {
-            return Err(CommError::PeerDead { rank: peer });
-        }
-        configure(&stream, peer)?;
-        let link = self.link(peer);
-        if let Err(e) = link.rebuild_for_delivery(peer, theirs) {
-            self.condemn(peer, e.clone());
-            return Err(e);
-        }
-        link.stream = stream;
-        // Partial staging from the old socket is discarded; the sender
-        // retransmits that frame whole. The next-expected seq is *kept* —
-        // the handshake advertised it, and the rebuilt queue resumes
-        // exactly there.
-        link.staging.start = 0;
-        link.staging.end = 0;
-        link.redial = Redial::Up;
-        link.last_heard = Instant::now();
-        self.meter.reconnects += 1;
-        if let Some(m) = &self.meter.obs {
-            m.reconnects.inc();
-        }
-        // Push what was parked during the outage — the peer is likely
-        // waiting on it; leftovers go out on the next flush.
-        let _ = self.push(peer);
-        Ok(())
-    }
-
     /// The `poll(2)` set: every live link — readable, and writable too
-    /// while it has frames queued — and the mesh listener, beside the
-    /// peer each entry stands for ([`LISTENER`] for the listener).
+    /// while it has frames queued — beside the peer each entry stands for.
     fn poll_set(&self) -> (Vec<usize>, Vec<sys::PollFd>) {
         let mut peers = Vec::with_capacity(self.links.len());
         let mut fds = Vec::with_capacity(self.links.len());
@@ -1096,14 +775,6 @@ impl Endpoint {
             fds.push(sys::PollFd {
                 fd: sys::raw_fd(&link.stream),
                 events: sys::POLLIN | out,
-                revents: 0,
-            });
-        }
-        if let Some(mesh) = &self.mesh {
-            peers.push(LISTENER);
-            fds.push(sys::PollFd {
-                fd: sys::raw_listener_fd(&mesh.listener),
-                events: sys::POLLIN,
                 revents: 0,
             });
         }
@@ -1132,15 +803,12 @@ const PARK_SLICE: Duration = Duration::from_millis(50);
 impl TcpTransport {
     /// Assembles an endpoint from connected per-peer streams
     /// (`streams[p]` talks to rank `p`; the self entry must be `None`),
-    /// switching every socket to nonblocking readiness-driven I/O. With
-    /// [`NetOptions::reconnect`] set it keeps the rendezvous's `mesh`:
-    /// the listener, for redials from peers that originally dialed us,
-    /// and the dialable address of every peer we originally dialed.
+    /// switching every socket to nonblocking readiness-driven I/O.
     ///
     /// # Errors
     ///
-    /// [`CommError::Bootstrap`] if a stream or the listener cannot be
-    /// configured (nonblocking, `TCP_NODELAY`).
+    /// [`CommError::Bootstrap`] if a stream cannot be configured
+    /// (nonblocking, `TCP_NODELAY`).
     ///
     /// # Panics
     ///
@@ -1148,22 +816,10 @@ impl TcpTransport {
     pub(crate) fn new(
         rank: usize,
         streams: Vec<Option<TcpStream>>,
-        mesh: Option<Mesh>,
         opts: NetOptions,
     ) -> Result<Self, CommError> {
         let world = streams.len();
         assert!(streams[rank].is_none(), "self entry must be empty");
-        let mesh = mesh.filter(|_| opts.reconnect.is_some());
-        if let Some(m) = &mesh {
-            m.listener
-                .set_nonblocking(true)
-                .map_err(|e| boot_err(format!("nonblocking mesh listener: {e}")))?;
-        }
-        let retain = if opts.reconnect.is_some() {
-            RETAIN_BYTES
-        } else {
-            0
-        };
         let now = Instant::now();
         let mut links = Vec::with_capacity(world);
         for (peer, slot) in streams.into_iter().enumerate() {
@@ -1173,7 +829,7 @@ impl TcpTransport {
                 continue;
             };
             configure(&stream, peer)?;
-            links.push(Some(Link::new(stream, retain, now)));
+            links.push(Some(Link::new(stream, now)));
         }
         Ok(TcpTransport {
             rank,
@@ -1183,8 +839,6 @@ impl TcpTransport {
                 links,
                 stash: TagStash::new(world),
                 opts,
-                mesh,
-                reset: None,
                 last_heartbeat: now,
                 meter: Meter::default(),
                 poller: false,
@@ -1228,14 +882,8 @@ impl TcpTransport {
             writev_frames: registry.counter(names::TRANSPORT_WRITEV_FRAMES),
             syscalls: registry.counter(names::TRANSPORT_SYSCALLS),
             peer_dead: registry.counter(names::TRANSPORT_PEER_DEAD),
-            reconnects: registry.counter(names::TRANSPORT_RECONNECTS),
             heartbeats: registry.counter(names::TRANSPORT_HEARTBEATS),
         });
-    }
-
-    /// Links this endpoint has successfully re-established after a drop.
-    pub fn reconnects(&self) -> u64 {
-        self.lock().meter.reconnects
     }
 
     /// Total serialized bytes this endpoint has committed to its sockets,
@@ -1267,14 +915,6 @@ impl TcpTransport {
     /// every burst, then give the role up. Returns the frames stashed.
     fn turn<'a>(&'a self, mut ep: Guard<'a>, timeout: Duration) -> usize {
         ep.emit_heartbeats();
-        let redials = ep.due_redials();
-        if !redials.is_empty() {
-            drop(ep);
-            for (peer, addr, mine) in redials {
-                self.redial(peer, &addr, mine);
-            }
-            ep = self.lock();
-        }
         let (peers, mut fds) = ep.poll_set();
         drop(ep);
         // Poll with the lock released, so a sibling thread on this
@@ -1285,23 +925,15 @@ impl TcpTransport {
         let mut ep = self.lock();
         ep.meter.poll(took, !timeout.is_zero());
         let mut stashed = 0;
-        let mut accept_ready = false;
         for (&peer, fd) in peers.iter().zip(&fds).filter(|_| ready > 0) {
             if fd.revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0 {
-                if peer == LISTENER {
-                    accept_ready = true;
-                } else {
-                    stashed += ep.read_peer(peer);
-                }
+                stashed += ep.read_peer(peer);
             }
-            if peer != LISTENER && fd.revents & sys::POLLOUT != 0 {
+            if fd.revents & sys::POLLOUT != 0 {
                 let _ = ep.push(peer);
             }
         }
         ep.check_liveness();
-        if accept_ready {
-            ep.mesh_accept();
-        }
         // Giving the role up wakes every parked thread: one of them may
         // have its frame now, and another polls next.
         ep.poller = false;
@@ -1330,31 +962,6 @@ impl TcpTransport {
         0
     }
 
-    /// One redial attempt toward `peer`: connect, send a REDIAL carrying
-    /// `mine`, our next-expected link seq, read the acceptor's RESUME, and
-    /// install the fresh link. The connect and handshake run with the
-    /// lock released. Failures advance the backoff schedule; exhausting
-    /// it condemns the peer.
-    fn redial(&self, peer: usize, addr: &str, mine: u32) {
-        let dialed = TcpStream::connect(addr)
-            .map_err(|e| boot_err(format!("redialing rank {peer}: {e}")))
-            .and_then(|mut s| {
-                let mut redial = vec![MSG_REDIAL];
-                redial.extend_from_slice(&(self.rank as u32).to_le_bytes());
-                redial.extend_from_slice(&mine.to_le_bytes());
-                send_ctrl(&mut s, &redial)?;
-                // A wedged acceptor just advances the backoff.
-                let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-                let resume = recv_ctrl(&s, MSG_RESUME, "RESUME", deadline)?;
-                Ok((s, get_u32(&resume, &mut 1)?))
-            });
-        let mut ep = self.lock();
-        let installed = dialed.is_ok_and(|(s, theirs)| ep.install_link(peer, s, theirs).is_ok());
-        if !installed {
-            ep.back_off(peer);
-        }
-    }
-
     // ---- the write path -------------------------------------------------
 
     /// Queues one frame toward `peer` and, when `block` is set, the frame
@@ -1375,28 +982,18 @@ impl TcpTransport {
         // not currently sending to.
         ep.emit_heartbeats();
         let seq = ep.enqueue(peer, tag, payload);
-        ep.inject_reset(peer);
-        let (ep, r) = if flush || ep.link(peer).queued_bytes >= COALESCE_BUDGET_BYTES {
-            self.flush(ep, peer, seq.wrapping_add(1))
+        if flush || ep.link(peer).queued_bytes >= COALESCE_BUDGET_BYTES {
+            self.flush(ep, peer, seq.wrapping_add(1)).1
         } else {
-            (ep, Ok(()))
-        };
-        let heal = r.is_ok() && ep.mesh.is_some() && ep.parked(peer);
-        drop(ep);
-        if heal {
-            // The frame parked behind a reconnect: drive the redial now,
-            // so a pure sender still heals its own links.
-            self.drain();
+            Ok(())
         }
-        r
     }
 
     /// Writes `peer`'s queue through link seq `upto` (exclusive), handling
     /// partial writes by cursor and a full socket by waiting for
     /// `POLLOUT` with the lock released — draining our own inbound
     /// between waits, so a mesh of mutually-blocked senders cannot
-    /// deadlock. A link mid-reconnect keeps its frames for the redial.
-    /// Bounded: a socket that stays full past the endpoint timeout
+    /// deadlock. Bounded: a socket that stays full past the endpoint timeout
     /// surfaces [`CommError::Timeout`] instead of parking forever on a
     /// peer that stopped reading.
     fn flush<'a>(
@@ -1410,7 +1007,7 @@ impl TcpTransport {
             if let Err(e) = ep.push(peer) {
                 return (ep, Err(e));
             }
-            if !ep.link(peer).owes(upto) || ep.parked(peer) {
+            if !ep.link(peer).owes(upto) {
                 return (ep, Ok(()));
             }
             if Instant::now() >= deadline {
@@ -1446,7 +1043,7 @@ impl TcpTransport {
             let Some(link) = ep.links[peer].as_ref().filter(|l| !l.queue.is_empty()) else {
                 continue;
             };
-            let upto = link.next_seq();
+            let upto = link.next_seq;
             let r;
             (ep, r) = self.flush(ep, peer, upto);
             if let Err(e) = r {
@@ -1521,14 +1118,10 @@ impl Transport for TcpTransport {
         self.lock().stash.arrivals()
     }
 
-    /// Heartbeats, liveness checks and redials run only inside calls: a
-    /// heartbeat interval, and with reconnect armed at most a
-    /// `PARK_SLICE`, so a dropped link is redialed while its owners
-    /// compute.
+    /// Heartbeats and liveness checks run only inside calls: once a
+    /// heartbeat interval.
     fn drive_within(&self) -> Option<Duration> {
-        let opts = self.lock().opts;
-        let redial = opts.reconnect.map(|_| PARK_SLICE);
-        opts.heartbeat_interval.into_iter().chain(redial).min()
+        self.lock().opts.heartbeat_interval
     }
 
     /// As the poller, one turn of the event loop: parked in `poll(2)`
@@ -1580,13 +1173,6 @@ impl std::fmt::Debug for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Arms a socket reset, if `plan` names `t`'s rank. Must be called
-    /// before the endpoint is shared.
-    pub(crate) fn set_reset(t: &mut TcpTransport, plan: ResetPlan) {
-        let rank = t.rank;
-        t.state().reset = Some(plan).filter(|r| r.rank == rank);
-    }
     use crate::rendezvous::TcpFabric;
     use cgx_collectives::{Membership, MembershipView};
     use cgx_obs::MetricsRegistry;
@@ -1694,6 +1280,44 @@ mod tests {
     }
 
     #[test]
+    fn link_seqs_wrap_around() {
+        // Seqs MAX-1, MAX, 0, 1, the middle two larger than the socket
+        // buffers, so each blocking send waits for its frame through the
+        // wrap; every frame is accepted in order.
+        let mut eps = TcpFabric::build_local(2);
+        eps[0].state().link(1).next_seq = u32::MAX - 1;
+        eps[1].state().link(0).expected = u32::MAX - 1;
+        eps[1].set_timeout(Duration::from_secs(10));
+        let lens = [1, 8 << 20, 8 << 20, 1];
+        let frame = |i: usize| {
+            let bytes = vec![i as u8; lens[i]];
+            Encoded::new(Shape::new(vec![lens[i]]), bytes.into())
+        };
+        {
+            // The first frame waits in the queue at seq MAX-1: it is owed
+            // below every seq after it, across the wrap too.
+            let mut ep = eps[0].lock();
+            ep.enqueue(1, 3, frame(0));
+            let link = ep.link(1);
+            assert!(link.owes(u32::MAX) && link.owes(0) && link.owes(1));
+            assert!(!link.owes(u32::MAX - 1), "nothing is owed below it");
+        }
+        std::thread::scope(|s| {
+            let (a, b) = (&eps[0], &eps[1]);
+            s.spawn(move || {
+                for i in 1..lens.len() {
+                    a.send_tagged(1, 3, frame(i)).expect("send");
+                }
+            });
+            for i in 0..lens.len() {
+                let got = b.recv_tagged(0, 3).expect("recv");
+                assert!(got.payload() == frame(i).payload(), "frame {i}");
+            }
+        });
+        assert_eq!(eps[0].lock().link(1).next_seq, 2);
+    }
+
+    #[test]
     fn a_heartbeat_deadline_is_floored_at_three_intervals() {
         // A deadline at or below the interval guarantees false deaths.
         let built = NetOptions::default()
@@ -1702,39 +1326,17 @@ mod tests {
     }
 
     /// An endpoint asks to be called into as often as its heartbeats go
-    /// out, and with reconnect armed at least every park slice; with
-    /// neither it needs no caller. A membership view over it asks the same.
+    /// out; without them it needs no caller. A membership view over it
+    /// asks the same.
     #[test]
-    fn drive_within_is_the_heartbeat_interval_capped_by_reconnect() {
-        let drive = |opts: NetOptions| TcpFabric::build_local_with(2, opts)[0].drive_within();
+    fn drive_within_is_the_heartbeat_interval() {
         let ms = Duration::from_millis;
-        let policy = ReconnectPolicy::new(ms(5), ms(100), 8, 7);
-        assert_eq!(drive(NetOptions::default()), None);
+        assert_eq!(TcpFabric::build_local(2)[0].drive_within(), None);
         let beats = NetOptions::default().with_heartbeat(ms(5), ms(15));
-        assert_eq!(drive(beats), Some(ms(5)));
         let beating = TcpFabric::build_local_with(2, beats);
+        assert_eq!(beating[0].drive_within(), Some(ms(5)));
         let view = MembershipView::new(&beating[0], &Membership::full(2));
         assert_eq!(view.drive_within(), Some(ms(5)), "the view hides it");
-        assert_eq!(
-            drive(NetOptions {
-                reconnect: Some(policy),
-                ..beats
-            }),
-            Some(ms(5))
-        );
-        let slow_beats = NetOptions::default().with_heartbeat(ms(500), ms(1500));
-        assert_eq!(
-            drive(NetOptions {
-                reconnect: Some(policy),
-                ..slow_beats
-            }),
-            Some(PARK_SLICE)
-        );
-        let redials = NetOptions {
-            reconnect: Some(policy),
-            ..Default::default()
-        };
-        assert_eq!(drive(redials), Some(PARK_SLICE));
     }
 
     #[test]
@@ -1801,228 +1403,69 @@ mod tests {
         });
     }
 
-    #[test]
-    fn injected_socket_reset_heals_through_reconnect() {
-        // Rank 1 (the dialer of the 0<->1 link) has its socket shut down
-        // after 3 outbound frames. With a reconnect policy armed the
-        // link must heal transparently: all 10 payloads arrive, in
-        // order, and the transports record a reconnect.
-        let policy =
-            ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(100), 8, 7);
-        let opts = NetOptions {
-            reconnect: Some(policy),
-            ..Default::default()
-        };
-        let mut eps = crate::rendezvous::TcpFabric::build_local_with(2, opts);
-        let mut b = eps.pop().expect("rank 1");
-        let a = eps.pop().expect("rank 0");
-        set_reset(
-            &mut b,
-            ResetPlan {
-                rank: 1,
-                peer: 0,
-                after_frames: 3,
-            },
-        );
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..10u8 {
-                    let p = Encoded::new(Shape::new(vec![1]), vec![i].into());
-                    b.send_tagged(0, 21, p).expect("send survives the reset");
-                }
-                assert!(b.reconnects() >= 1, "rank 1 redialed");
-            });
-            for i in 0..10u8 {
-                let got = a
-                    .recv_tagged_deadline(1, 21, Duration::from_secs(10))
-                    .expect("recv across the reset");
-                assert_eq!(got.payload().as_ref(), &[i]);
-            }
-            assert!(a.reconnects() >= 1, "rank 0 accepted the redial");
-        });
+    /// Shuts `t`'s socket toward `peer` down under the wire path: what a
+    /// mid-run reset or a pulled cable looks like to the rest of the stack.
+    fn shut_link(t: &TcpTransport, peer: usize) {
+        let _ = t.lock().link(peer).stream.shutdown(Shutdown::Both);
     }
 
     #[test]
-    fn reconnect_budget_exhaustion_condemns_the_peer() {
-        // Rank 1 vanishes entirely (endpoint dropped, listener gone).
-        // Rank 0's redials must all fail and surface a typed PeerDead
-        // once the budget is spent — bounded, no hang.
-        let policy =
-            ReconnectPolicy::new(Duration::from_millis(2), Duration::from_millis(10), 3, 11);
-        let opts = NetOptions {
-            reconnect: Some(policy),
-            ..Default::default()
-        };
-        let mut eps = crate::rendezvous::TcpFabric::build_local_with(2, opts);
+    fn a_socket_reset_fails_both_ends_fast_after_the_stashed_frames() {
+        // Rank 0 flushes four frames, which rank 1 stashes unread, and
+        // queues two more; then rank 0's socket toward rank 1 is shut
+        // down. Nothing is redialed: each end surfaces a typed error
+        // inside the endpoint timeout, the queued frames are dropped, and
+        // rank 1, though it has seen the EOF, still delivers the four it
+        // holds before its error.
+        const TAG: Tag = 21;
+        let timeout = Duration::from_secs(2);
+        let mut eps = TcpFabric::build_local(2);
+        for ep in &mut eps {
+            ep.set_timeout(timeout);
+        }
         let b = eps.pop().expect("rank 1");
         let a = eps.pop().expect("rank 0");
-        drop(b);
+        let frame = |i: u8| Encoded::new(Shape::new(vec![1]), vec![i].into());
+        for i in 0..4 {
+            a.send_tagged(1, TAG, frame(i)).expect("flushed send");
+        }
+        for i in 4..6 {
+            assert!(a
+                .try_send_tagged(1, TAG, frame(i))
+                .expect("queued")
+                .is_none());
+        }
         let t0 = Instant::now();
-        let err = a
-            .recv_tagged_deadline(1, 9, Duration::from_secs(10))
-            .expect_err("peer never comes back");
-        assert!(
-            matches!(err, CommError::PeerDead { rank: 1 }),
-            "got {err:?}"
-        );
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "budget exhaustion took {:?}",
-            t0.elapsed()
-        );
-    }
-
-    /// Builds a 2-rank mesh where rank 0 has flushed 3 frames (now in
-    /// retention, link seqs 0..3) and still queues 2 unsent ones (seqs 3,
-    /// 4); frame `i` carries byte `i`.
-    fn retention_fixture() -> Vec<TcpTransport> {
-        let policy =
-            ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(50), 4, 3);
-        let opts = NetOptions {
-            reconnect: Some(policy),
-            ..Default::default()
+        while b.arrivals() < 4 {
+            assert!(t0.elapsed() < timeout, "rank 1 never stashed the frames");
+            b.park(b.arrivals(), Duration::from_millis(10));
+        }
+        shut_link(&a, 1);
+        // Rank 1 sees the EOF (a close counts as an arrival) before it
+        // receives anything.
+        let t0 = Instant::now();
+        while b.arrivals() < 5 {
+            assert!(t0.elapsed() < timeout, "rank 1 never saw the reset");
+            b.park(b.arrivals(), Duration::from_millis(10));
+        }
+        let typed = |r: Result<(), CommError>, what: &str| {
+            let e = r.expect_err(what);
+            let dead = matches!(
+                e,
+                CommError::PeerDead { .. } | CommError::Disconnected { .. }
+            );
+            assert!(dead, "{what}: {e:?}");
         };
-        let eps = TcpFabric::build_local_with(2, opts);
-        for i in 0..3u8 {
-            let p = Encoded::new(Shape::new(vec![1]), vec![i].into());
-            eps[0].send_tagged(1, 7, p).expect("flushed send");
+        let t0 = Instant::now();
+        typed(a.flush_outbound(), "rank 0 flushes its queue");
+        typed(a.recv_tagged(1, TAG).map(drop), "rank 0 receives");
+        typed(a.send_tagged(1, TAG, frame(6)).map(drop), "rank 0 sends");
+        for i in 0..4 {
+            let got = b.recv_tagged(0, TAG).expect("a stashed frame");
+            assert_eq!(got.payload().as_ref(), &[i]);
         }
-        for i in 3..5u8 {
-            let p = Encoded::new(Shape::new(vec![1]), vec![i].into());
-            assert!(eps[0].try_send_tagged(1, 7, p).expect("deferred").is_none());
-        }
-        {
-            let mut ep = eps[0].lock();
-            let link = ep.link(1);
-            assert_eq!(link.retained.end(), 3, "flushed frames are retained");
-            assert_eq!(link.retained.held(), 3);
-            assert_eq!(link.queue.len(), 2, "small frames coalesce unsent");
-        }
-        eps
-    }
-
-    /// `(link seq, payload byte)` of every queued frame, as its header
-    /// would put it on the wire.
-    fn queued(link: &Link) -> Vec<(u32, u8)> {
-        link.queue
-            .iter()
-            .map(|q| {
-                let mut bytes = link.hdrs[q.hdr_start..q.hdr_start + q.hdr_len].to_vec();
-                bytes.extend_from_slice(q.enc.payload());
-                let (frame, _) = wire::parse_frame(&bytes).expect("valid").expect("whole");
-                (frame.seq, frame.enc.payload()[0])
-            })
-            .collect()
-    }
-
-    #[test]
-    fn rebuild_resumes_at_the_receivers_delivery_state() {
-        // Everything flushed was delivered: retention is acknowledged
-        // away and only the unsent frames remain, seqs untouched.
-        let eps = retention_fixture();
-        let mut ep = eps[0].lock();
-        let link = ep.link(1);
-        link.rebuild_for_delivery(1, 3).expect("no gap");
-        assert_eq!(link.retained.end(), 3);
-        assert_eq!(link.retained.held(), 0);
-        assert_eq!(queued(link), [(3, 3), (4, 4)]);
-    }
-
-    #[test]
-    fn rebuild_retransmits_the_undelivered_suffix_from_retention() {
-        // The receiver only got seq 0: seqs 1 and 2 come back out of
-        // retention ahead of the unsent frames, original numbering.
-        let eps = retention_fixture();
-        let mut ep = eps[0].lock();
-        let link = ep.link(1);
-        link.rebuild_for_delivery(1, 1)
-            .expect("retention covers the gap");
-        assert_eq!(
-            link.retained.end(),
-            1,
-            "resent frames are retained again when written"
-        );
-        assert_eq!(queued(link), [(1, 1), (2, 2), (3, 3), (4, 4)]);
-        assert_eq!(link.front_written, 0, "front frame resent whole");
-    }
-
-    #[test]
-    fn rebuild_condemns_when_the_gap_outgrew_retention() {
-        // Retention no longer holds seq 1 (pruned): healing would skip
-        // a frame the receiver never got — refuse with a typed error.
-        let eps = retention_fixture();
-        let mut ep = eps[0].lock();
-        let link = ep.link(1);
-        // The same three flushes into a store with room for one frame.
-        let mut pruned = Retention::new(1);
-        for i in 0..3u8 {
-            pruned.push(7, Encoded::new(Shape::new(vec![1]), vec![i].into()), 1);
-        }
-        link.retained = pruned;
-        let err = link
-            .rebuild_for_delivery(1, 1)
-            .expect_err("gap not covered");
-        assert!(
-            matches!(err, CommError::PeerDead { rank: 1 }),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn rebuild_rejects_contradictory_delivery_state() {
-        // A peer claiming more frames than were ever flushed is lying
-        // about shared history.
-        let eps = retention_fixture();
-        let mut ep = eps[0].lock();
-        let link = ep.link(1);
-        assert!(matches!(
-            link.rebuild_for_delivery(1, 99),
-            Err(CommError::Corrupted { peer: 1, .. })
-        ));
-        // Not even the queued frames count: they never reached a socket.
-        assert!(matches!(
-            link.rebuild_for_delivery(1, 4),
-            Err(CommError::Corrupted { peer: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn a_condemned_peer_cannot_be_resurrected_by_a_late_redial() {
-        // Once PeerDead has been decided (and possibly surfaced to the
-        // elastic layer), install_link must refuse the fresh socket and
-        // leave the verdict in place.
-        let policy =
-            ReconnectPolicy::new(Duration::from_millis(2), Duration::from_millis(10), 2, 5);
-        let opts = NetOptions {
-            reconnect: Some(policy),
-            ..Default::default()
-        };
-        let eps = TcpFabric::build_local_with(2, opts);
-        let mut ep = eps[0].lock();
-        ep.condemn(1, CommError::PeerDead { rank: 1 });
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let late = || {
-            let dial = std::thread::spawn(move || TcpStream::connect(addr).expect("connect"));
-            let (late, _) = listener.accept().expect("accept");
-            let _ = dial.join().expect("dialer");
-            late
-        };
-        let err = ep
-            .install_link(1, late(), 0)
-            .expect_err("condemned is final");
-        assert!(
-            matches!(err, CommError::PeerDead { rank: 1 }),
-            "got {err:?}"
-        );
-        assert_eq!(
-            ep.stash.closed(1),
-            Some(&CommError::PeerDead { rank: 1 }),
-            "verdict stands"
-        );
-        assert!(ep.stash.closed(1).is_some(), "error stays recorded");
-        assert!(!ep.live(1) && !ep.parked(1));
-        assert!(ep.install_link(1, late(), 0).is_err(), "and stays final");
+        typed(b.recv_tagged(0, TAG).map(drop), "rank 1 receives past them");
+        assert!(t0.elapsed() < timeout, "failing took {:?}", t0.elapsed());
     }
 
     #[test]
@@ -2126,131 +1569,5 @@ mod tests {
             + sizes.len() * (wire::frame_wire_bytes(1, 5) + wire::frame_wire_bytes(1, 9)))
             as u64;
         assert_eq!(from.wire_bytes_sent(), wire);
-    }
-
-    /// A link reset heals: rank 1's socket toward rank 0 is shut down
-    /// partway through an engine run, the reconnect path redials and
-    /// resends the retained suffix, and every rank's results equal the
-    /// shared-memory run's byte for byte.
-    mod socket_reset {
-        use super::*;
-        use cgx_collectives::reduce::Algorithm;
-        use cgx_collectives::transport::exchange_quiesce_markers;
-        use cgx_collectives::{CommEngine, EngineOptions, ThreadCluster};
-        use cgx_compress::{CompressionScheme, ScratchPool};
-        use cgx_tensor::{Rng, Tensor};
-
-        const WORLD: usize = 4;
-        const LAYERS: usize = 12;
-        /// Rank 1's frames toward rank 0 before its socket is shut down: it sends
-        /// 21 over the run (the engine's 20, then the teardown marker), so the
-        /// reset lands partway through the layers.
-        const RESET_AFTER: u64 = 8;
-
-        /// Twelve layers of odd lengths, cycling through four schemes: two lossy
-        /// quantizers, the lossless path and a sparsifier.
-        fn layer_specs() -> Vec<(usize, CompressionScheme)> {
-            let schemes = [
-                CompressionScheme::Qsgd {
-                    bits: 4,
-                    bucket_size: 128,
-                },
-                CompressionScheme::None,
-                CompressionScheme::Nuqsgd {
-                    bits: 4,
-                    bucket_size: 64,
-                },
-                CompressionScheme::TopK { ratio: 0.25 },
-            ];
-            let mut lens = Rng::seed_from_u64(0xC4A0);
-            (0..LAYERS)
-                .map(|i| {
-                    let len = (lens.next_u64() % 3000 + 16) as usize | 1;
-                    (len, schemes[i % schemes.len()])
-                })
-                .collect()
-        }
-
-        fn rank_grads(specs: &[(usize, CompressionScheme)], rank: usize) -> Vec<Tensor> {
-            let mut rng = Rng::seed_from_u64(0xD1CE + rank as u64 * 31);
-            specs
-                .iter()
-                .map(|(len, _)| Tensor::randn(&mut rng, &[*len]))
-                .collect()
-        }
-
-        /// Reduces every layer through one SRA engine on `t`, then runs the
-        /// teardown barrier; returns the rank's results.
-        fn reduce_layers(t: &dyn Transport) -> Vec<Tensor> {
-            let specs = layer_specs();
-            let grads = rank_grads(&specs, t.rank());
-            let mut master = Rng::seed_from_u64(0xAB5);
-            let mut eng = CommEngine::new(t, ScratchPool::new(), EngineOptions::default());
-            let handles: Vec<_> = grads
-                .iter()
-                .zip(&specs)
-                .map(|(g, (_, scheme))| {
-                    eng.submit(
-                        Algorithm::ScatterReduceAllgather,
-                        g,
-                        scheme.build(),
-                        &mut master,
-                    )
-                })
-                .collect();
-            let results = handles
-                .into_iter()
-                .map(|h| eng.wait(h).expect("layer reduces").0)
-                .collect();
-            drop(eng);
-            let all: Vec<usize> = (0..t.world()).collect();
-            exchange_quiesce_markers(t, &all);
-            results
-        }
-
-        #[test]
-        fn engine_results_are_byte_identical_to_shm_across_a_socket_reset() {
-            let reference = ThreadCluster::run(WORLD, |t| reduce_layers(&t)).expect("shm run");
-            let policy =
-                ReconnectPolicy::new(Duration::from_millis(5), Duration::from_millis(100), 8, 7);
-            let opts = NetOptions {
-                reconnect: Some(policy),
-                ..Default::default()
-            };
-            let mut eps = TcpFabric::build_local_with(WORLD, opts);
-            set_reset(
-                &mut eps[1],
-                ResetPlan {
-                    rank: 1,
-                    peer: 0,
-                    after_frames: RESET_AFTER,
-                },
-            );
-            let runs: Vec<(Vec<Tensor>, u64)> = std::thread::scope(|s| {
-                let handles: Vec<_> = eps
-                    .into_iter()
-                    .map(|t| s.spawn(move || (reduce_layers(&t), t.reconnects())))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rank panicked"))
-                    .collect()
-            });
-            for (rank, (got, _)) in runs.iter().enumerate() {
-                assert_eq!(got.len(), LAYERS, "rank {rank}");
-                for (i, (a, b)) in got.iter().zip(&reference[rank]).enumerate() {
-                    assert_eq!(
-                        a.as_slice(),
-                        b.as_slice(),
-                        "rank {rank} layer {i} differs from the shm run"
-                    );
-                }
-            }
-            let (healed, redialed) = (runs[0].1, runs[1].1);
-            assert!(
-                healed >= 1 && redialed >= 1,
-                "the reset was not healed by a reconnect: rank 0 {healed}, rank 1 {redialed}"
-            );
-        }
     }
 }

@@ -21,24 +21,14 @@
 //! number fails verification, and any single-bit corruption of the body is
 //! caught. The sequence number counts frames per (sender, receiver) pair
 //! across every tag: the cheap assertion that the demux never reorders a
-//! link, and the one number a reconnect resumes from.
+//! link.
 //!
 //! # Control frames
 //!
-//! Bootstrap and redial speak frames on `CTRL_TAG` at seq 0 whose payload
-//! is an op byte and its fields: HELLO, ROSTER and PEER (see
-//! [`rendezvous`](mod@crate::rendezvous)), and a redial's REDIAL `{rank,
-//! next-expected}` answered by RESUME `{next-expected}`. `send_ctrl`
-//! writes one and `recv_ctrl` reads one, never past its end and within
-//! one deadline.
-//!
-//! # Retention
-//!
-//! A receiver accepts exactly the next link seq it expects, so "what I
-//! have" is one number, and a sender keeps one byte-bounded retention of
-//! the frames it handed to the link. A reconnect reads "from `s` on" out
-//! of it: each side names its next-expected seq, and the other resends
-//! the whole suffix from there.
+//! Bootstrap speaks frames on `CTRL_TAG` at seq 0 whose payload is an op
+//! byte and its fields: HELLO, ROSTER and PEER (see
+//! [`rendezvous`](mod@crate::rendezvous)). `send_ctrl` writes one and
+//! `recv_ctrl` reads one, never past its end and within one deadline.
 //!
 //! # Multi-tenant tags
 //!
@@ -54,7 +44,6 @@ use cgx_collectives::transport::{Tag, CTRL_TAG};
 use cgx_collectives::CommError;
 use cgx_compress::Encoded;
 use cgx_tensor::Shape;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -380,14 +369,10 @@ fn open_copy(tag: Tag, bytes: &[u8]) -> io::Result<(u32, Vec<u8>)> {
 
 /// The control ops, each the first byte of its body: a joining rank's
 /// HELLO `{rank, world, node, listen address}`, the root's ROSTER `{world,
-/// (node, address) per rank}`, a meshing rank's PEER `{rank}`, a
-/// redialing rank's REDIAL `{rank, next-expected link seq}`, and the
-/// acceptor's RESUME `{next-expected link seq}` in answer.
+/// (node, address) per rank}`, and a meshing rank's PEER `{rank}`.
 pub(crate) const MSG_HELLO: u8 = 0x01;
 pub(crate) const MSG_ROSTER: u8 = 0x02;
 pub(crate) const MSG_PEER: u8 = 0x03;
-pub(crate) const MSG_REDIAL: u8 = 0x04;
-pub(crate) const MSG_RESUME: u8 = 0x05;
 
 /// Cap on a control frame's length prefix: a ROSTER entry is a node id and
 /// an address, tens of bytes, so this holds tens of thousands of ranks,
@@ -500,103 +485,11 @@ pub(crate) fn get_str(body: &[u8], at: &mut usize) -> Result<String, CommError> 
     String::from_utf8(s.to_vec()).map_err(|_| boot_err("control string is not UTF-8"))
 }
 
-/// Bytes one link may hold for resending (TCP holds them only with a
-/// reconnect policy armed; without one it keeps none).
-pub(crate) const RETAIN_BYTES: usize = 8 << 20;
-
-/// The frames a sender has handed to one link, kept for resending: a
-/// contiguous suffix of everything the link ever carried, oldest first,
-/// at most `cap` bytes of it. Frames are numbered by link seq, so the
-/// store is an index — [`Retention::end`] is the seq the next frame gets.
-/// Link seqs wrap (a busy link carries 2^32 frames in hours): a seq is
-/// placed relative to the frames held, the nearer way round.
-#[derive(Debug)]
-pub(crate) struct Retention {
-    /// `(tag, frame, bytes it cost)`, the first at link seq `start`.
-    frames: VecDeque<(Tag, Encoded, usize)>,
-    start: u32,
-    bytes: usize,
-    cap: usize,
-}
-
-impl Retention {
-    /// An empty store at link seq 0 holding at most `cap` bytes (0 keeps
-    /// nothing, but still counts).
-    pub(crate) fn new(cap: usize) -> Self {
-        Retention {
-            frames: VecDeque::new(),
-            start: 0,
-            bytes: 0,
-            cap,
-        }
-    }
-
-    /// The link seq of the next frame handed over: how many ever were.
-    pub(crate) fn end(&self) -> u32 {
-        self.start.wrapping_add(self.frames.len() as u32)
-    }
-
-    /// Keeps `frame` — which cost `bytes` on the wire — at link seq
-    /// [`Retention::end`], dropping the oldest frames past the cap.
-    pub(crate) fn push(&mut self, tag: Tag, frame: Encoded, bytes: usize) {
-        self.bytes += bytes;
-        self.frames.push_back((tag, frame, bytes));
-        while self.bytes > self.cap {
-            let (_, _, old) = self.frames.pop_front().expect("bytes are the frames'");
-            self.bytes -= old;
-            self.start = self.start.wrapping_add(1);
-        }
-    }
-
-    /// Resumes the link at `s`: frames below it are acknowledged and
-    /// dropped, the suffix from it is handed back for resending, and the
-    /// store restarts empty at `s`.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Corrupted`] naming `peer` when `s` claims frames that
-    /// were never handed over (the peer is lying about shared history);
-    /// [`CommError::PeerDead`] when frames from `s` on are no longer all
-    /// here (the gap outgrew the cap and cannot be healed). Either way the
-    /// store is left as it was.
-    pub(crate) fn resume(&mut self, s: u32, peer: usize) -> Result<Vec<(Tag, Encoded)>, CommError> {
-        let at = s.wrapping_sub(self.start) as usize;
-        if at > self.frames.len() {
-            if s.wrapping_sub(self.end()) < 1 << 31 {
-                return Err(CommError::Corrupted {
-                    peer,
-                    detail: format!(
-                        "peer expects link seq {s}, only {} frames were ever sent",
-                        self.end()
-                    ),
-                });
-            }
-            return Err(CommError::PeerDead { rank: peer });
-        }
-        let resend = self.frames.split_off(at);
-        self.frames.clear();
-        self.bytes = 0;
-        self.start = s;
-        Ok(resend
-            .into_iter()
-            .map(|(tag, frame, _)| (tag, frame))
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgx_tensor::Bytes;
     use std::net::{Shutdown, TcpListener};
     use std::time::Duration;
-
-    impl Retention {
-        /// How many frames the store holds.
-        pub(crate) fn held(&self) -> usize {
-            self.frames.len()
-        }
-    }
 
     /// Appends one frame to `buf`: its header, then the payload.
     fn push_frame(buf: &mut Vec<u8>, tag: Tag, seq: u32, dims: Vec<usize>, payload: &[u8]) {
@@ -730,13 +623,6 @@ mod tests {
         append_header(&mut buf, tag, seq, body);
         buf.extend_from_slice(body);
         buf
-    }
-
-    fn enc(bytes: &[u8]) -> Encoded {
-        Encoded::new(
-            Shape::vector(bytes.len().max(1)),
-            Bytes::copy_from_slice(bytes),
-        )
     }
 
     #[test]
@@ -953,115 +839,6 @@ mod tests {
         assert!(open_copy(1, &raw).is_err());
     }
 
-    /// A store holding link seqs `0..n`, frame `i` tagged `100 + i`,
-    /// carrying byte `i` and costing 10 bytes, capped at `cap`.
-    fn retention(n: u8, cap: usize) -> Retention {
-        let mut r = Retention::new(cap);
-        for i in 0..n {
-            r.push(100 + Tag::from(i), enc(&[i]), 10);
-        }
-        r
-    }
-
-    /// The payload bytes `resume(s)` hands back.
-    fn bytes_from(mut r: Retention, s: u32) -> Vec<u8> {
-        r.resume(s, 1)
-            .expect("held")
-            .iter()
-            .map(|(_, f)| f.payload()[0])
-            .collect()
-    }
-
-    #[test]
-    fn eviction_under_the_byte_bound_keeps_a_contiguous_suffix() {
-        // 35 bytes hold three 10-byte frames: pushing seven keeps 4, 5, 6.
-        let r = || retention(7, 35);
-        assert_eq!(r().end(), 7);
-        assert_eq!(bytes_from(r(), 4), [4, 5, 6]);
-        assert_eq!(bytes_from(r(), 5), [5, 6]);
-        let resend = r().resume(4, 1).expect("held");
-        let tags: Vec<Tag> = resend.iter().map(|(t, _)| *t).collect();
-        assert_eq!(tags, [104, 105, 106]);
-        // A cap of zero keeps nothing and still numbers the link.
-        let mut none = retention(3, 0);
-        assert_eq!(none.end(), 3);
-        assert!(none.resume(3, 1).expect("at the end").is_empty());
-    }
-
-    #[test]
-    fn asking_below_the_oldest_frame_is_a_dead_peer() {
-        let mut r = retention(7, 35);
-        assert_eq!(r.resume(3, 2).err(), Some(CommError::PeerDead { rank: 2 }));
-        assert_eq!(r.resume(0, 2).err(), Some(CommError::PeerDead { rank: 2 }));
-        assert_eq!(r.end(), 7, "a refused resume changes nothing");
-    }
-
-    #[test]
-    fn asking_beyond_the_end_is_corruption() {
-        let mut r = retention(3, RETAIN_BYTES);
-        assert!(matches!(
-            r.resume(4, 5),
-            Err(CommError::Corrupted { peer: 5, .. })
-        ));
-        assert!(matches!(
-            r.resume(99, 5),
-            Err(CommError::Corrupted { peer: 5, .. })
-        ));
-    }
-
-    #[test]
-    fn asking_at_the_end_returns_nothing() {
-        let mut r = retention(3, RETAIN_BYTES);
-        assert!(r.resume(3, 1).expect("in range").is_empty());
-        assert_eq!(r.end(), 3);
-    }
-
-    #[test]
-    fn link_seqs_wrap_around() {
-        // Two frames before the wrap, two after: seqs MAX-1, MAX, 0, 1.
-        let wrapped = || {
-            let mut r = Retention {
-                start: u32::MAX - 1,
-                ..Retention::new(RETAIN_BYTES)
-            };
-            for i in 0..4u8 {
-                r.push(100, enc(&[i]), 10);
-            }
-            r
-        };
-        assert_eq!(wrapped().end(), 2);
-        assert_eq!(bytes_from(wrapped(), u32::MAX), [1, 2, 3]);
-        assert_eq!(bytes_from(wrapped(), 1), [3]);
-        assert_eq!(bytes_from(wrapped(), 2), Vec::<u8>::new());
-        assert!(matches!(
-            wrapped().resume(3, 1),
-            Err(CommError::Corrupted { .. })
-        ));
-        assert_eq!(
-            wrapped().resume(u32::MAX - 2, 1).err(),
-            Some(CommError::PeerDead { rank: 1 })
-        );
-        let mut r = wrapped();
-        let resend = r.resume(0, 1).expect("held");
-        assert_eq!(resend.len(), 2);
-        assert_eq!(r.end(), 0);
-    }
-
-    #[test]
-    fn resume_hands_back_the_suffix_and_restarts_there() {
-        let mut r = retention(5, RETAIN_BYTES);
-        let resend: Vec<u8> = r
-            .resume(2, 1)
-            .expect("held")
-            .iter()
-            .map(|(_, f)| f.payload()[0])
-            .collect();
-        assert_eq!(resend, [2, 3, 4]);
-        // The resent frames come back through `push`, at seqs 2, 3, 4.
-        assert_eq!(r.end(), 2);
-        assert_eq!(r.resume(1, 1).err(), Some(CommError::PeerDead { rank: 1 }));
-    }
-
     /// Feeds `bytes` to [`recv_ctrl`] over a loopback socket whose writer
     /// then closes: what it returned, and how many bytes it read.
     fn fed(
@@ -1087,8 +864,8 @@ mod tests {
         frame
     }
 
-    /// A HELLO, a three-rank ROSTER and a REDIAL, as boot and redial
-    /// build them, with their ops.
+    /// A HELLO, a three-rank ROSTER and a PEER, as boot builds them, with
+    /// their ops.
     fn valid_bodies() -> Vec<(u8, Vec<u8>)> {
         let mut hello = vec![MSG_HELLO];
         for word in [2u32, 3, 1] {
@@ -1101,14 +878,9 @@ mod tests {
             roster.extend_from_slice(&node.to_le_bytes());
             put_str(&mut roster, addr);
         }
-        let mut redial = vec![MSG_REDIAL];
-        redial.extend_from_slice(&1u32.to_le_bytes());
-        redial.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
-        vec![
-            (MSG_HELLO, hello),
-            (MSG_ROSTER, roster),
-            (MSG_REDIAL, redial),
-        ]
+        let mut peer = vec![MSG_PEER];
+        peer.extend_from_slice(&2u32.to_le_bytes());
+        vec![(MSG_HELLO, hello), (MSG_ROSTER, roster), (MSG_PEER, peer)]
     }
 
     /// Asserts `got` is a typed error and that the read stopped within the
@@ -1184,21 +956,5 @@ mod tests {
             }
             refused(&bytes, fed(&listener, &bytes, MSG_HELLO), "random bytes");
         });
-    }
-
-    #[test]
-    fn resume_point_roundtrips_and_a_truncated_read_fails() {
-        // The RESUME answer is one number; every truncation of it is
-        // refused, like any control frame's.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        for seq in [0u32, 12, 0x0A0B_0C0D, u32::MAX] {
-            let mut body = vec![MSG_RESUME];
-            body.extend_from_slice(&seq.to_le_bytes());
-            let frame = ctrl(&body);
-            let (got, _) = fed(&listener, &frame, MSG_RESUME);
-            assert_eq!(get_u32(&got.expect("whole"), &mut 1).expect("4 bytes"), seq);
-            let cut = &frame[..frame.len() - 1];
-            refused(cut, fed(&listener, cut, MSG_RESUME), "truncated");
-        }
     }
 }

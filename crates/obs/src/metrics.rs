@@ -36,9 +36,6 @@ pub mod names {
     /// Peers declared dead (socket reset, EOF mid-frame, or liveness
     /// deadline elapsed; TCP only).
     pub const TRANSPORT_PEER_DEAD: &str = "transport.peer_dead";
-    /// Successful socket re-establishments after a transient drop
-    /// (TCP only).
-    pub const TRANSPORT_RECONNECTS: &str = "transport.reconnects";
     /// Liveness heartbeat frames emitted on the CTRL lane (TCP only).
     pub const TRANSPORT_HEARTBEATS: &str = "transport.heartbeats";
     /// Re-plans committed by the live adaptive compression controller.

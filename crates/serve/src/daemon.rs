@@ -23,7 +23,7 @@
 //!   backlog or an unretired detach (looked at again every `PARK`,
 //!   200 µs), a detach or the shutdown drain, and the fabric's own
 //!   liveness cadence ([`Transport::drive_within`]: the TCP fabric's
-//!   heartbeats and redials while tenants compute, DESIGN.md §12.1). Then
+//!   heartbeats while tenants compute, DESIGN.md §12.1). Then
 //!   it takes the outbound turn and flushes and drains the fabric, never
 //!   blocking in it. A tenant whose turn leaves frames behind wakes it.
 //!
