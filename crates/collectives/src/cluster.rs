@@ -206,7 +206,7 @@ mod tests {
             }
             let mut rng = Rng::seed_from_u64(rank as u64);
             let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
-            // Large enough to bypass coalescing: two real pipelined
+            // Too large to pack: two real pipelined
             // machines are mid-flight when the peer's death is noticed.
             let g = Tensor::full(&[8192], 1.0 + rank as f32);
             let h1 = eng.submit(

@@ -21,11 +21,15 @@
 //!   elements) are split into pipeline segments; decode-accumulate of
 //!   segment *k−1* overlaps compress/send of segment *k* (and of other
 //!   layers). At most `MAX_LIVE` (8) machines run at once.
-//! * **Small-layer coalescing.** Lossless (FP32) submissions of at most
-//!   `COALESCE_ELEMS` (4,096) elements are batched into one concatenated
-//!   SRA collective of up to `COALESCE_BUDGET` (2²⁰) elements, amortizing
-//!   per-message latency across the dozens of norm/bias layers of a real
-//!   model.
+//! * **Small-layer packing.** An SRA submission whose payload is at most
+//!   `PACK_BYTES` (16 KiB, by [`Compressor::compressed_bytes`]) joins the
+//!   pending pack, which is flushed before it would pass `SEGMENT_ELEMS`
+//!   elements and at `wait`. A pack is one collective — one id, one
+//!   machine, one frame per (peer, phase) — over layers that each keep
+//!   their own tensor, compressor, RNG and chunk ranges; a frame's payload
+//!   is its layers' payloads end to end, which receivers split by each
+//!   codec's [`Compressor::extent`]. This amortizes per-message latency
+//!   across the dozens of small layers of a real model.
 //!
 //! # Why consensus and byte-equality survive
 //!
@@ -37,19 +41,21 @@
 //!    private RNG from one `next_u64()` draw of the caller's RNG and owns
 //!    its compressor, so no interleaving of *other* collectives can perturb
 //!    its stochastic rounding. Within a collective, phase-1 chunks are
-//!    compressed eagerly at submit in fixed (segment, peer) order, and
-//!    phase-2 aggregate compressions run in strict segment order — the
-//!    exact call sequence of the sequential loop.
+//!    compressed eagerly at launch in fixed (segment, peer, layer) order,
+//!    and phase-2 aggregate compressions run in strict segment order — per
+//!    layer, the exact call sequence of the sequential loop. A pack keeps
+//!    every layer's own chunk ranges (its bucket geometry) and RNG stream,
+//!    so each layer's bytes are those of a collective of its own.
 //! 2. **Fixed accumulation order.** Peer contributions decode-accumulate in
 //!    global rank order 0..n (the same order [`crate::reduce`] uses), never
 //!    in arrival order. Because that order is rank-indexed — independent of
-//!    chunk boundaries — re-chunking by segmentation or coalescing leaves
-//!    every lossless per-element sum bit-identical. The accumulator is the
-//!    own chunk of the tensor the caller gets back, already holding this
-//!    rank's gradient `g`; `g` enters at its rank's position by
-//!    commutation (rank 1 adds `d0` onto `g`, the reference `g` onto
-//!    `d0`), and ranks ≥ 2 stage the prefix `d0 + … + d(me−1)` in one
-//!    pooled buffer that is then added onto `g`.
+//!    chunk boundaries — re-chunking by segmentation leaves every lossless
+//!    per-element sum bit-identical, and packing re-chunks nothing. The
+//!    accumulator is the own chunk of the tensor the caller gets back,
+//!    already holding this rank's gradient `g`; `g` enters at its rank's
+//!    position by commutation (rank 1 adds `d0` onto `g`, the reference
+//!    `g` onto `d0`), and ranks ≥ 2 stage the prefix `d0 + … + d(me−1)`
+//!    in one pooled buffer that is then added onto `g`.
 //! 3. **Tag isolation.** Every message carries a
 //!    `crate::transport::collective_tag` (collective id + segment +
 //!    phase); per-tag demux inboxes mean concurrent collectives cannot
@@ -71,25 +77,24 @@
 use crate::error::CommError;
 use crate::reduce::{allreduce_scratch, check_chunk, chunk_ranges, Algorithm, AllreduceStats};
 use crate::transport::{collective_tag_in_epoch, Tag, Transport};
-use cgx_compress::{Compressor, Encoded, NoneCompressor, ScratchPool};
+use cgx_compress::{Compressor, Encoded, ScratchPool};
 use cgx_obs::{pack_meta, Counter, EventRecorder, Gauge, Histogram, ObsHandle, SpanKind};
-use cgx_tensor::{Rng, Tensor};
+use cgx_tensor::{Bytes, Rng, Shape, Tensor};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Layers larger than this many elements are cut into pipeline segments
-/// of at most this size. Segment boundaries are lossy codecs' bucket
-/// geometry, so this is part of the wire format.
+/// of at most this size, and a pack is flushed before it would hold more.
+/// Segment boundaries are lossy codecs' bucket geometry, so this is part
+/// of the wire format.
 const SEGMENT_ELEMS: usize = 1 << 16;
-/// Lossless SRA submissions of at most this many elements are coalesced
-/// into one concatenated collective.
-const COALESCE_ELEMS: usize = 4096;
-/// The pending coalesce group is flushed before it would exceed this many
-/// elements.
-const COALESCE_BUDGET: usize = 1 << 20;
-/// At most this many pipelined machines run at once (a coalesce group
-/// may add one); later submissions launch FIFO as earlier ones finish.
+/// SRA submissions whose payload ([`Compressor::compressed_bytes`]) is at
+/// most this many bytes join the pending pack: 4,096 FP32 elements, which
+/// keeps large FP32 layers out of the packed frame's copy.
+const PACK_BYTES: usize = 16 << 10;
+/// At most this many pipelined machines run at once; later submissions
+/// and packs launch FIFO as earlier ones finish.
 /// This keeps the progress scan O(`MAX_LIVE`) when a whole model's layers
 /// are submitted at once, and since launch order is the (rank-invariant)
 /// submit order it changes timing only, never bytes.
@@ -130,23 +135,36 @@ pub struct Handle(usize);
 /// payload.
 type Outgoing = (usize, Tag, Encoded);
 
-/// Member of a coalesced group: which op it redeems, its slice of the
-/// concatenated buffer, and the tensor it submitted, which takes the
-/// reduced slice back.
-struct Member {
+/// One submission inside a machine: what a collective of its own would
+/// hold. It reduces in `tensor`, encodes with `comp`, draws from `rng`
+/// and is charged what it does in `stats`.
+struct Layer {
+    /// The op it redeems.
     op: usize,
-    range: Range<usize>,
     tensor: Tensor,
-}
-
-/// A submission parked behind [`MAX_LIVE`]: everything
-/// needed to build its machine when a live slot frees up. The op id is
-/// already allocated (at submit), so tags stay rank-aligned no matter
-/// when the launch happens.
-struct QueuedLaunch {
-    grad: Tensor,
     comp: Box<dyn Compressor>,
     rng: Rng,
+    stats: AllreduceStats,
+}
+
+impl Layer {
+    fn new(op: usize, tensor: Tensor, comp: Box<dyn Compressor>, rng: Rng) -> Self {
+        let stats = AllreduceStats::default();
+        Layer {
+            op,
+            tensor,
+            comp,
+            rng,
+            stats,
+        }
+    }
+}
+
+/// A machine parked behind [`MAX_LIVE`], on its first layer's op. The op
+/// id is already allocated (at submit, or at the pack's flush), so tags
+/// stay rank-aligned no matter when the launch happens.
+struct QueuedLaunch {
+    layers: Vec<Layer>,
     op_id: u32,
 }
 
@@ -157,11 +175,10 @@ struct OpState {
     /// The caller's compressor, returned at `wait`. For machine-driven ops
     /// it lives inside the machine while running.
     comp: Option<Box<dyn Compressor>>,
+    /// The live machine this op's first layer is in.
     machine: Option<SraMachine>,
-    /// Submission parked behind the live-machine cap.
+    /// The machine this op's first layer waits in for a live slot.
     queued: Option<QueuedLaunch>,
-    /// Set on coalesce-group driver ops (which have no external handle).
-    members: Option<Vec<Member>>,
     /// Its [`CommEngine::note_in_flight`] number, for [`CommEngine::peak_since`].
     noted: usize,
     /// True once the op produced (or delivered) its result.
@@ -175,7 +192,6 @@ impl OpState {
             comp: None,
             machine: None,
             queued: None,
-            members: None,
             noted: 0,
             completed: false,
         }
@@ -190,10 +206,9 @@ pub struct CommEngine<'a> {
     opts: EngineOptions,
     ops: Vec<OpState>,
     next_op_id: u32,
-    /// The pending coalesce group in submit order, and its members'
-    /// gradients concatenated (copied once, straight from the caller).
-    pending: Vec<Member>,
-    group: Vec<f32>,
+    /// The pending pack in submit order, and its elements.
+    pack: Vec<Layer>,
+    pack_elems: usize,
     /// Op indices waiting for a live-machine slot, in submit order.
     launch_queue: VecDeque<usize>,
     /// Ops whose machine is live, in launch order: all a progress round,
@@ -253,8 +268,8 @@ impl<'a> CommEngine<'a> {
             opts,
             ops: Vec::new(),
             next_op_id: 0,
-            pending: Vec::new(),
-            group: Vec::new(),
+            pack: Vec::new(),
+            pack_elems: 0,
             launch_queue: VecDeque::new(),
             active: Vec::new(),
             poisoned: None,
@@ -315,8 +330,7 @@ impl<'a> CommEngine<'a> {
     /// reproduce the stream by deriving per-layer RNGs the same way).
     ///
     /// The engine reduces in `grad`'s own buffer: the tensor `wait`
-    /// returns is the one moved in here (a coalesced member's takes its
-    /// slice of the group's sum back; a one-rank world's is untouched).
+    /// returns is the one moved in here (a one-rank world's untouched).
     /// An engine that is or becomes poisoned drops it with the rest of
     /// the collective.
     ///
@@ -352,64 +366,29 @@ impl<'a> CommEngine<'a> {
             return Handle(idx);
         }
 
-        let coalescible = alg == Algorithm::ScatterReduceAllgather
-            && grad.len() <= COALESCE_ELEMS
-            && comp.is_lossless();
-        if coalescible {
-            if self.group.len() + grad.len() > COALESCE_BUDGET {
-                self.flush_pending();
-            }
-            if self.pending.is_empty() {
-                self.group = self.pool.take_f32(0);
-            }
-            // The flush may have appended the group-driver op, so this
-            // op's slot is re-derived here, not taken from `idx` above.
-            let idx = self.ops.len();
-            let at = self.group.len();
-            self.group.extend_from_slice(grad.as_slice());
-            self.pending.push(Member {
-                op: idx,
-                range: at..self.group.len(),
-                tensor: grad,
-            });
-            op.comp = Some(comp);
-            op.noted = self.note_in_flight();
-            self.ops.push(op);
-            if let Some(em) = &self.em {
-                em.submitted.inc();
-            }
-            return Handle(idx);
-        }
-
         if let Some(em) = &self.em {
             em.submitted.inc();
         }
         match alg {
             Algorithm::ScatterReduceAllgather => {
-                // The op id is claimed now (submit order is rank-aligned);
-                // the machine itself launches when a live slot is free.
-                let op_id = self.alloc_op_id();
-                let rec = self.obs.recorder();
-                rec.instant(
-                    SpanKind::Submit,
-                    pack_meta(op_id, 0, 0, self.opts.epoch),
-                    rec.now_ns(),
-                    grad.len() as u64,
-                );
-                op.queued = Some(QueuedLaunch {
-                    grad,
-                    comp,
-                    rng: op_rng,
-                    op_id,
-                });
+                let packs = comp.compressed_bytes(grad.len()) <= PACK_BYTES
+                    && comp.extent(grad.len(), &[]).is_some();
+                if packs && self.pack_elems + grad.len() > SEGMENT_ELEMS {
+                    self.flush_pack();
+                }
                 op.noted = self.note_in_flight();
                 self.ops.push(op);
-                self.launch_queue.push_back(idx);
-                // Launching pumps the new machine's sends; a full
-                // progress round would rescan every live machine on every
-                // submit, which is pure overhead — receives drain in
-                // `wait`, and submit never blocks on them.
-                self.pump_launch_queue();
+                let layer = Layer::new(idx, grad, comp, op_rng);
+                if packs {
+                    self.pack_elems += layer.tensor.len();
+                    self.pack.push(layer);
+                } else {
+                    // The op id is claimed now (submit order is
+                    // rank-aligned); the machine launches when a live
+                    // slot is free.
+                    let op_id = self.alloc_op_id();
+                    self.queue_launch(op_id, vec![layer]);
+                }
             }
             Algorithm::Ring | Algorithm::Tree | Algorithm::AllgatherBroadcast => {
                 // Eager path: these run one-at-a-time on the legacy lane.
@@ -451,7 +430,7 @@ impl<'a> CommEngine<'a> {
         &mut self,
         h: Handle,
     ) -> Result<(Tensor, AllreduceStats, Box<dyn Compressor>), CommError> {
-        self.flush_pending();
+        self.flush_pack();
         let was_busy = self.in_flight > 0;
         let mut idle_ns: u64 = 0;
         let mut last_progress = Instant::now();
@@ -579,45 +558,35 @@ impl<'a> CommEngine<'a> {
         self.peaks[self.peaks.partition_point(|&(k, _)| k < noted)].1
     }
 
-    /// Builds one SRA collective over the concatenation of all pending
-    /// coalesced layers. Called at deterministic program points only
-    /// (budget overflow at submit, entry to wait), so the flush — and the
-    /// collective id it consumes — lines up across ranks.
-    fn flush_pending(&mut self) {
-        if self.pending.is_empty() || self.poisoned.is_some() {
+    /// Queues one SRA collective over the pending pack. Called at
+    /// deterministic program points only (a submit the pack cannot take,
+    /// entry to wait), so the flush — and the collective id it consumes —
+    /// lines up across ranks.
+    fn flush_pack(&mut self) {
+        if self.pack.is_empty() || self.poisoned.is_some() {
             return;
         }
-        let members = std::mem::take(&mut self.pending);
-        let total = self.group.len();
-        let concat = Tensor::from_vec(&[total], std::mem::take(&mut self.group));
+        let layers = std::mem::take(&mut self.pack);
+        self.pack_elems = 0;
         let op_id = self.alloc_op_id();
-        // Members are all lossless, so the group travels as raw FP32; the
-        // RNG is never consulted but the seed is rank-invariant anyway.
+        self.queue_launch(op_id, layers);
+    }
+
+    /// Queues a machine over `layers` as collective `op_id`, on its first
+    /// layer's op, and launches what the live-machine cap lets through.
+    /// Launching pumps the new machine's sends; a full progress round
+    /// would rescan every live machine on every submit, which is pure
+    /// overhead — receives drain in `wait`, and submit never blocks on
+    /// them.
+    fn queue_launch(&mut self, op_id: u32, layers: Vec<Layer>) {
         let rec = self.obs.recorder();
-        rec.instant(
-            SpanKind::Submit,
-            pack_meta(op_id, 0, 0, self.opts.epoch),
-            rec.now_ns(),
-            total as u64,
-        );
-        let m = SraMachine::new(
-            self.t,
-            op_id,
-            self.opts.epoch,
-            concat,
-            Box::new(NoneCompressor::new()),
-            Rng::seed_from_u64(0xC0A1_E5CE ^ u64::from(op_id)),
-            &self.pool,
-            rec.clone(),
-        );
-        let mut driver = OpState::new();
-        driver.members = Some(members);
-        self.ops.push(driver);
-        // The driver launches immediately (the flush point is where the
-        // caller starts blocking), even if it briefly overshoots the
-        // live-machine cap; pumping it puts the group's chunks on the
-        // wire before the wait loop takes over.
-        self.launch(self.ops.len() - 1, m);
+        let elems = layers.iter().map(|l| l.tensor.len()).sum::<usize>();
+        let meta = pack_meta(op_id, 0, 0, self.opts.epoch);
+        rec.instant(SpanKind::Submit, meta, rec.now_ns(), elems as u64);
+        let idx = layers[0].op;
+        self.ops[idx].queued = Some(QueuedLaunch { layers, op_id });
+        self.launch_queue.push_back(idx);
+        self.pump_launch_queue();
     }
 
     /// Makes `m` op `idx`'s live machine and pumps it once, so its phase-1
@@ -638,16 +607,8 @@ impl<'a> CommEngine<'a> {
                 return;
             };
             let q = self.ops[idx].queued.take().expect("queued launch");
-            let m = SraMachine::new(
-                self.t,
-                q.op_id,
-                self.opts.epoch,
-                q.grad,
-                q.comp,
-                q.rng,
-                &self.pool,
-                self.obs.recorder().clone(),
-            );
+            let rec = self.obs.recorder().clone();
+            let m = SraMachine::new(self.t, q.op_id, self.opts.epoch, q.layers, &self.pool, rec);
             self.launch(idx, m);
         }
     }
@@ -679,7 +640,8 @@ impl<'a> CommEngine<'a> {
         Ok(progressed)
     }
 
-    /// Turns op `i`'s finished machine (already off `active`) into results.
+    /// Turns op `i`'s finished machine (already off `active`) into the
+    /// results of its layers' ops.
     fn finalize(&mut self, i: usize) {
         let m = self.ops[i].machine.take().expect("finished machine");
         let rec = self.obs.recorder();
@@ -689,31 +651,12 @@ impl<'a> CommEngine<'a> {
             rec.now_ns(),
             0,
         );
-        let (out, mut stats, comp) = (m.out, m.stats, m.comp);
-        if let Some(members) = self.ops[i].members.take() {
-            // Coalesce-group driver: scatter slices back to the members.
-            // Wire traffic is attributed to the first member (the group
-            // was one collective; double-counting would inflate totals).
-            let data = out.as_slice();
-            for (k, mut mb) in members.into_iter().enumerate() {
-                mb.tensor.as_mut_slice().copy_from_slice(&data[mb.range]);
-                let mut s = if k == 0 {
-                    stats
-                } else {
-                    AllreduceStats::default()
-                };
-                s.max_in_flight = self.peak_since(self.ops[mb.op].noted);
-                self.ops[mb.op].result = Some((mb.tensor, s));
-                self.ops[mb.op].completed = true;
-                self.in_flight -= 1;
-            }
-            self.pool.put_f32(out.into_vec());
-            self.ops[i].completed = true;
-        } else {
-            stats.max_in_flight = self.peak_since(self.ops[i].noted);
-            self.ops[i].result = Some((out, stats));
-            self.ops[i].comp = Some(comp);
-            self.ops[i].completed = true;
+        for mut layer in m.layers {
+            layer.stats.max_in_flight = self.peak_since(self.ops[layer.op].noted);
+            let op = &mut self.ops[layer.op];
+            op.result = Some((layer.tensor, layer.stats));
+            op.comp = Some(layer.comp);
+            op.completed = true;
             self.in_flight -= 1;
         }
         self.pump_launch_queue();
@@ -834,32 +777,232 @@ fn try_recv_chunk(
         .transpose()
 }
 
-/// One pipeline segment of an SRA collective. My chunk accumulates in my
-/// range of the output, which holds my gradient chunk `g` at launch;
-/// phase 2 compresses from there and commits the aggregate over it
-/// (`Compressor::compress_committed_at`): what is left is what every
-/// peer decodes, and no decode of my own chunk is needed.
-struct Seg {
-    /// Absolute offset of this segment in the flat gradient.
+/// The frame of `encs`: a lone payload as it is, several end to end in a
+/// buffer from `pool`, to which their own go back. `None` for none.
+fn packed(mut encs: Vec<Encoded>, pool: &ScratchPool) -> Option<Encoded> {
+    if encs.len() < 2 {
+        return encs.pop();
+    }
+    let elems = encs.iter().map(|e| e.shape().len()).sum();
+    let mut buf = pool.take_buf(encs.iter().map(Encoded::payload_bytes).sum());
+    for enc in encs {
+        buf.extend_from_slice(enc.payload());
+        pool.recycle(enc);
+    }
+    Some(Encoded::new(Shape::vector(elems), Bytes::from(buf)))
+}
+
+/// Encodes rank `rank`'s chunk of every part that holds one, each by its
+/// layer's codec and RNG, in part order — committing the chunk in place
+/// when `commit` (phase 2) — and packs the payloads into one frame. Each
+/// layer is charged its call and `copies` times its payload; the frame's
+/// encode time, one span, goes to its first layer.
+#[allow(clippy::too_many_arguments)]
+fn encode_frame(
+    parts: &[Part],
+    layers: &mut [Layer],
+    rank: usize,
+    commit: bool,
+    copies: usize,
+    pool: &ScratchPool,
+    rec: &EventRecorder,
+    meta: u64,
+) -> Option<Encoded> {
+    let first = holding(parts, rank).next()?.layer;
+    let mut ns = 0;
+    let encs = timed_obs(&mut ns, rec, SpanKind::Compress, meta, || {
+        let encode = |p: &Part| {
+            let l = &mut layers[p.layer];
+            let chunk = p.chunk(rank);
+            let at = chunk.start;
+            let enc = match commit {
+                true => {
+                    let data = &mut l.tensor.as_mut_slice()[chunk];
+                    l.comp.compress_committed_at(at, data, &mut l.rng, pool)
+                }
+                false => {
+                    let data = &l.tensor.as_slice()[chunk];
+                    l.comp.compress_slice_at(at, data, &mut l.rng, pool)
+                }
+            };
+            l.stats.compress_calls += 1;
+            l.stats.bytes_sent += enc.payload_bytes() * copies;
+            enc
+        };
+        holding(parts, rank).map(encode).collect()
+    });
+    layers[first].stats.compress_ns += ns;
+    packed(encs, pool)
+}
+
+/// Decodes `frame`, from `peer` on `tag`, into rank `rank`'s chunk of
+/// every part that holds one, in part order: added onto it when `add`,
+/// else over it, and into `prefix` at each part's offset instead of the
+/// layer when given (a rank ≥ 2 staging the ranks below it). The frame's
+/// decode time, one span, goes to its first layer, and the frame to
+/// `pool`.
+#[allow(clippy::too_many_arguments)]
+fn decode_frame(
+    frame: Encoded,
+    parts: &[Part],
+    layers: &mut [Layer],
+    rank: usize,
+    add: bool,
+    mut prefix: Option<&mut Vec<f32>>,
+    (tag, peer): (Tag, usize),
+    pool: &ScratchPool,
+    rec: &EventRecorder,
+    meta: u64,
+) -> Result<(), CommError> {
+    let first = holding(parts, rank).next().map_or(0, |p| p.layer);
+    let mut cut = Cutter {
+        frame,
+        at: 0,
+        parts: holding(parts, rank).count(),
+        tag,
+        peer,
+    };
+    let mut ns = 0;
+    timed_obs(&mut ns, rec, SpanKind::Decode, meta, || {
+        for p in holding(parts, rank) {
+            let l = &mut layers[p.layer];
+            let chunk = p.chunk(rank);
+            let piece = cut.next(&*l.comp, chunk.len())?;
+            let out = match prefix.as_deref_mut() {
+                Some(prefix) => &mut prefix[p.at..p.at + chunk.len()],
+                None => &mut l.tensor.as_mut_slice()[chunk],
+            };
+            match add {
+                true => l.comp.decompress_add_into(&piece, out),
+                false => l.comp.decompress_into(&piece, out),
+            }
+            .map_err(|e| crate::reduce::refused(tag, peer, e))?;
+            l.stats.decompress_calls += 1;
+        }
+        Ok(())
+    })?;
+    layers[first].stats.decode_ns += ns;
+    // Every part's payload is dropped: the frame is unshared.
+    pool.recycle(cut.frame);
+    Ok(())
+}
+
+/// Cuts a received frame, front to back, into the payloads of the parts it
+/// packs: each part's codec says how long its payload is
+/// ([`Compressor::extent`]), and the last part takes the rest, so a
+/// frame's every byte is some part's, which that part's decode judges.
+struct Cutter {
+    frame: Encoded,
+    at: usize,
+    parts: usize,
+    tag: Tag,
+    peer: usize,
+}
+
+impl Cutter {
+    /// The next part's payload, of `elems` elements under `comp`.
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::ShapeMismatch`] if that payload would end past the
+    /// frame.
+    fn next(&mut self, comp: &dyn Compressor, elems: usize) -> Result<Encoded, CommError> {
+        let rest = &self.frame.payload()[self.at..];
+        self.parts -= 1;
+        let len = match self.parts {
+            0 => Some(rest.len()),
+            _ => comp.extent(elems, rest),
+        };
+        let Some(len) = len.filter(|&len| len <= rest.len()) else {
+            let why = "a packed payload runs past its frame";
+            return Err(crate::reduce::refused(self.tag, self.peer, why));
+        };
+        let payload = self.frame.payload().slice(self.at..self.at + len);
+        self.at += len;
+        Ok(Encoded::new(Shape::vector(elems), payload))
+    }
+}
+
+/// One layer's share of a pipeline segment.
+struct Part {
+    /// Index of the layer in its machine.
+    layer: usize,
+    /// Offset of the segment in the layer.
     base: usize,
     /// Per-rank chunk ranges, relative to `base`.
     ranges: Vec<Range<usize>>,
-    /// Ranks ≥ 2 only: the pooled prefix `d0 + … + d(me−1)`, taken when
-    /// rank 0's chunk arrives and returned once it is added onto `g`.
+    /// Where my chunk of it starts in the segment's prefix.
+    at: usize,
+}
+
+impl Part {
+    /// Rank `rank`'s chunk, as a range of the layer.
+    fn chunk(&self, rank: usize) -> Range<usize> {
+        let r = &self.ranges[rank];
+        self.base + r.start..self.base + r.end
+    }
+}
+
+/// The parts of `parts` in which rank `rank` has a chunk: what a frame it
+/// sends (phase 1 to it, phase 2 from it) packs, in order.
+fn holding(parts: &[Part], rank: usize) -> impl Iterator<Item = &Part> {
+    parts.iter().filter(move |p| !p.ranges[rank].is_empty())
+}
+
+/// One pipeline segment of an SRA collective: segment `s` of every layer
+/// in the machine, which travels in one frame per (peer, phase). My
+/// chunks accumulate in my ranges of the layers, which hold my gradient
+/// chunks `g` at launch; phase 2 compresses from there and commits the
+/// aggregate over them (`Compressor::compress_committed_at`): what is left
+/// is what every peer decodes, and no decode of my own chunks is needed.
+struct Seg {
+    parts: Vec<Part>,
+    /// Elements of my chunks, over every part.
+    own: usize,
+    /// Ranks ≥ 2 only: the pooled prefix `d0 + … + d(me−1)` of my chunks,
+    /// taken when rank 0's frame arrives and returned once it is added
+    /// onto `g`.
     prefix: Option<Vec<f32>>,
-    /// Next rank (0..n) whose contribution my chunk absorbs.
+    /// Next rank (0..n) whose contribution my chunks absorb.
     next_acc: usize,
     phase2_done: bool,
     gathered: Vec<bool>,
     gather_left: usize,
 }
 
-/// Incremental Scatter-Reduce-Allgather over tagged messages. Mirrors
-/// [`crate::reduce::allreduce_scratch`]'s SRA arithmetic step for step; the
-/// only new freedom is segment-level interleaving, constrained so the
-/// compressor and RNG observe the sequential call order.
+impl Seg {
+    fn new(mut parts: Vec<Part>, me: usize, n: usize) -> Self {
+        let mut own = 0;
+        for p in &mut parts {
+            p.at = own;
+            own += p.ranges[me].len();
+        }
+        let gathered: Vec<bool> = (0..n)
+            .map(|j| j == me || holding(&parts, j).next().is_none())
+            .collect();
+        let gather_left = gathered.iter().filter(|g| !**g).count();
+        Seg {
+            parts,
+            own,
+            prefix: None,
+            // Empty own chunks skip accumulation and phase 2 entirely
+            // (matching the sequential path).
+            next_acc: if own == 0 { n } else { 0 },
+            phase2_done: own == 0,
+            gathered,
+            gather_left,
+        }
+    }
+}
+
+/// Incremental Scatter-Reduce-Allgather over tagged messages, of one layer
+/// cut into segments or of a pack of small layers in one. Mirrors
+/// [`crate::reduce::allreduce_scratch`]'s SRA arithmetic step for step for
+/// every layer; the only new freedom is segment-level interleaving,
+/// constrained so each layer's compressor and RNG observe the sequential
+/// call order.
 ///
-/// It reduces in the tensor it returns ([`Seg`]). Rank 1's `g + d0` is
+/// It reduces in the tensors it returns ([`Seg`]). Rank 1's `g + d0` is
 /// the reference's `d0 + g` bit for bit but in two cases no pin relies
 /// on: of two NaN payloads the other may survive, and a `-0.0` in `g`
 /// that top-k's sparse decode-add skips stays `-0.0`, not `0.0 + -0.0`.
@@ -868,88 +1011,57 @@ struct SraMachine {
     epoch: u8,
     me: usize,
     n: usize,
-    out: Tensor,
-    comp: Box<dyn Compressor>,
-    rng: Rng,
+    layers: Vec<Layer>,
     segs: Vec<Seg>,
     /// Phase-2 (aggregate) compressions must run in segment order so the
     /// stateful compressor/RNG stream is interleaving-invariant.
     next_phase2: usize,
     outq: VecDeque<Outgoing>,
-    stats: AllreduceStats,
     rec: EventRecorder,
 }
 
 impl SraMachine {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         t: &dyn Transport,
         op_id: u32,
         epoch: u8,
-        grad: Tensor,
-        mut comp: Box<dyn Compressor>,
-        mut rng: Rng,
+        mut layers: Vec<Layer>,
         pool: &ScratchPool,
         rec: EventRecorder,
     ) -> Self {
-        let n = t.world();
-        let me = t.rank();
-        let len = grad.len();
-        let nsegs = len.div_ceil(SEGMENT_ELEMS).clamp(1, usize::from(u16::MAX));
-        let seg_ranges = chunk_ranges(len, nsegs);
-        let mut stats = AllreduceStats {
-            max_in_flight: 1,
-            ..AllreduceStats::default()
-        };
-        let mut outq = VecDeque::new();
-        let mut segs = Vec::with_capacity(nsegs);
-        {
-            let gslice = grad.as_slice();
-            for (s, seg_range) in seg_ranges.iter().enumerate() {
-                let base = seg_range.start;
-                let ranges = chunk_ranges(seg_range.len(), n);
-                // Phase 1, eagerly at submit: compress each peer's chunk in
-                // (segment, peer) order — the deterministic RNG/compressor
-                // call sequence every rank shares regardless of how
-                // collectives later interleave.
-                for (j, r) in ranges.iter().enumerate() {
-                    if j == me || r.is_empty() {
-                        continue;
-                    }
-                    let abs = base + r.start..base + r.end;
-                    let enc = timed_obs(
-                        &mut stats.compress_ns,
-                        &rec,
-                        SpanKind::Compress,
-                        pack_meta(op_id, s as u16, PHASE_SCATTER, epoch),
-                        || comp.compress_slice_at(base + r.start, &gslice[abs], &mut rng, pool),
-                    );
-                    stats.compress_calls += 1;
-                    stats.bytes_sent += enc.payload_bytes();
-                    outq.push_back((
-                        j,
-                        collective_tag_in_epoch(op_id, s as u16, PHASE_SCATTER, epoch),
-                        enc,
-                    ));
+        let (n, me) = (t.world(), t.rank());
+        let mut parts: Vec<Vec<Part>> = Vec::new();
+        for (layer, l) in layers.iter().enumerate() {
+            let len = l.tensor.len();
+            let nsegs = len.div_ceil(SEGMENT_ELEMS).clamp(1, usize::from(u16::MAX));
+            for (s, seg) in chunk_ranges(len, nsegs).into_iter().enumerate() {
+                if s == parts.len() {
+                    parts.push(Vec::new());
                 }
-                let my_empty = ranges[me].is_empty();
-                let gathered: Vec<bool> = ranges
-                    .iter()
-                    .enumerate()
-                    .map(|(j, r)| j == me || r.is_empty())
-                    .collect();
-                let gather_left = gathered.iter().filter(|g| !**g).count();
-                segs.push(Seg {
+                let ranges = chunk_ranges(seg.len(), n);
+                let base = seg.start;
+                parts[s].push(Part {
+                    layer,
                     base,
                     ranges,
-                    prefix: None,
-                    // An empty own chunk skips accumulation and phase 2
-                    // entirely (matching the sequential path).
-                    next_acc: if my_empty { n } else { 0 },
-                    phase2_done: my_empty,
-                    gathered,
-                    gather_left,
+                    at: 0,
                 });
+            }
+        }
+        let segs: Vec<Seg> = parts.into_iter().map(|p| Seg::new(p, me, n)).collect();
+        // Phase 1, eagerly at launch: compress each peer's chunk of every
+        // layer in (segment, peer, layer) order — per layer, the
+        // deterministic RNG/compressor call sequence every rank shares
+        // regardless of how collectives later interleave.
+        let mut outq = VecDeque::new();
+        for (s, seg) in segs.iter().enumerate() {
+            let meta = pack_meta(op_id, s as u16, PHASE_SCATTER, epoch);
+            let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_SCATTER, epoch);
+            for j in (0..n).filter(|&j| j != me) {
+                let frame = encode_frame(&seg.parts, &mut layers, j, false, 1, pool, &rec, meta);
+                if let Some(enc) = frame {
+                    outq.push_back((j, tag, enc));
+                }
             }
         }
         SraMachine {
@@ -957,13 +1069,10 @@ impl SraMachine {
             epoch,
             me,
             n,
-            out: grad,
-            comp,
-            rng,
+            layers,
             segs,
             next_phase2: 0,
             outq,
-            stats,
             rec,
         }
     }
@@ -971,20 +1080,22 @@ impl SraMachine {
     fn progress(&mut self, t: &dyn Transport, pool: &ScratchPool) -> Result<bool, CommError> {
         let mut progressed = pump_outq(&mut self.outq, t, &self.rec)?;
         let (n, me, op_id, epoch) = (self.n, self.me, self.op_id, self.epoch);
+        let (layers, rec) = (&mut self.layers, &self.rec);
 
-        // Decode-accumulate arriving phase-1 chunks into my own chunk of
-        // the output, strictly in global rank order per segment (float
-        // sums must be rank-order-exact; see the module docs' invariant 2).
-        let out_slice = self.out.as_mut_slice();
+        // Decode-accumulate arriving phase-1 frames into my own chunks,
+        // strictly in global rank order per segment (float sums must be
+        // rank-order-exact; see the module docs' invariant 2).
         for (s, seg) in self.segs.iter_mut().enumerate() {
-            let own =
-                &mut out_slice[seg.base + seg.ranges[me].start..seg.base + seg.ranges[me].end];
+            let meta = pack_meta(op_id, s as u16, PHASE_SCATTER, epoch);
             while seg.next_acc < n {
                 let j = seg.next_acc;
                 if j == me {
                     if let Some(prefix) = seg.prefix.take() {
-                        for (g, p) in own.iter_mut().zip(&prefix) {
-                            *g += *p;
+                        for p in &seg.parts {
+                            let own = &mut layers[p.layer].tensor.as_mut_slice()[p.chunk(me)];
+                            for (g, q) in own.iter_mut().zip(&prefix[p.at..]) {
+                                *g += *q;
+                            }
                         }
                         pool.put_f32(prefix);
                     }
@@ -993,38 +1104,29 @@ impl SraMachine {
                     continue;
                 }
                 let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_SCATTER, epoch);
-                let Some(enc) = try_recv_chunk(t, j, tag, own.len())? else {
+                let Some(enc) = try_recv_chunk(t, j, tag, seg.own)? else {
                     break;
                 };
                 // Ranks 0 and 1 decode-add every peer onto `g` (rank 1's
                 // `g + d0` is the reference's `d0 + g`: one IEEE addition
                 // commutes); later ranks stage the prefix below them.
                 let staged = me >= 2 && j < me;
-                let acc: &mut [f32] = if staged {
-                    seg.prefix.get_or_insert_with(|| pool.take_f32(own.len()))
-                } else {
-                    own
+                let prefix = match staged {
+                    true => Some(seg.prefix.get_or_insert_with(|| pool.take_f32(seg.own))),
+                    false => None,
                 };
-                timed_obs(
-                    &mut self.stats.decode_ns,
-                    &self.rec,
-                    SpanKind::Decode,
-                    pack_meta(op_id, s as u16, PHASE_SCATTER, epoch),
-                    || match j {
-                        0 if staged => self.comp.decompress_into(&enc, acc),
-                        _ => self.comp.decompress_add_into(&enc, acc),
-                    },
-                )
-                .map_err(|e| crate::reduce::refused(tag, j, e))?;
-                self.stats.decompress_calls += 1;
-                pool.recycle(enc);
+                let add = !(staged && j == 0);
+                let from = (tag, j);
+                decode_frame(
+                    enc, &seg.parts, layers, me, add, prefix, from, pool, rec, meta,
+                )?;
                 seg.next_acc += 1;
                 progressed = true;
             }
         }
 
-        // Phase 2 in segment order: compress the aggregate and broadcast
-        // it, keeping in my chunk what the peers decode (consensus).
+        // Phase 2 in segment order: compress the aggregates and broadcast
+        // them, keeping in my chunks what the peers decode (consensus).
         while self.next_phase2 < self.segs.len() {
             let s = self.next_phase2;
             let seg = &mut self.segs[s];
@@ -1035,58 +1137,48 @@ impl SraMachine {
             if seg.next_acc < n {
                 break;
             }
-            let abs = seg.base + seg.ranges[me].start..seg.base + seg.ranges[me].end;
-            let (off, c) = (abs.start, &mut self.out.as_mut_slice()[abs]);
-            let enc = timed_obs(
-                &mut self.stats.compress_ns,
-                &self.rec,
-                SpanKind::Compress,
-                pack_meta(op_id, s as u16, PHASE_BCAST, epoch),
-                || self.comp.compress_committed_at(off, c, &mut self.rng, pool),
-            );
-            self.stats.compress_calls += 1;
-            self.stats.bytes_sent += enc.payload_bytes() * (n - 1);
-            let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_BCAST, epoch);
-            for j in 0..n {
-                if j != me {
+            let meta = pack_meta(op_id, s as u16, PHASE_BCAST, epoch);
+            let frame = encode_frame(&seg.parts, layers, me, true, n - 1, pool, rec, meta);
+            if let Some(enc) = frame {
+                let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_BCAST, epoch);
+                for j in (0..n).filter(|&j| j != me) {
                     self.outq.push_back((j, tag, enc.clone()));
                 }
+                pool.recycle(enc);
             }
-            pool.recycle(enc);
             seg.phase2_done = true;
             self.next_phase2 += 1;
             progressed = true;
         }
 
         // Gather peers' broadcast aggregates into their chunks of the
-        // output (stateless decode — arrival order is free).
+        // layers (stateless decode — arrival order is free).
         for (s, seg) in self.segs.iter_mut().enumerate() {
             if seg.gather_left == 0 {
                 continue;
             }
+            let meta = pack_meta(op_id, s as u16, PHASE_BCAST, epoch);
             let tag = collective_tag_in_epoch(op_id, s as u16, PHASE_BCAST, epoch);
             for j in 0..n {
                 if seg.gathered[j] {
                     continue;
                 }
-                let r = &seg.ranges[j];
-                let Some(enc) = try_recv_chunk(t, j, tag, r.len())? else {
+                let want = seg.parts.iter().map(|p| p.ranges[j].len()).sum();
+                let Some(enc) = try_recv_chunk(t, j, tag, want)? else {
                     continue;
                 };
-                let abs = seg.base + r.start..seg.base + r.end;
-                timed_obs(
-                    &mut self.stats.decode_ns,
-                    &self.rec,
-                    SpanKind::Decode,
-                    pack_meta(op_id, s as u16, PHASE_BCAST, epoch),
-                    || {
-                        self.comp
-                            .decompress_into(&enc, &mut self.out.as_mut_slice()[abs])
-                    },
-                )
-                .map_err(|e| crate::reduce::refused(tag, j, e))?;
-                self.stats.decompress_calls += 1;
-                pool.recycle(enc);
+                decode_frame(
+                    enc,
+                    &seg.parts,
+                    layers,
+                    j,
+                    false,
+                    None,
+                    (tag, j),
+                    pool,
+                    rec,
+                    meta,
+                )?;
                 seg.gathered[j] = true;
                 seg.gather_left -= 1;
                 progressed = true;
@@ -1182,10 +1274,18 @@ mod tests {
         ]
     }
 
-    /// [`layer_specs`] three times over: 12 lossy layers, more than
-    /// [`MAX_LIVE`] machines.
+    /// [`layer_specs`] three times over, each time after three layers too
+    /// large to pack: with the packs, more than [`MAX_LIVE`] machines.
     fn three_inventories() -> Vec<(usize, CompressionScheme)> {
-        let specs = layer_specs();
+        let unpacked = [
+            (UNPACKED_Q4, Q4),
+            (PACK_FP32 + 1, CompressionScheme::None),
+            (UNPACKED_TOP_QUARTER, TOP_QUARTER),
+        ];
+        let packs =
+            |(len, s): &(usize, CompressionScheme)| s.build().compressed_bytes(*len) <= PACK_BYTES;
+        assert!(!unpacked.iter().any(packs));
+        let specs = [&unpacked[..], &layer_specs()].concat();
         specs
             .iter()
             .cycle()
@@ -1193,6 +1293,11 @@ mod tests {
             .copied()
             .collect()
     }
+
+    /// A Q4 layer whose 16,877-byte payload is too large to pack.
+    const UNPACKED_Q4: usize = 30_001;
+    /// A [`TOP_QUARTER`] layer whose payload is too large to pack.
+    const UNPACKED_TOP_QUARTER: usize = 8_193;
 
     /// A layer the 65,536-element segment cut splits in three.
     const THREE_SEGMENTS: usize = 2 * 65_536 + 3;
@@ -1212,22 +1317,98 @@ mod tests {
         n: usize,
         specs: &[(usize, CompressionScheme)],
     ) -> Vec<Vec<Tensor>> {
-        let specs = specs.to_vec();
-        ThreadCluster::run(n, move |t| {
+        let strip = |rank: Vec<(Tensor, usize)>| rank.into_iter().map(|(out, _)| out).collect();
+        let grads = |rank| rank_grads(rank, specs);
+        sequential_sent(alg, n, specs, &grads)
+            .into_iter()
+            .map(strip)
+            .collect()
+    }
+
+    /// Every rank's `(output, bytes_sent)` per layer of `grads(rank)`
+    /// through the sequential reference.
+    fn sequential_sent(
+        alg: Algorithm,
+        n: usize,
+        specs: &[(usize, CompressionScheme)],
+        grads: &(dyn Fn(usize) -> Vec<Tensor> + Sync),
+    ) -> Vec<Vec<(Tensor, usize)>> {
+        ThreadCluster::run(n, |t| {
             let pool = ScratchPool::new();
-            let grads = rank_grads(t.rank(), &specs);
             let mut master = Rng::seed_from_u64(777);
             let mut outs = Vec::new();
-            for (g, (_, scheme)) in grads.iter().zip(&specs) {
+            for (g, (_, scheme)) in grads(t.rank()).iter().zip(specs) {
                 let mut comp = scheme.build();
                 let mut layer_rng = Rng::seed_from_u64(master.next_u64());
-                let (out, _) =
+                let (out, stats) =
                     allreduce_scratch(alg, &t, g, &mut *comp, &mut layer_rng, &pool).unwrap();
-                outs.push(out);
+                outs.push((out, stats.bytes_sent));
             }
             outs
         })
         .unwrap()
+    }
+
+    /// Every rank's `(output, bytes_sent)` per layer of `grads(rank)`
+    /// through the engine's SRA, and the frames the rank sent.
+    fn engine_frames(
+        n: usize,
+        specs: &[(usize, CompressionScheme)],
+        grads: &(dyn Fn(usize) -> Vec<Tensor> + Sync),
+    ) -> Vec<(Vec<(Tensor, usize)>, u64)> {
+        ThreadCluster::run(n, |mut t| {
+            let registry = cgx_obs::MetricsRegistry::new();
+            t.set_obs(&registry);
+            let mut master = Rng::seed_from_u64(777);
+            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+            let sra = Algorithm::ScatterReduceAllgather;
+            let handles: Vec<Handle> = grads(t.rank())
+                .into_iter()
+                .zip(specs)
+                .map(|(g, (_, scheme))| eng.submit_owned(sra, g, scheme.build(), &mut master))
+                .collect();
+            let outs = handles
+                .into_iter()
+                .map(|h| eng.wait(h).unwrap())
+                .map(|(out, stats, _)| (out, stats.bytes_sent))
+                .collect();
+            let frames = registry.counter(cgx_obs::names::TRANSPORT_MSGS_SENT).get();
+            (outs, frames)
+        })
+        .unwrap()
+    }
+
+    /// The packs the engine makes of `specs` if every layer packs: a pack
+    /// is flushed before it would pass [`SEGMENT_ELEMS`] elements.
+    fn packs_of(specs: &[(usize, CompressionScheme)]) -> u64 {
+        let (mut packs, mut held) = (1, 0);
+        for (len, _) in specs {
+            if held + len > SEGMENT_ELEMS {
+                (packs, held) = (packs + 1, 0);
+            }
+            held += len;
+        }
+        packs
+    }
+
+    /// Engine ≡ sequential for `specs` at world `n`, per rank and layer:
+    /// the same bits and the same bytes sent. Returns each rank's frames.
+    fn assert_packed_run_is_sequential(
+        n: usize,
+        specs: &[(usize, CompressionScheme)],
+        grads: &(dyn Fn(usize) -> Vec<Tensor> + Sync),
+    ) -> Vec<u64> {
+        let sra = Algorithm::ScatterReduceAllgather;
+        let seq = sequential_sent(sra, n, specs, grads);
+        let eng = engine_frames(n, specs, grads);
+        for (rank, (s, (e, _))) in seq.iter().zip(&eng).enumerate() {
+            for (l, (a, b)) in s.iter().zip(e).enumerate() {
+                let at = format!("n={n} rank={rank} layer={l} {:?}", specs[l]);
+                assert_eq!(bits(&a.0), bits(&b.0), "{at}");
+                assert_eq!(a.1, b.1, "{at}: bytes_sent");
+            }
+        }
+        eng.into_iter().map(|(_, frames)| frames).collect()
     }
 
     fn run_engine(
@@ -1278,9 +1459,9 @@ mod tests {
     fn engine_matches_sequential_loop_bitwise() {
         // The acceptance property: N concurrent tagged allreduces over
         // mixed schemes == the sequential per-layer loop, byte for byte,
-        // on every rank — including the coalesced lossless layers. The
-        // inventory three times over is 12 SRA machines, so four of them
-        // wait for a live slot: the cap moves launches, not bytes.
+        // on every rank — packed layers included. The inventory is 9 SRA
+        // machines of a layer each and one pack, so the pack and the last
+        // layers wait for a live slot: the cap moves launches, not bytes.
         let specs = three_inventories();
         for n in [2usize, 3, 4, 5, 8] {
             for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
@@ -1303,9 +1484,9 @@ mod tests {
     fn submit_is_done_with_the_gradient_when_it_returns() {
         // The caller may reuse or free a gradient as soon as `submit`
         // returns — also while the op still waits for a live slot (the
-        // last five of 13 machines), is cut into segments (the last
-        // layer, which waits too), or sits in a coalesce group: outputs
-        // and wire bytes are those of the untouched run.
+        // last of 10 machines), is cut into segments (the last layer,
+        // which waits too), or sits in a pack: outputs and wire bytes are
+        // those of the untouched run.
         let mut specs = three_inventories();
         specs.push((THREE_SEGMENTS, Q4));
         for alg in [Algorithm::ScatterReduceAllgather, Algorithm::Ring] {
@@ -1328,9 +1509,9 @@ mod tests {
         // Same sums, same traffic, same draws from the caller's RNG,
         // whether the engine is lent a gradient or given it — and a
         // gradient given comes back at `wait` in the allocation it went
-        // in with: reduced in place by a machine (the last layer cut into
-        // segments), refilled from its coalesce group's sum (the three
-        // small FP32 layers), or untouched in a world of one.
+        // in with: reduced in place by a machine of its own (the last
+        // layer, cut into segments) or by a pack (the small layers), or
+        // untouched in a world of one.
         let mut specs = layer_specs();
         specs.push((THREE_SEGMENTS, Q4));
         let counts = |s: &AllreduceStats| {
@@ -1708,6 +1889,9 @@ mod tests {
         bucket_size: 64,
     };
 
+    /// The longest FP32 layer that packs: 16 KiB of payload.
+    const PACK_FP32: usize = PACK_BYTES / 4;
+
     /// A frame of `elems` elements whose payload is `delta` bytes off the
     /// `Q4` payload those take: the right element count, the wrong size.
     fn resized_frame(elems: usize, delta: isize) -> Encoded {
@@ -1799,6 +1983,77 @@ mod tests {
                     matches!(err, Ok(Some(CommError::ShapeMismatch { .. }))),
                     "frame {case}, rank {rank}: {err:?}"
                 );
+            }
+        }
+    }
+
+    /// A pack's phase-1 frame for a rank's 200-element chunk of a Q4
+    /// layer and its 1-element chunk of an FP32 one, the Q4 chunk all
+    /// zeros or not.
+    fn packed_frame(zeros: bool) -> Vec<u8> {
+        let mut g = Tensor::randn(&mut Rng::seed_from_u64(8), &[201]);
+        if zeros {
+            g.as_mut_slice()[..200].fill(0.0);
+        }
+        let (mut rng, pool) = (Rng::seed_from_u64(9), ScratchPool::new());
+        let q4 = Q4
+            .build()
+            .compress_slice(&g.as_slice()[..200], &mut rng, &pool);
+        let fp32 =
+            CompressionScheme::None
+                .build()
+                .compress_slice(&g.as_slice()[200..], &mut rng, &pool);
+        [q4.payload().as_ref(), fp32.payload().as_ref()].concat()
+    }
+
+    #[test]
+    fn hostile_packed_frames_poison_every_rank_without_a_panic() {
+        // Three ranks reduce a pack of a 600-element Q4 layer and a
+        // 3-element FP32 one. Rank 2 answers op 0's scatter phase with
+        // the packed frame of the 201 elements each slot holds, one byte
+        // short or one byte long, or with the norm fields of its bucket
+        // of zeros rewritten so that the walk to the FP32 payload runs
+        // past the frame. Both honest ranks must see `ShapeMismatch`,
+        // not a panic or a timeout.
+        let short = packed_frame(false)[..packed_frame(false).len() - 1].to_vec();
+        let long = [packed_frame(false), vec![0]].concat();
+        let mut past = packed_frame(true);
+        assert_eq!(past.len(), 4 * 4 + 4, "four norm fields, one float");
+        for norm in past[..16].chunks_exact_mut(4) {
+            norm.copy_from_slice(&1.0f32.to_le_bytes());
+        }
+        let specs = [(600, Q4), (3, CompressionScheme::None)];
+        for (case, payload) in [short, long, past].into_iter().enumerate() {
+            let frame = Encoded::new(Shape::vector(201), Bytes::from(payload));
+            let gate = std::sync::Barrier::new(3);
+            let errs = ThreadCluster::run(3, |mut t| {
+                t.set_timeout(Duration::from_secs(2));
+                let tag = collective_tag_in_epoch(0, 0, PHASE_SCATTER, 0);
+                if t.rank() == 2 {
+                    for peer in 0..2 {
+                        t.send_tagged(peer, tag, frame.clone()).unwrap();
+                    }
+                    gate.wait();
+                    return Ok(None);
+                }
+                let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
+                let mut master = Rng::seed_from_u64(1);
+                let sra = Algorithm::ScatterReduceAllgather;
+                let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
+                    .into_iter()
+                    .zip(&specs)
+                    .map(|(g, (_, scheme))| eng.submit_owned(sra, g, scheme.build(), &mut master))
+                    .collect();
+                let err = caught(|| eng.wait(handles[0]).err());
+                gate.wait();
+                err
+            })
+            .unwrap();
+            for (rank, err) in errs.iter().take(2).enumerate() {
+                let Ok(Some(CommError::ShapeMismatch { detail })) = err else {
+                    panic!("frame {case}, rank {rank}: {err:?}");
+                };
+                assert_eq!(detail.contains("runs past"), case == 2, "{detail}");
             }
         }
     }
@@ -1922,75 +2177,75 @@ mod tests {
         }
     }
 
+    /// Small layers of every packable codec: QSGD at 2, 4 and 8 bits,
+    /// NUQSGD, TopK with error feedback and FP32, 1-element layers among
+    /// them, whose chunk is empty on every rank but rank 0.
+    fn pack_specs() -> Vec<(usize, CompressionScheme)> {
+        let qsgd = |bits| CompressionScheme::Qsgd {
+            bits,
+            bucket_size: 64,
+        };
+        let nuqsgd = CompressionScheme::Nuqsgd {
+            bits: 4,
+            bucket_size: 64,
+        };
+        let topk = CompressionScheme::TopK { ratio: 0.25 };
+        vec![
+            (1, qsgd(4)),
+            (700, qsgd(2)),
+            (1, CompressionScheme::None),
+            (513, qsgd(8)),
+            (2, nuqsgd),
+            (333, nuqsgd),
+            (1, topk),
+            (901, topk),
+            (257, CompressionScheme::None),
+            (1000, qsgd(4)),
+            (3, qsgd(8)),
+        ]
+    }
+
+    /// [`rank_grads`] with whole QSGD buckets of zeros in every layer long
+    /// enough for them, and a NaN in rank 0's sixth layer.
+    fn sparse_grads(rank: usize, specs: &[(usize, CompressionScheme)]) -> Vec<Tensor> {
+        let mut grads = rank_grads(rank, specs);
+        for g in grads.iter_mut().filter(|g| g.len() >= 256) {
+            g.as_mut_slice()[64..256].fill(0.0);
+        }
+        if rank == 0 {
+            grads[5].as_mut_slice()[300] = f32::NAN;
+        }
+        grads
+    }
+
     #[test]
-    fn coalescing_batches_small_lossless_layers() {
-        // Five small FP32 layers must travel as ONE collective: only the
-        // first member carries wire stats, and results still match the
-        // sequential per-layer loop exactly.
-        let specs: Vec<(usize, CompressionScheme)> = vec![
-            (64, CompressionScheme::None),
-            (33, CompressionScheme::None),
-            (128, CompressionScheme::None),
-            (7, CompressionScheme::None),
-            (255, CompressionScheme::None),
-        ];
-        let n = 4;
-        let seq = run_sequential(Algorithm::ScatterReduceAllgather, n, &specs);
-        let specs2 = specs.clone();
-        let engine_out = ThreadCluster::run(n, move |t| {
-            let grads = rank_grads(t.rank(), &specs2);
-            let mut master = Rng::seed_from_u64(777);
-            let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
-            let handles: Vec<Handle> = grads
-                .iter()
-                .zip(&specs2)
-                .map(|(g, (_, s))| {
-                    eng.submit(Algorithm::ScatterReduceAllgather, g, s.build(), &mut master)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| eng.wait(h).unwrap())
-                .map(|(out, stats, _)| (out, stats))
-                .collect::<Vec<_>>()
-        })
-        .unwrap();
-        for (rank, per_rank) in engine_out.iter().enumerate() {
-            let carriers = per_rank.iter().filter(|(_, s)| s.bytes_sent > 0).count();
-            assert_eq!(carriers, 1, "rank {rank}: group should be one collective");
-            for (l, ((out, _), expect)) in per_rank.iter().zip(&seq[rank]).enumerate() {
-                assert_eq!(out.as_slice(), expect.as_slice(), "rank {rank} layer {l}");
-                assert_eq!(out.shape(), expect.shape());
-            }
+    fn packs_of_every_codec_match_sequential_bitwise() {
+        // One pack of eleven layers: each layer's sum and bytes sent are
+        // its sequential collective's, and the pack is one frame per
+        // (peer, phase).
+        let specs = pack_specs();
+        for n in [2usize, 3, 4] {
+            let frames = assert_packed_run_is_sequential(n, &specs, &|r| sparse_grads(r, &specs));
+            assert_eq!(frames, vec![2 * (n as u64 - 1); n], "n={n}");
         }
     }
 
     #[test]
-    fn budget_overflow_flush_mid_submit_matches_sequential() {
-        // More small lossless layers than `COALESCE_BUDGET` holds force a
-        // flush *during* submit, so they travel as two groups. Each flush
-        // appends the group-driver op, so a member submitted right after
-        // one must not alias the driver's slot (regression: the member's
-        // handle used to point at the driver, leaving a stale index in
-        // the next pending group).
-        let specs: Vec<(usize, CompressionScheme)> = (0..300)
-            .map(|i| match i % 50 {
-                3 => (257, Q4),
-                _ => (COALESCE_ELEMS - (i % 7) * 33, CompressionScheme::None),
+    fn a_pack_full_at_the_segment_cut_flushes_mid_submit_and_matches_sequential() {
+        // Small layers of more than 64 Ki elements in all: the pending
+        // pack is flushed by the submit that would take it past the
+        // segment cut, and each pack is one frame per (peer, phase).
+        let specs: Vec<(usize, CompressionScheme)> = (0..40)
+            .map(|i| match i % 5 {
+                3 => (257 + i, Q4),
+                _ => (PACK_FP32 - (i % 7) * 33, CompressionScheme::None),
             })
             .collect();
-        let sra = Algorithm::ScatterReduceAllgather;
-        let seq = run_sequential(sra, 4, &specs);
-        let eng = run_engine_sent(sra, 4, &specs, false);
-        for (rank, (s, e)) in seq.iter().zip(&eng).enumerate() {
-            for (l, (a, b)) in s.iter().zip(e).enumerate() {
-                assert_eq!(a.as_slice(), b.0.as_slice(), "rank={rank} layer={l}");
-            }
-            let leaders = (e.iter().zip(&specs))
-                .filter(|((_, sent), (_, scheme))| *sent > 0 && *scheme == CompressionScheme::None)
-                .count();
-            assert_eq!(leaders, 2, "rank={rank}: coalesce groups");
-        }
+        let packs = packs_of(&specs);
+        assert!(packs >= 2, "{packs}");
+        let n = 4;
+        let frames = assert_packed_run_is_sequential(n, &specs, &|r| rank_grads(r, &specs));
+        assert_eq!(frames, vec![packs * 2 * (n as u64 - 1); n]);
     }
 
     #[test]
@@ -2064,9 +2319,9 @@ mod tests {
         // in-flight depth must exceed 1 — layers genuinely overlapped.
         let stats = ThreadCluster::run(4, |t| {
             let mut grng = Rng::seed_from_u64(t.rank() as u64);
-            // Too long to coalesce: each layer is its own collective.
+            // Too long to pack: each layer is its own collective.
             let grads: Vec<Tensor> = (0..6)
-                .map(|_| Tensor::randn(&mut grng, &[COALESCE_ELEMS + 1]))
+                .map(|_| Tensor::randn(&mut grng, &[PACK_FP32 + 1]))
                 .collect();
             let mut master = Rng::seed_from_u64(3);
             let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
@@ -2152,8 +2407,8 @@ mod tests {
             t.set_timeout(Duration::from_secs(5));
             let mut master = Rng::seed_from_u64(1);
             let mut grng = Rng::seed_from_u64(7);
-            // Too long to coalesce: h1 is a machine of its own.
-            let g = Tensor::randn(&mut grng, &[COALESCE_ELEMS + 1]);
+            // Too long to pack: h1 is a machine of its own.
+            let g = Tensor::randn(&mut grng, &[PACK_FP32 + 1]);
             let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
             let h1 = eng.submit(
                 Algorithm::ScatterReduceAllgather,
@@ -2213,33 +2468,38 @@ mod tests {
     }
 
     #[test]
-    fn a_lossless_layer_at_the_coalesce_cut_joins_the_group_and_one_more_does_not() {
-        // The small layer after it carries no traffic in a group it does
-        // not lead (the group's first member carries it all).
-        for (len, joins) in [(4096, true), (4097, false)] {
-            let specs = [
-                (len, CompressionScheme::None),
-                (64, CompressionScheme::None),
-            ];
-            let sra = Algorithm::ScatterReduceAllgather;
-            for (rank, layers) in run_engine_sent(sra, 3, &specs, false).iter().enumerate() {
-                assert_eq!(layers[1].1 == 0, joins, "len={len} rank={rank}");
-            }
+    fn a_layer_at_16_kib_joins_the_pack_and_one_element_more_does_not() {
+        // A layer whose payload is at most `PACK_BYTES` shares its frames
+        // with the small layer after it: 2 × 2 frames per rank of three
+        // for one collective, 4 × 2 for two.
+        let q4 = (1..).take_while(|&n| Q4.build().compressed_bytes(n) <= PACK_BYTES);
+        let q4 = q4.last().expect("a Q4 layer fits");
+        for (len, scheme, joins) in [
+            (PACK_FP32, CompressionScheme::None, true),
+            (PACK_FP32 + 1, CompressionScheme::None, false),
+            (q4, Q4, true),
+            (q4 + 1, Q4, false),
+        ] {
+            let specs = [(len, scheme), (64, CompressionScheme::None)];
+            let frames = assert_packed_run_is_sequential(3, &specs, &|r| rank_grads(r, &specs));
+            let want = if joins { 4 } else { 8 };
+            assert_eq!(frames, vec![want; 3], "{len} elements of {scheme:?}");
         }
     }
 
     #[test]
     fn no_more_than_eight_machines_run_at_once() {
-        // Twelve lossy layers submitted before any wait: eight machines
-        // launch, four queue, and the waits still reach consensus.
+        // Twelve lossy layers too large to pack, submitted before any
+        // wait: eight machines launch, four queue, and the waits still
+        // give the sequential loop's sums.
+        let specs = vec![(UNPACKED_Q4, Q4); 12];
         let sums = ThreadCluster::run(3, |t| {
             let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
-            let (mut grng, mut master) =
-                (Rng::seed_from_u64(t.rank() as u64), Rng::seed_from_u64(5));
+            let mut master = Rng::seed_from_u64(777);
             let sra = Algorithm::ScatterReduceAllgather;
-            let handles: Vec<Handle> = (0..12)
-                .map(|_| {
-                    let g = Tensor::randn(&mut grng, &[300]);
+            let handles: Vec<Handle> = rank_grads(t.rank(), &specs)
+                .into_iter()
+                .map(|g| {
                     let h = eng.submit_owned(sra, g, Q4.build(), &mut master);
                     assert!(eng.active.len() <= MAX_LIVE);
                     h
@@ -2251,13 +2511,12 @@ mod tests {
                 .map(|h| {
                     let sum = eng.wait(h).unwrap().0;
                     assert!(eng.active.len() <= MAX_LIVE);
-                    bits(&sum)
+                    sum
                 })
                 .collect::<Vec<_>>()
         })
         .unwrap();
-        for (rank, s) in sums.iter().enumerate() {
-            assert_eq!(s, &sums[0], "rank {rank}");
-        }
+        let seq = run_sequential(Algorithm::ScatterReduceAllgather, 3, &specs);
+        assert_eq!(sums, seq);
     }
 }

@@ -19,7 +19,7 @@
 //! * [`engine`] — the one allreduce production code runs: the
 //!   layer-parallel communication engine, nonblocking submit/wait over
 //!   tag-multiplexed channels, a chunk-pipelined SRA machine, and
-//!   small-layer coalescing (paper Section 4), parameterized by any
+//!   small-layer packing (paper Section 4), parameterized by any
 //!   [`cgx_compress::Compressor`],
 //! * [`reduce`] — the sequential reference the engine's SRA is held to
 //!   bit for bit: Scatter-Reduce-Allgather, Ring, Tree and

@@ -242,8 +242,8 @@ fn sra(
     // keeps every rank's sums bit-equal). Because the order is purely
     // rank-indexed and never depends on which rank owns the chunk, the
     // per-element sum is invariant under re-chunking — the property that
-    // lets the communication engine coalesce small layers and segment
-    // large ones without perturbing lossless results.
+    // lets the communication engine segment large layers without
+    // perturbing lossless results.
     // The ranges partition the gradient and every non-empty range is
     // overwritten by a decompress below, so `out` needs no copy of the
     // input — zeros (one memset) instead of a clone (read + write).

@@ -2,7 +2,8 @@
 //! 50 concurrent collectives of mixed compression schemes and odd sizes,
 //! checked bit-for-bit against the blocking per-layer loop, plus a
 //! variant of layers past the segment cut checked for cross-rank
-//! consensus.
+//! consensus, and the benchmark's ResNet50 inventory, whose small layers
+//! pack into a few frames per step.
 //!
 //! CI runs this with `--release` where the thread interleavings are
 //! meaningfully different from debug builds (no debug-assert slowdowns, so
@@ -11,6 +12,8 @@
 use cgx_collectives::reduce::{allreduce_scratch, Algorithm};
 use cgx_collectives::{CommEngine, ThreadCluster};
 use cgx_compress::{CompressionScheme, Compressor, ScratchPool};
+use cgx_models::{ModelId, ModelSpec};
+use cgx_obs::{names, MetricsRegistry};
 use cgx_tensor::{Rng, Tensor};
 
 const WORLD: usize = 8;
@@ -61,8 +64,14 @@ fn rank_grads(specs: &[(usize, CompressionScheme, Algorithm)], rank: usize) -> V
         .collect()
 }
 
-fn run_engine(specs: &[(usize, CompressionScheme, Algorithm)]) -> Vec<Vec<Tensor>> {
-    ThreadCluster::run(WORLD, |t| {
+/// Every rank's sums through the engine, and the frames it sent.
+fn run_engine_frames(
+    world: usize,
+    specs: &[(usize, CompressionScheme, Algorithm)],
+) -> Vec<(Vec<Tensor>, u64)> {
+    ThreadCluster::run(world, |mut t| {
+        let registry = MetricsRegistry::new();
+        t.set_obs(&registry);
         let grads = rank_grads(specs, t.rank());
         let mut master = Rng::seed_from_u64(0xAB5);
         let mut eng = CommEngine::with_defaults(&t, ScratchPool::new());
@@ -71,16 +80,25 @@ fn run_engine(specs: &[(usize, CompressionScheme, Algorithm)]) -> Vec<Vec<Tensor
             .zip(specs)
             .map(|(g, (_, scheme, alg))| eng.submit(*alg, g, scheme.build(), &mut master))
             .collect();
-        handles
+        let sums = handles
             .into_iter()
             .map(|h| eng.wait(h).expect("engine wait").0)
-            .collect::<Vec<_>>()
+            .collect::<Vec<_>>();
+        (sums, registry.counter(names::TRANSPORT_MSGS_SENT).get())
     })
     .expect("engine cluster")
 }
 
-fn run_sequential(specs: &[(usize, CompressionScheme, Algorithm)]) -> Vec<Vec<Tensor>> {
-    ThreadCluster::run(WORLD, |t| {
+fn run_engine(specs: &[(usize, CompressionScheme, Algorithm)]) -> Vec<Vec<Tensor>> {
+    let sums = run_engine_frames(WORLD, specs).into_iter();
+    sums.map(|(sums, _)| sums).collect()
+}
+
+fn run_sequential(
+    world: usize,
+    specs: &[(usize, CompressionScheme, Algorithm)],
+) -> Vec<Vec<Tensor>> {
+    ThreadCluster::run(world, |t| {
         let grads = rank_grads(specs, t.rank());
         let mut master = Rng::seed_from_u64(0xAB5);
         grads
@@ -113,11 +131,11 @@ fn assert_consensus(by_rank: &[Vec<Tensor>]) {
 
 #[test]
 fn stress_50_mixed_layers_match_sequential_bitwise() {
-    // Coalescing on, no layer here reaches the segment cut, so engine and
+    // Packing on, no layer here reaches the segment cut, so engine and
     // sequential results must be byte-identical.
     let specs = layer_specs(LAYERS, 1, 4000);
     let eng = run_engine(&specs);
-    let seq = run_sequential(&specs);
+    let seq = run_sequential(WORLD, &specs);
     assert_consensus(&eng);
     assert_consensus(&seq);
     for (i, (a, b)) in eng[0].iter().zip(&seq[0]).enumerate() {
@@ -139,4 +157,33 @@ fn stress_segmented_pipeline_reaches_consensus() {
     // not equality to the sequential loop.
     let eng = run_engine(&layer_specs(12, SEGMENT + 1, 2 * SEGMENT as u64));
     assert_consensus(&eng);
+}
+
+#[test]
+fn resnet50_inventory_packs_into_at_most_twenty_frames_per_rank() {
+    // The inventory the benchmark's ResNet workloads reduce over two
+    // ranks: ResNet50's layers in forward order, the filtered ones whole
+    // in FP32, the rest shrunk by 64 under QSGD 4-bit/128. One collective
+    // per layer and the FP32 ones concatenated took 110 frames per rank
+    // per step; packed, the sums are still the sequential loop's.
+    let q4 = CompressionScheme::Qsgd {
+        bits: 4,
+        bucket_size: 128,
+    };
+    let sra = Algorithm::ScatterReduceAllgather;
+    let specs: Vec<_> = ModelSpec::build(ModelId::ResNet50)
+        .layers()
+        .iter()
+        .map(|l| match l.kind().is_filtered_by_default() {
+            true => (l.elements(), CompressionScheme::None, sra),
+            false => ((l.elements() / 64).max(1), q4, sra),
+        })
+        .collect();
+    assert_eq!(specs.len(), 161);
+    let eng = run_engine_frames(2, &specs);
+    let seq = run_sequential(2, &specs);
+    for (rank, ((sums, frames), expect)) in eng.iter().zip(&seq).enumerate() {
+        assert!(*frames <= 20, "rank {rank}: {frames} frames");
+        assert_eq!(sums, expect, "rank {rank}");
+    }
 }

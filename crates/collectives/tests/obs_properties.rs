@@ -140,11 +140,11 @@ fn timing_components_never_exceed_wall_clock() {
 
 #[test]
 fn live_machines_never_exceed_the_cap() {
-    // 32 layers, too long to coalesce: 24 SRA machines, three times the
-    // cap of eight.
+    // 32 layers, too long to pack (more than 16 KiB of payload under
+    // every codec here): 24 SRA machines, three times the cap of eight.
     const CAP: usize = 8;
     for seed in [3u64, 5, 9] {
-        let per_rank = run_once(seed, 32, 4096, ObsHandle::new_enabled());
+        let per_rank = run_once(seed, 32, 31_000, ObsHandle::new_enabled());
         for (rank, (_, stats, events)) in per_rank.iter().enumerate() {
             let live = most_live(events);
             assert!(

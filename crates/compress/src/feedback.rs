@@ -152,6 +152,10 @@ impl Compressor for ErrorFeedback {
         self.inner.compressed_bytes(n)
     }
 
+    fn extent(&self, n: usize, bytes: &[u8]) -> Option<usize> {
+        self.inner.extent(n, bytes)
+    }
+
     /// Never: what a window sends is the input plus the residual it left
     /// last time, so even over a lossless inner codec a second round trip
     /// of `-0.0` returns `+0.0` (`+0.0 + -0.0`), and an infinite element

@@ -203,10 +203,23 @@ pub trait Compressor: Send {
     /// plane and to size encode buffers.
     fn compressed_bytes(&self, n: usize) -> usize;
 
+    /// How many leading bytes of `bytes` one payload of this codec for
+    /// `n` elements takes: what lets a receiver split a frame that packs
+    /// several payloads end to end. An answer past `bytes.len()` says the
+    /// frame ends inside the payload; whether the bytes are a valid
+    /// payload is [`Compressor::decode`]'s to say. `None` from a codec
+    /// that cannot tell — for every `bytes` or for none, so an empty
+    /// slice asks whether its payloads may be packed at all. The default
+    /// is [`Compressor::compressed_bytes`], which is what a codec whose
+    /// payload size `n` fixes writes.
+    fn extent(&self, n: usize, bytes: &[u8]) -> Option<usize> {
+        let _ = bytes;
+        Some(self.compressed_bytes(n))
+    }
+
     /// Whether decompression reproduces the input bit-exactly — on every
     /// call, whatever the calls before it were, and for every `f32`
-    /// (signed zeros, infinities, NaN payloads). The engine batches small
-    /// lossless layers into one collective on it, and the provided
+    /// (signed zeros, infinities, NaN payloads). The provided
     /// [`Compressor::compress_committed_at`] skips its decode on it.
     fn is_lossless(&self) -> bool {
         false
@@ -566,6 +579,67 @@ mod tests {
             "{shorter:?}"
         );
         assert_eq!(shorter.len(), 2 * 7 * 5, "every QSGD layout skips a bucket");
+    }
+
+    #[test]
+    fn extent_is_what_encode_wrote() {
+        // A packed frame is split by each codec's extent. For every scheme
+        // a layer can be given, on inputs with NaNs, ±∞ and whole buckets
+        // of zeros, the extent of a payload with junk after it is the
+        // payload's length; one byte short, the extent runs past the
+        // bytes. PowerSGD alone states none, for any bytes.
+        let schemes = [
+            CompressionScheme::None,
+            CompressionScheme::Qsgd {
+                bits: 4,
+                bucket_size: 64,
+            },
+            CompressionScheme::Qsgd {
+                bits: 3,
+                bucket_size: 63,
+            },
+            CompressionScheme::Qsgd {
+                bits: 8,
+                bucket_size: 10,
+            },
+            CompressionScheme::Nuqsgd {
+                bits: 4,
+                bucket_size: 128,
+            },
+            CompressionScheme::TopK { ratio: 0.25 },
+            CompressionScheme::PowerSgd { rank: 2 },
+            CompressionScheme::OneBit { bucket_size: 64 },
+            CompressionScheme::Fake { gamma: 4.0 },
+        ];
+        let pool = ScratchPool::new();
+        cgx_testkit::cases(48, |rng| {
+            let n = 1 + rng.index(3000);
+            let mut data = committed_input(n, rng);
+            if rng.index(2) == 0 {
+                data.fill(0.0);
+            }
+            let junk: Vec<u8> = (0..rng.index(40)).map(|_| rng.next_u32() as u8).collect();
+            for scheme in schemes {
+                let mut c = scheme.build();
+                let enc = c.compress_slice_at(0, &data, rng, &pool);
+                let framed = [enc.payload().as_ref(), &junk].concat();
+                let what = format!("{} n={n} junk={}", c.name(), junk.len());
+                let Some(extent) = c.extent(n, &framed) else {
+                    assert!(
+                        matches!(scheme, CompressionScheme::PowerSgd { .. }),
+                        "{what}"
+                    );
+                    assert_eq!(c.extent(n, &[]), None, "{what}");
+                    continue;
+                };
+                assert_eq!(extent, enc.payload_bytes(), "{what}");
+                let short = &framed[..extent - 1];
+                assert!(
+                    c.extent(n, short).is_some_and(|e| e > short.len()),
+                    "{what}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -149,6 +149,12 @@ impl Compressor for PowerSgdCompressor {
         (3 + (m + n) * r) * 4
     }
 
+    /// Unknown: the payload's length is its matrix's, which `n` alone
+    /// does not give, so PowerSGD payloads are never packed.
+    fn extent(&self, _n: usize, _bytes: &[u8]) -> Option<usize> {
+        None
+    }
+
     fn kernel_cost_per_element(&self) -> f64 {
         // Two GEMMs + orthogonalization per step: several times more than
         // a quantization pass (paper Section 2.3, Technical Issue 1).

@@ -312,11 +312,34 @@ impl Compressor for QsgdCompressor {
         bits.div_ceil(8) as usize
     }
 
+    /// Walks the norm fields: a bucket of zeros has no codes.
+    fn extent(&self, n: usize, bytes: &[u8]) -> Option<usize> {
+        let mut bit = 0;
+        for at in (0..n).step_by(self.bucket_size) {
+            let Some(norm) = u32_at_bit(bytes, bit) else {
+                return Some((bit + 32).div_ceil(8));
+            };
+            bit += 32;
+            if norm != simd::ZERO_BUCKET {
+                bit += self.bucket_size.min(n - at) * self.bits as usize;
+            }
+        }
+        Some(bit.div_ceil(8))
+    }
+
     fn kernel_cost_per_element(&self) -> f64 {
         // Single-pass fused norm + quantize kernel: ~2% of a typical
         // 3090 step touches ~5e8 elements/s effective; see Appendix A.
         2.0e-11
     }
+}
+
+/// The 32 bits from bit `bit` of `bytes` on, in the bit writer's order
+/// (least significant first), if `bytes` holds them.
+fn u32_at_bit(bytes: &[u8], bit: usize) -> Option<u32> {
+    let window = bytes.get(bit / 8..(bit + 32).div_ceil(8))?;
+    let word = (window.iter().rev()).fold(0u64, |w, &b| w << 8 | u64::from(b));
+    Some((word >> (bit % 8)) as u32)
 }
 
 #[cfg(test)]

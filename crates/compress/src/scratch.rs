@@ -13,24 +13,102 @@
 //! up dropping a broadcast payload. Payloads return via
 //! [`ScratchPool::recycle`], which reclaims the underlying buffer when this
 //! handle holds the last reference to the whole buffer
-//! (`Bytes::try_into_vec`).
+//! (`Bytes::try_into_vec`). Byte buffers are kept in per-thread shards:
+//! a thread returns buffers to its own and takes from it before the
+//! others, so ranks that share one pool do not all queue on one lock.
 //!
 //! The [`ScratchPool::allocations`] counter records every buffer the pool
 //! had to create because its free list was empty; after a warm-up round (or
 //! an explicit [`ScratchPool::prewarm`]) it must stop moving — tests assert
 //! exactly that.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::Encoded;
 
+/// Byte-buffer shards a pool keeps.
+const SHARDS: usize = 8;
+
 #[derive(Debug, Default)]
 struct Inner {
-    bufs: Mutex<Vec<Vec<u8>>>,
+    shards: [Shard; SHARDS],
     f32s: Mutex<Vec<Vec<f32>>>,
     allocations: AtomicU64,
+    /// Takes served by the `f32` free list.
     reuses: AtomicU64,
+}
+
+/// One shard of free byte buffers, on a cache line pair of its own, and
+/// the takes it served for its threads.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Shard {
+    bufs: Mutex<SizeClasses>,
+    reuses: AtomicU64,
+}
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, SizeClasses> {
+        self.bufs.lock().expect("scratch pool poisoned")
+    }
+}
+
+/// The calling thread's shard: threads are dealt shards round-robin as
+/// they first take or return a buffer.
+fn home() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static HOME: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    }
+    HOME.with(|home| *home)
+}
+
+/// Free byte buffers by size class: class `k` holds those whose capacity
+/// is in `[2^k, 2^(k+1))`. A take is served by the best fit of its own
+/// class or from the two above it, never by growing a buffer that is too
+/// small nor by spending a much larger one on a small payload, so
+/// payloads of every size reuse buffers of about their size.
+#[derive(Debug, Default)]
+struct SizeClasses(Vec<Vec<Vec<u8>>>);
+
+/// Free buffers a class keeps; a buffer returned past this is dropped.
+const CLASS_IDLE: usize = 256;
+
+impl SizeClasses {
+    /// A free buffer of at least `capacity` bytes: the smallest of its
+    /// own class that holds that many, else one of the smallest of the two
+    /// classes above.
+    fn take(&mut self, capacity: usize) -> Option<Vec<u8>> {
+        let class = capacity.checked_ilog2().unwrap_or(0) as usize;
+        let own = self.0.get_mut(class)?;
+        let fits = own
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.capacity() >= capacity);
+        if let Some((at, _)) = fits.min_by_key(|(_, b)| b.capacity()) {
+            return Some(own.swap_remove(at));
+        }
+        let mut above = self.0.iter_mut().skip(class + 1).take(2);
+        above.find_map(Vec::pop)
+    }
+
+    fn put(&mut self, buf: Vec<u8>) {
+        let Some(class) = buf.capacity().checked_ilog2() else {
+            return;
+        };
+        let class = class as usize;
+        if self.0.len() <= class {
+            self.0.resize_with(class + 1, Vec::new);
+        }
+        if self.0[class].len() < CLASS_IDLE {
+            self.0[class].push(buf);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(Vec::len).sum()
+    }
 }
 
 /// A shared pool of reusable encode buffers and `f32` scratch vectors.
@@ -62,9 +140,9 @@ impl ScratchPool {
     /// each, so subsequent `ScratchPool::take_buf` calls hit the free
     /// list. Prewarmed buffers do not count as allocations.
     pub fn prewarm(&self, count: usize, capacity: usize) {
-        let mut bufs = self.inner.bufs.lock().expect("scratch pool poisoned");
+        let mut bufs = self.shard().lock();
         for _ in 0..count {
-            bufs.push(Vec::with_capacity(capacity));
+            bufs.put(Vec::with_capacity(capacity));
         }
     }
 
@@ -76,13 +154,22 @@ impl ScratchPool {
         }
     }
 
-    /// Takes a cleared byte buffer from the pool, allocating one with
-    /// `capacity` bytes if the free list is empty.
-    pub(crate) fn take_buf(&self, capacity: usize) -> Vec<u8> {
-        let popped = self.inner.bufs.lock().expect("scratch pool poisoned").pop();
-        match popped {
+    /// The calling thread's shard.
+    fn shard(&self) -> &Shard {
+        &self.inner.shards[home()]
+    }
+
+    /// Takes a cleared byte buffer of at least `capacity` bytes from the
+    /// pool — from the calling thread's shard, else from another —
+    /// allocating one of `capacity` bytes if no free one holds that many.
+    pub fn take_buf(&self, capacity: usize) -> Vec<u8> {
+        let home = home();
+        let mut shards = (0..SHARDS).map(|k| &self.inner.shards[(home + k) % SHARDS]);
+        match shards.find_map(|shard| shard.lock().take(capacity)) {
             Some(mut buf) => {
-                self.inner.reuses.fetch_add(1, Ordering::Relaxed);
+                self.inner.shards[home]
+                    .reuses
+                    .fetch_add(1, Ordering::Relaxed);
                 buf.clear();
                 buf
             }
@@ -95,11 +182,7 @@ impl ScratchPool {
 
     /// Returns a byte buffer to the pool.
     pub(crate) fn put_buf(&self, buf: Vec<u8>) {
-        self.inner
-            .bufs
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(buf);
+        self.shard().lock().put(buf);
     }
 
     /// Reclaims an encoded payload's buffer if this handle holds the last
@@ -147,12 +230,17 @@ impl ScratchPool {
 
     /// Number of take operations served from the free lists.
     pub fn reuses(&self) -> u64 {
-        self.inner.reuses.load(Ordering::Relaxed)
+        let bufs = self
+            .inner
+            .shards
+            .iter()
+            .map(|s| s.reuses.load(Ordering::Relaxed));
+        bufs.sum::<u64>() + self.inner.reuses.load(Ordering::Relaxed)
     }
 
-    /// Number of byte buffers currently parked in the free list.
+    /// Number of byte buffers currently parked in the free lists.
     pub(crate) fn idle_bufs(&self) -> usize {
-        self.inner.bufs.lock().expect("scratch pool poisoned").len()
+        self.inner.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Number of `f32` vectors currently parked in the free list.
@@ -214,6 +302,41 @@ mod tests {
         }
         assert_eq!(pool.allocations(), 0);
         assert_eq!(pool.reuses(), 4);
+    }
+
+    #[test]
+    fn a_take_gets_a_buffer_of_about_its_size_or_a_new_one() {
+        // Free buffers of 64 B, 4 KiB and 60,000 B. The best fit of a
+        // take's own power-of-two class serves it, or a buffer at most
+        // two classes larger; a 4 KiB buffer is not spent on 100 B, and
+        // no buffer is grown.
+        let pool = ScratchPool::new();
+        for capacity in [64, 4096, 60_000] {
+            pool.put_buf(Vec::with_capacity(capacity));
+        }
+        assert_eq!(pool.take_buf(50_000).capacity(), 60_000);
+        assert_eq!(pool.take_buf(100).capacity(), 100);
+        assert_eq!(pool.allocations(), 1);
+        assert_eq!(pool.take_buf(3000).capacity(), 4096);
+        assert_eq!(pool.take_buf(64).capacity(), 64);
+        assert_eq!(
+            (pool.allocations(), pool.reuses(), pool.idle_bufs()),
+            (1, 3, 0)
+        );
+    }
+
+    #[test]
+    fn a_thread_takes_what_another_returned() {
+        // Each thread returns buffers to its own shard; a take that finds
+        // its own empty is served from another's.
+        let pool = ScratchPool::new();
+        std::thread::scope(|s| {
+            s.spawn(|| pool.put_buf(Vec::with_capacity(256)));
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(pool.take_buf(256).capacity(), 256));
+        });
+        assert_eq!((pool.allocations(), pool.reuses()), (0, 1));
     }
 
     #[test]

@@ -101,9 +101,11 @@ fn every_scheme(rng: &mut Rng) -> [CompressionScheme; 7] {
 fn recycled_pool_buffers_encode_the_same_bytes() {
     // An encode takes its payload buffer (and error feedback its scratch)
     // from the pool, whose free buffers are other payloads recycled —
-    // any length, capacity and contents. Whatever they hold, every
-    // scheme's payload, twice over (stateful codecs on their second
-    // call), is the one it writes through a fresh pool.
+    // any length, capacity and contents, one of them a payload of the
+    // same scheme and shape, so that one is of the encode's size class.
+    // Whatever they hold, every scheme's payload, twice over (stateful
+    // codecs on their second call), is the one it writes through a fresh
+    // pool.
     cases(48, |rng| {
         let (rows, cols) = (rng.range(1..48), rng.range(1..48));
         let data: Vec<f32> = gradient(rng, 4000)
@@ -119,6 +121,15 @@ fn recycled_pool_buffers_encode_the_same_bytes() {
                 recycled.recycle(other.build().compress_slice(&junk, rng, &recycled));
                 recycled.put_f32(vec![f32::NAN; rng.range(0..3000)]);
             }
+            let junk: Vec<f32> = gradient(rng, 3000)
+                .into_iter()
+                .cycle()
+                .take(rows * cols)
+                .collect();
+            let sized = scheme
+                .build()
+                .encode(shape.clone(), 0, &junk, rng, &recycled);
+            recycled.recycle(sized);
             let (mut a, mut b) = (scheme.build(), scheme.build());
             let seed = rng.next_u64();
             let (mut rng_a, mut rng_b) = (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));

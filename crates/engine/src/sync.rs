@@ -109,8 +109,8 @@ fn publish_replan(obs: &ObsHandle, up: &cgx_adaptive::PlanUpdate) {
 /// world times `scale` — in the buffer it came in, the engine reduces in
 /// place — and shown to `redeemed` (a leader's fan-out under a topology;
 /// it returns the bytes it sent) while the later layers are still in
-/// flight. The engine overlaps all in-flight reductions and coalesces
-/// small lossless layers. On error every handle is still drained (later
+/// flight. The engine overlaps all in-flight reductions and packs small
+/// layers into shared frames. On error every handle is still drained (later
 /// waits fail fast on the poison) so nothing stays in flight; `tensors`
 /// then holds only the layers that completed, and the rest, like the
 /// compressors the poisoned engine kept, are gone: both callers discard
@@ -392,11 +392,13 @@ mod tests {
 
     /// Under a topology the leaders' exchange is an engine round like the
     /// flat world's: the four layers of the MLP are in flight together and
-    /// its two lossless bias layers travel as one coalesced collective —
-    /// three two-leader SRAs of two compress calls each, where one
-    /// collective per layer makes eight. Members run no collective at all.
+    /// travel as one pack — each layer encodes its own chunk once per
+    /// phase, and a leader sends its peer leader one frame per phase
+    /// besides the four means it fans down to its member, where one
+    /// collective per layer makes eight frames. Members run no
+    /// collective at all.
     #[test]
-    fn a_leaders_round_under_a_topology_overlaps_and_coalesces() {
+    fn a_leaders_round_under_a_topology_overlaps_and_packs() {
         let model = Mlp::new(&mut Rng::seed_from_u64(33), &[8, 16, 4]);
         let topo = Topology::grouped(2, 2);
         let cfg = TrainConfig {
@@ -405,17 +407,21 @@ mod tests {
             ..TrainConfig::new(4, 1)
         };
         let pool = ScratchPool::new();
-        let traffic = ThreadCluster::run(4, |t| {
+        let traffic = ThreadCluster::run(4, |mut t| {
+            let registry = cgx_obs::MetricsRegistry::new();
+            t.set_obs(&registry);
             let mut sync = RankSync::new(&t, &model, &cfg, &pool).expect("valid config");
             let mut grads = model.params().to_vec();
             sync.reduce_mean(&mut grads).expect("fault-free round");
-            sync.traffic
+            let frames = registry.counter(cgx_obs::names::TRANSPORT_MSGS_SENT).get();
+            (sync.traffic, frames)
         })
         .unwrap();
-        for (rank, stats) in traffic.iter().enumerate() {
+        for (rank, (stats, frames)) in traffic.iter().enumerate() {
             if topo.is_leader(rank) {
                 assert!(stats.max_in_flight > 1, "leader {rank} ran layer by layer");
-                assert_eq!(stats.compress_calls, 3 * 2, "leader {rank}");
+                assert_eq!(stats.compress_calls, 4 * 2, "leader {rank}");
+                assert_eq!(*frames, 2 + 4, "leader {rank}");
             } else {
                 assert_eq!((stats.max_in_flight, stats.compress_calls), (0, 0));
             }

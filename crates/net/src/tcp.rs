@@ -1036,13 +1036,21 @@ impl TcpTransport {
         }
     }
 
-    /// Flushes every link's queue through what it holds now.
+    /// Flushes every link's queue through what it holds now. A peer
+    /// condemned as [`CommError::PeerDead`] fails the flush with nothing
+    /// queued too: a socket error that condemned it dropped what was.
     fn flush_all<'a>(&'a self, mut ep: Guard<'a>) -> (Guard<'a>, Result<(), CommError>) {
         let mut first_err = None;
         for peer in 0..self.world {
-            let Some(link) = ep.links[peer].as_ref().filter(|l| !l.queue.is_empty()) else {
+            let Some(link) = ep.links[peer].as_ref() else {
                 continue;
             };
+            if link.queue.is_empty() {
+                if let Some(dead @ CommError::PeerDead { .. }) = ep.stash.closed(peer) {
+                    first_err.get_or_insert_with(|| dead.clone());
+                }
+                continue;
+            }
             let upto = link.next_seq;
             let r;
             (ep, r) = self.flush(ep, peer, upto);
@@ -1466,6 +1474,22 @@ mod tests {
         }
         typed(b.recv_tagged(0, TAG).map(drop), "rank 1 receives past them");
         assert!(t0.elapsed() < timeout, "failing took {:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn a_flush_after_a_dropped_frame_fails_with_its_peer() {
+        // A frame is queued; the link is cut; a receive that misses pushes
+        // the queue, meets the write error and drops the frame. The flush
+        // after it has nothing queued, and still owes the caller the loss.
+        let mut eps = TcpFabric::build_local(2);
+        let _b = eps.pop().expect("rank 1");
+        let a = eps.pop().expect("rank 0");
+        let frame = Encoded::new(Shape::new(vec![1]), vec![7u8].into());
+        assert!(a.try_send_tagged(1, 5, frame).expect("queued").is_none());
+        shut_link(&a, 1);
+        let _ = a.try_recv_tagged(1, 5);
+        assert!(a.lock().link(1).queue.is_empty(), "the frame was dropped");
+        assert_eq!(a.flush_outbound(), Err(CommError::PeerDead { rank: 1 }));
     }
 
     #[test]

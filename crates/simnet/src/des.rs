@@ -1,6 +1,6 @@
 //! Discrete-event network simulation of collective operations.
 //!
-//! The analytic α-β formulas in [`crate::collective`] are closed forms;
+//! The analytic α-β formulas of [`crate::allreduce_time`] are closed forms;
 //! this module cross-validates them with a first-principles discrete-event
 //! simulation: every chunk transfer is an explicit operation with data
 //! dependencies, scheduled onto per-GPU egress/ingress lanes of finite

@@ -8,7 +8,7 @@
 //! schemes of Section 3, and a step simulator that overlaps per-layer
 //! gradient communication with the backward pass. The step simulator does
 //! not model the real communication engine's 65,536-element segment cut,
-//! its 4,096-element coalescing or its cap of eight live collectives
+//! its packing of small layers or its cap of eight live collectives
 //! (`MAX_LIVE`): each message it is given, a layer or a fused bucket, is
 //! one collective, never cut and never queued behind a cap.
 //!
@@ -21,8 +21,8 @@
 //! * [`machine`] — the calibrated evaluation systems (Table 2, Table 4
 //!   cloud instances, the Table 5 cluster);
 //! * [`backend`] — SHM / NCCL / MPI transport profiles (Figure 11);
-//! * [`collective`] — α-β cost of SRA / Ring / Tree / Allgather reductions
-//!   (Figure 10);
+//! * `collective` ([`allreduce_time`], [`ReductionScheme`]) — α-β cost of
+//!   SRA / Ring / Tree / Allgather reductions (Figure 10);
 //! * [`des`] — a first-principles discrete-event network simulation that
 //!   cross-validates the closed forms (lane contention, dependency stalls);
 //! * [`step`] — the per-step overlap simulator behind Figures 1 and 3 and
@@ -43,7 +43,7 @@
 //! ```
 
 pub mod backend;
-pub mod collective;
+pub(crate) mod collective;
 pub mod des;
 pub(crate) mod hardware;
 pub mod machine;

@@ -110,11 +110,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Sets every element to `value`.
     pub fn fill(&mut self, value: f32) {
         for x in &mut self.data {

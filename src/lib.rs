@@ -22,7 +22,7 @@
 //!   SGD (the accuracy-recovery experiments);
 //! * `cgx_simnet` — the performance simulator of the paper's machines
 //!   (throughput experiments); its step simulator does not model the
-//!   engine's segment cut, coalescing or live-collective cap;
+//!   engine's segment cut, packing or live-collective cap;
 //! * `cgx_adaptive` — Algorithm 1 (k-means bit-width assignment) and its
 //!   baselines;
 //! * `cgx_net` — the TCP fabric: socket-backed transport, rendezvous
